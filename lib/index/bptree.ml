@@ -30,7 +30,13 @@ type t = {
 
 let cache_limit = 8192
 
-(* -- node (de)serialization ------------------------------------------------ *)
+(* -- node encoding -------------------------------------------------------------
+   A node page holds a u16 byte length, then the node: a kind byte (0 leaf,
+   1 internal), a u16 entry/key count and a u32 (leaf: next leaf; internal:
+   first child), then per leaf entry u16 klen | key | u16 vlen | value and
+   per internal key u16 klen | key | u32 child, all little-endian. Bytes
+   past the node are left as they were. Nodes are encoded straight into,
+   and decoded straight out of, the pinned frame. *)
 
 let node_size = function
   | Leaf l ->
@@ -38,59 +44,92 @@ let node_size = function
   | Internal n ->
       Array.fold_left (fun acc k -> acc + 2 + String.length k + 4) 7 n.keys
 
-let serialize node =
-  let b = Buffer.create 512 in
-  (match node with
-  | Leaf l ->
-      Codec.put_u8 b 0;
-      Codec.put_u16 b (Array.length l.entries);
-      Codec.put_u32 b l.next;
-      Array.iter
-        (fun (k, v) ->
-          Codec.put_u16 b (String.length k);
-          Codec.put_raw b k;
-          Codec.put_u16 b (String.length v);
-          Codec.put_raw b v)
-        l.entries
-  | Internal n ->
-      Codec.put_u8 b 1;
-      Codec.put_u16 b (Array.length n.keys);
-      Codec.put_u32 b n.children.(0);
-      Array.iteri
-        (fun i k ->
-          Codec.put_u16 b (String.length k);
-          Codec.put_raw b k;
-          Codec.put_u32 b n.children.(i + 1))
-        n.keys);
-  Buffer.contents b
+let get_u32 b off = Bytes.get_uint16_le b off lor (Bytes.get_uint16_le b (off + 2) lsl 16)
 
-let deserialize s =
-  let c = Codec.cursor s in
-  match Codec.get_u8 c with
+let set_u32 b off n =
+  Bytes.set_uint16_le b off (n land 0xffff);
+  Bytes.set_uint16_le b (off + 2) ((n lsr 16) land 0xffff)
+
+(* Write [s] length-prefixed at [off]; return the offset past it. *)
+let set_str b off s =
+  let len = String.length s in
+  Bytes.set_uint16_le b off len;
+  Bytes.blit_string s 0 b (off + 2) len;
+  off + 2 + len
+
+let encode b node =
+  let size = node_size node in
+  assert (size <= node_capacity);
+  Bytes.set_uint16_le b 0 size;
+  let stop =
+    match node with
+    | Leaf l ->
+        Bytes.set_uint8 b 2 0;
+        Bytes.set_uint16_le b 3 (Array.length l.entries);
+        set_u32 b 5 l.next;
+        Array.fold_left (fun off (k, v) -> set_str b (set_str b off k) v) 9 l.entries
+    | Internal n ->
+        Bytes.set_uint8 b 2 1;
+        Bytes.set_uint16_le b 3 (Array.length n.keys);
+        set_u32 b 5 n.children.(0);
+        let off = ref 9 in
+        Array.iteri
+          (fun i k ->
+            let o = set_str b !off k in
+            set_u32 b o n.children.(i + 1);
+            off := o + 4)
+          n.keys;
+        !off
+  in
+  assert (stop = 2 + size)
+
+let corrupt fmt = Printf.ksprintf (fun s -> raise (Codec.Corrupt s)) fmt
+
+(* Every field is bounds-checked against the recorded length, so a rotten
+   page raises [Codec.Corrupt] rather than decoding a neighbour's bytes. *)
+let decode b =
+  let stop = 2 + Bytes.get_uint16_le b 0 in
+  if stop > Bytes.length b then corrupt "bptree: node length %d overruns the page" (stop - 2);
+  let pos = ref 2 in
+  let take n =
+    let p = !pos in
+    if p + n > stop then corrupt "bptree: node field at %d overruns node end %d" p stop;
+    pos := p + n;
+    p
+  in
+  let u16 () = Bytes.get_uint16_le b (take 2) in
+  let u32 () = get_u32 b (take 4) in
+  let str () =
+    let n = u16 () in
+    Bytes.sub_string b (take n) n
+  in
+  match Bytes.get_uint8 b (take 1) with
   | 0 ->
-      let n = Codec.get_u16 c in
-      let next = Codec.get_u32 c in
+      let n = u16 () in
+      let next = u32 () in
       let entries =
         Array.init n (fun _ ->
-            let klen = Codec.get_u16 c in
-            let k = Codec.get_raw c klen in
-            let vlen = Codec.get_u16 c in
-            let v = Codec.get_raw c vlen in
+            let k = str () in
+            let v = str () in
             (k, v))
       in
       Leaf { entries; next }
   | 1 ->
-      let n = Codec.get_u16 c in
-      let first = Codec.get_u32 c in
-      let keys = Array.make n "" in
-      let children = Array.make (n + 1) first in
-      for i = 0 to n - 1 do
-        let klen = Codec.get_u16 c in
-        keys.(i) <- Codec.get_raw c klen;
-        children.(i + 1) <- Codec.get_u32 c
-      done;
+      let n = u16 () in
+      let children = Array.make (n + 1) (u32 ()) in
+      let keys =
+        Array.init n (fun i ->
+            let k = str () in
+            children.(i + 1) <- u32 ();
+            k)
+      in
       Internal { keys; children }
-  | k -> raise (Codec.Corrupt (Printf.sprintf "bptree: bad node kind %d" k))
+  | k -> corrupt "bptree: bad node kind %d" k
+
+let cache_node t page node =
+  Mutex.protect t.cache_mu (fun () ->
+      if Hashtbl.length t.node_cache >= cache_limit then Hashtbl.reset t.node_cache;
+      Hashtbl.replace t.node_cache page node)
 
 let read_node t page =
   match Mutex.protect t.cache_mu (fun () -> Hashtbl.find_opt t.node_cache page) with
@@ -104,51 +143,34 @@ let read_node t page =
           (Codec.Corrupt
              (Printf.sprintf "bptree: node pointer %d beyond end of file (%d pages; truncated?)"
                 page (Pool.page_count t.pool)));
-      let n =
-        Pool.with_page t.pool page (fun f ->
-            let data = Pool.data f in
-            let c = Codec.cursor (Bytes.to_string data) in
-            let len = Codec.get_u16 c in
-            deserialize (Codec.get_raw c len))
-      in
-      Mutex.protect t.cache_mu (fun () ->
-          if Hashtbl.length t.node_cache >= cache_limit then Hashtbl.reset t.node_cache;
-          Hashtbl.replace t.node_cache page n);
+      let n = Pool.with_page t.pool page (fun f -> decode (Pool.data f)) in
+      cache_node t page n;
       n
 
-let write_node t page node =
-  let s = serialize node in
-  assert (String.length s <= node_capacity);
-  Pool.with_page t.pool page (fun f ->
-      let data = Pool.data f in
-      let b = Buffer.create (String.length s + 2) in
-      Codec.put_u16 b (String.length s);
-      Codec.put_raw b s;
-      let out = Buffer.contents b in
-      Bytes.blit_string out 0 data 0 (String.length out);
-      Pool.mark_dirty t.pool f);
-  Mutex.protect t.cache_mu (fun () ->
-      if Hashtbl.length t.node_cache >= cache_limit then Hashtbl.reset t.node_cache;
-      Hashtbl.replace t.node_cache page node)
+let store t f node =
+  encode (Pool.data f) node;
+  Pool.mark_dirty t.pool f;
+  cache_node t (Pool.page_no f) node
+
+let write_node t page node = Pool.with_page t.pool page (fun f -> store t f node)
 
 let alloc_node t node =
   let f = Pool.allocate t.pool in
-  let page = Pool.page_no f in
-  Pool.unpin t.pool f;
-  write_node t page node;
-  page
+  Fun.protect ~finally:(fun () -> Pool.unpin t.pool f) (fun () -> store t f node);
+  Pool.page_no f
 
 (* -- header ----------------------------------------------------------------- *)
 
+(* Page 0: magic, u32 root, i64 count, zeros to the end of the page. *)
 let write_header t =
   Pool.with_page t.pool 0 (fun f ->
       let data = Pool.data f in
-      Bytes.fill data 0 Ode_storage.Page.size '\000';
-      Bytes.blit_string magic 0 data 0 8;
-      let b = Buffer.create 16 in
-      Codec.put_u32 b t.root;
-      Codec.put_i64 b (Int64.of_int t.count);
-      Bytes.blit_string (Buffer.contents b) 0 data 8 12;
+      if Bytes.sub_string data 0 8 <> magic then begin
+        Bytes.fill data 0 Ode_storage.Page.size '\000';
+        Bytes.blit_string magic 0 data 0 8
+      end;
+      set_u32 data 8 t.root;
+      Bytes.set_int64_le data 12 (Int64.of_int t.count);
       Pool.mark_dirty t.pool f)
 
 let attach pool =
@@ -167,12 +189,7 @@ let attach pool =
       Pool.with_page pool 0 (fun f ->
           let data = Pool.data f in
           let got = Bytes.sub_string data 0 8 in
-          if got = magic then begin
-            let c = Codec.cursor ~pos:8 (Bytes.to_string data) in
-            let root = Codec.get_u32 c in
-            let count = Int64.to_int (Codec.get_i64 c) in
-            `Ok (root, count)
-          end
+          if got = magic then `Ok (get_u32 data 8, Int64.to_int (Bytes.get_int64_le data 12))
           else if String.for_all (fun ch -> ch = '\000') got then `Never_flushed
           else invalid_arg "bptree: bad magic")
     in
@@ -305,29 +322,33 @@ let insert t key value =
     invalid_arg "bptree: entry too large";
   Ode_util.Stats.incr_index_probes ();
   Ode_util.Trace.instant ~cat:"index" "bptree.insert";
-  (match insert_at t t.root key value with
-  | None -> ()
-  | Some (sep, right) ->
-      let root = alloc_node t (Internal { keys = [| sep |]; children = [| t.root; right |] }) in
-      t.root <- root);
-  write_header t
+  (* A split touches several pages; no pressure flush may persist some of
+     them before the parent, root and header route to the new page. *)
+  Pool.with_no_flush t.pool (fun () ->
+      (match insert_at t t.root key value with
+      | None -> ()
+      | Some (sep, right) ->
+          let root = alloc_node t (Internal { keys = [| sep |]; children = [| t.root; right |] }) in
+          t.root <- root);
+      write_header t)
 
 (* -- public: delete ------------------------------------------------------------ *)
 
 let delete t key =
   Ode_util.Stats.incr_index_probes ();
   Ode_util.Trace.instant ~cat:"index" "bptree.delete";
-  let page, node = find_leaf t t.root key in
-  match node with
-  | Leaf l -> (
-      match entry_index l.entries key with
-      | Error _ -> false
-      | Ok i ->
-          write_node t page (Leaf { entries = array_remove l.entries i; next = l.next });
-          t.count <- t.count - 1;
-          write_header t;
-          true)
-  | Internal _ -> assert false
+  Pool.with_no_flush t.pool (fun () ->
+      let page, node = find_leaf t t.root key in
+      match node with
+      | Leaf l -> (
+          match entry_index l.entries key with
+          | Error _ -> false
+          | Ok i ->
+              write_node t page (Leaf { entries = array_remove l.entries i; next = l.next });
+              t.count <- t.count - 1;
+              write_header t;
+              true)
+      | Internal _ -> assert false)
 
 (* -- public: streaming cursor ----------------------------------------------------- *)
 

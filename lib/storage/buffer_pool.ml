@@ -8,7 +8,14 @@
    Lock order (outermost first): flush_mu -> stripe locks (ascending) ->
    Disk's internal lock. [pin] holds exactly one stripe lock and never the
    flush mutex, releasing the stripe before any global flush, so the
-   hierarchy has no cycles. *)
+   hierarchy has no cycles.
+
+   A no-flush section ([with_no_flush]) brackets a multi-page update that
+   is only consistent once complete, such as a B+tree split. While one is
+   open, eviction takes clean victims only and a stripe with none goes
+   over capacity instead of flushing; the outermost section trims the
+   stripes back on exit, flushing then if it must. So a pressure flush
+   never writes back a half-applied update. *)
 
 module Failpoint = Ode_util.Failpoint
 
@@ -29,6 +36,7 @@ type t = {
   cap : int;
   stripes : stripe array;
   flush_mu : Mutex.t;
+  no_flush : int Atomic.t; (* open no-flush sections; opened under flush_mu *)
   mutable pre_write : unit -> unit;
 }
 
@@ -53,6 +61,7 @@ let create ?(capacity = 256) disk =
     cap = capacity;
     stripes = Array.init n (fun _ -> { mu = Mutex.create (); frames = Ode_util.Lru.create per });
     flush_mu = Mutex.create ();
+    no_flush = Atomic.make 0;
     pre_write = (fun () -> ());
   }
 
@@ -74,66 +83,75 @@ let lock_all t = Array.iter (fun s -> Mutex.lock s.mu) t.stripes
 let unlock_all t = Array.iter (fun s -> Mutex.unlock s.mu) t.stripes
 
 (* Persist every dirty frame as one crash-atomic batch (double-write
-   journalled and fsynced by the disk layer). Returns false when there was
-   nothing to write. Single-page write-back would let a crash persist an
-   arbitrary subset of a logical update; batching keeps the on-disk file at
-   a consistent flush boundary. *)
+   journalled and fsynced by the disk layer), caller holding [flush_mu].
+   Returns false when there was nothing to write. Single-page write-back
+   would let a crash persist an arbitrary subset of a logical update;
+   batching keeps the on-disk file at a consistent flush boundary. *)
 let flush_dirty t =
+  lock_all t;
+  let finish v =
+    unlock_all t;
+    v
+  in
+  let batch = ref [] in
+  Array.iter
+    (fun s -> Ode_util.Lru.iter s.frames (fun _ f -> if f.dirty then batch := (f.no, f.buf) :: !batch))
+    t.stripes;
+  match !batch with
+  | [] -> finish false
+  | batch -> (
+      (* Write-ahead: deferred (group/async) commits apply to pages
+         before their log records are fsynced, so the engine hooks this
+         to force the WAL out before any dirty page can reach the disk. *)
+      match
+        t.pre_write ();
+        Disk.write_batch t.disk batch
+      with
+      | () ->
+          Array.iter
+            (fun s -> Ode_util.Lru.iter s.frames (fun _ f -> f.dirty <- false))
+            t.stripes;
+          finish true
+      | exception e ->
+          unlock_all t;
+          raise e)
+
+(* A flush forced by a full stripe. Refused (false) while a no-flush
+   section is open; the check runs under [flush_mu], which sections take
+   to open, so a section never starts while a pressure flush is under way. *)
+let pressure_flush t =
   Mutex.protect t.flush_mu (fun () ->
-      lock_all t;
-      let finish v =
-        unlock_all t;
-        v
-      in
-      let batch = ref [] in
-      Array.iter
-        (fun s -> Ode_util.Lru.iter s.frames (fun _ f -> if f.dirty then batch := (f.no, f.buf) :: !batch))
-        t.stripes;
-      match !batch with
-      | [] -> finish false
-      | batch -> (
-          (* Write-ahead: deferred (group/async) commits apply to pages
-             before their log records are fsynced, so the engine hooks this
-             to force the WAL out before any dirty page can reach the disk. *)
-          match
-            t.pre_write ();
-            Disk.write_batch t.disk batch
-          with
-          | () ->
-              Array.iter
-                (fun s -> Ode_util.Lru.iter s.frames (fun _ f -> f.dirty <- false))
-                t.stripes;
-              finish true
-          | exception e ->
-              unlock_all t;
-              raise e))
+      Atomic.get t.no_flush = 0
+      && begin
+           (match Failpoint.hit fp_evict with
+           | Some Failpoint.Crash_site -> Failpoint.crash fp_evict
+           | Some _ | None -> ());
+           Ode_util.Trace.instant ~cat:"pool" "pool.evict";
+           ignore (flush_dirty t);
+           true
+         end)
 
-(* Make room inside one stripe, caller holding its lock. Returns false when
-   only a global flush can help (every unpinned frame is dirty). *)
-let make_room_local s =
-  if Ode_util.Lru.length s.frames >= Ode_util.Lru.capacity s.frames then
-    match Ode_util.Lru.evict s.frames (fun _ f -> f.pins = 0 && not f.dirty) with
-    | Some _ -> true
-    | None -> false
-  else true
+let full s = Ode_util.Lru.length s.frames >= Ode_util.Lru.capacity s.frames
+let evict_clean s = Ode_util.Lru.evict s.frames (fun _ f -> f.pins = 0 && not f.dirty) <> None
 
-(* Slow path: the stripe was full of dirty/pinned frames. Drop the stripe
-   lock, flush everything clean (one journalled batch), retake the lock and
-   evict. Prefers a clean victim even after the flush in case a concurrent
-   pin dirtied something again. *)
-let make_room_flushing t s =
-  if not (make_room_local s) then begin
-    (match Failpoint.hit fp_evict with
-    | Some Failpoint.Crash_site -> Failpoint.crash fp_evict
-    | Some _ | None -> ());
-    Ode_util.Trace.instant ~cat:"pool" "pool.evict";
+(* Make room for one frame in stripe [s], caller holding its lock. A clean
+   victim is evicted without I/O. Failing that, flush everything (one
+   journalled batch) with the stripe lock dropped, retake it and evict —
+   unless a no-flush section is open, in which case the stripe goes over
+   capacity until the section ends. *)
+let make_room t s =
+  if full s && (not (evict_clean s)) && Atomic.get t.no_flush = 0 then begin
     Mutex.unlock s.mu;
-    (match flush_dirty t with
-    | _ -> Mutex.lock s.mu
-    | exception e ->
-        Mutex.lock s.mu;
-        raise e);
-    if Ode_util.Lru.length s.frames >= Ode_util.Lru.capacity s.frames then
+    let flushed =
+      match pressure_flush t with
+      | v ->
+          Mutex.lock s.mu;
+          v
+      | exception e ->
+          Mutex.lock s.mu;
+          raise e
+    in
+    if flushed && full s then
       match Ode_util.Lru.evict s.frames (fun _ f -> f.pins = 0) with
       | Some _ -> ()
       | None -> raise Pool_exhausted
@@ -150,7 +168,7 @@ let pin t n =
       | None -> (
           Ode_util.Stats.incr_pool_misses ();
           Ode_util.Trace.instant ~cat:"pool" "pool.miss";
-          make_room_flushing t s;
+          make_room t s;
           (* The stripe lock was dropped during a flush: another domain may
              have loaded the page meanwhile. *)
           match Ode_util.Lru.find s.frames n with
@@ -177,30 +195,56 @@ let mark_dirty t f =
   let s = stripe_of t f.no in
   Mutex.protect s.mu (fun () -> f.dirty <- true)
 
+(* The new frame takes the zero image [Disk.allocate] just wrote, so a
+   fresh page costs no read-back. *)
 let allocate t =
-  let n = Disk.allocate t.disk in
+  let n, buf = Disk.allocate t.disk in
   let s = stripe_of t n in
   Mutex.protect s.mu (fun () ->
-      make_room_flushing t s;
-      let buf = Disk.read t.disk n in
+      make_room t s;
       let f = { no = n; buf; pins = 1; dirty = false } in
       Ode_util.Lru.add s.frames n f;
       f)
+
+(* Bring every stripe back within capacity after the outermost no-flush
+   section: clean victims first, then one flush if any stripe is still
+   over. Frames still pinned may keep a stripe over until they are
+   unpinned and evicted normally. *)
+let trim t =
+  let over s = Ode_util.Lru.length s.frames > Ode_util.Lru.capacity s.frames in
+  let shed s =
+    Mutex.protect s.mu (fun () ->
+        while over s && evict_clean s do
+          ()
+        done;
+        over s)
+  in
+  let over = Array.fold_left (fun over s -> shed s || over) false t.stripes in
+  if over && pressure_flush t then Array.iter (fun s -> ignore (shed s)) t.stripes
+
+let with_no_flush t fn =
+  Mutex.protect t.flush_mu (fun () -> Atomic.incr t.no_flush);
+  match fn () with
+  | v ->
+      if Atomic.fetch_and_add t.no_flush (-1) = 1 then trim t;
+      v
+  | exception e ->
+      (* The update stopped half-way: leave the overflow for the next
+         section's trim rather than flush a half-applied state now. *)
+      Atomic.decr t.no_flush;
+      raise e
 
 let flush_all t =
   (match Failpoint.hit fp_flush with
   | Some Failpoint.Crash_site -> Failpoint.crash fp_flush
   | Some _ | None -> ());
-  if not (flush_dirty t) then Disk.sync t.disk
+  if not (Mutex.protect t.flush_mu (fun () -> flush_dirty t)) then Disk.sync t.disk
 
 let drop_cache t =
   Array.iter
     (fun s ->
       Mutex.protect s.mu (fun () ->
-          let rec go () =
-            match Ode_util.Lru.evict s.frames (fun _ f -> f.pins = 0 && not f.dirty) with
-            | Some _ -> go ()
-            | None -> ()
-          in
-          go ()))
+          while evict_clean s do
+            ()
+          done))
     t.stripes

@@ -2,7 +2,8 @@
 
     Callers pin pages to work on them and unpin when done; only unpinned
     pages are eviction candidates (LRU). Dirty pages are written back on
-    eviction and on {!flush_all}. Frames are partitioned into stripes by
+    eviction (outside a {!with_no_flush} section) and on {!flush_all}.
+    Frames are partitioned into stripes by
     page number, each behind its own mutex, so pin/unpin/mark_dirty are
     safe to call concurrently from multiple domains; write-back remains a
     single crash-atomic batch under a global flush lock. Tiny pools
@@ -56,6 +57,16 @@ val mark_dirty : t -> frame -> unit
 val allocate : t -> frame
 (** Extend the disk by one fresh, zeroed, formatted-blank page and return it
     pinned. *)
+
+val with_no_flush : t -> (unit -> 'a) -> 'a
+(** [with_no_flush t f] runs [f] in a no-flush section, for a multi-page
+    update whose pages are consistent only once it completes. Inside it,
+    making room evicts clean frames only; a stripe with none goes over
+    capacity rather than write back part of the update. When the
+    outermost section returns, the stripes are trimmed back to capacity,
+    flushing if needed. If [f] raises, no trim happens then; the overflow
+    waits for the next section. Sections nest, and apply to every domain
+    pinning in [t]. {!flush_all} is not affected. *)
 
 val page_count : t -> int
 

@@ -111,18 +111,21 @@ let faulted_write site fd buf off = function
 
 let journal_magic = "ODEDWJ01"
 
+(* Built in one buffer of its final size: a batch can be most of a pool. *)
 let encode_journal batch =
-  let b = Buffer.create (List.length batch * (Page.size + 4) + 32) in
-  Codec.put_raw b journal_magic;
-  Codec.put_u32 b (List.length batch);
-  List.iter
-    (fun (no, page) ->
-      Codec.put_u32 b no;
-      Buffer.add_bytes b page)
+  let head = String.length journal_magic + 4 in
+  let body = head + (List.length batch * (4 + Page.size)) in
+  let image = Bytes.create (body + 8) in
+  Bytes.blit_string journal_magic 0 image 0 (String.length journal_magic);
+  Bytes.set_int32_le image (String.length journal_magic) (Int32.of_int (List.length batch));
+  List.iteri
+    (fun i (no, page) ->
+      let off = head + (i * (4 + Page.size)) in
+      Bytes.set_int32_le image off (Int32.of_int no);
+      Bytes.blit page 0 image (off + 4) Page.size)
     batch;
-  let body = Buffer.contents b in
-  Codec.put_i64 b (Codec.fnv64 body);
-  Buffer.to_bytes b
+  Bytes.set_int64_le image body (Codec.fnv64_bytes image ~pos:0 ~len:body);
+  image
 
 let decode_journal data =
   let len = String.length data in
@@ -334,7 +337,7 @@ let allocate t =
   let n = page_count t in
   let zero = Bytes.make Page.size '\000' in
   write_unlocked t n zero;
-  n
+  (n, zero)
 
 let sync t =
   Mutex.protect t.mu @@ fun () ->

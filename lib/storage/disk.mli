@@ -43,8 +43,10 @@ val write_batch : t -> (int * bytes) list -> unit
     crash either every page or no page of the batch is visible. Pages must
     already be allocated. *)
 
-val allocate : t -> int
-(** Extend by one zeroed page, returning its index. *)
+val allocate : t -> int * bytes
+(** Extend by one zeroed page, returning its index and the image just
+    written (checksum stamped on the file backend). The caller owns the
+    image: it is exactly what {!read} would return for the new page. *)
 
 val sync : t -> unit
 (** Flush OS buffers (no-op in memory). *)

@@ -229,41 +229,259 @@ let prop_reverse_matches_forward =
       Bptree.iter_range_rev t ~lo ~hi (fun k _ -> bwd := k :: !bwd; true);
       !fwd = List.rev !bwd)
 
+let ops_gen =
+  QCheck.Gen.(
+    list_size (int_bound 400)
+      (frequency
+         [
+           (6, map2 (fun k v -> `Insert (k mod 500, v mod 1000)) nat nat);
+           (3, map (fun k -> `Delete (k mod 500)) nat);
+         ]))
+
+(* Apply [ops] to [t], mirrored in an association list; [value] renders the
+   generated integer. Fails the property on a delete-result mismatch. *)
+let apply_ops ?(value = string_of_int) t ops =
+  List.fold_left
+    (fun model op ->
+      match op with
+      | `Insert (k, v) ->
+          let ks = key k and vs = value v in
+          Bptree.insert t ks vs;
+          (ks, vs) :: List.remove_assoc ks model
+      | `Delete k ->
+          let ks = key k in
+          let present = List.mem_assoc ks model in
+          if present <> Bptree.delete t ks then QCheck.Test.fail_report "delete result mismatch";
+          List.remove_assoc ks model)
+    [] ops
+
+(* Contents and order both match the model, and the structure checks. *)
+let matches_model t model =
+  (match Bptree.check t with Ok () -> () | Error e -> QCheck.Test.fail_report e);
+  let scan = ref [] in
+  Bptree.iter_range t (fun k v ->
+      scan := (k, v) :: !scan;
+      true);
+  let expected = List.sort compare model in
+  List.rev !scan = expected && Bptree.count t = List.length expected
+
 let prop_model =
-  let ops_gen =
-    QCheck.Gen.(
-      list_size (int_bound 400)
-        (frequency
-           [
-             (6, map2 (fun k v -> `Insert (k mod 500, v mod 1000)) nat nat);
-             (3, map (fun k -> `Delete (k mod 500)) nat);
-           ]))
-  in
   QCheck.Test.make ~name:"bptree matches Map" ~count:60 (QCheck.make ops_gen) (fun ops ->
       let t = mk () in
-      let model = ref [] in
-      List.iter
-        (fun op ->
-          match op with
-          | `Insert (k, v) ->
-              let ks = key k and vs = string_of_int v in
-              Bptree.insert t ks vs;
-              model := (ks, vs) :: List.remove_assoc ks !model
-          | `Delete k ->
-              let ks = key k in
-              let present = List.mem_assoc ks !model in
-              let deleted = Bptree.delete t ks in
-              if present <> deleted then QCheck.Test.fail_report "delete result mismatch";
-              model := List.remove_assoc ks !model)
-        ops;
-      (match Bptree.check t with Ok () -> () | Error e -> QCheck.Test.fail_report e);
-      (* Contents and order both match the reference. *)
-      let scan = ref [] in
-      Bptree.iter_range t (fun k v ->
-          scan := (k, v) :: !scan;
-          true);
-      let expected = List.sort compare !model in
-      List.rev !scan = expected && Bptree.count t = List.length expected)
+      matches_model t (apply_ops t ops))
+
+(* -- file-backed trees under a tiny pool ----------------------------------------- *)
+
+let tiny_pool = 4
+let file_tree () = Filename.concat (Tutil.temp_dir "bpt") "t.bpt"
+
+(* Values of varied length, so leaves split at varied entry counts. *)
+let long_value v = string_of_int v ^ String.make (v mod 97) '.'
+
+(* Written through a 4-frame pool, flushed, then reopened on a fresh pool:
+   the node cache starts empty, so every read decodes page bytes. *)
+let prop_reopen_matches_model =
+  QCheck.Test.make ~name:"file-backed tree reopens to the model" ~count:30 (QCheck.make ops_gen)
+    (fun ops ->
+      let path = file_tree () in
+      let d = Disk.open_file path in
+      let t = Bptree.attach (Pool.create ~capacity:tiny_pool d) in
+      let model = apply_ops ~value:long_value t ops in
+      Bptree.flush t;
+      Disk.close d;
+      let d = Disk.open_file path in
+      Fun.protect
+        ~finally:(fun () -> Disk.close d)
+        (fun () -> matches_model (Bptree.attach (Pool.create ~capacity:tiny_pool d)) model))
+
+(* Keys inserted by the pressure-flush regression test; nightly CI raises it. *)
+let torture_keys =
+  match Sys.getenv_opt "BPTREE_TORTURE_KEYS" with Some n -> int_of_string n | None -> 400
+
+(* A crash may come between any two inserts, and the file then holds exactly
+   what pool-pressure write-back put there. Reopen a copy of the file after
+   every insert: the tree on it must be whole. A pressure flush that fired
+   inside a split would persist the left half already cut short while the
+   parent, root and header did not yet route to the right half. *)
+let pressure_flush_never_splits_half () =
+  let path = file_tree () in
+  let copy = path ^ ".copy" in
+  let d = Disk.open_file path in
+  let t = Bptree.attach (Pool.create ~capacity:tiny_pool d) in
+  let rng = Random.State.make [| 36 |] in
+  let most_persisted = ref 0 in
+  for i = 1 to torture_keys do
+    let k = Printf.sprintf "k%08d" (Random.State.int rng 100_000_000) in
+    Bptree.insert t k (String.make (100 + Random.State.int rng 300) 'v');
+    Tutil.copy_file path copy;
+    let dc = Disk.open_file copy in
+    let c = Bptree.attach (Pool.create ~capacity:tiny_pool dc) in
+    (match Bptree.check c with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "file after insert %d: %s" i e);
+    let reachable = ref 0 in
+    Bptree.iter_range c (fun _ _ ->
+        incr reachable;
+        true);
+    Tutil.check_int (Printf.sprintf "file after insert %d: header count = leaf chain" i)
+      (Bptree.count c) !reachable;
+    most_persisted := max !most_persisted !reachable;
+    Disk.close dc
+  done;
+  Disk.close d;
+  Tutil.check_bool "pressure flushes reached the file" true (!most_persisted > 0)
+
+(* -- on-disk format -------------------------------------------------------------- *)
+
+(* The node codec as it stood before nodes were encoded in place: a Buffer
+   round trip per node. Kept here only as the reference for the format. *)
+module Reference = struct
+  module Codec = Ode_util.Codec
+
+  type node = Leaf of (string * string) array * int | Internal of string array * int array
+
+  let serialize node =
+    let b = Buffer.create 512 in
+    (match node with
+    | Leaf (entries, next) ->
+        Codec.put_u8 b 0;
+        Codec.put_u16 b (Array.length entries);
+        Codec.put_u32 b next;
+        Array.iter
+          (fun (k, v) ->
+            Codec.put_u16 b (String.length k);
+            Codec.put_raw b k;
+            Codec.put_u16 b (String.length v);
+            Codec.put_raw b v)
+          entries
+    | Internal (keys, children) ->
+        Codec.put_u8 b 1;
+        Codec.put_u16 b (Array.length keys);
+        Codec.put_u32 b children.(0);
+        Array.iteri
+          (fun i k ->
+            Codec.put_u16 b (String.length k);
+            Codec.put_raw b k;
+            Codec.put_u32 b children.(i + 1))
+          keys);
+    Buffer.contents b
+
+  (* The page prefix [write_node] wrote: u16 length, then the node. *)
+  let page_prefix node =
+    let s = serialize node in
+    let b = Buffer.create (String.length s + 2) in
+    Codec.put_u16 b (String.length s);
+    Codec.put_raw b s;
+    Buffer.contents b
+
+  let deserialize s =
+    let c = Codec.cursor s in
+    match Codec.get_u8 c with
+    | 0 ->
+        let n = Codec.get_u16 c in
+        let next = Codec.get_u32 c in
+        let entries =
+          Array.init n (fun _ ->
+              let k = Codec.get_raw c (Codec.get_u16 c) in
+              let v = Codec.get_raw c (Codec.get_u16 c) in
+              (k, v))
+        in
+        Leaf (entries, next)
+    | _ ->
+        let n = Codec.get_u16 c in
+        let first = Codec.get_u32 c in
+        let keys = Array.make n "" in
+        let children = Array.make (n + 1) first in
+        for i = 0 to n - 1 do
+          keys.(i) <- Codec.get_raw c (Codec.get_u16 c);
+          children.(i + 1) <- Codec.get_u32 c
+        done;
+        Internal (keys, children)
+
+  let read_node page =
+    let c = Codec.cursor (Bytes.to_string page) in
+    deserialize (Codec.get_raw c (Codec.get_u16 c))
+
+  let header ~root ~count =
+    let b = Buffer.create Ode_storage.Page.size in
+    Codec.put_raw b "ODEBPT01";
+    Codec.put_u32 b root;
+    Codec.put_i64 b (Int64.of_int count);
+    Buffer.add_string b (String.make (Ode_storage.Page.data_end - Buffer.length b) '\000');
+    Buffer.contents b
+end
+
+(* Every page of a flushed tree starts with exactly the bytes the reference
+   encoder writes for the node it holds, the header page included, and those
+   nodes hold the model's contents: so a store written now opens on a build
+   that still decodes with the reference. *)
+let pages_match_reference_encoder () =
+  let path = file_tree () in
+  let d = Disk.open_file path in
+  let t = Bptree.attach (Pool.create ~capacity:tiny_pool d) in
+  let rng = Random.State.make [| 7 |] in
+  let ops =
+    List.init 3000 (fun _ ->
+        let k = Random.State.int rng 2000 in
+        if Random.State.int rng 4 = 0 then `Delete k else `Insert (k, Random.State.int rng 1000))
+  in
+  let model = List.sort compare (apply_ops ~value:long_value t ops) in
+  Bptree.flush t;
+  Disk.close d;
+  let d = Disk.open_file path in
+  let page n = Disk.read d n in
+  let header = page 0 in
+  let root = Bytes.get_uint16_le header 8 lor (Bytes.get_uint16_le header 10 lsl 16) in
+  Tutil.check_string "header page"
+    (Reference.header ~root ~count:(List.length model))
+    (Bytes.sub_string header 0 Ode_storage.Page.data_end);
+  let checked = ref 0 in
+  let rec walk n =
+    let data = page n in
+    let node = Reference.read_node data in
+    let expected = Reference.page_prefix node in
+    Tutil.check_string (Printf.sprintf "page %d prefix" n) expected
+      (Bytes.sub_string data 0 (String.length expected));
+    incr checked;
+    match node with
+    | Reference.Leaf (entries, _) -> Array.to_list entries
+    | Reference.Internal (_, children) -> List.concat_map walk (Array.to_list children)
+  in
+  let entries = walk root in
+  Disk.close d;
+  Tutil.check_bool "tree has internal nodes" true (!checked > 3);
+  Tutil.check_bool "contents = model" true (entries = model)
+
+(* A store laid out by the reference encoder (two leaves under an internal
+   root) opens, reads and takes further inserts. *)
+let reference_store_opens () =
+  let path = file_tree () in
+  let d = Disk.open_file path in
+  for _ = 0 to 3 do
+    ignore (Disk.allocate d)
+  done;
+  let write n s =
+    let b = Bytes.make Ode_storage.Page.size '\000' in
+    Bytes.blit_string s 0 b 0 (String.length s);
+    Disk.write d n b
+  in
+  let left = Array.init 3 (fun i -> (key i, string_of_int i)) in
+  let right = Array.init 3 (fun i -> (key (i + 3), string_of_int (i + 3))) in
+  write 0 (Reference.header ~root:3 ~count:6);
+  write 1 (Reference.page_prefix (Reference.Leaf (left, 2)));
+  write 2 (Reference.page_prefix (Reference.Leaf (right, 0)));
+  write 3 (Reference.page_prefix (Reference.Internal ([| key 3 |], [| 1; 2 |])));
+  Disk.close d;
+  let d = Disk.open_file path in
+  let t = Bptree.attach (Pool.create ~capacity:tiny_pool d) in
+  assert_ok t;
+  Tutil.check_int "count" 6 (Bptree.count t);
+  Alcotest.(check (option string)) "left leaf" (Some "1") (Bptree.find t (key 1));
+  Alcotest.(check (option string)) "right leaf" (Some "4") (Bptree.find t (key 4));
+  Bptree.insert t (key 6) "6";
+  assert_ok t;
+  Tutil.check_int "count after insert" 7 (Bptree.count t);
+  Disk.close d
 
 let suite =
   [
@@ -282,7 +500,20 @@ let suite =
         Alcotest.test_case "cursor early exit stops page reads" `Quick cursor_early_exit_pages;
         Alcotest.test_case "persists across reopen" `Quick persistence;
         Alcotest.test_case "oversized entries rejected" `Quick large_entries_rejected;
+        Alcotest.test_case "pages match the reference encoder" `Quick pages_match_reference_encoder;
+        Alcotest.test_case "reference-encoded store opens" `Quick reference_store_opens;
+      ] );
+    (* Its own group so nightly CI can run it alone at a larger key count. *)
+    ( "bptree.crash",
+      [
+        Alcotest.test_case "pressure flush never persists half a split" `Quick
+          pressure_flush_never_splits_half;
       ] );
     Tutil.qsuite "bptree.props"
-      [ prop_model; prop_reverse_matches_forward; prop_cursor_matches_iter_range ];
+      [
+        prop_model;
+        prop_reverse_matches_forward;
+        prop_cursor_matches_iter_range;
+        prop_reopen_matches_model;
+      ];
   ]

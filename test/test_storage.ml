@@ -11,7 +11,7 @@ module Page = Ode_storage.Page
 let mem_disk_rw () =
   let d = Disk.in_memory () in
   Tutil.check_int "empty" 0 (Disk.page_count d);
-  let n = Disk.allocate d in
+  let n, _ = Disk.allocate d in
   Tutil.check_int "first page" 0 n;
   let page = Bytes.make Page.size 'q' in
   Disk.write d 0 page;
@@ -21,8 +21,8 @@ let file_disk_rw () =
   let dir = Tutil.temp_dir "disk" in
   let path = Filename.concat dir "pages" in
   let d = Disk.open_file path in
-  let n0 = Disk.allocate d in
-  let n1 = Disk.allocate d in
+  let n0, _ = Disk.allocate d in
+  let n1, _ = Disk.allocate d in
   Tutil.check_int "sequential alloc" 1 (n1 - n0);
   let page = Bytes.make Page.size 'z' in
   Disk.write d n1 page;
@@ -91,6 +91,24 @@ let pool_flush_all () =
   Pool.unpin p f;
   Pool.flush_all p;
   Tutil.check_bool "flushed" true (Bytes.get (Disk.read d 0) 10 = 'F')
+
+let pool_no_flush_section () =
+  let d = Disk.in_memory () in
+  let p = Pool.create ~capacity:2 d in
+  let dirty_page () =
+    let f = Pool.allocate p in
+    Bytes.set (Pool.data f) 0 'D';
+    Pool.mark_dirty p f;
+    Pool.unpin p f
+  in
+  Pool.with_no_flush p (fun () ->
+      for _ = 1 to 3 do
+        dirty_page ()
+      done;
+      Tutil.check_int "over capacity inside" 3 (Pool.resident p);
+      Tutil.check_bool "nothing written back inside" true (Bytes.get (Disk.read d 0) 0 = '\000'));
+  Tutil.check_int "trimmed on exit" 2 (Pool.resident p);
+  Tutil.check_bool "written back on exit" true (Bytes.get (Disk.read d 0) 0 = 'D')
 
 (* -- wal ------------------------------------------------------------------ *)
 
@@ -324,6 +342,7 @@ let suite =
         Alcotest.test_case "eviction writes back dirty pages" `Quick pool_eviction_writes_back;
         Alcotest.test_case "exhaustion when all pinned" `Quick pool_exhaustion;
         Alcotest.test_case "flush_all" `Quick pool_flush_all;
+        Alcotest.test_case "no-flush section" `Quick pool_no_flush_section;
       ] );
     ( "wal",
       [
