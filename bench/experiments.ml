@@ -155,8 +155,8 @@ let e2 () =
           fsec m_nav.seconds;
           fsec m_scan.seconds;
           fsec m_idx.seconds;
-          fint (Stats.objects_scanned m_scan.stats);
-          fint (Stats.objects_scanned m_idx.stats);
+          fint (Stats.get m_scan.stats "objects_scanned");
+          fint (Stats.get m_idx.stats "objects_scanned");
         ]
         :: !rows;
       Db.close db)
@@ -210,7 +210,7 @@ let e3 () =
           fsec ms.seconds;
           fsec mi.seconds;
           ffloat (ms.seconds /. (mi.seconds +. 1e-9));
-          fint (Stats.objects_scanned mi.stats);
+          fint (Stats.get mi.stats "objects_scanned");
         ])
       scans probes
   in
@@ -249,10 +249,10 @@ let e4 () =
     ~title:(Printf.sprintf "E4: extents with %d objects per class" per_class)
     ~header:[ "query"; "rows"; "time"; "objects scanned" ]
     [
-      [ "forall p in person (shallow)"; fint c1; fsec m1.seconds; fint (Stats.objects_scanned m1.stats) ];
-      [ "forall p in person* (deep)"; fint c2; fsec m2.seconds; fint (Stats.objects_scanned m2.stats) ];
-      [ "forall p in person* suchthat p is faculty"; fint c3; fsec m3.seconds; fint (Stats.objects_scanned m3.stats) ];
-      [ "forall f in faculty (direct subcluster)"; fint c4; fsec m4.seconds; fint (Stats.objects_scanned m4.stats) ];
+      [ "forall p in person (shallow)"; fint c1; fsec m1.seconds; fint (Stats.get m1.stats "objects_scanned") ];
+      [ "forall p in person* (deep)"; fint c2; fsec m2.seconds; fint (Stats.get m2.stats "objects_scanned") ];
+      [ "forall p in person* suchthat p is faculty"; fint c3; fsec m3.seconds; fint (Stats.get m3.stats "objects_scanned") ];
+      [ "forall f in faculty (direct subcluster)"; fint c4; fsec m4.seconds; fint (Stats.get m4.stats "objects_scanned") ];
     ];
   note "deep extents cost the union of the subclusters; 'is'-filtering the";
   note "deep extent scans everything, while targeting the right subcluster";
@@ -473,7 +473,7 @@ let e8 () =
             done)
       in
       rows :=
-        [ fint k; Printf.sprintf "%.1fµs" (per_op m updates); fint (Stats.constraints_checked m.stats) ]
+        [ fint k; Printf.sprintf "%.1fµs" (per_op m updates); fint (Stats.get m.stats "constraints_checked") ]
         :: !rows;
       Db.close db)
     [ 0; 1; 2; 4; 8 ];
@@ -549,7 +549,7 @@ let e9 () =
           fint m_triggers;
           Printf.sprintf "%.1fµs" (per_op m_quiet updates);
           fsec m_fire.seconds;
-          fint (Stats.triggers_fired m_fire.stats);
+          fint (Stats.get m_fire.stats "triggers_fired");
         ]
         :: !rows;
       Db.close db)
@@ -588,7 +588,7 @@ let e10 () =
         [
           fint batch;
           fops (ops_per_sec m total);
-          fint (Stats.wal_syncs m.stats);
+          fint (Stats.get m.stats "wal_syncs");
           Printf.sprintf "%.1fµs" (per_op m total);
         ]
         :: !rows;
@@ -873,7 +873,7 @@ let e15 () =
       let wal_bytes = (Unix.stat (Filename.concat dir "wal.log")).Unix.st_size in
       Db.crash db;
       let db2, m_recover = timed (fun () -> Db.open_ dir) in
-      let replayed = Stats.recovery_replayed m_recover.stats in
+      let replayed = Stats.get m_recover.stats "recovery_replayed" in
       Db.close db2;
       rows :=
         [
@@ -960,9 +960,9 @@ let e16 () =
   let cell m =
     [
       fsec m.seconds;
-      fint (Stats.objects_fetched m.stats);
-      Printf.sprintf "%d/%d" (Stats.obj_cache_hits m.stats)
-        (Stats.obj_cache_misses m.stats);
+      fint (Stats.get m.stats "objects_fetched");
+      Printf.sprintf "%d/%d" (Stats.get m.stats "obj_cache_hits")
+        (Stats.get m.stats "obj_cache_misses");
     ]
   in
   table
@@ -975,7 +975,7 @@ let e16 () =
     ];
   let speedup = m_uncached.seconds /. max 1e-9 m_warm.seconds in
   guard "E16.warm_speedup" ~lo:3.0 speedup;
-  metric "E16.warm_fetched" (float (Stats.objects_fetched m_warm.stats));
+  metric "E16.warm_fetched" (float (Stats.get m_warm.stats "objects_fetched"));
   note "warm runs decode nothing: every header/field access is an ocache hit,";
   note "so repeated predicate evaluation costs hash lookups, not codec work."
 
@@ -1021,9 +1021,9 @@ let e17 () =
         [
           fint n;
           Printf.sprintf "%.1fµs" (per_op m_exists iters);
-          ffloat (float (Stats.cursor_pages_read m_exists.stats) /. float iters);
+          ffloat (float (Stats.get m_exists.stats "cursor_pages_read") /. float iters);
           fsec m_count.seconds;
-          fint (Stats.cursor_pages_read m_count.stats);
+          fint (Stats.get m_count.stats "cursor_pages_read");
         ]
         :: !rows;
       Db.close db)

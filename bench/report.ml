@@ -75,12 +75,13 @@ let scaled n = max 1 (int_of_float (float n *. scale))
 let metrics : (string * float) list ref = ref []
 let metric name v = metrics := (name, v) :: !metrics
 
-(* The full Stats diff of an experiment, one metric per counter, so --json
-   baselines capture engine work (pages, probes, syncs, ...) and not just
-   wall time. *)
+(* The Stats diff of an experiment, one metric per nonzero counter, so
+   --json baselines capture engine work (pages, probes, syncs, ...) and not
+   just wall time. Counters the experiment never bumped are left out. *)
 let stats_metrics prefix s =
   List.iter
-    (fun (name, v) -> metric (Printf.sprintf "%s.stats.%s" prefix name) (float_of_int v))
+    (fun (name, v) ->
+      if v <> 0 then metric (Printf.sprintf "%s.stats.%s" prefix name) (float_of_int v))
     (Ode_util.Stats.to_list s)
 
 let guard_failures : string list ref = ref []

@@ -64,6 +64,10 @@ let make_db ~dbdir ~kv_disk ~dir_disk ~idx_disk ~wal ~pool_pages ~wal_checkpoint
 let h_recovery = Ode_util.Histogram.create "recovery"
 let h_trigger_fire = Ode_util.Histogram.create "trigger.fire"
 
+let c_recovery_replayed = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery "recovery_replayed"
+let c_orphans_reclaimed = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery "orphans_reclaimed"
+let c_planner_analyze_runs = Ode_util.Stats.counter "planner.analyze_runs"
+
 let recover db =
   Ode_util.Histogram.time h_recovery @@ fun () ->
   Ode_util.Trace.with_span ~cat:"recovery" "recovery" @@ fun () ->
@@ -81,11 +85,11 @@ let recover db =
   Wal.replay db.wal (function
     | Wal.Put (xid, key, payload) when Hashtbl.mem committed xid ->
         Store.apply_op db key (Put payload);
-        Ode_util.Stats.incr_recovery_replayed ();
+        Ode_util.Stats.incr c_recovery_replayed;
         incr applied
     | Wal.Delete (xid, key) when Hashtbl.mem committed xid ->
         Store.apply_op db key Del;
-        Ode_util.Stats.incr_recovery_replayed ();
+        Ode_util.Stats.incr c_recovery_replayed;
         incr applied
     | _ -> ());
   if !applied > 0 then Log.info (fun m -> m "recovery: replayed %d operations" !applied);
@@ -100,7 +104,7 @@ let recover db =
     Heap.sweep_orphans db.kv_heap ~live:(fun rid -> Hashtbl.mem live (Kv.encode_rid rid))
   in
   if swept > 0 then begin
-    Ode_util.Stats.add_orphans_reclaimed swept;
+    Ode_util.Stats.add c_orphans_reclaimed swept;
     Log.info (fun m -> m "recovery: reclaimed %d orphan heap records" swept)
   end;
   Txn.checkpoint db
@@ -379,7 +383,6 @@ let apply_replicated db (records : Wal.record list) =
       | Wal.Checkpoint _ -> checkpointed := true
       | _ -> ())
     records;
-  let base_lsn = Wal.last_lsn db.wal in
   List.iter
     (fun r -> match r with Wal.Checkpoint _ -> () | r -> Wal.append db.wal r)
     records;
@@ -387,7 +390,7 @@ let apply_replicated db (records : Wal.record list) =
   let state_touched = ref false in
   let apply key op =
     Store.apply_op db key op;
-    Ode_util.Stats.incr_recovery_replayed ();
+    Ode_util.Stats.incr c_recovery_replayed;
     if
       key = Keys.catalog || key = Keys.meta
       || (String.length key > 0 && String.sub key 0 1 = Keys.trigger_prefix)
@@ -401,21 +404,15 @@ let apply_replicated db (records : Wal.record list) =
   let push xid key op =
     Hashtbl.replace pending xid ((key, op) :: Option.value ~default:[] (Hashtbl.find_opt pending xid))
   in
-  let commits_seen = ref 0 in
   List.iter
     (function
       | Wal.Put (xid, key, payload) when Hashtbl.mem committed xid ->
           push xid key (Put payload)
       | Wal.Delete (xid, key) when Hashtbl.mem committed xid -> push xid key Del
-      | Wal.Commit (xid, _, cts) ->
-          incr commits_seen;
+      | Wal.Commit (xid, _, ts) ->
           if Hashtbl.mem committed xid then begin
             let ops = List.rev (Option.value ~default:[] (Hashtbl.find_opt pending xid)) in
             Hashtbl.remove pending xid;
-            (* Records from a pre-timestamp primary carry no cts; fall back
-               to the LSN this Commit received in our own log above — the
-               same value the primary would have embedded. *)
-            let ts = if cts <> 0 then cts else base_lsn + !commits_seen in
             Mvcc.commit db.mvcc ~ts ~except:0 ~pre:(Store.committed_image db)
               (List.filter_map
                  (fun (key, op) ->
@@ -536,7 +533,7 @@ let analyze db =
   require_writable db;
   let payload = Ostats.compute db in
   ignore (with_txn_no_drain db (fun txn -> Store.write txn Keys.stats payload));
-  Ode_util.Stats.incr_planner_analyze_runs ();
+  Ode_util.Stats.incr c_planner_analyze_runs;
   Ostats.describe db
 
 let stats_summary db = Ostats.describe db

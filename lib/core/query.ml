@@ -7,6 +7,11 @@ module Eval = Ode_model.Eval
 module Bptree = Ode_index.Bptree
 open Types
 
+let c_objects_scanned = Ode_util.Stats.counter "objects_scanned"
+let c_planner_nested_joins = Ode_util.Stats.counter "planner.nested_joins"
+let c_planner_fused_joins = Ode_util.Stats.counter "planner.fused_joins"
+let c_planner_hash_joins = Ode_util.Stats.counter "planner.hash_joins"
+
 let class_ids db classes =
   List.filter_map
     (fun name -> Option.map (fun (c : Schema.cls) -> c.Schema.id) (Catalog.find db.catalog name))
@@ -274,7 +279,7 @@ let run_profiled db ?txn ?(env = []) ~var ~cls ?(deep = false) ?suchthat ?filter
               raise e)
   in
   let accept oid =
-    Ode_util.Stats.incr_objects_scanned ();
+    Ode_util.Stats.incr c_objects_scanned;
     let live = accept_class ids oid && Store.exists db txn oid in
     (match prof with
     | Some p ->
@@ -484,16 +489,18 @@ let profile db ?txn ?env ~var ~cls ?deep ?suchthat ?by ?(body = fun _ -> ()) () 
       | Some pf -> pf
       | None -> assert false)
 
+(* The Stats counters a profile reports per node, as (column, counter). *)
+let profile_counters =
+  [
+    ("pages", "pages_read"); ("probes", "index_probes"); ("scanned", "objects_scanned");
+    ("fetched", "objects_fetched"); ("cursor", "cursor_pages_read");
+  ]
+
 let profile_to_string pf =
   let open Ode_util in
   let num = string_of_int in
-  let header = [ "node"; "rows"; "time"; "pages"; "probes"; "scanned"; "fetched"; "cursor" ] in
-  let counters s =
-    [
-      num (Stats.pages_read s); num (Stats.index_probes s); num (Stats.objects_scanned s);
-      num (Stats.objects_fetched s); num (Stats.cursor_pages_read s);
-    ]
-  in
+  let header = [ "node"; "rows"; "time" ] @ List.map fst profile_counters in
+  let counters s = List.map (fun (_, c) -> num (Stats.get s c)) profile_counters in
   let rows =
     header
     :: List.map
@@ -520,26 +527,18 @@ let profile_to_string pf =
 let profile_to_json pf =
   let open Ode_util in
   let esc = Metrics.json_escape in
+  let counters s =
+    String.concat ","
+      (List.map (fun (k, c) -> Printf.sprintf "\"%s\":%d" k (Stats.get s c)) profile_counters)
+  in
   let node n =
-    Printf.sprintf
-      "{\"label\":\"%s\",\"rows\":%d,\"ns\":%d,\"pages\":%d,\"probes\":%d,\"scanned\":%d,\"fetched\":%d,\"cursor\":%d}"
-      (esc n.ns_label) n.ns_rows n.ns_ns (Stats.pages_read n.ns_stats)
-      (Stats.index_probes n.ns_stats)
-      (Stats.objects_scanned n.ns_stats)
-      (Stats.objects_fetched n.ns_stats)
-      (Stats.cursor_pages_read n.ns_stats)
+    Printf.sprintf "{\"label\":\"%s\",\"rows\":%d,\"ns\":%d,%s}" (esc n.ns_label) n.ns_rows n.ns_ns
+      (counters n.ns_stats)
   in
   (* Whole-query counter totals: under a light profile (armed slow log)
      the per-node counters are all zero, so the totals object is where
      the log entry's physical-work numbers live. *)
-  let totals =
-    Printf.sprintf "{\"pages\":%d,\"probes\":%d,\"scanned\":%d,\"fetched\":%d,\"cursor\":%d}"
-      (Stats.pages_read pf.pf_stats)
-      (Stats.index_probes pf.pf_stats)
-      (Stats.objects_scanned pf.pf_stats)
-      (Stats.objects_fetched pf.pf_stats)
-      (Stats.cursor_pages_read pf.pf_stats)
-  in
+  let totals = "{" ^ counters pf.pf_stats ^ "}" in
   Printf.sprintf "{\"plan\":\"%s\",\"rows\":%d,\"total_ns\":%d,\"totals\":%s,\"nodes\":[%s]}"
     (esc pf.pf_plan) pf.pf_rows pf.pf_total_ns totals
     (String.concat "," (List.map node pf.pf_nodes))
@@ -601,20 +600,20 @@ let run_join db ?txn ?(env = []) ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls, 
   in
   match jp.j_strategy with
   | Planner.Nested_loop ->
-      Ode_util.Stats.incr_planner_nested_joins ();
+      Ode_util.Stats.incr c_planner_nested_joins;
       run_outer (fun o ->
           run db ?txn
             ~env:((ovar, Value.Ref o) :: env)
             ~var:ivar ~cls:icls ~deep:ideep ?suchthat:inner_suchthat
             (fun i -> body o i))
   | Planner.Fused_deref f ->
-      Ode_util.Stats.incr_planner_fused_joins ();
+      Ode_util.Stats.incr c_planner_fused_joins;
       run_outer (fun o ->
           match field_of ovar o f with
           | Value.Ref i when live i && check_pair o i -> body o i
           | _ -> ())
   | Planner.Fused_member f ->
-      Ode_util.Stats.incr_planner_fused_joins ();
+      Ode_util.Stats.incr c_planner_fused_joins;
       run_outer (fun o ->
           match field_of ovar o f with
           | Value.VSet vs | Value.VList vs ->
@@ -632,7 +631,7 @@ let run_join db ?txn ?(env = []) ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls, 
                 vs
           | _ -> ())
   | Planner.Hash_join { outer_field; inner_field } ->
-      Ode_util.Stats.incr_planner_hash_joins ();
+      Ode_util.Stats.incr c_planner_hash_joins;
       (* One streamed pass over the inner extent (MVCC chain merging and
          txn-local candidates come with [run] for free), keyed by the
          order-preserving byte encoding of the join field. *)

@@ -4,7 +4,10 @@
     A connection opens with a fixed-size plaintext-free handshake — the
     client sends [magic ^ version], the server replies [magic ^ version ^
     status] — after which both sides exchange frames: a [u32] body length
-    followed by the body. Frame bodies over {!max_frame_len} are rejected
+    followed by the body. There is one protocol version: the server (and a
+    replication primary) accepts a hello carrying exactly {!version} and
+    answers any other with [Bad_version], so both sides always encode
+    frames the same way. Frame bodies over {!max_frame_len} are rejected
     before buffering (a 4-byte header is enough to detect them), so a
     malicious or corrupt peer cannot make the server allocate unboundedly.
 
@@ -17,13 +20,7 @@ val magic : string
 (** 4 bytes on the front of both hello messages. *)
 
 val version : int
-(** Current protocol version, sent as a u16. v3 added the optional request
-    trace id; v4 the distinct retryable {!Err_conflict} reply. *)
-
-val min_version : int
-(** Oldest client version the server still speaks (v2: no trace ids).
-    Frames are encoded/decoded per the negotiated version, so old clients
-    keep working. *)
+(** The protocol version, sent as a u16. *)
 
 val hello : string
 (** What a client sends immediately after connecting. *)
@@ -32,22 +29,18 @@ val hello_len : int
 
 type status = Accepted | Busy | Bad_version
 
-val hello_reply : ?negotiated:int -> status -> string
-(** The server's fixed-size answer; on anything but [Accepted] the server
-    closes the connection right after writing it. [negotiated] (default
-    {!version}) echoes the version the server will speak on this
-    connection — the client's own, when accepted. *)
+val hello_reply : status -> string
+(** The server's fixed-size answer, carrying {!version}; on anything but
+    [Accepted] the server closes the connection right after writing it. *)
 
 val hello_reply_len : int
 
-val parse_hello : string -> (int, string) result
-(** Validate a client hello; [Ok v] is the client's protocol version
-    (which may differ from ours — the server decides what to do). *)
+val parse_hello : string -> (unit, string) result
+(** Validate a client hello: right length, magic and exactly {!version}. *)
 
-val parse_hello_reply : string -> (int, string) result
-(** Validate a server hello reply; [Ok v] is the negotiated protocol
-    version to encode subsequent frames with. [Error] carries a rendered
-    reason ("server busy", version mismatch, garbage). *)
+val parse_hello_reply : string -> (unit, string) result
+(** Validate a server hello reply. [Error] carries a rendered reason
+    ("server busy", version mismatch, garbage). *)
 
 (** {1 Requests and responses} *)
 
@@ -59,9 +52,7 @@ type op =
   | Close  (** polite goodbye; the server replies then closes *)
 
 type request = { rq_id : int; rq_trace : int; rq_op : op }
-(** [rq_trace] is the client-assigned trace id (0 = untraced). It rides
-    the wire only on v3+ connections; a v2 peer's requests decode with
-    [rq_trace = 0]. *)
+(** [rq_trace] is the client-assigned trace id (0 = untraced). *)
 
 type reply =
   | Pong
@@ -71,8 +62,7 @@ type reply =
   | Err_conflict of string
       (** the transaction lost first-committer-wins conflict detection and
           was aborted server-side; retryable by re-executing the whole
-          transaction. On pre-v4 connections this is downgraded to
-          [Error ("conflict: " ^ msg)]. *)
+          transaction. *)
 
 type response = { rs_id : int; rs_lsn : int; rs_reply : reply }
 (** [rs_lsn] is the serving database's commit LSN at response time: on the
@@ -84,19 +74,16 @@ type response = { rs_id : int; rs_lsn : int; rs_reply : reply }
 val max_frame_len : int
 (** Upper bound on a frame body (16 MiB). *)
 
-val encode_request : ?version:int -> Buffer.t -> request -> unit
-(** Appends a complete frame (length prefix included), laid out per the
-    negotiated [version] (default current). Raises [Invalid_argument] if
-    the payload would exceed {!max_frame_len}. *)
+val encode_request : Buffer.t -> request -> unit
+(** Appends a complete frame (length prefix included). Raises
+    [Invalid_argument] if the payload would exceed {!max_frame_len}. *)
 
-val encode_response : ?version:int -> Buffer.t -> response -> unit
-(** Appends a complete frame per the negotiated [version] (default
-    current); {!Err_conflict} downgrades to a prefixed {!Error} for
-    pre-v4 peers. *)
+val encode_response : Buffer.t -> response -> unit
+(** Appends a complete frame (length prefix included). *)
 
-val decode_request : ?version:int -> string -> request
-(** Decode one frame body per the negotiated [version]. Raises
-    {!Ode_util.Codec.Corrupt} on malformed or trailing bytes. *)
+val decode_request : string -> request
+(** Decode one frame body. Raises {!Ode_util.Codec.Corrupt} on malformed
+    or trailing bytes. *)
 
 val decode_response : string -> response
 

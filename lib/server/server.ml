@@ -52,13 +52,27 @@ module Chan = Ode_util.Chan
 module Rwlock = Ode_util.Rwlock
 module Db = Ode.Database
 
+let c_server_accepts = Stats.counter "server.accepts"
+let c_server_rejects = Stats.counter "server.rejects"
+let c_server_timeouts = Stats.counter "server.timeouts"
+let c_server_bytes_in = Stats.counter "server.bytes_in"
+let c_server_bytes_out = Stats.counter "server.bytes_out"
+let c_server_reroutes = Stats.counter "server.reroutes"
+let c_server_accept_backoffs = Stats.counter "server.accept_backoffs"
+let c_repl_batches_sent = Stats.counter "repl.batches_sent"
+let c_repl_bytes_sent = Stats.counter "repl.bytes_sent"
+let c_repl_acks = Stats.counter "repl.acks"
+let c_repl_resyncs = Stats.counter "repl.resyncs"
+let c_repl_sync_degraded = Stats.counter "repl.sync_degraded"
+let c_repl_lag_commits = Stats.counter ~kind:Stats.Gauge "repl.lag_commits"
+let c_repl_lag_bytes = Stats.counter ~kind:Stats.Gauge "repl.lag_bytes"
+
 type conn = {
   fd : Unix.file_descr;
   rd : Protocol.reader;
   out : Buffer.t;             (* encoded responses awaiting the socket *)
   mutable out_pos : int;      (* written prefix of [out] *)
   mutable state : [ `Hello | `Active of Session.t ];
-  mutable proto : int;        (* negotiated protocol version (handshake) *)
   mutable closing : bool;     (* close once [out] drains *)
   mutable last : float;       (* last byte received (idle eviction) *)
   mutable sent_lsn : int;     (* highest commit LSN this conn's buffered
@@ -319,8 +333,8 @@ let feed t ~data ~from_lsn ~to_lsn =
     (fun d ->
       if d.d_state = `Streaming then begin
         Protocol.encode_repl d.d_out (Protocol.R_batch (from_lsn, to_lsn, data));
-        Stats.incr_repl_batches_sent ();
-        Stats.add_repl_bytes_sent (String.length data)
+        Stats.incr c_repl_batches_sent;
+        Stats.add c_repl_bytes_sent (String.length data)
       end)
     t.downstreams
 
@@ -329,7 +343,7 @@ let rec accept_repl t lfd =
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (EINTR, _, _) -> accept_repl t lfd
   | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
-      Stats.incr_server_accept_backoffs ();
+      Stats.incr c_server_accept_backoffs;
       t.accept_pause <- Unix.gettimeofday () +. accept_backoff;
       Printf.eprintf "server: accept (replication): out of file descriptors; backing off\n%!"
   | fd, _ ->
@@ -388,8 +402,8 @@ let process_downstream t d =
                     if String.length backlog > 0 then begin
                       Protocol.encode_repl d.d_out
                         (Protocol.R_batch (from_lsn, to_lsn, backlog));
-                      Stats.incr_repl_batches_sent ();
-                      Stats.add_repl_bytes_sent (String.length backlog)
+                      Stats.incr c_repl_batches_sent;
+                      Stats.add c_repl_bytes_sent (String.length backlog)
                     end;
                     (* It proved possession up to [from_lsn]. *)
                     d.d_acked <- from_lsn;
@@ -406,7 +420,7 @@ let process_downstream t d =
         | Some body ->
             (match Protocol.decode_repl body with
             | Protocol.R_ack lsn ->
-                Stats.incr_repl_acks ();
+                Stats.incr c_repl_acks;
                 if lsn > d.d_acked then d.d_acked <- lsn
             | _ -> raise Exit);
             acks ()
@@ -421,7 +435,7 @@ let handle_downstream_read t d =
   | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop_downstream t d
   | 0 -> drop_downstream t d
   | n ->
-      Stats.add_server_bytes_in n;
+      Stats.add c_server_bytes_in n;
       Protocol.feed d.d_rd t.read_buf n;
       process_downstream t d
 
@@ -431,7 +445,7 @@ let handle_downstream_write t d =
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop_downstream t d
   | n ->
-      Stats.add_server_bytes_out n;
+      Stats.add c_server_bytes_out n;
       d.d_out_pos <- d.d_out_pos + n;
       if d.d_out_pos = Buffer.length d.d_out then begin
         Buffer.clear d.d_out;
@@ -454,7 +468,7 @@ let upstream_fault _t u reason =
   u.u_link <- None;
   Buffer.clear u.u_out;
   u.u_out_pos <- 0;
-  Stats.incr_repl_resyncs ();
+  Stats.incr c_repl_resyncs;
   u.u_retry_at <- Unix.gettimeofday () +. 1.0;
   Printf.eprintf "replication: upstream lost (%s); retrying\n%!" reason
 
@@ -485,7 +499,7 @@ let handle_upstream_read t u link =
       upstream_fault t u "connection reset"
   | 0 -> upstream_fault t u "primary closed the stream"
   | n ->
-      Stats.add_server_bytes_in n;
+      Stats.add c_server_bytes_in n;
       Protocol.feed link.Replication.up_rd t.read_buf n;
       process_upstream t u link
 
@@ -499,7 +513,7 @@ let handle_upstream_write t u link =
   | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
       upstream_fault t u "connection reset"
   | n ->
-      Stats.add_server_bytes_out n;
+      Stats.add c_server_bytes_out n;
       u.u_out_pos <- u.u_out_pos + n;
       if u.u_out_pos = Buffer.length u.u_out then begin
         Buffer.clear u.u_out;
@@ -632,7 +646,7 @@ let rec accept_metrics t lfd =
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (EINTR, _, _) -> accept_metrics t lfd
   | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
-      Stats.incr_server_accept_backoffs ();
+      Stats.incr c_server_accept_backoffs;
       t.accept_pause <- Unix.gettimeofday () +. accept_backoff
   | fd, _ ->
       Unix.set_nonblock fd;
@@ -709,7 +723,7 @@ let manage_gate t now =
         | Some s when now -. s > sync_repl_timeout ->
             t.degraded <- true;
             t.gate_since <- None;
-            Stats.incr_repl_sync_degraded ()
+            Stats.incr c_repl_sync_degraded
         | Some _ -> ()
   end
 
@@ -719,13 +733,13 @@ let update_gauges t =
   in
   if has_repl then begin
     let durable = Db.durable_lsn t.db in
-    Stats.set_repl_lag_commits
+    Stats.set c_repl_lag_commits
       (List.fold_left
          (fun acc d ->
            if d.d_state = `Streaming && d.d_acked >= 0 then max acc (durable - d.d_acked)
            else acc)
          0 t.downstreams);
-    Stats.set_repl_lag_bytes (List.fold_left (fun acc d -> acc + d_pending d) 0 t.downstreams)
+    Stats.set c_repl_lag_bytes (List.fold_left (fun acc d -> acc + d_pending d) 0 t.downstreams)
   end
 
 (* -- accepting ------------------------------------------------------------ *)
@@ -739,18 +753,18 @@ let rec accept_pending t =
          listener we cannot serve. Existing connections keep draining —
          which is exactly what frees descriptors — and the listener rejoins
          the poll set once the backoff lapses. *)
-      Stats.incr_server_accept_backoffs ();
+      Stats.incr c_server_accept_backoffs;
       t.accept_pause <- Unix.gettimeofday () +. accept_backoff;
       Printf.eprintf "server: accept: out of file descriptors; backing off\n%!"
   | fd, _ ->
-      Stats.incr_server_accepts ();
+      Stats.incr c_server_accepts;
       Unix.set_nonblock fd;
       (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
       if List.length t.conns >= t.max_conns then begin
         (* Friendly rejection: a complete handshake reply, then goodbye. The
            7-byte write into a fresh socket's empty send buffer cannot
            block. *)
-        Stats.incr_server_rejects ();
+        Stats.incr c_server_rejects;
         (try
            ignore
              (Unix.write_substring fd (Protocol.hello_reply Busy) 0 Protocol.hello_reply_len)
@@ -766,7 +780,6 @@ let rec accept_pending t =
             out = Buffer.create 1024;
             out_pos = 0;
             state = `Hello;
-            proto = Protocol.version;
             closing = false;
             last = now;
             sent_lsn = -1;
@@ -787,17 +800,14 @@ let try_handshake t c =
   | None -> ()
   | Some hello -> (
       match Protocol.parse_hello hello with
-      | Ok v when v >= Protocol.min_version && v <= Protocol.version ->
-          (* Speak the client's version on this connection — the reply
-             echoes it so both sides encode frames identically. *)
-          c.proto <- v;
-          Buffer.add_string c.out (Protocol.hello_reply ~negotiated:v Accepted);
+      | Ok () ->
+          Buffer.add_string c.out (Protocol.hello_reply Accepted);
           t.next_session <- t.next_session + 1;
           c.state <- `Active (Session.create ~id:t.next_session t.db)
-      | Ok _ | Error _ ->
+      | Error _ ->
           (* Version skew or garbage: answer with a parseable rejection and
              hang up. *)
-          Stats.incr_server_rejects ();
+          Stats.incr c_server_rejects;
           Buffer.add_string c.out (Protocol.hello_reply Bad_version);
           c.closing <- true)
 
@@ -810,7 +820,7 @@ let exec_on_writer ?count t c session rq =
   (* Only a request that moved the LSN puts this connection under the
      semi-sync gate — reads ride free. *)
   if Db.lsn t.db > before then c.sent_lsn <- Db.lsn t.db;
-  Protocol.encode_response ~version:c.proto c.out resp;
+  Protocol.encode_response c.out resp;
   (* Bound the deferred-durability window: a long batch syncs every
      [group_window] commits rather than once at the end. *)
   if Db.pending_commits t.db >= t.group_window then Db.sync_commits t.db
@@ -834,13 +844,13 @@ let run_frames t c session =
         match Protocol.next_frame c.rd with
         | None -> ()
         | Some body ->
-            let rq = Protocol.decode_request ~version:c.proto body in
+            let rq = Protocol.decode_request body in
             let server_reply =
               match rq.rq_op with Protocol.Dot line -> server_dot t line | _ -> None
             in
             (match server_reply with
             | Some reply ->
-                Protocol.encode_response ~version:c.proto c.out
+                Protocol.encode_response c.out
                   { Protocol.rs_id = rq.rq_id; rs_lsn = Db.lsn t.db; rs_reply = reply }
             | None ->
                 if
@@ -868,7 +878,7 @@ let run_frames t c session =
     in
     go ()
   with Ode_util.Codec.Corrupt msg ->
-    Protocol.encode_response ~version:c.proto c.out
+    Protocol.encode_response c.out
       { rs_id = 0; rs_lsn = Db.lsn t.db; rs_reply = Error ("protocol error: " ^ msg) };
     c.closing <- true
 
@@ -882,7 +892,7 @@ let handle_read t c =
   | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop t c
   | 0 -> drop t c
   | n ->
-      Stats.add_server_bytes_in n;
+      Stats.add c_server_bytes_in n;
       c.last <- Unix.gettimeofday ();
       Protocol.feed c.rd t.read_buf n;
       process t c
@@ -893,7 +903,7 @@ let handle_write t c =
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop t c
   | n ->
-      Stats.add_server_bytes_out n;
+      Stats.add c_server_bytes_out n;
       c.out_pos <- c.out_pos + n;
       if c.out_pos = Buffer.length c.out then begin
         Buffer.clear c.out;
@@ -913,12 +923,12 @@ let finish_completion t (cm : completion) =
   if c.doomed then real_drop t c
   else begin
     (match cm.cm_resp with
-    | Some resp -> Protocol.encode_response ~version:c.proto c.out resp
+    | Some resp -> Protocol.encode_response c.out resp
     | None ->
         (* The query tried to write (a method with side effects): replay it
            on the writer under the exclusive lock, where writes are legal.
            Already counted once by the reader's [handle_read]. *)
-        Stats.incr_server_reroutes ();
+        Stats.incr c_server_reroutes;
         exec_on_writer ~count:false t c cm.cm_job.rj_session cm.cm_job.rj_rq);
     (* Resume frames that arrived while the request was in flight. *)
     process t c
@@ -955,7 +965,7 @@ let evict_idle t =
           ignore (Queue.pop t.idle_q);
           if c.alive then
             if (not c.inflight) && now -. c.last > t.idle_timeout then begin
-              Stats.incr_server_timeouts ();
+              Stats.incr c_server_timeouts;
               drop t c
             end
             else Queue.push (now, c) t.idle_q;

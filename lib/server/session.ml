@@ -12,6 +12,8 @@ type t = {
 
 let request_hist = Histogram.create "server.request"
 
+let c_server_requests = Stats.counter "server.requests"
+
 let create ?(id = 0) db =
   let out = Buffer.create 256 in
   { sid = id; db; shell = Shell.create ~print:(Buffer.add_string out) db; out }
@@ -115,7 +117,7 @@ let finish t (rq : Protocol.request) reply =
   { Protocol.rs_id = rq.rq_id; rs_lsn = Ode.Database.lsn t.db; rs_reply = reply }
 
 let handle ?(count = true) ?(queue_wait_ns = 0) t (rq : Protocol.request) : Protocol.response =
-  if count then Stats.incr_server_requests ();
+  if count then Stats.incr c_server_requests;
   (* Trigger actions fired by this request's commits print through the
      requesting session, not whichever session was created last. Installed
      only here, on the writer path: reader-domain requests cannot fire
@@ -124,7 +126,7 @@ let handle ?(count = true) ?(queue_wait_ns = 0) t (rq : Protocol.request) : Prot
   finish t rq (timed t rq ~queue_wait_ns (fun () -> run ~detached:false t rq.rq_op))
 
 let handle_read ?(queue_wait_ns = 0) t (rq : Protocol.request) : Protocol.response =
-  Stats.incr_server_requests ();
+  Stats.incr c_server_requests;
   finish t rq (timed t rq ~queue_wait_ns (fun () -> run ~detached:true t rq.rq_op))
 
 let close t = Shell.rollback t.shell

@@ -13,11 +13,16 @@ let fp_fsync = Failpoint.site "wal.fsync"
 let fp_reset = Failpoint.site "wal.reset"
 let fp_lsn = Failpoint.site "wal.lsn"
 
+let c_wal_appends = Stats.counter "wal_appends"
+let c_wal_syncs = Stats.counter "wal_syncs"
+let c_wal_sync_saved = Stats.counter "wal_sync_saved"
+let c_wal_torn_bytes = Stats.counter ~group:Stats.Recovery "wal_torn_bytes"
+let c_io_retries = Stats.counter ~group:Stats.Recovery "io_retries"
+
 type record =
   | Begin of int
   | Commit of int * int * int (* xid, originating trace id (0 = untraced),
-                                 commit timestamp (the commit's own LSN;
-                                 0 in logs written before MVCC) *)
+                                 commit timestamp (the commit's own LSN) *)
   | Put of int * string * string
   | Delete of int * string
   | Checkpoint of int
@@ -61,14 +66,8 @@ let encode_record r =
   | Commit (tx, trace, cts) ->
       Codec.put_u8 b 2;
       Codec.put_int b tx;
-      (* The optional-suffix discipline: trace and commit-ts ride only when
-         the commit-ts is present (it always is for records written by this
-         version), so a standby re-logging the same records produces
-         byte-identical files (E21 diffs them) and old logs still decode. *)
-      if cts <> 0 || trace <> 0 then begin
-        Codec.put_int b trace;
-        if cts <> 0 then Codec.put_int b cts
-      end
+      Codec.put_int b trace;
+      Codec.put_int b cts
   | Put (tx, k, v) ->
       Codec.put_u8 b 3;
       Codec.put_int b tx;
@@ -89,10 +88,8 @@ let decode_record s =
   | 1 -> Begin (Codec.get_int c)
   | 2 ->
       let tx = Codec.get_int c in
-      (* Layered compatibility: pre-tracing logs stop after the xid; pre-MVCC
-         logs stop after the trace id. Absent fields read as 0. *)
-      let trace = if Codec.at_end c then 0 else Codec.get_int c in
-      let cts = if Codec.at_end c then 0 else Codec.get_int c in
+      let trace = Codec.get_int c in
+      let cts = Codec.get_int c in
       Commit (tx, trace, cts)
   | 3 ->
       let tx = Codec.get_int c in
@@ -102,9 +99,7 @@ let decode_record s =
   | 4 ->
       let tx = Codec.get_int c in
       Delete (tx, Codec.get_string c)
-  | 5 ->
-      (* Pre-LSN logs wrote a bare checkpoint tag; read it as LSN 0. *)
-      Checkpoint (if Codec.at_end c then 0 else Codec.get_int c)
+  | 5 -> Checkpoint (Codec.get_int c)
   | n -> raise (Codec.Corrupt (Printf.sprintf "wal: bad tag %d" n))
 
 (* -- framing ------------------------------------------------------------- *)
@@ -154,7 +149,7 @@ let rec retry f =
   match f () with
   | v -> v
   | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) ->
-      Stats.incr_io_retries ();
+      Stats.incr c_io_retries;
       retry f
 
 let read_all fd =
@@ -199,7 +194,7 @@ let open_file path =
   let intact = scan contents None in
   (* Drop any torn tail so future appends start at a clean boundary. *)
   if intact < String.length contents then begin
-    Stats.add_wal_torn_bytes (String.length contents - intact);
+    Stats.add c_wal_torn_bytes (String.length contents - intact);
     Unix.ftruncate fd intact
   end;
   ignore (Unix.lseek fd intact Unix.SEEK_SET);
@@ -230,7 +225,7 @@ let in_memory () =
   }
 
 let append t r =
-  Ode_util.Stats.incr_wal_appends ();
+  Ode_util.Stats.incr c_wal_appends;
   Ode_util.Trace.instant ~cat:"wal" "wal.append";
   (match r with
   | Commit _ ->
@@ -285,7 +280,7 @@ let h_sync = Ode_util.Histogram.create "wal.sync"
 let h_group = Ode_util.Histogram.create "wal.group_size"
 
 let sync t =
-  Stats.incr_wal_syncs ();
+  Stats.incr c_wal_syncs;
   Ode_util.Histogram.time h_sync (fun () ->
       Ode_util.Trace.with_span ~cat:"wal" "wal.sync" (fun () ->
           let data = Buffer.contents t.pending in
@@ -303,7 +298,7 @@ let sync t =
              commit is acknowledged by this one fsync. *)
           if t.pending_commits > 0 then begin
             Ode_util.Histogram.observe h_group t.pending_commits;
-            Stats.add_wal_sync_saved (t.pending_commits - 1);
+            Stats.add c_wal_sync_saved (t.pending_commits - 1);
             t.pending_commits <- 0
           end;
           let from_lsn = t.durable_lsn in

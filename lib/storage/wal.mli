@@ -29,12 +29,10 @@ type record =
       (** txn, originating trace id (0 = untraced), commit timestamp. The
           commit timestamp is the commit's own LSN, embedded so recovery
           and replication standbys reconstruct the MVCC version order
-          exactly as the primary assigned it; 0 when decoding pre-MVCC
-          logs (replayers fall back to their running LSN count, which is
-          the same number). The trace id lets a standby's replay spans
-          carry the client-assigned id of the request that committed on
-          the primary. Optional suffixes: decode reads their absence
-          as 0. *)
+          exactly as the primary assigned it. The trace id lets a
+          standby's replay spans carry the client-assigned id of the
+          request that committed on the primary. Every [Commit] body
+          carries all three fields; a shorter one is corrupt. *)
   | Put of int * string * string          (** txn, key, payload *)
   | Delete of int * string                (** txn, key *)
   | Checkpoint of int

@@ -1,37 +1,42 @@
-(* Global operation counters, kept in a registry of named slots: adding an
-   instrumentation point is one [register] call, and snapshot/diff/pp/to_list
-   all derive from the registry instead of being edited in four places.
-   Slots are [Atomic.t] cells so bumps from reader domains and the writer
-   domain never lose updates; a snapshot is the plain int array of live
-   values at the time it was taken, read through the named accessors. *)
+(* Global operation counters, kept in a registry of named slots. The owning
+   module registers each counter once at initialization and keeps the
+   handle, exactly like [Histogram.create]; snapshot/diff/pp/to_list all
+   derive from the registry. A handle is the slot's [Atomic.t] cell, so a
+   bump from a reader domain or the writer domain is one fetch-and-add and
+   never loses an update; a snapshot is the plain int array of live values
+   at the time it was taken, in registration order. *)
 
 type group = Workload | Recovery
 type kind = Counter | Gauge
 type snapshot = int array
+type counter = int Atomic.t
 
-type def = { d_name : string; d_group : group; d_kind : kind }
-
-let defs : def list ref = ref [] (* newest first *)
-let ncounters = ref 0
-let values : int Atomic.t array ref = ref (Array.init 32 (fun _ -> Atomic.make 0))
+type def = { name : string; group : group; kind : kind; cell : counter }
 
 (* Registration happens at module-initialization time, before any domain is
    spawned, so the registry itself needs no lock. *)
-let register ?(group = Workload) ?(kind = Counter) name =
-  let id = !ncounters in
-  incr ncounters;
-  if id >= Array.length !values then begin
-    let bigger = Array.init (2 * Array.length !values) (fun _ -> Atomic.make 0) in
-    Array.blit !values 0 bigger 0 (Array.length !values);
-    values := bigger
-  end;
-  defs := { d_name = name; d_group = group; d_kind = kind } :: !defs;
-  id
+let slots : def array ref = ref [||] (* registration order *)
+let index : (string, int) Hashtbl.t = Hashtbl.create 64
+
+let counter ?(group = Workload) ?(kind = Counter) name =
+  match Hashtbl.find_opt index name with
+  | Some i ->
+      let s = (!slots).(i) in
+      if s.group <> group || s.kind <> kind then
+        invalid_arg (Printf.sprintf "Stats.counter: %S is registered with another group or kind" name);
+      s.cell
+  | None ->
+      let s = { name; group; kind; cell = Atomic.make 0 } in
+      Hashtbl.replace index name (Array.length !slots);
+      slots := Array.append !slots [| s |];
+      s.cell
+
+let incr c = ignore (Atomic.fetch_and_add c 1)
+let add c n = ignore (Atomic.fetch_and_add c n)
+let set c n = Atomic.set c n
 
 let kind_of name =
-  match List.find_opt (fun d -> d.d_name = name) !defs with
-  | Some d -> d.d_kind
-  | None -> Counter
+  match Hashtbl.find_opt index name with Some i -> (!slots).(i).kind | None -> Counter
 
 (* Live gauges: sampled (not stored) values read through a callback at
    exposition time — current connections, queue depth, cache residency.
@@ -57,210 +62,42 @@ let gauges () =
   List.sort compare
     (List.map (fun (n, fn) -> (n, try fn () with _ -> 0)) defs)
 
-let bump id = ignore (Atomic.fetch_and_add (!values).(id) 1)
-let bump_by id n = ignore (Atomic.fetch_and_add (!values).(id) n)
-let set id n = Atomic.set (!values).(id) n
-
-let snapshot () = Array.init !ncounters (fun i -> Atomic.get (!values).(i))
-let reset () = Array.iter (fun c -> Atomic.set c 0) !values
-let zero () = Array.make !ncounters 0
+let snapshot () = Array.map (fun s -> Atomic.get s.cell) !slots
+let reset () = Array.iter (fun s -> Atomic.set s.cell 0) !slots
+let zero () = Array.make (Array.length !slots) 0
 
 (* A slot read that tolerates short arrays, so snapshots taken before a
-   late [register] (module initialization order) still diff cleanly. *)
-let slot s id = if id < Array.length s then s.(id) else 0
+   late registration (module initialization order) still diff cleanly. *)
+let slot s i = if i < Array.length s then s.(i) else 0
 
 let diff a b = Array.init (max (Array.length a) (Array.length b)) (fun i -> slot a i - slot b i)
-let combine a b = Array.init (max (Array.length a) (Array.length b)) (fun i -> slot a i + slot b i)
 
 let accum ~into a b =
   for i = 0 to Array.length into - 1 do
     into.(i) <- into.(i) + slot a i - slot b i
   done
 
-let registered () = List.rev_map (fun d -> d.d_name) !defs
+let registered () = Array.to_list (Array.map (fun s -> s.name) !slots)
+let to_list snap = Array.to_list (Array.mapi (fun i s -> (s.name, slot snap i)) !slots)
 
-let to_list s =
-  List.mapi (fun i d -> (d.d_name, slot s i)) (List.rev !defs)
-
-let get s name =
-  match List.assoc_opt name (to_list s) with Some v -> v | None -> 0
-
-(* -- the engine's counters ------------------------------------------------- *)
-
-let c_pages_read = register "pages_read"
-let c_pages_written = register "pages_written"
-let c_pool_hits = register "pool_hits"
-let c_pool_misses = register "pool_misses"
-let c_wal_appends = register "wal_appends"
-let c_wal_syncs = register "wal_syncs"
-let c_wal_sync_saved = register "wal_sync_saved"
-let c_index_probes = register "index_probes"
-let c_objects_scanned = register "objects_scanned"
-let c_objects_fetched = register "objects_fetched"
-let c_constraints_checked = register "constraints_checked"
-let c_triggers_fired = register "triggers_fired"
-let c_wal_torn_bytes = register ~group:Recovery "wal_torn_bytes"
-let c_recovery_replayed = register ~group:Recovery "recovery_replayed"
-let c_checksum_failures = register ~group:Recovery "checksum_failures"
-let c_orphans_reclaimed = register ~group:Recovery "orphans_reclaimed"
-let c_journal_pages_restored = register ~group:Recovery "journal_pages_restored"
-let c_pages_reformatted = register ~group:Recovery "pages_reformatted"
-let c_io_retries = register ~group:Recovery "io_retries"
-let c_obj_cache_hits = register "obj_cache_hits"
-let c_obj_cache_misses = register "obj_cache_misses"
-let c_obj_cache_invalidations = register "obj_cache_invalidations"
-let c_cursor_pages_read = register "cursor_pages_read"
-let c_server_accepts = register "server.accepts"
-let c_server_requests = register "server.requests"
-let c_server_rejects = register "server.rejects"
-let c_server_timeouts = register "server.timeouts"
-let c_server_bytes_in = register "server.bytes_in"
-let c_server_bytes_out = register "server.bytes_out"
-let c_server_reroutes = register "server.reroutes"
-let c_server_accept_backoffs = register "server.accept_backoffs"
-let c_repl_batches_sent = register "repl.batches_sent"
-let c_repl_batches_applied = register "repl.batches_applied"
-let c_repl_bytes_sent = register "repl.bytes_sent"
-let c_repl_snapshots_sent = register "repl.snapshots_sent"
-let c_repl_acks = register "repl.acks"
-let c_repl_resyncs = register "repl.resyncs"
-let c_repl_dup_batches = register "repl.dup_batches"
-let c_repl_sync_degraded = register "repl.sync_degraded"
-let c_repl_lag_commits = register ~kind:Gauge "repl.lag_commits"
-let c_repl_lag_bytes = register ~kind:Gauge "repl.lag_bytes"
-let c_txn_conflicts = register "txn.conflicts"
-let c_txn_begins = register "txn.begins"
-let c_planner_stats_hits = register "planner.stats_hits"
-let c_planner_fallbacks = register "planner.fallbacks"
-let c_planner_analyze_runs = register "planner.analyze_runs"
-let c_planner_fused_joins = register "planner.fused_joins"
-let c_planner_hash_joins = register "planner.hash_joins"
-let c_planner_nested_joins = register "planner.nested_joins"
-
-let incr_pages_read () = bump c_pages_read
-let incr_pages_written () = bump c_pages_written
-let incr_pool_hits () = bump c_pool_hits
-let incr_pool_misses () = bump c_pool_misses
-let incr_wal_appends () = bump c_wal_appends
-let incr_wal_syncs () = bump c_wal_syncs
-let add_wal_sync_saved n = bump_by c_wal_sync_saved n
-let incr_index_probes () = bump c_index_probes
-let incr_objects_scanned () = bump c_objects_scanned
-let incr_objects_fetched () = bump c_objects_fetched
-let incr_constraints_checked () = bump c_constraints_checked
-let incr_triggers_fired () = bump c_triggers_fired
-let add_wal_torn_bytes n = bump_by c_wal_torn_bytes n
-let incr_recovery_replayed () = bump c_recovery_replayed
-let incr_checksum_failures () = bump c_checksum_failures
-let add_orphans_reclaimed n = bump_by c_orphans_reclaimed n
-let incr_journal_pages_restored () = bump c_journal_pages_restored
-let incr_pages_reformatted () = bump c_pages_reformatted
-let incr_io_retries () = bump c_io_retries
-let incr_obj_cache_hits () = bump c_obj_cache_hits
-let incr_obj_cache_misses () = bump c_obj_cache_misses
-let incr_obj_cache_invalidations () = bump c_obj_cache_invalidations
-let incr_cursor_pages_read () = bump c_cursor_pages_read
-let incr_server_accepts () = bump c_server_accepts
-let incr_server_requests () = bump c_server_requests
-let incr_server_rejects () = bump c_server_rejects
-let incr_server_timeouts () = bump c_server_timeouts
-let add_server_bytes_in n = bump_by c_server_bytes_in n
-let add_server_bytes_out n = bump_by c_server_bytes_out n
-let incr_server_reroutes () = bump c_server_reroutes
-let incr_server_accept_backoffs () = bump c_server_accept_backoffs
-let incr_repl_batches_sent () = bump c_repl_batches_sent
-let incr_repl_batches_applied () = bump c_repl_batches_applied
-let add_repl_bytes_sent n = bump_by c_repl_bytes_sent n
-let incr_repl_snapshots_sent () = bump c_repl_snapshots_sent
-let incr_repl_acks () = bump c_repl_acks
-let incr_repl_resyncs () = bump c_repl_resyncs
-let incr_repl_dup_batches () = bump c_repl_dup_batches
-let incr_repl_sync_degraded () = bump c_repl_sync_degraded
-let incr_txn_conflicts () = bump c_txn_conflicts
-let incr_txn_begins () = bump c_txn_begins
-let incr_planner_stats_hits () = bump c_planner_stats_hits
-let incr_planner_fallbacks () = bump c_planner_fallbacks
-let incr_planner_analyze_runs () = bump c_planner_analyze_runs
-let incr_planner_fused_joins () = bump c_planner_fused_joins
-let incr_planner_hash_joins () = bump c_planner_hash_joins
-let incr_planner_nested_joins () = bump c_planner_nested_joins
-
-(* Lag is a gauge, not a counter: the serving loop overwrites it with the
-   current distance between the primary's durable LSN and the slowest
-   streaming replica's acknowledged LSN (and the bytes backed up for it). *)
-let set_repl_lag_commits n = set c_repl_lag_commits n
-let set_repl_lag_bytes n = set c_repl_lag_bytes n
-
-(* Named accessors — the compatibility layer over the old record fields. *)
-let pages_read s = slot s c_pages_read
-let pages_written s = slot s c_pages_written
-let pool_hits s = slot s c_pool_hits
-let pool_misses s = slot s c_pool_misses
-let wal_appends s = slot s c_wal_appends
-let wal_syncs s = slot s c_wal_syncs
-let wal_sync_saved s = slot s c_wal_sync_saved
-let index_probes s = slot s c_index_probes
-let objects_scanned s = slot s c_objects_scanned
-let objects_fetched s = slot s c_objects_fetched
-let constraints_checked s = slot s c_constraints_checked
-let triggers_fired s = slot s c_triggers_fired
-let wal_torn_bytes s = slot s c_wal_torn_bytes
-let recovery_replayed s = slot s c_recovery_replayed
-let checksum_failures s = slot s c_checksum_failures
-let orphans_reclaimed s = slot s c_orphans_reclaimed
-let journal_pages_restored s = slot s c_journal_pages_restored
-let pages_reformatted s = slot s c_pages_reformatted
-let io_retries s = slot s c_io_retries
-let obj_cache_hits s = slot s c_obj_cache_hits
-let obj_cache_misses s = slot s c_obj_cache_misses
-let obj_cache_invalidations s = slot s c_obj_cache_invalidations
-let cursor_pages_read s = slot s c_cursor_pages_read
-let server_accepts s = slot s c_server_accepts
-let server_requests s = slot s c_server_requests
-let server_rejects s = slot s c_server_rejects
-let server_timeouts s = slot s c_server_timeouts
-let server_bytes_in s = slot s c_server_bytes_in
-let server_bytes_out s = slot s c_server_bytes_out
-let server_reroutes s = slot s c_server_reroutes
-let server_accept_backoffs s = slot s c_server_accept_backoffs
-let repl_batches_sent s = slot s c_repl_batches_sent
-let repl_batches_applied s = slot s c_repl_batches_applied
-let repl_bytes_sent s = slot s c_repl_bytes_sent
-let repl_snapshots_sent s = slot s c_repl_snapshots_sent
-let repl_acks s = slot s c_repl_acks
-let repl_resyncs s = slot s c_repl_resyncs
-let repl_dup_batches s = slot s c_repl_dup_batches
-let repl_sync_degraded s = slot s c_repl_sync_degraded
-let repl_lag_commits s = slot s c_repl_lag_commits
-let repl_lag_bytes s = slot s c_repl_lag_bytes
-let txn_conflicts s = slot s c_txn_conflicts
-let txn_begins s = slot s c_txn_begins
-let planner_stats_hits s = slot s c_planner_stats_hits
-let planner_fallbacks s = slot s c_planner_fallbacks
-let planner_analyze_runs s = slot s c_planner_analyze_runs
-let planner_fused_joins s = slot s c_planner_fused_joins
-let planner_hash_joins s = slot s c_planner_hash_joins
-let planner_nested_joins s = slot s c_planner_nested_joins
+let get snap name =
+  match Hashtbl.find index name with i -> slot snap i | exception Not_found -> 0
 
 (* pp derives from the registry: every counter of the group, name = value,
    so new registrations show up in `.stats` with no further edits. Output
    is sorted by counter name, not registration order — registration order
-   depends on which modules initialized first (a fresh open and a
-   post-recovery open pull layers in at different times), and sorted
-   output diffs stably across the two. *)
-let pp_group g ppf s =
+   depends on which modules initialized first, and sorted output diffs
+   stably regardless. *)
+let pp_group g ppf snap =
   let named =
-    List.mapi (fun i d -> (d, slot s i)) (List.rev !defs)
-    |> List.filter (fun (d, _) -> d.d_group = g)
-    |> List.sort (fun (a, _) (b, _) -> compare a.d_name b.d_name)
+    Array.to_list (Array.mapi (fun i s -> (s, slot snap i)) !slots)
+    |> List.filter (fun (s, _) -> s.group = g)
+    |> List.sort (fun (a, _) (b, _) -> compare a.name b.name)
   in
-  let first = ref true in
-  List.iter
-    (fun (d, v) ->
-      if not !first then Format.fprintf ppf "  ";
-      first := false;
-      Format.fprintf ppf "%s %d" d.d_name v)
-    named
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.fprintf ppf "  ")
+    (fun ppf (s, v) -> Format.fprintf ppf "%s %d" s.name v)
+    ppf named
 
-let pp ppf s = pp_group Workload ppf s
-let pp_recovery ppf s = pp_group Recovery ppf s
+let pp ppf snap = pp_group Workload ppf snap
+let pp_recovery ppf snap = pp_group Recovery ppf snap

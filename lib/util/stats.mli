@@ -1,17 +1,28 @@
 (** Global operation counters.
 
-    Every layer of the system bumps these counters; benchmarks snapshot them
+    Every layer of the system bumps counters; benchmarks snapshot them
     around a workload to report how much physical and logical work each
     strategy performed (pages touched, index probes, objects scanned, ...).
-    Counters live in a registry of named slots: [register] a new one and
-    snapshot/diff/[to_list]/[pp] pick it up with no further edits. Counters
-    are process-global [Atomic.t] cells, so bumps are domain-safe: the
-    network server executes read-only requests on reader domains in
-    parallel with the writer domain, and every layer's counters stay
-    exact under that concurrency. [snapshot] reads each cell atomically
-    (the array as a whole is not one atomic cut, which is fine for
-    monotonic counters). Registration itself happens at module
-    initialization, before any domain is spawned. *)
+
+    Adding a counter is one line in the module that owns it, as with
+    [Histogram.create]:
+    {[
+      let c_pool_hits = Ode_util.Stats.counter "pool_hits"
+      ... Ode_util.Stats.incr c_pool_hits ...
+    ]}
+    The call runs at module initialization, before any domain is spawned.
+    [snapshot]/[diff]/[to_list]/[pp], the shell's [.stats]/[.recovery] and
+    the server's [/metrics] pick the new name up with no further edits.
+    Code outside the owner reads a counter by name with [get]. A counter
+    bumped by several modules (index probes from either index, I/O retries
+    from the disk and the WAL) is registered in each of them under the same
+    name, group and kind and shares one slot.
+
+    Counters are process-global [Atomic.t] cells, so bumps are domain-safe:
+    the network server executes read-only requests on reader domains in
+    parallel with the writer domain, and every counter stays exact under
+    that concurrency. [snapshot] reads each cell atomically (the array as a
+    whole is not one atomic cut, which is fine for monotonic counters). *)
 
 type group =
   | Workload  (** reported by [pp] / the shell's [.stats] *)
@@ -21,14 +32,24 @@ type kind =
   | Counter  (** monotonically increasing; resets only via [reset] *)
   | Gauge  (** overwritten with a current level (replication lag) *)
 
-type snapshot
-(** Counter values at the moment [snapshot] was taken; read with the named
-    accessors below, or generically with [to_list]/[get]. *)
+type counter
+(** Handle on one registered slot. *)
 
-val register : ?group:group -> ?kind:kind -> string -> int
-(** Register a counter and return its slot id, for layers that keep their
-    own hot-path handle ([bump]/[bump_by] are not exported; use the
-    [incr_*] style wrappers or re-register in the owning module). *)
+val counter : ?group:group -> ?kind:kind -> string -> counter
+(** Find or create the slot registered under this name (default group
+    [Workload], kind [Counter]).
+    @raise Invalid_argument if the name is already registered with a
+    different group or kind. *)
+
+val incr : counter -> unit
+val add : counter -> int -> unit
+
+val set : counter -> int -> unit
+(** Overwrite a [Gauge] slot with the current level. *)
+
+type snapshot
+(** Counter values at the moment [snapshot] was taken; read with [get] or
+    [to_list]. *)
 
 val kind_of : string -> kind
 (** Exposition kind of a registered slot ([Counter] if unknown) — lets the
@@ -54,8 +75,6 @@ val zero : unit -> snapshot
 val diff : snapshot -> snapshot -> snapshot
 (** [diff later earlier] is the slot-wise difference. *)
 
-val combine : snapshot -> snapshot -> snapshot
-
 val accum : into:snapshot -> snapshot -> snapshot -> unit
 (** [accum ~into a b] adds [a - b] into [into], slot-wise, in place —
     allocation-free delta accumulation for the query profiler. *)
@@ -67,149 +86,7 @@ val to_list : snapshot -> (string * int) list
 (** [(name, value)] pairs in registration order. *)
 
 val get : snapshot -> string -> int
-(** Value of a counter by name; 0 if unknown. *)
-
-(* Incrementers, called by the owning layer. *)
-val incr_pages_read : unit -> unit
-val incr_pages_written : unit -> unit
-val incr_pool_hits : unit -> unit
-val incr_pool_misses : unit -> unit
-val incr_wal_appends : unit -> unit
-val incr_wal_syncs : unit -> unit
-
-val add_wal_sync_saved : int -> unit
-(** Group commit: [add_wal_sync_saved (g - 1)] on a WAL sync that made [g]
-    pending commits durable at once — the fsyncs the batch avoided. *)
-
-val incr_index_probes : unit -> unit
-val incr_objects_scanned : unit -> unit
-val incr_objects_fetched : unit -> unit
-val incr_constraints_checked : unit -> unit
-val incr_triggers_fired : unit -> unit
-val add_wal_torn_bytes : int -> unit
-val incr_recovery_replayed : unit -> unit
-val incr_checksum_failures : unit -> unit
-val add_orphans_reclaimed : int -> unit
-val incr_journal_pages_restored : unit -> unit
-val incr_pages_reformatted : unit -> unit
-val incr_io_retries : unit -> unit
-val incr_obj_cache_hits : unit -> unit
-val incr_obj_cache_misses : unit -> unit
-val incr_obj_cache_invalidations : unit -> unit
-val incr_cursor_pages_read : unit -> unit
-val incr_server_accepts : unit -> unit
-val incr_server_requests : unit -> unit
-val incr_server_rejects : unit -> unit
-val incr_server_timeouts : unit -> unit
-val add_server_bytes_in : int -> unit
-val add_server_bytes_out : int -> unit
-val incr_server_reroutes : unit -> unit
-val incr_server_accept_backoffs : unit -> unit
-val incr_repl_batches_sent : unit -> unit
-val incr_repl_batches_applied : unit -> unit
-val add_repl_bytes_sent : int -> unit
-val incr_repl_snapshots_sent : unit -> unit
-val incr_repl_acks : unit -> unit
-val incr_repl_resyncs : unit -> unit
-val incr_repl_dup_batches : unit -> unit
-val incr_repl_sync_degraded : unit -> unit
-
-val incr_txn_conflicts : unit -> unit
-(** A committing transaction lost first-committer-wins conflict detection
-    and was aborted with the retryable conflict error. *)
-
-val incr_txn_begins : unit -> unit
-(** A read-write transaction was opened. *)
-
-val incr_planner_stats_hits : unit -> unit
-(** The planner costed a plan from analyze statistics. *)
-
-val incr_planner_fallbacks : unit -> unit
-(** The planner fell back to heuristics (stats absent or stale). *)
-
-val incr_planner_analyze_runs : unit -> unit
-val incr_planner_fused_joins : unit -> unit
-(** A nested join was fused into one streamed pass (deref/membership). *)
-
-val incr_planner_hash_joins : unit -> unit
-val incr_planner_nested_joins : unit -> unit
-
-val set_repl_lag_commits : int -> unit
-val set_repl_lag_bytes : int -> unit
-(** Replication-lag gauges (overwritten, not accumulated): commits the
-    slowest streaming replica is behind the primary's durable LSN, and the
-    response/batch bytes backed up toward it. *)
-
-(* Named accessors — the compatibility layer over the old record fields:
-   pages read/written on a disk backend, buffer-pool hits/misses, WAL
-   appends/flushes, B+tree descents, objects visited/fetched, constraint
-   checks, trigger firings; then the recovery group (torn-tail bytes,
-   replayed WAL ops, checksum mismatches, swept orphans, journal pages
-   restored, reinitialised pages, EINTR/EAGAIN retries); then the read-path
-   group (decoded-object cache hits/misses/invalidations, B+tree leaves
-   visited by streaming cursors). *)
-val pages_read : snapshot -> int
-val pages_written : snapshot -> int
-val pool_hits : snapshot -> int
-val pool_misses : snapshot -> int
-val wal_appends : snapshot -> int
-val wal_syncs : snapshot -> int
-val wal_sync_saved : snapshot -> int
-val index_probes : snapshot -> int
-val objects_scanned : snapshot -> int
-val objects_fetched : snapshot -> int
-val constraints_checked : snapshot -> int
-val triggers_fired : snapshot -> int
-val wal_torn_bytes : snapshot -> int
-val recovery_replayed : snapshot -> int
-val checksum_failures : snapshot -> int
-val orphans_reclaimed : snapshot -> int
-val journal_pages_restored : snapshot -> int
-val pages_reformatted : snapshot -> int
-val io_retries : snapshot -> int
-val obj_cache_hits : snapshot -> int
-val obj_cache_misses : snapshot -> int
-val obj_cache_invalidations : snapshot -> int
-val cursor_pages_read : snapshot -> int
-
-(* The serving layer (connections accepted, requests served, busy
-   rejections, idle-timeout evictions, wire bytes in/out, reader-domain
-   requests replayed on the writer, accept backoffs on fd exhaustion). *)
-val server_accepts : snapshot -> int
-val server_requests : snapshot -> int
-val server_rejects : snapshot -> int
-val server_timeouts : snapshot -> int
-val server_bytes_in : snapshot -> int
-val server_bytes_out : snapshot -> int
-val server_reroutes : snapshot -> int
-val server_accept_backoffs : snapshot -> int
-
-(* Replication: batches/bytes shipped and applied, snapshots served,
-   acknowledgements, stream resyncs, duplicate batches skipped, semi-sync
-   waits that degraded to local durability; plus the two lag gauges. *)
-val repl_batches_sent : snapshot -> int
-val repl_batches_applied : snapshot -> int
-val repl_bytes_sent : snapshot -> int
-val repl_snapshots_sent : snapshot -> int
-val repl_acks : snapshot -> int
-val repl_resyncs : snapshot -> int
-val repl_dup_batches : snapshot -> int
-val repl_sync_degraded : snapshot -> int
-val repl_lag_commits : snapshot -> int
-val repl_lag_bytes : snapshot -> int
-
-(* MVCC transactions: read-write begins and first-committer-wins aborts. *)
-val txn_conflicts : snapshot -> int
-val txn_begins : snapshot -> int
-
-(* Query planner: stats-costed vs heuristic plans, analyze runs, and the
-   join strategies actually executed. *)
-val planner_stats_hits : snapshot -> int
-val planner_fallbacks : snapshot -> int
-val planner_analyze_runs : snapshot -> int
-val planner_fused_joins : snapshot -> int
-val planner_hash_joins : snapshot -> int
-val planner_nested_joins : snapshot -> int
+(** Value of a counter by name; 0 if unknown. Allocation-free. *)
 
 val pp : Format.formatter -> snapshot -> unit
 (** Workload counters (pages, pool, WAL, probes, ...), derived from the

@@ -426,11 +426,11 @@ let run_iteration ~iter ~seed ~site ~coverage =
   (if debug then begin
      let s1 = Ode_util.Stats.snapshot () in
      dbg "recovery: replayed %d, orphans %d, journal restored %d, cksum fails %d, reformatted %d"
-       Ode_util.Stats.(recovery_replayed s1 - recovery_replayed s0)
-       Ode_util.Stats.(orphans_reclaimed s1 - orphans_reclaimed s0)
-       Ode_util.Stats.(journal_pages_restored s1 - journal_pages_restored s0)
-       Ode_util.Stats.(checksum_failures s1 - checksum_failures s0)
-       Ode_util.Stats.(pages_reformatted s1 - pages_reformatted s0);
+       Ode_util.Stats.(get s1 "recovery_replayed" - get s0 "recovery_replayed")
+       Ode_util.Stats.(get s1 "orphans_reclaimed" - get s0 "orphans_reclaimed")
+       Ode_util.Stats.(get s1 "journal_pages_restored" - get s0 "journal_pages_restored")
+       Ode_util.Stats.(get s1 "checksum_failures" - get s0 "checksum_failures")
+       Ode_util.Stats.(get s1 "pages_reformatted" - get s0 "pages_reformatted");
      Hashtbl.iter
        (fun tag oid ->
          dbg "tag %d: header %b (oid %a)" tag

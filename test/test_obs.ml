@@ -205,13 +205,14 @@ let histogram_time_disabled () =
 (* -- stats registry -------------------------------------------------------- *)
 
 let stats_registry () =
+  (* find-or-create: registering an existing name returns its slot *)
+  let pages_read = Stats.counter "pages_read" and probes = Stats.counter "index_probes" in
   let before = Stats.snapshot () in
-  Stats.incr_pages_read ();
-  Stats.incr_index_probes ();
-  Stats.incr_index_probes ();
+  Stats.incr pages_read;
+  Stats.incr probes;
+  Stats.add probes 1;
   let after = Stats.snapshot () in
   let d = Stats.diff after before in
-  Alcotest.(check int) "accessor sees delta" 1 (Stats.pages_read d);
   Alcotest.(check int) "get by name" 1 (Stats.get d "pages_read");
   Alcotest.(check int) "probes" 2 (Stats.get d "index_probes");
   Alcotest.(check int) "unknown name" 0 (Stats.get d "no_such_counter");
@@ -223,7 +224,61 @@ let stats_registry () =
   check_contains "pp" pp "index_probes 2";
   let z = Stats.zero () in
   Stats.accum ~into:z after before;
-  Alcotest.(check int) "accum" 1 (Stats.pages_read z)
+  Alcotest.(check int) "accum" 1 (Stats.get z "pages_read")
+
+(* Every counter the engine registers, with its group and kind. The owning
+   modules register their own counters, so this list is what catches a
+   renamed, regrouped or dropped registration: `.stats`, `.recovery` and
+   `/metrics` print exactly these names. *)
+let expected_counters =
+  let open Stats in
+  [
+    ("pages_read", Workload, Counter); ("pages_written", Workload, Counter);
+    ("pool_hits", Workload, Counter); ("pool_misses", Workload, Counter);
+    ("wal_appends", Workload, Counter); ("wal_syncs", Workload, Counter);
+    ("wal_sync_saved", Workload, Counter); ("index_probes", Workload, Counter);
+    ("objects_scanned", Workload, Counter); ("objects_fetched", Workload, Counter);
+    ("constraints_checked", Workload, Counter); ("triggers_fired", Workload, Counter);
+    ("wal_torn_bytes", Recovery, Counter); ("recovery_replayed", Recovery, Counter);
+    ("checksum_failures", Recovery, Counter); ("orphans_reclaimed", Recovery, Counter);
+    ("journal_pages_restored", Recovery, Counter); ("pages_reformatted", Recovery, Counter);
+    ("io_retries", Recovery, Counter); ("obj_cache_hits", Workload, Counter);
+    ("obj_cache_misses", Workload, Counter); ("obj_cache_invalidations", Workload, Counter);
+    ("cursor_pages_read", Workload, Counter); ("server.accepts", Workload, Counter);
+    ("server.requests", Workload, Counter); ("server.rejects", Workload, Counter);
+    ("server.timeouts", Workload, Counter); ("server.bytes_in", Workload, Counter);
+    ("server.bytes_out", Workload, Counter); ("server.reroutes", Workload, Counter);
+    ("server.accept_backoffs", Workload, Counter); ("repl.batches_sent", Workload, Counter);
+    ("repl.batches_applied", Workload, Counter); ("repl.bytes_sent", Workload, Counter);
+    ("repl.snapshots_sent", Workload, Counter); ("repl.acks", Workload, Counter);
+    ("repl.resyncs", Workload, Counter); ("repl.dup_batches", Workload, Counter);
+    ("repl.sync_degraded", Workload, Counter); ("repl.lag_commits", Workload, Gauge);
+    ("repl.lag_bytes", Workload, Gauge); ("txn.conflicts", Workload, Counter);
+    ("txn.begins", Workload, Counter); ("planner.stats_hits", Workload, Counter);
+    ("planner.fallbacks", Workload, Counter); ("planner.analyze_runs", Workload, Counter);
+    ("planner.fused_joins", Workload, Counter); ("planner.hash_joins", Workload, Counter);
+    ("planner.nested_joins", Workload, Counter);
+  ]
+
+let stats_golden_registry () =
+  let sorted l = List.sort compare l in
+  (* names first: [Stats.counter] below would create a missing one *)
+  Alcotest.(check (list string))
+    "registered names"
+    (sorted (List.map (fun (n, _, _) -> n) expected_counters))
+    (sorted (Stats.registered ()));
+  List.iter
+    (fun (name, group, kind) ->
+      match Stats.counter ~group ~kind name with
+      | _ -> ()
+      | exception Invalid_argument _ -> Alcotest.failf "%s: registered with another group or kind" name)
+    expected_counters;
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool)
+    "other group raises" true
+    (raises (fun () -> Stats.counter ~group:Stats.Recovery "pages_read"));
+  Alcotest.(check bool) "other kind raises" true (raises (fun () -> Stats.counter ~kind:Stats.Gauge "pages_read"));
+  Alcotest.(check bool) "a gauge is not a counter" true (raises (fun () -> Stats.counter "repl.lag_commits"))
 
 (* -- metrics exposition ---------------------------------------------------- *)
 
@@ -461,6 +516,7 @@ let suite =
         Alcotest.test_case "histogram concurrent drain" `Quick histogram_concurrent_drain;
         Alcotest.test_case "histogram disabled" `Quick histogram_time_disabled;
         Alcotest.test_case "stats registry round-trip" `Quick stats_registry;
+        Alcotest.test_case "stats registry golden names" `Quick stats_golden_registry;
         Alcotest.test_case "prometheus exposition" `Quick prometheus_exposition;
         Alcotest.test_case "metrics json shape" `Quick metrics_json_shape;
         Alcotest.test_case "stats output name-sorted" `Quick stats_sorted_output;

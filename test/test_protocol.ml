@@ -134,11 +134,8 @@ let oversized_frame () =
 
 let garbage_handshake () =
   let rng = Prng.create 403 in
-  Tutil.check_bool "good hello" true (P.parse_hello P.hello = Ok P.version);
-  Tutil.check_bool "good reply" true (P.parse_hello_reply (P.hello_reply Accepted) = Ok P.version);
-  (* The reply echoes the negotiated version for the client to encode with. *)
-  Tutil.check_bool "negotiated reply" true
-    (P.parse_hello_reply (P.hello_reply ~negotiated:P.min_version Accepted) = Ok P.min_version);
+  Tutil.check_bool "good hello" true (P.parse_hello P.hello = Ok ());
+  Tutil.check_bool "good reply" true (P.parse_hello_reply (P.hello_reply Accepted) = Ok ());
   (* Busy / version-mismatch replies render reasons. *)
   (match P.parse_hello_reply (P.hello_reply Busy) with
   | Error msg -> Tutil.check_bool "busy reason" true (String.length msg > 0)
@@ -158,63 +155,53 @@ let garbage_handshake () =
   Tutil.check_bool "long hello" true (Result.is_error (P.parse_hello (P.hello ^ "x")));
   Tutil.check_bool "short reply" true (Result.is_error (P.parse_hello_reply "ODEP"))
 
-(* v2 framing carries no trace id: a v2-encoded request decodes per v2 with
-   [rq_trace = 0], and the strict trailing-bytes check means decoding one
-   version's frame with the other's layout is rejected, never silently
-   misread. *)
-let version_negotiation () =
-  let rq = { P.rq_id = 42; rq_trace = 0xbeef; rq_op = Exec "print 1;" } in
-  let b = Buffer.create 64 in
-  P.encode_request ~version:P.min_version b rq;
-  let rd = P.reader () in
-  let frame = Buffer.contents b in
-  P.feed rd (Bytes.of_string frame) (String.length frame);
-  (match P.next_frame rd with
-  | None -> Alcotest.fail "complete frame expected"
-  | Some body -> (
-      let got = P.decode_request ~version:P.min_version body in
-      Tutil.check_int "v2 id" rq.rq_id got.rq_id;
-      Tutil.check_int "v2 trace dropped" 0 got.rq_trace;
-      Tutil.check_bool "v2 op" true (op_eq rq.rq_op got.rq_op);
-      (* Decoding a v2 body as v3 misparses the layout: Corrupt, not junk. *)
-      match P.decode_request body with
-      | _ -> Alcotest.fail "v2 body must not decode as v3"
-      | exception Codec.Corrupt _ -> ()));
-  (* And a v3 frame must not pass a v2 decode. *)
-  let b3 = Buffer.create 64 in
-  P.encode_request b3 rq;
-  let rd3 = P.reader () in
-  let f3 = Buffer.contents b3 in
-  P.feed rd3 (Bytes.of_string f3) (String.length f3);
-  match P.next_frame rd3 with
-  | None -> Alcotest.fail "complete frame expected"
-  | Some body -> (
-      let got = P.decode_request body in
-      Tutil.check_int "v3 trace" rq.rq_trace got.rq_trace;
-      match P.decode_request ~version:P.min_version body with
-      | _ -> Alcotest.fail "v3 body must not decode as v2"
-      | exception Codec.Corrupt _ -> ())
-
-(* The conflict reply is v4 vocabulary: a v4 peer gets the distinct tag
-   back verbatim; an older peer must receive an ordinary [Error] whose
-   "conflict: " prefix still marks it as retryable. *)
-let conflict_downgrade () =
-  let decode_one frame =
-    let rd = P.reader () in
-    P.feed rd (Bytes.of_string frame) (String.length frame);
-    match P.next_frame rd with
-    | Some body -> (P.decode_response body).P.rs_reply
-    | None -> Alcotest.fail "complete frame expected"
+(* There is one protocol version: a server answers a hello from an older
+   client (v2 had no trace ids, v3 no conflict reply) with [Bad_version]
+   and hangs up, and a replication primary refuses an older replica. *)
+let old_versions_rejected () =
+  let hello_v v =
+    let b = Buffer.create 8 in
+    Buffer.add_string b P.magic;
+    Codec.put_u16 b v;
+    Buffer.contents b
   in
-  let resp = { P.rs_id = 9; rs_lsn = 17; rs_reply = Err_conflict "root last" } in
-  let b4 = Buffer.create 64 in
-  P.encode_response b4 resp;
-  Tutil.check_bool "v4 keeps the distinct tag" true
-    (decode_one (Buffer.contents b4) = Err_conflict "root last");
-  let b3 = Buffer.create 64 in
-  P.encode_response ~version:3 b3 resp;
-  Tutil.check_bool "pre-v4 gets a prefixed plain error" true
-    (decode_one (Buffer.contents b3) = Error "conflict: root last")
+  let dir = Tutil.temp_dir "proto-version" in
+  let pid, port = Ode_served.Server.spawn ~db_dir:dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      List.iter
+        (fun v ->
+          let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+              let h = hello_v v in
+              ignore (Unix.write_substring fd h 0 (String.length h));
+              let buf = Bytes.create 64 in
+              let rec read_all pos =
+                match Unix.read fd buf pos (Bytes.length buf - pos) with
+                | 0 -> pos
+                | n -> read_all (pos + n)
+              in
+              let n = read_all 0 in
+              Tutil.check_string
+                (Printf.sprintf "v%d hello gets Bad_version, then EOF" v)
+                (P.hello_reply Bad_version) (Bytes.sub_string buf 0 n)))
+        [ 2; 3 ]);
+  let repl_hello_v v = P.repl_magic ^ String.sub (hello_v v) 4 2 in
+  Tutil.check_bool "current repl hello" true (P.parse_repl_hello P.repl_hello = Ok ());
+  List.iter
+    (fun v ->
+      Tutil.check_bool
+        (Printf.sprintf "v%d repl hello refused" v)
+        true
+        (Result.is_error (P.parse_repl_hello (repl_hello_v v))))
+    [ 2; 3 ]
 
 let reader_take () =
   let rd = P.reader () in
@@ -234,8 +221,7 @@ let suite =
         Alcotest.test_case "truncated frames wait or reject" `Quick truncated_frame;
         Alcotest.test_case "oversized frames rejected early" `Quick oversized_frame;
         Alcotest.test_case "garbage handshakes rejected" `Quick garbage_handshake;
-        Alcotest.test_case "version negotiation framing" `Quick version_negotiation;
-        Alcotest.test_case "conflict reply downgrade" `Quick conflict_downgrade;
+        Alcotest.test_case "old versions get Bad_version" `Quick old_versions_rejected;
         Alcotest.test_case "reader take semantics" `Quick reader_take;
       ] );
   ]

@@ -59,7 +59,7 @@ let pool_hit_miss () =
   let before = Ode_util.Stats.snapshot () in
   Pool.with_page p 0 (fun _ -> ());
   let after = Ode_util.Stats.snapshot () in
-  Tutil.check_int "pool hit" 1 Ode_util.Stats.(pool_hits (diff after before))
+  Tutil.check_int "pool hit" 1 Ode_util.Stats.(get (diff after before) "pool_hits")
 
 let pool_eviction_writes_back () =
   let d = Disk.in_memory () in
@@ -166,6 +166,29 @@ let wal_torn_tail_ignored () =
   Tutil.check_int "append after truncation" 2 (List.length !got2);
   Wal.close w2
 
+(* One record layout: a Commit body always carries xid, trace id and
+   commit timestamp. A checksummed frame holding only tag 2 + xid (the
+   layout before MVCC) is corrupt, not a commit at timestamp 0. *)
+let wal_short_commit_corrupt () =
+  let dir = Tutil.temp_dir "wal" in
+  let path = Filename.concat dir "wal.log" in
+  let body =
+    let b = Buffer.create 16 in
+    Ode_util.Codec.put_u8 b 2;
+    Ode_util.Codec.put_int b 7;
+    Buffer.contents b
+  in
+  let frame = Buffer.create 32 in
+  Ode_util.Codec.put_u32 frame (String.length body);
+  Ode_util.Codec.put_i64 frame (Ode_util.Codec.fnv64 body);
+  Buffer.add_string frame body;
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents frame));
+  match Wal.open_file path with
+  | w ->
+      Wal.close w;
+      Alcotest.fail "a commit without trace id and timestamp must not open"
+  | exception Ode_util.Codec.Corrupt _ -> ()
+
 let wal_reset () =
   let w = Wal.in_memory () in
   Wal.append w (Wal.Begin 7);
@@ -198,13 +221,13 @@ let wal_pending_commits () =
   Wal.sync w;
   let d = Ode_util.Stats.diff (Ode_util.Stats.snapshot ()) before in
   Tutil.check_int "one ack clears the batch" 0 (Wal.pending_commits w);
-  Tutil.check_int "one physical sync" 1 (Ode_util.Stats.wal_syncs d);
-  Tutil.check_int "a batch of 2 saved 1 sync" 1 (Ode_util.Stats.wal_sync_saved d);
+  Tutil.check_int "one physical sync" 1 (Ode_util.Stats.get d "wal_syncs");
+  Tutil.check_int "a batch of 2 saved 1 sync" 1 (Ode_util.Stats.get d "wal_sync_saved");
   (* An empty ack is still a sync, but saves nothing and grows no group. *)
   let before = Ode_util.Stats.snapshot () in
   Wal.sync w;
   let d = Ode_util.Stats.diff (Ode_util.Stats.snapshot ()) before in
-  Tutil.check_int "empty sync saves nothing" 0 (Ode_util.Stats.wal_sync_saved d)
+  Tutil.check_int "empty sync saves nothing" 0 (Ode_util.Stats.get d "wal_sync_saved")
 
 let wal_reset_clears_pending () =
   let w = Wal.in_memory () in
@@ -349,6 +372,7 @@ let suite =
         Alcotest.test_case "memory roundtrip" `Quick wal_roundtrip_memory;
         Alcotest.test_case "file roundtrip" `Quick wal_roundtrip_file;
         Alcotest.test_case "torn tail ignored" `Quick wal_torn_tail_ignored;
+        Alcotest.test_case "short commit record is corrupt" `Quick wal_short_commit_corrupt;
         Alcotest.test_case "reset empties" `Quick wal_reset;
         Alcotest.test_case "unsynced appends invisible" `Quick wal_unsynced_not_replayed;
         Alcotest.test_case "pending commits acked by one sync" `Quick wal_pending_commits;
