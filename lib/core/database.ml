@@ -68,44 +68,56 @@ let c_recovery_replayed = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery 
 let c_orphans_reclaimed = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery "orphans_reclaimed"
 let c_planner_analyze_runs = Ode_util.Stats.counter "planner.analyze_runs"
 
+(* Call [f ~xid ~trace ~ts ops] at each Commit record with that transaction's
+   operations in log order. A transaction's records are appended en bloc
+   at its commit, so its operations all precede its Commit; those of a
+   transaction with no Commit are dropped. *)
+let each_commit iter f =
+  let pending : (int, (string * op) list) Hashtbl.t = Hashtbl.create 8 in
+  let push xid kop =
+    Hashtbl.replace pending xid (kop :: Option.value ~default:[] (Hashtbl.find_opt pending xid))
+  in
+  iter (function
+    | Wal.Put (xid, key, payload) -> push xid (key, Put payload)
+    | Wal.Delete (xid, key) -> push xid (key, Del)
+    | Wal.Commit (xid, trace, ts) ->
+        let ops = List.rev (Option.value ~default:[] (Hashtbl.find_opt pending xid)) in
+        Hashtbl.remove pending xid;
+        f ~xid ~trace ~ts ops
+    | Wal.Begin _ | Wal.Checkpoint _ -> ())
+
 let recover db =
   Ode_util.Histogram.time h_recovery @@ fun () ->
   Ode_util.Trace.with_span ~cat:"recovery" "recovery" @@ fun () ->
   (* Wholesale cache invalidation: nothing decoded before the crash may
-     survive into the replayed store. ([Kv.put]/[Kv.delete] invalidate per
-     key during replay too; this is the belt to that suspenders.) *)
+     survive into the replayed store. ([Kv.put_sorted]/[Kv.delete]
+     invalidate per key during replay too; this is the belt to that
+     suspenders.) *)
   Ocache.clear db;
-  (* Pass 1: which transactions committed. Pass 2: apply their operations in
-     log order (idempotent logical redo). *)
-  let committed = Hashtbl.create 16 in
-  Wal.replay db.wal (function
-    | Wal.Commit (xid, _, _) -> Hashtbl.replace committed xid ()
-    | _ -> ());
+  (* Idempotent logical redo, one committed transaction at a time. *)
   let applied = ref 0 in
-  Wal.replay db.wal (function
-    | Wal.Put (xid, key, payload) when Hashtbl.mem committed xid ->
-        Store.apply_op db key (Put payload);
-        Ode_util.Stats.incr c_recovery_replayed;
-        incr applied
-    | Wal.Delete (xid, key) when Hashtbl.mem committed xid ->
-        Store.apply_op db key Del;
-        Ode_util.Stats.incr c_recovery_replayed;
-        incr applied
-    | _ -> ());
+  each_commit (Wal.replay db.wal) (fun ~xid:_ ~trace:_ ~ts:_ ops ->
+      Store.apply_writes db ops;
+      Ode_util.Stats.add c_recovery_replayed (List.length ops);
+      applied := !applied + List.length ops);
   if !applied > 0 then Log.info (fun m -> m "recovery: replayed %d operations" !applied);
   (* A crash between the heap flush and the directory flush can persist heap
      records whose directory entry never reached disk; reclaim them so the
-     space is not leaked and Verify's dir<->heap cross-check holds. *)
-  let live = Hashtbl.create 256 in
-  Bptree.iter_range db.kv_dir (fun _ rid_s ->
-      Hashtbl.replace live rid_s ();
-      true);
-  let swept =
-    Heap.sweep_orphans db.kv_heap ~live:(fun rid -> Hashtbl.mem live (Kv.encode_rid rid))
-  in
-  if swept > 0 then begin
-    Ode_util.Stats.add c_orphans_reclaimed swept;
-    Log.info (fun m -> m "recovery: reclaimed %d orphan heap records" swept)
+     space is not leaked and Verify's dir<->heap cross-check holds. Such
+     orphans only exist while the WAL still holds the Puts that wrote
+     them: a checkpoint resets the log only after the heap, directory and
+     index flushes. So an open after a clean close skips the sweep. *)
+  if Wal.size_bytes db.wal > 0 then begin
+    let index (rid : Heap.rid) = (rid.page lsl 16) lor rid.slot in
+    let live = Hashtbl.create 4096 in
+    Bptree.iter_range db.kv_dir (fun _ rid_s ->
+        Hashtbl.replace live (index (Kv.decode_rid rid_s)) ();
+        true);
+    let swept = Heap.sweep_orphans db.kv_heap ~live:(fun rid -> Hashtbl.mem live (index rid)) in
+    if swept > 0 then begin
+      Ode_util.Stats.add c_orphans_reclaimed swept;
+      Log.info (fun m -> m "recovery: reclaimed %d orphan heap records" swept)
+    end
   end;
   Txn.checkpoint db
 
@@ -117,7 +129,7 @@ let load_state db =
   | Some s -> db.meta <- Txn.decode_meta s
   | None -> ());
   (* Planner statistics: recovery replay may already have installed a
-     newer snapshot (and tail adjustments) through [Store.apply_op]; only
+     newer snapshot (and tail adjustments) through [Store.apply_writes]; only
      fall back to the checkpointed copy when it hasn't. *)
   if not db.stats.st_analyzed then
     (match Kv.get db Keys.stats with
@@ -366,63 +378,39 @@ let apply_replicated db (records : Wal.record list) =
   if db.closed then raise Db_closed;
   Ode_util.Trace.with_span ~cat:"repl" "repl.apply" @@ fun () ->
   Txn.with_excl db @@ fun () ->
-  let committed = Hashtbl.create 8 in
-  let checkpointed = ref false in
-  List.iter
-    (function
-      | Wal.Commit (xid, trace, _) ->
-          Hashtbl.replace committed xid ();
-          (* One instant per traced commit, stamped with the trace id the
-             primary logged, so this standby's dump correlates with the
-             originating client's request spans across processes. *)
-          if trace <> 0 then
-            Ode_util.Trace.with_trace_id trace (fun () ->
-                Ode_util.Trace.instant ~cat:"repl"
-                  ~args:[ ("xid", string_of_int xid) ]
-                  "repl.apply")
-      | Wal.Checkpoint _ -> checkpointed := true
-      | _ -> ())
-    records;
+  let checkpointed = List.exists (function Wal.Checkpoint _ -> true | _ -> false) records in
   List.iter
     (fun r -> match r with Wal.Checkpoint _ -> () | r -> Wal.append db.wal r)
     records;
   Wal.sync db.wal;
   let state_touched = ref false in
-  let apply key op =
-    Store.apply_op db key op;
-    Ode_util.Stats.incr c_recovery_replayed;
-    if
-      key = Keys.catalog || key = Keys.meta
-      || (String.length key > 0 && String.sub key 0 1 = Keys.trigger_prefix)
-    then state_touched := true
-  in
-  (* Group each committed transaction's operations and land them at its
-     Commit record: chains first (while the KV still holds the pre-images),
-     then the writes. The primary ships whole transactions, so every
-     grouped op meets its Commit within this batch. *)
-  let pending : (int, (string * op) list) Hashtbl.t = Hashtbl.create 8 in
-  let push xid key op =
-    Hashtbl.replace pending xid ((key, op) :: Option.value ~default:[] (Hashtbl.find_opt pending xid))
-  in
-  List.iter
-    (function
-      | Wal.Put (xid, key, payload) when Hashtbl.mem committed xid ->
-          push xid key (Put payload)
-      | Wal.Delete (xid, key) when Hashtbl.mem committed xid -> push xid key Del
-      | Wal.Commit (xid, _, ts) ->
-          if Hashtbl.mem committed xid then begin
-            let ops = List.rev (Option.value ~default:[] (Hashtbl.find_opt pending xid)) in
-            Hashtbl.remove pending xid;
-            Mvcc.commit db.mvcc ~ts ~except:0 ~pre:(Store.committed_image db)
-              (List.filter_map
-                 (fun (key, op) ->
-                   if key = Keys.catalog || key = Keys.meta then None
-                   else Some (key, match op with Put s -> Some s | Del -> None))
-                 ops);
-            List.iter (fun (key, op) -> apply key op) ops
-          end
-      | _ -> ())
-    records;
+  (* Land each committed transaction at its Commit record: chains first
+     (while the KV still holds the pre-images), then the writes. The
+     primary ships whole transactions, so every op meets its Commit within
+     this batch. *)
+  each_commit
+    (fun f -> List.iter f records)
+    (fun ~xid ~trace ~ts ops ->
+      (* One instant per traced commit, stamped with the trace id the
+         primary logged, so this standby's dump correlates with the
+         originating client's request spans across processes. *)
+      if trace <> 0 then
+        Ode_util.Trace.with_trace_id trace (fun () ->
+            Ode_util.Trace.instant ~cat:"repl" ~args:[ ("xid", string_of_int xid) ] "repl.apply");
+      Mvcc.commit db.mvcc ~ts ~except:0 ~pre:(Store.committed_image db)
+        (List.filter_map
+           (fun (key, op) ->
+             if key = Keys.catalog || key = Keys.meta then None
+             else Some (key, match op with Put s -> Some s | Del -> None))
+           ops);
+      Store.apply_writes db ops;
+      Ode_util.Stats.add c_recovery_replayed (List.length ops);
+      if
+        List.exists
+          (fun (key, _) ->
+            key = Keys.catalog || key = Keys.meta || String.starts_with ~prefix:Keys.trigger_prefix key)
+          ops
+      then state_touched := true);
   (* Schema, clock or trigger changes shipped from the primary must reach
      the standby's decoded mirrors, not just its pages. *)
   if !state_touched then begin
@@ -430,7 +418,7 @@ let apply_replicated db (records : Wal.record list) =
     Hashtbl.reset db.by_oid;
     load_state db
   end;
-  if !checkpointed || Wal.size_bytes db.wal > db.wal_auto_checkpoint then Txn.checkpoint db
+  if checkpointed || Wal.size_bytes db.wal > db.wal_auto_checkpoint then Txn.checkpoint db
 
 (* -- schema ---------------------------------------------------------------------- *)
 
@@ -524,7 +512,7 @@ let catalog db = db.catalog
 
 (* `analyze`: one full committed-state scan producing the statistics
    snapshot, then an ordinary transaction writing it under the 'S' key —
-   the commit apply installs it (Store.apply_op), and WAL/replication/
+   the commit apply installs it (Store.apply_writes), and WAL/replication/
    recovery carry it like any other committed write. DDL-like: runs
    outside transactions so the scan summarizes a quiesced committed
    state. *)

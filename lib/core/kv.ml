@@ -62,28 +62,38 @@ let get db key =
 
 let mem db key = Bptree.mem db.kv_dir key
 
-let put db key payload =
+(* The single committed-write path (commit apply, recovery replay, standby
+   apply). [puts] is in ascending key order, each key once. One directory
+   lookup per key decides between updating the record in place and a fresh
+   heap insert; [on_new key] runs for a key the directory did not hold.
+   New and moved records reach the directory in one sorted batch. *)
+let put_sorted db puts ~on_new =
   Ode_util.Trace.with_span ~cat:"kv" "kv.put" @@ fun () ->
-  (* The single committed-write choke point (commit apply, recovery replay,
-     direct callers): a cached decode of this key is now stale. *)
-  Ocache.invalidate db key;
-  let record = encode_record key payload in
-  let fresh () =
-    let rid = Heap.insert db.kv_heap record in
-    Bptree.insert db.kv_dir key (encode_rid rid)
-  in
-  match Bptree.find db.kv_dir key with
-  | None -> fresh ()
-  | Some rid_s -> (
-      let rid = decode_rid rid_s in
-      (* After a crash mid-apply the directory can point at a dead or torn
-         record, or at a foreign one (stale alias); recovery replays the
-         Put, which must then insert afresh and leave the record alone. *)
-      match Heap.get db.kv_heap rid with
-      | Some raw when decode_record key raw <> None ->
-          let rid' = Heap.update db.kv_heap rid record in
-          if not (Heap.rid_equal rid rid') then Bptree.insert db.kv_dir key (encode_rid rid')
-      | Some _ | None | (exception Ode_util.Codec.Corrupt _) -> fresh ())
+  let routed = ref [] in
+  let route key rid = routed := (key, encode_rid rid) :: !routed in
+  Array.iter
+    (fun (key, payload) ->
+      (* A cached decode of this key is now stale. *)
+      Ocache.invalidate db key;
+      let record = encode_record key payload in
+      let fresh () = route key (Heap.insert db.kv_heap record) in
+      match Bptree.find db.kv_dir key with
+      | None ->
+          on_new key;
+          fresh ()
+      | Some rid_s -> (
+          let rid = decode_rid rid_s in
+          (* After a crash mid-apply the directory can point at a dead or
+             torn record, or at a foreign one (stale alias); recovery replays
+             the Put, which must then insert afresh and leave the record
+             alone. *)
+          match Heap.get db.kv_heap rid with
+          | Some raw when decode_record key raw <> None ->
+              let rid' = Heap.update db.kv_heap rid record in
+              if not (Heap.rid_equal rid rid') then route key rid'
+          | Some _ | None | (exception Ode_util.Codec.Corrupt _) -> fresh ()))
+    puts;
+  Bptree.insert_sorted db.kv_dir (Array.of_list (List.rev !routed))
 
 let delete db key =
   Ode_util.Trace.with_span ~cat:"kv" "kv.delete" @@ fun () ->

@@ -4,7 +4,7 @@
     This is the *committed* state only — transactions overlay it with their
     write set (see {!Store.read}). Keys are ordered, so class extents and
     index ranges scan in key order. All operations are idempotent with
-    respect to crash-recovery replay: {!put} and {!delete} tolerate a
+    respect to crash-recovery replay: {!put_sorted} and {!delete} tolerate a
     directory entry pointing at a dead or torn heap record, and every heap
     record carries its owning key, so a stale post-crash directory entry
     that aliases a reused (page, slot) address can never redirect an
@@ -29,7 +29,12 @@ val decode_record_view : string -> string -> string option
 
 val get : db -> string -> string option
 val mem : db -> string -> bool
-val put : db -> string -> string -> unit
+val put_sorted : db -> (string * string) array -> on_new:(string -> unit) -> unit
+(** [put_sorted db puts ~on_new] writes each [(key, payload)]; keys are
+    distinct and ascending. [on_new key] runs for each key the directory
+    did not hold. Heap records are written in key order, then every new
+    or moved record reaches the directory in one {!Ode_index.Bptree.insert_sorted}. *)
+
 val delete : db -> string -> unit
 
 val iter_prefix : db -> ?txn:txn -> string -> (string -> string -> bool) -> unit

@@ -5,7 +5,7 @@
    snapshot; the snapshot is written through an ordinary transaction on
    the [Keys.stats] key, so WAL logging, recovery, checkpointing,
    replication and dump/import all carry it with zero new protocol.
-   [Store.apply_op] routes a replayed/committed/replicated Put of the
+   [Store.apply_writes] routes a replayed/committed/replicated Put of the
    key back here ([install]), which is what makes a standby's planner
    and a recovered store's planner see the same statistics the primary
    analyzed.
@@ -13,7 +13,7 @@
    Between analyzes the cardinality counters are maintained
    incrementally: every applied header create/delete bumps the class
    count and the mods-since-analyze tally ([note_create]/[note_delete],
-   called from the same [Store.apply_op] choke point). Histograms are
+   called from the same [Store.apply_writes] choke point). Histograms are
    not maintained incrementally — [stale] reports when enough mods have
    accumulated that the planner should stop trusting them and fall back
    to its heuristics.
@@ -41,7 +41,7 @@ let fresh () =
     st_mu = Mutex.create ();
   }
 
-(* -- incremental maintenance (called from Store.apply_op) ------------------- *)
+(* -- incremental maintenance (called from Store.apply_writes) ---------------- *)
 
 let is_header_key key = String.length key = 17 && key.[0] = 'H'
 

@@ -2,7 +2,7 @@
     key histograms, persisted under the ['S'] key as one encoded snapshot
     written through an ordinary transaction (so WAL, recovery, replication
     and dump all carry it). Cardinalities are maintained incrementally from
-    [Store.apply_op]; histograms are rebuilt only by analyze, and [stale]
+    [Store.apply_writes]; histograms are rebuilt only by analyze, and [stale]
     tells the planner when to stop trusting them. *)
 
 val fresh : unit -> Types.ostats

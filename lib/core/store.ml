@@ -346,27 +346,33 @@ let delete_version txn (vr : Oid.vref) =
 
 (* -- apply (commit & recovery) ----------------------------------------------------------- *)
 
-let apply_op db key op =
-  if Keys.is_index_key key then begin
-    let tkey = Keys.index_tree_key key in
-    match op with
-    | Put _ -> Bptree.insert db.idx tkey ""
-    | Del -> ignore (Bptree.delete db.idx tkey)
-  end
-  else
-    match op with
-    | Put payload ->
-        (* The stats hook rides the single apply choke point, so commit
-           apply, recovery replay and standby apply all maintain the same
-           cardinality counters; a replayed/replicated analyze snapshot
-           installs itself the same way. *)
-        if key = Keys.stats then Ostats.install db payload
-        else if Ostats.is_header_key key && not (Kv.mem db key) then
-          Ostats.note_create db key;
-        Kv.put db key payload
-    | Del ->
-        if Ostats.is_header_key key && Kv.mem db key then Ostats.note_delete db key;
-        Kv.delete db key
+(* One transaction's write set, in key order: index entries go to the
+   index tree, everything else to the KV. The stats hook rides this single
+   apply path, so commit apply, recovery replay and standby apply all
+   maintain the same cardinality counters; a replayed/replicated analyze
+   snapshot installs itself the same way. *)
+let apply_writes db ops =
+  let ops = List.sort (fun (a, _) (b, _) -> String.compare a b) ops in
+  let index_puts = ref [] and kv_puts = ref [] in
+  List.iter
+    (fun (key, op) ->
+      if Keys.is_index_key key then
+        match op with
+        | Put _ -> index_puts := (Keys.index_tree_key key, "") :: !index_puts
+        | Del -> ignore (Bptree.delete db.idx (Keys.index_tree_key key))
+      else
+        match op with
+        | Put payload ->
+            if key = Keys.stats then Ostats.install db payload;
+            kv_puts := (key, payload) :: !kv_puts
+        | Del ->
+            if Ostats.is_header_key key && Kv.mem db key then Ostats.note_delete db key;
+            Kv.delete db key)
+    ops;
+  Bptree.insert_sorted db.idx (Array.of_list (List.rev !index_puts));
+  Kv.put_sorted db
+    (Array.of_list (List.rev !kv_puts))
+    ~on_new:(fun key -> if Ostats.is_header_key key then Ostats.note_create db key)
 
 (* The current committed value of a logical key — the pre-image the MVCC
    layer records as a new chain's base entry just before a commit applies

@@ -2,9 +2,13 @@
 
     All reads go write-set-first, so a transaction sees its own effects; all
     mutations are buffered in the write set and hit the disk structures only
-    at commit (deferred apply). {!apply_op} is the single routine that moves
-    a logical operation into the committed structures — commit and crash
-    recovery both call it, which is what makes recovery trivially correct.
+    at commit (deferred apply). {!apply_writes} is the single routine that
+    moves a transaction's write set into the committed structures — commit,
+    crash recovery and standby apply all call it with one transaction at a
+    time, which is what makes recovery trivially correct. It sorts the set
+    by key so each B+tree takes its puts as one
+    {!Ode_index.Bptree.insert_sorted} batch: one descent and one leaf write
+    per leaf run rather than per key.
 
     Objects: a header record tracks the class, the current version number
     and the version list; each version's fields are a separate record. An
@@ -88,9 +92,11 @@ val index_ids : db -> cls:string -> field:string -> int option
 
 (** {1 Commit/recovery} *)
 
-val apply_op : db -> string -> op -> unit
-(** Apply one logical operation to the committed structures (KV or index
-    tree). Idempotent. *)
+val apply_writes : db -> (string * op) list -> unit
+(** Apply one committed transaction's write set, each key at most once, to
+    the committed structures: index entries to the index tree, the rest to
+    the KV. The ops are applied in key order, puts as one sorted batch per
+    tree; deletes go key by key. Idempotent. *)
 
 val committed_image : db -> string -> string option
 (** The key's current committed value (index entries: [Some ""] when the

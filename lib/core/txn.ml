@@ -240,15 +240,15 @@ let commit_slot ~durable txn =
     (* 6. Apply to the committed structures under the exclusive latch:
           pre-images go into the version chains first (while the KV still
           holds them), then the writes land. *)
+    let writes = Hashtbl.fold (fun key op acc -> (key, op) :: acc) txn.writes [] in
     with_excl db (fun () ->
         Mvcc.commit db.mvcc ~ts:cts ~except:txn.snap ~pre:(Store.committed_image db)
-          (Hashtbl.fold
-             (fun key op acc ->
-               if versioned key then
-                 (key, match op with Put s -> Some s | Del -> None) :: acc
-               else acc)
-             txn.writes []);
-        Hashtbl.iter (fun key op -> Store.apply_op db key op) txn.writes;
+          (List.filter_map
+             (fun (key, op) ->
+               if versioned key then Some (key, match op with Put s -> Some s | Del -> None)
+               else None)
+             writes);
+        Store.apply_writes db writes;
         Triggers.sync_after_commit db txn)
   end;
   txn.tstate <- `Committed;

@@ -46,7 +46,7 @@ type idx_stat = {
 (* Planner statistics: per-extent cardinality and per-index key
    distributions. Histograms and the [st_base] snapshot are rebuilt only
    by `analyze` (full scan); the cardinality counters and [st_mods] are
-   maintained incrementally by [Store.apply_op] on every committed /
+   maintained incrementally by [Store.apply_writes] on every committed /
    recovered / replicated header create+delete, so the planner's row
    estimates track the live database and staleness is measurable as
    mods-since-analyze against the analyze-time base. Mutations happen

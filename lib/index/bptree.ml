@@ -4,6 +4,8 @@ module Pool = Ode_storage.Buffer_pool
 let c_index_probes = Ode_util.Stats.counter "index_probes"
 let c_cursor_pages_read = Ode_util.Stats.counter "cursor_pages_read"
 let c_pages_reformatted = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery "pages_reformatted"
+let c_leaf_writes = Ode_util.Stats.counter "bptree.leaf_writes"
+let c_splits = Ode_util.Stats.counter "bptree.splits"
 
 let magic = "ODEBPT01"
 let max_entry = 1024
@@ -151,17 +153,23 @@ let read_node t page =
       cache_node t page n;
       n
 
-let store t f node =
-  encode (Pool.data f) node;
-  Pool.mark_dirty t.pool f;
-  cache_node t (Pool.page_no f) node
+let write_node t page node =
+  (match node with Leaf _ -> Ode_util.Stats.incr c_leaf_writes | Internal _ -> ());
+  Pool.with_page t.pool page (fun f ->
+      encode (Pool.data f) node;
+      Pool.mark_dirty t.pool f);
+  cache_node t page node
 
-let write_node t page node = Pool.with_page t.pool page (fun f -> store t f node)
+(* A fresh page, still holding the zero image the disk wrote for it. *)
+let alloc_page t =
+  let f = Pool.allocate t.pool in
+  Pool.unpin t.pool f;
+  Pool.page_no f
 
 let alloc_node t node =
-  let f = Pool.allocate t.pool in
-  Fun.protect ~finally:(fun () -> Pool.unpin t.pool f) (fun () -> store t f node);
-  Pool.page_no f
+  let page = alloc_page t in
+  write_node t page node;
+  page
 
 (* -- header ----------------------------------------------------------------- *)
 
@@ -224,10 +232,9 @@ let child_index keys key =
   in
   bs 0 n
 
-(* Position of [key] in a sorted entry array: Ok i if present, Error i for
-   the insertion point. *)
-let entry_index entries key =
-  let n = Array.length entries in
+(* Position of [key] in a sorted entry array, searching from [lo]: Ok i if
+   present, Error i for the insertion point. *)
+let entry_index ?(lo = 0) entries key =
   let rec bs lo hi =
     if lo >= hi then Error lo
     else
@@ -235,7 +242,7 @@ let entry_index entries key =
       let c = String.compare key (fst entries.(mid)) in
       if c = 0 then Ok mid else if c < 0 then bs lo mid else bs (mid + 1) hi
   in
-  bs 0 n
+  bs lo (Array.length entries)
 
 let rec find_leaf t page key =
   match read_node t page with
@@ -258,85 +265,184 @@ let mem t key = find t key <> None
 
 (* -- public: insert ----------------------------------------------------------- *)
 
-let array_insert arr i x =
-  let n = Array.length arr in
-  Array.init (n + 1) (fun j -> if j < i then arr.(j) else if j = i then x else arr.(j - 1))
+(* Byte weight of a leaf entry and of an internal key: what each adds to
+   [node_size] beyond the 7-byte node header. *)
+let entry_weight (k, v) = 4 + String.length k + String.length v
+let key_weight k = 6 + String.length k
+let budget = node_capacity - 7
+
+(* Cut points that split [m] items, item [i] weighing [weight i] bytes,
+   into the fewest pieces whose payload fits [budget], as even in bytes as
+   item boundaries allow: cut [j] of [p] lands on the item boundary nearest
+   [j/p] of the bytes. Leaves ([promote] false) cut between items: piece
+   [j] holds items [c.(j-1), c.(j)). Internal nodes ([promote] true) hand
+   the item at each cut up to the parent: piece [j] holds items
+   [c.(j-1)+1, c.(j)). Every piece holds at least one item. No cuts when
+   everything fits. *)
+let cuts ~promote m weight =
+  let prefix = Array.make (m + 1) 0 in
+  for i = 0 to m - 1 do
+    prefix.(i + 1) <- prefix.(i) + weight i
+  done;
+  let total = prefix.(m) in
+  let skip = if promote then 1 else 0 in
+  let rec attempt p =
+    (* p pieces need p items, plus p-1 promoted ones *)
+    assert (p + (skip * (p - 1)) <= m);
+    let c = Array.make (p - 1) 0 in
+    let start = ref 0 and fits = ref true in
+    for j = 1 to p - 1 do
+      let target = total * j / p in
+      let lo = !start + 1 and hi = m - ((1 + skip) * (p - j)) in
+      let x = ref lo in
+      while !x < hi && prefix.(!x + 1) <= target do
+        incr x
+      done;
+      if !x < hi && target - prefix.(!x) > prefix.(!x + 1) - target then incr x;
+      fits := !fits && prefix.(!x) - prefix.(!start) <= budget;
+      c.(j - 1) <- !x;
+      start := !x + skip
+    done;
+    if !fits && total - prefix.(!start) <= budget then c else attempt (p + 1)
+  in
+  attempt ((total + budget - 1) / budget)
+
+(* Write [entries] to the leaf at [page], cut into pieces on fresh pages
+   when they overflow it. Returns each new piece's first key and page. *)
+let write_leaf t page entries ~next =
+  let node = Leaf { entries; next } in
+  if node_size node <= node_capacity then begin
+    write_node t page node;
+    []
+  end
+  else begin
+    let c = cuts ~promote:false (Array.length entries) (fun i -> entry_weight entries.(i)) in
+    let p = Array.length c + 1 in
+    let first j = if j = 0 then 0 else c.(j - 1) in
+    let stop j = if j = p - 1 then Array.length entries else c.(j) in
+    let pages = Array.init p (fun j -> if j = 0 then page else alloc_page t) in
+    Ode_util.Stats.add c_splits (p - 1);
+    for j = 0 to p - 1 do
+      let next = if j = p - 1 then next else pages.(j + 1) in
+      write_node t pages.(j) (Leaf { entries = Array.sub entries (first j) (stop j - first j); next })
+    done;
+    List.init (p - 1) (fun j -> (fst entries.(c.(j)), pages.(j + 1)))
+  end
+
+(* Internal counterpart of [write_leaf]: returns each promoted key with
+   the page of the piece to its right. *)
+let write_internal t page keys children =
+  let node = Internal { keys; children } in
+  if node_size node <= node_capacity then begin
+    write_node t page node;
+    []
+  end
+  else begin
+    let c = cuts ~promote:true (Array.length keys) (fun i -> key_weight keys.(i)) in
+    let p = Array.length c + 1 in
+    let first j = if j = 0 then 0 else c.(j - 1) + 1 in
+    let stop j = if j = p - 1 then Array.length keys else c.(j) in
+    let pages = Array.init p (fun j -> if j = 0 then page else alloc_page t) in
+    Ode_util.Stats.add c_splits (p - 1);
+    for j = 0 to p - 1 do
+      let a = first j and b = stop j in
+      write_node t pages.(j)
+        (Internal { keys = Array.sub keys a (b - a); children = Array.sub children a (b - a + 1) })
+    done;
+    List.init (p - 1) (fun j -> (keys.(c.(j)), pages.(j + 1)))
+  end
+
+(* Merge the sorted, distinct [kvs.(i) ..] into [entries], stopping at the
+   first key at or above [hi]. Each key is placed by binary search from
+   the previous one's position, and the entries between them are blitted.
+   Returns the merged array, the index past the run, and how many keys were
+   new. *)
+let merge_run entries kvs i hi =
+  let n = Array.length kvs in
+  let stop = ref i in
+  while !stop < n && match hi with Some h -> String.compare (fst kvs.(!stop)) h < 0 | None -> true do
+    incr stop
+  done;
+  let ne = Array.length entries in
+  let out = Array.make (ne + !stop - i) kvs.(i) in
+  let a = ref 0 and o = ref 0 in
+  for b = i to !stop - 1 do
+    let pos, past =
+      match entry_index ~lo:!a entries (fst kvs.(b)) with Ok p -> (p, p + 1) | Error p -> (p, p)
+    in
+    Array.blit entries !a out !o (pos - !a);
+    o := !o + (pos - !a);
+    out.(!o) <- kvs.(b);
+    incr o;
+    a := past
+  done;
+  Array.blit entries !a out !o (ne - !a);
+  o := !o + (ne - !a);
+  ((if !o = Array.length out then out else Array.sub out 0 !o), !stop, !o - ne)
+
+(* Insert one leaf run from [kvs.(i)] below [page], whose keys are all
+   below [hi]. Returns the index past the run and the (separator, page)
+   pairs of the pieces this node was cut into, for the parent to route. *)
+let rec insert_run t page kvs i hi =
+  match read_node t page with
+  | Leaf l ->
+      let entries, stop, added = merge_run l.entries kvs i hi in
+      t.count <- t.count + added;
+      (stop, write_leaf t page entries ~next:l.next)
+  | Internal n -> (
+      let ci = child_index n.keys (fst kvs.(i)) in
+      let hi = if ci < Array.length n.keys then Some n.keys.(ci) else hi in
+      match insert_run t n.children.(ci) kvs i hi with
+      | stop, [] -> (stop, [])
+      | stop, ups ->
+          let splice arr at xs =
+            Array.concat
+              [ Array.sub arr 0 at; Array.of_list xs; Array.sub arr at (Array.length arr - at) ]
+          in
+          let keys = splice n.keys ci (List.map fst ups) in
+          let children = splice n.children (ci + 1) (List.map snd ups) in
+          (stop, write_internal t page keys children))
+
+(* The root was cut: stack new roots until one holds all the pieces. *)
+let rec grow t = function
+  | [] -> ()
+  | ups ->
+      let page = alloc_page t in
+      let ups' =
+        write_internal t page (Array.of_list (List.map fst ups))
+          (Array.of_list (t.root :: List.map snd ups))
+      in
+      t.root <- page;
+      grow t ups'
+
+let insert_sorted t kvs =
+  Array.iteri
+    (fun j (k, v) ->
+      if k = "" then invalid_arg "bptree: empty key";
+      if String.length k + String.length v > max_entry then invalid_arg "bptree: entry too large";
+      if j > 0 && String.compare (fst kvs.(j - 1)) k >= 0 then
+        invalid_arg "bptree: insert_sorted keys not strictly ascending")
+    kvs;
+  let i = ref 0 in
+  while !i < Array.length kvs do
+    Ode_util.Stats.incr c_index_probes;
+    Ode_util.Trace.instant ~cat:"index" "bptree.insert";
+    (* A run's cuts touch several pages; no pressure flush may persist some
+       of them before the parents, root and header route to the new ones. *)
+    Pool.with_no_flush t.pool (fun () ->
+        let stop, ups = insert_run t t.root kvs !i None in
+        grow t ups;
+        write_header t;
+        i := stop)
+  done
+
+let insert t key value = insert_sorted t [| (key, value) |]
+
+(* -- public: delete ------------------------------------------------------------ *)
 
 let array_remove arr i =
   let n = Array.length arr in
   Array.init (n - 1) (fun j -> if j < i then arr.(j) else arr.(j + 1))
-
-(* Insert below [page]; if the node split, return (separator, right page). *)
-let rec insert_at t page key value =
-  match read_node t page with
-  | Leaf l ->
-      let entries =
-        match entry_index l.entries key with
-        | Ok i ->
-            let e = Array.copy l.entries in
-            e.(i) <- (key, value);
-            e
-        | Error i ->
-            t.count <- t.count + 1;
-            array_insert l.entries i (key, value)
-      in
-      let node = Leaf { entries; next = l.next } in
-      if node_size node <= node_capacity then begin
-        write_node t page node;
-        None
-      end
-      else begin
-        let n = Array.length entries in
-        let mid = n / 2 in
-        let left = Array.sub entries 0 mid in
-        let right = Array.sub entries mid (n - mid) in
-        let right_page = alloc_node t (Leaf { entries = right; next = l.next }) in
-        write_node t page (Leaf { entries = left; next = right_page });
-        Some (fst right.(0), right_page)
-      end
-  | Internal n -> (
-      let ci = child_index n.keys key in
-      match insert_at t n.children.(ci) key value with
-      | None -> None
-      | Some (sep, right_page) ->
-          let keys = array_insert n.keys ci sep in
-          let children = array_insert n.children (ci + 1) right_page in
-          let node = Internal { keys; children } in
-          if node_size node <= node_capacity then begin
-            write_node t page node;
-            None
-          end
-          else begin
-            (* Split internal: middle key moves up. *)
-            let k = Array.length keys in
-            let mid = k / 2 in
-            let up = keys.(mid) in
-            let lkeys = Array.sub keys 0 mid in
-            let rkeys = Array.sub keys (mid + 1) (k - mid - 1) in
-            let lchildren = Array.sub children 0 (mid + 1) in
-            let rchildren = Array.sub children (mid + 1) (k - mid) in
-            let right_page = alloc_node t (Internal { keys = rkeys; children = rchildren }) in
-            write_node t page (Internal { keys = lkeys; children = lchildren });
-            Some (up, right_page)
-          end)
-
-let insert t key value =
-  if key = "" then invalid_arg "bptree: empty key";
-  if String.length key + String.length value > max_entry then
-    invalid_arg "bptree: entry too large";
-  Ode_util.Stats.incr c_index_probes;
-  Ode_util.Trace.instant ~cat:"index" "bptree.insert";
-  (* A split touches several pages; no pressure flush may persist some of
-     them before the parent, root and header route to the new page. *)
-  Pool.with_no_flush t.pool (fun () ->
-      (match insert_at t t.root key value with
-      | None -> ()
-      | Some (sep, right) ->
-          let root = alloc_node t (Internal { keys = [| sep |]; children = [| t.root; right |] }) in
-          t.root <- root);
-      write_header t)
-
-(* -- public: delete ------------------------------------------------------------ *)
 
 let delete t key =
   Ode_util.Stats.incr c_index_probes;

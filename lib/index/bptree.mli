@@ -16,8 +16,24 @@ val attach : Ode_storage.Buffer_pool.t -> t
     empty disk. *)
 
 val insert : t -> string -> string -> unit
-(** [insert t key value]. Raises [Invalid_argument] if [key]+[value] exceed
-    {!max_entry} bytes or the key is empty. *)
+(** [insert t key value] is [insert_sorted t [| (key, value) |]]. *)
+
+val insert_sorted : t -> (string * string) array -> unit
+(** [insert_sorted t kvs] inserts every entry of [kvs], replacing the value
+    of a key already present. Keys must be distinct and strictly ascending;
+    applying the same batch twice leaves the tree as once (recovery replay
+    relies on this). Raises [Invalid_argument], before touching the tree,
+    if the keys are out of order or repeated, a key is empty, or a
+    key+value exceeds {!max_entry} bytes.
+
+    The batch is applied one leaf run at a time: the keys below one leaf's
+    upper separator. Each run costs one descent, one merge into the leaf,
+    one write of each node on the path that changed, and one header write,
+    all inside one {!Ode_storage.Buffer_pool.with_no_flush} section, so a
+    pressure flush never persists a half-applied run. A node that
+    overflows is cut into the fewest pieces that fit, as even in bytes as
+    entry boundaries allow: one insert into a full leaf halves it, a long
+    run of ascending keys fills its leaves nearly full. *)
 
 val find : t -> string -> string option
 val mem : t -> string -> bool

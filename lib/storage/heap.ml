@@ -121,9 +121,7 @@ let attach pool =
               Buffer_pool.mark_dirty pool f;
               Ode_util.Stats.incr c_pages_reformatted);
           Fsm.set t.fsm n (Page.free_space p);
-          Page.iter p (fun _ data ->
-              if String.length data > 0 && Char.code data.[0] <> tag_chunk then
-                t.records <- t.records + 1))
+          Page.iter_first_byte p (fun _ tag -> if tag <> tag_chunk then t.records <- t.records + 1))
     done
   end;
   t
@@ -350,8 +348,8 @@ let sweep_orphans t ~live =
   let victims = ref [] in
   for n = 1 to Buffer_pool.page_count t.pool - 1 do
     Buffer_pool.with_page t.pool n (fun f ->
-        Page.iter (Buffer_pool.data f) (fun slot data ->
-            if String.length data > 0 && Char.code data.[0] <> tag_chunk then begin
+        Page.iter_first_byte (Buffer_pool.data f) (fun slot tag ->
+            if tag <> tag_chunk then begin
               let rid = { page = n; slot } in
               if not (live rid) then victims := rid :: !victims
             end))

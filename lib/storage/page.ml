@@ -183,6 +183,11 @@ let iter p f =
     if slot_pos p i <> dead then f i (Bytes.sub_string p (slot_pos p i) (slot_len p i))
   done
 
+let iter_first_byte p f =
+  for i = 0 to nslots p - 1 do
+    if slot_pos p i <> dead && slot_len p i > 0 then f i (Bytes.get_uint8 p (slot_pos p i))
+  done
+
 (* -- invariants ----------------------------------------------------------- *)
 
 let check p =

@@ -64,6 +64,10 @@ val update : t -> int -> string -> bool
 val iter : t -> (int -> string -> unit) -> unit
 (** Visit live records in slot order. *)
 
+val iter_first_byte : t -> (int -> int -> unit) -> unit
+(** [iter_first_byte p f] calls [f slot byte] with the first byte of each
+    live, non-empty record, in slot order, copying no record. *)
+
 val check : t -> (unit, string) result
 (** Structural invariant check: slot bounds, no overlap, free pointers sane.
     Used by tests. *)

@@ -328,8 +328,152 @@ let pressure_flush_never_splits_half () =
     most_persisted := max !most_persisted !reachable;
     Disk.close dc
   done;
-  Disk.close d;
-  Tutil.check_bool "pressure flushes reached the file" true (!most_persisted > 0)
+  Tutil.check_bool "pressure flushes reached the file" true (!most_persisted > 0);
+  (* One run past every key: the last leaf is cut into many pieces, and
+     their long separators overflow the parent, which is cut too. *)
+  let height = Bptree.height t in
+  let run =
+    Array.init 400 (fun i -> (Printf.sprintf "z%05d%s" i (String.make 200 'k'), String.make 200 'v'))
+  in
+  let splits = Ode_util.Stats.(get (snapshot ()) "bptree.splits") in
+  Bptree.insert_sorted t run;
+  let splits = Ode_util.Stats.(get (snapshot ()) "bptree.splits") - splits in
+  Tutil.check_bool "the run cut its leaf into three or more pieces and split the parent" true
+    (splits >= 3 && Bptree.height t > height);
+  Tutil.copy_file path copy;
+  let dc = Disk.open_file copy in
+  let c = Bptree.attach (Pool.create ~capacity:tiny_pool dc) in
+  (match Bptree.check c with Ok () -> () | Error e -> Alcotest.failf "file after the run: %s" e);
+  Tutil.check_int "file after the run: every key" (torture_keys + Array.length run) (Bptree.count c);
+  Disk.close dc;
+  Disk.close d
+
+(* -- batched inserts ------------------------------------------------------------- *)
+
+module SM = Map.Make (String)
+
+let drain cur =
+  let rec go acc = match Bptree.cursor_next cur with Some kv -> go (kv :: acc) | None -> List.rev acc in
+  go []
+
+(* Seeded batches of 1, 2-50 and 5,000 keys, each sequential (past every
+   key so far), random, or replacing existing keys, with random deletes
+   between them. After every batch the tree matches a Map model by find,
+   count, cursor order and [check], and again after a reopen. A cursor
+   opened before each batch keeps its snapshot. *)
+let insert_sorted_model () =
+  let path = file_tree () in
+  let rng = Random.State.make [| 14 |] in
+  let open_tree () =
+    let d = Disk.open_file path in
+    (d, Bptree.attach (Pool.create ~capacity:1024 d))
+  in
+  let d = ref (Disk.open_file path) in
+  let t = ref (Bptree.attach (Pool.create ~capacity:1024 !d)) in
+  let model = ref SM.empty in
+  let seq = ref 0 in
+  let value () = String.make (Random.State.int rng 120) (Char.chr (97 + Random.State.int rng 26)) in
+  let check_tree what =
+    (match Bptree.check !t with Ok () -> () | Error e -> Alcotest.failf "%s: %s" what e);
+    Tutil.check_int (what ^ ": count") (SM.cardinal !model) (Bptree.count !t);
+    SM.iter
+      (fun k v -> if Bptree.find !t k <> Some v then Alcotest.failf "%s: find %s" what k)
+      !model;
+    if drain (Bptree.cursor !t ()) <> SM.bindings !model then Alcotest.failf "%s: cursor order" what
+  in
+  let pick () =
+    let keys = Array.of_list (List.map fst (SM.bindings !model)) in
+    fun () -> keys.(Random.State.int rng (Array.length keys))
+  in
+  let batch size kind =
+    let existing = pick () in
+    let key () =
+      match kind with
+      | `Sequential ->
+          incr seq;
+          Printf.sprintf "s%08d" !seq
+      | `Random -> Printf.sprintf "r%08d" (Random.State.int rng 100_000_000)
+      | `Replace -> existing ()
+    in
+    let rec fill b = if SM.cardinal b >= size then b else fill (SM.add (key ()) (value ()) b) in
+    fill SM.empty
+  in
+  let sizes = [ 1; 2 + Random.State.int rng 49; 5000 ] in
+  List.iteri
+    (fun round (size, kind) ->
+      let what =
+        Printf.sprintf "batch %d (%d %s keys)" round size
+          (match kind with `Sequential -> "sequential" | `Random -> "random" | `Replace -> "existing")
+      in
+      let b = batch size kind in
+      (* The cursor has read its first entry, so it holds that leaf. *)
+      let cur = Bptree.cursor !t () in
+      let first = Bptree.cursor_next cur in
+      let before = !model in
+      Bptree.insert_sorted !t (Array.of_list (SM.bindings b));
+      model := SM.union (fun _ _ v -> Some v) !model b;
+      (match first with
+      | None ->
+          Tutil.check_bool (what ^ ": empty cursor stays empty") true (Bptree.cursor_next cur = None)
+      | Some ((k0, _) as e0) ->
+          let seen = e0 :: drain cur in
+          let keys = List.map fst seen in
+          Tutil.check_bool (what ^ ": snapshot cursor ascends") true
+            (List.sort_uniq compare keys = keys);
+          List.iter
+            (fun (k, v) ->
+              if SM.find_opt k before <> Some v && SM.find_opt k b <> Some v then
+                Alcotest.failf "%s: snapshot cursor yields unknown entry %s" what k)
+            seen;
+          let yielded = List.fold_left (fun m k -> SM.add k () m) SM.empty keys in
+          SM.iter
+            (fun k _ ->
+              if k >= k0 && not (SM.mem k yielded) then
+                Alcotest.failf "%s: snapshot cursor lost %s" what k)
+            before);
+      check_tree what;
+      (* delete a few keys, then reopen from the file *)
+      let victim = pick () in
+      for _ = 1 to Random.State.int rng 30 do
+        let k = victim () in
+        Tutil.check_bool (what ^ ": delete") (SM.mem k !model) (Bptree.delete !t k);
+        model := SM.remove k !model
+      done;
+      Bptree.flush !t;
+      Disk.close !d;
+      let d', t' = open_tree () in
+      d := d';
+      t := t';
+      check_tree (what ^ " after deletes and reopen"))
+    (List.concat_map
+       (fun kind -> List.map (fun size -> (size, kind)) sizes)
+       [ `Sequential; `Random; `Replace ]);
+  Disk.close !d
+
+(* A cursor inside a one-leaf tree keeps that leaf's entries while a batch
+   cuts the leaf into many pieces. *)
+let cursor_keeps_leaf_snapshot () =
+  let t = mk () in
+  let small = Array.init 20 (fun i -> (key (i * 1000), "old")) in
+  Bptree.insert_sorted t small;
+  Tutil.check_int "one leaf" 1 (Bptree.height t);
+  let cur = Bptree.cursor t () in
+  Bptree.insert_sorted t (Array.init 5000 (fun i -> (key ((i * 4) + 1), String.make 50 'n')));
+  Tutil.check_bool "tree grew" true (Bptree.height t >= 2);
+  Tutil.check_bool "cursor yields the leaf as it was" true (drain cur = Array.to_list small);
+  assert_ok t
+
+let insert_sorted_rejects () =
+  let t = mk () in
+  let rejects kvs =
+    match Bptree.insert_sorted t kvs with () -> false | exception Invalid_argument _ -> true
+  in
+  Tutil.check_bool "descending" true (rejects [| ("b", ""); ("a", "") |]);
+  Tutil.check_bool "repeated" true (rejects [| ("a", ""); ("a", "") |]);
+  Tutil.check_bool "oversized after a good key" true (rejects [| ("a", ""); ("b", String.make 2000 'v') |]);
+  Tutil.check_int "nothing applied" 0 (Bptree.count t);
+  Bptree.insert_sorted t [||];
+  Tutil.check_int "empty batch" 0 (Bptree.count t)
 
 (* -- on-disk format -------------------------------------------------------------- *)
 
@@ -502,6 +646,9 @@ let suite =
         Alcotest.test_case "oversized entries rejected" `Quick large_entries_rejected;
         Alcotest.test_case "pages match the reference encoder" `Quick pages_match_reference_encoder;
         Alcotest.test_case "reference-encoded store opens" `Quick reference_store_opens;
+        Alcotest.test_case "insert_sorted matches a Map model" `Quick insert_sorted_model;
+        Alcotest.test_case "cursor keeps its leaf across a batch" `Quick cursor_keeps_leaf_snapshot;
+        Alcotest.test_case "insert_sorted rejects bad batches" `Quick insert_sorted_rejects;
       ] );
     (* Its own group so nightly CI can run it alone at a larger key count. *)
     ( "bptree.crash",

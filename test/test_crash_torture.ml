@@ -41,6 +41,12 @@
    admissible-prefix logic keep working unchanged: each commit is one
    atomic step of the chain.
 
+   A quarter of the seeds (the bulk slice) make every eighth step of the
+   single-transaction mode one transaction of several hundred inserts. Its
+   commit applies each B+tree's puts as one sorted batch whose runs cut
+   leaves into many pieces and split their parents, so failpoints land
+   inside multi-leaf runs and the pool overflows within them.
+
    Reproduce a failure with TORTURE_SEED=<seed> [TORTURE_ITERS=<n>]; each
    failure message carries the iteration number and seed. *)
 
@@ -209,6 +215,13 @@ let gen_ops_shared rng st next_tag ~pressure ~used =
 let gen_ops rng st next_tag ~pressure =
   gen_ops_shared rng st next_tag ~pressure ~used:(Hashtbl.create 8)
 
+(* One bulk load: several hundred fresh objects with short payloads. *)
+let gen_bulk rng next_tag =
+  List.init (200 + Prng.int rng 300) (fun _ ->
+      let tag = !next_tag in
+      incr next_tag;
+      Insert (tag, Prng.string rng (1 + Prng.int rng 100)))
+
 let shuffle rng l =
   let a = Array.of_list l in
   for i = Array.length a - 1 downto 1 do
@@ -272,12 +285,15 @@ let run_iteration ~iter ~seed ~site ~coverage =
   (* A fifth of the seeds runs every step as a group of interleaved explicit
      transactions committed in shuffled order (the MVCC slice). *)
   let interleaved = seed mod 5 = 2 in
+  (* A quarter of the seeds commits bulk loads (the bulk slice). *)
+  let bulk = seed mod 4 = 3 in
   let fail fmt =
     Format.kasprintf
       (fun s ->
-        Alcotest.failf "iteration %d (seed %d, site %s%s%s): %s" iter seed site
+        Alcotest.failf "iteration %d (seed %d, site %s%s%s%s): %s" iter seed site
           (if group then ", group durability" else "")
           (if interleaved then ", interleaved" else "")
+          (if bulk then ", bulk" else "")
           s)
       fmt
   in
@@ -376,7 +392,10 @@ let run_iteration ~iter ~seed ~site ~coverage =
             (shuffle rng txns)
         end
         else begin
-          let ops = gen_ops rng !model next_tag ~pressure in
+          let ops =
+            if bulk && t mod 8 = 4 then gen_bulk rng next_tag
+            else gen_ops rng !model next_tag ~pressure
+          in
           dbg "txn %d: %a" t pp_ops ops;
           pending := Some ops;
           execute db oids ops;

@@ -244,7 +244,8 @@ let expected_counters =
     ("journal_pages_restored", Recovery, Counter); ("pages_reformatted", Recovery, Counter);
     ("io_retries", Recovery, Counter); ("obj_cache_hits", Workload, Counter);
     ("obj_cache_misses", Workload, Counter); ("obj_cache_invalidations", Workload, Counter);
-    ("cursor_pages_read", Workload, Counter); ("server.accepts", Workload, Counter);
+    ("cursor_pages_read", Workload, Counter); ("bptree.leaf_writes", Workload, Counter);
+    ("bptree.splits", Workload, Counter); ("server.accepts", Workload, Counter);
     ("server.requests", Workload, Counter); ("server.rejects", Workload, Counter);
     ("server.timeouts", Workload, Counter); ("server.bytes_in", Workload, Counter);
     ("server.bytes_out", Workload, Counter); ("server.reroutes", Workload, Counter);

@@ -164,10 +164,55 @@ let big_objects_survive () =
   Db.close db2;
   Db.close db
 
+let stat name f =
+  let before = Ode_util.Stats.snapshot () in
+  let v = f () in
+  (v, Ode_util.Stats.(get (diff (snapshot ()) before) name))
+
+let fill db n =
+  Db.with_txn db (fun txn ->
+      for i = 1 to n do
+        ignore (Db.pnew txn "acct" [ ("owner", Value.Str (String.make 200 'o')); ("balance", int i) ])
+      done)
+
+(* The heap reaches the disk but the directory does not: every record the
+   replay writes again leaves its first copy without a directory entry.
+   The WAL still holds the Puts, so the open sweeps and reclaims them. *)
+let orphans_swept_after_heap_first_crash () =
+  let dir = Tutil.temp_dir "rec" in
+  let db = setup dir in
+  fill db 50;
+  Ode_storage.Heap.flush db.Ode.Types.kv_heap;
+  Db.crash db;
+  let db2, swept = stat "orphans_reclaimed" (fun () -> Db.open_ dir) in
+  (* a header and a version record per object *)
+  Tutil.check_bool "orphans reclaimed" true (swept >= 100);
+  (match Ode.Verify.run db2 with Ok () -> () | Error ps -> Alcotest.fail (String.concat "; " ps));
+  Tutil.check_int "all rows" 50 (Db.with_txn db2 (fun _ -> Ode.Query.count db2 ~var:"x" ~cls:"acct" ()));
+  Db.close db2
+
+(* After a clean close the WAL is empty, so the open runs no orphan sweep.
+   With a pool that holds the whole heap, the heap's attach scan misses
+   once per page and the sweep would hit every page again; what the open
+   does hit is a few directory and record pages of the catalog and meta. *)
+let clean_open_skips_sweep () =
+  let dir = Tutil.temp_dir "rec" in
+  let db = setup dir in
+  fill db 1000;
+  Db.close db;
+  let db2, hits = stat "pool_hits" (fun () -> Db.open_ ~pool_pages:4096 dir) in
+  let heap_pages = Ode_storage.Heap.page_count db2.Ode.Types.kv_heap in
+  Tutil.check_bool "heap is large" true (heap_pages > 50);
+  if hits >= 20 then Alcotest.failf "clean open hit %d pool pages (heap has %d)" hits heap_pages;
+  Db.close db2
+
 let suite =
   [
     ( "recovery",
       [
+        Alcotest.test_case "orphans swept after a heap-first crash" `Quick
+          orphans_swept_after_heap_first_crash;
+        Alcotest.test_case "clean open skips the orphan sweep" `Quick clean_open_skips_sweep;
         Alcotest.test_case "clean close round-trip" `Quick survives_clean_close;
         Alcotest.test_case "crash without close" `Quick survives_crash_without_close;
         Alcotest.test_case "uncommitted work is lost" `Quick uncommitted_work_is_lost;
