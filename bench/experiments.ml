@@ -895,14 +895,15 @@ let e15 () =
 
 (* ------------------------------------------------------------------ E16 *)
 (* Decoded-object cache (PR 2): a repeated non-sargable predicate scan pays
-   header + version-record decode per candidate on every run when uncached;
-   with the cache the second run is served from decoded entries. *)
+   an object-record fetch and decode per field access on every run when
+   uncached; with the cache the second run is served from decoded
+   entries. *)
 
 let e16 () =
   section "E16  decoded-object cache: repeated-predicate scan (cold vs warm)";
   let n = scaled 20_000 in
-  (* The pool scales with the data so the uncached working set exceeds it at
-     every BENCH_SCALE — same shape, smaller numbers. *)
+  (* The load runs with a pool smaller than the data, like the other
+     experiments' stores. *)
   let pool_pages = max 64 (scaled 512) in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -946,8 +947,15 @@ let e16 () =
     List.fold_left (fun a b -> if b.seconds < a.seconds then b else a) (List.hd runs)
       (List.tl runs)
   in
-  (* Uncached: one priming run so the measurement sees a warm buffer pool —
-     the comparison isolates per-access fetch/decode cost, not cold disk. *)
+  (* Both variants open with a pool that holds every page of the store, and
+     the uncached one primes it with one run, so its measured runs read no
+     page from disk: the comparison isolates per-access fetch/decode cost
+     against cache hits, not disk or pool misses (guarded below). *)
+  let pool_pages =
+    Array.fold_left
+      (fun acc f -> acc + ((Unix.stat (Filename.concat dir f)).Unix.st_size / Ode_storage.Page.size) + 1)
+      0 (Sys.readdir dir)
+  in
   let db0 = Db.open_ ~pool_pages ~object_cache:0 dir in
   let r0 = run db0 () in
   let m_uncached = best (fun () -> if run db0 () <> r0 then failwith "E16: count drift") in
@@ -963,20 +971,24 @@ let e16 () =
       fint (Stats.get m.stats "objects_fetched");
       Printf.sprintf "%d/%d" (Stats.get m.stats "obj_cache_hits")
         (Stats.get m.stats "obj_cache_misses");
+      fint (Stats.get m.stats "pool_misses");
     ]
   in
   table
     ~title:(Printf.sprintf "E16: scan of %d objects, non-sargable 3-field predicate" n)
-    ~header:[ "variant"; "time"; "fetched"; "ocache hit/miss" ]
+    ~header:[ "variant"; "time"; "fetched"; "ocache hit/miss"; "pool misses" ]
     [
       "uncached (pool warm)" :: cell m_uncached;
       "cached, cold" :: cell m_cold;
       "cached, warm" :: cell m_warm;
     ];
   let speedup = m_uncached.seconds /. max 1e-9 m_warm.seconds in
-  guard "E16.warm_speedup" ~lo:3.0 speedup;
+  guard "E16.uncached_pool_misses" ~hi:0.0 (float (Stats.get m_uncached.stats "pool_misses"));
+  (* Fetch-and-decode from a warm pool against cache hits: 2.1-2.6 on a
+     2-core x86-64 host at BENCH_SCALE 0.1 and 1. *)
+  guard "E16.decode_speedup" ~lo:1.5 speedup;
   metric "E16.warm_fetched" (float (Stats.get m_warm.stats "objects_fetched"));
-  note "warm runs decode nothing: every header/field access is an ocache hit,";
+  note "warm runs decode nothing: every object access is an ocache hit,";
   note "so repeated predicate evaluation costs hash lookups, not codec work."
 
 (* ------------------------------------------------------------------ E17 *)

@@ -31,8 +31,9 @@ val open_ :
   string ->
   t
 (** Open (creating if needed) the database stored in a directory.
-    [object_cache] sizes the decoded-object cache in entries (decoded
-    headers and version field lists); 0 disables it. Default 4096.
+    [object_cache] sizes the decoded-object cache in entries (one per
+    object, holding its header and current fields, and one per non-current
+    version read); 0 disables it. Default 4096.
     [durability] (default [Full]) picks when commits fsync — see
     {!durability} below. *)
 

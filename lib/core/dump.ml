@@ -46,17 +46,21 @@ let export db =
     (fun (c : Schema.cls) ->
       Kv.iter_prefix db (Keys.header_prefix_class c.id) (fun key payload ->
           let oid = Keys.oid_of_header_key key in
-          objects := (oid, Store.decode_header payload) :: !objects;
+          objects := (oid, Store.decode_object payload) :: !objects;
           true))
     (Catalog.all db.catalog);
   let objects = List.rev !objects in
+  (* The current version's fields are in the object record; older ones
+     have records of their own. *)
+  let fields_of (oid : Oid.t) ((h : Store.header), cur) ver =
+    if ver = h.hcurrent then cur
+    else Option.value (Store.get_fields_v db None { oid; ver }) ~default:[]
+  in
   List.iter
-    (fun ((oid : Oid.t), (h : Store.header)) ->
+    (fun ((oid : Oid.t), ((h : Store.header), _ as o)) ->
       let cls = Option.get (Catalog.find_by_id db.catalog h.hcls) in
       let v0 = List.hd (List.sort Int.compare h.hversions) in
-      let fields =
-        Option.value (Store.get_fields_v db None { oid; ver = v0 }) ~default:[]
-      in
+      let fields = fields_of oid o v0 in
       let inits =
         List.filter_map
           (fun (n, v) -> if scalar v then Some (Printf.sprintf "%s = %s" n (value_expr v)) else None)
@@ -67,12 +71,12 @@ let export db =
   (* 3. Pass 2: reference/container fields of the first version, then the
      whole version history in order. *)
   List.iter
-    (fun ((oid : Oid.t), (h : Store.header)) ->
+    (fun ((oid : Oid.t), ((h : Store.header), cur as o)) ->
       let versions = List.sort Int.compare h.hversions in
       let v0 = List.hd versions in
       let var = var_of_oid oid in
       let emit_fields ?(only_nonscalar = false) ver =
-        let fields = Option.value (Store.get_fields_v db None { oid; ver }) ~default:[] in
+        let fields = fields_of oid o ver in
         List.iter
           (fun (n, v) ->
             if (not only_nonscalar) || not (scalar v) then
@@ -95,10 +99,7 @@ let export db =
       let newest = List.fold_left max v0 versions in
       if h.hcurrent <> newest then begin
         out "// note: source object's current version was %d, not the newest" h.hcurrent;
-        let fields =
-          Option.value (Store.get_fields_v db None { oid; ver = h.hcurrent }) ~default:[]
-        in
-        List.iter (fun (n, v) -> out "%s.%s := %s;" var n (value_expr v)) fields
+        List.iter (fun (n, v) -> out "%s.%s := %s;" var n (value_expr v)) cur
       end)
     objects;
   (* 4. Named roots. *)

@@ -4,8 +4,11 @@
    Put/Delete on these keys and recovery replays them, so adding state to
    the system never changes the recovery protocol. Tags:
 
-     'H' ++ oid-key                object header (class, liveness, versions)
-     'V' ++ oid-key ++ u32 ver     one version's field payload
+     'H' ++ oid-key                the object: header (class, current
+                                   version, version list), then the
+                                   current version's fields
+     'V' ++ oid-key ++ u32 ver     the fields of one non-current version
+                                   (never the current one)
      'R' ++ name                   named persistent root
      'T' ++ u32 tid                trigger activation record
      'C'                           the schema catalog

@@ -1,16 +1,17 @@
 (* Decoded-object cache.
 
-   A sharded LRU over logical KV keys ('H' header keys and 'V' version keys)
-   that holds the *decoded* representation, so repeated predicate evaluation
-   over the same extent skips the B+tree descent, heap fetch and field
-   decode. Shards (each its own LRU + mutex, see {!Ode_util.Slru}) let the
+   A sharded LRU over logical KV keys that holds the *decoded*
+   representation: one entry per object under its 'H' key (header and
+   current fields together), and one per non-current version read under
+   its 'V' key. Repeated predicate evaluation over the same extent skips
+   the B+tree descent, heap fetch and field decode. Shards (each its own LRU + mutex, see {!Ode_util.Slru}) let the
    server's reader domains probe and fill the cache concurrently.
 
    Coherence contract:
    - Only committed state is ever cached. Readers consult the active
      transaction's write overlay first and never insert overlay data.
    - [invalidate] is called from the committed-write choke point
-     ([Kv.put]/[Kv.delete]) which covers commit-apply, recovery replay and
+     ([Kv.put_sorted]/[Kv.delete]) which covers commit-apply, recovery replay and
      every direct caller. Committed writes happen only on the writer domain
      while no reader holds the engine's shared lock, so readers never
      observe a stale entry.

@@ -1,8 +1,10 @@
 (** Decoded-object cache over logical KV keys.
 
-    Caches decoded headers and field lists of *committed* objects so the
-    query read path ({!Store.get_header}, {!Store.get_fields_v}) skips the
-    B+tree descent, heap fetch and decode on a warm hit. Sized by the
+    Caches *committed* objects decoded — one entry per object holding its
+    header and current fields, and one per non-current version read — so
+    the query read path ({!Store.get_header}, {!Store.get_fields},
+    {!Store.get_fields_v}) skips the B+tree descent, heap fetch and decode
+    on a warm hit. Sized by the
     [?object_cache] option of {!Database.open_}; capacity 0 disables it. *)
 
 val enabled : Types.db -> bool

@@ -16,20 +16,33 @@ let type_error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 
 type header = Types.header = { hcls : int; hcurrent : int; hversions : int list }
 
-let encode_header h =
-  let b = Buffer.create 24 in
+let put_header b h =
   Codec.put_u32 b h.hcls;
   Codec.put_u32 b h.hcurrent;
   Codec.put_u16 b (List.length h.hversions);
-  List.iter (Codec.put_u32 b) h.hversions;
-  Buffer.contents b
+  List.iter (Codec.put_u32 b) h.hversions
 
-let decode_header s =
-  let c = Codec.cursor s in
+let get_header c =
   let hcls = Codec.get_u32 c in
   let hcurrent = Codec.get_u32 c in
   let n = Codec.get_u16 c in
   { hcls; hcurrent; hversions = List.init n (fun _ -> Codec.get_u32 c) }
+
+(* The 'H' record: the header, then the current version's fields. *)
+let encode_object h fields =
+  let b = Buffer.create 128 in
+  put_header b h;
+  Value.put_fields b fields;
+  Buffer.contents b
+
+let decode_header s = get_header (Codec.cursor s)
+
+let decode_object s =
+  let c = Codec.cursor s in
+  let h = get_header c in
+  let fields = Value.get_fields c in
+  if not (Codec.at_end c) then raise (Codec.Corrupt "object record: trailing bytes");
+  (h, fields)
 
 (* -- overlay ---------------------------------------------------------------- *)
 
@@ -66,17 +79,22 @@ let remove txn key =
 
 (* -- object reads -------------------------------------------------------------- *)
 
-(* Reads go overlay -> decoded-object cache -> committed KV. The cache is
-   only consulted and only populated when the transaction has no pending
-   write for the key, so it never absorbs or serves uncommitted state. *)
+(* Reads go overlay -> MVCC chains -> decoded-object cache -> committed KV.
+   The cache is only consulted and only populated when the transaction has
+   no pending write for the key and the key has not changed past its
+   snapshot, so it never absorbs or serves uncommitted or superseded
+   state. *)
 
 let pending txn key =
   match txn with Some t -> Hashtbl.find_opt t.writes key | None -> None
 
-let get_header db txn oid =
-  let key = Keys.header oid in
+(* Where a read found a record: still encoded (an overlay write, a snapshot
+   image, or a KV fetch with the cache off), or decoded from the cache. *)
+type 'a found = Raw of string | Decoded of 'a
+
+let lookup db txn key ~decode ~wrap ~unwrap =
   match pending txn key with
-  | Some (Put s) -> Some (decode_header s)
+  | Some (Put s) -> Some (Raw s)
   | Some Del -> None
   | None -> (
       (* Snapshot resolution before the cache: the decoded-object cache
@@ -86,50 +104,63 @@ let get_header db txn oid =
          populated into it. *)
       match Mvcc.read db.mvcc ~read_ts:(read_ts_of txn) key with
       | Mvcc.Older None -> None
-      | Mvcc.Older (Some s) -> Some (decode_header s)
+      | Mvcc.Older (Some s) -> Some (Raw s)
       | Mvcc.Latest -> (
-          match Ocache.find db key with
-          | Some (Cheader h) -> Some h
-          | Some (Cfields _) | None -> (
+          match Option.bind (Ocache.find db key) unwrap with
+          | Some d -> Some (Decoded d)
+          | None -> (
               match Kv.get db key with
               | None -> None
-              | Some s ->
-                  let h = decode_header s in
-                  Ocache.add db key (Cheader h);
-                  Some h)))
+              | Some s when Ocache.enabled db ->
+                  Ode_util.Stats.incr c_objects_fetched;
+                  let d = decode s in
+                  Ocache.add db key (wrap d);
+                  Some (Decoded d)
+              | Some s -> Some (Raw s))))
 
-let exists db txn oid = get_header db txn oid <> None
+(* An object's 'H' record. With the cache on, a miss decodes the header and
+   the current fields together and caches both as one entry. *)
+let find_object db txn oid =
+  lookup db txn (Keys.header oid) ~decode:decode_object
+    ~wrap:(fun (h, fs) -> Cobject (h, fs))
+    ~unwrap:(function Cobject (h, fs) -> Some (h, fs) | Cversion _ -> None)
+
+let header_of = function Raw s -> decode_header s | Decoded (h, _) -> h
+
+let object_of = function
+  | Raw s ->
+      Ode_util.Stats.incr c_objects_fetched;
+      decode_object s
+  | Decoded o -> o
+
+let get_header db txn oid = Option.map header_of (find_object db txn oid)
+let get_object db txn oid = Option.map object_of (find_object db txn oid)
+let exists db txn oid = find_object db txn oid <> None
 let class_of db (oid : Oid.t) = Catalog.find_by_id db.catalog oid.cls
+let get_fields db txn oid = Option.map snd (get_object db txn oid)
 
-let get_fields_v db txn (vr : Oid.vref) =
-  let key = Keys.version vr.oid vr.ver in
-  match pending txn key with
-  | Some (Put s) ->
+(* A non-current version's own record. *)
+let find_version db txn (vr : Oid.vref) =
+  match
+    lookup db txn (Keys.version vr.oid vr.ver) ~decode:Value.fields_decode
+      ~wrap:(fun fs -> Cversion fs)
+      ~unwrap:(function Cversion fs -> Some fs | Cobject _ -> None)
+  with
+  | None -> None
+  | Some (Decoded fs) -> Some fs
+  | Some (Raw s) ->
       Ode_util.Stats.incr c_objects_fetched;
       Some (Value.fields_decode s)
-  | Some Del -> None
-  | None -> (
-      match Mvcc.read db.mvcc ~read_ts:(read_ts_of txn) key with
-      | Mvcc.Older None -> None
-      | Mvcc.Older (Some s) ->
-          Ode_util.Stats.incr c_objects_fetched;
-          Some (Value.fields_decode s)
-      | Mvcc.Latest -> (
-          match Ocache.find db key with
-          | Some (Cfields fs) -> Some fs
-          | Some (Cheader _) | None -> (
-              match Kv.get db key with
-              | None -> None
-              | Some s ->
-                  Ode_util.Stats.incr c_objects_fetched;
-                  let fs = Value.fields_decode s in
-                  Ocache.add db key (Cfields fs);
-                  Some fs)))
 
-let get_fields db txn oid =
-  match get_header db txn oid with
+(* Resolved through the header at the reader's snapshot: the version that
+   was current then has its fields in that 'H' image, even if a later
+   [new_version] has since moved them into a 'V' record. *)
+let get_fields_v db txn (vr : Oid.vref) =
+  match find_object db txn vr.oid with
   | None -> None
-  | Some h -> get_fields_v db txn { oid; ver = h.hcurrent }
+  | Some found ->
+      let h = header_of found in
+      if vr.ver = h.hcurrent then Some (snd (object_of found)) else find_version db txn vr
 
 let get_field db txn oid fname =
   match get_fields db txn oid with None -> None | Some fs -> List.assoc_opt fname fs
@@ -216,8 +247,8 @@ let create txn (cls : Schema.cls) inits =
   cls.Schema.next_num <- num + 1;
   txn.catalog_dirty <- true;
   let oid : Oid.t = { cls = cls.Schema.id; num } in
-  write txn (Keys.header oid) (encode_header { hcls = cls.Schema.id; hcurrent = 0; hversions = [ 0 ] });
-  write txn (Keys.version oid 0) (Value.fields_encode values);
+  write txn (Keys.header oid)
+    (encode_object { hcls = cls.Schema.id; hcurrent = 0; hversions = [ 0 ] } values);
   List.iter
     (fun (idx_id, fname) -> index_put txn ~idx_id ~value:(field_value values fname) ~oid)
     (applicable_indexes db cls);
@@ -225,9 +256,9 @@ let create txn (cls : Schema.cls) inits =
   touch txn oid;
   oid
 
-let require_header db txn oid =
-  match get_header db txn oid with
-  | Some h -> h
+let require_object db txn oid =
+  match get_object db txn oid with
+  | Some o -> o
   | None -> type_error "no such object %a" Oid.pp oid
 
 let cls_of_header db (h : header) =
@@ -235,16 +266,24 @@ let cls_of_header db (h : header) =
   | Some c -> c
   | None -> type_error "object of unknown class id %d" h.hcls
 
+(* Move the index entries of [oid] from [old_fields]' values to
+   [new_fields]' where they differ. *)
+let reindex txn cls oid ~old_fields ~new_fields =
+  List.iter
+    (fun (idx_id, fname) ->
+      let old_v = field_value old_fields fname in
+      let new_v = field_value new_fields fname in
+      if not (Value.equal old_v new_v) then begin
+        index_del txn ~idx_id ~value:old_v ~oid;
+        index_put txn ~idx_id ~value:new_v ~oid
+      end)
+    (applicable_indexes txn.tdb cls)
+
 let update_fields txn oid updates =
   let db = txn.tdb in
-  let h = require_header db (Some txn) oid in
+  let h, old_fields = require_object db (Some txn) oid in
   let cls = cls_of_header db h in
   let schema_fields = Catalog.all_fields db.catalog cls in
-  let old_fields =
-    match get_fields_v db (Some txn) { oid; ver = h.hcurrent } with
-    | Some fs -> fs
-    | None -> type_error "object %a: missing current version" Oid.pp oid
-  in
   List.iter
     (fun (n, v) ->
       match Schema.find_field schema_fields n with
@@ -257,27 +296,17 @@ let update_fields txn oid updates =
         match List.assoc_opt n updates with Some v -> (n, v) | None -> (n, old))
       old_fields
   in
-  write txn (Keys.version oid h.hcurrent) (Value.fields_encode new_fields);
-  (* Refresh index entries whose field changed. *)
-  List.iter
-    (fun (idx_id, fname) ->
-      let old_v = field_value old_fields fname in
-      let new_v = field_value new_fields fname in
-      if not (Value.equal old_v new_v) then begin
-        index_del txn ~idx_id ~value:old_v ~oid;
-        index_put txn ~idx_id ~value:new_v ~oid
-      end)
-    (applicable_indexes db cls);
+  write txn (Keys.header oid) (encode_object h new_fields);
+  reindex txn cls oid ~old_fields ~new_fields;
   touch txn oid
 
 let delete_object txn oid =
   let db = txn.tdb in
-  let h = require_header db (Some txn) oid in
+  let h, cur_fields = require_object db (Some txn) oid in
   let cls = cls_of_header db h in
-  let cur_fields =
-    match get_fields_v db (Some txn) { oid; ver = h.hcurrent } with Some fs -> fs | None -> []
-  in
-  List.iter (fun ver -> remove txn (Keys.version oid ver)) h.hversions;
+  List.iter
+    (fun ver -> if ver <> h.hcurrent then remove txn (Keys.version oid ver))
+    h.hversions;
   remove txn (Keys.header oid);
   List.iter
     (fun (idx_id, fname) -> index_del txn ~idx_id ~value:(field_value cur_fields fname) ~oid)
@@ -286,62 +315,43 @@ let delete_object txn oid =
 
 let new_version txn oid =
   let db = txn.tdb in
-  let h = require_header db (Some txn) oid in
-  let cur =
-    match get_fields_v db (Some txn) { oid; ver = h.hcurrent } with
-    | Some fs -> fs
-    | None -> type_error "object %a: missing current version" Oid.pp oid
-  in
+  let h, cur = require_object db (Some txn) oid in
   (* [hversions] is newest-first, so the next version number is one past the
      head — no list traversal or append. *)
   let next = match h.hversions with [] -> 0 | newest :: _ -> newest + 1 in
-  write txn (Keys.version oid next) (Value.fields_encode cur);
+  (* The old current moves to its own record; the new current starts as a
+     copy of it in the header record. Index entries are already correct. *)
+  write txn (Keys.version oid h.hcurrent) (Value.fields_encode cur);
   write txn (Keys.header oid)
-    (encode_header { h with hcurrent = next; hversions = next :: h.hversions });
-  (* The new version is current and has the same field values, so index
-     entries are already correct. *)
+    (encode_object { h with hcurrent = next; hversions = next :: h.hversions } cur);
   touch txn oid;
   next
 
 let delete_version txn (vr : Oid.vref) =
   let db = txn.tdb in
-  let h = require_header db (Some txn) vr.oid in
+  let h, cur = require_object db (Some txn) vr.oid in
   if not (List.mem vr.ver h.hversions) then
     type_error "object %a has no version %d" Oid.pp vr.oid vr.ver;
   let remaining = List.filter (fun v -> v <> vr.ver) h.hversions in
   match remaining with
   | [] -> delete_object txn vr.oid
+  | new_current :: _ when vr.ver = h.hcurrent ->
+      (* Promote the newest remaining version (the list is newest-first)
+         out of its own record into the header record; the index must now
+         reflect its field values instead of the deleted current's. *)
+      let new_fields =
+        match find_version db (Some txn) { oid = vr.oid; ver = new_current } with
+        | Some fs -> fs
+        | None -> type_error "object %a: missing version %d" Oid.pp vr.oid new_current
+      in
+      reindex txn (cls_of_header db h) vr.oid ~old_fields:cur ~new_fields;
+      remove txn (Keys.version vr.oid new_current);
+      write txn (Keys.header vr.oid)
+        (encode_object { h with hcurrent = new_current; hversions = remaining } new_fields);
+      touch txn vr.oid
   | _ ->
-      let cls = cls_of_header db h in
-      if vr.ver = h.hcurrent then begin
-        (* Promote the newest remaining version (the list is newest-first);
-           the index must now reflect its field values instead of the
-           deleted current's. *)
-        let new_current = List.hd remaining in
-        let old_fields =
-          match get_fields_v db (Some txn) { oid = vr.oid; ver = h.hcurrent } with
-          | Some fs -> fs
-          | None -> []
-        in
-        let new_fields =
-          match get_fields_v db (Some txn) { oid = vr.oid; ver = new_current } with
-          | Some fs -> fs
-          | None -> []
-        in
-        List.iter
-          (fun (idx_id, fname) ->
-            let old_v = field_value old_fields fname in
-            let new_v = field_value new_fields fname in
-            if not (Value.equal old_v new_v) then begin
-              index_del txn ~idx_id ~value:old_v ~oid:vr.oid;
-              index_put txn ~idx_id ~value:new_v ~oid:vr.oid
-            end)
-          (applicable_indexes db cls);
-        write txn (Keys.header vr.oid)
-          (encode_header { h with hcurrent = new_current; hversions = remaining })
-      end
-      else write txn (Keys.header vr.oid) (encode_header { h with hversions = remaining });
       remove txn (Keys.version vr.oid vr.ver);
+      write txn (Keys.header vr.oid) (encode_object { h with hversions = remaining } cur);
       touch txn vr.oid
 
 (* -- apply (commit & recovery) ----------------------------------------------------------- *)

@@ -10,10 +10,16 @@
     {!Ode_index.Bptree.insert_sorted} batch: one descent and one leaf write
     per leaf run rather than per key.
 
-    Objects: a header record tracks the class, the current version number
-    and the version list; each version's fields are a separate record. An
-    unversioned object simply has one version, 0 (persistence and versioning
-    compose, paper §4: "all persistent objects can have versions"). *)
+    Objects: one record per object, under its 'H' key, holds the class, the
+    current version number, the version list and the current version's
+    fields, so reading a current object (paper §4's generic reference) is
+    one directory probe and one heap fetch. Each non-current version's
+    fields live in a 'V' record of their own: {!new_version} moves the old
+    current into one, and deleting the current version promotes the newest
+    remaining one back into the header record. An unversioned object
+    simply has one version, 0, and no 'V' record (persistence and
+    versioning compose, paper §4: "all persistent objects can have
+    versions"). *)
 
 open Types
 
@@ -27,8 +33,10 @@ type header = Types.header = {
   hversions : int list;  (** newest-first *)
 }
 
-val decode_header : string -> header
-(** Used by the integrity checker. *)
+val decode_object : string -> header * (string * Ode_model.Value.t) list
+(** Decode an 'H' record: the header and the current version's fields.
+    Raises {!Ode_util.Codec.Corrupt} on a short record or trailing bytes.
+    Used by the integrity checker and the dump. *)
 
 (** {1 Raw overlay access} *)
 

@@ -10,14 +10,18 @@ module Value = Ode_model.Value
 (* A pending logical write: last-wins per key within one transaction. *)
 type op = Put of string | Del
 
-(* Decoded object header as stored under the 'H' key. [hversions] is kept
-   newest-first so allocating the next version number is O(1). *)
+(* Decoded object header, the front of the 'H' record (the current
+   version's fields follow it there). [hversions] is kept newest-first so
+   allocating the next version number is O(1). *)
 type header = { hcls : int; hcurrent : int; hversions : int list }
 
-(* An entry of the decoded-object cache: either a decoded header or the
-   decoded field list of one version. Both are immutable-by-convention —
-   readers never mutate what the cache hands out. *)
-type cached = Cheader of header | Cfields of (string * Value.t) list
+(* An entry of the decoded-object cache: an object (its 'H' record: header
+   and current fields, one entry) or the fields of one non-current version
+   (its 'V' record). Both are immutable-by-convention — readers never
+   mutate what the cache hands out. *)
+type cached =
+  | Cobject of header * (string * Value.t) list
+  | Cversion of (string * Value.t) list
 
 type activation = {
   tid : int;

@@ -27,12 +27,14 @@ let run db =
   if heap_records <> !dir_entries then
     bad "heap has %d records but the directory has %d entries" heap_records !dir_entries;
 
-  (* 1. Object headers and versions. *)
+  (* 1. Object records: the 'H' record holds the header and the current
+     version's fields; every other listed version has its own 'V'
+     record. *)
   let headers : (Oid.t, Store.header) Hashtbl.t = Hashtbl.create 256 in
   Kv.iter_prefix db "H" (fun key payload ->
       let oid = Keys.oid_of_header_key key in
-      (match Store.decode_header payload with
-      | h ->
+      (match Store.decode_object payload with
+      | h, _ ->
           Hashtbl.replace headers oid h;
           if Catalog.find_by_id db.catalog h.Store.hcls = None then
             bad "object %a: unknown class id %d" Oid.pp oid h.Store.hcls;
@@ -45,14 +47,13 @@ let run db =
           then bad "object %a: duplicate version numbers" Oid.pp oid;
           List.iter
             (fun ver ->
-              match Kv.get db (Keys.version oid ver) with
-              | Some _ -> ()
-              | None -> bad "object %a: version %d record missing" Oid.pp oid ver)
+              if ver <> h.Store.hcurrent && not (Kv.mem db (Keys.version oid ver)) then
+                bad "object %a: version %d record missing" Oid.pp oid ver)
             h.Store.hversions
-      | exception _ -> bad "object %a: header does not decode" Oid.pp oid);
+      | exception _ -> bad "object %a: record does not decode as header plus fields" Oid.pp oid);
       true);
 
-  (* 2. Orphan version records. *)
+  (* 2. Version records: only for live objects' non-current versions. *)
   Kv.iter_prefix db "V" (fun key _ ->
       (* key = 'V' ++ 16-byte oid ++ 8-byte version *)
       if String.length key = 25 then begin
@@ -67,7 +68,9 @@ let run db =
                 (String.sub key 17 8);
               Int64.to_int (Int64.logxor !v Int64.min_int)
             in
-            if not (List.mem ver h.Store.hversions) then
+            if ver = h.Store.hcurrent then
+              bad "object %a: current version %d also has a version record" Oid.pp oid ver
+            else if not (List.mem ver h.Store.hversions) then
               bad "object %a: orphan version record %d" Oid.pp oid ver
       end
       else bad "malformed version key (%d bytes)" (String.length key);

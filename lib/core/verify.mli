@@ -1,9 +1,10 @@
 (** Offline integrity checking.
 
     Walks every persistent structure and cross-checks them: directory
-    entries must resolve to live heap records, object headers must be
-    consistent (known class, current version present, every listed version
-    record stored, no orphan versions), secondary index entries must point
+    entries must resolve to live heap records, object records must decode
+    as header plus current fields and be consistent (known class, current
+    version listed, a version record for every other listed version, none
+    for the current one, no orphan versions), secondary index entries must point
     at live objects whose field value matches the entry, every object must
     be covered by every applicable index, and trigger activations must
     reference live objects and declared triggers.

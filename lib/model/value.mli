@@ -44,3 +44,10 @@ val fields_encode : (string * t) list -> string
 (** Serialize an object payload: field name/value pairs. *)
 
 val fields_decode : string -> (string * t) list
+
+val put_fields : Buffer.t -> (string * t) list -> unit
+(** [fields_encode] appended to a buffer, for payloads that carry fields
+    after other data. *)
+
+val get_fields : Ode_util.Codec.cursor -> (string * t) list
+(** [fields_decode] from a cursor, which is left just past the fields. *)

@@ -18,7 +18,7 @@ let mk db n =
   Db.with_txn db (fun txn ->
       List.init n (fun i -> Db.pnew txn "pt" [ ("x", Value.Int i); ("y", Value.Int 0) ]))
 
-(* A committed read warms the cache (header + current-version fields). *)
+(* A committed read warms the cache (one entry: header + current fields). *)
 let warm db oids = List.iter (fun o -> ignore (Store.get_fields db None o)) oids
 
 let read_your_writes () =
@@ -55,8 +55,8 @@ let commit_invalidates_touched () =
   let inv0 = Stats.(get (snapshot ()) "obj_cache_invalidations") in
   Db.with_txn db (fun txn -> Db.set_field txn a "x" (Value.Int 7));
   let inv1 = Stats.(get (snapshot ()) "obj_cache_invalidations") in
-  (* set_field rewrites only the current-version record, so exactly one
-     cached key is dropped. *)
+  (* set_field rewrites only the object's record, so exactly one cached
+     key is dropped. *)
   Tutil.check_int "exactly one key invalidated" 1 (inv1 - inv0);
   Tutil.check_bool "touched object reads fresh" true
     (Store.get_field db None a "x" = Some (Value.Int 7));
@@ -133,6 +133,44 @@ let exists_early_exit () =
     (Ode.Query.exists db ~var:"p" ~cls:"pt" ~suchthat:(Parser.expr "p.x == 0 - 1") ());
   Db.close db
 
+(* Counter gate for the read path: with the object cache off and every
+   pool emptied, reading a current object is one directory probe and one
+   record decode, whatever its version history. *)
+let cold_current_read_is_one_lookup () =
+  let dir = Tutil.temp_dir "cold" in
+  let db = Db.open_ ~object_cache:0 dir in
+  ignore (Db.define db {|class pt { x: int; y: int; };|});
+  Db.create_cluster db "pt";
+  Db.create_index db ~cls:"pt" ~field:"x";
+  let oids = mk db 300 in
+  let versioned = List.nth oids 7 in
+  for i = 1 to 3 do
+    Db.with_txn db (fun txn ->
+        ignore (Db.newversion txn versioned);
+        Db.set_field txn versioned "y" (Value.Int i))
+  done;
+  Db.checkpoint db;
+  let cold_read o =
+    List.iter Ode_storage.Buffer_pool.drop_cache
+      [
+        Ode_index.Bptree.pool db.Ode.Types.kv_dir;
+        Ode_storage.Heap.pool db.Ode.Types.kv_heap;
+        Ode_index.Bptree.pool db.Ode.Types.idx;
+      ];
+    let s0 = Stats.snapshot () in
+    let fields = Store.get_fields db None o in
+    let d = Stats.(diff (snapshot ()) s0) in
+    Tutil.check_bool "read from disk" true (Stats.get d "pages_read" > 0);
+    Tutil.check_int "one directory probe" 1 (Stats.get d "index_probes");
+    Tutil.check_int "one record decoded" 1 (Stats.get d "objects_fetched");
+    fields
+  in
+  Tutil.check_bool "plain object" true
+    (cold_read (List.nth oids 3) = Some [ ("x", Value.Int 3); ("y", Value.Int 0) ]);
+  Tutil.check_bool "versioned object" true
+    (cold_read versioned = Some [ ("x", Value.Int 7); ("y", Value.Int 3) ]);
+  Db.close db
+
 let suite =
   [
     ( "obj_cache",
@@ -146,5 +184,6 @@ let suite =
         Alcotest.test_case "capacity 0 disables the cache" `Quick disabled_counts_nothing;
         Alcotest.test_case "repeated query workload hits" `Quick query_workload_hits;
         Alcotest.test_case "exists exits early" `Quick exists_early_exit;
+        Alcotest.test_case "cold current read is one lookup" `Quick cold_current_read_is_one_lookup;
       ] );
   ]

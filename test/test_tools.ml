@@ -50,6 +50,18 @@ let build_rich () =
       Db.set_field txn n1 "link" (Value.Ref n2);
       Db.set_root txn "inbox" (Value.Ref n2);
       ignore (Db.activate txn n1 "hot" [ int 100 ]));
+  (* A longer history, committed version by version: weights 10..14 in
+     versions 0..4, then a middle version and the current one deleted. *)
+  let n3 =
+    Db.with_txn db (fun txn -> Db.pnew txn "note" [ ("title", str "third"); ("weight", int 10) ])
+  in
+  for w = 11 to 14 do
+    Db.with_txn db (fun txn ->
+        ignore (Db.newversion txn n3);
+        Db.set_field txn n3 "weight" (int w))
+  done;
+  Db.with_txn db (fun txn -> Db.pdelete_version txn { oid = n3; ver = 2 });
+  Db.with_txn db (fun txn -> Db.pdelete_version txn { oid = n3; ver = 4 });
   db
 
 (* -- verifier ---------------------------------------------------------- *)
@@ -78,19 +90,37 @@ let verify_after_crash () =
   Db.close db2;
   Db.close db
 
+(* Each case damages one object behind the store's back and expects a
+   problem naming it. *)
 let verify_detects_corruption () =
-  let db = Db.open_in_memory () in
-  ignore (Db.define db "class z { v: int; };");
-  Db.create_cluster db "z";
-  let o = Db.with_txn db (fun txn -> Db.pnew txn "z" [ ("v", int 1) ]) in
-  (* Surgically delete the version record behind the header's back. *)
-  Ode.Kv.delete db (Ode.Keys.version o 0);
-  (match Ode.Verify.run db with
-  | Ok () -> Alcotest.fail "corruption not detected"
-  | Error ps ->
-      Tutil.check_bool "mentions the missing version" true
-        (List.exists (fun p -> String.length p > 0 && String.sub p 0 6 = "object") ps));
-  Db.close db
+  let case name ~expect damage =
+    let db = Db.open_in_memory () in
+    ignore (Db.define db "class z { v: int; };");
+    Db.create_cluster db "z";
+    let o =
+      Db.with_txn db (fun txn ->
+          let o = Db.pnew txn "z" [ ("v", int 1) ] in
+          ignore (Db.newversion txn o);
+          Db.set_field txn o "v" (int 2);
+          o)
+    in
+    damage db o;
+    (match Ode.Verify.run db with
+    | Ok () -> Alcotest.failf "%s: corruption not detected" name
+    | Error ps ->
+        if not (List.exists (fun p -> Tutil.contains p expect) ps) then
+          Alcotest.failf "%s: no problem mentions %S: %s" name expect (String.concat "; " ps));
+    Db.close db
+  in
+  let put db key payload = Ode.Kv.put_sorted db [| (key, payload) |] ~on_new:ignore in
+  case "missing non-current version" ~expect:"version 0 record missing" (fun db o ->
+      Ode.Kv.delete db (Ode.Keys.version o 0));
+  case "current version stored twice" ~expect:"current version 1 also has a version record"
+    (fun db o -> put db (Ode.Keys.version o 1) (Value.fields_encode [ ("v", int 2) ]));
+  case "truncated object record" ~expect:"does not decode as header plus fields" (fun db o ->
+      let key = Ode.Keys.header o in
+      let payload = Option.get (Ode.Kv.get db key) in
+      put db key (String.sub payload 0 (String.length payload - 1)))
 
 (* -- dump/load ----------------------------------------------------------- *)
 
@@ -104,7 +134,8 @@ let dump_roundtrip () =
   let count d cls = Db.with_txn d (fun _ -> Query.count d ~var:"x" ~cls ()) in
   Tutil.check_int "tags" (count db "tag") (count db2 "tag");
   Tutil.check_int "notes" (count db "note") (count db2 "note");
-  (* Same data (modulo oids): compare title->weight maps. *)
+  (* Same data (modulo oids and version numbers): compare titles, current
+     weights and every version's weight in version order. *)
   let snapshot d =
     Db.with_txn d (fun txn ->
         List.sort compare
@@ -113,9 +144,15 @@ let dump_roundtrip () =
                ( Value.to_string (Db.get_field txn oid "title"),
                  Value.to_string (Db.get_field txn oid "weight"),
                  (match Db.get_field txn oid "tags" with Value.VSet l -> List.length l | _ -> -1),
-                 List.length (Db.versions txn oid) ))
+                 List.map
+                   (fun ver ->
+                     Value.to_string
+                       (List.assoc "weight" (Option.get (Db.get_version txn { oid; ver }))))
+                   (Db.versions txn oid) ))
              (Query.to_list d ~var:"x" ~cls:"note" ())))
   in
+  Tutil.check_bool "history kept" true
+    (List.exists (fun (_, w, _, ws) -> w = "13" && ws = [ "10"; "11"; "13" ]) (snapshot db));
   Tutil.check_bool "note contents match" true (snapshot db = snapshot db2);
   (* Root present and pointing at the right object. *)
   Db.with_txn db2 (fun txn ->

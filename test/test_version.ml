@@ -146,8 +146,176 @@ let vref_values_storable () =
         (Db.eval txn ~vars:[ ("p", Value.Ref p) ] (Parser.expr "p.target.rev")));
   Db.close db
 
+(* -- model test ------------------------------------------------------------ *)
+
+(* Random sequences of version operations against a file-backed store,
+   checked after every transaction against a model: each live object's
+   current version number and (version, [a]) list, newest first. Slots pick
+   a live object modulo the live count. *)
+
+type op =
+  | New of int
+  | Update of int * int
+  | Newversion of int
+  | Del_current of int
+  | Del_other of int * int
+  | Pdelete of int
+
+let show_op = function
+  | New a -> Printf.sprintf "new %d" a
+  | Update (s, a) -> Printf.sprintf "update #%d %d" s a
+  | Newversion s -> Printf.sprintf "newversion #%d" s
+  | Del_current s -> Printf.sprintf "delete-current #%d" s
+  | Del_other (s, k) -> Printf.sprintf "delete-other #%d %d" s k
+  | Pdelete s -> Printf.sprintf "pdelete #%d" s
+
+module M = Map.Make (struct
+  type t = Oid.t
+
+  let compare = compare
+end)
+
+type obj = { cur : int; vers : (int * int) list }
+
+let fields a = [ ("a", int a); ("s", Value.Str (String.make (a mod 7) 's')) ]
+
+let pick m slot =
+  match M.bindings m with [] -> None | bs -> Some (List.nth bs (slot mod List.length bs))
+
+(* Run [op] in [txn] and return the model after it. *)
+let step txn m op =
+  let drop_version oid o ver =
+    Db.pdelete_version txn { oid; ver };
+    match List.filter (fun (v, _) -> v <> ver) o.vers with
+    | [] -> M.remove oid m
+    | (newest, _) :: _ as vers ->
+        M.add oid { cur = (if ver = o.cur then newest else o.cur); vers } m
+  in
+  match op with
+  | New a -> M.add (Db.pnew txn "vm" (fields a)) { cur = 0; vers = [ (0, a) ] } m
+  | Update (slot, a) -> (
+      match pick m slot with
+      | None -> m
+      | Some (oid, o) ->
+          Db.update txn oid (fields a);
+          M.add oid
+            { o with vers = List.map (fun (v, x) -> (v, if v = o.cur then a else x)) o.vers }
+            m)
+  | Newversion slot -> (
+      match pick m slot with
+      | None -> m
+      | Some (oid, o) ->
+          let next = fst (List.hd o.vers) + 1 in
+          ignore (Db.newversion txn oid);
+          M.add oid { cur = next; vers = (next, List.assoc o.cur o.vers) :: o.vers } m)
+  | Del_current slot -> (
+      match pick m slot with None -> m | Some (oid, o) -> drop_version oid o o.cur)
+  | Del_other (slot, k) -> (
+      match pick m slot with
+      | None -> m
+      | Some (oid, o) -> (
+          match List.filter (fun (v, _) -> v <> o.cur) o.vers with
+          | [] -> m
+          | others -> drop_version oid o (fst (List.nth others (k mod List.length others)))))
+  | Pdelete slot -> (
+      match pick m slot with
+      | None -> m
+      | Some (oid, _) ->
+          Db.pdelete txn oid;
+          M.remove oid m)
+
+(* [txn] sees exactly [m]: every version's fields, the version list, the
+   current version, [nversions], and no object in [dead]. *)
+let agrees db txn m dead =
+  let ok = ref true in
+  let expect what c = if not c then (ok := false; prerr_endline ("model mismatch: " ^ what)) in
+  M.iter
+    (fun oid o ->
+      let name = Format.asprintf "%a" Oid.pp oid in
+      expect (name ^ " versions")
+        (Db.versions txn oid = List.sort Int.compare (List.map fst o.vers));
+      expect (name ^ " current") (Db.current_version txn oid = o.cur);
+      expect (name ^ " nversions")
+        (Db.eval txn ~vars:[ ("x", Value.Ref oid) ] (Parser.expr "nversions(x)")
+        = int (List.length o.vers));
+      expect (name ^ " current fields") (Db.get txn oid = Some (fields (List.assoc o.cur o.vers)));
+      List.iter
+        (fun (ver, a) ->
+          expect
+            (Printf.sprintf "%s version %d fields" name ver)
+            (Db.get_version txn { oid; ver } = Some (fields a)))
+        o.vers)
+    m;
+  List.iter
+    (fun oid -> if not (M.mem oid m) then expect "dead object exists" (not (Db.exists db ~txn oid)))
+    dead;
+  !ok
+
+let verified db =
+  match Ode.Verify.run db with
+  | Ok () -> true
+  | Error ps ->
+      prerr_endline ("verify: " ^ String.concat "; " ps);
+      false
+
+let prop_versions_match_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun a -> New a) (int_bound 40));
+          (3, map2 (fun s a -> Update (s, a)) nat (int_bound 40));
+          (3, map (fun s -> Newversion s) nat);
+          (1, map (fun s -> Del_current s) nat);
+          (2, map2 (fun s k -> Del_other (s, k)) nat nat);
+          (1, map (fun s -> Pdelete s) nat);
+        ])
+  in
+  let gen = QCheck.Gen.(pair bool (list_size (int_range 1 14) (list_size (int_range 1 4) gen_op))) in
+  let print (cache, txns) =
+    Printf.sprintf "cache %b: %s" cache
+      (String.concat " | " (List.map (fun ops -> String.concat "; " (List.map show_op ops)) txns))
+  in
+  QCheck.Test.make ~name:"version operations match a model" ~count:40 (QCheck.make ~print gen)
+    (fun (cache, txns) ->
+      let dir = Tutil.temp_dir "vmodel" in
+      let open_db () = Db.open_ ~object_cache:(if cache then 4096 else 0) dir in
+      let db = ref (open_db ()) in
+      ignore (Db.define !db "class vm { a: int; s: string; };");
+      Db.create_cluster !db "vm";
+      Db.create_index !db ~cls:"vm" ~field:"a";
+      let m = ref M.empty and dead = ref [] in
+      let check () =
+        Db.with_txn !db (fun txn -> agrees !db txn !m !dead) && verified !db
+      in
+      let ok = ref true in
+      let half = List.length txns / 2 in
+      List.iteri
+        (fun i ops ->
+          if i = half then begin
+            Db.close !db;
+            db := open_db ();
+            ok := !ok && check ()
+          end;
+          (* A snapshot pinned before the transaction must still read the
+             state before it, including versions it moved or deleted. *)
+          let before = !m in
+          let snap = Db.begin_txn !db in
+          m := Db.with_txn !db (fun txn -> List.fold_left (step txn) !m ops);
+          dead := List.filter (fun o -> not (M.mem o !m)) (M.fold (fun o _ l -> o :: l) before !dead);
+          ok := !ok && agrees !db snap before [] && check ();
+          Db.abort snap)
+        txns;
+      Db.crash !db;
+      db := open_db ();
+      ok := !ok && check ();
+      Db.close !db;
+      !ok)
+
 let suite =
   [
+    ( "version.model",
+      [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |]) prop_versions_match_model ] );
     ( "version",
       [
         Alcotest.test_case "newversion becomes current" `Quick newversion_becomes_current;

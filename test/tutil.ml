@@ -35,6 +35,12 @@ let copy_dir src dst =
     (fun f -> copy_file (Filename.concat src f) (Filename.concat dst f))
     (Sys.readdir src)
 
+(* [sub] occurs somewhere in [s]. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let qsuite name props = (name, List.map QCheck_alcotest.to_alcotest props)
 
 (* Common alcotest checkers. *)
