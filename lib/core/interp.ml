@@ -30,61 +30,6 @@ let as_oid what (v : Value.t) =
   | Ref oid -> oid
   | v -> err "%s expects an object, got %a" what Value.pp v
 
-(* -- join-fusion eligibility ------------------------------------------------ *)
-
-let rec expr_vars acc (e : Ast.expr) =
-  match e with
-  | Var x -> x :: acc
-  | Null | Int _ | Float _ | Bool _ | Str _ | This -> acc
-  | Field (b, _) -> expr_vars acc b
-  | Binop (_, a, b) -> expr_vars (expr_vars acc a) b
-  | Unop (_, a) -> expr_vars acc a
-  | Call (recv, _, args) ->
-      List.fold_left expr_vars (Option.fold ~none:acc ~some:(expr_vars acc) recv) args
-  | Is (a, _) -> expr_vars acc a
-  | SetLit es | ListLit es -> List.fold_left expr_vars acc es
-
-(* Calls are the one expression form that can mutate state (builtins like
-   [setroot], methods dispatching to them), so a call-free expression is
-   pure. *)
-let rec expr_call_free (e : Ast.expr) =
-  match e with
-  | Call _ -> false
-  | Var _ | Null | Int _ | Float _ | Bool _ | Str _ | This -> true
-  | Field (b, _) -> expr_call_free b
-  | Binop (_, a, b) -> expr_call_free a && expr_call_free b
-  | Unop (_, a) | Is (a, _) -> expr_call_free a
-  | SetLit es | ListLit es -> List.for_all expr_call_free es
-
-(* A nested-forall body the planner may fuse: it must not write the store
-   (a hash join builds its table before the first body run, so mid-loop
-   inserts/deletes would not be seen the way a rescanning nested loop sees
-   them) and must not reassign any variable the predicates read (their
-   bindings are captured when the join starts). *)
-let rec fusable_body ~banned stmts =
-  List.for_all
-    (fun (s : Ast.stmt) ->
-      match s with
-      | SPrint es -> List.for_all expr_call_free es
-      | SExpr e -> expr_call_free e
-      | SAssign (x, e) -> (not (List.mem x banned)) && expr_call_free e
-      | SIf (c, t, e) -> expr_call_free c && fusable_body ~banned t && fusable_body ~banned e
-      | SSetField _ | SNew _ | SDelete _ | SForall _ | SNewVersion _ | SActivate _
-      | SDeactivate _ | SInsert _ | SRemove _ | SReturn _ -> false)
-    stmts
-
-(* [forall o ... { forall i ... { body } }] with an unordered pair loop and
-   a side-effect-free body is a two-extent join the planner may fuse. *)
-let fusable_join (q : Ast.forall) =
-  match q.q_body with
-  | [ SForall iq ] when q.q_by = None && iq.q_by = None && iq.q_var <> q.q_var ->
-      let st_vars =
-        List.fold_left expr_vars []
-          (Option.to_list q.q_suchthat @ Option.to_list iq.q_suchthat)
-      in
-      if fusable_body ~banned:(q.q_var :: iq.q_var :: st_vars) iq.q_body then Some iq else None
-  | _ -> None
-
 let rec exec_stmt txn env (s : Ast.stmt) =
   let db = txn.tdb in
   let ev e = eval_expr txn env e in
@@ -115,39 +60,7 @@ let rec exec_stmt txn env (s : Ast.stmt) =
       let oid = Store.create txn cls values in
       (match tgt with Some x -> define_var env x (Value.Ref oid) | None -> ())
   | SDelete e -> Store.delete_object txn (as_oid "pdelete" (ev e))
-  | SForall q -> (
-      (* The loop variable is scoped to the loop (shadowing any outer binding
-         of the same name); all other assignments made by the body persist,
-         so accumulator loops like [total := total + x.age] work. *)
-      match fusable_join q with
-      | Some iq ->
-          (* Two-extent join: hand both loops to the join planner, which may
-             fuse them (deref/membership link) or hash-join instead of
-             rescanning the inner extent per outer row. *)
-          let souter = List.assoc_opt q.q_var env.vars in
-          let sinner = List.assoc_opt iq.q_var env.vars in
-          Query.run_join db ~txn ~env:env.vars
-            ~outer:(q.q_var, q.q_cls, q.q_deep)
-            ~inner:(iq.q_var, iq.q_cls, iq.q_deep)
-            ?outer_suchthat:q.q_suchthat ?inner_suchthat:iq.q_suchthat
-            (fun o i ->
-              define_var env q.q_var (Value.Ref o);
-              define_var env iq.q_var (Value.Ref i);
-              exec_stmts txn env iq.q_body);
-          List.iter
-            (fun (name, saved) ->
-              env.vars <- List.remove_assoc name env.vars;
-              match saved with Some v -> define_var env name v | None -> ())
-            [ (iq.q_var, sinner); (q.q_var, souter) ]
-      | None ->
-          let outer = List.assoc_opt q.q_var env.vars in
-          Query.run db ~txn ~env:env.vars ~var:q.q_var ~cls:q.q_cls ~deep:q.q_deep
-            ?suchthat:q.q_suchthat ?by:q.q_by
-            (fun oid ->
-              define_var env q.q_var (Value.Ref oid);
-              exec_stmts txn env q.q_body);
-          env.vars <- List.remove_assoc q.q_var env.vars;
-          (match outer with Some v -> define_var env q.q_var v | None -> ()))
+  | SForall q -> with_forall txn env q (Query.execute db ~txn)
   | SIf (c, then_, else_) ->
       if Eval.truthy (ev c) then exec_stmts txn env then_ else exec_stmts txn env else_
   | SNewVersion e -> ignore (Store.new_version txn (as_oid "newversion" (ev e)))
@@ -180,3 +93,29 @@ let rec exec_stmt txn env (s : Ast.stmt) =
   | SReturn e -> raise (Returned (ev e))
 
 and exec_stmts txn env ss = List.iter (exec_stmt txn env) ss
+
+(* Compile [q] — a two-extent nested loop the planner may fuse becomes one
+   join — and hand [run] the tree with a body that binds each row's loop
+   variables and executes the loop's statements. Loop variables are
+   scoped to the loop (shadowing outer bindings of the same names); all
+   other assignments made by the body persist, so accumulator loops like
+   [total := total + x.age] work. *)
+and with_forall :
+      'a. txn -> env -> Ast.forall -> (Planner.compiled -> (Oid.t list -> unit) -> 'a) -> 'a =
+ fun txn env q run ->
+  let c = Planner.compile txn.tdb ~txn ~env:env.vars q in
+  let saved = List.map (fun v -> (v, lookup_var env v)) c.c_vars in
+  let body row =
+    List.iter2 (fun v oid -> define_var env v (Value.Ref oid)) c.c_vars row;
+    exec_stmts txn env c.c_body
+  in
+  Fun.protect
+    (fun () -> run c body)
+    ~finally:(fun () ->
+      List.iter
+        (fun (v, outer) ->
+          undefine_var env v;
+          Option.iter (define_var env v) outer)
+        (List.rev saved))
+
+let profile_forall txn env q = with_forall txn env q (Query.execute_profiled txn.tdb ~txn)

@@ -26,15 +26,12 @@ exception Returned of Ode_model.Value.t
 (** Raised by a top-level [return e;] — callers that expect a value catch
     it. *)
 
-val fusable_join : Ode_lang.Ast.forall -> Ode_lang.Ast.forall option
-(** When [q] is a two-extent nested loop the join planner may fuse —
-    exactly one nested [forall] as the body, no [by] clauses, and a
-    side-effect-free inner body that reassigns no variable the predicates
-    read — returns the inner loop. {!exec_stmt} routes such loops through
-    {!Query.run_join}; the shell's [.explain] uses the same gate so plans
-    it prints are the plans that run. *)
-
 val exec_stmts : txn -> env -> Ode_lang.Ast.stmt list -> unit
 val exec_stmt : txn -> env -> Ode_lang.Ast.stmt -> unit
 
 val eval_expr : txn -> env -> Ode_lang.Ast.expr -> Ode_model.Value.t
+
+val profile_forall : txn -> env -> Ode_lang.Ast.forall -> Query.profile
+(** Run a [forall] statement exactly as {!exec_stmt} would — the same
+    {!Planner.compile}, so a fusable nested loop runs as the same join —
+    with full per-operator attribution (the shell's [.profile]). *)

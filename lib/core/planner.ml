@@ -52,20 +52,23 @@ let rec conjoin = function
   | [ e ] -> Some e
   | e :: rest -> ( match conjoin rest with Some r -> Some (Ast.Binop (And, e, r)) | None -> Some e)
 
+(* The variables an expression reads, [this] included. *)
+let rec expr_vars acc (e : Ast.expr) =
+  match e with
+  | Var x -> x :: acc
+  | This -> "this" :: acc
+  | Null | Int _ | Float _ | Bool _ | Str _ -> acc
+  | Field (b, _) -> expr_vars acc b
+  | Binop (_, a, b) -> expr_vars (expr_vars acc a) b
+  | Unop (_, a) -> expr_vars acc a
+  | Call (recv, _, args) ->
+      List.fold_left expr_vars (Option.fold ~none:acc ~some:(expr_vars acc) recv) args
+  | Is (a, _) -> expr_vars acc a
+  | SetLit es | ListLit es -> List.fold_left expr_vars acc es
+
 (* An expression is constant for the scan if it never mentions the loop
    variable or [this]; such expressions are evaluated once up front. *)
-let rec closed_for var (e : Ast.expr) =
-  match e with
-  | Var x -> x <> var
-  | This -> false
-  | Null | Int _ | Float _ | Bool _ | Str _ -> true
-  | Field (b, _) -> closed_for var b
-  | Binop (_, a, b) -> closed_for var a && closed_for var b
-  | Unop (_, a) -> closed_for var a
-  | Call (recv, _, args) ->
-      Option.fold ~none:true ~some:(closed_for var) recv && List.for_all (closed_for var) args
-  | Is (a, _) -> closed_for var a
-  | SetLit es | ListLit es -> List.for_all (closed_for var) es
+let closed_for var e = List.for_all (fun x -> x <> var && x <> "this") (expr_vars [] e)
 
 (* A sargable conjunct: [var.field OP closed-expr] (or mirrored). Returns
    (field, op-normalized-with-field-on-the-left, constant value). *)
@@ -235,20 +238,14 @@ let plan db ?txn ?(env = []) ~var ~cls ~deep ~suchthat () =
          on ties (x > 10 && x > 5 must plan > 10). The conjuncts stay in the
          residual, so an imperfect combination can never produce wrong
          results, only a wider scan. *)
-      let tighter_lo cur (v, incl) =
+      let tighter sign cur (v, incl) =
         match cur with
         | None -> Some (v, incl)
         | Some (v0, incl0) ->
-            let c = Value.compare v v0 in
+            let c = sign * Value.compare v v0 in
             if c > 0 then Some (v, incl) else if c < 0 then cur else Some (v0, incl0 && incl)
       in
-      let tighter_hi cur (v, incl) =
-        match cur with
-        | None -> Some (v, incl)
-        | Some (v0, incl0) ->
-            let c = Value.compare v v0 in
-            if c < 0 then Some (v, incl) else if c > 0 then cur else Some (v0, incl0 && incl)
-      in
+      let tighter_lo = tighter 1 and tighter_hi = tighter (-1) in
       let range_cand field =
         let same = List.filter (fun (_, s) -> s.s_field = field) indexed_sargs in
         let lo, hi =
@@ -355,30 +352,6 @@ let explain p =
   | Some e -> Buffer.add_string b (" — residual: " ^ Ode_lang.Pp.expr_to_string e)
   | None -> ());
   Buffer.contents b
-
-(* -- per-node plan annotation (for EXPLAIN ANALYZE / Query.profile) -------- *)
-
-type node_kind = Access | Filter | Order | Output
-
-let nodes ?suchthat p =
-  let est = p.p_est in
-  let access =
-    (Access, Printf.sprintf "%s [~%.0f rows, cost ~%.0f]" (access_label p) est.est_rows est.est_cost)
-  in
-  (* The executor re-evaluates the whole [suchthat] per candidate even when
-     a conjunct became the index bound (the overlay may hold uncommitted
-     writes the index does not reflect), so the filter node carries the
-     residual when one exists and the full re-checked predicate otherwise. *)
-  let flabel tag e =
-    Printf.sprintf "filter%s: %s [~%.0f rows]" tag (Ode_lang.Pp.expr_to_string e) est.est_out
-  in
-  let filter =
-    match (p.p_residual, suchthat) with
-    | Some e, _ -> [ (Filter, flabel "" e) ]
-    | None, Some e -> [ (Filter, flabel " (re-check)" e) ]
-    | None, None -> []
-  in
-  access :: filter
 
 (* -- join planning (collection-join fusion, paper §3.1) --------------------- *)
 
@@ -521,20 +494,198 @@ let plan_join db ?txn ?(env = []) ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls,
     j_stats = use_stats;
   }
 
+let strategy_label jp =
+  match jp.j_strategy with
+  | Nested_loop -> Printf.sprintf "nested-loop join (inner %s replanned per outer row)" jp.j_inner_cls
+  | Fused_deref f -> Printf.sprintf "fused join: deref %s.%s (no %s scan)" jp.j_ovar f jp.j_inner_cls
+  | Fused_member f ->
+      Printf.sprintf "fused join: members of %s.%s (no %s scan)" jp.j_ovar f jp.j_inner_cls
+  | Hash_join { outer_field; inner_field } ->
+      Printf.sprintf "hash join: build %s on %s.%s, probe with %s.%s" jp.j_inner_cls jp.j_ivar
+        inner_field jp.j_ovar outer_field
+
 let explain_join jp =
-  let strat =
-    match jp.j_strategy with
-    | Nested_loop ->
-        Printf.sprintf "nested-loop join (inner %s replanned per outer row)" jp.j_inner_cls
-    | Fused_deref f ->
-        Printf.sprintf "fused join: deref %s.%s (no %s scan)" jp.j_ovar f jp.j_inner_cls
-    | Fused_member f ->
-        Printf.sprintf "fused join: members of %s.%s (no %s scan)" jp.j_ovar f jp.j_inner_cls
-    | Hash_join { outer_field; inner_field } ->
-        Printf.sprintf "hash join: build %s on %s.%s, probe with %s.%s" jp.j_inner_cls jp.j_ivar
-          inner_field jp.j_ovar outer_field
-  in
-  Printf.sprintf "%s — est ~%.0f rows, cost ~%.0f (%s; nested loop ~%.0f)\n  outer: %s" strat
-    jp.j_rows jp.j_cost
+  Printf.sprintf "%s — est ~%.0f rows, cost ~%.0f (%s; nested loop ~%.0f)\n  outer: %s"
+    (strategy_label jp) jp.j_rows jp.j_cost
     (if jp.j_stats then "stats" else "heuristic")
     jp.j_nested_cost (explain jp.j_outer)
+
+(* -- join-fusion eligibility ------------------------------------------------ *)
+
+(* Calls are the one expression form that can mutate state (builtins like
+   [setroot], methods dispatching to them), so a call-free expression is
+   pure. *)
+let rec expr_call_free (e : Ast.expr) =
+  match e with
+  | Call _ -> false
+  | Var _ | Null | Int _ | Float _ | Bool _ | Str _ | This -> true
+  | Field (b, _) -> expr_call_free b
+  | Binop (_, a, b) -> expr_call_free a && expr_call_free b
+  | Unop (_, a) | Is (a, _) -> expr_call_free a
+  | SetLit es | ListLit es -> List.for_all expr_call_free es
+
+(* A nested-forall body the planner may fuse: it must not write the store
+   (a hash join builds its table before the first body run, so mid-loop
+   inserts/deletes would not be seen the way a rescanning nested loop sees
+   them) and must not reassign any variable the predicates read (their
+   bindings are captured when the join starts). *)
+let rec fusable_body ~banned stmts =
+  List.for_all
+    (fun (s : Ast.stmt) ->
+      match s with
+      | SPrint es -> List.for_all expr_call_free es
+      | SExpr e -> expr_call_free e
+      | SAssign (x, e) -> (not (List.mem x banned)) && expr_call_free e
+      | SIf (c, t, e) -> expr_call_free c && fusable_body ~banned t && fusable_body ~banned e
+      | SSetField _ | SNew _ | SDelete _ | SForall _ | SNewVersion _ | SActivate _
+      | SDeactivate _ | SInsert _ | SRemove _ | SReturn _ -> false)
+    stmts
+
+(* [forall o ... { forall i ... { body } }] with an unordered pair loop and
+   a side-effect-free body is a two-extent join the planner may fuse. *)
+let fusable_join (q : Ast.forall) =
+  match q.q_body with
+  | [ SForall iq ] when q.q_by = None && iq.q_by = None && iq.q_var <> q.q_var ->
+      let st_vars =
+        List.fold_left expr_vars []
+          (Option.to_list q.q_suchthat @ Option.to_list iq.q_suchthat)
+      in
+      if fusable_body ~banned:(q.q_var :: iq.q_var :: st_vars) iq.q_body then Some iq else None
+  | _ -> None
+
+(* -- operator trees --------------------------------------------------------- *)
+
+(* Every [forall] compiles to one tree of push-based operators; {!Query}
+   runs it, and explain and profile render it, so the printed plan is the
+   plan that runs. *)
+type tree =
+  | Scan of plan
+  | Probe of plan
+  | Range of plan
+  | Fixpoint of plan
+  | Index_order of { plan : plan; idx_id : int; field : string; cls_id : int; order : Ast.order }
+  | Filter of { plan : plan; pred : Ast.expr; input : tree }
+  | Sort of { var : string; key : Ast.expr; order : Ast.order; input : tree }
+  | Join of { jp : join_plan; link : Ast.expr option; outer : tree; build : tree option }
+  | Output of tree
+
+type compiled = {
+  c_tree : tree;
+  c_env : (string * Value.t) list;
+  c_vars : string list;
+  c_body : Ast.stmt list;
+}
+
+let access_tree p =
+  match p.p_access with Full_scan -> Scan p | Index_eq _ -> Probe p | Index_range _ -> Range p
+
+let filtered plan suchthat input =
+  match suchthat with None -> input | Some pred -> Filter { plan; pred; input }
+
+let scan_tree db ?txn ~env ~var ~cls ~deep ~suchthat () =
+  let p = plan db ?txn ~env ~var ~cls ~deep ~suchthat () in
+  filtered p suchthat (access_tree p)
+
+(* [by x.f] over one cluster with an index on [f] (declared on it or on an
+   ancestor) streams the index in key order instead of sorting. Not when
+   the transaction has pending writes (they would have to be merge-sorted
+   in), nor when the index carries version chains for the snapshot (a
+   post-snapshot reindex moved entries: sorting re-evaluates keys under
+   the snapshot, the stream would emit at the new position). An equality
+   probe keeps its probe and sorts. *)
+let index_order db txn p (key, order) =
+  match (key, p.p_classes, p.p_access) with
+  | Ast.Field (Ast.Var v, field), [ cls ], (Full_scan | Index_range _) when v = p.p_var -> (
+      let dirty = match txn with Some t -> Hashtbl.length t.writes > 0 | None -> false in
+      let unchained idx_id =
+        Option.is_none txn
+        || Mvcc.keys_matching db.mvcc (String.starts_with ~prefix:(Keys.index_prefix ~idx_id)) = []
+      in
+      match pick_index db cls field with
+      | Some idx_id when (not dirty) && unchained idx_id ->
+          let cls_id = (Catalog.find_exn db.catalog cls).Schema.id in
+          Some (Index_order { plan = p; idx_id; field; cls_id; order })
+      | _ -> None)
+  | _ -> None
+
+let single_tree db ?txn ~env ~fixpoint (q : Ast.forall) =
+  if fixpoint && q.q_by <> None then invalid_arg "query: fixpoint iteration cannot be ordered";
+  let p = plan db ?txn ~env ~var:q.q_var ~cls:q.q_cls ~deep:q.q_deep ~suchthat:q.q_suchthat () in
+  let filter = filtered p q.q_suchthat in
+  match q.q_by with
+  | _ when fixpoint -> filter (Fixpoint p)
+  | None -> filter (access_tree p)
+  | Some ((key, order) as by) -> (
+      match index_order db txn p by with
+      | Some ordered -> filter ordered
+      | None -> Sort { var = q.q_var; key; order; input = filter (access_tree p) })
+
+let join_tree db ?txn ~env ~outer ~inner ?outer_suchthat ?inner_suchthat () =
+  let jp = plan_join db ?txn ~env ~outer ~inner ?outer_suchthat ?inner_suchthat () in
+  let ivar, icls, ideep = inner in
+  let build =
+    match jp.j_strategy with
+    | Hash_join _ ->
+        Some (scan_tree db ?txn ~env ~var:ivar ~cls:icls ~deep:ideep ~suchthat:jp.j_inner_only ())
+    | Nested_loop | Fused_deref _ | Fused_member _ -> None
+  in
+  let outer = filtered jp.j_outer outer_suchthat (access_tree jp.j_outer) in
+  Join { jp; link = inner_suchthat; outer; build }
+
+let compile db ?txn ?(env = []) ?(fixpoint = false) (q : Ast.forall) =
+  let txn = match txn with Some _ as t -> t | None -> db.active in
+  let tree, vars, body =
+    match fusable_join q with
+    | Some iq ->
+        ( join_tree db ?txn ~env ~outer:(q.q_var, q.q_cls, q.q_deep)
+            ~inner:(iq.q_var, iq.q_cls, iq.q_deep) ?outer_suchthat:q.q_suchthat
+            ?inner_suchthat:iq.q_suchthat (),
+          [ q.q_var; iq.q_var ],
+          iq.q_body )
+    | None -> (single_tree db ?txn ~env ~fixpoint q, [ q.q_var ], q.q_body)
+  in
+  { c_tree = Output tree; c_env = env; c_vars = vars; c_body = body }
+
+let op_name = function
+  | Scan _ -> "scan"
+  | Probe _ -> "probe"
+  | Range _ -> "range"
+  | Fixpoint _ -> "fixpoint"
+  | Index_order _ -> "index order"
+  | Filter _ -> "filter"
+  | Sort _ -> "sort"
+  | Join _ -> "join"
+  | Output _ -> "output"
+
+let desc = function Ast.Asc -> "" | Ast.Desc -> " desc"
+
+let label = function
+  | Scan p | Probe p | Range p ->
+      Printf.sprintf "%s [~%.0f rows, cost ~%.0f]" (access_label p) p.p_est.est_rows p.p_est.est_cost
+  | Fixpoint p -> "fixpoint scan of cluster " ^ p.p_cls ^ if p.p_deep then " (deep)" else ""
+  | Index_order { plan; field; order; _ } ->
+      Printf.sprintf "index order %s(%s)%s" plan.p_cls field (desc order)
+  | Filter { plan = p; pred; _ } ->
+      (* The whole [suchthat] is re-checked per candidate even when a
+         conjunct became the index bound (the overlay may hold uncommitted
+         writes the index does not reflect), so the node shows the
+         residual when one exists and the full re-checked predicate
+         otherwise. *)
+      let tag, shown = match p.p_residual with Some e -> ("", e) | None -> (" (re-check)", pred) in
+      Printf.sprintf "filter%s: %s [~%.0f rows]" tag (Ode_lang.Pp.expr_to_string shown)
+        p.p_est.est_out
+  | Sort { key; order; _ } -> "sort by " ^ Ode_lang.Pp.expr_to_string key ^ desc order
+  | Join { jp; _ } ->
+      Printf.sprintf "%s [~%.0f rows, cost ~%.0f]" (strategy_label jp) jp.j_rows jp.j_cost
+  | Output _ -> "output (loop body)"
+
+let rec explain_tree = function
+  | Output t -> explain_tree t
+  | Filter { input = (Fixpoint _ | Index_order _) as t; pred; _ } ->
+      explain_tree t ^ " — filter: " ^ Ode_lang.Pp.expr_to_string pred
+  | Filter { input; _ } -> explain_tree input
+  | Scan p | Probe p | Range p -> explain p
+  | (Fixpoint p | Index_order { plan = p; _ }) as t -> label t ^ " — " ^ estimate_label p.p_est
+  | Sort { key; order; input; _ } ->
+      explain_tree input ^ " — sort by " ^ Ode_lang.Pp.expr_to_string key ^ desc order
+  | Join { jp; _ } -> explain_join jp

@@ -70,18 +70,6 @@ val explain : plan -> string
 (** Human-readable plan with its estimate, e.g.
     ["index range person(age) > 30 — est ~12 rows, cost ~56 (stats) — residual: ..."]. *)
 
-type node_kind = Access | Filter | Order | Output
-(** Plan-node roles for per-node profiling: candidate enumeration + liveness
-    (Access), per-candidate predicate evaluation (Filter), [by]-clause key
-    evaluation and sorting (Order), and the caller's loop body (Output). *)
-
-val nodes : ?suchthat:Ode_lang.Ast.expr -> plan -> (node_kind * string) list
-(** The Access and Filter nodes of a plan with display labels (estimated
-    rows/cost embedded as [~N] figures); the executor appends Order/Output
-    as the query shape requires. [suchthat] is the full predicate, used to
-    label the filter node when the plan has no residual but the executor
-    still re-checks the predicate per candidate. *)
-
 (** {1 Join planning} *)
 
 type join_strategy =
@@ -130,3 +118,90 @@ val plan_join :
 val explain_join : join_plan -> string
 (** Two-line human-readable join plan: strategy + estimates, then the
     outer access path. *)
+
+(** {1 Operator trees}
+
+    Every [forall] compiles to one tree of push-based operators, which
+    {!Query} executes and which explain and profile render, so the
+    printed plan is the plan that runs. Leaves produce candidate objects
+    of one extent; [Filter] and [Sort] transform that stream; [Join]
+    turns an outer stream into pairs; [Output] hands each row to the
+    loop body. *)
+
+type tree =
+  | Scan of plan  (** full scan of [p_classes] ([p_access = Full_scan]) *)
+  | Probe of plan  (** equality probe ([Index_eq]) *)
+  | Range of plan  (** range scan ([Index_range]) *)
+  | Fixpoint of plan
+      (** full scan re-fed with the objects the loop body inserts into the
+          extent, until quiescence (paper §3.2); needs a transaction *)
+  | Index_order of {
+      plan : plan;
+      idx_id : int;
+      field : string;
+      cls_id : int;  (** entries of other classes sharing the index are skipped *)
+      order : Ode_lang.Ast.order;
+    }  (** [by x.field] streamed from the index in key order *)
+  | Filter of { plan : plan; pred : Ode_lang.Ast.expr; input : tree }
+      (** the whole [suchthat], re-checked per candidate against the
+          transaction's view; [plan] binds [p_var] and names the residual *)
+  | Sort of {
+      var : string;
+      key : Ode_lang.Ast.expr;
+      order : Ode_lang.Ast.order;
+      input : tree;
+    }  (** stable sort on [key] (the [by] clause) *)
+  | Join of {
+      jp : join_plan;
+      link : Ode_lang.Ast.expr option;
+          (** the inner [suchthat], re-checked per emitted pair (and the
+              per-row inner predicate of a nested loop) *)
+      outer : tree;
+      build : tree option;  (** a hash join's build side *)
+    }
+  | Output of tree
+
+type compiled = {
+  c_tree : tree;  (** always an [Output] *)
+  c_env : (string * Ode_model.Value.t) list;  (** bindings the predicates read *)
+  c_vars : string list;  (** loop variables each output row binds, outermost first *)
+  c_body : Ode_lang.Ast.stmt list;  (** the statements each row runs *)
+}
+
+val compile :
+  db ->
+  ?txn:txn ->
+  ?env:(string * Ode_model.Value.t) list ->
+  ?fixpoint:bool ->
+  Ode_lang.Ast.forall ->
+  compiled
+(** The one compiler for a [forall]. A two-extent nested loop with no [by]
+    clauses and a side-effect-free inner body that reassigns no variable
+    the predicates read becomes one [Join] ({!plan_join}); anything else
+    is a single-extent pipeline whose nested loops the body runs as
+    statements. Raises [Invalid_argument] for an ordered fixpoint. *)
+
+
+val scan_tree :
+  db ->
+  ?txn:txn ->
+  env:(string * Ode_model.Value.t) list ->
+  var:string ->
+  cls:string ->
+  deep:bool ->
+  suchthat:Ode_lang.Ast.expr option ->
+  unit ->
+  tree
+(** An unordered single-extent pipeline: the planned access, then the
+    [suchthat] filter. A nested-loop join replans its inner side with
+    this per outer row. *)
+
+val op_name : tree -> string
+(** The operator's kind: ["scan"], ["probe"], ["filter"], ["join"], ... *)
+
+val label : tree -> string
+(** One node's display label, with its estimate as [~N] figures. *)
+
+val explain_tree : tree -> string
+(** The plan line of a whole tree: {!explain} or {!explain_join} for the
+    trees they describe, with the ordering or fixpoint operator named. *)

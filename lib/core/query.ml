@@ -101,24 +101,18 @@ let index_candidates db ?txn (access : Planner.access) f =
         (fun g -> Bptree.iter_prefix db.idx prefix (fun key _ -> g key))
   | Planner.Index_range { idx_id; lo; hi; _ } ->
       let tree_prefix = Keys.index_tree_key (Keys.index_prefix ~idx_id) in
+      (* An inclusive upper or exclusive lower bound ends past every entry
+         with the bound's exact value. *)
+      let bound ~upper (v, incl) =
+        let vk = tree_prefix ^ Value.index_key v in
+        if incl = upper then Ode_util.Key.succ_prefix vk else Some vk
+      in
       let lo_key =
-        match lo with
-        | None -> Some tree_prefix
-        | Some (v, incl) ->
-            let vk = tree_prefix ^ Value.index_key v in
-            if incl then Some vk
-            else
-              (* strictly greater: skip every entry with this exact value *)
-              Ode_util.Key.succ_prefix vk
+        Option.value ~default:tree_prefix (Option.bind lo (bound ~upper:false))
       in
       let hi_key =
-        match hi with
-        | None -> Ode_util.Key.succ_prefix tree_prefix
-        | Some (v, incl) ->
-            let vk = tree_prefix ^ Value.index_key v in
-            if incl then Ode_util.Key.succ_prefix vk else Some vk
+        match hi with None -> Ode_util.Key.succ_prefix tree_prefix | Some b -> bound ~upper:true b
       in
-      let lo_key = Option.value lo_key ~default:tree_prefix in
       let chained =
         chained_index_keys db txn (fun tk ->
             tk >= lo_key && match hi_key with None -> true | Some h -> tk < h)
@@ -127,63 +121,26 @@ let index_candidates db ?txn (access : Planner.access) f =
         (fun key -> f (Keys.oid_of_index_key key))
         (fun g -> Bptree.iter_range db.idx ~lo:lo_key ?hi:hi_key (fun key _ -> g key))
 
-(* [by x.f asc] over a single cluster with an index on [f] can stream in
-   index order instead of materializing and sorting — but only when the
-   transaction has no pending writes on that cluster (a dirty write set
-   would have to be merge-sorted in; we fall back to sorting then), and the
-   index carries no version chains for the snapshot (a post-snapshot
-   reindex moved entries; the sort path re-evaluates keys under the
-   snapshot, the stream would emit at the new position). *)
-let index_order_plan db txn (plan : Planner.plan) by =
-  match (by, plan.p_classes) with
-  | Some (Ast.Field (Ast.Var v, f), order), [ only_cls ] when v = plan.p_var -> (
-      let txn_dirty =
-        match txn with
-        | None -> false
-        | Some t -> Hashtbl.length t.writes > 0
-      in
-      let unchained idx_id =
-        txn = None
-        || Mvcc.keys_matching db.mvcc
-             (String.starts_with ~prefix:(Keys.index_prefix ~idx_id))
-           = []
-      in
-      if txn_dirty then None
-      else
-        match (plan.p_access, Store.index_ids db ~cls:only_cls ~field:f) with
-        | (Planner.Full_scan | Planner.Index_range _), None -> (
-            (* the index may be declared on an ancestor *)
-            let cls = Catalog.find_exn db.catalog only_cls in
-            let rec pick i = function
-              | [] -> None
-              | (icls, fld) :: rest ->
-                  if fld = f && Catalog.is_subclass db.catalog ~sub:only_cls ~super:icls then
-                    Some i
-                  else pick (i + 1) rest
-            in
-            match pick 0 (Catalog.indexes db.catalog) with
-            | Some idx_id when unchained idx_id -> Some (idx_id, order, cls.Schema.id)
-            | Some _ | None -> None)
-        | (Planner.Full_scan | Planner.Index_range _), Some idx_id ->
-            if unchained idx_id then
-              let cls = Catalog.find_exn db.catalog only_cls in
-              Some (idx_id, order, cls.Schema.id)
-            else None
-        | Planner.Index_eq _, _ -> None)
-  | _ -> None
+(* -- the executor -------------------------------------------------------------
 
-(* -- per-node profiling (EXPLAIN ANALYZE, paper §3.1 "query optimization") --
-
-   The executor streams: candidates flow one at a time through access →
-   filter → (order) → body, so a node's cost is not one contiguous interval.
-   Attribution is mark-based instead: the profiler keeps the timestamp and
-   Stats snapshot of the previous attribution point, and charging a node
-   means "add (now - mark, stats - mark) to it and advance the mark". Every
-   instant and every counter bump between two marks lands in exactly one
-   node, so the per-node sums equal the query totals by construction. *)
+   Runs a {!Planner.compiled} tree push-style: each operator is built into
+   a closure that pushes its rows into its parent's, and the root hands
+   them to the loop body. Profiling (EXPLAIN ANALYZE, paper §3.1 "query
+   optimization") wraps each edge, chosen when the closures are built:
+   nothing when off; a row count when light (armed slow log, tracer); a
+   row count plus time and counter attribution for an explicit profile.
+   That attribution is mark-based: charging a node adds (now - mark,
+   stats - mark) to it and advances the mark. A row entering a parent
+   charges the child, the parent's return charges the parent, and a
+   finished producer charges its own tail, so every instant and counter
+   bump lands in exactly one node and the per-node sums equal the query
+   totals by construction. A clock read and [Stats.snapshot] per edge are
+   unaffordable on an always-armed path (counter-cell reads cost hundreds
+   of ns each in a real scan, ~35% of a query), so light mode takes time
+   and counters only at the query boundaries. *)
 
 type node_stats = {
-  ns_kind : Planner.node_kind;
+  ns_op : Planner.tree;
   ns_label : string;
   mutable ns_rows : int;
   mutable ns_ns : int;
@@ -198,29 +155,23 @@ type profile = {
   pf_stats : Ode_util.Stats.snapshot;
 }
 
-type prof_state = {
+type prof = {
+  full : bool;
   mutable mark_ns : int;
-  mutable mark_stats : Ode_util.Stats.snapshot; (* full mode only *)
-  (* Full mode (explicit [profile]): time and every counter attributed
-     exactly per node, at a clock read and a [Stats.snapshot] per
-     candidate transition. Light mode (armed slow log, tracer) pays
-     nothing per candidate: rows are counted at the call sites, and time
-     and counters are taken once at the query boundaries. The per-
-     candidate work is unaffordable on an always-armed path — counter-
-     cell reads cost hundreds of ns each in a real scan (the candidates'
-     own data traffic keeps evicting the cells), pricing the slow log at
-     ~35% of a query, and even the clock mark alone is ~5%. *)
-  pr_full : bool;
-  pr_access : node_stats;
-  pr_filter : node_stats option;
-  pr_order : node_stats option;
-  pr_output : node_stats;
-  pr_start_ns : int;
-  pr_start_stats : Ode_util.Stats.snapshot;
+  mutable mark_stats : Ode_util.Stats.snapshot;
+  mutable nodes : node_stats list;  (* post-order, last first *)
+}
+
+type ctx = {
+  db : db;
+  txn : txn option;
+  env : (string * Value.t) list;
+  hooks : Eval.hooks;
+  prof : prof option;
 }
 
 let attr p node =
-  if p.pr_full then begin
+  if p.full then begin
     let t = Ode_util.Trace.now_ns () in
     node.ns_ns <- node.ns_ns + (t - p.mark_ns);
     let s = Ode_util.Stats.snapshot () in
@@ -229,233 +180,298 @@ let attr p node =
     p.mark_ns <- t
   end
 
-let h_query = Ode_util.Histogram.create "query.execute"
+(* Unprofiled runs never write a node, so they all share one snapshot. *)
+let off_stats = Ode_util.Stats.zero ()
 
-let run_profiled db ?txn ?(env = []) ~var ~cls ?(deep = false) ?suchthat ?filter ?by
-    ?(fixpoint = false) ?(full = false) ~profiled body =
-  let txn = match txn with Some t -> Some t | None -> db.active in
-  if fixpoint && by <> None then invalid_arg "query: fixpoint iteration cannot be ordered";
-  let plan = Planner.plan db ?txn ~env ~var ~cls ~deep ~suchthat () in
-  let ids = class_ids db plan.p_classes in
-  let hooks = Runtime.hooks db txn in
-  let iop = index_order_plan db txn plan by in
-  let prof =
-    if profiled || Ode_util.Trace.enabled () then begin
-      let node (kind, label) =
-        { ns_kind = kind; ns_label = label; ns_rows = 0; ns_ns = 0;
-          ns_stats = Ode_util.Stats.zero () }
-      in
-      let base = List.map node (Planner.nodes ?suchthat plan) in
-      let norder =
-        match by with
-        | None -> None
-        | Some (e, ord) ->
-            let dir = match ord with Ast.Asc -> "" | Ast.Desc -> " desc" in
-            let how = if iop <> None then " (streamed in index order)" else " (sort)" in
-            Some (node (Planner.Order, "order by " ^ Ode_lang.Pp.expr_to_string e ^ dir ^ how))
-      in
-      let t0 = Ode_util.Trace.now_ns () in
-      let s0 = Ode_util.Stats.snapshot () in
-      Some
-        { mark_ns = t0; mark_stats = s0; pr_full = full;
-          pr_access = List.hd base;
-          pr_filter = List.nth_opt base 1; pr_order = norder;
-          pr_output = node (Planner.Output, "output (loop body)");
-          pr_start_ns = t0; pr_start_stats = s0 }
-    end
-    else None
-  in
-  (* The loop body, with output-node attribution around it. *)
-  let obody =
-    match prof with
-    | None -> body
-    | Some p ->
-        fun oid -> (
-          p.pr_output.ns_rows <- p.pr_output.ns_rows + 1;
-          match body oid with
-          | () -> attr p p.pr_output
-          | exception e ->
-              attr p p.pr_output;
-              raise e)
-  in
-  let accept oid =
-    Ode_util.Stats.incr c_objects_scanned;
-    let live = accept_class ids oid && Store.exists db txn oid in
-    (match prof with
-    | Some p ->
-        p.pr_access.ns_rows <- p.pr_access.ns_rows + 1;
-        attr p p.pr_access
-    | None -> ());
-    if not live then false
-    else begin
-      let ok =
-        (match suchthat with
-        | None -> true
-        | Some e -> (
-            let vars = (var, Value.Ref oid) :: env in
-            match Eval.eval hooks ~vars ~this:None e with
-            | v -> ( try Eval.truthy v with Eval.Error _ -> false)
-            | exception Eval.Error _ -> false))
-        && match filter with None -> true | Some f -> f oid
-      in
-      (match prof with
-      | Some p -> (
-          match p.pr_filter with
-          | Some nf ->
-              if ok then nf.ns_rows <- nf.ns_rows + 1;
-              attr p nf
-          | None -> attr p p.pr_access)
-      | None -> ());
-      ok
-    end
-  in
-  let use_index = match plan.p_access with Planner.Full_scan -> false | _ -> not fixpoint in
-  let emit_in_order f =
-    if use_index then begin
-      (* Index entries reflect committed state only; candidates are always
-         re-verified against the transaction's view, and txn-local objects
-         are appended as extra candidates. *)
-      let seen = Hashtbl.create 64 in
-      let once oid =
-        if not (Hashtbl.mem seen oid) then begin
-          Hashtbl.replace seen oid ();
-          if accept oid then f oid
-        end
-      in
-      index_candidates db ?txn plan.p_access once;
-      txn_candidates txn ids once
-    end
-    else begin
-      List.iter (fun cid -> committed_candidates db ?txn cid (fun oid -> if accept oid then f oid)) ids;
-      match txn with
-      | None -> ()
-      | Some t ->
-          List.iter
-            (fun oid -> if accept_class ids oid && accept oid then f oid)
-            (List.rev t.created)
-    end
-  in
-  (* Charge order-node work (key evaluation / sort) when profiling. *)
-  let attr_order () =
-    match prof with
-    | Some ({ pr_order = Some no; _ } as p) -> attr p no
-    | _ -> ()
-  in
-  (match by with
-  | Some (key_expr, order) -> (
-      match iop with
-      | Some (idx_id, ord, cls_id) ->
-          (* Stream the index in key order; entries for other classes of a
-             shared ancestor index are filtered by the oid's class id. *)
-          let tree_prefix = Keys.index_tree_key (Keys.index_prefix ~idx_id) in
-          let step f key _ =
-            let oid = Keys.oid_of_index_key key in
-            if oid.Oid.cls = cls_id && accept oid then f oid;
-            true
-          in
-          (match ord with
-          | Ast.Asc -> Bptree.iter_prefix db.idx tree_prefix (step obody)
-          | Ast.Desc -> Bptree.iter_prefix_rev db.idx tree_prefix (step obody))
-      | None ->
-          let rows = ref [] in
-          emit_in_order (fun oid ->
-              let vars = (var, Value.Ref oid) :: env in
-              let k =
-                match Eval.eval hooks ~vars ~this:None key_expr with
-                | v -> v
-                | exception Eval.Error _ -> Value.Null
-              in
-              rows := (k, oid) :: !rows;
-              (match prof with
-              | Some ({ pr_order = Some no; _ } as p) ->
-                  no.ns_rows <- no.ns_rows + 1;
-                  attr p no
-              | _ -> ()));
-          let cmp (a, _) (b, _) =
-            match order with Ast.Asc -> Value.compare a b | Ast.Desc -> Value.compare b a
-          in
-          let sorted = List.stable_sort cmp (List.rev !rows) in
-          attr_order ();
-          List.iter (fun (_, oid) -> obody oid) sorted)
-  | None ->
-      if not fixpoint then emit_in_order obody
-      else begin
-        (* Fixpoint semantics: the body may pnew into the cluster; newly
-           created objects are fed back into the iteration until quiescence. *)
-        let t =
-          match txn with
-          | Some t -> t
-          | None -> invalid_arg "query: fixpoint iteration requires a transaction"
-        in
-        let processed = Hashtbl.create 64 in
-        let process oid =
-          if not (Hashtbl.mem processed oid) then begin
-            Hashtbl.replace processed oid ();
-            if accept oid then obody oid
-          end
-        in
-        List.iter (fun cid -> committed_candidates db ?txn cid process) ids;
-        let rec drain () =
-          let fresh =
-            List.filter
-              (fun oid -> accept_class ids oid && not (Hashtbl.mem processed oid))
-              (List.rev t.created)
-          in
-          if fresh <> [] then begin
-            List.iter process fresh;
-            drain ()
-          end
-        in
-        drain ()
-      end);
-  match prof with
-  | None -> None
+let node ctx t =
+  match ctx.prof with
+  | None -> { ns_op = t; ns_label = ""; ns_rows = 0; ns_ns = 0; ns_stats = off_stats }
+  | Some _ ->
+      { ns_op = t; ns_label = Planner.label t; ns_rows = 0; ns_ns = 0;
+        ns_stats = Ode_util.Stats.zero () }
+
+(* Called once a node's inputs are built, so the list comes out in
+   execution order: producers before their consumers. *)
+let register ctx n = match ctx.prof with Some p -> p.nodes <- n :: p.nodes | None -> ()
+
+(* The edge from [child]'s output into [parent]'s code. *)
+let edge ctx ~child ~parent sink =
+  match ctx.prof with
+  | None -> sink
+  | Some p when not p.full ->
+      fun r ->
+        child.ns_rows <- child.ns_rows + 1;
+        sink r
   | Some p ->
-      (* Final tail (cursor wind-down, loop epilogue) goes to the access
-         node using the same instant that defines the totals, so the
-         per-node sums equal the totals exactly. In light mode [attr] is
-         a no-op and [mark_ns] never moved, so take the end instant here. *)
-      attr p p.pr_access;
-      if not p.pr_full then p.mark_ns <- Ode_util.Trace.now_ns ();
-      let nodes =
-        (p.pr_access :: Option.to_list p.pr_filter)
-        @ Option.to_list p.pr_order
-        @ [ p.pr_output ]
+      fun r ->
+        child.ns_rows <- child.ns_rows + 1;
+        attr p child;
+        Fun.protect ~finally:(fun () -> attr p parent) (fun () -> sink r)
+
+(* A finished producer's tail (cursor wind-down, loop epilogue) is its own. *)
+let tail ctx node run =
+  match ctx.prof with
+  | Some ({ full = true; _ } as p) ->
+      fun () ->
+        run ();
+        attr p node
+  | _ -> run
+
+let eval_key hooks env var e oid =
+  match Eval.eval hooks ~vars:((var, Value.Ref oid) :: env) ~this:None e with
+  | v -> v
+  | exception Eval.Error _ -> Value.Null
+
+let holds hooks vars e =
+  match Eval.eval hooks ~vars ~this:None e with
+  | v -> ( try Eval.truthy v with Eval.Error _ -> false)
+  | exception Eval.Error _ -> false
+
+(* A candidate of [ids]' clusters that is live in the transaction's view. *)
+let live ctx ids oid =
+  Ode_util.Stats.incr c_objects_scanned;
+  accept_class ids oid && Store.exists ctx.db ctx.txn oid
+
+(* The committed extent, then the objects the transaction created. A
+   fixpoint re-reads the creations until quiescence, so the objects its
+   loop body inserts into the extent are visited too (paper §3.2). *)
+let scan ctx ~fixpoint (p : Planner.plan) out =
+  let ids = class_ids ctx.db p.p_classes in
+  let emit oid = if live ctx ids oid then out oid in
+  fun () ->
+    if fixpoint && Option.is_none ctx.txn then
+      invalid_arg "query: fixpoint iteration requires a transaction";
+    List.iter (fun cid -> committed_candidates ctx.db ?txn:ctx.txn cid emit) ids;
+    match ctx.txn with
+    | None -> ()
+    | Some t ->
+        let rec pass seen =
+          let created = t.created in
+          let fresh = List.length created - seen in
+          if fresh > 0 then begin
+            List.iter
+              (fun oid -> if accept_class ids oid then emit oid)
+              (List.rev (List.filteri (fun i _ -> i < fresh) created));
+            if fixpoint then pass (seen + fresh)
+          end
+        in
+        pass 0
+
+(* Index entries reflect committed state only; candidates are re-verified
+   against the transaction's view (the Filter above re-checks the whole
+   predicate), and txn-local objects are appended as extra candidates. *)
+let probe ctx (p : Planner.plan) out =
+  let ids = class_ids ctx.db p.p_classes in
+  fun () ->
+    let seen = Hashtbl.create 64 in
+    let once oid =
+      if not (Hashtbl.mem seen oid) then begin
+        Hashtbl.replace seen oid ();
+        if live ctx ids oid then out oid
+      end
+    in
+    index_candidates ctx.db ?txn:ctx.txn p.p_access once;
+    txn_candidates ctx.txn ids once
+
+(* Entries for other classes of a shared ancestor index are skipped by the
+   oid's class id. *)
+let index_order ctx ~idx_id ~cls_id order out =
+  let tree_prefix = Keys.index_tree_key (Keys.index_prefix ~idx_id) in
+  let step key _ =
+    let oid = Keys.oid_of_index_key key in
+    if oid.Oid.cls = cls_id && live ctx [ cls_id ] oid then out oid;
+    true
+  in
+  fun () ->
+    match order with
+    | Ast.Asc -> Bptree.iter_prefix ctx.db.idx tree_prefix step
+    | Ast.Desc -> Bptree.iter_prefix_rev ctx.db.idx tree_prefix step
+
+(* Operator [t], whose rows go to [parent]'s [sink] (the root's parent is
+   itself: the loop body's time is the output's): [make self out] builds
+   its run closure, pushing rows through [out]. *)
+let operator ctx t ?parent sink make =
+  let self = node ctx t in
+  let parent = Option.value parent ~default:self in
+  let run = make self (edge ctx ~child:self ~parent sink) in
+  register ctx self;
+  tail ctx self run
+
+(* A single-variable operator: pushes candidate objects into [sink]. *)
+let rec build ctx (t : Planner.tree) ~parent sink =
+  operator ctx t ~parent sink @@ fun self out ->
+    match t with
+    | Scan p -> scan ctx ~fixpoint:false p out
+    | Fixpoint p -> scan ctx ~fixpoint:true p out
+    | Probe p | Range p -> probe ctx p out
+    | Index_order { idx_id; cls_id; order; _ } -> index_order ctx ~idx_id ~cls_id order out
+    | Filter { plan; pred; input } ->
+        build ctx input ~parent:self (fun oid ->
+            if holds ctx.hooks ((plan.p_var, Value.Ref oid) :: ctx.env) pred then out oid)
+    | Sort { var; key; order; input } ->
+        let rows = ref [] in
+        let fill =
+          build ctx input ~parent:self (fun oid ->
+              rows := (eval_key ctx.hooks ctx.env var key oid, oid) :: !rows)
+        in
+        let cmp (a, _) (b, _) =
+          match order with Ast.Asc -> Value.compare a b | Ast.Desc -> Value.compare b a
+        in
+        fun () ->
+          fill ();
+          List.iter (fun (_, oid) -> out oid) (List.stable_sort cmp (List.rev !rows))
+    | Join _ | Output _ -> invalid_arg "Query: join or output below a single-extent operator"
+
+(* Pair emission is outer-major (outer rows in extent order); within one
+   outer row the inner order may differ between strategies, which [forall]
+   nesting does not specify. Every emitted pair re-checks the full inner
+   predicate with both variables bound, so a fused strategy can only skip
+   non-matching work, never change results. A nested loop's inner side is
+   replanned per outer row and runs unprofiled: its work is the join
+   node's. *)
+let join ctx (jp : Planner.join_plan) link ~self ~outer ~side emit =
+  let ovar = jp.j_ovar and ivar = jp.j_ivar and env = ctx.env in
+  let inner_ids =
+    class_ids ctx.db
+      (if jp.j_inner_deep then Catalog.subclasses ctx.db.catalog jp.j_inner_cls
+       else [ jp.j_inner_cls ])
+  in
+  let live i = accept_class inner_ids i && Store.exists ctx.db ctx.txn i in
+  let pair o i =
+    match link with
+    | None -> true
+    | Some e -> holds ctx.hooks ((ivar, Value.Ref i) :: (ovar, Value.Ref o) :: env) e
+  in
+  let field var oid f = eval_key ctx.hooks env var (Ast.Field (Ast.Var var, f)) oid in
+  let counted c run () =
+    Ode_util.Stats.incr c;
+    run ()
+  in
+  match (jp.j_strategy, side) with
+  | Planner.Nested_loop, _ ->
+      counted c_planner_nested_joins
+        (build ctx outer ~parent:self (fun o ->
+             let env = (ovar, Value.Ref o) :: env in
+             let inner =
+               Planner.scan_tree ctx.db ?txn:ctx.txn ~env ~var:ivar ~cls:jp.j_inner_cls
+                 ~deep:jp.j_inner_deep ~suchthat:link ()
+             in
+             build { ctx with env; prof = None } inner ~parent:self (fun i -> emit o i) ()))
+  | Planner.Fused_deref f, _ ->
+      counted c_planner_fused_joins
+        (build ctx outer ~parent:self (fun o ->
+             match field ovar o f with
+             | Value.Ref i when live i && pair o i -> emit o i
+             | _ -> ()))
+  | Planner.Fused_member f, _ ->
+      counted c_planner_fused_joins
+        (build ctx outer ~parent:self (fun o ->
+             match field ovar o f with
+             | Value.VSet vs | Value.VList vs ->
+                 (* A list may hold the same ref twice; the nested loop
+                    would still emit the pair once (the inner extent is the
+                    driver there), so deduplicate per outer row. *)
+                 let seen = Hashtbl.create 8 in
+                 List.iter
+                   (function
+                     | Value.Ref i when not (Hashtbl.mem seen i) ->
+                         Hashtbl.replace seen i ();
+                         if live i && pair o i then emit o i
+                     | _ -> ())
+                   vs
+             | _ -> ()))
+  | Planner.Hash_join { outer_field; inner_field }, Some side ->
+      (* One streamed pass over the build side, keyed by the
+         order-preserving byte encoding of the join field. *)
+      let tbl : (string, Oid.t) Hashtbl.t = Hashtbl.create 256 in
+      let fill =
+        build ctx side ~parent:self (fun i ->
+            match field ivar i inner_field with
+            | v when Planner.indexable_value v -> Hashtbl.add tbl (Value.index_key v) i
+            | _ -> ())
       in
+      let probe =
+        build ctx outer ~parent:self (fun o ->
+            match field ovar o outer_field with
+            | v when Planner.indexable_value v ->
+                List.iter
+                  (fun i -> if live i && pair o i then emit o i)
+                  (* find_all returns latest-first; restore build order. *)
+                  (List.rev (Hashtbl.find_all tbl (Value.index_key v)))
+            | _ -> ())
+      in
+      counted c_planner_hash_joins (fun () ->
+          fill ();
+          probe ())
+  | Planner.Hash_join _, None -> invalid_arg "Query: hash join without a build side"
+
+(* The root: [Output] hands each row — one object per loop variable,
+   outermost first — to [body]. *)
+let root ctx (t : Planner.tree) body =
+  match t with
+  | Output input ->
+      operator ctx t body (fun self deliver ->
+          match input with
+          | Join { jp; link; outer; build = side } ->
+              operator ctx input ~parent:self deliver (fun j out ->
+                  join ctx jp link ~self:j ~outer ~side (fun o i -> out [ o; i ]))
+          | single -> build ctx single ~parent:self (fun oid -> deliver [ oid ]))
+  | _ -> invalid_arg "Query: a compiled forall is rooted at its output"
+
+(* [profile] is [None] (off), [Some false] (light) or [Some true] (full). *)
+let exec db ?txn ?profile (c : Planner.compiled) body =
+  let txn = match txn with Some _ as t -> t | None -> db.active in
+  let prof =
+    Option.map (fun full -> { full; mark_ns = 0; mark_stats = off_stats; nodes = [] }) profile
+  in
+  let ctx = { db; txn; env = c.c_env; hooks = Runtime.hooks db txn; prof } in
+  let run = root ctx c.c_tree body in
+  match prof with
+  | None ->
+      run ();
+      None
+  | Some p ->
+      let start_ns = Ode_util.Trace.now_ns () and start_stats = Ode_util.Stats.snapshot () in
+      p.mark_ns <- start_ns;
+      p.mark_stats <- start_stats;
+      run ();
+      (* In full mode the last mark is the end. Light mode never moved the
+         marks: one clock read and snapshot at the end give the totals. *)
+      if not p.full then begin
+        p.mark_ns <- Ode_util.Trace.now_ns ();
+        p.mark_stats <- Ode_util.Stats.snapshot ()
+      end;
       let pf =
         {
-          pf_plan = Planner.explain plan;
-          pf_nodes = nodes;
-          pf_rows = p.pr_output.ns_rows;
-          pf_total_ns = p.mark_ns - p.pr_start_ns;
-          (* Light mode never advances [mark_stats]; one full snapshot at
-             the end still gives the whole-query totals. *)
-          pf_stats =
-            (if p.pr_full then Ode_util.Stats.diff p.mark_stats p.pr_start_stats
-             else Ode_util.Stats.diff (Ode_util.Stats.snapshot ()) p.pr_start_stats);
+          pf_plan = Planner.explain_tree c.c_tree;
+          pf_nodes = List.rev p.nodes;
+          pf_rows = (List.hd p.nodes).ns_rows (* the output, registered last *);
+          pf_total_ns = p.mark_ns - start_ns;
+          pf_stats = Ode_util.Stats.diff p.mark_stats start_stats;
         }
       in
       if Ode_util.Trace.enabled () then begin
         Ode_util.Trace.emit ~cat:"query"
-          ~args:[ ("cls", cls); ("plan", pf.pf_plan); ("rows", string_of_int pf.pf_rows) ]
-          ~start_ns:p.pr_start_ns ~dur_ns:pf.pf_total_ns "query.execute";
+          ~args:[ ("plan", pf.pf_plan); ("rows", string_of_int pf.pf_rows) ]
+          ~start_ns ~dur_ns:pf.pf_total_ns "query.execute";
         (* One span per plan node, full mode only — light profiles carry
            no per-node times, and a lane of zero-width spans is noise.
            Node times are aggregates over an interleaved streaming
            execution, so the spans are laid out sequentially inside the
            parent rather than at their (many) actual intervals. *)
-        if p.pr_full then begin
-          let off = ref p.pr_start_ns in
-          List.iter
-            (fun n ->
-              Ode_util.Trace.emit ~cat:"query" ~depth:1
-                ~args:[ ("rows", string_of_int n.ns_rows) ]
-                ~start_ns:!off ~dur_ns:n.ns_ns n.ns_label;
-              off := !off + n.ns_ns)
-            nodes
-        end
+        if p.full then
+          ignore
+            (List.fold_left
+               (fun off n ->
+                 Ode_util.Trace.emit ~cat:"query" ~depth:1
+                   ~args:[ ("rows", string_of_int n.ns_rows) ]
+                   ~start_ns:off ~dur_ns:n.ns_ns n.ns_label;
+                 off + n.ns_ns)
+               start_ns pf.pf_nodes)
       end;
       Some pf
+
+let h_query = Ode_util.Histogram.create "query.execute"
 
 (* When the slow-query log is armed, every query runs light-profiled
    (rows per node, whole-query time and counter totals) and the
@@ -471,23 +487,30 @@ let take_last_profile () =
   if pf <> None then Domain.DLS.set last_profile_key None;
   pf
 
-let run db ?txn ?env ~var ~cls ?deep ?suchthat ?filter ?by ?fixpoint body =
+let execute db ?txn c body =
   Ode_util.Histogram.time h_query (fun () ->
       let slow = Ode_util.Slowlog.armed () in
-      match
-        run_profiled db ?txn ?env ~var ~cls ?deep ?suchthat ?filter ?by ?fixpoint ~profiled:slow
-          body
-      with
+      let profile = if slow || Ode_util.Trace.enabled () then Some false else None in
+      match exec db ?txn ?profile c body with
       | Some pf when slow -> Domain.DLS.set last_profile_key (Some pf)
       | _ -> ())
 
+let execute_profiled db ?txn c body =
+  Ode_util.Histogram.time h_query (fun () -> Option.get (exec db ?txn ~profile:true c body))
+
+let single db ?txn ?env ?fixpoint ~var ~cls ?(deep = false) ?suchthat ?by () =
+  Planner.compile db ?txn ?env ?fixpoint
+    { q_var = var; q_cls = cls; q_deep = deep; q_suchthat = suchthat; q_by = by; q_body = [] }
+
+let run db ?txn ?env ~var ~cls ?deep ?suchthat ?by ?fixpoint body =
+  execute db ?txn
+    (single db ?txn ?env ?fixpoint ~var ~cls ?deep ?suchthat ?by ())
+    (fun row -> body (List.hd row))
+
 let profile db ?txn ?env ~var ~cls ?deep ?suchthat ?by ?(body = fun _ -> ()) () =
-  Ode_util.Histogram.time h_query (fun () ->
-      match
-        run_profiled db ?txn ?env ~var ~cls ?deep ?suchthat ?by ~full:true ~profiled:true body
-      with
-      | Some pf -> pf
-      | None -> assert false)
+  execute_profiled db ?txn
+    (single db ?txn ?env ~var ~cls ?deep ?suchthat ?by ())
+    (fun row -> body (List.hd row))
 
 (* The Stats counters a profile reports per node, as (column, counter). *)
 let profile_counters =
@@ -532,8 +555,8 @@ let profile_to_json pf =
       (List.map (fun (k, c) -> Printf.sprintf "\"%s\":%d" k (Stats.get s c)) profile_counters)
   in
   let node n =
-    Printf.sprintf "{\"label\":\"%s\",\"rows\":%d,\"ns\":%d,%s}" (esc n.ns_label) n.ns_rows n.ns_ns
-      (counters n.ns_stats)
+    Printf.sprintf "{\"op\":\"%s\",\"label\":\"%s\",\"rows\":%d,\"ns\":%d,%s}"
+      (Planner.op_name n.ns_op) (esc n.ns_label) n.ns_rows n.ns_ns (counters n.ns_stats)
   in
   (* Whole-query counter totals: under a light profile (armed slow log)
      the per-node counters are all zero, so the totals object is where
@@ -543,13 +566,13 @@ let profile_to_json pf =
     (esc pf.pf_plan) pf.pf_rows pf.pf_total_ns totals
     (String.concat "," (List.map node pf.pf_nodes))
 
-let fold db ?txn ?env ~var ~cls ?deep ?suchthat ?filter ?by ~init f =
+let fold db ?txn ?env ~var ~cls ?deep ?suchthat ?by ~init f =
   let acc = ref init in
-  run db ?txn ?env ~var ~cls ?deep ?suchthat ?filter ?by (fun oid -> acc := f !acc oid);
+  run db ?txn ?env ~var ~cls ?deep ?suchthat ?by (fun oid -> acc := f !acc oid);
   !acc
 
-let to_list db ?txn ?env ~var ~cls ?deep ?suchthat ?filter ?by () =
-  List.rev (fold db ?txn ?env ~var ~cls ?deep ?suchthat ?filter ?by ~init:[] (fun acc o -> o :: acc))
+let to_list db ?txn ?env ~var ~cls ?deep ?suchthat ?by () =
+  List.rev (fold db ?txn ?env ~var ~cls ?deep ?suchthat ?by ~init:[] (fun acc o -> o :: acc))
 
 let count db ?txn ?deep ?suchthat ~var ~cls () =
   fold db ?txn ~var ~cls ?deep ?suchthat ~init:0 (fun n _ -> n + 1)
@@ -565,100 +588,30 @@ let exists db ?txn ?env ?deep ?suchthat ~var ~cls () =
 
 (* -- two-extent joins (collection-join fusion) ------------------------------ *)
 
-(* Execute a planned two-extent join. Pair emission is always outer-major
-   (outer rows in extent order); within one outer row the inner order may
-   differ between strategies, which [forall] nesting does not specify.
-   Every emitted pair re-checks the full inner predicate with both
-   variables bound, so a fused strategy can only skip non-matching work,
-   never change results. *)
-let run_join db ?txn ?(env = []) ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls, ideep)
-    ?outer_suchthat ?inner_suchthat body =
-  let txn = match txn with Some t -> Some t | None -> db.active in
-  let jp =
-    Planner.plan_join db ?txn ~env ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls, ideep)
-      ?outer_suchthat ?inner_suchthat ()
+(* The paper's two-variable [forall], as the statement would be written:
+   an inner loop with no body nested in an outer one. *)
+let nested ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls, ideep) ?outer_suchthat ?inner_suchthat () =
+  let loop q_var q_cls q_deep q_suchthat q_body =
+    { Ast.q_var; q_cls; q_deep; q_suchthat; q_by = None; q_body }
   in
-  let hooks = Runtime.hooks db txn in
-  let inner_ids = class_ids db (if ideep then Catalog.subclasses db.catalog icls else [ icls ]) in
-  let live i = accept_class inner_ids i && Store.exists db txn i in
-  let check_pair o i =
-    match inner_suchthat with
-    | None -> true
-    | Some e -> (
-        let vars = (ivar, Value.Ref i) :: (ovar, Value.Ref o) :: env in
-        match Eval.eval hooks ~vars ~this:None e with
-        | v -> ( try Eval.truthy v with Eval.Error _ -> false)
-        | exception Eval.Error _ -> false)
-  in
-  let field_of var oid f =
-    match Eval.eval hooks ~vars:((var, Value.Ref oid) :: env) ~this:None (Ast.Field (Ast.Var var, f)) with
-    | v -> v
-    | exception Eval.Error _ -> Value.Null
-  in
-  let run_outer f =
-    run db ?txn ~env ~var:ovar ~cls:ocls ~deep:odeep ?suchthat:outer_suchthat f
-  in
-  match jp.j_strategy with
-  | Planner.Nested_loop ->
-      Ode_util.Stats.incr c_planner_nested_joins;
-      run_outer (fun o ->
-          run db ?txn
-            ~env:((ovar, Value.Ref o) :: env)
-            ~var:ivar ~cls:icls ~deep:ideep ?suchthat:inner_suchthat
-            (fun i -> body o i))
-  | Planner.Fused_deref f ->
-      Ode_util.Stats.incr c_planner_fused_joins;
-      run_outer (fun o ->
-          match field_of ovar o f with
-          | Value.Ref i when live i && check_pair o i -> body o i
-          | _ -> ())
-  | Planner.Fused_member f ->
-      Ode_util.Stats.incr c_planner_fused_joins;
-      run_outer (fun o ->
-          match field_of ovar o f with
-          | Value.VSet vs | Value.VList vs ->
-              (* A list may hold the same ref twice; the nested loop would
-                 still emit the pair once (the inner extent is the driver
-                 there), so deduplicate per outer row. *)
-              let seen = Hashtbl.create 8 in
-              List.iter
-                (fun v ->
-                  match v with
-                  | Value.Ref i when not (Hashtbl.mem seen i) ->
-                      Hashtbl.replace seen i ();
-                      if live i && check_pair o i then body o i
-                  | _ -> ())
-                vs
-          | _ -> ())
-  | Planner.Hash_join { outer_field; inner_field } ->
-      Ode_util.Stats.incr c_planner_hash_joins;
-      (* One streamed pass over the inner extent (MVCC chain merging and
-         txn-local candidates come with [run] for free), keyed by the
-         order-preserving byte encoding of the join field. *)
-      let tbl : (string, Oid.t) Hashtbl.t = Hashtbl.create 256 in
-      run db ?txn ~env ~var:ivar ~cls:icls ~deep:ideep ?suchthat:jp.j_inner_only (fun i ->
-          match field_of ivar i inner_field with
-          | v when Planner.indexable_value v -> Hashtbl.add tbl (Value.index_key v) i
-          | _ -> ());
-      run_outer (fun o ->
-          match field_of ovar o outer_field with
-          | v when Planner.indexable_value v ->
-              List.iter
-                (fun i -> if live i && check_pair o i then body o i)
-                (* find_all returns latest-first; restore build order. *)
-                (List.rev (Hashtbl.find_all tbl (Value.index_key v)))
-          | _ -> ())
+  if ivar = ovar then invalid_arg "Query.run_join: the loop variables must differ";
+  loop ovar ocls odeep outer_suchthat [ SForall (loop ivar icls ideep inner_suchthat []) ]
+
+let run_join db ?txn ?env ~outer ~inner ?outer_suchthat ?inner_suchthat body =
+  execute db ?txn
+    (Planner.compile db ?txn ?env (nested ~outer ~inner ?outer_suchthat ?inner_suchthat ()))
+    (function [ o; i ] -> body o i | _ -> assert false)
 
 let explain_join db ?txn ?env ~outer ~inner ?outer_suchthat ?inner_suchthat () =
-  Planner.explain_join
-    (Planner.plan_join db ?txn ?env ~outer ~inner ?outer_suchthat ?inner_suchthat ())
+  Planner.explain_tree
+    (Planner.compile db ?txn ?env (nested ~outer ~inner ?outer_suchthat ?inner_suchthat ())).c_tree
 
 let join2 db ?txn ~outer:(ovar, ocls) ~inner:(ivar, icls) ?(deep = false) ?suchthat body =
   run_join db ?txn ~outer:(ovar, ocls, deep) ~inner:(ivar, icls, deep) ?inner_suchthat:suchthat
     body
 
-let explain db ?env ~var ~cls ?(deep = false) ?suchthat () =
-  Planner.explain (Planner.plan db ?env ~var ~cls ~deep ~suchthat ())
+let explain db ?env ~var ~cls ?deep ?suchthat () =
+  Planner.explain_tree (single db ?env ~var ~cls ?deep ?suchthat ()).c_tree
 
 (* -- aggregates ------------------------------------------------------------- *)
 
@@ -666,20 +619,12 @@ let explain db ?env ~var ~cls ?(deep = false) ?suchthat () =
    combinators: evaluate [expr] for every qualifying object and combine.
    Null results of [expr] are skipped, like SQL aggregates skip NULL. *)
 
-let eval_key db txn hooks env var key_expr oid =
-  ignore db;
-  ignore txn;
-  let vars = (var, Value.Ref oid) :: env in
-  match Eval.eval hooks ~vars ~this:None key_expr with
-  | v -> v
-  | exception Eval.Error _ -> Value.Null
-
 let aggregate db ?txn ?(env = []) ~var ~cls ?deep ?suchthat ~expr ~init ~combine () =
   let txn = match txn with Some t -> Some t | None -> db.active in
   let hooks = Runtime.hooks db txn in
   let acc = ref init in
   run db ?txn ~env ~var ~cls ?deep ?suchthat (fun oid ->
-      match eval_key db txn hooks env var expr oid with
+      match eval_key hooks env var expr oid with
       | Value.Null -> ()
       | v -> acc := combine !acc v);
   !acc
@@ -702,17 +647,14 @@ let average db ?txn ?env ~var ~cls ?deep ?suchthat ~expr () =
   in
   if n = 0 then None else Some (total /. float_of_int n)
 
-let minimum db ?txn ?env ~var ~cls ?deep ?suchthat ~expr () =
+(* The first value [keeps] prefers to every later one. *)
+let extreme keeps db ?txn ?env ~var ~cls ?deep ?suchthat ~expr () =
   aggregate db ?txn ?env ~var ~cls ?deep ?suchthat ~expr ~init:None
-    ~combine:(fun acc v ->
-      match acc with Some m when Value.compare m v <= 0 -> acc | _ -> Some v)
+    ~combine:(fun acc v -> match acc with Some m when keeps (Value.compare m v) -> acc | _ -> Some v)
     ()
 
-let maximum db ?txn ?env ~var ~cls ?deep ?suchthat ~expr () =
-  aggregate db ?txn ?env ~var ~cls ?deep ?suchthat ~expr ~init:None
-    ~combine:(fun acc v ->
-      match acc with Some m when Value.compare m v >= 0 -> acc | _ -> Some v)
-    ()
+let minimum = extreme (fun c -> c <= 0)
+let maximum = extreme (fun c -> c >= 0)
 
 (* [group_count db ~expr ...] — how many objects per value of [expr]; the
    building block of the paper's per-class reports. *)

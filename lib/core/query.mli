@@ -2,10 +2,14 @@
 
     Iteration visits the cluster (type extent) of a class; with [~deep:true]
     it also visits every subcluster, mirroring the class hierarchy
-    (§3.1.1). The [suchthat] predicate is planned through {!Planner} (index
-    probe when possible, full scan otherwise) but is always re-evaluated
-    per candidate against the transaction's own view, so index staleness
-    with respect to uncommitted updates never produces wrong answers.
+    (§3.1.1). Every [forall] — single-extent, a two-extent join, ordered,
+    or fixpoint — compiles to one {!Planner.tree} of operators (Scan,
+    Probe, Range, Filter, Sort, Index_order, Join, Fixpoint, Output), and
+    one push-based executor here runs it. The [suchthat] predicate is
+    planned into the access operator (index probe when possible, full scan
+    otherwise) but the Filter always re-evaluates it per candidate against
+    the transaction's own view, so index staleness with respect to
+    uncommitted updates never produces wrong answers.
 
     With [~fixpoint:true], objects inserted into the cluster by the loop
     body are themselves visited — the paper's mechanism for expressing
@@ -22,14 +26,12 @@ val run :
   cls:string ->
   ?deep:bool ->
   ?suchthat:Ode_lang.Ast.expr ->
-  ?filter:(Ode_model.Oid.t -> bool) ->
   ?by:Ode_lang.Ast.expr * Ode_lang.Ast.order ->
   ?fixpoint:bool ->
   (Ode_model.Oid.t -> unit) ->
   unit
 (** [txn] defaults to the database's active transaction, if any. [env]
-    provides outer loop variables (for join inner loops). [filter] is an
-    extra OCaml-side predicate for EDSL users. *)
+    provides outer loop variables (for join inner loops). *)
 
 val fold :
   db ->
@@ -39,7 +41,6 @@ val fold :
   cls:string ->
   ?deep:bool ->
   ?suchthat:Ode_lang.Ast.expr ->
-  ?filter:(Ode_model.Oid.t -> bool) ->
   ?by:Ode_lang.Ast.expr * Ode_lang.Ast.order ->
   init:'a ->
   ('a -> Ode_model.Oid.t -> 'a) ->
@@ -53,7 +54,6 @@ val to_list :
   cls:string ->
   ?deep:bool ->
   ?suchthat:Ode_lang.Ast.expr ->
-  ?filter:(Ode_model.Oid.t -> bool) ->
   ?by:Ode_lang.Ast.expr * Ode_lang.Ast.order ->
   unit ->
   Ode_model.Oid.t list
@@ -91,12 +91,14 @@ val run_join :
   ?inner_suchthat:Ode_lang.Ast.expr ->
   (Ode_model.Oid.t -> Ode_model.Oid.t -> unit) ->
   unit
-(** Planned two-extent join ([(var, class, deep)] per side) executing the
-    {!Planner.plan_join} strategy: nested loop, deref/membership fusion, or
-    a hash join (one streamed build pass over the inner extent, probe per
-    outer row). Pairs are emitted outer-major; every pair re-checks the
-    full [inner_suchthat] with both variables bound, so a fused strategy
-    produces exactly the nested loop's matches. *)
+(** Planned two-extent join ([(var, class, deep)] per side): compiles the
+    {!Planner.plan_join} strategy — nested loop, deref/membership fusion,
+    or a hash join (one streamed build pass over the inner extent, probe
+    per outer row) — into a Join tree and runs it. Pairs are emitted
+    outer-major; every pair re-checks the full [inner_suchthat] with both
+    variables bound, so a fused strategy produces exactly the nested
+    loop's matches. Raises [Invalid_argument] when both sides name the
+    same loop variable. *)
 
 val explain_join :
   db ->
@@ -108,7 +110,7 @@ val explain_join :
   ?inner_suchthat:Ode_lang.Ast.expr ->
   unit ->
   string
-(** The join plan {!Planner.explain_join} would execute right now. *)
+(** The plan line of the join tree {!run_join} would execute right now. *)
 
 val join2 :
   db ->
@@ -135,28 +137,45 @@ val explain :
   ?suchthat:Ode_lang.Ast.expr ->
   unit ->
   string
-(** The plan {!Planner.explain} would execute right now. *)
+(** The plan line of the tree {!run} would execute right now. *)
+
+(** {1 Executing compiled trees}
+
+    The statement interpreter, the shell and the OCaml entry points above
+    all compile through {!Planner.compile} and run here, so the plan that
+    [explain] prints, the one [.profile] measures and the one the slow
+    log records are the one that ran. *)
+
+val execute :
+  db -> ?txn:txn -> Planner.compiled -> (Ode_model.Oid.t list -> unit) -> unit
+(** Run a compiled tree, handing each output row (one object per loop
+    variable, outermost first) to the body. One [query.execute] histogram
+    sample per call, and with the slow-query log armed one light profile
+    stashed for {!take_last_profile}. *)
 
 (** {1 Per-query profiling (EXPLAIN ANALYZE)}
 
-    {!profile} runs a query and attributes elapsed time and {!Ode_util.Stats}
-    deltas to each plan node (access, filter, order, output). Attribution is
-    mark-based and exact: every nanosecond and every counter bump between
-    query start and finish lands in exactly one node, so the per-node values
-    sum to the query totals. *)
+    Profiling is a wrapper on each operator edge, chosen when the tree's
+    closures are built: none when off, a row count per node under the
+    armed slow log or tracer, and time plus counter attribution for an
+    explicit profile. Attribution is mark-based and exact: every
+    nanosecond and every counter bump between query start and finish
+    lands in exactly one node, so the per-node values sum to the query
+    totals. *)
 
 type node_stats = {
-  ns_kind : Planner.node_kind;
+  ns_op : Planner.tree;  (** the operator; {!Planner.op_name} gives its kind *)
   ns_label : string;
-  mutable ns_rows : int;  (** rows this node produced (candidates for access,
-                              survivors for filter, emitted rows for output) *)
+  mutable ns_rows : int;  (** rows this node produced (live candidates for an
+                              access operator, survivors for a filter, pairs
+                              for a join, rows handed to the body for output) *)
   mutable ns_ns : int;  (** elapsed nanoseconds attributed to this node *)
   ns_stats : Ode_util.Stats.snapshot;  (** counter delta attributed to this node *)
 }
 
 type profile = {
-  pf_plan : string;  (** {!Planner.explain} of the executed plan *)
-  pf_nodes : node_stats list;
+  pf_plan : string;  (** {!Planner.explain_tree} of the executed tree *)
+  pf_nodes : node_stats list;  (** producers before their consumers *)
   pf_rows : int;
   pf_total_ns : int;
   pf_stats : Ode_util.Stats.snapshot;
@@ -177,13 +196,17 @@ val profile :
 (** Run the query (with [body] as the loop body, defaulting to a no-op) and
     return the per-node attribution. *)
 
+val execute_profiled :
+  db -> ?txn:txn -> Planner.compiled -> (Ode_model.Oid.t list -> unit) -> profile
+(** {!execute} with full per-node attribution: the shell's [.profile]. *)
+
 val profile_to_string : profile -> string
 (** The plan line plus a per-node table (rows, time, pages, probes, scanned,
     fetched, cursor pages) with a total row — the shell's [.profile]. *)
 
 val profile_to_json : profile -> string
 (** The same attribution as one JSON object
-    ([{"plan",...,"nodes":[{label,rows,ns,...}]}]) for the slow-query log. *)
+    ([{"plan",...,"nodes":[{op,label,rows,ns,...}]}]) for the slow-query log. *)
 
 val take_last_profile : unit -> profile option
 (** Take (and clear) the profile of the last query run on the calling

@@ -39,6 +39,12 @@ let in_txn t f =
   | Some txn -> f txn
   | None -> Database.with_txn t.db f
 
+(* The plan line of the tree [q] compiles to, in the shell's bindings:
+   the same compilation [forall] statements execute. *)
+let explain t q =
+  in_txn t (fun txn ->
+      Planner.explain_tree (Planner.compile t.db ~txn ~env:(Interp.all_vars t.env) q).c_tree)
+
 let rec exec_top t (top : Ast.top) =
   match top with
   | TClass decl -> ignore (Database.define_class t.db decl)
@@ -97,12 +103,7 @@ let rec exec_top t (top : Ast.top) =
         with Sys_error msg -> failwith ("load: " ^ msg)
       in
       List.iter (exec_top t) (Ode_lang.Parser.program source)
-  | TExplain q ->
-      let text =
-        in_txn t (fun _txn ->
-            Query.explain t.db ~var:q.q_var ~cls:q.q_cls ~deep:q.q_deep ?suchthat:q.q_suchthat ())
-      in
-      t.print (text ^ "\n")
+  | TExplain q -> t.print (explain t q ^ "\n")
   | TAnalyze ->
       if t.txn <> None then failwith "analyze requires no open transaction"
       else t.print (Database.analyze t.db ^ "\n")
@@ -243,29 +244,6 @@ let query_rows ?(detached = true) t source =
   | exception (Types.Read_only_txn as e) -> raise e
   | exception e -> Error (render_error e)
 
-(* Run the profiled query with the forall body (if any) as the output node,
-   mirroring Interp's SForall binding discipline. *)
-let profile_query t (f : Ast.forall) =
-  in_txn t (fun txn ->
-      let outer = Interp.lookup_var t.env f.q_var in
-      let body =
-        if f.q_body = [] then fun _ -> ()
-        else
-          fun oid ->
-            Interp.define_var t.env f.q_var (Value.Ref oid);
-            Interp.exec_stmts txn t.env f.q_body
-      in
-      let pf =
-        Query.profile t.db ~txn
-          ~env:(Interp.all_vars t.env)
-          ~var:f.q_var ~cls:f.q_cls ~deep:f.q_deep ?suchthat:f.q_suchthat ?by:f.q_by ~body ()
-      in
-      if f.q_body <> [] then begin
-        Interp.undefine_var t.env f.q_var;
-        match outer with Some v -> Interp.define_var t.env f.q_var v | None -> ()
-      end;
-      Query.profile_to_string pf)
-
 let dot_command t line =
   let line = String.trim line in
   if String.length line = 0 || line.[0] <> '.' then None
@@ -379,22 +357,10 @@ let dot_command t line =
           match Verify.run t.db with
           | Ok () -> "ok"
           | Error ps -> "verify failed: " ^ String.concat "; " ps)
-      | ".explain", q -> (
-          let f = parse_forall q in
-          match Interp.fusable_join f with
-          | Some iq ->
-              in_txn t (fun _txn ->
-                  Query.explain_join t.db
-                    ~env:(Interp.all_vars t.env)
-                    ~outer:(f.q_var, f.q_cls, f.q_deep)
-                    ~inner:(iq.q_var, iq.q_cls, iq.q_deep)
-                    ?outer_suchthat:f.q_suchthat ?inner_suchthat:iq.q_suchthat ())
-          | None ->
-              in_txn t (fun _txn ->
-                  Query.explain t.db
-                    ~env:(Interp.all_vars t.env)
-                    ~var:f.q_var ~cls:f.q_cls ~deep:f.q_deep ?suchthat:f.q_suchthat ()))
-      | ".profile", q -> profile_query t (parse_forall q)
+      | ".explain", q -> explain t (parse_forall q)
+      | ".profile", q ->
+          in_txn t (fun txn ->
+              Query.profile_to_string (Interp.profile_forall txn t.env (parse_forall q)))
       | ".analyze", "" ->
           if t.txn <> None then failwith "analyze requires no open transaction"
           else Database.analyze t.db

@@ -28,6 +28,7 @@ let () =
          Test_planner.suite;
          Test_stats.suite;
          Test_plans.suite;
+         Test_exec_oracle.suite;
          Test_obj_cache.suite;
          Test_torn_wal.suite;
          Test_aggregates.suite;

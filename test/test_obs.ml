@@ -424,12 +424,12 @@ let profile_attribution () =
       Alcotest.(check int) (name ^ " sums to total") total s)
     (Stats.to_list pf.Query.pf_stats);
   (* both objects are scanned, one survives the predicate *)
-  let node kind =
-    List.find (fun n -> n.Query.ns_kind = kind) pf.Query.pf_nodes
+  let node op =
+    List.find (fun n -> Ode.Planner.op_name n.Query.ns_op = op) pf.Query.pf_nodes
   in
-  Alcotest.(check int) "access candidates" 2 (node Ode.Planner.Access).Query.ns_rows;
-  Alcotest.(check int) "filter survivors" 1 (node Ode.Planner.Filter).Query.ns_rows;
-  Alcotest.(check int) "output rows" 1 (node Ode.Planner.Output).Query.ns_rows;
+  Alcotest.(check int) "scan candidates" 2 (node "scan").Query.ns_rows;
+  Alcotest.(check int) "filter survivors" 1 (node "filter").Query.ns_rows;
+  Alcotest.(check int) "output rows" 1 (node "output").Query.ns_rows;
   Alcotest.(check int)
     "scan work attributed" 2
     (Stats.get pf.Query.pf_stats "objects_scanned");
@@ -502,6 +502,62 @@ let dot_profile_body_binding () =
   | Some (Ode_model.Value.Int 99) -> ()
   | _ -> Alcotest.fail "outer binding of x was not restored"
 
+(* A nested forall the planner fuses is profiled as the join that runs:
+   [.profile] names the fused strategy and its output rows are the pairs. *)
+let profile_fused_join () =
+  let db, shell = stockitem_db () in
+  Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+  let q = "forall i in stockitem { forall s in supplier suchthat s == i.sup { print s.sname; } }" in
+  let dot = Option.get (Shell.dot_command shell (".profile " ^ q)) in
+  check_contains ".profile names the strategy" dot "fused join: deref i.sup";
+  let pf =
+    Db.with_txn db (fun txn ->
+        match Ode_lang.Parser.program (q ^ ";") with
+        | [ TStmt (SForall f) ] -> Ode.Interp.profile_forall txn (Ode.Interp.env ~print:ignore ()) f
+        | _ -> Alcotest.fail "unexpected parse")
+  in
+  Alcotest.(check int) "output rows are pairs" 2 pf.Query.pf_rows;
+  check_contains "plan" pf.Query.pf_plan "fused join: deref i.sup";
+  Alcotest.(check int) "node times sum to total" pf.Query.pf_total_ns
+    (List.fold_left (fun acc n -> acc + n.Query.ns_ns) 0 pf.Query.pf_nodes)
+
+(* One statement is one query: a nested-loop join records one
+   [query.execute] sample, and under the armed slow log the stashed
+   profile describes the join, not its last inner loop. *)
+let one_observation_per_join () =
+  let db = Db.open_in_memory () in
+  let shell = Shell.create ~print:ignore db in
+  Fun.protect
+    ~finally:(fun () ->
+      Db.close db;
+      Ode_util.Slowlog.disarm ())
+  @@ fun () ->
+  let run src = match Shell.exec_catching shell src with Ok () -> () | Error m -> Alcotest.fail m in
+  run
+    {|class dept { dname: string; };
+      class emp { ename: string; works: string; };
+      create cluster dept;
+      create cluster emp;
+      pnew dept { dname = "eng" };
+      pnew emp { ename = "a", works = "eng" };
+      pnew emp { ename = "b", works = "ops" };
+      pnew emp { ename = "c", works = "eng" };|};
+  let join = "forall d in dept { forall e in emp suchthat e.works == d.dname { print e.ename; } };" in
+  Histogram.set_enabled true;
+  let samples () = Histogram.count (Option.get (Histogram.find "query.execute")) in
+  let before = samples () in
+  run join;
+  Alcotest.(check int) "one sample per join statement" (before + 1) (samples ());
+  Ode_util.Slowlog.configure ~threshold_ms:0 ();
+  ignore (Query.take_last_profile ());
+  run join;
+  match Query.take_last_profile () with
+  | None -> Alcotest.fail "no profile stashed under the armed slow log"
+  | Some pf ->
+      Alcotest.(check int) "pairs" 2 pf.Query.pf_rows;
+      check_contains "slow-log plan" (Query.profile_to_json pf)
+        "\"plan\":\"nested-loop join (inner emp replanned per outer row)"
+
 let suite =
   [
     ( "obs",
@@ -526,5 +582,7 @@ let suite =
         Alcotest.test_case "tracing emits query spans" `Quick profile_emits_spans;
         Alcotest.test_case "shell dot commands" `Quick dot_shell;
         Alcotest.test_case "profile restores loop binding" `Quick dot_profile_body_binding;
+        Alcotest.test_case "profile of a fused join" `Quick profile_fused_join;
+        Alcotest.test_case "one observation per join statement" `Quick one_observation_per_join;
       ] );
   ]

@@ -103,6 +103,32 @@ let explain_statement =
     ("index probe e(f) = 3 \xe2\x80\x94 est ~50 rows, cost ~208 (heuristic)\n"
     ^ "full scan of cluster e \xe2\x80\x94 est ~1000 rows, cost ~1000 (heuristic)\n")
 
+(* The [explain] statement plans in the shell's bindings, exactly as
+   [.explain] and execution do: [lim] is a constant, so the conjunct is an
+   index probe, not a full scan. *)
+let explain_sees_shell_vars () =
+  let db = Db.open_in_memory () in
+  Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+  let out = Buffer.create 256 in
+  let shell = Shell.create ~print:(Buffer.add_string out) db in
+  let run src =
+    match Shell.exec_catching shell src with Ok () -> () | Error m -> Alcotest.fail m
+  in
+  run
+    {|class person { name: string; age: int; };
+      create cluster person;
+      create index on person(age);
+      pnew person { name = "ann", age = 3 };
+      lim := 3;|};
+  Buffer.clear out;
+  run "explain forall x in person suchthat x.age == lim;";
+  let stmt = String.trim (Buffer.contents out) in
+  let dot =
+    Option.get (Shell.dot_command shell ".explain forall x in person suchthat x.age == lim")
+  in
+  Tutil.check_string "explain statement = .explain" dot stmt;
+  Tutil.check_bool "index probe" true (Tutil.contains stmt "index probe person(age) = 3")
+
 let insert_remove_sets =
   expect_output
     {|
@@ -179,6 +205,7 @@ let suite =
         Alcotest.test_case "begin/abort/commit" `Quick txn_control;
         Alcotest.test_case "constraint violations reported" `Quick constraint_error;
         Alcotest.test_case "explain" `Quick explain_statement;
+        Alcotest.test_case "explain sees shell variables" `Quick explain_sees_shell_vars;
         Alcotest.test_case "set insert/remove" `Quick insert_remove_sets;
         Alcotest.test_case "if/else and variables" `Quick if_else_and_vars;
         Alcotest.test_case "parse errors reported" `Quick parse_error_reported;

@@ -275,8 +275,8 @@ let profile_sums_with_stats () =
   Tutil.check_bool "labels carry estimates" true
     (List.for_all
        (fun n ->
-         match n.Query.ns_kind with
-         | Ode.Planner.Access | Ode.Planner.Filter -> String.contains n.Query.ns_label '~'
+         match n.Query.ns_op with
+         | Ode.Planner.Scan _ | Probe _ | Range _ | Filter _ -> String.contains n.Query.ns_label '~'
          | _ -> true)
        pf.Query.pf_nodes);
   Db.close db
