@@ -783,64 +783,6 @@ let e13 () =
   note "with an index on the by-field the engine streams in key order and";
   note "skips both the sort and the per-row key evaluation."
 
-(* ----------------------------------------------------------------- E14 *)
-(* Substrate ablation: linear hashing vs B+tree for the index role. *)
-
-let e14 () =
-  section "E14  ablation: linear-hash index vs B+tree";
-  let module B = Ode_index.Bptree in
-  let module H = Ode_index.Hash_index in
-  let rows = ref [] in
-  List.iter
-    (fun n ->
-      let bt = B.attach (Ode_storage.Buffer_pool.create ~capacity:512 (Ode_storage.Disk.in_memory ())) in
-      let ht = H.attach (Ode_storage.Buffer_pool.create ~capacity:512 (Ode_storage.Disk.in_memory ())) in
-      let keys = Array.init n (fun i -> Ode_util.Key.of_int i) in
-      let rng = Prng.create 31 in
-      Prng.shuffle rng keys;
-      let _, m_bins = timed (fun () -> Array.iter (fun k -> B.insert bt k "v") keys) in
-      let _, m_hins = timed (fun () -> Array.iter (fun k -> H.insert ht k "v") keys) in
-      let probes = 10_000 in
-      let _, m_bfind =
-        timed (fun () ->
-            for i = 0 to probes - 1 do
-              ignore (B.find bt keys.(i mod n))
-            done)
-      in
-      let _, m_hfind =
-        timed (fun () ->
-            for i = 0 to probes - 1 do
-              ignore (H.find ht keys.(i mod n))
-            done)
-      in
-      (* The structural trade-off: the B+tree can range-scan, the hash
-         index cannot (it would have to visit everything). *)
-      let hits = ref 0 in
-      let _, m_brange =
-        timed (fun () ->
-            B.iter_range bt ~lo:(Ode_util.Key.of_int 0) ~hi:(Ode_util.Key.of_int 500) (fun _ _ ->
-                incr hits;
-                true))
-      in
-      rows :=
-        [
-          fint n;
-          fops (ops_per_sec m_bins n);
-          fops (ops_per_sec m_hins n);
-          Printf.sprintf "%.2fµs" (per_op m_bfind probes);
-          Printf.sprintf "%.2fµs" (per_op m_hfind probes);
-          Printf.sprintf "%s (%d)" (fsec m_brange.seconds) !hits;
-        ]
-        :: !rows)
-    [ 10_000; 50_000 ];
-  table ~title:"E14: point-lookup substrates"
-    ~header:[ "keys"; "bt insert"; "hash insert"; "bt find"; "hash find"; "bt range 500" ]
-    (List.rev !rows);
-  note "linear hashing wins on inserts (no splits of sorted nodes); the";
-  note "B+tree's decoded-node cache makes its probes competitive, and only";
-  note "it supports the range and ordered plans of E3/E5/E13 — which is why";
-  note "the engine's secondary indexes are B+trees."
-
 (* ------------------------------------------------------------------ E15 *)
 (* Crash recovery: reopening after simulated process death replays the
    committed WAL tail. How does recovery time scale with the WAL size, and
@@ -1157,1064 +1099,6 @@ let e18 () =
   note "the compiled-in observability hooks cost one load+branch when off;";
   note "wrote BENCH_trace_sample.json (chrome://tracing) and BENCH_metrics.txt."
 
-(* ------------------------------------------------------------------ E19 *)
-(* Serving layer (PR 4): the paper's "programs as transactions against a
-   shared store" run here over a real socket — a forked ode-served event
-   loop on a temp disk database, hit by K closed-loop client processes
-   issuing a mixed autocommit exec/query workload over loopback. Reports
-   end-to-end throughput plus p50/p95/p99 request latency straight from the
-   server's own [server.request] histogram (fetched through a control
-   session's [.hist]); guards that the run completes with zero protocol
-   errors and that a SIGTERM graceful shutdown leaves the store clean. *)
-
-let e19 () =
-  section "E19  network serving: closed-loop multi-client load over loopback";
-  let module Server = Ode_served.Server in
-  let module Client = Ode_served.Client in
-  let clients = 4 in
-  let per_client = scaled 300 in
-  let db_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ode-bench-e19-%d-%f" (Unix.getpid ()) (Unix.gettimeofday ()))
-  in
-  let srv_pid, port = Server.spawn ~db_dir () in
-  let connect () = Client.connect ~timeout:30. ~host:"127.0.0.1" ~port () in
-  let ctl = connect () in
-  ignore
-    (Client.exec ctl
-       "class kv { k: int; v: string; }; create cluster kv; create index on kv(k);");
-  (* K closed-loop client processes: each statement is its own autocommit
-     transaction, so sessions interleave without touching the exclusive
-     explicit-txn slot. A child's exit code is its protocol-error count. *)
-  flush stdout;
-  flush stderr;
-  let t0 = now () in
-  let pids =
-    List.init clients (fun i ->
-        match Unix.fork () with
-        | 0 ->
-            let errors = ref 0 in
-            (try
-               let c = connect () in
-               let rng = Prng.create (1900 + i) in
-               for j = 1 to per_client do
-                 (try
-                    if Prng.int rng 10 < 7 then
-                      ignore
-                        (Client.exec c
-                           (Printf.sprintf "pnew kv { k = %d, v = \"c%d-%d\" };"
-                              (Prng.int rng 100_000) i j))
-                    else
-                      ignore
-                        (Client.query c
-                           (Printf.sprintf "forall x in kv suchthat x.k == %d"
-                              (Prng.int rng 100_000)))
-                  with _ -> incr errors)
-               done;
-               Client.close c
-             with _ -> incr errors);
-            Unix._exit (min 100 !errors)
-        | pid -> pid)
-  in
-  let protocol_errors =
-    List.fold_left
-      (fun acc pid ->
-        let _, status = Unix.waitpid [] pid in
-        acc + (match status with Unix.WEXITED n -> n | _ -> 1))
-      0 pids
-  in
-  let elapsed = now () -. t0 in
-  let total = clients * per_client in
-  (* Latency percentiles come from the server process itself: its
-     [server.request] histogram timed every request it handled. *)
-  let hist = Client.dot ctl ".hist server.request" in
-  let hcount, p50_ns, p95_ns, p99_ns =
-    try
-      Scanf.sscanf hist "server.request count %d p50 %d p95 %d p99 %d"
-        (fun c a b d -> (c, a, b, d))
-    with _ -> (0, 0, 0, 0)
-  in
-  (try Client.close ctl with _ -> ());
-  (* Graceful shutdown: drain, abort leftovers, exit 0, store recoverable. *)
-  Unix.kill srv_pid Sys.sigterm;
-  let _, srv_status = Unix.waitpid [] srv_pid in
-  let clean_exit = srv_status = Unix.WEXITED 0 in
-  let db = Db.open_ db_dir in
-  let verify_ok = match Ode.Verify.run db with Ok () -> true | Error _ -> false in
-  let rows = Query.count db ~var:"x" ~cls:"kv" () in
-  Db.close db;
-  let ms ns = float ns /. 1e6 in
-  table
-    ~title:
-      (Printf.sprintf "E19: %d clients x %d requests, loopback, autocommit mix (70%% exec / 30%% query)"
-         clients per_client)
-    ~header:[ "measure"; "value" ]
-    [
-      [ "throughput"; fops (float total /. elapsed) ];
-      [ "wall time"; fsec elapsed ];
-      [ "p50 latency"; Printf.sprintf "%.3fms" (ms p50_ns) ];
-      [ "p95 latency"; Printf.sprintf "%.3fms" (ms p95_ns) ];
-      [ "p99 latency"; Printf.sprintf "%.3fms" (ms p99_ns) ];
-      [ "requests timed (server)"; fint hcount ];
-      [ "rows committed"; fint rows ];
-    ];
-  guard "E19.protocol_errors" ~hi:0.0 (float protocol_errors);
-  guard "E19.clean_shutdown" ~lo:1.0 (if clean_exit then 1.0 else 0.0);
-  guard "E19.post_shutdown_verify" ~lo:1.0 (if verify_ok then 1.0 else 0.0);
-  metric "E19.throughput_rps" (float total /. elapsed);
-  metric "E19.p50_ms" (ms p50_ns);
-  metric "E19.p95_ms" (ms p95_ns);
-  metric "E19.p99_ms" (ms p99_ns);
-  metric "E19.rows_committed" (float rows);
-  note "every request is a framed round trip through the select loop; the";
-  note "store reopened clean after SIGTERM with all autocommits durable."
-
-(* ------------------------------------------------------------------ E20 *)
-(* Group commit (PR 5): the serving loop batches every autocommit executed
-   in one scheduler tick under a single shared WAL fsync, acknowledging the
-   whole batch before any reply hits a socket. This experiment boots the
-   same multi-client closed loop as E19 — but with a pure commit workload,
-   where the fsync dominates — once per durability level and compares
-   end-to-end throughput. [full] pays one fsync per commit; [group] pays one
-   per tick (replies still wait for it); [async] replies without waiting.
-   The server's own counters supply the batching evidence: [wal_syncs] must
-   stay well below the commit count in group mode, and [wal_sync_saved]
-   counts exactly the fsyncs the batching avoided. *)
-
-let e20 () =
-  section "E20  group commit: shared fsync vs per-commit fsync under load";
-  let module Server = Ode_served.Server in
-  let module Client = Ode_served.Client in
-  let clients = 4 in
-  (* Floor the workload: below ~150 commits/client the whole run fits in a
-     few milliseconds and the measured rates are scheduler-noise, which
-     would defeat the CI regression compare against the committed
-     baseline. The floor keeps even BENCH_SCALE=0.1 runs comparable. *)
-  let per_client = max 150 (scaled 300) in
-  (* Streaming clients: each keeps [depth] pipelined requests in flight
-     (Client.exec_many) — offered-load throughput methodology, same spirit
-     as pgbench's pipeline mode — so the server's batch scheduler actually
-     sees multi-request ticks. Every request is still its own autocommit
-     transaction. *)
-  let depth = 25 in
-  let total = clients * per_client in
-  (* Parse "name 123" out of a [.stats] dump. *)
-  let counter dump name =
-    let prefix = name ^ " " in
-    let plen = String.length prefix in
-    let rec find i =
-      if i + plen > String.length dump then None
-      else if String.sub dump i plen = prefix then Some (i + plen)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> 0
-    | Some p ->
-        let e = ref p in
-        while !e < String.length dump && dump.[!e] >= '0' && dump.[!e] <= '9' do
-          incr e
-        done;
-        if !e = p then 0 else int_of_string (String.sub dump p (!e - p))
-  in
-  let run mode =
-    let db_dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "ode-bench-e20-%s-%d-%f" (Db.durability_name mode) (Unix.getpid ())
-           (Unix.gettimeofday ()))
-    in
-    (* The server and client processes all fork from this (by now
-       large-heaped) bench process; compact first so inherited garbage
-       doesn't tax their GCs and flatten the mode-to-mode ratio. *)
-    Gc.compact ();
-    let srv_pid, port = Server.spawn ~durability:mode ~db_dir () in
-    let connect () = Client.connect ~timeout:60. ~host:"127.0.0.1" ~port () in
-    let ctl = connect () in
-    ignore (Client.exec ctl "class kv { k: int; v: string; }; create cluster kv;");
-    (* Zero the counters after setup so syncs/commits reflect the load. *)
-    ignore (Client.dot ctl ".stats reset");
-    flush stdout;
-    flush stderr;
-    (* Ready/go barrier: children fork and connect outside the timed
-       window, so the measured rate is the steady streaming phase and stays
-       comparable across BENCH_SCALE settings. *)
-    let ready_r, ready_w = Unix.pipe () in
-    let go_r, go_w = Unix.pipe () in
-    let pids =
-      List.init clients (fun i ->
-          match Unix.fork () with
-          | 0 ->
-              let errors = ref 0 in
-              (try
-                 let c = connect () in
-                 ignore (Unix.write_substring ready_w "r" 0 1);
-                 ignore (Unix.read go_r (Bytes.create 1) 0 1);
-                 let sent = ref 0 in
-                 while !sent < per_client do
-                   let n = min depth (per_client - !sent) in
-                   let batch =
-                     List.init n (fun k ->
-                         let j = !sent + k + 1 in
-                         Printf.sprintf "pnew kv { k = %d, v = \"c%d-%d\" };"
-                           ((i * per_client) + j) i j)
-                   in
-                   List.iter
-                     (function Ok _ -> () | Error _ -> incr errors)
-                     (Client.exec_many c batch);
-                   sent := !sent + n
-                 done;
-                 Client.close c
-               with _ -> incr errors);
-              Unix._exit (min 100 !errors)
-          | pid -> pid)
-    in
-    let b = Bytes.create 1 in
-    for _ = 1 to clients do
-      ignore (Unix.read ready_r b 0 1)
-    done;
-    let t0 = now () in
-    ignore (Unix.write_substring go_w "gggggggggggggggg" 0 clients);
-    let protocol_errors =
-      List.fold_left
-        (fun acc pid ->
-          let _, status = Unix.waitpid [] pid in
-          acc + (match status with Unix.WEXITED n -> n | _ -> 1))
-        0 pids
-    in
-    let elapsed = now () -. t0 in
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      [ ready_r; ready_w; go_r; go_w ];
-    (* The batching evidence, read from the live server before shutdown.
-       Counters only — they were reset after setup; the wal.group_size
-       histogram is no good here because the forked server inherited the
-       bench process's histogram memory. *)
-    let stats = Client.dot ctl ".stats" in
-    let syncs = counter stats "wal_syncs" in
-    let saved = counter stats "wal_sync_saved" in
-    (try Client.close ctl with _ -> ());
-    Unix.kill srv_pid Sys.sigterm;
-    let _, srv_status = Unix.waitpid [] srv_pid in
-    let clean_exit = srv_status = Unix.WEXITED 0 in
-    let db = Db.open_ db_dir in
-    let verify_ok = match Ode.Verify.run db with Ok () -> true | Error _ -> false in
-    let rows = Query.count db ~var:"x" ~cls:"kv" () in
-    Db.close db;
-    (float total /. elapsed, elapsed, protocol_errors, syncs, saved, clean_exit, verify_ok,
-     rows)
-  in
-  (* Best of three repeats per mode. Each mode's timed phase lasts tens to
-     hundreds of milliseconds, and scheduler noise on a shared box is
-     one-sided (it only ever slows a run down), so the fastest repeat is
-     the most faithful reading — and the one stable enough for the CI
-     regression compare. Correctness signals are folded across all
-     repeats: any repeat's protocol error, unclean exit, or failed verify
-     still trips its guard. *)
-  let repeats = 3 in
-  let run_best mode =
-    let runs = List.init repeats (fun _ -> run mode) in
-    let best =
-      List.fold_left
-        (fun acc r ->
-          let rps, _, _, _, _, _, _, _ = r and b_rps, _, _, _, _, _, _, _ = acc in
-          if rps > b_rps then r else acc)
-        (List.hd runs) runs
-    in
-    let rps, el, _, syncs, saved, _, _, rows = best in
-    let err = List.fold_left (fun a (_, _, e, _, _, _, _, _) -> a + e) 0 runs in
-    let clean = List.for_all (fun (_, _, _, _, _, c, _, _) -> c) runs in
-    let ok = List.for_all (fun (_, _, _, _, _, _, v, _) -> v) runs in
-    let min_rows =
-      List.fold_left (fun a (_, _, _, _, _, _, _, r) -> min a r) rows runs
-    in
-    (rps, el, err, syncs, saved, clean, ok, min_rows)
-  in
-  let f_rps, f_el, f_err, f_syncs, _, f_clean, f_ok, f_rows = run_best Db.Full in
-  let g_rps, g_el, g_err, g_syncs, g_saved, g_clean, g_ok, g_rows = run_best Db.Group in
-  let a_rps, a_el, a_err, a_syncs, _, a_clean, a_ok, a_rows = run_best Db.Async in
-  let row name rps el syncs rows =
-    [
-      name; fops rps; fsec el; fint syncs;
-      Printf.sprintf "%.3f" (float syncs /. float total); fint rows;
-    ]
-  in
-  table
-    ~title:
-      (Printf.sprintf
-         "E20: %d streaming clients x %d autocommit inserts (pipeline depth %d) per durability level"
-         clients per_client depth)
-    ~header:[ "durability"; "commits/s"; "wall"; "wal syncs"; "syncs/commit"; "rows" ]
-    [
-      row "full (fsync per commit)" f_rps f_el f_syncs f_rows;
-      row "group (fsync per batch)" g_rps g_el g_syncs g_rows;
-      row "async (no wait)" a_rps a_el a_syncs a_rows;
-    ];
-  let all_clean = f_clean && g_clean && a_clean and all_ok = f_ok && g_ok && a_ok in
-  guard "E20.protocol_errors" ~hi:0.0 (float (f_err + g_err + a_err));
-  guard "E20.clean_shutdown" ~lo:1.0 (if all_clean then 1.0 else 0.0);
-  guard "E20.post_shutdown_verify" ~lo:1.0 (if all_ok then 1.0 else 0.0);
-  guard "E20.rows_durable" ~lo:(float (3 * total)) (float (f_rows + g_rows + a_rows));
-  (* Sublinearity: shared fsyncs must make wal.sync strictly sub-linear in
-     the commit count — some batches really held >1 commit. *)
-  guard "E20.group_syncs_per_commit" ~hi:0.9 (float g_syncs /. float total);
-  guard "E20.group_syncs_saved" ~lo:1.0 (float g_saved);
-  (* The headline: on a tick-sharing workload, group >= 2x full. Only a
-     guard at full scale — the 0.1-scale CI smoke is too short for a stable
-     ratio there, where it stays a reported metric. *)
-  if scale >= 1.0 then guard "E20.group_speedup" ~lo:2.0 (g_rps /. f_rps)
-  else metric "E20.group_speedup" (g_rps /. f_rps);
-  metric "E20.full_rps" f_rps;
-  metric "E20.group_rps" g_rps;
-  metric "E20.async_rps" a_rps;
-  metric "E20.async_speedup" (a_rps /. f_rps);
-  metric "E20.group_syncs" (float g_syncs);
-  metric "E20.full_syncs" (float f_syncs);
-  metric "E20.group_sync_saved" (float g_saved);
-  note "group mode acknowledged every commit (replies wait for the shared";
-  note "fsync) yet paid a fraction of full's wal.sync calls; with the fsync";
-  note "amortized away execution dominates, so async (which replies before";
-  note "durability, loss bounded by the window) gains little more."
-
-(* ------------------------------------------------------------------ E21 *)
-(* Replication (PR 6): WAL-shipping to a warm standby. Two questions with
-   operational weight: how fast does a fresh standby catch up to an
-   established primary (bootstrap + stream replay, the recovery-time bound
-   for adding capacity or replacing a dead standby), and what does one
-   read-only standby add to aggregate read throughput when half the read
-   pool routes to it? Guards that the standby converges byte-exactly (row
-   count), that both processes shut down clean and verify, and that the
-   read phases finish without protocol errors. *)
-
-let e21 () =
-  section "E21  replication: standby catch-up and read scaling";
-  let module Server = Ode_served.Server in
-  let module Client = Ode_served.Client in
-  let tmp name =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ode-bench-e21-%s-%d-%f" name (Unix.getpid ()) (Unix.gettimeofday ()))
-  in
-  (* Parse "name 1234" out of a [.stats]/[.replication] dump. *)
-  (* Parse "name 123" out of a dump, whether the entries are one per line
-     ([.replication], space-padded) or double-space separated on a single
-     line ([.stats]). The name must be whitespace-bounded so "lsn" does not
-     match inside "durable_lsn". *)
-  let counter dump name =
-    let dl = String.length dump and nl = String.length name in
-    let is_sp c = c = ' ' || c = '\n' in
-    let rec scan i =
-      if i + nl >= dl then None
-      else if
-        (i = 0 || is_sp dump.[i - 1])
-        && String.sub dump i nl = name
-        && is_sp dump.[i + nl]
-      then begin
-        let j = ref (i + nl) in
-        while !j < dl && dump.[!j] = ' ' do
-          incr j
-        done;
-        let k = ref !j in
-        while !k < dl && dump.[!k] >= '0' && dump.[!k] <= '9' do
-          incr k
-        done;
-        if !k > !j then int_of_string_opt (String.sub dump !j (!k - !j))
-        else scan (i + 1)
-      end
-      else scan (i + 1)
-    in
-    scan 0
-  in
-  let pdir = tmp "p" and rdir = tmp "r" in
-  let srv_pid, port, repl_port, _ =
-    Server.spawn_full ~repl_port:0 ~durability:Db.Group ~db_dir:pdir ()
-  in
-  let connect ?replicas port = Client.connect ~timeout:30. ?replicas ~host:"127.0.0.1" ~port () in
-  let ctl = connect port in
-  (* No index on [k]: the read phase wants cluster scans, so each query
-     costs real server CPU and the standby's second event loop buys
-     capacity (indexed point reads are so cheap the closed-loop clients
-     bottleneck on round trips instead). *)
-  ignore (Client.exec ctl "class kv { k: int; v: string; }; create cluster kv;");
-  (* Build the primary's history: pipelined autocommit inserts. *)
-  let n = scaled 2000 in
-  let rng = Prng.create 2100 in
-  let loaded = ref 0 in
-  let _, m_load =
-    timed (fun () ->
-        while !loaded < n do
-          let k = min 50 (n - !loaded) in
-          let progs =
-            List.init k (fun j ->
-                Printf.sprintf "pnew kv { k = %d, v = \"row-%d\" };" (Prng.int rng 100_000)
-                  (!loaded + j))
-          in
-          List.iter
-            (function Ok _ -> () | Error e -> failwith ("E21 load: " ^ e))
-            (Client.exec_many ctl progs);
-          loaded := !loaded + k
-        done)
-  in
-  Client.ping ctl;
-  let plsn = Client.last_seen_lsn ctl in
-  (* Catch-up: a standby born now must bootstrap (snapshot or WAL resume)
-     and replay the whole history before it is useful. Clock from fork to
-     the standby reporting the primary's commit LSN. *)
-  flush stdout;
-  flush stderr;
-  let t0 = now () in
-  let rep_pid, rport = Server.spawn ~replica_of:("127.0.0.1", repl_port) ~db_dir:rdir () in
-  let rctl = connect rport in
-  let deadline = now () +. 120. in
-  let rec wait_caught_up () =
-    let l =
-      match counter (Client.dot rctl ".replication") "lsn" with Some l -> l | None -> -1
-    in
-    if l < plsn then
-      if now () > deadline then failwith "E21: standby never caught up"
-      else begin
-        Unix.sleepf 0.02;
-        wait_caught_up ()
-      end
-  in
-  wait_caught_up ();
-  let catchup = now () -. t0 in
-  let shipped_mb =
-    match counter (Client.dot ctl ".stats") "repl.bytes_sent" with
-    | Some b -> float b /. 1e6
-    | None -> 0.0
-  in
-  (* Read scaling: 4 closed-loop reader processes of narrow unindexed
-     range scans. Phase one reads from the primary alone; phase two routes
-     half the pool through the standby. *)
-  let read_phase ~route =
-    let clients = 4 in
-    let per_client = scaled 100 in
-    flush stdout;
-    flush stderr;
-    let t0 = now () in
-    let pids =
-      List.init clients (fun ci ->
-          match Unix.fork () with
-          | 0 ->
-              let errors = ref 0 in
-              (try
-                 let replicas =
-                   if route ci then Some [ ("127.0.0.1", rport) ] else None
-                 in
-                 let c = connect ?replicas port in
-                 let rng = Prng.create (2110 + ci) in
-                 for _ = 1 to per_client do
-                   try
-                     let lo = Prng.int rng 100_000 in
-                     ignore
-                       (Client.query c
-                          (Printf.sprintf "forall x in kv suchthat x.k >= %d && x.k < %d"
-                             lo (lo + 50)))
-                   with _ -> incr errors
-                 done;
-                 Client.close c
-               with _ -> incr errors);
-              Unix._exit (min 100 !errors)
-          | pid -> pid)
-    in
-    let errors =
-      List.fold_left
-        (fun acc pid ->
-          let _, status = Unix.waitpid [] pid in
-          acc + (match status with Unix.WEXITED e -> e | _ -> 1))
-        0 pids
-    in
-    (float (clients * per_client) /. (now () -. t0), errors)
-  in
-  let rps_primary, err_a = read_phase ~route:(fun _ -> false) in
-  let rps_mixed, err_b = read_phase ~route:(fun ci -> ci land 1 = 1) in
-  (try Client.close rctl with _ -> ());
-  (try Client.close ctl with _ -> ());
-  (* Graceful shutdown of both; each directory must reopen clean with the
-     full row count — the standby byte-exact with the primary. *)
-  Unix.kill rep_pid Sys.sigterm;
-  let _, rep_status = Unix.waitpid [] rep_pid in
-  Unix.kill srv_pid Sys.sigterm;
-  let _, srv_status = Unix.waitpid [] srv_pid in
-  let clean = srv_status = Unix.WEXITED 0 && rep_status = Unix.WEXITED 0 in
-  let inspect dir =
-    let db = Db.open_ dir in
-    let ok = match Ode.Verify.run db with Ok () -> true | Error _ -> false in
-    let rows = Query.count db ~var:"x" ~cls:"kv" () in
-    Db.close db;
-    (ok, rows)
-  in
-  let p_ok, p_rows = inspect pdir in
-  let r_ok, r_rows = inspect rdir in
-  table
-    ~title:
-      (Printf.sprintf
-         "E21: %d-commit history; standby catch-up, then 4 readers (unindexed range scans)"
-         plsn)
-    ~header:[ "measure"; "value" ]
-    [
-      [ "load (pipelined inserts)"; fops (ops_per_sec m_load n) ];
-      [ "standby catch-up"; fsec catchup ];
-      [ "catch-up rate"; fops (float plsn /. catchup) ];
-      [ "wal shipped"; Printf.sprintf "%.2fMB" shipped_mb ];
-      [ "read rps, primary only"; fops rps_primary ];
-      [ "read rps, half on standby"; fops rps_mixed ];
-      [ "read scaling"; ffloat (rps_mixed /. rps_primary) ];
-      [ "rows (primary/standby)"; Printf.sprintf "%d / %d" p_rows r_rows ];
-    ];
-  guard "E21.protocol_errors" ~hi:0.0 (float (err_a + err_b));
-  guard "E21.clean_shutdown" ~lo:1.0 (if clean then 1.0 else 0.0);
-  guard "E21.post_shutdown_verify" ~lo:1.0 (if p_ok && r_ok then 1.0 else 0.0);
-  guard "E21.replica_rows" ~lo:(float p_rows) ~hi:(float p_rows) (float r_rows);
-  metric "E21.catchup_s" catchup;
-  metric "E21.catchup_commits_per_s" (float plsn /. catchup);
-  metric "E21.shipped_mb" shipped_mb;
-  metric "E21.read_rps_primary" rps_primary;
-  metric "E21.read_rps_with_replica" rps_mixed;
-  metric "E21.read_scaling" (rps_mixed /. rps_primary);
-  note "the standby replays the primary's WAL through the recovery redo";
-  note "path and serves reads from its own event loop; routing half the";
-  note "read pool to it frees the primary's loop for the other half";
-  note "(the scaling ratio only exceeds 1 when the two server processes";
-  note "get separate cores — on a single-core runner they timeshare)."
-
-(* ------------------------------------------------------------------ E22 *)
-(* Multicore serving (PR 7): the poll-based loop splits across OCaml
-   domains — reader domains execute autocommitted queries in parallel
-   under the shared engine lock while the writer domain keeps writes and
-   the group-commit scheduler. Sweep [--domains] over 1/2/4 against the
-   same read-heavy closed loop (unindexed range scans, so each request
-   costs real server CPU, with a 1-in-16 write mix funneled to the writer)
-   and report the scaling. Guards: zero protocol errors and a clean,
-   verified shutdown at every domain count; on runners with >= 4 cores the
-   4-domain sweep must at least double the 1-domain read throughput. On
-   fewer cores the domains timeshare and the ratio is reported, not
-   gated. *)
-
-let e22 () =
-  section "E22  multicore serving: read-mix throughput vs --domains";
-  let module Server = Ode_served.Server in
-  let module Client = Ode_served.Client in
-  let clients = 4 in
-  (* Floor the closed loop: a sweep shorter than ~100 requests/client
-     measures fork+connect overhead, not serving capacity, and the CI
-     compare needs rates from the same regime as the committed baseline. *)
-  let per_client = max 100 (scaled 250) in
-  let n_rows = scaled 2000 in
-  let run domains =
-    let db_dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "ode-bench-e22-d%d-%d-%f" domains (Unix.getpid ())
-           (Unix.gettimeofday ()))
-    in
-    let srv_pid, port = Server.spawn ~domains ~db_dir () in
-    let connect () = Client.connect ~timeout:30. ~host:"127.0.0.1" ~port () in
-    let ctl = connect () in
-    ignore (Client.exec ctl "class kv { k: int; v: string; }; create cluster kv;");
-    (* Identical seeded history per domain count: pipelined autocommits. *)
-    let rng = Prng.create 2200 in
-    let loaded = ref 0 in
-    while !loaded < n_rows do
-      let k = min 50 (n_rows - !loaded) in
-      let progs =
-        List.init k (fun j ->
-            Printf.sprintf "pnew kv { k = %d, v = \"row-%d\" };" (Prng.int rng 100_000)
-              (!loaded + j))
-      in
-      List.iter
-        (function Ok _ -> () | Error e -> failwith ("E22 load: " ^ e))
-        (Client.exec_many ctl progs);
-      loaded := !loaded + k
-    done;
-    (* The sweep: closed-loop readers of narrow unindexed range scans with
-       a 1-in-16 insert mixed in — reads fan out across reader domains,
-       writes funnel through the writer, same seeds at every width. *)
-    flush stdout;
-    flush stderr;
-    let t0 = now () in
-    let pids =
-      List.init clients (fun ci ->
-          match Unix.fork () with
-          | 0 ->
-              let errors = ref 0 in
-              (try
-                 let c = connect () in
-                 let rng = Prng.create (2210 + ci) in
-                 for j = 1 to per_client do
-                   try
-                     if j mod 16 = 0 then
-                       ignore
-                         (Client.exec c
-                            (Printf.sprintf "pnew kv { k = %d, v = \"w%d-%d\" };"
-                               (Prng.int rng 100_000) ci j))
-                     else begin
-                       let lo = Prng.int rng 100_000 in
-                       ignore
-                         (Client.query c
-                            (Printf.sprintf "forall x in kv suchthat x.k >= %d && x.k < %d"
-                               lo (lo + 50)))
-                     end
-                   with _ -> incr errors
-                 done;
-                 Client.close c
-               with _ -> incr errors);
-              Unix._exit (min 100 !errors)
-          | pid -> pid)
-    in
-    let errors =
-      List.fold_left
-        (fun acc pid ->
-          let _, status = Unix.waitpid [] pid in
-          acc + (match status with Unix.WEXITED e -> e | _ -> 1))
-        0 pids
-    in
-    let rps = float (clients * per_client) /. (now () -. t0) in
-    (try Client.close ctl with _ -> ());
-    Unix.kill srv_pid Sys.sigterm;
-    let _, status = Unix.waitpid [] srv_pid in
-    let clean = status = Unix.WEXITED 0 in
-    let db = Db.open_ db_dir in
-    let ok = match Ode.Verify.run db with Ok () -> true | Error _ -> false in
-    let rows = Query.count db ~var:"x" ~cls:"kv" () in
-    Db.close db;
-    (rps, errors, clean, ok, rows)
-  in
-  let rps1, err1, clean1, ok1, rows1 = run 1 in
-  let rps2, err2, clean2, ok2, rows2 = run 2 in
-  let rps4, err4, clean4, ok4, rows4 = run 4 in
-  let cores = Domain.recommended_domain_count () in
-  let row name rps rows =
-    [ name; fops rps; ffloat (rps /. max 1e-9 rps1); fint rows ]
-  in
-  table
-    ~title:
-      (Printf.sprintf
-         "E22: %d clients x %d requests (15/16 range scans), %d-row table, %d cores"
-         clients per_client n_rows cores)
-    ~header:[ "serving domains"; "requests/s"; "vs 1 domain"; "rows" ]
-    [
-      row "1 (classic loop)" rps1 rows1;
-      row "2 (1 reader)" rps2 rows2;
-      row "4 (3 readers)" rps4 rows4;
-    ];
-  guard "E22.protocol_errors" ~hi:0.0 (float (err1 + err2 + err4));
-  guard "E22.clean_shutdown" ~lo:1.0 (if clean1 && clean2 && clean4 then 1.0 else 0.0);
-  guard "E22.post_shutdown_verify" ~lo:1.0 (if ok1 && ok2 && ok4 then 1.0 else 0.0);
-  guard "E22.rows_durable" ~lo:(float (3 * n_rows)) (float (rows1 + rows2 + rows4));
-  (* The headline parallelism claim needs real cores under the domains;
-     on smaller runners (CI containers are often 1-2 vCPUs) the ratio is
-     recorded as a metric — named without a gated substring, since a
-     timesharing ratio near 1.0 is expected, not a regression. *)
-  if cores >= 4 && scale >= 1.0 then guard "E22.scale_d4_over_d1" ~lo:2.0 (rps4 /. rps1)
-  else metric "E22.scale_d4_over_d1" (rps4 /. rps1);
-  metric "E22.scale_d2_over_d1" (rps2 /. rps1);
-  metric "E22.d1_read_rps" rps1;
-  metric "E22.d2_read_rps" rps2;
-  metric "E22.d4_read_rps" rps4;
-  note "reader domains drain a bounded job queue of autocommitted queries";
-  note "under a shared engine lock; writes (and the fsync scheduler) stay";
-  note "on the writer domain, so the reply-after-fsync guarantee is intact";
-  note "at every width. Scaling needs cores: with fewer than 4 the domains";
-  note "timeshare one socket loop and the ratio hovers around 1.0."
-
-(* ------------------------------------------------------------------ E23 *)
-(* Observability overhead (PR 8): the full surface armed — span tracer on,
-   slow-query log armed, a sidecar process scraping GET /metrics at ~2 Hz
-   throughout — versus a dark server, on the same closed-loop mixed
-   workload over loopback. Rounds alternate between the two live servers
-   (any slow stretch of the container hits both variants) and the guard is
-   on the median per-round ratio, E18's discipline: the armed surface must
-   cost at most 5% throughput at full scale. *)
-
-let e23_contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(* One-shot GET against the metrics listener: request, then read to EOF. *)
-let e23_http_get port path =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let rq = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path in
-      let rec send pos =
-        if pos < String.length rq then
-          send (pos + Unix.write_substring fd rq pos (String.length rq - pos))
-      in
-      send 0;
-      let b = Buffer.create 4096 in
-      let buf = Bytes.create 4096 in
-      let rec drain () =
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes b buf 0 n;
-            drain ()
-        | exception Unix.Unix_error (EINTR, _, _) -> drain ()
-      in
-      drain ();
-      Buffer.contents b)
-
-let e23 () =
-  section "E23  observability overhead: metrics + tracing + slow log armed vs dark";
-  let module Server = Ode_served.Server in
-  let module Client = Ode_served.Client in
-  let n_rows = scaled 1_000 in
-  let per_round = max 60 (scaled 200) in
-  let rounds = 5 in
-  let spawn tag ~observed =
-    let db_dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "ode-bench-e23-%s-%d-%f" tag (Unix.getpid ()) (Unix.gettimeofday ()))
-    in
-    let pid, port, _, mport =
-      if observed then Server.spawn_full ~domains:2 ~metrics_port:0 ~slow_query_ms:50 ~db_dir ()
-      else Server.spawn_full ~domains:2 ~db_dir ()
-    in
-    (pid, port, mport)
-  in
-  let dark_pid, dark_port, _ = spawn "dark" ~observed:false in
-  let obs_pid, obs_port, obs_mport = spawn "obs" ~observed:true in
-  let connect port = Client.connect ~timeout:30. ~host:"127.0.0.1" ~port () in
-  (* Identical seeded tables on both servers. *)
-  let seed port =
-    let c = connect port in
-    ignore (Client.exec c "class kv { k: int; v: string; }; create cluster kv;");
-    let rng = Prng.create 2300 in
-    let loaded = ref 0 in
-    while !loaded < n_rows do
-      let k = min 50 (n_rows - !loaded) in
-      let progs =
-        List.init k (fun j ->
-            Printf.sprintf "pnew kv { k = %d, v = \"row-%d\" };" (Prng.int rng 100_000)
-              (!loaded + j))
-      in
-      List.iter
-        (function Ok _ -> () | Error e -> failwith ("E23 load: " ^ e))
-        (Client.exec_many c progs);
-      loaded := !loaded + k
-    done;
-    c
-  in
-  let dark_c = seed dark_port in
-  let obs_c = seed obs_port in
-  ignore (Client.dot obs_c ".trace on");
-  (* The sidecar scraper: a forked process hitting /metrics twice a second
-     for the whole measured window, like a Prometheus agent would. *)
-  flush stdout;
-  flush stderr;
-  let scraper_pid =
-    match Unix.fork () with
-    | 0 ->
-        (try
-           while true do
-             ignore (e23_http_get obs_mport "/metrics");
-             Unix.sleepf 0.5
-           done
-         with _ -> ());
-        Unix._exit 0
-    | pid -> pid
-  in
-  (* Closed-loop mixed round: 1-in-8 inserts among narrow unindexed range
-     scans, same seeds on both servers. *)
-  let round c seed =
-    let rng = Prng.create seed in
-    let t0 = now () in
-    for j = 1 to per_round do
-      if j mod 8 = 0 then
-        ignore
-          (Client.exec c
-             (Printf.sprintf "pnew kv { k = %d, v = \"w%d\" };" (Prng.int rng 100_000) j))
-      else begin
-        let lo = Prng.int rng 100_000 in
-        ignore
-          (Client.query c
-             (Printf.sprintf "forall x in kv suchthat x.k >= %d && x.k < %d" lo (lo + 40)))
-      end
-    done;
-    now () -. t0
-  in
-  ignore (round dark_c 2301);
-  ignore (round obs_c 2301);
-  let pairs =
-    List.init rounds (fun r ->
-        let td = round dark_c (2310 + r) in
-        let to_ = round obs_c (2310 + r) in
-        (td, to_))
-  in
-  let t_dark = List.fold_left (fun a (d, _) -> a +. d) 0.0 pairs in
-  let t_obs = List.fold_left (fun a (_, o) -> a +. o) 0.0 pairs in
-  let median_ratio =
-    let rs = List.sort compare (List.map (fun (d, o) -> o /. max 1e-9 d) pairs) in
-    List.nth rs (List.length rs / 2)
-  in
-  (* The endpoint stayed coherent under load: one last scrape must carry
-     counters and quantiles a collector can parse. *)
-  let scrape = e23_http_get obs_mport "/metrics" in
-  let scrape_ok =
-    e23_contains scrape "200 OK"
-    && e23_contains scrape "ode_server_requests"
-    && e23_contains scrape "quantile=\"0.99\""
-  in
-  (try Unix.kill scraper_pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (Unix.waitpid [] scraper_pid);
-  (try Client.close dark_c with _ -> ());
-  (try Client.close obs_c with _ -> ());
-  let stop pid =
-    Unix.kill pid Sys.sigterm;
-    let _, status = Unix.waitpid [] pid in
-    status = Unix.WEXITED 0
-  in
-  let clean = stop dark_pid && stop obs_pid in
-  let reqs = rounds * per_round in
-  let row name t = [ name; fops (float reqs /. max 1e-9 t); fsec (t /. float rounds) ] in
-  table
-    ~title:
-      (Printf.sprintf "E23: %d alternating rounds x %d requests (7/8 range scans), %d rows"
-         rounds per_round n_rows)
-    ~header:[ "variant"; "requests/s"; "per round" ]
-    [
-      row "dark (no metrics, no tracing)" t_dark;
-      row "armed (tracing + slow log + 2Hz scrapes)" t_obs;
-    ];
-  (* Closed-loop sockets are noisier than E18's in-process scans: the 5%
-     bar arms at full scale; the smoke run keeps a loose backstop so a
-     pathological slowdown (e.g. a scrape stalling the poll loop) still
-     fails CI. *)
-  if scale >= 1.0 then guard "E23.overhead_ratio" ~hi:1.05 median_ratio
-  else guard "E23.overhead_ratio" ~hi:1.25 median_ratio;
-  guard "E23.scrape_parseable" ~lo:1.0 (if scrape_ok then 1.0 else 0.0);
-  guard "E23.clean_shutdown" ~lo:1.0 (if clean then 1.0 else 0.0);
-  metric "E23.dark_rps" (float reqs /. max 1e-9 t_dark);
-  metric "E23.observed_rps" (float reqs /. max 1e-9 t_obs);
-  note "the armed variant pays one DLS read per span site, a histogram";
-  note "observe per request, and shares its poll loop with the HTTP";
-  note "scraper; the slow-query threshold (50ms) never fires on this";
-  note "workload, so its cost is the arming check alone."
-
-(* ------------------------------------------------------------------ E24 *)
-(* MVCC snapshot isolation (PR 9): concurrent read-write clients each run
-   explicit transactions as separate begin / update / commit round-trips
-   (so they genuinely interleave on the server's event loop) against a
-   small account table with a deliberate hot key, while one long-running
-   transaction holds its snapshot open across the whole contention phase
-   and closed-loop readers scan throughout. Claims under guard: snapshot
-   readers do not collapse when writers commit under them; the long
-   snapshot stays stable no matter how many commits land; conflicts are
-   bounded and every conflicted transaction, replayed wholesale by its
-   client, lands exactly once; the long transaction's disjoint write set
-   still commits at the end. *)
-
-(* `.stats` prints "name value" pairs; pull one counter out. *)
-let e24_counter stats name =
-  let toks =
-    String.split_on_char '\n' stats
-    |> List.concat_map (String.split_on_char ' ')
-    |> List.filter (fun s -> s <> "")
-  in
-  let rec go = function
-    | a :: b :: rest ->
-        if a = name then ( try int_of_string b with Failure _ -> 0) else go (b :: rest)
-    | _ -> 0
-  in
-  go toks
-
-let e24 () =
-  section "E24  MVCC: concurrent write txns vs snapshot readers";
-  let module Server = Ode_served.Server in
-  let module Client = Ode_served.Client in
-  let readers = 3 and writers = 3 in
-  let per_reader = max 80 (scaled 250) in
-  let per_writer = max 30 (scaled 120) in
-  let n_accts = 64 in
-  let held_id = 1000 in
-  let db_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ode-bench-e24-%d-%f" (Unix.getpid ()) (Unix.gettimeofday ()))
-  in
-  let srv_pid, port = Server.spawn ~db_dir () in
-  let connect ?(retries = 4) () =
-    Client.connect ~timeout:30. ~retries ~host:"127.0.0.1" ~port ()
-  in
-  let ctl = connect () in
-  ignore (Client.exec ctl "class acct { id: int; bal: int; }; create cluster acct;");
-  let load ids =
-    List.iter
-      (function Ok _ -> () | Error e -> failwith ("E24 load: " ^ e))
-      (Client.exec_many ctl
-         (List.map (fun i -> Printf.sprintf "pnew acct { id = %d, bal = 0 };" i) ids))
-  in
-  load (List.init n_accts (fun i -> i));
-  load (List.init 4 (fun i -> held_id + i));
-  let fork_readers tag =
-    List.init readers (fun ri ->
-        match Unix.fork () with
-        | 0 ->
-            let errors = ref 0 in
-            (try
-               let c = connect () in
-               let rng = Prng.create (2400 + (100 * tag) + ri) in
-               for _ = 1 to per_reader do
-                 try
-                   let lo = Prng.int rng (n_accts - 16) in
-                   ignore
-                     (Client.query c
-                        (Printf.sprintf "forall a in acct suchthat a.id >= %d && a.id < %d"
-                           lo (lo + 16)))
-                 with _ -> incr errors
-               done;
-               Client.close c
-             with _ -> incr errors);
-            Unix._exit (min 100 !errors)
-        | pid -> pid)
-  in
-  let join pids =
-    List.fold_left
-      (fun acc pid ->
-        let _, status = Unix.waitpid [] pid in
-        acc + (match status with Unix.WEXITED e -> e | _ -> 1))
-      0 pids
-  in
-  (* Phase A: readers alone, the uncontended baseline. *)
-  flush stdout;
-  flush stderr;
-  let t0 = now () in
-  let err_solo = join (fork_readers 0) in
-  let rps_solo = float (readers * per_reader) /. (now () -. t0) in
-  (* Phase B: open the long-running transaction, pin its snapshot, then
-     unleash writers and readers together. *)
-  let holder = connect () in
-  ignore (Client.exec holder "begin;");
-  let dirty () =
-    List.length
-      (Client.query holder
-         (Printf.sprintf "forall a in acct suchthat a.bal > 0 && a.id < %d" n_accts))
-  in
-  let stable0 = dirty () in
-  ignore
-    (Client.exec holder
-       (Printf.sprintf "forall a in acct suchthat a.id = %d { a.bal := a.bal + 1; };" held_id));
-  flush stdout;
-  flush stderr;
-  let t1 = now () in
-  let writer_pids =
-    List.init writers (fun wi ->
-        match Unix.fork () with
-        | 0 ->
-            let errors = ref 0 in
-            (try
-               (* retries:0 — a replayed bare [commit;] can never win, so
-                  conflict recovery is re-running the WHOLE transaction,
-                  which only this loop can do. *)
-               let c = connect ~retries:0 () in
-               let rng = Prng.create (2450 + wi) in
-               for _ = 1 to per_writer do
-                 (* 1-in-3 transactions hit account 0: a hot key that
-                    manufactures real first-committer-wins races. *)
-                 let id = if Prng.int rng 3 = 0 then 0 else Prng.int rng n_accts in
-                 let rec attempt tries =
-                   if tries > 50 then incr errors
-                   else
-                     try
-                       ignore (Client.exec c "begin;");
-                       ignore
-                         (Client.exec c
-                            (Printf.sprintf
-                               "forall a in acct suchthat a.id = %d { a.bal := a.bal + 1; };"
-                               id));
-                       ignore (Client.exec c "commit;")
-                     with
-                     | Client.Conflict _ -> attempt (tries + 1)
-                     | Client.Server_error _ ->
-                         (try ignore (Client.exec c "abort;") with _ -> ());
-                         incr errors
-                 in
-                 attempt 0
-               done;
-               Client.close c
-             with _ -> incr errors);
-            Unix._exit (min 100 !errors)
-        | pid -> pid)
-  in
-  let reader_pids = fork_readers 1 in
-  let err_read = join reader_pids in
-  let rps_contended = float (readers * per_reader) /. (now () -. t1) in
-  let err_write = join writer_pids in
-  let writer_elapsed = now () -. t1 in
-  (* The long transaction's snapshot must have seen none of it. *)
-  let stable1 = dirty () in
-  ignore (Client.exec holder "commit;");
-  Client.close holder;
-  (* A fresh autocommit snapshot sees the full increment history. *)
-  let visible =
-    List.length
-      (Client.query ctl
-         (Printf.sprintf "forall a in acct suchthat a.bal > 0 && a.id < %d" n_accts))
-  in
-  let conflicts = e24_counter (Client.dot ctl ".stats") "txn.conflicts" in
-  (try Client.close ctl with _ -> ());
-  Unix.kill srv_pid Sys.sigterm;
-  let _, status = Unix.waitpid [] srv_pid in
-  let clean = status = Unix.WEXITED 0 in
-  let db = Db.open_ db_dir in
-  let ok = match Ode.Verify.run db with Ok () -> true | Error _ -> false in
-  let sum, held_bal =
-    Db.with_txn db (fun txn ->
-        List.fold_left
-          (fun (sum, held) oid ->
-            let geti f = match Db.get_field txn oid f with Value.Int i -> i | _ -> 0 in
-            let id = geti "id" and bal = geti "bal" in
-            if id < n_accts then (sum + bal, held)
-            else if id = held_id then (sum, bal)
-            else (sum, held))
-          (0, 0)
-          (Query.to_list db ~txn ~var:"x" ~cls:"acct" ()))
-  in
-  Db.close db;
-  let issued = writers * per_writer in
-  table
-    ~title:
-      (Printf.sprintf
-         "E24: %d readers x %d scans vs %d writers x %d explicit txns (hot key 1/3), %d accounts"
-         readers per_reader writers per_writer n_accts)
-    ~header:[ "phase"; "requests/s"; "conflicts" ]
-    [
-      [ "readers solo"; fops rps_solo; "-" ];
-      [ "readers vs write txns"; fops rps_contended; "-" ];
-      [ "write txns (3 round-trips each)"; fops (float issued /. writer_elapsed); fint conflicts ];
-    ];
-  guard "E24.protocol_errors" ~hi:0.0 (float (err_solo + err_read + err_write));
-  guard "E24.clean_shutdown" ~lo:1.0 (if clean then 1.0 else 0.0);
-  guard "E24.post_shutdown_verify" ~lo:1.0 (if ok then 1.0 else 0.0);
-  (* Snapshot stability: the long transaction's view of "dirty accounts"
-     must not move, no matter how many commits land under it. *)
-  guard "E24.snapshot_stable" ~lo:(float stable0) ~hi:(float stable0) (float stable1);
-  (* Exactly-once: every one of the [issued] increments — including every
-     conflicted-then-replayed one — lands once. Lost updates read low,
-     double-applied retries read high. *)
-  guard "E24.increments_exactly_once" ~lo:(float issued) ~hi:(float issued) (float sum);
-  (* The long transaction's disjoint write set commits despite hundreds of
-     concurrent commits since its snapshot. *)
-  guard "E24.long_txn_commits" ~lo:1.0 ~hi:1.0 (float held_bal);
-  guard "E24.post_commit_visible" ~lo:1.0 (float visible);
-  (* Conflicts happen (the hot key guarantees pressure) but stay bounded:
-     a first-committer-wins livelock would blow retries per txn up. *)
-  guard "E24.conflicts_per_txn" ~hi:3.0 (float conflicts /. float issued);
-  (if scale >= 1.0 then guard "E24.read_retention" ~lo:0.3 (rps_contended /. max 1e-9 rps_solo)
-   else metric "E24.read_retention" (rps_contended /. max 1e-9 rps_solo));
-  metric "E24.read_rps_solo" rps_solo;
-  metric "E24.read_rps_contended" rps_contended;
-  metric "E24.writer_txn_per_s" (float issued /. writer_elapsed);
-  metric "E24.conflicts" (float conflicts);
-  note "writers spread each transaction over three round-trips, so their";
-  note "snapshots genuinely overlap on the event loop; the hot key makes";
-  note "losers real and the client-side whole-transaction replay is what";
-  note "the exactly-once sum certifies. The long-running holder pins the";
-  note "GC horizon: every concurrent commit records pre-images for it,";
-  note "and its final disjoint commit must still win.";
-  note "Reader throughput under write load measures snapshot reads that";
-  note "never block on writers (no slot, no writer latch on the read path)."
-
 (* ----------------------------------------------------------------- E25 *)
 (* The cost-based optimizer: a two-extent equi-join on an unindexed field
    runs as a nested loop until [analyze] gives the planner the statistics
@@ -2371,7 +1255,6 @@ let all : (string * (unit -> unit)) list =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12);
-    ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16); ("E17", e17);
-    ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21); ("E22", e22);
-    ("E23", e23); ("E24", e24); ("E25", e25);
+    ("E13", e13); ("E15", e15); ("E16", e16); ("E17", e17); ("E18", e18);
+    ("E25", e25);
   ]

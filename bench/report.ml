@@ -71,12 +71,12 @@ let scale =
 let scaled n = max 1 (int_of_float (float n *. scale))
 
 (* Named scalar results, accumulated across experiments and dumped as JSON
-   with --json FILE; the committed BENCH_*.json baselines are these. *)
+   with --json FILE. *)
 let metrics : (string * float) list ref = ref []
 let metric name v = metrics := (name, v) :: !metrics
 
 (* The Stats diff of an experiment, one metric per nonzero counter, so
-   --json baselines capture engine work (pages, probes, syncs, ...) and not
+   --json output records engine work (pages, probes, syncs, ...) and not
    just wall time. Counters the experiment never bumped are left out. *)
 let stats_metrics prefix s =
   List.iter

@@ -102,8 +102,8 @@ let run_repl driver =
           &&
           match Ode_lang.Parser.program source with
           | _ -> true
-          | exception Ode_lang.Parser.Parse_error (_, off)
-            when off >= String.length (String.trim source) ->
+          | exception Ode_lang.Parser.Parse_error (_, { offset; _ })
+            when offset >= String.length (String.trim source) ->
               false (* likely just incomplete input: keep reading *)
           | exception _ -> true
         in

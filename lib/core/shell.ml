@@ -121,8 +121,10 @@ let exec t source =
   List.iter (exec_top t) tops
 
 let render_error = function
-  | Ode_lang.Parser.Parse_error (msg, off) -> Printf.sprintf "parse error at %d: %s" off msg
-  | Ode_lang.Lexer.Lex_error (msg, off) -> Printf.sprintf "lex error at %d: %s" off msg
+  | Ode_lang.Parser.Parse_error (msg, { line; col; _ }) ->
+      Printf.sprintf "parse error at line %d, col %d: %s" line col msg
+  | Ode_lang.Lexer.Lex_error (msg, { line; col; _ }) ->
+      Printf.sprintf "lex error at line %d, col %d: %s" line col msg
   | Catalog.Schema_error msg -> "schema error: " ^ msg
   | Ode_model.Typecheck.Error msg -> "type error: " ^ msg
   | Ode_model.Eval.Error msg -> "error: " ^ msg

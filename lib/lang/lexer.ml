@@ -7,7 +7,21 @@ type token =
   | PUNCT of string
   | EOF
 
-exception Lex_error of string * int
+type pos = { offset : int; line : int; col : int }
+
+(* Line and column (both from 1, the column in bytes) of [offset] in [src]. *)
+let pos_at src offset =
+  let offset = max 0 (min offset (String.length src)) in
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to offset - 1 do
+    if src.[i] = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  { offset; line = !line; col = offset - !bol + 1 }
+
+exception Lex_error of string * pos
 
 let keywords =
   [
@@ -46,7 +60,7 @@ let tokenize src =
           skip_ws (eol (i + 2))
       | '/' when i + 1 < n && src.[i + 1] = '*' ->
           let rec close j =
-            if j + 1 >= n then raise (Lex_error ("unterminated comment", i))
+            if j + 1 >= n then raise (Lex_error ("unterminated comment", pos_at src i))
             else if src.[j] = '*' && src.[j + 1] = '/' then j + 2
             else close (j + 1)
           in
@@ -56,7 +70,7 @@ let tokenize src =
   let lex_string i =
     let b = Buffer.create 16 in
     let rec go j =
-      if j >= n then raise (Lex_error ("unterminated string", i))
+      if j >= n then raise (Lex_error ("unterminated string", pos_at src i))
       else
         match src.[j] with
         | '"' -> (Buffer.contents b, j + 1)
@@ -117,7 +131,7 @@ let tokenize src =
       end
       else
         let rec try_punct = function
-          | [] -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, i))
+          | [] -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, pos_at src i))
           | p :: rest ->
               let l = String.length p in
               if i + l <= n && String.sub src i l = p then begin

@@ -9,8 +9,15 @@ type token =
   | PUNCT of string     (** operators and delimiters: {, }, :=, ==>, ... *)
   | EOF
 
-exception Lex_error of string * int
-(** message and byte offset *)
+type pos = { offset : int; line : int; col : int }
+(** A source position: byte [offset] from the start, and the [line] and
+    byte column [col] it falls on, both counted from 1. *)
+
+val pos_at : string -> int -> pos
+(** [pos_at src offset] is the position of [offset] in [src]. *)
+
+exception Lex_error of string * pos
+(** message and position *)
 
 val keywords : string list
 

@@ -1,12 +1,12 @@
 open Ast
 
-exception Parse_error of string * int
+exception Parse_error of string * Lexer.pos
 
-type state = { toks : (Lexer.token * int) array; mutable pos : int }
+type state = { src : string; toks : (Lexer.token * int) array; mutable pos : int }
 
 let err st fmt =
   let off = match st.toks.(st.pos) with _, o -> o in
-  Format.kasprintf (fun s -> raise (Parse_error (s, off))) fmt
+  Format.kasprintf (fun s -> raise (Parse_error (s, Lexer.pos_at st.src off))) fmt
 
 let peek st = fst st.toks.(st.pos)
 let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
@@ -525,7 +525,7 @@ let top st =
   | _ -> TStmt (statement st)
 
 let make_state src =
-  { toks = Array.of_list (Lexer.tokenize src); pos = 0 }
+  { src; toks = Array.of_list (Lexer.tokenize src); pos = 0 }
 
 let program src =
   let st = make_state src in

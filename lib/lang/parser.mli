@@ -13,8 +13,8 @@
       forall x in C[*] [suchthat e] [by e [desc]] { stmts };
     v} *)
 
-exception Parse_error of string * int
-(** message and byte offset *)
+exception Parse_error of string * Lexer.pos
+(** message and the position of the offending token *)
 
 val program : string -> Ast.top list
 (** Parse a whole input (shell script / schema file). *)

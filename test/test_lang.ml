@@ -119,7 +119,38 @@ let parse_tops () =
 let parse_error_position () =
   match Parser.program "class { }" with
   | _ -> Alcotest.fail "expected parse error"
-  | exception Parser.Parse_error (_, off) -> Tutil.check_bool "offset sane" true (off >= 6)
+  | exception Parser.Parse_error (_, { offset; _ }) ->
+      Tutil.check_bool "offset sane" true (offset >= 6)
+
+(* -- source positions ---------------------------------------------------------- *)
+
+let check_pos what (line, col) (p : Lexer.pos) =
+  Tutil.check_int (what ^ " line") line p.line;
+  Tutil.check_int (what ^ " col") col p.col
+
+let pos_at_lines_and_columns () =
+  let src = "ab\ncd\n\nx" in
+  check_pos "start" (1, 1) (Lexer.pos_at src 0);
+  check_pos "newline stays on its line" (1, 3) (Lexer.pos_at src 2);
+  check_pos "after newline" (2, 1) (Lexer.pos_at src 3);
+  check_pos "after blank line" (4, 1) (Lexer.pos_at src 7);
+  check_pos "past the end clamps" (4, 2) (Lexer.pos_at src 100);
+  Tutil.check_int "clamped offset" (String.length src) (Lexer.pos_at src 100).offset;
+  check_pos "negative clamps" (1, 1) (Lexer.pos_at src (-3))
+
+let parse_error_on_later_line () =
+  (match Parser.program "class a {\n  v: int;\n  w int;\n};" with
+  | _ -> Alcotest.fail "expected parse error"
+  | exception Parser.Parse_error (_, p) -> check_pos "missing colon" (3, 5) p);
+  match Parser.program "class a {\n  v: int;\n" with
+  | _ -> Alcotest.fail "expected parse error"
+  | exception Parser.Parse_error (_, p) -> check_pos "end of input" (3, 1) p
+
+(* An unterminated string is reported at its first byte, just after the quote. *)
+let lex_error_on_later_line () =
+  match Lexer.tokenize "x := 1;\n\n   \"abc" with
+  | _ -> Alcotest.fail "expected lex error"
+  | exception Lexer.Lex_error (_, p) -> check_pos "unterminated string" (3, 5) p
 
 (* -- round-trip property ----------------------------------------------------- *)
 
@@ -239,6 +270,12 @@ let suite =
         Alcotest.test_case "parse errors carry offsets" `Quick parse_error_position;
         Alcotest.test_case "schema classes round-trip" `Quick class_roundtrip;
         Alcotest.test_case "trigger classes round-trip" `Quick trigger_class_roundtrip;
+      ] );
+    ( "parser.positions",
+      [
+        Alcotest.test_case "pos_at counts lines and byte columns" `Quick pos_at_lines_and_columns;
+        Alcotest.test_case "parse error on a later line" `Quick parse_error_on_later_line;
+        Alcotest.test_case "lex error on a later line" `Quick lex_error_on_later_line;
       ] );
     Tutil.qsuite "lang.props" [ prop_expr_roundtrip; prop_stmt_roundtrip ];
   ]

@@ -24,7 +24,6 @@ let () =
          Test_integration.suite;
          Test_model_db.suite;
          Test_defaults.suite;
-         Test_hash_index.suite;
          Test_planner.suite;
          Test_stats.suite;
          Test_plans.suite;

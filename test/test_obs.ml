@@ -558,6 +558,57 @@ let one_observation_per_join () =
       check_contains "slow-log plan" (Query.profile_to_json pf)
         "\"plan\":\"nested-loop join (inner emp replanned per outer row)"
 
+(* Armed observability adds O(1) work per statement, not per candidate:
+   with the tracer on and the slow log armed every query runs
+   light-profiled, which counts rows per operator and reads the clock and
+   the counters only at the query boundaries. The gate is the armed run's
+   extra minor-heap allocation per candidate, taken as the slope between a
+   scan of [n] and one of 8 [n] rows so the per-statement constant
+   cancels. The only per-candidate cost armed is the tracer's
+   [bptree.find] span for each visibility probe, 15.1 words; a
+   [Stats.snapshot] per candidate (a word per registered counter) breaks
+   the bound. *)
+let armed_cost_per_candidate () =
+  let n = 500 in
+  let db = Db.open_in_memory () in
+  Fun.protect
+    ~finally:(fun () ->
+      Db.close db;
+      Ode_util.Slowlog.disarm ();
+      Trace.set_enabled false;
+      Trace.clear ())
+  @@ fun () ->
+  ignore (Db.define db "class small { k: int; }; class big { k: int; };");
+  Db.create_cluster db "small";
+  Db.create_cluster db "big";
+  Db.with_txn db (fun txn ->
+      for i = 1 to 8 * n do
+        if i <= n then ignore (Db.pnew txn "small" [ ("k", Ode_model.Value.Int i) ]);
+        ignore (Db.pnew txn "big" [ ("k", Ode_model.Value.Int i) ])
+      done);
+  let suchthat = Ode_lang.Parser.expr "x.k % 3 == 0" in
+  let words cls =
+    let w0 = Gc.minor_words () in
+    Query.run db ~var:"x" ~cls ~suchthat ignore;
+    Gc.minor_words () -. w0
+  in
+  (* Warm the object cache so both measured passes do the same work. *)
+  ignore (words "small");
+  ignore (words "big");
+  let slope () =
+    let small = words "small" in
+    let big = words "big" in
+    (big -. small) /. float (7 * n)
+  in
+  let dark = slope () in
+  Trace.set_enabled true;
+  Ode_util.Slowlog.configure ~threshold_ms:1_000_000 ();
+  let armed = slope () in
+  let extra = armed -. dark in
+  if extra > 20.0 then
+    Alcotest.failf "armed observability allocates %.2f extra words per candidate (dark %.2f)"
+      extra dark
+
 let suite =
   [
     ( "obs",
@@ -584,5 +635,7 @@ let suite =
         Alcotest.test_case "profile restores loop binding" `Quick dot_profile_body_binding;
         Alcotest.test_case "profile of a fused join" `Quick profile_fused_join;
         Alcotest.test_case "one observation per join statement" `Quick one_observation_per_join;
+        Alcotest.test_case "armed observability is O(1) per statement" `Quick
+          armed_cost_per_candidate;
       ] );
   ]

@@ -109,6 +109,63 @@ let explain_strings () =
     (String.length (ex "x.sku == 5") >= 9 && String.sub (ex "x.sku == 5") 0 9 = "full scan");
   Db.close db
 
+(* Join strategy as counts: on an analyzed dept × emp pair the string
+   equi-join runs as a hash join, one pass over each extent, and the
+   ref-equality join as a dereference per outer row. A planner that fell
+   back to a nested loop would show as a different executed strategy and
+   as n × m scanned objects, the shape of the forced rescan below. *)
+let join_strategy_counts () =
+  let db = Db.open_in_memory () in
+  ignore
+    (Db.define db
+       {|class dept { dname: string; };
+         class emp { ename: string; works: string; boss: ref dept; };|});
+  Db.create_cluster db "dept";
+  Db.create_cluster db "emp";
+  Db.create_index db ~cls:"emp" ~field:"works";
+  let n_dept = 40 and n_emp = 400 in
+  let depts =
+    Db.with_txn db (fun txn ->
+        Array.init n_dept (fun i ->
+            Db.pnew txn "dept" [ ("dname", Value.Str (Printf.sprintf "d%d" i)) ]))
+  in
+  Db.with_txn db (fun txn ->
+      for i = 0 to n_emp - 1 do
+        let d = i * 7 mod n_dept in
+        ignore
+          (Db.pnew txn "emp"
+             [ ("ename", Value.Str (Printf.sprintf "e%d" i));
+               ("works", Value.Str (Printf.sprintf "d%d" d));
+               ("boss", Value.Ref depts.(d)) ])
+      done);
+  ignore (Db.analyze db);
+  let join ~outer ~inner src =
+    let before = Ode_util.Stats.snapshot () in
+    let pairs = ref 0 in
+    Ode.Query.run_join db ~outer ~inner ~inner_suchthat:(Parser.expr src) (fun _ _ -> incr pairs);
+    let d = Ode_util.Stats.diff (Ode_util.Stats.snapshot ()) before in
+    (!pairs, Ode_util.Stats.get d)
+  in
+  let dept = ("d", "dept", false) and emp = ("e", "emp", false) in
+  let pairs, hash = join ~outer:dept ~inner:emp "e.works == d.dname" in
+  Tutil.check_int "every emp pairs with its dept" n_emp pairs;
+  Tutil.check_int "executed as a hash join" 1 (hash "planner.hash_joins");
+  Tutil.check_int "no nested loop" 0 (hash "planner.nested_joins");
+  let scanned = hash "objects_scanned" in
+  if scanned > n_dept + n_emp + 8 then
+    Alcotest.failf "hash join scanned %d objects, more than n + m = %d" scanned (n_dept + n_emp);
+  (* The same predicate hidden in a disjunction: a rescan per outer row. *)
+  let forced_pairs, nested = join ~outer:dept ~inner:emp "e.works == d.dname || 1 == 2" in
+  Tutil.check_int "forced nested loop agrees" n_emp forced_pairs;
+  Tutil.check_int "executed as a nested loop" 1 (nested "planner.nested_joins");
+  Tutil.check_bool "forced nested loop scans n × m" true
+    (nested "objects_scanned" >= n_dept * n_emp);
+  let deref_pairs, deref = join ~outer:emp ~inner:dept "d == e.boss" in
+  Tutil.check_int "every emp reaches its boss" n_emp deref_pairs;
+  Tutil.check_int "executed as a fused join" 1 (deref "planner.fused_joins");
+  Tutil.check_int "deref scans the outer extent only" n_emp (deref "objects_scanned");
+  Db.close db
+
 let suite =
   [
     ( "planner",
@@ -121,5 +178,6 @@ let suite =
         Alcotest.test_case "inherited indexes" `Quick inherited_index_used;
         Alcotest.test_case "deep plans expand classes" `Quick deep_plan_classes;
         Alcotest.test_case "explain strings" `Quick explain_strings;
+        Alcotest.test_case "join strategies as scan counts" `Quick join_strategy_counts;
       ] );
   ]

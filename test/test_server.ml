@@ -151,6 +151,101 @@ let concurrent_sessions () =
               "forall x in acct suchthat x.owner = \"hot\" { print x.bal; };");
          Array.iter Client.close cs))
 
+(* -- MVCC write storm under a pinned snapshot ------------------------------ *)
+
+(* [writers] forked clients each run [per_writer] increments of an account
+   balance, one in three on a hot account. Each transaction is spread over
+   three requests, so snapshots really overlap on the server; a loser's
+   [commit;] surfaces as [Client.Conflict] and the client replays the
+   whole transaction as one request. One session holds a snapshot across
+   the storm. Counted outcomes: every increment lands exactly once, the
+   pinned read does not move, the long transaction's disjoint write still
+   commits, and conflicts stay bounded. *)
+let mvcc_write_storm () =
+  let writers = 3 and per_writer = 40 and n_accts = 16 in
+  let held = 1000 in
+  let issued = writers * per_writer in
+  let conflicts = ref 0 in
+  let dir =
+    with_server (fun port ->
+        let ctl = connect port in
+        ignore (Client.exec ctl "class acct { id: int; bal: int; }; create cluster acct;");
+        List.iter
+          (function Ok _ -> () | Error e -> Alcotest.failf "load: %s" e)
+          (Client.exec_many ctl
+             (List.map
+                (fun i -> Printf.sprintf "pnew acct { id = %d, bal = 0 };" i)
+                (held :: List.init n_accts Fun.id)));
+        ignore (Client.dot ctl ".stats reset");
+        let holder = connect port in
+        ignore (Client.exec holder "begin;");
+        let pinned () =
+          Client.query holder (Printf.sprintf "forall a in acct suchthat a.id < %d" n_accts)
+        in
+        let before = pinned () in
+        ignore
+          (Client.exec holder
+             (Printf.sprintf "forall a in acct suchthat a.id == %d { a.bal := a.bal + 1; };" held));
+        let spawn_writer w =
+          flush stdout;
+          flush stderr;
+          match Unix.fork () with
+          | 0 ->
+              let errors = ref 0 in
+              (try
+                 let c = Client.connect ~timeout:10. ~retries:0 ~host:"127.0.0.1" ~port () in
+                 let rng = Ode_util.Prng.create (2450 + w) in
+                 for _ = 1 to per_writer do
+                   let id = if Ode_util.Prng.int rng 3 = 0 then 0 else Ode_util.Prng.int rng n_accts in
+                   let incr_ =
+                     Printf.sprintf "forall a in acct suchthat a.id == %d { a.bal := a.bal + 1; };" id
+                   in
+                   try
+                     ignore (Client.exec c "begin;");
+                     ignore (Client.exec c incr_);
+                     ignore (Client.exec c "commit;")
+                   with Client.Conflict _ -> ignore (Client.exec c ("begin; " ^ incr_ ^ " commit;"))
+                 done;
+                 Client.close c
+               with _ -> errors := 100);
+              Unix._exit (min 100 !errors)
+          | pid -> pid
+        in
+        List.iter
+          (fun pid ->
+            match Unix.waitpid [] pid with
+            | _, Unix.WEXITED 0 -> ()
+            | _, Unix.WEXITED n -> Alcotest.failf "writer reported %d errors" n
+            | _ -> Alcotest.fail "writer died abnormally")
+          (List.init writers spawn_writer);
+        Tutil.check_string_list "pinned read unchanged by the storm" before (pinned ());
+        ignore (Client.exec holder "commit;");
+        Client.close holder;
+        (match counter_value (Client.dot ctl ".stats") "txn.conflicts" with
+        | Some n -> conflicts := n
+        | None -> Alcotest.fail "no txn.conflicts in stats");
+        Client.close ctl)
+  in
+  if !conflicts > 3 * issued then
+    Alcotest.failf "%d conflicts for %d transactions (more than 3 each)" !conflicts issued;
+  let db = Db.open_ dir in
+  Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+  (match Ode.Verify.run db with
+  | Ok () -> ()
+  | Error ps -> Alcotest.failf "verify after storm: %s" (String.concat "; " ps));
+  let bal id =
+    Db.with_txn db (fun txn ->
+        List.fold_left
+          (fun acc oid ->
+            match (Db.get_field txn oid "id", Db.get_field txn oid "bal") with
+            | Ode_model.Value.Int i, Ode_model.Value.Int b when id i -> acc + b
+            | _ -> acc)
+          0
+          (Ode.Query.to_list db ~txn ~var:"x" ~cls:"acct" ()))
+  in
+  Tutil.check_int "every increment landed exactly once" issued (bal (fun i -> i < n_accts));
+  Tutil.check_int "the long transaction's disjoint write committed" 1 (bal (( = ) held))
+
 (* -- idle-timeout eviction ------------------------------------------------ *)
 
 let idle_eviction () =
@@ -228,11 +323,48 @@ let graceful_shutdown () =
 
 (* -- group commit: shared fsync across concurrent autocommits ------------- *)
 
+(* One connection pipelines [n] autocommits through [Client.exec_many] at
+   [durability]; returns the server's [wal_syncs] over that load. The
+   server is then stopped with SIGTERM and must exit cleanly, and the
+   reopened store must pass [Verify] and hold every row. *)
+let pipelined_syncs durability n =
+  let dir = Tutil.temp_dir "ode-served" in
+  let pid, port = Server.spawn ~durability ~db_dir:dir () in
+  let mode = Db.durability_name durability in
+  let syncs =
+    Fun.protect
+      ~finally:(fun () -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+      (fun () ->
+        let c = connect port in
+        ignore (Client.exec c schema);
+        ignore (Client.dot c ".stats reset");
+        List.iter
+          (function Ok _ -> () | Error e -> Alcotest.failf "%s: pipelined commit: %s" mode e)
+          (Client.exec_many c
+             (List.init n (fun i -> Printf.sprintf "pnew acct { owner = \"p%d\", bal = %d };" i i)));
+        let syncs = counter_value (Client.dot c ".stats") "wal_syncs" in
+        Client.close c;
+        match syncs with Some n -> n | None -> Alcotest.failf "%s: no wal_syncs in stats" mode)
+  in
+  let _, status = Unix.waitpid [] pid in
+  Tutil.check_bool (mode ^ ": clean exit") true (status = Unix.WEXITED 0);
+  let db = Db.open_ dir in
+  (match Ode.Verify.run db with
+  | Ok () -> ()
+  | Error ps -> Alcotest.failf "%s: verify after shutdown: %s" mode (String.concat "; " ps));
+  Tutil.check_int (mode ^ ": every pipelined row durable") n
+    (Ode.Query.count db ~var:"x" ~cls:"acct" ());
+  Db.close db;
+  syncs
+
 (* 4 client processes hammer autocommit writes at a [Group]-durability
    server. Every reply is a durable commit (acked after the batch fsync),
    yet the server must have paid far fewer than one fsync per commit: the
    scheduler batches whatever arrived in a tick under one [Wal.sync], and
-   [wal_sync_saved] counts exactly the fsyncs the batching avoided. *)
+   [wal_sync_saved] counts exactly the fsyncs the batching avoided. Then
+   one pipelined connection per durability level: [group] must stay at or
+   under half a sync per commit (a per-commit fsync reads 1.0), [full]
+   must sync every commit, and no level may lose a row. *)
 let group_commit_batching () =
   let clients = 4 and per_client = 40 in
   ignore
@@ -283,7 +415,15 @@ let group_commit_batching () =
          let hist = Client.dot control ".hist wal.group_size" in
          Tutil.check_bool "group size histogram populated" true
            (contains hist "wal.group_size count");
-         Client.close control))
+         Client.close control));
+  let n = 200 in
+  let per_commit durability = float (pipelined_syncs durability n) /. float n in
+  let group = per_commit Db.Group in
+  if group > 0.5 then
+    Alcotest.failf "group: %.3f wal syncs per commit (a per-commit fsync reads 1.0)" group;
+  let full = per_commit Db.Full in
+  if full < 1.0 then Alcotest.failf "full: %.3f wal syncs per commit, fewer than one" full;
+  ignore (per_commit Db.Async)
 
 (* -- acked means durable: SIGKILL after replies, nothing may be lost ------ *)
 
@@ -553,5 +693,6 @@ let suite =
           reader_domains_e2e;
         Alcotest.test_case "metrics endpoint, health, slow-query log" `Quick
           observability_endpoint;
+        Alcotest.test_case "mvcc write storm under a pinned snapshot" `Quick mvcc_write_storm;
       ] );
   ]

@@ -155,6 +155,12 @@ let if_else_and_vars =
     "big\n7 5\n"
 
 let parse_error_reported = expect_error "class { broken" "error"
+
+(* Errors point at a line and a column, not at a byte offset. *)
+let parse_error_line_col () =
+  expect_error "class a { v: int; };\ncreate cluster a;\npnew a { v = 1 ;\n"
+    "parse error at line 3, col 16: " ();
+  expect_error "class a { v: int; };\n  @" "lex error at line 2, col 3: " ()
 let unknown_class_reported = expect_error "pnew ghost { };" "unknown class ghost"
 let no_cluster_hint = expect_error "class nc { v: int; }; pnew nc { };" "create cluster nc"
 
@@ -214,5 +220,6 @@ let suite =
         Alcotest.test_case "show classes" `Quick show_classes;
         Alcotest.test_case "shell variables tracked" `Quick shell_vars_tracked;
         Alcotest.test_case "bank.oql example script" `Quick bank_script_runs;
+        Alcotest.test_case "parse errors report line and column" `Quick parse_error_line_col;
       ] );
   ]
