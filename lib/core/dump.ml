@@ -7,8 +7,10 @@ open Types
 let var_of_oid (oid : Oid.t) = Printf.sprintf "_o%d_%d" oid.cls oid.num
 
 (* Render a value as a parseable surface-language expression; references
-   become the per-object variables bound earlier in the script. *)
-let rec value_expr (v : Value.t) =
+   become the per-object variables bound earlier in the script. A reference
+   to an object that is no longer live has no variable (and oids are
+   reassigned on import anyway), so it is written as [null]. *)
+let rec value_expr ~live (v : Value.t) =
   match v with
   | Null -> "null"
   | Int n -> if n < 0 then Printf.sprintf "(0 - %d)" (-n) else string_of_int n
@@ -17,10 +19,11 @@ let rec value_expr (v : Value.t) =
       if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
   | Bool b -> if b then "true" else "false"
   | Str s -> Ode_lang.Pp.expr_to_string (Ode_lang.Ast.Str s)
+  | (Ref oid | Vref { oid; _ }) when not (live oid) -> "null"
   | Ref oid -> var_of_oid oid
   | Vref vr -> Printf.sprintf "vref(%s, %d)" (var_of_oid vr.oid) vr.ver
-  | VSet vs -> "{" ^ String.concat ", " (List.map value_expr vs) ^ "}"
-  | VList vs -> "[" ^ String.concat ", " (List.map value_expr vs) ^ "]"
+  | VSet vs -> "{" ^ String.concat ", " (List.map (value_expr ~live) vs) ^ "}"
+  | VList vs -> "[" ^ String.concat ", " (List.map (value_expr ~live) vs) ^ "]"
 
 (* Fields whose value is representable without forward references in pass 1
    (scalars); refs, vrefs and containers move to pass 2 updates. *)
@@ -50,6 +53,18 @@ let export db =
           true))
     (Catalog.all db.catalog);
   let objects = List.rev !objects in
+  let dead = ref [] in
+  let live oid = Store.exists db None oid || (dead := oid :: !dead; false) in
+  let value_expr = value_expr ~live in
+  (* [lhs := v;], after a note naming the deleted objects [v] referred to. *)
+  let assign lhs v =
+    dead := [];
+    let e = value_expr v in
+    if !dead <> [] then
+      out "// note: %s referred to deleted %s, written as null" lhs
+        (String.concat ", " (List.rev_map var_of_oid !dead));
+    out "%s := %s;" lhs e
+  in
   (* The current version's fields are in the object record; older ones
      have records of their own. *)
   let fields_of (oid : Oid.t) ((h : Store.header), cur) ver =
@@ -80,8 +95,7 @@ let export db =
         List.iter
           (fun (n, v) ->
             if (not only_nonscalar) || not (scalar v) then
-              if v <> Value.Null || not only_nonscalar then
-                out "%s.%s := %s;" var n (value_expr v))
+              if v <> Value.Null || not only_nonscalar then assign (var ^ "." ^ n) v)
           fields
       in
       emit_fields ~only_nonscalar:true v0;
@@ -99,7 +113,7 @@ let export db =
       let newest = List.fold_left max v0 versions in
       if h.hcurrent <> newest then begin
         out "// note: source object's current version was %d, not the newest" h.hcurrent;
-        List.iter (fun (n, v) -> out "%s.%s := %s;" var n (value_expr v)) cur
+        List.iter (fun (n, v) -> assign (var ^ "." ^ n) v) cur
       end)
     objects;
   (* 4. Named roots. *)
@@ -107,7 +121,7 @@ let export db =
       let name = String.sub key 1 (String.length key - 1) in
       let v = Value.decode (Ode_util.Codec.cursor payload) in
       out "// root %s" name;
-      out "_root := %s; " (value_expr v);
+      assign "_root" v;
       out "setroot(\"%s\", _root);" name;
       true);
   (* 5. Trigger activations (active ones only; ids are reassigned). *)

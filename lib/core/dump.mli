@@ -5,7 +5,8 @@
     Object identity is not preserved across a dump/load — objects get fresh
     ids — but all references are rewritten consistently, so the loaded
     database is isomorphic to the source. Trigger ids are likewise
-    reassigned.
+    reassigned. A reference to a deleted object is written as [null], after
+    a [// note:] comment naming it.
 
     Known limitations: version numbers are renumbered contiguously on load,
     so pinned version references ([Vref]) are only faithful when no version

@@ -14,9 +14,9 @@
    incrementally: every applied header create/delete bumps the class
    count and the mods-since-analyze tally ([note_create]/[note_delete],
    called from the same [Store.apply_writes] choke point). Histograms are
-   not maintained incrementally — [stale] reports when enough mods have
-   accumulated that the planner should stop trusting them and fall back
-   to its heuristics.
+   not maintained incrementally: once [stale] reports that enough mods
+   have accumulated, [idx_stat] stops answering and the planner prices
+   its candidates with default selectivities instead.
 
    Drift note: after a crash, the counters reset to the last persisted
    snapshot plus whatever the WAL tail replays; creates that were
@@ -162,12 +162,14 @@ let analyzed db = db.stats.st_analyzed
 
 (* Histograms go stale once the mods since analyze are a meaningful
    fraction of the analyzed population (or an absolute flood on a small
-   one). The planner then falls back to heuristics rather than trusting
-   distributions that no longer describe the data. *)
+   one). [idx_stat] then answers nothing, so the planner prices with
+   default selectivities rather than trusting distributions that no
+   longer describe the data. *)
+let stale_locked s = (not s.st_analyzed) || s.st_mods > max 100 (s.st_base / 5)
+
 let stale db =
   let s = db.stats in
-  Mutex.protect s.st_mu (fun () ->
-      (not s.st_analyzed) || s.st_mods > max 100 (s.st_base / 5))
+  Mutex.protect s.st_mu (fun () -> stale_locked s)
 
 let card db cls_id =
   let s = db.stats in
@@ -175,15 +177,8 @@ let card db cls_id =
 
 let idx_stat db idx_id =
   let s = db.stats in
-  Mutex.protect s.st_mu (fun () -> Hashtbl.find_opt s.st_idx idx_id)
-
-let mods db =
-  let s = db.stats in
-  Mutex.protect s.st_mu (fun () -> s.st_mods)
-
-let base db =
-  let s = db.stats in
-  Mutex.protect s.st_mu (fun () -> s.st_base)
+  Mutex.protect s.st_mu (fun () ->
+      if stale_locked s then None else Hashtbl.find_opt s.st_idx idx_id)
 
 (* One-line report for the shell's `.analyze` acknowledgement. *)
 let describe db =

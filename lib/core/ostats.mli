@@ -2,8 +2,8 @@
     key histograms, persisted under the ['S'] key as one encoded snapshot
     written through an ordinary transaction (so WAL, recovery, replication
     and dump all carry it). Cardinalities are maintained incrementally from
-    [Store.apply_writes]; histograms are rebuilt only by analyze, and [stale]
-    tells the planner when to stop trusting them. *)
+    [Store.apply_writes]; histograms are rebuilt only by analyze, and
+    {!idx_stat} stops answering once they are [stale]. *)
 
 val fresh : unit -> Types.ostats
 (** Empty statistics for a newly constructed database handle. *)
@@ -35,10 +35,8 @@ val card : Types.db -> int -> int option
 (** Live cardinality estimate for a class id. *)
 
 val idx_stat : Types.db -> int -> Types.idx_stat option
-(** Key-distribution statistics for an index id (analyze-time snapshot). *)
-
-val mods : Types.db -> int
-val base : Types.db -> int
+(** Key-distribution statistics for an index id (analyze-time snapshot);
+    [None] while the statistics are {!stale}. *)
 
 val describe : Types.db -> string
 (** One-line human summary for the shell. *)

@@ -27,7 +27,7 @@ type estimate = {
   est_rows : float;  (** candidates the access path will emit *)
   est_out : float;  (** rows expected to survive the filter *)
   est_cost : float;  (** total access cost *)
-  est_stats : bool;  (** true when derived from analyze statistics *)
+  est_stats : bool;  (** true when fresh analyze statistics were available *)
 }
 
 type plan = {
@@ -100,8 +100,9 @@ let as_sarg db txn env var (e : Ast.expr) =
 
 (* -- cost model ------------------------------------------------------------- *)
 
-(* Without statistics the planner prices plans with textbook defaults; after
-   [analyze] the defaults are replaced by histogram fractions. *)
+(* Every plan is priced the same way. Histogram fractions size the
+   candidates while [Ostats.idx_stat] answers (fresh statistics); otherwise
+   these textbook defaults do. *)
 let default_card = 1000.0
 let probe_cost = 4.0 (* per index candidate: header fetch + liveness + re-check *)
 let descent_cost = 8.0 (* positioning a tree cursor *)
@@ -111,10 +112,6 @@ let default_misc_sel = 0.33
 
 let default_sel_of_op (op : Ast.binop) =
   match op with Eq -> default_eq_sel | Lt | Le | Gt | Ge -> default_range_sel | _ -> default_misc_sel
-
-(* Histograms are trusted only while fresh; stale or absent statistics send
-   the planner down the original heuristic path. *)
-let fresh_stats db = Ostats.analyzed db && not (Ostats.stale db)
 
 let extent_card db classes =
   List.fold_left
@@ -143,7 +140,8 @@ let pick_index db cls field =
       go 0 (Catalog.indexes db.catalog)
 
 (* Fraction of an index's entries matched by a sargable conjunct, from its
-   analyze-time key histogram. None when the histogram cannot answer. *)
+   analyze-time key histogram. None when the histogram cannot answer
+   (absent or stale statistics included). *)
 let hist_sel db idx_id (s : sarg) =
   match Ostats.idx_stat db idx_id with
   | Some st when st.is_total > 0 && indexable_value s.s_const -> (
@@ -159,15 +157,12 @@ let hist_sel db idx_id (s : sarg) =
   | _ -> None
 
 (* Selectivity of one conjunct, for sizing the filter output. *)
-let conjunct_sel db ~use_stats ~cls (_, sarg) =
+let conjunct_sel db ~cls (_, sarg) =
   match sarg with
   | Some s -> (
-      let from_stats =
-        if use_stats then
-          match pick_index db cls s.s_field with Some idx_id -> hist_sel db idx_id s | None -> None
-        else None
-      in
-      match from_stats with Some f -> f | None -> default_sel_of_op s.s_op)
+      match Option.bind (pick_index db cls s.s_field) (fun idx_id -> hist_sel db idx_id s) with
+      | Some f -> f
+      | None -> default_sel_of_op s.s_op)
   | None -> default_misc_sel
 
 (* -- plan construction ------------------------------------------------------ *)
@@ -190,17 +185,17 @@ let plan db ?txn ?(env = []) ~var ~cls ~deep ~suchthat () =
   (* Constant-conjunct evaluation reads through the planning transaction's
      view; [db.active] is only a writer-domain fallback. *)
   let txn = match txn with Some _ as t -> t | None -> db.active in
-  let use_stats = fresh_stats db in
+  let stats = not (Ostats.stale db) in
   let n = if Ostats.analyzed db then extent_card db classes else default_card in
   match suchthat with
   | None ->
       {
         p_cls = cls; p_deep = deep; p_classes = classes; p_access = Full_scan;
         p_residual = None; p_var = var;
-        p_est = { est_rows = n; est_out = n; est_cost = n; est_stats = use_stats };
+        p_est = { est_rows = n; est_out = n; est_cost = n; est_stats = stats };
       }
   | Some e ->
-      if use_stats then Ode_util.Stats.incr c_planner_stats_hits
+      if stats then Ode_util.Stats.incr c_planner_stats_hits
       else Ode_util.Stats.incr c_planner_fallbacks;
       let cs = conjuncts e in
       let tagged = List.map (fun c -> (c, as_sarg db txn env var c)) cs in
@@ -225,9 +220,9 @@ let plan db ?txn ?(env = []) ~var ~cls ~deep ~suchthat () =
         | None -> None
         | Some idx_id ->
             let rows =
-              match (use_stats, hist_sel db idx_id s) with
-              | true, Some frac -> frac *. idx_total idx_id
-              | _ -> default_eq_sel *. n
+              match hist_sel db idx_id s with
+              | Some frac -> frac *. idx_total idx_id
+              | None -> default_eq_sel *. n
             in
             Some
               (index_cand rows (Index_eq { idx_id; field = s.s_field; value = s.s_const }) [ c ]
@@ -265,7 +260,7 @@ let plan db ?txn ?(env = []) ~var ~cls ~deep ~suchthat () =
             let bound_key = Option.map (fun (v, incl) -> (Value.index_key v, incl)) in
             let rows =
               match Ostats.idx_stat db idx_id with
-              | Some st when use_stats && st.is_total > 0 ->
+              | Some st when st.is_total > 0 ->
                   Dist.range_fraction st.is_hist (bound_key lo) (bound_key hi)
                   *. float_of_int st.is_total
               | _ ->
@@ -278,40 +273,29 @@ let plan db ?txn ?(env = []) ~var ~cls ~deep ~suchthat () =
             Some (index_cand rows (Index_range { idx_id; field; lo; hi }) [] counted)
         | _ -> None
       in
+      (* Price every candidate access path and take the cheapest; full scan
+         wins ties (it is the simplest plan), and among equal index
+         candidates the first conjunct does. *)
       let full = { c_access = Full_scan; c_used = []; c_counted = []; c_rows = n; c_cost = n } in
+      let range_fields =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (_, s) -> if s.s_op <> Ast.Eq then Some s.s_field else None)
+             indexed_sargs)
+      in
+      let cands =
+        List.filter_map eq_cand (List.filter (fun (_, s) -> s.s_op = Ast.Eq) indexed_sargs)
+        @ List.filter_map range_cand range_fields
+      in
       let chosen =
-        if use_stats then begin
-          (* Cost-based: price every candidate access path and take the
-             cheapest; full scan wins ties (it is the simplest plan). *)
-          let range_fields =
-            List.sort_uniq compare
-              (List.filter_map
-                 (fun (_, s) -> if s.s_op <> Ast.Eq then Some s.s_field else None)
-                 indexed_sargs)
-          in
-          let cands =
-            List.filter_map eq_cand (List.filter (fun (_, s) -> s.s_op = Ast.Eq) indexed_sargs)
-            @ List.filter_map range_cand range_fields
-          in
-          List.fold_left (fun best c -> if c.c_cost < best.c_cost then c else best) full cands
-        end
-        else begin
-          (* Heuristic (no trustworthy statistics): prefer an equality probe,
-             otherwise range-bound the first indexed field that has bounds. *)
-          match List.find_opt (fun (_, s) -> s.s_op = Ast.Eq) indexed_sargs with
-          | Some eq -> ( match eq_cand eq with Some c -> c | None -> full)
-          | None -> (
-              match indexed_sargs with
-              | [] -> full
-              | (_, s0) :: _ -> ( match range_cand s0.s_field with Some c -> c | None -> full))
-        end
+        List.fold_left (fun best c -> if c.c_cost < best.c_cost then c else best) full cands
       in
       let residual_cs = List.filter (fun c -> not (List.memq c chosen.c_used)) cs in
       let res_sel =
         List.fold_left
           (fun acc ((c, _) as tc) ->
             if List.memq c chosen.c_counted then acc
-            else acc *. conjunct_sel db ~use_stats ~cls tc)
+            else acc *. conjunct_sel db ~cls tc)
           1.0 tagged
       in
       {
@@ -322,7 +306,7 @@ let plan db ?txn ?(env = []) ~var ~cls ~deep ~suchthat () =
             est_rows = chosen.c_rows;
             est_out = chosen.c_rows *. res_sel;
             est_cost = chosen.c_cost;
-            est_stats = use_stats;
+            est_stats = stats;
           };
       }
 
@@ -340,9 +324,11 @@ let access_label p =
       in
       Printf.sprintf "index range %s(%s) %s" p.p_cls field (String.concat " and " parts)
 
+let provenance stats = if stats then "stats" else "defaults"
+
 let estimate_label est =
   Printf.sprintf "est ~%.0f rows, cost ~%.0f (%s)" est.est_out est.est_cost
-    (if est.est_stats then "stats" else "heuristic")
+    (provenance est.est_stats)
 
 let explain p =
   let b = Buffer.create 64 in
@@ -398,12 +384,11 @@ let plan_join db ?txn ?(env = []) ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls,
   (* Conjuncts that never mention the outer variable filter the inner side
      alone; the rest link the two extents and are re-checked per pair. *)
   let inner_only_cs, cross = List.partition (closed_for ovar) cs in
-  let use_stats = fresh_stats db in
   let n_in = if Ostats.analyzed db then extent_card db iclasses else default_card in
   let n_out = op.p_est.est_out in
   let itagged = List.map (fun c -> (c, as_sarg db txn env ivar c)) inner_only_cs in
   let isel =
-    List.fold_left (fun acc tc -> acc *. conjunct_sel db ~use_stats ~cls:icls tc) 1.0 itagged
+    List.fold_left (fun acc tc -> acc *. conjunct_sel db ~cls:icls tc) 1.0 itagged
   in
   let m_in = n_in *. isel in
   (* Link shapes, strongest first: [i == o.f] reaches the inner object
@@ -411,37 +396,29 @@ let plan_join db ?txn ?(env = []) ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls,
      through its set/list field; [i.g == o.f] can hash-partition. *)
   let deref_link =
     List.find_map
-      (fun (c : Ast.expr) ->
-        match c with
-        | Binop (Eq, Var v, Field (Var o, f)) when v = ivar && o = ovar -> Some f
-        | Binop (Eq, Field (Var o, f), Var v) when v = ivar && o = ovar -> Some f
+      (function
+        | Ast.Binop (Eq, Var v, Field (Var o, f)) | Binop (Eq, Field (Var o, f), Var v)
+          when v = ivar && o = ovar -> Some f
         | _ -> None)
       cross
   in
   let member_link =
     List.find_map
-      (fun (c : Ast.expr) ->
-        match c with
-        | Binop (In, Var v, Field (Var o, f)) when v = ivar && o = ovar -> Some f
-        | _ -> None)
+      (function Ast.Binop (In, Var v, Field (Var o, f)) when v = ivar && o = ovar -> Some f | _ -> None)
       cross
   in
   let hash_link =
     List.find_map
-      (fun (c : Ast.expr) ->
-        match c with
-        | Binop (Eq, Field (Var a, g), Field (Var b, f)) when a = ivar && b = ovar -> Some (f, g)
+      (function
+        | Ast.Binop (Eq, Field (Var a, g), Field (Var b, f)) when a = ivar && b = ovar -> Some (f, g)
         | Binop (Eq, Field (Var b, f), Field (Var a, g)) when a = ivar && b = ovar -> Some (f, g)
         | _ -> None)
       cross
   in
   let join_eq_sel g =
-    match (if use_stats then pick_index db icls g else None) with
-    | Some idx_id -> (
-        match Ostats.idx_stat db idx_id with
-        | Some st when st.is_distinct > 0 -> 1.0 /. float_of_int st.is_distinct
-        | _ -> default_eq_sel)
-    | None -> default_eq_sel
+    match Option.bind (pick_index db icls g) (Ostats.idx_stat db) with
+    | Some st when st.is_distinct > 0 -> 1.0 /. float_of_int st.is_distinct
+    | _ -> default_eq_sel
   in
   let cross_sel =
     List.fold_left
@@ -463,22 +440,32 @@ let plan_join db ?txn ?(env = []) ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls,
         descent_cost +. (join_eq_sel g *. n_in *. probe_cost)
     | _ -> n_in
   in
-  let nested_cost = op.p_est.est_cost +. (n_out *. inner_per_probe) in
+  let cost_of_outer per_row = op.p_est.est_cost +. (n_out *. per_row) in
+  let nested_cost = cost_of_outer inner_per_probe in
+  (* Price every strategy the link shapes allow and take the cheapest; on
+     ties the earlier one in this list wins, the nested loop before the
+     hash join. Average container size is unknowable without field
+     statistics, so member fusion is priced as a small constant fan-out. *)
+  let cands =
+    List.filter_map Fun.id
+      [
+        Option.map (fun f -> (Fused_deref f, n_out *. isel, cost_of_outer 2.0)) deref_link;
+        Option.map (fun f -> (Fused_member f, n_out *. 4.0 *. isel, cost_of_outer 4.0)) member_link;
+        Some (Nested_loop, nested_rows, nested_cost);
+        (match hash_link with
+        | Some (f, g) when scalar_field db icls g && scalar_field db ocls f ->
+            let hash_rows = n_out *. m_in *. join_eq_sel g in
+            Some
+              ( Hash_join { outer_field = f; inner_field = g },
+                hash_rows,
+                cost_of_outer 2.0 +. n_in +. hash_rows )
+        | _ -> None);
+      ]
+  in
   let strategy, rows, cost =
-    match (deref_link, member_link, hash_link) with
-    | Some f, _, _ -> (Fused_deref f, n_out *. isel, op.p_est.est_cost +. (n_out *. 2.0))
-    | None, Some f, _ ->
-        (* Average container size is unknowable without field statistics;
-           price it as a small constant fan-out. *)
-        (Fused_member f, n_out *. 4.0 *. isel, op.p_est.est_cost +. (n_out *. 4.0))
-    | None, None, Some (f, g) when use_stats && scalar_field db icls g && scalar_field db ocls f
-      ->
-        let hash_rows = n_out *. m_in *. join_eq_sel g in
-        let hash_cost = op.p_est.est_cost +. n_in +. (n_out *. 2.0) +. hash_rows in
-        if hash_cost < nested_cost then
-          (Hash_join { outer_field = f; inner_field = g }, hash_rows, hash_cost)
-        else (Nested_loop, nested_rows, nested_cost)
-    | None, None, _ -> (Nested_loop, nested_rows, nested_cost)
+    List.fold_left
+      (fun ((_, _, best) as b) ((_, _, c) as cand) -> if c < best then cand else b)
+      (List.hd cands) (List.tl cands)
   in
   {
     j_ovar = ovar;
@@ -491,7 +478,7 @@ let plan_join db ?txn ?(env = []) ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls,
     j_rows = rows;
     j_cost = cost;
     j_nested_cost = nested_cost;
-    j_stats = use_stats;
+    j_stats = op.p_est.est_stats;
   }
 
 let strategy_label jp =
@@ -506,9 +493,7 @@ let strategy_label jp =
 
 let explain_join jp =
   Printf.sprintf "%s — est ~%.0f rows, cost ~%.0f (%s; nested loop ~%.0f)\n  outer: %s"
-    (strategy_label jp) jp.j_rows jp.j_cost
-    (if jp.j_stats then "stats" else "heuristic")
-    jp.j_nested_cost (explain jp.j_outer)
+    (strategy_label jp) jp.j_rows jp.j_cost (provenance jp.j_stats) jp.j_nested_cost (explain jp.j_outer)
 
 (* -- join-fusion eligibility ------------------------------------------------ *)
 

@@ -7,15 +7,16 @@
     into a point or range probe of the secondary index, with the remaining
     conjuncts as a residual filter.
 
-    Every plan carries a cardinality/cost {!estimate}. After [analyze] has
-    collected per-extent cardinalities and per-index key histograms
-    ({!Ostats}), candidate access paths are priced from those and the
-    cheapest wins; with absent or stale statistics the planner falls back
-    to the original first-sargable-conjunct heuristics with textbook
-    default selectivities. Two-extent nested [forall] loops go through
-    {!plan_join}, which recognizes collection-join links (ref deref, set
-    membership, field equality) and fuses the nested loops when the
-    statistics say it pays. *)
+    Every plan carries a cardinality/cost {!estimate}, and every choice is
+    made the same way: price each candidate and take the cheapest. After
+    [analyze] has collected per-extent cardinalities and per-index key
+    histograms ({!Ostats}), candidates are sized from those; with absent
+    or stale statistics the same cost model runs on textbook default
+    selectivities (and, absent any analyze, a default extent size). Plans
+    say which in their provenance: [(stats)] or [(defaults)]. Two-extent
+    nested [forall] loops go through {!plan_join}, which recognizes
+    collection-join links (ref deref, set membership, field equality) and
+    prices each fused strategy against the nested loop. *)
 
 open Types
 
@@ -33,7 +34,7 @@ type estimate = {
   est_rows : float;  (** candidates the access path will emit *)
   est_out : float;  (** rows expected to survive the filter *)
   est_cost : float;  (** total access cost, abstract work units *)
-  est_stats : bool;  (** true when derived from analyze statistics *)
+  est_stats : bool;  (** true when fresh analyze statistics were available *)
 }
 
 type plan = {
@@ -68,7 +69,8 @@ val plan :
 
 val explain : plan -> string
 (** Human-readable plan with its estimate, e.g.
-    ["index range person(age) > 30 — est ~12 rows, cost ~56 (stats) — residual: ..."]. *)
+    ["index range person(age) > 30 — est ~12 rows, cost ~56 (stats) — residual: ..."];
+    the provenance reads [(defaults)] when no fresh statistics priced it. *)
 
 (** {1 Join planning} *)
 
@@ -109,11 +111,11 @@ val plan_join :
   join_plan
 (** Plan a two-extent join ([outer]/[inner] are [(var, class, deep)]).
     [inner_suchthat] may mention both variables; its outer-free conjuncts
-    filter the inner side, the rest link the extents. Deref/member fusion
-    is chosen whenever the link shape allows (it is semantically identical
-    to the nested loop and strictly cheaper); a hash join only when fresh
-    statistics price it below the nested loop. Raises
-    {!Ode_model.Catalog.Schema_error} for an unknown class. *)
+    filter the inner side, the rest link the extents. Every strategy the
+    link shapes allow (deref and member fusion, a hash join on scalar
+    fields, the nested loop) is priced, and the cheapest wins; all of them
+    emit the nested loop's pairs. Raises {!Ode_model.Catalog.Schema_error}
+    for an unknown class. *)
 
 val explain_join : join_plan -> string
 (** Two-line human-readable join plan: strategy + estimates, then the

@@ -23,4 +23,4 @@ val try_pop : 'a t -> 'a option
 (** [None] when the channel is empty. Never blocks. *)
 
 val length : 'a t -> int
-(** Instantaneous occupancy (racy by nature; for backpressure heuristics). *)
+(** Instantaneous occupancy (racy by nature; a backpressure hint). *)

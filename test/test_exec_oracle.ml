@@ -7,9 +7,12 @@
    a worklist. A seeded QCheck suite generates random index layouts, data
    and single- and two-extent queries (reusing [Test_lang]'s expression
    generator for opaque conjuncts) and compares the real planner and
-   executor against the reference in four configurations: heuristic
-   plans, cost-based plans after [analyze], a snapshot pinned before a
-   concurrent commit, and a transaction with pending writes. Queries go
+   executor against the reference in five configurations: no statistics
+   (default selectivities and cardinalities), fresh statistics after
+   [analyze], stale statistics (analyzed, then churned past
+   [Ostats.stale]'s threshold: real cardinalities, default
+   selectivities), a snapshot pinned before a concurrent commit, and a
+   transaction with pending writes. Queries go
    through the OCaml API ([Query.to_list], [Query.run_join],
    [Query.run ~fixpoint]) and through the statement interpreter. The run
    fails unless the compiled trees used every access path, both orderings
@@ -51,8 +54,9 @@ type model = { parents : (string * string list) list; objs : (string * (string *
 let oid_of_var v =
   Scanf.sscanf (String.map (function '_' -> ' ' | c -> c) v) " o%d %d" (fun cls num -> { Oid.cls; num })
 
-(* A dump names every object by its oid, dangling references included, so
-   each name is bound to the reference it spells. *)
+(* A dump names every live object by its oid (a reference to a deleted
+   object is written as null), so each name is bound to the reference it
+   spells. *)
 let rec value (e : Ast.expr) =
   match e with
   | Var v -> Value.Ref (oid_of_var v)
@@ -477,14 +481,23 @@ let run_all ~what db txn m c =
       check_join ~what db txn m j)
     c.joins
 
+(* Committed random writes until the statistics go stale: more header
+   creates and deletes since [analyze] than [Ostats.stale] tolerates. *)
+let rec churn rs db m =
+  if Db.stats_stale db then m
+  else churn rs db (Db.with_txn db (fun w -> apply_writes rs w m 10))
+
 let check_case c =
   let db = load c in
   Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
   let rs = Random.State.make [| c.write_seed |] in
   let m = model_of_dump db in
-  run_all ~what:"heuristic plans" db None m c;
+  run_all ~what:"no statistics" db None m c;
   ignore (Db.analyze db);
   run_all ~what:"after analyze" db None m c;
+  let m = churn rs db m in
+  run_all ~what:"stale statistics" db None m c;
+  ignore (Db.analyze db);
   (* A snapshot pinned before a concurrent commit still sees [m]. *)
   Db.with_read_txn db (fun pinned ->
       Db.with_txn db (fun w -> ignore (apply_writes rs w m (1 + Random.State.int rs 6)));

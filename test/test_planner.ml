@@ -18,6 +18,18 @@ let setup () =
   Db.create_index db ~cls:"special" ~field:"rank";
   db
 
+(* Ranges are priced like every other access path, so the bound-folding
+   tests plan over data where a narrow range is the cheapest plan: 1000
+   items with [qty] 0..999, analyzed. *)
+let setup_analyzed () =
+  let db = setup () in
+  Db.with_txn db (fun txn ->
+      for i = 0 to 999 do
+        ignore (Db.pnew txn "item" [ ("sku", Value.Int i); ("qty", Value.Int i) ])
+      done);
+  ignore (Db.analyze db);
+  db
+
 let plan db ?env ?(cls = "item") ?(deep = false) src =
   Planner.plan db ?env ~var:"x" ~cls ~deep ~suchthat:(Some (Parser.expr src)) ()
 
@@ -33,8 +45,8 @@ let picks_eq_probe () =
   Db.close db
 
 let picks_range () =
-  let db = setup () in
-  Tutil.check_bool "gt" true (is_range (plan db "x.qty > 5"));
+  let db = setup_analyzed () in
+  Tutil.check_bool "gt" true (is_range (plan db "x.qty > 990"));
   Tutil.check_bool "both bounds" true (is_range (plan db "x.qty >= 2 && x.qty < 9"));
   (match (plan db "x.qty >= 2 && x.qty < 9").Planner.p_access with
   | Planner.Index_range { lo = Some (Value.Int 2, true); hi = Some (Value.Int 9, false); _ } -> ()
@@ -42,21 +54,21 @@ let picks_range () =
   Db.close db
 
 let tightest_bounds () =
-  let db = setup () in
+  let db = setup_analyzed () in
   (* Redundant conjuncts must fold to the tightest bound, whatever their
      order in the predicate. *)
-  (match (plan db "x.qty > 10 && x.qty > 5").Planner.p_access with
-  | Planner.Index_range { lo = Some (Value.Int 10, false); hi = None; _ } -> ()
-  | _ -> Alcotest.fail "lo not tightened to > 10");
-  (match (plan db "x.qty > 5 && x.qty > 10").Planner.p_access with
-  | Planner.Index_range { lo = Some (Value.Int 10, false); hi = None; _ } -> ()
+  (match (plan db "x.qty > 990 && x.qty > 980").Planner.p_access with
+  | Planner.Index_range { lo = Some (Value.Int 990, false); hi = None; _ } -> ()
+  | _ -> Alcotest.fail "lo not tightened to > 990");
+  (match (plan db "x.qty > 980 && x.qty > 990").Planner.p_access with
+  | Planner.Index_range { lo = Some (Value.Int 990, false); hi = None; _ } -> ()
   | _ -> Alcotest.fail "lo not tightened (order flipped)");
   (match (plan db "x.qty < 5 && x.qty <= 9").Planner.p_access with
   | Planner.Index_range { lo = None; hi = Some (Value.Int 5, false); _ } -> ()
   | _ -> Alcotest.fail "hi not tightened to < 5");
   (* On equal constants a strict bound beats an inclusive one. *)
-  (match (plan db "x.qty >= 7 && x.qty > 7").Planner.p_access with
-  | Planner.Index_range { lo = Some (Value.Int 7, false); hi = None; _ } -> ()
+  (match (plan db "x.qty >= 997 && x.qty > 997").Planner.p_access with
+  | Planner.Index_range { lo = Some (Value.Int 997, false); hi = None; _ } -> ()
   | _ -> Alcotest.fail "strict not preferred on tie");
   (match (plan db "x.qty > 2 && x.qty >= 0 && x.qty < 9 && x.qty <= 12").Planner.p_access with
   | Planner.Index_range { lo = Some (Value.Int 2, false); hi = Some (Value.Int 9, false); _ } -> ()

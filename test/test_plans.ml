@@ -1,9 +1,12 @@
 (* Plan-snapshot regression gate: a fixed catalog of representative queries
    is planned pre- and post-[analyze] and the rendered plans are diffed
-   against the committed golden file [test/plans.expected]. Estimated
+   against the committed golden file [test/plans.expected]. Both phases run
+   the same cost model: before [analyze] it prices with default
+   selectivities and cardinalities, after it with the histograms. Estimated
    figures (digit runs after '~') are normalized to '#' so cost-constant
    tuning does not churn the snapshot; the plan *shapes* and their
-   stats/heuristic provenance are what the gate pins.
+   stats/defaults provenance are what the gate pins. A second check
+   compares each operator's estimated rows with the rows it produced.
 
    On mismatch the test fails with a full diff and writes the actual
    snapshot to [plans.actual] in the test's working directory
@@ -166,7 +169,7 @@ let render db =
                 ?inner_suchthat:(Option.map Parser.expr i_st) ())))
       joins
   in
-  phase "before analyze (heuristics)";
+  phase "before analyze (defaults)";
   ignore (Db.analyze db);
   phase "after analyze (cost-based)";
   Buffer.contents b
@@ -219,11 +222,60 @@ let snapshot_deterministic () =
   Db.close db2;
   Tutil.check_bool "two renders agree" true (s1 = s2)
 
+(* Per-operator estimates against actual rows: after [analyze], every
+   single-extent catalog query is profiled, and each access and filter
+   operator's estimated rows are compared with the rows it produced, as
+   the q-error max(est, act) / min(est, act) with both floored at one row.
+   The bound is the measured worst case, so any estimate that gets worse
+   fails: [x.sku == 7]'s filter, an equality on an unindexed field priced
+   at the 5% default (est 5, actual 1). The runners-up are the 33%
+   default for a disjunction (3.0) and two range conjuncts on one field
+   multiplied as if independent (2.2). On failure the message lists every
+   operator, worst first. *)
+let max_qerror = 5.0
+
+let node_estimate (t : Planner.tree) =
+  match t with
+  | Scan p | Probe p | Range p -> Some p.Planner.p_est.Planner.est_rows
+  | Filter { plan; _ } -> Some plan.Planner.p_est.Planner.est_out
+  | _ -> None
+
+let estimates_hold () =
+  let db = setup () in
+  ignore (Db.analyze db);
+  let rows =
+    List.concat_map
+      (fun (var, cls, deep, st) ->
+        let suchthat = Option.map Parser.expr st in
+        let pf = Query.profile db ~var ~cls ~deep ?suchthat () in
+        List.filter_map
+          (fun (n : Query.node_stats) ->
+            Option.map
+              (fun est ->
+                let e = Float.max 1.0 est and a = Float.max 1.0 (float_of_int n.ns_rows) in
+                ( Float.max (e /. a) (a /. e),
+                  Printf.sprintf "%s%s %s: %s est %.1f, actual %d" cls
+                    (if deep then "*" else "")
+                    (Option.value st ~default:"(all)")
+                    (Planner.op_name n.ns_op) est n.ns_rows ))
+              (node_estimate n.ns_op))
+          pf.Query.pf_nodes)
+      singles
+  in
+  Db.close db;
+  let worst = List.fold_left (fun acc (q, _) -> Float.max acc q) 0.0 rows in
+  if worst > max_qerror then
+    Alcotest.failf "operator q-error %.2f exceeds %.2f:\n%s" worst max_qerror
+      (String.concat "\n"
+         (List.map (fun (q, what) -> Printf.sprintf "  %6.2f  %s" q what)
+            (List.sort (fun (a, _) (b, _) -> compare b a) rows)))
+
 let suite =
   [
     ( "plans",
       [
         Alcotest.test_case "snapshot deterministic" `Quick snapshot_deterministic;
         Alcotest.test_case "snapshot matches golden file" `Quick snapshot_matches;
+        Alcotest.test_case "operator estimates hold" `Quick estimates_hold;
       ] );
   ]

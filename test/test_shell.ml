@@ -100,8 +100,8 @@ let explain_statement =
     explain forall x in e suchthat x.f == 3;
     explain forall x in e;
     |}
-    ("index probe e(f) = 3 \xe2\x80\x94 est ~50 rows, cost ~208 (heuristic)\n"
-    ^ "full scan of cluster e \xe2\x80\x94 est ~1000 rows, cost ~1000 (heuristic)\n")
+    ("index probe e(f) = 3 \xe2\x80\x94 est ~50 rows, cost ~208 (defaults)\n"
+    ^ "full scan of cluster e \xe2\x80\x94 est ~1000 rows, cost ~1000 (defaults)\n")
 
 (* The [explain] statement plans in the shell's bindings, exactly as
    [.explain] and execution do: [lim] is a constant, so the conjunct is an

@@ -59,9 +59,10 @@ let selectivity_tracks_skew () =
     (half_est >= half_exact /. 2.0 && half_est <= half_exact *. 2.0);
   Db.close db
 
-(* The acceptance demo: an eq conjunct on the skewed field is planned first
-   by the heuristics; after [analyze] the histograms reveal the other
-   conjunct is far more selective and the plan switches. *)
+(* The acceptance demo: priced with default selectivities the two eq
+   conjuncts tie and the first one wins; after [analyze] the histograms
+   reveal the other conjunct is far more selective and the plan
+   switches. *)
 let plan_switches_after_analyze () =
   let db = Db.open_in_memory () in
   setup_skewed db;
@@ -71,8 +72,8 @@ let plan_switches_after_analyze () =
     | _ -> "(not an eq probe)"
   in
   let before = plan db "x.a == 1 && x.b == 17" in
-  Tutil.check_string "heuristic picks first eq conjunct" "a" (field before);
-  Tutil.check_bool "heuristic estimate flagged" false before.Planner.p_est.Planner.est_stats;
+  Tutil.check_string "defaults tie, first eq conjunct wins" "a" (field before);
+  Tutil.check_bool "default estimate flagged" false before.Planner.p_est.Planner.est_stats;
   ignore (Db.analyze db);
   let after = plan db "x.a == 1 && x.b == 17" in
   Tutil.check_string "cost model picks the selective index" "b" (field after);
@@ -125,8 +126,9 @@ let stats_survive_dump () =
   Db.close db;
   Db.close db2
 
-(* Enough churn after analyze flips [stale] and sends the planner back to
-   the heuristics (first-eq-conjunct wins again). *)
+(* Enough churn after analyze flips [stale]: the histograms stop
+   answering, the planner prices with default selectivities, and the two
+   eq conjuncts tie again (the first wins). *)
 let stale_stats_fall_back () =
   let db = Db.open_in_memory () in
   setup_skewed db;
@@ -142,7 +144,7 @@ let stale_stats_fall_back () =
   let p = plan db "x.a == 1 && x.b == 17" in
   Tutil.check_bool "estimate no longer from stats" false p.Planner.p_est.Planner.est_stats;
   (match p.Planner.p_access with
-  | Planner.Index_eq { field; _ } -> Tutil.check_string "heuristic order restored" "a" field
+  | Planner.Index_eq { field; _ } -> Tutil.check_string "default pricing restored" "a" field
   | _ -> Alcotest.fail "expected an eq probe");
   (* Re-analyzing refreshes. *)
   ignore (Db.analyze db);
@@ -150,13 +152,13 @@ let stale_stats_fall_back () =
   Db.close db
 
 (* Without any analyze the planner must still work (and say so). *)
-let absent_stats_use_heuristics () =
+let absent_stats_use_defaults () =
   let db = Db.open_in_memory () in
   setup_skewed db;
   Tutil.check_bool "not analyzed" false (Db.stats_analyzed db);
   Tutil.check_bool "stale by definition" true (Db.stats_stale db);
   let p = plan db "x.b == 17" in
-  Tutil.check_bool "heuristic estimate" false p.Planner.p_est.Planner.est_stats;
+  Tutil.check_bool "default estimate" false p.Planner.p_est.Planner.est_stats;
   Tutil.check_bool "still plans a probe" true
     (match p.Planner.p_access with Planner.Index_eq _ -> true | _ -> false);
   Db.close db
@@ -193,10 +195,16 @@ let join_plan db ?(inner_st = "e.works == d.dname") () =
 let join_strategy_selection () =
   let db = Db.open_in_memory () in
   setup_join db ~emps:60;
-  (* Field-equality link without statistics: stay on the nested loop. *)
-  (match (join_plan db ()).Planner.j_strategy with
-  | Planner.Nested_loop -> ()
-  | _ -> Alcotest.fail "heuristics must keep the nested loop");
+  (* Field-equality link without statistics: priced with the default
+     cardinality (1000 per extent) and selectivity, one build pass beats
+     rescanning the unindexed inner extent per outer row. *)
+  let cold = join_plan db () in
+  (match cold.Planner.j_strategy with
+  | Planner.Hash_join { outer_field = "dname"; inner_field = "works" } -> ()
+  | _ -> Alcotest.fail "expected a hash join priced from defaults");
+  Tutil.check_bool "hash join priced below the nested loop" true
+    (cold.Planner.j_cost < cold.Planner.j_nested_cost);
+  Tutil.check_bool "priced from defaults" false cold.Planner.j_stats;
   (* Deref and membership links fuse with or without statistics. *)
   (match
      (Planner.plan_join db ~outer:("e", "emp", false) ~inner:("d", "dept", false)
@@ -290,7 +298,7 @@ let suite =
         Alcotest.test_case "survive reopen and crash" `Quick stats_survive_reopen_and_crash;
         Alcotest.test_case "survive logical dump" `Quick stats_survive_dump;
         Alcotest.test_case "stale stats fall back" `Quick stale_stats_fall_back;
-        Alcotest.test_case "absent stats use heuristics" `Quick absent_stats_use_heuristics;
+        Alcotest.test_case "absent stats use defaults" `Quick absent_stats_use_defaults;
         Alcotest.test_case "join strategy selection" `Quick join_strategy_selection;
         Alcotest.test_case "fused joins match nested" `Quick fused_joins_match_nested;
         Alcotest.test_case "profile sums with stats" `Quick profile_sums_with_stats;
