@@ -727,7 +727,7 @@ let e12 () =
     (fun n ->
       let t = B.attach (Ode_storage.Buffer_pool.create ~capacity:256 (Ode_storage.Disk.in_memory ())) in
       let rng = Prng.create 9 in
-      let keys = Array.init n (fun i -> Ode_util.Key.of_int i) in
+      let keys = Array.init n (fun i -> Ode_util.Key.of_nat i) in
       Prng.shuffle rng keys;
       let _, m_ins =
         timed (fun () -> Array.iter (fun k -> B.insert t k "v") keys)
@@ -750,7 +750,7 @@ let e12 () =
       let range_n = ref 0 in
       let _, m_range =
         timed (fun () ->
-            B.iter_range t ~lo:(Ode_util.Key.of_int (n / 2)) ~hi:(Ode_util.Key.of_int (n / 2 + 1000))
+            B.iter_range t ~lo:(Ode_util.Key.of_nat (n / 2)) ~hi:(Ode_util.Key.of_nat (n / 2 + 1000))
               (fun _ _ ->
                 incr range_n;
                 true))

@@ -82,10 +82,10 @@ let bechamel_tests () =
            (Ode_storage.Buffer_pool.create ~capacity:128 (Ode_storage.Disk.in_memory ()))
        in
        for i = 0 to 9_999 do
-         Ode_index.Bptree.insert t (Ode_util.Key.of_int i) "v"
+         Ode_index.Bptree.insert t (Ode_util.Key.of_nat i) "v"
        done;
        Test.make ~name:"E12.bptree_find" (Staged.stage (fun () ->
-           ignore (Ode_index.Bptree.find t (Ode_util.Key.of_int 7_777)))));
+           ignore (Ode_index.Bptree.find t (Ode_util.Key.of_nat 7_777)))));
     ]
 
 let run_bechamel () =

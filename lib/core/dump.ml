@@ -118,7 +118,7 @@ let export db =
     objects;
   (* 4. Named roots. *)
   Kv.iter_prefix db "R" (fun key payload ->
-      let name = String.sub key 1 (String.length key - 1) in
+      let name = Keys.root_name key in
       let v = Value.decode (Ode_util.Codec.cursor payload) in
       out "// root %s" name;
       assign "_root" v;

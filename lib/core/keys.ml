@@ -7,67 +7,107 @@
      'H' ++ oid-key                the object: header (class, current
                                    version, version list), then the
                                    current version's fields
-     'V' ++ oid-key ++ u32 ver     the fields of one non-current version
+     'V' ++ oid-key ++ nat ver     the fields of one non-current version
                                    (never the current one)
      'R' ++ name                   named persistent root
-     'T' ++ u32 tid                trigger activation record
+     'T' ++ nat tid                trigger activation record
      'C'                           the schema catalog
      'M'                           engine metadata (counters, logical clock)
      'S'                           planner statistics (cardinalities, histograms)
-     'I' ++ u32 idx ++ valkey ++ oid-key   secondary index entry (routed to
-                                           the index tree, not the KV)       *)
+     'I' ++ nat idx ++ valkey ++ oid-key   secondary index entry (routed to
+                                           the index tree, not the KV)
+
+   A nat is [Key.of_nat]: a width byte, then the significant bytes, so
+   an oid-key ([Oid.key], nat cls ++ nat num) is 2 to 18 bytes, and at
+   most 5 for a class id below 256 and an object number below 65,536.
+   Every field is self-delimiting, so each key kind has one forward
+   parser below, and this module, [Key] and [Oid] are the only code that
+   knows the layout. A valkey is a [Value.index_key]: a type byte, then
+   nothing (null), a bool byte, an 8-byte [Key.of_float], a
+   [Key.of_string] or an oid-key. *)
 
 module Oid = Ode_model.Oid
 module Key = Ode_util.Key
 module Codec = Ode_util.Codec
 
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
+
+let expect_tag what tag k =
+  if String.length k = 0 || k.[0] <> tag then corrupt "keys: not a %s key: %S" what k
+
+let expect_end what k pos =
+  if pos <> String.length k then corrupt "keys: %d trailing bytes in %s key %S" (String.length k - pos) what k
+
 let header oid = "H" ^ Oid.key oid
 let header_prefix_class cls_id = "H" ^ Oid.key_class_prefix cls_id
+let is_header_key k = String.length k > 0 && k.[0] = 'H'
 
 let oid_of_header_key k =
-  (* strip the tag byte *)
-  Oid.of_key (String.sub k 1 (String.length k - 1))
+  expect_tag "header" 'H' k;
+  let oid, pos = Oid.of_key_at k 1 in
+  expect_end "header" k pos;
+  oid
 
-let version oid ver =
-  let b = Buffer.create 24 in
-  Codec.put_raw b "V";
-  Codec.put_raw b (Oid.key oid);
-  Codec.put_raw b (Key.of_int ver);
-  Buffer.contents b
-
+let version oid ver = String.concat "" [ "V"; Oid.key oid; Key.of_nat ver ]
 let version_prefix oid = "V" ^ Oid.key oid
+
+let parse_version k =
+  expect_tag "version" 'V' k;
+  let oid, pos = Oid.of_key_at k 1 in
+  let ver, pos = Key.nat_at k pos in
+  expect_end "version" k pos;
+  (oid, ver)
+
 let root name = "R" ^ name
 
-let trigger tid =
-  let b = Buffer.create 12 in
-  Codec.put_raw b "T";
-  Codec.put_raw b (Key.of_int tid);
-  Buffer.contents b
+let root_name k =
+  expect_tag "root" 'R' k;
+  String.sub k 1 (String.length k - 1)
 
+let trigger tid = "T" ^ Key.of_nat tid
 let trigger_prefix = "T"
+let is_trigger_key k = String.length k > 0 && k.[0] = 'T'
+
+let parse_trigger k =
+  expect_tag "trigger" 'T' k;
+  let tid, pos = Key.nat_at k 1 in
+  expect_end "trigger" k pos;
+  tid
+
 let catalog = "C"
 let meta = "M"
 let stats = "S"
 
-let index_entry ~idx_id ~valkey ~oid =
-  let b = Buffer.create 32 in
-  Codec.put_raw b "I";
-  Codec.put_raw b (Key.of_int idx_id);
-  Codec.put_raw b valkey;
-  Codec.put_raw b (Oid.key oid);
-  Buffer.contents b
-
-let index_prefix ~idx_id = "I" ^ Key.of_int idx_id
-let index_value_prefix ~idx_id ~valkey = "I" ^ Key.of_int idx_id ^ valkey
-
+let index_entry ~idx_id ~valkey ~oid = String.concat "" [ "I"; Key.of_nat idx_id; valkey; Oid.key oid ]
+let index_prefix ~idx_id = "I" ^ Key.of_nat idx_id
+let index_value_prefix ~idx_id ~valkey = "I" ^ Key.of_nat idx_id ^ valkey
 let is_index_key k = String.length k > 0 && k.[0] = 'I'
-
-(* The trailing 16 bytes of an index entry are the oid key. *)
-let oid_of_index_key k =
-  let n = String.length k in
-  if n < 16 then invalid_arg "keys: short index key";
-  Oid.of_key (String.sub k (n - 16) 16)
 
 (* Strip the routing tag: index entries are stored in the index tree without
    the leading 'I'. *)
 let index_tree_key k = String.sub k 1 (String.length k - 1)
+
+(* The position just past the valkey that starts at [pos]. *)
+let valkey_end k pos =
+  if pos >= String.length k then corrupt "keys: index key %S lacks a value" k;
+  match k.[pos] with
+  | '\000' -> pos + 1
+  | '\001' -> pos + 2
+  | '\002' -> pos + 9
+  | '\003' -> Key.string_end k (pos + 1)
+  | '\004' -> snd (Oid.of_key_at k (pos + 1))
+  | c -> corrupt "keys: bad value type %d in index key %S" (Char.code c) k
+
+(* An index tree key (no 'I' tag) as its index id, valkey and oid. *)
+let parse_index_tree_key k =
+  let idx_id, vpos = Key.nat_at k 0 in
+  let opos = valkey_end k vpos in
+  let oid, pos = Oid.of_key_at k opos in
+  expect_end "index" k pos;
+  (idx_id, String.sub k vpos (opos - vpos), oid)
+
+let oid_of_index_key k =
+  let _, vpos = Key.nat_at k 0 in
+  let oid, pos = Oid.of_key_at k (valkey_end k vpos) in
+  expect_end "index" k pos;
+  oid

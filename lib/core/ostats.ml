@@ -24,7 +24,6 @@
    acceptable for estimates — staleness, not exactness, is the contract. *)
 
 module Codec = Ode_util.Codec
-module Key = Ode_util.Key
 module Dist = Ode_util.Histogram.Dist
 module Catalog = Ode_model.Catalog
 module Schema = Ode_model.Schema
@@ -42,8 +41,6 @@ let fresh () =
   }
 
 (* -- incremental maintenance (called from Store.apply_writes) ---------------- *)
-
-let is_header_key key = String.length key = 17 && key.[0] = 'H'
 
 let bump db key delta =
   let cls = (Keys.oid_of_header_key key).Ode_model.Oid.cls in
@@ -138,17 +135,12 @@ let compute db =
   let nindexes = List.length (Catalog.indexes db.catalog) in
   let idx =
     List.init nindexes (fun iid ->
-        let prefix = Key.of_int iid in
-        let plen = String.length prefix in
         let keys = ref [] in
         let n = ref 0 in
-        Bptree.iter_prefix db.idx prefix (fun k _ ->
-            (* tree key = idx-id (8) ^ valkey ^ oid-key (16) *)
-            let vlen = String.length k - plen - 16 in
-            if vlen >= 0 then begin
-              keys := String.sub k plen vlen :: !keys;
-              incr n
-            end;
+        Bptree.iter_prefix db.idx (Keys.index_tree_key (Keys.index_prefix ~idx_id:iid)) (fun k _ ->
+            let _, valkey, _ = Keys.parse_index_tree_key k in
+            keys := valkey :: !keys;
+            incr n;
             true);
         let arr = Array.of_list (List.rev !keys) in
         let hist = Dist.of_sorted arr in

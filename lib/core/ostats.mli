@@ -8,8 +8,6 @@
 val fresh : unit -> Types.ostats
 (** Empty statistics for a newly constructed database handle. *)
 
-val is_header_key : string -> bool
-
 val note_create : Types.db -> string -> unit
 (** An object header was created (applied commit/recovery/replication):
     bump its class cardinality and the mods-since-analyze tally. *)

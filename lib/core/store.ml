@@ -376,13 +376,13 @@ let apply_writes db ops =
             if key = Keys.stats then Ostats.install db payload;
             kv_puts := (key, payload) :: !kv_puts
         | Del ->
-            if Ostats.is_header_key key && Kv.mem db key then Ostats.note_delete db key;
+            if Keys.is_header_key key && Kv.mem db key then Ostats.note_delete db key;
             Kv.delete db key)
     ops;
   Bptree.insert_sorted db.idx (Array.of_list (List.rev !index_puts));
   Kv.put_sorted db
     (Array.of_list (List.rev !kv_puts))
-    ~on_new:(fun key -> if Ostats.is_header_key key then Ostats.note_create db key)
+    ~on_new:(fun key -> if Keys.is_header_key key then Ostats.note_create db key)
 
 (* The current committed value of a logical key — the pre-image the MVCC
    layer records as a new chain's base entry just before a commit applies

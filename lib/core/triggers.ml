@@ -152,7 +152,7 @@ let txn_view txn =
   let view = { overrides = Hashtbl.create 8; new_by_oid = Hashtbl.create 8 } in
   Hashtbl.iter
     (fun key op ->
-      if String.length key > 0 && key.[0] = 'T' then
+      if Keys.is_trigger_key key then
         match op with
         | Put payload ->
             let a = decode_activation payload in
@@ -249,21 +249,12 @@ let evaluate txn =
 let sync_after_commit db txn =
   Hashtbl.iter
     (fun key op ->
-      if String.length key > 0 && key.[0] = 'T' then
+      if Keys.is_trigger_key key then
         match op with
         | Put payload ->
             let a = decode_activation payload in
             if a.active then register db a else unregister db a.tid
-        | Del ->
-            (* Key layout: 'T' ++ int key; recover the tid. *)
-            let c = Codec.cursor ~pos:1 key in
-            let raw = Codec.get_raw c 8 in
-            let tid =
-              let v = ref 0L in
-              String.iter (fun ch -> v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code ch))) raw;
-              Int64.to_int (Int64.logxor !v Int64.min_int)
-            in
-            unregister db tid)
+        | Del -> unregister db (Keys.parse_trigger key))
     txn.writes
 
 (* -- timed triggers -------------------------------------------------------------------- *)

@@ -155,7 +155,7 @@ let describe_key key =
         match Keys.oid_of_header_key key with
         | oid -> Format.asprintf "object %a" Oid.pp oid
         | exception _ -> "an object")
-    | 'R' -> Printf.sprintf "root %s" (String.sub key 1 (String.length key - 1))
+    | 'R' -> Printf.sprintf "root %s" (Keys.root_name key)
     | 'I' -> "an index entry"
     | 'T' -> "a trigger activation"
     | _ -> "a key"

@@ -32,79 +32,62 @@ let run db =
      record. *)
   let headers : (Oid.t, Store.header) Hashtbl.t = Hashtbl.create 256 in
   Kv.iter_prefix db "H" (fun key payload ->
-      let oid = Keys.oid_of_header_key key in
-      (match Store.decode_object payload with
-      | h, _ ->
-          Hashtbl.replace headers oid h;
-          if Catalog.find_by_id db.catalog h.Store.hcls = None then
-            bad "object %a: unknown class id %d" Oid.pp oid h.Store.hcls;
-          if oid.Oid.cls <> h.Store.hcls then
-            bad "object %a: header class %d disagrees with oid" Oid.pp oid h.Store.hcls;
-          if not (List.mem h.Store.hcurrent h.Store.hversions) then
-            bad "object %a: current version %d not in version list" Oid.pp oid h.Store.hcurrent;
-          if List.length (List.sort_uniq Int.compare h.Store.hversions)
-             <> List.length h.Store.hversions
-          then bad "object %a: duplicate version numbers" Oid.pp oid;
-          List.iter
-            (fun ver ->
-              if ver <> h.Store.hcurrent && not (Kv.mem db (Keys.version oid ver)) then
-                bad "object %a: version %d record missing" Oid.pp oid ver)
-            h.Store.hversions
-      | exception _ -> bad "object %a: record does not decode as header plus fields" Oid.pp oid);
+      (match Keys.oid_of_header_key key with
+      | exception Ode_util.Codec.Corrupt msg -> bad "malformed header key %S (%s)" key msg
+      | oid -> (
+          match Store.decode_object payload with
+          | h, _ ->
+              Hashtbl.replace headers oid h;
+              if Catalog.find_by_id db.catalog h.Store.hcls = None then
+                bad "object %a: unknown class id %d" Oid.pp oid h.Store.hcls;
+              if oid.Oid.cls <> h.Store.hcls then
+                bad "object %a: header class %d disagrees with oid" Oid.pp oid h.Store.hcls;
+              if not (List.mem h.Store.hcurrent h.Store.hversions) then
+                bad "object %a: current version %d not in version list" Oid.pp oid h.Store.hcurrent;
+              if List.length (List.sort_uniq Int.compare h.Store.hversions)
+                 <> List.length h.Store.hversions
+              then bad "object %a: duplicate version numbers" Oid.pp oid;
+              List.iter
+                (fun ver ->
+                  if ver <> h.Store.hcurrent && not (Kv.mem db (Keys.version oid ver)) then
+                    bad "object %a: version %d record missing" Oid.pp oid ver)
+                h.Store.hversions
+          | exception _ -> bad "object %a: record does not decode as header plus fields" Oid.pp oid));
       true);
 
   (* 2. Version records: only for live objects' non-current versions. *)
   Kv.iter_prefix db "V" (fun key _ ->
-      (* key = 'V' ++ 16-byte oid ++ 8-byte version *)
-      if String.length key = 25 then begin
-        let oid = Oid.of_key (String.sub key 1 16) in
-        match Hashtbl.find_opt headers oid with
-        | None -> bad "version record for dead object %a" Oid.pp oid
-        | Some h ->
-            let ver =
-              let v = ref 0L in
-              String.iter
-                (fun ch -> v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code ch)))
-                (String.sub key 17 8);
-              Int64.to_int (Int64.logxor !v Int64.min_int)
-            in
-            if ver = h.Store.hcurrent then
-              bad "object %a: current version %d also has a version record" Oid.pp oid ver
-            else if not (List.mem ver h.Store.hversions) then
-              bad "object %a: orphan version record %d" Oid.pp oid ver
-      end
-      else bad "malformed version key (%d bytes)" (String.length key);
+      (match Keys.parse_version key with
+      | exception Ode_util.Codec.Corrupt msg -> bad "malformed version key %S (%s)" key msg
+      | oid, ver -> (
+          match Hashtbl.find_opt headers oid with
+          | None -> bad "version record for dead object %a" Oid.pp oid
+          | Some h ->
+              if ver = h.Store.hcurrent then
+                bad "object %a: current version %d also has a version record" Oid.pp oid ver
+              else if not (List.mem ver h.Store.hversions) then
+                bad "object %a: orphan version record %d" Oid.pp oid ver));
       true);
 
   (* 3. Index entries point at live, matching objects... *)
   let index_entries = Hashtbl.create 256 in
   Bptree.iter_range db.idx (fun key _ ->
-      (* key = 8-byte idx id ++ value key ++ 16-byte oid key (no 'I' tag) *)
-      if String.length key < 25 then bad "malformed index key"
-      else begin
-        let idx_id =
-          let v = ref 0L in
-          String.iter
-            (fun ch -> v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code ch)))
-            (String.sub key 0 8);
-          Int64.to_int (Int64.logxor !v Int64.min_int)
-        in
-        let oid = Keys.oid_of_index_key key in
-        let valkey = String.sub key 8 (String.length key - 24) in
-        Hashtbl.replace index_entries (idx_id, valkey, oid) ();
-        match List.nth_opt (Catalog.indexes db.catalog) idx_id with
-        | None -> bad "index entry for unknown index id %d" idx_id
-        | Some (_, field) -> (
-            match Hashtbl.find_opt headers oid with
-            | None -> bad "index %d: entry for dead object %a" idx_id Oid.pp oid
-            | Some _ -> (
-                match Store.get_field db None oid field with
-                | Some v when Value.index_key v = valkey -> ()
-                | Some v ->
-                    bad "index %d: stale entry for %a (field %s now %a)" idx_id Oid.pp oid field
-                      Value.pp v
-                | None -> bad "index %d: object %a lacks field %s" idx_id Oid.pp oid field))
-      end;
+      (match Keys.parse_index_tree_key key with
+      | exception Ode_util.Codec.Corrupt msg -> bad "malformed index key %S (%s)" key msg
+      | idx_id, valkey, oid -> (
+          Hashtbl.replace index_entries (idx_id, valkey, oid) ();
+          match List.nth_opt (Catalog.indexes db.catalog) idx_id with
+          | None -> bad "index entry for unknown index id %d" idx_id
+          | Some (_, field) -> (
+              match Hashtbl.find_opt headers oid with
+              | None -> bad "index %d: entry for dead object %a" idx_id Oid.pp oid
+              | Some _ -> (
+                  match Store.get_field db None oid field with
+                  | Some v when Value.index_key v = valkey -> ()
+                  | Some v ->
+                      bad "index %d: stale entry for %a (field %s now %a)" idx_id Oid.pp oid field
+                        Value.pp v
+                  | None -> bad "index %d: object %a lacks field %s" idx_id Oid.pp oid field))));
       true);
 
   (* ... and every object is covered by every applicable index. *)

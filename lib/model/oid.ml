@@ -35,16 +35,10 @@ let decode_vref c =
   let ver = Codec.get_u32 c in
   { oid; ver }
 
-let key a = Key.concat [ Key.of_int a.cls; Key.of_int a.num ]
-let key_class_prefix cls = Key.of_int cls
+let key a = Key.of_nat a.cls ^ Key.of_nat a.num
+let key_class_prefix cls = Key.of_nat cls
 
-let of_key s =
-  if String.length s <> 16 then invalid_arg "oid: bad key length";
-  let dec off =
-    let v = ref 0L in
-    for i = 0 to 7 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[off + i]))
-    done;
-    Int64.to_int (Int64.logxor !v Int64.min_int)
-  in
-  { cls = dec 0; num = dec 8 }
+let of_key_at s pos =
+  let cls, pos = Key.nat_at s pos in
+  let num, pos = Key.nat_at s pos in
+  ({ cls; num }, pos)

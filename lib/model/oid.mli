@@ -25,11 +25,17 @@ val encode_vref : Buffer.t -> vref -> unit
 val decode_vref : Ode_util.Codec.cursor -> vref
 
 val key : t -> string
-(** Order-preserving directory key: objects of one class are contiguous and
-    sorted by allocation order, so a key-range scan of a class prefix is
-    exactly the paper's cluster iteration order. *)
+(** Order-preserving directory key: [Key.of_nat cls ^ Key.of_nat num], so
+    an object with class id below 256 and number below 65,536 has a key
+    of at most 5 bytes. Objects of one class are contiguous and sorted by
+    allocation order, so a key-range scan of a class prefix is exactly
+    the paper's cluster iteration order. *)
 
 val key_class_prefix : int -> string
-(** Directory key prefix covering every object of a class. *)
+(** Directory key prefix covering every object of a class, and no object
+    of another: the encoding is prefix-free. *)
 
-val of_key : string -> t
+val of_key_at : string -> int -> t * int
+(** [of_key_at s pos] decodes the {!key} that starts at [pos], returning
+    the oid and the position just past it.
+    @raise Ode_util.Codec.Corrupt on a malformed key. *)

@@ -1,10 +1,28 @@
-let of_int n =
-  let v = Int64.logxor (Int64.of_int n) Int64.min_int in
-  let b = Buffer.create 8 in
-  for i = 7 downto 0 do
-    Buffer.add_char b (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
+
+(* A width byte, then the significant bytes big-endian. A larger natural
+   never has fewer significant bytes, so byte order is integer order, and
+   the width byte makes the encoding prefix-free. *)
+let of_nat n =
+  if n < 0 then invalid_arg (Printf.sprintf "Key.of_nat: negative %d" n);
+  let rec width w = if w < 8 && n lsr (8 * w) <> 0 then width (w + 1) else w in
+  let w = width 0 in
+  String.init (w + 1) (fun i ->
+      if i = 0 then Char.chr w else Char.chr ((n lsr (8 * (w - i))) land 0xff))
+
+let nat_at s pos =
+  let len = String.length s in
+  if pos >= len then corrupt "key: natural missing at byte %d" pos;
+  let w = Char.code s.[pos] in
+  if w > 8 || pos + 1 + w > len then corrupt "key: bad natural width %d at byte %d" w pos;
+  (* Canonical only: no leading zero byte, and no ninth bit past max_int. *)
+  if w > 0 && (s.[pos + 1] = '\000' || (w = 8 && Char.code s.[pos + 1] >= 0x40)) then
+    corrupt "key: non-canonical natural at byte %d" pos;
+  let n = ref 0 in
+  for i = pos + 1 to pos + w do
+    n := (!n lsl 8) lor Char.code s.[i]
   done;
-  Buffer.contents b
+  (!n, pos + 1 + w)
 
 let of_float f =
   let bits = Int64.bits_of_float f in
@@ -25,6 +43,15 @@ let of_string s =
     s;
   Buffer.add_string b "\000\000";
   Buffer.contents b
+
+let rec string_end s pos =
+  match String.index_from_opt s pos '\000' with
+  | Some i when i + 1 < String.length s -> (
+      match s.[i + 1] with
+      | '\000' -> i + 2
+      | '\255' -> string_end s (i + 2)
+      | _ -> corrupt "key: bad string escape at byte %d" i)
+  | _ -> corrupt "key: unterminated string at byte %d" pos
 
 let of_bool v = if v then "\001" else "\000"
 let concat = String.concat ""

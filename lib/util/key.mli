@@ -4,8 +4,19 @@
     map typed values to byte strings such that byte order equals value
     order, and composite keys compare field by field. *)
 
-val of_int : int -> string
-(** 8 bytes, big-endian, sign bit flipped: byte order = integer order. *)
+val of_nat : int -> string
+(** A width byte [w] (0 to 8), then the [w] significant bytes of the
+    natural, big-endian: 0 is one byte, 255 two, 65,535 three. Byte order
+    is integer order, and no encoding is a prefix of another, so a
+    natural can lead a composite key. Every integer the engine chooses
+    (class ids, object numbers, version numbers, index ids, trigger ids)
+    is encoded this way.
+    @raise Invalid_argument on a negative input. *)
+
+val nat_at : string -> int -> int * int
+(** [nat_at s pos] decodes the {!of_nat} encoding that starts at [pos],
+    returning the natural and the position just past it.
+    @raise Codec.Corrupt on a truncated or non-canonical encoding. *)
 
 val of_float : float -> string
 (** IEEE-754 total-order trick: positive floats get their sign bit set,
@@ -15,6 +26,11 @@ val of_string : string -> string
 (** Escaped so that a composite key never compares past a component
     boundary: 0x00 becomes 0x00 0xff, and the component ends with
     0x00 0x00. *)
+
+val string_end : string -> int -> int
+(** [string_end s pos] is the position just past the {!of_string}
+    component that starts at [pos].
+    @raise Codec.Corrupt if it is unterminated or badly escaped. *)
 
 val of_bool : bool -> string
 

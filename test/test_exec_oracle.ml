@@ -482,10 +482,21 @@ let run_all ~what db txn m c =
     c.joins
 
 (* Committed random writes until the statistics go stale: more header
-   creates and deletes since [analyze] than [Ostats.stale] tolerates. *)
-let rec churn rs db m =
-  if Db.stats_stale db then m
-  else churn rs db (Db.with_txn db (fun w -> apply_writes rs w m 10))
+   creates and deletes since [analyze] than [Ostats.stale] tolerates.
+   Every case goes stale within a few dozen transactions; the cap turns a
+   regression in [Ostats]' counting of creates and deletes into a
+   failure rather than a hang. *)
+let max_churn = 1_000
+
+let churn rs db m =
+  let rec go n m =
+    if Db.stats_stale db then m
+    else if n = max_churn then
+      Alcotest.failf "Ostats.stale still false after %d churn transactions: header creates and deletes uncounted"
+        max_churn
+    else go (n + 1) (Db.with_txn db (fun w -> apply_writes rs w m 10))
+  in
+  go 0 m
 
 let check_case c =
   let db = load c in

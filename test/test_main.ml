@@ -4,6 +4,7 @@ let () =
        [
          Test_codec.suite;
          Test_util.suite;
+         Test_keys.suite;
          Test_page.suite;
          Test_storage.suite;
          Test_bptree.suite;

@@ -117,6 +117,8 @@ let verify_detects_corruption () =
       Ode.Kv.delete db (Ode.Keys.version o 0));
   case "current version stored twice" ~expect:"current version 1 also has a version record"
     (fun db o -> put db (Ode.Keys.version o 1) (Value.fields_encode [ ("v", int 2) ]));
+  case "malformed version key" ~expect:"malformed version key" (fun db o ->
+      put db (Ode.Keys.version o 0 ^ "x") (Value.fields_encode [ ("v", int 1) ]));
   case "truncated object record" ~expect:"does not decode as header plus fields" (fun db o ->
       let key = Ode.Keys.header o in
       let payload = Option.get (Ode.Kv.get db key) in

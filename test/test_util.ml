@@ -83,10 +83,34 @@ let prng_float_range () =
 
 (* -- keys ------------------------------------------------------------- *)
 
-let prop_int_order =
-  QCheck.Test.make ~name:"int keys preserve order" ~count:1000
-    QCheck.(pair int int)
-    (fun (a, b) -> compare (Key.of_int a) (Key.of_int b) = compare a b)
+(* Naturals drawn across every width, from one byte to max_int. *)
+let nat = QCheck.(map (fun (w, n) -> n lsr w) (pair (int_bound 62) (int_bound max_int)))
+
+let prop_nat_order =
+  QCheck.Test.make ~name:"nat keys preserve order" ~count:1000
+    QCheck.(pair nat nat)
+    (fun (a, b) -> compare (Key.of_nat a) (Key.of_nat b) = compare a b)
+
+(* Field by field on concatenations holds only if no encoding is a proper
+   prefix of another. *)
+let prop_nat_prefix_free =
+  QCheck.Test.make ~name:"nat keys compare field by field" ~count:1000
+    QCheck.(pair (pair nat nat) (pair nat nat))
+    (fun ((a1, a2), (b1, b2)) ->
+      compare (Key.of_nat a1 ^ Key.of_nat a2) (Key.of_nat b1 ^ Key.of_nat b2)
+      = compare (a1, a2) (b1, b2))
+
+let prop_nat_roundtrip =
+  QCheck.Test.make ~name:"nat_at round-trips of_nat" ~count:1000
+    QCheck.(triple string nat string)
+    (fun (pre, n, post) ->
+      let k = pre ^ Key.of_nat n in
+      Key.nat_at (k ^ post) (String.length pre) = (n, String.length k))
+
+let prop_nat_negative =
+  QCheck.Test.make ~name:"of_nat rejects negatives" ~count:200
+    QCheck.(map (fun n -> -1 - n) (int_bound max_int))
+    (fun n -> match Key.of_nat n with _ -> false | exception Invalid_argument _ -> true)
 
 let prop_float_order =
   let finite = QCheck.float in
@@ -141,5 +165,14 @@ let suite =
       ] );
     ("keys", [ Alcotest.test_case "negative floats order" `Quick neg_float_order ]);
     Tutil.qsuite "keys.props"
-      [ prop_int_order; prop_float_order; prop_string_order; prop_composite_boundary; prop_succ_prefix ];
+      [
+        prop_nat_order;
+        prop_nat_prefix_free;
+        prop_nat_roundtrip;
+        prop_nat_negative;
+        prop_float_order;
+        prop_string_order;
+        prop_composite_boundary;
+        prop_succ_prefix;
+      ];
   ]
