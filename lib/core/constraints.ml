@@ -17,24 +17,23 @@ open Types
 let c_constraints_checked = Ode_util.Stats.counter "constraints_checked"
 
 let check_object db txn oid =
-  match Store.get_header db txn oid with
-  | None -> () (* deleted in this transaction: nothing to satisfy *)
-  | Some h -> (
-      match Catalog.find_by_id db.catalog h.Store.hcls with
-      | None -> ()
-      | Some cls ->
-          let hooks = Runtime.hooks db txn in
-          List.iter
-            (fun (k : Schema.constr) ->
-              Ode_util.Stats.incr c_constraints_checked;
-              let ok =
-                match Eval.eval hooks ~vars:[] ~this:(Some (Value.Ref oid)) k.kexpr with
-                | v -> Eval.truthy v
-                | exception Eval.Error _ -> false
-              in
-              if not ok then
-                raise (Constraint_violation { cls = cls.Schema.name; cname = k.kname; oid }))
-            (Catalog.all_constraints db.catalog cls))
+  (* An object deleted in this transaction has nothing to satisfy. *)
+  if Store.exists db txn oid then
+    match Store.class_of db oid with
+    | None -> ()
+    | Some cls ->
+        let hooks = Runtime.hooks db txn in
+        List.iter
+          (fun (k : Schema.constr) ->
+            Ode_util.Stats.incr c_constraints_checked;
+            let ok =
+              match Eval.eval hooks ~vars:[] ~this:(Some (Value.Ref oid)) k.kexpr with
+              | v -> Eval.truthy v
+              | exception Eval.Error _ -> false
+            in
+            if not ok then
+              raise (Constraint_violation { cls = cls.Schema.name; cname = k.kname; oid }))
+          (Catalog.all_constraints db.catalog cls)
 
 let check_txn txn =
   Ode_util.Trace.with_span ~cat:"constraints"

@@ -49,7 +49,8 @@ let export db =
     (fun (c : Schema.cls) ->
       Kv.iter_prefix db (Keys.header_prefix_class c.id) (fun key payload ->
           let oid = Keys.oid_of_header_key key in
-          objects := (oid, Store.decode_object payload) :: !objects;
+          let h, slots = Store.decode_object db oid payload in
+          objects := (oid, (h, Store.named_fields db oid slots)) :: !objects;
           true))
     (Catalog.all db.catalog);
   let objects = List.rev !objects in
@@ -73,7 +74,7 @@ let export db =
   in
   List.iter
     (fun ((oid : Oid.t), ((h : Store.header), _ as o)) ->
-      let cls = Option.get (Catalog.find_by_id db.catalog h.hcls) in
+      let cls = Option.get (Catalog.find_by_id db.catalog oid.cls) in
       let v0 = List.hd (List.sort Int.compare h.hversions) in
       let fields = fields_of oid o v0 in
       let inits =

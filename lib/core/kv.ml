@@ -22,31 +22,37 @@ let encode_rid (rid : Heap.rid) =
 
 let decode_rid s = Heap.decode_rid (Codec.cursor s)
 
+(* Record layout: [varint keylen][key][payload]. *)
 let encode_record key payload =
-  let b = Buffer.create (String.length key + String.length payload + 3) in
-  Codec.put_string b key;
+  let b = Buffer.create (String.length key + String.length payload + 1) in
+  Codec.put_varint b (String.length key);
+  Codec.put_raw b key;
   Codec.put_raw b payload;
   Buffer.contents b
 
 (* Ownership test by offset arithmetic: compare the embedded key in place
-   without materialising it. Record layout is [u32 LE keylen][key][payload]. *)
+   without materialising it. The length prefix is compared against the
+   shortest-form varint of [key]'s length, which is the only one
+   [encode_record] writes. *)
 let record_owned key raw =
   let rlen = String.length raw and klen = String.length key in
-  rlen >= 4 + klen
-  && Char.code raw.[0]
-     lor (Char.code raw.[1] lsl 8)
-     lor (Char.code raw.[2] lsl 16)
-     lor (Char.code raw.[3] lsl 24)
-     = klen
+  let vlen = Codec.varint_size klen in
+  rlen >= vlen + klen
   &&
-  let rec eq i = i >= klen || (String.unsafe_get raw (4 + i) = String.unsafe_get key i && eq (i + 1)) in
+  let rec len_eq i n =
+    let byte = Char.code (String.unsafe_get raw i) in
+    if n < 0x80 then byte = n else byte = n land 0x7f lor 0x80 && len_eq (i + 1) (n lsr 7)
+  in
+  len_eq 0 klen
+  &&
+  let rec eq i = i >= klen || (String.unsafe_get raw (vlen + i) = String.unsafe_get key i && eq (i + 1)) in
   eq 0
 
 (* Zero-copy decode: one substring for the payload, no key copy, never
    raises (a short or foreign record is just [None]). *)
 let decode_record_view key raw =
   if record_owned key raw then
-    let skip = 4 + String.length key in
+    let skip = Codec.varint_size (String.length key) + String.length key in
     Some (String.sub raw skip (String.length raw - skip))
   else None
 

@@ -14,35 +14,65 @@ exception No_cluster of string
 
 let type_error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 
-type header = Types.header = { hcls : int; hcurrent : int; hversions : int list }
+type header = Types.header = { hcurrent : int; hversions : int list }
+
+(* Records are described by the schema, not by themselves. The 'H' record
+   is [varint hcurrent][varint version count][varint version]... (newest
+   first) followed by one [Value.encode] per slot of the class's layout;
+   a 'V' record is the slots alone. The class comes from the oid in the
+   key, and it fixes the slot count and the field names, so neither is
+   written. *)
 
 let put_header b h =
-  Codec.put_u32 b h.hcls;
-  Codec.put_u32 b h.hcurrent;
-  Codec.put_u16 b (List.length h.hversions);
-  List.iter (Codec.put_u32 b) h.hversions
+  Codec.put_varint b h.hcurrent;
+  Codec.put_varint b (List.length h.hversions);
+  List.iter (Codec.put_varint b) h.hversions
 
 let get_header c =
-  let hcls = Codec.get_u32 c in
-  let hcurrent = Codec.get_u32 c in
-  let n = Codec.get_u16 c in
-  { hcls; hcurrent; hversions = List.init n (fun _ -> Codec.get_u32 c) }
+  let hcurrent = Codec.get_varint c in
+  let n = Codec.get_varint c in
+  if n > Codec.remaining c then raise (Codec.Corrupt "object record: version count past the end");
+  { hcurrent; hversions = List.init n (fun _ -> Codec.get_varint c) }
 
-(* The 'H' record: the header, then the current version's fields. *)
-let encode_object h fields =
-  let b = Buffer.create 128 in
+let layout db (oid : Oid.t) =
+  match Catalog.layout_of_id db.catalog oid.cls with
+  | Some l -> l
+  | None -> raise (Codec.Corrupt (Format.asprintf "object %a: unknown class id %d" Oid.pp oid oid.cls))
+
+let get_slots c n =
+  let slots = Array.make n Value.Null in
+  for i = 0 to n - 1 do
+    slots.(i) <- Value.decode c
+  done;
+  if not (Codec.at_end c) then raise (Codec.Corrupt "object record: trailing bytes");
+  slots
+
+let encode_object h slots =
+  let b = Buffer.create 64 in
   put_header b h;
-  Value.put_fields b fields;
+  Array.iter (Value.encode b) slots;
+  Buffer.contents b
+
+let encode_version slots =
+  let b = Buffer.create 64 in
+  Array.iter (Value.encode b) slots;
   Buffer.contents b
 
 let decode_header s = get_header (Codec.cursor s)
 
-let decode_object s =
+let decode_object db oid s =
+  let n = Array.length (layout db oid).fields in
   let c = Codec.cursor s in
   let h = get_header c in
-  let fields = Value.get_fields c in
-  if not (Codec.at_end c) then raise (Codec.Corrupt "object record: trailing bytes");
-  (h, fields)
+  (h, get_slots c n)
+
+let decode_version db oid s = get_slots (Codec.cursor s) (Array.length (layout db oid).fields)
+
+(* The edge where slots become named fields again, for callers that show
+   or export whole objects. *)
+let named_fields db oid slots =
+  let l = layout db oid in
+  List.init (Array.length slots) (fun i -> (l.fields.(i).Schema.fname, slots.(i)))
 
 (* -- overlay ---------------------------------------------------------------- *)
 
@@ -92,7 +122,7 @@ let pending txn key =
    image, or a KV fetch with the cache off), or decoded from the cache. *)
 type 'a found = Raw of string | Decoded of 'a
 
-let lookup db txn key ~decode ~wrap ~unwrap =
+let lookup db txn key oid ~decode ~wrap ~unwrap =
   match pending txn key with
   | Some (Put s) -> Some (Raw s)
   | Some Del -> None
@@ -113,7 +143,7 @@ let lookup db txn key ~decode ~wrap ~unwrap =
               | None -> None
               | Some s when Ocache.enabled db ->
                   Ode_util.Stats.incr c_objects_fetched;
-                  let d = decode s in
+                  let d = decode db oid s in
                   Ocache.add db key (wrap d);
                   Some (Decoded d)
               | Some s -> Some (Raw s))))
@@ -121,52 +151,69 @@ let lookup db txn key ~decode ~wrap ~unwrap =
 (* An object's 'H' record. With the cache on, a miss decodes the header and
    the current fields together and caches both as one entry. *)
 let find_object db txn oid =
-  lookup db txn (Keys.header oid) ~decode:decode_object
-    ~wrap:(fun (h, fs) -> Cobject (h, fs))
-    ~unwrap:(function Cobject (h, fs) -> Some (h, fs) | Cversion _ -> None)
+  lookup db txn (Keys.header oid) oid ~decode:decode_object
+    ~wrap:(fun (h, slots) -> Cobject (h, slots))
+    ~unwrap:(function Cobject (h, slots) -> Some (h, slots) | Cversion _ -> None)
 
 let header_of = function Raw s -> decode_header s | Decoded (h, _) -> h
 
-let object_of = function
+let object_of db oid = function
   | Raw s ->
       Ode_util.Stats.incr c_objects_fetched;
-      decode_object s
+      decode_object db oid s
   | Decoded o -> o
 
 let get_header db txn oid = Option.map header_of (find_object db txn oid)
-let get_object db txn oid = Option.map object_of (find_object db txn oid)
+let get_object db txn oid = Option.map (object_of db oid) (find_object db txn oid)
 let exists db txn oid = find_object db txn oid <> None
 let class_of db (oid : Oid.t) = Catalog.find_by_id db.catalog oid.cls
-let get_fields db txn oid = Option.map snd (get_object db txn oid)
+
+let get_slots db txn oid = Option.map snd (get_object db txn oid)
 
 (* A non-current version's own record. *)
 let find_version db txn (vr : Oid.vref) =
   match
-    lookup db txn (Keys.version vr.oid vr.ver) ~decode:Value.fields_decode
-      ~wrap:(fun fs -> Cversion fs)
-      ~unwrap:(function Cversion fs -> Some fs | Cobject _ -> None)
+    lookup db txn (Keys.version vr.oid vr.ver) vr.oid ~decode:decode_version
+      ~wrap:(fun slots -> Cversion slots)
+      ~unwrap:(function Cversion slots -> Some slots | Cobject _ -> None)
   with
   | None -> None
-  | Some (Decoded fs) -> Some fs
+  | Some (Decoded slots) -> Some slots
   | Some (Raw s) ->
       Ode_util.Stats.incr c_objects_fetched;
-      Some (Value.fields_decode s)
+      Some (decode_version db vr.oid s)
 
 (* Resolved through the header at the reader's snapshot: the version that
    was current then has its fields in that 'H' image, even if a later
    [new_version] has since moved them into a 'V' record. *)
-let get_fields_v db txn (vr : Oid.vref) =
+let get_slots_v db txn (vr : Oid.vref) =
   match find_object db txn vr.oid with
   | None -> None
   | Some found ->
       let h = header_of found in
-      if vr.ver = h.hcurrent then Some (snd (object_of found)) else find_version db txn vr
+      if vr.ver = h.hcurrent then Some (snd (object_of db vr.oid found))
+      else find_version db txn vr
+
+let get_fields db txn oid = Option.map (named_fields db oid) (get_slots db txn oid)
+
+let get_fields_v db txn (vr : Oid.vref) =
+  Option.map (named_fields db vr.oid) (get_slots_v db txn vr)
+
+(* A field name resolves to a slot through the layout of the oid's own
+   class, so one inherited name read across a deep extent finds each
+   subclass's slot. *)
+let slot_value db (oid : Oid.t) slots fname =
+  match Catalog.layout_of_id db.catalog oid.cls with
+  | None -> None
+  | Some l -> ( match Catalog.slot l fname with Some i -> Some slots.(i) | None -> None)
 
 let get_field db txn oid fname =
-  match get_fields db txn oid with None -> None | Some fs -> List.assoc_opt fname fs
+  match get_slots db txn oid with None -> None | Some slots -> slot_value db oid slots fname
 
-let get_field_v db txn vr fname =
-  match get_fields_v db txn vr with None -> None | Some fs -> List.assoc_opt fname fs
+let get_field_v db txn (vr : Oid.vref) fname =
+  match get_slots_v db txn vr with
+  | None -> None
+  | Some slots -> slot_value db vr.oid slots fname
 
 (* -- index plumbing --------------------------------------------------------------- *)
 
@@ -186,21 +233,25 @@ let index_ids db ~cls ~field =
   in
   go 0 (Catalog.indexes db.catalog)
 
+(* Indexed fields exist in every class the index applies to. *)
+let slot_exn l fname =
+  match Catalog.slot l fname with Some i -> i | None -> type_error "no field %s" fname
+
 let index_put txn ~idx_id ~value ~oid =
   write txn (Keys.index_entry ~idx_id ~valkey:(Value.index_key value) ~oid) ""
 
 let index_del txn ~idx_id ~value ~oid =
   remove txn (Keys.index_entry ~idx_id ~valkey:(Value.index_key value) ~oid)
 
-let field_value fields fname =
-  match List.assoc_opt fname fields with Some v -> v | None -> Value.Null
-
 (* -- conformance -------------------------------------------------------------------- *)
 
-let check_conform db cls_name (field : Schema.field) v =
+let conforms db (field : Schema.field) v =
   let class_of oid = Option.map (fun (c : Schema.cls) -> c.Schema.name) (class_of db oid) in
   let subclass ~sub ~super = Catalog.is_subclass db.catalog ~sub ~super in
-  if not (Otype.conforms ~subclass field.ftype v ~class_of) then
+  Otype.conforms ~subclass field.ftype v ~class_of
+
+let check_conform db cls_name (field : Schema.field) v =
+  if not (conforms db field v) then
     type_error "class %s: field %s expects %s, got %a" cls_name field.fname
       (Otype.to_string field.ftype) Value.pp v
 
@@ -214,16 +265,19 @@ let create txn (cls : Schema.cls) inits =
      shared schema state ahead of its overlay writes. *)
   if txn.tro then raise Read_only_txn;
   if not (Catalog.has_cluster db.catalog cls) then raise (No_cluster cls.Schema.name);
-  let fields = Catalog.all_fields db.catalog cls in
-  let names = Schema.field_names fields in
+  let l = Catalog.layout db.catalog cls in
+  let given = Array.make (Array.length l.fields) None in
   List.iter
-    (fun (n, _) -> if not (List.mem n names) then type_error "class %s has no field %s" cls.Schema.name n)
+    (fun (n, v) ->
+      match Catalog.slot l n with
+      | Some i -> if Option.is_none given.(i) then given.(i) <- Some v
+      | None -> type_error "class %s has no field %s" cls.Schema.name n)
     inits;
-  let values =
-    List.map
-      (fun (f : Schema.field) ->
+  let slots =
+    Array.mapi
+      (fun i (f : Schema.field) ->
         let v =
-          match List.assoc_opt f.fname inits with
+          match given.(i) with
           | Some v -> v
           | None -> (
               (* Member initializer if declared, else the type's zero.
@@ -240,17 +294,16 @@ let create txn (cls : Schema.cls) inits =
               | None -> Otype.default_value f.ftype)
         in
         check_conform db cls.Schema.name f v;
-        (f.fname, v))
-      fields
+        v)
+      l.fields
   in
   let num = cls.Schema.next_num in
   cls.Schema.next_num <- num + 1;
   txn.catalog_dirty <- true;
   let oid : Oid.t = { cls = cls.Schema.id; num } in
-  write txn (Keys.header oid)
-    (encode_object { hcls = cls.Schema.id; hcurrent = 0; hversions = [ 0 ] } values);
+  write txn (Keys.header oid) (encode_object { hcurrent = 0; hversions = [ 0 ] } slots);
   List.iter
-    (fun (idx_id, fname) -> index_put txn ~idx_id ~value:(field_value values fname) ~oid)
+    (fun (idx_id, fname) -> index_put txn ~idx_id ~value:slots.(slot_exn l fname) ~oid)
     (applicable_indexes db cls);
   txn.created <- oid :: txn.created;
   touch txn oid;
@@ -261,18 +314,19 @@ let require_object db txn oid =
   | Some o -> o
   | None -> type_error "no such object %a" Oid.pp oid
 
-let cls_of_header db (h : header) =
-  match Catalog.find_by_id db.catalog h.hcls with
+let cls_of_oid db (oid : Oid.t) =
+  match Catalog.find_by_id db.catalog oid.cls with
   | Some c -> c
-  | None -> type_error "object of unknown class id %d" h.hcls
+  | None -> type_error "object of unknown class id %d" oid.cls
 
-(* Move the index entries of [oid] from [old_fields]' values to
-   [new_fields]' where they differ. *)
-let reindex txn cls oid ~old_fields ~new_fields =
+(* Move the index entries of [oid] from [old_slots]' values to
+   [new_slots]' where they differ. *)
+let reindex txn cls oid ~old_slots ~new_slots =
+  let l = Catalog.layout txn.tdb.catalog cls in
   List.iter
     (fun (idx_id, fname) ->
-      let old_v = field_value old_fields fname in
-      let new_v = field_value new_fields fname in
+      let i = slot_exn l fname in
+      let old_v = old_slots.(i) and new_v = new_slots.(i) in
       if not (Value.equal old_v new_v) then begin
         index_del txn ~idx_id ~value:old_v ~oid;
         index_put txn ~idx_id ~value:new_v ~oid
@@ -281,35 +335,37 @@ let reindex txn cls oid ~old_fields ~new_fields =
 
 let update_fields txn oid updates =
   let db = txn.tdb in
-  let h, old_fields = require_object db (Some txn) oid in
-  let cls = cls_of_header db h in
-  let schema_fields = Catalog.all_fields db.catalog cls in
-  List.iter
-    (fun (n, v) ->
-      match Schema.find_field schema_fields n with
-      | None -> type_error "class %s has no field %s" cls.Schema.name n
-      | Some f -> check_conform db cls.Schema.name f v)
-    updates;
-  let new_fields =
+  let h, old_slots = require_object db (Some txn) oid in
+  let cls = cls_of_oid db oid in
+  let l = Catalog.layout db.catalog cls in
+  let resolved =
     List.map
-      (fun (n, old) ->
-        match List.assoc_opt n updates with Some v -> (n, v) | None -> (n, old))
-      old_fields
+      (fun (n, v) ->
+        match Catalog.slot l n with
+        | None -> type_error "class %s has no field %s" cls.Schema.name n
+        | Some i ->
+            check_conform db cls.Schema.name l.fields.(i) v;
+            (i, v))
+      updates
   in
-  write txn (Keys.header oid) (encode_object h new_fields);
-  reindex txn cls oid ~old_fields ~new_fields;
+  (* The first update of a field wins, so apply them last to first. *)
+  let new_slots = Array.copy old_slots in
+  List.iter (fun (i, v) -> new_slots.(i) <- v) (List.rev resolved);
+  write txn (Keys.header oid) (encode_object h new_slots);
+  reindex txn cls oid ~old_slots ~new_slots;
   touch txn oid
 
 let delete_object txn oid =
   let db = txn.tdb in
-  let h, cur_fields = require_object db (Some txn) oid in
-  let cls = cls_of_header db h in
+  let h, cur = require_object db (Some txn) oid in
+  let cls = cls_of_oid db oid in
+  let l = Catalog.layout db.catalog cls in
   List.iter
     (fun ver -> if ver <> h.hcurrent then remove txn (Keys.version oid ver))
     h.hversions;
   remove txn (Keys.header oid);
   List.iter
-    (fun (idx_id, fname) -> index_del txn ~idx_id ~value:(field_value cur_fields fname) ~oid)
+    (fun (idx_id, fname) -> index_del txn ~idx_id ~value:cur.(slot_exn l fname) ~oid)
     (applicable_indexes db cls);
   touch txn oid
 
@@ -321,9 +377,9 @@ let new_version txn oid =
   let next = match h.hversions with [] -> 0 | newest :: _ -> newest + 1 in
   (* The old current moves to its own record; the new current starts as a
      copy of it in the header record. Index entries are already correct. *)
-  write txn (Keys.version oid h.hcurrent) (Value.fields_encode cur);
+  write txn (Keys.version oid h.hcurrent) (encode_version cur);
   write txn (Keys.header oid)
-    (encode_object { h with hcurrent = next; hversions = next :: h.hversions } cur);
+    (encode_object { hcurrent = next; hversions = next :: h.hversions } cur);
   touch txn oid;
   next
 
@@ -339,15 +395,15 @@ let delete_version txn (vr : Oid.vref) =
       (* Promote the newest remaining version (the list is newest-first)
          out of its own record into the header record; the index must now
          reflect its field values instead of the deleted current's. *)
-      let new_fields =
+      let new_slots =
         match find_version db (Some txn) { oid = vr.oid; ver = new_current } with
-        | Some fs -> fs
+        | Some slots -> slots
         | None -> type_error "object %a: missing version %d" Oid.pp vr.oid new_current
       in
-      reindex txn (cls_of_header db h) vr.oid ~old_fields:cur ~new_fields;
+      reindex txn (cls_of_oid db vr.oid) vr.oid ~old_slots:cur ~new_slots;
       remove txn (Keys.version vr.oid new_current);
       write txn (Keys.header vr.oid)
-        (encode_object { h with hcurrent = new_current; hversions = remaining } new_fields);
+        (encode_object { hcurrent = new_current; hversions = remaining } new_slots);
       touch txn vr.oid
   | _ ->
       remove txn (Keys.version vr.oid vr.ver);

@@ -10,11 +10,14 @@
     {!Ode_index.Bptree.insert_sorted} batch: one descent and one leaf write
     per leaf run rather than per key.
 
-    Objects: one record per object, under its 'H' key, holds the class, the
-    current version number, the version list and the current version's
-    fields, so reading a current object (paper §4's generic reference) is
-    one directory probe and one heap fetch. Each non-current version's
-    fields live in a 'V' record of their own: {!new_version} moves the old
+    Objects: one record per object, under its 'H' key, holds the current
+    version number, the version list and the current version's fields, so
+    reading a current object (paper §4's generic reference) is one
+    directory probe and one heap fetch. Records are described by the
+    schema: fields are stored as slots in the class's layout
+    ({!Ode_model.Catalog.layout}), with no names, and the class is the one
+    the oid in the key names. Each non-current version's fields live in a
+    'V' record of their own: {!new_version} moves the old
     current into one, and deleting the current version promotes the newest
     remaining one back into the header record. An unversioned object
     simply has one version, 0, and no 'V' record (persistence and
@@ -28,15 +31,28 @@ exception No_cluster of string
 (** pnew into a class whose cluster was never created (paper §2.5). *)
 
 type header = Types.header = {
-  hcls : int;
   hcurrent : int;
   hversions : int list;  (** newest-first *)
 }
 
-val decode_object : string -> header * (string * Ode_model.Value.t) list
-(** Decode an 'H' record: the header and the current version's fields.
-    Raises {!Ode_util.Codec.Corrupt} on a short record or trailing bytes.
-    Used by the integrity checker and the dump. *)
+val encode_object : header -> Ode_model.Value.t array -> string
+(** An 'H' record: [varint hcurrent], [varint] version count, a [varint]
+    per version (newest first), then one {!Ode_model.Value.encode} per
+    slot. *)
+
+val encode_version : Ode_model.Value.t array -> string
+(** A 'V' record: the slots alone. *)
+
+val decode_object : db -> Ode_model.Oid.t -> string -> header * Ode_model.Value.t array
+(** Decode the 'H' record of [oid] against its class's layout: the header
+    and the current version's slots. Raises {!Ode_util.Codec.Corrupt} on an
+    unknown class, a short record or trailing bytes. *)
+
+val decode_version : db -> Ode_model.Oid.t -> string -> Ode_model.Value.t array
+(** Decode a 'V' record of [oid], with the same checks. *)
+
+val named_fields : db -> Ode_model.Oid.t -> Ode_model.Value.t array -> (string * Ode_model.Value.t) list
+(** Slots of [oid]'s class paired with their field names. *)
 
 (** {1 Raw overlay access} *)
 
@@ -62,13 +78,18 @@ val class_of : db -> Ode_model.Oid.t -> Ode_model.Schema.cls option
 (** From the oid alone; does not check liveness. *)
 
 val get_fields : db -> txn option -> Ode_model.Oid.t -> (string * Ode_model.Value.t) list option
-(** Fields of the current version. *)
+(** Fields of the current version, named (built from the slots). *)
 
 val get_fields_v :
   db -> txn option -> Ode_model.Oid.vref -> (string * Ode_model.Value.t) list option
 
 val get_field : db -> txn option -> Ode_model.Oid.t -> string -> Ode_model.Value.t option
 val get_field_v : db -> txn option -> Ode_model.Oid.vref -> string -> Ode_model.Value.t option
+(** One field, found through the slot table of the oid's class. *)
+
+val conforms : db -> Ode_model.Schema.field -> Ode_model.Value.t -> bool
+(** Whether a value may be stored in the field (the check {!create} and
+    {!update_fields} make). *)
 
 (** {1 Mutating objects (buffered in the transaction)} *)
 

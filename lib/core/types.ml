@@ -12,16 +12,17 @@ type op = Put of string | Del
 
 (* Decoded object header, the front of the 'H' record (the current
    version's fields follow it there). [hversions] is kept newest-first so
-   allocating the next version number is O(1). *)
-type header = { hcls : int; hcurrent : int; hversions : int list }
+   allocating the next version number is O(1). The class is the oid's. *)
+type header = { hcurrent : int; hversions : int list }
 
 (* An entry of the decoded-object cache: an object (its 'H' record: header
    and current fields, one entry) or the fields of one non-current version
-   (its 'V' record). Both are immutable-by-convention — readers never
-   mutate what the cache hands out. *)
+   (its 'V' record). Fields are slots in the class's layout
+   ({!Ode_model.Catalog.layout}). Both are immutable-by-convention —
+   readers never mutate what the cache hands out. *)
 type cached =
-  | Cobject of header * (string * Value.t) list
-  | Cversion of (string * Value.t) list
+  | Cobject of header * Value.t array
+  | Cversion of Value.t array
 
 type activation = {
   tid : int;

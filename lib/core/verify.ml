@@ -29,19 +29,32 @@ let run db =
 
   (* 1. Object records: the 'H' record holds the header and the current
      version's fields; every other listed version has its own 'V'
-     record. *)
+     record. Records carry no names, so each is decoded against the layout
+     of the class its oid names, and every slot must conform to its
+     field's type. *)
+  let check_slots what (oid : Oid.t) slots =
+    match Catalog.layout_of_id db.catalog oid.cls with
+    | None -> ()
+    | Some l ->
+        Array.iteri
+          (fun i v ->
+            let f = l.Catalog.fields.(i) in
+            if not (Store.conforms db f v) then
+              bad "%s: field %s holds %a, which does not conform to %s" what f.Schema.fname Value.pp v
+                (Ode_model.Otype.to_string f.Schema.ftype))
+          slots
+  in
   let headers : (Oid.t, Store.header) Hashtbl.t = Hashtbl.create 256 in
   Kv.iter_prefix db "H" (fun key payload ->
       (match Keys.oid_of_header_key key with
       | exception Ode_util.Codec.Corrupt msg -> bad "malformed header key %S (%s)" key msg
+      | oid when Catalog.find_by_id db.catalog oid.Oid.cls = None ->
+          bad "object %a: unknown class id %d" Oid.pp oid oid.Oid.cls
       | oid -> (
-          match Store.decode_object payload with
-          | h, _ ->
+          match Store.decode_object db oid payload with
+          | h, slots ->
               Hashtbl.replace headers oid h;
-              if Catalog.find_by_id db.catalog h.Store.hcls = None then
-                bad "object %a: unknown class id %d" Oid.pp oid h.Store.hcls;
-              if oid.Oid.cls <> h.Store.hcls then
-                bad "object %a: header class %d disagrees with oid" Oid.pp oid h.Store.hcls;
+              check_slots (Format.asprintf "object %a" Oid.pp oid) oid slots;
               if not (List.mem h.Store.hcurrent h.Store.hversions) then
                 bad "object %a: current version %d not in version list" Oid.pp oid h.Store.hcurrent;
               if List.length (List.sort_uniq Int.compare h.Store.hversions)
@@ -55,18 +68,24 @@ let run db =
           | exception _ -> bad "object %a: record does not decode as header plus fields" Oid.pp oid));
       true);
 
-  (* 2. Version records: only for live objects' non-current versions. *)
-  Kv.iter_prefix db "V" (fun key _ ->
+  (* 2. Version records: only for live objects' non-current versions, each
+     decoding as its class's slots. *)
+  Kv.iter_prefix db "V" (fun key payload ->
       (match Keys.parse_version key with
       | exception Ode_util.Codec.Corrupt msg -> bad "malformed version key %S (%s)" key msg
       | oid, ver -> (
           match Hashtbl.find_opt headers oid with
           | None -> bad "version record for dead object %a" Oid.pp oid
-          | Some h ->
+          | Some h -> (
               if ver = h.Store.hcurrent then
                 bad "object %a: current version %d also has a version record" Oid.pp oid ver
               else if not (List.mem ver h.Store.hversions) then
-                bad "object %a: orphan version record %d" Oid.pp oid ver));
+                bad "object %a: orphan version record %d" Oid.pp oid ver;
+              match Store.decode_version db oid payload with
+              | slots -> check_slots (Format.asprintf "object %a version %d" Oid.pp oid ver) oid slots
+              | exception _ ->
+                  bad "object %a: version %d record does not decode as the class's fields" Oid.pp
+                    oid ver)));
       true);
 
   (* 3. Index entries point at live, matching objects... *)

@@ -5,6 +5,10 @@ exception Schema_error of string
 
 let schema_error fmt = Format.kasprintf (fun s -> raise (Schema_error s)) fmt
 
+(* Where an object's fields sit in its record: [all_fields] as an array,
+   and each field name's slot in it. *)
+type layout = { fields : Schema.field array; slots : (string, int) Hashtbl.t }
+
 type t = {
   by_name : (string, Schema.cls) Hashtbl.t;
   by_id : (int, Schema.cls) Hashtbl.t;
@@ -12,6 +16,7 @@ type t = {
   mutable next_id : int;
   mutable index_list : (string * string) list; (* (class, field), oldest first *)
   lineage_memo : (string, Schema.cls list) Hashtbl.t;
+  layout_memo : (int, layout) Hashtbl.t; (* class id -> layout *)
 }
 
 let create () =
@@ -22,6 +27,7 @@ let create () =
     next_id = 0;
     index_list = [];
     lineage_memo = Hashtbl.create 16;
+    layout_memo = Hashtbl.create 16;
   }
 
 let find t name = Hashtbl.find_opt t.by_name name
@@ -52,6 +58,23 @@ let lineage t (c : Schema.cls) =
       l
 
 let all_fields t c = List.concat_map (fun (a : Schema.cls) -> a.own_fields) (lineage t c)
+
+(* Memoized like [lineage]. [define] and [decode] build every class's
+   layout up front, so readers on other domains only ever look it up. *)
+let layout t (c : Schema.cls) =
+  match Hashtbl.find_opt t.layout_memo c.id with
+  | Some l -> l
+  | None ->
+      let fields = Array.of_list (all_fields t c) in
+      let slots = Hashtbl.create (Array.length fields) in
+      Array.iteri (fun i (f : Schema.field) -> Hashtbl.replace slots f.fname i) fields;
+      let l = { fields; slots } in
+      Hashtbl.replace t.layout_memo c.id l;
+      l
+
+let layout_of_id t id = Hashtbl.find_opt t.layout_memo id
+let slot l name = Hashtbl.find_opt l.slots name
+
 let all_constraints t c = List.concat_map (fun (a : Schema.cls) -> a.own_constraints) (lineage t c)
 
 let find_method t c name =
@@ -127,6 +150,7 @@ let define t (d : Ast.class_decl) =
       schema_error "class %s: ambiguous or duplicate field %s" c.name f
   | None -> ());
   Hashtbl.add t.by_id c.id c;
+  ignore (layout t c);
   t.order <- c.name :: t.order;
   t.next_id <- t.next_id + 1;
   c
@@ -219,4 +243,5 @@ let decode s =
     let field = Codec.get_string c in
     t.index_list <- t.index_list @ [ (cls, field) ]
   done;
+  Hashtbl.iter (fun _ c -> ignore (layout t c)) t.by_id;
   t

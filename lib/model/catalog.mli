@@ -34,6 +34,25 @@ val lineage : t -> Schema.cls -> Schema.cls list
 val all_fields : t -> Schema.cls -> Schema.field list
 (** Inherited fields first, own fields last. *)
 
+(** {1 Record layout} *)
+
+type layout = private {
+  fields : Schema.field array;  (** [all_fields], slot by slot *)
+  slots : (string, int) Hashtbl.t;  (** field name -> slot *)
+}
+(** How an object record of one class lays out its fields: one value per
+    slot in [all_fields] order, with no names. Under multiple inheritance
+    a base field can sit at different slots in different subclasses, so
+    a field reference resolves per class. *)
+
+val layout : t -> Schema.cls -> layout
+(** Built once per class and memoized. *)
+
+val layout_of_id : t -> int -> layout option
+(** The layout of a defined class, by class id (the class an oid names). *)
+
+val slot : layout -> string -> int option
+
 val all_constraints : t -> Schema.cls -> Schema.constr list
 (** Every constraint an object of this class must satisfy, including
     inherited ones (paper §5: constraint-based specialization). *)

@@ -132,24 +132,12 @@ let index_key = function
   | (Vref _ | VList _ | VSet _) as v ->
       invalid_arg (Fmt.str "value %a cannot be an index key" pp v)
 
-let put_fields b fields =
+let fields_encode fields =
+  let b = Buffer.create 128 in
   Codec.put_u16 b (List.length fields);
   List.iter
     (fun (name, v) ->
       Codec.put_string b name;
       encode b v)
-    fields
-
-let get_fields c =
-  let n = Codec.get_u16 c in
-  List.init n (fun _ ->
-      let name = Codec.get_string c in
-      let v = decode c in
-      (name, v))
-
-let fields_encode fields =
-  let b = Buffer.create 128 in
-  put_fields b fields;
+    fields;
   Buffer.contents b
-
-let fields_decode s = get_fields (Codec.cursor s)

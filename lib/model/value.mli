@@ -41,13 +41,7 @@ val index_key : t -> string
     a float field built from int literals still scans correctly. *)
 
 val fields_encode : (string * t) list -> string
-(** Serialize an object payload: field name/value pairs. *)
-
-val fields_decode : string -> (string * t) list
-
-val put_fields : Buffer.t -> (string * t) list -> unit
-(** [fields_encode] appended to a buffer, for payloads that carry fields
-    after other data. *)
-
-val get_fields : Ode_util.Codec.cursor -> (string * t) list
-(** [fields_decode] from a cursor, which is left just past the fields. *)
+(** Self-describing encoding of named fields: a u16 count, then each
+    field's u32-framed name and {!encode}d value. Object records do not
+    use it (they store slots in their class's layout); it is the size measure
+    that storage-space ratios are taken against, so its bytes are fixed. *)

@@ -25,6 +25,18 @@ let put_string b s =
 
 let put_raw b s = Buffer.add_string b s
 
+(* Unsigned LEB128: seven bits per byte, low group first, the high bit set
+   on every byte but the last. *)
+let rec put_varint b n =
+  if n < 0 then invalid_arg "Codec.put_varint: negative"
+  else if n < 0x80 then put_u8 b n
+  else begin
+    put_u8 b (n land 0x7f lor 0x80);
+    put_varint b (n lsr 7)
+  end
+
+let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
+
 (* -- decoding ---------------------------------------------------------- *)
 
 type cursor = { src : string; mutable p : int }
@@ -78,6 +90,21 @@ let get_raw c n =
 let get_string c =
   let n = get_u32 c in
   get_raw c n
+
+(* The inverse of [put_varint], which writes the shortest form: a zero
+   final group after the first byte (overlong) or a value past [max_int]
+   is corrupt, like a truncated one. *)
+let get_varint c =
+  let start = c.p in
+  let acc = ref 0 and shift = ref 0 and last = ref (-1) in
+  while !last < 0 do
+    let byte = get_u8 c in
+    if !shift = 56 && byte > 0x3f then corrupt "codec: varint at %d overflows" start;
+    acc := !acc lor ((byte land 0x7f) lsl !shift);
+    if byte < 0x80 then last := byte else shift := !shift + 7
+  done;
+  if !last = 0 && !shift > 0 then corrupt "codec: overlong varint at %d" start;
+  !acc
 
 (* -- checksums --------------------------------------------------------- *)
 

@@ -32,6 +32,13 @@ val put_string : Buffer.t -> string -> unit
 val put_raw : Buffer.t -> string -> unit
 (** Appends the bytes with no length prefix. *)
 
+val put_varint : Buffer.t -> int -> unit
+(** Unsigned LEB128, shortest form: one byte below 128, at most nine.
+    Raises [Invalid_argument] on a negative. *)
+
+val varint_size : int -> int
+(** Bytes [put_varint] writes for a non-negative int. *)
+
 (** {1 Decoding} *)
 
 type cursor
@@ -51,6 +58,10 @@ val get_float : cursor -> float
 val get_bool : cursor -> bool
 val get_string : cursor -> string
 val get_raw : cursor -> int -> string
+
+val get_varint : cursor -> int
+(** Reads what {!put_varint} writes; raises {!Corrupt} on truncated,
+    overlong (not shortest-form) or overflowing input. *)
 
 (** {1 Checksums} *)
 

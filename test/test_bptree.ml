@@ -310,8 +310,12 @@ let pressure_flush_never_splits_half () =
   let t = Bptree.attach (Pool.create ~capacity:tiny_pool d) in
   let rng = Random.State.make [| 36 |] in
   let most_persisted = ref 0 in
+  (* Random keys can repeat (about twice in 20,000), and an insert of a
+     present key replaces it. *)
+  let distinct = Hashtbl.create torture_keys in
   for i = 1 to torture_keys do
     let k = Printf.sprintf "k%08d" (Random.State.int rng 100_000_000) in
+    Hashtbl.replace distinct k ();
     Bptree.insert t k (String.make (100 + Random.State.int rng 300) 'v');
     Tutil.copy_file path copy;
     let dc = Disk.open_file copy in
@@ -329,22 +333,27 @@ let pressure_flush_never_splits_half () =
     Disk.close dc
   done;
   Tutil.check_bool "pressure flushes reached the file" true (!most_persisted > 0);
-  (* One run past every key: the last leaf is cut into many pieces, and
-     their long separators overflow the parent, which is cut too. *)
-  let height = Bptree.height t in
+  (* One run past every key: the last leaf is cut into many pieces, each
+     written once, and the pieces past the first are on fresh pages that
+     only the leaf's parent, rewritten or split (or a new root above a
+     leaf root), can route a search to. Neither depends on the tree's
+     height, so this holds at any [torture_keys]. *)
   let run =
     Array.init 400 (fun i -> (Printf.sprintf "z%05d%s" i (String.make 200 'k'), String.make 200 'v'))
   in
-  let splits = Ode_util.Stats.(get (snapshot ()) "bptree.splits") in
+  let leaf_writes = Ode_util.Stats.(get (snapshot ()) "bptree.leaf_writes") in
   Bptree.insert_sorted t run;
-  let splits = Ode_util.Stats.(get (snapshot ()) "bptree.splits") - splits in
-  Tutil.check_bool "the run cut its leaf into three or more pieces and split the parent" true
-    (splits >= 3 && Bptree.height t > height);
+  let pieces = Ode_util.Stats.(get (snapshot ()) "bptree.leaf_writes") - leaf_writes in
+  Tutil.check_bool "the run cut its leaf into three or more pieces" true (pieces >= 3);
+  Tutil.check_bool "the leaf's parent routes a search to every piece" true
+    (Array.for_all (fun (k, _) -> Bptree.find t k <> None) run);
   Tutil.copy_file path copy;
   let dc = Disk.open_file copy in
   let c = Bptree.attach (Pool.create ~capacity:tiny_pool dc) in
   (match Bptree.check c with Ok () -> () | Error e -> Alcotest.failf "file after the run: %s" e);
-  Tutil.check_int "file after the run: every key" (torture_keys + Array.length run) (Bptree.count c);
+  Tutil.check_int "file after the run: every key"
+    (Hashtbl.length distinct + Array.length run)
+    (Bptree.count c);
   Disk.close dc;
   Disk.close d
 

@@ -72,6 +72,64 @@ let prop_float_roundtrip =
       let f' = Codec.get_float (Codec.cursor (Buffer.contents b)) in
       Int64.bits_of_float f = Int64.bits_of_float f')
 
+(* -- varints ---------------------------------------------------------- *)
+
+let varint_bytes n =
+  let b = Buffer.create 9 in
+  Codec.put_varint b n;
+  Buffer.contents b
+
+let raises_corrupt s =
+  match Codec.get_varint (Codec.cursor s) with _ -> false | exception Codec.Corrupt _ -> true
+
+(* Non-negative ints, weighted toward the byte boundaries. *)
+let arb_nat =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun n -> n land max_int) int;
+          map (fun k -> (1 lsl (7 * k)) - 1) (int_range 1 8);
+          map (fun k -> 1 lsl (7 * k)) (int_range 1 8);
+          return max_int;
+          small_nat;
+        ])
+
+let prop_varint_roundtrip =
+  QCheck.Test.make ~name:"varint roundtrip" ~count:1000 arb_nat (fun n ->
+      let s = varint_bytes n in
+      let c = Codec.cursor s in
+      Codec.get_varint c = n && Codec.at_end c && String.length s = Codec.varint_size n)
+
+let prop_varint_small =
+  QCheck.Test.make ~name:"varint is one byte below 128" ~count:200 (QCheck.int_bound 127) (fun n ->
+      varint_bytes n = String.make 1 (Char.chr n))
+
+let prop_varint_truncated =
+  QCheck.Test.make ~name:"truncated varint raises" ~count:500
+    (QCheck.pair arb_nat QCheck.small_nat)
+    (fun (n, cut) ->
+      let s = varint_bytes n in
+      raises_corrupt (String.sub s 0 (cut mod String.length s)))
+
+let prop_varint_overlong =
+  QCheck.Test.make ~name:"overlong varint raises" ~count:500 arb_nat (fun n ->
+      let s = varint_bytes n in
+      let last = String.length s - 1 in
+      (* The same value with a zero group appended: not shortest form. *)
+      let padded =
+        String.sub s 0 last ^ String.make 1 (Char.chr (Char.code s.[last] lor 0x80)) ^ "\000"
+      in
+      raises_corrupt padded)
+
+let varint_overflow () =
+  Tutil.check_bool "max_int encodes in nine bytes" true (String.length (varint_bytes max_int) = 9);
+  Tutil.check_bool "a tenth byte overflows" true (raises_corrupt (String.make 9 '\xff' ^ "\001"));
+  Tutil.check_bool "past max_int in nine bytes" true (raises_corrupt (String.make 8 '\xff' ^ "\x40"));
+  match Codec.put_varint (Buffer.create 1) (-1) with
+  | () -> Alcotest.fail "negative varint encoded"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ( "codec",
@@ -81,6 +139,16 @@ let suite =
         Alcotest.test_case "bad bool raises" `Quick bad_bool;
         Alcotest.test_case "strings are framed" `Quick string_prefix_independent;
         Alcotest.test_case "fnv64 behaves" `Quick fnv_distinct;
+        Alcotest.test_case "varint overflow raises" `Quick varint_overflow;
       ] );
-    Tutil.qsuite "codec.props" [ prop_int_roundtrip; prop_string_roundtrip; prop_float_roundtrip ];
+    Tutil.qsuite "codec.props"
+      [
+        prop_int_roundtrip;
+        prop_string_roundtrip;
+        prop_float_roundtrip;
+        prop_varint_roundtrip;
+        prop_varint_small;
+        prop_varint_truncated;
+        prop_varint_overlong;
+      ];
   ]

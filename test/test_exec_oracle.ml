@@ -33,18 +33,32 @@ module Oid = Ode_model.Oid
 module Eval = Ode_model.Eval
 module OM = Map.Make (Oid)
 
+(* [d] has two parents, and records store fields by slot in the
+   linearized order (e, a, d): [a]'s fields sit one slot later in a [d]
+   than in an [a] or a [b], so scans, probes and residuals over [a*] read
+   one name at two slots. *)
 let schema =
   {|class a { k: int; m: int; s: string; };
     class b : a { n: int; };
     class c { k: int; g: int; r: ref a; rs: set<ref a>; };
+    class e { w: int; };
+    class d : e, a { };
     class node { v: int; };|}
 
-(* Every index the generator may declare; [b(k)] is a subclass index on an
-   inherited field, so ancestor-index lookups are exercised both ways. *)
+(* Every index the generator may declare; [b(k)] and [d(k)] are subclass
+   indexes on an inherited field, so ancestor-index lookups are exercised
+   both ways. *)
 let index_choices =
-  [ ("a", "k"); ("a", "m"); ("a", "s"); ("b", "n"); ("b", "k"); ("c", "k"); ("c", "g"); ("node", "v") ]
+  [
+    ("a", "k"); ("a", "m"); ("a", "s"); ("b", "n"); ("b", "k"); ("d", "k"); ("c", "k"); ("c", "g");
+    ("node", "v");
+  ]
 
-let int_fields = function "a" -> [ "k"; "m" ] | "b" -> [ "k"; "m"; "n" ] | _ -> [ "k"; "g" ]
+let int_fields = function
+  | "a" -> [ "k"; "m" ]
+  | "b" -> [ "k"; "m"; "n" ]
+  | "d" -> [ "k"; "m"; "w" ]
+  | _ -> [ "k"; "g" ]
 
 (* -- the reference model: a Dump snapshot read back naively --------------- *)
 
@@ -128,7 +142,8 @@ type case = {
   indexes : (string * string) list;
   a_rows : (int * int * string) list;
   b_rows : (int * int * string * int) list;
-  c_rows : (int * int * int option * int list) list;  (** r and rs index into a @ b *)
+  d_rows : (int * int * string * int) list;
+  c_rows : (int * int * int option * int list) list;  (** r and rs index into a @ b @ d *)
   nodes : int list;
   singles : single list;
   joins : join list;
@@ -166,7 +181,9 @@ let conj_of rs var cls n =
   conjoin (List.init (Random.State.int rs (n + 1)) (fun _ -> conjunct rs var cls))
 
 let gen_single rs =
-  let s_cls, s_deep = pick rs [ ("a", false); ("a", true); ("b", false); ("b", true); ("c", false) ] in
+  let s_cls, s_deep =
+    pick rs [ ("a", false); ("a", true); ("b", false); ("b", true); ("c", false); ("d", false) ]
+  in
   let s_by =
     match Random.State.int rs 5 with
     | 0 | 1 -> None
@@ -178,7 +195,7 @@ let gen_single rs =
 let gen_join rs =
   let ((_, ocls, _) as j_outer) = pick rs [ ("o", "c", false); ("o", "a", false); ("o", "a", true) ] in
   let ((_, icls, _) as j_inner) =
-    pick rs [ ("i", "a", false); ("i", "a", true); ("i", "b", false); ("i", "c", false) ]
+    pick rs [ ("i", "a", false); ("i", "a", true); ("i", "b", false); ("i", "c", false); ("i", "d", false) ]
   in
   let link =
     let eq = Ast.Binop (Eq, fld "i" "k", fld "o" (pick rs (int_fields ocls))) in
@@ -207,7 +224,8 @@ let gen_case : case QCheck.Gen.t =
   let str () = Printf.sprintf "s%d" (Random.State.int rs 4) in
   let a_rows = rows 12 (fun () -> (small rs, small rs, str ())) in
   let b_rows = rows 8 (fun () -> (small rs, small rs, str (), small rs)) in
-  let nab = List.length a_rows + List.length b_rows in
+  let d_rows = rows 6 (fun () -> (small rs, small rs, str (), small rs)) in
+  let nab = List.length a_rows + List.length b_rows + List.length d_rows in
   let target () = Random.State.int rs (max 1 nab) in
   let c_rows =
     rows 8 (fun () ->
@@ -220,6 +238,7 @@ let gen_case : case QCheck.Gen.t =
     indexes = List.filter (fun _ -> Random.State.bool rs) index_choices;
     a_rows;
     b_rows;
+    d_rows;
     c_rows;
     nodes = List.init (1 + Random.State.int rs 3) (fun _ -> Random.State.int rs 4);
     singles = List.init 6 (fun _ -> gen_single rs);
@@ -245,8 +264,8 @@ let print_case c =
   String.concat "\n"
     ([
        "indexes: " ^ String.concat " " (List.map (fun (c, f) -> c ^ "(" ^ f ^ ")") c.indexes);
-       Printf.sprintf "objects: %d a, %d b, %d c, nodes [%s]; fixpoint limit %d; write seed %d"
-         (List.length c.a_rows) (List.length c.b_rows) (List.length c.c_rows)
+       Printf.sprintf "objects: %d a, %d b, %d d, %d c, nodes [%s]; fixpoint limit %d; write seed %d"
+         (List.length c.a_rows) (List.length c.b_rows) (List.length c.d_rows) (List.length c.c_rows)
          (String.concat ";" (List.map string_of_int c.nodes))
          c.fix_limit c.write_seed;
      ]
@@ -258,7 +277,7 @@ let print_case c =
 let load c =
   let db = Db.open_in_memory () in
   ignore (Db.define db schema);
-  List.iter (Db.create_cluster db) [ "a"; "b"; "c"; "node" ];
+  List.iter (Db.create_cluster db) [ "a"; "b"; "c"; "d"; "node" ];
   List.iter (fun (cls, field) -> Db.create_index db ~cls ~field) c.indexes;
   Db.with_txn db (fun txn ->
       let i n = Value.Int n in
@@ -267,6 +286,9 @@ let load c =
         @ List.map
             (fun (k, m, s, n) -> Db.pnew txn "b" [ ("k", i k); ("m", i m); ("s", Str s); ("n", i n) ])
             c.b_rows
+        @ List.map
+            (fun (k, m, s, w) -> Db.pnew txn "d" [ ("k", i k); ("m", i m); ("s", Str s); ("w", i w) ])
+            c.d_rows
       in
       let ref_to t = Value.Ref (List.nth abs t) in
       List.iter
@@ -306,7 +328,7 @@ let apply_writes rs txn m n =
             let oid, _ = pick rs (List.filter (fun (_, (cls, _)) -> cls = "c") live) in
             set oid "r" (Value.Ref (fst (pick rs abs))) m
         | _ ->
-            let cls = pick rs [ "a"; "b"; "c" ] in
+            let cls = pick rs [ "a"; "b"; "c"; "d" ] in
             let fields =
               List.map (fun f -> (f, Value.Int (small rs))) (int_fields cls)
               @ (if cls = "c" then [ ("r", Value.Null); ("rs", Value.VSet []) ]

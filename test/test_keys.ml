@@ -118,17 +118,18 @@ let old_layout_refused () =
   Db.with_txn db (fun txn -> ignore (Db.pnew txn "z" [ ("v", Value.Int 1) ]));
   Db.close db;
   (* Stamp the previous format's magic into the heap header, with a valid
-     page checksum, as a store written with 16-byte keys has it. *)
+     page checksum, as a store written with self-describing object records
+     (field names, u32 key framing) has it. *)
   let path = Filename.concat dir "objects.heap" in
   let file = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
-  Bytes.blit_string "ODEHEAP1" 0 file 0 8;
+  Bytes.blit_string "ODEHEAP2" 0 file 0 8;
   let data_end = Ode_storage.Page.data_end in
   Bytes.set_int64_le file data_end (Ode_util.Codec.fnv64_bytes file ~pos:0 ~len:data_end);
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc file);
   match Db.open_ dir with
   | db ->
       Db.close db;
-      Alcotest.fail "a store in the old key layout opened"
+      Alcotest.fail "a store in the old record layout opened"
   | exception e ->
       let msg = Printexc.to_string e in
       if not (Tutil.contains msg "bad magic") then Alcotest.failf "refused for another reason: %s" msg

@@ -115,10 +115,27 @@ let verify_detects_corruption () =
   let put db key payload = Ode.Kv.put_sorted db [| (key, payload) |] ~on_new:ignore in
   case "missing non-current version" ~expect:"version 0 record missing" (fun db o ->
       Ode.Kv.delete db (Ode.Keys.version o 0));
+  let put_object db o slots =
+    let h = Option.get (Ode.Store.get_header db None o) in
+    put db (Ode.Keys.header o) (Ode.Store.encode_object h slots)
+  in
   case "current version stored twice" ~expect:"current version 1 also has a version record"
-    (fun db o -> put db (Ode.Keys.version o 1) (Value.fields_encode [ ("v", int 2) ]));
+    (fun db o -> put db (Ode.Keys.version o 1) (Ode.Store.encode_version [| int 2 |]));
   case "malformed version key" ~expect:"malformed version key" (fun db o ->
-      put db (Ode.Keys.version o 0 ^ "x") (Value.fields_encode [ ("v", int 1) ]));
+      put db (Ode.Keys.version o 0 ^ "x") (Ode.Store.encode_version [| int 1 |]));
+  (* Records carry no names, so only the class's layout vouches for them. *)
+  case "object record one slot short" ~expect:"does not decode as header plus fields" (fun db o ->
+      put_object db o [||]);
+  case "object record one slot extra" ~expect:"does not decode as header plus fields" (fun db o ->
+      put_object db o [| int 2; int 3 |]);
+  case "object slot of the wrong type" ~expect:"field v holds \"2\", which does not conform to int"
+    (fun db o -> put_object db o [| Value.Str "2" |]);
+  case "version record one slot short" ~expect:"version 0 record does not decode" (fun db o ->
+      put db (Ode.Keys.version o 0) (Ode.Store.encode_version [||]));
+  case "version record one slot extra" ~expect:"version 0 record does not decode" (fun db o ->
+      put db (Ode.Keys.version o 0) (Ode.Store.encode_version [| int 1; int 1 |]));
+  case "version slot of the wrong type" ~expect:"version 0: field v holds true" (fun db o ->
+      put db (Ode.Keys.version o 0) (Ode.Store.encode_version [| Value.Bool true |]));
   case "truncated object record" ~expect:"does not decode as header plus fields" (fun db o ->
       let key = Ode.Keys.header o in
       let payload = Option.get (Ode.Kv.get db key) in

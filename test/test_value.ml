@@ -59,15 +59,6 @@ let prop_roundtrip =
       Value.encode b v;
       Value.equal v (Value.decode (Ode_util.Codec.cursor (Buffer.contents b))))
 
-let prop_fields_roundtrip =
-  QCheck.Test.make ~name:"fields encode/decode roundtrip" ~count:300
-    QCheck.(list (pair (string_of_size (QCheck.Gen.int_bound 8)) arb_value))
-    (fun fields ->
-      let fields = List.map (fun (n, v) -> (n, v)) fields in
-      let decoded = Value.fields_decode (Value.fields_encode fields) in
-      List.length decoded = List.length fields
-      && List.for_all2 (fun (n, v) (n', v') -> n = n' && Value.equal v v') fields decoded)
-
 let prop_compare_antisym =
   QCheck.Test.make ~name:"compare is antisymmetric" ~count:500 (QCheck.pair arb_value arb_value)
     (fun (a, b) -> Value.compare a b = -Value.compare b a)
@@ -109,6 +100,42 @@ let prop_index_key_order =
       QCheck.assume comparable;
       sign (compare (Value.index_key a) (Value.index_key b)) = sign (Value.compare a b))
 
+(* [Value.encode] and [Value.fields_encode] are the benchmark's yardstick:
+   its [space_amp] divides store bytes by [fields_encode] of the live
+   objects. Store records no longer use [fields_encode], so a change to
+   either encoder would move the denominator rather than the store. The
+   bytes below were produced by the encoders before records became
+   schema-described. *)
+let hex s = String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let golden_fields : (string * Value.t * string) list =
+  [
+    ("n", Value.Null, "00");
+    ("b", Value.Bool true, "0101");
+    ("i", Value.Int (-42), "02d6ffffffffffffff");
+    ("f", Value.Float 1.5, "03000000000000f83f");
+    ("s", Value.Str "h\000i", "0403000000680069");
+    ("r", Value.Ref (oid 3 70000), "05030000007011010000000000");
+    ("vr", Value.Vref { oid = oid 1 2; ver = 5 }, "0601000000020000000000000005000000");
+    ("l", Value.VList [ v_int 1; v_str "x" ], "0702000000020100000000000000040100000078");
+    ("set", Value.VSet [ Value.Bool false; v_int 7 ], "08020000000100020700000000000000");
+  ]
+
+let golden_bytes () =
+  List.iter
+    (fun (name, v, expected) ->
+      let b = Buffer.create 16 in
+      Value.encode b v;
+      Alcotest.(check string) ("encode " ^ name) expected (hex (Buffer.contents b)))
+    golden_fields;
+  Alcotest.(check string)
+    "fields_encode"
+    ("0900010000006e0001000000620101010000006902d6ffffffffffffff010000006603000000000000f83f"
+   ^ "010000007304030000006800690100000072050300000070110100000000000200000076720601000000"
+   ^ "020000000000000005000000010000006c07020000000201000000000000000401000000780300000073"
+   ^ "657408020000000100020700000000000000")
+    (hex (Value.fields_encode (List.map (fun (n, v, _) -> (n, v)) golden_fields)))
+
 let index_key_rejects_containers () =
   match Value.index_key (Value.VSet [ v_str "x" ]) with
   | _ -> Alcotest.fail "sets must not be indexable"
@@ -121,11 +148,11 @@ let suite =
         Alcotest.test_case "total order across types" `Quick compare_total_order;
         Alcotest.test_case "set normalization" `Quick set_normalization;
         Alcotest.test_case "index_key rejects containers" `Quick index_key_rejects_containers;
+        Alcotest.test_case "encoders keep their bytes" `Quick golden_bytes;
       ] );
     Tutil.qsuite "value.props"
       [
         prop_roundtrip;
-        prop_fields_roundtrip;
         prop_compare_antisym;
         prop_compare_trans;
         prop_index_key_order;

@@ -312,10 +312,175 @@ let prop_versions_match_model =
       Db.close !db;
       !ok)
 
+(* The same kind of model over a diamond hierarchy, where records store
+   fields by slot in each class's linearized field order. [bottom]'s
+   lineage is base, right, left, bottom, so [left]'s own field [l] sits at
+   slot 2 in a [left] and at slot 3 in a [bottom]; the index on [left(l)]
+   and the deep extent [left*] read one name at both slots. *)
+
+let diamond_schema =
+  {|class base { id: int; tag: string; };
+    class left : base { l: int; };
+    class right : base { r: int; };
+    class bottom : right, left { b: int; };|}
+
+(* Field names in slot order, as [Db.get] must return them. *)
+let diamond_layout = function
+  | "base" -> [ "id"; "tag" ]
+  | "left" -> [ "id"; "tag"; "l" ]
+  | "right" -> [ "id"; "tag"; "r" ]
+  | _ -> [ "id"; "tag"; "r"; "l"; "b" ]
+
+let diamond_classes = [| "base"; "left"; "right"; "bottom" |]
+
+type dop =
+  | D_new of int * int
+  | D_set of int * int * int
+  | D_newversion of int
+  | D_del_current of int
+  | D_del_other of int * int
+
+let show_dop = function
+  | D_new (c, a) -> Printf.sprintf "new %s %d" diamond_classes.(c mod 4) a
+  | D_set (s, f, a) -> Printf.sprintf "set #%d field %d := %d" s f a
+  | D_newversion s -> Printf.sprintf "newversion #%d" s
+  | D_del_current s -> Printf.sprintf "delete-current #%d" s
+  | D_del_other (s, k) -> Printf.sprintf "delete-other #%d %d" s k
+
+(* A value for [field] derived from [a]; [tag] is the one string field. *)
+let dvalue field a = if field = "tag" then Value.Str (Printf.sprintf "t%d" a) else int a
+
+type dobj = { dcls : string; dcur : int; dvers : (int * (string * Value.t) list) list }
+
+let dstep txn m op =
+  let drop_version oid o ver =
+    Db.pdelete_version txn { oid; ver };
+    match List.filter (fun (v, _) -> v <> ver) o.dvers with
+    | [] -> M.remove oid m
+    | (newest, _) :: _ as dvers ->
+        M.add oid { o with dcur = (if ver = o.dcur then newest else o.dcur); dvers } m
+  in
+  match op with
+  | D_new (c, a) ->
+      let cls = diamond_classes.(c mod 4) in
+      let fs = List.mapi (fun i f -> (f, dvalue f (a + i))) (diamond_layout cls) in
+      (* Initializers in reverse: the record's order is the layout's, not
+         the caller's. *)
+      M.add (Db.pnew txn cls (List.rev fs)) { dcls = cls; dcur = 0; dvers = [ (0, fs) ] } m
+  | D_set (slot, f, a) -> (
+      match pick m slot with
+      | None -> m
+      | Some (oid, o) ->
+          let names = diamond_layout o.dcls in
+          let field = List.nth names (f mod List.length names) in
+          Db.set_field txn oid field (dvalue field a);
+          let set fs = List.map (fun (n, v) -> (n, if n = field then dvalue field a else v)) fs in
+          M.add oid
+            { o with dvers = List.map (fun (v, fs) -> (v, if v = o.dcur then set fs else fs)) o.dvers }
+            m)
+  | D_newversion slot -> (
+      match pick m slot with
+      | None -> m
+      | Some (oid, o) ->
+          let next = fst (List.hd o.dvers) + 1 in
+          ignore (Db.newversion txn oid);
+          M.add oid { o with dcur = next; dvers = (next, List.assoc o.dcur o.dvers) :: o.dvers } m)
+  | D_del_current slot -> (
+      match pick m slot with None -> m | Some (oid, o) -> drop_version oid o o.dcur)
+  | D_del_other (slot, k) -> (
+      match pick m slot with
+      | None -> m
+      | Some (oid, o) -> (
+          match List.filter (fun (v, _) -> v <> o.dcur) o.dvers with
+          | [] -> m
+          | others -> drop_version oid o (fst (List.nth others (k mod List.length others)))))
+
+(* Every read path sees the model: whole objects and versions by name,
+   single fields, and the deep extent of [left] probed on [l]. *)
+let diamond_agrees db txn m =
+  let ok = ref true in
+  let expect what c = if not c then (ok := false; prerr_endline ("diamond mismatch: " ^ what)) in
+  M.iter
+    (fun oid o ->
+      let name = Format.asprintf "%a" Oid.pp oid in
+      let cur = List.assoc o.dcur o.dvers in
+      expect (name ^ " get") (Db.get txn oid = Some cur);
+      List.iter (fun (f, v) -> expect (name ^ " get_field " ^ f) (Db.get_field txn oid f = v)) cur;
+      List.iter
+        (fun (ver, fs) ->
+          expect (Printf.sprintf "%s version %d" name ver) (Db.get_version txn { oid; ver } = Some fs))
+        o.dvers)
+    m;
+  for l = 0 to 3 do
+    let want =
+      M.fold
+        (fun oid o acc ->
+          match List.assoc_opt "l" (List.assoc o.dcur o.dvers) with
+          | Some (Value.Int x) when x mod 4 = l -> oid :: acc
+          | _ -> acc)
+        m []
+    in
+    let got =
+      Ode.Query.to_list db ~txn ~var:"x" ~cls:"left" ~deep:true
+        ~suchthat:(Parser.expr (Printf.sprintf "x.l %% 4 == %d" l))
+        ()
+    in
+    expect (Printf.sprintf "left* with l mod 4 = %d" l) (List.sort compare got = List.sort compare want)
+  done;
+  !ok
+
+let prop_diamond_matches_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun c a -> D_new (c, a)) nat (int_bound 40));
+          (4, map3 (fun s f a -> D_set (s, f, a)) nat nat (int_bound 40));
+          (3, map (fun s -> D_newversion s) nat);
+          (1, map (fun s -> D_del_current s) nat);
+          (2, map2 (fun s k -> D_del_other (s, k)) nat nat);
+        ])
+  in
+  let gen = QCheck.Gen.(pair bool (list_size (int_range 1 12) (list_size (int_range 1 5) gen_op))) in
+  let print (cache, txns) =
+    Printf.sprintf "cache %b: %s" cache
+      (String.concat " | " (List.map (fun ops -> String.concat "; " (List.map show_dop ops)) txns))
+  in
+  QCheck.Test.make ~name:"diamond hierarchy matches a model" ~count:30 (QCheck.make ~print gen)
+    (fun (cache, txns) ->
+      let dir = Tutil.temp_dir "diamond" in
+      let open_db () = Db.open_ ~object_cache:(if cache then 4096 else 0) dir in
+      let db = ref (open_db ()) in
+      ignore (Db.define !db diamond_schema);
+      Array.iter (Db.create_cluster !db) diamond_classes;
+      Db.create_index !db ~cls:"left" ~field:"l";
+      Db.create_index !db ~cls:"base" ~field:"id";
+      let m = ref M.empty in
+      let check () = Db.with_txn !db (fun txn -> diamond_agrees !db txn !m) && verified !db in
+      let ok = ref true in
+      List.iteri
+        (fun i ops ->
+          if i = List.length txns / 2 then begin
+            Db.close !db;
+            db := open_db ();
+            ok := !ok && check ()
+          end;
+          m := Db.with_txn !db (fun txn -> List.fold_left (dstep txn) !m ops);
+          ok := !ok && check ())
+        txns;
+      Db.crash !db;
+      db := open_db ();
+      ok := !ok && check ();
+      Db.close !db;
+      !ok)
+
 let suite =
   [
     ( "version.model",
-      [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |]) prop_versions_match_model ] );
+      [
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |]) prop_versions_match_model;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |]) prop_diamond_matches_model;
+      ] );
     ( "version",
       [
         Alcotest.test_case "newversion becomes current" `Quick newversion_becomes_current;
