@@ -121,8 +121,8 @@ let delete db key =
 
    Default path: stream through a B+tree cursor — one leaf resident at a
    time, and an early-exiting callback stops page reads immediately. The
-   cursor snapshots each leaf's entry array (arrays are copied on mutation),
-   so a split or delete racing the scan cannot corrupt it.
+   cursor copies each leaf's entry bytes when it reaches the leaf, so a
+   split or delete racing the scan cannot corrupt it.
 
    Collect-first fallback: when the scanning transaction already has pending
    writes under the prefix, the scan's callback is likely interleaving

@@ -7,48 +7,51 @@ let c_pages_reformatted = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery 
 let c_leaf_writes = Ode_util.Stats.counter "bptree.leaf_writes"
 let c_splits = Ode_util.Stats.counter "bptree.splits"
 
-let magic = "ODEBPT01"
+let magic = "ODEBPT02"
 let max_entry = 1024
 
-(* Serialized-node budget. Nodes are (de)serialized whole; a node splits when
-   its serialized size would exceed this. *)
-let node_capacity = Ode_storage.Page.size - 16
+(* The buffer pool is the only cache of nodes: every read searches the
+   pinned frame in place, and every write edits it. *)
+type t = { pool : Pool.t; mutable root : int; mutable count : int }
 
-type node =
-  | Leaf of { mutable entries : (string * string) array; mutable next : int }
-  | Internal of { mutable keys : string array; mutable children : int array }
-(* Internal invariant: length children = length keys + 1; subtree children.(i)
-   holds keys < keys.(i); children.(i+1) holds keys >= keys.(i). *)
+(* -- node layout (ODEBPT02) ---------------------------------------------------
+   A node page is a slotted page. Its header:
 
-type t = {
-  pool : Pool.t;
-  mutable root : int;
-  mutable count : int;
-  (* Decoded-node cache: every mutation goes through [write_node], which
-     refreshes the entry, so the cache never goes stale. Bounded by periodic
-     reset. [cache_mu] guards the table itself so reader domains can probe
-     it concurrently; the nodes inside are only mutated by the (exclusive)
-     writer, so a cached node handed out under the lock stays valid for the
-     duration of the reader's request. *)
-  node_cache : (int, node) Hashtbl.t;
-  cache_mu : Mutex.t;
-}
+     0  u8   kind: 0 leaf, 1 internal
+     1  u16  entry count n
+     3  u32  leaf: next leaf (0: none); internal: child 0
+     7  u16  top: offset of the lowest entry byte
 
-let cache_limit = 8192
+   then n u16 slots, the entry offsets in key order. Entries fill
+   [top, node_end) from the end down, entry 0 highest and each entry
+   directly below the one before it, so a run of ascending inserts moves
+   no bytes:
 
-(* -- node encoding -------------------------------------------------------------
-   A node page holds a u16 byte length, then the node: a kind byte (0 leaf,
-   1 internal), a u16 entry/key count and a u32 (leaf: next leaf; internal:
-   first child), then per leaf entry u16 klen | key | u16 vlen | value and
-   per internal key u16 klen | key | u32 child, all little-endian. Bytes
-   past the node are left as they were. Nodes are encoded straight into,
-   and decoded straight out of, the pinned frame. *)
+     leaf entry      varint klen | key | varint vlen | value
+     internal entry  varint klen | key | u32 child
 
-let node_size = function
-  | Leaf l ->
-      Array.fold_left (fun acc (k, v) -> acc + 4 + String.length k + String.length v) 7 l.entries
-  | Internal n ->
-      Array.fold_left (fun acc k -> acc + 2 + String.length k + 4) 7 n.keys
+   Internal child i+1 (the one in entry i) holds keys >= key i; child 0
+   holds keys below key 0. Lengths are unsigned LEB128 varints in their
+   shortest form, one byte under 128 (so a leaf entry costs 4 bytes beside
+   its key and value, slot included), two up to [max_entry]. The free gap
+   between the slots and [top] is all zero bytes, so a node's page bytes
+   are a function of its contents alone. All integers are little-endian.
+   The disk layer's checksum trailer lies past [node_end]. *)
+
+let kind_off = 0
+let count_off = 1
+let link_off = 3
+let top_off = 7
+let slots_off = 9
+let node_end = Ode_storage.Page.data_end
+
+(* What one node can hold beside its header: entries and their slots. *)
+let budget = node_end - slots_off
+
+(* No descent is deeper than this in a well-formed tree (each level at
+   least halves the pages below it); past it a rotten child pointer has
+   made a cycle. *)
+let max_depth = 64
 
 let get_u32 b off = Bytes.get_uint16_le b off lor (Bytes.get_uint16_le b (off + 2) lsl 16)
 
@@ -56,120 +59,198 @@ let set_u32 b off n =
   Bytes.set_uint16_le b off (n land 0xffff);
   Bytes.set_uint16_le b (off + 2) ((n lsr 16) land 0xffff)
 
-(* Write [s] length-prefixed at [off]; return the offset past it. *)
-let set_str b off s =
-  let len = String.length s in
-  Bytes.set_uint16_le b off len;
-  Bytes.blit_string s 0 b (off + 2) len;
-  off + 2 + len
-
-let encode b node =
-  let size = node_size node in
-  assert (size <= node_capacity);
-  Bytes.set_uint16_le b 0 size;
-  let stop =
-    match node with
-    | Leaf l ->
-        Bytes.set_uint8 b 2 0;
-        Bytes.set_uint16_le b 3 (Array.length l.entries);
-        set_u32 b 5 l.next;
-        Array.fold_left (fun off (k, v) -> set_str b (set_str b off k) v) 9 l.entries
-    | Internal n ->
-        Bytes.set_uint8 b 2 1;
-        Bytes.set_uint16_le b 3 (Array.length n.keys);
-        set_u32 b 5 n.children.(0);
-        let off = ref 9 in
-        Array.iteri
-          (fun i k ->
-            let o = set_str b !off k in
-            set_u32 b o n.children.(i + 1);
-            off := o + 4)
-          n.keys;
-        !off
-  in
-  assert (stop = 2 + size)
-
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Codec.Corrupt s)) fmt
+let is_leaf b = Bytes.get_uint8 b kind_off = 0
+let count b = Bytes.get_uint16_le b count_off
+let link b = get_u32 b link_off
+let top b = Bytes.get_uint16_le b top_off
+let slot b i = Bytes.get_uint16_le b (slots_off + (2 * i))
+let set_slot b i off = Bytes.set_uint16_le b (slots_off + (2 * i)) off
+let free b = top b - slots_off - (2 * count b)
+let vsize n = if n < 0x80 then 1 else 2
 
-(* Every field is bounds-checked against the recorded length, so a rotten
-   page raises [Codec.Corrupt] rather than decoding a neighbour's bytes. *)
-let decode b =
-  let stop = 2 + Bytes.get_uint16_le b 0 in
-  if stop > Bytes.length b then corrupt "bptree: node length %d overruns the page" (stop - 2);
-  let pos = ref 2 in
-  let take n =
-    let p = !pos in
-    if p + n > stop then corrupt "bptree: node field at %d overruns node end %d" p stop;
-    pos := p + n;
-    p
+(* The end of entry [p], where entry [p] would go were it inserted. *)
+let entry_end b p = if p = 0 then node_end else slot b (p - 1)
+
+(* A node's header, checked before anything else is read: the kind byte,
+   and slots that end at or before [top], which is inside the node. *)
+let check_header b page =
+  let k = Bytes.get_uint8 b kind_off in
+  if k > 1 then corrupt "bptree: bad node kind %d on page %d" k page;
+  let t = top b in
+  if slots_off + (2 * count b) > t || t > node_end then
+    corrupt "bptree: page %d: %d slots and entry region at %d overlap" page (count b) t
+
+(* -- reading entries in place -------------------------------------------------
+   Entry fields are read from [b] at an offset found in a slot. Every length
+   is checked against [lim], the end of the bytes the entry may use, so a
+   rotten node raises [Codec.Corrupt] rather than read a neighbour's bytes
+   or past the buffer. The same readers serve a page ([lim] = [node_end])
+   and a cursor's copy of one. Nothing here allocates. *)
+
+(* The length field at [off], which with the bytes it counts must end by
+   [lim]. The one-byte case, almost every key and value, is checked inline;
+   the rest goes through [long_len_at]. *)
+let long_len_at b off lim =
+  if off < 0 || off >= lim then corrupt "bptree: entry at %d outside its node (end %d)" off lim;
+  let b0 = Bytes.get_uint8 b off in
+  let n =
+    if b0 < 0x80 then b0
+    else begin
+      if off + 1 >= lim then corrupt "bptree: length at %d overruns node end %d" off lim;
+      let b1 = Bytes.get_uint8 b (off + 1) in
+      if b1 = 0 || b1 >= 0x80 then corrupt "bptree: bad length field at %d" off;
+      b0 land 0x7f lor (b1 lsl 7)
+    end
   in
-  let u16 () = Bytes.get_uint16_le b (take 2) in
-  let u32 () = get_u32 b (take 4) in
-  let str () =
-    let n = u16 () in
-    Bytes.sub_string b (take n) n
-  in
-  match Bytes.get_uint8 b (take 1) with
-  | 0 ->
-      let n = u16 () in
-      let next = u32 () in
-      let entries =
-        Array.init n (fun _ ->
-            let k = str () in
-            let v = str () in
-            (k, v))
-      in
-      Leaf { entries; next }
-  | 1 ->
-      let n = u16 () in
-      let children = Array.make (n + 1) (u32 ()) in
-      let keys =
-        Array.init n (fun i ->
-            let k = str () in
-            children.(i + 1) <- u32 ();
-            k)
-      in
-      Internal { keys; children }
-  | k -> corrupt "bptree: bad node kind %d" k
+  if off + vsize n + n > lim then corrupt "bptree: field at %d overruns node end %d" off lim;
+  n
 
-let cache_node t page node =
-  Mutex.protect t.cache_mu (fun () ->
-      if Hashtbl.length t.node_cache >= cache_limit then Hashtbl.reset t.node_cache;
-      Hashtbl.replace t.node_cache page node)
+let len_at b off lim =
+  if off >= 0 && off < lim then
+    let n = Bytes.get_uint8 b off in
+    if n < 0x80 && off + 1 + n <= lim then n else long_len_at b off lim
+  else long_len_at b off lim
 
-let read_node t page =
-  match Mutex.protect t.cache_mu (fun () -> Hashtbl.find_opt t.node_cache page) with
-  | Some n -> n
-  | None ->
-      (* A node pointer past the end of the file means the tail was trimmed
-         (torn-write repair at open) or the page is rotten: surface it as
-         corruption, not as an out-of-range programming error. *)
-      if page < 0 || page >= Pool.page_count t.pool then
-        raise
-          (Codec.Corrupt
-             (Printf.sprintf "bptree: node pointer %d beyond end of file (%d pages; truncated?)"
-                page (Pool.page_count t.pool)));
-      let n = Pool.with_page t.pool page (fun f -> decode (Pool.data f)) in
-      cache_node t page n;
-      n
+let put_len b off n =
+  if n < 0x80 then begin
+    Bytes.set_uint8 b off n;
+    off + 1
+  end
+  else begin
+    Bytes.set_uint8 b off (n land 0x7f lor 0x80);
+    Bytes.set_uint8 b (off + 1) (n lsr 7);
+    off + 2
+  end
 
-let write_node t page node =
-  (match node with Leaf _ -> Ode_util.Stats.incr c_leaf_writes | Internal _ -> ());
-  Pool.with_page t.pool page (fun f ->
-      encode (Pool.data f) node;
-      Pool.mark_dirty t.pool f);
-  cache_node t page node
+(* The sign of [String.compare key] against the [len] bytes at [pos] of
+   [b], whose first [i] bytes match and whose first [n] (the shorter
+   length) are compared. Eight bytes at a time, as big-endian words
+   compared unsigned, then byte by byte. The caller has checked
+   [pos + len] against the node, so the unchecked reads are in bounds. *)
+let rec compare_from key b pos len i n =
+  if i + 8 <= n then
+    let x = String.get_int64_be key i and y = Bytes.get_int64_be b (pos + i) in
+    if Int64.equal x y then compare_from key b pos len (i + 8) n
+    else compare (Int64.sub x Int64.min_int) (Int64.sub y Int64.min_int)
+  else if i = n then compare (String.length key) len
+  else
+    let c = Char.code (String.unsafe_get key i) - Char.code (Bytes.unsafe_get b (pos + i)) in
+    if c <> 0 then c else compare_from key b pos len (i + 1) n
 
-(* A fresh page, still holding the zero image the disk wrote for it. *)
-let alloc_page t =
-  let f = Pool.allocate t.pool in
-  Pool.unpin t.pool f;
-  Pool.page_no f
+let compare_key key b off lim =
+  let len = len_at b off lim in
+  let kl = String.length key in
+  compare_from key b (off + vsize len) len 0 (if kl < len then kl else len)
 
-let alloc_node t node =
-  let page = alloc_page t in
-  write_node t page node;
-  page
+let key_string b off lim =
+  let len = len_at b off lim in
+  Bytes.sub_string b (off + vsize len) len
+
+(* A leaf entry's value and size; an internal entry's child and size. *)
+let value_off b off lim =
+  let klen = len_at b off lim in
+  off + vsize klen + klen
+
+let leaf_value b off lim =
+  let voff = value_off b off lim in
+  let vlen = len_at b voff lim in
+  Bytes.sub_string b (voff + vsize vlen) vlen
+
+let leaf_size b off lim =
+  let voff = value_off b off lim in
+  let vlen = len_at b voff lim in
+  voff + vsize vlen + vlen - off
+
+let child_of b off lim =
+  let coff = value_off b off lim in
+  if coff + 4 > lim then corrupt "bptree: child at %d overruns node end %d" coff lim;
+  get_u32 b coff
+
+let internal_size b off lim = value_off b off lim + 4 - off
+
+(* Binary search of the node [b]'s entries [lo, hi) for [key]: the index
+   if present, else [-(i + 1)] for the insertion point [i]. *)
+let rec search key b lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = compare_key key b (slot b mid) node_end in
+    if c = 0 then mid else if c < 0 then search key b lo mid else search key b (mid + 1) hi
+
+let search_node key b lo = search key b lo (count b)
+
+(* The first entry from [lo] on that is [>= key], or [> key] when
+   [past]. *)
+let seek key b lo ~past =
+  let i = search_node key b lo in
+  if i < 0 then -(i + 1) else if past then i + 1 else i
+
+(* Child [i] of an internal node: 0 from the header, then entry [i-1]'s. *)
+let child_at b i = if i = 0 then link b else child_of b (slot b (i - 1)) node_end
+
+(* Index of the child to descend into for [key]: the number of keys
+   [<= key]. *)
+let child_index key b = seek key b 0 ~past:true
+
+(* -- pinning nodes ------------------------------------------------------------- *)
+
+(* Pin a node page, checked: a pointer past the end of the file means the
+   tail was trimmed (torn-write repair at open) or the page is rotten, and
+   a descent past [max_depth] went round a cycle. Both are corruption, not
+   out-of-range programming errors. *)
+let pin_node t page depth =
+  if page < 1 || page >= Pool.page_count t.pool then
+    corrupt "bptree: node pointer %d beyond end of file (%d pages; truncated?)" page
+      (Pool.page_count t.pool);
+  if depth > max_depth then corrupt "bptree: descent deeper than %d at page %d" max_depth page;
+  let f = Pool.pin t.pool page in
+  match check_header (Pool.data f) page with
+  | () -> f
+  | exception e ->
+      Pool.unpin t.pool f;
+      raise e
+
+(* [fn] over the checked, pinned node at [page]. *)
+let with_node t page depth fn =
+  let f = pin_node t page depth in
+  match fn (Pool.data f) with
+  | v ->
+      Pool.unpin t.pool f;
+      v
+  | exception e ->
+      Pool.unpin t.pool f;
+      raise e
+
+(* Pin the leaf whose range holds [key], descending from [page]; the
+   caller unpins it. *)
+let rec pin_leaf t key page depth =
+  let f = pin_node t page depth in
+  let b = Pool.data f in
+  if is_leaf b then f
+  else begin
+    let child =
+      match child_at b (child_index key b) with
+      | c ->
+          Pool.unpin t.pool f;
+          c
+      | exception e ->
+          Pool.unpin t.pool f;
+          raise e
+    in
+    pin_leaf t key child (depth + 1)
+  end
+
+(* [fn] over the pinned leaf whose range holds [key]. *)
+let with_leaf t key fn =
+  let f = pin_leaf t key t.root 0 in
+  match fn f (Pool.data f) with
+  | v ->
+      Pool.unpin t.pool f;
+      v
+  | exception e ->
+      Pool.unpin t.pool f;
+      raise e
 
 (* -- header ----------------------------------------------------------------- *)
 
@@ -185,91 +266,68 @@ let write_header t =
       Bytes.set_int64_le data 12 (Int64.of_int t.count);
       Pool.mark_dirty t.pool f)
 
-let attach pool =
-  if Pool.page_count pool = 0 then begin
-    let f = Pool.allocate pool in
-    assert (Pool.page_no f = 0);
-    Pool.unpin pool f;
-    let t = { pool; root = 0; count = 0; node_cache = Hashtbl.create 256; cache_mu = Mutex.create () } in
-    let root = alloc_node t (Leaf { entries = [||]; next = 0 }) in
-    t.root <- root;
-    write_header t;
-    t
-  end
-  else
-    let header =
-      Pool.with_page pool 0 (fun f ->
-          let data = Pool.data f in
-          let got = Bytes.sub_string data 0 8 in
-          if got = magic then `Ok (get_u32 data 8, Int64.to_int (Bytes.get_int64_le data 12))
-          else if String.for_all (fun ch -> ch = '\000') got then `Never_flushed
-          else invalid_arg "bptree: bad magic")
-    in
-    match header with
-    | `Ok (root, count) -> { pool; root; count; node_cache = Hashtbl.create 256; cache_mu = Mutex.create () }
-    | `Never_flushed ->
-        (* A crash before the first flush left a stamped all-zero header:
-           the tree was never durably initialised. Rebuild it empty; any
-           other leftover pages are unreachable from the new root. *)
-        Ode_util.Stats.incr c_pages_reformatted;
-        let t = { pool; root = 0; count = 0; node_cache = Hashtbl.create 256; cache_mu = Mutex.create () } in
-        let root = alloc_node t (Leaf { entries = [||]; next = 0 }) in
-        t.root <- root;
-        write_header t;
-        t
+(* -- writing nodes ------------------------------------------------------------- *)
 
-(* -- search helpers ---------------------------------------------------------- *)
+(* A fresh page, still holding the zero image the disk wrote for it. *)
+let alloc_page t =
+  let f = Pool.allocate t.pool in
+  Pool.unpin t.pool f;
+  Pool.page_no f
 
-(* Index of the child to descend into for [key]. *)
-let child_index keys key =
-  let n = Array.length keys in
-  let rec bs lo hi =
-    (* smallest i with key < keys.(i); descend child i *)
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if String.compare key keys.(mid) < 0 then bs lo mid else bs (mid + 1) hi
-  in
-  bs 0 n
+(* An entry of a node being rewritten: one already in the source image
+   [src], at its offset there, or a new leaf entry or separator. *)
+type item = Old of int | Entry of string * string | Sep of string * int
 
-(* Position of [key] in a sorted entry array, searching from [lo]: Ok i if
-   present, Error i for the insertion point. *)
-let entry_index ?(lo = 0) entries key =
-  let rec bs lo hi =
-    if lo >= hi then Error lo
-    else
-      let mid = (lo + hi) / 2 in
-      let c = String.compare key (fst entries.(mid)) in
-      if c = 0 then Ok mid else if c < 0 then bs lo mid else bs (mid + 1) hi
-  in
-  bs lo (Array.length entries)
+let entry_size k v =
+  vsize (String.length k) + String.length k + vsize (String.length v) + String.length v
 
-let rec find_leaf t page key =
-  match read_node t page with
-  | Leaf _ as l -> (page, l)
-  | Internal n -> find_leaf t n.children.(child_index n.keys key) key
+let item_size ~leaf src = function
+  | Old off -> if leaf then leaf_size src off node_end else internal_size src off node_end
+  | Entry (k, v) -> entry_size k v
+  | Sep (k, _) ->
+      let kl = String.length k in
+      vsize kl + kl + 4
 
-(* -- public: lookup ----------------------------------------------------------- *)
+let item_key src = function Old off -> key_string src off node_end | Entry (k, _) | Sep (k, _) -> k
+let item_child src = function Old off -> child_of src off node_end | Sep (_, c) -> c | Entry _ -> assert false
 
-let find t key =
-  Ode_util.Stats.incr c_index_probes;
-  Ode_util.Trace.instant ~cat:"index" "bptree.find";
-  match find_leaf t t.root key with
-  | _, Leaf l -> (
-      match entry_index l.entries key with
-      | Ok i -> Some (snd l.entries.(i))
-      | Error _ -> None)
-  | _ -> assert false
+let put_entry b off k v =
+  let p = put_len b off (String.length k) in
+  Bytes.blit_string k 0 b p (String.length k);
+  let p = put_len b (p + String.length k) (String.length v) in
+  Bytes.blit_string v 0 b p (String.length v)
 
-let mem t key = find t key <> None
+let put_sep b off k child =
+  let p = put_len b off (String.length k) in
+  Bytes.blit_string k 0 b p (String.length k);
+  set_u32 b (p + String.length k) child
 
-(* -- public: insert ----------------------------------------------------------- *)
-
-(* Byte weight of a leaf entry and of an internal key: what each adds to
-   [node_size] beyond the 7-byte node header. *)
-let entry_weight (k, v) = 4 + String.length k + String.length v
-let key_weight k = 6 + String.length k
-let budget = node_capacity - 7
+(* Write [items.(a) .. items.(z-1)] as the whole node at [page]: each
+   entry below the one before it, then the slots, the header and a zeroed
+   gap. *)
+let fill t page ~leaf ~link src items a z =
+  if leaf then Ode_util.Stats.incr c_leaf_writes;
+  Pool.with_page t.pool page (fun f ->
+      let b = Pool.data f in
+      let e = ref node_end in
+      for x = a to z - 1 do
+        let it = items.(x) in
+        let size = item_size ~leaf src it in
+        e := !e - size;
+        (match it with
+        | Old off -> Bytes.blit src off b !e size
+        | Entry (k, v) -> put_entry b !e k v
+        | Sep (k, c) -> put_sep b !e k c);
+        set_slot b (x - a) !e
+      done;
+      let gap = slots_off + (2 * (z - a)) in
+      assert (gap <= !e);
+      Bytes.fill b gap (!e - gap) '\000';
+      Bytes.set_uint8 b kind_off (if leaf then 0 else 1);
+      Bytes.set_uint16_le b count_off (z - a);
+      set_u32 b link_off link;
+      Bytes.set_uint16_le b top_off !e;
+      Pool.mark_dirty t.pool f)
 
 (* Cut points that split [m] items, item [i] weighing [weight i] bytes,
    into the fewest pieces whose payload fits [budget], as even in bytes as
@@ -307,101 +365,221 @@ let cuts ~promote m weight =
   in
   attempt ((total + budget - 1) / budget)
 
-(* Write [entries] to the leaf at [page], cut into pieces on fresh pages
-   when they overflow it. Returns each new piece's first key and page. *)
-let write_leaf t page entries ~next =
-  let node = Leaf { entries; next } in
-  if node_size node <= node_capacity then begin
-    write_node t page node;
-    []
-  end
-  else begin
-    let c = cuts ~promote:false (Array.length entries) (fun i -> entry_weight entries.(i)) in
-    let p = Array.length c + 1 in
-    let first j = if j = 0 then 0 else c.(j - 1) in
-    let stop j = if j = p - 1 then Array.length entries else c.(j) in
-    let pages = Array.init p (fun j -> if j = 0 then page else alloc_page t) in
-    Ode_util.Stats.add c_splits (p - 1);
-    for j = 0 to p - 1 do
-      let next = if j = p - 1 then next else pages.(j + 1) in
-      write_node t pages.(j) (Leaf { entries = Array.sub entries (first j) (stop j - first j); next })
-    done;
-    List.init (p - 1) (fun j -> (fst entries.(c.(j)), pages.(j + 1)))
-  end
-
-(* Internal counterpart of [write_leaf]: returns each promoted key with
-   the page of the piece to its right. *)
-let write_internal t page keys children =
-  let node = Internal { keys; children } in
-  if node_size node <= node_capacity then begin
-    write_node t page node;
-    []
-  end
-  else begin
-    let c = cuts ~promote:true (Array.length keys) (fun i -> key_weight keys.(i)) in
-    let p = Array.length c + 1 in
-    let first j = if j = 0 then 0 else c.(j - 1) + 1 in
-    let stop j = if j = p - 1 then Array.length keys else c.(j) in
-    let pages = Array.init p (fun j -> if j = 0 then page else alloc_page t) in
-    Ode_util.Stats.add c_splits (p - 1);
-    for j = 0 to p - 1 do
-      let a = first j and b = stop j in
-      write_node t pages.(j)
-        (Internal { keys = Array.sub keys a (b - a); children = Array.sub children a (b - a + 1) })
-    done;
-    List.init (p - 1) (fun j -> (keys.(c.(j)), pages.(j + 1)))
-  end
-
-(* Merge the sorted, distinct [kvs.(i) ..] into [entries], stopping at the
-   first key at or above [hi]. Each key is placed by binary search from
-   the previous one's position, and the entries between them are blitted.
-   Returns the merged array, the index past the run, and how many keys were
-   new. *)
-let merge_run entries kvs i hi =
-  let n = Array.length kvs in
-  let stop = ref i in
-  while !stop < n && match hi with Some h -> String.compare (fst kvs.(!stop)) h < 0 | None -> true do
-    incr stop
+(* Write [items] as the node at [page], cut into pieces on fresh pages when
+   they overflow it. A leaf's pieces are chained ahead of [link], its next
+   leaf; an internal node's first piece takes [link] as child 0 and each
+   later piece the child of the separator promoted before it. Returns each
+   new piece's separator and page, for the parent to route. *)
+let write_items t page ~leaf ~link src items =
+  let m = Array.length items in
+  let weight x = 2 + item_size ~leaf src items.(x) in
+  let total = ref 0 in
+  for x = 0 to m - 1 do
+    total := !total + weight x
   done;
-  let ne = Array.length entries in
-  let out = Array.make (ne + !stop - i) kvs.(i) in
-  let a = ref 0 and o = ref 0 in
-  for b = i to !stop - 1 do
-    let pos, past =
-      match entry_index ~lo:!a entries (fst kvs.(b)) with Ok p -> (p, p + 1) | Error p -> (p, p)
+  if !total <= budget then begin
+    fill t page ~leaf ~link src items 0 m;
+    []
+  end
+  else begin
+    let c = cuts ~promote:(not leaf) m weight in
+    let p = Array.length c + 1 in
+    let first j = if j = 0 then 0 else if leaf then c.(j - 1) else c.(j - 1) + 1 in
+    let stop j = if j = p - 1 then m else c.(j) in
+    let pages = Array.init p (fun j -> if j = 0 then page else alloc_page t) in
+    Ode_util.Stats.add c_splits (p - 1);
+    for j = 0 to p - 1 do
+      let link =
+        if leaf then if j = p - 1 then link else pages.(j + 1)
+        else if j = 0 then link
+        else item_child src items.(c.(j - 1))
+      in
+      fill t pages.(j) ~leaf ~link src items (first j) (stop j)
+    done;
+    List.init (p - 1) (fun j -> (item_key src items.(c.(j)), pages.(j + 1)))
+  end
+
+(* -- in-place leaf edits ------------------------------------------------------- *)
+
+(* Insert entry (k, v) at index [p] of the leaf [b], which has room for it
+   and its slot: entries [p..] move down by its size, and their slots
+   shift right by one. *)
+let insert_at b p k v =
+  let n = count b and top0 = top b in
+  let sz = entry_size k v in
+  let e = entry_end b p in
+  if e < top0 || e > node_end then corrupt "bptree: entry %d ends at %d, outside its node" p e;
+  Bytes.blit b top0 b (top0 - sz) (e - top0);
+  put_entry b (e - sz) k v;
+  for q = p to n - 1 do
+    set_slot b q (slot b q - sz)
+  done;
+  Bytes.blit b (slots_off + (2 * p)) b (slots_off + (2 * (p + 1))) (2 * (n - p));
+  set_slot b p (e - sz);
+  Bytes.set_uint16_le b count_off (n + 1);
+  Bytes.set_uint16_le b top_off (top0 - sz)
+
+(* Remove entry [p] of the leaf [b]: entries [p+1..] move up by its size,
+   their slots shift left, and the bytes freed join the zeroed gap. *)
+let remove_at b p =
+  let n = count b and top0 = top b in
+  let off = slot b p in
+  let sz = leaf_size b off node_end in
+  if off < top0 then corrupt "bptree: entry %d at %d lies in the free gap" p off;
+  Bytes.blit b top0 b (top0 + sz) (off - top0);
+  Bytes.fill b top0 sz '\000';
+  for q = p + 1 to n - 1 do
+    set_slot b q (slot b q + sz)
+  done;
+  Bytes.blit b (slots_off + (2 * (p + 1))) b (slots_off + (2 * p)) (2 * (n - 1 - p));
+  set_slot b (n - 1) 0;
+  Bytes.set_uint16_le b count_off (n - 1);
+  Bytes.set_uint16_le b top_off (top0 + sz)
+
+(* -- public: lookup ----------------------------------------------------------- *)
+
+(* Written out rather than through [with_leaf], whose closure would
+   allocate: a hit allocates only the value and its option. *)
+let find t key =
+  Ode_util.Stats.incr c_index_probes;
+  Ode_util.Trace.instant ~cat:"index" "bptree.find";
+  let f = pin_leaf t key t.root 0 in
+  match
+    let b = Pool.data f in
+    let i = search_node key b 0 in
+    if i < 0 then None else Some (leaf_value b (slot b i) node_end)
+  with
+  | v ->
+      Pool.unpin t.pool f;
+      v
+  | exception e ->
+      Pool.unpin t.pool f;
+      raise e
+
+let mem t key = find t key <> None
+
+(* -- public: insert ----------------------------------------------------------- *)
+
+(* Apply the leaf run [kvs.(i) .. kvs.(stop-1)] to the pinned leaf [b] at
+   [page]. A run that fits is edited into the page in place; one that
+   overflows is merged with a copy of the leaf's entries and cut into
+   pieces. Returns the pieces' (separator, page) pairs. *)
+let leaf_run t page b kvs i stop =
+  (* Room the run needs, applied key by key: a new entry and its slot, or
+     a value's growth. Shrinking values free room only for later keys. *)
+  let need = ref 0 and peak = ref 0 and lo = ref 0 in
+  for x = i to stop - 1 do
+    let k, v = kvs.(x) in
+    let p = search_node k b !lo in
+    if p >= 0 then begin
+      need := !need + entry_size k v - leaf_size b (slot b p) node_end;
+      lo := p + 1
+    end
+    else begin
+      need := !need + 2 + entry_size k v;
+      lo := -(p + 1)
+    end;
+    if !need > !peak then peak := !need
+  done;
+  if !peak <= free b then begin
+    Ode_util.Stats.incr c_leaf_writes;
+    let lo = ref 0 in
+    for x = i to stop - 1 do
+      let k, v = kvs.(x) in
+      let p = search_node k b !lo in
+      let p =
+        if p >= 0 then begin
+          remove_at b p;
+          p
+        end
+        else begin
+          t.count <- t.count + 1;
+          -(p + 1)
+        end
+      in
+      insert_at b p k v;
+      lo := p + 1
+    done;
+    []
+  end
+  else begin
+    let src = Bytes.sub b 0 node_end in
+    let n = count src in
+    let items = ref [] and a = ref 0 in
+    let old_upto p =
+      for q = !a to p - 1 do
+        items := Old (slot src q) :: !items
+      done
     in
-    Array.blit entries !a out !o (pos - !a);
-    o := !o + (pos - !a);
-    out.(!o) <- kvs.(b);
-    incr o;
-    a := past
-  done;
-  Array.blit entries !a out !o (ne - !a);
-  o := !o + (ne - !a);
-  ((if !o = Array.length out then out else Array.sub out 0 !o), !stop, !o - ne)
+    for x = i to stop - 1 do
+      let k, v = kvs.(x) in
+      let p = search_node k src !a in
+      let p, past = if p >= 0 then (p, p + 1) else (-(p + 1), -(p + 1)) in
+      old_upto p;
+      items := Entry (k, v) :: !items;
+      if past = p then t.count <- t.count + 1;
+      a := past
+    done;
+    old_upto n;
+    write_items t page ~leaf:true ~link:(link src) src (Array.of_list (List.rev !items))
+  end
+
+(* Insert [ups], pieces of child [ci]'s former node, after child [ci] of
+   the internal node at [page]. *)
+let insert_ups t page ci ups =
+  let src = with_node t page 0 (fun b -> Bytes.sub b 0 node_end) in
+  let n = count src in
+  let items =
+    Array.concat
+      [
+        Array.init ci (fun q -> Old (slot src q));
+        Array.of_list (List.map (fun (k, c) -> Sep (k, c)) ups);
+        Array.init (n - ci) (fun q -> Old (slot src (ci + q)));
+      ]
+  in
+  write_items t page ~leaf:false ~link:(link src) src items
 
 (* Insert one leaf run from [kvs.(i)] below [page], whose keys are all
    below [hi]. Returns the index past the run and the (separator, page)
    pairs of the pieces this node was cut into, for the parent to route. *)
-let rec insert_run t page kvs i hi =
-  match read_node t page with
-  | Leaf l ->
-      let entries, stop, added = merge_run l.entries kvs i hi in
-      t.count <- t.count + added;
-      (stop, write_leaf t page entries ~next:l.next)
-  | Internal n -> (
-      let ci = child_index n.keys (fst kvs.(i)) in
-      let hi = if ci < Array.length n.keys then Some n.keys.(ci) else hi in
-      match insert_run t n.children.(ci) kvs i hi with
-      | stop, [] -> (stop, [])
-      | stop, ups ->
-          let splice arr at xs =
-            Array.concat
-              [ Array.sub arr 0 at; Array.of_list xs; Array.sub arr at (Array.length arr - at) ]
-          in
-          let keys = splice n.keys ci (List.map fst ups) in
-          let children = splice n.children (ci + 1) (List.map snd ups) in
-          (stop, write_internal t page keys children))
+let rec insert_run t page kvs i hi depth =
+  let f = pin_node t page depth in
+  let b = Pool.data f in
+  if is_leaf b then begin
+    let stop = ref i in
+    while
+      !stop < Array.length kvs
+      && match hi with Some h -> String.compare (fst kvs.(!stop)) h < 0 | None -> true
+    do
+      incr stop
+    done;
+    match leaf_run t page b kvs i !stop with
+    | ups ->
+        Pool.mark_dirty t.pool f;
+        Pool.unpin t.pool f;
+        (!stop, ups)
+    | exception e ->
+        Pool.unpin t.pool f;
+        raise e
+  end
+  else begin
+    let route () =
+      let ci = child_index (fst kvs.(i)) b in
+      (ci, child_at b ci, if ci < count b then Some (key_string b (slot b ci) node_end) else hi)
+    in
+    let ci, child, hi =
+      match route () with
+      | r ->
+          Pool.unpin t.pool f;
+          r
+      | exception e ->
+          Pool.unpin t.pool f;
+          raise e
+    in
+    match insert_run t child kvs i hi (depth + 1) with
+    | stop, [] -> (stop, [])
+    | stop, ups -> (stop, insert_ups t page ci ups)
+  end
 
 (* The root was cut: stack new roots until one holds all the pieces. *)
 let rec grow t = function
@@ -409,8 +587,8 @@ let rec grow t = function
   | ups ->
       let page = alloc_page t in
       let ups' =
-        write_internal t page (Array.of_list (List.map fst ups))
-          (Array.of_list (t.root :: List.map snd ups))
+        write_items t page ~leaf:false ~link:t.root Bytes.empty
+          (Array.of_list (List.map (fun (k, c) -> Sep (k, c)) ups))
       in
       t.root <- page;
       grow t ups'
@@ -430,7 +608,7 @@ let insert_sorted t kvs =
     (* A run's cuts touch several pages; no pressure flush may persist some
        of them before the parents, root and header route to the new ones. *)
     Pool.with_no_flush t.pool (fun () ->
-        let stop, ups = insert_run t t.root kvs !i None in
+        let stop, ups = insert_run t t.root kvs !i None 0 in
         grow t ups;
         write_header t;
         i := stop)
@@ -440,83 +618,123 @@ let insert t key value = insert_sorted t [| (key, value) |]
 
 (* -- public: delete ------------------------------------------------------------ *)
 
-let array_remove arr i =
-  let n = Array.length arr in
-  Array.init (n - 1) (fun j -> if j < i then arr.(j) else arr.(j + 1))
-
 let delete t key =
   Ode_util.Stats.incr c_index_probes;
   Ode_util.Trace.instant ~cat:"index" "bptree.delete";
   Pool.with_no_flush t.pool (fun () ->
-      let page, node = find_leaf t t.root key in
-      match node with
-      | Leaf l -> (
-          match entry_index l.entries key with
-          | Error _ -> false
-          | Ok i ->
-              write_node t page (Leaf { entries = array_remove l.entries i; next = l.next });
-              t.count <- t.count - 1;
-              write_header t;
-              true)
-      | Internal _ -> assert false)
+      let hit =
+        with_leaf t key (fun f b ->
+            let p = search_node key b 0 in
+            if p >= 0 then begin
+              remove_at b p;
+              Pool.mark_dirty t.pool f
+            end;
+            p >= 0)
+      in
+      if hit then begin
+        Ode_util.Stats.incr c_leaf_writes;
+        t.count <- t.count - 1;
+        write_header t
+      end;
+      hit)
 
 (* -- public: streaming cursor ----------------------------------------------------- *)
 
-(* A cursor holds one leaf's entry array plus the forward link to the next
-   leaf. Entry arrays are never mutated in place (inserts and deletes build
-   fresh arrays), so the snapshot stays valid even if the tree is written
-   between [next] calls — the cursor simply keeps walking the leaf chain it
-   seeked into. Page 0 is the tree header, so [cnext = 0] means "no further
-   leaf". *)
+(* A cursor holds a copy of the part of one leaf it has yet to yield, plus
+   the forward link to the next leaf. The copy is taken once per leaf visit:
+   the slots of entries [i, j) go to the front of [cbuf], and the entries
+   themselves, which lie contiguous in the page, follow them, so an entry
+   sits at its page offset plus [cdelta]. Writes to the tree between
+   [next] calls cannot reach the copy; the cursor keeps walking the leaf
+   chain it seeked into. Page 0 is the tree header, so [cnext = 0] means
+   "no further leaf". *)
 type cursor = {
   ct : t;
-  mutable centries : (string * string) array;
-  mutable cidx : int;
-  mutable cnext : int;
   chi : string option;
   cinclusive_hi : bool;
+  mutable cbuf : Bytes.t;
+  mutable cdelta : int;
+  mutable clim : int;
+  mutable cidx : int;
+  mutable cstop : int;
+  mutable cnext : int;
+  mutable cleaves : int;
 }
+
+let empty_cursor t hi inclusive_hi =
+  {
+    ct = t;
+    chi = hi;
+    cinclusive_hi = inclusive_hi;
+    cbuf = Bytes.empty;
+    cdelta = 0;
+    clim = 0;
+    cidx = 0;
+    cstop = 0;
+    cnext = 0;
+    cleaves = 0;
+  }
+
+(* Copy the entries of the checked leaf [b] from the first [>= lo] to the
+   last below the cursor's bound into [cur]. *)
+let take_leaf cur b lo =
+  let n = count b in
+  let i = match lo with None -> 0 | Some k -> seek k b 0 ~past:false in
+  let j = match cur.chi with None -> n | Some h -> seek h b i ~past:cur.cinclusive_hi in
+  let m = if j > i then j - i else 0 in
+  let r = if m = 0 then 0 else slot b (j - 1) and e = if m = 0 then 0 else entry_end b i in
+  if m > 0 && (r < top b || r > e || e > node_end) then
+    corrupt "bptree: leaf entries %d..%d span %d..%d" i j r e;
+  let len = (2 * m) + (e - r) in
+  if Bytes.length cur.cbuf < len then cur.cbuf <- Bytes.create len;
+  Bytes.blit b (slots_off + (2 * i)) cur.cbuf 0 (2 * m);
+  Bytes.blit b r cur.cbuf (2 * m) (e - r);
+  cur.cdelta <- (2 * m) - r;
+  cur.clim <- len;
+  cur.cidx <- 0;
+  cur.cstop <- m;
+  (* A bound inside this leaf ends the scan here. *)
+  cur.cnext <- (if j < n then 0 else link b)
+
+(* Follow the chain to the next leaf. *)
+let next_leaf cur =
+  let t = cur.ct and page = cur.cnext in
+  cur.cleaves <- cur.cleaves + 1;
+  if cur.cleaves > Pool.page_count t.pool then corrupt "bptree: leaf chain cycles at page %d" page;
+  Ode_util.Stats.incr c_cursor_pages_read;
+  with_node t page 0 (fun b ->
+      if not (is_leaf b) then corrupt "bptree: leaf chain reaches internal page %d" page;
+      take_leaf cur b None)
+
+(* Entry [x] of the cursor's copy. *)
+let copied_off cur x = Bytes.get_uint16_le cur.cbuf (2 * x) + cur.cdelta
+
+let copied_entry cur off =
+  let b = cur.cbuf and lim = cur.clim in
+  let klen = len_at b off lim in
+  let voff = off + vsize klen + klen in
+  let vlen = len_at b voff lim in
+  (Bytes.sub_string b (off + vsize klen) klen, Bytes.sub_string b (voff + vsize vlen) vlen)
 
 let cursor t ?lo ?hi ?(inclusive_hi = false) () =
   Ode_util.Stats.incr c_index_probes;
   Ode_util.Trace.instant ~cat:"index" "bptree.cursor";
-  let start_key = Option.value lo ~default:"" in
-  match find_leaf t t.root start_key with
-  | _, Internal _ -> assert false
-  | _, Leaf l ->
-      Ode_util.Stats.incr c_cursor_pages_read;
-      (* Both [Ok i] and [Error i] index the first entry >= start_key. *)
-      let idx = match entry_index l.entries start_key with Ok i -> i | Error i -> i in
-      { ct = t; centries = l.entries; cidx = idx; cnext = l.next; chi = hi; cinclusive_hi = inclusive_hi }
+  let cur = empty_cursor t hi inclusive_hi in
+  Ode_util.Stats.incr c_cursor_pages_read;
+  with_leaf t (Option.value lo ~default:"") (fun _ b -> take_leaf cur b lo);
+  cur
 
 let rec cursor_next cur =
-  if cur.cidx < Array.length cur.centries then begin
-    let (k, _) as entry = cur.centries.(cur.cidx) in
+  if cur.cidx < cur.cstop then begin
+    let off = copied_off cur cur.cidx in
     cur.cidx <- cur.cidx + 1;
-    let below_hi =
-      match cur.chi with
-      | None -> true
-      | Some h ->
-          let c = String.compare k h in
-          if cur.cinclusive_hi then c <= 0 else c < 0
-    in
-    if below_hi then Some entry
-    else begin
-      cur.centries <- [||];
-      cur.cnext <- 0;
-      None
-    end
+    Some (copied_entry cur off)
   end
   else if cur.cnext = 0 then None
-  else
-    match read_node cur.ct cur.cnext with
-    | Internal _ -> assert false
-    | Leaf l ->
-        Ode_util.Stats.incr c_cursor_pages_read;
-        cur.centries <- l.entries;
-        cur.cidx <- 0;
-        cur.cnext <- l.next;
-        cursor_next cur
+  else begin
+    next_leaf cur;
+    cursor_next cur
+  end
 
 let cursor_prefix t prefix =
   match Ode_util.Key.succ_prefix prefix with
@@ -534,31 +752,39 @@ let iter_range t ?lo ?hi ?inclusive_hi f =
   in
   go ()
 
+(* The separator keys and children of the internal node [b]. *)
+let internal_parts b =
+  let n = count b in
+  (Array.init n (fun i -> key_string b (slot b i) node_end), Array.init (n + 1) (child_at b))
+
 (* Reverse-order scan. Leaves are only forward-linked, so this walks the
-   tree top-down visiting children right-to-left; bounds prune subtrees. *)
+   tree top-down visiting children right-to-left; bounds prune subtrees.
+   Each leaf in range is copied as a cursor copies it, and yielded from
+   its last entry back. *)
 let iter_range_rev t ?lo ?hi ?(inclusive_hi = false) f =
   Ode_util.Stats.incr c_index_probes;
-  let below_hi k =
-    match hi with
-    | None -> true
-    | Some h ->
-        let c = String.compare k h in
-        if inclusive_hi then c <= 0 else c < 0
-  in
-  let above_lo k = match lo with None -> true | Some l -> String.compare k l >= 0 in
+  let cur = empty_cursor t hi inclusive_hi in
   let exception Stop in
-  let rec walk page =
-    match read_node t page with
-    | Leaf l ->
-        for i = Array.length l.entries - 1 downto 0 do
-          let k, v = l.entries.(i) in
-          if below_hi k && above_lo k then if not (f k v) then raise Stop
+  let rec walk page depth =
+    let parts =
+      with_node t page depth (fun b ->
+          if is_leaf b then begin
+            take_leaf cur b lo;
+            None
+          end
+          else Some (internal_parts b))
+    in
+    match parts with
+    | None ->
+        for x = cur.cstop - 1 downto 0 do
+          let k, v = copied_entry cur (copied_off cur x) in
+          if not (f k v) then raise Stop
         done
-    | Internal n ->
-        for i = Array.length n.children - 1 downto 0 do
+    | Some (keys, children) ->
+        for i = Array.length children - 1 downto 0 do
           (* child i spans [keys.(i-1), keys.(i)); prune with the bounds *)
-          let child_min = if i = 0 then None else Some n.keys.(i - 1) in
-          let child_max = if i = Array.length n.keys then None else Some n.keys.(i) in
+          let child_min = if i = 0 then None else Some keys.(i - 1) in
+          let child_max = if i = Array.length keys then None else Some keys.(i) in
           let overlaps_lo =
             match (lo, child_max) with
             | Some l, Some cmax -> String.compare cmax l > 0
@@ -570,10 +796,10 @@ let iter_range_rev t ?lo ?hi ?(inclusive_hi = false) f =
                 if inclusive_hi then String.compare cmin h <= 0 else String.compare cmin h < 0
             | _ -> true
           in
-          if overlaps_lo && overlaps_hi then walk n.children.(i)
+          if overlaps_lo && overlaps_hi then walk children.(i) (depth + 1)
         done
   in
-  try walk t.root with Stop -> ()
+  try walk t.root 0 with Stop -> ()
 
 let iter_prefix_rev t prefix f =
   match Ode_util.Key.succ_prefix prefix with
@@ -585,56 +811,134 @@ let iter_prefix t prefix f =
   | Some hi -> iter_range t ~lo:prefix ~hi f
   | None -> iter_range t ~lo:prefix f
 
-let count t = t.count
 let page_count t = Pool.page_count t.pool
 let pool t = t.pool
 let flush t = Pool.flush_all t.pool
 
-let rec node_height t page =
-  match read_node t page with
-  | Leaf _ -> 1
-  | Internal n -> 1 + node_height t n.children.(0)
+let height t =
+  let rec go page depth =
+    match with_node t page depth (fun b -> if is_leaf b then -1 else link b) with
+    | -1 -> depth + 1
+    | child -> go child (depth + 1)
+  in
+  go t.root 0
 
-let height t = node_height t t.root
+(* -- attach -------------------------------------------------------------------- *)
+
+let format pool =
+  let t = { pool; root = 0; count = 0 } in
+  let root = alloc_page t in
+  fill t root ~leaf:true ~link:0 Bytes.empty [||] 0 0;
+  t.root <- root;
+  write_header t;
+  t
+
+let attach pool =
+  if Pool.page_count pool = 0 then begin
+    let f = Pool.allocate pool in
+    assert (Pool.page_no f = 0);
+    Pool.unpin pool f;
+    format pool
+  end
+  else
+    let header =
+      Pool.with_page pool 0 (fun f ->
+          let data = Pool.data f in
+          let got = Bytes.sub_string data 0 8 in
+          if got = magic then `Ok (get_u32 data 8, Int64.to_int (Bytes.get_int64_le data 12))
+          else if String.for_all (fun ch -> ch = '\000') got then `Never_flushed
+          else invalid_arg "bptree: bad magic")
+    in
+    match header with
+    | `Ok (root, count) -> { pool; root; count }
+    | `Never_flushed ->
+        (* A crash before the first flush left a stamped all-zero header:
+           the tree was never durably initialised. Rebuild it empty; any
+           other leftover pages are unreachable from the new root. *)
+        Ode_util.Stats.incr c_pages_reformatted;
+        format pool
 
 (* -- structural check -------------------------------------------------------------- *)
 
+(* Every node's layout (entries tile [top, node_end) in slot order, the gap
+   is zero), key order inside every node, separator bounds, one parent per
+   node, equal leaf depth, the count, and the leaf chain: followed from the
+   leftmost leaf it visits exactly the leaves of the tree walk, in key
+   order, and ends at next = 0. *)
 let check t =
-  let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
   let exception Bad of string in
-  (* Verify key order inside every node, separator bounds, and count. *)
-  let seen = ref 0 in
-  let rec go page ~lo ~hi =
-    match read_node t page with
-    | Leaf l ->
+  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
+  let seen = ref 0 and leaves = ref [] and leaf_depth = ref (-1) in
+  let visited = Hashtbl.create 64 in
+  let layout page b =
+    let n = count b and leaf = is_leaf b in
+    for i = 0 to n - 1 do
+      let off = slot b i in
+      let size = if leaf then leaf_size b off node_end else internal_size b off node_end in
+      if off + size <> entry_end b i then bad "node %d: entry %d does not end where entry %d begins" page i (i - 1)
+    done;
+    if (n = 0 && top b <> node_end) || (n > 0 && slot b (n - 1) <> top b) then
+      bad "node %d: entries do not reach its top %d" page (top b);
+    for x = slots_off + (2 * n) to top b - 1 do
+      if Bytes.get b x <> '\000' then bad "node %d: free gap byte %d is not zero" page x
+    done
+  in
+  let sorted page keys =
+    for i = 0 to Array.length keys - 2 do
+      if String.compare keys.(i) keys.(i + 1) >= 0 then bad "node %d: keys unsorted" page
+    done
+  in
+  let rec go page depth ~lo ~hi =
+    if Hashtbl.mem visited page then bad "page %d is reached twice" page;
+    Hashtbl.add visited page ();
+    let node =
+      with_node t page depth (fun b ->
+          layout page b;
+          if is_leaf b then `Leaf (Array.init (count b) (fun i -> key_string b (slot b i) node_end), link b)
+          else `Internal (internal_parts b))
+    in
+    match node with
+    | `Leaf (keys, next) ->
+        if !leaf_depth < 0 then leaf_depth := depth
+        else if depth <> !leaf_depth then bad "leaf %d at depth %d, others at %d" page depth !leaf_depth;
+        leaves := (page, next) :: !leaves;
+        seen := !seen + Array.length keys;
+        sorted page keys;
         Array.iter
-          (fun (k, _) ->
-            incr seen;
+          (fun k ->
             (match lo with
-            | Some l0 when String.compare k l0 < 0 -> raise (Bad "leaf key below bound")
+            | Some l0 when String.compare k l0 < 0 -> bad "leaf %d: key below bound" page
             | _ -> ());
             match hi with
-            | Some h0 when String.compare k h0 >= 0 -> raise (Bad "leaf key above bound")
+            | Some h0 when String.compare k h0 >= 0 -> bad "leaf %d: key above bound" page
             | _ -> ())
-          l.entries;
-        let rec sorted i =
-          i >= Array.length l.entries - 1
-          || String.compare (fst l.entries.(i)) (fst l.entries.(i + 1)) < 0 && sorted (i + 1)
-        in
-        if not (sorted 0) then raise (Bad "leaf unsorted")
-    | Internal n ->
-        let rec sorted i =
-          i >= Array.length n.keys - 1
-          || String.compare n.keys.(i) n.keys.(i + 1) < 0 && sorted (i + 1)
-        in
-        if not (sorted 0) then raise (Bad "internal unsorted");
+          keys
+    | `Internal (keys, children) ->
+        sorted page keys;
         Array.iteri
           (fun i child ->
-            let lo' = if i = 0 then lo else Some n.keys.(i - 1) in
-            let hi' = if i = Array.length n.keys then hi else Some n.keys.(i) in
-            go child ~lo:lo' ~hi:hi')
-          n.children
+            let lo' = if i = 0 then lo else Some keys.(i - 1) in
+            let hi' = if i = Array.length keys then hi else Some keys.(i) in
+            go child (depth + 1) ~lo:lo' ~hi:hi')
+          children
   in
-  match go t.root ~lo:None ~hi:None with
-  | () -> if !seen <> t.count then fail "count mismatch: header %d, found %d" t.count !seen else Ok ()
+  (* The chain from the leftmost leaf is the tree walk's leaves exactly
+     when each links to the walk's next leaf and the last to none. *)
+  let rec chain = function
+    | [] -> ()
+    | [ (page, next) ] -> if next <> 0 then bad "leaf chain runs past the last leaf %d to %d" page next
+    | (page, next) :: ((page', _) :: _ as rest) ->
+        if next <> page' then bad "leaf chain links leaf %d to %d, not to the next leaf %d" page next page';
+        chain rest
+  in
+  match
+    go t.root 0 ~lo:None ~hi:None;
+    chain (List.rev !leaves)
+  with
+  | () ->
+      if !seen <> t.count then Error (Printf.sprintf "count mismatch: header %d, found %d" t.count !seen)
+      else Ok ()
   | exception Bad msg -> Error msg
+
+(* Defined last: above, [count] is a node's entry count. *)
+let count t = t.count

@@ -7,7 +7,12 @@
     sibling entries stable during scans.
 
     The tree owns its pager: page 0 is a header holding the root page number
-    and the entry count. *)
+    and the entry count. Every other page is one node in the [ODEBPT02]
+    layout: a header, a sorted array of u16 entry offsets, and the entries
+    packed down from the end of the page ([varint klen | key | varint vlen
+    | value] in a leaf, [varint klen | key | u32 child] in an internal
+    node). The buffer pool is the only cache: lookups binary-search the
+    pinned page in place, and inserts and deletes edit its bytes. *)
 
 type t
 
@@ -43,10 +48,11 @@ val delete : t -> string -> bool
 
 type cursor
 (** A streaming scan position: one seek, then leaf-chain walks on demand.
-    O(1) memory — the cursor holds a single leaf's entries at a time — and
-    abandoning it early reads no further pages. The cursor snapshots each
-    leaf's entry array (arrays are copied on mutation, never updated in
-    place), so interleaved writes cannot corrupt an in-flight scan; entries
+    O(1) memory — the cursor holds a copy of one leaf at a time — and
+    abandoning it early reads no further pages. On each leaf visit the
+    cursor copies the bytes of the entries it will yield from that leaf
+    (those within its bounds), so writes that edit the page in place
+    between {!cursor_next} calls cannot reach an in-flight scan; entries
     committed behind the cursor's position may or may not be observed. *)
 
 val cursor : t -> ?lo:string -> ?hi:string -> ?inclusive_hi:bool -> unit -> cursor
@@ -86,5 +92,9 @@ val flush : t -> unit
 val max_entry : int
 
 val check : t -> (unit, string) result
-(** Structural check: key order within and across nodes, separator
-    consistency, leaf chain completeness. For tests. *)
+(** Structural check: each node's layout (entries packed in slot order, a
+    zeroed free gap), key order within and across nodes, separator
+    consistency, equal leaf depth, the entry count, and leaf chain
+    completeness: followed from the leftmost leaf, the chain visits exactly
+    the leaves of the tree walk, in key order, and ends at [next = 0].
+    Raises [Codec.Corrupt] on a node too rotten to read. *)

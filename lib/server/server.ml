@@ -1300,6 +1300,9 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
   Stats.register_gauge "wal.pending_commits" (fun () -> Db.pending_commits db);
   Stats.register_gauge "store.pool_resident" (fun () -> Db.pool_resident db);
   Stats.register_gauge "store.ocache_resident" (fun () -> Db.ocache_resident db);
+  (* The process's OCaml heap, so memory shows without reading /proc. *)
+  Stats.register_gauge "gc.heap_words" (fun () -> (Gc.quick_stat ()).heap_words);
+  Stats.register_gauge "gc.top_heap_words" (fun () -> (Gc.quick_stat ()).top_heap_words);
   (* MVCC health: open write txns, registered snapshots, the GC horizon
      (0 when no snapshot pins one) and the dead-version backlog. *)
   Stats.register_gauge "mvcc.active_txns" (fun () -> List.length (Db.open_txns db));

@@ -22,7 +22,7 @@ module Failpoint = Ode_util.Failpoint
 type frame = {
   no : int;
   buf : bytes;
-  mutable pins : int;
+  pins : int Atomic.t; (* raised under the stripe lock, lowered without it *)
   mutable dirty : bool;
 }
 
@@ -135,7 +135,7 @@ let pressure_flush t =
          end)
 
 let full s = Ode_util.Lru.length s.frames >= Ode_util.Lru.capacity s.frames
-let evict_clean s = Ode_util.Lru.evict s.frames (fun _ f -> f.pins = 0 && not f.dirty) <> None
+let evict_clean s = Ode_util.Lru.evict s.frames (fun _ f -> Atomic.get f.pins = 0 && not f.dirty) <> None
 
 (* Make room for one frame in stripe [s], caller holding its lock. A clean
    victim is evicted without I/O. Failing that, flush everything (one
@@ -155,40 +155,53 @@ let make_room t s =
           raise e
     in
     if flushed && full s then
-      match Ode_util.Lru.evict s.frames (fun _ f -> f.pins = 0) with
+      match Ode_util.Lru.evict s.frames (fun _ f -> Atomic.get f.pins = 0) with
       | Some _ -> ()
       | None -> raise Pool_exhausted
   end
 
-let pin t n =
-  let s = stripe_of t n in
-  Mutex.protect s.mu (fun () ->
+(* Pin page [n], caller holding its stripe's lock. *)
+let pin_locked t s n =
+  match Ode_util.Lru.get s.frames n with
+  | f ->
+      Ode_util.Stats.incr c_pool_hits;
+      Atomic.incr f.pins;
+      f
+  | exception Not_found -> (
+      Ode_util.Stats.incr c_pool_misses;
+      Ode_util.Trace.instant ~cat:"pool" "pool.miss";
+      make_room t s;
+      (* The stripe lock was dropped during a flush: another domain may
+         have loaded the page meanwhile. *)
       match Ode_util.Lru.find s.frames n with
       | Some f ->
-          Ode_util.Stats.incr c_pool_hits;
-          f.pins <- f.pins + 1;
+          Atomic.incr f.pins;
           f
-      | None -> (
-          Ode_util.Stats.incr c_pool_misses;
-          Ode_util.Trace.instant ~cat:"pool" "pool.miss";
-          make_room t s;
-          (* The stripe lock was dropped during a flush: another domain may
-             have loaded the page meanwhile. *)
-          match Ode_util.Lru.find s.frames n with
-          | Some f ->
-              f.pins <- f.pins + 1;
-              f
-          | None ->
-              let buf = Disk.read t.disk n in
-              let f = { no = n; buf; pins = 1; dirty = false } in
-              Ode_util.Lru.add s.frames n f;
-              f))
+      | None ->
+          let buf = Disk.read t.disk n in
+          let f = { no = n; buf; pins = Atomic.make 1; dirty = false } in
+          Ode_util.Lru.add s.frames n f;
+          f)
 
-let unpin t f =
-  let s = stripe_of t f.no in
-  Mutex.protect s.mu (fun () ->
-      assert (f.pins > 0);
-      f.pins <- f.pins - 1)
+(* Pin takes the stripe lock without a closure, so a pool hit allocates
+   nothing: B+tree lookups pin a frame per level. *)
+let pin t n =
+  let s = stripe_of t n in
+  Mutex.lock s.mu;
+  match pin_locked t s n with
+  | f ->
+      Mutex.unlock s.mu;
+      f
+  | exception e ->
+      Mutex.unlock s.mu;
+      raise e
+
+(* Unpinning takes no lock: eviction reads the count under the stripe
+   lock, where it can only have risen through [pin], so a frame seen
+   unpinned there is unpinned. *)
+let unpin _t f =
+  let pins = Atomic.fetch_and_add f.pins (-1) in
+  assert (pins > 0)
 
 let with_page t n fn =
   let f = pin t n in
@@ -205,7 +218,7 @@ let allocate t =
   let s = stripe_of t n in
   Mutex.protect s.mu (fun () ->
       make_room t s;
-      let f = { no = n; buf; pins = 1; dirty = false } in
+      let f = { no = n; buf; pins = Atomic.make 1; dirty = false } in
       Ode_util.Lru.add s.frames n f;
       f)
 

@@ -6,6 +6,7 @@ type ('k, 'a) node = {
   mutable value : 'a;
   mutable prev : ('k, 'a) node option;
   mutable next : ('k, 'a) node option;
+  mutable self : ('k, 'a) node option; (* [Some] of this node, built once *)
 }
 
 type ('k, 'a) t = {
@@ -29,16 +30,20 @@ let unlink t n =
 let push_tail t n =
   n.prev <- t.tail;
   n.next <- None;
-  (match t.tail with Some old -> old.next <- Some n | None -> t.head <- Some n);
-  t.tail <- Some n
+  (match t.tail with Some old -> old.next <- n.self | None -> t.head <- n.self);
+  t.tail <- n.self
 
-let find t k =
-  match Hashtbl.find_opt t.tbl k with
-  | None -> None
-  | Some n ->
-      unlink t n;
-      push_tail t n;
-      Some n.value
+(* A hit allocates nothing: [Hashtbl.find] on a present key does not, and
+   relinking reuses the node's own [self]. *)
+let get t k =
+  let n = Hashtbl.find t.tbl k in
+  if t.tail != n.self then begin
+    unlink t n;
+    push_tail t n
+  end;
+  n.value
+
+let find t k = match get t k with v -> Some v | exception Not_found -> None
 
 let peek t k =
   match Hashtbl.find_opt t.tbl k with None -> None | Some n -> Some n.value
@@ -50,7 +55,8 @@ let add t k v =
       unlink t n;
       push_tail t n
   | None ->
-      let n = { key = k; value = v; prev = None; next = None } in
+      let n = { key = k; value = v; prev = None; next = None; self = None } in
+      n.self <- Some n;
       Hashtbl.replace t.tbl k n;
       push_tail t n
 

@@ -19,6 +19,10 @@ val mem : ('k, 'a) t -> 'k -> bool
 val find : ('k, 'a) t -> 'k -> 'a option
 (** [find t k] returns the value and refreshes recency. *)
 
+val get : ('k, 'a) t -> 'k -> 'a
+(** Like [find], but raises [Not_found] on a miss; a hit allocates
+    nothing. *)
+
 val peek : ('k, 'a) t -> 'k -> 'a option
 (** Like [find] but without touching recency. *)
 

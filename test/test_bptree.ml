@@ -278,8 +278,8 @@ let file_tree () = Filename.concat (Tutil.temp_dir "bpt") "t.bpt"
 (* Values of varied length, so leaves split at varied entry counts. *)
 let long_value v = string_of_int v ^ String.make (v mod 97) '.'
 
-(* Written through a 4-frame pool, flushed, then reopened on a fresh pool:
-   the node cache starts empty, so every read decodes page bytes. *)
+(* Written through a 4-frame pool, flushed, then reopened on a fresh pool,
+   so every read comes from page bytes read back from the file. *)
 let prop_reopen_matches_model =
   QCheck.Test.make ~name:"file-backed tree reopens to the model" ~count:30 (QCheck.make ops_gen)
     (fun ops ->
@@ -486,88 +486,104 @@ let insert_sorted_rejects () =
 
 (* -- on-disk format -------------------------------------------------------------- *)
 
-(* The node codec as it stood before nodes were encoded in place: a Buffer
-   round trip per node. Kept here only as the reference for the format. *)
+(* The ODEBPT02 node layout, written out independently of the engine: a
+   page is a header (u8 kind, u16 count, u32 next leaf or child 0, u16
+   top), the u16 slots, zeros up to [top], then the entries from the end of
+   the node region down, entry 0 highest. A leaf entry is varint klen | key
+   | varint vlen | value, an internal entry varint klen | key | u32 child. *)
 module Reference = struct
   module Codec = Ode_util.Codec
 
   type node = Leaf of (string * string) array * int | Internal of string array * int array
 
-  let serialize node =
-    let b = Buffer.create 512 in
-    (match node with
-    | Leaf (entries, next) ->
-        Codec.put_u8 b 0;
-        Codec.put_u16 b (Array.length entries);
-        Codec.put_u32 b next;
-        Array.iter
-          (fun (k, v) ->
-            Codec.put_u16 b (String.length k);
-            Codec.put_raw b k;
-            Codec.put_u16 b (String.length v);
-            Codec.put_raw b v)
-          entries
-    | Internal (keys, children) ->
-        Codec.put_u8 b 1;
-        Codec.put_u16 b (Array.length keys);
-        Codec.put_u32 b children.(0);
-        Array.iteri
-          (fun i k ->
-            Codec.put_u16 b (String.length k);
-            Codec.put_raw b k;
-            Codec.put_u32 b children.(i + 1))
-          keys);
+  let node_end = Ode_storage.Page.data_end
+
+  let entry f =
+    let b = Buffer.create 64 in
+    f b;
     Buffer.contents b
 
-  (* The page prefix [write_node] wrote: u16 length, then the node. *)
-  let page_prefix node =
-    let s = serialize node in
-    let b = Buffer.create (String.length s + 2) in
-    Codec.put_u16 b (String.length s);
-    Codec.put_raw b s;
+  let with_len b s =
+    Codec.put_varint b (String.length s);
+    Codec.put_raw b s
+
+  (* The node's bytes [0, node_end) of its page. *)
+  let page node =
+    let kind, link, entries =
+      match node with
+      | Leaf (es, next) ->
+          (0, next, Array.map (fun (k, v) -> entry (fun b -> with_len b k; with_len b v)) es)
+      | Internal (keys, children) ->
+          ( 1,
+            children.(0),
+            Array.mapi (fun i k -> entry (fun b -> with_len b k; Codec.put_u32 b children.(i + 1))) keys )
+    in
+    let top = node_end - Array.fold_left (fun n e -> n + String.length e) 0 entries in
+    let b = Buffer.create node_end in
+    Codec.put_u8 b kind;
+    Codec.put_u16 b (Array.length entries);
+    Codec.put_u32 b link;
+    Codec.put_u16 b top;
+    ignore
+      (Array.fold_left
+         (fun off e ->
+           let off = off - String.length e in
+           Codec.put_u16 b off;
+           off)
+         node_end entries);
+    Buffer.add_string b (String.make (top - Buffer.length b) '\000');
+    for i = Array.length entries - 1 downto 0 do
+      Buffer.add_string b entries.(i)
+    done;
     Buffer.contents b
 
-  let deserialize s =
+  let read_node data =
+    let s = Bytes.sub_string data 0 node_end in
     let c = Codec.cursor s in
-    match Codec.get_u8 c with
-    | 0 ->
-        let n = Codec.get_u16 c in
-        let next = Codec.get_u32 c in
-        let entries =
-          Array.init n (fun _ ->
-              let k = Codec.get_raw c (Codec.get_u16 c) in
-              let v = Codec.get_raw c (Codec.get_u16 c) in
-              (k, v))
-        in
-        Leaf (entries, next)
-    | _ ->
-        let n = Codec.get_u16 c in
-        let first = Codec.get_u32 c in
-        let keys = Array.make n "" in
-        let children = Array.make (n + 1) first in
-        for i = 0 to n - 1 do
-          keys.(i) <- Codec.get_raw c (Codec.get_u16 c);
-          children.(i + 1) <- Codec.get_u32 c
-        done;
-        Internal (keys, children)
-
-  let read_node page =
-    let c = Codec.cursor (Bytes.to_string page) in
-    deserialize (Codec.get_raw c (Codec.get_u16 c))
+    let kind = Codec.get_u8 c in
+    let n = Codec.get_u16 c in
+    let link = Codec.get_u32 c in
+    ignore (Codec.get_u16 c);
+    let slots = Array.init n (fun _ -> Codec.get_u16 c) in
+    let at off = Codec.cursor ~pos:off s in
+    let str c = Codec.get_raw c (Codec.get_varint c) in
+    if kind = 0 then
+      Leaf
+        ( Array.map
+            (fun off ->
+              let c = at off in
+              let k = str c in
+              (k, str c))
+            slots,
+          link )
+    else
+      let keys = Array.map (fun off -> str (at off)) slots in
+      let children =
+        Array.append [| link |]
+          (Array.map
+             (fun off ->
+               let c = at off in
+               ignore (str c);
+               Codec.get_u32 c)
+             slots)
+      in
+      Internal (keys, children)
 
   let header ~root ~count =
     let b = Buffer.create Ode_storage.Page.size in
-    Codec.put_raw b "ODEBPT01";
+    Codec.put_raw b "ODEBPT02";
     Codec.put_u32 b root;
     Codec.put_i64 b (Int64.of_int count);
     Buffer.add_string b (String.make (Ode_storage.Page.data_end - Buffer.length b) '\000');
     Buffer.contents b
 end
 
-(* Every page of a flushed tree starts with exactly the bytes the reference
-   encoder writes for the node it holds, the header page included, and those
-   nodes hold the model's contents: so a store written now opens on a build
-   that still decodes with the reference. *)
+let header_root header = Bytes.get_uint16_le header 8 lor (Bytes.get_uint16_le header 10 lsl 16)
+
+(* Every page of a flushed tree holds exactly the bytes the reference
+   encoder writes for the node it holds, up to the disk layer's checksum
+   trailer, the header page included, and those nodes hold the model's
+   contents. So in-place edits leave no trace of the page's history. *)
 let pages_match_reference_encoder () =
   let path = file_tree () in
   let d = Disk.open_file path in
@@ -584,7 +600,7 @@ let pages_match_reference_encoder () =
   let d = Disk.open_file path in
   let page n = Disk.read d n in
   let header = page 0 in
-  let root = Bytes.get_uint16_le header 8 lor (Bytes.get_uint16_le header 10 lsl 16) in
+  let root = header_root header in
   Tutil.check_string "header page"
     (Reference.header ~root ~count:(List.length model))
     (Bytes.sub_string header 0 Ode_storage.Page.data_end);
@@ -592,9 +608,8 @@ let pages_match_reference_encoder () =
   let rec walk n =
     let data = page n in
     let node = Reference.read_node data in
-    let expected = Reference.page_prefix node in
-    Tutil.check_string (Printf.sprintf "page %d prefix" n) expected
-      (Bytes.sub_string data 0 (String.length expected));
+    Tutil.check_string (Printf.sprintf "page %d" n) (Reference.page node)
+      (Bytes.sub_string data 0 Reference.node_end);
     incr checked;
     match node with
     | Reference.Leaf (entries, _) -> Array.to_list entries
@@ -605,36 +620,182 @@ let pages_match_reference_encoder () =
   Tutil.check_bool "tree has internal nodes" true (!checked > 3);
   Tutil.check_bool "contents = model" true (entries = model)
 
-(* A store laid out by the reference encoder (two leaves under an internal
-   root) opens, reads and takes further inserts. *)
-let reference_store_opens () =
+(* Rewrite page [n] of the file at [path] with [f] applied; [Disk.write]
+   stamps a fresh checksum, so the disk layer passes the page. *)
+let rewrite_page path n f =
+  let d = Disk.open_file path in
+  let data = Disk.read d n in
+  f data;
+  Disk.write d n data;
+  Disk.close d
+
+(* A store written by the previous node layout, ODEBPT01, is refused at
+   open rather than misread. Its trees are stamped with the old magic,
+   with valid page checksums. *)
+let old_format_refused () =
+  let dir = Tutil.temp_dir "oldbpt" in
+  let db = Ode.Database.open_ dir in
+  ignore (Ode.Database.define db "class z { v: int; };");
+  Ode.Database.create_cluster db "z";
+  Ode.Database.with_txn db (fun txn ->
+      ignore (Ode.Database.pnew txn "z" [ ("v", Ode_model.Value.Int 1) ]));
+  Ode.Database.close db;
+  List.iter
+    (fun file ->
+      rewrite_page (Filename.concat dir file) 0 (fun data -> Bytes.blit_string "ODEBPT01" 0 data 0 8))
+    [ "directory.bpt"; "indexes.bpt" ];
+  match Ode.Database.open_ dir with
+  | db ->
+      Ode.Database.close db;
+      Alcotest.fail "a store in the ODEBPT01 layout opened"
+  | exception e ->
+      let msg = Printexc.to_string e in
+      if not (Tutil.contains msg "bptree: bad magic") then
+        Alcotest.failf "refused for another reason: %s" msg
+
+(* A flushed file-backed tree of [n] keys, closed; returns its path. *)
+let flushed_tree ?(value = fun i -> string_of_int i) n =
   let path = file_tree () in
   let d = Disk.open_file path in
-  for _ = 0 to 3 do
-    ignore (Disk.allocate d)
-  done;
-  let write n s =
-    let b = Bytes.make Ode_storage.Page.size '\000' in
-    Bytes.blit_string s 0 b 0 (String.length s);
-    Disk.write d n b
-  in
-  let left = Array.init 3 (fun i -> (key i, string_of_int i)) in
-  let right = Array.init 3 (fun i -> (key (i + 3), string_of_int (i + 3))) in
-  write 0 (Reference.header ~root:3 ~count:6);
-  write 1 (Reference.page_prefix (Reference.Leaf (left, 2)));
-  write 2 (Reference.page_prefix (Reference.Leaf (right, 0)));
-  write 3 (Reference.page_prefix (Reference.Internal ([| key 3 |], [| 1; 2 |])));
+  let t = Bptree.attach (Pool.create ~capacity:1024 d) in
+  Bptree.insert_sorted t (Array.init n (fun i -> (key i, value i)));
+  Bptree.flush t;
   Disk.close d;
+  path
+
+(* [check] walks the leaf chain: a next pointer that skips a leaf, in a
+   page rewritten with a valid checksum, is reported. *)
+let check_follows_leaf_chain () =
+  let path = flushed_tree 2000 in
   let d = Disk.open_file path in
-  let t = Bptree.attach (Pool.create ~capacity:tiny_pool d) in
+  let rec leftmost n =
+    match Reference.read_node (Disk.read d n) with
+    | Reference.Leaf _ -> n
+    | Reference.Internal (_, children) -> leftmost children.(0)
+  in
+  let first = leftmost (header_root (Disk.read d 0)) in
+  let next n = match Reference.read_node (Disk.read d n) with Reference.Leaf (_, nx) -> nx | _ -> 0 in
+  let second = next first in
+  let third = next second in
+  Disk.close d;
+  Tutil.check_bool "three leaves or more" true (second <> 0 && third <> 0);
+  let reopen () =
+    let d = Disk.open_file path in
+    (d, Bptree.attach (Pool.create ~capacity:64 d))
+  in
+  let d, t = reopen () in
   assert_ok t;
-  Tutil.check_int "count" 6 (Bptree.count t);
-  Alcotest.(check (option string)) "left leaf" (Some "1") (Bptree.find t (key 1));
-  Alcotest.(check (option string)) "right leaf" (Some "4") (Bptree.find t (key 4));
-  Bptree.insert t (key 6) "6";
-  assert_ok t;
-  Tutil.check_int "count after insert" 7 (Bptree.count t);
+  Disk.close d;
+  (* Point the first leaf past the second. *)
+  rewrite_page path first (fun data -> Bytes.set_int32_le data 3 (Int32.of_int third));
+  let d, t = reopen () in
+  (match Bptree.check t with
+  | Ok () -> Alcotest.fail "check passed a leaf chain that skips a leaf"
+  | Error e -> Tutil.check_bool ("reported as a chain fault: " ^ e) true (Tutil.contains e "leaf chain"));
   Disk.close d
+
+(* -- no second cache --------------------------------------------------------------- *)
+
+let gate_keys = 40_000
+
+(* A hit of [find] on a warm tree allocates the value it returns and the
+   option around it, and nothing else: the descent pins each frame and
+   searches it in place. *)
+let find_allocates_only_its_result () =
+  let t = Bptree.attach (Pool.create ~capacity:2048 (Disk.in_memory ())) in
+  Bptree.insert_sorted t (Array.init gate_keys (fun i -> (key i, Printf.sprintf "%08d" i)));
+  let probes = Array.init 10_000 (fun i -> key (i * 7 mod gate_keys)) in
+  Array.iter (fun k -> ignore (Bptree.find t k)) probes;
+  let result_words = Obj.reachable_words (Obj.repr (Bptree.find t probes.(0))) in
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length probes - 1 do
+    ignore (Sys.opaque_identity (Bptree.find t probes.(i)))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let per_find = words /. float (Array.length probes) in
+  if per_find > float result_words then
+    Alcotest.failf "find allocates %.2f words a hit; its result is %d" per_find result_words
+
+(* With every frame of a 40k-key tree resident, a full scan and 10,000
+   finds leave the live heap as it was: no decoded node outlives the call
+   that read it. *)
+let no_second_cache () =
+  let path = flushed_tree gate_keys in
+  let d = Disk.open_file path in
+  let pool = Pool.create ~capacity:2048 d in
+  let t = Bptree.attach pool in
+  for n = 0 to Pool.page_count pool - 1 do
+    Pool.with_page pool n ignore
+  done;
+  let probes = Array.init 10_000 (fun i -> key (i * 7 mod gate_keys)) in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  let before = live () in
+  let cur = Bptree.cursor t () in
+  let scanned = ref 0 in
+  while Bptree.cursor_next cur <> None do
+    incr scanned
+  done;
+  Array.iter (fun k -> ignore (Bptree.find t k)) probes;
+  let grown = live () - before in
+  (* The tree, and so its pool, and the probes stay live through both
+     counts. *)
+  ignore (Sys.opaque_identity (t, probes));
+  Tutil.check_int "scan saw every key" gate_keys !scanned;
+  if grown > 1024 then Alcotest.failf "the live heap grew by %d words over the scan and finds" grown;
+  Disk.close d
+
+(* -- rotten nodes ------------------------------------------------------------------ *)
+
+(* Flip random bytes inside one flushed node's used region (header, slots
+   and entries) and re-stamp its checksum. [find], a full cursor scan and
+   [check] each succeed or raise [Codec.Corrupt]; an out-of-bounds access
+   or any other exception fails. *)
+let prop_rotten_nodes_corrupt =
+  let rotten_path = lazy (flushed_tree ~value:(fun i -> String.make (i mod 150) 'v') 3000) in
+  QCheck.Test.make ~name:"rotten nodes raise Corrupt" ~count:200
+    QCheck.(pair small_nat (list_of_size (Gen.int_range 1 4) (pair (int_bound 1_000_000) (int_range 1 255))))
+    (fun (which, flips) ->
+      let src = Lazy.force rotten_path in
+      let path = file_tree () in
+      Tutil.copy_file src path;
+      let d = Disk.open_file path in
+      let pages = Disk.page_count d in
+      Disk.close d;
+      let page = 1 + (which mod (pages - 1)) in
+      rewrite_page path page (fun data ->
+          let n = Bytes.get_uint16_le data 1 and top = Bytes.get_uint16_le data 7 in
+          let head = min (9 + (2 * n)) Reference.node_end in
+          let top = min (max top head) Reference.node_end in
+          let used = head + (Reference.node_end - top) in
+          List.iter
+            (fun (at, x) ->
+              let at = at mod used in
+              let at = if at < head then at else top + (at - head) in
+              Bytes.set_uint8 data at (Bytes.get_uint8 data at lxor x))
+            flips);
+      let d = Disk.open_file path in
+      let t = Bptree.attach (Pool.create ~capacity:tiny_pool d) in
+      let survives what f =
+        match f () with
+        | () -> ()
+        | exception Ode_util.Codec.Corrupt _ -> ()
+        | exception e -> QCheck.Test.fail_reportf "%s on page %d: %s" what page (Printexc.to_string e)
+      in
+      survives "find" (fun () ->
+          for i = 0 to 99 do
+            ignore (Bptree.find t (key (i * 31)))
+          done);
+      survives "scan" (fun () ->
+          let cur = Bptree.cursor t () in
+          while Bptree.cursor_next cur <> None do
+            ()
+          done);
+      survives "check" (fun () -> ignore (Bptree.check t));
+      Disk.close d;
+      true)
 
 let suite =
   [
@@ -654,7 +815,10 @@ let suite =
         Alcotest.test_case "persists across reopen" `Quick persistence;
         Alcotest.test_case "oversized entries rejected" `Quick large_entries_rejected;
         Alcotest.test_case "pages match the reference encoder" `Quick pages_match_reference_encoder;
-        Alcotest.test_case "reference-encoded store opens" `Quick reference_store_opens;
+        Alcotest.test_case "ODEBPT01 store refused at open" `Quick old_format_refused;
+        Alcotest.test_case "check follows the leaf chain" `Quick check_follows_leaf_chain;
+        Alcotest.test_case "find allocates only its result" `Quick find_allocates_only_its_result;
+        Alcotest.test_case "no second cache after a scan" `Quick no_second_cache;
         Alcotest.test_case "insert_sorted matches a Map model" `Quick insert_sorted_model;
         Alcotest.test_case "cursor keeps its leaf across a batch" `Quick cursor_keeps_leaf_snapshot;
         Alcotest.test_case "insert_sorted rejects bad batches" `Quick insert_sorted_rejects;
@@ -671,5 +835,6 @@ let suite =
         prop_reverse_matches_forward;
         prop_cursor_matches_iter_range;
         prop_reopen_matches_model;
+        prop_rotten_nodes_corrupt;
       ];
   ]

@@ -642,6 +642,20 @@ let observability_endpoint () =
         (contains body "ode_server_read_queue_depth");
       Tutil.check_bool "connections gauge exposed" true (contains body "ode_server_connections");
       Tutil.check_bool "latency quantiles exposed" true (contains body "quantile=\"0.5\"");
+      (* The OCaml heap gauges read a live, nonzero heap. *)
+      List.iter
+        (fun name ->
+          let sample =
+            List.find_opt
+              (fun line -> String.starts_with ~prefix:(name ^ " ") line)
+              (String.split_on_char '\n' body)
+          in
+          match sample with
+          | None -> Alcotest.failf "gauge %s missing" name
+          | Some line ->
+              let v = String.sub line (String.length name + 1) (String.length line - String.length name - 1) in
+              Tutil.check_bool (name ^ " > 0") true (float_of_string v > 0.))
+        [ "ode_gc_heap_words"; "ode_gc_top_heap_words" ];
       (* Every sample line must end in a number a scraper can parse. *)
       List.iter
         (fun line ->
