@@ -268,7 +268,7 @@ let write_header t =
 
 (* -- writing nodes ------------------------------------------------------------- *)
 
-(* A fresh page, still holding the zero image the disk wrote for it. *)
+(* A fresh page, zeroed and dirty in the pool until a flush writes it. *)
 let alloc_page t =
   let f = Pool.allocate t.pool in
   Pool.unpin t.pool f;
@@ -365,12 +365,31 @@ let cuts ~promote m weight =
   in
   attempt ((total + budget - 1) / budget)
 
+(* Cut points that fill leaf pieces left to right, each up to [budget],
+   and leave the remainder to the last. *)
+let fill_cuts m weight =
+  let c = ref [] and used = ref 0 in
+  for x = 0 to m - 1 do
+    let w = weight x in
+    if !used + w > budget then begin
+      c := x :: !c;
+      used := w
+    end
+    else used := !used + w
+  done;
+  Array.of_list (List.rev !c)
+
 (* Write [items] as the node at [page], cut into pieces on fresh pages when
    they overflow it. A leaf's pieces are chained ahead of [link], its next
    leaf; an internal node's first piece takes [link] as child 0 and each
    later piece the child of the separator promoted before it. Returns each
-   new piece's separator and page, for the parent to route. *)
-let write_items t page ~leaf ~link src items =
+   new piece's separator and page, for the parent to route.
+
+   When [append], the items are a leaf's entries followed by new ones that
+   all sort after them, as ascending inserts bring. The pieces are then
+   filled in order rather than evenly, so the leaves they leave behind are
+   full: the next append lands in the last piece, never in them. *)
+let write_items ?(append = false) t page ~leaf ~link src items =
   let m = Array.length items in
   let weight x = 2 + item_size ~leaf src items.(x) in
   let total = ref 0 in
@@ -382,7 +401,7 @@ let write_items t page ~leaf ~link src items =
     []
   end
   else begin
-    let c = cuts ~promote:(not leaf) m weight in
+    let c = if append && leaf then fill_cuts m weight else cuts ~promote:(not leaf) m weight in
     let p = Array.length c + 1 in
     let first j = if j = 0 then 0 else if leaf then c.(j - 1) else c.(j - 1) + 1 in
     let stop j = if j = p - 1 then m else c.(j) in
@@ -463,8 +482,10 @@ let mem t key = find t key <> None
 (* Apply the leaf run [kvs.(i) .. kvs.(stop-1)] to the pinned leaf [b] at
    [page]. A run that fits is edited into the page in place; one that
    overflows is merged with a copy of the leaf's entries and cut into
-   pieces. Returns the pieces' (separator, page) pairs. *)
-let leaf_run t page b kvs i stop =
+   pieces, filled in order when the run appends to a leaf that is its
+   parent's [last] child ([write_items]' [append]). Returns the pieces'
+   (separator, page) pairs. *)
+let leaf_run t page b kvs i stop ~last =
   (* Room the run needs, applied key by key: a new entry and its slot, or
      a value's growth. Shrinking values free room only for later keys. *)
   let need = ref 0 and peak = ref 0 and lo = ref 0 in
@@ -505,6 +526,13 @@ let leaf_run t page b kvs i stop =
   else begin
     let src = Bytes.sub b 0 node_end in
     let n = count src in
+    (* An append: the run's first key sorts after the last entry of a
+       leaf that is the last child of its parent, where ascending keys keep
+       landing. A random key also lands past a leaf's last entry now and
+       then, but rarely in a last child, so random inserts keep the even
+       cut. So does a run into an empty leaf, such as a first batch, which
+       says nothing about where later keys land. *)
+    let append = last && n > 0 && search_node (fst kvs.(i)) src 0 = -(n + 1) in
     let items = ref [] and a = ref 0 in
     let old_upto p =
       for q = !a to p - 1 do
@@ -521,7 +549,7 @@ let leaf_run t page b kvs i stop =
       a := past
     done;
     old_upto n;
-    write_items t page ~leaf:true ~link:(link src) src (Array.of_list (List.rev !items))
+    write_items ~append t page ~leaf:true ~link:(link src) src (Array.of_list (List.rev !items))
   end
 
 (* Insert [ups], pieces of child [ci]'s former node, after child [ci] of
@@ -540,9 +568,10 @@ let insert_ups t page ci ups =
   write_items t page ~leaf:false ~link:(link src) src items
 
 (* Insert one leaf run from [kvs.(i)] below [page], whose keys are all
-   below [hi]. Returns the index past the run and the (separator, page)
-   pairs of the pieces this node was cut into, for the parent to route. *)
-let rec insert_run t page kvs i hi depth =
+   below [hi], and which is its parent's [last] child (the root counts as
+   one). Returns the index past the run and the (separator, page) pairs of
+   the pieces this node was cut into, for the parent to route. *)
+let rec insert_run t page kvs i hi ~last depth =
   let f = pin_node t page depth in
   let b = Pool.data f in
   if is_leaf b then begin
@@ -553,7 +582,7 @@ let rec insert_run t page kvs i hi depth =
     do
       incr stop
     done;
-    match leaf_run t page b kvs i !stop with
+    match leaf_run t page b kvs i !stop ~last with
     | ups ->
         Pool.mark_dirty t.pool f;
         Pool.unpin t.pool f;
@@ -565,9 +594,10 @@ let rec insert_run t page kvs i hi depth =
   else begin
     let route () =
       let ci = child_index (fst kvs.(i)) b in
-      (ci, child_at b ci, if ci < count b then Some (key_string b (slot b ci) node_end) else hi)
+      let n = count b in
+      (ci, child_at b ci, (if ci < n then Some (key_string b (slot b ci) node_end) else hi), ci = n)
     in
-    let ci, child, hi =
+    let ci, child, hi, last =
       match route () with
       | r ->
           Pool.unpin t.pool f;
@@ -576,7 +606,7 @@ let rec insert_run t page kvs i hi depth =
           Pool.unpin t.pool f;
           raise e
     in
-    match insert_run t child kvs i hi (depth + 1) with
+    match insert_run t child kvs i hi ~last (depth + 1) with
     | stop, [] -> (stop, [])
     | stop, ups -> (stop, insert_ups t page ci ups)
   end
@@ -608,7 +638,7 @@ let insert_sorted t kvs =
     (* A run's cuts touch several pages; no pressure flush may persist some
        of them before the parents, root and header route to the new ones. *)
     Pool.with_no_flush t.pool (fun () ->
-        let stop, ups = insert_run t t.root kvs !i None 0 in
+        let stop, ups = insert_run t t.root kvs !i None ~last:true 0 in
         grow t ups;
         write_header t;
         i := stop)
@@ -852,19 +882,24 @@ let attach pool =
     match header with
     | `Ok (root, count) -> { pool; root; count }
     | `Never_flushed ->
-        (* A crash before the first flush left a stamped all-zero header:
-           the tree was never durably initialised. Rebuild it empty; any
-           other leftover pages are unreachable from the new root. *)
+        (* A stamped all-zero header: the tree was never durably
+           initialised. Only a store from an earlier build, whose allocation
+           wrote zero pages at once, can hold one; a page now reaches the
+           file only in a flush, with the header that routes to it. Rebuild
+           the tree empty, dropping the other leftover pages, which nothing
+           can reach. *)
         Ode_util.Stats.incr c_pages_reformatted;
+        Ode_storage.Disk.truncate (Pool.disk pool) 1;
         format pool
 
 (* -- structural check -------------------------------------------------------------- *)
 
 (* Every node's layout (entries tile [top, node_end) in slot order, the gap
    is zero), key order inside every node, separator bounds, one parent per
-   node, equal leaf depth, the count, and the leaf chain: followed from the
-   leftmost leaf it visits exactly the leaves of the tree walk, in key
-   order, and ends at next = 0. *)
+   node, every page but the header reached from the root, equal leaf depth,
+   the count, and the leaf chain: followed from the leftmost leaf it visits
+   exactly the leaves of the tree walk, in key order, and ends at
+   next = 0. *)
 let check t =
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
@@ -931,9 +966,16 @@ let check t =
         if next <> page' then bad "leaf chain links leaf %d to %d, not to the next leaf %d" page next page';
         chain rest
   in
+  (* Pages are never freed, so one the walk misses is leaked. *)
+  let reached () =
+    for page = 1 to Pool.page_count t.pool - 1 do
+      if not (Hashtbl.mem visited page) then bad "page %d is not reachable from the root" page
+    done
+  in
   match
     go t.root 0 ~lo:None ~hi:None;
-    chain (List.rev !leaves)
+    chain (List.rev !leaves);
+    reached ()
   with
   | () ->
       if !seen <> t.count then Error (Printf.sprintf "count mismatch: header %d, found %d" t.count !seen)

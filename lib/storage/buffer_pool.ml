@@ -211,14 +211,17 @@ let mark_dirty t f =
   let s = stripe_of t f.no in
   Mutex.protect s.mu (fun () -> f.dirty <- true)
 
-(* The new frame takes the zero image [Disk.allocate] just wrote, so a
-   fresh page costs no read-back. *)
+(* The new frame takes the zero image of the page number [Disk.allocate]
+   reserved, and starts dirty: the page reaches the file only when a flush
+   writes it, in the same journalled batch as the pages that refer to it.
+   A crash before then leaves the file as the last flush did, and replay
+   allocates the same page number again. *)
 let allocate t =
   let n, buf = Disk.allocate t.disk in
   let s = stripe_of t n in
   Mutex.protect s.mu (fun () ->
       make_room t s;
-      let f = { no = n; buf; pins = Atomic.make 1; dirty = false } in
+      let f = { no = n; buf; pins = Atomic.make 1; dirty = true } in
       Ode_util.Lru.add s.frames n f;
       f)
 

@@ -55,8 +55,9 @@ val with_page : t -> int -> (frame -> 'a) -> 'a
 val mark_dirty : t -> frame -> unit
 
 val allocate : t -> frame
-(** Extend the disk by one fresh, zeroed, formatted-blank page and return it
-    pinned. *)
+(** Reserve the disk's next page and return it pinned, zeroed and dirty.
+    It reaches the disk with the next write-back, so a page allocated after
+    the last flush leaves no trace of itself in the file after a crash. *)
 
 val with_no_flush : t -> (unit -> 'a) -> 'a
 (** [with_no_flush t f] runs [f] in a no-flush section, for a multi-page

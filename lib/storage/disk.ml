@@ -8,6 +8,13 @@
    leaves either the journal (replayed at open) or the data file intact —
    never a mix of old and new pages.
 
+   A page reaches the file only when a flush writes it. [allocate] only
+   reserves the next page number in memory; the batch that first writes a
+   reserved page extends the file, journalled like any other. So after a
+   crash the file ends at the last flush, and replay reuses the page
+   numbers of the pages it lost instead of leaving them behind as zero
+   pages that nothing references.
+
    Failpoint sites cover every side-effecting step so the crash-torture
    harness can kill the process between any two syscalls. *)
 
@@ -15,7 +22,9 @@ module Stats = Ode_util.Stats
 module Codec = Ode_util.Codec
 module Failpoint = Ode_util.Failpoint
 
-type file = { fd : Unix.file_descr; journal : string; mutable pages : int }
+(* [pages] counts the reserved pages, [written] those the file holds: pages
+   [written, pages) are reserved and have never been written. *)
+type file = { fd : Unix.file_descr; journal : string; mutable pages : int; mutable written : int }
 type mem = { mutable arr : bytes array; mutable used : int }
 
 type backend =
@@ -149,7 +158,7 @@ let decode_journal data =
       done;
       let body_len = Codec.pos c in
       let sum = Codec.get_i64 c in
-      if sum <> Codec.fnv64 (String.sub data 0 body_len) then None
+      if sum <> Codec.fnv64_sub data ~pos:0 ~len:body_len then None
       else Some (List.rev !batch)
     with
     | v -> v
@@ -219,7 +228,7 @@ let open_file path =
     end
   in
   trim ();
-  { backend = File { fd; journal; pages = !pages }; mu = Mutex.create () }
+  { backend = File { fd; journal; pages = !pages; written = !pages }; mu = Mutex.create () }
 
 let in_memory () =
   { backend = Memory { arr = Array.make 8 Bytes.empty; used = 0 }; mu = Mutex.create () }
@@ -244,6 +253,8 @@ let read_into t n buf =
   Ode_util.Histogram.time h_page_read @@ fun () ->
   match t.backend with
   | File f ->
+      if n >= f.written then
+        invalid_arg (Printf.sprintf "disk: page %d is reserved and was never written" n);
       pread f.fd buf (n * Page.size);
       if not (checksum_ok buf) then begin
         Stats.incr c_checksum_failures;
@@ -270,14 +281,41 @@ let write_mem m n page =
   end
   else Bytes.blit page 0 m.arr.(n) 0 Page.size
 
-(* Write one page, interpreting an armed disk.write fault. The page buffer
-   is stamped in place (the trailer belongs to this layer). *)
-let write_page f n page =
-  stamp page;
-  (match Failpoint.hit fp_write with
+(* Write one stamped page, interpreting an armed disk.write fault. *)
+let put_page f n page =
+  match Failpoint.hit fp_write with
   | Some act -> faulted_write fp_write f.fd page (n * Page.size) act
-  | None -> pwrite f.fd page (n * Page.size));
-  if n = f.pages then f.pages <- f.pages + 1
+  | None -> pwrite f.fd page (n * Page.size)
+
+(* Stamped zero pages for the reserved pages in [[from, upto)] that the
+   file does not hold, so writing page [upto] leaves no hole before it.
+   Empty when reserved pages are written in order, as the buffer pool
+   writes them. *)
+let gap f ~from ~upto =
+  let from = max from f.written in
+  List.init (max 0 (upto - from)) (fun i ->
+      let zero = Bytes.make Page.size '\000' in
+      stamp zero;
+      (from + i, zero))
+
+(* A batch in page order, with [gap]'s zero pages between its pages. *)
+let dense f batch =
+  let batch = List.sort (fun (a, _) (b, _) -> Int.compare a b) batch in
+  let _, rev =
+    List.fold_left
+      (fun (next, acc) ((n, _) as p) -> (n + 1, p :: List.rev_append (gap f ~from:next ~upto:n) acc))
+      (0, []) batch
+  in
+  List.rev rev
+
+(* Write one page, the page buffer stamped in place (the trailer belongs to
+   this layer). *)
+let write_page f n page =
+  List.iter (fun (g, zero) -> put_page f g zero) (gap f ~from:0 ~upto:n);
+  stamp page;
+  put_page f n page;
+  f.written <- max f.written (n + 1);
+  f.pages <- max f.pages f.written
 
 let write_unlocked t n page =
   check_range t n ~extend:true;
@@ -310,6 +348,9 @@ let write_batch t batch =
           assert (Bytes.length page = Page.size))
         batch;
       List.iter (fun (_, page) -> stamp page) batch;
+      (* In page order, so a batch that extends the file writes it front to
+         back, with zero pages for any reserved page it skips. *)
+      let batch = dense f batch in
       (* 1. Make the whole batch durable in the journal. *)
       let image = encode_journal batch in
       let jfd = Unix.openfile f.journal [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
@@ -324,10 +365,9 @@ let write_batch t batch =
       List.iter
         (fun (n, page) ->
           Stats.incr c_pages_written;
-          match Failpoint.hit fp_write with
-          | Some act -> faulted_write fp_write f.fd page (n * Page.size) act
-          | None -> pwrite f.fd page (n * Page.size))
+          put_page f n page)
         batch;
+      List.iter (fun (n, _) -> f.written <- max f.written (n + 1)) batch;
       (match Failpoint.hit fp_sync with
       | Some Failpoint.Crash_site -> Failpoint.crash fp_sync
       | Some Failpoint.Skip_effect -> ()
@@ -342,7 +382,9 @@ let allocate t =
   Mutex.protect t.mu @@ fun () ->
   let n = page_count t in
   let zero = Bytes.make Page.size '\000' in
-  write_unlocked t n zero;
+  (match t.backend with
+  | File f -> f.pages <- n + 1
+  | Memory m -> write_mem m n zero);
   (n, zero)
 
 let sync t =
@@ -359,7 +401,8 @@ let truncate t n =
   Mutex.protect t.mu @@ fun () ->
   match t.backend with
   | File f ->
-      Unix.ftruncate f.fd (n * Page.size);
+      Unix.ftruncate f.fd (min f.written n * Page.size);
+      f.written <- min f.written n;
       f.pages <- min f.pages n
   | Memory m -> m.used <- min m.used n
 

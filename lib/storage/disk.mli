@@ -23,7 +23,8 @@ val in_memory : unit -> t
 val is_memory : t -> bool
 
 val page_count : t -> int
-(** Number of allocated pages. *)
+(** Number of allocated pages, those reserved and not yet written
+    included. *)
 
 val read : t -> int -> bytes
 (** [read t n] returns a fresh buffer with page [n]'s contents. Raises
@@ -35,18 +36,25 @@ val read_into : t -> int -> bytes -> unit
 val write : t -> int -> bytes -> unit
 (** [write t n page] persists [page] at index [n]. [n] may be at most
     [page_count t] (writing at [page_count] extends the file). On the file
-    backend the page's checksum trailer is stamped in place. *)
+    backend the page's checksum trailer is stamped in place, and reserved
+    pages below [n] the file does not hold yet are written as zero pages,
+    so the file has no holes. *)
 
 val write_batch : t -> (int * bytes) list -> unit
-(** Crash-atomically persist a set of existing pages and fsync: on the file
+(** Crash-atomically persist a set of allocated pages and fsync: on the file
     backend the batch goes to the double-write journal first, so after a
-    crash either every page or no page of the batch is visible. Pages must
-    already be allocated. *)
+    crash either every page or no page of the batch is visible. Reserved
+    pages it writes extend the file; any reserved page it skips below them
+    is written as a zero page in the same batch. *)
 
 val allocate : t -> int * bytes
-(** Extend by one zeroed page, returning its index and the image just
-    written (checksum stamped on the file backend). The caller owns the
-    image: it is exactly what {!read} would return for the new page. *)
+(** Reserve the next page, returning its index and a zeroed image the
+    caller owns. On the file backend nothing is written: the page counts in
+    {!page_count} but reaches the file only when {!write} or {!write_batch}
+    first writes it, and {!read} of it raises [Invalid_argument] until
+    then. So after a crash the file ends at the last write, and a page
+    reserved since is reserved again under the same number. The memory
+    backend stores the zero page at once. *)
 
 val sync : t -> unit
 (** Flush OS buffers (no-op in memory). *)

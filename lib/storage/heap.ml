@@ -92,9 +92,11 @@ let check_header t =
       let got = Bytes.sub_string (Buffer_pool.data f) 0 (String.length magic) in
       if got = magic then `Ok
       else if String.for_all (fun c -> c = '\000') got then
-        (* A crash between allocating page 0 and the first flush leaves a
-           stamped all-zero header: the file is new, never durably
-           initialised. Reinitialise rather than reject. *)
+        (* A stamped all-zero header: the file was never durably
+           initialised. Only a store from an earlier build, whose allocation
+           wrote zero pages at once, can hold one (a crash between
+           allocating page 0 and the first flush); a page now reaches the
+           file only in a flush. Reinitialise rather than reject. *)
         `Never_flushed
       else invalid_arg "heap: bad magic")
 
@@ -120,7 +122,9 @@ let attach pool =
           | Ok () -> ()
           | Error _ ->
               (* Allocated but never flushed with real content (the crash
-                 happened before the batch that would have filled it). *)
+                 happened before the batch that would have filled it). Only
+                 a store from an earlier build, whose allocation wrote zero
+                 pages at once, holds such pages. *)
               Page.reset p;
               Buffer_pool.mark_dirty pool f;
               Ode_util.Stats.incr c_pages_reformatted);

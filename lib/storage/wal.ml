@@ -53,6 +53,9 @@ type t = {
   mutable base_lsn : int;
   lsn_path : string option;
   mutable on_sync : (data:string -> from_lsn:int -> to_lsn:int -> unit) option;
+  mutable opened : string;
+      (* The log as [open_file] read and checked it, held for the [replay]
+         that follows; [""] once replayed, reset or appended past. *)
 }
 
 (* -- record codec -------------------------------------------------------- *)
@@ -82,66 +85,93 @@ let encode_record r =
       Codec.put_int b lsn);
   Buffer.contents b
 
-let decode_record s =
-  let c = Codec.cursor s in
-  match Codec.get_u8 c with
-  | 1 -> Begin (Codec.get_int c)
-  | 2 ->
-      let tx = Codec.get_int c in
-      let trace = Codec.get_int c in
-      let cts = Codec.get_int c in
-      Commit (tx, trace, cts)
-  | 3 ->
-      let tx = Codec.get_int c in
-      let k = Codec.get_string c in
-      let v = Codec.get_string c in
-      Put (tx, k, v)
-  | 4 ->
-      let tx = Codec.get_int c in
-      Delete (tx, Codec.get_string c)
-  | 5 -> Checkpoint (Codec.get_int c)
-  | n -> raise (Codec.Corrupt (Printf.sprintf "wal: bad tag %d" n))
+(* The record in [s]'s bytes [pos, stop), which it must fill exactly. *)
+let decode_at s ~pos ~stop =
+  let c = Codec.cursor ~pos ~stop s in
+  let r =
+    match Codec.get_u8 c with
+    | 1 -> Begin (Codec.get_int c)
+    | 2 ->
+        let tx = Codec.get_int c in
+        let trace = Codec.get_int c in
+        let cts = Codec.get_int c in
+        Commit (tx, trace, cts)
+    | 3 ->
+        let tx = Codec.get_int c in
+        let k = Codec.get_string c in
+        let v = Codec.get_string c in
+        Put (tx, k, v)
+    | 4 ->
+        let tx = Codec.get_int c in
+        Delete (tx, Codec.get_string c)
+    | 5 -> Checkpoint (Codec.get_int c)
+    | n -> raise (Codec.Corrupt (Printf.sprintf "wal: bad tag %d" n))
+  in
+  if not (Codec.at_end c) then
+    raise
+      (Codec.Corrupt
+         (Printf.sprintf "wal: record at %d ends at %d, its frame at %d" pos (Codec.pos c) stop));
+  r
 
-(* -- framing ------------------------------------------------------------- *)
+let decode_record s = decode_at s ~pos:0 ~stop:(String.length s)
+
+(* -- framing -------------------------------------------------------------
+   Frames are checked and decoded where they lie in the buffer the log was
+   read into: no frame body is copied, and hashing allocates nothing. *)
+
+let frame_header = 12
 
 let frame body =
-  let b = Buffer.create (String.length body + 12) in
+  let b = Buffer.create (String.length body + frame_header) in
   Codec.put_u32 b (String.length body);
   Codec.put_i64 b (Codec.fnv64 body);
   Codec.put_raw b body;
   Buffer.contents b
 
+(* The end of the frame at [off] of [s], or -1 when it is torn (runs past
+   the end of [s]) or fails its checksum. Its body starts at
+   [off + frame_header]. *)
+let frame_end s off =
+  if off + frame_header > String.length s then -1
+  else
+    let blen = Int32.to_int (String.get_int32_le s off) land 0xffff_ffff in
+    let body = off + frame_header in
+    if blen > String.length s - body then -1
+    else if Int64.equal (String.get_int64_le s (off + 4)) (Codec.fnv64_sub s ~pos:body ~len:blen)
+    then body + blen
+    else -1
+
+(* The end of the frame at [off] of a log every frame of which was
+   checked already, or -1 at its end. *)
+let checked_end s off =
+  if off >= String.length s then -1
+  else off + frame_header + (Int32.to_int (String.get_int32_le s off) land 0xffff_ffff)
+
+(* Walk the frames of [s] from [off] on, as long as [next] finds the
+   frame's end, calling [f] on each one's decoded record; returns the
+   offset past the last. *)
+let rec frames next s off f =
+  let stop = next s off in
+  if stop < 0 then off
+  else begin
+    (match f with Some fn -> fn (decode_at s ~pos:(off + frame_header) ~stop) | None -> ());
+    frames next s stop f
+  end
+
 (* Scan intact frames from [contents], calling [f] on each decoded record;
    returns the byte offset just past the last intact frame. *)
-let scan contents f =
-  let len = String.length contents in
-  let rec go off =
-    if off + 12 > len then off
-    else
-      let c = Codec.cursor ~pos:off contents in
-      let blen = Codec.get_u32 c in
-      if off + 12 + blen > len then off
-      else
-        let sum = Codec.get_i64 c in
-        let body = Codec.get_raw c blen in
-        if Codec.fnv64 body <> sum then off
-        else begin
-          (match f with Some fn -> fn (decode_record body) | None -> ());
-          go (off + 12 + blen)
-        end
-  in
-  go 0
+let scan contents f = frames frame_end contents 0 f
 
-(* The LSN a log's records advance to, starting from [base]: Commits count
-   up; a Checkpoint record restores the exact value it recorded, which
-   reconciles replay over records a lost truncation left behind (they were
-   already counted before the checkpoint was taken). *)
-let lsn_after_scan ~base contents =
-  let lsn = ref base in
-  ignore
-    (scan contents
-       (Some (function Commit _ -> incr lsn | Checkpoint l -> lsn := l | _ -> ())));
-  !lsn
+(* The LSN after the record in [s]'s bytes [pos, stop), starting from
+   [lsn]: Commits count up; a Checkpoint record restores the exact value it
+   recorded, which reconciles replay over records a lost truncation left
+   behind (they were already counted before the checkpoint was taken).
+   Only those two kinds are decoded. *)
+let lsn_after s ~pos ~stop lsn =
+  match if pos < stop then s.[pos] else '\000' with
+  | '\002' | '\005' -> (
+      match decode_at s ~pos ~stop with Commit _ -> lsn + 1 | Checkpoint l -> l | _ -> lsn)
+  | _ -> lsn
 
 (* -- construction --------------------------------------------------------- *)
 
@@ -163,13 +193,13 @@ let read_all fd =
     else pos
   in
   let got = fill 0 in
-  Bytes.sub_string buf 0 got
+  if got = len then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 got
 
 (* The base-LSN sidecar: a tiny text file beside the log holding the LSN of
    the last commit the latest truncation discarded. Written and fsynced
    *before* the truncation (see [reset]), so a crash between the two leaves
    the sidecar ahead of the log — which the Checkpoint record still in the
-   log corrects during [lsn_after_scan]. *)
+   log corrects during [open_file]'s scan. *)
 let read_base_lsn path =
   match In_channel.with_open_bin path In_channel.input_all with
   | s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> 0)
@@ -188,19 +218,32 @@ let write_base_lsn path lsn =
   Unix.close fd;
   Unix.rename tmp path
 
+(* One read of the log and one pass over it, which checks every frame and
+   finds both where the intact frames end and the LSN they advance to. The
+   log stays in memory, checked, for the [replay] that recovery runs
+   next. *)
 let open_file path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  let contents = read_all fd in
-  let intact = scan contents None in
+  let log = read_all fd in
+  let lsn_path = path ^ ".lsn" in
+  let base = read_base_lsn lsn_path in
+  let lsn = ref base in
+  let rec go off =
+    let stop = frame_end log off in
+    if stop < 0 then off
+    else begin
+      lsn := lsn_after log ~pos:(off + frame_header) ~stop !lsn;
+      go stop
+    end
+  in
+  let intact = go 0 in
   (* Drop any torn tail so future appends start at a clean boundary. *)
-  if intact < String.length contents then begin
-    Stats.add c_wal_torn_bytes (String.length contents - intact);
+  if intact < String.length log then begin
+    Stats.add c_wal_torn_bytes (String.length log - intact);
     Unix.ftruncate fd intact
   end;
   ignore (Unix.lseek fd intact Unix.SEEK_SET);
-  let lsn_path = path ^ ".lsn" in
-  let base = read_base_lsn lsn_path in
-  let lsn = lsn_after_scan ~base (String.sub contents 0 intact) in
+  let lsn = !lsn in
   {
     sink = File { fd; wpos = intact };
     pending = Buffer.create 4096;
@@ -210,6 +253,7 @@ let open_file path =
     base_lsn = base;
     lsn_path = Some lsn_path;
     on_sync = None;
+    opened = (if intact = String.length log then log else String.sub log 0 intact);
   }
 
 let in_memory () =
@@ -222,6 +266,7 @@ let in_memory () =
     base_lsn = 0;
     lsn_path = None;
     on_sync = None;
+    opened = "";
   }
 
 let append t r =
@@ -285,6 +330,7 @@ let sync t =
       Ode_util.Trace.with_span ~cat:"wal" "wal.sync" (fun () ->
           let data = Buffer.contents t.pending in
           Buffer.clear t.pending;
+          if String.length data > 0 then t.opened <- "";
           (match t.sink with
           | Memory b -> Buffer.add_string b data
           | File f -> (
@@ -317,7 +363,17 @@ let contents t =
       ignore f.wpos;
       read_all f.fd
 
-let replay t f = ignore (scan (contents t) (Some f))
+(* The log [open_file] read and checked is still the whole file until a
+   sync writes past it or a reset truncates it: replay decodes it where it
+   lies, hashing nothing again, and lets it go. Otherwise the file is read
+   and checked again. *)
+let replay t f =
+  let opened = t.opened in
+  t.opened <- "";
+  match t.sink with
+  | File fs when opened <> "" && fs.wpos = String.length opened ->
+      ignore (frames checked_end opened 0 (Some f))
+  | _ -> ignore (scan (contents t) (Some f))
 
 (* The raw frames of everything after [lsn]: what a replica that has applied
    up to [lsn] still needs. [None] when the log no longer reaches back that
@@ -334,33 +390,18 @@ let tail_from t ~lsn =
        with the running count. Any cut found under the bad count is
        discarded; the Checkpoint record restores exactness from there on. *)
     let cut = ref (if lsn = t.base_lsn then Some 0 else None) in
-    let cur = ref t.base_lsn in
-    let rec go off =
-      if off + 12 > len then ()
-      else
-        let c = Codec.cursor ~pos:off contents in
-        let blen = Codec.get_u32 c in
-        if off + 12 + blen > len then ()
-        else begin
-          let sum = Codec.get_i64 c in
-          let body = Codec.get_raw c blen in
-          if Codec.fnv64 body <> sum then ()
-          else begin
-            (match decode_record body with
-            | Commit _ -> incr cur
-            | Checkpoint l ->
-                if l <> !cur then begin
-                  cut := None;
-                  cur := l
-                end
-            | _ -> ());
-            let after = off + 12 + blen in
-            if !cut = None && !cur = lsn then cut := Some after;
-            go after
-          end
-        end
+    let rec go off cur =
+      let stop = frame_end contents off in
+      if stop >= 0 then begin
+        let pos = off + frame_header in
+        let next = lsn_after contents ~pos ~stop cur in
+        let checkpoint = pos < stop && contents.[pos] = '\005' in
+        if checkpoint && next <> cur then cut := None;
+        if !cut = None && next = lsn then cut := Some stop;
+        go stop next
+      end
     in
-    go 0;
+    go 0 t.base_lsn;
     match !cut with
     | Some off -> Some (String.sub contents off (len - off))
     | None -> None
@@ -368,6 +409,7 @@ let tail_from t ~lsn =
 
 let reset t =
   Buffer.clear t.pending;
+  t.opened <- "";
   t.pending_commits <- 0;
   match t.sink with
   | Memory b ->

@@ -43,8 +43,10 @@ type t
 
 val open_file : string -> t
 (** Open or create a log file; the write cursor is positioned after the last
-    intact frame. Reads the [.lsn] sidecar and replays the retained records
-    to recover the exact commit LSN. *)
+    intact frame. Reads the [.lsn] sidecar, then reads the log once and
+    checks each frame's checksum in place in one pass, which also finds
+    the exact commit LSN. The checked log is kept for the {!replay} that
+    recovery runs next. *)
 
 val in_memory : unit -> t
 
@@ -89,7 +91,12 @@ val tail_from : t -> lsn:int -> string option
     {!durable_lsn}: ship a snapshot instead. *)
 
 val replay : t -> (record -> unit) -> unit
-(** Feed every intact record from the start of the log, in order. *)
+(** Feed every intact record from the start of the log, in order. The
+    first replay after {!open_file}, with nothing synced in between,
+    decodes the log {!open_file} checked and then drops it; any other
+    reads the file again. Raises {!Ode_util.Codec.Corrupt} on a checksummed
+    record that does not decode or does not end exactly at its frame's
+    end. *)
 
 val reset : t -> unit
 (** Truncate the log to empty (used after a checkpoint). Persists
@@ -107,7 +114,8 @@ val decode_record : string -> record
 val scan : string -> (record -> unit) option -> int
 (** Exposed for the replication layer: iterate the intact frames of a raw
     batch (as delivered to the {!set_on_sync} observer), returning the byte
-    offset past the last intact frame. *)
+    offset past the last intact frame. Frames are checked and decoded in
+    place. *)
 
 val frame : string -> string
 (** Frame one encoded record body (length + checksum + body). *)

@@ -39,11 +39,15 @@ let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
 
 (* -- decoding ---------------------------------------------------------- *)
 
-type cursor = { src : string; mutable p : int }
+type cursor = { src : string; mutable p : int; stop : int }
 
-let cursor ?(pos = 0) src = { src; p = pos }
+let cursor ?(pos = 0) ?stop src =
+  let stop = match stop with Some s -> s | None -> String.length src in
+  if stop < 0 || stop > String.length src then invalid_arg "Codec.cursor: stop out of range";
+  { src; p = pos; stop }
+
 let pos c = c.p
-let remaining c = String.length c.src - c.p
+let remaining c = c.stop - c.p
 let at_end c = remaining c <= 0
 
 let need c n =
@@ -108,21 +112,15 @@ let get_varint c =
 
 (* -- checksums --------------------------------------------------------- *)
 
-let fnv64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun ch ->
-      h := Int64.logxor !h (Int64.of_int (Char.code ch));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
-let fnv64_bytes b ~pos ~len =
-  let prime = 0x100000001b3L in
+(* FNV-1a over [len] bytes from [pos]. A loop over a local [ref], which the
+   compiler keeps unboxed, so hashing allocates nothing per byte. *)
+let fnv64_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Codec.fnv64_sub";
   let h = ref 0xcbf29ce484222325L in
   for i = pos to pos + len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)));
-    h := Int64.mul !h prime
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) 0x100000001b3L
   done;
   !h
+
+let fnv64 s = fnv64_sub s ~pos:0 ~len:(String.length s)
+let fnv64_bytes b ~pos ~len = fnv64_sub (Bytes.unsafe_to_string b) ~pos ~len

@@ -42,9 +42,14 @@ val varint_size : int -> int
 (** {1 Decoding} *)
 
 type cursor
-(** A read position within an immutable string. *)
+(** A read position within an immutable string, or within its bytes
+    before a [stop] offset. *)
 
-val cursor : ?pos:int -> string -> cursor
+val cursor : ?pos:int -> ?stop:int -> string -> cursor
+(** [cursor ~pos ~stop s] reads [s] from [pos] (default 0) up to [stop]
+    (default its length), as if [s] ended there. Raises [Invalid_argument]
+    when [stop] is not within [s]. *)
+
 val pos : cursor -> int
 val remaining : cursor -> int
 val at_end : cursor -> bool
@@ -66,7 +71,13 @@ val get_varint : cursor -> int
 (** {1 Checksums} *)
 
 val fnv64 : string -> int64
-(** FNV-1a 64-bit hash, used as a WAL record checksum. *)
+(** FNV-1a 64-bit hash, used as a WAL record checksum. Allocates nothing
+    but its result. *)
+
+val fnv64_sub : string -> pos:int -> len:int -> int64
+(** Same hash over the [len] bytes of a string from [pos], in place: how
+    the WAL checks a frame inside the buffer it read the log into. Raises
+    [Invalid_argument] when the range is not inside the string. *)
 
 val fnv64_bytes : bytes -> pos:int -> len:int -> int64
 (** Same hash over a byte-buffer slice, without copying. Used for page

@@ -747,6 +747,71 @@ let no_second_cache () =
   if grown > 1024 then Alcotest.failf "the live heap grew by %d words over the scan and finds" grown;
   Disk.close d
 
+(* A file an earlier build left when it crashed before the tree's first
+   flush: stamped zero pages, header included. The tree is rebuilt empty
+   without the leftover pages, so [check] finds none its root misses. *)
+let never_flushed_file_rebuilt () =
+  let path = file_tree () in
+  let d = Disk.open_file path in
+  for n = 0 to 3 do
+    Disk.write d n (Bytes.make Ode_storage.Page.size '\000')
+  done;
+  Disk.close d;
+  let d = Disk.open_file path in
+  let t = Bptree.attach (Pool.create ~capacity:8 d) in
+  Tutil.check_int "header and root" 2 (Bptree.page_count t);
+  Bptree.insert t "k" "v";
+  Alcotest.(check (option string)) "usable" (Some "v") (Bptree.find t "k");
+  assert_ok t;
+  Disk.close d
+
+(* -- leaf fill -------------------------------------------------------------------- *)
+
+(* Entry [i] of 40,000: a 19-byte key and an 8-byte value. *)
+let fill_entry i = (Printf.sprintf "fill-%014d" i, Printf.sprintf "%08d" i)
+
+(* The page count of an in-memory tree after [load] fills it. *)
+let pages_after load =
+  let t = Bptree.attach (Pool.create ~capacity:4096 (Disk.in_memory ())) in
+  load t;
+  assert_ok t;
+  Bptree.page_count t
+
+(* Entries inserted one call each, in [order]. *)
+let pages_for order =
+  pages_after (fun t ->
+      Array.iter
+        (fun i ->
+          let k, v = fill_entry i in
+          Bptree.insert t k v)
+        order)
+
+(* Every entry in one sorted batch. *)
+let batch_pages () = pages_after (fun t -> Bptree.insert_sorted t (Array.init gate_keys fill_entry))
+
+(* Ascending keys inserted one call each fill their leaves: the pieces an
+   append cuts are filled in order, so the tree takes at most 10% more
+   pages than one sorted batch (310). An even cut of every append leaves
+   each leaf half full (615 pages). *)
+let ascending_inserts_fill_leaves () =
+  let batch = batch_pages () in
+  let one_by_one = pages_for (Array.init gate_keys Fun.id) in
+  if one_by_one * 10 > batch * 11 then
+    Alcotest.failf "ascending inserts took %d pages; one sorted batch takes %d" one_by_one batch
+
+(* Random-order inserts almost never append to a last child, so they keep
+   the even cut and the page count it gives. *)
+let random_inserts_keep_even_cuts () =
+  let order = Array.init gate_keys Fun.id in
+  let rng = Random.State.make [| 306 |] in
+  for i = gate_keys - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  Tutil.check_int "pages after random-order inserts" 448 (pages_for order)
+
 (* -- rotten nodes ------------------------------------------------------------------ *)
 
 (* Flip random bytes inside one flushed node's used region (header, slots
@@ -819,6 +884,9 @@ let suite =
         Alcotest.test_case "check follows the leaf chain" `Quick check_follows_leaf_chain;
         Alcotest.test_case "find allocates only its result" `Quick find_allocates_only_its_result;
         Alcotest.test_case "no second cache after a scan" `Quick no_second_cache;
+        Alcotest.test_case "never-flushed file rebuilt empty" `Quick never_flushed_file_rebuilt;
+        Alcotest.test_case "ascending inserts fill their leaves" `Quick ascending_inserts_fill_leaves;
+        Alcotest.test_case "random inserts keep even cuts" `Quick random_inserts_keep_even_cuts;
         Alcotest.test_case "insert_sorted matches a Map model" `Quick insert_sorted_model;
         Alcotest.test_case "cursor keeps its leaf across a batch" `Quick cursor_keeps_leaf_snapshot;
         Alcotest.test_case "insert_sorted rejects bad batches" `Quick insert_sorted_rejects;

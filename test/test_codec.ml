@@ -53,6 +53,34 @@ let fnv_distinct () =
   Tutil.check_bool "hash differs" true (Codec.fnv64 "abc" <> Codec.fnv64 "abd");
   Tutil.check_bool "hash stable" true (Codec.fnv64 "abc" = Codec.fnv64 "abc")
 
+(* FNV-1a's published vectors and a 64 KiB block keep their exact hashes,
+   so logs and pages written by earlier builds still verify; the range and
+   [bytes] forms agree with the whole-string one. *)
+let block = String.init 65536 (fun i -> Char.chr (((i * 31) + 7) land 0xff))
+
+let fnv_vectors () =
+  let check what want got = Alcotest.(check int64) what want got in
+  check "empty" 0xcbf29ce484222325L (Codec.fnv64 "");
+  check "a" 0xaf63dc4c8601ec8cL (Codec.fnv64 "a");
+  check "foobar" 0x85944171f73967e8L (Codec.fnv64 "foobar");
+  check "64 KiB block" 0xdf04d79db8262325L (Codec.fnv64 block);
+  check "range" (Codec.fnv64 "foobar") (Codec.fnv64_sub "[foobar]" ~pos:1 ~len:6);
+  check "bytes" (Codec.fnv64 "foobar") (Codec.fnv64_bytes (Bytes.of_string "xfoobar") ~pos:1 ~len:6);
+  match Codec.fnv64_sub "abc" ~pos:2 ~len:2 with
+  | _ -> Alcotest.fail "a range past the end hashed"
+  | exception Invalid_argument _ -> ()
+
+(* Hashing allocates nothing per byte: 64 KiB costs at most its boxed
+   result (a closure over a boxed [Int64] cost ~6 words a byte). *)
+let fnv_allocates_nothing () =
+  ignore (Sys.opaque_identity (Codec.fnv64 block));
+  let w0 = Gc.minor_words () in
+  let h = Codec.fnv64 block in
+  let h' = Codec.fnv64_sub block ~pos:1 ~len:65535 in
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity (h, h'));
+  if words > 16. then Alcotest.failf "hashing 2 x 64 KiB allocated %.0f minor words" words
+
 let prop_int_roundtrip =
   QCheck.Test.make ~name:"int roundtrip" ~count:500 QCheck.int (fun n ->
       let b = Buffer.create 8 in
@@ -139,6 +167,8 @@ let suite =
         Alcotest.test_case "bad bool raises" `Quick bad_bool;
         Alcotest.test_case "strings are framed" `Quick string_prefix_independent;
         Alcotest.test_case "fnv64 behaves" `Quick fnv_distinct;
+        Alcotest.test_case "fnv64 keeps its vectors" `Quick fnv_vectors;
+        Alcotest.test_case "fnv64 allocates nothing per byte" `Quick fnv_allocates_nothing;
         Alcotest.test_case "varint overflow raises" `Quick varint_overflow;
       ] );
     Tutil.qsuite "codec.props"

@@ -33,6 +33,49 @@ let file_disk_rw () =
   Alcotest.(check bytes) "data persisted" page (Disk.read d2 n1);
   Disk.close d2
 
+let file_pages path = (Unix.stat path).Unix.st_size / Page.size
+
+(* A reserved page reaches the file only when it is written: reading it
+   before raises rather than return zeros, and a file closed without
+   writing it does not hold it. A batch that skips a reserved page writes
+   it as a zero page, so the file has no holes. *)
+let file_disk_reserves () =
+  let path = Filename.concat (Tutil.temp_dir "disk") "pages" in
+  let d = Disk.open_file path in
+  let n, image = Disk.allocate d in
+  Tutil.check_int "reserved" 1 (Disk.page_count d);
+  Tutil.check_bool "zero image" true (Bytes.for_all (fun c -> c = '\000') image);
+  Tutil.check_int "nothing in the file" 0 (file_pages path);
+  (match Disk.read d n with
+  | _ -> Alcotest.fail "a reserved page that was never written was read"
+  | exception Invalid_argument _ -> ());
+  Disk.close d;
+  let d = Disk.open_file path in
+  Tutil.check_int "gone after reopen" 0 (Disk.page_count d);
+  let skipped, _ = Disk.allocate d in
+  let n, _ = Disk.allocate d in
+  Disk.write_batch d [ (n, Bytes.make Page.size 'b') ];
+  Disk.close d;
+  let d = Disk.open_file path in
+  Tutil.check_int "both pages in the file" 2 (Disk.page_count d);
+  Tutil.check_bool "skipped page is zeros" true
+    (Bytes.sub (Disk.read d skipped) 0 Page.data_end = Bytes.make Page.data_end '\000');
+  Tutil.check_bool "written page" true (Bytes.get (Disk.read d n) 0 = 'b');
+  Disk.close d
+
+(* The pool's new frame is dirty: the file grows at the flush. *)
+let pool_allocate_reaches_file_at_flush () =
+  let path = Filename.concat (Tutil.temp_dir "disk") "pages" in
+  let d = Disk.open_file path in
+  let p = Pool.create ~capacity:4 d in
+  let f = Pool.allocate p in
+  Pool.unpin p f;
+  Tutil.check_int "reserved" 1 (Pool.page_count p);
+  Tutil.check_int "not yet in the file" 0 (file_pages path);
+  Pool.flush_all p;
+  Tutil.check_int "in the file after the flush" 1 (file_pages path);
+  Disk.close d
+
 let disk_range_checks () =
   let d = Disk.in_memory () in
   (match Disk.read d 0 with
@@ -188,6 +231,25 @@ let wal_short_commit_corrupt () =
       Wal.close w;
       Alcotest.fail "a commit without trace id and timestamp must not open"
   | exception Ode_util.Codec.Corrupt _ -> ()
+
+(* A checksummed frame whose record does not fill it exactly is corrupt:
+   a Commit at open, which counts LSNs, any other record at replay. *)
+let wal_record_fills_its_frame () =
+  let write body =
+    let path = Filename.concat (Tutil.temp_dir "wal") "wal.log" in
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Wal.frame body));
+    path
+  in
+  let corrupt what f =
+    match f () with
+    | () -> Alcotest.failf "%s: a record with a byte past its end was accepted" what
+    | exception Ode_util.Codec.Corrupt _ -> ()
+  in
+  corrupt "open" (fun () -> Wal.close (Wal.open_file (write (Wal.encode_record (Wal.Commit (1, 0, 1)) ^ "x"))));
+  let w = Wal.open_file (write (Wal.encode_record (Wal.Put (1, "k", "v")) ^ "x")) in
+  corrupt "replay" (fun () -> Wal.replay w ignore);
+  Wal.close w;
+  corrupt "decode" (fun () -> ignore (Wal.decode_record (Wal.encode_record (Wal.Begin 4) ^ "\000")))
 
 let wal_reset () =
   let w = Wal.in_memory () in
@@ -358,6 +420,7 @@ let suite =
         Alcotest.test_case "file read/write persists" `Quick file_disk_rw;
         Alcotest.test_case "range checks" `Quick disk_range_checks;
         Alcotest.test_case "truncate" `Quick disk_truncate;
+        Alcotest.test_case "reserved pages reach the file when written" `Quick file_disk_reserves;
       ] );
     ( "buffer_pool",
       [
@@ -366,6 +429,8 @@ let suite =
         Alcotest.test_case "exhaustion when all pinned" `Quick pool_exhaustion;
         Alcotest.test_case "flush_all" `Quick pool_flush_all;
         Alcotest.test_case "no-flush section" `Quick pool_no_flush_section;
+        Alcotest.test_case "allocated pages reach the file at flush" `Quick
+          pool_allocate_reaches_file_at_flush;
       ] );
     ( "wal",
       [
@@ -373,6 +438,7 @@ let suite =
         Alcotest.test_case "file roundtrip" `Quick wal_roundtrip_file;
         Alcotest.test_case "torn tail ignored" `Quick wal_torn_tail_ignored;
         Alcotest.test_case "short commit record is corrupt" `Quick wal_short_commit_corrupt;
+        Alcotest.test_case "record fills its frame" `Quick wal_record_fills_its_frame;
         Alcotest.test_case "reset empties" `Quick wal_reset;
         Alcotest.test_case "unsynced appends invisible" `Quick wal_unsynced_not_replayed;
         Alcotest.test_case "pending commits acked by one sync" `Quick wal_pending_commits;
