@@ -110,9 +110,7 @@ let recover db =
   if Wal.size_bytes db.wal > 0 then begin
     let index (rid : Heap.rid) = (rid.page lsl 16) lor rid.slot in
     let live = Hashtbl.create 4096 in
-    Bptree.iter_range db.kv_dir (fun _ rid_s ->
-        Hashtbl.replace live (index (Kv.decode_rid rid_s)) ();
-        true);
+    Kv.iter_rids db (fun rid -> Hashtbl.replace live (index rid) ());
     let swept = Heap.sweep_orphans db.kv_heap ~live:(fun rid -> Hashtbl.mem live (index rid)) in
     if swept > 0 then begin
       Ode_util.Stats.add c_orphans_reclaimed swept;

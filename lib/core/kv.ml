@@ -1,6 +1,16 @@
-(* The committed key-value store: a B+tree directory mapping logical keys to
-   heap record ids. Payloads of any size live in the heap; the directory
-   keeps keys ordered so class extents and index ranges scan in key order.
+(* The committed key-value store: a B+tree directory over logical keys,
+   kept ordered so class extents and index ranges scan in key order. A
+   record has one of two homes, chosen by its payload's size alone:
+
+   - a payload of at most [inline_max] bytes lives in its directory leaf,
+     so a read is one descent and the key is stored once;
+   - a larger one lives in the heap, and the leaf holds its rid.
+
+   A directory value is a one-byte tag, then either the payload
+   ([tag_inline]) or the rid as a varint page and a varint slot
+   ([tag_heap]), so an out-of-line entry is no longer than a fixed 6-byte
+   rid. An update that crosses the limit moves the record between its
+   homes.
 
    Every heap record is prefixed with its owning key. Heap rids are physical
    (page, slot) addresses that get reused, and after a crash the on-disk
@@ -15,12 +25,56 @@ module Heap = Ode_storage.Heap
 module Bptree = Ode_index.Bptree
 open Types
 
-let encode_rid (rid : Heap.rid) =
-  let b = Buffer.create 6 in
-  Heap.encode_rid b rid;
-  Buffer.contents b
+(* Chosen by running the benchmark's four workloads at 64, 128 and 256
+   bytes (README, "Two homes for a record"): 128 takes their small rows
+   inline and keeps 200-byte bodies, which grow in place and carry
+   versions, in the heap. *)
+let inline_max = 128
 
-let decode_rid s = Heap.decode_rid (Codec.cursor s)
+(* Whether a payload of [len] bytes under [key] lives in the leaf: up to
+   [inline_max] bytes, unless the key is so long that the entry would not
+   fit a node (a long root name). *)
+let in_leaf key len = len <= inline_max && String.length key + 1 + len <= Bptree.max_entry
+
+type entry = Inline of string | At of Heap.rid
+
+let tag_heap = 0
+let tag_inline = 1
+
+let encode_entry = function
+  | Inline payload ->
+      let b = Buffer.create (String.length payload + 1) in
+      Codec.put_u8 b tag_inline;
+      Codec.put_raw b payload;
+      Buffer.contents b
+  | At (rid : Heap.rid) ->
+      let b = Buffer.create 6 in
+      Codec.put_u8 b tag_heap;
+      Codec.put_varint b rid.page;
+      Codec.put_varint b rid.slot;
+      Buffer.contents b
+
+(* Readers of the [len] value bytes at [off] of [b], in the shape
+   [Bptree.find_with] and [Bptree.cursor_value] take. *)
+let is_inline b off len = len > 0 && Bytes.get_uint8 b off = tag_inline
+
+let rid_at b off len =
+  if len = 0 then raise (Codec.Corrupt "kv: empty directory value");
+  let tag = Bytes.get_uint8 b off in
+  if tag <> tag_heap then raise (Codec.Corrupt (Printf.sprintf "kv: unknown directory value tag %d" tag));
+  let c = Codec.cursor ~pos:(off + 1) ~stop:(off + len) (Bytes.unsafe_to_string b) in
+  let page = Codec.get_varint c in
+  let slot = Codec.get_varint c in
+  if not (Codec.at_end c) then raise (Codec.Corrupt "kv: trailing bytes after a rid");
+  { Heap.page; slot }
+
+let entry_at b off len =
+  if is_inline b off len then Inline (Bytes.sub_string b (off + 1) (len - 1)) else At (rid_at b off len)
+
+(* [None] for an inline value: the rid, if any, without copying a payload. *)
+let rid_of_value b off len = if is_inline b off len then None else Some (rid_at b off len)
+
+let decode_entry s = entry_at (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* Record layout: [varint keylen][key][payload]. *)
 let encode_record key payload =
@@ -50,71 +104,94 @@ let record_owned key raw =
 
 (* Zero-copy decode: one substring for the payload, no key copy, never
    raises (a short or foreign record is just [None]). *)
-let decode_record_view key raw =
+let decode_record key raw =
   if record_owned key raw then
     let skip = Codec.varint_size (String.length key) + String.length key in
     Some (String.sub raw skip (String.length raw - skip))
   else None
 
-let decode_record = decode_record_view
+(* The payload of [key]'s heap record at [rid]; [None] when the record is
+   dead or another key's (deleted since the directory entry was read, or a
+   stale alias). *)
+let heap_payload db key rid =
+  match Heap.get db.kv_heap rid with None -> None | Some raw -> decode_record key raw
+
+(* An inline payload is copied once, straight out of the pinned leaf. A
+   rid leaves through [Out_of_line], so that the leaf reader's result is
+   already [get]'s and an inline hit allocates nothing else. *)
+exception Out_of_line of Heap.rid
+
+let payload_in_leaf b off len =
+  if is_inline b off len then Bytes.sub_string b (off + 1) (len - 1)
+  else raise_notrace (Out_of_line (rid_at b off len))
 
 let get db key =
-  match Bptree.find db.kv_dir key with
-  | None -> None
-  | Some rid -> (
-      match Heap.get db.kv_heap (decode_rid rid) with
-      | None -> None
-      | Some raw -> decode_record key raw)
+  match Bptree.find_with db.kv_dir key payload_in_leaf with
+  | found -> found
+  | exception Out_of_line rid -> heap_payload db key rid
 
 let mem db key = Bptree.mem db.kv_dir key
 
 (* The single committed-write path (commit apply, recovery replay, standby
    apply). [puts] is in ascending key order, each key once. One directory
-   lookup per key decides between updating the record in place and a fresh
-   heap insert; [on_new key] runs for a key the directory did not hold.
-   New and moved records reach the directory in one sorted batch. *)
+   lookup per key decides where the record goes: a small payload into the
+   leaf, a large one into the heap record the key owns, updated in place,
+   or into a fresh one. A record whose size crosses [inline_max] moves, and
+   the heap record of a record moving into the leaf is freed. [on_new key]
+   runs for a key the directory did not hold. Every changed directory
+   value reaches the tree in one sorted batch. *)
 let put_sorted db puts ~on_new =
   Ode_util.Trace.with_span ~cat:"kv" "kv.put" @@ fun () ->
   let routed = ref [] in
-  let route key rid = routed := (key, encode_rid rid) :: !routed in
+  let route key entry = routed := (key, encode_entry entry) :: !routed in
   Array.iter
     (fun (key, payload) ->
       (* A cached decode of this key is now stale. *)
       Ocache.invalidate db key;
-      let record = encode_record key payload in
-      let fresh () = route key (Heap.insert db.kv_heap record) in
-      match Bptree.find db.kv_dir key with
+      let small = in_leaf key (String.length payload) in
+      let place () =
+        if small then route key (Inline payload)
+        else route key (At (Heap.insert db.kv_heap (encode_record key payload)))
+      in
+      match Bptree.find_with db.kv_dir key rid_of_value with
       | None ->
           on_new key;
-          fresh ()
-      | Some rid_s -> (
-          let rid = decode_rid rid_s in
+          place ()
+      | Some None -> place ()
+      | Some (Some rid) -> (
           (* After a crash mid-apply the directory can point at a dead or
              torn record, or at a foreign one (stale alias); recovery replays
-             the Put, which must then insert afresh and leave the record
-             alone. *)
+             the Put, which must then place the payload afresh and leave the
+             record alone. *)
           match Heap.get db.kv_heap rid with
-          | Some raw when decode_record key raw <> None ->
-              let rid' = Heap.update db.kv_heap rid record in
-              if not (Heap.rid_equal rid rid') then route key rid'
-          | Some _ | None | (exception Ode_util.Codec.Corrupt _) -> fresh ()))
+          | Some raw when record_owned key raw ->
+              if small then begin
+                ignore (Heap.delete db.kv_heap rid);
+                route key (Inline payload)
+              end
+              else
+                let rid' = Heap.update db.kv_heap rid (encode_record key payload) in
+                if not (Heap.rid_equal rid rid') then route key (At rid')
+          | Some _ | None | (exception Codec.Corrupt _) -> place ()))
     puts;
   Bptree.insert_sorted db.kv_dir (Array.of_list (List.rev !routed))
 
 let delete db key =
   Ode_util.Trace.with_span ~cat:"kv" "kv.delete" @@ fun () ->
   Ocache.invalidate db key;
-  match Bptree.find db.kv_dir key with
+  match Bptree.find_with db.kv_dir key rid_of_value with
   | None -> ()
-  | Some rid_s ->
-      let rid = decode_rid rid_s in
+  | Some home ->
       (* Free the record only when this key owns it. A dead, torn or
          foreign record stays (the orphan sweep reclaims carcasses), but
          the directory entry must be dropped regardless or replayed Deletes
-         would fail forever. *)
-      (match Heap.get db.kv_heap rid with
-      | Some raw when decode_record key raw <> None -> ignore (Heap.delete db.kv_heap rid)
-      | Some _ | None | (exception Ode_util.Codec.Corrupt _) -> ());
+         would fail forever. An inline record goes with its entry. *)
+      (match home with
+      | Some rid -> (
+          match Heap.get db.kv_heap rid with
+          | Some raw when record_owned key raw -> ignore (Heap.delete db.kv_heap rid)
+          | Some _ | None | (exception Codec.Corrupt _) -> ())
+      | None -> ());
       ignore (Bptree.delete db.kv_dir key)
 
 (* [f key payload]; return false to stop.
@@ -143,53 +220,39 @@ let pending_under_prefix db ?txn prefix =
            (fun k _ acc -> acc || String.starts_with ~prefix k)
            t.writes false
 
-let iter_prefix db ?txn prefix f =
-  let fetch k rid_s k_payload_fn =
-    match Heap.get db.kv_heap (decode_rid rid_s) with
-    | None -> true (* deleted since the directory entry was read *)
-    | Some raw -> (
-        match decode_record_view k raw with
-        | None -> true (* stale alias: not this key's record *)
-        | Some payload -> k_payload_fn payload)
+(* [f key value] over the prefix's entries, each value read from the
+   cursor's copy of its leaf by [read]. *)
+let scan db ?txn prefix read f =
+  let cur = Bptree.cursor_prefix db.kv_dir prefix in
+  let next () =
+    match Bptree.cursor_next_key cur with
+    | None -> None
+    | Some k -> Some (k, Bptree.cursor_value cur read)
   in
   if pending_under_prefix db ?txn prefix then begin
-    let entries = ref [] in
-    Bptree.iter_prefix db.kv_dir prefix (fun k rid ->
-        entries := (k, rid) :: !entries;
-        true);
-    let rec go = function
-      | [] -> ()
-      | (k, rid_s) :: rest -> if fetch k rid_s (fun payload -> f k payload) then go rest
-    in
-    go (List.rev !entries)
+    let rec collect acc = match next () with None -> List.rev acc | Some e -> collect (e :: acc) in
+    let rec go = function [] -> () | (k, v) :: rest -> if f k v then go rest in
+    go (collect [])
   end
   else
-    let cur = Bptree.cursor_prefix db.kv_dir prefix in
-    let rec go () =
-      match Bptree.cursor_next cur with
-      | None -> ()
-      | Some (k, rid_s) -> if fetch k rid_s (fun payload -> f k payload) then go ()
-    in
+    let rec go () = match next () with None -> () | Some (k, v) -> if f k v then go () in
     go ()
 
+let iter_rids db f =
+  scan db "" rid_of_value (fun _ rid ->
+      Option.iter f rid;
+      true)
+
+let iter_prefix db ?txn prefix f =
+  scan db ?txn prefix entry_at (fun k -> function
+    | Inline payload -> f k payload
+    | At rid -> ( match heap_payload db k rid with None -> true | Some payload -> f k payload))
+
 (* [f key]; return false to stop. Like [iter_prefix] but never touches the
-   heap: only directory leaves are read, so the scan's working set is the
-   key tree, not the records. The directory can hold entries for records
-   that died since (deletes drop entries eagerly, but crash recovery may
-   leave strays), so callers must re-verify liveness per key — e.g. with
-   [get] — before trusting a candidate. *)
-let iter_prefix_keys db ?txn prefix f =
-  if pending_under_prefix db ?txn prefix then begin
-    let keys = ref [] in
-    Bptree.iter_prefix db.kv_dir prefix (fun k _ ->
-        keys := k :: !keys;
-        true);
-    let rec go = function [] -> () | k :: rest -> if f k then go rest in
-    go (List.rev !keys)
-  end
-  else
-    let cur = Bptree.cursor_prefix db.kv_dir prefix in
-    let rec go () =
-      match Bptree.cursor_next cur with None -> () | Some (k, _) -> if f k then go ()
-    in
-    go ()
+   heap and copies no payload: only directory leaves are read, so the
+   scan's working set is the key tree, not the heap's records. The
+   directory can hold entries for records that died since (deletes drop
+   entries eagerly, but crash recovery may leave strays), so callers must
+   re-verify liveness per key — e.g. with [get] — before trusting a
+   candidate. *)
+let iter_prefix_keys db ?txn prefix f = scan db ?txn prefix (fun _ _ _ -> ()) (fun k () -> f k)

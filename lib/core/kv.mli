@@ -1,5 +1,7 @@
-(** The committed key-value store: a B+tree directory mapping logical keys
-    (see {!Keys}) to heap record ids, with payloads in the heap.
+(** The committed key-value store: a B+tree directory over logical keys
+    (see {!Keys}). A record has two possible homes, chosen by its payload's
+    size: a payload of at most {!inline_max} bytes lives in its directory
+    leaf, and a larger one in the heap, with its rid in the leaf.
 
     This is the *committed* state only — transactions overlay it with their
     write set (see {!Store.read}). Keys are ordered, so class extents and
@@ -12,30 +14,59 @@
 
 open Types
 
-val encode_rid : Ode_storage.Heap.rid -> string
-val decode_rid : string -> Ode_storage.Heap.rid
-(** The directory's 6-byte rid value encoding (recovery and verification). *)
+val inline_max : int
+(** The largest payload, in bytes, kept in the directory leaf: 128. A
+    constant of the store's format, not a setting. *)
+
+val in_leaf : string -> int -> bool
+(** [in_leaf key len]: whether [key]'s record with a payload of [len]
+    bytes lives in its directory leaf. It does when [len] is at most
+    {!inline_max} and key and value fit a B+tree entry. *)
+
+(** A decoded directory value. On disk it is a one-byte tag followed by
+    the payload ([Inline]) or by the rid as a varint page and a varint
+    slot ([At]). *)
+type entry = Inline of string | At of Ode_storage.Heap.rid
+
+val encode_entry : entry -> string
+
+val decode_entry : string -> entry
+(** Raises [Codec.Corrupt] on an unknown tag or a malformed rid. *)
+
+val encode_record : string -> string -> string
+(** [encode_record key payload] is the heap record of an out-of-line
+    payload: the owning key, then the payload. *)
 
 val decode_record : string -> string -> string option
 (** [decode_record key raw] extracts the payload from a raw heap record if
     it is owned by [key]; [None] means the record belongs to another key
-    (verification and stale-alias detection). *)
+    (verification and stale-alias detection). The ownership check runs by
+    offset arithmetic against the raw record, and a malformed record
+    yields [None] instead of raising. *)
 
-val decode_record_view : string -> string -> string option
-(** Same contract as {!decode_record} (of which it is the implementation):
-    the ownership check runs by offset arithmetic against the raw record, no
-    intermediate key copy, and a malformed record yields [None] instead of
-    raising. *)
+val mem : db -> string -> bool
 
 val get : db -> string -> string option
-val mem : db -> string -> bool
+(** An inline payload is read straight from the pinned leaf, and a hit
+    allocates only the payload and its option; an out-of-line one costs
+    one heap read more. *)
+
 val put_sorted : db -> (string * string) array -> on_new:(string -> unit) -> unit
 (** [put_sorted db puts ~on_new] writes each [(key, payload)]; keys are
     distinct and ascending. [on_new key] runs for each key the directory
-    did not hold. Heap records are written in key order, then every new
-    or moved record reaches the directory in one {!Ode_index.Bptree.insert_sorted}. *)
+    did not hold. A record whose new payload crosses {!inline_max} moves
+    between the leaf and the heap; the heap record it leaves is freed when
+    the key owns it. Heap records are written in key order, then every
+    changed directory value reaches the tree in one
+    {!Ode_index.Bptree.insert_sorted}. *)
 
 val delete : db -> string -> unit
+(** Drops the key's entry, and frees its heap record if it has one and
+    owns it. *)
+
+val iter_rids : db -> (Ode_storage.Heap.rid -> unit) -> unit
+(** Every rid held by an out-of-line directory entry, in key order: the
+    heap records the directory can reach (recovery's orphan sweep). *)
 
 val iter_prefix : db -> ?txn:txn -> string -> (string -> string -> bool) -> unit
 (** [iter_prefix db p f] visits entries whose key starts with [p] in key
@@ -49,9 +80,10 @@ val iter_prefix : db -> ?txn:txn -> string -> (string -> string -> bool) -> unit
     domains must pass their own transaction. *)
 
 val iter_prefix_keys : db -> ?txn:txn -> string -> (string -> bool) -> unit
-(** Like {!iter_prefix} but yields keys only and never reads the heap: the
-    scan's working set is the directory tree, not the records, so large
-    extents don't evict record pages from the buffer pool. A yielded key is
+(** Like {!iter_prefix} but yields keys only, never reads the heap and
+    copies no payload: the scan's working set is the directory tree, not
+    the heap's records, so large extents don't evict record pages from the
+    buffer pool. A yielded key is
     a candidate, not proof of a live record — callers must re-verify (e.g.
     with {!get}) before trusting it. Same pending-write fallback as
     {!iter_prefix}. *)

@@ -9,23 +9,37 @@ let run db =
   let problems = ref [] in
   let bad fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
 
-  (* 0. Directory <-> heap: every directory entry resolves to a readable
-     heap record, and no heap record lacks a directory entry (recovery's
-     orphan sweep guarantees the latter after a crash). *)
-  let dir_entries = ref 0 in
-  Ode_index.Bptree.iter_range db.kv_dir (fun key rid_s ->
-      incr dir_entries;
-      (match Ode_storage.Heap.get db.kv_heap (Kv.decode_rid rid_s) with
-      | Some raw ->
-          if Kv.decode_record key raw = None then
-            bad "directory key %S points at a record owned by another key" key
-      | None -> bad "directory key %S points at a dead heap record" key
-      | exception Ode_util.Codec.Corrupt msg ->
-          bad "directory key %S: corrupt heap record (%s)" key msg);
+  (* 0. Directory <-> heap: each record lives in the home its size
+     chooses ([Kv.in_leaf]: the leaf up to [Kv.inline_max] bytes, the heap
+     above), every out-of-line entry resolves to a readable heap record of
+     its own key, and no heap record lacks an entry (recovery's orphan
+     sweep guarantees the latter after a crash). *)
+  let rid_entries = ref 0 in
+  Ode_index.Bptree.iter_range db.kv_dir (fun key value ->
+      (match Kv.decode_entry value with
+      | exception Ode_util.Codec.Corrupt msg -> bad "directory key %S: bad value (%s)" key msg
+      | Kv.Inline payload ->
+          if not (Kv.in_leaf key (String.length payload)) then
+            bad "directory key %S holds a %d-byte payload in its leaf, which belongs in the heap" key
+              (String.length payload)
+      | Kv.At rid -> (
+          incr rid_entries;
+          match Ode_storage.Heap.get db.kv_heap rid with
+          | Some raw -> (
+              match Kv.decode_record key raw with
+              | None -> bad "directory key %S points at a record owned by another key" key
+              | Some payload ->
+                  if Kv.in_leaf key (String.length payload) then
+                    bad "directory key %S keeps a %d-byte payload in the heap, which belongs in its leaf"
+                      key (String.length payload))
+          | None -> bad "directory key %S points at a dead heap record" key
+          | exception Ode_util.Codec.Corrupt msg ->
+              bad "directory key %S: corrupt heap record (%s)" key msg));
       true);
   let heap_records = Ode_storage.Heap.record_count db.kv_heap in
-  if heap_records <> !dir_entries then
-    bad "heap has %d records but the directory has %d entries" heap_records !dir_entries;
+  if heap_records <> !rid_entries then
+    bad "heap has %d records but the directory has %d out-of-line entries" heap_records
+      !rid_entries;
 
   (* 1. Object records: the 'H' record holds the header and the current
      version's fields; every other listed version has its own 'V'

@@ -152,11 +152,6 @@ let value_off b off lim =
   let klen = len_at b off lim in
   off + vsize klen + klen
 
-let leaf_value b off lim =
-  let voff = value_off b off lim in
-  let vlen = len_at b voff lim in
-  Bytes.sub_string b (voff + vsize vlen) vlen
-
 let leaf_size b off lim =
   let voff = value_off b off lim in
   let vlen = len_at b voff lim in
@@ -458,15 +453,19 @@ let remove_at b p =
 (* -- public: lookup ----------------------------------------------------------- *)
 
 (* Written out rather than through [with_leaf], whose closure would
-   allocate: a hit allocates only the value and its option. *)
-let find t key =
+   allocate: a hit allocates only what [read] returns and its option. *)
+let find_with t key read =
   Ode_util.Stats.incr c_index_probes;
   Ode_util.Trace.instant ~cat:"index" "bptree.find";
   let f = pin_leaf t key t.root 0 in
   match
     let b = Pool.data f in
     let i = search_node key b 0 in
-    if i < 0 then None else Some (leaf_value b (slot b i) node_end)
+    if i < 0 then None
+    else
+      let voff = value_off b (slot b i) node_end in
+      let vlen = len_at b voff node_end in
+      Some (read b (voff + vsize vlen) vlen)
   with
   | v ->
       Pool.unpin t.pool f;
@@ -474,6 +473,8 @@ let find t key =
   | exception e ->
       Pool.unpin t.pool f;
       raise e
+
+let find t key = find_with t key Bytes.sub_string
 
 let mem t key = find t key <> None
 
@@ -677,7 +678,8 @@ let delete t key =
    sits at its page offset plus [cdelta]. Writes to the tree between
    [next] calls cannot reach the copy; the cursor keeps walking the leaf
    chain it seeked into. Page 0 is the tree header, so [cnext = 0] means
-   "no further leaf". *)
+   "no further leaf". [clast] is the offset in [cbuf] of the entry yielded
+   last, whose value {!cursor_value} reads. *)
 type cursor = {
   ct : t;
   chi : string option;
@@ -689,6 +691,7 @@ type cursor = {
   mutable cstop : int;
   mutable cnext : int;
   mutable cleaves : int;
+  mutable clast : int;
 }
 
 let empty_cursor t hi inclusive_hi =
@@ -703,6 +706,7 @@ let empty_cursor t hi inclusive_hi =
     cstop = 0;
     cnext = 0;
     cleaves = 0;
+    clast = -1;
   }
 
 (* Copy the entries of the checked leaf [b] from the first [>= lo] to the
@@ -739,13 +743,6 @@ let next_leaf cur =
 (* Entry [x] of the cursor's copy. *)
 let copied_off cur x = Bytes.get_uint16_le cur.cbuf (2 * x) + cur.cdelta
 
-let copied_entry cur off =
-  let b = cur.cbuf and lim = cur.clim in
-  let klen = len_at b off lim in
-  let voff = off + vsize klen + klen in
-  let vlen = len_at b voff lim in
-  (Bytes.sub_string b (off + vsize klen) klen, Bytes.sub_string b (voff + vsize vlen) vlen)
-
 let cursor t ?lo ?hi ?(inclusive_hi = false) () =
   Ode_util.Stats.incr c_index_probes;
   Ode_util.Trace.instant ~cat:"index" "bptree.cursor";
@@ -754,17 +751,29 @@ let cursor t ?lo ?hi ?(inclusive_hi = false) () =
   with_leaf t (Option.value lo ~default:"") (fun _ b -> take_leaf cur b lo);
   cur
 
-let rec cursor_next cur =
+let rec cursor_next_key cur =
   if cur.cidx < cur.cstop then begin
     let off = copied_off cur cur.cidx in
     cur.cidx <- cur.cidx + 1;
-    Some (copied_entry cur off)
+    cur.clast <- off;
+    Some (key_string cur.cbuf off cur.clim)
   end
   else if cur.cnext = 0 then None
   else begin
     next_leaf cur;
-    cursor_next cur
+    cursor_next_key cur
   end
+
+let cursor_value cur read =
+  if cur.clast < 0 then invalid_arg "Bptree.cursor_value: no entry yielded yet";
+  let voff = value_off cur.cbuf cur.clast cur.clim in
+  let vlen = len_at cur.cbuf voff cur.clim in
+  read cur.cbuf (voff + vsize vlen) vlen
+
+let cursor_next cur =
+  match cursor_next_key cur with
+  | None -> None
+  | Some k -> Some (k, cursor_value cur Bytes.sub_string)
 
 let cursor_prefix t prefix =
   match Ode_util.Key.succ_prefix prefix with
@@ -807,8 +816,9 @@ let iter_range_rev t ?lo ?hi ?(inclusive_hi = false) f =
     match parts with
     | None ->
         for x = cur.cstop - 1 downto 0 do
-          let k, v = copied_entry cur (copied_off cur x) in
-          if not (f k v) then raise Stop
+          cur.clast <- copied_off cur x;
+          let k = key_string cur.cbuf cur.clast cur.clim in
+          if not (f k (cursor_value cur Bytes.sub_string)) then raise Stop
         done
     | Some (keys, children) ->
         for i = Array.length children - 1 downto 0 do

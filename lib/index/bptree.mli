@@ -41,6 +41,15 @@ val insert_sorted : t -> (string * string) array -> unit
     run of ascending keys fills its leaves nearly full. *)
 
 val find : t -> string -> string option
+
+val find_with : t -> string -> (Bytes.t -> int -> int -> 'a) -> 'a option
+(** [find_with t key read] is [Some (read page off len)] when [key] is
+    present, where the value is the [len] bytes at [off] of the pinned
+    leaf's [page]; [find] is [find_with t key Bytes.sub_string]. [read]
+    runs while the leaf is pinned, must not keep [page], and may raise
+    (the leaf is unpinned first). A hit allocates only what [read]
+    returns and its option. *)
+
 val mem : t -> string -> bool
 
 val delete : t -> string -> bool
@@ -64,6 +73,14 @@ val cursor_prefix : t -> string -> cursor
 
 val cursor_next : cursor -> (string * string) option
 (** Next entry in key order, or [None] when the range is exhausted. *)
+
+val cursor_next_key : cursor -> string option
+(** Like {!cursor_next} but yields the key only and copies no value. *)
+
+val cursor_value : cursor -> (Bytes.t -> int -> int -> 'a) -> 'a
+(** [cursor_value cur read] applies [read] to the value bytes of the entry
+    the cursor yielded last, in the cursor's copy of its leaf, as
+    {!find_with} does. Raises [Invalid_argument] before the first entry. *)
 
 val iter_range :
   t -> ?lo:string -> ?hi:string -> ?inclusive_hi:bool -> (string -> string -> bool) -> unit

@@ -102,21 +102,35 @@ let checksum_ok page =
    prefix, or a corrupted image, then die. [Skip_effect] pretends the write
    happened (lying hardware) and keeps running. *)
 
-let faulted_write site fd buf off = function
-  | Failpoint.Crash_site -> Failpoint.crash site
+(* What a write of [len] bytes persists under a fault: its first [keep]
+   bytes, byte [flip] (if any) xored with [mask]; then the process dies if
+   [dies]. *)
+type cut = { keep : int; flip : int; mask : int; dies : bool }
+
+let whole len = { keep = len; flip = -1; mask = 0; dies = false }
+
+let cut_of len = function
+  | Failpoint.Crash_site -> { (whole 0) with dies = true }
   | Failpoint.Short_effect frac ->
-      let len = Bytes.length buf in
-      let keep = max 0 (min (len - 1) (int_of_float (frac *. float_of_int len))) in
-      if keep > 0 then pwrite ~len:keep fd buf off;
-      Failpoint.crash site
-  | Failpoint.Flip_bit bit ->
-      let mangled = Bytes.copy buf in
-      let byte = bit / 8 mod Bytes.length mangled in
-      Bytes.set mangled byte
-        (Char.chr (Char.code (Bytes.get mangled byte) lxor (1 lsl (bit mod 8))));
-      pwrite ~len:(Bytes.length mangled) fd mangled off;
-      Failpoint.crash site
-  | Failpoint.Skip_effect -> ()
+      { (whole (max 0 (min (len - 1) (int_of_float (frac *. float_of_int len))))) with dies = true }
+  | Failpoint.Flip_bit bit -> { keep = len; flip = bit / 8 mod len; mask = 1 lsl (bit mod 8); dies = true }
+  | Failpoint.Skip_effect -> whole 0
+
+(* Mangle [buf], which holds the bytes [at, at + len) of the write, as
+   [cut] says. *)
+let flip_in cut buf ~at ~len =
+  if cut.flip >= at && cut.flip < at + len then
+    let i = cut.flip - at in
+    Bytes.set_uint8 buf i (Bytes.get_uint8 buf i lxor cut.mask)
+
+let faulted_write site fd buf off act =
+  let cut = cut_of (Bytes.length buf) act in
+  if cut.keep > 0 then begin
+    let buf = if cut.flip < 0 then buf else Bytes.copy buf in
+    flip_in cut buf ~at:0 ~len:(Bytes.length buf);
+    pwrite ~len:cut.keep fd buf off
+  end;
+  if cut.dies then Failpoint.crash site
 
 (* -- double-write journal -------------------------------------------------
    Format: "ODEDWJ01" | u32 count | count * (u32 page_no | page image) |
@@ -125,22 +139,75 @@ let faulted_write site fd buf off = function
    from no journal — and in both cases the data file is still intact. *)
 
 let journal_magic = "ODEDWJ01"
+let journal_head = String.length journal_magic + 4
+let journal_size count = journal_head + (count * (4 + Page.size)) + 8
 
-(* Built in one buffer of its final size: a batch can be most of a pool. *)
+(* The whole journal of [batch] as one image: the reference the streamed
+   journal is tested against. *)
 let encode_journal batch =
-  let head = String.length journal_magic + 4 in
-  let body = head + (List.length batch * (4 + Page.size)) in
+  let body = journal_size (List.length batch) - 8 in
   let image = Bytes.create (body + 8) in
   Bytes.blit_string journal_magic 0 image 0 (String.length journal_magic);
   Bytes.set_int32_le image (String.length journal_magic) (Int32.of_int (List.length batch));
   List.iteri
     (fun i (no, page) ->
-      let off = head + (i * (4 + Page.size)) in
+      let off = journal_head + (i * (4 + Page.size)) in
       Bytes.set_int32_le image off (Int32.of_int no);
       Bytes.blit page 0 image (off + 4) Page.size)
     batch;
   Bytes.set_int64_le image body (Codec.fnv64_bytes image ~pos:0 ~len:body);
   image
+
+(* Bytes a journal stream gathers before each write. *)
+let journal_chunk = 16 * (4 + Page.size)
+
+(* Write the journal of [batch] to [jfd] as a stream: the header, each
+   [(page no, page)] and the trailer in turn, gathered in one chunk buffer,
+   under a running FNV-1a, so no image of a batch (which can be most of a
+   pool) is built. An armed [disk.journal.write] fault is cut against the
+   whole stream's length, so it persists the bytes it would of one image. *)
+let write_journal jfd batch =
+  let total = journal_size (List.length batch) in
+  let cut =
+    match Failpoint.hit fp_journal_write with Some act -> cut_of total act | None -> whole total
+  in
+  let chunk = Bytes.create journal_chunk in
+  let fill = ref 0 and at = ref 0 and sum = ref Codec.fnv64_init in
+  let flush () =
+    flip_in cut chunk ~at:!at ~len:!fill;
+    let n = min !fill (cut.keep - !at) in
+    if n > 0 then write_fully jfd chunk 0 n;
+    at := !at + !fill;
+    fill := 0
+  in
+  let rec put src pos len =
+    if len > 0 then begin
+      let n = min len (journal_chunk - !fill) in
+      Bytes.blit src pos chunk !fill n;
+      fill := !fill + n;
+      if !fill = journal_chunk then flush ();
+      put src (pos + n) (len - n)
+    end
+  in
+  let add src =
+    sum := Codec.fnv64_feed_bytes !sum src ~pos:0 ~len:(Bytes.length src);
+    put src 0 (Bytes.length src)
+  in
+  let head = Bytes.create journal_head and no = Bytes.create 4 in
+  Bytes.blit_string journal_magic 0 head 0 (String.length journal_magic);
+  Bytes.set_int32_le head (String.length journal_magic) (Int32.of_int (List.length batch));
+  add head;
+  List.iter
+    (fun (n, page) ->
+      Bytes.set_int32_le no 0 (Int32.of_int n);
+      add no;
+      add page)
+    batch;
+  let trailer = Bytes.create 8 in
+  Bytes.set_int64_le trailer 0 !sum;
+  put trailer 0 8;
+  flush ();
+  if cut.dies then Failpoint.crash fp_journal_write
 
 let decode_journal data =
   let len = String.length data in
@@ -352,14 +419,11 @@ let write_batch t batch =
          back, with zero pages for any reserved page it skips. *)
       let batch = dense f batch in
       (* 1. Make the whole batch durable in the journal. *)
-      let image = encode_journal batch in
       let jfd = Unix.openfile f.journal [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
       Fun.protect
         ~finally:(fun () -> Unix.close jfd)
         (fun () ->
-          (match Failpoint.hit fp_journal_write with
-          | Some act -> faulted_write fp_journal_write jfd image 0 act
-          | None -> pwrite ~len:(Bytes.length image) jfd image 0);
+          write_journal jfd batch;
           Unix.fsync jfd);
       (* 2. Apply in place. A crash here is repaired from the journal. *)
       List.iter

@@ -47,6 +47,13 @@ val write_batch : t -> (int * bytes) list -> unit
     pages it writes extend the file; any reserved page it skips below them
     is written as a zero page in the same batch. *)
 
+val encode_journal : (int * bytes) list -> bytes
+(** The double-write journal of a batch of stamped pages, in the order
+    given, as one image: ["ODEDWJ01"], a u32 count, each u32 page number
+    and page, and an FNV-1a trailer. {!write_batch} streams these bytes,
+    in page order, without building the image; this encoder is the
+    reference that tests compare the stream with. *)
+
 val allocate : t -> int * bytes
 (** Reserve the next page, returning its index and a zeroed image the
     caller owns. On the file backend nothing is written: the page counts in

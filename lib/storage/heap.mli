@@ -13,8 +13,6 @@ type rid = { page : int; slot : int }
 
 val pp_rid : Format.formatter -> rid -> unit
 val rid_equal : rid -> rid -> bool
-val encode_rid : Buffer.t -> rid -> unit
-val decode_rid : Ode_util.Codec.cursor -> rid
 
 val attach : Buffer_pool.t -> t
 (** [attach pool] opens the heap stored in [pool]'s disk, formatting a fresh

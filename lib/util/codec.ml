@@ -112,15 +112,20 @@ let get_varint c =
 
 (* -- checksums --------------------------------------------------------- *)
 
-(* FNV-1a over [len] bytes from [pos]. A loop over a local [ref], which the
-   compiler keeps unboxed, so hashing allocates nothing per byte. *)
-let fnv64_sub s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Codec.fnv64_sub";
-  let h = ref 0xcbf29ce484222325L in
+let fnv64_init = 0xcbf29ce484222325L
+
+(* FNV-1a over [len] bytes from [pos], continuing from the hash [h]. A loop
+   over a local [ref], which the compiler keeps unboxed, so hashing
+   allocates nothing per byte. *)
+let fnv64_feed h s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Codec.fnv64_feed";
+  let h = ref h in
   for i = pos to pos + len - 1 do
     h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) 0x100000001b3L
   done;
   !h
 
+let fnv64_feed_bytes h b ~pos ~len = fnv64_feed h (Bytes.unsafe_to_string b) ~pos ~len
+let fnv64_sub s ~pos ~len = fnv64_feed fnv64_init s ~pos ~len
 let fnv64 s = fnv64_sub s ~pos:0 ~len:(String.length s)
 let fnv64_bytes b ~pos ~len = fnv64_sub (Bytes.unsafe_to_string b) ~pos ~len

@@ -456,16 +456,18 @@ let run_iteration ~iter ~seed ~site ~coverage =
            (Ode.Kv.mem db2 (Ode.Keys.header oid))
            Ode_model.Oid.pp oid)
        oids;
-     Ode_index.Bptree.iter_range db2.Ode.Types.kv_dir (fun key rid_s ->
-         let rid = Ode.Kv.decode_rid rid_s in
-         let status =
-           match Ode_storage.Heap.get db2.Ode.Types.kv_heap rid with
-           | Some p -> Printf.sprintf "ok (%dB)" (String.length p)
-           | None -> "DEAD"
-           | exception Ode_util.Codec.Corrupt m -> "CORRUPT " ^ m
-         in
-         dbg "dir %C.. (%d) -> %a %s" key.[0] (String.length key) Ode_storage.Heap.pp_rid rid
-           status;
+     Ode_index.Bptree.iter_range db2.Ode.Types.kv_dir (fun key value ->
+         (match Ode.Kv.decode_entry value with
+         | Ode.Kv.Inline p -> dbg "dir %C.. (%d) inline (%dB)" key.[0] (String.length key) (String.length p)
+         | Ode.Kv.At rid ->
+             let status =
+               match Ode_storage.Heap.get db2.Ode.Types.kv_heap rid with
+               | Some p -> Printf.sprintf "ok (%dB)" (String.length p)
+               | None -> "DEAD"
+               | exception Ode_util.Codec.Corrupt m -> "CORRUPT " ^ m
+             in
+             dbg "dir %C.. (%d) -> %a %s" key.[0] (String.length key) Ode_storage.Heap.pp_rid rid
+               status);
          true)
    end);
 

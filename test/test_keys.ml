@@ -1,7 +1,8 @@
 (* The store's key layout: every [Keys] parser inverts its constructor, a
    class prefix covers exactly its class, header keys sort in cluster
-   order, the compact widths are gated exactly, and a store written in
-   the older 16-byte oid layout is refused at open. *)
+   order, the compact widths are gated exactly, stores written in older
+   layouts are refused at open, and small records live in their directory
+   leaf. *)
 
 module Db = Ode.Database
 module Keys = Ode.Keys
@@ -108,7 +109,7 @@ let width_gate () =
   if hdr = 0 || hdr > 6 then Alcotest.failf "widest header key is %d bytes, want 1..6" hdr;
   if idx = 0 || idx > 16 then Alcotest.failf "widest index tree key is %d bytes, want 1..16" idx
 
-(* -- the older layout is refused ------------------------------------------ *)
+(* -- the older layouts are refused ----------------------------------------- *)
 
 let old_layout_refused () =
   let dir = Tutil.temp_dir "oldkeys" in
@@ -117,22 +118,101 @@ let old_layout_refused () =
   Db.create_cluster db "z";
   Db.with_txn db (fun txn -> ignore (Db.pnew txn "z" [ ("v", Value.Int 1) ]));
   Db.close db;
-  (* Stamp the previous format's magic into the heap header, with a valid
-     page checksum, as a store written with self-describing object records
-     (field names, u32 key framing) has it. *)
   let path = Filename.concat dir "objects.heap" in
-  let file = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
-  Bytes.blit_string "ODEHEAP2" 0 file 0 8;
-  let data_end = Ode_storage.Page.data_end in
-  Bytes.set_int64_le file data_end (Ode_util.Codec.fnv64_bytes file ~pos:0 ~len:data_end);
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc file);
-  match Db.open_ dir with
-  | db ->
-      Db.close db;
-      Alcotest.fail "a store in the old record layout opened"
-  | exception e ->
-      let msg = Printexc.to_string e in
-      if not (Tutil.contains msg "bad magic") then Alcotest.failf "refused for another reason: %s" msg
+  let current = In_channel.with_open_bin path In_channel.input_all in
+  (* Stamp an earlier format's magic into the heap header, with a valid
+     page checksum, as a store of that build has it: ODEHEAP2 wrote
+     self-describing object records with u32 key framing, ODEHEAP3 kept
+     every record in the heap behind a bare 6-byte rid. *)
+  List.iter
+    (fun magic ->
+      let file = Bytes.of_string current in
+      Bytes.blit_string magic 0 file 0 8;
+      let data_end = Ode_storage.Page.data_end in
+      Bytes.set_int64_le file data_end (Ode_util.Codec.fnv64_bytes file ~pos:0 ~len:data_end);
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc file);
+      match Db.open_ dir with
+      | db ->
+          Db.close db;
+          Alcotest.failf "a store stamped %s opened" magic
+      | exception e ->
+          let msg = Printexc.to_string e in
+          if not (Tutil.contains msg "bad magic") then
+            Alcotest.failf "%s refused for another reason: %s" magic msg)
+    [ "ODEHEAP2"; "ODEHEAP3" ]
+
+(* -- records in the directory leaf ------------------------------------------- *)
+
+let kv_put db puts = Ode.Kv.put_sorted db puts ~on_new:ignore
+
+(* Where the directory keeps [key]'s record. *)
+let home db key =
+  match Ode_index.Bptree.find db.Ode.Types.kv_dir key with
+  | None -> "absent"
+  | Some v -> ( match Ode.Kv.decode_entry v with Ode.Kv.Inline _ -> "leaf" | Ode.Kv.At _ -> "heap")
+
+(* Updates that cross [Kv.inline_max] either way move a record between its
+   leaf and the heap, in mixed batches, payloads past a page included.
+   After each step the store verifies, every payload reads back, each
+   record is in the home its size chooses, and the heap holds exactly the
+   out-of-line records. *)
+let records_cross_the_limit () =
+  let db = Db.open_in_memory () in
+  ignore (Db.define db "class z { v: int; };");
+  let max = Ode.Kv.inline_max in
+  let keys = Array.init 4 (fun i -> Printf.sprintf "\xffkv%d" i) in
+  let heap0 = Ode_storage.Heap.record_count db.Ode.Types.kv_heap in
+  let step sizes =
+    let puts = Array.mapi (fun i n -> (keys.(i), String.make n (Char.chr (97 + i)))) sizes in
+    kv_put db puts;
+    (match Ode.Verify.run db with Ok () -> () | Error ps -> Alcotest.fail (String.concat "; " ps));
+    Array.iter
+      (fun (k, p) ->
+        Tutil.check_bool "payload reads back" true (Ode.Kv.get db k = Some p);
+        Tutil.check_string "home by size" (if String.length p <= max then "leaf" else "heap") (home db k))
+      puts;
+    let out = Array.fold_left (fun n len -> if len > max then n + 1 else n) 0 sizes in
+    Tutil.check_int "heap holds the out-of-line records" (heap0 + out)
+      (Ode_storage.Heap.record_count db.Ode.Types.kv_heap)
+  in
+  step [| 10; max + 1; max; 3 * max |];
+  step [| max + 72; max; max + 1; 5 |];
+  step [| max; 9000; 1; max + 1 |];
+  step [| 0; 40; max + 16; max - 16 |];
+  step [| 9000; max + 1; max; 200 |];
+  (* A key too long for its record to fit a node beside it keeps even a
+     small payload in the heap. *)
+  let long = "\xff" ^ String.make 1000 'k' in
+  kv_put db [| (long, String.make 100 'l') |];
+  Tutil.check_string "long key's record in the heap" "heap" (home db long);
+  (match Ode.Verify.run db with Ok () -> () | Error ps -> Alcotest.fail (String.concat "; " ps));
+  Ode.Kv.delete db long;
+  Array.iter (Ode.Kv.delete db) keys;
+  Tutil.check_int "deletes free the heap records" heap0
+    (Ode_storage.Heap.record_count db.Ode.Types.kv_heap);
+  Array.iter (fun k -> Tutil.check_string "deleted" "absent" (home db k)) keys;
+  Db.close db
+
+(* An inline [Kv.get] reads the payload straight from the pinned leaf: a
+   hit allocates only the payload and its option, in the style of
+   [Bptree.find]'s gate. *)
+let inline_get_allocates_only_its_result () =
+  let db = Db.open_in_memory () in
+  let n = 4000 in
+  let keys = Array.init n (fun i -> Printf.sprintf "\xffg%05d" i) in
+  kv_put db (Array.map (fun k -> (k, String.make 64 'p')) keys);
+  Tutil.check_string "rows are inline" "leaf" (home db keys.(0));
+  let probes = Array.init 10_000 (fun i -> keys.(i * 7 mod n)) in
+  Array.iter (fun k -> ignore (Ode.Kv.get db k)) probes;
+  let result_words = Obj.reachable_words (Obj.repr (Ode.Kv.get db probes.(0))) in
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length probes - 1 do
+    ignore (Sys.opaque_identity (Ode.Kv.get db probes.(i)))
+  done;
+  let per_get = (Gc.minor_words () -. w0) /. float (Array.length probes) in
+  Db.close db;
+  if per_get > float result_words then
+    Alcotest.failf "inline get allocates %.2f words a hit; its result is %d" per_get result_words
 
 let suite =
   [
@@ -140,6 +220,9 @@ let suite =
       [
         Alcotest.test_case "compact widths" `Quick width_gate;
         Alcotest.test_case "old layout refused at open" `Quick old_layout_refused;
+        Alcotest.test_case "records cross the inline limit" `Quick records_cross_the_limit;
+        Alcotest.test_case "inline get allocates only its result" `Quick
+          inline_get_allocates_only_its_result;
       ] );
     Tutil.qsuite "keys.parsers"
       [ prop_header; prop_version; prop_trigger; prop_index; prop_class_prefix; prop_header_order ];

@@ -266,6 +266,177 @@ let crash_grows_no_file () =
   Alcotest.(check (list (pair string int))) "pages after crashes = pages after clean closes" clean
     (run ~crash:true)
 
+(* -- records that cross the inline limit, under crashes ---------------------------- *)
+
+(* Seeded crash cycles over objects whose records move between their
+   directory leaf and the heap. Bodies are drawn small, around
+   [Kv.inline_max] (within 16 bytes either side) and past a page, and an
+   update mostly draws from the other side of the limit, so records move
+   heap to leaf and leaf to heap. Each round arms one of [heap.flush],
+   [pool.flush] and [disk.write], commits under explicit and automatic
+   checkpoints until the fault fires (or the round ends in a power loss),
+   then crashes and reopens. After each reopen the objects equal the
+   committed model (with or without the transaction in doubt), the store
+   verifies, and the heap holds exactly the records the directory
+   reaches. Reproduce with CROSSING_SEED=<seed> CROSSING_ITERS=<n>. *)
+
+module Failpoint = Ode_util.Failpoint
+module IM = Map.Make (Int)
+
+let env_int name default = match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
+let cross_sites = [| "heap.flush"; "pool.flush"; "disk.write" |]
+
+type cross_op = Ins of int * string | Upd of int * string | Del of int
+
+let apply_ops model ops =
+  List.fold_left
+    (fun m -> function Ins (t, b) | Upd (t, b) -> IM.add t b m | Del t -> IM.remove t m)
+    model ops
+
+(* tag -> (oid, body) of every live object. *)
+let cross_objects db =
+  Db.with_txn db (fun txn ->
+      List.fold_left
+        (fun m oid ->
+          match (Db.get_field txn oid "tag", Db.get_field txn oid "body") with
+          | Value.Int t, Value.Str b -> IM.add t (oid, b) m
+          | _ -> Alcotest.fail "object without a tag and a body")
+        IM.empty
+        (Ode.Query.to_list db ~txn ~var:"x" ~cls:"cross" ()))
+
+(* Whether the object's record is in its directory leaf. *)
+let in_leaf db oid =
+  match Ode_index.Bptree.find db.Ode.Types.kv_dir (Ode.Keys.header oid) with
+  | Some v -> ( match Ode.Kv.decode_entry v with Ode.Kv.Inline _ -> true | Ode.Kv.At _ -> false)
+  | None -> Alcotest.fail "object without a directory entry"
+
+let check_reopened ~what db =
+  (match Ode.Verify.run db with
+  | Ok () -> ()
+  | Error ps -> Alcotest.failf "%s: %s" what (String.concat "; " ps));
+  let reachable = ref 0 in
+  Ode.Kv.iter_rids db (fun _ -> incr reachable);
+  Tutil.check_int (what ^ ": no orphan heap record") !reachable
+    (Ode_storage.Heap.record_count db.Ode.Types.kv_heap)
+
+let crossing_records_survive_crashes () =
+  let seed = env_int "CROSSING_SEED" 1 and iters = env_int "CROSSING_ITERS" 6 in
+  let fired = Hashtbl.create 4 and to_heap = ref 0 and to_leaf = ref 0 in
+  for iter = 0 to iters - 1 do
+    let rng = Random.State.make [| seed; iter |] in
+    let int n = Random.State.int rng n in
+    let dir = Tutil.temp_dir "cross" in
+    let open_db () = Db.open_ ~wal_checkpoint_bytes:(4096 + int 12_288) dir in
+    let db = ref (open_db ()) in
+    ignore (Db.define !db "class cross { tag: int; body: string; };");
+    Db.create_cluster !db "cross";
+    (* The record's bytes beside the body, to aim bodies at the limit. *)
+    let overhead =
+      let o = Db.with_txn !db (fun txn -> Db.pnew txn "cross" [ ("tag", Value.Int 0); ("body", Value.Str "") ]) in
+      let n = String.length (Option.get (Ode.Kv.get !db (Ode.Keys.header o))) in
+      Db.with_txn !db (fun txn -> Db.pdelete txn o);
+      n
+    in
+    Db.checkpoint !db;
+    let around () = max 0 (Ode.Kv.inline_max - overhead - 16 + int 33) in
+    let small () = int 40 and past_page () = Ode_storage.Page.size + int 2000 in
+    let gen = ref 0 in
+    let body tag len =
+      incr gen;
+      String.init len (fun i -> Char.chr (97 + ((tag + !gen + i) mod 26)))
+    in
+    let next_tag = ref 1 and model = ref IM.empty in
+    for round = 0 to 1 do
+      let site = cross_sites.(((2 * iter) + round) mod Array.length cross_sites) in
+      let bound = match site with "heap.flush" -> 3 | "pool.flush" -> 8 | _ -> 30 in
+      let action =
+        match (site, int 3) with
+        | "disk.write", 1 -> Failpoint.Short_effect (Random.State.float rng 1.0)
+        | "disk.write", 2 -> Failpoint.Flip_bit (int (4096 * 8))
+        | _ -> Failpoint.Crash_site
+      in
+      let objs = ref (cross_objects !db) in
+      let in_doubt = ref [] in
+      Failpoint.arm site ~policy:(Failpoint.After_hits (int bound)) ~action;
+      (try
+         for _ = 1 to 24 do
+           if int 4 = 0 then Db.checkpoint !db;
+           let used = Hashtbl.create 4 in
+           let ops =
+             List.filter_map
+               (fun _ ->
+                 let live = IM.bindings !model |> List.filter (fun (t, _) -> not (Hashtbl.mem used t)) in
+                 match (live, int 4) with
+                 | [], _ | _, 0 ->
+                     let t = !next_tag in
+                     incr next_tag;
+                     Hashtbl.replace used t ();
+                     Some (Ins (t, body t (match int 3 with 0 -> small () | 1 -> around () | _ -> past_page ())))
+                 | live, k ->
+                     let t, b = List.nth live (int (List.length live)) in
+                     Hashtbl.replace used t ();
+                     if k = 1 && int 3 = 0 then Some (Del t)
+                     else
+                       (* Mostly to the other side of the limit. *)
+                       let was_small = overhead + String.length b <= Ode.Kv.inline_max in
+                       let len =
+                         match (was_small, int 4) with
+                         | _, 0 -> around ()
+                         | true, 1 -> past_page ()
+                         | true, _ -> Ode.Kv.inline_max - overhead + 1 + int 16
+                         | false, _ -> max 0 (Ode.Kv.inline_max - overhead - int 16)
+                       in
+                       Some (Upd (t, body t len)))
+               (List.init (1 + int 3) Fun.id)
+           in
+           in_doubt := ops;
+           Db.with_txn !db (fun txn ->
+               List.iter
+                 (function
+                   | Ins (t, b) ->
+                       let o = Db.pnew txn "cross" [ ("tag", Value.Int t); ("body", Value.Str b) ] in
+                       objs := IM.add t (o, b) !objs
+                   | Upd (t, b) -> Db.set_field txn (fst (IM.find t !objs)) "body" (Value.Str b)
+                   | Del t -> Db.pdelete txn (fst (IM.find t !objs)))
+                 ops);
+           model := apply_ops !model ops;
+           in_doubt := [];
+           List.iter
+             (function
+               | Upd (t, b) ->
+                   let o, old = IM.find t !objs in
+                   let was = overhead + String.length old <= Ode.Kv.inline_max in
+                   (match (was, in_leaf !db o) with
+                   | true, false -> incr to_heap
+                   | false, true -> incr to_leaf
+                   | _ -> ());
+                   objs := IM.add t (o, b) !objs
+               | Ins _ | Del _ -> ())
+             ops
+         done
+       with Failpoint.Crash s -> Hashtbl.replace fired s ());
+      Failpoint.clear ();
+      Db.crash !db;
+      db := open_db ();
+      let what = Printf.sprintf "seed %d, iteration %d, round %d (%s)" seed iter round site in
+      let actual = IM.map snd (cross_objects !db) in
+      let after = apply_ops !model !in_doubt in
+      if IM.equal String.equal actual !model then ()
+      else if !in_doubt <> [] && IM.equal String.equal actual after then model := after
+      else Alcotest.failf "%s: recovered objects differ from the committed model" what;
+      check_reopened ~what !db
+    done;
+    Db.close !db
+  done;
+  if iters >= 4 then begin
+    Array.iter
+      (fun site ->
+        if not (Hashtbl.mem fired site) then Alcotest.failf "no crash landed at %s" site)
+      cross_sites;
+    if !to_heap = 0 || !to_leaf = 0 then
+      Alcotest.failf "records moved %d times to the heap and %d times to a leaf" !to_heap !to_leaf
+  end
+
 let suite =
   [
     ( "recovery",
@@ -285,4 +456,6 @@ let suite =
           crash_leaves_every_page_reachable;
         Alcotest.test_case "a crash grows no file" `Quick crash_grows_no_file;
       ] );
+    ( "recovery.cross",
+      [ Alcotest.test_case "records crossing the inline limit" `Quick crossing_records_survive_crashes ] );
   ]

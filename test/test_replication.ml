@@ -181,6 +181,30 @@ let apply_discipline () =
   Tutil.check_bool "clean batch applies after faults" true
     (Repl.apply_batch rep ~from_lsn:(r0 + 2) ~to_lsn:(r0 + 4) ~data:full = `Applied);
   Tutil.check_bool "converged" true (tags rep = tags pri);
+  (* Updates that move records between their directory leaf and the heap
+     ship and apply like any other: tag 1 grows past the inline limit,
+     tag 2 grows and shrinks back. *)
+  let oid_of db tag =
+    Db.with_txn db (fun txn ->
+        List.find
+          (fun o -> Db.get_field txn o "tag" = Value.Int tag)
+          (Query.to_list db ~txn ~var:"x" ~cls:"t" ()))
+  in
+  let set_v tag v = Db.with_txn pri (fun txn -> Db.set_field txn (oid_of pri tag) "v" (Value.Str v)) in
+  let big = String.make (2 * Ode.Kv.inline_max) 'v' in
+  set_v 1 big;
+  set_v 2 big;
+  set_v 2 "small again";
+  let moves = Option.get (Db.wal_tail pri ~lsn:(r0 + 4)) in
+  Tutil.check_bool "moves apply" true
+    (Repl.apply_batch rep ~from_lsn:(r0 + 4) ~to_lsn:(r0 + 7) ~data:moves = `Applied);
+  let home db tag =
+    match Ode_index.Bptree.find db.Ode.Types.kv_dir (Ode.Keys.header (oid_of db tag)) with
+    | Some v -> ( match Ode.Kv.decode_entry v with Ode.Kv.Inline _ -> "leaf" | Ode.Kv.At _ -> "heap")
+    | None -> "absent"
+  in
+  Tutil.check_string "grown record in the replica's heap" "heap" (home rep 1);
+  Tutil.check_string "shrunk record back in the replica's leaf" "leaf" (home rep 2);
   (* Physical replication preserves oids, so the logical dumps are
      byte-identical — the strongest equivalence we can ask for. *)
   Tutil.check_string "dumps identical" (Ode.Dump.export pri) (Ode.Dump.export rep);

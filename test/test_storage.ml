@@ -63,6 +63,49 @@ let file_disk_reserves () =
   Tutil.check_bool "written page" true (Bytes.get (Disk.read d n) 0 = 'b');
   Disk.close d
 
+(* The journal [write_batch] streams is byte for byte the reference image
+   of its batch (pages stamped, in page order), across several of the
+   stream's chunks; and an armed [disk.journal.write] fault persists the
+   same bytes of it: a prefix for a short write, one flipped bit for a
+   flip. The journal is kept by skipping its clear. *)
+let journal_stream_matches_image () =
+  let module F = Ode_util.Failpoint in
+  F.clear ();
+  Fun.protect ~finally:F.clear @@ fun () ->
+  let path = Filename.concat (Tutil.temp_dir "disk") "pages" in
+  let d = Disk.open_file path in
+  let pages = List.init 40 (fun _ -> fst (Disk.allocate d)) in
+  (* Handed over in descending order; the journal holds them ascending. *)
+  let batch =
+    List.rev_map
+      (fun n -> (n, Bytes.init Page.size (fun j -> Char.chr (((n * 31) + (j * 7)) land 0xff))))
+      pages
+  in
+  let journal () = In_channel.with_open_bin (path ^ ".journal") In_channel.input_all in
+  let reference () =
+    Bytes.to_string (Disk.encode_journal (List.sort (fun (a, _) (b, _) -> Int.compare a b) batch))
+  in
+  F.arm "disk.journal.clear" ~policy:F.Always ~action:F.Skip_effect;
+  Disk.write_batch d batch;
+  let image = reference () in
+  Tutil.check_int "spans several chunks" (12 + (40 * (4 + Page.size)) + 8) (String.length image);
+  Tutil.check_bool "streamed journal = reference image" true (journal () = image);
+  let faulted action =
+    F.arm "disk.journal.write" ~policy:F.One_shot ~action;
+    match Disk.write_batch d batch with
+    | () -> Alcotest.fail "the armed journal write did not crash"
+    | exception F.Crash _ -> journal ()
+  in
+  let keep = int_of_float (0.61 *. float_of_int (String.length image)) in
+  Tutil.check_bool "short write keeps the image's prefix" true
+    (faulted (F.Short_effect 0.61) = String.sub image 0 keep);
+  let byte = 100_003 in
+  let flipped = Bytes.of_string image in
+  Bytes.set_uint8 flipped byte (Bytes.get_uint8 flipped byte lxor (1 lsl 5));
+  Tutil.check_bool "flip mangles the image's bit" true
+    (faulted (F.Flip_bit ((8 * byte) + 5)) = Bytes.to_string flipped);
+  Disk.close d
+
 (* The pool's new frame is dirty: the file grows at the flush. *)
 let pool_allocate_reaches_file_at_flush () =
   let path = Filename.concat (Tutil.temp_dir "disk") "pages" in
@@ -421,6 +464,7 @@ let suite =
         Alcotest.test_case "range checks" `Quick disk_range_checks;
         Alcotest.test_case "truncate" `Quick disk_truncate;
         Alcotest.test_case "reserved pages reach the file when written" `Quick file_disk_reserves;
+        Alcotest.test_case "journal streams its reference image" `Quick journal_stream_matches_image;
       ] );
     ( "buffer_pool",
       [

@@ -139,7 +139,22 @@ let verify_detects_corruption () =
   case "truncated object record" ~expect:"does not decode as header plus fields" (fun db o ->
       let key = Ode.Keys.header o in
       let payload = Option.get (Ode.Kv.get db key) in
-      put db key (String.sub payload 0 (String.length payload - 1)))
+      put db key (String.sub payload 0 (String.length payload - 1)));
+  (* A record in the wrong home, a value of unknown kind, a heap record no
+     entry reaches. *)
+  let dir_put db key value = Ode_index.Bptree.insert db.Ode.Types.kv_dir key value in
+  let heap_put db key payload =
+    Ode_storage.Heap.insert db.Ode.Types.kv_heap (Ode.Kv.encode_record key payload)
+  in
+  let stray = "\xffstray" and limit = Ode.Kv.inline_max in
+  case "payload above the limit in its leaf" ~expect:"129-byte payload in its leaf, which belongs in the heap" (fun db _ ->
+      dir_put db stray (Ode.Kv.encode_entry (Ode.Kv.Inline (String.make (limit + 1) 'x'))));
+  case "payload at the limit in the heap" ~expect:"keeps a 128-byte payload in the heap" (fun db _ ->
+      dir_put db stray (Ode.Kv.encode_entry (Ode.Kv.At (heap_put db stray (String.make limit 'x')))));
+  case "unknown directory value tag" ~expect:"unknown directory value tag 7" (fun db _ ->
+      dir_put db stray "\007abc");
+  case "heap record without an entry" ~expect:"but the directory has" (fun db _ ->
+      ignore (heap_put db stray (String.make (limit + 1) 'x')))
 
 (* -- dump/load ----------------------------------------------------------- *)
 
