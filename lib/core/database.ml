@@ -32,7 +32,7 @@ let make_db ~dbdir ~kv_disk ~dir_disk ~idx_disk ~wal ~pool_pages ~wal_checkpoint
       idx = Bptree.attach (pool idx_disk);
       wal;
       catalog = Catalog.create ();
-      meta = { next_tid = 0; clock = 0 };
+      meta = Txn.fresh_meta ();
       stats = Ostats.fresh ();
       next_xid = 1;
       active = None;
@@ -211,9 +211,9 @@ let with_txn_no_drain db f =
 
 let run_firing db (f : firing) =
   let a = f.f_act in
-  match Triggers.find_decl db a.aoid a.tname with
-  | exception Triggers.Trigger_error _ -> () (* object's class vanished: drop *)
-  | g, _ ->
+  match Triggers.decl db a with
+  | None -> () (* the declaration vanished: drop *)
+  | Some g ->
       let stmts = match f.f_kind with Fired -> g.gaction | Timed_out -> g.gtimeout in
       if stmts <> [] then begin
         let run txn =
@@ -381,7 +381,6 @@ let apply_replicated db (records : Wal.record list) =
     (fun r -> match r with Wal.Checkpoint _ -> () | r -> Wal.append db.wal r)
     records;
   Wal.sync db.wal;
-  let state_touched = ref false in
   (* Land each committed transaction at its Commit record: chains first
      (while the KV still holds the pre-images), then the writes. The
      primary ships whole transactions, so every op meets its Commit within
@@ -403,19 +402,20 @@ let apply_replicated db (records : Wal.record list) =
            ops);
       Store.apply_writes db ops;
       Ode_util.Stats.add c_recovery_replayed (List.length ops);
-      if
-        List.exists
-          (fun (key, _) ->
-            key = Keys.catalog || key = Keys.meta || String.starts_with ~prefix:Keys.trigger_prefix key)
-          ops
-      then state_touched := true);
-  (* Schema, clock or trigger changes shipped from the primary must reach
-     the standby's decoded mirrors, not just its pages. *)
-  if !state_touched then begin
-    Hashtbl.reset db.activations;
-    Hashtbl.reset db.by_oid;
-    load_state db
-  end;
+      (* Schema, counter, clock and trigger changes shipped from the
+         primary must reach the standby's decoded mirrors, not just its
+         pages. The catalog and meta records are decoded only when the
+         commit wrote them, before its trigger writes, which decode
+         against the catalog; those fold into the activation mirror one
+         by one, as on the primary. *)
+      List.iter
+        (fun (key, op) ->
+          match op with
+          | Put s when key = Keys.catalog -> db.catalog <- Catalog.decode s
+          | Put s when key = Keys.meta -> db.meta <- Txn.decode_meta s
+          | _ -> ())
+        ops;
+      Triggers.sync_after_commit db ops);
   if checkpointed || Wal.size_bytes db.wal > db.wal_auto_checkpoint then Txn.checkpoint db
 
 (* -- schema ---------------------------------------------------------------------- *)
@@ -451,7 +451,8 @@ let define_class db (decl : Ast.class_decl) =
   | () -> ()
   | exception e ->
       (* A class that fails typechecking must not stay registered: restore
-         the catalog from its last persisted state. *)
+         the catalog from its last persisted state. The oid counters live
+         in [db.meta], so the restore cannot move them back. *)
       db.catalog <-
         (match Kv.get db Keys.catalog with
         | Some s -> Catalog.decode s

@@ -225,8 +225,10 @@ val apply_replicated : t -> Ode_storage.Wal.record list -> unit
     (write-ahead — a standby crash mid-apply replays on reopen), apply the
     committed operations through the same path recovery uses (recording
     pre-images into the MVCC version chains under the primary's commit
-    timestamps, so snapshots held on this standby stay stable), refresh the
-    decoded schema/trigger/clock mirrors if the batch touched them, and
+    timestamps, so snapshots held on this standby stay stable), bring the
+    decoded mirrors along commit by commit (the catalog and meta records
+    decoded when a commit wrote them, its trigger writes folded into the
+    activation tables one by one), and
     checkpoint when the primary's checkpoint record says to (or the local
     log outgrows its bound). The local commit LSN advances through the
     appended records exactly as the primary's did. *)

@@ -126,8 +126,8 @@ let export db =
       out "setroot(\"%s\", _root);" name;
       true);
   (* 5. Trigger activations (active ones only; ids are reassigned). *)
-  Kv.iter_prefix db Keys.trigger_prefix (fun _ payload ->
-      let a = Triggers.decode_activation payload in
+  Kv.iter_prefix db Keys.trigger_prefix (fun key payload ->
+      let a = Triggers.decode_activation db key payload in
       if a.active && a.deadline = None then
         out "activate %s.%s(%s);" (var_of_oid a.aoid) a.tname
           (String.concat ", " (List.map value_expr a.targs));

@@ -11,8 +11,9 @@
                                    (never the current one)
      'R' ++ name                   named persistent root
      'T' ++ nat tid                trigger activation record
-     'C'                           the schema catalog
-     'M'                           engine metadata (counters, logical clock)
+     'C'                           the schema catalog (DDL writes it)
+     'E'                           engine metadata (next tid, each class's
+                                   next object number, logical clock)
      'S'                           planner statistics (cardinalities, histograms)
      'I' ++ nat idx ++ valkey ++ oid-key   secondary index entry (routed to
                                            the index tree, not the KV)
@@ -75,7 +76,12 @@ let parse_trigger k =
   tid
 
 let catalog = "C"
-let meta = "M"
+
+(* Every commit that creates an object rewrites the meta record, so its
+   key sorts before the 'H' keys: a leaf that ends with the newest
+   objects then has nothing after them, and the next one lands past its
+   last entry, the append a leaf split fills. *)
+let meta = "E"
 let stats = "S"
 
 let index_entry ~idx_id ~valkey ~oid = String.concat "" [ "I"; Key.of_nat idx_id; valkey; Oid.key oid ]

@@ -261,8 +261,8 @@ let touch txn oid = Hashtbl.replace txn.touched oid ()
 
 let create txn (cls : Schema.cls) inits =
   let db = txn.tdb in
-  (* Guard before the next_num bump and catalog_dirty flag: [create] mutates
-     shared schema state ahead of its overlay writes. *)
+  (* Guard before the oid counter bump: [create] mutates shared meta state
+     ahead of its overlay writes. *)
   if txn.tro then raise Read_only_txn;
   if not (Catalog.has_cluster db.catalog cls) then raise (No_cluster cls.Schema.name);
   let l = Catalog.layout db.catalog cls in
@@ -297,9 +297,10 @@ let create txn (cls : Schema.cls) inits =
         v)
       l.fields
   in
-  let num = cls.Schema.next_num in
-  cls.Schema.next_num <- num + 1;
-  txn.catalog_dirty <- true;
+  let nums = db.meta.next_nums in
+  let num = Option.value (Hashtbl.find_opt nums cls.Schema.id) ~default:0 in
+  Hashtbl.replace nums cls.Schema.id (num + 1);
+  txn.meta_dirty <- true;
   let oid : Oid.t = { cls = cls.Schema.id; num } in
   write txn (Keys.header oid) (encode_object { hcurrent = 0; hversions = [ 0 ] } slots);
   List.iter

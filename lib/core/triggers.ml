@@ -21,42 +21,80 @@ module Eval = Ode_model.Eval
 open Types
 
 let c_triggers_fired = Ode_util.Stats.counter "triggers_fired"
+let c_triggers_evaluated = Ode_util.Stats.counter "triggers_evaluated"
 
 exception Trigger_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Trigger_error s)) fmt
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
 
 (* -- persistence of activation records ------------------------------------- *)
 
+(* An activation record holds only what its declaration does not fix, all
+   varints but the flags byte:
+
+     oid class, oid number, declaring class id, position among that
+     class's own triggers, flags (active, has-deadline), argument count,
+     each argument's [Value.encode], and the deadline (zigzag) if any.
+
+   The tid is the 'T' key's; the names and [perpetual] are the
+   declaration's. *)
+let flag_active = 1
+let flag_deadline = 2
+
 let encode_activation (a : activation) =
-  let b = Buffer.create 64 in
-  Codec.put_int b a.tid;
-  Oid.encode b a.aoid;
-  Codec.put_string b a.tcls;
-  Codec.put_string b a.tname;
-  Codec.put_u16 b (List.length a.targs);
+  let b = Buffer.create 16 in
+  Codec.put_varint b a.aoid.cls;
+  Codec.put_varint b a.aoid.num;
+  Codec.put_varint b a.tdecl;
+  Codec.put_varint b a.tpos;
+  Codec.put_u8 b
+    ((if a.active then flag_active else 0) lor if a.deadline <> None then flag_deadline else 0);
+  Codec.put_varint b (List.length a.targs);
   List.iter (Value.encode b) a.targs;
-  Codec.put_bool b a.perpetual;
-  (match a.deadline with
-  | None -> Codec.put_bool b false
-  | Some d ->
-      Codec.put_bool b true;
-      Codec.put_int b d);
-  Codec.put_bool b a.active;
+  Option.iter (Codec.put_svarint b) a.deadline;
   Buffer.contents b
 
-let decode_activation s =
+(* Raises [Codec.Corrupt] on a malformed record and on one whose
+   declaration the catalog lacks. *)
+let decode_activation db key s =
+  let tid = Keys.parse_trigger key in
   let c = Codec.cursor s in
-  let tid = Codec.get_int c in
-  let aoid = Oid.decode c in
-  let tcls = Codec.get_string c in
-  let tname = Codec.get_string c in
-  let n = Codec.get_u16 c in
+  let cls = Codec.get_varint c in
+  let num = Codec.get_varint c in
+  let tdecl = Codec.get_varint c in
+  let tpos = Codec.get_varint c in
+  let flags = Codec.get_u8 c in
+  if flags land lnot (flag_active lor flag_deadline) <> 0 then
+    corrupt "activation %d: unknown flags 0x%02x" tid flags;
+  let n = Codec.get_varint c in
   let targs = List.init n (fun _ -> Value.decode c) in
-  let perpetual = Codec.get_bool c in
-  let deadline = if Codec.get_bool c then Some (Codec.get_int c) else None in
-  let active = Codec.get_bool c in
-  { tid; aoid; tcls; tname; targs; perpetual; deadline; active }
+  let deadline = if flags land flag_deadline <> 0 then Some (Codec.get_svarint c) else None in
+  if not (Codec.at_end c) then corrupt "activation %d: %d trailing bytes" tid (Codec.remaining c);
+  match Catalog.find_by_id db.catalog tdecl with
+  | None -> corrupt "activation %d: unknown class id %d" tid tdecl
+  | Some d -> (
+      match List.nth_opt d.own_triggers tpos with
+      | None -> corrupt "activation %d: class %s has no trigger at position %d" tid d.name tpos
+      | Some g ->
+          {
+            tid;
+            aoid = { cls; num };
+            tdecl;
+            tpos;
+            tcls = d.name;
+            tname = g.gname;
+            targs;
+            perpetual = g.gperpetual;
+            deadline;
+            active = flags land flag_active <> 0;
+          })
+
+(* The declaration an activation names. *)
+let decl db (a : activation) =
+  match Catalog.find_by_id db.catalog a.tdecl with
+  | Some d -> List.nth_opt d.Schema.own_triggers a.tpos
+  | None -> None
 
 (* -- in-memory mirror --------------------------------------------------------- *)
 
@@ -77,27 +115,21 @@ let unregister db tid =
       else Hashtbl.replace db.by_oid a.aoid remaining
 
 let load_all db =
-  Kv.iter_prefix db Keys.trigger_prefix (fun _ payload ->
-      let a = decode_activation payload in
+  Kv.iter_prefix db Keys.trigger_prefix (fun key payload ->
+      let a = decode_activation db key payload in
       if a.active then register db a;
       true)
 
 (* -- activation / deactivation -------------------------------------------------- *)
 
+(* The trigger [tname] as an object of [oid]'s class sees it: the most
+   derived declaration, its declaring class and its position there. *)
 let find_decl db oid tname =
   match Store.class_of db oid with
   | None -> err "object %a has unknown class" Oid.pp oid
   | Some cls -> (
       match Catalog.find_trigger db.catalog cls tname with
-      | Some g ->
-          (* Report the class that declares the trigger. *)
-          let decl_cls =
-            List.find
-              (fun (a : Schema.cls) ->
-                List.exists (fun (t : Schema.trigger) -> t.gname = tname) a.own_triggers)
-              (List.rev (Catalog.lineage db.catalog cls))
-          in
-          (g, decl_cls.Schema.name)
+      | Some found -> found
       | None -> err "class %s has no trigger %s" cls.Schema.name tname)
 
 let activate txn oid tname args =
@@ -106,7 +138,7 @@ let activate txn oid tname args =
      state ahead of its overlay write. *)
   if txn.tro then raise Types.Read_only_txn;
   if not (Store.exists db (Some txn) oid) then err "cannot activate trigger on dead object %a" Oid.pp oid;
-  let g, tcls = find_decl db oid tname in
+  let d, tpos, g = find_decl db oid tname in
   if List.length args <> List.length g.gparams then
     err "trigger %s expects %d arguments, got %d" tname (List.length g.gparams) (List.length args);
   let deadline =
@@ -121,7 +153,20 @@ let activate txn oid tname args =
   let tid = db.meta.next_tid in
   db.meta.next_tid <- tid + 1;
   txn.meta_dirty <- true;
-  let a = { tid; aoid = oid; tcls; tname; targs = args; perpetual = g.gperpetual; deadline; active = true } in
+  let a =
+    {
+      tid;
+      aoid = oid;
+      tdecl = d.id;
+      tpos;
+      tcls = d.name;
+      tname = g.gname;
+      targs = args;
+      perpetual = g.gperpetual;
+      deadline;
+      active = true;
+    }
+  in
   Store.write txn (Keys.trigger tid) (encode_activation a);
   (* Conditions are evaluated at the end of each transaction (paper §6); an
      activation whose condition already holds fires when the activating
@@ -131,12 +176,13 @@ let activate txn oid tname args =
 
 let deactivate txn tid =
   let db = txn.tdb in
+  let key = Keys.trigger tid in
   let current =
-    match Store.read db (Some txn) (Keys.trigger tid) with
-    | Some s -> decode_activation s
+    match Store.read db (Some txn) key with
+    | Some s -> decode_activation db key s
     | None -> err "no such trigger activation %d" tid
   in
-  Store.write txn (Keys.trigger tid) (encode_activation { current with active = false })
+  Store.write txn key (encode_activation { current with active = false })
 
 (* -- commit-time evaluation --------------------------------------------------------- *)
 
@@ -155,7 +201,7 @@ let txn_view txn =
       if Keys.is_trigger_key key then
         match op with
         | Put payload ->
-            let a = decode_activation payload in
+            let a = decode_activation db key payload in
             Hashtbl.replace view.overrides a.tid a;
             let committed = Option.value (Hashtbl.find_opt db.by_oid a.aoid) ~default:[] in
             if not (List.mem a.tid committed) then
@@ -181,6 +227,7 @@ let effective_activations txn view oid =
   of_committed @ List.rev (Option.value (Hashtbl.find_opt view.new_by_oid oid) ~default:[])
 
 let condition_holds db txn (a : activation) g =
+  Ode_util.Stats.incr c_triggers_evaluated;
   let vars = List.map2 (fun (p : Schema.field) v -> (p.fname, v)) g.Schema.gparams a.targs in
   match Runtime.eval db txn ~vars ~this:(Value.Ref a.aoid) g.Schema.gcond with
   | v -> ( match Eval.truthy v with b -> b | exception Eval.Error _ -> false)
@@ -226,8 +273,8 @@ let evaluate txn =
         List.iter
           (fun a ->
             if (a : activation).active then
-              match find_decl db a.aoid a.tname with
-              | g, _ ->
+              match decl db a with
+              | Some g ->
                   if should_fire db txn view a g then begin
                     Ode_util.Stats.incr c_triggers_fired;
                     Ode_util.Trace.instant ~cat:"trigger" ~args:[ ("trigger", a.tname) ]
@@ -236,7 +283,7 @@ let evaluate txn =
                     if not a.perpetual then
                       Store.write txn (Keys.trigger a.tid) (encode_activation { a with active = false })
                   end
-              | exception Trigger_error _ -> ())
+              | None -> ())
           acts
       else
         (* The object died in this transaction: its activations go away. *)
@@ -244,18 +291,18 @@ let evaluate txn =
     txn.touched;
   List.rev !firings
 
-(* After a successful commit, fold the transaction's trigger writes into the
-   in-memory mirror. *)
-let sync_after_commit db txn =
-  Hashtbl.iter
-    (fun key op ->
+(* After a successful commit, or a standby's apply of a shipped one, fold
+   its trigger writes into the in-memory mirror. *)
+let sync_after_commit db writes =
+  List.iter
+    (fun (key, op) ->
       if Keys.is_trigger_key key then
         match op with
         | Put payload ->
-            let a = decode_activation payload in
+            let a = decode_activation db key payload in
             if a.active then register db a else unregister db a.tid
         | Del -> unregister db (Keys.parse_trigger key))
-    txn.writes
+    writes
 
 (* -- timed triggers -------------------------------------------------------------------- *)
 

@@ -17,7 +17,14 @@
     A firing only schedules its action; actions run as their own
     transactions after the triggering one commits (weak coupling), so
     actions of aborted transactions never run — see
-    {!Database.with_txn}. *)
+    {!Database.with_txn}.
+
+    Each activation is one ['T'] record, keyed by its tid. The record
+    names its declaration by the declaring class's id and the trigger's
+    position among that class's own triggers, so it holds no names; the
+    rest is the object, the arguments, an active flag and the deadline of
+    a timed trigger. Decoding takes the names and [perpetual] from the
+    catalog, so the activations in memory share the catalog's strings. *)
 
 open Types
 
@@ -31,9 +38,9 @@ val activate : txn -> Ode_model.Oid.t -> string -> Ode_model.Value.t list -> int
 
 val deactivate : txn -> int -> unit
 
-val find_decl :
-  db -> Ode_model.Oid.t -> string -> Ode_model.Schema.trigger * string
-(** The declaration (resolved up the lineage) and its declaring class. *)
+val decl : db -> activation -> Ode_model.Schema.trigger option
+(** The declaration an activation names (by declaring class id and
+    position); [None] if the catalog lacks it. *)
 
 (** {1 Commit pipeline (used by {!Txn})} *)
 
@@ -42,9 +49,10 @@ val evaluate : txn -> firing list
     buffers bookkeeping writes (once-only deactivation, removal of
     activations on deleted objects) into the transaction. *)
 
-val sync_after_commit : db -> txn -> unit
-(** Fold the committed transaction's trigger writes into the in-memory
-    activation tables. *)
+val sync_after_commit : db -> (string * op) list -> unit
+(** Fold a committed transaction's writes to ['T'] keys into the
+    in-memory activation tables: after a local commit, and per shipped
+    commit on a standby. Other keys are skipped. *)
 
 val expired : db -> activation list
 (** Active timed activations whose deadline has passed (used by
@@ -56,6 +64,12 @@ val load_all : db -> unit
 (**/**)
 
 val encode_activation : activation -> string
-val decode_activation : string -> activation
+
+val decode_activation : db -> string -> string -> activation
+(** [decode_activation db key payload]: the tid from [key], the names
+    and [perpetual] from [db]'s catalog. Raises {!Ode_util.Codec.Corrupt}
+    on a malformed record, on trailing bytes, and on a declaring class id
+    or trigger position the catalog lacks. *)
+
 val register : db -> activation -> unit
 val unregister : db -> int -> unit

@@ -126,25 +126,46 @@ let checkpoint db =
 
 let wal_bytes db = Wal.size_bytes db.wal
 
+(* The 'E' record: next tid, clock, then each class's next object number
+   as (class id, number) pairs in class-id order, all varints (the clock
+   a signed one). *)
 let encode_meta (m : meta) =
+  let module C = Ode_util.Codec in
   let b = Buffer.create 16 in
-  Ode_util.Codec.put_int b m.next_tid;
-  Ode_util.Codec.put_int b m.clock;
+  C.put_varint b m.next_tid;
+  C.put_svarint b m.clock;
+  let nums = List.sort compare (Hashtbl.fold (fun id n acc -> (id, n) :: acc) m.next_nums []) in
+  C.put_varint b (List.length nums);
+  List.iter
+    (fun (id, n) ->
+      C.put_varint b id;
+      C.put_varint b n)
+    nums;
   Buffer.contents b
 
 let decode_meta s =
-  let c = Ode_util.Codec.cursor s in
-  let next_tid = Ode_util.Codec.get_int c in
-  let clock = Ode_util.Codec.get_int c in
-  { next_tid; clock }
+  let module C = Ode_util.Codec in
+  let c = C.cursor s in
+  let next_tid = C.get_varint c in
+  let clock = C.get_svarint c in
+  let n = C.get_varint c in
+  let next_nums = Hashtbl.create (max 8 n) in
+  for _ = 1 to n do
+    let id = C.get_varint c in
+    Hashtbl.replace next_nums id (C.get_varint c)
+  done;
+  if not (C.at_end c) then raise (C.Corrupt "meta: trailing bytes");
+  { next_tid; clock; next_nums }
+
+let fresh_meta () = { next_tid = 0; clock = 0; next_nums = Hashtbl.create 8 }
 
 (* The catalog, meta and stats singletons are excluded from conflict
    detection and version chains: catalog/meta are re-encoded from the
-   in-memory mirrors at every commit (so two concurrent creators both
-   writing 'C' is not a logical conflict — the mirrors already merged
-   their oid allocations), snapshot reads of schema go through the
-   mirrors, not the KV, and the stats snapshot is advisory planner input
-   that always supersedes wholesale. *)
+   in-memory mirrors by each commit that changes them (so two concurrent
+   creators both writing 'E' is not a logical conflict — the mirror
+   already merged their oid allocations), snapshot reads of schema go
+   through the mirrors, not the KV, and the stats snapshot is advisory
+   planner input that always supersedes wholesale. *)
 let versioned key = key <> Keys.catalog && key <> Keys.meta && key <> Keys.stats
 
 let describe_key key =
@@ -249,7 +270,7 @@ let commit_slot ~durable txn =
                else None)
              writes);
         Store.apply_writes db writes;
-        Triggers.sync_after_commit db txn)
+        Triggers.sync_after_commit db writes)
   end;
   txn.tstate <- `Committed;
   release_snap txn;

@@ -76,3 +76,6 @@ val wal_bytes : db -> int
 
 val encode_meta : meta -> string
 val decode_meta : string -> meta
+
+val fresh_meta : unit -> meta
+(** The metadata of an empty store. *)

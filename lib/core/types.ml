@@ -24,10 +24,16 @@ type cached =
   | Cobject of header * Value.t array
   | Cversion of Value.t array
 
+(* A trigger activation. The record stores only [aoid], [tdecl], [tpos],
+   [targs], [deadline] and [active]; the tid is its key's, and [tcls],
+   [tname] and [perpetual] come from the declaration, the names as the
+   catalog's own strings. *)
 type activation = {
   tid : int;
   aoid : Oid.t;                  (* object the trigger is attached to *)
-  tcls : string;                 (* class declaring the trigger *)
+  tdecl : int;                   (* id of the class declaring the trigger *)
+  tpos : int;                    (* its position in that class's own_triggers *)
+  tcls : string;                 (* name of the declaring class *)
   tname : string;
   targs : Value.t list;
   perpetual : bool;
@@ -39,7 +45,9 @@ type firing_kind = Fired | Timed_out
 
 type firing = { f_act : activation; f_kind : firing_kind }
 
-type meta = { mutable next_tid : int; mutable clock : int }
+(* Engine metadata, the 'E' record. [next_nums] maps a class id to the
+   number its next object gets; a class with no objects yet has no entry. *)
+type meta = { mutable next_tid : int; mutable clock : int; next_nums : (int, int) Hashtbl.t }
 
 (* One index's key-distribution statistics as of the last analyze. *)
 type idx_stat = {
@@ -93,8 +101,8 @@ type txn = {
   mutable created : Oid.t list;             (* reverse creation order *)
   touched : (Oid.t, unit) Hashtbl.t;        (* objects written (for constraints/triggers) *)
   mutable tstate : [ `Active | `Committed | `Aborted ];
-  mutable catalog_dirty : bool;             (* DDL or oid allocation happened *)
-  mutable meta_dirty : bool;
+  mutable catalog_dirty : bool;             (* DDL happened *)
+  mutable meta_dirty : bool;                (* a counter or the clock moved *)
 }
 
 and db = {

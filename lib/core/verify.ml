@@ -141,17 +141,18 @@ let run db =
     headers;
 
   (* 4. Trigger activations. *)
-  Kv.iter_prefix db Keys.trigger_prefix (fun _ payload ->
-      (match Triggers.decode_activation payload with
-      | a ->
+  Kv.iter_prefix db Keys.trigger_prefix (fun key payload ->
+      (match Triggers.decode_activation db key payload with
+      | a -> (
           if a.active && not (Hashtbl.mem headers a.aoid) then
             bad "activation %d attached to dead object %a" a.tid Oid.pp a.aoid;
-          (match Catalog.find db.catalog a.tcls with
-          | None -> bad "activation %d: unknown declaring class %s" a.tid a.tcls
-          | Some cls ->
-              if Catalog.find_trigger db.catalog cls a.tname = None then
-                bad "activation %d: class %s has no trigger %s" a.tid a.tcls a.tname)
-      | exception _ -> bad "activation record does not decode");
+          match Catalog.find_by_id db.catalog a.aoid.Oid.cls with
+          | Some cls when not (Catalog.is_subclass db.catalog ~sub:cls.name ~super:a.tcls) ->
+              bad "activation %d: class %s does not inherit trigger %s.%s" a.tid cls.name a.tcls
+                a.tname
+          | _ -> ())
+      | exception Ode_util.Codec.Corrupt msg -> bad "%s" msg
+      | exception _ -> bad "activation record %S does not decode" key);
       true);
 
   (* 5. Structural checks of the trees. *)

@@ -6,8 +6,10 @@
     version listed, a version record for every other listed version, none
     for the current one, no orphan versions), secondary index entries must point
     at live objects whose field value matches the entry, every object must
-    be covered by every applicable index, and trigger activations must
-    reference live objects and declared triggers.
+    be covered by every applicable index, and trigger activation records
+    must decode with nothing left over, name a known declaring class and
+    a position among its triggers, and hang on live objects whose class
+    inherits that trigger.
 
     Used by tests (especially crash-recovery tests, where it proves that
     replay reconstructed a coherent database) and available to operators via

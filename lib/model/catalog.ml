@@ -89,11 +89,15 @@ let find_method t c name =
   go (List.rev (lineage t c))
 
 let find_trigger t c name =
+  let rec position i = function
+    | [] -> None
+    | (g : Schema.trigger) :: rest -> if g.gname = name then Some i else position (i + 1) rest
+  in
   let rec go = function
     | [] -> None
     | (a : Schema.cls) :: rest -> (
-        match List.find_opt (fun (g : Schema.trigger) -> g.gname = name) a.own_triggers with
-        | Some g -> Some g
+        match position 0 a.own_triggers with
+        | Some i -> Some (a, i, List.nth a.own_triggers i)
         | None -> go rest)
   in
   go (List.rev (lineage t c))
@@ -191,7 +195,9 @@ let indexes_on t name =
 
 (* The schema is stored as surface syntax plus per-class metadata; parsing it
    back through the real parser keeps exactly one source of truth for the
-   class-declaration semantics. *)
+   class-declaration semantics. Nothing here changes when objects are
+   created (the oid counters live in the engine's meta record), so only
+   DDL rewrites it. *)
 
 let encode t =
   let b = Buffer.create 1024 in
@@ -201,7 +207,6 @@ let encode t =
     (fun (c : Schema.cls) ->
       Codec.put_u32 b c.id;
       Codec.put_bool b c.cluster_created;
-      Codec.put_int b c.next_num;
       Codec.put_string b (Ode_lang.Pp.class_to_string (Schema.to_decl c)))
     classes;
   Codec.put_u32 b t.next_id;
@@ -220,7 +225,6 @@ let decode s =
   for _ = 1 to n do
     let id = Codec.get_u32 c in
     let cluster_created = Codec.get_bool c in
-    let next_num = Codec.get_int c in
     let src = Codec.get_string c in
     let decl =
       match Ode_lang.Parser.program src with
@@ -231,7 +235,6 @@ let decode s =
     in
     let cls = Schema.of_decl ~id decl in
     cls.cluster_created <- cluster_created;
-    cls.next_num <- next_num;
     Hashtbl.add t.by_name cls.name cls;
     Hashtbl.add t.by_id cls.id cls;
     t.order <- cls.name :: t.order

@@ -60,7 +60,10 @@ val all_constraints : t -> Schema.cls -> Schema.constr list
 val find_method : t -> Schema.cls -> string -> Schema.meth option
 (** Most-derived definition wins (dynamic dispatch). *)
 
-val find_trigger : t -> Schema.cls -> string -> Schema.trigger option
+val find_trigger : t -> Schema.cls -> string -> (Schema.cls * int * Schema.trigger) option
+(** Most-derived declaration wins, as for methods: the class declaring
+    it, its position among that class's [own_triggers], and the
+    declaration. *)
 
 val is_subclass : t -> sub:string -> super:string -> bool
 (** Reflexive and transitive. *)

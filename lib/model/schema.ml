@@ -30,7 +30,6 @@ type cls = {
   own_constraints : constr list;
   own_triggers : trigger list;
   mutable cluster_created : bool;
-  mutable next_num : int;
 }
 
 let field_of_decl (f : Ast.field_decl) =
@@ -71,7 +70,6 @@ let of_decl ~id (d : Ast.class_decl) =
           })
         d.c_triggers;
     cluster_created = false;
-    next_num = 0;
   }
 
 let to_decl c : Ast.class_decl =

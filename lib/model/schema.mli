@@ -43,7 +43,6 @@ type cls = {
   own_constraints : constr list;
   own_triggers : trigger list;
   mutable cluster_created : bool;  (** paper §2.5: clusters are created explicitly *)
-  mutable next_num : int;          (** oid allocation counter *)
 }
 
 val of_decl : id:int -> Ode_lang.Ast.class_decl -> cls

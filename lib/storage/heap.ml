@@ -28,9 +28,10 @@ let chunk_capacity = Page.max_record - 16
 (* The store's format version, checked at open. Bumped when the layout of
    what the store holds changes (ODEHEAP2: compact keys; ODEHEAP3:
    schema-described object records and varint framing; ODEHEAP4: small
-   records in the directory leaf and tagged directory values), so an older
-   store fails at once instead of being misparsed. *)
-let magic = "ODEHEAP4"
+   records in the directory leaf and tagged directory values; ODEHEAP5:
+   schema-described trigger activations, and the oid counters in the meta
+   record), so an older store fails at once instead of being misparsed. *)
+let magic = "ODEHEAP5"
 
 (* Free-space map: pages bucketed by 256-byte free classes so insert can find
    a fitting page in O(1) without scanning every page. *)

@@ -328,13 +328,17 @@ let sync t =
   Stats.incr c_wal_syncs;
   Ode_util.Histogram.time h_sync (fun () ->
       Ode_util.Trace.with_span ~cat:"wal" "wal.sync" (fun () ->
-          let data = Buffer.contents t.pending in
+          (* One copy of the batch: the write takes the bytes, and the
+             observer gets them as a string once the write has succeeded
+             (only a bit-flip fault alters them, and it crashes first). *)
+          let bytes = Buffer.to_bytes t.pending in
           Buffer.clear t.pending;
-          if String.length data > 0 then t.opened <- "";
+          let len = Bytes.length bytes in
+          if len > 0 then t.opened <- "";
           (match t.sink with
-          | Memory b -> Buffer.add_string b data
+          | Memory b -> Buffer.add_bytes b bytes
           | File f -> (
-              if String.length data > 0 then faulted_append f (Bytes.of_string data);
+              if len > 0 then faulted_append f bytes;
               match Failpoint.hit fp_fsync with
               | Some Failpoint.Skip_effect -> ()
               | Some Failpoint.Crash_site -> Failpoint.crash fp_fsync
@@ -352,8 +356,8 @@ let sync t =
           (* Ship the batch only now that it is durable here: a replica can
              never hold records its primary could still lose. *)
           match t.on_sync with
-          | Some notify when String.length data > 0 ->
-              notify ~data ~from_lsn ~to_lsn:t.durable_lsn
+          | Some notify when len > 0 ->
+              notify ~data:(Bytes.unsafe_to_string bytes) ~from_lsn ~to_lsn:t.durable_lsn
           | _ -> ()))
 
 let contents t =

@@ -26,16 +26,20 @@ let put_string b s =
 let put_raw b s = Buffer.add_string b s
 
 (* Unsigned LEB128: seven bits per byte, low group first, the high bit set
-   on every byte but the last. *)
-let rec put_varint b n =
-  if n < 0 then invalid_arg "Codec.put_varint: negative"
-  else if n < 0x80 then put_u8 b n
+   on every byte but the last; [z] is read as an unsigned 63-bit number. *)
+let rec put_groups b z =
+  if z land lnot 0x7f = 0 then put_u8 b z
   else begin
-    put_u8 b (n land 0x7f lor 0x80);
-    put_varint b (n lsr 7)
+    put_u8 b (z land 0x7f lor 0x80);
+    put_groups b (z lsr 7)
   end
 
+let put_varint b n = if n < 0 then invalid_arg "Codec.put_varint: negative" else put_groups b n
 let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
+
+(* Zigzag: 0, -1, 1, -2, ... become 0, 1, 2, 3, ..., so every int fits in
+   nine groups. *)
+let put_svarint b n = put_groups b ((n lsl 1) lxor (n asr 62))
 
 (* -- decoding ---------------------------------------------------------- *)
 
@@ -95,20 +99,28 @@ let get_string c =
   let n = get_u32 c in
   get_raw c n
 
-(* The inverse of [put_varint], which writes the shortest form: a zero
-   final group after the first byte (overlong) or a value past [max_int]
-   is corrupt, like a truncated one. *)
-let get_varint c =
+(* The inverse of [put_groups], which writes the shortest form: a zero
+   final group after the first byte (overlong) or a ninth group above
+   [top] is corrupt, like a truncated one. *)
+let get_groups c ~what ~top =
   let start = c.p in
   let acc = ref 0 and shift = ref 0 and last = ref (-1) in
   while !last < 0 do
     let byte = get_u8 c in
-    if !shift = 56 && byte > 0x3f then corrupt "codec: varint at %d overflows" start;
+    if !shift = 56 && byte > top then corrupt "codec: %s at %d overflows" what start;
     acc := !acc lor ((byte land 0x7f) lsl !shift);
     if byte < 0x80 then last := byte else shift := !shift + 7
   done;
-  if !last = 0 && !shift > 0 then corrupt "codec: overlong varint at %d" start;
+  if !last = 0 && !shift > 0 then corrupt "codec: overlong %s at %d" what start;
   !acc
+
+(* A varint past [max_int] has a ninth group above 0x3f; a zigzag one may
+   use all seven bits. *)
+let get_varint c = get_groups c ~what:"varint" ~top:0x3f
+
+let get_svarint c =
+  let z = get_groups c ~what:"svarint" ~top:0x7f in
+  (z lsr 1) lxor - (z land 1)
 
 (* -- checksums --------------------------------------------------------- *)
 

@@ -39,6 +39,10 @@ val put_varint : Buffer.t -> int -> unit
 val varint_size : int -> int
 (** Bytes [put_varint] writes for a non-negative int. *)
 
+val put_svarint : Buffer.t -> int -> unit
+(** Any int, zigzag-mapped (0, -1, 1, -2, ... to 0, 1, 2, 3, ...) and
+    then written in LEB128 groups: one byte from -64 to 63, at most nine. *)
+
 (** {1 Decoding} *)
 
 type cursor
@@ -67,6 +71,9 @@ val get_raw : cursor -> int -> string
 val get_varint : cursor -> int
 (** Reads what {!put_varint} writes; raises {!Corrupt} on truncated,
     overlong (not shortest-form) or overflowing input. *)
+
+val get_svarint : cursor -> int
+(** Reads what {!put_svarint} writes, with the same checks. *)
 
 (** {1 Checksums} *)
 

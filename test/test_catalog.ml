@@ -125,11 +125,9 @@ let encode_decode_roundtrip () =
   let t = mk_university () in
   Catalog.create_cluster t "person";
   Catalog.add_index t ~cls:"person" ~field:"age";
-  (Catalog.find_exn t "person").next_num <- 42;
   let t' = Catalog.decode (Catalog.encode t) in
   let person = Catalog.find_exn t' "person" in
   Tutil.check_bool "cluster flag" true (Catalog.has_cluster t' person);
-  Tutil.check_int "oid counter" 42 person.next_num;
   Tutil.check_int "class id stable" (Catalog.find_exn t "person").id person.id;
   Tutil.check_bool "indexes" true (Catalog.indexes t' = [ ("person", "age") ]);
   Tutil.check_string_list "subclasses preserved" (Catalog.subclasses t "person")

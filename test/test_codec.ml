@@ -150,6 +150,36 @@ let prop_varint_overlong =
       in
       raises_corrupt padded)
 
+(* Signed varints: every int, both signs, one byte from -64 to 63, nine
+   at the extremes, and the same strictness on input. *)
+let svarint_bytes n =
+  let b = Buffer.create 9 in
+  Codec.put_svarint b n;
+  Buffer.contents b
+
+let prop_svarint_roundtrip =
+  QCheck.Test.make ~name:"svarint roundtrip" ~count:1000
+    QCheck.(pair arb_nat bool)
+    (fun (n, neg) ->
+      let n = if neg then -n - 1 else n in
+      let s = svarint_bytes n in
+      let c = Codec.cursor s in
+      Codec.get_svarint c = n && Codec.at_end c
+      && (String.length s = 1) = (n >= -64 && n <= 63))
+
+let svarint_edges () =
+  List.iter
+    (fun n ->
+      Tutil.check_int (Printf.sprintf "%d in nine bytes" n) 9 (String.length (svarint_bytes n));
+      Tutil.check_int "round trip" n (Codec.get_svarint (Codec.cursor (svarint_bytes n))))
+    [ max_int; min_int ];
+  let raises s =
+    match Codec.get_svarint (Codec.cursor s) with _ -> false | exception Codec.Corrupt _ -> true
+  in
+  Tutil.check_bool "a tenth byte overflows" true (raises (String.make 9 '\xff' ^ "\001"));
+  Tutil.check_bool "overlong" true (raises "\x81\x00");
+  Tutil.check_bool "truncated" true (raises "\x81")
+
 let varint_overflow () =
   Tutil.check_bool "max_int encodes in nine bytes" true (String.length (varint_bytes max_int) = 9);
   Tutil.check_bool "a tenth byte overflows" true (raises_corrupt (String.make 9 '\xff' ^ "\001"));
@@ -170,6 +200,7 @@ let suite =
         Alcotest.test_case "fnv64 keeps its vectors" `Quick fnv_vectors;
         Alcotest.test_case "fnv64 allocates nothing per byte" `Quick fnv_allocates_nothing;
         Alcotest.test_case "varint overflow raises" `Quick varint_overflow;
+        Alcotest.test_case "svarint extremes" `Quick svarint_edges;
       ] );
     Tutil.qsuite "codec.props"
       [
@@ -180,5 +211,6 @@ let suite =
         prop_varint_small;
         prop_varint_truncated;
         prop_varint_overlong;
+        prop_svarint_roundtrip;
       ];
   ]

@@ -1,6 +1,7 @@
 (* The store's key layout: every [Keys] parser inverts its constructor, a
    class prefix covers exactly its class, header keys sort in cluster
-   order, the compact widths are gated exactly, stores written in older
+   order, the compact widths (keys and activation records) are gated
+   exactly, stores written in older
    layouts are refused at open, and small records live in their directory
    leaf. *)
 
@@ -109,6 +110,40 @@ let width_gate () =
   if hdr = 0 || hdr > 6 then Alcotest.failf "widest header key is %d bytes, want 1..6" hdr;
   if idx = 0 || idx > 16 then Alcotest.failf "widest index tree key is %d bytes, want 1..16" idx
 
+(* An activation names its declaration by class id and position and takes
+   its tid from the key: with no arguments, an object of a class below 128
+   and a number below 16,384 has a 7-byte record (2 bytes of oid, 1 of
+   declaring class, 1 of position, flags, argument count), and the
+   directory value, its tag byte included, 8. The record with names and
+   fixed-width integers took 46. *)
+let activation_width () =
+  let db = Db.open_in_memory () in
+  Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+  ignore (Db.define db "class w { k: int; trigger perpetual p(): k < 0 ==> { k := 0; }; };");
+  Db.create_cluster db "w";
+  let tid =
+    Db.with_txn db (fun txn ->
+        let o = ref None in
+        for _ = 0 to 299 do
+          o := Some (Db.pnew txn "w" [ ("k", Value.Int 1) ])
+        done;
+        Db.activate txn (Option.get !o) "p" [])
+  in
+  (match Ode_index.Bptree.find db.kv_dir (Keys.trigger tid) with
+  | Some v ->
+      if String.length v > 8 then
+        Alcotest.failf "activation directory value is %d bytes, want <= 8" (String.length v)
+  | None -> Alcotest.fail "activation record missing");
+  let widest =
+    Ode.Triggers.encode_activation
+      {
+        (Hashtbl.find db.activations tid) with
+        aoid = { Oid.cls = 127; num = 16_383 };
+        tdecl = 127;
+      }
+  in
+  Alcotest.(check int) "widest one-byte-class record" 7 (String.length widest)
+
 (* -- the older layouts are refused ----------------------------------------- *)
 
 let old_layout_refused () =
@@ -123,7 +158,9 @@ let old_layout_refused () =
   (* Stamp an earlier format's magic into the heap header, with a valid
      page checksum, as a store of that build has it: ODEHEAP2 wrote
      self-describing object records with u32 key framing, ODEHEAP3 kept
-     every record in the heap behind a bare 6-byte rid. *)
+     every record in the heap behind a bare 6-byte rid, ODEHEAP4 named an
+     activation's class and trigger and kept the oid counters in the
+     catalog. *)
   List.iter
     (fun magic ->
       let file = Bytes.of_string current in
@@ -139,7 +176,7 @@ let old_layout_refused () =
           let msg = Printexc.to_string e in
           if not (Tutil.contains msg "bad magic") then
             Alcotest.failf "%s refused for another reason: %s" magic msg)
-    [ "ODEHEAP2"; "ODEHEAP3" ]
+    [ "ODEHEAP2"; "ODEHEAP3"; "ODEHEAP4" ]
 
 (* -- records in the directory leaf ------------------------------------------- *)
 
@@ -219,6 +256,7 @@ let suite =
     ( "keys.layout",
       [
         Alcotest.test_case "compact widths" `Quick width_gate;
+        Alcotest.test_case "activation width" `Quick activation_width;
         Alcotest.test_case "old layout refused at open" `Quick old_layout_refused;
         Alcotest.test_case "records cross the inline limit" `Quick records_cross_the_limit;
         Alcotest.test_case "inline get allocates only its result" `Quick

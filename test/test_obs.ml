@@ -239,6 +239,7 @@ let expected_counters =
     ("wal_sync_saved", Workload, Counter); ("index_probes", Workload, Counter);
     ("objects_scanned", Workload, Counter); ("objects_fetched", Workload, Counter);
     ("constraints_checked", Workload, Counter); ("triggers_fired", Workload, Counter);
+    ("triggers_evaluated", Workload, Counter);
     ("wal_torn_bytes", Recovery, Counter); ("recovery_replayed", Recovery, Counter);
     ("checksum_failures", Recovery, Counter); ("orphans_reclaimed", Recovery, Counter);
     ("journal_pages_restored", Recovery, Counter); ("pages_reformatted", Recovery, Counter);

@@ -532,6 +532,173 @@ let exec_many_broken_pipeline () =
           Tutil.check_int "unacknowledged suffix counted" (n - k) pending;
           Tutil.check_int "watermark from acked responses" 7 (Client.last_seen_lsn c))
 
+(* -- the standby's decoded mirrors ------------------------------------------ *)
+
+(* An in-memory primary whose synced batches queue for an in-memory
+   standby at the same (empty) position; [ship] applies the queue. *)
+let mirrored_pair () =
+  let pri = Db.open_in_memory () and rep = Db.open_in_memory () in
+  Db.set_action_printer pri ignore;
+  Db.set_read_only rep true;
+  let queue = Queue.create () in
+  Db.set_wal_observer pri
+    (Some (fun ~data ~from_lsn ~to_lsn -> Queue.add (data, from_lsn, to_lsn) queue));
+  let ship () =
+    Queue.iter
+      (fun (data, from_lsn, to_lsn) ->
+        Tutil.check_bool "batch applies" true
+          (Repl.apply_batch rep ~from_lsn ~to_lsn ~data = `Applied))
+      queue;
+    Queue.clear queue
+  in
+  (pri, rep, queue, ship)
+
+let bank = {|class acct { bal: int;
+  trigger low(n: int): bal < n ==> { print "low"; };
+  trigger perpetual neg(): bal < 0 ==> { print "neg"; };
+  trigger late(): within 3 : bal > 1000 ==> { print "in time"; } timeout { print "late"; }; };|}
+
+(* The activation tables, order-free. *)
+let mirror (db : Ode.Types.db) =
+  ( List.sort compare
+      (Hashtbl.fold
+         (fun _ (a : Ode.Types.activation) acc ->
+           (a.tid, a.aoid, a.tcls, a.tname, a.targs, a.perpetual, a.deadline, a.active) :: acc)
+         db.activations []),
+    List.sort compare
+      (Hashtbl.fold (fun oid tids acc -> (oid, List.sort compare tids) :: acc) db.by_oid []) )
+
+(* Batches that activate, fire a once-only trigger, deactivate, time a
+   trigger out, delete objects and define a class leave the standby's
+   mirror equal to a fresh [load_all] of its store, and to the primary's. *)
+let standby_mirror_incremental () =
+  let pri, rep, _, ship = mirrored_pair () in
+  ignore (Db.define pri bank);
+  Db.create_cluster pri "acct";
+  let accts =
+    Db.with_txn pri (fun txn ->
+        List.init 6 (fun i ->
+            let o = Db.pnew txn "acct" [ ("bal", Value.Int (100 * i)) ] in
+            ignore (Db.activate txn o "low" [ Value.Int 50 ]);
+            ignore (Db.activate txn o "neg" []);
+            ignore (Db.activate txn o "late" []);
+            o))
+  in
+  ship ();
+  let a i = List.nth accts i in
+  (* Fires [low] on account 1, once; deactivates account 2's [neg]. *)
+  Db.with_txn pri (fun txn -> Db.set_field txn (a 1) "bal" (Value.Int 10));
+  let neg2 = Db.with_txn pri (fun txn -> Db.activate txn (a 2) "neg" []) in
+  Db.with_txn pri (fun txn -> Db.deactivate txn neg2);
+  Db.with_txn pri (fun txn -> Db.pdelete txn (a 3));
+  ship ();
+  Db.advance_time pri 5;
+  (* One batch holding a class definition and activations of its trigger. *)
+  Db.set_durability pri Db.Group;
+  ignore
+    (Db.define pri
+       "class gauge { v: int; trigger perpetual up(k: int): v > k ==> { print \"up\"; }; };");
+  Db.create_cluster pri "gauge";
+  Db.with_txn pri (fun txn ->
+      let g = Db.pnew txn "gauge" [] in
+      ignore (Db.activate txn g "up" [ Value.Str "\000k" ]);
+      Db.pdelete txn (a 4));
+  Db.sync_commits pri;
+  ship ();
+  let incremental = mirror rep in
+  Tutil.check_bool "standby mirror matches the primary's" true (incremental = mirror pri);
+  Hashtbl.reset rep.activations;
+  Hashtbl.reset rep.by_oid;
+  Ode.Triggers.load_all rep;
+  Tutil.check_bool "standby mirror matches a fresh load" true (incremental = mirror rep);
+  Tutil.check_bool "meta follows the primary" true
+    (Ode.Txn.encode_meta rep.meta = Ode.Txn.encode_meta pri.meta);
+  check_verified "standby" rep;
+  Db.close pri;
+  Db.close rep
+
+(* Words allocated by [f]. *)
+let allocated f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  f ();
+  words () -. w0
+
+(* A standby's apply of a one-pnew batch costs the same with 100 as with
+   10,000 activations in the store: nothing reloads the activation table.
+   The median over 21 batches leaves out the one that happens to split a
+   page or grow a table. *)
+let standby_apply_flat_in_activations () =
+  let cost n =
+    let pri, rep, queue, ship = mirrored_pair () in
+    ignore (Db.define pri bank);
+    Db.create_cluster pri "acct";
+    Db.with_txn pri (fun txn ->
+        for _ = 1 to n do
+          ignore (Db.activate txn (Db.pnew txn "acct" [ ("bal", Value.Int 500) ]) "neg" [])
+        done);
+    ship ();
+    Db.checkpoint rep;
+    let batches = 21 in
+    let words =
+      List.init batches (fun _ ->
+          Db.with_txn pri (fun txn -> ignore (Db.pnew txn "acct" [ ("bal", Value.Int 7) ]));
+          Tutil.check_int "one batch a commit" 1 (Queue.length queue);
+          allocated ship)
+    in
+    Db.close pri;
+    Db.close rep;
+    List.nth (List.sort compare words) (batches / 2)
+  in
+  let small = cost 100 and large = cost 10_000 in
+  if large > 2.0 *. small then
+    Alcotest.failf "a one-pnew batch allocates %.0f words over 10,000 activations, %.0f over 100"
+      large small
+
+(* The oid counters live in the meta record: a commit that only creates
+   objects logs no catalog record, and no object number is handed out
+   twice across a crash, a clean reopen or a standby's promotion. *)
+let oid_counters_in_meta () =
+  let pri, rep, queue, ship = mirrored_pair () in
+  setup pri;
+  ship ();
+  put pri 1;
+  let keys = ref [] in
+  let logged = function Ode_storage.Wal.Put (_, k, _) -> keys := k :: !keys | _ -> () in
+  Queue.iter (fun (data, _, _) -> ignore (Ode_storage.Wal.scan data (Some logged))) queue;
+  Tutil.check_bool "pnew logs the meta record" true (List.mem Ode.Keys.meta !keys);
+  Tutil.check_bool "pnew logs no catalog record" false (List.mem Ode.Keys.catalog !keys);
+  Tutil.check_bool "the meta key sorts before every object key" true
+    (Ode.Keys.meta < Ode.Keys.header_prefix_class 0);
+  put pri 2;
+  ship ();
+  Db.set_read_only rep false;
+  put rep 3;
+  let nums db =
+    Db.with_txn db (fun txn ->
+        List.sort compare
+          (List.map (fun (o : Ode_model.Oid.t) -> o.num) (Query.to_list db ~txn ~var:"x" ~cls:"t" ())))
+  in
+  Tutil.check_bool "promoted standby continues the numbering" true (nums rep = [ 0; 1; 2 ]);
+  Db.close pri;
+  Db.close rep;
+  let dir = Tutil.temp_dir "repl-nums" in
+  let db = Db.open_ dir in
+  setup db;
+  put db 0;
+  put db 1;
+  Db.crash db;
+  let db = Db.open_ dir in
+  put db 2;
+  Db.close db;
+  let db = Db.open_ dir in
+  put db 3;
+  Tutil.check_bool "no number repeats across a crash and a reopen" true (nums db = [ 0; 1; 2; 3 ]);
+  Db.close db
+
 let suite =
   [
     ( "replication",
@@ -547,5 +714,8 @@ let suite =
         Alcotest.test_case "trace id correlates primary and standby" `Quick
           e2e_trace_correlation;
         Alcotest.test_case "exec_many reports the acked prefix" `Quick exec_many_broken_pipeline;
+        Alcotest.test_case "standby folds trigger writes in" `Quick standby_mirror_incremental;
+        Alcotest.test_case "standby apply flat in activations" `Quick standby_apply_flat_in_activations;
+        Alcotest.test_case "oid counters live in meta" `Quick oid_counters_in_meta;
       ] );
   ]

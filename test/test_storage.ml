@@ -229,6 +229,21 @@ let wal_roundtrip_file () =
   Tutil.check_bool "persisted" true (List.rev !got = wal_records);
   Wal.close w2
 
+(* A sync copies its batch once, into the bytes it writes (and would hand
+   an observer): 64 KiB of frames allocate at most 1.1 times that. *)
+let wal_sync_copies_once () =
+  let dir = Tutil.temp_dir "wal" in
+  let w = Wal.open_file (Filename.concat dir "wal.log") in
+  let size = 64 * 1024 in
+  Wal.append w (Wal.Put (1, "k", String.make size 'p'));
+  Wal.append w (Wal.Commit (1, 0, 1));
+  let before = Gc.allocated_bytes () in
+  Wal.sync w;
+  let allocated = Gc.allocated_bytes () -. before in
+  Wal.close w;
+  if allocated > 1.1 *. float size then
+    Alcotest.failf "sync of a %d-byte batch allocated %.0f bytes" size allocated
+
 let wal_torn_tail_ignored () =
   let dir = Tutil.temp_dir "wal" in
   let path = Filename.concat dir "wal.log" in
@@ -481,6 +496,7 @@ let suite =
         Alcotest.test_case "memory roundtrip" `Quick wal_roundtrip_memory;
         Alcotest.test_case "file roundtrip" `Quick wal_roundtrip_file;
         Alcotest.test_case "torn tail ignored" `Quick wal_torn_tail_ignored;
+        Alcotest.test_case "sync copies its batch once" `Quick wal_sync_copies_once;
         Alcotest.test_case "short commit record is corrupt" `Quick wal_short_commit_corrupt;
         Alcotest.test_case "record fills its frame" `Quick wal_record_fills_its_frame;
         Alcotest.test_case "reset empties" `Quick wal_reset;

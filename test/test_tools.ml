@@ -156,6 +156,39 @@ let verify_detects_corruption () =
   case "heap record without an entry" ~expect:"but the directory has" (fun db _ ->
       ignore (heap_put db stray (String.make (limit + 1) 'x')))
 
+(* An activation record is checked against the catalog: its declaring
+   class id must exist, its position must name one of that class's own
+   triggers, and nothing may follow its last field. *)
+let verify_detects_bad_activations () =
+  let case name ~expect damage =
+    let db = Db.open_in_memory () in
+    ignore
+      (Db.define db
+         "class z { v: int; trigger low(n: int): v < n ==> { v := n; }; }; class y { w: int; };");
+    Db.create_cluster db "z";
+    Db.create_cluster db "y";
+    let tid, other =
+      Db.with_txn db (fun txn ->
+          let o = Db.pnew txn "z" [ ("v", int 1) ] in
+          (Db.activate txn o "low" [ int 0 ], Db.pnew txn "y" []))
+    in
+    let a = Hashtbl.find db.Ode.Types.activations tid in
+    Ode.Kv.put_sorted db [| (Ode.Keys.trigger tid, damage a other) |] ~on_new:ignore;
+    (match Ode.Verify.run db with
+    | Ok () -> Alcotest.failf "%s: corruption not detected" name
+    | Error ps ->
+        if not (List.exists (fun p -> Tutil.contains p expect) ps) then
+          Alcotest.failf "%s: no problem mentions %S: %s" name expect (String.concat "; " ps));
+    Db.close db
+  in
+  let enc = Ode.Triggers.encode_activation in
+  case "unknown declaring class" ~expect:"unknown class id 9" (fun a _ -> enc { a with tdecl = 9 });
+  case "position past the class's triggers" ~expect:"class z has no trigger at position 1"
+    (fun a _ -> enc { a with tpos = 1 });
+  case "trailing byte" ~expect:"1 trailing bytes" (fun a _ -> enc a ^ "\000");
+  case "attached to an object of an unrelated class" ~expect:"class y does not inherit trigger z.low"
+    (fun a other -> enc { a with aoid = other })
+
 (* -- dump/load ----------------------------------------------------------- *)
 
 let dump_roundtrip () =
@@ -342,6 +375,7 @@ let suite =
         Alcotest.test_case "clean database passes" `Quick verify_clean;
         Alcotest.test_case "recovered database passes" `Quick verify_after_crash;
         Alcotest.test_case "corruption is detected" `Quick verify_detects_corruption;
+        Alcotest.test_case "bad activations are detected" `Quick verify_detects_bad_activations;
       ] );
     ( "dump",
       [

@@ -233,6 +233,116 @@ let trigger_params_used_in_condition () =
   Tutil.check_string_list "parameterized" [ "reorder b" ] (lines log);
   Db.close db
 
+(* -- the activation record ------------------------------------------------ *)
+
+module Gen = QCheck.Gen
+module Oid = Ode_model.Oid
+module Catalog = Ode_model.Catalog
+module Schema = Ode_model.Schema
+module Triggers = Ode.Triggers
+
+(* Once-only, perpetual and timed triggers, declared in [a] and [e] and
+   inherited by [d] through two parents, which [d]'s own trigger follows. *)
+let layout_db =
+  lazy
+    (let db = Db.open_in_memory () in
+     ignore
+       (Db.define db
+          {|class a { x: int;
+              trigger t1(): x > 0 ==> { x := 0; };
+              trigger perpetual t2(n: int): x > n ==> { x := 0; }; };
+            class e { y: int;
+              trigger perpetual t3(): y > 0 ==> { y := 0; };
+              trigger t4(): within 5 : y > 1 ==> { y := 0; } timeout { y := 1; }; };
+            class d : e, a { z: int; trigger t5(): z > 0 ==> { z := 0; }; };|});
+     db)
+
+(* (object's class, declaring class, position there) *)
+let placements =
+  [
+    ("a", "a", 0); ("a", "a", 1); ("e", "e", 0); ("e", "e", 1);
+    ("d", "a", 0); ("d", "a", 1); ("d", "e", 0); ("d", "e", 1); ("d", "d", 0);
+  ]
+
+let nat_gen = Gen.(frequency [ (4, int_bound 200); (2, int_bound 100_000); (1, map abs int) ])
+
+(* [Value.encode] frames a ref's class and a version number in 32 bits. *)
+let value_gen =
+  let open Gen in
+  let oid_gen = map2 (fun cls num -> { Oid.cls; num }) (int_bound 100_000) nat_gen in
+  let base =
+    oneof
+      [
+        return Value.Null;
+        map (fun n -> Value.Int n) int;
+        map (fun b -> Value.Bool b) bool;
+        map (fun f -> Value.Float f) (float_bound_inclusive 1e9);
+        map (fun s -> Value.Str s) (string_size ~gen:(oneofl [ '\000'; 'a'; '\255' ]) (0 -- 6));
+        map (fun o -> Value.Ref o) oid_gen;
+        map2 (fun oid ver -> Value.Vref { oid; ver }) oid_gen (int_bound 100_000);
+      ]
+  in
+  oneof
+    [
+      base;
+      map (fun vs -> Value.VList vs) (list_size (0 -- 3) base);
+      map Value.set_of_list (list_size (0 -- 3) base);
+    ]
+
+let deadline_gen =
+  Gen.(
+    frequency
+      [
+        (3, return None);
+        (2, map (fun n -> Some n) nat_gen);
+        (2, map (fun n -> Some (-n - 1)) nat_gen);
+        (1, oneofl [ Some max_int; Some min_int ]);
+      ])
+
+let activation_gen =
+  let open Gen in
+  let db = Lazy.force layout_db in
+  map
+    (fun ((obj, dname, tpos), (tid, num), (targs, deadline, active)) ->
+      let o = Catalog.find_exn db.catalog obj and d = Catalog.find_exn db.catalog dname in
+      let g = List.nth d.own_triggers tpos in
+      {
+        Ode.Types.tid;
+        aoid = { Oid.cls = o.id; num };
+        tdecl = d.id;
+        tpos;
+        tcls = d.name;
+        tname = g.gname;
+        targs;
+        perpetual = g.gperpetual;
+        deadline;
+        active;
+      })
+    (triple (oneofl placements) (pair nat_gen nat_gen)
+       (triple (list_size (0 -- 4) value_gen) deadline_gen bool))
+
+let pp_activation (a : Ode.Types.activation) =
+  Printf.sprintf "tid %d on %s: %s.%s(%s) deadline %s%s" a.tid
+    (Fmt.to_to_string Oid.pp a.aoid)
+    a.tcls a.tname
+    (String.concat ", " (List.map Value.to_string a.targs))
+    (match a.deadline with Some d -> string_of_int d | None -> "none")
+    (if a.active then "" else " inactive")
+
+(* Every field comes back, the names as the catalog's own strings. *)
+let prop_activation_roundtrip =
+  QCheck.Test.make ~name:"activation records round-trip" ~count:1000
+    (QCheck.make ~print:pp_activation activation_gen)
+    (fun a ->
+      let db = Lazy.force layout_db in
+      let b = Triggers.decode_activation db (Ode.Keys.trigger a.tid) (Triggers.encode_activation a) in
+      let d = Catalog.find_exn db.catalog a.tcls in
+      b.tid = a.tid && Oid.equal b.aoid a.aoid && b.tdecl = a.tdecl && b.tpos = a.tpos
+      && b.tcls == d.name
+      && b.tname == (List.nth d.own_triggers a.tpos).gname
+      && List.equal Value.equal b.targs a.targs
+      && b.perpetual = a.perpetual && b.deadline = a.deadline && b.active = a.active)
+
 let suite =
   [
     ( "triggers",
@@ -251,4 +361,5 @@ let suite =
         Alcotest.test_case "activations persist" `Quick activations_persist;
         Alcotest.test_case "parameterized conditions" `Quick trigger_params_used_in_condition;
       ] );
+    Tutil.qsuite "triggers.props" [ prop_activation_roundtrip ];
   ]
