@@ -4,7 +4,7 @@
      dune exec bench/main.exe -- E3 E5        -- run selected experiments
      dune exec bench/main.exe -- --bechamel   -- Bechamel micro-benchmarks
 
-   Each experiment (E1-E13, E15-E18, E25) reifies one performance-relevant
+   Each experiment (E1-E13, E15-E18, E25, E26) reifies one performance-relevant
    claim of the paper as an in-process table with within-run guards;
    EXPERIMENTS.md maps experiments to paper sections and records the
    expected vs measured shape. The process exits nonzero when a guard

@@ -493,16 +493,17 @@ let create_index db ~cls ~field =
            (fun cname ->
              match Catalog.find db.catalog cname with
              | None -> ()
-             | Some c ->
-                 Kv.iter_prefix db (Keys.header_prefix_class c.Schema.id) (fun key _ ->
-                     let oid = Keys.oid_of_header_key key in
-                     (match Store.get_field db (Some txn) oid field with
-                     | Some v ->
-                         Store.write txn
-                           (Keys.index_entry ~idx_id ~valkey:(Value.index_key v) ~oid)
-                           ""
-                     | None -> ());
-                     true))
+             | Some c -> (
+                 match Catalog.slot (Catalog.layout db.catalog c) field with
+                 | None -> ()
+                 | Some slot ->
+                     (* The scan's payload is the committed record, which
+                        nothing can change under the exclusive latch. *)
+                     Kv.iter_prefix db (Keys.header_prefix_class c.Schema.id) (fun key payload ->
+                         let oid = Keys.oid_of_header_key key in
+                         let v = (snd (Store.decode_object db oid payload)).(slot) in
+                         Store.write txn (Keys.index_entry ~idx_id ~valkey:(Value.index_key v) ~oid) "";
+                         true)))
            classes))
 
 let catalog db = db.catalog

@@ -33,6 +33,11 @@ val encode_entry : entry -> string
 val decode_entry : string -> entry
 (** Raises [Codec.Corrupt] on an unknown tag or a malformed rid. *)
 
+val entry_at : Bytes.t -> int -> int -> entry
+(** [entry_at b off len] decodes the directory value in the [len] bytes at
+    [off] of [b], the reader shape {!Ode_index.Bptree.cursor_value} takes;
+    an inline payload is copied once. Raises as {!decode_entry}. *)
+
 val encode_record : string -> string -> string
 (** [encode_record key payload] is the heap record of an out-of-line
     payload: the owning key, then the payload. *)

@@ -187,7 +187,10 @@ let deactivate txn tid =
 (* -- commit-time evaluation --------------------------------------------------------- *)
 
 (* The transaction's own trigger writes, digested once per commit:
-   tid -> activation overrides, plus per-oid activations new in this txn. *)
+   tid -> activation overrides, plus per-oid activations new in this txn.
+   [overrides] then follows [evaluate]'s own writes, so that after the
+   commit it holds the decoded activation of every 'T' put, and the mirror
+   folds them in without decoding them again. *)
 type txn_trigger_view = {
   overrides : (int, activation) Hashtbl.t;
   new_by_oid : (Oid.t, activation list) Hashtbl.t;
@@ -280,8 +283,11 @@ let evaluate txn =
                     Ode_util.Trace.instant ~cat:"trigger" ~args:[ ("trigger", a.tname) ]
                       "trigger.fired";
                     firings := { f_act = a; f_kind = Fired } :: !firings;
-                    if not a.perpetual then
-                      Store.write txn (Keys.trigger a.tid) (encode_activation { a with active = false })
+                    if not a.perpetual then begin
+                      let off = { a with active = false } in
+                      Hashtbl.replace view.overrides a.tid off;
+                      Store.write txn (Keys.trigger a.tid) (encode_activation off)
+                    end
                   end
               | None -> ())
           acts
@@ -289,17 +295,24 @@ let evaluate txn =
         (* The object died in this transaction: its activations go away. *)
         List.iter (fun a -> Store.remove txn (Keys.trigger a.tid)) acts)
     txn.touched;
-  List.rev !firings
+  (List.rev !firings, view.overrides)
+
+type decoded = (int, activation) Hashtbl.t
 
 (* After a successful commit, or a standby's apply of a shipped one, fold
-   its trigger writes into the in-memory mirror. *)
-let sync_after_commit db writes =
+   its trigger writes into the in-memory mirror. A put [decoded] holds is
+   not decoded again. *)
+let sync_after_commit ?decoded db writes =
   List.iter
     (fun (key, op) ->
       if Keys.is_trigger_key key then
         match op with
         | Put payload ->
-            let a = decode_activation db key payload in
+            let a =
+              match Option.bind decoded (fun d -> Hashtbl.find_opt d (Keys.parse_trigger key)) with
+              | Some a -> a
+              | None -> decode_activation db key payload
+            in
             if a.active then register db a else unregister db a.tid
         | Del -> unregister db (Keys.parse_trigger key))
     writes

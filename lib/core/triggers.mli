@@ -44,15 +44,20 @@ val decl : db -> activation -> Ode_model.Schema.trigger option
 
 (** {1 Commit pipeline (used by {!Txn})} *)
 
-val evaluate : txn -> firing list
+type decoded
+(** A committing transaction's ['T'] puts, decoded once by {!evaluate}. *)
+
+val evaluate : txn -> firing list * decoded
 (** Evaluate conditions for the committing transaction's touched objects;
     buffers bookkeeping writes (once-only deactivation, removal of
-    activations on deleted objects) into the transaction. *)
+    activations on deleted objects) into the transaction. Also returns the
+    activation of every ['T'] put the transaction then holds, decoded. *)
 
-val sync_after_commit : db -> (string * op) list -> unit
+val sync_after_commit : ?decoded:decoded -> db -> (string * op) list -> unit
 (** Fold a committed transaction's writes to ['T'] keys into the
-    in-memory activation tables: after a local commit, and per shipped
-    commit on a standby. Other keys are skipped. *)
+    in-memory activation tables: after a local commit, where {!evaluate}
+    has [decoded] its puts, and per shipped commit on a standby, which
+    decodes each put once here. Other keys are skipped. *)
 
 val expired : db -> activation list
 (** Active timed activations whose deadline has passed (used by

@@ -220,7 +220,7 @@ let commit_slot ~durable txn =
       raise e);
   (* 2. Trigger conditions over the post-state; bookkeeping writes (once-only
         deactivations etc.) join this transaction. *)
-  let firings = Triggers.evaluate txn in
+  let firings, decoded = Triggers.evaluate txn in
   (* 3. Engine metadata modified by this transaction. *)
   if txn.catalog_dirty then
     Hashtbl.replace txn.writes Keys.catalog (Put (Ode_model.Catalog.encode db.catalog));
@@ -270,7 +270,7 @@ let commit_slot ~durable txn =
                else None)
              writes);
         Store.apply_writes db writes;
-        Triggers.sync_after_commit db writes)
+        Triggers.sync_after_commit ~decoded db writes)
   end;
   txn.tstate <- `Committed;
   release_snap txn;

@@ -11,6 +11,11 @@
     a position among its triggers, and hang on live objects whose class
     inherits that trigger.
 
+    One cursor pass over the directory reads and decodes each record once;
+    one over the index tree matches its entries against those the decoded
+    slots call for. The check reads nothing through the store's read path
+    or the decoded-object cache, so it leaves the cache as it found it.
+
     Used by tests (especially crash-recovery tests, where it proves that
     replay reconstructed a coherent database) and available to operators via
     {!run}. Must be called outside a transaction. *)

@@ -135,30 +135,40 @@ let pressure_flush t =
          end)
 
 let full s = Ode_util.Lru.length s.frames >= Ode_util.Lru.capacity s.frames
-let evict_clean s = Ode_util.Lru.evict s.frames (fun _ f -> Atomic.get f.pins = 0 && not f.dirty) <> None
+
+(* Evict an unpinned frame that [ok] accepts; its buffer, if one was. *)
+let evict s ok =
+  Option.map (fun (_, f) -> f.buf) (Ode_util.Lru.evict s.frames (fun _ f -> Atomic.get f.pins = 0 && ok f))
+
+let evict_clean s = evict s (fun f -> not f.dirty)
 
 (* Make room for one frame in stripe [s], caller holding its lock. A clean
    victim is evicted without I/O. Failing that, flush everything (one
    journalled batch) with the stripe lock dropped, retake it and evict —
    unless a no-flush section is open, in which case the stripe goes over
-   capacity until the section ends. *)
+   capacity until the section ends. Returns the evicted frame's buffer:
+   nothing reads a frame's bytes once it is unpinned, so the page that
+   takes its place can be read into them. *)
 let make_room t s =
-  if full s && (not (evict_clean s)) && Atomic.get t.no_flush = 0 then begin
-    Mutex.unlock s.mu;
-    let flushed =
-      match pressure_flush t with
-      | v ->
-          Mutex.lock s.mu;
-          v
-      | exception e ->
-          Mutex.lock s.mu;
-          raise e
-    in
-    if flushed && full s then
-      match Ode_util.Lru.evict s.frames (fun _ f -> Atomic.get f.pins = 0) with
-      | Some _ -> ()
-      | None -> raise Pool_exhausted
-  end
+  if not (full s) then None
+  else
+    match evict_clean s with
+    | Some _ as buf -> buf
+    | None when Atomic.get t.no_flush > 0 -> None
+    | None ->
+        Mutex.unlock s.mu;
+        let flushed =
+          match pressure_flush t with
+          | v ->
+              Mutex.lock s.mu;
+              v
+          | exception e ->
+              Mutex.lock s.mu;
+              raise e
+        in
+        if flushed && full s then
+          match evict s (fun _ -> true) with Some _ as buf -> buf | None -> raise Pool_exhausted
+        else None
 
 (* Pin page [n], caller holding its stripe's lock. *)
 let pin_locked t s n =
@@ -170,7 +180,7 @@ let pin_locked t s n =
   | exception Not_found -> (
       Ode_util.Stats.incr c_pool_misses;
       Ode_util.Trace.instant ~cat:"pool" "pool.miss";
-      make_room t s;
+      let spare = make_room t s in
       (* The stripe lock was dropped during a flush: another domain may
          have loaded the page meanwhile. *)
       match Ode_util.Lru.find s.frames n with
@@ -178,7 +188,13 @@ let pin_locked t s n =
           Atomic.incr f.pins;
           f
       | None ->
-          let buf = Disk.read t.disk n in
+          let buf =
+            match spare with
+            | Some buf ->
+                Disk.read_into t.disk n buf;
+                buf
+            | None -> Disk.read t.disk n
+          in
           let f = { no = n; buf; pins = Atomic.make 1; dirty = false } in
           Ode_util.Lru.add s.frames n f;
           f)
@@ -220,7 +236,7 @@ let allocate t =
   let n, buf = Disk.allocate t.disk in
   let s = stripe_of t n in
   Mutex.protect s.mu (fun () ->
-      make_room t s;
+      ignore (make_room t s);
       let f = { no = n; buf; pins = Atomic.make 1; dirty = true } in
       Ode_util.Lru.add s.frames n f;
       f)
@@ -233,7 +249,7 @@ let trim t =
   let over s = Ode_util.Lru.length s.frames > Ode_util.Lru.capacity s.frames in
   let shed s =
     Mutex.protect s.mu (fun () ->
-        while over s && evict_clean s do
+        while over s && evict_clean s <> None do
           ()
         done;
         over s)
@@ -263,7 +279,7 @@ let drop_cache t =
   Array.iter
     (fun s ->
       Mutex.protect s.mu (fun () ->
-          while evict_clean s do
+          while evict_clean s <> None do
             ()
           done))
     t.stripes

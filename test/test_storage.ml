@@ -178,6 +178,42 @@ let pool_flush_all () =
   Pool.flush_all p;
   Tutil.check_bool "flushed" true (Bytes.get (Disk.read d 0) 10 = 'F')
 
+(* A miss on a full pool reads the page into the evicted frame's buffer:
+   cycling 64 pages of a file through 4 frames, every access a miss,
+   allocates far less per miss than the 513 words of a fresh page. *)
+let pool_miss_reuses_victim () =
+  let path = Filename.concat (Tutil.temp_dir "reuse") "pages" in
+  let d = Disk.open_file path in
+  let p = Pool.create ~capacity:4 d in
+  let pages = 64 in
+  for _ = 1 to pages do
+    let f = Pool.allocate p in
+    Pool.mark_dirty p f;
+    Pool.unpin p f
+  done;
+  Pool.flush_all p;
+  let cycle () =
+    for n = 0 to pages - 1 do
+      let f = Pool.pin p n in
+      Pool.unpin p f
+    done
+  in
+  cycle ();
+  let misses () = Ode_util.Stats.(get (snapshot ()) "pool_misses") in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let m0 = misses () and w0 = words () in
+  for _ = 1 to 4 do
+    cycle ()
+  done;
+  let w = words () -. w0 and m = misses () - m0 in
+  Tutil.check_int "every access misses" (4 * pages) m;
+  let per_miss = w /. float m in
+  if per_miss >= 100.0 then Alcotest.failf "%.0f words allocated per miss" per_miss;
+  Disk.close d
+
 let pool_no_flush_section () =
   let d = Disk.in_memory () in
   let p = Pool.create ~capacity:2 d in
@@ -488,6 +524,7 @@ let suite =
         Alcotest.test_case "exhaustion when all pinned" `Quick pool_exhaustion;
         Alcotest.test_case "flush_all" `Quick pool_flush_all;
         Alcotest.test_case "no-flush section" `Quick pool_no_flush_section;
+        Alcotest.test_case "a miss reuses the victim's buffer" `Quick pool_miss_reuses_victim;
         Alcotest.test_case "allocated pages reach the file at flush" `Quick
           pool_allocate_reaches_file_at_flush;
       ] );

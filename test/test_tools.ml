@@ -93,10 +93,12 @@ let verify_after_crash () =
 (* Each case damages one object behind the store's back and expects a
    problem naming it. *)
 let verify_detects_corruption () =
-  let case name ~expect damage =
+  let case ?(indexed = false) name ~expect damage =
     let db = Db.open_in_memory () in
-    ignore (Db.define db "class z { v: int; };");
+    ignore (Db.define db "class z { v: int; }; class y { w: int; };");
     Db.create_cluster db "z";
+    Db.create_cluster db "y";
+    if indexed then Db.create_index db ~cls:"z" ~field:"v";
     let o =
       Db.with_txn db (fun txn ->
           let o = Db.pnew txn "z" [ ("v", int 1) ] in
@@ -154,7 +156,78 @@ let verify_detects_corruption () =
   case "unknown directory value tag" ~expect:"unknown directory value tag 7" (fun db _ ->
       dir_put db stray "\007abc");
   case "heap record without an entry" ~expect:"but the directory has" (fun db _ ->
-      ignore (heap_put db stray (String.make (limit + 1) 'x')))
+      ignore (heap_put db stray (String.make (limit + 1) 'x')));
+  (* Version lists and version records. *)
+  let dead (o : Ode_model.Oid.t) = { o with num = 99 } in
+  case "orphan version record" ~expect:"orphan version record 5" (fun db o ->
+      put db (Ode.Keys.version o 5) (Ode.Store.encode_version [| int 1 |]));
+  case "version record of a dead object" ~expect:"version record for dead object" (fun db o ->
+      put db (Ode.Keys.version (dead o) 0) (Ode.Store.encode_version [| int 1 |]));
+  let put_header db o h = put db (Ode.Keys.header o) (Ode.Store.encode_object h [| int 2 |]) in
+  case "current version not listed" ~expect:"current version 7 not in version list" (fun db o ->
+      put_header db o { hcurrent = 7; hversions = [ 1; 0 ] });
+  case "duplicate version numbers" ~expect:"duplicate version numbers" (fun db o ->
+      put_header db o { hcurrent = 1; hversions = [ 1; 0; 0 ] });
+  (* Index entries, written to the index tree behind the store's back;
+     index 0 covers z.v, and the object's current v is 2. *)
+  let entry ?(idx_id = 0) v o =
+    Ode.Keys.index_tree_key (Ode.Keys.index_entry ~idx_id ~valkey:(Value.index_key v) ~oid:o)
+  in
+  let idx_put db key = Ode_index.Bptree.insert db.Ode.Types.idx key "" in
+  let idx_del db key = ignore (Ode_index.Bptree.delete db.Ode.Types.idx key) in
+  case ~indexed:true "stale index entry" ~expect:"index 0: stale entry for" (fun db o ->
+      idx_put db (entry (int 5) o));
+  case ~indexed:true "missing index entry" ~expect:"index 0: missing entry for" (fun db o ->
+      idx_del db (entry (int 2) o));
+  case ~indexed:true "index entry for a dead object" ~expect:"index 0: entry for dead object"
+    (fun db o -> idx_put db (entry (int 2) (dead o)));
+  case ~indexed:true "index entry under an unknown index" ~expect:"entry for unknown index id 7"
+    (fun db o -> idx_put db (entry ~idx_id:7 (int 2) o));
+  case ~indexed:true "malformed index key" ~expect:"malformed index key" (fun db o ->
+      idx_put db (entry (int 2) o ^ "x"));
+  case ~indexed:true "index entry for an object lacking the field" ~expect:"lacks field v"
+    (fun db _ ->
+      let w = Db.with_txn db (fun txn -> Db.pnew txn "y" [ ("w", int 2) ]) in
+      idx_put db (entry (int 2) w))
+
+(* The check reads each record once and stays out of the object cache:
+   on a 2,000-object indexed store, half its records in the heap, it makes
+   no cache lookup or fill, fetches no object through the store, and opens
+   one cursor per tree, however many objects there are. The index is
+   created over the loaded extent, whose backfill decodes the records its
+   scan hands it, also without the cache; the check then vouches for its
+   entries. *)
+let verify_reads_once () =
+  let module Stats = Ode_util.Stats in
+  let no_object_reads what d =
+    List.iter
+      (fun c -> Alcotest.(check int) (what ^ ": " ^ c) 0 (Stats.get d c))
+      [ "obj_cache_hits"; "obj_cache_misses"; "objects_fetched" ]
+  in
+  let db = Db.open_in_memory () in
+  ignore (Db.define db "class k { v: int; pad: string; };");
+  Db.create_cluster db "k";
+  for batch = 0 to 3 do
+    Db.with_txn db (fun txn ->
+        for i = 0 to 499 do
+          let pad = String.make (if i mod 2 = 0 then 8 else 200) 'x' in
+          ignore (Db.pnew txn "k" [ ("v", int ((batch * 500) + i)); ("pad", str pad) ])
+        done)
+  done;
+  let s0 = Stats.snapshot () in
+  Db.create_index db ~cls:"k" ~field:"v";
+  no_object_reads "backfill" (Stats.diff (Stats.snapshot ()) s0);
+  (* A warm cache, which the check must leave as it is. *)
+  ignore (Query.count db ~var:"x" ~cls:"k" ~suchthat:(Parser.expr "x.pad != \"\"") ());
+  let resident = Ode.Ocache.resident db in
+  if resident = 0 then Alcotest.fail "the object cache did not warm";
+  let s0 = Stats.snapshot () in
+  Ode.Verify.run_exn db;
+  let d = Stats.diff (Stats.snapshot ()) s0 in
+  no_object_reads "verify" d;
+  Alcotest.(check int) "cache residency" resident (Ode.Ocache.resident db);
+  Alcotest.(check int) "index probes: one cursor per tree" 2 (Stats.get d "index_probes");
+  Db.close db
 
 (* An activation record is checked against the catalog: its declaring
    class id must exist, its position must name one of that class's own
@@ -376,6 +449,7 @@ let suite =
         Alcotest.test_case "recovered database passes" `Quick verify_after_crash;
         Alcotest.test_case "corruption is detected" `Quick verify_detects_corruption;
         Alcotest.test_case "bad activations are detected" `Quick verify_detects_bad_activations;
+        Alcotest.test_case "each record read once" `Quick verify_reads_once;
       ] );
     ( "dump",
       [
