@@ -13,12 +13,34 @@ open Report
 
 let mem_db () = Db.open_in_memory ()
 
-let disk_db prefix =
-  let dir =
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* Every on-disk store an experiment makes, with the process that made it,
+   which alone removes it at exit. *)
+let made = ref []
+
+let () =
+  at_exit (fun () ->
+      let me = Unix.getpid () in
+      List.iter
+        (fun (pid, d) -> if pid = me then try if Sys.file_exists d then rm_rf d with Sys_error _ -> ())
+        !made)
+
+(* A fresh store directory under the system temp dir, gone at exit. *)
+let bench_dir name =
+  let d =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ode-bench-%s-%d-%f" prefix (Unix.getpid ()) (Unix.gettimeofday ()))
+      (Printf.sprintf "ode-bench-%s-%d-%f" name (Unix.getpid ()) (Unix.gettimeofday ()))
   in
-  Db.open_ dir
+  made := (Unix.getpid (), d) :: !made;
+  d
+
+let disk_db prefix = Db.open_ (bench_dir prefix)
 
 let pred fmt = Printf.ksprintf Parser.expr fmt
 
@@ -654,10 +676,7 @@ let e10 () =
   let rows2 =
     List.map
       (fun txns ->
-        let dir =
-          Filename.concat (Filename.get_temp_dir_name ())
-            (Printf.sprintf "ode-rec-%d-%d" (Unix.getpid ()) txns)
-        in
+        let dir = bench_dir (Printf.sprintf "rec-%d" txns) in
         let db = Db.open_ ~wal_checkpoint_bytes:max_int dir in
         ignore (Db.define db "class r { v: int; };");
         Db.create_cluster db "r";
@@ -846,10 +865,7 @@ let e15 () =
   let rows = ref [] in
   List.iter
     (fun txns ->
-      let dir =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "ode-bench-e15-%d-%d-%f" txns (Unix.getpid ()) (Unix.gettimeofday ()))
-      in
+      let dir = bench_dir (Printf.sprintf "e15-%d" txns) in
       (* Keep the whole history in the WAL: no auto-checkpoint. *)
       let db = Db.open_ ~wal_checkpoint_bytes:max_int dir in
       ignore (Db.define db "class r { seq: int; payload: string; };");
@@ -900,10 +916,7 @@ let e16 () =
   (* The load runs with a pool smaller than the data, like the other
      experiments' stores. *)
   let pool_pages = max 64 (scaled 512) in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ode-bench-e16-%d-%f" (Unix.getpid ()) (Unix.gettimeofday ()))
-  in
+  let dir = bench_dir "e16" in
   let db = Db.open_ ~pool_pages dir in
   ignore (Db.define db "class m { a: int; b: int; c: int; pad: string; };");
   Db.create_cluster db "m";

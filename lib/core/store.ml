@@ -17,56 +17,147 @@ let type_error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 type header = Types.header = { hcurrent : int; hversions : int list }
 
 (* Records are described by the schema, not by themselves. The 'H' record
-   is [varint hcurrent][varint version count][varint version]... (newest
-   first) followed by one [Value.encode] per slot of the class's layout;
-   a 'V' record is the slots alone. The class comes from the oid in the
-   key, and it fixes the slot count and the field names, so neither is
-   written. *)
+   is a header followed by one slot per field of the class's layout; a 'V'
+   record is the slots alone. The class comes from the oid in the key, and
+   it fixes the slot count, the field names and each slot's type, so none
+   of them is written.
+
+   The header of an object never versioned (current 0, versions [0]) is
+   the single byte 0. Any other is [varint (count + 1)][varint hcurrent]
+   then a [varint] per version, newest first.
+
+   A slot is written by its field's declared type, with no value tag:
+   - int: zigzag varint;
+   - bool: one byte;
+   - string: varint length, then the bytes;
+   - float: a discriminator byte, because a float field may hold an [Int]
+     that must read back as one: 0 and the 8-byte IEEE image, or 1 and a
+     zigzag varint;
+   - ref: a discriminator byte, 0 for null, 1 for a ref, 2 for a vref,
+     then varint class, varint number and, for a vref, varint version;
+   - set and list: varint count, then each element by the element type.
+   Only a conforming value ([check_conform]) is ever written. *)
+
+let unversioned = { hcurrent = 0; hversions = [ 0 ] }
 
 let put_header b h =
-  Codec.put_varint b h.hcurrent;
-  Codec.put_varint b (List.length h.hversions);
-  List.iter (Codec.put_varint b) h.hversions
+  match h with
+  | { hcurrent = 0; hversions = [ 0 ] } -> Codec.put_u8 b 0
+  | _ ->
+      Codec.put_varint b (List.length h.hversions + 1);
+      Codec.put_varint b h.hcurrent;
+      List.iter (Codec.put_varint b) h.hversions
 
 let get_header c =
-  let hcurrent = Codec.get_varint c in
+  match Codec.get_varint c with
+  | 0 -> unversioned
+  | k ->
+      let n = k - 1 in
+      let hcurrent = Codec.get_varint c in
+      if n > Codec.remaining c then raise (Codec.Corrupt "object record: version count past the end");
+      { hcurrent; hversions = List.init n (fun _ -> Codec.get_varint c) }
+
+let put_oid b (o : Oid.t) =
+  Codec.put_varint b o.cls;
+  Codec.put_varint b o.num
+
+let rec put_slot b (t : Otype.t) (v : Value.t) =
+  match (t, v) with
+  | TInt, Int n -> Codec.put_svarint b n
+  | TBool, Bool x -> Codec.put_bool b x
+  | TString, Str s ->
+      Codec.put_varint b (String.length s);
+      Buffer.add_string b s
+  | TFloat, Float f ->
+      Codec.put_u8 b 0;
+      Codec.put_float b f
+  | TFloat, Int n ->
+      Codec.put_u8 b 1;
+      Codec.put_svarint b n
+  | TRef _, Null -> Codec.put_u8 b 0
+  | TRef _, Ref o ->
+      Codec.put_u8 b 1;
+      put_oid b o
+  | TRef _, Vref vr ->
+      Codec.put_u8 b 2;
+      put_oid b vr.oid;
+      Codec.put_varint b vr.ver
+  | TSet t, VSet vs | TList t, VList vs ->
+      Codec.put_varint b (List.length vs);
+      List.iter (put_slot b t) vs
+  | _ -> invalid_arg (Format.asprintf "Store.put_slot: %a is not a %s" Value.pp v (Otype.to_string t))
+
+let get_oid c : Oid.t =
+  let cls = Codec.get_varint c in
+  { cls; num = Codec.get_varint c }
+
+let rec get_slot c (t : Otype.t) : Value.t =
+  match t with
+  | TInt -> Int (Codec.get_svarint c)
+  | TBool -> Bool (Codec.get_bool c)
+  | TString ->
+      let n = Codec.get_varint c in
+      Str (Codec.get_raw c n)
+  | TFloat -> (
+      match Codec.get_u8 c with
+      | 0 -> Float (Codec.get_float c)
+      | 1 -> Int (Codec.get_svarint c)
+      | d -> raise (Codec.Corrupt (Printf.sprintf "float slot: bad discriminator %d" d)))
+  | TRef _ -> (
+      match Codec.get_u8 c with
+      | 0 -> Null
+      | 1 -> Ref (get_oid c)
+      | 2 ->
+          let oid = get_oid c in
+          Vref { oid; ver = Codec.get_varint c }
+      | d -> raise (Codec.Corrupt (Printf.sprintf "ref slot: bad discriminator %d" d)))
+  | TSet t -> VSet (get_elements c t)
+  | TList t -> VList (get_elements c t)
+
+(* Every element takes at least a byte, so a count past the end is
+   corrupt before anything is allocated for it. *)
+and get_elements c t =
   let n = Codec.get_varint c in
-  if n > Codec.remaining c then raise (Codec.Corrupt "object record: version count past the end");
-  { hcurrent; hversions = List.init n (fun _ -> Codec.get_varint c) }
+  if n > Codec.remaining c then raise (Codec.Corrupt "slot: element count past the end");
+  List.init n (fun _ -> get_slot c t)
 
 let layout db (oid : Oid.t) =
   match Catalog.layout_of_id db.catalog oid.cls with
   | Some l -> l
   | None -> raise (Codec.Corrupt (Format.asprintf "object %a: unknown class id %d" Oid.pp oid oid.cls))
 
-let get_slots c n =
-  let slots = Array.make n Value.Null in
-  for i = 0 to n - 1 do
-    slots.(i) <- Value.decode c
-  done;
+let put_slots b (l : Catalog.layout) slots =
+  if Array.length slots <> Array.length l.fields then
+    invalid_arg
+      (Printf.sprintf "Store: %d slots for a layout of %d fields" (Array.length slots)
+         (Array.length l.fields));
+  Array.iteri (fun i v -> put_slot b l.fields.(i).Schema.ftype v) slots
+
+let get_slots c (l : Catalog.layout) =
+  let slots = Array.map (fun (f : Schema.field) -> get_slot c f.ftype) l.fields in
   if not (Codec.at_end c) then raise (Codec.Corrupt "object record: trailing bytes");
   slots
 
-let encode_object h slots =
-  let b = Buffer.create 64 in
+let encode_object db oid h slots =
+  let b = Buffer.create 32 in
   put_header b h;
-  Array.iter (Value.encode b) slots;
+  put_slots b (layout db oid) slots;
   Buffer.contents b
 
-let encode_version slots =
-  let b = Buffer.create 64 in
-  Array.iter (Value.encode b) slots;
+let encode_version db oid slots =
+  let b = Buffer.create 32 in
+  put_slots b (layout db oid) slots;
   Buffer.contents b
 
 let decode_header s = get_header (Codec.cursor s)
 
 let decode_object db oid s =
-  let n = Array.length (layout db oid).fields in
+  let l = layout db oid in
   let c = Codec.cursor s in
   let h = get_header c in
-  (h, get_slots c n)
+  (h, get_slots c l)
 
-let decode_version db oid s = get_slots (Codec.cursor s) (Array.length (layout db oid).fields)
+let decode_version db oid s = get_slots (Codec.cursor s) (layout db oid)
 
 (* The edge where slots become named fields again, for callers that show
    or export whole objects. *)
@@ -302,7 +393,7 @@ let create txn (cls : Schema.cls) inits =
   Hashtbl.replace nums cls.Schema.id (num + 1);
   txn.meta_dirty <- true;
   let oid : Oid.t = { cls = cls.Schema.id; num } in
-  write txn (Keys.header oid) (encode_object { hcurrent = 0; hversions = [ 0 ] } slots);
+  write txn (Keys.header oid) (encode_object db oid unversioned slots);
   List.iter
     (fun (idx_id, fname) -> index_put txn ~idx_id ~value:slots.(slot_exn l fname) ~oid)
     (applicable_indexes db cls);
@@ -352,7 +443,7 @@ let update_fields txn oid updates =
   (* The first update of a field wins, so apply them last to first. *)
   let new_slots = Array.copy old_slots in
   List.iter (fun (i, v) -> new_slots.(i) <- v) (List.rev resolved);
-  write txn (Keys.header oid) (encode_object h new_slots);
+  write txn (Keys.header oid) (encode_object db oid h new_slots);
   reindex txn cls oid ~old_slots ~new_slots;
   touch txn oid
 
@@ -378,9 +469,9 @@ let new_version txn oid =
   let next = match h.hversions with [] -> 0 | newest :: _ -> newest + 1 in
   (* The old current moves to its own record; the new current starts as a
      copy of it in the header record. Index entries are already correct. *)
-  write txn (Keys.version oid h.hcurrent) (encode_version cur);
+  write txn (Keys.version oid h.hcurrent) (encode_version db oid cur);
   write txn (Keys.header oid)
-    (encode_object { hcurrent = next; hversions = next :: h.hversions } cur);
+    (encode_object db oid { hcurrent = next; hversions = next :: h.hversions } cur);
   touch txn oid;
   next
 
@@ -404,11 +495,11 @@ let delete_version txn (vr : Oid.vref) =
       reindex txn (cls_of_oid db vr.oid) vr.oid ~old_slots:cur ~new_slots;
       remove txn (Keys.version vr.oid new_current);
       write txn (Keys.header vr.oid)
-        (encode_object { hcurrent = new_current; hversions = remaining } new_slots);
+        (encode_object db vr.oid { hcurrent = new_current; hversions = remaining } new_slots);
       touch txn vr.oid
   | _ ->
       remove txn (Keys.version vr.oid vr.ver);
-      write txn (Keys.header vr.oid) (encode_object { h with hversions = remaining } cur);
+      write txn (Keys.header vr.oid) (encode_object db vr.oid { h with hversions = remaining } cur);
       touch txn vr.oid
 
 (* -- apply (commit & recovery) ----------------------------------------------------------- *)

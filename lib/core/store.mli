@@ -15,7 +15,8 @@
     reading a current object (paper §4's generic reference) is one
     directory probe and one heap fetch. Records are described by the
     schema: fields are stored as slots in the class's layout
-    ({!Ode_model.Catalog.layout}), with no names, and the class is the one
+    ({!Ode_model.Catalog.layout}), with no names and no value tags, each
+    by its field's declared type ({!put_slot}), and the class is the one
     the oid in the key names. Each non-current version's fields live in a
     'V' record of their own: {!new_version} moves the old
     current into one, and deleting the current version promotes the newest
@@ -35,21 +36,37 @@ type header = Types.header = {
   hversions : int list;  (** newest-first *)
 }
 
-val encode_object : header -> Ode_model.Value.t array -> string
-(** An 'H' record: [varint hcurrent], [varint] version count, a [varint]
-    per version (newest first), then one {!Ode_model.Value.encode} per
-    slot. *)
+val encode_object : db -> Ode_model.Oid.t -> header -> Ode_model.Value.t array -> string
+(** The 'H' record of [oid]: the header, one byte (0) for an object never
+    versioned, else [varint (count + 1)], [varint hcurrent] and a [varint]
+    per version (newest first); then one {!put_slot} per slot of the
+    class's layout. Raises [Invalid_argument] when the slot count is not
+    the layout's or a slot does not hold its field's type. *)
 
-val encode_version : Ode_model.Value.t array -> string
+val encode_version : db -> Ode_model.Oid.t -> Ode_model.Value.t array -> string
 (** A 'V' record: the slots alone. *)
 
 val decode_object : db -> Ode_model.Oid.t -> string -> header * Ode_model.Value.t array
 (** Decode the 'H' record of [oid] against its class's layout: the header
     and the current version's slots. Raises {!Ode_util.Codec.Corrupt} on an
-    unknown class, a short record or trailing bytes. *)
+    unknown class, a short or malformed record or trailing bytes. *)
 
 val decode_version : db -> Ode_model.Oid.t -> string -> Ode_model.Value.t array
 (** Decode a 'V' record of [oid], with the same checks. *)
+
+val put_slot : Buffer.t -> Ode_model.Otype.t -> Ode_model.Value.t -> unit
+(** One value by its declared type, with no tag: an int as a zigzag
+    varint, a bool as a byte, a string as a varint length and its bytes,
+    a float as a discriminator byte (0: 8-byte IEEE image, 1: an [Int] as a
+    zigzag varint), a ref as a discriminator byte (0 null, 1 ref, 2 vref)
+    then varint class, number and version, a set or list as a varint
+    count and its elements. Raises [Invalid_argument] on a value that does
+    not have the type's shape. *)
+
+val get_slot : Ode_util.Codec.cursor -> Ode_model.Otype.t -> Ode_model.Value.t
+(** Reads what {!put_slot} writes for the same type; raises
+    {!Ode_util.Codec.Corrupt} on a bad discriminator or bool byte, a
+    truncated or overlong varint, or a count past the end. *)
 
 val named_fields : db -> Ode_model.Oid.t -> Ode_model.Value.t array -> (string * Ode_model.Value.t) list
 (** Slots of [oid]'s class paired with their field names. *)

@@ -34,15 +34,18 @@ let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
    varints but the flags byte:
 
      oid class, oid number, declaring class id, position among that
-     class's own triggers, flags (active, has-deadline), argument count,
-     each argument's [Value.encode], and the deadline (zigzag) if any.
+     class's own triggers, flags (active, has-deadline), each argument by
+     its declared parameter type ([Store.put_slot]), and the deadline
+     (zigzag) if any.
 
-   The tid is the 'T' key's; the names and [perpetual] are the
-   declaration's. *)
+   The tid is the 'T' key's; the names, [perpetual], the argument count
+   and types are the declaration's. *)
 let flag_active = 1
 let flag_deadline = 2
 
-let encode_activation (a : activation) =
+let param_types (g : Schema.trigger) = List.map (fun (p : Schema.field) -> p.ftype) g.gparams
+
+let encode_activation params (a : activation) =
   let b = Buffer.create 16 in
   Codec.put_varint b a.aoid.cls;
   Codec.put_varint b a.aoid.num;
@@ -50,8 +53,7 @@ let encode_activation (a : activation) =
   Codec.put_varint b a.tpos;
   Codec.put_u8 b
     ((if a.active then flag_active else 0) lor if a.deadline <> None then flag_deadline else 0);
-  Codec.put_varint b (List.length a.targs);
-  List.iter (Value.encode b) a.targs;
+  List.iter2 (Store.put_slot b) params a.targs;
   Option.iter (Codec.put_svarint b) a.deadline;
   Buffer.contents b
 
@@ -64,31 +66,32 @@ let decode_activation db key s =
   let num = Codec.get_varint c in
   let tdecl = Codec.get_varint c in
   let tpos = Codec.get_varint c in
+  let d, g =
+    match Catalog.find_by_id db.catalog tdecl with
+    | None -> corrupt "activation %d: unknown class id %d" tid tdecl
+    | Some d -> (
+        match List.nth_opt d.own_triggers tpos with
+        | None -> corrupt "activation %d: class %s has no trigger at position %d" tid d.name tpos
+        | Some g -> (d, g))
+  in
   let flags = Codec.get_u8 c in
   if flags land lnot (flag_active lor flag_deadline) <> 0 then
     corrupt "activation %d: unknown flags 0x%02x" tid flags;
-  let n = Codec.get_varint c in
-  let targs = List.init n (fun _ -> Value.decode c) in
+  let targs = List.map (fun (p : Schema.field) -> Store.get_slot c p.ftype) g.gparams in
   let deadline = if flags land flag_deadline <> 0 then Some (Codec.get_svarint c) else None in
   if not (Codec.at_end c) then corrupt "activation %d: %d trailing bytes" tid (Codec.remaining c);
-  match Catalog.find_by_id db.catalog tdecl with
-  | None -> corrupt "activation %d: unknown class id %d" tid tdecl
-  | Some d -> (
-      match List.nth_opt d.own_triggers tpos with
-      | None -> corrupt "activation %d: class %s has no trigger at position %d" tid d.name tpos
-      | Some g ->
-          {
-            tid;
-            aoid = { cls; num };
-            tdecl;
-            tpos;
-            tcls = d.name;
-            tname = g.gname;
-            targs;
-            perpetual = g.gperpetual;
-            deadline;
-            active = flags land flag_active <> 0;
-          })
+  {
+    tid;
+    aoid = { cls; num };
+    tdecl;
+    tpos;
+    tcls = d.name;
+    tname = g.gname;
+    targs;
+    perpetual = g.gperpetual;
+    deadline;
+    active = flags land flag_active <> 0;
+  }
 
 (* The declaration an activation names. *)
 let decl db (a : activation) =
@@ -141,6 +144,12 @@ let activate txn oid tname args =
   let d, tpos, g = find_decl db oid tname in
   if List.length args <> List.length g.gparams then
     err "trigger %s expects %d arguments, got %d" tname (List.length g.gparams) (List.length args);
+  List.iter2
+    (fun (p : Schema.field) v ->
+      if not (Store.conforms db p v) then
+        err "trigger %s: argument %s expects %s, got %a" tname p.fname (Ode_model.Otype.to_string p.ftype)
+          Value.pp v)
+    g.gparams args;
   let deadline =
     match g.gwithin with
     | None -> None
@@ -167,7 +176,7 @@ let activate txn oid tname args =
       active = true;
     }
   in
-  Store.write txn (Keys.trigger tid) (encode_activation a);
+  Store.write txn (Keys.trigger tid) (encode_activation (param_types g) a);
   (* Conditions are evaluated at the end of each transaction (paper §6); an
      activation whose condition already holds fires when the activating
      transaction commits, so mark the object for evaluation. *)
@@ -182,7 +191,9 @@ let deactivate txn tid =
     | Some s -> decode_activation db key s
     | None -> err "no such trigger activation %d" tid
   in
-  Store.write txn key (encode_activation { current with active = false })
+  (* A record that decoded names a declaration the catalog has. *)
+  let g = Option.get (decl db current) in
+  Store.write txn key (encode_activation (param_types g) { current with active = false })
 
 (* -- commit-time evaluation --------------------------------------------------------- *)
 
@@ -286,7 +297,7 @@ let evaluate txn =
                     if not a.perpetual then begin
                       let off = { a with active = false } in
                       Hashtbl.replace view.overrides a.tid off;
-                      Store.write txn (Keys.trigger a.tid) (encode_activation off)
+                      Store.write txn (Keys.trigger a.tid) (encode_activation (param_types g) off)
                     end
                   end
               | None -> ())

@@ -34,7 +34,8 @@ exception Trigger_error of string
 
 val activate : txn -> Ode_model.Oid.t -> string -> Ode_model.Value.t list -> int
 (** Returns the trigger id. Raises {!Trigger_error} for an unknown trigger,
-    arity mismatch, or a dead object. *)
+    arity mismatch, an argument that does not conform to its parameter's
+    declared type, or a dead object. *)
 
 val deactivate : txn -> int -> unit
 
@@ -68,11 +69,15 @@ val load_all : db -> unit
 
 (**/**)
 
-val encode_activation : activation -> string
+val encode_activation : Ode_model.Otype.t list -> activation -> string
+(** [encode_activation params a]: the record of [a], its arguments written
+    by [params], the declared parameter types. Raises [Invalid_argument]
+    when the counts differ or an argument lacks its type's shape. *)
 
 val decode_activation : db -> string -> string -> activation
 (** [decode_activation db key payload]: the tid from [key], the names
-    and [perpetual] from [db]'s catalog. Raises {!Ode_util.Codec.Corrupt}
+    and [perpetual] from [db]'s catalog, each argument read by its
+    declared parameter type. Raises {!Ode_util.Codec.Corrupt}
     on a malformed record, on trailing bytes, and on a declaring class id
     or trigger position the catalog lacks. *)
 

@@ -21,8 +21,10 @@ let run db =
   let bad fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
   let pp_ver ppf = function None -> () | Some ver -> Format.fprintf ppf " version %d" ver in
 
-  (* Every slot conforms to its field's type: records carry no names, so
-     each is decoded against the layout of the class its oid names. *)
+  (* Every slot conforms to its field's type. Records carry no names and
+     no value tags, so each slot was decoded by its field's type in the
+     layout of the class its oid names; what decoding cannot vouch for is
+     the class a ref names. *)
   let check_slots (oid : Oid.t) ver slots =
     match Catalog.layout_of_id db.catalog oid.cls with
     | None -> ()

@@ -143,6 +143,21 @@ let compare_key key b off lim =
   let kl = String.length key in
   compare_from key b (off + vsize len) len 0 (if kl < len then kl else len)
 
+(* The sign of comparing the [l1] bytes at [p1] of [b] with the [l2] at
+   [p2], whose first [i] match and whose first [n] (the shorter length)
+   are compared. *)
+let rec compare_in b p1 l1 p2 l2 i n =
+  if i = n then compare l1 l2
+  else
+    let c = Char.code (Bytes.unsafe_get b (p1 + i)) - Char.code (Bytes.unsafe_get b (p2 + i)) in
+    if c <> 0 then c else compare_in b p1 l1 p2 l2 (i + 1) n
+
+(* The keys of the entries at [off1] and [off2] of the node [b], compared
+   where they lie. *)
+let compare_entries b off1 off2 =
+  let l1 = len_at b off1 node_end and l2 = len_at b off2 node_end in
+  compare_in b (off1 + vsize l1) l1 (off2 + vsize l2) l2 0 (if l1 < l2 then l1 else l2)
+
 let key_string b off lim =
   let len = len_at b off lim in
   Bytes.sub_string b (off + vsize len) len
@@ -933,31 +948,38 @@ let check t =
       if String.compare keys.(i) keys.(i + 1) >= 0 then bad "node %d: keys unsorted" page
     done
   in
+  (* A leaf's keys are compared where they lie: each with the next, then
+     the first (its least, once sorted) against [lo] and the last against
+     [hi]. No key is copied out. *)
+  let leaf_keys page b ~lo ~hi =
+    let n = count b in
+    for i = 0 to n - 2 do
+      if compare_entries b (slot b i) (slot b (i + 1)) >= 0 then bad "node %d: keys unsorted" page
+    done;
+    if n > 0 then begin
+      (match lo with
+      | Some l0 when compare_key l0 b (slot b 0) node_end > 0 -> bad "leaf %d: key below bound" page
+      | _ -> ());
+      match hi with
+      | Some h0 when compare_key h0 b (slot b (n - 1)) node_end <= 0 -> bad "leaf %d: key above bound" page
+      | _ -> ()
+    end;
+    n
+  in
   let rec go page depth ~lo ~hi =
     if Hashtbl.mem visited page then bad "page %d is reached twice" page;
     Hashtbl.add visited page ();
     let node =
       with_node t page depth (fun b ->
           layout page b;
-          if is_leaf b then `Leaf (Array.init (count b) (fun i -> key_string b (slot b i) node_end), link b)
-          else `Internal (internal_parts b))
+          if is_leaf b then `Leaf (leaf_keys page b ~lo ~hi, link b) else `Internal (internal_parts b))
     in
     match node with
-    | `Leaf (keys, next) ->
+    | `Leaf (n, next) ->
         if !leaf_depth < 0 then leaf_depth := depth
         else if depth <> !leaf_depth then bad "leaf %d at depth %d, others at %d" page depth !leaf_depth;
         leaves := (page, next) :: !leaves;
-        seen := !seen + Array.length keys;
-        sorted page keys;
-        Array.iter
-          (fun k ->
-            (match lo with
-            | Some l0 when String.compare k l0 < 0 -> bad "leaf %d: key below bound" page
-            | _ -> ());
-            match hi with
-            | Some h0 when String.compare k h0 >= 0 -> bad "leaf %d: key above bound" page
-            | _ -> ())
-          keys
+        seen := !seen + n
     | `Internal (keys, children) ->
         sorted page keys;
         Array.iteri

@@ -63,9 +63,9 @@ let conforms ?subclass t v ~class_of =
     | TBool, Bool _ -> true
     | TString, Str _ -> true
     | TRef _, Null -> true
-    | TRef c, Ref o -> (
+    | TRef c, Ref o when o.Oid.num >= 0 -> (
         match class_of o with Some name -> sub ~sub:name ~super:c | None -> false)
-    | TRef c, Vref vr -> (
+    | TRef c, Vref vr when vr.Oid.oid.num >= 0 && vr.ver >= 0 -> (
         match class_of vr.Oid.oid with Some name -> sub ~sub:name ~super:c | None -> false)
     | TSet t', VSet vs | TList t', VList vs -> List.for_all (go t') vs
     | _ -> false

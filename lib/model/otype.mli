@@ -24,7 +24,9 @@ val conforms : ?subclass:(sub:string -> super:string -> bool) ->
   t -> Value.t -> class_of:(Oid.t -> string option) -> bool
 (** Structural conformance of a value to a type. [Null] conforms to [TRef]
     only. Reference targets are checked against the class hierarchy via
-    [class_of] and [subclass] (absent means exact-name matching). *)
+    [class_of] and [subclass] (absent means exact-name matching); a
+    reference with a negative object or version number conforms to
+    nothing. *)
 
 val indexable : t -> bool
 (** Whether a secondary index can be built on a field of this type. *)

@@ -32,6 +32,12 @@ val set_remove : t -> t -> t
 val set_mem : t -> t -> bool
 
 val encode : Buffer.t -> t -> unit
+(** Self-describing: a tag byte, then the value in fixed widths. Named
+    roots, whose values have no declared type, are stored this way; object
+    slots and trigger arguments are written by their declared types
+    instead ([Store.put_slot]). Its bytes are fixed, as {!fields_encode}'s
+    are. *)
+
 val decode : Ode_util.Codec.cursor -> t
 
 val index_key : t -> string

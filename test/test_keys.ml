@@ -111,11 +111,12 @@ let width_gate () =
   if idx = 0 || idx > 16 then Alcotest.failf "widest index tree key is %d bytes, want 1..16" idx
 
 (* An activation names its declaration by class id and position and takes
-   its tid from the key: with no arguments, an object of a class below 128
-   and a number below 16,384 has a 7-byte record (2 bytes of oid, 1 of
-   declaring class, 1 of position, flags, argument count), and the
-   directory value, its tag byte included, 8. The record with names and
-   fixed-width integers took 46. *)
+   its tid from the key; the declaration fixes the argument count and
+   types. With no arguments, an object of a class below 128 and a number
+   below 16,384 has a 6-byte record (2 bytes of oid, 1 of declaring class,
+   1 of position, flags), and the directory value, its tag byte included,
+   7. The record with names and fixed-width integers took 46, and the one
+   with an argument count 7. *)
 let activation_width () =
   let db = Db.open_in_memory () in
   Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
@@ -131,18 +132,117 @@ let activation_width () =
   in
   (match Ode_index.Bptree.find db.kv_dir (Keys.trigger tid) with
   | Some v ->
-      if String.length v > 8 then
-        Alcotest.failf "activation directory value is %d bytes, want <= 8" (String.length v)
+      if String.length v > 7 then
+        Alcotest.failf "activation directory value is %d bytes, want <= 7" (String.length v)
   | None -> Alcotest.fail "activation record missing");
   let widest =
-    Ode.Triggers.encode_activation
+    Ode.Triggers.encode_activation []
       {
         (Hashtbl.find db.activations tid) with
         aoid = { Oid.cls = 127; num = 16_383 };
         tdecl = 127;
       }
   in
-  Alcotest.(check int) "widest one-byte-class record" 7 (String.length widest)
+  Alcotest.(check int) "widest one-byte-class record" 6 (String.length widest)
+
+(* -- typed slots --------------------------------------------------------------- *)
+
+module Otype = Ode_model.Otype
+
+let hex s = String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* Types nested up to two deep, a set of lists and a list of sets
+   included. *)
+let type_gen =
+  let open Gen in
+  let base = oneofl Otype.[ TInt; TBool; TString; TFloat; TRef "z" ] in
+  oneof
+    [
+      base;
+      map (fun t -> Otype.TSet t) base;
+      map (fun t -> Otype.TList t) base;
+      map (fun t -> Otype.TSet (Otype.TList t)) base;
+      map (fun t -> Otype.TList (Otype.TSet t)) base;
+    ]
+
+let typed_gen = Gen.(type_gen >>= fun t -> map (fun v -> (t, v)) (Tutil.value_of_type_gen t))
+
+(* A slot reads back exactly what was written, consuming all of it: an
+   [Int] in a float slot comes back an [Int], hence [compare] rather than
+   [Value.equal], which equates [Int 1] and [Float 1.]. *)
+let prop_slot_roundtrip =
+  QCheck.Test.make ~name:"slots round-trip by type" ~count:2000
+    (QCheck.make ~print:(fun (t, v) -> Otype.to_string t ^ " " ^ pp_value v) typed_gen)
+    (fun (t, v) ->
+      let b = Buffer.create 16 in
+      Ode.Store.put_slot b t v;
+      let c = Ode_util.Codec.cursor (Buffer.contents b) in
+      let v' = Ode.Store.get_slot c t in
+      compare v' v = 0 && Ode_util.Codec.at_end c)
+
+(* One record per type, pinned byte for byte. *)
+let golden_slots () =
+  let db = Db.open_in_memory () in
+  Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+  ignore
+    (Db.define db
+       "class g { i: int; b: bool; s: string; f: float; r: ref g; xs: set<int>; l: list<ref g>; };");
+  Db.create_cluster db "g";
+  let o = { Oid.cls = 0; num = 0 } in
+  let record slots = hex (Ode.Store.encode_object db o { hcurrent = 0; hversions = [ 0 ] } slots) in
+  let field name ty v expected =
+    let b = Buffer.create 16 in
+    Ode.Store.put_slot b ty v;
+    Alcotest.(check string) name expected (hex (Buffer.contents b))
+  in
+  field "int -42" Otype.TInt (Value.Int (-42)) "53";
+  field "int 300" Otype.TInt (Value.Int 300) "d804";
+  field "int min_int" Otype.TInt (Value.Int min_int) "ffffffffffffffff7f";
+  field "bool" Otype.TBool (Value.Bool true) "01";
+  field "string" Otype.TString (Value.Str "h\000i") "03680069";
+  field "float" Otype.TFloat (Value.Float 1.5) "00000000000000f83f";
+  field "int in a float field" Otype.TFloat (Value.Int (-3)) "0105";
+  field "null ref" (Otype.TRef "g") Value.Null "00";
+  field "ref" (Otype.TRef "g") (Value.Ref { cls = 3; num = 70000 }) "0103f0a204";
+  field "vref" (Otype.TRef "g") (Value.Vref { oid = { cls = 1; num = 2 }; ver = 5 }) "02010205";
+  field "set" (Otype.TSet Otype.TInt) (Value.VSet [ Value.Int 1; Value.Int 7 ]) "02020e";
+  field "list of sets" (Otype.TList (Otype.TSet Otype.TBool))
+    (Value.VList [ Value.VSet []; Value.VSet [ Value.Bool true ] ])
+    "02000101";
+  let slots =
+    Value.
+      [|
+        Int 7; Bool false; Str "ab"; Float 0.; Ref o; VSet [ Int (-1) ]; VList [ Null; Vref { oid = o; ver = 1 } ];
+      |]
+  in
+  Alcotest.(check string) "unversioned record" "000e000261620000000000000000000100000101020002000001" (record slots);
+  Alcotest.(check string) "versioned header" "0402020100"
+    (hex (String.sub (Ode.Store.encode_object db o { hcurrent = 2; hversions = [ 2; 1; 0 ] } slots) 0 5));
+  let unversioned = record slots in
+  Alcotest.(check string) "version record: the slots alone"
+    (String.sub unversioned 2 (String.length unversioned - 2))
+    (hex (Ode.Store.encode_version db o slots));
+  (* And each decodes back. *)
+  let h, back = Ode.Store.decode_object db o (Ode.Store.encode_object db o { hcurrent = 2; hversions = [ 2; 1; 0 ] } slots) in
+  Alcotest.(check (list int)) "versions" [ 2; 1; 0 ] h.hversions;
+  Tutil.check_bool "slots" true (back = slots)
+
+(* serve-mixed's account, at its largest load-time number: a one-byte
+   header (never versioned), 3 bytes of number, 7 of owner, 3 of balance.
+   Tagged slots with a three-byte header took 32. *)
+let account_size () =
+  let db = Db.open_in_memory () in
+  Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+  ignore (Db.define db "class account { number: int; owner: string; balance: int; };");
+  Db.create_cluster db "account";
+  let o =
+    Db.with_txn db (fun txn ->
+        Db.pnew txn "account"
+          [ ("number", Value.Int 12245); ("owner", Value.Str "o12245"); ("balance", Value.Int 1000999) ])
+  in
+  match Ode.Kv.get db (Keys.header o) with
+  | Some payload -> Alcotest.(check int) "account H payload bytes" 14 (String.length payload)
+  | None -> Alcotest.fail "account record missing"
 
 (* -- the older layouts are refused ----------------------------------------- *)
 
@@ -160,7 +260,7 @@ let old_layout_refused () =
      self-describing object records with u32 key framing, ODEHEAP3 kept
      every record in the heap behind a bare 6-byte rid, ODEHEAP4 named an
      activation's class and trigger and kept the oid counters in the
-     catalog. *)
+     catalog, ODEHEAP5 tagged every slot and argument with its kind. *)
   List.iter
     (fun magic ->
       let file = Bytes.of_string current in
@@ -176,7 +276,7 @@ let old_layout_refused () =
           let msg = Printexc.to_string e in
           if not (Tutil.contains msg "bad magic") then
             Alcotest.failf "%s refused for another reason: %s" magic msg)
-    [ "ODEHEAP2"; "ODEHEAP3"; "ODEHEAP4" ]
+    [ "ODEHEAP2"; "ODEHEAP3"; "ODEHEAP4"; "ODEHEAP5" ]
 
 (* -- records in the directory leaf ------------------------------------------- *)
 
@@ -258,10 +358,13 @@ let suite =
         Alcotest.test_case "compact widths" `Quick width_gate;
         Alcotest.test_case "activation width" `Quick activation_width;
         Alcotest.test_case "old layout refused at open" `Quick old_layout_refused;
+        Alcotest.test_case "slot bytes by type" `Quick golden_slots;
+        Alcotest.test_case "account record size" `Quick account_size;
         Alcotest.test_case "records cross the inline limit" `Quick records_cross_the_limit;
         Alcotest.test_case "inline get allocates only its result" `Quick
           inline_get_allocates_only_its_result;
       ] );
     Tutil.qsuite "keys.parsers"
       [ prop_header; prop_version; prop_trigger; prop_index; prop_class_prefix; prop_header_order ];
+    Tutil.qsuite "keys.slots" [ prop_slot_roundtrip ];
   ]

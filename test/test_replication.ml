@@ -597,7 +597,7 @@ let standby_mirror_incremental () =
   Db.set_durability pri Db.Group;
   ignore
     (Db.define pri
-       "class gauge { v: int; trigger perpetual up(k: int): v > k ==> { print \"up\"; }; };");
+       "class gauge { v: int; trigger perpetual up(k: string): v > 0 && k != \"\" ==> { print \"up\"; }; };");
   Db.create_cluster pri "gauge";
   Db.with_txn pri (fun txn ->
       let g = Db.pnew txn "gauge" [] in

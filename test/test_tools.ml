@@ -95,7 +95,7 @@ let verify_after_crash () =
 let verify_detects_corruption () =
   let case ?(indexed = false) name ~expect damage =
     let db = Db.open_in_memory () in
-    ignore (Db.define db "class z { v: int; }; class y { w: int; };");
+    ignore (Db.define db "class z { v: int; }; class y { w: int; r: ref z; };");
     Db.create_cluster db "z";
     Db.create_cluster db "y";
     if indexed then Db.create_index db ~cls:"z" ~field:"v";
@@ -117,31 +117,58 @@ let verify_detects_corruption () =
   let put db key payload = Ode.Kv.put_sorted db [| (key, payload) |] ~on_new:ignore in
   case "missing non-current version" ~expect:"version 0 record missing" (fun db o ->
       Ode.Kv.delete db (Ode.Keys.version o 0));
-  let put_object db o slots =
-    let h = Option.get (Ode.Store.get_header db None o) in
-    put db (Ode.Keys.header o) (Ode.Store.encode_object h slots)
+  (* [o]'s record as the store writes it, with its header and the slots
+     given. *)
+  let record db o slots =
+    Ode.Store.encode_object db o (Option.get (Ode.Store.get_header db None o)) slots
   in
+  let put_object db o slots = put db (Ode.Keys.header o) (record db o slots) in
+  (* A [y] object, whose record a case then rewrites. *)
+  let new_y db = Db.with_txn db (fun txn -> Db.pnew txn "y" [ ("w", int 2) ]) in
+  let version db o slots = Ode.Store.encode_version db o slots in
   case "current version stored twice" ~expect:"current version 1 also has a version record"
-    (fun db o -> put db (Ode.Keys.version o 1) (Ode.Store.encode_version [| int 2 |]));
+    (fun db o -> put db (Ode.Keys.version o 1) (version db o [| int 2 |]));
   case "malformed version key" ~expect:"malformed version key" (fun db o ->
-      put db (Ode.Keys.version o 0 ^ "x") (Ode.Store.encode_version [| int 1 |]));
-  (* Records carry no names, so only the class's layout vouches for them. *)
+      put db (Ode.Keys.version o 0 ^ "x") (version db o [| int 1 |]));
+  (* Records carry no names and no value tags, so only the class's layout
+     vouches for them; [v = 2] is the one-byte zigzag varint 4. *)
   case "object record one slot short" ~expect:"does not decode as header plus fields" (fun db o ->
-      put_object db o [||]);
+      let r = record db o [| int 2 |] in
+      put db (Ode.Keys.header o) (String.sub r 0 (String.length r - 1)));
   case "object record one slot extra" ~expect:"does not decode as header plus fields" (fun db o ->
-      put_object db o [| int 2; int 3 |]);
-  case "object slot of the wrong type" ~expect:"field v holds \"2\", which does not conform to int"
-    (fun db o -> put_object db o [| Value.Str "2" |]);
+      put db (Ode.Keys.header o) (record db o [| int 2 |] ^ "\004"));
+  case "object record in the old tagged layout" ~expect:"does not decode as header plus fields"
+    (fun db o ->
+      let b = Buffer.create 16 in
+      List.iter (Ode_util.Codec.put_varint b) [ 1; 2; 1; 0 ];
+      Value.encode b (int 2);
+      put db (Ode.Keys.header o) (Buffer.contents b));
   case "version record one slot short" ~expect:"version 0 record does not decode" (fun db o ->
-      put db (Ode.Keys.version o 0) (Ode.Store.encode_version [||]));
+      put db (Ode.Keys.version o 0) "");
   case "version record one slot extra" ~expect:"version 0 record does not decode" (fun db o ->
-      put db (Ode.Keys.version o 0) (Ode.Store.encode_version [| int 1; int 1 |]));
-  case "version slot of the wrong type" ~expect:"version 0: field v holds true" (fun db o ->
-      put db (Ode.Keys.version o 0) (Ode.Store.encode_version [| Value.Bool true |]));
-  case "truncated object record" ~expect:"does not decode as header plus fields" (fun db o ->
-      let key = Ode.Keys.header o in
-      let payload = Option.get (Ode.Kv.get db key) in
-      put db key (String.sub payload 0 (String.length payload - 1)));
+      put db (Ode.Keys.version o 0) "\002\002");
+  case "version record in the old tagged layout" ~expect:"version 0 record does not decode"
+    (fun db o ->
+      let b = Buffer.create 16 in
+      Value.encode b (int 1);
+      put db (Ode.Keys.version o 0) (Buffer.contents b));
+  (* [v = 300] is the two-byte varint d8 04. *)
+  case "truncated varint" ~expect:"does not decode as header plus fields" (fun db o ->
+      let r = record db o [| int 300 |] in
+      put db (Ode.Keys.header o) (String.sub r 0 (String.length r - 1)));
+  case "overlong varint" ~expect:"does not decode as header plus fields" (fun db o ->
+      let r = record db o [| int 2 |] in
+      put db (Ode.Keys.header o) (String.sub r 0 (String.length r - 1) ^ "\x84\x00"));
+  (* [y]'s last slot is [r: ref z], whose first byte is its discriminator:
+     0 null, 1 ref, 2 vref. *)
+  case "ref discriminator out of range" ~expect:"does not decode as header plus fields" (fun db _ ->
+      let p = new_y db in
+      let r = record db p [| int 2; Value.Null |] in
+      put db (Ode.Keys.header p) (String.sub r 0 (String.length r - 1) ^ "\003"));
+  case "ref outside the declared class" ~expect:"field r holds #1:0, which does not conform to ref z"
+    (fun db _ ->
+      let p = new_y db in
+      put_object db p [| int 2; Value.Ref p |]);
   (* A record in the wrong home, a value of unknown kind, a heap record no
      entry reaches. *)
   let dir_put db key value = Ode_index.Bptree.insert db.Ode.Types.kv_dir key value in
@@ -160,10 +187,10 @@ let verify_detects_corruption () =
   (* Version lists and version records. *)
   let dead (o : Ode_model.Oid.t) = { o with num = 99 } in
   case "orphan version record" ~expect:"orphan version record 5" (fun db o ->
-      put db (Ode.Keys.version o 5) (Ode.Store.encode_version [| int 1 |]));
+      put db (Ode.Keys.version o 5) (version db o [| int 1 |]));
   case "version record of a dead object" ~expect:"version record for dead object" (fun db o ->
-      put db (Ode.Keys.version (dead o) 0) (Ode.Store.encode_version [| int 1 |]));
-  let put_header db o h = put db (Ode.Keys.header o) (Ode.Store.encode_object h [| int 2 |]) in
+      put db (Ode.Keys.version (dead o) 0) (version db o [| int 1 |]));
+  let put_header db o h = put db (Ode.Keys.header o) (Ode.Store.encode_object db o h [| int 2 |]) in
   case "current version not listed" ~expect:"current version 7 not in version list" (fun db o ->
       put_header db o { hcurrent = 7; hversions = [ 1; 0 ] });
   case "duplicate version numbers" ~expect:"duplicate version numbers" (fun db o ->
@@ -254,7 +281,8 @@ let verify_detects_bad_activations () =
           Alcotest.failf "%s: no problem mentions %S: %s" name expect (String.concat "; " ps));
     Db.close db
   in
-  let enc = Ode.Triggers.encode_activation in
+  (* [low]'s one parameter is an int. *)
+  let enc = Ode.Triggers.encode_activation [ Ode_model.Otype.TInt ] in
   case "unknown declaring class" ~expect:"unknown class id 9" (fun a _ -> enc { a with tdecl = 9 });
   case "position past the class's triggers" ~expect:"class z has no trigger at position 1"
     (fun a _ -> enc { a with tpos = 1 });

@@ -233,6 +233,38 @@ let trigger_params_used_in_condition () =
   Tutil.check_string_list "parameterized" [ "reorder b" ] (lines log);
   Db.close db
 
+(* Each argument must conform to its parameter's declared type, as a
+   field value must: the record stores it by that type. An int where a
+   float is declared conforms, and the activation leaves nothing behind
+   when it is refused. *)
+let argument_types_checked () =
+  let db = Db.open_in_memory () in
+  ignore
+    (Db.define db
+       {|class it { qty: int;
+           trigger low(n: int, f: float, peer: ref it): qty < n ==> { print "low!"; }; };
+         class other { k: int; };|});
+  Db.create_cluster db "it";
+  Db.create_cluster db "other";
+  let i, o =
+    Db.with_txn db (fun txn -> (Db.pnew txn "it" [ ("qty", int 100) ], Db.pnew txn "other" []))
+  in
+  let refused args expect =
+    match Db.with_txn db (fun txn -> Db.activate txn i "low" args) with
+    | _ -> Alcotest.failf "activation with %s accepted" expect
+    | exception Ode.Triggers.Trigger_error msg ->
+        if not (Tutil.contains msg expect) then Alcotest.failf "wrong error %S, want %S" msg expect
+  in
+  refused [ Value.Str "10"; int 1; Value.Null ] "trigger low: argument n expects int, got \"10\"";
+  refused [ int 10; Value.Bool true; Value.Null ] "argument f expects float, got true";
+  refused [ int 10; int 1; Value.Ref o ] "argument peer expects ref it";
+  Tutil.check_int "nothing activated" 0 (Hashtbl.length db.Ode.Types.activations);
+  let tid = Db.with_txn db (fun txn -> Db.activate txn i "low" [ int 10; int 1; Value.Ref i ]) in
+  let a = Hashtbl.find db.Ode.Types.activations tid in
+  Tutil.check_values "an int in a float parameter stays an int" [ int 10; int 1; Value.Ref i ] a.targs;
+  Tutil.check_bool "exactly" true (a.targs = [ int 10; int 1; Value.Ref i ]);
+  Db.close db
+
 (* -- the activation record ------------------------------------------------ *)
 
 module Gen = QCheck.Gen
@@ -242,7 +274,8 @@ module Schema = Ode_model.Schema
 module Triggers = Ode.Triggers
 
 (* Once-only, perpetual and timed triggers, declared in [a] and [e] and
-   inherited by [d] through two parents, which [d]'s own trigger follows. *)
+   inherited by [d] through two parents, which [d]'s own trigger follows;
+   [e]'s [t6] takes a parameter of every type. *)
 let layout_db =
   lazy
     (let db = Db.open_in_memory () in
@@ -253,41 +286,25 @@ let layout_db =
               trigger perpetual t2(n: int): x > n ==> { x := 0; }; };
             class e { y: int;
               trigger perpetual t3(): y > 0 ==> { y := 0; };
-              trigger t4(): within 5 : y > 1 ==> { y := 0; } timeout { y := 1; }; };
+              trigger t4(): within 5 : y > 1 ==> { y := 0; } timeout { y := 1; };
+              trigger perpetual t6(f: float, s: string, b: bool, r: ref a, xs: set<int>,
+                                   ls: list<set<ref e>>): y > 2 ==> { y := 0; }; };
             class d : e, a { z: int; trigger t5(): z > 0 ==> { z := 0; }; };|});
      db)
 
 (* (object's class, declaring class, position there) *)
 let placements =
   [
-    ("a", "a", 0); ("a", "a", 1); ("e", "e", 0); ("e", "e", 1);
-    ("d", "a", 0); ("d", "a", 1); ("d", "e", 0); ("d", "e", 1); ("d", "d", 0);
+    ("a", "a", 0); ("a", "a", 1); ("e", "e", 0); ("e", "e", 1); ("e", "e", 2);
+    ("d", "a", 0); ("d", "a", 1); ("d", "e", 0); ("d", "e", 1); ("d", "e", 2); ("d", "d", 0);
   ]
 
-let nat_gen = Gen.(frequency [ (4, int_bound 200); (2, int_bound 100_000); (1, map abs int) ])
+let nat_gen = Tutil.nat_gen
 
-(* [Value.encode] frames a ref's class and a version number in 32 bits. *)
-let value_gen =
-  let open Gen in
-  let oid_gen = map2 (fun cls num -> { Oid.cls; num }) (int_bound 100_000) nat_gen in
-  let base =
-    oneof
-      [
-        return Value.Null;
-        map (fun n -> Value.Int n) int;
-        map (fun b -> Value.Bool b) bool;
-        map (fun f -> Value.Float f) (float_bound_inclusive 1e9);
-        map (fun s -> Value.Str s) (string_size ~gen:(oneofl [ '\000'; 'a'; '\255' ]) (0 -- 6));
-        map (fun o -> Value.Ref o) oid_gen;
-        map2 (fun oid ver -> Value.Vref { oid; ver }) oid_gen (int_bound 100_000);
-      ]
-  in
-  oneof
-    [
-      base;
-      map (fun vs -> Value.VList vs) (list_size (0 -- 3) base);
-      map Value.set_of_list (list_size (0 -- 3) base);
-    ]
+(* Arguments by the declaration's parameter types, with class ids,
+   numbers and versions across the whole non-negative range. *)
+let args_gen (g : Schema.trigger) =
+  Gen.flatten_l (List.map (fun (p : Schema.field) -> Tutil.value_of_type_gen p.ftype) g.gparams)
 
 let deadline_gen =
   Gen.(
@@ -302,10 +319,12 @@ let deadline_gen =
 let activation_gen =
   let open Gen in
   let db = Lazy.force layout_db in
+  triple (oneofl placements) (pair nat_gen nat_gen) (pair deadline_gen bool)
+  >>= fun ((obj, dname, tpos), (tid, num), (deadline, active)) ->
+  let o = Catalog.find_exn db.catalog obj and d = Catalog.find_exn db.catalog dname in
+  let g = List.nth d.own_triggers tpos in
   map
-    (fun ((obj, dname, tpos), (tid, num), (targs, deadline, active)) ->
-      let o = Catalog.find_exn db.catalog obj and d = Catalog.find_exn db.catalog dname in
-      let g = List.nth d.own_triggers tpos in
+    (fun targs ->
       {
         Ode.Types.tid;
         aoid = { Oid.cls = o.id; num };
@@ -318,8 +337,7 @@ let activation_gen =
         deadline;
         active;
       })
-    (triple (oneofl placements) (pair nat_gen nat_gen)
-       (triple (list_size (0 -- 4) value_gen) deadline_gen bool))
+    (args_gen g)
 
 let pp_activation (a : Ode.Types.activation) =
   Printf.sprintf "tid %d on %s: %s.%s(%s) deadline %s%s" a.tid
@@ -329,18 +347,21 @@ let pp_activation (a : Ode.Types.activation) =
     (match a.deadline with Some d -> string_of_int d | None -> "none")
     (if a.active then "" else " inactive")
 
-(* Every field comes back, the names as the catalog's own strings. *)
+(* Every field comes back, the names as the catalog's own strings and each
+   argument exactly: an int in a float parameter as an int. *)
 let prop_activation_roundtrip =
   QCheck.Test.make ~name:"activation records round-trip" ~count:1000
     (QCheck.make ~print:pp_activation activation_gen)
     (fun a ->
       let db = Lazy.force layout_db in
-      let b = Triggers.decode_activation db (Ode.Keys.trigger a.tid) (Triggers.encode_activation a) in
       let d = Catalog.find_exn db.catalog a.tcls in
+      let g = List.nth d.own_triggers a.tpos in
+      let params = List.map (fun (p : Schema.field) -> p.ftype) g.gparams in
+      let b = Triggers.decode_activation db (Ode.Keys.trigger a.tid) (Triggers.encode_activation params a) in
       b.tid = a.tid && Oid.equal b.aoid a.aoid && b.tdecl = a.tdecl && b.tpos = a.tpos
       && b.tcls == d.name
       && b.tname == (List.nth d.own_triggers a.tpos).gname
-      && List.equal Value.equal b.targs a.targs
+      && compare b.targs a.targs = 0
       && b.perpetual = a.perpetual && b.deadline = a.deadline && b.active = a.active)
 
 let suite =
@@ -360,6 +381,7 @@ let suite =
         Alcotest.test_case "timed trigger satisfied early" `Quick timed_trigger_satisfied_before_deadline;
         Alcotest.test_case "activations persist" `Quick activations_persist;
         Alcotest.test_case "parameterized conditions" `Quick trigger_params_used_in_condition;
+        Alcotest.test_case "argument types checked" `Quick argument_types_checked;
       ] );
     Tutil.qsuite "triggers.props" [ prop_activation_roundtrip ];
   ]

@@ -2,7 +2,27 @@
 
 let counter = ref 0
 
-(* A fresh directory under the system temp dir; cleaned lazily by the OS. *)
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* Every directory [temp_dir] handed out, with the process that made it,
+   which alone removes it at exit: suites fork servers and crash victims,
+   whose exits must not take a directory from under the parent. *)
+let made = ref []
+
+let () =
+  at_exit (fun () ->
+      let me = Unix.getpid () in
+      List.iter
+        (fun (pid, d) -> if pid = me then try if Sys.file_exists d then rm_rf d with Sys_error _ -> ())
+        !made)
+
+(* A fresh directory under the system temp dir, gone when the test run
+   exits. *)
 let temp_dir prefix =
   incr counter;
   let d =
@@ -10,17 +30,9 @@ let temp_dir prefix =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !counter)
   in
-  if Sys.file_exists d then begin
-    let rec rm path =
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-    in
-    rm d
-  end;
+  if Sys.file_exists d then rm_rf d;
   Sys.mkdir d 0o755;
+  made := (Unix.getpid (), d) :: !made;
   d
 
 let copy_file src dst =
@@ -83,3 +95,43 @@ let open_university () =
   Ode.Database.create_cluster db "faculty";
   Ode.Database.create_cluster db "ta";
   db
+
+(* -- values by declared type ---------------------------------------------- *)
+
+(* Naturals across the whole non-negative range: mostly small, as the
+   engine allocates them, and up to max_int, 2^32 included. *)
+let nat_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_bound 200);
+        (2, int_bound 100_000);
+        (2, map (fun n -> n land max_int) int);
+        (1, oneofl [ (1 lsl 32) - 1; 1 lsl 32; max_int ]);
+      ])
+
+(* Every shape a field or parameter of type [t] may hold: an [Int] in a
+   float field, null refs and vrefs, the int extremes, strings past a
+   one-byte length, and class ids, numbers and versions across [nat_gen]. *)
+let rec value_of_type_gen (t : Ode_model.Otype.t) =
+  let open QCheck.Gen in
+  let module V = Ode_model.Value in
+  let int_gen = frequency [ (3, int); (3, small_signed_int); (1, oneofl [ min_int; max_int ]) ] in
+  let oid_gen = map2 (fun cls num -> { Ode_model.Oid.cls; num }) nat_gen nat_gen in
+  match t with
+  | TInt -> map (fun n -> V.Int n) int_gen
+  | TBool -> map (fun b -> V.Bool b) bool
+  | TString ->
+      map
+        (fun s -> V.Str s)
+        (string_size ~gen:(oneofl [ '\000'; 'a'; '\255' ]) (frequency [ (4, 0 -- 6); (1, 120 -- 300) ]))
+  | TFloat -> oneof [ map (fun f -> V.Float f) float; map (fun n -> V.Int n) int_gen ]
+  | TRef _ ->
+      oneof
+        [
+          return V.Null;
+          map (fun o -> V.Ref o) oid_gen;
+          map2 (fun oid ver -> V.Vref { oid; ver }) oid_gen nat_gen;
+        ]
+  | TSet t -> map V.set_of_list (list_size (0 -- 3) (value_of_type_gen t))
+  | TList t -> map (fun vs -> V.VList vs) (list_size (0 -- 3) (value_of_type_gen t))
