@@ -16,13 +16,13 @@ open Types
 
 let c_constraints_checked = Ode_util.Stats.counter "constraints_checked"
 
-let check_object db txn oid =
+let check_object ~reads db txn oid =
   (* An object deleted in this transaction has nothing to satisfy. *)
   if Store.exists db txn oid then
     match Store.class_of db oid with
     | None -> ()
     | Some cls ->
-        let hooks = Runtime.hooks db txn in
+        let hooks = Runtime.hooks ~reads db txn in
         List.iter
           (fun (k : Schema.constr) ->
             Ode_util.Stats.incr c_constraints_checked;
@@ -35,8 +35,11 @@ let check_object db txn oid =
               raise (Constraint_violation { cls = cls.Schema.name; cname = k.kname; oid }))
           (Catalog.all_constraints db.catalog cls)
 
-let check_txn txn =
+(* [reads] collects the keys the checks read, for the commit's conflict
+   check: a constraint over another object holds only if that object did
+   not change under this transaction's snapshot. *)
+let check_txn ~reads txn =
   Ode_util.Trace.with_span ~cat:"constraints"
     ~args:[ ("touched", string_of_int (Hashtbl.length txn.touched)) ]
     "constraints.check" (fun () ->
-      Hashtbl.iter (fun oid () -> check_object txn.tdb (Some txn) oid) txn.touched)
+      Hashtbl.iter (fun oid () -> check_object ~reads txn.tdb (Some txn) oid) txn.touched)

@@ -68,24 +68,6 @@ let c_recovery_replayed = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery 
 let c_orphans_reclaimed = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery "orphans_reclaimed"
 let c_planner_analyze_runs = Ode_util.Stats.counter "planner.analyze_runs"
 
-(* Call [f ~xid ~trace ~ts ops] at each Commit record with that transaction's
-   operations in log order. A transaction's records are appended en bloc
-   at its commit, so its operations all precede its Commit; those of a
-   transaction with no Commit are dropped. *)
-let each_commit iter f =
-  let pending : (int, (string * op) list) Hashtbl.t = Hashtbl.create 8 in
-  let push xid kop =
-    Hashtbl.replace pending xid (kop :: Option.value ~default:[] (Hashtbl.find_opt pending xid))
-  in
-  iter (function
-    | Wal.Put (xid, key, payload) -> push xid (key, Put payload)
-    | Wal.Delete (xid, key) -> push xid (key, Del)
-    | Wal.Commit (xid, trace, ts) ->
-        let ops = List.rev (Option.value ~default:[] (Hashtbl.find_opt pending xid)) in
-        Hashtbl.remove pending xid;
-        f ~xid ~trace ~ts ops
-    | Wal.Begin _ | Wal.Checkpoint _ -> ())
-
 let recover db =
   Ode_util.Histogram.time h_recovery @@ fun () ->
   Ode_util.Trace.with_span ~cat:"recovery" "recovery" @@ fun () ->
@@ -94,12 +76,15 @@ let recover db =
      invalidate per key during replay too; this is the belt to that
      suspenders.) *)
   Ocache.clear db;
-  (* Idempotent logical redo, one committed transaction at a time. *)
+  (* Idempotent logical redo, one committed transaction (one frame) at a
+     time. *)
   let applied = ref 0 in
-  each_commit (Wal.replay db.wal) (fun ~xid:_ ~trace:_ ~ts:_ ops ->
-      Store.apply_writes db ops;
-      Ode_util.Stats.add c_recovery_replayed (List.length ops);
-      applied := !applied + List.length ops);
+  Wal.replay db.wal (function
+    | Wal.Commit { writes; _ } ->
+        Store.apply_writes db writes;
+        Ode_util.Stats.add c_recovery_replayed (List.length writes);
+        applied := !applied + List.length writes
+    | Wal.Checkpoint _ -> ());
   if !applied > 0 then Log.info (fun m -> m "recovery: replayed %d operations" !applied);
   (* A crash between the heap flush and the directory flush can persist heap
      records whose directory entry never reached disk; reclaim them so the
@@ -354,69 +339,64 @@ let set_read_only db ro = db.read_only <- ro
 let dir db = db.dbdir
 
 (* Apply one shipped WAL batch on a standby: the same logical redo as
-   [recover], driven by the replication stream instead of the local log. The
-   records are appended to the standby's own WAL and fsynced *before* they
-   are applied (write-ahead, so a standby crash mid-apply replays them), and
-   the standby's commit LSN advances through those appends exactly as the
-   primary's did. The primary only ships whole transactions (appends happen
-   en bloc at commit, before any sync), so a batch never ends mid-txn.
+   [recover], driven by the replication stream instead of the local log.
+   [frames] is the batch as shipped, every frame checked, and [records]
+   what it decodes to. Its Commit frames are appended to the standby's own
+   WAL byte for byte and fsynced *before* they are applied (write-ahead, so
+   a standby crash mid-apply replays them), and the standby's commit LSN
+   advances through them exactly as the primary's did.
 
-   A [Checkpoint] record — always the last in its batch, since the primary's
+   A [Checkpoint] record — the last in its batch, since the primary's
    checkpoint syncs — is not copied into our log; it triggers the standby's
    own checkpoint, keeping its recovery just as bounded.
 
-   Transactions are applied commit by commit, and each one's pre-images go
-   into the standby's MVCC version chains under the commit timestamp the
-   primary embedded in the record — so an explicit read transaction held
-   open on a standby session observes exactly the snapshot it began with
-   even while batches stream in, and primary and standby agree on version
-   order. The whole apply holds the exclusive latch: a reader domain never
-   observes a half-applied transaction. *)
-let apply_replicated db (records : Wal.record list) =
+   Each commit's pre-images go into the standby's MVCC version chains under
+   the commit timestamp the primary embedded in the record — so an explicit
+   read transaction held open on a standby session observes exactly the
+   snapshot it began with even while batches stream in, and primary and
+   standby agree on version order. The whole apply holds the exclusive
+   latch: a reader domain never observes a half-applied transaction. *)
+let apply_replicated db ~frames (records : Wal.record list) =
   if db.closed then raise Db_closed;
   Ode_util.Trace.with_span ~cat:"repl" "repl.apply" @@ fun () ->
   Txn.with_excl db @@ fun () ->
-  let checkpointed = List.exists (function Wal.Checkpoint _ -> true | _ -> false) records in
-  List.iter
-    (fun r -> match r with Wal.Checkpoint _ -> () | r -> Wal.append db.wal r)
-    records;
+  Wal.append_commits db.wal frames;
   Wal.sync db.wal;
-  (* Land each committed transaction at its Commit record: chains first
-     (while the KV still holds the pre-images), then the writes. The
-     primary ships whole transactions, so every op meets its Commit within
-     this batch. *)
-  each_commit
-    (fun f -> List.iter f records)
-    (fun ~xid ~trace ~ts ops ->
-      (* One instant per traced commit, stamped with the trace id the
-         primary logged, so this standby's dump correlates with the
-         originating client's request spans across processes. *)
-      if trace <> 0 then
-        Ode_util.Trace.with_trace_id trace (fun () ->
-            Ode_util.Trace.instant ~cat:"repl" ~args:[ ("xid", string_of_int xid) ] "repl.apply");
-      Mvcc.commit db.mvcc ~ts ~except:0 ~pre:(Store.committed_image db)
-        (List.filter_map
-           (fun (key, op) ->
-             if key = Keys.catalog || key = Keys.meta then None
-             else Some (key, match op with Put s -> Some s | Del -> None))
-           ops);
-      Store.apply_writes db ops;
-      Ode_util.Stats.add c_recovery_replayed (List.length ops);
-      (* Schema, counter, clock and trigger changes shipped from the
-         primary must reach the standby's decoded mirrors, not just its
-         pages. The catalog and meta records are decoded only when the
-         commit wrote them, before its trigger writes, which decode
-         against the catalog; those fold into the activation mirror one
-         by one, as on the primary. *)
-      List.iter
-        (fun (key, op) ->
-          match op with
-          | Put s when key = Keys.catalog -> db.catalog <- Catalog.decode s
-          | Put s when key = Keys.meta -> db.meta <- Txn.decode_meta s
-          | _ -> ())
-        ops;
-      Triggers.sync_after_commit db ops);
-  if checkpointed || Wal.size_bytes db.wal > db.wal_auto_checkpoint then Txn.checkpoint db
+  let checkpointed = ref false in
+  List.iter
+    (function
+      | Wal.Checkpoint _ -> checkpointed := true
+      | Wal.Commit { trace; ts; writes } ->
+          (* One instant per traced commit, stamped with the trace id the
+             primary logged, so this standby's dump correlates with the
+             originating client's request spans across processes. *)
+          if trace <> 0 then
+            Ode_util.Trace.with_trace_id trace (fun () ->
+                Ode_util.Trace.instant ~cat:"repl" ~args:[ ("ts", string_of_int ts) ] "repl.apply");
+          Mvcc.commit db.mvcc ~ts ~except:0 ~pre:(Store.committed_image db)
+            (List.filter_map
+               (fun (key, op) ->
+                 if key = Keys.catalog || key = Keys.meta then None
+                 else Some (key, match op with Put s -> Some s | Del -> None))
+               writes);
+          Store.apply_writes db writes;
+          Ode_util.Stats.add c_recovery_replayed (List.length writes);
+          (* Schema, counter, clock and trigger changes shipped from the
+             primary must reach the standby's decoded mirrors, not just its
+             pages. The catalog and meta records are decoded only when the
+             commit wrote them, before its trigger writes, which decode
+             against the catalog; those fold into the activation mirror one
+             by one, as on the primary. *)
+          List.iter
+            (fun (key, op) ->
+              match op with
+              | Put s when key = Keys.catalog -> db.catalog <- Catalog.decode s
+              | Put s when key = Keys.meta -> db.meta <- Txn.decode_meta s
+              | _ -> ())
+            writes;
+          Triggers.sync_after_commit db writes)
+    records;
+  if !checkpointed || Wal.size_bytes db.wal > db.wal_auto_checkpoint then Txn.checkpoint db
 
 (* -- schema ---------------------------------------------------------------------- *)
 

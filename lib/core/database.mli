@@ -220,18 +220,19 @@ val set_wal_observer :
     layer's replication feeder. The callback runs inside commit paths and
     must only enqueue. *)
 
-val apply_replicated : t -> Ode_storage.Wal.record list -> unit
-(** Standby redo: append a shipped batch to the local WAL, fsync it
-    (write-ahead — a standby crash mid-apply replays on reopen), apply the
-    committed operations through the same path recovery uses (recording
-    pre-images into the MVCC version chains under the primary's commit
-    timestamps, so snapshots held on this standby stay stable), bring the
-    decoded mirrors along commit by commit (the catalog and meta records
-    decoded when a commit wrote them, its trigger writes folded into the
-    activation tables one by one), and
-    checkpoint when the primary's checkpoint record says to (or the local
+val apply_replicated : t -> frames:string -> Ode_storage.Wal.record list -> unit
+(** Standby redo of one shipped batch: [frames] as shipped, every frame
+    checked, and [records] decoded from it. Appends its commit frames to
+    the local WAL byte for byte, fsyncs them (write-ahead — a
+    standby crash mid-apply replays on reopen), applies each commit through
+    the same path recovery uses (recording pre-images into the MVCC version
+    chains under the primary's commit timestamps, so snapshots held on this
+    standby stay stable), brings the decoded mirrors along commit by commit
+    (the catalog and meta records decoded when a commit wrote them, its
+    trigger writes folded into the activation tables one by one), and
+    checkpoints when the primary's checkpoint record says to (or the local
     log outgrows its bound). The local commit LSN advances through the
-    appended records exactly as the primary's did. *)
+    appended frames exactly as the primary's did. *)
 
 (** {1 Objects (within a transaction)} *)
 

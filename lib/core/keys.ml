@@ -1,8 +1,9 @@
 (* Logical key namespace of the persistent store.
 
-   Every durable datum lives under a tagged byte-string key; the WAL logs
-   Put/Delete on these keys and recovery replays them, so adding state to
-   the system never changes the recovery protocol. Tags:
+   Every durable datum lives under a tagged byte-string key; a commit's
+   WAL frame logs puts and deletes of these keys and recovery replays
+   them, so adding state to the system never changes the recovery
+   protocol. Tags:
 
      'H' ++ oid-key                the object: header (class, current
                                    version, version list), then the

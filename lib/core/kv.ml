@@ -194,57 +194,30 @@ let delete db key =
       | None -> ());
       ignore (Bptree.delete db.kv_dir key)
 
-(* [f key payload]; return false to stop.
-
-   Default path: stream through a B+tree cursor — one leaf resident at a
-   time, and an early-exiting callback stops page reads immediately. The
+(* [f key value] over the prefix's entries in key order, each value read
+   by [read] from the cursor's copy of its leaf; [f] returns false to stop.
+   One leaf is resident at a time, and an early exit stops page reads. The
    cursor copies each leaf's entry bytes when it reaches the leaf, so a
-   split or delete racing the scan cannot corrupt it.
-
-   Collect-first fallback: when the scanning transaction already has pending
-   writes under the prefix, the scan's callback is likely interleaving
-   overlay reads and further writes against the same extent (e.g. a fixpoint
-   query inserting objects mid-scan). Materialising the directory entries up
-   front keeps that case on the historically stable footing.
-
-   [?txn] is the scanning transaction; when omitted, [db.active] (the most
-   recently begun write transaction) is consulted as before. Reader domains
-   must always pass their own transaction: [db.active] belongs to the writer
-   and reading it from another domain is a race. *)
-let pending_under_prefix db ?txn prefix =
-  match (match txn with Some _ as t -> t | None -> db.active) with
-  | None -> false
-  | Some t ->
-      Hashtbl.length t.writes > 0
-      && Hashtbl.fold
-           (fun k _ acc -> acc || String.starts_with ~prefix k)
-           t.writes false
-
-(* [f key value] over the prefix's entries, each value read from the
-   cursor's copy of its leaf by [read]. *)
-let scan db ?txn prefix read f =
+   split or delete racing the scan cannot corrupt it; a transaction's own
+   pending writes live in its overlay, never in the tree, so a callback
+   that writes mid-scan (a fixpoint query inserting into the extent it
+   scans) cannot disturb it either. *)
+let scan db prefix read f =
   let cur = Bptree.cursor_prefix db.kv_dir prefix in
-  let next () =
+  let rec go () =
     match Bptree.cursor_next_key cur with
-    | None -> None
-    | Some k -> Some (k, Bptree.cursor_value cur read)
+    | None -> ()
+    | Some k -> if f k (Bptree.cursor_value cur read) then go ()
   in
-  if pending_under_prefix db ?txn prefix then begin
-    let rec collect acc = match next () with None -> List.rev acc | Some e -> collect (e :: acc) in
-    let rec go = function [] -> () | (k, v) :: rest -> if f k v then go rest in
-    go (collect [])
-  end
-  else
-    let rec go () = match next () with None -> () | Some (k, v) -> if f k v then go () in
-    go ()
+  go ()
 
 let iter_rids db f =
   scan db "" rid_of_value (fun _ rid ->
       Option.iter f rid;
       true)
 
-let iter_prefix db ?txn prefix f =
-  scan db ?txn prefix entry_at (fun k -> function
+let iter_prefix db prefix f =
+  scan db prefix entry_at (fun k -> function
     | Inline payload -> f k payload
     | At rid -> ( match heap_payload db k rid with None -> true | Some payload -> f k payload))
 
@@ -255,4 +228,4 @@ let iter_prefix db ?txn prefix f =
    entries eagerly, but crash recovery may leave strays), so callers must
    re-verify liveness per key — e.g. with [get] — before trusting a
    candidate. *)
-let iter_prefix_keys db ?txn prefix f = scan db ?txn prefix (fun _ _ _ -> ()) (fun k () -> f k)
+let iter_prefix_keys db prefix f = scan db prefix (fun _ _ _ -> ()) (fun k () -> f k)

@@ -73,22 +73,16 @@ val iter_rids : db -> (Ode_storage.Heap.rid -> unit) -> unit
 (** Every rid held by an out-of-line directory entry, in key order: the
     heap records the directory can reach (recovery's orphan sweep). *)
 
-val iter_prefix : db -> ?txn:txn -> string -> (string -> string -> bool) -> unit
-(** [iter_prefix db p f] visits entries whose key starts with [p] in key
-    order; [f] returns [false] to stop. Streams through a B+tree cursor
-    (O(1) memory, early exit stops page reads) unless the scanning
-    transaction has pending writes under [p], in which case the matching
-    directory entries are collected before any payload is fetched so the
-    callback may safely interleave further writes against the same extent.
-    [?txn] names the scanning transaction; omitted, [db.active] is
-    consulted — fine on the writer domain, a race anywhere else, so reader
-    domains must pass their own transaction. *)
+val iter_prefix : db -> string -> (string -> string -> bool) -> unit
+(** [iter_prefix db p f] visits the committed entries whose key starts
+    with [p] in key order; [f] returns [false] to stop. Streams through a
+    B+tree cursor (O(1) memory, early exit stops page reads) that copies
+    each leaf as it reaches it, so the callback may write to the same
+    extent: a transaction's writes go to its overlay, not the tree. *)
 
-val iter_prefix_keys : db -> ?txn:txn -> string -> (string -> bool) -> unit
+val iter_prefix_keys : db -> string -> (string -> bool) -> unit
 (** Like {!iter_prefix} but yields keys only, never reads the heap and
     copies no payload: the scan's working set is the directory tree, not
     the heap's records, so large extents don't evict record pages from the
-    buffer pool. A yielded key is
-    a candidate, not proof of a live record — callers must re-verify (e.g.
-    with {!get}) before trusting it. Same pending-write fallback as
-    {!iter_prefix}. *)
+    buffer pool. A yielded key is a candidate, not proof of a live record —
+    callers must re-verify (e.g. with {!get}) before trusting it. *)

@@ -68,7 +68,7 @@ let committed_candidates db ?txn cls_id f =
   in
   merge_chained chained
     (fun key -> f (Keys.oid_of_header_key key))
-    (fun g -> Kv.iter_prefix_keys db ?txn prefix g)
+    (fun g -> Kv.iter_prefix_keys db prefix g)
 
 (* Transaction-local additions: objects created (or touched — their state may
    newly match an indexed predicate) in the active transaction. *)

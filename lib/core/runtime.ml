@@ -12,8 +12,15 @@ open Types
 
 let err fmt = Format.kasprintf (fun s -> raise (Eval.Error s)) fmt
 
-let version_builtin db txn name (args : Value.t list) : Value.t option =
+(* Add the key [mk x] to [reads], when given: the records an evaluation
+   reads, which a commit checks for conflicts beside its writes. A
+   version's record only changes with its object's header, so the header
+   key stands for both. *)
+let note reads mk x = match reads with Some r -> Hashtbl.replace r (mk x) () | None -> ()
+
+let version_builtin ?reads db txn name (args : Value.t list) : Value.t option =
   let header oid =
+    note reads Keys.header oid;
     match Store.get_header db txn oid with
     | Some h -> h
     | None -> err "no such object %a" Oid.pp oid
@@ -46,6 +53,7 @@ let version_builtin db txn name (args : Value.t list) : Value.t option =
       | [] -> Some Value.Null)
   | "now", [] -> Some (Value.Int db.meta.clock)
   | "getroot", [ Str name ] -> (
+      note reads Keys.root name;
       match Store.read db txn (Keys.root name) with
       | Some s -> Some (Value.decode (Ode_util.Codec.cursor s))
       | None -> Some Value.Null)
@@ -53,21 +61,28 @@ let version_builtin db txn name (args : Value.t list) : Value.t option =
       err "builtin %s: wrong arguments" name
   | _ -> None
 
-let rec hooks db txn : Eval.hooks =
+let rec hooks ?reads db txn : Eval.hooks =
   {
-    get_field = (fun oid f -> Store.get_field db txn oid f);
-    get_field_v = (fun vr f -> Store.get_field_v db txn vr f);
+    get_field =
+      (fun oid f ->
+        note reads Keys.header oid;
+        Store.get_field db txn oid f);
+    get_field_v =
+      (fun vr f ->
+        note reads Keys.header vr.oid;
+        Store.get_field_v db txn vr f);
     class_of =
       (fun oid ->
+        note reads Keys.header oid;
         if Store.exists db txn oid then
           Option.map (fun (c : Schema.cls) -> c.Schema.name) (Store.class_of db oid)
         else None);
     is_subclass = (fun ~sub ~super -> Catalog.is_subclass db.catalog ~sub ~super);
-    call_method = (fun recv name args -> call_method db txn recv name args);
-    builtin = (fun name args -> version_builtin db txn name args);
+    call_method = (fun recv name args -> call_method ?reads db txn recv name args);
+    builtin = (fun name args -> version_builtin ?reads db txn name args);
   }
 
-and call_method db txn (recv : Value.t) name args : Value.t =
+and call_method ?reads db txn (recv : Value.t) name args : Value.t =
   let oid =
     match recv with
     | Ref oid -> oid
@@ -86,6 +101,6 @@ and call_method db txn (recv : Value.t) name args : Value.t =
         err "method %s.%s expects %d arguments, got %d" cls.Schema.name name
           (List.length m.mparams) (List.length args);
       let vars = List.map2 (fun (p : Schema.field) v -> (p.fname, v)) m.mparams args in
-      Eval.eval (hooks db txn) ~vars ~this:(Some recv) m.mbody
+      Eval.eval (hooks ?reads db txn) ~vars ~this:(Some recv) m.mbody
 
-let eval db txn ?(vars = []) ?this e = Eval.eval (hooks db txn) ~vars ~this e
+let eval ?reads db txn ?(vars = []) ?this e = Eval.eval (hooks ?reads db txn) ~vars ~this e

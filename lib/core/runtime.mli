@@ -10,13 +10,18 @@
 
 open Types
 
-val hooks : db -> txn option -> Ode_model.Eval.hooks
+val hooks : ?reads:(string, unit) Hashtbl.t -> db -> txn option -> Ode_model.Eval.hooks
+(** With [reads], every record the evaluation reads adds its key there: an
+    object's ['H'] key for its fields, versions or class, a root's ['R']
+    key. A commit checks these keys for conflicts beside its writes. *)
 
 val call_method :
+  ?reads:(string, unit) Hashtbl.t ->
   db -> txn option -> Ode_model.Value.t -> string -> Ode_model.Value.t list -> Ode_model.Value.t
 (** Raises {!Ode_model.Eval.Error} on unknown method / arity mismatch. *)
 
 val eval :
+  ?reads:(string, unit) Hashtbl.t ->
   db ->
   txn option ->
   ?vars:(string * Ode_model.Value.t) list ->

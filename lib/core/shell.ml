@@ -9,7 +9,7 @@ type t = {
   env : Interp.env;
   mutable txn : txn option; (* explicit transaction opened with [begin;] *)
   mutable conflicted : string option;
-      (* the last explicit transaction died of a write-write conflict (it
+      (* the last explicit transaction died of a conflict (it
          was auto-aborted server-side). A later bare [commit;] re-reports
          the conflict instead of "no open transaction", so a client that
          retries a commit request keeps seeing the retryable error until

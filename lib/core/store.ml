@@ -510,7 +510,6 @@ let delete_version txn (vr : Oid.vref) =
    maintain the same cardinality counters; a replayed/replicated analyze
    snapshot installs itself the same way. *)
 let apply_writes db ops =
-  let ops = List.sort (fun (a, _) (b, _) -> String.compare a b) ops in
   let index_puts = ref [] and kv_puts = ref [] in
   List.iter
     (fun (key, op) ->

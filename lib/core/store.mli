@@ -139,10 +139,11 @@ val index_ids : db -> cls:string -> field:string -> int option
 (** {1 Commit/recovery} *)
 
 val apply_writes : db -> (string * op) list -> unit
-(** Apply one committed transaction's write set, each key at most once, to
-    the committed structures: index entries to the index tree, the rest to
-    the KV. The ops are applied in key order, puts as one sorted batch per
-    tree; deletes go key by key. Idempotent. *)
+(** Apply one committed transaction's write set, each key at most once and
+    in key order (as a commit sorts it and its WAL frame keeps it), to the
+    committed structures: index entries to the index tree, the rest to the
+    KV, puts as one sorted batch per tree; deletes go key by key.
+    Idempotent. *)
 
 val committed_image : db -> string -> string option
 (** The key's current committed value (index entries: [Some ""] when the

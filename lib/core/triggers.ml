@@ -240,10 +240,10 @@ let effective_activations txn view oid =
   in
   of_committed @ List.rev (Option.value (Hashtbl.find_opt view.new_by_oid oid) ~default:[])
 
-let condition_holds db txn (a : activation) g =
+let condition_holds ~reads db txn (a : activation) g =
   Ode_util.Stats.incr c_triggers_evaluated;
   let vars = List.map2 (fun (p : Schema.field) v -> (p.fname, v)) g.Schema.gparams a.targs in
-  match Runtime.eval db txn ~vars ~this:(Value.Ref a.aoid) g.Schema.gcond with
+  match Runtime.eval ~reads db txn ~vars ~this:(Value.Ref a.aoid) g.Schema.gcond with
   | v -> ( match Eval.truthy v with b -> b | exception Eval.Error _ -> false)
   | exception Eval.Error _ -> false
 
@@ -260,8 +260,8 @@ let condition_holds db txn (a : activation) g =
      behaviour.
    - An activation created by this very transaction has no pre-state: its
      pre-condition counts as false. *)
-let should_fire db txn view (a : activation) g =
-  condition_holds db (Some txn) a g
+let should_fire ~reads db txn view (a : activation) g =
+  condition_holds ~reads db (Some txn) a g
   &&
   if not a.perpetual then true
   else
@@ -270,12 +270,13 @@ let should_fire db txn view (a : activation) g =
       | Some news -> List.exists (fun (x : activation) -> x.tid = a.tid) news
       | None -> false
     in
-    txn_local || not (condition_holds db None a g)
+    txn_local || not (condition_holds ~reads db None a g)
 
 (* Evaluate conditions for the committing transaction; returns the firings
    and buffers the bookkeeping writes (once-only deactivation, activation
-   removal for deleted objects) into the same transaction. *)
-let evaluate txn =
+   removal for deleted objects) into the same transaction. The keys the
+   conditions read go into [reads], for the commit's conflict check. *)
+let evaluate ~reads txn =
   Ode_util.Trace.with_span ~cat:"trigger" "triggers.evaluate" @@ fun () ->
   let db = txn.tdb in
   let firings = ref [] in
@@ -289,7 +290,7 @@ let evaluate txn =
             if (a : activation).active then
               match decl db a with
               | Some g ->
-                  if should_fire db txn view a g then begin
+                  if should_fire ~reads db txn view a g then begin
                     Ode_util.Stats.incr c_triggers_fired;
                     Ode_util.Trace.instant ~cat:"trigger" ~args:[ ("trigger", a.tname) ]
                       "trigger.fired";

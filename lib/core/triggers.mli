@@ -48,11 +48,12 @@ val decl : db -> activation -> Ode_model.Schema.trigger option
 type decoded
 (** A committing transaction's ['T'] puts, decoded once by {!evaluate}. *)
 
-val evaluate : txn -> firing list * decoded
+val evaluate : reads:(string, unit) Hashtbl.t -> txn -> firing list * decoded
 (** Evaluate conditions for the committing transaction's touched objects;
     buffers bookkeeping writes (once-only deactivation, removal of
     activations on deleted objects) into the transaction. Also returns the
-    activation of every ['T'] put the transaction then holds, decoded. *)
+    activation of every ['T'] put the transaction then holds, decoded. The
+    key of every record a condition reads is added to [reads]. *)
 
 val sync_after_commit : ?decoded:decoded -> db -> (string * op) list -> unit
 (** Fold a committed transaction's writes to ['T'] keys into the

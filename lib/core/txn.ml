@@ -90,11 +90,6 @@ let begin_read db =
     meta_dirty = false;
   }
 
-let active db = db.active
-
-let active_exn db =
-  match db.active with Some t -> t | None -> raise No_active_txn
-
 let open_writers db = Hashtbl.fold (fun _ t acc -> t :: acc) db.wtxns []
 
 let require_active txn =
@@ -182,16 +177,16 @@ let describe_key key =
     | _ -> "a key"
 
 (* The commit body, split into prepare and ack phases. Prepare runs the
-   integrity checks, evaluates trigger conditions, detects write-write
-   conflicts (first-committer-wins against the transaction's snapshot),
-   logs the write set and applies it to the committed structures. The
-   commit timestamp is the commit's own LSN, embedded in the WAL commit
-   record so recovery and standbys reconstruct the same version order.
-   [durable] decides the ack: under eager (Full) durability the WAL fsync
-   sits between logging and applying — the classic sync-before-apply.
-   Deferred commits skip it; the records stay pending in the WAL until a
-   shared {!ack} (or a checkpoint, or the buffer pool's write-ahead hook)
-   makes the whole batch durable with one fsync.
+   integrity checks, evaluates trigger conditions, detects conflicts
+   (first-committer-wins against the transaction's snapshot), logs the
+   key-sorted write set as one WAL frame and applies that same list to the
+   committed structures. The commit timestamp is the commit's own LSN,
+   embedded in the frame so recovery and standbys reconstruct the same
+   version order. [durable] decides the ack: under eager (Full) durability
+   the WAL fsync sits between logging and applying — the classic
+   sync-before-apply. Deferred commits skip it; the frame stays pending in
+   the WAL until a shared {!ack} (or a checkpoint, or the buffer pool's
+   write-ahead hook) makes the whole batch durable with one fsync.
 
    Only the apply itself (version-chain recording, store mutation, trigger
    mirror sync) runs under the exclusive latch — constraint checking,
@@ -212,27 +207,40 @@ let commit_slot ~durable txn =
     raise Read_only_store
   end;
   (* 1. Integrity: a violation aborts and rolls back (trivially, since
-        nothing was applied). *)
-  (match Constraints.check_txn txn with
+        nothing was applied). The keys these checks and step 2's
+        conditions read join step 4's conflict check. *)
+  let reads = Hashtbl.create 8 in
+  (match Constraints.check_txn ~reads txn with
   | () -> ()
   | exception e ->
       abort txn;
       raise e);
   (* 2. Trigger conditions over the post-state; bookkeeping writes (once-only
         deactivations etc.) join this transaction. *)
-  let firings, decoded = Triggers.evaluate txn in
+  let firings, decoded = Triggers.evaluate ~reads txn in
   (* 3. Engine metadata modified by this transaction. *)
   if txn.catalog_dirty then
     Hashtbl.replace txn.writes Keys.catalog (Put (Ode_model.Catalog.encode db.catalog));
   if txn.meta_dirty then Hashtbl.replace txn.writes Keys.meta (Put (encode_meta db.meta));
   if Hashtbl.length txn.writes > 0 then begin
-    (* 4. First-committer-wins: if any key this transaction wrote was
-          committed past its snapshot, abort with a retryable conflict.
-          The check runs while this transaction's snapshot is still
-          registered, so the GC horizon cannot have reclaimed a chain the
-          check needs (any conflicting head is newer than our read_ts,
-          which bounds the horizon). *)
-    let keys = Hashtbl.fold (fun k _ acc -> if versioned k then k :: acc else acc) txn.writes [] in
+    let writes =
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (Hashtbl.fold (fun key op acc -> (key, op) :: acc) txn.writes [])
+    in
+    (* 4. First-committer-wins: if any key this transaction wrote, or any
+          key a constraint or trigger condition read (which makes those
+          serializable), was committed past its snapshot, abort with a
+          retryable conflict. The check runs while this transaction's
+          snapshot is still registered, so the GC horizon cannot have
+          reclaimed a chain the check needs (any conflicting head is newer
+          than our read_ts, which bounds the horizon). *)
+    let keys =
+      Hashtbl.fold
+        (fun key () acc -> key :: acc)
+        reads
+        (List.filter_map (fun (key, _) -> if versioned key then Some key else None) writes)
+    in
     (match Mvcc.conflict db.mvcc ~read_ts:txn.read_ts keys with
     | Some key ->
         abort txn;
@@ -240,28 +248,18 @@ let commit_slot ~durable txn =
         Ode_util.Trace.instant ~cat:"txn" "txn.conflict";
         raise
           (Txn_conflict
-             (Printf.sprintf "write-write conflict on %s: a concurrent transaction committed first"
+             (Printf.sprintf "conflict on %s: a concurrent transaction committed it first"
                 (describe_key key)))
     | None -> ());
     (* 5. Log and make durable. The commit timestamp is the LSN this very
-          commit record receives when appended. *)
+          frame receives when appended; the trace id, the request's, lets a
+          standby stamp its apply spans with the originating client's id. *)
     let cts = Wal.last_lsn db.wal + 1 in
-    Wal.append db.wal (Wal.Begin txn.xid);
-    Hashtbl.iter
-      (fun key op ->
-        match op with
-        | Put payload -> Wal.append db.wal (Wal.Put (txn.xid, key, payload))
-        | Del -> Wal.append db.wal (Wal.Delete (txn.xid, key)))
-      txn.writes;
-    (* The commit record carries the ambient trace id of the request that
-       drove this transaction, so a standby replaying the shipped batch
-       can stamp its apply spans with the originating client's id. *)
-    Wal.append db.wal (Wal.Commit (txn.xid, Ode_util.Trace.current_trace_id (), cts));
+    Wal.append db.wal (Wal.Commit { trace = Ode_util.Trace.current_trace_id (); ts = cts; writes });
     if durable then Wal.sync db.wal;
     (* 6. Apply to the committed structures under the exclusive latch:
           pre-images go into the version chains first (while the KV still
           holds them), then the writes land. *)
-    let writes = Hashtbl.fold (fun key op acc -> (key, op) :: acc) txn.writes [] in
     with_excl db (fun () ->
         Mvcc.commit db.mvcc ~ts:cts ~except:txn.snap ~pre:(Store.committed_image db)
           (List.filter_map

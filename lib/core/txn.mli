@@ -28,12 +28,6 @@ val begin_read : db -> txn
     {!Types.Read_only_txn} against it before touching shared state; commit
     is trivial (nothing to log). *)
 
-val active : db -> txn option
-(** The most recently begun still-open write transaction — the default for
-    embedded callers that pass no transaction to read paths. *)
-
-val active_exn : db -> txn
-
 val open_writers : db -> txn list
 (** Every open write transaction, unordered. *)
 

@@ -7,8 +7,10 @@
 module Oid = Ode_model.Oid
 module Value = Ode_model.Value
 
-(* A pending logical write: last-wins per key within one transaction. *)
-type op = Put of string | Del
+(* A pending logical write: last-wins per key within one transaction. The
+   WAL's own type, so one sorted write set is framed, applied, replayed and
+   shipped as it stands. *)
+type op = Ode_storage.Wal.op = Put of string | Del
 
 (* Decoded object header, the front of the 'H' record (the current
    version's fields follow it there). [hversions] is kept newest-first so
@@ -155,7 +157,6 @@ exception Txn_conflict of string
    been aborted; the error is retryable (the server surfaces it as the
    protocol's Err_conflict so clients re-run under their retry budget). *)
 
-exception No_active_txn
 exception Db_closed
 
 exception Read_only_store

@@ -215,13 +215,14 @@ let apply_batch db ~from_lsn ~to_lsn ~data =
   else begin
     let records = ref [] in
     let consumed =
-      match Wal.scan data (Some (fun r -> records := r :: !records)) with
+      match Wal.scan data (fun r -> records := r :: !records) with
       | n -> n
       | exception Codec.Corrupt msg -> raise (Resync ("corrupt batch: " ^ msg))
     in
     if consumed <> String.length data then
       raise (Resync (Printf.sprintf "torn batch: %d of %d bytes intact" consumed (String.length data)));
-    Ode_util.Histogram.time h_apply (fun () -> Db.apply_replicated db (List.rev !records));
+    Ode_util.Histogram.time h_apply (fun () ->
+        Db.apply_replicated db ~frames:data (List.rev !records));
     Stats.incr c_repl_batches_applied;
     let got = Db.lsn db in
     if got <> to_lsn then

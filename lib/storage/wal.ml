@@ -19,12 +19,10 @@ let c_wal_sync_saved = Stats.counter "wal_sync_saved"
 let c_wal_torn_bytes = Stats.counter ~group:Stats.Recovery "wal_torn_bytes"
 let c_io_retries = Stats.counter ~group:Stats.Recovery "io_retries"
 
+type op = Put of string | Del
+
 type record =
-  | Begin of int
-  | Commit of int * int * int (* xid, originating trace id (0 = untraced),
-                                 commit timestamp (the commit's own LSN) *)
-  | Put of int * string * string
-  | Delete of int * string
+  | Commit of { trace : int; ts : int; writes : (string * op) list }
   | Checkpoint of int
 
 type file_sink = { fd : Unix.file_descr; mutable wpos : int }
@@ -58,60 +56,64 @@ type t = {
          that follows; [""] once replayed, reset or appended past. *)
 }
 
-(* -- record codec -------------------------------------------------------- *)
+(* -- record codec --------------------------------------------------------
+   Tags 1-5 were the per-operation layout of earlier builds. *)
+
+let tag_commit = '\006'
+let tag_checkpoint = '\007'
+
+let put_bytes b s =
+  Codec.put_varint b (String.length s);
+  Codec.put_raw b s
 
 let encode_record r =
   let b = Buffer.create 64 in
   (match r with
-  | Begin tx ->
-      Codec.put_u8 b 1;
-      Codec.put_int b tx
-  | Commit (tx, trace, cts) ->
-      Codec.put_u8 b 2;
-      Codec.put_int b tx;
-      Codec.put_int b trace;
-      Codec.put_int b cts
-  | Put (tx, k, v) ->
-      Codec.put_u8 b 3;
-      Codec.put_int b tx;
-      Codec.put_string b k;
-      Codec.put_string b v
-  | Delete (tx, k) ->
-      Codec.put_u8 b 4;
-      Codec.put_int b tx;
-      Codec.put_string b k
+  | Commit { trace; ts; writes } ->
+      Buffer.add_char b tag_commit;
+      Codec.put_svarint b trace;
+      Codec.put_varint b ts;
+      List.iter
+        (fun (key, op) ->
+          Codec.put_u8 b (match op with Put _ -> 1 | Del -> 0);
+          put_bytes b key;
+          match op with Put payload -> put_bytes b payload | Del -> ())
+        writes
   | Checkpoint lsn ->
-      Codec.put_u8 b 5;
-      Codec.put_int b lsn);
+      Buffer.add_char b tag_checkpoint;
+      Codec.put_varint b lsn);
   Buffer.contents b
 
-(* The record in [s]'s bytes [pos, stop), which it must fill exactly. *)
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
+
+(* The record in [s]'s bytes [pos, stop), which it must fill exactly: a
+   Commit's operations run to the end of its frame, their keys strictly
+   ascending from a non-empty first. *)
 let decode_at s ~pos ~stop =
   let c = Codec.cursor ~pos ~stop s in
-  let r =
-    match Codec.get_u8 c with
-    | 1 -> Begin (Codec.get_int c)
-    | 2 ->
-        let tx = Codec.get_int c in
-        let trace = Codec.get_int c in
-        let cts = Codec.get_int c in
-        Commit (tx, trace, cts)
-    | 3 ->
-        let tx = Codec.get_int c in
-        let k = Codec.get_string c in
-        let v = Codec.get_string c in
-        Put (tx, k, v)
-    | 4 ->
-        let tx = Codec.get_int c in
-        Delete (tx, Codec.get_string c)
-    | 5 -> Checkpoint (Codec.get_int c)
-    | n -> raise (Codec.Corrupt (Printf.sprintf "wal: bad tag %d" n))
-  in
-  if not (Codec.at_end c) then
-    raise
-      (Codec.Corrupt
-         (Printf.sprintf "wal: record at %d ends at %d, its frame at %d" pos (Codec.pos c) stop));
-  r
+  let get_bytes () = Codec.get_raw c (Codec.get_varint c) in
+  let tag = Char.chr (Codec.get_u8 c) in
+  if tag = tag_commit then begin
+    let trace = Codec.get_svarint c in
+    let ts = Codec.get_varint c in
+    let rec ops prev acc =
+      if Codec.at_end c then List.rev acc
+      else
+        let at = Codec.pos c in
+        let op = Codec.get_u8 c in
+        let key = get_bytes () in
+        if op > 1 || String.compare key prev <= 0 then corrupt "wal: bad operation at %d" at;
+        ops key ((key, if op = 1 then Put (get_bytes ()) else Del) :: acc)
+    in
+    Commit { trace; ts; writes = ops "" [] }
+  end
+  else if tag = tag_checkpoint then begin
+    let lsn = Codec.get_varint c in
+    if not (Codec.at_end c) then
+      corrupt "wal: record at %d ends at %d, its frame at %d" pos (Codec.pos c) stop;
+    Checkpoint lsn
+  end
+  else corrupt "wal: bad tag %d at %d" (Char.code tag) pos
 
 let decode_record s = decode_at s ~pos:0 ~stop:(String.length s)
 
@@ -121,11 +123,14 @@ let decode_record s = decode_at s ~pos:0 ~stop:(String.length s)
 
 let frame_header = 12
 
-let frame body =
-  let b = Buffer.create (String.length body + frame_header) in
+let add_frame b body =
   Codec.put_u32 b (String.length body);
   Codec.put_i64 b (Codec.fnv64 body);
-  Codec.put_raw b body;
+  Codec.put_raw b body
+
+let frame body =
+  let b = Buffer.create (String.length body + frame_header) in
+  add_frame b body;
   Buffer.contents b
 
 (* The end of the frame at [off] of [s], or -1 when it is torn (runs past
@@ -154,7 +159,7 @@ let rec frames next s off f =
   let stop = next s off in
   if stop < 0 then off
   else begin
-    (match f with Some fn -> fn (decode_at s ~pos:(off + frame_header) ~stop) | None -> ());
+    f (decode_at s ~pos:(off + frame_header) ~stop);
     frames next s stop f
   end
 
@@ -163,15 +168,13 @@ let rec frames next s off f =
 let scan contents f = frames frame_end contents 0 f
 
 (* The LSN after the record in [s]'s bytes [pos, stop), starting from
-   [lsn]: Commits count up; a Checkpoint record restores the exact value it
-   recorded, which reconciles replay over records a lost truncation left
-   behind (they were already counted before the checkpoint was taken).
-   Only those two kinds are decoded. *)
+   [lsn]: a Commit counts up, known by its tag alone; a Checkpoint restores
+   the exact value it recorded, which reconciles replay over records a lost
+   truncation left behind (they were already counted before the checkpoint
+   was taken). Any other tag is refused. *)
 let lsn_after s ~pos ~stop lsn =
-  match if pos < stop then s.[pos] else '\000' with
-  | '\002' | '\005' -> (
-      match decode_at s ~pos ~stop with Commit _ -> lsn + 1 | Checkpoint l -> l | _ -> lsn)
-  | _ -> lsn
+  if pos < stop && s.[pos] = tag_commit then lsn + 1
+  else match decode_at s ~pos ~stop with Checkpoint l -> l | Commit _ -> lsn + 1
 
 (* -- construction --------------------------------------------------------- *)
 
@@ -269,15 +272,30 @@ let in_memory () =
     opened = "";
   }
 
+let count_commit t =
+  Stats.incr c_wal_appends;
+  t.pending_commits <- t.pending_commits + 1;
+  t.last_lsn <- t.last_lsn + 1
+
 let append t r =
-  Ode_util.Stats.incr c_wal_appends;
   Ode_util.Trace.instant ~cat:"wal" "wal.append";
-  (match r with
-  | Commit _ ->
-      t.pending_commits <- t.pending_commits + 1;
-      t.last_lsn <- t.last_lsn + 1
-  | _ -> ());
-  Buffer.add_string t.pending (frame (encode_record r))
+  (match r with Commit _ -> count_commit t | Checkpoint _ -> Stats.incr c_wal_appends);
+  add_frame t.pending (encode_record r)
+
+(* The frames were checked and decoded by [scan], so each one's tag is
+   there to read; a Commit frame is copied as it stands, one [append]. *)
+let append_commits t s =
+  let rec go off =
+    let stop = checked_end s off in
+    if stop >= 0 then begin
+      if s.[off + frame_header] = tag_commit then begin
+        count_commit t;
+        Buffer.add_substring t.pending s off (stop - off)
+      end;
+      go stop
+    end
+  in
+  go 0
 
 let pending_commits t = t.pending_commits
 let last_lsn t = t.last_lsn
@@ -363,9 +381,7 @@ let sync t =
 let contents t =
   match t.sink with
   | Memory b -> Buffer.contents b
-  | File f ->
-      ignore f.wpos;
-      read_all f.fd
+  | File f -> read_all f.fd
 
 (* The log [open_file] read and checked is still the whole file until a
    sync writes past it or a reset truncates it: replay decodes it where it
@@ -376,8 +392,8 @@ let replay t f =
   t.opened <- "";
   match t.sink with
   | File fs when opened <> "" && fs.wpos = String.length opened ->
-      ignore (frames checked_end opened 0 (Some f))
-  | _ -> ignore (scan (contents t) (Some f))
+      ignore (frames checked_end opened 0 f)
+  | _ -> ignore (scan (contents t) f)
 
 (* The raw frames of everything after [lsn]: what a replica that has applied
    up to [lsn] still needs. [None] when the log no longer reaches back that
@@ -399,7 +415,7 @@ let tail_from t ~lsn =
       if stop >= 0 then begin
         let pos = off + frame_header in
         let next = lsn_after contents ~pos ~stop cur in
-        let checkpoint = pos < stop && contents.[pos] = '\005' in
+        let checkpoint = contents.[pos] = tag_checkpoint in
         if checkpoint && next <> cur then cut := None;
         if !cut = None && next = lsn then cut := Some stop;
         go stop next

@@ -1,15 +1,21 @@
-(** Write-ahead log of logical redo records.
+(** Write-ahead log of logical redo records, one frame per commit.
 
-    The engine runs deferred-apply transactions: a transaction's effects are
-    buffered, encoded as logical records, appended here and fsynced at
-    commit, and only then applied to the heap and indexes. Recovery replays
-    the committed suffix after the last checkpoint; logical records are
-    idempotent so replay over partially applied state is safe.
+    The engine runs deferred-apply transactions: a transaction's write set
+    is framed as one [Commit] record, appended and fsynced at commit, and
+    only then applied to the heap and indexes. Recovery replays the
+    committed suffix after the last checkpoint, frame by frame; logical
+    records are idempotent so replay over partially applied state is safe.
 
-    On-disk format: a stream of frames [u32 len][i64 fnv64][body]. A torn or
-    corrupt tail terminates replay silently (those records were never
-    acknowledged as committed unless a later intact frame exists, which the
-    append-then-sync protocol rules out).
+    On-disk format: a stream of frames [u32 len][i64 fnv64][body]. A
+    [Commit] body is the tag byte [6], the trace id (zigzag varint), the
+    commit timestamp (varint), then the key-sorted operations to the end of
+    the frame: a byte ([1] put, [0] delete), the key and, for a put, the
+    payload, each behind a varint length. A [Checkpoint] body is the tag
+    byte [7] and a varint LSN. Tags [1]-[5], the per-operation layout of
+    earlier builds, are refused at open with {!Ode_util.Codec.Corrupt}. A
+    torn or corrupt tail terminates replay silently: a commit lands whole
+    or not at all, and no intact frame can follow an unacknowledged one
+    (the append-then-sync protocol rules it out).
 
     {2 Commit LSNs}
 
@@ -20,21 +26,19 @@
     fsynced before each truncation) persists that base, and [Checkpoint]
     records carry the exact LSN at checkpoint time so replay reconciles a
     stale sidecar (a truncation that crashed or was lost) back to the true
-    count. Replication ships synced batches tagged with their LSN range
-    (see {!set_on_sync}) and resumes a replica from {!tail_from}. *)
+    count; a [Commit] counts by its tag byte alone. Replication ships
+    synced batches tagged with their LSN range (see {!set_on_sync}) and
+    resumes a replica from {!tail_from}. *)
+
+type op = Put of string | Del
 
 type record =
-  | Begin of int                          (** txn id *)
-  | Commit of int * int * int
-      (** txn, originating trace id (0 = untraced), commit timestamp. The
-          commit timestamp is the commit's own LSN, embedded so recovery
-          and replication standbys reconstruct the MVCC version order
-          exactly as the primary assigned it. The trace id lets a
-          standby's replay spans carry the client-assigned id of the
-          request that committed on the primary. Every [Commit] body
-          carries all three fields; a shorter one is corrupt. *)
-  | Put of int * string * string          (** txn, key, payload *)
-  | Delete of int * string                (** txn, key *)
+  | Commit of { trace : int; ts : int; writes : (string * op) list }
+      (** One transaction: the originating trace id (0 = untraced), which
+          a standby's replay spans carry; the commit timestamp, the
+          commit's own LSN, from which recovery and standbys rebuild the
+          MVCC version order; and the write set, each key once, in key
+          order. *)
   | Checkpoint of int
       (** all prior effects are on disk; carries the durable LSN at the time
           the checkpoint was taken *)
@@ -46,14 +50,20 @@ val open_file : string -> t
     intact frame. Reads the [.lsn] sidecar, then reads the log once and
     checks each frame's checksum in place in one pass, which also finds
     the exact commit LSN. The checked log is kept for the {!replay} that
-    recovery runs next. *)
+    recovery runs next. Raises {!Ode_util.Codec.Corrupt} on an intact frame
+    of another kind, such as a log of an earlier layout. *)
 
 val in_memory : unit -> t
 
 val append : t -> record -> unit
-(** Buffered append; durable only after {!sync}. A [Commit] record marks its
-    transaction {e pending}: committed in memory, not yet acknowledged as
-    durable. It is also assigned the next LSN ({!last_lsn}). *)
+(** Buffered append of one frame; durable only after {!sync}. A [Commit]
+    record marks its transaction {e pending}: committed in memory, not yet
+    acknowledged as durable. It is also assigned the next LSN ({!last_lsn}). *)
+
+val append_commits : t -> string -> unit
+(** Append a shipped batch that {!scan} checked and decoded whole: each
+    [Commit] frame byte for byte, as {!append} would; [Checkpoint] frames
+    are not copied. *)
 
 val sync : t -> unit
 (** Flush buffered frames and fsync — the durability barrier. One sync
@@ -111,7 +121,7 @@ val close : t -> unit
 
 val encode_record : record -> string
 val decode_record : string -> record
-val scan : string -> (record -> unit) option -> int
+val scan : string -> (record -> unit) -> int
 (** Exposed for the replication layer: iterate the intact frames of a raw
     batch (as delivered to the {!set_on_sync} observer), returning the byte
     offset past the last intact frame. Frames are checked and decoded in

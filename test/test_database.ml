@@ -139,6 +139,103 @@ let first_committer_wins () =
       Tutil.check_value "replay landed" (int 3) (Db.get_field txn oid "age"));
   Db.close db
 
+(* Write skew through a constraint that reads another object: each
+   transaction keeps [joint] true on its own snapshot, and together they
+   would break it. The keys a constraint reads join the conflict check, so
+   the second committer gets the retryable conflict; run serially, the
+   constraint itself rejects the second update. *)
+let joint_accounts db =
+  Db.with_txn db (fun txn ->
+      let a = Db.pnew txn "acct" [ ("bal", int 50) ] in
+      let b = Db.pnew txn "acct" [ ("bal", int 50); ("peer", Value.Ref a) ] in
+      Db.set_field txn a "peer" (Value.Ref b);
+      (a, b))
+
+let balances db a b =
+  Db.with_txn db (fun txn -> (Db.get_field txn a "bal", Db.get_field txn b "bal"))
+
+let constraint_write_skew () =
+  let db = Db.open_in_memory () in
+  ignore
+    (Db.define db "class acct { bal: int; peer: ref acct; constraint joint: bal + peer.bal >= 0; };");
+  Db.create_cluster db "acct";
+  let a, b = joint_accounts db in
+  let ta = Db.begin_txn db and tb = Db.begin_txn db in
+  Db.set_field ta a "bal" (int (-40));
+  Db.set_field tb b "bal" (int (-40));
+  Db.commit ta;
+  (match Db.commit tb with
+  | () -> Alcotest.fail "both sides of the write skew committed"
+  | exception Txn_conflict _ -> ());
+  Tutil.check_bool "the first committer's state" true (balances db a b = (int (-40), int 50));
+  (* The retry reads the committed peer and is rejected by the constraint. *)
+  (match Db.with_txn db (fun txn -> Db.set_field txn b "bal" (int (-40))) with
+  | () -> Alcotest.fail "the serial run committed a violating state"
+  | exception Constraint_violation { cname = "joint"; _ } -> ());
+  Tutil.check_bool "the store still satisfies joint" true (balances db a b = (int (-40), int 50));
+  (* Transactions over objects the constraint does not read commit side by
+     side, as before. *)
+  let c, d = joint_accounts db in
+  let tc = Db.begin_txn db and td = Db.begin_txn db in
+  Db.set_field tc a "bal" (int 0);
+  Db.set_field td c "bal" (int (-10));
+  Db.commit tc;
+  Db.commit td;
+  Tutil.check_bool "disjoint commits both land" true
+    (balances db a b = (int 0, int 50) && balances db c d = (int (-10), int 50));
+  Db.close db
+
+(* The same skew through a trigger condition that reads another object:
+   neither transaction alone makes [overdrawn] true on its snapshot, so
+   without the read check the condition becomes true unseen and never
+   fires. The second committer conflicts; its retry sees the first's
+   write and fires the trigger once. *)
+let trigger_write_skew () =
+  let db = Db.open_in_memory () in
+  ignore
+    (Db.define db
+       {|class acct { bal: int; peer: ref acct;
+           trigger perpetual overdrawn(): bal + peer.bal < 0 ==> { print "overdrawn"; }; };|});
+  let fired = ref 0 in
+  Db.set_action_printer db (fun _ -> incr fired);
+  Db.create_cluster db "acct";
+  let a, b = joint_accounts db in
+  Db.with_txn db (fun txn -> ignore (Db.activate txn b "overdrawn" []));
+  let ta = Db.begin_txn db and tb = Db.begin_txn db in
+  Db.set_field ta a "bal" (int (-40));
+  Db.set_field tb b "bal" (int (-40));
+  Db.commit ta;
+  (match Db.commit tb with
+  | () -> Alcotest.fail "both sides of the write skew committed"
+  | exception Txn_conflict _ -> ());
+  Tutil.check_int "nothing fired yet" 0 !fired;
+  Db.with_txn db (fun txn -> Db.set_field txn b "bal" (int (-40)));
+  Tutil.check_int "the retry fires once" 1 !fired;
+  Tutil.check_bool "both updates landed" true (balances db a b = (int (-40), int (-40)));
+  Db.close db
+
+(* One WAL frame per commit, whatever the size of the write set: a one-key
+   commit and a commit of 100 objects (their headers, index entries and
+   the meta record) each append exactly one record. *)
+let one_wal_frame_per_commit () =
+  let db = Db.open_in_memory () in
+  ignore (Db.define db "class w { n: int; };");
+  Db.create_cluster db "w";
+  Db.create_index db ~cls:"w" ~field:"n";
+  let appends f =
+    let before = Ode_util.Stats.snapshot () in
+    Db.with_txn db f;
+    Ode_util.Stats.get (Ode_util.Stats.diff (Ode_util.Stats.snapshot ()) before) "wal_appends"
+  in
+  Tutil.check_int "a one-key commit" 1 (appends (fun txn -> Db.set_root txn "r" (int 1)));
+  Tutil.check_int "a 100-object commit" 1
+    (appends (fun txn ->
+         for i = 1 to 100 do
+           ignore (Db.pnew txn "w" [ ("n", int i) ])
+         done));
+  Tutil.check_int "a read-only commit" 0 (appends (fun _ -> ()));
+  Db.close db
+
 let constraint_violation_aborts () =
   let db = Tutil.open_university () in
   (* gpa constraint: 0.0 <= gpa <= 4.0 *)
@@ -253,6 +350,9 @@ let suite =
         Alcotest.test_case "read-your-writes" `Quick txn_sees_own_writes;
         Alcotest.test_case "concurrent transactions" `Quick concurrent_txns;
         Alcotest.test_case "first committer wins" `Quick first_committer_wins;
+        Alcotest.test_case "constraint write skew conflicts" `Quick constraint_write_skew;
+        Alcotest.test_case "trigger write skew conflicts" `Quick trigger_write_skew;
+        Alcotest.test_case "one WAL frame per commit" `Quick one_wal_frame_per_commit;
         Alcotest.test_case "constraint violation aborts txn" `Quick constraint_violation_aborts;
         Alcotest.test_case "constraints inherit" `Quick constraint_inherited_from_parent;
         Alcotest.test_case "dynamic method dispatch" `Quick methods_dispatch_dynamically;

@@ -123,6 +123,59 @@ let lsn_lost_truncation () =
 
 (* -- the replica's batch-apply discipline --------------------------------- *)
 
+(* A standby copies the commit frames it is shipped into its own log byte
+   for byte: the log grows by exactly the bytes shipped, whatever the size
+   of each commit or batch, and equals the primary's. *)
+let standby_log_is_shipped_frames () =
+  let pdir = Tutil.temp_dir "repl-frames-p" in
+  let rdir = Filename.concat (Tutil.temp_dir "repl-frames-r") "db" in
+  let db = Db.open_ pdir in
+  setup db;
+  Db.close db;
+  Tutil.copy_dir pdir rdir;
+  let pri = Db.open_ pdir and rep = Db.open_ rdir in
+  Db.set_read_only rep true;
+  let queue = Queue.create () in
+  Db.set_wal_observer pri
+    (Some (fun ~data ~from_lsn ~to_lsn -> Queue.add (data, from_lsn, to_lsn) queue));
+  let log dir = In_channel.with_open_bin (Filename.concat dir "wal.log") In_channel.input_all in
+  let ship () =
+    let before = String.length (log rdir) in
+    let shipped =
+      Queue.fold
+        (fun n (data, from_lsn, to_lsn) ->
+          Tutil.check_bool "batch applies" true
+            (Repl.apply_batch rep ~from_lsn ~to_lsn ~data = `Applied);
+          n + String.length data)
+        0 queue
+    in
+    Queue.clear queue;
+    Tutil.check_int "the standby's log grew by the bytes shipped" shipped
+      (String.length (log rdir) - before)
+  in
+  put pri 0;
+  Db.with_txn pri (fun txn ->
+      for tag = 1 to 20 do
+        ignore (Db.pnew txn "t" [ ("tag", Value.Int tag); ("v", Value.Str (String.make tag 'v')) ])
+      done);
+  ship ();
+  (* Three deferred commits, one batch. *)
+  Db.set_durability pri Db.Group;
+  for tag = 21 to 23 do
+    let txn = Db.begin_txn pri in
+    ignore (Db.pnew txn "t" [ ("tag", Value.Int tag); ("v", Value.Str "g") ]);
+    Db.commit_deferred txn
+  done;
+  Db.sync_commits pri;
+  Tutil.check_int "one batch" 1 (Queue.length queue);
+  ship ();
+  Tutil.check_bool "the standby's log is the primary's" true (log rdir = log pdir);
+  Tutil.check_bool "state matches" true (tags rep = tags pri);
+  Tutil.check_int "at the primary's lsn" (Db.lsn pri) (Db.lsn rep);
+  Db.close pri;
+  Db.close rep
+
+
 let apply_discipline () =
   let pdir = Tutil.temp_dir "repl-apply-p" in
   let rdir = Filename.concat (Tutil.temp_dir "repl-apply-r") "db" in
@@ -667,8 +720,12 @@ let oid_counters_in_meta () =
   ship ();
   put pri 1;
   let keys = ref [] in
-  let logged = function Ode_storage.Wal.Put (_, k, _) -> keys := k :: !keys | _ -> () in
-  Queue.iter (fun (data, _, _) -> ignore (Ode_storage.Wal.scan data (Some logged))) queue;
+  let logged = function
+    | Ode_storage.Wal.Commit { writes; _ } ->
+        List.iter (function k, Ode_storage.Wal.Put _ -> keys := k :: !keys | _, Del -> ()) writes
+    | Checkpoint _ -> ()
+  in
+  Queue.iter (fun (data, _, _) -> ignore (Ode_storage.Wal.scan data logged)) queue;
   Tutil.check_bool "pnew logs the meta record" true (List.mem Ode.Keys.meta !keys);
   Tutil.check_bool "pnew logs no catalog record" false (List.mem Ode.Keys.catalog !keys);
   Tutil.check_bool "the meta key sorts before every object key" true
@@ -707,6 +764,7 @@ let suite =
         Alcotest.test_case "crash between sidecar and truncation" `Quick lsn_sidecar_crash;
         Alcotest.test_case "lost truncation reconciled on replay" `Quick lsn_lost_truncation;
         Alcotest.test_case "batch apply discipline" `Quick apply_discipline;
+        Alcotest.test_case "standby logs the shipped frames" `Quick standby_log_is_shipped_frames;
         Alcotest.test_case "handshake picks resume vs snapshot" `Quick hello_answers;
         Alcotest.test_case "recovery bounded by checkpoint interval" `Quick recovery_bounded;
         Alcotest.test_case "primary streams to a read-only standby" `Quick e2e_streaming;

@@ -234,13 +234,14 @@ let pool_no_flush_section () =
 
 (* -- wal ------------------------------------------------------------------ *)
 
+let commit ?(trace = 0) ts writes = Wal.Commit { trace; ts; writes }
+
 let wal_records =
   [
-    Wal.Begin 1;
-    Wal.Put (1, "key-a", "payload-a");
-    Wal.Delete (1, "key-b");
-    Wal.Commit (1, 0, 0);
-    Wal.Checkpoint 1;
+    commit 1 [ ("key-a", Wal.Put "payload-a"); ("key-b", Wal.Del) ];
+    commit ~trace:(-5) 2 [ ("k", Wal.Put (String.make 300 'p')) ];
+    commit 3 [];
+    Wal.Checkpoint 3;
   ]
 
 let wal_roundtrip_memory () =
@@ -271,8 +272,11 @@ let wal_sync_copies_once () =
   let dir = Tutil.temp_dir "wal" in
   let w = Wal.open_file (Filename.concat dir "wal.log") in
   let size = 64 * 1024 in
-  Wal.append w (Wal.Put (1, "k", String.make size 'p'));
-  Wal.append w (Wal.Commit (1, 0, 1));
+  Wal.append w (commit 1 [ ("k", Wal.Put (String.make size 'p')) ]);
+  (* Settle the heap first: a collection cycle that the append's large
+     blocks leave due would otherwise run inside the window, and
+     [Gc.allocated_bytes] over-reports across one. *)
+  Gc.full_major ();
   let before = Gc.allocated_bytes () in
   Wal.sync w;
   let allocated = Gc.allocated_bytes () -. before in
@@ -284,7 +288,7 @@ let wal_torn_tail_ignored () =
   let dir = Tutil.temp_dir "wal" in
   let path = Filename.concat dir "wal.log" in
   let w = Wal.open_file path in
-  Wal.append w (Wal.Put (1, "k", "v"));
+  Wal.append w (commit 1 [ ("k", Wal.Put "v") ]);
   Wal.sync w;
   Wal.close w;
   (* Simulate a torn write: garbage appended after the intact frame. *)
@@ -296,58 +300,81 @@ let wal_torn_tail_ignored () =
   Wal.replay w2 (fun r -> got := r :: !got);
   Tutil.check_int "only intact frame" 1 (List.length !got);
   (* And new appends after reopening are readable. *)
-  Wal.append w2 (Wal.Commit (1, 0, 0));
+  Wal.append w2 (commit 2 [ ("k", Wal.Del) ]);
   Wal.sync w2;
   let got2 = ref [] in
   Wal.replay w2 (fun r -> got2 := r :: !got2);
   Tutil.check_int "append after truncation" 2 (List.length !got2);
   Wal.close w2
 
-(* One record layout: a Commit body always carries xid, trace id and
-   commit timestamp. A checksummed frame holding only tag 2 + xid (the
-   layout before MVCC) is corrupt, not a commit at timestamp 0. *)
-let wal_short_commit_corrupt () =
-  let dir = Tutil.temp_dir "wal" in
-  let path = Filename.concat dir "wal.log" in
-  let body =
-    let b = Buffer.create 16 in
-    Ode_util.Codec.put_u8 b 2;
-    Ode_util.Codec.put_int b 7;
-    Buffer.contents b
-  in
-  let frame = Buffer.create 32 in
-  Ode_util.Codec.put_u32 frame (String.length body);
-  Ode_util.Codec.put_i64 frame (Ode_util.Codec.fnv64 body);
-  Buffer.add_string frame body;
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents frame));
-  match Wal.open_file path with
-  | w ->
-      Wal.close w;
-      Alcotest.fail "a commit without trace id and timestamp must not open"
+let write_frames bodies =
+  let path = Filename.concat (Tutil.temp_dir "wal") "wal.log" in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun body -> Out_channel.output_string oc (Wal.frame body)) bodies);
+  path
+
+let corrupt what f =
+  match f () with
+  | () -> Alcotest.failf "%s: accepted" what
   | exception Ode_util.Codec.Corrupt _ -> ()
 
+let replayed path =
+  let w = Wal.open_file path in
+  Fun.protect ~finally:(fun () -> Wal.close w) (fun () -> Wal.replay w ignore)
+
+(* One record layout: a Commit body always carries the trace id and the
+   commit timestamp. A checksummed frame holding only the tag and a trace
+   id is corrupt, not a commit at timestamp 0. *)
+let wal_short_commit_corrupt () =
+  let body =
+    let b = Buffer.create 16 in
+    Ode_util.Codec.put_u8 b 6;
+    Ode_util.Codec.put_svarint b 7;
+    Buffer.contents b
+  in
+  corrupt "a commit without its timestamp" (fun () -> replayed (write_frames [ body ]))
+
 (* A checksummed frame whose record does not fill it exactly is corrupt:
-   a Commit at open, which counts LSNs, any other record at replay. *)
+   a Checkpoint at open, which reads its LSN, a Commit at replay, whose
+   operations run to the end of the frame. *)
 let wal_record_fills_its_frame () =
-  let write body =
-    let path = Filename.concat (Tutil.temp_dir "wal") "wal.log" in
-    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Wal.frame body));
-    path
+  corrupt "open" (fun () ->
+      Wal.close (Wal.open_file (write_frames [ Wal.encode_record (Wal.Checkpoint 1) ^ "x" ])));
+  let commit_body = Wal.encode_record (commit 1 [ ("k", Wal.Put "v") ]) in
+  corrupt "replay" (fun () -> replayed (write_frames [ commit_body ^ "x" ]));
+  corrupt "decode" (fun () ->
+      ignore (Wal.decode_record (Wal.encode_record (Wal.Checkpoint 4) ^ "\000")))
+
+(* A commit's operations are framed in strictly ascending key order, the
+   order [Store.apply_writes] applies them in; any other order is
+   corrupt. *)
+let wal_ops_in_key_order () =
+  let decoded writes () = ignore (Wal.decode_record (Wal.encode_record (commit 1 writes))) in
+  corrupt "descending" (decoded [ ("b", Wal.Del); ("a", Wal.Del) ]);
+  corrupt "repeated" (decoded [ ("a", Wal.Del); ("a", Wal.Del) ]);
+  corrupt "empty key" (decoded [ ("", Wal.Del) ])
+
+(* A log of the per-operation layout of earlier builds (tags 1-5: Begin,
+   Commit, Put, Delete, Checkpoint, with fixed-width xids) is refused at
+   open, before anything is replayed from it. *)
+let wal_old_layout_refused () =
+  let module C = Ode_util.Codec in
+  let old tag fields =
+    let b = Buffer.create 32 in
+    C.put_u8 b tag;
+    C.put_int b 1 (* the xid *);
+    List.iter (fun f -> f b) fields;
+    Buffer.contents b
   in
-  let corrupt what f =
-    match f () with
-    | () -> Alcotest.failf "%s: a record with a byte past its end was accepted" what
-    | exception Ode_util.Codec.Corrupt _ -> ()
-  in
-  corrupt "open" (fun () -> Wal.close (Wal.open_file (write (Wal.encode_record (Wal.Commit (1, 0, 1)) ^ "x"))));
-  let w = Wal.open_file (write (Wal.encode_record (Wal.Put (1, "k", "v")) ^ "x")) in
-  corrupt "replay" (fun () -> Wal.replay w ignore);
-  Wal.close w;
-  corrupt "decode" (fun () -> ignore (Wal.decode_record (Wal.encode_record (Wal.Begin 4) ^ "\000")))
+  let opens bodies () = Wal.close (Wal.open_file (write_frames bodies)) in
+  let put = old 3 [ (fun b -> C.put_string b "k"); (fun b -> C.put_string b "v") ]
+  and commit = old 2 [ (fun b -> C.put_int b 0); (fun b -> C.put_int b 1) ] in
+  corrupt "old-layout log" (opens [ old 1 []; put; commit ]);
+  List.iter (fun tag -> corrupt (Printf.sprintf "tag %d" tag) (opens [ old tag [] ])) [ 1; 2; 3; 4; 5 ]
 
 let wal_reset () =
   let w = Wal.in_memory () in
-  Wal.append w (Wal.Begin 7);
+  Wal.append w (commit 1 []);
   Wal.sync w;
   Wal.reset w;
   let n = ref 0 in
@@ -356,7 +383,7 @@ let wal_reset () =
 
 let wal_unsynced_not_replayed () =
   let w = Wal.in_memory () in
-  Wal.append w (Wal.Begin 9);
+  Wal.append w (commit 1 []);
   (* no sync *)
   let n = ref 0 in
   Wal.replay w (fun _ -> incr n);
@@ -365,13 +392,11 @@ let wal_unsynced_not_replayed () =
 let wal_pending_commits () =
   let w = Wal.in_memory () in
   Tutil.check_int "fresh log has none" 0 (Wal.pending_commits w);
-  Wal.append w (Wal.Begin 1);
-  Wal.append w (Wal.Put (1, "a", "x"));
-  Tutil.check_int "non-commit records don't pend" 0 (Wal.pending_commits w);
-  Wal.append w (Wal.Commit (1, 0, 0));
+  Wal.append w (Wal.Checkpoint 0);
+  Tutil.check_int "a checkpoint record doesn't pend" 0 (Wal.pending_commits w);
+  Wal.append w (commit 1 [ ("a", Wal.Put "x") ]);
   Tutil.check_int "commit pends" 1 (Wal.pending_commits w);
-  Wal.append w (Wal.Begin 2);
-  Wal.append w (Wal.Commit (2, 0, 0));
+  Wal.append w (commit 2 []);
   Tutil.check_int "second commit pends" 2 (Wal.pending_commits w);
   let before = Ode_util.Stats.snapshot () in
   Wal.sync w;
@@ -387,8 +412,7 @@ let wal_pending_commits () =
 
 let wal_reset_clears_pending () =
   let w = Wal.in_memory () in
-  Wal.append w (Wal.Begin 3);
-  Wal.append w (Wal.Commit (3, 0, 0));
+  Wal.append w (commit 3 []);
   Tutil.check_int "pending before reset" 1 (Wal.pending_commits w);
   Wal.reset w;
   Tutil.check_int "reset discards pending" 0 (Wal.pending_commits w)
@@ -536,6 +560,8 @@ let suite =
         Alcotest.test_case "sync copies its batch once" `Quick wal_sync_copies_once;
         Alcotest.test_case "short commit record is corrupt" `Quick wal_short_commit_corrupt;
         Alcotest.test_case "record fills its frame" `Quick wal_record_fills_its_frame;
+        Alcotest.test_case "operations in key order" `Quick wal_ops_in_key_order;
+        Alcotest.test_case "old-layout log refused at open" `Quick wal_old_layout_refused;
         Alcotest.test_case "reset empties" `Quick wal_reset;
         Alcotest.test_case "unsynced appends invisible" `Quick wal_unsynced_not_replayed;
         Alcotest.test_case "pending commits acked by one sync" `Quick wal_pending_commits;

@@ -7,16 +7,33 @@ module Db = Ode.Database
 module Query = Ode.Query
 module Value = Ode_model.Value
 
+(* Transaction [i] (from 1) creates [per_txn i] objects, numbered on from
+   the last one before it, so most commits are multi-object frames (each
+   object's header and index entry, plus the meta record) and a cut point
+   can land inside one. Every third transaction also sets the root "last"
+   to the number of its own last object. *)
+let per_txn i = 1 + (i mod 4)
+
+(* The number of objects after each transaction, with 0 for none. *)
+let boundaries txns =
+  List.rev
+    (List.fold_left (fun acc i -> (List.hd acc + per_txn i) :: acc) [ 0 ] (List.init txns succ))
+
 let build dir txns =
   (* Prevent auto-checkpointing so the whole history stays in the WAL. *)
   let db = Db.open_ ~wal_checkpoint_bytes:max_int dir in
   ignore (Db.define db "class w { seq: int; payload: string; };");
   Db.create_cluster db "w";
   Db.create_index db ~cls:"w" ~field:"seq";
+  let next = ref 0 in
   for i = 1 to txns do
     Db.with_txn db (fun txn ->
-        ignore (Db.pnew txn "w" [ ("seq", Int i); ("payload", Str (String.make (i mod 50) 'p')) ]);
-        if i mod 3 = 0 then Db.set_root txn "last" (Value.Int i))
+        for _ = 1 to per_txn i do
+          incr next;
+          let payload = String.make (!next mod 50) 'p' in
+          ignore (Db.pnew txn "w" [ ("seq", Int !next); ("payload", Str payload) ])
+        done;
+        if i mod 3 = 0 then Db.set_root txn "last" (Value.Int !next))
   done;
   (* No close: the data files stay stale; only the WAL is durable. *)
   db
@@ -28,7 +45,9 @@ let truncate_wal dir bytes =
   Unix.ftruncate fd bytes;
   Unix.close fd
 
-let check_prefix dir =
+(* Recover [dir], written by [build dir txns], and return how many objects
+   it holds, which must be a whole number of transactions. *)
+let check_prefix dir txns =
   let db = Db.open_ dir in
   (match Ode.Verify.run db with
   | Ok () -> ()
@@ -39,7 +58,8 @@ let check_prefix dir =
     0
   end
   else begin
-  (* The visible objects must be exactly seq = 1..k for some k. *)
+  (* The visible objects must be exactly seq = 1..k, k at the end of a
+     transaction: a commit recovers whole or not at all. *)
   let seqs =
     Db.with_txn db (fun txn ->
         List.sort compare
@@ -50,12 +70,18 @@ let check_prefix dir =
   let k = List.length seqs in
   if seqs <> List.init k (fun i -> i + 1) then
     Alcotest.failf "non-prefix recovery: [%s]" (String.concat ";" (List.map string_of_int seqs));
-  (* The root, when present, was written by txn 3*floor and must be <= k. *)
+  let ends = boundaries txns in
+  if not (List.mem k ends) then Alcotest.failf "a partial transaction recovered: %d objects" k;
+  (* The root, when present, was written by the last recovered multiple of
+     3 among the transactions. *)
+  let committed = List.length (List.filter (fun e -> e <= k) ends) - 1 in
   Db.with_txn db (fun txn ->
       match Db.root txn "last" with
-      | Some (Value.Int r) -> if r > k then Alcotest.failf "root from lost txn: %d > %d" r k
+      | Some (Value.Int r) ->
+          if r <> List.nth ends (committed / 3 * 3) then
+            Alcotest.failf "root %d after %d transactions" r committed
       | Some _ -> Alcotest.fail "bad root type"
-      | None -> if k >= 3 then Alcotest.fail "root missing despite committed writer");
+      | None -> if committed >= 3 then Alcotest.fail "root missing despite committed writer");
   Db.close db;
   k
   end
@@ -75,10 +101,10 @@ let torn_wal_prefixes () =
       Sys.rmdir snap;
       Tutil.copy_dir dir snap;
       truncate_wal snap cut;
-      let k = check_prefix snap in
+      let k = check_prefix snap 40 in
       if cut = total then last_k := k)
     (List.sort compare cuts);
-  Tutil.check_int "untruncated WAL recovers everything" 40 !last_k
+  Tutil.check_int "untruncated WAL recovers everything" (List.nth (boundaries 40) 40) !last_k
 
 let garbage_tail () =
   (* Appending garbage instead of truncating must behave the same. *)
@@ -92,8 +118,8 @@ let garbage_tail () =
   in
   Out_channel.output_string oc "\255\254\253GARBAGE-NOT-A-FRAME";
   Out_channel.close oc;
-  let k = check_prefix snap in
-  Tutil.check_int "all committed txns recovered" 10 k
+  let k = check_prefix snap 10 in
+  Tutil.check_int "all committed txns recovered" (List.nth (boundaries 10) 10) k
 
 let corrupt_frame_checksum () =
   (* A bit flip *inside* a committed WAL frame — not just a truncated tail.
@@ -115,9 +141,10 @@ let corrupt_frame_checksum () =
   if Unix.write fd b 0 1 <> 1 then Alcotest.fail "short write";
   Unix.close fd;
   let torn_before = Ode_util.Stats.(get (snapshot ()) "wal_torn_bytes") in
-  let k = check_prefix snap in
+  let k = check_prefix snap 30 in
   let torn_after = Ode_util.Stats.(get (snapshot ()) "wal_torn_bytes") in
-  Tutil.check_bool "txns after the flipped frame are discarded" true (k < 30);
+  Tutil.check_bool "txns after the flipped frame are discarded" true
+    (k < List.nth (boundaries 30) 30);
   Tutil.check_bool "torn-byte counter grew" true (torn_after > torn_before)
 
 let suite =
