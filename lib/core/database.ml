@@ -22,7 +22,7 @@ module Log = (val Logs.src_log log : Logs.LOG)
 (* -- lifecycle --------------------------------------------------------------- *)
 
 let make_db ~dbdir ~kv_disk ~dir_disk ~idx_disk ~wal ~pool_pages ~wal_checkpoint_bytes
-    ~object_cache ~durability =
+    ~durability =
   let pool d = Buffer_pool.create ~capacity:pool_pages d in
   let db =
     {
@@ -47,7 +47,6 @@ let make_db ~dbdir ~kv_disk ~dir_disk ~idx_disk ~wal ~pool_pages ~wal_checkpoint
       wal_auto_checkpoint = wal_checkpoint_bytes;
       durability;
       read_only = false;
-      ocache = Ode_util.Slru.create (max 0 object_cache);
       closed = false;
       printer = print_string;
     }
@@ -71,21 +70,18 @@ let c_planner_analyze_runs = Ode_util.Stats.counter "planner.analyze_runs"
 let recover db =
   Ode_util.Histogram.time h_recovery @@ fun () ->
   Ode_util.Trace.with_span ~cat:"recovery" "recovery" @@ fun () ->
-  (* Wholesale cache invalidation: nothing decoded before the crash may
-     survive into the replayed store. ([Kv.put_sorted]/[Kv.delete]
-     invalidate per key during replay too; this is the belt to that
-     suspenders.) *)
-  Ocache.clear db;
   (* Idempotent logical redo, one committed transaction (one frame) at a
-     time. *)
-  let applied = ref 0 in
+     time. [recovery_replayed] counts the frames. *)
+  let frames = ref 0 and applied = ref 0 in
   Wal.replay db.wal (function
     | Wal.Commit { writes; _ } ->
         Store.apply_writes db writes;
-        Ode_util.Stats.add c_recovery_replayed (List.length writes);
+        Ode_util.Stats.incr c_recovery_replayed;
+        incr frames;
         applied := !applied + List.length writes
     | Wal.Checkpoint _ -> ());
-  if !applied > 0 then Log.info (fun m -> m "recovery: replayed %d operations" !applied);
+  if !frames > 0 then
+    Log.info (fun m -> m "recovery: replayed %d commits, %d operations" !frames !applied);
   (* A crash between the heap flush and the directory flush can persist heap
      records whose directory entry never reached disk; reclaim them so the
      space is not leaked and Verify's dir<->heap cross-check holds. Such
@@ -120,16 +116,17 @@ let load_state db =
     | None -> ());
   Triggers.load_all db
 
+let pools db = [ Heap.pool db.kv_heap; Bptree.pool db.kv_dir; Bptree.pool db.idx ]
+
 let close_fds db =
   Wal.close db.wal;
-  Disk.close (Buffer_pool.disk (Heap.pool db.kv_heap));
-  Disk.close (Buffer_pool.disk (Bptree.pool db.kv_dir));
-  Disk.close (Buffer_pool.disk (Bptree.pool db.idx))
+  List.iter (fun p -> Disk.close (Buffer_pool.disk p)) (pools db)
 
-let default_object_cache = 4096
+(* A closed or crashed handle holds no page: a caller that keeps the old
+   handle while it reopens the store does not keep its pools alive. *)
+let release_pools db = List.iter Buffer_pool.release (pools db)
 
-let open_ ?(pool_pages = 512) ?(wal_checkpoint_bytes = 8 * 1024 * 1024)
-    ?(object_cache = default_object_cache) ?(durability = Full) dir =
+let open_ ?(pool_pages = 512) ?(wal_checkpoint_bytes = 8 * 1024 * 1024) ?(durability = Full) dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let file name = Filename.concat dir name in
   let db =
@@ -138,7 +135,7 @@ let open_ ?(pool_pages = 512) ?(wal_checkpoint_bytes = 8 * 1024 * 1024)
       ~dir_disk:(Disk.open_file (file "directory.bpt"))
       ~idx_disk:(Disk.open_file (file "indexes.bpt"))
       ~wal:(Wal.open_file (file "wal.log"))
-      ~pool_pages ~wal_checkpoint_bytes ~object_cache ~durability
+      ~pool_pages ~wal_checkpoint_bytes ~durability
   in
   (match
      recover db;
@@ -153,12 +150,11 @@ let open_ ?(pool_pages = 512) ?(wal_checkpoint_bytes = 8 * 1024 * 1024)
       raise e);
   db
 
-let open_in_memory ?(pool_pages = 4096) ?(object_cache = default_object_cache)
-    ?(durability = Full) () =
+let open_in_memory ?(pool_pages = 4096) ?(durability = Full) () =
   let db =
     make_db ~dbdir:None ~kv_disk:(Disk.in_memory ()) ~dir_disk:(Disk.in_memory ())
       ~idx_disk:(Disk.in_memory ()) ~wal:(Wal.in_memory ()) ~pool_pages
-      ~wal_checkpoint_bytes:(64 * 1024 * 1024) ~object_cache ~durability
+      ~wal_checkpoint_bytes:(64 * 1024 * 1024) ~durability
   in
   load_state db;
   db
@@ -170,12 +166,14 @@ let close db =
     List.iter (fun t -> try Txn.abort t with _ -> ()) (Txn.open_writers db);
     Txn.checkpoint db;
     close_fds db;
+    release_pools db;
     db.closed <- true
   end
 
 let crash db =
   if not db.closed then begin
     close_fds db;
+    release_pools db;
     db.closed <- true
   end
 
@@ -323,15 +321,9 @@ let live_snapshots db = Mvcc.live_snapshots db.mvcc
 let mvcc_chains db = Mvcc.chain_count db.mvcc
 let mvcc_dead_versions db = Mvcc.dead_versions db.mvcc
 let mvcc_reclaimed db = Mvcc.reclaimed_total db.mvcc
-(* Residency gauges for the metrics endpoint: pages cached across the
-   three buffer pools (heap, directory B+tree, index B+tree) and decoded
-   objects in the object cache. *)
-let pool_resident db =
-  Buffer_pool.resident (Heap.pool db.kv_heap)
-  + Buffer_pool.resident (Bptree.pool db.kv_dir)
-  + Buffer_pool.resident (Bptree.pool db.idx)
-
-let ocache_resident db = Ocache.resident db
+(* Residency gauge for the metrics endpoint: pages cached across the
+   three buffer pools (heap, directory B+tree, index B+tree). *)
+let pool_resident db = List.fold_left (fun n p -> n + Buffer_pool.resident p) 0 (pools db)
 let wal_tail db ~lsn = Wal.tail_from db.wal ~lsn
 let set_wal_observer db f = Wal.set_on_sync db.wal f
 let read_only db = db.read_only
@@ -380,7 +372,7 @@ let apply_replicated db ~frames (records : Wal.record list) =
                  else Some (key, match op with Put s -> Some s | Del -> None))
                writes);
           Store.apply_writes db writes;
-          Ode_util.Stats.add c_recovery_replayed (List.length writes);
+          Ode_util.Stats.incr c_recovery_replayed;
           (* Schema, counter, clock and trigger changes shipped from the
              primary must reach the standby's decoded mirrors, not just its
              pages. The catalog and meta records are decoded only when the

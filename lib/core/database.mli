@@ -26,22 +26,19 @@ type t = db
 val open_ :
   ?pool_pages:int ->
   ?wal_checkpoint_bytes:int ->
-  ?object_cache:int ->
   ?durability:Types.durability ->
   string ->
   t
 (** Open (creating if needed) the database stored in a directory.
-    [object_cache] sizes the decoded-object cache in entries (one per
-    object, holding its header and current fields, and one per non-current
-    version read); 0 disables it. Default 4096.
     [durability] (default [Full]) picks when commits fsync — see
     {!durability} below. *)
 
-val open_in_memory : ?pool_pages:int -> ?object_cache:int -> ?durability:Types.durability -> unit -> t
+val open_in_memory : ?pool_pages:int -> ?durability:Types.durability -> unit -> t
 (** A volatile database: same engine, same WAL protocol, no files. *)
 
 val close : t -> unit
-(** Checkpoint and release. Aborts every open write transaction. *)
+(** Checkpoint and release. Aborts every open write transaction. The
+    handle keeps no page of its buffer pools, whether closed or crashed. *)
 
 val crash : t -> unit
 (** Simulate process death: release the file descriptors without
@@ -147,9 +144,6 @@ val pending_commits : t -> int
 val pool_resident : t -> int
 (** Pages currently cached across the three buffer pools (heap, directory
     B+tree, index B+tree) — a monitoring gauge. *)
-
-val ocache_resident : t -> int
-(** Decoded objects currently held by the object cache. *)
 
 (** {1 Concurrency and MVCC introspection} *)
 

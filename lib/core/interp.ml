@@ -7,11 +7,12 @@ open Types
 
 type env = {
   mutable vars : (string * Value.t) list;
+  mutable rows : Store.row list;  (* the current rows of the loops in scope *)
   print : string -> unit;
   this : Value.t option;
 }
 
-let env ?(print = print_string) ?this () = { vars = []; print; this }
+let env ?(print = print_string) ?this () = { vars = []; rows = []; print; this }
 
 let define_var e name v = e.vars <- (name, v) :: List.remove_assoc name e.vars
 let undefine_var e name = e.vars <- List.remove_assoc name e.vars
@@ -23,7 +24,7 @@ exception Returned of Value.t
 let err fmt = Format.kasprintf (fun s -> raise (Eval.Error s)) fmt
 
 let eval_expr txn env e =
-  Runtime.eval txn.tdb (Some txn) ~vars:env.vars ?this:env.this e
+  Runtime.eval ~rows:env.rows txn.tdb (Some txn) ~vars:env.vars ?this:env.this e
 
 let as_oid what (v : Value.t) =
   match v with
@@ -99,19 +100,23 @@ and exec_stmts txn env ss = List.iter (exec_stmt txn env) ss
    variables and executes the loop's statements. Loop variables are
    scoped to the loop (shadowing outer bindings of the same names); all
    other assignments made by the body persist, so accumulator loops like
-   [total := total + x.age] work. *)
+   [total := total + x.age] work. The body reads the fields of a row's
+   object from the record the executor fetched. *)
 and with_forall :
-      'a. txn -> env -> Ast.forall -> (Planner.compiled -> (Oid.t list -> unit) -> 'a) -> 'a =
+      'a. txn -> env -> Ast.forall -> (Planner.compiled -> (Store.row list -> unit) -> 'a) -> 'a =
  fun txn env q run ->
   let c = Planner.compile txn.tdb ~txn ~env:env.vars q in
   let saved = List.map (fun v -> (v, lookup_var env v)) c.c_vars in
+  let outer_rows = env.rows in
   let body row =
-    List.iter2 (fun v oid -> define_var env v (Value.Ref oid)) c.c_vars row;
+    List.iter2 (fun v (r : Store.row) -> define_var env v (Value.Ref r.oid)) c.c_vars row;
+    env.rows <- row @ outer_rows;
     exec_stmts txn env c.c_body
   in
   Fun.protect
     (fun () -> run c body)
     ~finally:(fun () ->
+      env.rows <- outer_rows;
       List.iter
         (fun (v, outer) ->
           undefine_var env v;

@@ -85,36 +85,39 @@ let encode_record key payload =
   Buffer.contents b
 
 (* Ownership test by offset arithmetic: compare the embedded key in place
-   without materialising it. The length prefix is compared against the
-   shortest-form varint of [key]'s length, which is the only one
-   [encode_record] writes. *)
-let record_owned key raw =
-  let rlen = String.length raw and klen = String.length key in
+   without materialising it, in the [len] bytes at [off] of [b]. The length
+   prefix is compared against the shortest-form varint of [key]'s length,
+   which is the only one [encode_record] writes. *)
+let owned_at key b off len =
+  let klen = String.length key in
   let vlen = Codec.varint_size klen in
-  rlen >= vlen + klen
+  len >= vlen + klen
   &&
   let rec len_eq i n =
-    let byte = Char.code (String.unsafe_get raw i) in
+    let byte = Bytes.get_uint8 b i in
     if n < 0x80 then byte = n else byte = n land 0x7f lor 0x80 && len_eq (i + 1) (n lsr 7)
   in
-  len_eq 0 klen
+  len_eq off klen
   &&
-  let rec eq i = i >= klen || (String.unsafe_get raw (vlen + i) = String.unsafe_get key i && eq (i + 1)) in
+  let rec eq i = i >= klen || (Bytes.unsafe_get b (off + vlen + i) = String.unsafe_get key i && eq (i + 1)) in
   eq 0
 
-(* Zero-copy decode: one substring for the payload, no key copy, never
-   raises (a short or foreign record is just [None]). *)
-let decode_record key raw =
-  if record_owned key raw then
+let record_owned key raw = owned_at key (Bytes.unsafe_of_string raw) 0 (String.length raw)
+
+(* The payload of [key]'s record in the [len] bytes at [off] of [b], copied
+   once; [None] for a short or foreign record. Never raises. *)
+let payload_at key b off len =
+  if owned_at key b off len then
     let skip = Codec.varint_size (String.length key) + String.length key in
-    Some (String.sub raw skip (String.length raw - skip))
+    Some (Bytes.sub_string b (off + skip) (len - skip))
   else None
 
-(* The payload of [key]'s heap record at [rid]; [None] when the record is
-   dead or another key's (deleted since the directory entry was read, or a
-   stale alias). *)
-let heap_payload db key rid =
-  match Heap.get db.kv_heap rid with None -> None | Some raw -> decode_record key raw
+let decode_record key raw = payload_at key (Bytes.unsafe_of_string raw) 0 (String.length raw)
+
+(* The payload of [key]'s heap record at [rid], copied once out of its
+   pinned page; [None] when the record is dead or another key's (deleted
+   since the directory entry was read, or a stale alias). *)
+let heap_payload db key rid = Option.join (Heap.get_with db.kv_heap rid (payload_at key))
 
 (* An inline payload is copied once, straight out of the pinned leaf. A
    rid leaves through [Out_of_line], so that the leaf reader's result is
@@ -146,8 +149,6 @@ let put_sorted db puts ~on_new =
   let route key entry = routed := (key, encode_entry entry) :: !routed in
   Array.iter
     (fun (key, payload) ->
-      (* A cached decode of this key is now stale. *)
-      Ocache.invalidate db key;
       let small = in_leaf key (String.length payload) in
       let place () =
         if small then route key (Inline payload)
@@ -178,7 +179,6 @@ let put_sorted db puts ~on_new =
 
 let delete db key =
   Ode_util.Trace.with_span ~cat:"kv" "kv.delete" @@ fun () ->
-  Ocache.invalidate db key;
   match Bptree.find_with db.kv_dir key rid_of_value with
   | None -> ()
   | Some home ->
@@ -216,16 +216,10 @@ let iter_rids db f =
       Option.iter f rid;
       true)
 
-let iter_prefix db prefix f =
-  scan db prefix entry_at (fun k -> function
-    | Inline payload -> f k payload
-    | At rid -> ( match heap_payload db k rid with None -> true | Some payload -> f k payload))
+let iter_prefix_entries db prefix f = scan db prefix entry_at f
 
-(* [f key]; return false to stop. Like [iter_prefix] but never touches the
-   heap and copies no payload: only directory leaves are read, so the
-   scan's working set is the key tree, not the heap's records. The
-   directory can hold entries for records that died since (deletes drop
-   entries eagerly, but crash recovery may leave strays), so callers must
-   re-verify liveness per key — e.g. with [get] — before trusting a
-   candidate. *)
-let iter_prefix_keys db prefix f = scan db prefix (fun _ _ _ -> ()) (fun k () -> f k)
+let entry_payload db key = function Inline payload -> Some payload | At rid -> heap_payload db key rid
+
+let iter_prefix db prefix f =
+  iter_prefix_entries db prefix (fun k e ->
+      match entry_payload db k e with None -> true | Some payload -> f k payload)

@@ -80,9 +80,15 @@ val iter_prefix : db -> string -> (string -> string -> bool) -> unit
     each leaf as it reaches it, so the callback may write to the same
     extent: a transaction's writes go to its overlay, not the tree. *)
 
-val iter_prefix_keys : db -> string -> (string -> bool) -> unit
-(** Like {!iter_prefix} but yields keys only, never reads the heap and
-    copies no payload: the scan's working set is the directory tree, not
-    the heap's records, so large extents don't evict record pages from the
-    buffer pool. A yielded key is a candidate, not proof of a live record —
-    callers must re-verify (e.g. with {!get}) before trusting it. *)
+val iter_prefix_entries : db -> string -> (string -> entry -> bool) -> unit
+(** Like {!iter_prefix} but yields each directory value as it stands: an
+    inline payload, copied from the cursor's copy of its leaf, or the rid
+    of an out-of-line one, which the heap serves only when the caller asks
+    {!entry_payload}. The directory can hold an entry whose record died
+    since (crash recovery may leave strays), so an [At] entry is a
+    candidate until {!entry_payload} has read it. *)
+
+val entry_payload : db -> string -> entry -> string option
+(** The payload of [key]'s directory value: an inline one as it is, an
+    out-of-line one read from the heap ([None] when the record is dead or
+    another key's). *)

@@ -25,14 +25,18 @@ let accept_class ids (oid : Oid.t) = List.mem oid.cls ids
    directory or index entry left to stream from — its pre-image lives only
    in a version chain — so the chained keys under the scan's range are
    interleaved into the stream in key order. Every merged candidate is
-   re-verified against the snapshot by [accept] (invisible ones, e.g.
-   created-after-snapshot chains, drop out there); a chained key still
-   present in the tree collapses onto the stream's copy. [chained] must be
-   sorted (as {!Mvcc.keys_matching} returns), [iter] must stream in key
-   order. *)
+   re-verified against the snapshot when it is fetched (invisible ones,
+   e.g. created-after-snapshot chains, drop out there); a chained key
+   still present in the tree collapses onto the stream's copy. [iter]
+   streams keys in key order, each with its tree value; [emit key v] takes
+   a streamed key with [Some v] and a chained-only one with [None].
+   [chained] must be sorted (as {!Mvcc.keys_matching} returns). *)
 let merge_chained chained emit iter =
   match chained with
-  | [] -> iter (fun key -> emit key; true)
+  | [] ->
+      iter (fun key v ->
+          emit key (Some v);
+          true)
   | _ ->
       let rest = ref chained in
       let drain_below key =
@@ -40,25 +44,25 @@ let merge_chained chained emit iter =
           match !rest with
           | ck :: tl when ck < key ->
               rest := tl;
-              emit ck;
+              emit ck None;
               go ()
           | ck :: tl when ck = key -> rest := tl
           | _ -> ()
         in
         go ()
       in
-      iter (fun key ->
+      iter (fun key v ->
           drain_below key;
-          emit key;
+          emit key (Some v);
           true);
-      List.iter emit !rest
+      List.iter (fun ck -> emit ck None) !rest
 
-(* Committed extent of one class, in creation order. Keys-only: the header
-   payload is never needed here, and [accept]'s [Store.exists] re-verifies
-   liveness per candidate, so the scan reads directory leaves only. Chained
-   header keys are merged in so objects deleted after the snapshot still
-   surface ([Mvcc.keys_matching] is a single atomic load when no chains
-   exist — the no-concurrent-snapshot common case). *)
+(* Committed extent of one class, in creation order: each header key with
+   its directory value, an inline record as the cursor's copy of its leaf
+   holds it or the rid of an out-of-line one. Chained header keys are
+   merged in so objects deleted after the snapshot still surface
+   ([Mvcc.keys_matching] is a single atomic load when no chains exist —
+   the no-concurrent-snapshot common case). *)
 let committed_candidates db ?txn cls_id f =
   let prefix = Keys.header_prefix_class cls_id in
   let chained =
@@ -66,9 +70,7 @@ let committed_candidates db ?txn cls_id f =
     | None -> []
     | Some _ -> Mvcc.keys_matching db.mvcc (fun k -> String.starts_with ~prefix k)
   in
-  merge_chained chained
-    (fun key -> f (Keys.oid_of_header_key key))
-    (fun g -> Kv.iter_prefix_keys db prefix g)
+  merge_chained chained f (fun g -> Kv.iter_prefix_entries db prefix g)
 
 (* Transaction-local additions: objects created (or touched — their state may
    newly match an indexed predicate) in the active transaction. *)
@@ -91,14 +93,13 @@ let chained_index_keys db txn pred =
              Keys.is_index_key k && pred (Keys.index_tree_key k)))
 
 let index_candidates db ?txn (access : Planner.access) f =
+  let entry key _ = f (Keys.oid_of_index_key key) in
   match access with
   | Planner.Full_scan -> invalid_arg "index_candidates: full scan"
   | Planner.Index_eq { idx_id; value; _ } ->
       let prefix = Keys.index_tree_key (Keys.index_value_prefix ~idx_id ~valkey:(Value.index_key value)) in
       let chained = chained_index_keys db txn (String.starts_with ~prefix) in
-      merge_chained chained
-        (fun key -> f (Keys.oid_of_index_key key))
-        (fun g -> Bptree.iter_prefix db.idx prefix (fun key _ -> g key))
+      merge_chained chained entry (fun g -> Bptree.iter_prefix db.idx prefix (fun key _ -> g key ()))
   | Planner.Index_range { idx_id; lo; hi; _ } ->
       let tree_prefix = Keys.index_tree_key (Keys.index_prefix ~idx_id) in
       (* An inclusive upper or exclusive lower bound ends past every entry
@@ -117,9 +118,8 @@ let index_candidates db ?txn (access : Planner.access) f =
         chained_index_keys db txn (fun tk ->
             tk >= lo_key && match hi_key with None -> true | Some h -> tk < h)
       in
-      merge_chained chained
-        (fun key -> f (Keys.oid_of_index_key key))
-        (fun g -> Bptree.iter_range db.idx ~lo:lo_key ?hi:hi_key (fun key _ -> g key))
+      merge_chained chained entry (fun g ->
+          Bptree.iter_range db.idx ~lo:lo_key ?hi:hi_key (fun key _ -> g key ()))
 
 (* -- the executor -------------------------------------------------------------
 
@@ -166,6 +166,7 @@ type ctx = {
   db : db;
   txn : txn option;
   env : (string * Value.t) list;
+  bound : (string * Store.row) list;  (* the rows of enclosing loop variables *)
   hooks : Eval.hooks;
   prof : prof option;
 }
@@ -217,31 +218,78 @@ let tail ctx node run =
         attr p node
   | _ -> run
 
-let eval_key hooks env var e oid =
-  match Eval.eval hooks ~vars:((var, Value.Ref oid) :: env) ~this:None e with
-  | v -> v
-  | exception Eval.Error _ -> Value.Null
+(* -- compiled expressions ------------------------------------------------------
 
-let holds hooks vars e =
-  match Eval.eval hooks ~vars ~this:None e with
+   Predicates, sort keys and join keys are compiled once, when the
+   operator is built ({!Ode_model.Eval.compile}), and read the fields they
+   need from each candidate's fetched record ({!Store.field_reader}). A
+   closure runs over a frame of rows: the loop variables it was compiled
+   for, innermost first, then the enclosing loops' rows. Each closure has
+   its own frame. *)
+
+let no_row : Store.row = { oid = { cls = -1; num = -1 }; data = ""; slots_at = 0; wcount = 0 }
+
+(* [vars] are loop variables, innermost first. *)
+let compile ctx vars e =
+  let bind slot : Store.row Eval.binding =
+    { slot; value = (fun r -> Value.Ref r.Store.oid); field = Store.field_reader ctx.db ctx.txn }
+  in
+  let rows = List.mapi (fun i v -> (v, bind i)) (vars @ List.map fst ctx.bound) in
+  let frame = Array.of_list (List.map (fun _ -> no_row) vars @ List.map snd ctx.bound) in
+  (frame, Eval.compile ctx.hooks ~rows ~vars:ctx.env ~this:None e)
+
+(* An error, or a value that is not a boolean, makes a predicate false. *)
+let holds f frame =
+  match f frame with
   | v -> ( try Eval.truthy v with Eval.Error _ -> false)
   | exception Eval.Error _ -> false
 
-(* A candidate of [ids]' clusters that is live in the transaction's view. *)
-let live ctx ids oid =
+let predicate ctx var e =
+  let frame, f = compile ctx [ var ] e in
+  fun r ->
+    frame.(0) <- r;
+    holds f frame
+
+(* An error makes a key [Null]. *)
+let key ctx var e =
+  let frame, f = compile ctx [ var ] e in
+  fun r ->
+    frame.(0) <- r;
+    match f frame with v -> v | exception Eval.Error _ -> Value.Null
+
+let field_key ctx var f = key ctx var (Ast.Field (Ast.Var var, f))
+
+(* -- access operators ------------------------------------------------------------ *)
+
+(* A candidate of [ids]' clusters, fetched when it is live in the
+   transaction's view. *)
+let candidate ctx ids oid =
   Ode_util.Stats.incr c_objects_scanned;
-  accept_class ids oid && Store.exists ctx.db ctx.txn oid
+  if accept_class ids oid then Store.fetch ctx.db ctx.txn oid else None
 
 (* The committed extent, then the objects the transaction created. A
    fixpoint re-reads the creations until quiescence, so the objects its
-   loop body inserts into the extent are visited too (paper §3.2). *)
+   loop body inserts into the extent are visited too (paper §3.2). A
+   committed candidate's record comes from the scan's own directory
+   value, unless the transaction's overlay or a version chain answers for
+   its key first. *)
 let scan ctx ~fixpoint (p : Planner.plan) out =
   let ids = class_ids ctx.db p.p_classes in
-  let emit oid = if live ctx ids oid then out oid in
+  let emit oid = Option.iter out (candidate ctx ids oid) in
+  let committed key entry =
+    Ode_util.Stats.incr c_objects_scanned;
+    let data =
+      match Store.view ctx.db ctx.txn key with
+      | Store.Here v -> v
+      | Store.Committed -> (
+          match entry with Some e -> Kv.entry_payload ctx.db key e | None -> Kv.get ctx.db key)
+    in
+    Option.iter (fun d -> out (Store.row ctx.txn (Keys.oid_of_header_key key) d)) data
+  in
   fun () ->
     if fixpoint && Option.is_none ctx.txn then
       invalid_arg "query: fixpoint iteration requires a transaction";
-    List.iter (fun cid -> committed_candidates ctx.db ?txn:ctx.txn cid emit) ids;
+    List.iter (fun cid -> committed_candidates ctx.db ?txn:ctx.txn cid committed) ids;
     match ctx.txn with
     | None -> ()
     | Some t ->
@@ -267,7 +315,7 @@ let probe ctx (p : Planner.plan) out =
     let once oid =
       if not (Hashtbl.mem seen oid) then begin
         Hashtbl.replace seen oid ();
-        if live ctx ids oid then out oid
+        Option.iter out (candidate ctx ids oid)
       end
     in
     index_candidates ctx.db ?txn:ctx.txn p.p_access once;
@@ -279,7 +327,7 @@ let index_order ctx ~idx_id ~cls_id order out =
   let tree_prefix = Keys.index_tree_key (Keys.index_prefix ~idx_id) in
   let step key _ =
     let oid = Keys.oid_of_index_key key in
-    if oid.Oid.cls = cls_id && live ctx [ cls_id ] oid then out oid;
+    if oid.Oid.cls = cls_id then Option.iter out (candidate ctx [ cls_id ] oid);
     true
   in
   fun () ->
@@ -297,7 +345,7 @@ let operator ctx t ?parent sink make =
   register ctx self;
   tail ctx self run
 
-(* A single-variable operator: pushes candidate objects into [sink]. *)
+(* A single-variable operator: pushes candidate rows into [sink]. *)
 let rec build ctx (t : Planner.tree) ~parent sink =
   operator ctx t ~parent sink @@ fun self out ->
     match t with
@@ -306,20 +354,18 @@ let rec build ctx (t : Planner.tree) ~parent sink =
     | Probe p | Range p -> probe ctx p out
     | Index_order { idx_id; cls_id; order; _ } -> index_order ctx ~idx_id ~cls_id order out
     | Filter { plan; pred; input } ->
-        build ctx input ~parent:self (fun oid ->
-            if holds ctx.hooks ((plan.p_var, Value.Ref oid) :: ctx.env) pred then out oid)
-    | Sort { var; key; order; input } ->
+        let holds = predicate ctx plan.p_var pred in
+        build ctx input ~parent:self (fun r -> if holds r then out r)
+    | Sort { var; key = e; order; input } ->
+        let key = key ctx var e in
         let rows = ref [] in
-        let fill =
-          build ctx input ~parent:self (fun oid ->
-              rows := (eval_key ctx.hooks ctx.env var key oid, oid) :: !rows)
-        in
+        let fill = build ctx input ~parent:self (fun r -> rows := (key r, r) :: !rows) in
         let cmp (a, _) (b, _) =
           match order with Ast.Asc -> Value.compare a b | Ast.Desc -> Value.compare b a
         in
         fun () ->
           fill ();
-          List.iter (fun (_, oid) -> out oid) (List.stable_sort cmp (List.rev !rows))
+          List.iter (fun (_, r) -> out r) (List.stable_sort cmp (List.rev !rows))
     | Join _ | Output _ -> invalid_arg "Query: join or output below a single-extent operator"
 
 (* Pair emission is outer-major (outer rows in extent order); within one
@@ -330,19 +376,23 @@ let rec build ctx (t : Planner.tree) ~parent sink =
    replanned per outer row and runs unprofiled: its work is the join
    node's. *)
 let join ctx (jp : Planner.join_plan) link ~self ~outer ~side emit =
-  let ovar = jp.j_ovar and ivar = jp.j_ivar and env = ctx.env in
+  let ovar = jp.j_ovar and ivar = jp.j_ivar in
   let inner_ids =
     class_ids ctx.db
       (if jp.j_inner_deep then Catalog.subclasses ctx.db.catalog jp.j_inner_cls
        else [ jp.j_inner_cls ])
   in
-  let live i = accept_class inner_ids i && Store.exists ctx.db ctx.txn i in
-  let pair o i =
+  let inner i = if accept_class inner_ids i then Store.fetch ctx.db ctx.txn i else None in
+  let pair =
     match link with
-    | None -> true
-    | Some e -> holds ctx.hooks ((ivar, Value.Ref i) :: (ovar, Value.Ref o) :: env) e
+    | None -> fun _ _ -> true
+    | Some e ->
+        let frame, f = compile ctx [ ivar; ovar ] e in
+        fun o i ->
+          frame.(0) <- i;
+          frame.(1) <- o;
+          holds f frame
   in
-  let field var oid f = eval_key ctx.hooks env var (Ast.Field (Ast.Var var, f)) oid in
   let counted c run () =
     Ode_util.Stats.incr c;
     run ()
@@ -351,22 +401,29 @@ let join ctx (jp : Planner.join_plan) link ~self ~outer ~side emit =
   | Planner.Nested_loop, _ ->
       counted c_planner_nested_joins
         (build ctx outer ~parent:self (fun o ->
-             let env = (ovar, Value.Ref o) :: env in
+             let env = (ovar, Value.Ref o.Store.oid) :: ctx.env in
              let inner =
                Planner.scan_tree ctx.db ?txn:ctx.txn ~env ~var:ivar ~cls:jp.j_inner_cls
                  ~deep:jp.j_inner_deep ~suchthat:link ()
              in
-             build { ctx with env; prof = None } inner ~parent:self (fun i -> emit o i) ()))
+             build
+               { ctx with env; bound = (ovar, o) :: ctx.bound; prof = None }
+               inner ~parent:self
+               (fun i -> emit o i)
+               ()))
   | Planner.Fused_deref f, _ ->
+      let field = field_key ctx ovar f in
       counted c_planner_fused_joins
         (build ctx outer ~parent:self (fun o ->
-             match field ovar o f with
-             | Value.Ref i when live i && pair o i -> emit o i
+             match field o with
+             | Value.Ref i -> (
+                 match inner i with Some i when pair o i -> emit o i | _ -> ())
              | _ -> ()))
   | Planner.Fused_member f, _ ->
+      let field = field_key ctx ovar f in
       counted c_planner_fused_joins
         (build ctx outer ~parent:self (fun o ->
-             match field ovar o f with
+             match field o with
              | Value.VSet vs | Value.VList vs ->
                  (* A list may hold the same ref twice; the nested loop
                     would still emit the pair once (the inner extent is the
@@ -374,25 +431,30 @@ let join ctx (jp : Planner.join_plan) link ~self ~outer ~side emit =
                  let seen = Hashtbl.create 8 in
                  List.iter
                    (function
-                     | Value.Ref i when not (Hashtbl.mem seen i) ->
+                     | Value.Ref i when not (Hashtbl.mem seen i) -> (
                          Hashtbl.replace seen i ();
-                         if live i && pair o i then emit o i
+                         match inner i with Some i when pair o i -> emit o i | _ -> ())
                      | _ -> ())
                    vs
              | _ -> ()))
   | Planner.Hash_join { outer_field; inner_field }, Some side ->
       (* One streamed pass over the build side, keyed by the
-         order-preserving byte encoding of the join field. *)
-      let tbl : (string, Oid.t) Hashtbl.t = Hashtbl.create 256 in
+         order-preserving byte encoding of the join field. A build row
+         the transaction has written since (an OCaml loop body may) is
+         checked live again before it pairs. *)
+      let tbl : (string, Store.row) Hashtbl.t = Hashtbl.create 256 in
+      let ikey = field_key ctx ivar inner_field in
+      let okey = field_key ctx ovar outer_field in
+      let live (r : Store.row) = Store.current ctx.txn r || Store.exists ctx.db ctx.txn r.oid in
       let fill =
         build ctx side ~parent:self (fun i ->
-            match field ivar i inner_field with
+            match ikey i with
             | v when Planner.indexable_value v -> Hashtbl.add tbl (Value.index_key v) i
             | _ -> ())
       in
       let probe =
         build ctx outer ~parent:self (fun o ->
-            match field ovar o outer_field with
+            match okey o with
             | v when Planner.indexable_value v ->
                 List.iter
                   (fun i -> if live i && pair o i then emit o i)
@@ -405,8 +467,8 @@ let join ctx (jp : Planner.join_plan) link ~self ~outer ~side emit =
           probe ())
   | Planner.Hash_join _, None -> invalid_arg "Query: hash join without a build side"
 
-(* The root: [Output] hands each row — one object per loop variable,
-   outermost first — to [body]. *)
+(* The root: [Output] hands each row — one per loop variable, outermost
+   first — to [body]. *)
 let root ctx (t : Planner.tree) body =
   match t with
   | Output input ->
@@ -415,8 +477,10 @@ let root ctx (t : Planner.tree) body =
           | Join { jp; link; outer; build = side } ->
               operator ctx input ~parent:self deliver (fun j out ->
                   join ctx jp link ~self:j ~outer ~side (fun o i -> out [ o; i ]))
-          | single -> build ctx single ~parent:self (fun oid -> deliver [ oid ]))
+          | single -> build ctx single ~parent:self (fun r -> deliver [ r ]))
   | _ -> invalid_arg "Query: a compiled forall is rooted at its output"
+
+let context db txn env prof = { db; txn; env; bound = []; hooks = Runtime.hooks db txn; prof }
 
 (* [profile] is [None] (off), [Some false] (light) or [Some true] (full). *)
 let exec db ?txn ?profile (c : Planner.compiled) body =
@@ -424,7 +488,7 @@ let exec db ?txn ?profile (c : Planner.compiled) body =
   let prof =
     Option.map (fun full -> { full; mark_ns = 0; mark_stats = off_stats; nodes = [] }) profile
   in
-  let ctx = { db; txn; env = c.c_env; hooks = Runtime.hooks db txn; prof } in
+  let ctx = context db txn c.c_env prof in
   let run = root ctx c.c_tree body in
   match prof with
   | None ->
@@ -505,12 +569,12 @@ let single db ?txn ?env ?fixpoint ~var ~cls ?(deep = false) ?suchthat ?by () =
 let run db ?txn ?env ~var ~cls ?deep ?suchthat ?by ?fixpoint body =
   execute db ?txn
     (single db ?txn ?env ?fixpoint ~var ~cls ?deep ?suchthat ?by ())
-    (fun row -> body (List.hd row))
+    (fun row -> body (List.hd row).Store.oid)
 
 let profile db ?txn ?env ~var ~cls ?deep ?suchthat ?by ?(body = fun _ -> ()) () =
   execute_profiled db ?txn
     (single db ?txn ?env ~var ~cls ?deep ?suchthat ?by ())
-    (fun row -> body (List.hd row))
+    (fun row -> body (List.hd row).Store.oid)
 
 (* The Stats counters a profile reports per node, as (column, counter). *)
 let profile_counters =
@@ -600,7 +664,7 @@ let nested ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls, ideep) ?outer_suchthat
 let run_join db ?txn ?env ~outer ~inner ?outer_suchthat ?inner_suchthat body =
   execute db ?txn
     (Planner.compile db ?txn ?env (nested ~outer ~inner ?outer_suchthat ?inner_suchthat ()))
-    (function [ o; i ] -> body o i | _ -> assert false)
+    (function [ (o : Store.row); i ] -> body o.oid i.oid | _ -> assert false)
 
 let explain_join db ?txn ?env ~outer ~inner ?outer_suchthat ?inner_suchthat () =
   Planner.explain_tree
@@ -620,13 +684,12 @@ let explain db ?env ~var ~cls ?deep ?suchthat () =
    Null results of [expr] are skipped, like SQL aggregates skip NULL. *)
 
 let aggregate db ?txn ?(env = []) ~var ~cls ?deep ?suchthat ~expr ~init ~combine () =
-  let txn = match txn with Some t -> Some t | None -> db.active in
-  let hooks = Runtime.hooks db txn in
+  let txn = match txn with Some _ as t -> t | None -> db.active in
+  let c = single db ?txn ~env ~var ~cls ?deep ?suchthat () in
+  let value = key (context db txn env None) var expr in
   let acc = ref init in
-  run db ?txn ~env ~var ~cls ?deep ?suchthat (fun oid ->
-      match eval_key hooks env var expr oid with
-      | Value.Null -> ()
-      | v -> acc := combine !acc v);
+  execute db ?txn c (fun row ->
+      match value (List.hd row) with Value.Null -> () | v -> acc := combine !acc v);
   !acc
 
 let as_float = function

@@ -9,7 +9,12 @@
     planned into the access operator (index probe when possible, full scan
     otherwise) but the Filter always re-evaluates it per candidate against
     the transaction's own view, so index staleness with respect to
-    uncommitted updates never produces wrong answers.
+    uncommitted updates never produces wrong answers. Predicates, sort
+    keys and join keys are compiled once per plan
+    ({!Ode_model.Eval.compile}); each candidate's record is fetched once
+    (from the scan's directory leaf, or by one lookup for an index or
+    reference candidate) and the compiled closures, and the loop body,
+    read the fields they need from it.
 
     With [~fixpoint:true], objects inserted into the cluster by the loop
     body are themselves visited — the paper's mechanism for expressing
@@ -147,9 +152,10 @@ val explain :
     log records are the one that ran. *)
 
 val execute :
-  db -> ?txn:txn -> Planner.compiled -> (Ode_model.Oid.t list -> unit) -> unit
-(** Run a compiled tree, handing each output row (one object per loop
-    variable, outermost first) to the body. One [query.execute] histogram
+  db -> ?txn:txn -> Planner.compiled -> (Store.row list -> unit) -> unit
+(** Run a compiled tree, handing each output row (one fetched record per
+    loop variable, outermost first) to the body, which can read the
+    fields of each from the record the executor already holds. One [query.execute] histogram
     sample per call, and with the slow-query log armed one light profile
     stashed for {!take_last_profile}. *)
 
@@ -197,7 +203,7 @@ val profile :
     return the per-node attribution. *)
 
 val execute_profiled :
-  db -> ?txn:txn -> Planner.compiled -> (Ode_model.Oid.t list -> unit) -> profile
+  db -> ?txn:txn -> Planner.compiled -> (Store.row list -> unit) -> profile
 (** {!execute} with full per-node attribution: the shell's [.profile]. *)
 
 val profile_to_string : profile -> string

@@ -61,12 +61,17 @@ let version_builtin ?reads db txn name (args : Value.t list) : Value.t option =
       err "builtin %s: wrong arguments" name
   | _ -> None
 
-let rec hooks ?reads db txn : Eval.hooks =
+(* A field of one of [rows], the records of the loop variables in scope,
+   is read from that record while the transaction has not written since
+   fetching it; any other goes to the store. *)
+let rec hooks ?reads ?(rows = []) db txn : Eval.hooks =
   {
     get_field =
       (fun oid f ->
         note reads Keys.header oid;
-        Store.get_field db txn oid f);
+        match List.find_opt (fun (r : Store.row) -> Oid.equal r.oid oid) rows with
+        | Some r when Store.current txn r -> Store.row_field db r f
+        | _ -> Store.get_field db txn oid f);
     get_field_v =
       (fun vr f ->
         note reads Keys.header vr.oid;
@@ -103,4 +108,4 @@ and call_method ?reads db txn (recv : Value.t) name args : Value.t =
       let vars = List.map2 (fun (p : Schema.field) v -> (p.fname, v)) m.mparams args in
       Eval.eval (hooks ?reads db txn) ~vars ~this:(Some recv) m.mbody
 
-let eval ?reads db txn ?(vars = []) ?this e = Eval.eval (hooks ?reads db txn) ~vars ~this e
+let eval ?reads ?rows db txn ?(vars = []) ?this e = Eval.eval (hooks ?reads ?rows db txn) ~vars ~this e

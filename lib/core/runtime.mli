@@ -10,10 +10,14 @@
 
 open Types
 
-val hooks : ?reads:(string, unit) Hashtbl.t -> db -> txn option -> Ode_model.Eval.hooks
+val hooks :
+  ?reads:(string, unit) Hashtbl.t -> ?rows:Store.row list -> db -> txn option -> Ode_model.Eval.hooks
 (** With [reads], every record the evaluation reads adds its key there: an
     object's ['H'] key for its fields, versions or class, a root's ['R']
-    key. A commit checks these keys for conflicts beside its writes. *)
+    key. A commit checks these keys for conflicts beside its writes.
+    [rows] are records already fetched (the current rows of the loops in
+    scope): a field of one of their objects is read from the record while
+    {!Store.current} holds. *)
 
 val call_method :
   ?reads:(string, unit) Hashtbl.t ->
@@ -22,6 +26,7 @@ val call_method :
 
 val eval :
   ?reads:(string, unit) Hashtbl.t ->
+  ?rows:Store.row list ->
   db ->
   txn option ->
   ?vars:(string * Ode_model.Value.t) list ->

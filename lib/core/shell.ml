@@ -164,10 +164,11 @@ let exec_catching t source =
 let vars t = Interp.all_vars t.env
 
 (* Render one qualifying object as a row: its oid plus every field, the
-   wire-protocol [Query] opcode's result shape. *)
-let render_row txn oid =
-  let fields = match Database.get txn oid with Some fs -> fs | None -> [] in
-  Fmt.str "%a {%s}" Ode_model.Oid.pp oid
+   wire-protocol [Query] opcode's result shape, decoded from the record
+   the query fetched. *)
+let render_row txn (r : Store.row) =
+  let fields = Option.value (Store.row_fields txn.tdb (Some txn) r) ~default:[] in
+  Fmt.str "%a {%s}" Ode_model.Oid.pp r.oid
     (String.concat ", "
        (List.map (fun (f, v) -> f ^ " = " ^ Value.to_string v) fields))
 
@@ -230,12 +231,11 @@ let query_rows ?(detached = true) t source =
   let run txn =
     let f = parse_forall source in
     if f.q_body <> [] then failwith "query takes a bodiless forall (use exec for loops)";
-    List.rev
-      (Query.fold t.db ~txn
-         ~env:(Interp.all_vars t.env)
-         ~var:f.q_var ~cls:f.q_cls ~deep:f.q_deep ?suchthat:f.q_suchthat ?by:f.q_by
-         ~init:[]
-         (fun acc oid -> render_row txn oid :: acc))
+    let rows = ref [] in
+    Query.execute t.db ~txn
+      (Planner.compile t.db ~txn ~env:(Interp.all_vars t.env) f)
+      (fun row -> rows := render_row txn (List.hd row) :: !rows);
+    List.rev !rows
   in
   match
     match t.txn with

@@ -48,7 +48,7 @@ let put_header b h =
       Codec.put_varint b h.hcurrent;
       List.iter (Codec.put_varint b) h.hversions
 
-let get_header c =
+let read_header c =
   match Codec.get_varint c with
   | 0 -> unversioned
   | k ->
@@ -133,7 +133,7 @@ let put_slots b (l : Catalog.layout) slots =
          (Array.length l.fields));
   Array.iteri (fun i v -> put_slot b l.fields.(i).Schema.ftype v) slots
 
-let get_slots c (l : Catalog.layout) =
+let read_slots c (l : Catalog.layout) =
   let slots = Array.map (fun (f : Schema.field) -> get_slot c f.ftype) l.fields in
   if not (Codec.at_end c) then raise (Codec.Corrupt "object record: trailing bytes");
   slots
@@ -149,15 +149,15 @@ let encode_version db oid slots =
   put_slots b (layout db oid) slots;
   Buffer.contents b
 
-let decode_header s = get_header (Codec.cursor s)
+let decode_header s = read_header (Codec.cursor s)
 
 let decode_object db oid s =
   let l = layout db oid in
   let c = Codec.cursor s in
-  let h = get_header c in
-  (h, get_slots c l)
+  let h = read_header c in
+  (h, read_slots c l)
 
-let decode_version db oid s = get_slots (Codec.cursor s) (layout db oid)
+let decode_version db oid s = read_slots (Codec.cursor s) (layout db oid)
 
 (* The edge where slots become named fields again, for callers that show
    or export whole objects. *)
@@ -172,19 +172,25 @@ let named_fields db oid slots =
    every chain head visible, i.e. the plain committed state). *)
 let read_ts_of = function Some t -> t.read_ts | None -> max_int
 
-let read db txn key =
-  let from_writes =
-    match txn with
-    | Some t -> Hashtbl.find_opt t.writes key
-    | None -> None
-  in
-  match from_writes with
-  | Some (Put s) -> Some s
-  | Some Del -> None
+let pending txn key =
+  match txn with Some t -> Hashtbl.find_opt t.writes key | None -> None
+
+(* Where a read of [key] resolves: the transaction's own write or the
+   image an MVCC chain keeps for its snapshot ([Here]), or the committed
+   store ([Committed]), which the caller reads by key or from the
+   directory leaf it already holds. *)
+type view = Here of string option | Committed
+
+let view db txn key =
+  match pending txn key with
+  | Some (Put s) -> Here (Some s)
+  | Some Del -> Here None
   | None -> (
       match Mvcc.read db.mvcc ~read_ts:(read_ts_of txn) key with
-      | Mvcc.Older v -> v
-      | Mvcc.Latest -> Kv.get db key)
+      | Mvcc.Older v -> Here v
+      | Mvcc.Latest -> Committed)
+
+let read db txn key = match view db txn key with Here v -> v | Committed -> Kv.get db key
 
 (* The two overlay choke points: every mutation in this module funnels
    through them. A detached read txn (reader domain) is rejected before the
@@ -192,86 +198,47 @@ let read db txn key =
    the request on the writer domain. *)
 let write txn key payload =
   if txn.tro then raise Read_only_txn;
+  txn.wcount <- txn.wcount + 1;
   Hashtbl.replace txn.writes key (Put payload)
 
 let remove txn key =
   if txn.tro then raise Read_only_txn;
+  txn.wcount <- txn.wcount + 1;
   Hashtbl.replace txn.writes key Del
 
 (* -- object reads -------------------------------------------------------------- *)
 
-(* Reads go overlay -> MVCC chains -> decoded-object cache -> committed KV.
-   The cache is only consulted and only populated when the transaction has
-   no pending write for the key and the key has not changed past its
-   snapshot, so it never absorbs or serves uncommitted or superseded
-   state. *)
+(* Reads go overlay -> MVCC chain -> committed KV, whose record sits in a
+   pinned directory leaf or heap page, and decode from the record's bytes
+   what they need. Nothing decoded outlives the read. [objects_fetched]
+   counts the records read for their fields. *)
 
-let pending txn key =
-  match txn with Some t -> Hashtbl.find_opt t.writes key | None -> None
+let fetched () = Ode_util.Stats.incr c_objects_fetched
 
-(* Where a read found a record: still encoded (an overlay write, a snapshot
-   image, or a KV fetch with the cache off), or decoded from the cache. *)
-type 'a found = Raw of string | Decoded of 'a
+(* An object's 'H' record. *)
+let find_object db txn oid = read db txn (Keys.header oid)
 
-let lookup db txn key oid ~decode ~wrap ~unwrap =
-  match pending txn key with
-  | Some (Put s) -> Some (Raw s)
-  | Some Del -> None
-  | None -> (
-      (* Snapshot resolution before the cache: the decoded-object cache
-         holds only the *latest* committed state, so a read that an MVCC
-         chain answers (the key changed past this snapshot) bypasses it
-         entirely — in both directions: never served from it, never
-         populated into it. *)
-      match Mvcc.read db.mvcc ~read_ts:(read_ts_of txn) key with
-      | Mvcc.Older None -> None
-      | Mvcc.Older (Some s) -> Some (Raw s)
-      | Mvcc.Latest -> (
-          match Option.bind (Ocache.find db key) unwrap with
-          | Some d -> Some (Decoded d)
-          | None -> (
-              match Kv.get db key with
-              | None -> None
-              | Some s when Ocache.enabled db ->
-                  Ode_util.Stats.incr c_objects_fetched;
-                  let d = decode db oid s in
-                  Ocache.add db key (wrap d);
-                  Some (Decoded d)
-              | Some s -> Some (Raw s))))
+let get_header db txn oid = Option.map decode_header (find_object db txn oid)
 
-(* An object's 'H' record. With the cache on, a miss decodes the header and
-   the current fields together and caches both as one entry. *)
-let find_object db txn oid =
-  lookup db txn (Keys.header oid) oid ~decode:decode_object
-    ~wrap:(fun (h, slots) -> Cobject (h, slots))
-    ~unwrap:(function Cobject (h, slots) -> Some (h, slots) | Cversion _ -> None)
+let get_object db txn oid =
+  match find_object db txn oid with
+  | None -> None
+  | Some s ->
+      fetched ();
+      Some (decode_object db oid s)
 
-let header_of = function Raw s -> decode_header s | Decoded (h, _) -> h
-
-let object_of db oid = function
-  | Raw s ->
-      Ode_util.Stats.incr c_objects_fetched;
-      decode_object db oid s
-  | Decoded o -> o
-
-let get_header db txn oid = Option.map header_of (find_object db txn oid)
-let get_object db txn oid = Option.map (object_of db oid) (find_object db txn oid)
 let exists db txn oid = find_object db txn oid <> None
+
 let class_of db (oid : Oid.t) = Catalog.find_by_id db.catalog oid.cls
 
 let get_slots db txn oid = Option.map snd (get_object db txn oid)
 
 (* A non-current version's own record. *)
 let find_version db txn (vr : Oid.vref) =
-  match
-    lookup db txn (Keys.version vr.oid vr.ver) vr.oid ~decode:decode_version
-      ~wrap:(fun slots -> Cversion slots)
-      ~unwrap:(function Cversion slots -> Some slots | Cobject _ -> None)
-  with
+  match read db txn (Keys.version vr.oid vr.ver) with
   | None -> None
-  | Some (Decoded slots) -> Some slots
-  | Some (Raw s) ->
-      Ode_util.Stats.incr c_objects_fetched;
+  | Some s ->
+      fetched ();
       Some (decode_version db vr.oid s)
 
 (* Resolved through the header at the reader's snapshot: the version that
@@ -280,9 +247,12 @@ let find_version db txn (vr : Oid.vref) =
 let get_slots_v db txn (vr : Oid.vref) =
   match find_object db txn vr.oid with
   | None -> None
-  | Some found ->
-      let h = header_of found in
-      if vr.ver = h.hcurrent then Some (snd (object_of db vr.oid found))
+  | Some s ->
+      let c = Codec.cursor s in
+      if vr.ver = (read_header c).hcurrent then begin
+        fetched ();
+        Some (read_slots c (layout db vr.oid))
+      end
       else find_version db txn vr
 
 let get_fields db txn oid = Option.map (named_fields db oid) (get_slots db txn oid)
@@ -290,21 +260,99 @@ let get_fields db txn oid = Option.map (named_fields db oid) (get_slots db txn o
 let get_fields_v db txn (vr : Oid.vref) =
   Option.map (named_fields db vr.oid) (get_slots_v db txn vr)
 
-(* A field name resolves to a slot through the layout of the oid's own
-   class, so one inherited name read across a deep extent finds each
-   subclass's slot. *)
-let slot_value db (oid : Oid.t) slots fname =
-  match Catalog.layout_of_id db.catalog oid.cls with
-  | None -> None
-  | Some l -> ( match Catalog.slot l fname with Some i -> Some slots.(i) | None -> None)
+(* -- rows: records read in place ------------------------------------------------- *)
 
-let get_field db txn oid fname =
-  match get_slots db txn oid with None -> None | Some slots -> slot_value db oid slots fname
+(* One object's 'H' record as a reader fetched it: its bytes, where its
+   slots begin, and the transaction's write count at the fetch. A field is
+   read from the bytes when asked for, past the slots in front of it;
+   nothing is decoded ahead. *)
+type row = { oid : Oid.t; data : string; slots_at : int; wcount : int }
+
+let wcount_of : txn option -> int = function Some t -> t.wcount | None -> 0
+
+(* Past one slot. A string is skipped without a copy; the other types are
+   short, or rare in front of a field a predicate reads. *)
+let skip_slot c (t : Otype.t) =
+  match t with
+  | TString -> Codec.skip c (Codec.get_varint c)
+  | TInt -> ignore (Codec.get_svarint c)
+  | t -> ignore (get_slot c t)
+
+(* [data] is the 'H' record of [oid] as [txn] reads it. *)
+let row txn oid data =
+  fetched ();
+  let c = Codec.cursor data in
+  ignore (read_header c);
+  { oid; data; slots_at = Codec.pos c; wcount = wcount_of txn }
+
+(* The current object [oid] as [txn] reads it, in one directory lookup. *)
+let fetch db txn oid = Option.map (row txn oid) (find_object db txn oid)
+
+(* Slot [i] of the row, past the slots in front of it. *)
+let read_slot r i (fields : Schema.field array) =
+  let c = Codec.cursor ~pos:r.slots_at r.data in
+  for j = 0 to i - 1 do
+    skip_slot c fields.(j).ftype
+  done;
+  get_slot c fields.(i).ftype
+
+let no_field (oid : Oid.t) fname =
+  raise (Ode_model.Eval.Error (Format.asprintf "object %a has no field %s" Oid.pp oid fname))
+
+(* A field name resolves to a slot through the layout of the oid's own
+   class: under multiple inheritance one inherited name sits at different
+   slots in different subclasses. *)
+let resolve db cls fname =
+  match Catalog.layout_of_id db.catalog cls with
+  | None -> None
+  | Some (l : Catalog.layout) -> Option.map (fun i -> (i, l.fields)) (Catalog.slot l fname)
+
+let current txn r = r.wcount = wcount_of txn
+
+(* A reader of field [fname] of the rows [txn] fetches, the slot resolved
+   once per class, at the first row of it. A row the transaction has
+   written since its fetch is read again through the overlay, so a reader
+   never returns a field older than the transaction's own write. Raises
+   {!Ode_model.Eval.Error} for a row whose class has no such field. *)
+let field_reader db txn fname =
+  let resolved = ref [] in
+  let slot_of cls =
+    match List.assq_opt cls !resolved with
+    | Some s -> s
+    | None ->
+        let s = resolve db cls fname in
+        resolved := (cls, s) :: !resolved;
+        s
+  in
+  fun r ->
+    match slot_of r.oid.cls with
+    | None -> no_field r.oid fname
+    | Some (i, fields) -> (
+        if current txn r then read_slot r i fields
+        else
+          match get_slots db txn r.oid with
+          | Some slots -> slots.(i)
+          | None -> no_field r.oid fname)
+
+(* One field of a row the transaction fetched and has not written since. *)
+let row_field db r fname =
+  Option.map (fun (i, fields) -> read_slot r i fields) (resolve db r.oid.cls fname)
+
+(* Every field of a row, named: decoded from its record while it is
+   current, else read again through the overlay. *)
+let row_fields db txn r =
+  if current txn r then
+    Some (named_fields db r.oid (read_slots (Codec.cursor ~pos:r.slots_at r.data) (layout db r.oid)))
+  else get_fields db txn r.oid
+
+(* One field of [oid] in [txn]'s view, read in place from its record. *)
+let get_field db txn (oid : Oid.t) fname =
+  Option.bind (find_object db txn oid) (fun data -> row_field db (row txn oid data) fname)
 
 let get_field_v db txn (vr : Oid.vref) fname =
   match get_slots_v db txn vr with
   | None -> None
-  | Some slots -> slot_value db vr.oid slots fname
+  | Some slots -> Option.map (fun (i, _) -> slots.(i)) (resolve db vr.oid.cls fname)
 
 (* -- index plumbing --------------------------------------------------------------- *)
 

@@ -78,6 +78,16 @@ val read_ts_of : txn option -> int
     or [max_int] ("latest committed") when no transaction is given. *)
 
 val read : db -> txn option -> string -> string option
+
+type view =
+  | Here of string option  (** the transaction's own write, or a version chain's image *)
+  | Committed  (** whatever the committed store holds *)
+
+val view : db -> txn option -> string -> view
+(** Where a read of the key resolves, without reading the committed
+    store: a scan that already holds the key's directory entry reads it
+    from there. *)
+
 val write : txn -> string -> string -> unit
 val remove : txn -> string -> unit
 
@@ -85,9 +95,9 @@ val remove : txn -> string -> unit
 
 (** Reads consult the write overlay first, then the MVCC version chains
     (a key committed past the transaction's snapshot resolves to the
-    version the snapshot can see, bypassing the cache), then the
-    decoded-object cache ({!Ocache}), then the committed KV (populating
-    the cache on a miss — only ever with latest committed state). *)
+    version the snapshot can see), then the committed KV, and decode from
+    the record's bytes what they need; nothing decoded is kept. The
+    [objects_fetched] counter counts the records read for their fields. *)
 
 val get_header : db -> txn option -> Ode_model.Oid.t -> header option
 val exists : db -> txn option -> Ode_model.Oid.t -> bool
@@ -103,6 +113,46 @@ val get_fields_v :
 val get_field : db -> txn option -> Ode_model.Oid.t -> string -> Ode_model.Value.t option
 val get_field_v : db -> txn option -> Ode_model.Oid.vref -> string -> Ode_model.Value.t option
 (** One field, found through the slot table of the oid's class. *)
+
+(** {1 Rows: records read in place}
+
+    The query executor fetches each candidate's 'H' record once and reads
+    the fields its predicates and its loop body ask for straight from
+    those bytes, skipping the slots in front of each, with no decoded
+    copy. *)
+
+type row = {
+  oid : Ode_model.Oid.t;
+  data : string;  (** the 'H' record *)
+  slots_at : int;  (** offset of slot 0, past the header *)
+  wcount : int;  (** the transaction's write count at the fetch *)
+}
+
+val row : txn option -> Ode_model.Oid.t -> string -> row
+(** [row txn oid data]: the record [data] of [oid], as [txn] read it. *)
+
+val fetch : db -> txn option -> Ode_model.Oid.t -> row option
+(** The live object as the transaction reads it, in one directory lookup. *)
+
+val field_reader : db -> txn option -> string -> row -> Ode_model.Value.t
+(** [field_reader db txn f] reads field [f] of the rows [txn] fetched. The
+    slot is resolved once per class, by that class's own layout, at the
+    first row of it. A row the transaction wrote after fetching it is read
+    again through the overlay. Raises {!Ode_model.Eval.Error} when the
+    row's class has no field [f]. *)
+
+val current : txn option -> row -> bool
+(** Whether the transaction has written nothing since it fetched the row,
+    so that the row's bytes are still its view of the object. *)
+
+val row_field : db -> row -> string -> Ode_model.Value.t option
+(** One field of a {!current} row, resolved through its class's layout;
+    [None] when the class has no such field. *)
+
+val row_fields : db -> txn option -> row -> (string * Ode_model.Value.t) list option
+(** Every field of a row's object, named: decoded from the row's record
+    while {!current}, else read through the overlay ([None] once the
+    transaction has deleted it). *)
 
 val conforms : db -> Ode_model.Schema.field -> Ode_model.Value.t -> bool
 (** Whether a value may be stored in the field (the check {!create} and

@@ -58,6 +58,7 @@ let begin_ db =
       tstate = `Active;
       catalog_dirty = false;
       meta_dirty = false;
+      wcount = 0;
     }
   in
   db.next_xid <- db.next_xid + 1;
@@ -88,6 +89,7 @@ let begin_read db =
     tstate = `Active;
     catalog_dirty = false;
     meta_dirty = false;
+    wcount = 0;
   }
 
 let open_writers db = Hashtbl.fold (fun _ t acc -> t :: acc) db.wtxns []

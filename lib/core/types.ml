@@ -17,15 +17,6 @@ type op = Ode_storage.Wal.op = Put of string | Del
    allocating the next version number is O(1). The class is the oid's. *)
 type header = { hcurrent : int; hversions : int list }
 
-(* An entry of the decoded-object cache: an object (its 'H' record: header
-   and current fields, one entry) or the fields of one non-current version
-   (its 'V' record). Fields are slots in the class's layout
-   ({!Ode_model.Catalog.layout}). Both are immutable-by-convention —
-   readers never mutate what the cache hands out. *)
-type cached =
-  | Cobject of header * Value.t array
-  | Cversion of Value.t array
-
 (* A trigger activation. The record stores only [aoid], [tdecl], [tpos],
    [targs], [deadline] and [active]; the tid is its key's, and [tcls],
    [tname] and [perpetual] come from the declaration, the names as the
@@ -105,6 +96,10 @@ type txn = {
   mutable tstate : [ `Active | `Committed | `Aborted ];
   mutable catalog_dirty : bool;             (* DDL happened *)
   mutable meta_dirty : bool;                (* a counter or the clock moved *)
+  mutable wcount : int;                     (* overlay writes so far: a record
+                                               fetched at one count is still
+                                               this txn's view of it while the
+                                               count holds *)
 }
 
 and db = {
@@ -141,9 +136,6 @@ and db = {
   mutable wal_auto_checkpoint : int;        (* bytes; checkpoint when exceeded *)
   mutable durability : durability;          (* when commits fsync (see above) *)
   mutable read_only : bool;                 (* replica mode: reject local writes *)
-  ocache : (string, cached) Ode_util.Slru.t; (* decoded objects by logical key,
-                                                sharded for concurrent reader
-                                                domains; capacity 0 disables *)
   mutable closed : bool;
   mutable printer : string -> unit;         (* trigger-action [print] output *)
 }

@@ -14,8 +14,7 @@ type expected = { field : string; value : Value.t; mutable seen : bool }
 (* Two passes, each one cursor: the directory, whose every record is
    fetched and decoded once, then the index tree, matched against the
    entries the directory pass expects. Nothing goes through [Store]'s
-   reads or the decoded-object cache, so a check neither fills the cache
-   nor counts as the workload's reads. *)
+   reads, so a check does not count as the workload's reads. *)
 let run db =
   let problems = ref [] in
   let bad fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in

@@ -13,8 +13,8 @@
 
     One cursor pass over the directory reads and decodes each record once;
     one over the index tree matches its entries against those the decoded
-    slots call for. The check reads nothing through the store's read path
-    or the decoded-object cache, so it leaves the cache as it found it.
+    slots call for. The check reads nothing through the store's read path,
+    so it fetches no object there ([objects_fetched] stays put).
 
     Used by tests (especially crash-recovery tests, where it proves that
     replay reconstructed a coherent database) and available to operators via

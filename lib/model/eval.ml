@@ -96,77 +96,120 @@ let local_builtin name (args : Value.t list) : Value.t option =
       error "builtin %s: wrong arguments" name
   | _ -> None
 
-(* -- evaluation ------------------------------------------------------------------ *)
+(* -- compilation ------------------------------------------------------------------ *)
 
-let rec eval hooks ~vars ~this (e : Ast.expr) : Value.t =
-  let go e = eval hooks ~vars ~this e in
-  match e with
-  | Null -> Value.Null
-  | Int n -> Int n
-  | Float f -> Float f
-  | Bool b -> Bool b
-  | Str s -> Str s
-  | This -> ( match this with Some v -> v | None -> error "no 'this' in scope")
-  | Var x -> (
-      match List.assoc_opt x vars with
-      | Some v -> v
-      | None -> error "unbound variable %s" x)
-  | Field (e, f) -> (
-      match go e with
-      | Null -> Null
-      | Ref oid -> (
-          match hooks.get_field oid f with
+type 'r binding = { slot : int; value : 'r -> Value.t; field : string -> 'r -> Value.t }
+
+(* Every decision that does not depend on the row is taken once: constants
+   are built, variables are found, and a field of a row variable is
+   resolved by [binding.field] before the first row arrives. A variable is
+   looked up among [rows] first, then [vars]. Errors are raised when the
+   closure runs, never while compiling, so an expression that is never
+   reached cannot fail. *)
+let const (v : Value.t) _ = v
+let fail fmt = Format.kasprintf (fun s _ -> raise (Error s)) fmt
+
+let compile hooks ~rows ~vars ~this e =
+  let rec go (e : Ast.expr) : 'r array -> Value.t =
+    match e with
+    | Null -> const Value.Null
+    | Int n -> const (Int n)
+    | Float f -> const (Float f)
+    | Bool b -> const (Bool b)
+    | Str s -> const (Str s)
+    | This -> ( match this with Some v -> const v | None -> fail "no 'this' in scope")
+    | Var x -> (
+        match List.assoc_opt x rows with
+        | Some b -> fun fr -> b.value fr.(b.slot)
+        | None -> (
+            match List.assoc_opt x vars with
+            | Some v -> const v
+            | None -> fail "unbound variable %s" x))
+    | Field (Var x, f) when List.mem_assoc x rows ->
+        let b = List.assoc x rows in
+        let read = b.field f in
+        fun fr -> read fr.(b.slot)
+    | Field (e, f) -> (
+        let e = go e in
+        fun fr ->
+          match e fr with
+          | Null -> Null
+          | Ref oid -> (
+              match hooks.get_field oid f with
+              | Some v -> v
+              | None -> error "object %a has no field %s" Oid.pp oid f)
+          | Vref vr -> (
+              match hooks.get_field_v vr f with
+              | Some v -> v
+              | None -> error "version %a has no field %s" Oid.pp_vref vr f)
+          | v -> error "cannot access field %s of %a" f Value.pp v)
+    | Unop (Neg, e) -> (
+        let e = go e in
+        fun fr ->
+          match e fr with
+          | Int n -> Int (-n)
+          | Float f -> Float (-.f)
+          | Null -> Null
+          | v -> error "cannot negate %a" Value.pp v)
+    | Unop (Not, e) ->
+        let e = go e in
+        fun fr -> Bool (not (truthy (e fr)))
+    | Binop (op, a, b) -> (
+        let a = go a and b = go b in
+        match op with
+        | And -> fun fr -> Bool (truthy (a fr) && truthy (b fr))
+        | Or -> fun fr -> Bool (truthy (a fr) || truthy (b fr))
+        | Eq -> fun fr -> Bool (Value.equal (a fr) (b fr))
+        | Ne -> fun fr -> Bool (not (Value.equal (a fr) (b fr)))
+        | Lt -> fun fr -> ordered ( < ) (a fr) (b fr)
+        | Le -> fun fr -> ordered ( <= ) (a fr) (b fr)
+        | Gt -> fun fr -> ordered ( > ) (a fr) (b fr)
+        | Ge -> fun fr -> ordered ( >= ) (a fr) (b fr)
+        | Add -> fun fr -> add (a fr) (b fr)
+        | Sub -> fun fr -> sub (a fr) (b fr)
+        | Mul -> fun fr -> arith "*" ( * ) ( *. ) (a fr) (b fr)
+        | Div -> fun fr -> div (a fr) (b fr)
+        | Mod -> fun fr -> modulo (a fr) (b fr)
+        | In -> (
+            fun fr ->
+              let x = a fr in
+              match b fr with
+              | VSet vs | VList vs -> Bool (List.exists (Value.equal x) vs)
+              | v -> error "'in' needs a set or list, got %a" Value.pp v))
+    | Is (e, cls) -> (
+        let e = go e in
+        fun fr ->
+          match e fr with
+          | Ref oid | Vref { oid; _ } -> (
+              match hooks.class_of oid with
+              | Some name -> Bool (hooks.is_subclass ~sub:name ~super:cls)
+              | None -> Bool false)
+          | Null -> Bool false
+          | v -> error "'is' needs an object reference, got %a" Value.pp v)
+    | SetLit es ->
+        let es = List.map go es in
+        fun fr -> Value.set_of_list (List.map (fun e -> e fr) es)
+    | ListLit es ->
+        let es = List.map go es in
+        fun fr -> VList (List.map (fun e -> e fr) es)
+    | Call (None, name, args) -> (
+        let args = List.map go args in
+        fun fr ->
+          let vals = List.map (fun e -> e fr) args in
+          match local_builtin name vals with
           | Some v -> v
-          | None -> error "object %a has no field %s" Oid.pp oid f)
-      | Vref vr -> (
-          match hooks.get_field_v vr f with
-          | Some v -> v
-          | None -> error "version %a has no field %s" Oid.pp_vref vr f)
-      | v -> error "cannot access field %s of %a" f Value.pp v)
-  | Unop (Neg, e) -> (
-      match go e with
-      | Int n -> Int (-n)
-      | Float f -> Float (-.f)
-      | Null -> Null
-      | v -> error "cannot negate %a" Value.pp v)
-  | Unop (Not, e) -> Bool (not (truthy (go e)))
-  | Binop (And, a, b) -> Bool (truthy (go a) && truthy (go b))
-  | Binop (Or, a, b) -> Bool (truthy (go a) || truthy (go b))
-  | Binop (Eq, a, b) -> Bool (Value.equal (go a) (go b))
-  | Binop (Ne, a, b) -> Bool (not (Value.equal (go a) (go b)))
-  | Binop (Lt, a, b) -> ordered ( < ) (go a) (go b)
-  | Binop (Le, a, b) -> ordered ( <= ) (go a) (go b)
-  | Binop (Gt, a, b) -> ordered ( > ) (go a) (go b)
-  | Binop (Ge, a, b) -> ordered ( >= ) (go a) (go b)
-  | Binop (Add, a, b) -> add (go a) (go b)
-  | Binop (Sub, a, b) -> sub (go a) (go b)
-  | Binop (Mul, a, b) -> arith "*" ( * ) ( *. ) (go a) (go b)
-  | Binop (Div, a, b) -> div (go a) (go b)
-  | Binop (Mod, a, b) -> modulo (go a) (go b)
-  | Binop (In, a, b) -> (
-      let x = go a in
-      match go b with
-      | VSet vs | VList vs -> Bool (List.exists (Value.equal x) vs)
-      | v -> error "'in' needs a set or list, got %a" Value.pp v)
-  | Is (e, cls) -> (
-      match go e with
-      | Ref oid | Vref { oid; _ } -> (
-          match hooks.class_of oid with
-          | Some name -> Bool (hooks.is_subclass ~sub:name ~super:cls)
-          | None -> Bool false)
-      | Null -> Bool false
-      | v -> error "'is' needs an object reference, got %a" Value.pp v)
-  | SetLit es -> Value.set_of_list (List.map go es)
-  | ListLit es -> VList (List.map go es)
-  | Call (None, name, args) -> (
-      let vals = List.map go args in
-      match local_builtin name vals with
-      | Some v -> v
-      | None -> (
-          match hooks.builtin name vals with
-          | Some v -> v
-          | None -> error "unknown function %s" name))
-  | Call (Some recv, name, args) ->
-      let r = go recv in
-      let vals = List.map go args in
-      hooks.call_method r name vals
+          | None -> (
+              match hooks.builtin name vals with
+              | Some v -> v
+              | None -> error "unknown function %s" name))
+    | Call (Some recv, name, args) ->
+        let recv = go recv and args = List.map go args in
+        fun fr ->
+          let r = recv fr in
+          let vals = List.map (fun e -> e fr) args in
+          hooks.call_method r name vals
+  in
+  go e
+
+(* One evaluation is a compilation with no row variable, applied once. *)
+let eval hooks ~vars ~this e = compile hooks ~rows:[] ~vars ~this e [||]

@@ -33,7 +33,41 @@ val null_hooks : hooks
 
 val eval :
   hooks -> vars:(string * Value.t) list -> this:Value.t option -> Ode_lang.Ast.expr -> Value.t
+(** [compile] with no row variable, applied once. *)
 
 val truthy : Value.t -> bool
 (** [true] iff the value is [Bool true]; [Bool false] and [Null] are false;
     anything else raises {!Error} (conditions must be boolean). *)
+
+(** {1 Compiled expressions}
+
+    A query predicate, sort key or join key is evaluated once per
+    candidate. [compile] turns it into a closure once per plan instead:
+    constants are built, variables found and field names resolved before
+    the first candidate, and a field of a row variable is read from the
+    candidate's fetched record. {!eval} is a compilation applied once, so
+    results, [Null] handling and {!Error}s are the same either way. *)
+
+type 'r binding = {
+  slot : int;  (** the variable's row in the frame the closure is applied to *)
+  value : 'r -> Value.t;  (** the variable's value, as {!eval} would bind it *)
+  field : string -> 'r -> Value.t;
+      (** a reader of one field, resolved when the closure is built; it
+          raises {!Error} on a row without that field *)
+}
+
+val compile :
+  hooks ->
+  rows:(string * 'r binding) list ->
+  vars:(string * Value.t) list ->
+  this:Value.t option ->
+  Ode_lang.Ast.expr ->
+  'r array ->
+  Value.t
+(** [compile hooks ~rows ~vars ~this e] is a closure [f] with
+    [f frame = eval hooks ~vars:(bound @ vars) ~this e], where [bound]
+    binds each row variable to its [value] of [frame.(slot)]. Row
+    variables shadow [vars]. A field of a row variable is read by its
+    binding's [field]; every other object access goes through [hooks].
+    Compiling never raises: an error is raised when the closure reaches
+    the failing subexpression. *)

@@ -203,10 +203,14 @@ let reconnect ~host ~port db =
    batch starting exactly at our position applies; anything else — a gap, a
    partial overlap, torn or corrupt frames, or an apply that lands off the
    advertised [to_lsn] — raises {!Resync}, and the caller tears the stream
-   down and re-handshakes from its exact position. *)
+   down and re-handshakes from its exact position. A checkpoint advances no
+   LSN and ships alone ([from_lsn = to_lsn]), so one at our position
+   applies: the standby checkpoints with its primary and its log stays
+   as bounded. *)
 let apply_batch db ~from_lsn ~to_lsn ~data =
   let cur = Db.lsn db in
-  if to_lsn <= cur then begin
+  let checkpoint_here = from_lsn = to_lsn && to_lsn = cur in
+  if to_lsn <= cur && not checkpoint_here then begin
     Stats.incr c_repl_dup_batches;
     `Duplicate
   end

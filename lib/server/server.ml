@@ -16,8 +16,8 @@
    holds it exclusive for the duration of one writing request, so readers
    run against a structurally quiescent engine (no B+tree splits or commit
    applies mid-scan) while any number of them share the storage layer —
-   that sharing is what the striped buffer pool, per-disk mutex and sharded
-   object cache make safe. A query that turns out to write (a method with
+   that sharing is what the striped buffer pool and per-disk mutex make
+   safe. A query that turns out to write (a method with
    side effects) raises [Read_only_txn] before touching shared state; the
    completion re-routes it to the writer, which replays it under the
    exclusive lock. Per connection at most one request is in flight and no
@@ -1299,7 +1299,6 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
   Stats.register_gauge "server.read_queue_depth" (fun () -> Chan.length t.jobs);
   Stats.register_gauge "wal.pending_commits" (fun () -> Db.pending_commits db);
   Stats.register_gauge "store.pool_resident" (fun () -> Db.pool_resident db);
-  Stats.register_gauge "store.ocache_resident" (fun () -> Db.ocache_resident db);
   (* The process's OCaml heap, so memory shows without reading /proc. *)
   Stats.register_gauge "gc.heap_words" (fun () -> (Gc.quick_stat ()).heap_words);
   Stats.register_gauge "gc.top_heap_words" (fun () -> (Gc.quick_stat ()).top_heap_words);

@@ -283,3 +283,10 @@ let drop_cache t =
             ()
           done))
     t.stripes
+
+(* Forget every frame, dirty or not: for a pool whose disk is closed (a
+   closed or crashed database), so a handle still held after it keeps no
+   page buffer alive. A crash discards unflushed frames, as a process
+   death would. *)
+let release t =
+  Array.iter (fun s -> Mutex.protect s.mu (fun () -> Ode_util.Lru.clear s.frames)) t.stripes

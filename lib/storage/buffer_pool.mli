@@ -76,3 +76,8 @@ val flush_all : t -> unit
 
 val drop_cache : t -> unit
 (** Forget all unpinned clean frames (used by tests to force re-reads). *)
+
+val release : t -> unit
+(** Forget every frame, dirty or not, without writing any back: for a
+    pool whose disk has been closed, so that a closed or crashed database
+    handle holds no page memory. *)

@@ -288,8 +288,34 @@ let decode_record t data =
   | tag when tag = tag_chunk -> None
   | tag -> raise (Codec.Corrupt (Printf.sprintf "heap: bad tag %d" tag))
 
-let get t rid =
-  match raw_get t rid with None -> None | Some data -> decode_record t data
+(* A record of more than a page: its head, decoded once its page is
+   unpinned. *)
+exception Chained of string
+
+let get_with t rid read =
+  if rid.page <= 0 || rid.page >= Buffer_pool.page_count t.pool then None
+  else
+    match
+      Buffer_pool.with_page t.pool rid.page (fun f ->
+          let p = Buffer_pool.data f in
+          match Page.record_at p rid.slot with
+          | -1 -> None
+          | off ->
+              let len = Page.record_length p rid.slot in
+              if len = 0 then raise (Codec.Corrupt "heap: empty record");
+              let tag = Bytes.get_uint8 p off in
+              if tag = tag_inline then Some (read p (off + 1) (len - 1))
+              else if tag = tag_head then raise_notrace (Chained (Bytes.sub_string p off len))
+              else if tag = tag_chunk then None
+              else raise (Codec.Corrupt (Printf.sprintf "heap: bad tag %d" tag)))
+    with
+    | found -> found
+    | exception Chained head ->
+        Option.map
+          (fun s -> read (Bytes.unsafe_of_string s) 0 (String.length s))
+          (decode_record t head)
+
+let get t rid = get_with t rid Bytes.sub_string
 
 let delete t rid =
   match raw_get t rid with

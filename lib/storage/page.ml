@@ -132,6 +132,9 @@ let insert p data =
 let get p i =
   if live p i then Some (Bytes.sub_string p (slot_pos p i) (slot_len p i)) else None
 
+let record_at p i = if live p i then slot_pos p i else -1
+let record_length = slot_len
+
 let delete p i =
   if not (live p i) then false
   else begin

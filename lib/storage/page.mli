@@ -54,6 +54,12 @@ val get : t -> int -> string option
 (** [get p slot] is the record stored at [slot], or [None] if the slot is
     dead or out of range. *)
 
+val record_at : t -> int -> int
+(** The offset in the page of the record at [slot], or -1 where {!get}
+    would answer [None]; [record_length] is then its length. *)
+
+val record_length : t -> int -> int
+
 val delete : t -> int -> bool
 (** [delete p slot] kills the slot; false if it was not live. *)
 

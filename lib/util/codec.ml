@@ -89,6 +89,10 @@ let get_bool c =
   | 1 -> true
   | n -> corrupt "codec: invalid bool byte %d" n
 
+let skip c n =
+  need c n;
+  c.p <- c.p + n
+
 let get_raw c n =
   need c n;
   let s = String.sub c.src c.p n in

@@ -68,6 +68,10 @@ val get_bool : cursor -> bool
 val get_string : cursor -> string
 val get_raw : cursor -> int -> string
 
+val skip : cursor -> int -> unit
+(** Move past [n] bytes without reading them; raises {!Corrupt} when
+    fewer remain. *)
+
 val get_varint : cursor -> int
 (** Reads what {!put_varint} writes; raises {!Corrupt} on truncated,
     overlong (not shortest-form) or overflowing input. *)

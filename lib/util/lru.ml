@@ -19,7 +19,6 @@ type ('k, 'a) t = {
 let create cap = { cap; tbl = Hashtbl.create (max 16 cap); head = None; tail = None }
 let capacity t = t.cap
 let length t = Hashtbl.length t.tbl
-let mem t k = Hashtbl.mem t.tbl k
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
@@ -45,9 +44,6 @@ let get t k =
 
 let find t k = match get t k with v -> Some v | exception Not_found -> None
 
-let peek t k =
-  match Hashtbl.find_opt t.tbl k with None -> None | Some n -> Some n.value
-
 let add t k v =
   match Hashtbl.find_opt t.tbl k with
   | Some n ->
@@ -59,13 +55,6 @@ let add t k v =
       n.self <- Some n;
       Hashtbl.replace t.tbl k n;
       push_tail t n
-
-let remove t k =
-  match Hashtbl.find_opt t.tbl k with
-  | None -> ()
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.tbl k
 
 let evict t ok =
   let rec scan = function

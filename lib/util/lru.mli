@@ -1,9 +1,9 @@
 (** A mutable LRU map over hashable keys.
 
-    Used by the buffer pool to pick eviction victims (integer page keys) and
-    by the decoded-object cache (string logical keys). The structure keeps
-    entries in recency order; [find] refreshes an entry, [evict] removes the
-    least recently used entry satisfying a predicate. *)
+    Used by the buffer pool to pick eviction victims (integer page keys).
+    The structure keeps entries in recency order; [find] refreshes an
+    entry, [evict] removes the least recently used entry satisfying a
+    predicate. *)
 
 type ('k, 'a) t
 
@@ -14,7 +14,6 @@ val create : int -> ('k, 'a) t
 
 val capacity : ('k, 'a) t -> int
 val length : ('k, 'a) t -> int
-val mem : ('k, 'a) t -> 'k -> bool
 
 val find : ('k, 'a) t -> 'k -> 'a option
 (** [find t k] returns the value and refreshes recency. *)
@@ -23,13 +22,8 @@ val get : ('k, 'a) t -> 'k -> 'a
 (** Like [find], but raises [Not_found] on a miss; a hit allocates
     nothing. *)
 
-val peek : ('k, 'a) t -> 'k -> 'a option
-(** Like [find] but without touching recency. *)
-
 val add : ('k, 'a) t -> 'k -> 'a -> unit
 (** [add t k v] inserts or replaces the binding and marks it most recent. *)
-
-val remove : ('k, 'a) t -> 'k -> unit
 
 val evict : ('k, 'a) t -> ('k -> 'a -> bool) -> ('k * 'a) option
 (** [evict t ok] removes and returns the least recently used binding for

@@ -298,14 +298,9 @@ let run_iteration ~iter ~seed ~site ~coverage =
       fmt
   in
 
-  (* A fraction of iterations runs with the decoded-object cache enabled —
-     small enough to force evictions — so the cache/recovery interplay is
-     tortured too; the rest runs uncached, preserving the original regime. *)
-  let ocache = if seed mod 4 = 0 then 0 else 48 in
-
   (* Durable baseline, no failpoints armed yet. *)
   let db =
-    Db.open_ ~pool_pages:8 ~wal_checkpoint_bytes:wal_cp ~object_cache:ocache
+    Db.open_ ~pool_pages:8 ~wal_checkpoint_bytes:wal_cp
       ~durability:(if group then Db.Group else Db.Full)
       dir
   in
@@ -429,7 +424,7 @@ let run_iteration ~iter ~seed ~site ~coverage =
       ~policy:(Failpoint.After_hits (Prng.int rng 3))
       ~action:Failpoint.Crash_site;
   let rec reopen tries =
-    match Db.open_ ~pool_pages:8 ~object_cache:ocache dir with
+    match Db.open_ ~pool_pages:8 dir with
     | db -> db
     | exception Failpoint.Crash s ->
         Hashtbl.replace coverage s (1 + Option.value (Hashtbl.find_opt coverage s) ~default:0);

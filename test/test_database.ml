@@ -337,6 +337,38 @@ let bad_method_body_rolls_back_class () =
   ignore (Db.define db "class broken { q: int; };");
   Db.close db
 
+(* A closed or crashed handle holds no page of its three buffer pools, so
+   a caller that keeps it while reopening the store does not keep the old
+   pools alive. *)
+let closed_handle_holds_no_pages () =
+  let pools db =
+    [ Ode_storage.Heap.pool db.kv_heap; Ode_index.Bptree.pool db.kv_dir; Ode_index.Bptree.pool db.idx ]
+  in
+  let resident db = List.map Ode_storage.Buffer_pool.resident (pools db) in
+  let dir = Tutil.temp_dir "release" in
+  let load db =
+    ignore (Db.define db "class t { k: int; pad: string; };");
+    Db.create_cluster db "t";
+    Db.create_index db ~cls:"t" ~field:"k";
+    Db.with_txn db (fun txn ->
+        for i = 1 to 200 do
+          ignore (Db.pnew txn "t" [ ("k", Value.Int i); ("pad", Value.Str (String.make 300 'x')) ])
+        done)
+  in
+  let db = Db.open_ dir in
+  load db;
+  Tutil.check_bool "pages resident while open" true (List.for_all (fun n -> n > 0) (resident db));
+  Db.close db;
+  Alcotest.(check (list int)) "none after close" [ 0; 0; 0 ] (resident db);
+  let db = Db.open_ dir in
+  Db.with_txn db (fun txn -> ignore (Db.pnew txn "t" [ ("k", Value.Int 0) ]));
+  Tutil.check_bool "pages resident after reopen" true (List.exists (fun n -> n > 0) (resident db));
+  Db.crash db;
+  Alcotest.(check (list int)) "none after crash" [ 0; 0; 0 ] (resident db);
+  let db = Db.open_ dir in
+  Tutil.check_int "the crashed commit recovered" 201 (Ode.Query.count db ~var:"x" ~cls:"t" ());
+  Db.close db
+
 let suite =
   [
     ( "database",
@@ -360,5 +392,6 @@ let suite =
         Alcotest.test_case "named roots persist" `Quick roots_persist;
         Alcotest.test_case "DDL rejected inside txn" `Quick ddl_rejected_inside_txn;
         Alcotest.test_case "failed class definition rolls back" `Quick bad_method_body_rolls_back_class;
+        Alcotest.test_case "closed handle holds no pages" `Quick closed_handle_holds_no_pages;
       ] );
   ]

@@ -12,6 +12,7 @@ let () =
          Test_lang.suite;
          Test_catalog.suite;
          Test_eval.suite;
+         Test_compile.suite;
          Test_database.suite;
          Test_mvcc.suite;
          Test_query.suite;
@@ -29,7 +30,7 @@ let () =
          Test_stats.suite;
          Test_plans.suite;
          Test_exec_oracle.suite;
-         Test_obj_cache.suite;
+         Test_read_path.suite;
          Test_torn_wal.suite;
          Test_aggregates.suite;
          Test_crash_torture.suite;

@@ -1,13 +1,12 @@
-(* Multicore safety: the domain-shared primitives (bounded channel,
-   sharded LRU, RW lock, lock-striped buffer pool) under real parallel
-   load, plus a seeded stress test running reader domains against a
-   writing domain over one embedded database with the same RW-lock
-   discipline the server uses. Oracles: no torn observations, the
-   object cache agrees with an uncached re-read, and the structural
-   integrity checker is clean afterwards (including after reopen). *)
+(* Multicore safety: the domain-shared primitives (bounded channel, RW
+   lock, lock-striped buffer pool) under real parallel load, plus a seeded
+   stress test running reader domains against a writing domain over one
+   embedded database with the same RW-lock discipline the server uses.
+   Oracles: no torn observations, every object reads the same after a
+   reopen, and the structural integrity checker is clean afterwards
+   (including after reopen). *)
 
 module Chan = Ode_util.Chan
-module Slru = Ode_util.Slru
 module Rwlock = Ode_util.Rwlock
 module Disk = Ode_storage.Disk
 module Pool = Ode_storage.Buffer_pool
@@ -51,65 +50,6 @@ let chan_cross_domain () =
   Tutil.check_int "received all" (2 * per) !count;
   Tutil.check_int "sum of both ranges" (per * (per + 1) + (10_000 * per)) !sum;
   Tutil.check_int "drained" 0 (Chan.length c)
-
-(* -- sharded LRU -------------------------------------------------------- *)
-
-let slru_basics () =
-  let t = Slru.create ~shards:4 8 in
-  Tutil.check_int "capacity" 8 (Slru.capacity t);
-  Tutil.check_int "shards" 4 (Slru.nshards t);
-  (* Keys hash unevenly across shards, and each shard only holds its own
-     share of the capacity — so a fresh add is always resident, but an
-     earlier one may already have been evicted by its shard. *)
-  for k = 0 to 7 do
-    Slru.add t k (k * 31);
-    Tutil.check_bool "fresh add resident" true (Slru.find t k = Some (k * 31))
-  done;
-  for k = 0 to 7 do
-    match Slru.find t k with
-    | Some v -> Tutil.check_int "value coherent" (k * 31) v
-    | None -> ()
-  done;
-  Tutil.check_bool "mostly resident" true (Slru.length t > 0);
-  (* Overflow evicts within the key's shard; total never exceeds cap. *)
-  for k = 8 to 63 do
-    Slru.add t k (k * 31)
-  done;
-  Tutil.check_bool "bounded" true (Slru.length t <= 8);
-  Tutil.check_bool "remove resident" true
-    (let k = ref (-1) in
-     for i = 0 to 63 do
-       if !k < 0 && Slru.mem t i then k := i
-     done;
-     Slru.remove t !k);
-  Tutil.check_bool "remove absent" false (Slru.remove t 9999);
-  Slru.clear t;
-  Tutil.check_int "cleared" 0 (Slru.length t)
-
-(* 4 domains hammer overlapping keys with seeded add/find/remove streams.
-   Values are a pure function of the key, so any resident binding another
-   domain observes must still be coherent. *)
-let slru_concurrent () =
-  let t = Slru.create ~shards:8 256 in
-  let bad = Atomic.make 0 in
-  let worker seed =
-    Domain.spawn (fun () ->
-        let rng = Random.State.make [| seed |] in
-        for _ = 1 to 5000 do
-          let k = Random.State.int rng 512 in
-          match Random.State.int rng 3 with
-          | 0 -> Slru.add t k (k * 31)
-          | 1 -> (
-              match Slru.find t k with
-              | Some v when v <> k * 31 -> Atomic.incr bad
-              | _ -> ())
-          | _ -> ignore (Slru.remove t k)
-        done)
-  in
-  let ds = List.map worker [ 101; 202; 303; 404 ] in
-  List.iter Domain.join ds;
-  Tutil.check_int "no incoherent hits" 0 (Atomic.get bad);
-  Tutil.check_bool "bounded" true (Slru.length t <= 256)
 
 (* -- RW lock ------------------------------------------------------------ *)
 
@@ -221,9 +161,8 @@ let read_txn_rejects_writes () =
    read-only transactions under the shared lock while this domain updates
    overlapping objects under the exclusive lock, every object keeping
    a = b inside each committed transaction. Readers must never see a
-   half-applied update or a cache/heap disagreement; afterwards the
-   object cache must agree with an uncached re-read and Verify must pass,
-   before and after a reopen. *)
+   half-applied update; afterwards every object must read the same after a
+   reopen and Verify must pass, before and after it. *)
 let stress_readers_vs_writer () =
   let dir = Tutil.temp_dir "ode-mc" in
   let db = Db.open_ dir in
@@ -273,15 +212,8 @@ let stress_readers_vs_writer () =
   List.iter Domain.join ds;
   Tutil.check_int "no torn reads" 0 (Atomic.get torn);
   Tutil.check_bool "readers made progress" true (Atomic.get reads > 0);
-  (* Cache coherence: the warm decoded-object cache must agree with a
-     cold re-read of the same objects. *)
-  let snap oid = Db.with_read_txn db (fun txn -> Db.get txn oid) in
-  let warm = Array.map snap oids in
-  Ode.Ocache.clear db;
-  Array.iteri
-    (fun i oid ->
-      if snap oid <> warm.(i) then Alcotest.failf "cache incoherent for object %d" i)
-    oids;
+  let snap db oid = Db.with_read_txn db (fun txn -> Db.get txn oid) in
+  let before = Array.map (snap db) oids in
   (match Ode.Verify.run db with
   | Ok () -> ()
   | Error ps -> Alcotest.failf "verify after stress: %s" (String.concat "; " ps));
@@ -292,6 +224,10 @@ let stress_readers_vs_writer () =
   (match Ode.Verify.run db2 with
   | Ok () -> ()
   | Error ps -> Alcotest.failf "verify after reopen: %s" (String.concat "; " ps));
+  Array.iteri
+    (fun i oid ->
+      if snap db2 oid <> before.(i) then Alcotest.failf "object %d reads differently after reopen" i)
+    oids;
   Tutil.check_int "population persisted" nobjs (Ode.Query.count db2 ~var:"x" ~cls:"cell" ());
   Db.close db2
 
@@ -302,8 +238,6 @@ let suite =
         Alcotest.test_case "chan: bounded fifo semantics" `Quick chan_basics;
         Alcotest.test_case "chan: producers block and drain across domains" `Quick
           chan_cross_domain;
-        Alcotest.test_case "slru: capacity, eviction, remove" `Quick slru_basics;
-        Alcotest.test_case "slru: concurrent domains stay coherent" `Quick slru_concurrent;
         Alcotest.test_case "rwlock: readers never see writer windows" `Quick
           rwlock_excludes_writers;
         Alcotest.test_case "read txn rejects writes before shared state" `Quick

@@ -243,8 +243,7 @@ let expected_counters =
     ("wal_torn_bytes", Recovery, Counter); ("recovery_replayed", Recovery, Counter);
     ("checksum_failures", Recovery, Counter); ("orphans_reclaimed", Recovery, Counter);
     ("journal_pages_restored", Recovery, Counter); ("pages_reformatted", Recovery, Counter);
-    ("io_retries", Recovery, Counter); ("obj_cache_hits", Workload, Counter);
-    ("obj_cache_misses", Workload, Counter); ("obj_cache_invalidations", Workload, Counter);
+    ("io_retries", Recovery, Counter);
     ("cursor_pages_read", Workload, Counter); ("bptree.leaf_writes", Workload, Counter);
     ("bptree.splits", Workload, Counter); ("server.accepts", Workload, Counter);
     ("server.requests", Workload, Counter); ("server.rejects", Workload, Counter);
@@ -597,7 +596,7 @@ let armed_cost_per_candidate () =
     Query.run db ~var:"x" ~cls ~suchthat ignore;
     Gc.minor_words () -. w0
   in
-  (* Warm the object cache so both measured passes do the same work. *)
+  (* Warm the pools so both measured passes do the same work. *)
   ignore (words "small");
   ignore (words "big");
   let slope () =

@@ -172,6 +172,20 @@ let standby_log_is_shipped_frames () =
   Tutil.check_bool "the standby's log is the primary's" true (log rdir = log pdir);
   Tutil.check_bool "state matches" true (tags rep = tags pri);
   Tutil.check_int "at the primary's lsn" (Db.lsn pri) (Db.lsn rep);
+  (* The primary's checkpoint ships as a batch of its own, which resets
+     the standby's log too. *)
+  Db.checkpoint pri;
+  Tutil.check_int "the checkpoint ships" 1 (Queue.length queue);
+  Queue.iter
+    (fun (data, from_lsn, to_lsn) ->
+      Tutil.check_bool "checkpoint batch applies" true
+        (Repl.apply_batch rep ~from_lsn ~to_lsn ~data = `Applied))
+    queue;
+  Queue.clear queue;
+  Tutil.check_int "the primary's log is reset" 0 (String.length (log pdir));
+  Tutil.check_int "the standby's log is reset" 0 (String.length (log rdir));
+  Tutil.check_bool "state still matches" true (tags rep = tags pri);
+  Tutil.check_int "still at the primary's lsn" (Db.lsn pri) (Db.lsn rep);
   Db.close pri;
   Db.close rep
 

@@ -217,19 +217,16 @@ let verify_detects_corruption () =
       let w = Db.with_txn db (fun txn -> Db.pnew txn "y" [ ("w", int 2) ]) in
       idx_put db (entry (int 2) w))
 
-(* The check reads each record once and stays out of the object cache:
-   on a 2,000-object indexed store, half its records in the heap, it makes
-   no cache lookup or fill, fetches no object through the store, and opens
-   one cursor per tree, however many objects there are. The index is
-   created over the loaded extent, whose backfill decodes the records its
-   scan hands it, also without the cache; the check then vouches for its
+(* The check reads each record once: on a 2,000-object indexed store,
+   half its records in the heap, it fetches no object through [Store] and
+   opens one cursor per tree, however many objects there are. The index
+   is created over the loaded extent, whose backfill decodes the records
+   its scan hands it, also without [Store]; the check then vouches for its
    entries. *)
 let verify_reads_once () =
   let module Stats = Ode_util.Stats in
   let no_object_reads what d =
-    List.iter
-      (fun c -> Alcotest.(check int) (what ^ ": " ^ c) 0 (Stats.get d c))
-      [ "obj_cache_hits"; "obj_cache_misses"; "objects_fetched" ]
+    Alcotest.(check int) (what ^ ": objects_fetched") 0 (Stats.get d "objects_fetched")
   in
   let db = Db.open_in_memory () in
   ignore (Db.define db "class k { v: int; pad: string; };");
@@ -244,15 +241,10 @@ let verify_reads_once () =
   let s0 = Stats.snapshot () in
   Db.create_index db ~cls:"k" ~field:"v";
   no_object_reads "backfill" (Stats.diff (Stats.snapshot ()) s0);
-  (* A warm cache, which the check must leave as it is. *)
-  ignore (Query.count db ~var:"x" ~cls:"k" ~suchthat:(Parser.expr "x.pad != \"\"") ());
-  let resident = Ode.Ocache.resident db in
-  if resident = 0 then Alcotest.fail "the object cache did not warm";
   let s0 = Stats.snapshot () in
   Ode.Verify.run_exn db;
   let d = Stats.diff (Stats.snapshot ()) s0 in
   no_object_reads "verify" d;
-  Alcotest.(check int) "cache residency" resident (Ode.Ocache.resident db);
   Alcotest.(check int) "index probes: one cursor per tree" 2 (Stats.get d "index_probes");
   Db.close db
 

@@ -271,15 +271,14 @@ let prop_versions_match_model =
           (1, map (fun s -> Pdelete s) nat);
         ])
   in
-  let gen = QCheck.Gen.(pair bool (list_size (int_range 1 14) (list_size (int_range 1 4) gen_op))) in
-  let print (cache, txns) =
-    Printf.sprintf "cache %b: %s" cache
-      (String.concat " | " (List.map (fun ops -> String.concat "; " (List.map show_op ops)) txns))
+  let gen = QCheck.Gen.(list_size (int_range 1 14) (list_size (int_range 1 4) gen_op)) in
+  let print txns =
+    String.concat " | " (List.map (fun ops -> String.concat "; " (List.map show_op ops)) txns)
   in
   QCheck.Test.make ~name:"version operations match a model" ~count:40 (QCheck.make ~print gen)
-    (fun (cache, txns) ->
+    (fun txns ->
       let dir = Tutil.temp_dir "vmodel" in
-      let open_db () = Db.open_ ~object_cache:(if cache then 4096 else 0) dir in
+      let open_db () = Db.open_ dir in
       let db = ref (open_db ()) in
       ignore (Db.define !db "class vm { a: int; s: string; };");
       Db.create_cluster !db "vm";
@@ -441,15 +440,14 @@ let prop_diamond_matches_model =
           (2, map2 (fun s k -> D_del_other (s, k)) nat nat);
         ])
   in
-  let gen = QCheck.Gen.(pair bool (list_size (int_range 1 12) (list_size (int_range 1 5) gen_op))) in
-  let print (cache, txns) =
-    Printf.sprintf "cache %b: %s" cache
-      (String.concat " | " (List.map (fun ops -> String.concat "; " (List.map show_dop ops)) txns))
+  let gen = QCheck.Gen.(list_size (int_range 1 12) (list_size (int_range 1 5) gen_op)) in
+  let print txns =
+    String.concat " | " (List.map (fun ops -> String.concat "; " (List.map show_dop ops)) txns)
   in
   QCheck.Test.make ~name:"diamond hierarchy matches a model" ~count:30 (QCheck.make ~print gen)
-    (fun (cache, txns) ->
+    (fun txns ->
       let dir = Tutil.temp_dir "diamond" in
-      let open_db () = Db.open_ ~object_cache:(if cache then 4096 else 0) dir in
+      let open_db () = Db.open_ dir in
       let db = ref (open_db ()) in
       ignore (Db.define !db diamond_schema);
       Array.iter (Db.create_cluster !db) diamond_classes;
