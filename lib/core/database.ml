@@ -129,26 +129,30 @@ let release_pools db = List.iter Buffer_pool.release (pools db)
 let open_ ?(pool_pages = 512) ?(wal_checkpoint_bytes = 8 * 1024 * 1024) ?(durability = Full) dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let file name = Filename.concat dir name in
-  let db =
-    make_db ~dbdir:(Some dir)
-      ~kv_disk:(Disk.open_file (file "objects.heap"))
-      ~dir_disk:(Disk.open_file (file "directory.bpt"))
-      ~idx_disk:(Disk.open_file (file "indexes.bpt"))
-      ~wal:(Wal.open_file (file "wal.log"))
-      ~pool_pages ~wal_checkpoint_bytes ~durability
+  (* An open that fails (a refused or corrupt file, an injected crash)
+     closes every file it had opened: no descriptor outlives it. *)
+  let opened = ref [] in
+  let opening close x =
+    opened := (fun () -> close x) :: !opened;
+    x
   in
-  (match
-     recover db;
-     load_state db
-   with
-  | () -> ()
+  match
+    let kv_disk = opening Disk.close (Disk.open_file (file "objects.heap")) in
+    let dir_disk = opening Disk.close (Disk.open_file (file "directory.bpt")) in
+    let idx_disk = opening Disk.close (Disk.open_file (file "indexes.bpt")) in
+    let wal = opening Wal.close (Wal.open_file (file "wal.log")) in
+    let db =
+      make_db ~dbdir:(Some dir) ~kv_disk ~dir_disk ~idx_disk ~wal ~pool_pages ~wal_checkpoint_bytes
+        ~durability
+    in
+    recover db;
+    load_state db;
+    db
+  with
+  | db -> db
   | exception e ->
-      (* Recovery can fail (corrupt file, injected crash): don't leak the
-         four file descriptors opened above. *)
-      (try close_fds db with _ -> ());
-      db.closed <- true;
-      raise e);
-  db
+      List.iter (fun close -> try close () with _ -> ()) !opened;
+      raise e
 
 let open_in_memory ?(pool_pages = 4096) ?(durability = Full) () =
   let db =

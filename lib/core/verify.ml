@@ -19,6 +19,9 @@ let run db =
   let problems = ref [] in
   let bad fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
   let pp_ver ppf = function None -> () | Some ver -> Format.fprintf ppf " version %d" ver in
+  (* A page that cannot be read ends the pass that met it, as a problem
+     naming the file and page; the next pass still runs. *)
+  let pass what f = try f () with Codec.Corrupt msg -> bad "%s: %s" what msg in
 
   (* Every slot conforms to its field's type. Records carry no names and
      no value tags, so each slot was decoded by its field's type in the
@@ -148,8 +151,7 @@ let run db =
             bad "directory key %S: corrupt heap record (%s)" key msg;
             None)
   in
-  let dir = Bptree.cursor db.kv_dir () in
-  let rec walk_dir () =
+  let rec walk_dir dir =
     match Bptree.cursor_next_key dir with
     | None -> ()
     | Some key ->
@@ -163,9 +165,9 @@ let run db =
             | 'V', Some p -> check_version key p
             | 'T', Some p -> check_activation key p
             | _ -> ()));
-        walk_dir ()
+        walk_dir dir
   in
-  walk_dir ();
+  pass "directory" (fun () -> walk_dir (Bptree.cursor db.kv_dir ()));
   (* No heap record lacks an entry (recovery's orphan sweep guarantees
      this after a crash), and every listed version but the current one
      has its record. *)
@@ -184,8 +186,7 @@ let run db =
   (* 2. The index tree: every entry is one a live object's current fields
      call for, and every such entry is there. *)
   let indexes = Array.of_list (Catalog.indexes db.catalog) in
-  let idx = Bptree.cursor db.idx () in
-  let rec walk_idx () =
+  let rec walk_idx idx =
     match Bptree.cursor_next_key idx with
     | None -> ()
     | Some key ->
@@ -208,9 +209,9 @@ let run db =
                 | Some l when Catalog.slot l field <> None ->
                     bad "index %d: entry for %a, whose class the index does not cover" idx_id Oid.pp oid
                 | _ -> bad "index %d: object %a lacks field %s" idx_id Oid.pp oid field)));
-        walk_idx ()
+        walk_idx idx
   in
-  walk_idx ();
+  pass "index" (fun () -> walk_idx (Bptree.cursor db.idx ()));
   Hashtbl.iter
     (fun (idx_id, oid) e ->
       if not e.seen then
@@ -218,8 +219,11 @@ let run db =
     expected;
 
   (* 3. Structural checks of the trees. *)
-  (match Bptree.check db.kv_dir with Ok () -> () | Error e -> bad "directory tree: %s" e);
-  (match Bptree.check db.idx with Ok () -> () | Error e -> bad "index tree: %s" e);
+  let check what tree =
+    pass what (fun () -> match Bptree.check tree with Ok () -> () | Error e -> bad "%s: %s" what e)
+  in
+  check "directory tree" db.kv_dir;
+  check "index tree" db.idx;
 
   match !problems with [] -> Ok () | ps -> Error (List.rev ps)
 

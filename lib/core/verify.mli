@@ -13,7 +13,10 @@
 
     One cursor pass over the directory reads and decodes each record once;
     one over the index tree matches its entries against those the decoded
-    slots call for. The check reads nothing through the store's read path,
+    slots call for. A page that cannot be read (a bad checksum or node
+    layout, {!Ode_util.Codec.Corrupt}) is reported, not raised: it ends
+    the pass that met it with a problem naming its file and page, and the
+    next pass runs. The check reads nothing through the store's read path,
     so it fetches no object there ([objects_fetched] stays put).
 
     Used by tests (especially crash-recovery tests, where it proves that
@@ -21,7 +24,8 @@
     {!run}. Must be called outside a transaction. *)
 
 val run : Types.db -> (unit, string list) result
-(** [Ok ()] or the list of every inconsistency found. *)
+(** [Ok ()] or the list of every inconsistency found, unreadable pages
+    included. *)
 
 val run_exn : Types.db -> unit
 (** Raises [Failure] with a joined message on any inconsistency. *)

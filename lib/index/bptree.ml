@@ -3,7 +3,6 @@ module Pool = Ode_storage.Buffer_pool
 
 let c_index_probes = Ode_util.Stats.counter "index_probes"
 let c_cursor_pages_read = Ode_util.Stats.counter "cursor_pages_read"
-let c_pages_reformatted = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery "pages_reformatted"
 let c_leaf_writes = Ode_util.Stats.counter "bptree.leaf_writes"
 let c_splits = Ode_util.Stats.counter "bptree.splits"
 
@@ -60,6 +59,10 @@ let set_u32 b off n =
   Bytes.set_uint16_le b (off + 2) ((n lsr 16) land 0xffff)
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Codec.Corrupt s)) fmt
+
+(* The file a corruption message names. *)
+let file t = Ode_storage.Disk.name (Pool.disk t.pool)
+
 let is_leaf b = Bytes.get_uint8 b kind_off = 0
 let count b = Bytes.get_uint16_le b count_off
 let link b = get_u32 b link_off
@@ -74,12 +77,12 @@ let entry_end b p = if p = 0 then node_end else slot b (p - 1)
 
 (* A node's header, checked before anything else is read: the kind byte,
    and slots that end at or before [top], which is inside the node. *)
-let check_header b page =
+let check_header t b page =
   let k = Bytes.get_uint8 b kind_off in
-  if k > 1 then corrupt "bptree: bad node kind %d on page %d" k page;
-  let t = top b in
-  if slots_off + (2 * count b) > t || t > node_end then
-    corrupt "bptree: page %d: %d slots and entry region at %d overlap" page (count b) t
+  if k > 1 then corrupt "%s: page %d: bad node kind %d" (file t) page k;
+  let top = top b in
+  if slots_off + (2 * count b) > top || top > node_end then
+    corrupt "%s: page %d: %d slots and entry region at %d overlap" (file t) page (count b) top
 
 (* -- reading entries in place -------------------------------------------------
    Entry fields are read from [b] at an offset found in a slot. Every length
@@ -205,17 +208,15 @@ let child_index key b = seek key b 0 ~past:true
 
 (* -- pinning nodes ------------------------------------------------------------- *)
 
-(* Pin a node page, checked: a pointer past the end of the file means the
-   tail was trimmed (torn-write repair at open) or the page is rotten, and
-   a descent past [max_depth] went round a cycle. Both are corruption, not
-   out-of-range programming errors. *)
+(* Pin a node page, checked: a pointer outside the file means the node
+   that holds it is rotten, and a descent past [max_depth] went round a
+   cycle. Both are corruption, not out-of-range programming errors. *)
 let pin_node t page depth =
   if page < 1 || page >= Pool.page_count t.pool then
-    corrupt "bptree: node pointer %d beyond end of file (%d pages; truncated?)" page
-      (Pool.page_count t.pool);
-  if depth > max_depth then corrupt "bptree: descent deeper than %d at page %d" max_depth page;
+    corrupt "%s: node pointer %d beyond end of file (%d pages)" (file t) page (Pool.page_count t.pool);
+  if depth > max_depth then corrupt "%s: page %d: descent deeper than %d" (file t) page max_depth;
   let f = Pool.pin t.pool page in
-  match check_header (Pool.data f) page with
+  match check_header t (Pool.data f) page with
   | () -> f
   | exception e ->
       Pool.unpin t.pool f;
@@ -896,26 +897,10 @@ let attach pool =
     format pool
   end
   else
-    let header =
-      Pool.with_page pool 0 (fun f ->
-          let data = Pool.data f in
-          let got = Bytes.sub_string data 0 8 in
-          if got = magic then `Ok (get_u32 data 8, Int64.to_int (Bytes.get_int64_le data 12))
-          else if String.for_all (fun ch -> ch = '\000') got then `Never_flushed
-          else invalid_arg "bptree: bad magic")
-    in
-    match header with
-    | `Ok (root, count) -> { pool; root; count }
-    | `Never_flushed ->
-        (* A stamped all-zero header: the tree was never durably
-           initialised. Only a store from an earlier build, whose allocation
-           wrote zero pages at once, can hold one; a page now reaches the
-           file only in a flush, with the header that routes to it. Rebuild
-           the tree empty, dropping the other leftover pages, which nothing
-           can reach. *)
-        Ode_util.Stats.incr c_pages_reformatted;
-        Ode_storage.Disk.truncate (Pool.disk pool) 1;
-        format pool
+    Pool.with_page pool 0 (fun f ->
+        let data = Pool.data f in
+        if Bytes.sub_string data 0 8 <> magic then invalid_arg "bptree: bad magic";
+        { pool; root = get_u32 data 8; count = Int64.to_int (Bytes.get_int64_le data 12) })
 
 (* -- structural check -------------------------------------------------------------- *)
 

@@ -2,11 +2,13 @@
 
    The file backend stamps an FNV-1a checksum into the trailer of every page
    it writes and verifies it on every read, so torn or bit-flipped pages are
-   detected (Codec.Corrupt) instead of silently decoded. Multi-page flushes
-   go through a double-write journal: the batch is first written and fsynced
-   to a side file, then applied in place, so a crash anywhere in the middle
-   leaves either the journal (replayed at open) or the data file intact —
-   never a mix of old and new pages.
+   detected (Codec.Corrupt, naming the file and page) instead of silently
+   decoded. Every write is a batch through a double-write journal: the batch
+   is first written and fsynced to a side file, then applied in place, so a
+   crash anywhere in the middle leaves either the journal (replayed at open)
+   or the data file intact — never a mix of old and new pages. The journal
+   is the only repair: a damaged page found later is reported, and stays in
+   the file as it is.
 
    A page reaches the file only when a flush writes it. [allocate] only
    reserves the next page number in memory; the batch that first writes a
@@ -35,7 +37,7 @@ type backend =
    positions with lseek before read/write, so two domains sharing the fd
    (e.g. two reader domains both missing in the buffer pool) would
    otherwise interleave seek and transfer and tear pages. *)
-type t = { backend : backend; mu : Mutex.t }
+type t = { backend : backend; mu : Mutex.t; name : string }
 
 let fp_write = Failpoint.site "disk.write"
 let fp_sync = Failpoint.site "disk.sync"
@@ -265,47 +267,38 @@ let recover_journal fd journal_path =
 
 (* -- construction --------------------------------------------------------- *)
 
+(* Nothing at open repairs a page: the journal is the only repair, and
+   every batch goes through it, so after its replay a file ends on a page
+   boundary and every page it holds carries its checksum. A partial page
+   or a bad checksum is damage, reported where the page is read. *)
 let open_file path =
   let journal = path ^ ".journal" in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  recover_journal fd journal;
-  let len = (Unix.fstat fd).Unix.st_size in
-  (* A sub-page tail can only be a torn extension write: drop it. *)
-  let len =
-    if len mod Page.size = 0 then len
-    else begin
-      let aligned = len - (len mod Page.size) in
-      Unix.ftruncate fd aligned;
-      aligned
-    end
-  in
-  (* Interior pages are protected by the journal, so a corrupt checksum can
-     only appear on trailing pages torn while extending the file. *)
-  let pages = ref (len / Page.size) in
-  let buf = Bytes.create Page.size in
-  let rec trim () =
-    if !pages > 0 then begin
-      pread fd buf ((!pages - 1) * Page.size);
-      if not (checksum_ok buf) then begin
-        Stats.incr c_checksum_failures;
-        decr pages;
-        Unix.ftruncate fd (!pages * Page.size);
-        trim ()
-      end
-    end
-  in
-  trim ();
-  { backend = File { fd; journal; pages = !pages; written = !pages }; mu = Mutex.create () }
+  match
+    recover_journal fd journal;
+    let len = (Unix.fstat fd).Unix.st_size in
+    if len mod Page.size <> 0 then
+      raise
+        (Codec.Corrupt
+           (Printf.sprintf "%s: page %d: partial page of %d bytes" path (len / Page.size)
+              (len mod Page.size)));
+    len / Page.size
+  with
+  | pages -> { backend = File { fd; journal; pages; written = pages }; mu = Mutex.create (); name = path }
+  | exception e ->
+      Unix.close fd;
+      raise e
 
 let in_memory () =
-  { backend = Memory { arr = Array.make 8 Bytes.empty; used = 0 }; mu = Mutex.create () }
+  { backend = Memory { arr = Array.make 8 Bytes.empty; used = 0 }; mu = Mutex.create (); name = "memory" }
+
+let name t = t.name
 let is_memory t = match t.backend with Memory _ -> true | File _ -> false
 let page_count t = match t.backend with File f -> f.pages | Memory m -> m.used
 
-let check_range t n ~extend =
+let check_range t n =
   let count = page_count t in
-  let limit = if extend then count else count - 1 in
-  if n < 0 || n > limit then
+  if n < 0 || n >= count then
     invalid_arg (Printf.sprintf "disk: page %d out of range (count %d)" n count)
 
 (* -- reads ---------------------------------------------------------------- *)
@@ -315,7 +308,7 @@ let h_page_write = Ode_util.Histogram.create "page.write"
 
 let read_into t n buf =
   Mutex.protect t.mu @@ fun () ->
-  check_range t n ~extend:false;
+  check_range t n;
   Stats.incr c_pages_read;
   Ode_util.Histogram.time h_page_read @@ fun () ->
   match t.backend with
@@ -325,7 +318,7 @@ let read_into t n buf =
       pread f.fd buf (n * Page.size);
       if not (checksum_ok buf) then begin
         Stats.incr c_checksum_failures;
-        raise (Codec.Corrupt (Printf.sprintf "disk: bad checksum on page %d" n))
+        raise (Codec.Corrupt (Printf.sprintf "%s: page %d: bad checksum" t.name n))
       end
   | Memory m -> Bytes.blit m.arr.(n) 0 buf 0 Page.size
 
@@ -335,18 +328,6 @@ let read t n =
   buf
 
 (* -- writes --------------------------------------------------------------- *)
-
-let write_mem m n page =
-  if n = m.used then begin
-    if m.used = Array.length m.arr then begin
-      let bigger = Array.make (2 * Array.length m.arr) Bytes.empty in
-      Array.blit m.arr 0 bigger 0 m.used;
-      m.arr <- bigger
-    end;
-    m.arr.(n) <- Bytes.copy page;
-    m.used <- m.used + 1
-  end
-  else Bytes.blit page 0 m.arr.(n) 0 Page.size
 
 (* Write one stamped page, interpreting an armed disk.write fault. *)
 let put_page f n page =
@@ -375,45 +356,25 @@ let dense f batch =
   in
   List.rev rev
 
-(* Write one page, the page buffer stamped in place (the trailer belongs to
-   this layer). *)
-let write_page f n page =
-  List.iter (fun (g, zero) -> put_page f g zero) (gap f ~from:0 ~upto:n);
-  stamp page;
-  put_page f n page;
-  f.written <- max f.written (n + 1);
-  f.pages <- max f.pages f.written
-
-let write_unlocked t n page =
-  check_range t n ~extend:true;
-  assert (Bytes.length page = Page.size);
-  Stats.incr c_pages_written;
-  Ode_util.Histogram.time h_page_write @@ fun () ->
-  match t.backend with
-  | File f -> write_page f n page
-  | Memory m -> write_mem m n page
-
-let write t n page = Mutex.protect t.mu (fun () -> write_unlocked t n page)
-
 let write_batch t batch =
   Mutex.protect t.mu @@ fun () ->
-  (* one histogram sample per physical batch, like the single-page path *)
+  (* one histogram sample per physical batch *)
   Ode_util.Histogram.time h_page_write @@ fun () ->
   Ode_util.Trace.with_span ~cat:"disk" "disk.write_batch" @@ fun () ->
+  List.iter
+    (fun (n, page) ->
+      check_range t n;
+      assert (Bytes.length page = Page.size))
+    batch;
   match (t.backend, batch) with
   | _, [] -> ()
   | Memory m, _ ->
       List.iter
         (fun (n, page) ->
           Stats.incr c_pages_written;
-          write_mem m n page)
+          Bytes.blit page 0 m.arr.(n) 0 Page.size)
         batch
   | File f, _ ->
-      List.iter
-        (fun (n, page) ->
-          check_range t n ~extend:false;
-          assert (Bytes.length page = Page.size))
-        batch;
       List.iter (fun (_, page) -> stamp page) batch;
       (* In page order, so a batch that extends the file writes it front to
          back, with zero pages for any reserved page it skips. *)
@@ -448,7 +409,14 @@ let allocate t =
   let zero = Bytes.make Page.size '\000' in
   (match t.backend with
   | File f -> f.pages <- n + 1
-  | Memory m -> write_mem m n zero);
+  | Memory m ->
+      if n = Array.length m.arr then begin
+        let bigger = Array.make (2 * n) Bytes.empty in
+        Array.blit m.arr 0 bigger 0 n;
+        m.arr <- bigger
+      end;
+      m.arr.(n) <- Bytes.copy zero;
+      m.used <- n + 1);
   (n, zero)
 
 let sync t =
@@ -460,14 +428,5 @@ let sync t =
       | Some Failpoint.Skip_effect -> ()
       | Some _ | None -> Unix.fsync f.fd)
   | Memory _ -> ()
-
-let truncate t n =
-  Mutex.protect t.mu @@ fun () ->
-  match t.backend with
-  | File f ->
-      Unix.ftruncate f.fd (min f.written n * Page.size);
-      f.written <- min f.written n;
-      f.pages <- min f.pages n
-  | Memory m -> m.used <- min m.used n
 
 let close t = match t.backend with File f -> Unix.close f.fd | Memory _ -> ()

@@ -5,20 +5,27 @@
     from 0 and are always {!Page.size} bytes.
 
     The file backend stamps an FNV-1a checksum into each page's trailer on
-    write and verifies it on read ({!Ode_util.Codec.Corrupt} on mismatch),
-    and routes {!write_batch} through a double-write journal
-    ([<path>.journal]) so a crash mid-flush never leaves a mix of old and
-    new pages. *)
+    write and verifies it on read, and routes {!write_batch}, its only
+    write path, through a double-write journal ([<path>.journal]) so a
+    crash mid-flush never leaves a mix of old and new pages. Nothing is
+    repaired but from that journal: a damaged page raises
+    {!Ode_util.Codec.Corrupt} ["<path>: page <n>: ..."], and the page stays
+    in the file as it is. *)
 
 type t
 
 val open_file : string -> t
-(** [open_file path] opens (creating if absent) a page file. Replays or
-    discards a leftover double-write journal, then drops any torn trailing
-    pages (sub-page tails and trailing checksum failures). *)
+(** [open_file path] opens (creating if absent) a page file, and replays
+    or discards a leftover double-write journal. No page is dropped: a
+    file that then ends inside a page raises {!Ode_util.Codec.Corrupt}
+    naming [path] and that page. *)
 
 val in_memory : unit -> t
 (** A volatile backend backed by a growable array. *)
+
+val name : t -> string
+(** The file's path, or ["memory"]: the name a {!Ode_util.Codec.Corrupt}
+    message gives the damaged page's file. *)
 
 val is_memory : t -> bool
 
@@ -28,24 +35,22 @@ val page_count : t -> int
 
 val read : t -> int -> bytes
 (** [read t n] returns a fresh buffer with page [n]'s contents. Raises
-    [Invalid_argument] when [n] is out of range. *)
+    [Invalid_argument] when [n] is out of range, and
+    {!Ode_util.Codec.Corrupt} ["<path>: page <n>: bad checksum"] when the
+    file's page fails its checksum. *)
 
 val read_into : t -> int -> bytes -> unit
 (** Like {!read} but fills the caller's buffer. *)
 
-val write : t -> int -> bytes -> unit
-(** [write t n page] persists [page] at index [n]. [n] may be at most
-    [page_count t] (writing at [page_count] extends the file). On the file
-    backend the page's checksum trailer is stamped in place, and reserved
-    pages below [n] the file does not hold yet are written as zero pages,
-    so the file has no holes. *)
-
 val write_batch : t -> (int * bytes) list -> unit
 (** Crash-atomically persist a set of allocated pages and fsync: on the file
-    backend the batch goes to the double-write journal first, so after a
-    crash either every page or no page of the batch is visible. Reserved
-    pages it writes extend the file; any reserved page it skips below them
-    is written as a zero page in the same batch. *)
+    backend each page's checksum trailer is stamped in place and the batch
+    goes to the double-write journal first, so after a crash either every
+    page or no page of the batch is visible. Reserved pages it writes
+    extend the file; any reserved page it skips below them is written as a
+    zero page in the same batch. Raises [Invalid_argument] ["disk: page n
+    out of range"], before writing anything, when a page is not
+    allocated. *)
 
 val encode_journal : (int * bytes) list -> bytes
 (** The double-write journal of a batch of stamped pages, in the order
@@ -57,16 +62,13 @@ val encode_journal : (int * bytes) list -> bytes
 val allocate : t -> int * bytes
 (** Reserve the next page, returning its index and a zeroed image the
     caller owns. On the file backend nothing is written: the page counts in
-    {!page_count} but reaches the file only when {!write} or {!write_batch}
-    first writes it, and {!read} of it raises [Invalid_argument] until
+    {!page_count} but reaches the file only when {!write_batch} first
+    writes it, and {!read} of it raises [Invalid_argument] until
     then. So after a crash the file ends at the last write, and a page
     reserved since is reserved again under the same number. The memory
     backend stores the zero page at once. *)
 
 val sync : t -> unit
 (** Flush OS buffers (no-op in memory). *)
-
-val truncate : t -> int -> unit
-(** [truncate t n] drops pages at index [n] and beyond. *)
 
 val close : t -> unit

@@ -3,8 +3,6 @@ module Failpoint = Ode_util.Failpoint
 
 let fp_flush = Failpoint.site "heap.flush"
 
-let c_pages_reformatted = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery "pages_reformatted"
-
 type rid = { page : int; slot : int }
 
 let pp_rid ppf r = Format.fprintf ppf "%d.%d" r.page r.slot
@@ -93,16 +91,8 @@ let write_header t =
 
 let check_header t =
   Buffer_pool.with_page t.pool 0 (fun f ->
-      let got = Bytes.sub_string (Buffer_pool.data f) 0 (String.length magic) in
-      if got = magic then `Ok
-      else if String.for_all (fun c -> c = '\000') got then
-        (* A stamped all-zero header: the file was never durably
-           initialised. Only a store from an earlier build, whose allocation
-           wrote zero pages at once, can hold one (a crash between
-           allocating page 0 and the first flush); a page now reaches the
-           file only in a flush. Reinitialise rather than reject. *)
-        `Never_flushed
-      else invalid_arg "heap: bad magic")
+      if Bytes.sub_string (Buffer_pool.data f) 0 (String.length magic) <> magic then
+        invalid_arg "heap: bad magic")
 
 let attach pool =
   let t = { pool; fsm = Fsm.create (); records = 0 } in
@@ -113,25 +103,18 @@ let attach pool =
     write_header t
   end
   else begin
-    (match check_header t with
-    | `Ok -> ()
-    | `Never_flushed ->
-        Ode_util.Stats.incr c_pages_reformatted;
-        write_header t);
-    (* Rebuild the free-space map and record count by scanning data pages. *)
+    check_header t;
+    (* Rebuild the free-space map and record count by scanning data pages.
+       A page that fails its layout check is damage, not a page to reuse. *)
     for n = 1 to Buffer_pool.page_count pool - 1 do
       Buffer_pool.with_page pool n (fun f ->
           let p = Buffer_pool.data f in
           (match Page.check p with
           | Ok () -> ()
-          | Error _ ->
-              (* Allocated but never flushed with real content (the crash
-                 happened before the batch that would have filled it). Only
-                 a store from an earlier build, whose allocation wrote zero
-                 pages at once, holds such pages. *)
-              Page.reset p;
-              Buffer_pool.mark_dirty pool f;
-              Ode_util.Stats.incr c_pages_reformatted);
+          | Error e ->
+              raise
+                (Codec.Corrupt
+                   (Printf.sprintf "%s: page %d: %s" (Disk.name (Buffer_pool.disk pool)) n e)));
           Fsm.set t.fsm n (Page.free_space p);
           Page.iter_first_byte p (fun _ tag -> if tag <> tag_chunk then t.records <- t.records + 1))
     done

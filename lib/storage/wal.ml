@@ -225,8 +225,7 @@ let write_base_lsn path lsn =
    finds both where the intact frames end and the LSN they advance to. The
    log stays in memory, checked, for the [replay] that recovery runs
    next. *)
-let open_file path =
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+let attach_file fd path =
   let log = read_all fd in
   let lsn_path = path ^ ".lsn" in
   let base = read_base_lsn lsn_path in
@@ -258,6 +257,15 @@ let open_file path =
     on_sync = None;
     opened = (if intact = String.length log then log else String.sub log 0 intact);
   }
+
+(* A log refused at open (an older layout) leaves no descriptor open. *)
+let open_file path =
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+  match attach_file fd path with
+  | t -> t
+  | exception e ->
+      Unix.close fd;
+      raise e
 
 let in_memory () =
   {

@@ -620,13 +620,13 @@ let pages_match_reference_encoder () =
   Tutil.check_bool "tree has internal nodes" true (!checked > 3);
   Tutil.check_bool "contents = model" true (entries = model)
 
-(* Rewrite page [n] of the file at [path] with [f] applied; [Disk.write]
+(* Rewrite page [n] of the file at [path] with [f] applied; the batch
    stamps a fresh checksum, so the disk layer passes the page. *)
 let rewrite_page path n f =
   let d = Disk.open_file path in
   let data = Disk.read d n in
   f data;
-  Disk.write d n data;
+  Disk.write_batch d [ (n, data) ];
   Disk.close d
 
 (* A store written by the previous node layout, ODEBPT01, is refused at
@@ -789,24 +789,6 @@ let no_second_cache () =
   if grown > 1024 then Alcotest.failf "the live heap grew by %d words over the scan and finds" grown;
   Disk.close d
 
-(* A file an earlier build left when it crashed before the tree's first
-   flush: stamped zero pages, header included. The tree is rebuilt empty
-   without the leftover pages, so [check] finds none its root misses. *)
-let never_flushed_file_rebuilt () =
-  let path = file_tree () in
-  let d = Disk.open_file path in
-  for n = 0 to 3 do
-    Disk.write d n (Bytes.make Ode_storage.Page.size '\000')
-  done;
-  Disk.close d;
-  let d = Disk.open_file path in
-  let t = Bptree.attach (Pool.create ~capacity:8 d) in
-  Tutil.check_int "header and root" 2 (Bptree.page_count t);
-  Bptree.insert t "k" "v";
-  Alcotest.(check (option string)) "usable" (Some "v") (Bptree.find t "k");
-  assert_ok t;
-  Disk.close d
-
 (* -- leaf fill -------------------------------------------------------------------- *)
 
 (* Entry [i] of 40,000: a 19-byte key and an 8-byte value. *)
@@ -927,7 +909,6 @@ let suite =
         Alcotest.test_case "check compares keys in place" `Quick check_compares_in_place;
         Alcotest.test_case "find allocates only its result" `Quick find_allocates_only_its_result;
         Alcotest.test_case "no second cache after a scan" `Quick no_second_cache;
-        Alcotest.test_case "never-flushed file rebuilt empty" `Quick never_flushed_file_rebuilt;
         Alcotest.test_case "ascending inserts fill their leaves" `Quick ascending_inserts_fill_leaves;
         Alcotest.test_case "random inserts keep even cuts" `Quick random_inserts_keep_even_cuts;
         Alcotest.test_case "insert_sorted matches a Map model" `Quick insert_sorted_model;

@@ -437,14 +437,15 @@ let run_iteration ~iter ~seed ~site ~coverage =
   (* The recovery re-arm may not have fired; nothing past this point is a
      simulated fault. *)
   Failpoint.clear ();
+  let s1 = Ode_util.Stats.snapshot () in
+  let delta name = Ode_util.Stats.(get s1 name - get s0 name) in
+  (* Every page a crash can tear is in the double-write journal, which the
+     open replays: recovery reads no page that fails its checksum. *)
+  if delta "checksum_failures" <> 0 then
+    fail "recovery read %d pages with a bad checksum" (delta "checksum_failures");
   (if debug then begin
-     let s1 = Ode_util.Stats.snapshot () in
-     dbg "recovery: replayed %d, orphans %d, journal restored %d, cksum fails %d, reformatted %d"
-       Ode_util.Stats.(get s1 "recovery_replayed" - get s0 "recovery_replayed")
-       Ode_util.Stats.(get s1 "orphans_reclaimed" - get s0 "orphans_reclaimed")
-       Ode_util.Stats.(get s1 "journal_pages_restored" - get s0 "journal_pages_restored")
-       Ode_util.Stats.(get s1 "checksum_failures" - get s0 "checksum_failures")
-       Ode_util.Stats.(get s1 "pages_reformatted" - get s0 "pages_reformatted");
+     dbg "recovery: replayed %d, orphans %d, journal restored %d" (delta "recovery_replayed")
+       (delta "orphans_reclaimed") (delta "journal_pages_restored");
      Hashtbl.iter
        (fun tag oid ->
          dbg "tag %d: header %b (oid %a)" tag
@@ -578,7 +579,7 @@ let lying_wal_sync () =
      survive. This is the state mismatch the torture oracle reports. *)
   Tutil.check_int "acked txns lost to lying fsync (harness detects the bug)" 0 survivors
 
-(* -- checksum detection of silent corruption ------------------------------- *)
+(* -- damaged pages are reported, never repaired ------------------------------ *)
 
 let page_size = Ode_storage.Page.size
 
@@ -594,9 +595,8 @@ let flip_byte path off =
       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
       if Unix.write fd b 0 1 <> 1 then failwith "flip_byte: short write")
 
-(* A database big enough that page 1 of every file is interior (corruption
-   of a *trailing* page is indistinguishable from a torn allocation and is
-   deliberately truncated away, so we must hit the middle of the file). *)
+(* A closed store of 400 objects, each of the three page files several
+   pages long. *)
 let build_flip_base dir =
   let db = Db.open_ dir in
   ignore (Db.define db schema);
@@ -619,35 +619,73 @@ let build_flip_base dir =
   done;
   Db.close db
 
-let corruption_detected dir file =
-  let src = Filename.concat dir "base" in
-  let victim = Filename.concat dir ("flip-" ^ file) in
-  Tutil.copy_dir src victim;
-  let path = Filename.concat victim file in
-  let size = (Unix.stat path).Unix.st_size in
-  if size < 3 * page_size then
-    Alcotest.failf "%s too small (%d bytes) for an interior-page flip" file size;
-  flip_byte path (page_size + 1234);
-  (* Either opening (heap scan, directory walk) or verification (index walk)
-     must surface the corruption — silent acceptance is the failure. *)
-  match Db.open_ victim with
-  | exception Ode_util.Codec.Corrupt _ -> ()
-  | db -> (
-      match Verify.run db with
-      | exception Ode_util.Codec.Corrupt _ -> Db.close db
-      | Error _ -> Db.close db
-      | Ok () ->
-          Db.close db;
-          Alcotest.failf "flipped byte in %s went undetected" file)
+let flip_objects = 400
+let page_files = [ "objects.heap"; "directory.bpt"; "indexes.bpt" ]
 
+let file_sizes dir =
+  List.map (fun file -> (file, (Unix.stat (Filename.concat dir file)).Unix.st_size)) page_files
+
+(* One byte of [page] of [file] flipped in a copy of the base store: why
+   the damage was not reported as it must be, if it was not. It must end
+   in [Codec.Corrupt] naming the file and page, at open, on the first read
+   (a count of the cluster) or in [Verify.run]'s list, which must not
+   raise. A store that opens answers with every object or with that
+   error, and no file's length changes. *)
+let flip_failure dir file page =
+  let victim = Filename.concat dir (Printf.sprintf "flip-%s-%d" file page) in
+  Tutil.copy_dir (Filename.concat dir "base") victim;
+  let sizes = file_sizes victim in
+  (* A different byte of each page, the checksum trailer's included. *)
+  let off = ((page * 1237) + 101) mod page_size in
+  flip_byte (Filename.concat victim file) ((page * page_size) + off);
+  let names msg = Tutil.contains msg (Printf.sprintf "%s: page %d: " file page) in
+  let outcome =
+    match Db.open_ victim with
+    | exception Ode_util.Codec.Corrupt msg when names msg -> Ok ()
+    | exception e -> Error ("open raised " ^ Printexc.to_string e)
+    | db ->
+        let first_read =
+          match Query.count db ~var:"x" ~cls:"t" () with
+          | n when n = flip_objects -> Ok false
+          | n -> Error (Printf.sprintf "the open store answered with %d of %d objects" n flip_objects)
+          | exception Ode_util.Codec.Corrupt msg when names msg -> Ok true
+          | exception e -> Error ("the first read raised " ^ Printexc.to_string e)
+        in
+        let verified =
+          match Verify.run db with
+          | Ok () -> Ok false
+          | Error problems -> Ok (List.exists names problems)
+          | exception e -> Error ("Verify.run raised " ^ Printexc.to_string e)
+        in
+        Db.close db;
+        (match (first_read, verified) with
+        | Error e, _ | _, Error e -> Error e
+        | Ok false, Ok false -> Error "neither the first read nor Verify.run named the page"
+        | Ok _, Ok _ -> Ok ())
+  in
+  let errors =
+    (match outcome with Ok () -> [] | Error e -> [ e ])
+    @ if file_sizes victim <> sizes then [ "a file's length changed" ] else []
+  in
+  Tutil.rm_rf victim;
+  if errors = [] then None
+  else Some (Printf.sprintf "%s page %d (byte %d): %s" file page off (String.concat "; " errors))
+
+(* Every page of every page file, one flip each. *)
 let checksum_catches_bit_rot () =
   Failpoint.clear ();
   let dir = Tutil.temp_dir "torture-flip" in
-  let base = Filename.concat dir "base" in
-  build_flip_base base;
-  corruption_detected dir "objects.heap";
-  corruption_detected dir "directory.bpt";
-  corruption_detected dir "indexes.bpt"
+  build_flip_base (Filename.concat dir "base");
+  let failures =
+    List.concat_map
+      (fun (file, size) ->
+        if size < 3 * page_size then Alcotest.failf "%s has only %d bytes" file size;
+        List.filter_map (flip_failure dir file) (List.init (size / page_size) Fun.id))
+      (file_sizes (Filename.concat dir "base"))
+  in
+  if failures <> [] then
+    Alcotest.failf "%d flipped pages not reported as they must be:\n%s" (List.length failures)
+      (String.concat "\n" failures)
 
 (* -- replicated torture: faults on the replication stream ------------------ *)
 

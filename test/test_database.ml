@@ -369,6 +369,47 @@ let closed_handle_holds_no_pages () =
   Tutil.check_int "the crashed commit recovered" 201 (Ode.Query.count db ~var:"x" ~cls:"t" ());
   Db.close db
 
+(* An open that refuses its store closes every file it opened, whichever
+   file refuses it: the process holds as many descriptors after it as
+   before. The stores are refused by a directory tree with an older
+   layout's magic (the tree attaches after the heap), a heap page that
+   fails its checksum, and an index file that ends inside a page (the
+   third file opened). *)
+let refused_open_closes_files () =
+  let module Disk = Ode_storage.Disk in
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let base = Filename.concat (Tutil.temp_dir "refused") "base" in
+  let db = Db.open_ base in
+  ignore (Db.define db "class t { k: int; };");
+  Db.create_cluster db "t";
+  Db.with_txn db (fun txn -> ignore (Db.pnew txn "t" [ ("k", Value.Int 1) ]));
+  Db.close db;
+  let refused what file damage =
+    let dir = Filename.concat (Tutil.temp_dir "refused") "store" in
+    Tutil.copy_dir base dir;
+    damage (Filename.concat dir file);
+    let before = fds () in
+    (match Db.open_ dir with
+    | db ->
+        Db.close db;
+        Alcotest.failf "the store with %s opened" what
+    | exception _ -> ());
+    Tutil.check_int (what ^ ": descriptors after the refused open") before (fds ())
+  in
+  refused "an older tree layout" "directory.bpt" (fun path ->
+      let d = Disk.open_file path in
+      let page = Disk.read d 0 in
+      Bytes.blit_string "ODEBPT01" 0 page 0 8;
+      Disk.write_batch d [ (0, page) ];
+      Disk.close d);
+  refused "a flipped heap byte" "objects.heap" (fun path ->
+      let contents = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+      Bytes.set_uint8 contents 100 (Bytes.get_uint8 contents 100 lxor 0xff);
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc contents));
+  refused "a partial index page" "indexes.bpt" (fun path ->
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+          Out_channel.output_string oc (String.make 100 'x')))
+
 let suite =
   [
     ( "database",
@@ -393,5 +434,6 @@ let suite =
         Alcotest.test_case "DDL rejected inside txn" `Quick ddl_rejected_inside_txn;
         Alcotest.test_case "failed class definition rolls back" `Quick bad_method_body_rolls_back_class;
         Alcotest.test_case "closed handle holds no pages" `Quick closed_handle_holds_no_pages;
+        Alcotest.test_case "a refused open closes its files" `Quick refused_open_closes_files;
       ] );
   ]

@@ -242,8 +242,7 @@ let expected_counters =
     ("triggers_evaluated", Workload, Counter);
     ("wal_torn_bytes", Recovery, Counter); ("recovery_replayed", Recovery, Counter);
     ("checksum_failures", Recovery, Counter); ("orphans_reclaimed", Recovery, Counter);
-    ("journal_pages_restored", Recovery, Counter); ("pages_reformatted", Recovery, Counter);
-    ("io_retries", Recovery, Counter);
+    ("journal_pages_restored", Recovery, Counter); ("io_retries", Recovery, Counter);
     ("cursor_pages_read", Workload, Counter); ("bptree.leaf_writes", Workload, Counter);
     ("bptree.splits", Workload, Counter); ("server.accepts", Workload, Counter);
     ("server.requests", Workload, Counter); ("server.rejects", Workload, Counter);

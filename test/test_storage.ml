@@ -14,7 +14,7 @@ let mem_disk_rw () =
   let n, _ = Disk.allocate d in
   Tutil.check_int "first page" 0 n;
   let page = Bytes.make Page.size 'q' in
-  Disk.write d 0 page;
+  Disk.write_batch d [ (0, page) ];
   Alcotest.(check bytes) "read back" page (Disk.read d 0)
 
 let file_disk_rw () =
@@ -25,8 +25,7 @@ let file_disk_rw () =
   let n1, _ = Disk.allocate d in
   Tutil.check_int "sequential alloc" 1 (n1 - n0);
   let page = Bytes.make Page.size 'z' in
-  Disk.write d n1 page;
-  Disk.sync d;
+  Disk.write_batch d [ (n1, page) ];
   Disk.close d;
   let d2 = Disk.open_file path in
   Tutil.check_int "count persisted" 2 (Disk.page_count d2);
@@ -119,21 +118,29 @@ let pool_allocate_reaches_file_at_flush () =
   Tutil.check_int "in the file after the flush" 1 (file_pages path);
   Disk.close d
 
+(* A page out of range is refused by both backends, by name, before the
+   batch writes anything. *)
 let disk_range_checks () =
   let d = Disk.in_memory () in
   (match Disk.read d 0 with
   | _ -> Alcotest.fail "read past end should raise"
   | exception Invalid_argument _ -> ());
-  match Disk.write d 5 (Bytes.make Page.size ' ') with
-  | _ -> Alcotest.fail "write past end+1 should raise"
-  | exception Invalid_argument _ -> ()
-
-let disk_truncate () =
-  let d = Disk.in_memory () in
+  let refused d n =
+    match Disk.write_batch d [ (n, Bytes.make Page.size ' ') ] with
+    | () -> Alcotest.failf "a write of unallocated page %d went through" n
+    | exception Invalid_argument msg ->
+        if not (Tutil.contains msg (Printf.sprintf "disk: page %d out of range" n)) then
+          Alcotest.failf "refused for another reason: %s" msg
+  in
+  refused d 5;
   ignore (Disk.allocate d);
-  ignore (Disk.allocate d);
-  Disk.truncate d 1;
-  Tutil.check_int "truncated" 1 (Disk.page_count d)
+  refused d 1;
+  let path = Filename.concat (Tutil.temp_dir "disk") "pages" in
+  let f = Disk.open_file path in
+  let n, _ = Disk.allocate f in
+  refused f (n + 1);
+  Tutil.check_int "nothing in the file" 0 ((Unix.stat path).Unix.st_size);
+  Disk.close f
 
 (* -- buffer pool -------------------------------------------------------- *)
 
@@ -356,7 +363,8 @@ let wal_ops_in_key_order () =
 
 (* A log of the per-operation layout of earlier builds (tags 1-5: Begin,
    Commit, Put, Delete, Checkpoint, with fixed-width xids) is refused at
-   open, before anything is replayed from it. *)
+   open, before anything is replayed from it, and the refused open closes
+   the log file. *)
 let wal_old_layout_refused () =
   let module C = Ode_util.Codec in
   let old tag fields =
@@ -369,8 +377,11 @@ let wal_old_layout_refused () =
   let opens bodies () = Wal.close (Wal.open_file (write_frames bodies)) in
   let put = old 3 [ (fun b -> C.put_string b "k"); (fun b -> C.put_string b "v") ]
   and commit = old 2 [ (fun b -> C.put_int b 0); (fun b -> C.put_int b 1) ] in
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = fds () in
   corrupt "old-layout log" (opens [ old 1 []; put; commit ]);
-  List.iter (fun tag -> corrupt (Printf.sprintf "tag %d" tag) (opens [ old tag [] ])) [ 1; 2; 3; 4; 5 ]
+  List.iter (fun tag -> corrupt (Printf.sprintf "tag %d" tag) (opens [ old tag [] ])) [ 1; 2; 3; 4; 5 ];
+  Tutil.check_int "a refused log leaves no descriptor open" before (fds ())
 
 let wal_reset () =
   let w = Wal.in_memory () in
@@ -481,6 +492,26 @@ let heap_persistence () =
   Tutil.check_int "count rebuilt" 2 (Heap.record_count h2);
   Disk.close d2
 
+(* A data page whose bytes pass their checksum but not the slotted-page
+   layout check is damage: attach reports it by file and page and leaves
+   it in the file as it is, rather than reset it to an empty page. *)
+let heap_bad_page_reported () =
+  let path = Filename.concat (Tutil.temp_dir "heap") "data.heap" in
+  let d = Disk.open_file path in
+  let h = Heap.attach (Pool.create ~capacity:8 d) in
+  ignore (Heap.insert h "record");
+  Heap.flush h;
+  Disk.write_batch d [ (1, Bytes.make Page.size '\xff') ];
+  let image = Disk.read d 1 in
+  Disk.close d;
+  let d = Disk.open_file path in
+  (match Heap.attach (Pool.create ~capacity:8 d) with
+  | _ -> Alcotest.fail "a malformed heap page was accepted"
+  | exception Ode_util.Codec.Corrupt msg ->
+      if not (Tutil.contains msg (path ^ ": page 1: ")) then Alcotest.failf "reported as %S" msg);
+  Alcotest.(check bytes) "the page is left as it was" image (Disk.read d 1);
+  Disk.close d
+
 let prop_heap_model =
   let ops_gen =
     QCheck.Gen.(
@@ -537,7 +568,6 @@ let suite =
         Alcotest.test_case "memory read/write" `Quick mem_disk_rw;
         Alcotest.test_case "file read/write persists" `Quick file_disk_rw;
         Alcotest.test_case "range checks" `Quick disk_range_checks;
-        Alcotest.test_case "truncate" `Quick disk_truncate;
         Alcotest.test_case "reserved pages reach the file when written" `Quick file_disk_reserves;
         Alcotest.test_case "journal streams its reference image" `Quick journal_stream_matches_image;
       ] );
@@ -574,6 +604,7 @@ let suite =
         Alcotest.test_case "update may move" `Quick heap_update_moves;
         Alcotest.test_case "iter reassembles" `Quick heap_iter;
         Alcotest.test_case "persists across reopen" `Quick heap_persistence;
+        Alcotest.test_case "a malformed page is reported, not reset" `Quick heap_bad_page_reported;
       ] );
     Tutil.qsuite "heap.props" [ prop_heap_model ];
   ]
