@@ -183,7 +183,7 @@ let dot_help =
   \  .metrics [reset]      latency histograms (p50/p95/p99/max per operation)\n\
   \  .metrics json         counters + gauges + histograms as one JSON object\n\
   \  .slow [K]             worst K retained slow-query entries (JSON lines)\n\
-  \  .hist NAME            one histogram, machine-readable (raw ns)\n\
+  \  .hist NAME            one histogram, machine-readable (raw ns or counts)\n\
   \  .txns                 open transactions, snapshots and MVCC version backlog\n\
   \  .trace on|off         toggle the span tracer\n\
   \  .trace dump FILE      write buffered spans as Chrome trace-event JSON\n\

@@ -16,7 +16,11 @@
     slots call for. A page that cannot be read (a bad checksum or node
     layout, {!Ode_util.Codec.Corrupt}) is reported, not raised: it ends
     the pass that met it with a problem naming its file and page, and the
-    next pass runs. The check reads nothing through the store's read path,
+    next pass runs. The cross-checks that need a stopped pass's complete
+    results (the heap record count, missing version records, index entries
+    for dead objects, missing index entries) are then skipped, in one
+    line that says so, rather than reported for every entry past the
+    page. The check reads nothing through the store's read path,
     so it fetches no object there ([objects_fetched] stays put).
 
     Used by tests (especially crash-recovery tests, where it proves that

@@ -899,7 +899,11 @@ let attach pool =
   else
     Pool.with_page pool 0 (fun f ->
         let data = Pool.data f in
-        if Bytes.sub_string data 0 8 <> magic then invalid_arg "bptree: bad magic";
+        let found = Bytes.sub_string data 0 8 in
+        if found <> magic then
+          corrupt "%s: bad magic %S, this build reads %S"
+            (Ode_storage.Disk.name (Pool.disk pool))
+            found magic;
         { pool; root = get_u32 data 8; count = Int64.to_int (Bytes.get_int64_le data 12) })
 
 (* -- structural check -------------------------------------------------------------- *)

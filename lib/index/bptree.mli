@@ -18,7 +18,8 @@ type t
 
 val attach : Ode_storage.Buffer_pool.t -> t
 (** Open the tree stored in the pool's disk, formatting an empty tree on an
-    empty disk. *)
+    empty disk. Raises {!Ode_util.Codec.Corrupt} ["<file>: bad magic ..."]
+    on a file of another format. *)
 
 val insert : t -> string -> string -> unit
 (** [insert t key value] is [insert_sorted t [| (key, value) |]]. *)

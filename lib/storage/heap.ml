@@ -89,10 +89,16 @@ let write_header t =
   Buffer_pool.mark_dirty t.pool f;
   Buffer_pool.unpin t.pool f
 
+(* A store written by another format is refused, as a corrupt one is. *)
 let check_header t =
   Buffer_pool.with_page t.pool 0 (fun f ->
-      if Bytes.sub_string (Buffer_pool.data f) 0 (String.length magic) <> magic then
-        invalid_arg "heap: bad magic")
+      let found = Bytes.sub_string (Buffer_pool.data f) 0 (String.length magic) in
+      if found <> magic then
+        raise
+          (Codec.Corrupt
+             (Printf.sprintf "%s: bad magic %S, this build reads %S"
+                (Disk.name (Buffer_pool.disk t.pool))
+                found magic)))
 
 let attach pool =
   let t = { pool; fsm = Fsm.create (); records = 0 } in

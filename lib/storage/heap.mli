@@ -16,8 +16,9 @@ val rid_equal : rid -> rid -> bool
 
 val attach : Buffer_pool.t -> t
 (** [attach pool] opens the heap stored in [pool]'s disk, formatting a fresh
-    header if the disk is empty. Raises [Invalid_argument] on a foreign
-    file. *)
+    header if the disk is empty. Raises {!Ode_util.Codec.Corrupt}
+    ["<file>: bad magic ..."] on a file of another format, and
+    ["<file>: page <n>: ..."] on a damaged page. *)
 
 val pool : t -> Buffer_pool.t
 

@@ -347,8 +347,8 @@ let faulted_append f bytes =
 let h_sync = Ode_util.Histogram.create "wal.sync"
 
 (* Commits per durability barrier: 1 under eager (full) durability, the
-   batch size under group commit. Counts, not nanoseconds. *)
-let h_group = Ode_util.Histogram.create "wal.group_size"
+   batch size under group commit. *)
+let h_group = Ode_util.Histogram.create ~measure:Count "wal.group_size"
 
 let sync t =
   Stats.incr c_wal_syncs;

@@ -3,6 +3,9 @@
    Bucket i covers [2^i, 2^(i+1)-1] nanoseconds (bucket 0 is [0,1]), so 63
    buckets span any int duration at a fixed ~2x relative error, which is
    plenty for p50/p95/p99 on latencies ranging from nanoseconds to seconds.
+   A histogram of a count (wal.group_size: commits per sync) is created
+   with [~measure:Count]; it shares the buckets and differs only in how
+   it is rendered and exported.
 
    Enabled by default: the sites are coarse operation boundaries, each
    costing two clock reads and one array bump (E18 guards the total at
@@ -18,8 +21,11 @@ let set_enabled b = enabled_flag := b
 
 let nbuckets = 63
 
+type measure = Nanoseconds | Count
+
 type t = {
   name : string;
+  measure : measure;
   mu : Mutex.t;
   counts : int array;
   mutable n : int;
@@ -31,13 +37,21 @@ let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 let order : string list ref = ref [] (* newest first *)
 let registry_mu = Mutex.create ()
 
-let create name =
+let create ?(measure = Nanoseconds) name =
   Mutex.protect registry_mu (fun () ->
       match Hashtbl.find_opt registry name with
       | Some h -> h
       | None ->
           let h =
-            { name; mu = Mutex.create (); counts = Array.make nbuckets 0; n = 0; sum_ns = 0; max_ns = 0 }
+            {
+              name;
+              measure;
+              mu = Mutex.create ();
+              counts = Array.make nbuckets 0;
+              n = 0;
+              sum_ns = 0;
+              max_ns = 0;
+            }
           in
           Hashtbl.replace registry name h;
           order := name :: !order;
@@ -112,6 +126,7 @@ let percentile h p = percentile_of h.counts h.n h.max_ns p
    wholly in the next interval, never both and never neither. *)
 type row = {
   r_name : string;
+  r_measure : measure;
   r_count : int;
   r_sum_ns : int;
   r_max_ns : int;
@@ -132,6 +147,7 @@ let snapshot ?(reset = false) h =
       end;
       {
         r_name = h.name;
+        r_measure = h.measure;
         r_count = n;
         r_sum_ns = sum;
         r_max_ns = maxv;
@@ -159,6 +175,9 @@ let format_ns ns =
   else if ns < 1_000_000 then Printf.sprintf "%.1fus" (float_of_int ns /. 1e3)
   else if ns < 1_000_000_000 then Printf.sprintf "%.2fms" (float_of_int ns /. 1e6)
   else Printf.sprintf "%.2fs" (float_of_int ns /. 1e9)
+
+let format = function Nanoseconds -> format_ns | Count -> string_of_int
+let suffix = function Nanoseconds -> "_ns" | Count -> ""
 
 (* Equi-depth key distributions for the query planner's statistics
    subsystem. Unlike the latency histograms above, these are value
@@ -306,9 +325,9 @@ let summary () =
   List.iter
     (fun r ->
       let mean = if r.r_count = 0 then 0 else r.r_sum_ns / r.r_count in
+      let f = format r.r_measure in
       Buffer.add_string b
-        (Printf.sprintf "%-*s %10d %10s %10s %10s %10s %10s\n" namew r.r_name r.r_count
-           (format_ns r.r_p50) (format_ns r.r_p95) (format_ns r.r_p99) (format_ns r.r_max_ns)
-           (format_ns mean)))
+        (Printf.sprintf "%-*s %10d %10s %10s %10s %10s %10s\n" namew r.r_name r.r_count (f r.r_p50)
+           (f r.r_p95) (f r.r_p99) (f r.r_max_ns) (f mean)))
     rs;
   Buffer.contents b

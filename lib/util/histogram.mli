@@ -10,11 +10,17 @@
 
 type t
 
+(** What a histogram's observations are: durations in nanoseconds, or
+    plain counts (such as commits per WAL sync). The buckets are the
+    same; the measure decides how values print and how they export. *)
+type measure = Nanoseconds | Count
+
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
-val create : string -> t
-(** Find-or-create the histogram registered under this name. *)
+val create : ?measure:measure -> string -> t
+(** Find-or-create the histogram registered under this name; a new one
+    measures [measure] (default [Nanoseconds]). *)
 
 val find : string -> t option
 val all : unit -> t list
@@ -23,7 +29,8 @@ val all : unit -> t list
 val name : t -> string
 
 val observe : t -> int -> unit
-(** Record one duration in nanoseconds (negative values clamp to 0).
+(** Record one value in the histogram's measure (negative values clamp
+    to 0).
     Unconditional — the enabled flag gates [time], not [observe]. *)
 
 val time : t -> (unit -> 'a) -> 'a
@@ -45,6 +52,7 @@ val bucket_index : int -> int
 
 type row = {
   r_name : string;
+  r_measure : measure;
   r_count : int;
   r_sum_ns : int;
   r_max_ns : int;
@@ -71,8 +79,16 @@ val reset_all : unit -> unit
 val format_ns : int -> string
 (** Human duration: ns / us / ms / s with sensible precision. *)
 
+val format : measure -> int -> string
+(** [format_ns] for durations, the bare number for counts. *)
+
+val suffix : measure -> string
+(** The unit suffix of an exported name: ["_ns"] for durations, none for
+    counts. *)
+
 val summary : unit -> string
-(** A table of every registered histogram: count, p50, p95, p99, max, mean. *)
+(** A table of every registered histogram: count, p50, p95, p99, max,
+    mean, each rendered by the histogram's measure. *)
 
 (** Equi-depth key-distribution histograms for planner statistics: each
     bucket covers ~total/buckets rows of an order-preserving key space,

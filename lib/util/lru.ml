@@ -1,5 +1,8 @@
 (* Doubly-linked recency list + hashtable from key to node. The list head is
-   the least recently used entry, the tail the most recent. *)
+   the least recently used entry, the tail the most recent. The table is
+   made by the first [add], at the standard library's smallest size, and
+   grows with the entries; [cap] bounds nothing but what [capacity]
+   reports. So an empty LRU is a few words, whatever its capacity. *)
 
 type ('k, 'a) node = {
   key : 'k;
@@ -11,14 +14,14 @@ type ('k, 'a) node = {
 
 type ('k, 'a) t = {
   cap : int;
-  tbl : ('k, ('k, 'a) node) Hashtbl.t;
+  mutable tbl : ('k, ('k, 'a) node) Hashtbl.t option;
   mutable head : ('k, 'a) node option; (* least recent *)
   mutable tail : ('k, 'a) node option; (* most recent *)
 }
 
-let create cap = { cap; tbl = Hashtbl.create (max 16 cap); head = None; tail = None }
+let create cap = { cap; tbl = None; head = None; tail = None }
 let capacity t = t.cap
-let length t = Hashtbl.length t.tbl
+let length t = match t.tbl with Some h -> Hashtbl.length h | None -> 0
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
@@ -35,7 +38,7 @@ let push_tail t n =
 (* A hit allocates nothing: [Hashtbl.find] on a present key does not, and
    relinking reuses the node's own [self]. *)
 let get t k =
-  let n = Hashtbl.find t.tbl k in
+  let n = match t.tbl with Some h -> Hashtbl.find h k | None -> raise Not_found in
   if t.tail != n.self then begin
     unlink t n;
     push_tail t n
@@ -45,7 +48,15 @@ let get t k =
 let find t k = match get t k with v -> Some v | exception Not_found -> None
 
 let add t k v =
-  match Hashtbl.find_opt t.tbl k with
+  let h =
+    match t.tbl with
+    | Some h -> h
+    | None ->
+        let h = Hashtbl.create 16 in
+        t.tbl <- Some h;
+        h
+  in
+  match Hashtbl.find_opt h k with
   | Some n ->
       n.value <- v;
       unlink t n;
@@ -53,7 +64,7 @@ let add t k v =
   | None ->
       let n = { key = k; value = v; prev = None; next = None; self = None } in
       n.self <- Some n;
-      Hashtbl.replace t.tbl k n;
+      Hashtbl.replace h k n;
       push_tail t n
 
 let evict t ok =
@@ -62,7 +73,7 @@ let evict t ok =
     | Some n ->
         if ok n.key n.value then begin
           unlink t n;
-          Hashtbl.remove t.tbl n.key;
+          Hashtbl.remove (Option.get t.tbl) n.key;
           Some (n.key, n.value)
         end
         else scan n.next
@@ -70,7 +81,7 @@ let evict t ok =
   scan t.head
 
 let clear t =
-  Hashtbl.reset t.tbl;
+  t.tbl <- None;
   t.head <- None;
   t.tail <- None
 

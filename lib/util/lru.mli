@@ -10,7 +10,10 @@ type ('k, 'a) t
 val create : int -> ('k, 'a) t
 (** [create capacity] makes an empty LRU that considers itself full beyond
     [capacity] entries (capacity is advisory; the structure never drops
-    entries on its own). *)
+    entries on its own). It allocates a few words, whatever [capacity] is:
+    the first [add] makes a small table, which grows as entries are added,
+    so an LRU holds memory in proportion to its entries, not to its
+    capacity. *)
 
 val capacity : ('k, 'a) t -> int
 val length : ('k, 'a) t -> int
@@ -30,7 +33,7 @@ val evict : ('k, 'a) t -> ('k -> 'a -> bool) -> ('k * 'a) option
     which [ok k v] holds, or [None] if none qualifies. *)
 
 val clear : ('k, 'a) t -> unit
-(** Drop every entry. *)
+(** Drop every entry, and the table with them. *)
 
 val iter : ('k, 'a) t -> ('k -> 'a -> unit) -> unit
 (** Iterate from least to most recently used. *)

@@ -36,7 +36,7 @@ let prometheus () =
     (Stats.gauges ());
   List.iter
     (fun (r : Histogram.row) ->
-      let m = metric_name r.r_name ^ "_ns" in
+      let m = metric_name r.r_name ^ Histogram.suffix r.r_measure in
       Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" m);
       Buffer.add_string b (Printf.sprintf "%s{quantile=\"0.5\"} %d\n" m r.r_p50);
       Buffer.add_string b (Printf.sprintf "%s{quantile=\"0.95\"} %d\n" m r.r_p95);
@@ -74,16 +74,17 @@ let json () =
   let hists =
     Histogram.rows ()
     |> List.map (fun (r : Histogram.row) ->
+           let u = Histogram.suffix r.r_measure in
            ( r.r_name,
              Printf.sprintf "{%s}"
                (obj_of
                   [
                     ("count", string_of_int r.r_count);
-                    ("sum_ns", string_of_int r.r_sum_ns);
-                    ("max_ns", string_of_int r.r_max_ns);
-                    ("p50_ns", string_of_int r.r_p50);
-                    ("p95_ns", string_of_int r.r_p95);
-                    ("p99_ns", string_of_int r.r_p99);
+                    ("sum" ^ u, string_of_int r.r_sum_ns);
+                    ("max" ^ u, string_of_int r.r_max_ns);
+                    ("p50" ^ u, string_of_int r.r_p50);
+                    ("p95" ^ u, string_of_int r.r_p95);
+                    ("p99" ^ u, string_of_int r.r_p99);
                   ]) ))
   in
   Buffer.add_string b

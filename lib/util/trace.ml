@@ -10,7 +10,6 @@
 
 let enabled_flag = ref false
 let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
 
 (* gettimeofday clamped non-decreasing: a wall-clock step backwards (NTP)
    must never produce a negative span duration. The clamp cell is a plain
@@ -68,19 +67,33 @@ let set_process_label s = process_label := s
 
 (* -- ring buffer of completed spans --------------------------------------- *)
 
+(* The ring is allocated when tracing is first switched on, so a process
+   that never traces carries none of it. [cap] is the configured size; the
+   ring keeps its contents when tracing goes off, so spans recorded before
+   can still be dumped. *)
 let default_capacity = 65_536
-let ring = ref (Array.make default_capacity None)
+let cap = ref default_capacity
+let ring : span option array ref = ref [||]
 let head = ref 0 (* next write position *)
 let total = ref 0 (* spans ever recorded (wraparound overwrites oldest) *)
 
 let ring_mu = Mutex.create ()
-let capacity () = Array.length !ring
+let capacity () = !cap
+
+(* A fresh ring of the configured size, caller holding [ring_mu]. *)
+let allocate () =
+  ring := Array.make !cap None;
+  head := 0;
+  total := 0
+
+let set_enabled b =
+  if b then Mutex.protect ring_mu (fun () -> if Array.length !ring <> !cap then allocate ());
+  enabled_flag := b
 
 let set_capacity n =
   Mutex.protect ring_mu (fun () ->
-      ring := Array.make (max 1 n) None;
-      head := 0;
-      total := 0)
+      cap := max 1 n;
+      if !enabled_flag then allocate ())
 
 let clear () =
   Mutex.protect ring_mu (fun () ->
@@ -101,10 +114,10 @@ let total_recorded () = !total
 let spans () =
   Mutex.protect ring_mu (fun () ->
       let r = !ring in
-      let cap = Array.length r in
-      let n = min !total cap in
+      let len = Array.length r in
+      let n = min !total len in
       List.filter_map
-        (fun i -> r.((((!head - n + i) mod cap) + cap) mod cap))
+        (fun i -> r.((((!head - n + i) mod len) + len) mod len))
         (List.init n Fun.id))
 
 (* -- emission -------------------------------------------------------------- *)

@@ -1,6 +1,7 @@
 (** Span-based tracer with a fixed-size ring buffer and a Chrome
     trace-event JSON exporter. Disabled by default; every emit point is a
-    single flag check when off. Process-global; ring mutations take a
+    single flag check when off, and no ring exists until tracing is first
+    switched on. Process-global; ring mutations take a
     mutex, so spans emitted concurrently from the server's reader domains
     and the writer domain never tear the buffer. The nesting-depth counter
     is advisory under concurrency — spans from different domains may
@@ -8,7 +9,12 @@
     ordering stay exact per span). *)
 
 val enabled : unit -> bool
+
 val set_enabled : bool -> unit
+(** Switching tracing on allocates the ring at {!capacity} slots (8 bytes
+    each) unless one of that size exists already, which it keeps with its
+    spans. Switching it off keeps the ring, so the spans recorded so far
+    can still be read and dumped. *)
 
 val now_ns : unit -> int
 (** Wall clock in integer nanoseconds, clamped non-decreasing so durations
@@ -65,12 +71,17 @@ val emit :
     aggregates). *)
 
 val capacity : unit -> int
+(** The configured ring size, whether or not the ring exists yet. *)
 
 val set_capacity : int -> unit
-(** Resize the ring buffer (clears it). Default capacity is 65536 spans;
-    once full, the oldest spans are overwritten. *)
+(** Set the ring's size. Default 65536 spans; once full, the oldest
+    spans are overwritten. With tracing on, a fresh ring of that size
+    replaces the old one (so the spans are cleared); with tracing off,
+    only the size is recorded, and the ring is reallocated when tracing
+    is next switched on. *)
 
 val clear : unit -> unit
+(** Drop the retained spans. Works, as [spans] does, when no ring exists. *)
 
 val total_recorded : unit -> int
 (** Spans ever recorded, including those overwritten by wraparound. *)

@@ -648,10 +648,11 @@ let old_format_refused () =
   | db ->
       Ode.Database.close db;
       Alcotest.fail "a store in the ODEBPT01 layout opened"
-  | exception e ->
-      let msg = Printexc.to_string e in
-      if not (Tutil.contains msg "bptree: bad magic") then
-        Alcotest.failf "refused for another reason: %s" msg
+  | exception Ode_util.Codec.Corrupt msg ->
+      if not (Tutil.contains msg "bpt: bad magic \"ODEBPT01\", this build reads \"ODEBPT02\"")
+      then Alcotest.failf "refused for another reason: %s" msg;
+      if not (Tutil.contains msg dir) then Alcotest.failf "the refusal names no file: %s" msg
+  | exception e -> Alcotest.failf "refused with %s, not as corrupt" (Printexc.to_string e)
 
 (* A flushed file-backed tree of [n] keys, closed; returns its path. *)
 let flushed_tree ?(value = fun i -> string_of_int i) n =

@@ -272,10 +272,11 @@ let old_layout_refused () =
       | db ->
           Db.close db;
           Alcotest.failf "a store stamped %s opened" magic
+      | exception Ode_util.Codec.Corrupt msg ->
+          if not (Tutil.contains msg (path ^ ": bad magic \"" ^ magic ^ "\"")) then
+            Alcotest.failf "%s refused for another reason: %s" magic msg
       | exception e ->
-          let msg = Printexc.to_string e in
-          if not (Tutil.contains msg "bad magic") then
-            Alcotest.failf "%s refused for another reason: %s" magic msg)
+          Alcotest.failf "%s refused with %s, not as corrupt" magic (Printexc.to_string e))
     [ "ODEHEAP2"; "ODEHEAP3"; "ODEHEAP4"; "ODEHEAP5" ]
 
 (* -- records in the directory leaf ------------------------------------------- *)

@@ -120,6 +120,37 @@ let disabled_noop () =
   Alcotest.(check int) "nothing retained" 0 (List.length (Trace.spans ()));
   Alcotest.(check int) "nothing counted" 0 (Trace.total_recorded ())
 
+(* The ring is allocated for use: sizing it with tracing off records the
+   size and nothing more, switching tracing on allocates it once, and
+   switching off keeps it and its spans. 40,000 slots is a size no other
+   test gives the ring, so whichever ring this process already has is
+   replaced. *)
+let ring_allocated_on_use () =
+  Trace.set_enabled false;
+  let cap0 = Trace.capacity () in
+  Fun.protect ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.set_capacity cap0;
+      Trace.clear ())
+  @@ fun () ->
+  let bytes w = w *. float (Sys.word_size / 8) in
+  let sized = bytes (Tutil.allocated_words (fun () -> Trace.set_capacity 65_536)) in
+  if sized >= 1024. then
+    Alcotest.failf "sizing the ring with tracing off allocated %.0f bytes" sized;
+  Alcotest.(check int) "capacity is the configured size" 65_536 (Trace.capacity ());
+  ignore (Trace.spans ());
+  Trace.set_capacity 40_000;
+  let on = Tutil.allocated_words (fun () -> Trace.set_enabled true) in
+  if on < 40_000. || on > 40_100. then
+    Alcotest.failf "switching tracing on allocated %.0f words for a 40000-slot ring" on;
+  Trace.instant "kept";
+  Trace.set_enabled false;
+  let names () = List.map (fun s -> s.Trace.sp_name) (Trace.spans ()) in
+  Alcotest.(check (list string)) "spans outlive switching off" [ "kept" ] (names ());
+  let again = Tutil.allocated_words (fun () -> Trace.set_enabled true) in
+  if again > 16. then Alcotest.failf "switching tracing on again allocated %.0f words" again;
+  Alcotest.(check (list string)) "and switching on again" [ "kept" ] (names ())
+
 let chrome_json () =
   with_tracing @@ fun () ->
   Trace.with_span ~cat:"demo" ~args:[ ("k", "v\"q") ] "work" (fun () -> ());
@@ -305,6 +336,9 @@ let prometheus_exposition () =
   check_contains "histogram p99" text "ode_test_obs_expo_ns{quantile=\"0.99\"}";
   check_contains "histogram sum" text "ode_test_obs_expo_ns_sum 3000";
   check_contains "histogram count" text "ode_test_obs_expo_ns_count 2";
+  (* A count exports without the duration suffix. *)
+  check_contains "count histogram" text "# TYPE ode_wal_group_size summary";
+  if contains text "ode_wal_group_size_ns" then Alcotest.fail "a count exported as nanoseconds";
   (* Parseability: every non-comment line is `name[{labels}] value` with a
      numeric value — the contract a Prometheus scraper relies on. *)
   String.split_on_char '\n' text
@@ -317,6 +351,29 @@ let prometheus_exposition () =
                match float_of_string_opt v with
                | Some _ -> ()
                | None -> Alcotest.failf "non-numeric value in %S" line))
+
+(* A count histogram renders as plain numbers in the [.metrics] table and
+   the JSON snapshot, where a duration carries its unit. *)
+let histogram_count_measure () =
+  let h = Histogram.create ~measure:Histogram.Count "test.obs.count" in
+  Histogram.reset h;
+  Histogram.observe h 3;
+  Histogram.observe h 5;
+  Fun.protect ~finally:(fun () -> Histogram.reset h) @@ fun () ->
+  let row =
+    List.find
+      (fun l -> contains l "test.obs.count")
+      (String.split_on_char '\n' (Histogram.summary ()))
+  in
+  Alcotest.(check (list string))
+    "count, p50, p95, p99, max, mean"
+    [ "test.obs.count"; "2"; "3"; "5"; "5"; "5"; "4" ]
+    (List.filter (( <> ) "") (String.split_on_char ' ' row));
+  check_contains "json" (Ode_util.Metrics.json ())
+    "\"test.obs.count\":{\"count\":2,\"sum\":8,\"max\":5,\"p50\":3,";
+  Alcotest.(check string)
+    "a duration keeps its unit" "15ns"
+    (Histogram.format Histogram.Nanoseconds 15)
 
 let metrics_json_shape () =
   Stats.register_gauge "test.gauge_json" (fun () -> 7)
@@ -621,6 +678,7 @@ let suite =
         Alcotest.test_case "ring buffer wraparound" `Quick ring_wraparound;
         Alcotest.test_case "concurrent span ids and trace ids" `Quick concurrent_span_ids;
         Alcotest.test_case "disabled tracer is a no-op" `Quick disabled_noop;
+        Alcotest.test_case "ring allocated when tracing is on" `Quick ring_allocated_on_use;
         Alcotest.test_case "chrome trace JSON export" `Quick chrome_json;
         Alcotest.test_case "histogram bucket boundaries" `Quick histogram_buckets;
         Alcotest.test_case "histogram percentiles" `Quick histogram_percentiles;
@@ -630,6 +688,7 @@ let suite =
         Alcotest.test_case "stats registry golden names" `Quick stats_golden_registry;
         Alcotest.test_case "prometheus exposition" `Quick prometheus_exposition;
         Alcotest.test_case "metrics json shape" `Quick metrics_json_shape;
+        Alcotest.test_case "histogram of a count" `Quick histogram_count_measure;
         Alcotest.test_case "stats output name-sorted" `Quick stats_sorted_output;
         Alcotest.test_case "slow-query log basics" `Quick slowlog_basics;
         Alcotest.test_case "profile attribution sums exactly" `Quick profile_attribution;

@@ -166,6 +166,29 @@ let pool_eviction_writes_back () =
   (* Page 0 was evicted to make room; its dirty byte must be on disk. *)
   Tutil.check_bool "written back" true (Bytes.get (Disk.read d 0) 0 = 'D')
 
+(* A pool's bookkeeping grows with the frames it holds, not with its
+   capacity: a 65,536-page pool over an empty disk costs a few KiB, where
+   tables sized to its capacity took 512 KiB. *)
+let pool_sized_by_use () =
+  let d = Disk.in_memory () in
+  let words = Tutil.allocated_words (fun () -> ignore (Pool.create ~capacity:65_536 d)) in
+  let bytes = words *. float (Sys.word_size / 8) in
+  if bytes >= 4096. then Alcotest.failf "an empty 65536-page pool allocated %.0f bytes" bytes
+
+(* A striped pool still holds exactly its capacity once it has seen more
+   pages than that. *)
+let pool_evicts_at_capacity () =
+  let d = Disk.in_memory () in
+  let p = Pool.create ~capacity:64 d in
+  Tutil.check_bool "striped" true (Pool.stripes p > 1);
+  for _ = 1 to 200 do
+    Pool.unpin p (Pool.allocate p)
+  done;
+  for n = 0 to 199 do
+    Pool.with_page p n ignore
+  done;
+  Tutil.check_int "resident frames" 64 (Pool.resident p)
+
 let pool_exhaustion () =
   let d = Disk.in_memory () in
   let p = Pool.create ~capacity:1 d in
@@ -576,6 +599,8 @@ let suite =
         Alcotest.test_case "hit/miss accounting" `Quick pool_hit_miss;
         Alcotest.test_case "eviction writes back dirty pages" `Quick pool_eviction_writes_back;
         Alcotest.test_case "exhaustion when all pinned" `Quick pool_exhaustion;
+        Alcotest.test_case "sized by use, not capacity" `Quick pool_sized_by_use;
+        Alcotest.test_case "evicts at its capacity" `Quick pool_evicts_at_capacity;
         Alcotest.test_case "flush_all" `Quick pool_flush_all;
         Alcotest.test_case "no-flush section" `Quick pool_no_flush_section;
         Alcotest.test_case "a miss reuses the victim's buffer" `Quick pool_miss_reuses_victim;

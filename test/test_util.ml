@@ -48,6 +48,29 @@ let lru_iter_order () =
   Lru.iter t (fun k _ -> order := k :: !order);
   Alcotest.(check (list int)) "LRU to MRU" [ 6; 7; 5 ] (List.rev !order)
 
+(* The table grows with the entries, whatever the capacity, and a hit
+   still allocates nothing once it has grown. *)
+let lru_grows_with_use () =
+  let t = ref (Lru.create 0) in
+  let created = Tutil.allocated_words (fun () -> t := Lru.create 65_536) in
+  if created > 64. then
+    Alcotest.failf "an empty LRU of capacity 65536 allocated %.0f words" created;
+  let t = !t in
+  Tutil.check_int "capacity" 65_536 (Lru.capacity t);
+  for k = 1 to 5000 do
+    Lru.add t k k
+  done;
+  Tutil.check_int "length" 5000 (Lru.length t);
+  let sum = ref 0 in
+  let hits =
+    Tutil.allocated_words (fun () ->
+        for k = 1 to 5000 do
+          sum := !sum + Lru.get t k
+        done)
+  in
+  Tutil.check_int "every hit found" (5000 * 5001 / 2) !sum;
+  if hits > 16. then Alcotest.failf "5000 hits allocated %.0f words" hits
+
 (* -- prng ------------------------------------------------------------- *)
 
 let prng_deterministic () =
@@ -153,6 +176,7 @@ let suite =
         Alcotest.test_case "eviction order" `Quick lru_eviction_order;
         Alcotest.test_case "replace refreshes recency" `Quick lru_replace_refreshes;
         Alcotest.test_case "iter order" `Quick lru_iter_order;
+        Alcotest.test_case "table grows with use" `Quick lru_grows_with_use;
       ] );
     ( "prng",
       [

@@ -55,6 +55,17 @@ let contains s sub =
 
 let qsuite name props = (name, List.map QCheck_alcotest.to_alcotest props)
 
+(* Words [f] allocates: minor words, read with [Gc.minor_words] because
+   [Gc.counters] leaves out the current minor heap on OCaml 5.1, plus the
+   words allocated directly in the major heap (a large array goes there). *)
+let allocated_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
 (* Common alcotest checkers. *)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
