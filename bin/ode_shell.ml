@@ -22,10 +22,15 @@ let banner =
    \              .durability .sync .read .quit\n"
 
 (* What one REPL turn needs from either backend: run a dot line (true =
-   keep going, false = quit), and run a parsed-complete program. *)
-type driver = { run_dot : string -> bool; run_program : string -> unit }
+   keep going, false = quit), and run a parsed-complete program, printing
+   its output. *)
+type driver = { run_dot : string -> bool; run : string -> (unit, Ode_util.Ode_error.t) result }
 
 let print_unless_empty out = if out <> "" then print_endline out
+
+(* A program run from the REPL reports its error and the session goes on. *)
+let run_program run source =
+  match run source with Ok () -> () | Error (e : Ode_util.Ode_error.t) -> Printf.printf "error: %s\n" e.msg
 
 let local_driver shell =
   {
@@ -35,19 +40,13 @@ let local_driver shell =
         | Some out -> print_unless_empty out
         | None -> ());
         not (Ode.Shell.wants_quit shell));
-    run_program =
-      (fun source ->
-        match Ode.Shell.exec_catching shell source with
-        | Ok () -> ()
-        | Error msg -> Printf.printf "error: %s\n" msg);
+    run = Ode.Shell.exec_catching shell;
   }
 
 let remote_run client source =
   match Ode_served.Client.exec client source with
-  | out -> print_string out
-  | exception Ode_served.Client.Server_error msg -> Printf.printf "error: %s\n" msg
-  | exception Ode_served.Client.Conflict msg ->
-      Printf.printf "error: conflict: %s (transaction aborted; begin again to retry)\n" msg
+  | out -> Ok (print_string out)
+  | exception Ode_served.Client.Server_error e -> Error e
 
 let remote_driver client =
   {
@@ -64,7 +63,7 @@ let remote_driver client =
         | ".read" when rest <> "" -> (
             match In_channel.with_open_text rest In_channel.input_all with
             | source ->
-                remote_run client source;
+                run_program (remote_run client) source;
                 true
             | exception Sys_error msg ->
                 Printf.printf "error: read: %s\n" msg;
@@ -72,9 +71,9 @@ let remote_driver client =
         | _ ->
             (match Ode_served.Client.dot client line with
             | out -> print_unless_empty out
-            | exception Ode_served.Client.Server_error msg -> Printf.printf "error: %s\n" msg);
+            | exception Ode_served.Client.Server_error e -> Printf.printf "error: %s\n" e.msg);
             true);
-    run_program = remote_run client;
+    run = remote_run client;
   }
 
 let run_repl driver =
@@ -109,7 +108,7 @@ let run_repl driver =
         in
         if complete || force then begin
           Buffer.clear buf;
-          driver.run_program source;
+          run_program driver.run source;
           flush stdout
         end;
         loop ()
@@ -117,13 +116,24 @@ let run_repl driver =
   loop ()
 
 (* Drive a session (REPL, -f script, or -e source) over [driver]; returns
-   the process exit code. [run_checked] is the non-REPL path, which must
-   report failure through the exit code. *)
-let drive driver run_checked file expr =
+   the process exit code. A script or -e source that fails exits 3 for an
+   error of class [Corrupt], as when the store cannot be opened for it,
+   and 1 for any other. *)
+let drive driver file expr =
+  let run_checked source =
+    match driver.run source with
+    | Ok () -> 0
+    | Error e ->
+        Printf.eprintf "error: %s\n" e.msg;
+        if e.cls = Corrupt then 3 else 1
+  in
   match (file, expr) with
-  | Some path, _ ->
-      let source = In_channel.with_open_text path In_channel.input_all in
-      run_checked source
+  | Some path, _ -> (
+      match In_channel.with_open_text path In_channel.input_all with
+      | source -> run_checked source
+      | exception Sys_error msg ->
+          Printf.eprintf "ode_shell: cannot read %s\n" msg;
+          2)
   | None, Some src -> run_checked src
   | None, None ->
       run_repl driver;
@@ -154,19 +164,7 @@ let main memory file expr connect dir =
           Printf.eprintf "ode_shell: cannot reach %s:%d: %s\n" host port (Unix.error_message e);
           exit 1
       | client ->
-          let run_checked source =
-            match Ode_served.Client.exec client source with
-            | out ->
-                print_string out;
-                0
-            | exception Ode_served.Client.Server_error msg ->
-                Printf.eprintf "error: %s\n" msg;
-                1
-            | exception Ode_served.Client.Conflict msg ->
-                Printf.eprintf "error: conflict: %s\n" msg;
-                1
-          in
-          let code = drive (remote_driver client) run_checked file expr in
+          let code = drive (remote_driver client) file expr in
           Ode_served.Client.close client;
           exit code)
   | None ->
@@ -176,22 +174,19 @@ let main memory file expr connect dir =
           match dir with
           | Some d -> (
               try Ode.Database.open_ d
-              with Ode_util.Codec.Corrupt msg ->
-                Printf.eprintf "ode_shell: %s is corrupt: %s\n" d msg;
-                exit 3)
+              with e -> (
+                match Ode.Shell.classify e with
+                | { cls = Corrupt; msg } ->
+                    Printf.eprintf "ode_shell: %s is corrupt: %s\n" d msg;
+                    exit 3
+                | { msg; _ } ->
+                    Printf.eprintf "ode_shell: cannot open %s: %s\n" d msg;
+                    exit 2))
           | None ->
               prerr_endline "ode_shell: need a database directory (or --memory, or --connect)";
               exit 2
       in
-      let shell = Ode.Shell.create db in
-      let run_checked source =
-        match Ode.Shell.exec_catching shell source with
-        | Ok () -> 0
-        | Error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            1
-      in
-      let code = drive (local_driver shell) run_checked file expr in
+      let code = drive (local_driver (Ode.Shell.create db)) file expr in
       Ode.Database.close db;
       exit code
 

@@ -84,7 +84,7 @@ let () =
      Ode.Shell.exec_catching shell {| forall i in stockitem { i.qty := 0 - 5; }; |}
    with
   | Ok () -> print_endline "unexpectedly allowed!"
-  | Error msg -> Printf.printf "rejected as expected: %s\n" msg);
+  | Error e -> Printf.printf "rejected as expected: %s\n" e.msg);
 
   print_endline "== restock (perpetual alert stops, once-only already spent) ==";
   run {| forall i in stockitem { i.qty := i.max_level; }; |};

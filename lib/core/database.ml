@@ -13,8 +13,6 @@ open Types
 
 type t = db
 
-exception Schema_error = Catalog.Schema_error
-
 let log = Logs.Src.create "ode.database" ~doc:"ODE database engine"
 
 module Log = (val Logs.src_log log : Logs.LOG)
@@ -353,7 +351,7 @@ let dir db = db.dbdir
    standby agree on version order. The whole apply holds the exclusive
    latch: a reader domain never observes a half-applied transaction. *)
 let apply_replicated db ~frames (records : Wal.record list) =
-  if db.closed then raise Db_closed;
+  if db.closed then Ode_util.Ode_error.fail Resource "database is closed";
   Ode_util.Trace.with_span ~cat:"repl" "repl.apply" @@ fun () ->
   Txn.with_excl db @@ fun () ->
   Wal.append_commits db.wal frames;
@@ -401,7 +399,7 @@ let apply_replicated db ~frames (records : Wal.record list) =
    pollute) — not just "a" transaction on this session. *)
 let require_no_txn db what =
   if Hashtbl.length db.wtxns > 0 then
-    invalid_arg (what ^ " cannot run inside a transaction")
+    Ode_util.Ode_error.user "%s cannot run inside a transaction" what
 
 (* DDL and the clock mutate in-memory state before the commit that would
    reject them, so a standby refuses them up front. *)
@@ -417,7 +415,7 @@ let define_class db (decl : Ast.class_decl) =
       (fun p ->
         match Catalog.find db.catalog p with
         | Some c -> Schema.field_names (Catalog.all_fields db.catalog c)
-        | None -> raise (Schema_error (Printf.sprintf "unknown parent class %s" p)))
+        | None -> Ode_util.Ode_error.user "schema error: unknown parent class %s" p)
       decl.c_parents
   in
   let own = List.map (fun (f : Ast.field_decl) -> f.fd_name) decl.c_fields in
@@ -442,7 +440,7 @@ let define db source =
   List.map
     (function
       | Ast.TClass decl -> define_class db decl
-      | _ -> raise (Schema_error "define: only class declarations are allowed here"))
+      | _ -> Ode_util.Ode_error.user "schema error: define: only class declarations are allowed here")
     tops
 
 let create_cluster db name =
@@ -556,7 +554,7 @@ let deactivate txn tid = Triggers.deactivate txn tid
 let advance_time db n =
   require_no_txn db "advance_time";
   require_writable db;
-  if n < 0 then invalid_arg "advance_time: negative step";
+  if n < 0 then Ode_util.Ode_error.user "advance time: negative step %d" n;
   with_txn_no_drain db (fun txn ->
       Txn.with_excl db (fun () -> db.meta.clock <- db.meta.clock + n);
       txn.meta_dirty <- true);

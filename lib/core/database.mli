@@ -19,7 +19,7 @@
 open Types
 
 type t = db
-(** Schema errors are reported as {!Ode_model.Catalog.Schema_error}. *)
+(** Errors in a program are reported as [User] {!Ode_util.Ode_error.Error}s. *)
 
 (** {1 Lifecycle} *)
 

@@ -31,7 +31,7 @@ let scalar (v : Value.t) =
   match v with Null | Int _ | Float _ | Bool _ | Str _ -> true | Ref _ | Vref _ | VSet _ | VList _ -> false
 
 let export db =
-  if Hashtbl.length db.wtxns > 0 then invalid_arg "dump: export inside a transaction";
+  if Hashtbl.length db.wtxns > 0 then Ode_util.Ode_error.user "dump cannot run inside a transaction";
   let b = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   out "// ode-ml logical dump";

@@ -60,7 +60,7 @@ val plan :
   suchthat:Ode_lang.Ast.expr option ->
   unit ->
   plan
-(** Raises {!Ode_model.Catalog.Schema_error} for an unknown class. [env]
+(** Raises a [User] {!Ode_util.Ode_error.Error} for an unknown class. [env]
     supplies outer loop bindings so join conjuncts become probes. [txn] is
     the transaction the query will run in (constant conjuncts evaluate
     against its view); omitted, [db.active] is consulted — reader domains
@@ -114,7 +114,7 @@ val plan_join :
     filter the inner side, the rest link the extents. Every strategy the
     link shapes allow (deref and member fusion, a hash join on scalar
     fields, the nested loop) is priced, and the cheapest wins; all of them
-    emit the nested loop's pairs. Raises {!Ode_model.Catalog.Schema_error}
+    emit the nested loop's pairs. Raises a [User] {!Ode_util.Ode_error.Error}
     for an unknown class. *)
 
 val explain_join : join_plan -> string

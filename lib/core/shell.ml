@@ -2,6 +2,7 @@ module Ast = Ode_lang.Ast
 module Value = Ode_model.Value
 module Schema = Ode_model.Schema
 module Catalog = Ode_model.Catalog
+module Err = Ode_util.Ode_error
 open Types
 
 type t = {
@@ -52,7 +53,7 @@ let rec exec_top t (top : Ast.top) =
   | TCreateIndex (c, f) -> Database.create_index t.db ~cls:c ~field:f
   | TBegin -> (
       match t.txn with
-      | Some _ -> failwith "a transaction is already open"
+      | Some _ -> Err.user "a transaction is already open"
       | None ->
           t.conflicted <- None;
           t.txn <- Some (Database.begin_txn t.db))
@@ -61,7 +62,7 @@ let rec exec_top t (top : Ast.top) =
       | None -> (
           match t.conflicted with
           | Some msg -> raise (Txn_conflict msg)
-          | None -> failwith "no open transaction")
+          | None -> Err.user "no open transaction")
       | Some txn ->
           t.txn <- None;
           Database.commit txn)
@@ -71,7 +72,7 @@ let rec exec_top t (top : Ast.top) =
           (* Acknowledging a conflict-aborted transaction is not an error:
              the server already rolled it back. *)
           if t.conflicted <> None then t.conflicted <- None
-          else failwith "no open transaction"
+          else Err.user "no open transaction"
       | Some txn ->
           t.txn <- None;
           Database.abort txn)
@@ -87,64 +88,54 @@ let rec exec_top t (top : Ast.top) =
   | TShowStats ->
       t.print (Fmt.str "%a\n" Ode_util.Stats.pp (Ode_util.Stats.snapshot ()))
   | TVerify -> (
-      if t.txn <> None then failwith "verify requires no open transaction"
+      if t.txn <> None then Err.user "verify requires no open transaction"
       else
         match Verify.run t.db with
         | Ok () -> t.print "ok\n"
         | Error ps ->
             List.iter (fun p -> t.print ("problem: " ^ p ^ "\n")) ps;
-            failwith (Printf.sprintf "integrity check found %d problems" (List.length ps)))
-  | TDump ->
-      if t.txn <> None then failwith "dump requires no open transaction"
-      else t.print (Dump.export t.db)
+            Err.fail Corrupt "integrity check found %d problems" (List.length ps))
+  | TDump -> t.print (Dump.export t.db)
   | TLoad path ->
       let source =
         try In_channel.with_open_text path In_channel.input_all
-        with Sys_error msg -> failwith ("load: " ^ msg)
+        with Sys_error msg -> Err.user "load: %s" msg
       in
       List.iter (exec_top t) (Ode_lang.Parser.program source)
   | TExplain q -> t.print (explain t q ^ "\n")
-  | TAnalyze ->
-      if t.txn <> None then failwith "analyze requires no open transaction"
-      else t.print (Database.analyze t.db ^ "\n")
+  | TAnalyze -> t.print (Database.analyze t.db ^ "\n")
   | TAdvance e -> (
       let v = in_txn t (fun txn -> Interp.eval_expr txn t.env e) in
       match v with
-      | Value.Int n ->
-          if t.txn <> None then failwith "advance time requires no open transaction"
-          else Database.advance_time t.db n
-      | v -> failwith (Fmt.str "advance time expects an int, got %a" Value.pp v))
+      | Value.Int n -> Database.advance_time t.db n
+      | v -> Err.user "advance time expects an int, got %a" Value.pp v)
   | TStmt s -> in_txn t (fun txn -> Interp.exec_stmt txn t.env s)
 
 let exec t source =
   let tops = Ode_lang.Parser.program source in
   List.iter (exec_top t) tops
 
-let render_error = function
-  | Ode_lang.Parser.Parse_error (msg, { line; col; _ }) ->
-      Printf.sprintf "parse error at line %d, col %d: %s" line col msg
-  | Ode_lang.Lexer.Lex_error (msg, { line; col; _ }) ->
-      Printf.sprintf "lex error at line %d, col %d: %s" line col msg
-  | Catalog.Schema_error msg -> "schema error: " ^ msg
-  | Ode_model.Typecheck.Error msg -> "type error: " ^ msg
-  | Ode_model.Eval.Error msg -> "error: " ^ msg
-  | Store.Type_error msg -> "type error: " ^ msg
-  | Store.No_cluster c -> Printf.sprintf "no cluster exists for class %s (use: create cluster %s;)" c c
-  | Triggers.Trigger_error msg -> "trigger error: " ^ msg
-  (* The prefix is load-bearing: clients recognize it as a retryable
-     redirect and fail over to the primary. *)
-  | Read_only_store -> "read-only replica: writes must go to the primary"
-  (* This prefix is load-bearing too: the session layer upgrades it to the
-     protocol's distinct retryable conflict reply. *)
-  | Txn_conflict msg -> "conflict: " ^ msg
-  | Constraint_violation { cls; cname; oid } ->
-      Fmt.str "constraint %s.%s violated by object %a (transaction aborted)" cls cname
-        Ode_model.Oid.pp oid
-  | Failure msg -> msg
-  (* e.g. "define_class cannot run inside a transaction" — DDL refused
-     while any write transaction is open. *)
-  | Invalid_argument msg -> msg
-  | e -> Printexc.to_string e
+let classify e : Err.t =
+  let cls, msg =
+    match e with
+    | Err.Error { cls; msg } -> (cls, msg)
+    | Ode_lang.Parser.Parse_error (msg, { line; col; _ }) ->
+        (User, Printf.sprintf "parse error at line %d, col %d: %s" line col msg)
+    | Ode_lang.Lexer.Lex_error (msg, { line; col; _ }) ->
+        (User, Printf.sprintf "lex error at line %d, col %d: %s" line col msg)
+    | Ode_model.Eval.Error msg -> (User, "error: " ^ msg)
+    | Constraint_violation { cls; cname; oid } ->
+        ( User,
+          Fmt.str "constraint %s.%s violated by object %a (transaction aborted)" cls cname
+            Ode_model.Oid.pp oid )
+    | Txn_conflict msg -> (Conflict, "conflict: " ^ msg)
+    | Read_only_store -> (Redirect, "read-only replica: writes must go to the primary")
+    | Ode_storage.Buffer_pool.Pool_exhausted -> (Resource, "buffer pool exhausted: every frame is pinned")
+    | Sys_error msg -> (Resource, msg)
+    | Ode_util.Codec.Corrupt msg -> (Corrupt, msg)
+    | e -> (Internal, "internal error: " ^ Printexc.to_string e)
+  in
+  { cls; msg }
 
 let exec_catching t source =
   match exec t source with
@@ -152,14 +143,14 @@ let exec_catching t source =
   | exception (Constraint_violation _ as e) ->
       (* The commit already aborted the transaction. *)
       t.txn <- None;
-      Error (render_error e)
+      Error (classify e)
   | exception (Txn_conflict msg as e) ->
       (* First-committer-wins loser: the commit auto-aborted it. Remember
          the conflict so a retried bare [commit;] re-reports it. *)
       t.txn <- None;
       t.conflicted <- Some msg;
-      Error (render_error e)
-  | exception e -> Error (render_error e)
+      Error (classify e)
+  | exception e -> Error (classify e)
 
 let vars t = Interp.all_vars t.env
 
@@ -199,7 +190,7 @@ let dot_help =
    `forall x in c suchthat e` via the `explain` production. *)
 let parse_forall rest =
   let rest = String.trim rest in
-  if rest = "" then failwith "expected a forall query (see .help)";
+  if rest = "" then Err.user "expected a forall query (see .help)";
   let src = if String.length rest > 0 && rest.[String.length rest - 1] = ';' then rest else rest ^ ";" in
   let as_forall = function
     | [ Ast.TExplain f ] -> Some f
@@ -215,7 +206,7 @@ let parse_forall rest =
   | None -> (
       match try_parse ("explain " ^ src) with
       | Some f -> f
-      | None -> failwith "expected: forall x in C [suchthat e] [by e [desc]] [{ body }]")
+      | None -> Err.user "expected: forall x in C [suchthat e] [by e [desc]] [{ body }]")
 
 (* A row-returning query (the server's [Query] opcode): a bodiless forall,
    each qualifying object rendered as one row. Runs inside the open explicit
@@ -230,7 +221,7 @@ let parse_forall rest =
 let query_rows ?(detached = true) t source =
   let run txn =
     let f = parse_forall source in
-    if f.q_body <> [] then failwith "query takes a bodiless forall (use exec for loops)";
+    if f.q_body <> [] then Err.user "query takes a bodiless forall (use exec for loops)";
     let rows = ref [] in
     Query.execute t.db ~txn
       (Planner.compile t.db ~txn ~env:(Interp.all_vars t.env) f)
@@ -244,7 +235,7 @@ let query_rows ?(detached = true) t source =
   with
   | rows -> Ok rows
   | exception (Types.Read_only_txn as e) -> raise e
-  | exception e -> Error (render_error e)
+  | exception e -> Error (classify e)
 
 let dot_command t line =
   let line = String.trim line in
@@ -342,9 +333,9 @@ let dot_command t line =
       | ".read", path -> (
           let source =
             try In_channel.with_open_text path In_channel.input_all
-            with Sys_error msg -> failwith ("read: " ^ msg)
+            with Sys_error msg -> Err.user "read: %s" msg
           in
-          match exec_catching t source with Ok () -> "" | Error msg -> "error: " ^ msg)
+          match exec_catching t source with Ok () -> "" | Error e -> "error: " ^ e.msg)
       | ".hist", "" -> ".hist needs a histogram name (see .metrics)"
       | ".hist", name -> (
           let module H = Ode_util.Histogram in
@@ -363,10 +354,8 @@ let dot_command t line =
       | ".profile", q ->
           in_txn t (fun txn ->
               Query.profile_to_string (Interp.profile_forall txn t.env (parse_forall q)))
-      | ".analyze", "" ->
-          if t.txn <> None then failwith "analyze requires no open transaction"
-          else Database.analyze t.db
+      | ".analyze", "" -> Database.analyze t.db
       | ".analyze", "status" -> Database.stats_summary t.db
       | _ -> Printf.sprintf "unknown command %s\n%s" cmd dot_help
     in
-    Some (match run () with out -> out | exception e -> render_error e)
+    Some (match run () with out -> out | exception e -> (classify e).msg)

@@ -21,13 +21,16 @@ val exec : t -> string -> unit
     any open transaction on parse errors only; runtime errors leave an
     explicit transaction open for the user to [abort;]. *)
 
-val exec_catching : t -> string -> (unit, string) result
-(** Like {!exec} but rendering any error as a message (for the REPL). A
-    {!Types.Txn_conflict} renders with the load-bearing ["conflict: "]
-    prefix and clears the (already server-side-aborted) open transaction;
-    a later bare [commit;] re-reports the conflict until [begin] or
-    [abort] acknowledges it, so retried commit requests keep seeing the
-    retryable error. *)
+val classify : exn -> Ode_util.Ode_error.t
+(** The one place an exception gets its class and message. One the engine
+    does not know is an engine bug: [Internal], prefixed ["internal error: "]. *)
+
+val exec_catching : t -> string -> (unit, Ode_util.Ode_error.t) result
+(** Like {!exec} but returning any error {!classify}d (for the REPL and the
+    server). A {!Types.Txn_conflict} also clears the (already
+    server-side-aborted) open transaction; a later bare [commit;]
+    re-reports the conflict until [begin] or [abort] acknowledges it, so
+    retried commit requests keep seeing the retryable error. *)
 
 val vars : t -> (string * Ode_model.Value.t) list
 (** Current shell variable bindings. *)
@@ -39,13 +42,13 @@ val rollback : t -> unit
 (** Abort the open explicit transaction, if any. Used by the server when a
     session disconnects or the server shuts down mid-transaction. *)
 
-val query_rows : ?detached:bool -> t -> string -> (string list, string) result
+val query_rows : ?detached:bool -> t -> string -> (string list, Ode_util.Ode_error.t) result
 (** Run a bodiless [forall] query and render each qualifying object as one
     row (oid plus fields) — the wire protocol's [Query] opcode. Runs inside
     the open explicit transaction if any; otherwise in a detached read-only
     transaction ([detached], the default — safe on a reader domain) or an
     ordinary write transaction ([~detached:false] — the writer-domain
-    fallback). Errors are rendered, not raised, except
+    fallback). Errors are {!classify}d, not raised, except
     {!Types.Read_only_txn}, which escapes so the server can re-route the
     request to the writer domain. *)
 

@@ -9,10 +9,7 @@ open Types
 
 let c_objects_fetched = Ode_util.Stats.counter "objects_fetched"
 
-exception Type_error of string
-exception No_cluster of string
-
-let type_error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
+let type_error fmt = Ode_util.Ode_error.user ("type error: " ^^ fmt)
 
 type header = Types.header = { hcurrent : int; hversions : int list }
 
@@ -403,7 +400,9 @@ let create txn (cls : Schema.cls) inits =
   (* Guard before the oid counter bump: [create] mutates shared meta state
      ahead of its overlay writes. *)
   if txn.tro then raise Read_only_txn;
-  if not (Catalog.has_cluster db.catalog cls) then raise (No_cluster cls.Schema.name);
+  if not (Catalog.has_cluster db.catalog cls) then
+    Ode_util.Ode_error.user "no cluster exists for class %s (use: create cluster %s;)" cls.Schema.name
+      cls.Schema.name;
   let l = Catalog.layout db.catalog cls in
   let given = Array.make (Array.length l.fields) None in
   List.iter

@@ -27,10 +27,6 @@
 
 open Types
 
-exception Type_error of string
-exception No_cluster of string
-(** pnew into a class whose cluster was never created (paper §2.5). *)
-
 type header = Types.header = {
   hcurrent : int;
   hversions : int list;  (** newest-first *)
@@ -162,8 +158,8 @@ val conforms : db -> Ode_model.Schema.field -> Ode_model.Value.t -> bool
 
 val create : txn -> Ode_model.Schema.cls -> (string * Ode_model.Value.t) list -> Ode_model.Oid.t
 (** Allocate an oid, fill unspecified fields with type defaults, check value
-    conformance (raises {!Type_error} on mismatch, {!No_cluster} if the
-    cluster does not exist). *)
+    conformance (raises a [User] {!Ode_util.Ode_error.Error} on a mismatch or
+    when the cluster does not exist). *)
 
 val update_fields : txn -> Ode_model.Oid.t -> (string * Ode_model.Value.t) list -> unit
 (** Partial update of the current version. *)

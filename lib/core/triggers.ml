@@ -23,9 +23,8 @@ open Types
 let c_triggers_fired = Ode_util.Stats.counter "triggers_fired"
 let c_triggers_evaluated = Ode_util.Stats.counter "triggers_evaluated"
 
-exception Trigger_error of string
 
-let err fmt = Format.kasprintf (fun s -> raise (Trigger_error s)) fmt
+let err fmt = Ode_util.Ode_error.user ("trigger error: " ^^ fmt)
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
 
 (* -- persistence of activation records ------------------------------------- *)

@@ -28,14 +28,12 @@
 
 open Types
 
-exception Trigger_error of string
-
 (** {1 Activation} *)
 
 val activate : txn -> Ode_model.Oid.t -> string -> Ode_model.Value.t list -> int
-(** Returns the trigger id. Raises {!Trigger_error} for an unknown trigger,
-    arity mismatch, an argument that does not conform to its parameter's
-    declared type, or a dead object. *)
+(** Returns the trigger id. Raises a [User] {!Ode_util.Ode_error.Error} for
+    an unknown trigger, arity mismatch, an argument that does not conform
+    to its parameter's declared type, or a dead object. *)
 
 val deactivate : txn -> int -> unit
 

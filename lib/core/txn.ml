@@ -43,7 +43,7 @@ let unregister txn =
   end
 
 let begin_ db =
-  if db.closed then raise Db_closed;
+  if db.closed then Ode_util.Ode_error.fail Resource "database is closed";
   let read_ts = Wal.last_lsn db.wal in
   let txn =
     {
@@ -75,7 +75,7 @@ let begin_ db =
    snapshot is registered like any other so the MVCC garbage collector
    keeps the versions it can still see. *)
 let begin_read db =
-  if db.closed then raise Db_closed;
+  if db.closed then Ode_util.Ode_error.fail Resource "database is closed";
   let read_ts = Wal.last_lsn db.wal in
   {
     xid = 0;
@@ -97,8 +97,8 @@ let open_writers db = Hashtbl.fold (fun _ t acc -> t :: acc) db.wtxns []
 let require_active txn =
   match txn.tstate with
   | `Active -> ()
-  | `Committed -> raise (Txn_aborted "transaction already committed")
-  | `Aborted -> raise (Txn_aborted "transaction already aborted")
+  | `Committed -> Ode_util.Ode_error.user "transaction already committed"
+  | `Aborted -> Ode_util.Ode_error.user "transaction already aborted"
 
 let abort txn =
   require_active txn;

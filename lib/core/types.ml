@@ -141,19 +141,16 @@ and db = {
 }
 
 exception Constraint_violation of { cls : string; cname : string; oid : Oid.t }
-exception Txn_aborted of string
 
 exception Txn_conflict of string
 (* First-committer-wins: another transaction committed a write to a key this
    one also wrote, after this one's snapshot. The transaction has already
-   been aborted; the error is retryable (the server surfaces it as the
-   protocol's Err_conflict so clients re-run under their retry budget). *)
-
-exception Db_closed
+   been aborted; the error is retryable (class [Conflict]: clients re-run it
+   under their retry budget). *)
 
 exception Read_only_store
-(* The database is a replication standby: local writes are rejected (the
-   rendered message is the client's retryable redirect to the primary). *)
+(* The database is a replication standby: local writes are rejected (class
+   [Redirect]: clients try their next endpoint for the primary). *)
 
 exception Read_only_txn
 (* A write reached a detached read-only transaction (Txn.begin_read). The

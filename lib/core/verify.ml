@@ -244,8 +244,3 @@ let run db =
   check "index tree" db.idx;
 
   match !problems with [] -> Ok () | ps -> Error (List.rev ps)
-
-let run_exn db =
-  match run db with
-  | Ok () -> ()
-  | Error ps -> failwith ("integrity check failed:\n  " ^ String.concat "\n  " ps)

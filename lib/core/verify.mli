@@ -30,6 +30,3 @@
 val run : Types.db -> (unit, string list) result
 (** [Ok ()] or the list of every inconsistency found, unreadable pages
     included. *)
-
-val run_exn : Types.db -> unit
-(** Raises [Failure] with a joined message on any inconsistency. *)

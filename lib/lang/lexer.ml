@@ -91,6 +91,13 @@ let tokenize src =
     in
     go i
   in
+  (* The literal src.[i..j-1], which [conv] may find out of range. *)
+  let number conv i j =
+    let text = String.sub src i (j - i) in
+    match conv text with
+    | Some v -> v
+    | None -> raise (Lex_error ("bad number literal " ^ text, pos_at src i))
+  in
   let rec loop i =
     let i = skip_ws i in
     if i >= n then emit EOF i
@@ -116,11 +123,11 @@ let tokenize src =
             end
             else k
           in
-          emit (FLOAT (float_of_string (String.sub src i (k - i)))) i;
+          emit (FLOAT (number float_of_string_opt i k)) i;
           loop k
         end
         else begin
-          emit (INT (int_of_string (String.sub src i (j - i)))) i;
+          emit (INT (number int_of_string_opt i j)) i;
           loop j
         end
       end

@@ -1,9 +1,7 @@
 module Ast = Ode_lang.Ast
 module Codec = Ode_util.Codec
 
-exception Schema_error of string
-
-let schema_error fmt = Format.kasprintf (fun s -> raise (Schema_error s)) fmt
+let schema_error fmt = Ode_util.Ode_error.user ("schema error: " ^^ fmt)
 
 (* Where an object's fields sit in its record: [all_fields] as an array,
    and each field name's slot in it. *)

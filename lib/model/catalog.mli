@@ -10,16 +10,15 @@
     indexes were created, and serializes the whole schema (as surface
     syntax) for persistence. *)
 
-exception Schema_error of string
-
 type t
 
 val create : unit -> t
 
 val define : t -> Ode_lang.Ast.class_decl -> Schema.cls
-(** Add a class. Raises {!Schema_error} on: duplicate class name, unknown
-    parent, a field name inherited from two unrelated classes or clashing
-    with an own field, or an unknown class referenced by a field type. *)
+(** Add a class. Raises a [User] {!Ode_util.Ode_error.Error} on: duplicate
+    class name, unknown parent, a field name inherited from two unrelated
+    classes or clashing with an own field, or an unknown class referenced
+    by a field type. *)
 
 val find : t -> string -> Schema.cls option
 val find_exn : t -> string -> Schema.cls
@@ -75,13 +74,14 @@ val subclasses : t -> string -> string list
 (** {1 Cluster and index metadata} *)
 
 val create_cluster : t -> string -> unit
-(** Raises {!Schema_error} if the class is unknown or the cluster exists. *)
+(** Raises a [User] {!Ode_util.Ode_error.Error} if the class is unknown or
+    the cluster exists. *)
 
 val has_cluster : t -> Schema.cls -> bool
 
 val add_index : t -> cls:string -> field:string -> unit
-(** Raises {!Schema_error} if unknown class/field, non-indexable field type,
-    or duplicate index. *)
+(** Raises a [User] {!Ode_util.Ode_error.Error} if unknown class/field,
+    non-indexable field type, or duplicate index. *)
 
 val indexes : t -> (string * string) list
 val indexes_on : t -> string -> string list

@@ -1,8 +1,6 @@
 module Ast = Ode_lang.Ast
 
-exception Error of string
-
-let err fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
+let err fmt = Ode_util.Ode_error.user ("type error: " ^^ fmt)
 
 type ty = Known of Otype.t | Dyn
 

@@ -5,8 +5,6 @@
     planned. The checker is deliberately pragmatic: shell variables are
     dynamically typed ({!Dyn}), and [Dyn] unifies with everything. *)
 
-exception Error of string
-
 type ty =
   | Known of Otype.t
   | Dyn                      (** unknown statically; checked at run time *)
@@ -20,8 +18,8 @@ type env = {
 }
 
 val infer : env -> Ode_lang.Ast.expr -> ty
-(** Raises {!Error} on a definite type error (unknown field, ordering a set,
-    arity mismatch on a known method, ...). *)
+(** Raises a [User] {!Ode_util.Ode_error.Error} on a definite type error
+    (unknown field, ordering a set, arity mismatch on a known method, ...). *)
 
 val check_bool : env -> Ode_lang.Ast.expr -> what:string -> unit
 (** Require boolean (or [Dyn]); used for constraints, conditions and

@@ -3,7 +3,7 @@
    stuck server surfaces as Timeout instead of a hung process.
 
    Failover: the write pool is the primary followed by the [replicas] — a
-   transient connection failure or a "read-only replica" redirect rotates to
+   transient connection failure or an error of class [Redirect] rotates to
    the next endpoint with exponential backoff and jitter, which is exactly
    the promotion dance: the old primary dies, writes bounce off standbys
    until one is promoted, then stick there. Reads route to a replica
@@ -12,13 +12,19 @@
    highest it has seen from the write pool, and a replica answer behind that
    watermark is discarded in favor of the primary. *)
 
-exception Server_error of string
-exception Conflict of string
+module Err = Ode_util.Ode_error
+
+exception Server_error of Err.t
 exception Rejected of string
 exception Disconnected of string
 exception Timeout
 
-exception Pipeline_broken of { acked : (string, string) result list; pending : int }
+exception Pipeline_broken of { acked : (string, Err.t) result list; pending : int }
+
+let () =
+  Printexc.register_printer (function
+    | Server_error { cls; msg } -> Some (Printf.sprintf "Server_error(%s, %S)" (Err.class_name cls) msg)
+    | _ -> None)
 
 type t = {
   endpoints : (string * int) array; (* write pool: primary first, then replicas *)
@@ -181,14 +187,6 @@ let exchange ?timeout t op =
   let fd = socket t in
   raw_exchange ?timeout t fd op
 
-(* The rendered form of [Read_only_store]: this prefix is the server telling
-   us to take our writes elsewhere (see lib/core/shell.ml). *)
-let redirect_prefix = "read-only replica"
-
-let is_redirect msg =
-  String.length msg >= String.length redirect_prefix
-  && String.sub msg 0 (String.length redirect_prefix) = redirect_prefix
-
 let rotate_endpoint t = t.active <- (t.active + 1) mod Array.length t.endpoints
 
 (* Exponential backoff with jitter: base * 2^attempt, capped, scaled by a
@@ -220,20 +218,20 @@ let response ?timeout t op : Protocol.response =
     match exchange ?timeout t op with
     | resp -> (
         match resp.rs_reply with
-        | Protocol.Error msg
-          when is_redirect msg && attempt < t.retries && Array.length t.endpoints > 1 ->
+        | Protocol.Error { cls = Redirect; _ }
+          when attempt < t.retries && Array.length t.endpoints > 1 ->
             (* A standby answered: rotate until we find the primary (or a
                freshly promoted one). *)
             drop_socket t;
             rotate_endpoint t;
             backoff_sleep t attempt;
             go (attempt + 1)
-        | Protocol.Err_conflict msg ->
+        | Protocol.Error ({ cls = Conflict; _ } as e) ->
             (* The server already aborted the losing transaction; the
                session and socket are fine — retry right here. Budget
                exhausted: surface the retryable error for the caller to
                replay at its own pace. *)
-            if attempt >= t.retries then raise (Conflict msg)
+            if attempt >= t.retries then raise (Server_error e)
             else begin
               backoff_sleep t attempt;
               go (attempt + 1)
@@ -255,10 +253,7 @@ let call ?timeout t op = (response ?timeout t op).rs_reply
 
 let unexpected what (reply : Protocol.reply) =
   match reply with
-  | Error msg -> raise (Server_error msg)
-  (* [response] retries conflicts and raises {!Conflict} past the budget,
-     so this arm only fires for replies that bypassed it. *)
-  | Err_conflict msg -> raise (Conflict msg)
+  | Error e -> raise (Server_error e)
   | Pong -> failwith (what ^ ": unexpected Pong reply")
   | Output _ -> failwith (what ^ ": unexpected Output reply")
   | Rows _ -> failwith (what ^ ": unexpected Rows reply")
@@ -388,31 +383,21 @@ let exec_many t srcs =
                      (Printf.sprintf "client: response id %d for request %d" resp.rs_id id));
               if resp.rs_lsn > t.seen_lsn then t.seen_lsn <- resp.rs_lsn;
               match resp.rs_reply with
-              | Output s -> `Ok s
-              | Error msg -> `Err msg
-              | Err_conflict msg -> `Conflict (src, msg)
+              | Output s -> Ok s
+              | Error e -> Error e
               | Pong | Rows _ -> failwith "exec_many: unexpected reply kind"
             with Conn_lost msg -> broken msg
           in
-          (acked :=
-             (match r with
-             | `Ok s -> Ok s
-             | `Err msg -> Error msg
-             | `Conflict (_, msg) -> Error ("conflict: " ^ msg))
-             :: !acked);
-          r)
+          acked := r :: !acked;
+          (src, r))
         ids
     in
     (* Phase 2: the socket is quiet again — replay the losers. *)
     List.map
       (function
-        | `Ok s -> Ok s
-        | `Err msg -> Error msg
-        | `Conflict (src, _) -> (
-            match exec t src with
-            | s -> Ok s
-            | exception Server_error m -> Error m
-            | exception Conflict m -> Error ("conflict: " ^ m)))
+        | src, Error { Err.cls = Conflict; _ } -> (
+            match exec t src with s -> Ok s | exception Server_error e -> Error e)
+        | _, r -> r)
       raws
   end
 

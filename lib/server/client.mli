@@ -10,8 +10,8 @@
     restart, crash) or refused the connection — are retried up to [retries]
     times with exponential backoff and jitter, rotating through the write
     pool ([host:port] followed by every [replicas] entry) on each attempt.
-    A write answered with the "read-only replica" redirect burns a retry
-    the same way, which is the failover path: when the primary dies and a
+    A write answered with an error of class [Redirect] burns a retry the
+    same way, which is the failover path: when the primary dies and a
     standby is promoted, writes bounce off the remaining standbys until
     they land on the promoted one, then stick. A retried call runs in a
     fresh session — empty variable bindings, no open transaction — exactly
@@ -20,13 +20,13 @@
     retried writes may be applied twice. Callers needing exactly-once must
     make their programs idempotent.
 
-    A first-committer-wins conflict (the server's retryable [Err_conflict]
-    reply) also burns a retry, but without rotating endpoints or dropping
+    A first-committer-wins conflict (an error reply of class [Conflict])
+    also burns a retry, but without rotating endpoints or dropping
     the connection: the server already aborted the losing transaction, so
     the same request is simply re-executed on the same session after the
     jittered backoff — replaying the transaction against a fresh snapshot.
-    Budget exhausted, the call raises {!Conflict} for the caller to replay
-    at its own pace. For this to be sound, send an explicit transaction as
+    Budget exhausted, the call raises {!Server_error} for the caller to
+    replay at its own pace. For this to be sound, send an explicit transaction as
     {e one} request ("begin; ...; commit;"): a conflict spread across
     several requests leaves the replay without the earlier statements.
 
@@ -40,14 +40,10 @@
 
 type t
 
-exception Server_error of string
-(** The server answered a request with an [Error] reply (parse error,
-    constraint violation, ...). The connection stays usable. *)
-
-exception Conflict of string
-(** A first-committer-wins conflict survived the whole retry budget: every
-    replay lost the race again. The transaction did not commit; the
-    connection stays usable. Back off and replay, or give up. *)
+exception Server_error of Ode_util.Ode_error.t
+(** The server answered a request with an [Error] reply. The connection
+    stays usable. A [Conflict] here lost every replay in the retry budget:
+    the transaction did not commit. Back off and replay, or give up. *)
 
 exception Rejected of string
 (** The handshake was refused: server busy, protocol version mismatch, or
@@ -61,7 +57,7 @@ exception Timeout
     indeterminate afterwards ({e the request may have executed}), so
     timeouts are never retried implicitly; {!close} and reconnect. *)
 
-exception Pipeline_broken of { acked : (string, string) result list; pending : int }
+exception Pipeline_broken of { acked : (string, Ode_util.Ode_error.t) result list; pending : int }
 (** The connection died mid-{!exec_many}. [acked] holds the per-request
     outcomes that were received, in request order — those requests
     definitely executed (and, under Full/Group durability, their commits
@@ -91,11 +87,11 @@ val exec : ?timeout:float -> t -> string -> string
 (** Run a program remotely; returns its printed output. [?timeout]
     overrides the connection default for this call. *)
 
-val exec_many : t -> string list -> (string, string) result list
+val exec_many : t -> string list -> (string, Ode_util.Ode_error.t) result list
 (** Pipelined [exec]: send the whole batch in one write, then read the
     responses in order — one network round trip for N programs, and under
     the server's group durability one shared WAL fsync for the batch's
-    autocommits. Per-request outcomes ([Ok output] / [Error rendered]), so
+    autocommits. Per-request outcomes ([Ok output] / [Error classified]), so
     one failing statement doesn't orphan the responses behind it. Keep
     batches modest (well under the server's per-connection flow-control
     cap, ~1 MiB of responses). There is no mid-batch reconnect or retry: a
@@ -103,7 +99,7 @@ val exec_many : t -> string list -> (string, string) result list
     prefix. The one exception is a first-committer-wins conflict: once the
     batch has drained, each conflicted entry (already aborted server-side)
     is replayed individually with {!exec}'s backoff-and-retry, and a loss
-    past the budget comes back as [Error ("conflict: " ^ msg)]. *)
+    past the budget comes back as its [Conflict] error. *)
 
 val query : ?timeout:float -> t -> string -> string list
 (** Run a bodiless [forall]; one rendered object per row. Served from a

@@ -7,7 +7,7 @@ let magic = "ODEP"
 
 (* One version on the wire: the server and a replication primary accept
    exactly this one and answer any other with [Bad_version]. *)
-let version = 4
+let version = 5
 let max_frame_len = 16 * 1024 * 1024
 
 (* Replication connections carry their own magic (so a replica pointed at a
@@ -69,10 +69,7 @@ type reply =
   | Pong
   | Output of string
   | Rows of string list
-  | Error of string
-  | Err_conflict of string
-      (* the transaction lost first-committer-wins and was aborted;
-         retryable by re-executing the whole transaction *)
+  | Error of Ode_util.Ode_error.t
 
 (* [rs_lsn] is the server's commit LSN when the request was handled: on a
    primary the last committed transaction (so a write's ack carries the LSN
@@ -119,11 +116,9 @@ let encode_response b { rs_id; rs_lsn; rs_reply } =
       Codec.put_u8 body 2;
       Codec.put_u32 body (List.length rows);
       List.iter (Codec.put_string body) rows
-  | Error msg ->
+  | Error { cls; msg } ->
       Codec.put_u8 body 3;
-      Codec.put_string body msg
-  | Err_conflict msg ->
-      Codec.put_u8 body 4;
+      Codec.put_u8 body (Option.get (List.find_index (( = ) cls) Ode_util.Ode_error.classes));
       Codec.put_string body msg);
   frame b body
 
@@ -160,8 +155,11 @@ let decode_response s =
         if n > max_frame_len then
           raise (Codec.Corrupt (Printf.sprintf "protocol: absurd row count %d" n));
         Rows (List.init n (fun _ -> Codec.get_string c))
-    | 3 -> Error (Codec.get_string c)
-    | 4 -> Err_conflict (Codec.get_string c)
+    | 3 -> (
+        let b = Codec.get_u8 c in
+        match List.nth_opt Ode_util.Ode_error.classes b with
+        | Some cls -> Error { cls; msg = Codec.get_string c }
+        | None -> raise (Codec.Corrupt (Printf.sprintf "protocol: unknown error class %d" b)))
     | n -> raise (Codec.Corrupt (Printf.sprintf "protocol: unknown reply tag %d" n))
   in
   check_consumed c;

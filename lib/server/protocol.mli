@@ -58,11 +58,10 @@ type reply =
   | Pong
   | Output of string  (** captured [print] output of an [Exec] / [Dot] *)
   | Rows of string list  (** [Query] results, one rendered object per row *)
-  | Error of string  (** the rendered error message *)
-  | Err_conflict of string
-      (** the transaction lost first-committer-wins conflict detection and
-          was aborted server-side; retryable by re-executing the whole
-          transaction. *)
+  | Error of Ode_util.Ode_error.t
+      (** a class byte, its position in {!Ode_util.Ode_error.classes},
+          then the message. A [Conflict] transaction was aborted
+          server-side and is retryable by re-executing it. *)
 
 type response = { rs_id : int; rs_lsn : int; rs_reply : reply }
 (** [rs_lsn] is the serving database's commit LSN at response time: on the

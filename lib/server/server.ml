@@ -287,14 +287,14 @@ let reader_loop t =
               | resp -> Some resp
               | exception Ode.Types.Read_only_txn -> None
               | exception e ->
-                  (* Defensive: [handle_read] renders interpreter errors
-                     itself, so anything escaping is an engine bug — answer
-                     it rather than killing the domain. *)
+                  (* Defensive: [handle_read] classifies interpreter
+                     errors itself, so anything escaping is an engine bug —
+                     answer it rather than killing the domain. *)
                   Some
                     {
                       Protocol.rs_id = j.rj_rq.rq_id;
                       rs_lsn = Db.lsn t.db;
-                      rs_reply = Error ("internal error: " ^ Printexc.to_string e);
+                      rs_reply = Error (Ode.Shell.classify e);
                     })
         in
         (* [dones] is sized past the maximum possible in-flight count, so
@@ -583,7 +583,7 @@ let server_dot t line : Protocol.reply option =
   | ".promote" -> (
       match promote t with
       | Ok msg -> Some (Protocol.Output (msg ^ "\n"))
-      | Error msg -> Some (Protocol.Error msg))
+      | Error msg -> Some (Protocol.Error { cls = User; msg }))
   | ".replication" -> Some (Protocol.Output (replication_report t))
   | _ -> None
 
@@ -879,7 +879,11 @@ let run_frames t c session =
     go ()
   with Ode_util.Codec.Corrupt msg ->
     Protocol.encode_response c.out
-      { rs_id = 0; rs_lsn = Db.lsn t.db; rs_reply = Error ("protocol error: " ^ msg) };
+      {
+        rs_id = 0;
+        rs_lsn = Db.lsn t.db;
+        rs_reply = Error { cls = Corrupt; msg = "protocol error: " ^ msg };
+      };
     c.closing <- true
 
 let process t c =

@@ -57,8 +57,9 @@
     checkpointed past it), and thereafter streams every post-fsync commit
     batch — the WAL sync hook fires strictly after the barrier, so a standby
     can never hold a commit the primary could still lose. A server created
-    with [replica] is a {e standby}: read-only to clients (writes get a
-    retryable "read-only replica" error), it applies shipped batches through
+    with [replica] is a {e standby}: read-only to clients (writes get an
+    error of class [Redirect], on which clients retry against the next
+    endpoint), it applies shipped batches through
     the engine's redo path under the exclusive lock (its reader domains
     serve stale-but-consistent queries between batches), acknowledges each
     one, reconnects with an exact resume position after stream faults, and

@@ -2,6 +2,7 @@ module Shell = Ode.Shell
 module Stats = Ode_util.Stats
 module Trace = Ode_util.Trace
 module Histogram = Ode_util.Histogram
+module Err = Ode_util.Ode_error
 
 type t = {
   sid : int;
@@ -13,6 +14,8 @@ type t = {
 let request_hist = Histogram.create "server.request"
 
 let c_server_requests = Stats.counter "server.requests"
+
+let c_errors = List.map (fun c -> (c, Stats.counter ("errors." ^ Err.class_name c))) Err.classes
 
 let create ?(id = 0) db =
   let out = Buffer.create 256 in
@@ -35,17 +38,6 @@ let statement_of : Protocol.op -> string = function
   | Dot line -> line
   | Close -> "close"
 
-(* The shell renders a first-committer-wins abort with the load-bearing
-   "conflict: " prefix; the wire protocol has a distinct retryable tag for
-   it, which clients auto-retry. *)
-let conflict_prefix = "conflict: "
-
-let reply_error msg : Protocol.reply =
-  if String.starts_with ~prefix:conflict_prefix msg then
-    Err_conflict (String.sub msg (String.length conflict_prefix)
-                    (String.length msg - String.length conflict_prefix))
-  else Error msg
-
 (* [detached] picks how a [Query] runs: in a detached read-only transaction
    (reader domains — a write attempt raises {!Ode.Types.Read_only_txn} out
    of here) or in an ordinary write transaction (the writer, where queries
@@ -56,11 +48,11 @@ let run ~detached t : Protocol.op -> Protocol.reply = function
       Buffer.clear t.out;
       match Shell.exec_catching t.shell src with
       | Ok () -> Output (Buffer.contents t.out)
-      | Error msg -> reply_error msg)
+      | Error e -> Error e)
   | Query src -> (
       match Shell.query_rows ~detached t.shell src with
       | Ok rows -> Rows rows
-      | Error msg -> reply_error msg)
+      | Error e -> Error e)
   | Dot line -> (
       Buffer.clear t.out;
       match Shell.dot_command t.shell line with
@@ -69,14 +61,14 @@ let run ~detached t : Protocol.op -> Protocol.reply = function
              that output in front of the command's own result. *)
           let printed = Buffer.contents t.out in
           Output (if printed = "" then out else printed ^ out)
-      | None -> Error "not a dot command")
+      | None -> Error { cls = User; msg = "not a dot command" })
   | Close -> Output "bye"
 
 (* One slow-query log line: everything an operator needs to find the
    request again — trace id, statement, queue-wait vs execute split, the
    executing domain, and (for queries) the per-plan-node profile that
    [Query.run] stashes domain-locally while the log is armed. *)
-let log_slow t (rq : Protocol.request) ~queue_wait_ns ~exec_ns profile =
+let log_slow t (rq : Protocol.request) (reply : Protocol.reply) ~queue_wait_ns ~exec_ns profile =
   let b = Buffer.create 256 in
   Printf.bprintf b "{\"ts\":%.6f,\"trace\":\"%s\",\"session\":%d,\"domain\":%d"
     (Unix.gettimeofday ())
@@ -86,6 +78,7 @@ let log_slow t (rq : Protocol.request) ~queue_wait_ns ~exec_ns profile =
   Printf.bprintf b ",\"op\":\"%s\",\"statement\":\"%s\"" (op_name rq.rq_op)
     (Ode_util.Metrics.json_escape (statement_of rq.rq_op));
   Printf.bprintf b ",\"queue_wait_ns\":%d,\"exec_ns\":%d" queue_wait_ns exec_ns;
+  (match reply with Error e -> Printf.bprintf b ",\"error\":\"%s\"" (Err.class_name e.cls) | _ -> ());
   (match profile with
   | Some pf -> Printf.bprintf b ",\"profile\":%s" (Ode.Query.profile_to_json pf)
   | None -> ());
@@ -107,8 +100,9 @@ let timed t (rq : Protocol.request) ~queue_wait_ns f =
           (* Always drain the profile stash: a fast armed request must not
              leave its profile behind for a later slow one to claim. *)
           let profile = Ode.Query.take_last_profile () in
+          (match reply with Protocol.Error e -> Stats.incr (List.assoc e.cls c_errors) | _ -> ());
           if queue_wait_ns + exec_ns >= Ode_util.Slowlog.threshold_ns () then
-            (try log_slow t rq ~queue_wait_ns ~exec_ns profile with _ -> ());
+            (try log_slow t rq reply ~queue_wait_ns ~exec_ns profile with _ -> ());
           reply))
 
 let finish t (rq : Protocol.request) reply =

@@ -11,11 +11,13 @@
     its own transaction), and any number of sessions hold explicit
     [begin;] transactions concurrently, each against its own snapshot.
     When two of them write the same key, the first committer wins and the
-    loser's commit returns the protocol's distinct retryable
-    [Err_conflict] reply (its transaction is auto-aborted server-side);
-    clients replay the transaction. Disconnect, idle eviction and server
-    shutdown all roll an open transaction back ({!close}), so a vanished
-    client cannot wedge the server. *)
+    loser's commit returns an [Error] reply of class [Conflict] (its
+    transaction is auto-aborted server-side); clients replay the
+    transaction. An error reply bumps its class's counter
+    ([errors.conflict] ... [errors.internal]) and names the class on its
+    slow-query line. Disconnect, idle eviction and server shutdown all roll
+    an open transaction back ({!close}), so a vanished client cannot wedge
+    the server. *)
 
 type t
 
@@ -31,9 +33,9 @@ val in_transaction : t -> bool
     transaction's own writes). *)
 
 val handle : ?count:bool -> ?queue_wait_ns:int -> t -> Protocol.request -> Protocol.response
-(** Execute one request on the writer domain. Never raises: interpreter and
-    parse errors come back as [Error] replies (first-committer-wins aborts
-    as [Err_conflict]); only the response id echoes the request id.
+(** Execute one request on the writer domain. Never raises: every error
+    comes back as an [Error] reply, {!Ode.Shell.classify}d; only the
+    response id echoes the request id.
     Queries run in an ordinary write transaction, so methods that write
     are legal. Installs the database's trigger action printer
     for the duration. [count:false] skips the [server.requests] bump (used

@@ -699,16 +699,6 @@ let check_follows_leaf_chain () =
 
 let gate_keys = 40_000
 
-(* Words allocated by [f], minor and major. *)
-let allocated f =
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let w0 = words () in
-  f ();
-  words () -. w0
-
 (* [check] compares each leaf's keys where they lie: on a warm 40k-key
    tree it allocates under half a word per entry, where a copied-out key
    of this width takes three, and a leaf whose keys are out of order is
@@ -717,7 +707,7 @@ let check_compares_in_place () =
   let t = Bptree.attach (Pool.create ~capacity:2048 (Disk.in_memory ())) in
   Bptree.insert_sorted t (Array.init gate_keys (fun i -> (key i, Printf.sprintf "%08d" i)));
   assert_ok t;
-  let per_entry = allocated (fun () -> assert_ok t) /. float gate_keys in
+  let per_entry = Tutil.allocated_words (fun () -> assert_ok t) /. float gate_keys in
   if per_entry >= 0.5 then Alcotest.failf "check allocates %.2f words an entry" per_entry;
   let path = flushed_tree 2000 in
   let d = Disk.open_file path in

@@ -59,14 +59,14 @@ let constraints_inherited () =
 let duplicate_class_rejected () =
   let t = mk_university () in
   match Catalog.define t (decl "class person { x: int; };") with
-  | _ -> Alcotest.fail "expected Schema_error"
-  | exception Catalog.Schema_error _ -> ()
+  | _ -> Alcotest.fail "expected a schema error"
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ()
 
 let unknown_parent_rejected () =
   let t = Catalog.create () in
   match Catalog.define t (decl "class a : ghost { x: int; };") with
-  | _ -> Alcotest.fail "expected Schema_error"
-  | exception Catalog.Schema_error _ -> ()
+  | _ -> Alcotest.fail "expected a schema error"
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ()
 
 let field_clash_rejected () =
   let t = Catalog.create () in
@@ -74,18 +74,18 @@ let field_clash_rejected () =
   ignore (Catalog.define t (decl "class b { x: int; };"));
   (match Catalog.define t (decl "class c : a, b { y: int; };") with
   | _ -> Alcotest.fail "expected ambiguity error"
-  | exception Catalog.Schema_error _ -> ());
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ());
   (* Failed definition must not linger. *)
   Tutil.check_bool "rolled back" true (Catalog.find t "c" = None);
   match Catalog.define t (decl "class d : a { x: int; };") with
   | _ -> Alcotest.fail "own field clashing with inherited"
-  | exception Catalog.Schema_error _ -> ()
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ()
 
 let unknown_ref_rejected () =
   let t = Catalog.create () in
   match Catalog.define t (decl "class a { r: ref ghost; };") with
-  | _ -> Alcotest.fail "expected Schema_error"
-  | exception Catalog.Schema_error _ -> ()
+  | _ -> Alcotest.fail "expected a schema error"
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ()
 
 let self_reference_allowed () =
   let t = Catalog.create () in
@@ -100,7 +100,7 @@ let cluster_lifecycle () =
   Tutil.check_bool "created" true (Catalog.has_cluster t person);
   match Catalog.create_cluster t "person" with
   | _ -> Alcotest.fail "duplicate cluster"
-  | exception Catalog.Schema_error _ -> ()
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ()
 
 let index_metadata () =
   let t = mk_university () in
@@ -111,15 +111,15 @@ let index_metadata () =
   Tutil.check_string_list "on student" [ "age"; "gpa" ] (List.sort compare (Catalog.indexes_on t "student"));
   (match Catalog.add_index t ~cls:"person" ~field:"age" with
   | _ -> Alcotest.fail "duplicate index"
-  | exception Catalog.Schema_error _ -> ());
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ());
   (match Catalog.add_index t ~cls:"person" ~field:"ghost" with
   | _ -> Alcotest.fail "unknown field"
-  | exception Catalog.Schema_error _ -> ());
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ());
   let t2 = Catalog.create () in
   ignore (Catalog.define t2 (decl "class a { s: set<int>; };"));
   match Catalog.add_index t2 ~cls:"a" ~field:"s" with
   | _ -> Alcotest.fail "set fields are not indexable"
-  | exception Catalog.Schema_error _ -> ()
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ()
 
 let encode_decode_roundtrip () =
   let t = mk_university () in

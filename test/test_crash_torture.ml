@@ -583,18 +583,6 @@ let lying_wal_sync () =
 
 let page_size = Ode_storage.Page.size
 
-let flip_byte path off =
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      ignore (Unix.lseek fd off Unix.SEEK_SET);
-      let b = Bytes.create 1 in
-      if Unix.read fd b 0 1 <> 1 then failwith "flip_byte: short read";
-      ignore (Unix.lseek fd off Unix.SEEK_SET);
-      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-      if Unix.write fd b 0 1 <> 1 then failwith "flip_byte: short write")
-
 (* A closed store of 400 objects, each of the three page files several
    pages long. *)
 let build_flip_base dir =
@@ -637,7 +625,7 @@ let flip_failure dir file page =
   let sizes = file_sizes victim in
   (* A different byte of each page, the checksum trailer's included. *)
   let off = ((page * 1237) + 101) mod page_size in
-  flip_byte (Filename.concat victim file) ((page * page_size) + off);
+  Tutil.flip_byte (Filename.concat victim file) ((page * page_size) + off);
   let names msg = Tutil.contains msg (Printf.sprintf "%s: page %d: " file page) in
   let outcome =
     match Db.open_ victim with
@@ -708,7 +696,7 @@ let verify_reports_one_page () =
       let page = List.nth leaves (List.length leaves / 2) in
       let victim = Filename.concat dir ("flip-" ^ file) in
       Tutil.copy_dir base victim;
-      flip_byte (Filename.concat victim file) ((page * page_size) + 101);
+      Tutil.flip_byte (Filename.concat victim file) ((page * page_size) + 101);
       let db = Db.open_ victim in
       let problems =
         Fun.protect ~finally:(fun () -> Db.close db) (fun () ->

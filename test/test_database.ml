@@ -27,8 +27,9 @@ let pnew_requires_cluster () =
   ignore (Db.define db "class lone { x: int; };");
   Db.with_txn db (fun txn ->
       match Db.pnew txn "lone" [] with
-      | _ -> Alcotest.fail "expected No_cluster"
-      | exception Ode.Store.No_cluster "lone" -> ());
+      | _ -> Alcotest.fail "expected a missing-cluster error"
+      | exception Ode_util.Ode_error.Error { cls = User; msg } ->
+          Tutil.check_string "missing cluster" "no cluster exists for class lone (use: create cluster lone;)" msg);
   Db.close db
 
 let pnew_type_checks () =
@@ -36,10 +37,12 @@ let pnew_type_checks () =
   Db.with_txn db (fun txn ->
       (match Db.pnew txn "person" [ ("age", str "old") ] with
       | _ -> Alcotest.fail "wrong type accepted"
-      | exception Ode.Store.Type_error _ -> ());
+      | exception Ode_util.Ode_error.Error { cls = User; msg }
+        when String.starts_with ~prefix:"type error: " msg -> ());
       (match Db.pnew txn "person" [ ("ghost", int 1) ] with
       | _ -> Alcotest.fail "unknown field accepted"
-      | exception Ode.Store.Type_error _ -> ());
+      | exception Ode_util.Ode_error.Error { cls = User; msg }
+        when String.starts_with ~prefix:"type error: " msg -> ());
       (* int into float field is fine (promotion). *)
       ignore (Db.pnew txn "student" [ ("gpa", int 3) ]));
   Db.close db
@@ -57,7 +60,8 @@ let ref_fields_check_class () =
       (* Wrong class ref rejected. *)
       (match Db.set_field txn e "d" (Value.Ref e) with
       | _ -> Alcotest.fail "emp is not a dept"
-      | exception Ode.Store.Type_error _ -> ());
+      | exception Ode_util.Ode_error.Error { cls = User; msg }
+        when String.starts_with ~prefix:"type error: " msg -> ());
       (* Null allowed for refs. *)
       Db.set_field txn e "d" Value.Null;
       Tutil.check_value "nulled" Value.Null (Db.get_field txn e "d"));
@@ -74,7 +78,8 @@ let update_and_delete () =
       Tutil.check_bool "gone" true (Db.get txn oid = None);
       match Db.set_field txn oid "age" (int 1) with
       | _ -> Alcotest.fail "update of deleted object"
-      | exception Ode.Store.Type_error _ -> ());
+      | exception Ode_util.Ode_error.Error { cls = User; msg }
+        when String.starts_with ~prefix:"type error: " msg -> ());
   Db.close db
 
 let abort_discards () =
@@ -322,7 +327,8 @@ let ddl_rejected_inside_txn () =
   let txn = Db.begin_txn db in
   (match Db.define db "class x { a: int; };" with
   | _ -> Alcotest.fail "DDL inside txn allowed"
-  | exception Invalid_argument _ -> ());
+  | exception Ode_util.Ode_error.Error { cls = User; msg } ->
+      Tutil.check_string "refusal" "define_class cannot run inside a transaction" msg);
   Db.abort txn;
   Db.close db
 
@@ -330,7 +336,7 @@ let bad_method_body_rolls_back_class () =
   let db = Db.open_in_memory () in
   (match Db.define db "class broken { q: int; method m(): string = q + 1; };" with
   | _ -> Alcotest.fail "expected type error"
-  | exception Ode_model.Typecheck.Error _ -> ());
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ());
   (* The class must not linger half-defined. *)
   Tutil.check_bool "not registered" true
     (Ode_model.Catalog.find (Db.catalog db) "broken" = None);

@@ -40,11 +40,11 @@ let defaults_typechecked () =
   let db = Db.open_in_memory () in
   (match Db.define db {|class bad7 { n: int = "oops"; };|} with
   | _ -> Alcotest.fail "mistyped default accepted"
-  | exception Ode_model.Typecheck.Error _ -> ());
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ());
   (* And they must be closed: field references are unbound here. *)
   (match Db.define db {|class bad8 { a: int; b: int = a + 1; };|} with
   | _ -> Alcotest.fail "open default accepted"
-  | exception Ode_model.Typecheck.Error _ -> ());
+  | exception Ode_util.Ode_error.Error { cls = User; _ } -> ());
   Db.close db
 
 let defaults_survive_catalog_roundtrip () =

@@ -82,7 +82,7 @@ let full_lifecycle () =
   Db.close db;
 
   let db2 = Db.open_ snap in
-  Ode.Verify.run_exn db2;
+  Tutil.verified db2;
   Db.with_txn db2 (fun txn ->
       (match Db.root_exn txn "flagship" with
       | Value.Ref o ->
@@ -109,7 +109,7 @@ let full_lifecycle () =
   let script = Ode.Dump.export db2 in
   let db3 = Db.open_in_memory () in
   Ode.Dump.import db3 script;
-  Ode.Verify.run_exn db3;
+  Tutil.verified db3;
   let labels d =
     Db.with_txn d (fun txn ->
         List.sort compare
@@ -147,7 +147,7 @@ let shell_session_lifecycle () =
        |}
    with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "session failed: %s" e);
+  | Error e -> Alcotest.failf "session failed: %s" e.msg);
   Tutil.check_string "full session output" "URGENT: ship\nship 9\ntest 5\nok\n" (Buffer.contents out);
   Db.close db
 
@@ -180,7 +180,7 @@ let stress_mixed_workload () =
             Hashtbl.remove live o
         | _ -> ())
   done;
-  Ode.Verify.run_exn db;
+  Tutil.verified db;
   let n = Db.with_txn db (fun _ -> Query.count db ~var:"x" ~cls:"s7" ()) in
   Tutil.check_int "extent matches bookkeeping" (Hashtbl.length live) n;
   (* Every indexed query agrees with a filtered full state. *)

@@ -17,7 +17,7 @@ let session script =
 let expect script expected () =
   match session script with
   | Ok (), text -> Tutil.check_string "output" expected text
-  | Error msg, _ -> Alcotest.failf "script failed: %s" msg
+  | Error e, _ -> Alcotest.failf "script failed: %s" e.msg
 
 let loop_var_scoping =
   (* The loop variable shadows and is restored; accumulators persist. *)
@@ -138,7 +138,7 @@ let show_stats_runs =
   (fun () ->
     match session "show stats;" with
     | Ok (), text -> Tutil.check_bool "mentions counters" true (String.length text > 10)
-    | Error e, _ -> Alcotest.failf "failed: %s" e)
+    | Error e, _ -> Alcotest.failf "failed: %s" e.msg)
 
 let verify_command =
   expect
@@ -165,7 +165,7 @@ let dump_command_roundtrips () =
        |}
    with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "failed: %s" e);
+  | Error e -> Alcotest.failf "failed: %s" e.msg);
   let script = Buffer.contents out in
   let db2 = Db.open_in_memory () in
   Ode.Dump.import db2 script;
@@ -188,7 +188,7 @@ let load_statement () =
        (Printf.sprintf "load \"%s\";\nforall x in l5 { print x.v; };" script)
    with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "load failed: %s" e);
+  | Error e -> Alcotest.failf "load failed: %s" e.msg);
   Tutil.check_string "loaded and queried" "11\n" (Buffer.contents out);
   (* Missing files are reported, not fatal. *)
   (match Shell.exec_catching shell "load \"/nonexistent/x.oql\";" with
@@ -201,7 +201,7 @@ let error_inside_explicit_txn_keeps_it_open () =
   let shell = Shell.create ~print:ignore db in
   (match Shell.exec_catching shell "class e9 { v: int; }; create cluster e9; begin; pnew e9 { v = 1 };" with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "setup failed: %s" e);
+  | Error e -> Alcotest.failf "setup failed: %s" e.msg);
   (* A runtime error mid-transaction... *)
   (match Shell.exec_catching shell "print nosuchvar;" with
   | Ok () -> Alcotest.fail "expected an error"
@@ -210,7 +210,7 @@ let error_inside_explicit_txn_keeps_it_open () =
      pnew is gone. *)
   (match Shell.exec_catching shell "abort;" with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "abort failed: %s" e);
+  | Error e -> Alcotest.failf "abort failed: %s" e.msg);
   Tutil.check_int "rolled back" 0
     (Db.with_txn db (fun _ -> Ode.Query.count db ~var:"x" ~cls:"e9" ()));
   Db.close db

@@ -30,6 +30,7 @@ let () =
          Test_stats.suite;
          Test_plans.suite;
          Test_exec_oracle.suite;
+         Test_fuzz.suite;
          Test_read_path.suite;
          Test_torn_wal.suite;
          Test_aggregates.suite;

@@ -288,7 +288,10 @@ let expected_counters =
     ("txn.begins", Workload, Counter); ("planner.stats_hits", Workload, Counter);
     ("planner.fallbacks", Workload, Counter); ("planner.analyze_runs", Workload, Counter);
     ("planner.fused_joins", Workload, Counter); ("planner.hash_joins", Workload, Counter);
-    ("planner.nested_joins", Workload, Counter);
+    ("planner.nested_joins", Workload, Counter); ("errors.conflict", Workload, Counter);
+    ("errors.redirect", Workload, Counter); ("errors.user", Workload, Counter);
+    ("errors.resource", Workload, Counter); ("errors.corrupt", Workload, Counter);
+    ("errors.internal", Workload, Counter);
   ]
 
 let stats_golden_registry () =
@@ -449,7 +452,7 @@ let stockitem_db () =
        |}
    with
   | Ok () -> ()
-  | Error msg -> Alcotest.failf "setup failed: %s" msg);
+  | Error e -> Alcotest.failf "setup failed: %s" e.msg);
   (db, shell)
 
 let reorder_suchthat () =
@@ -550,7 +553,7 @@ let dot_profile_body_binding () =
   Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
   (match Shell.exec_catching shell "x := 99;" with
   | Ok () -> ()
-  | Error m -> Alcotest.fail m);
+  | Error e -> Alcotest.fail e.msg);
   (match Shell.dot_command shell ".profile forall x in stockitem { print x.name; };" with
   | Some _ -> ()
   | None -> Alcotest.fail "not handled");
@@ -590,7 +593,7 @@ let one_observation_per_join () =
       Db.close db;
       Ode_util.Slowlog.disarm ())
   @@ fun () ->
-  let run src = match Shell.exec_catching shell src with Ok () -> () | Error m -> Alcotest.fail m in
+  let run src = match Shell.exec_catching shell src with Ok () -> () | Error e -> Alcotest.fail e.msg in
   run
     {|class dept { dname: string; };
       class emp { ename: string; works: string; };

@@ -5,6 +5,7 @@
 module P = Ode_served.Protocol
 module Codec = Ode_util.Codec
 module Prng = Ode_util.Prng
+module Err = Ode_util.Ode_error
 
 (* Random binary payload, including NULs and high bytes. *)
 let rand_payload rng =
@@ -19,12 +20,13 @@ let rand_op rng : P.op =
   | _ -> Close
 
 let rand_reply rng : P.reply =
-  match Prng.int rng 5 with
+  match Prng.int rng 4 with
   | 0 -> Pong
   | 1 -> Output (rand_payload rng)
   | 2 -> Rows (List.init (Prng.int rng 20) (fun _ -> rand_payload rng))
-  | 3 -> Err_conflict (rand_payload rng)
-  | _ -> Error (rand_payload rng)
+  | _ ->
+      Error
+        { cls = List.nth Err.classes (Prng.int rng (List.length Err.classes)); msg = rand_payload rng }
 
 let op_eq (a : P.op) (b : P.op) = a = b
 let reply_eq (a : P.reply) (b : P.reply) = a = b
@@ -76,6 +78,7 @@ let fuzz_requests () =
 
 let fuzz_responses () =
   let rng = Prng.create 402 in
+  let classes = Hashtbl.create 8 in
   for i = 0 to 199 do
     let resp = { P.rs_id = i; rs_lsn = Prng.int rng 1_000_000; rs_reply = rand_reply rng } in
     let b = Buffer.create 4096 in
@@ -88,8 +91,33 @@ let fuzz_responses () =
         let got = P.decode_response body in
         Tutil.check_int "id" resp.rs_id got.rs_id;
         Tutil.check_int "lsn" resp.rs_lsn got.rs_lsn;
-        Tutil.check_bool "reply" true (reply_eq resp.rs_reply got.rs_reply)
-  done
+        Tutil.check_bool "reply" true (reply_eq resp.rs_reply got.rs_reply);
+        match got.rs_reply with Error e -> Hashtbl.replace classes e.cls () | _ -> ()
+  done;
+  List.iter
+    (fun c ->
+      if not (Hashtbl.mem classes c) then Alcotest.failf "no %s error round-tripped" (Err.class_name c))
+    Err.classes
+
+(* An error reply is tag 3, a class byte, then the message: a byte that
+   names no class is refused like any other malformed frame. *)
+let unknown_error_class () =
+  let body cls =
+    let b = Buffer.create 64 in
+    P.encode_response b { rs_id = 1; rs_lsn = 0; rs_reply = Error { cls; msg = "m" } };
+    Buffer.sub b 4 (Buffer.length b - 4)
+  in
+  let user = body User and corrupt = body Corrupt in
+  (* The two frames differ in the class byte alone. *)
+  let at = ref (-1) in
+  String.iteri (fun i c -> if c <> corrupt.[i] then at := i) user;
+  Tutil.check_int "User's byte" 2 (Char.code user.[!at]);
+  List.iter
+    (fun byte ->
+      match P.decode_response (String.mapi (fun i c -> if i = !at then Char.chr byte else c) user) with
+      | _ -> Alcotest.failf "class byte %d accepted" byte
+      | exception Codec.Corrupt _ -> ())
+    [ List.length Err.classes; 7; 200; 255 ]
 
 let truncated_frame () =
   let b = Buffer.create 64 in
@@ -156,7 +184,8 @@ let garbage_handshake () =
   Tutil.check_bool "short reply" true (Result.is_error (P.parse_hello_reply "ODEP"))
 
 (* There is one protocol version: a server answers a hello from an older
-   client (v2 had no trace ids, v3 no conflict reply) with [Bad_version]
+   client (v2 had no trace ids, v3 no conflict reply, v4 no error class)
+   with [Bad_version]
    and hangs up, and a replication primary refuses an older replica. *)
 let old_versions_rejected () =
   let hello_v v =
@@ -192,7 +221,7 @@ let old_versions_rejected () =
               Tutil.check_string
                 (Printf.sprintf "v%d hello gets Bad_version, then EOF" v)
                 (P.hello_reply Bad_version) (Bytes.sub_string buf 0 n)))
-        [ 2; 3 ]);
+        [ 2; 3; 4 ]);
   let repl_hello_v v = P.repl_magic ^ String.sub (hello_v v) 4 2 in
   Tutil.check_bool "current repl hello" true (P.parse_repl_hello P.repl_hello = Ok ());
   List.iter
@@ -201,7 +230,7 @@ let old_versions_rejected () =
         (Printf.sprintf "v%d repl hello refused" v)
         true
         (Result.is_error (P.parse_repl_hello (repl_hello_v v))))
-    [ 2; 3 ]
+    [ 2; 3; 4 ]
 
 let reader_take () =
   let rd = P.reader () in
@@ -218,6 +247,7 @@ let suite =
       [
         Alcotest.test_case "fuzz request round-trips" `Quick fuzz_requests;
         Alcotest.test_case "fuzz response round-trips" `Quick fuzz_responses;
+        Alcotest.test_case "unknown error class refused" `Quick unknown_error_class;
         Alcotest.test_case "truncated frames wait or reject" `Quick truncated_frame;
         Alcotest.test_case "oversized frames rejected early" `Quick oversized_frame;
         Alcotest.test_case "garbage handshakes rejected" `Quick garbage_handshake;

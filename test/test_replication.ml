@@ -402,9 +402,7 @@ let e2e_streaming () =
       (* Reads serve; writes are refused with the retryable redirect. *)
       (match Client.exec rc "pnew t { tag = 99, v = \"nope\" };" with
       | _ -> Alcotest.fail "replica accepted a write"
-      | exception Client.Server_error msg ->
-          Tutil.check_bool "redirect error names the primary" true
-            (contains msg "read-only replica"));
+      | exception Client.Server_error { cls = Redirect; _ } -> ());
       (* Roles and lag are observable. *)
       let pr = Client.dot c ".replication" in
       Tutil.check_bool "primary role" true (contains pr "role           primary");
@@ -415,7 +413,7 @@ let e2e_streaming () =
       (* .promote over the wire is refused on a primary. *)
       (match Client.dot c ".promote" with
       | _ -> Alcotest.fail ".promote on a primary must fail"
-      | exception Client.Server_error msg ->
+      | exception Client.Server_error { msg; _ } ->
           Tutil.check_bool "already primary" true (contains msg "already primary"));
       (* Replication counters made it to the stats surface. *)
       eventually "lag gauges settle" (fun () ->
@@ -684,16 +682,6 @@ let standby_mirror_incremental () =
   Db.close pri;
   Db.close rep
 
-(* Words allocated by [f]. *)
-let allocated f =
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let w0 = words () in
-  f ();
-  words () -. w0
-
 (* A standby's apply of a one-pnew batch costs the same with 100 as with
    10,000 activations in the store: nothing reloads the activation table.
    The median over 21 batches leaves out the one that happens to split a
@@ -714,7 +702,7 @@ let standby_apply_flat_in_activations () =
       List.init batches (fun _ ->
           Db.with_txn pri (fun txn -> ignore (Db.pnew txn "acct" [ ("bal", Value.Int 7) ]));
           Tutil.check_int "one batch a commit" 1 (Queue.length queue);
-          allocated ship)
+          Tutil.allocated_words ship)
     in
     Db.close pri;
     Db.close rep;

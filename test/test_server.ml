@@ -65,10 +65,11 @@ let basic () =
              Tutil.check_bool "row has owner" true (contains row "owner = \"ada\"");
              Tutil.check_bool "row has bal" true (contains row "bal = 10")
          | rows -> Alcotest.failf "expected 1 row, got %d" (List.length rows));
-         (* Errors come back rendered, connection stays usable. *)
+         (* Errors come back classified, connection stays usable. *)
          (match Client.exec c "forall x in nope { print x; };" with
          | _ -> Alcotest.fail "expected Server_error"
-         | exception Client.Server_error msg ->
+         | exception Client.Server_error { cls; msg } ->
+             Tutil.check_bool "a user error" true (cls = User);
              Tutil.check_bool "rendered error" true (contains msg "nope"));
          Client.ping c;
          (* Dot commands run remotely; serving counters are visible. *)
@@ -130,8 +131,8 @@ let concurrent_sessions () =
             same object. The loser's commit comes back as the retryable
             conflict; spread over several requests the client's automatic
             replay (of the commit request alone) cannot win, so it
-            surfaces as [Client.Conflict] — and a whole-transaction replay
-            in one request then lands. *)
+            surfaces as a [Client.Server_error] of class [Conflict] — and
+            a whole-transaction replay in one request then lands. *)
          ignore (Client.exec cs.(2) "t := pnew acct { owner = \"hot\", bal = 0 };");
          ignore (Client.exec cs.(0) "forall x in acct suchthat x.owner = \"hot\" { r := x; };");
          ignore (Client.exec cs.(1) "forall x in acct suchthat x.owner = \"hot\" { r := x; };");
@@ -141,7 +142,7 @@ let concurrent_sessions () =
          ignore (Client.exec cs.(0) "begin; r.bal := r.bal + 100; commit;");
          (match Client.exec cs.(1) "commit;" with
          | _ -> Alcotest.fail "losing commit must conflict"
-         | exception Client.Conflict msg ->
+         | exception Client.Server_error { cls = Conflict; msg } ->
              Tutil.check_bool "conflict names the object" true (contains msg "conflict"));
          (* Replayed as one self-contained request, the transaction reads
             the winner's state and applies cleanly. *)
@@ -149,6 +150,15 @@ let concurrent_sessions () =
          Tutil.check_string "both increments landed" "110\n"
            (Client.exec cs.(2)
               "forall x in acct suchthat x.owner = \"hot\" { print x.bal; };");
+         (* Pipelined, a losing commit is replayed once the batch has
+            drained, loses again (a bare [commit;] re-reports the
+            conflict), and comes back with its class; the entry behind it
+            runs. *)
+         ignore (Client.exec cs.(1) "begin; r.bal := r.bal + 1;");
+         ignore (Client.exec cs.(0) "begin; r.bal := r.bal + 1; commit;");
+         (match Client.exec_many cs.(1) [ "commit;"; "print 7;" ] with
+         | [ Error { cls = Conflict; _ }; Ok "7\n" ] -> ()
+         | _ -> Alcotest.fail "a pipelined conflict lost its class");
          Array.iter Client.close cs))
 
 (* -- MVCC write storm under a pinned snapshot ------------------------------ *)
@@ -156,8 +166,8 @@ let concurrent_sessions () =
 (* [writers] forked clients each run [per_writer] increments of an account
    balance, one in three on a hot account. Each transaction is spread over
    three requests, so snapshots really overlap on the server; a loser's
-   [commit;] surfaces as [Client.Conflict] and the client replays the
-   whole transaction as one request. One session holds a snapshot across
+   [commit;] surfaces as a [Client.Server_error] of class [Conflict] and
+   the client replays the whole transaction as one request. One session holds a snapshot across
    the storm. Counted outcomes: every increment lands exactly once, the
    pinned read does not move, the long transaction's disjoint write still
    commits, and conflicts stay bounded. *)
@@ -171,7 +181,7 @@ let mvcc_write_storm () =
         let ctl = connect port in
         ignore (Client.exec ctl "class acct { id: int; bal: int; }; create cluster acct;");
         List.iter
-          (function Ok _ -> () | Error e -> Alcotest.failf "load: %s" e)
+          (function Ok _ -> () | Error (e : Ode_util.Ode_error.t) -> Alcotest.failf "load: %s" e.msg)
           (Client.exec_many ctl
              (List.map
                 (fun i -> Printf.sprintf "pnew acct { id = %d, bal = 0 };" i)
@@ -204,7 +214,8 @@ let mvcc_write_storm () =
                      ignore (Client.exec c "begin;");
                      ignore (Client.exec c incr_);
                      ignore (Client.exec c "commit;")
-                   with Client.Conflict _ -> ignore (Client.exec c ("begin; " ^ incr_ ^ " commit;"))
+                   with Client.Server_error { cls = Conflict; _ } ->
+                     ignore (Client.exec c ("begin; " ^ incr_ ^ " commit;"))
                  done;
                  Client.close c
                with _ -> errors := 100);
@@ -339,7 +350,9 @@ let pipelined_syncs durability n =
         ignore (Client.exec c schema);
         ignore (Client.dot c ".stats reset");
         List.iter
-          (function Ok _ -> () | Error e -> Alcotest.failf "%s: pipelined commit: %s" mode e)
+          (function
+            | Ok _ -> ()
+            | Error (e : Ode_util.Ode_error.t) -> Alcotest.failf "%s: pipelined commit: %s" mode e.msg)
           (Client.exec_many c
              (List.init n (fun i -> Printf.sprintf "pnew acct { owner = \"p%d\", bal = %d };" i i)));
         let syncs = counter_value (Client.dot c ".stats") "wal_syncs" in
@@ -629,6 +642,9 @@ let observability_endpoint () =
       for _ = 1 to 5 do
         ignore (Client.query c "forall x in acct")
       done;
+      (match Client.exec c "print nosuchvar;" with
+      | _ -> Alcotest.fail "an unbound variable printed"
+      | exception Client.Server_error { cls = User; _ } -> ());
       let resp = http_get mport "/metrics" in
       Tutil.check_bool "scrape is 200" true (contains resp "200 OK");
       Tutil.check_bool "prometheus content type" true
@@ -642,6 +658,8 @@ let observability_endpoint () =
         (contains body "ode_server_read_queue_depth");
       Tutil.check_bool "connections gauge exposed" true (contains body "ode_server_connections");
       Tutil.check_bool "latency quantiles exposed" true (contains body "quantile=\"0.5\"");
+      Tutil.check_bool "errors counted by class" true
+        (contains body "ode_errors_user 1\n" && contains body "ode_errors_internal 0\n");
       (* The OCaml heap gauges read a live, nonzero heap. *)
       List.iter
         (fun name ->
@@ -683,10 +701,66 @@ let observability_endpoint () =
       Tutil.check_bool "slow log splits queue wait" true (contains log "\"queue_wait_ns\":");
       Tutil.check_bool "slow log has plan profiles" true (contains log "\"profile\":");
       Tutil.check_bool "slow log names the statement" true (contains log "forall x in acct");
+      Tutil.check_bool "slow log classes an error" true
+        (List.exists
+           (fun l -> contains l "print nosuchvar;" && contains l "\"error\":\"user\"")
+           (String.split_on_char '\n' log));
       let slow = Client.dot c ".slow 3" in
       Tutil.check_bool ".slow shows retained entries" true (contains slow "\"exec_ns\":");
       let mj = Client.dot c ".metrics json" in
       Tutil.check_bool ".metrics json over the wire" true (contains mj "\"gauges\"");
+      Client.close c)
+
+(* -- a damaged page reaches the client as corrupt --------------------------- *)
+
+(* A closed store whose middle directory leaf has one flipped byte: open
+   does not read that page, so the server starts, and the first query that
+   scans the cluster meets the bad checksum. The client gets an error of
+   class [Corrupt] naming the page, counted as such, and the connection
+   stays usable. *)
+let served_corruption () =
+  let dir = Tutil.temp_dir "ode-served-corrupt" in
+  let db = Db.open_ dir in
+  ignore (Db.define db "class acct { owner: string; bal: int; };");
+  Db.create_cluster db "acct";
+  Db.with_txn db (fun txn ->
+      for i = 0 to 299 do
+        ignore
+          (Db.pnew txn "acct"
+             [
+               ("owner", Ode_model.Value.Str (String.make 80 (Char.chr (97 + (i mod 26)))));
+               ("bal", Ode_model.Value.Int i);
+             ])
+      done);
+  Db.close db;
+  let file = Filename.concat dir "directory.bpt" in
+  let page_size = Ode_storage.Page.size in
+  let contents = In_channel.with_open_bin file In_channel.input_all in
+  (* A node's first byte is its kind, 0 for a leaf; page 0 is the header. *)
+  let leaves =
+    List.filter
+      (fun n -> n > 0 && contents.[n * page_size] = '\000')
+      (List.init (String.length contents / page_size) Fun.id)
+  in
+  if List.length leaves < 3 then Alcotest.failf "only %d directory leaves" (List.length leaves);
+  let page = List.nth leaves (List.length leaves / 2) in
+  Tutil.flip_byte file ((page * page_size) + 101);
+  let pid, port = Server.spawn ~db_dir:dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      let c = connect port in
+      (match Client.query c "forall x in acct" with
+      | rows -> Alcotest.failf "a scan over a damaged leaf answered %d rows" (List.length rows)
+      | exception Client.Server_error { cls; msg } ->
+          Tutil.check_string "class" "corrupt" (Ode_util.Ode_error.class_name cls);
+          Tutil.check_bool "names the page" true
+            (contains msg (Printf.sprintf "directory.bpt: page %d: " page)));
+      Client.ping c;
+      Tutil.check_bool "counted as corrupt" true
+        (counter_value (Client.dot c ".stats") "errors.corrupt" = Some 1);
       Client.close c)
 
 let suite =
@@ -708,5 +782,6 @@ let suite =
         Alcotest.test_case "metrics endpoint, health, slow-query log" `Quick
           observability_endpoint;
         Alcotest.test_case "mvcc write storm under a pinned snapshot" `Quick mvcc_write_storm;
+        Alcotest.test_case "a damaged page reaches the client as corrupt" `Quick served_corruption;
       ] );
   ]

@@ -16,18 +16,15 @@ let session script =
 let expect_output script expected () =
   match session script with
   | Ok (), text -> Tutil.check_string "output" expected text
-  | Error msg, _ -> Alcotest.failf "script failed: %s" msg
+  | Error e, _ -> Alcotest.failf "script failed: %s" e.msg
 
 let expect_error script fragment () =
   match session script with
   | Ok (), _ -> Alcotest.fail "expected an error"
-  | Error msg, _ ->
-      let contains s sub =
-        let n = String.length s and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-        m = 0 || go 0
-      in
-      if not (contains msg fragment) then Alcotest.failf "error %S lacks %S" msg fragment
+  | Error { cls; msg }, _ ->
+      if cls <> Ode_util.Ode_error.User then
+        Alcotest.failf "error %S has class %s, want user" msg (Ode_util.Ode_error.class_name cls);
+      if not (Tutil.contains msg fragment) then Alcotest.failf "error %S lacks %S" msg fragment
 
 let stockitem_example =
   {|
@@ -112,7 +109,7 @@ let explain_sees_shell_vars () =
   let out = Buffer.create 256 in
   let shell = Shell.create ~print:(Buffer.add_string out) db in
   let run src =
-    match Shell.exec_catching shell src with Ok () -> () | Error m -> Alcotest.fail m
+    match Shell.exec_catching shell src with Ok () -> () | Error e -> Alcotest.fail e.msg
   in
   run
     {|class person { name: string; age: int; };
@@ -179,7 +176,7 @@ let shell_vars_tracked () =
   let shell = Shell.create ~print:ignore db in
   (match Shell.exec_catching shell "class v { x: int; }; create cluster v; q := pnew v { x = 1 }; n := 5;" with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "script failed: %s" e);
+  | Error e -> Alcotest.failf "script failed: %s" e.msg);
   let vars = Shell.vars shell in
   Tutil.check_bool "n bound" true (List.assoc_opt "n" vars = Some (Ode_model.Value.Int 5));
   Tutil.check_bool "q bound to a ref" true
@@ -198,7 +195,7 @@ let bank_script_runs () =
           && List.exists
                (fun line -> line = "total deposits: 1520 across 3 accounts")
                (String.split_on_char '\n' text))
-    | Error msg, _ -> Alcotest.failf "bank.oql failed: %s" msg
+    | Error e, _ -> Alcotest.failf "bank.oql failed: %s" e.msg
   end
 
 let suite =

@@ -230,15 +230,14 @@ let pool_miss_reuses_victim () =
   in
   cycle ();
   let misses () = Ode_util.Stats.(get (snapshot ()) "pool_misses") in
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+  let m0 = misses () in
+  let w =
+    Tutil.allocated_words (fun () ->
+        for _ = 1 to 4 do
+          cycle ()
+        done)
   in
-  let m0 = misses () and w0 = words () in
-  for _ = 1 to 4 do
-    cycle ()
-  done;
-  let w = words () -. w0 and m = misses () - m0 in
+  let m = misses () - m0 in
   Tutil.check_int "every access misses" (4 * pages) m;
   let per_miss = w /. float m in
   if per_miss >= 100.0 then Alcotest.failf "%.0f words allocated per miss" per_miss;

@@ -86,7 +86,7 @@ let verify_after_crash () =
   Sys.rmdir snap;
   Tutil.copy_dir dir snap;
   let db2 = Db.open_ snap in
-  Ode.Verify.run_exn db2;
+  Tutil.verified db2;
   Db.close db2;
   Db.close db
 
@@ -242,7 +242,7 @@ let verify_reads_once () =
   Db.create_index db ~cls:"k" ~field:"v";
   no_object_reads "backfill" (Stats.diff (Stats.snapshot ()) s0);
   let s0 = Stats.snapshot () in
-  Ode.Verify.run_exn db;
+  Tutil.verified db;
   let d = Stats.diff (Stats.snapshot ()) s0 in
   no_object_reads "verify" d;
   Alcotest.(check int) "index probes: one cursor per tree" 2 (Stats.get d "index_probes");
@@ -289,7 +289,7 @@ let dump_roundtrip () =
   let script = Ode.Dump.export db in
   let db2 = Db.open_in_memory () in
   Ode.Dump.import db2 script;
-  Ode.Verify.run_exn db2;
+  Tutil.verified db2;
   (* Same extents. *)
   let count d cls = Db.with_txn d (fun _ -> Query.count d ~var:"x" ~cls ()) in
   Tutil.check_int "tags" (count db "tag") (count db2 "tag");
@@ -373,7 +373,7 @@ let dump_dangling_refs () =
        (String.split_on_char '\n' script));
   let db2 = Db.open_in_memory () in
   Ode.Dump.import db2 script;
-  Ode.Verify.run_exn db2;
+  Tutil.verified db2;
   Db.with_txn db2 (fun txn ->
       Tutil.check_int "one t survives" 1 (List.length (Query.to_list db2 ~var:"x" ~cls:"t" ()));
       let h = List.hd (Query.to_list db2 ~var:"x" ~cls:"h" ()) in

@@ -252,8 +252,8 @@ let argument_types_checked () =
   let refused args expect =
     match Db.with_txn db (fun txn -> Db.activate txn i "low" args) with
     | _ -> Alcotest.failf "activation with %s accepted" expect
-    | exception Ode.Triggers.Trigger_error msg ->
-        if not (Tutil.contains msg expect) then Alcotest.failf "wrong error %S, want %S" msg expect
+    | exception Ode_util.Ode_error.Error { cls = User; msg } ->
+        if not (String.starts_with ~prefix:"trigger error: " msg && Tutil.contains msg expect) then Alcotest.failf "wrong error %S, want %S" msg expect
   in
   refused [ Value.Str "10"; int 1; Value.Null ] "trigger low: argument n expects int, got \"10\"";
   refused [ int 10; Value.Bool true; Value.Null ] "argument f expects float, got true";

@@ -66,6 +66,25 @@ let allocated_words f =
   let _, promoted1, major1 = Gc.counters () in
   minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
 
+(* Inverts the byte at [off] of the file at [path]. *)
+let flip_byte path off =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      let b = Bytes.create 1 in
+      if Unix.read fd b 0 1 <> 1 then failwith "flip_byte: short read";
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
+      if Unix.write fd b 0 1 <> 1 then failwith "flip_byte: short write")
+
+(* Fails the test with every problem [Verify.run] finds in [db]. *)
+let verified db =
+  match Ode.Verify.run db with
+  | Ok () -> ()
+  | Error ps -> Alcotest.failf "integrity check failed:\n  %s" (String.concat "\n  " ps)
+
 (* Common alcotest checkers. *)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
