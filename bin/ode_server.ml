@@ -32,7 +32,7 @@ let parse_host_port s =
 
 let main db_dir port max_conns idle_timeout durability group_window port_file repl_port
     metrics_port metrics_port_file slow_query_ms slow_query_log trace_on sync_repl
-    replica_of domains =
+    replica_of (_domains : int option) =
   match db_dir with
   | None ->
       prerr_endline "ode_server: --db DIR is required";
@@ -82,7 +82,7 @@ let main db_dir port max_conns idle_timeout durability group_window port_file re
       let server =
         try
           Ode_served.Server.create ~max_conns ~idle_timeout ~durability ~group_window
-            ?repl_port ?metrics_port ~sync_repl ?replica ~domains ~db ~port ()
+            ?repl_port ?metrics_port ~sync_repl ?replica ~db ~port ()
         with Unix.Unix_error (e, _, _) ->
           Printf.eprintf "ode_server: cannot listen on port %d: %s\n" port
             (Unix.error_message e);
@@ -117,11 +117,11 @@ let main db_dir port max_conns idle_timeout durability group_window port_file re
       in
       Printf.printf
         "ode_server: serving %s on 127.0.0.1:%d (max %d conns, idle timeout %gs, durability \
-         %s, group window %d, domains %d%s)\n\
+         %s, group window %d%s)\n\
          %!"
         dir bound max_conns idle_timeout
         (Ode.Database.durability_name durability)
-        group_window domains (role ^ obs);
+        group_window (role ^ obs);
       Ode_served.Server.serve server;
       print_endline "ode_server: shutting down";
       Ode.Database.close db;
@@ -252,15 +252,23 @@ let replica_of =
            bootstrap the store from it, apply its WAL stream, serve reads, reject writes. \
            SIGUSR1 or the $(b,.promote) dot command promotes to primary.")
 
+(* Accepted for old command lines and ignored: every request runs on the
+   event loop's domain. *)
 let domains =
+  let at_least_one =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (Printf.sprintf "expected an integer of at least 1, got %s" s)),
+        Format.pp_print_int )
+  in
   Arg.(
     value
-    & opt int 1
+    & opt (some at_least_one) None
     & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Serving domains: 1 (default) runs the classic single-domain loop; N > 1 adds \
-           N-1 reader domains that execute read-only queries in parallel while writes stay \
-           on the writer domain.")
+        ~deprecated:"the server runs every request on one domain; the option does nothing"
+        ~doc:"Ignored.")
 
 let cmd =
   let doc = "network server for the ODE object database" in

@@ -180,6 +180,14 @@ let main memory file expr connect dir =
                     Printf.eprintf "ode_shell: %s is corrupt: %s\n" d msg;
                     exit 3
                 | { msg; _ } ->
+                    (* A [Sys_error] about the directory itself names it
+                       already; say the path once. *)
+                    let prefix = d ^ ": " in
+                    let msg =
+                      if String.starts_with ~prefix msg then
+                        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+                      else msg
+                    in
                     Printf.eprintf "ode_shell: cannot open %s: %s\n" d msg;
                     exit 2))
           | None ->

@@ -36,8 +36,6 @@ let make_db ~dbdir ~kv_disk ~dir_disk ~idx_disk ~wal ~pool_pages ~wal_checkpoint
       active = None;
       wtxns = Hashtbl.create 8;
       mvcc = Mvcc.create ();
-      latch = Ode_util.Rwlock.create ();
-      in_excl = false;
       activations = Hashtbl.create 64;
       by_oid = Hashtbl.create 64;
       action_queue = Queue.create ();
@@ -255,10 +253,8 @@ let with_txn db f =
   drain db;
   v
 
-(* A detached read-only transaction around [f]: safe to run on a reader
-   domain concurrently with other readers (the caller holds the engine's
-   shared lock; see Rwlock). Commit is trivial — queries cannot fire
-   triggers, so there is nothing to drain. *)
+(* A detached read-only transaction around [f]. Commit is trivial —
+   queries cannot fire triggers, so there is nothing to drain. *)
 let with_read_txn db f =
   let txn = Txn.begin_read db in
   match f txn with
@@ -311,8 +307,6 @@ let durable_lsn db = Wal.durable_lsn db.wal
 
 (* -- concurrency / MVCC introspection --------------------------------------- *)
 
-let latch db = db.latch
-
 (* Open read-write transactions as [(xid, read_ts)], oldest xid first — the
    shell's [.txns] report. *)
 let open_txns db =
@@ -348,12 +342,10 @@ let dir db = db.dbdir
    the commit timestamp the primary embedded in the record — so an explicit
    read transaction held open on a standby session observes exactly the
    snapshot it began with even while batches stream in, and primary and
-   standby agree on version order. The whole apply holds the exclusive
-   latch: a reader domain never observes a half-applied transaction. *)
+   standby agree on version order. *)
 let apply_replicated db ~frames (records : Wal.record list) =
   if db.closed then Ode_util.Ode_error.fail Resource "database is closed";
   Ode_util.Trace.with_span ~cat:"repl" "repl.apply" @@ fun () ->
-  Txn.with_excl db @@ fun () ->
   Wal.append_commits db.wal frames;
   Wal.sync db.wal;
   let checkpointed = ref false in
@@ -408,7 +400,6 @@ let require_writable db = if db.read_only then raise Read_only_store
 let define_class db (decl : Ast.class_decl) =
   require_no_txn db "define_class";
   require_writable db;
-  Txn.with_excl db @@ fun () ->
   (* Resolve the would-be field set to drive the implicit-this rewrite. *)
   let parent_fields =
     List.concat_map
@@ -446,14 +437,12 @@ let define db source =
 let create_cluster db name =
   require_no_txn db "create_cluster";
   require_writable db;
-  Txn.with_excl db @@ fun () ->
   Catalog.create_cluster db.catalog name;
   ignore (with_txn_no_drain db (fun txn -> txn.catalog_dirty <- true))
 
 let create_index db ~cls ~field =
   require_no_txn db "create_index";
   require_writable db;
-  Txn.with_excl db @@ fun () ->
   Catalog.add_index db.catalog ~cls ~field;
   let idx_id =
     match Store.index_ids db ~cls ~field with Some i -> i | None -> assert false
@@ -472,7 +461,7 @@ let create_index db ~cls ~field =
                  | None -> ()
                  | Some slot ->
                      (* The scan's payload is the committed record, which
-                        nothing can change under the exclusive latch. *)
+                        no other commit changes during this call. *)
                      Kv.iter_prefix db (Keys.header_prefix_class c.Schema.id) (fun key payload ->
                          let oid = Keys.oid_of_header_key key in
                          let v = (snd (Store.decode_object db oid payload)).(slot) in
@@ -556,7 +545,7 @@ let advance_time db n =
   require_writable db;
   if n < 0 then Ode_util.Ode_error.user "advance time: negative step %d" n;
   with_txn_no_drain db (fun txn ->
-      Txn.with_excl db (fun () -> db.meta.clock <- db.meta.clock + n);
+      db.meta.clock <- db.meta.clock + n;
       txn.meta_dirty <- true);
   let expired = Triggers.expired db in
   if expired <> [] then begin

@@ -5,6 +5,11 @@
     directory replays the committed tail of the WAL, so a crash at any point
     loses at most the uncommitted transaction (see DESIGN.md).
 
+    A [t] is used from one domain: nothing in the engine takes a lock.
+    Transactions interleave on it under MVCC snapshot isolation, as the
+    server's sessions do, but every call into one database, from any of
+    them, must come from the same domain.
+
     Typical EDSL use:
     {[
       let db = Database.open_ "mydb" in
@@ -89,10 +94,10 @@ val with_txn : t -> (txn -> 'a) -> 'a
 
 val with_read_txn : t -> (txn -> 'a) -> 'a
 (** Run [f] inside a detached read-only transaction ({!Txn.begin_read}):
-    it registers an MVCC snapshot but never a write set or an xid, so any
-    number run concurrently on reader domains alongside open write
-    transactions, each observing a stable snapshot. A write attempt inside
-    [f] raises {!Types.Read_only_txn} before touching shared state. *)
+    it registers an MVCC snapshot but never a write set or an xid, so it
+    interleaves with open write transactions and observes a stable
+    snapshot. A write attempt inside [f] raises {!Types.Read_only_txn}
+    before touching shared state. *)
 
 val begin_txn : t -> txn
 (** Open an explicit read-write transaction. Any number may be open at
@@ -146,11 +151,6 @@ val pool_resident : t -> int
     B+tree, index B+tree) — a monitoring gauge. *)
 
 (** {1 Concurrency and MVCC introspection} *)
-
-val latch : t -> Ode_util.Rwlock.t
-(** The engine latch. Reader domains hold the shared side for the duration
-    of a request; the engine itself takes the exclusive side around commit
-    apply, checkpoints, DDL and replication apply ({!Txn.with_excl}). *)
 
 val open_txns : t -> (int * int) list
 (** Open read-write transactions as [(xid, read_ts)] pairs, oldest xid

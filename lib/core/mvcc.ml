@@ -1,9 +1,10 @@
 (* MVCC version chains + snapshot registry. See mvcc.mli for the model.
 
-   Everything lives behind one mutex; the only lock-free path is the
-   [nonempty] atomic consulted by every committed read, so a store with no
-   concurrent snapshots (the common case: autocommitted statements, a lone
-   embedded program) pays a single atomic load per read and nothing else.
+   A database is used from one domain, so nothing here takes a lock. Every
+   committed read first checks whether any chain exists at all, so a store
+   with no concurrent snapshots (the common case: autocommitted statements,
+   a lone embedded program) pays one length check per read and nothing
+   else.
 
    Invariant relied on for conflict detection and visibility: a commit is
    recorded into chains whenever any other snapshot is live at commit time.
@@ -15,7 +16,6 @@
 type version = { v_ts : int; v_data : string option }
 
 type t = {
-  mu : Mutex.t;
   chains : (string, version list) Hashtbl.t; (* newest-first, never [] *)
   snaps : (int, int) Hashtbl.t; (* token -> read_ts *)
   mutable next_token : int;
@@ -23,14 +23,12 @@ type t = {
   mutable entries : int; (* total chain entries *)
   mutable commits_since_gc : int;
   mutable reclaimed : int;
-  nonempty : int Atomic.t; (* 1 iff [chains] is non-empty *)
 }
 
 type visibility = Latest | Older of string option
 
 let create () =
   {
-    mu = Mutex.create ();
     chains = Hashtbl.create 64;
     snaps = Hashtbl.create 8;
     next_token = 1;
@@ -38,25 +36,22 @@ let create () =
     entries = 0;
     commits_since_gc = 0;
     reclaimed = 0;
-    nonempty = Atomic.make 0;
   }
 
-let with_mu t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let empty t = Hashtbl.length t.chains = 0
 
-(* -- GC (call with [mu] held) -------------------------------------------- *)
+(* -- GC ------------------------------------------------------------------- *)
 
-let oldest_locked t = Hashtbl.fold (fun _ ts acc ->
+let oldest_snapshot t = Hashtbl.fold (fun _ ts acc ->
     match acc with None -> Some ts | Some m -> Some (min m ts)) t.snaps None
 
 (* Trim one chain against horizon [h]: keep every entry a snapshot at or
    after [h] could still need — all entries newer than [h] plus the first
    (newest) one at or below it. A chain whose head is at or below [h] is
    invisible to every live snapshot ([Latest] everywhere) and goes away. *)
-let gc_locked t =
+let gc_all t =
   let removed = ref 0 in
-  (match oldest_locked t with
+  (match oldest_snapshot t with
   | None ->
       removed := t.entries;
       Hashtbl.reset t.chains
@@ -81,90 +76,79 @@ let gc_locked t =
         t.chains);
   t.entries <- t.entries - !removed;
   t.reclaimed <- t.reclaimed + !removed;
-  t.commits_since_gc <- 0;
-  if Hashtbl.length t.chains = 0 then Atomic.set t.nonempty 0
+  t.commits_since_gc <- 0
 
-let maybe_gc_locked t =
+let maybe_gc t =
   if t.entries > 0 && (t.commits_since_gc >= 64 || t.entries - Hashtbl.length t.chains >= 4096)
-  then gc_locked t
+  then gc_all t
 
-let gc t = with_mu t (fun () -> if Atomic.get t.nonempty = 1 then gc_locked t)
+let gc t = if not (empty t) then gc_all t
 
 (* -- snapshots ------------------------------------------------------------ *)
 
 let snapshot t ~read_ts =
-  with_mu t (fun () ->
-      let tok = t.next_token in
-      t.next_token <- tok + 1;
-      Hashtbl.replace t.snaps tok read_ts;
-      tok)
+  let tok = t.next_token in
+  t.next_token <- tok + 1;
+  Hashtbl.replace t.snaps tok read_ts;
+  tok
 
 let release t tok =
-  with_mu t (fun () ->
-      Hashtbl.remove t.snaps tok;
-      if Hashtbl.length t.snaps = 0 && t.entries > 0 then gc_locked t)
+  Hashtbl.remove t.snaps tok;
+  if Hashtbl.length t.snaps = 0 && t.entries > 0 then gc_all t
 
-let oldest_snapshot t = with_mu t (fun () -> oldest_locked t)
 let live_snapshots t = Hashtbl.length t.snaps
 
 (* -- reads ---------------------------------------------------------------- *)
 
 let read t ~read_ts key =
-  if Atomic.get t.nonempty = 0 then Latest
+  if empty t then Latest
   else
-    with_mu t (fun () ->
-        match Hashtbl.find_opt t.chains key with
-        | None -> Latest
-        | Some ({ v_ts; _ } :: _) when v_ts <= read_ts -> Latest
-        | Some chain -> (
-            (* The head is invisible: surface the newest entry the snapshot
-               can see. The base entry has ts 0, so the search always
-               lands (every live snapshot postdates chain creation). *)
-            match List.find_opt (fun v -> v.v_ts <= read_ts) chain with
-            | Some v -> Older v.v_data
-            | None -> Older None))
+    match Hashtbl.find_opt t.chains key with
+    | None -> Latest
+    | Some ({ v_ts; _ } :: _) when v_ts <= read_ts -> Latest
+    | Some chain -> (
+        (* The head is invisible: surface the newest entry the snapshot
+           can see. The base entry has ts 0, so the search always lands
+           (every live snapshot postdates chain creation). *)
+        match List.find_opt (fun v -> v.v_ts <= read_ts) chain with
+        | Some v -> Older v.v_data
+        | None -> Older None)
 
 let keys_matching t pred =
-  if Atomic.get t.nonempty = 0 then []
+  if empty t then []
   else
-    with_mu t (fun () ->
-        List.sort String.compare
-          (Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) t.chains []))
+    List.sort String.compare
+      (Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) t.chains [])
 
 (* -- commit --------------------------------------------------------------- *)
 
 let conflict t ~read_ts keys =
-  if Atomic.get t.nonempty = 0 then None
+  if empty t then None
   else
-    with_mu t (fun () ->
-        List.find_opt
-          (fun k ->
-            match Hashtbl.find_opt t.chains k with
-            | Some ({ v_ts; _ } :: _) -> v_ts > read_ts
-            | _ -> false)
-          keys)
+    List.find_opt
+      (fun k ->
+        match Hashtbl.find_opt t.chains k with
+        | Some ({ v_ts; _ } :: _) -> v_ts > read_ts
+        | _ -> false)
+      keys
 
 let commit t ~ts ~except ~pre writes =
-  with_mu t (fun () ->
-      if ts > t.floor then t.floor <- ts;
-      t.commits_since_gc <- t.commits_since_gc + 1;
-      let need =
-        Hashtbl.fold (fun tok _ acc -> acc || tok <> except) t.snaps false
-      in
-      if need then
-        List.iter
-          (fun (key, post) ->
-            let v = { v_ts = ts; v_data = post } in
-            match Hashtbl.find_opt t.chains key with
-            | Some chain ->
-                Hashtbl.replace t.chains key (v :: chain);
-                t.entries <- t.entries + 1
-            | None ->
-                Hashtbl.replace t.chains key [ v; { v_ts = 0; v_data = pre key } ];
-                t.entries <- t.entries + 2;
-                Atomic.set t.nonempty 1)
-          writes;
-      maybe_gc_locked t)
+  if ts > t.floor then t.floor <- ts;
+  t.commits_since_gc <- t.commits_since_gc + 1;
+  let need = Hashtbl.fold (fun tok _ acc -> acc || tok <> except) t.snaps false in
+  if need then
+    List.iter
+      (fun (key, post) ->
+        let v = { v_ts = ts; v_data = post } in
+        match Hashtbl.find_opt t.chains key with
+        | Some chain ->
+            Hashtbl.replace t.chains key (v :: chain);
+            t.entries <- t.entries + 1
+        | None ->
+            Hashtbl.replace t.chains key [ v; { v_ts = 0; v_data = pre key } ];
+            t.entries <- t.entries + 2)
+      writes;
+  maybe_gc t
 
 (* -- gauges --------------------------------------------------------------- *)
 

@@ -1,7 +1,8 @@
 (** Multi-version concurrency control: snapshot isolation over logical keys.
 
-    The engine remains single-writer (one domain applies commits), but any
-    number of transactions may now be open at once. Each transaction
+    A database is used from one domain, which applies every commit, but
+    any number of transactions may be open at once, interleaved by the
+    sessions that own them. Each transaction
     captures a read timestamp at begin — the commit LSN of the last applied
     transaction — and every read resolves against that snapshot:
     committed-after-snapshot overwrites and deletes are undone through
@@ -16,7 +17,7 @@
     chain was created. Chains are recorded by the commit path {e only when
     a concurrent snapshot exists that could still need the overwritten
     image}; with no concurrent snapshots the store behaves exactly as
-    before (no chains, no overhead beyond one atomic load per read).
+    before (no chains, no overhead beyond one length check per read).
     Commit timestamps are the WAL commit LSNs, so the version order is
     durable, survives checkpoints, and is reproduced identically by crash
     recovery and replication standbys.
@@ -34,9 +35,8 @@
 
     [gc] drops chains entirely invisible to every live snapshot and trims
     entries older than the oldest one still reachable; [maybe_gc] runs it
-    incrementally from the commit and release paths. All operations are
-    internally synchronized — readers on reader domains may call {!read}
-    concurrently with each other and with gauge sampling. *)
+    incrementally from the commit and release paths. Nothing here takes a
+    lock: every caller runs on the database's one domain. *)
 
 type t
 

@@ -37,7 +37,6 @@ let fresh () =
     st_mods = 0;
     st_cards = Hashtbl.create 16;
     st_idx = Hashtbl.create 8;
-    st_mu = Mutex.create ();
   }
 
 (* -- incremental maintenance (called from Store.apply_writes) ---------------- *)
@@ -45,10 +44,9 @@ let fresh () =
 let bump db key delta =
   let cls = (Keys.oid_of_header_key key).Ode_model.Oid.cls in
   let s = db.stats in
-  Mutex.protect s.st_mu (fun () ->
-      let cur = Option.value ~default:0 (Hashtbl.find_opt s.st_cards cls) in
-      Hashtbl.replace s.st_cards cls (max 0 (cur + delta));
-      s.st_mods <- s.st_mods + 1)
+  let cur = Option.value ~default:0 (Hashtbl.find_opt s.st_cards cls) in
+  Hashtbl.replace s.st_cards cls (max 0 (cur + delta));
+  s.st_mods <- s.st_mods + 1
 
 let note_create db key = bump db key 1
 let note_delete db key = bump db key (-1)
@@ -103,14 +101,13 @@ let install db payload =
         (iid, { is_total; is_distinct; is_hist }))
   in
   let s = db.stats in
-  Mutex.protect s.st_mu (fun () ->
-      Hashtbl.reset s.st_cards;
-      Hashtbl.reset s.st_idx;
-      List.iter (fun (cid, n) -> Hashtbl.replace s.st_cards cid n) cards;
-      List.iter (fun (iid, st) -> Hashtbl.replace s.st_idx iid st) idx;
-      s.st_base <- base;
-      s.st_mods <- 0;
-      s.st_analyzed <- true)
+  Hashtbl.reset s.st_cards;
+  Hashtbl.reset s.st_idx;
+  List.iter (fun (cid, n) -> Hashtbl.replace s.st_cards cid n) cards;
+  List.iter (fun (iid, st) -> Hashtbl.replace s.st_idx iid st) idx;
+  s.st_base <- base;
+  s.st_mods <- 0;
+  s.st_analyzed <- true
 
 (* -- analyze (full committed-state scan) ------------------------------------ *)
 
@@ -157,29 +154,20 @@ let analyzed db = db.stats.st_analyzed
    one). [idx_stat] then answers nothing, so the planner prices with
    default selectivities rather than trusting distributions that no
    longer describe the data. *)
-let stale_locked s = (not s.st_analyzed) || s.st_mods > max 100 (s.st_base / 5)
-
 let stale db =
   let s = db.stats in
-  Mutex.protect s.st_mu (fun () -> stale_locked s)
+  (not s.st_analyzed) || s.st_mods > max 100 (s.st_base / 5)
 
-let card db cls_id =
-  let s = db.stats in
-  Mutex.protect s.st_mu (fun () -> Hashtbl.find_opt s.st_cards cls_id)
-
-let idx_stat db idx_id =
-  let s = db.stats in
-  Mutex.protect s.st_mu (fun () ->
-      if stale_locked s then None else Hashtbl.find_opt s.st_idx idx_id)
+let card db cls_id = Hashtbl.find_opt db.stats.st_cards cls_id
+let idx_stat db idx_id = if stale db then None else Hashtbl.find_opt db.stats.st_idx idx_id
 
 (* One-line report for the shell's `.analyze` acknowledgement. *)
 let describe db =
   let s = db.stats in
-  Mutex.protect s.st_mu (fun () ->
-      if not s.st_analyzed then "statistics: none (run .analyze)"
-      else
-        let nidx = Hashtbl.length s.st_idx in
-        Printf.sprintf "statistics: %d objects across %d extents, %d index histogram%s, %d mods since analyze"
-          s.st_base (Hashtbl.length s.st_cards) nidx
-          (if nidx = 1 then "" else "s")
-          s.st_mods)
+  if not s.st_analyzed then "statistics: none (run .analyze)"
+  else
+    let nidx = Hashtbl.length s.st_idx in
+    Printf.sprintf "statistics: %d objects across %d extents, %d index histogram%s, %d mods since analyze"
+      s.st_base (Hashtbl.length s.st_cards) nidx
+      (if nidx = 1 then "" else "s")
+      s.st_mods

@@ -183,7 +183,7 @@ let plan db ?txn ?(env = []) ~var ~cls ~deep ~suchthat () =
   let classes = if deep then Catalog.subclasses db.catalog cls else [ cls ] in
   let indexed = Catalog.indexes_on db.catalog cls in
   (* Constant-conjunct evaluation reads through the planning transaction's
-     view; [db.active] is only a writer-domain fallback. *)
+     view; [db.active] is only a fallback for embedded callers. *)
   let txn = match txn with Some _ as t -> t | None -> db.active in
   let stats = not (Ostats.stale db) in
   let n = if Ostats.analyzed db then extent_card db classes else default_card in

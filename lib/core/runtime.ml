@@ -61,10 +61,16 @@ let version_builtin ?reads db txn name (args : Value.t list) : Value.t option =
       err "builtin %s: wrong arguments" name
   | _ -> None
 
+(* How deeply method calls may nest. A method that calls itself without
+   end would otherwise run until memory gives out, and on a server it
+   would hold the one serving domain all that time. *)
+let max_call_depth = 10_000
+
 (* A field of one of [rows], the records of the loop variables in scope,
    is read from that record while the transaction has not written since
-   fetching it; any other goes to the store. *)
-let rec hooks ?reads ?(rows = []) db txn : Eval.hooks =
+   fetching it; any other goes to the store. [depth] counts the method
+   calls the evaluation is nested in. *)
+let rec hooks_at ?reads ~rows ~depth db txn : Eval.hooks =
   {
     get_field =
       (fun oid f ->
@@ -83,11 +89,11 @@ let rec hooks ?reads ?(rows = []) db txn : Eval.hooks =
           Option.map (fun (c : Schema.cls) -> c.Schema.name) (Store.class_of db oid)
         else None);
     is_subclass = (fun ~sub ~super -> Catalog.is_subclass db.catalog ~sub ~super);
-    call_method = (fun recv name args -> call_method ?reads db txn recv name args);
+    call_method = (fun recv name args -> call_at ?reads ~depth db txn recv name args);
     builtin = (fun name args -> version_builtin ?reads db txn name args);
   }
 
-and call_method ?reads db txn (recv : Value.t) name args : Value.t =
+and call_at ?reads ~depth db txn (recv : Value.t) name args : Value.t =
   let oid =
     match recv with
     | Ref oid -> oid
@@ -105,7 +111,13 @@ and call_method ?reads db txn (recv : Value.t) name args : Value.t =
       if List.length args <> List.length m.mparams then
         err "method %s.%s expects %d arguments, got %d" cls.Schema.name name
           (List.length m.mparams) (List.length args);
+      if depth >= max_call_depth then
+        Ode_util.Ode_error.user "method %s.%s: calls nested deeper than %d" cls.Schema.name name
+          max_call_depth;
       let vars = List.map2 (fun (p : Schema.field) v -> (p.fname, v)) m.mparams args in
-      Eval.eval (hooks ?reads db txn) ~vars ~this:(Some recv) m.mbody
+      Eval.eval (hooks_at ?reads ~rows:[] ~depth:(depth + 1) db txn) ~vars ~this:(Some recv) m.mbody
+
+let hooks ?reads ?(rows = []) db txn = hooks_at ?reads ~rows ~depth:0 db txn
+let call_method ?reads db txn recv name args = call_at ?reads ~depth:0 db txn recv name args
 
 let eval ?reads ?rows db txn ?(vars = []) ?this e = Eval.eval (hooks ?reads ?rows db txn) ~vars ~this e

@@ -22,7 +22,10 @@ val hooks :
 val call_method :
   ?reads:(string, unit) Hashtbl.t ->
   db -> txn option -> Ode_model.Value.t -> string -> Ode_model.Value.t list -> Ode_model.Value.t
-(** Raises {!Ode_model.Eval.Error} on unknown method / arity mismatch. *)
+(** Raises {!Ode_model.Eval.Error} on unknown method / arity mismatch, and
+    a [User] {!Ode_util.Ode_error.Error} when method calls nest deeper than
+    a fixed bound (10,000), as a method that calls itself without end
+    does. *)
 
 val eval :
   ?reads:(string, unit) Hashtbl.t ->

@@ -212,12 +212,10 @@ let parse_forall rest =
    each qualifying object rendered as one row. Runs inside the open explicit
    transaction if any, so a remote session sees its own uncommitted writes;
    with no explicit transaction it runs in a *detached* read-only txn
-   ({!Database.with_read_txn}), which registers only an MVCC snapshot —
-   that is what lets the server execute queries on reader domains in
-   parallel with open write transactions. A predicate that turns out to
-   write raises
-   {!Types.Read_only_txn}, re-raised (not rendered) so the server can
-   re-execute the request on the writer domain in a write transaction. *)
+   ({!Database.with_read_txn}), which registers only an MVCC snapshot. A
+   predicate that turns out to write raises {!Types.Read_only_txn},
+   re-raised (not rendered) so the server can re-execute the request in a
+   write transaction. *)
 let query_rows ?(detached = true) t source =
   let run txn =
     let f = parse_forall source in
@@ -274,8 +272,8 @@ let dot_command t line =
       | ".metrics", "" -> String.trim (Ode_util.Histogram.summary ())
       | ".metrics", "reset" ->
           (* Atomic per histogram: each snapshot+zero happens under that
-             histogram's mutex, so an observe racing the reset from a
-             reader domain is never lost or double-counted. *)
+             histogram's mutex, so an observe racing the reset from
+             another domain is never lost or double-counted. *)
           let drained = Ode_util.Histogram.rows ~reset:true () in
           let n = List.fold_left (fun a (r : Ode_util.Histogram.row) -> a + r.r_count) 0 drained in
           Printf.sprintf "histograms reset (%d observations drained)" n

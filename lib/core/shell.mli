@@ -46,11 +46,10 @@ val query_rows : ?detached:bool -> t -> string -> (string list, Ode_util.Ode_err
 (** Run a bodiless [forall] query and render each qualifying object as one
     row (oid plus fields) — the wire protocol's [Query] opcode. Runs inside
     the open explicit transaction if any; otherwise in a detached read-only
-    transaction ([detached], the default — safe on a reader domain) or an
-    ordinary write transaction ([~detached:false] — the writer-domain
-    fallback). Errors are {!classify}d, not raised, except
-    {!Types.Read_only_txn}, which escapes so the server can re-route the
-    request to the writer domain. *)
+    transaction ([detached], the default) or an ordinary write transaction
+    ([~detached:false]). Errors are {!classify}d, not raised, except
+    {!Types.Read_only_txn}, which escapes so the server can replay the
+    request in a write transaction. *)
 
 val dot_command : t -> string -> string option
 (** Handle a sqlite3-style dot command line ([.stats [reset]], [.recovery],

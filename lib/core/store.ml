@@ -190,9 +190,9 @@ let view db txn key =
 let read db txn key = match view db txn key with Here v -> v | Committed -> Kv.get db key
 
 (* The two overlay choke points: every mutation in this module funnels
-   through them. A detached read txn (reader domain) is rejected before the
-   overlay — or any shared structure — is touched, so the server can replay
-   the request on the writer domain. *)
+   through them. A detached read txn is rejected before the overlay — or
+   any shared structure — is touched, so the server can replay the request
+   in a write transaction. *)
 let write txn key payload =
   if txn.tro then raise Read_only_txn;
   txn.wcount <- txn.wcount + 1;
@@ -581,7 +581,7 @@ let apply_writes db ops =
 (* The current committed value of a logical key — the pre-image the MVCC
    layer records as a new chain's base entry just before a commit applies
    over it. Index entries live in the index tree (present = [Some ""]),
-   everything else in the KV. Called under the exclusive latch. *)
+   everything else in the KV. *)
 let committed_image db key =
   if Keys.is_index_key key then
     if Bptree.find db.idx (Keys.index_tree_key key) <> None then Some "" else None

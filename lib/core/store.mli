@@ -194,4 +194,4 @@ val apply_writes : db -> (string * op) list -> unit
 val committed_image : db -> string -> string option
 (** The key's current committed value (index entries: [Some ""] when the
     entry exists) — the pre-image the MVCC layer records before a commit
-    overwrites it. Call under the exclusive latch. *)
+    overwrites it. *)

@@ -9,23 +9,6 @@ let h_commit = Ode_util.Histogram.create "txn.commit"
 let c_txn_begins = Ode_util.Stats.counter "txn.begins"
 let c_txn_conflicts = Ode_util.Stats.counter "txn.conflicts"
 
-(* The engine latch. Readers hold the shared side for the duration of a
-   request (scans walk B+tree leaf chains that must stay structurally
-   quiescent); the mutating paths — commit apply, checkpoint, DDL,
-   replication apply — take the exclusive side only around the mutation
-   itself, so a long-running writer statement no longer blocks readers:
-   its writes build up in the private overlay and only the (short) apply
-   holds readers out. [in_excl] makes the exclusive side re-entrant for
-   the single mutating domain (a DDL's internal commit, a commit's
-   auto-checkpoint): only that domain ever sets it, readers never take
-   the exclusive side, so the unlatched read of the flag is safe. *)
-let with_excl db f =
-  if db.in_excl then f ()
-  else
-    Ode_util.Rwlock.write db.latch (fun () ->
-        db.in_excl <- true;
-        Fun.protect ~finally:(fun () -> db.in_excl <- false) f)
-
 let release_snap txn =
   if txn.snap <> 0 then begin
     Mvcc.release txn.tdb.mvcc txn.snap;
@@ -69,8 +52,8 @@ let begin_ db =
   txn
 
 (* A detached read-only transaction: never registers as a writer and never
-   allocates an xid, so any number can run concurrently (on reader domains)
-   alongside the write transactions. The write choke points in {!Store}
+   allocates an xid, so any number can interleave with the write
+   transactions. The write choke points in {!Store}
    raise {!Read_only_txn} against it before touching any shared state. Its
    snapshot is registered like any other so the MVCC garbage collector
    keeps the versions it can still see. *)
@@ -109,17 +92,16 @@ let abort txn =
 
 let checkpoint db =
   Ode_util.Trace.with_span ~cat:"txn" "txn.checkpoint" (fun () ->
-      with_excl db (fun () ->
-          Heap.flush db.kv_heap;
-          Bptree.flush db.kv_dir;
-          Bptree.flush db.idx;
-          (* The record carries the durable LSN so replay over a lost truncation
-             can reconcile the commit count (see wal.mli). Appending bumps no
-             LSN itself; after the sync every prior commit is durable, so the
-             value logged is exact. *)
-          Wal.append db.wal (Wal.Checkpoint (Wal.last_lsn db.wal));
-          Wal.sync db.wal;
-          Wal.reset db.wal))
+      Heap.flush db.kv_heap;
+      Bptree.flush db.kv_dir;
+      Bptree.flush db.idx;
+      (* The record carries the durable LSN so replay over a lost truncation
+         can reconcile the commit count (see wal.mli). Appending bumps no
+         LSN itself; after the sync every prior commit is durable, so the
+         value logged is exact. *)
+      Wal.append db.wal (Wal.Checkpoint (Wal.last_lsn db.wal));
+      Wal.sync db.wal;
+      Wal.reset db.wal)
 
 let wal_bytes db = Wal.size_bytes db.wal
 
@@ -188,14 +170,7 @@ let describe_key key =
    the WAL fsync sits between logging and applying — the classic
    sync-before-apply. Deferred commits skip it; the frame stays pending in
    the WAL until a shared {!ack} (or a checkpoint, or the buffer pool's
-   write-ahead hook) makes the whole batch durable with one fsync.
-
-   Only the apply itself (version-chain recording, store mutation, trigger
-   mirror sync) runs under the exclusive latch — constraint checking,
-   logging and even the fsync happen with readers running. That is safe
-   because commits are serialized on one domain and readers never look at
-   the WAL; it is what keeps snapshot readers from stalling behind a
-   writer's fsync. *)
+   write-ahead hook) makes the whole batch durable with one fsync. *)
 let commit_slot ~durable txn =
   let db = txn.tdb in
   (* 0. A replica rejects local writes before any effect: read-only
@@ -259,18 +234,16 @@ let commit_slot ~durable txn =
     let cts = Wal.last_lsn db.wal + 1 in
     Wal.append db.wal (Wal.Commit { trace = Ode_util.Trace.current_trace_id (); ts = cts; writes });
     if durable then Wal.sync db.wal;
-    (* 6. Apply to the committed structures under the exclusive latch:
-          pre-images go into the version chains first (while the KV still
-          holds them), then the writes land. *)
-    with_excl db (fun () ->
-        Mvcc.commit db.mvcc ~ts:cts ~except:txn.snap ~pre:(Store.committed_image db)
-          (List.filter_map
-             (fun (key, op) ->
-               if versioned key then Some (key, match op with Put s -> Some s | Del -> None)
-               else None)
-             writes);
-        Store.apply_writes db writes;
-        Triggers.sync_after_commit ~decoded db writes)
+    (* 6. Apply to the committed structures: pre-images go into the
+          version chains first (while the KV still holds them), then the
+          writes land. *)
+    Mvcc.commit db.mvcc ~ts:cts ~except:txn.snap ~pre:(Store.committed_image db)
+      (List.filter_map
+         (fun (key, op) ->
+           if versioned key then Some (key, match op with Put s -> Some s | Del -> None) else None)
+         writes);
+    Store.apply_writes db writes;
+    Triggers.sync_after_commit ~decoded db writes
   end;
   txn.tstate <- `Committed;
   release_snap txn;

@@ -23,8 +23,8 @@ val begin_ : db -> txn
 
 val begin_read : db -> txn
 (** A detached read-only transaction: it never registers as a writer or
-    allocates an xid, so the server runs any number concurrently on reader
-    domains. Every write choke point in {!Store} raises
+    allocates an xid, so it is cheaper to open and close than {!begin_},
+    and the server runs autocommitted queries in one. Every write choke point in {!Store} raises
     {!Types.Read_only_txn} against it before touching shared state; commit
     is trivial (nothing to log). *)
 
@@ -55,14 +55,8 @@ val pending_commits : db -> int
 
 val abort : txn -> unit
 
-val with_excl : db -> (unit -> 'a) -> 'a
-(** Run [f] holding the engine latch exclusively (re-entrant for the single
-    mutating domain). The commit apply, checkpoints, DDL and replication
-    apply run under it; readers hold the shared side per request. *)
-
 val checkpoint : db -> unit
-(** Flush every pool, sync the disks, and reset the WAL. Takes the
-    exclusive latch. *)
+(** Flush every pool, sync the disks, and reset the WAL. *)
 
 val wal_bytes : db -> int
 

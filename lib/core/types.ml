@@ -55,17 +55,13 @@ type idx_stat = {
    maintained incrementally by [Store.apply_writes] on every committed /
    recovered / replicated header create+delete, so the planner's row
    estimates track the live database and staleness is measurable as
-   mods-since-analyze against the analyze-time base. Mutations happen
-   under the engine's exclusive latch but reads come from reader
-   domains, so [st_mu] guards the hashtables (cheap: one lock per plan,
-   one per header apply). *)
+   mods-since-analyze against the analyze-time base. *)
 type ostats = {
   mutable st_analyzed : bool;              (* an analyze has populated this *)
   mutable st_base : int;                   (* live objects at analyze time *)
   mutable st_mods : int;                   (* header creates+deletes since *)
   st_cards : (int, int) Hashtbl.t;         (* class id -> live object count *)
   st_idx : (int, idx_stat) Hashtbl.t;      (* idx id -> key distribution *)
-  st_mu : Mutex.t;
 }
 
 (* When a commit becomes durable:
@@ -119,16 +115,6 @@ and db = {
                                                live in [wtxns] *)
   wtxns : (int, txn) Hashtbl.t;             (* xid -> every open write txn *)
   mvcc : Mvcc.t;                            (* version chains + snapshots *)
-  latch : Ode_util.Rwlock.t;                (* engine latch: readers share it
-                                               per request; mutations of the
-                                               committed structures (commit
-                                               apply, checkpoint, DDL,
-                                               replication apply) take it
-                                               exclusively — see Txn.with_excl *)
-  mutable in_excl : bool;                   (* re-entrancy flag for the
-                                               exclusive side; only ever
-                                               touched by the single
-                                               mutating domain *)
   activations : (int, activation) Hashtbl.t;
   by_oid : (Oid.t, int list) Hashtbl.t;     (* object -> activation tids *)
   action_queue : firing Queue.t;            (* weakly-coupled trigger actions *)
@@ -155,4 +141,4 @@ exception Read_only_store
 exception Read_only_txn
 (* A write reached a detached read-only transaction (Txn.begin_read). The
    guard fires before any shared state is touched, so the server can
-   re-route the request to the writer domain and re-execute it there. *)
+   replay the request in an ordinary transaction. *)

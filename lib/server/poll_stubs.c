@@ -12,8 +12,9 @@
  * caller's next read/write on that fd surfaces the actual error, which is
  * how the event loop already handles failure.
  *
- * The runtime lock is released around the syscall so reader domains keep
- * executing requests while the writer domain sleeps in poll.
+ * The runtime lock is released around the syscall, as for any blocking
+ * call, so the rest of the process keeps running while the loop sleeps in
+ * poll.
  */
 
 #include <poll.h>

@@ -1,28 +1,14 @@
-(* Multicore serving: a poll(2) event loop on the writer domain plus N
-   reader domains executing read-only requests in parallel.
-
-   The writer domain owns the sockets, the WAL and the group-commit batch
-   scheduler. One iteration: poll for readiness, accept what's pending,
-   read what's readable (feeding each connection's frame reader), execute
-   or dispatch complete requests, collect reader completions, ack, write.
-   Writing requests — [Exec], [Dot], anything inside an explicit
-   transaction — run to completion on the writer, exactly the old
-   single-domain model. [Ping]s and autocommitted [Query]s are handed to a
-   bounded job queue that reader domains drain, each executing the query in
-   a detached read-only transaction over the lock-striped storage layer.
-
-   Reader/writer interleaving is governed by one writer-preferring RW lock:
-   a reader holds it shared for the duration of one request, the writer
-   holds it exclusive for the duration of one writing request, so readers
-   run against a structurally quiescent engine (no B+tree splits or commit
-   applies mid-scan) while any number of them share the storage layer —
-   that sharing is what the striped buffer pool and per-disk mutex make
-   safe. A query that turns out to write (a method with
-   side effects) raises [Read_only_txn] before touching shared state; the
-   completion re-routes it to the writer, which replays it under the
-   exclusive lock. Per connection at most one request is in flight and no
-   further frames are executed until its reply is buffered, so replies
-   stay in request order.
+(* Serving: one poll(2) event loop on one domain, which owns the sockets,
+   the database, the WAL and the group-commit batch scheduler. One
+   iteration: poll for readiness, accept what's pending, read what's
+   readable (feeding each connection's frame reader), execute complete
+   requests, ack, write. Every request runs to completion where it is read,
+   one at a time, so replies stay in request order and transaction
+   semantics are exactly the embedded ones. An autocommitted [Query] (or a
+   [Ping]) runs in a detached read-only transaction; one that turns out to
+   write raises [Read_only_txn] before touching shared state and is
+   replayed in an ordinary transaction, counted in [server.reroutes].
+   Sessions interleave their transactions on the one domain under MVCC.
 
    The iteration doubles as the group-commit batch scheduler. Replies are
    never written from the read phase — they accumulate in each connection's
@@ -30,26 +16,22 @@
    ack point: one [Database.sync_commits] covering every autocommit executed
    this tick. So under [Group] durability a reply can only reach the socket
    after the fsync that made its commit durable, while a tick that executed
-   N requests paid for one fsync, not N. Reader-executed requests commit
-   nothing, so they owe no fsync; re-routed ones are replayed on the writer
-   before the ack point like any other write.
+   N requests paid for one fsync, not N.
 
-   Replication rides the same loop, entirely on the writer domain. A
+   Replication rides the same loop. A
    primary with a replication port keeps a second listener; each connected
    standby is a [downstream] whose buffer the WAL observer feeds with every
    post-fsync batch — the observer fires inside [Wal.sync], strictly after
    the barrier, so a standby can never hold a commit the primary could
    still lose. A replica runs the same loop with an [upstream] link
-   instead: batches in (applied under the exclusive lock — its readers
-   serve stale-but-consistent queries meanwhile), acks out, promotion on
+   instead: batches in (applied between requests, so its sessions serve
+   stale-but-consistent queries meanwhile), acks out, promotion on
    [.promote] or SIGUSR1. Under [sync_repl] the write phase additionally
    holds back any reply whose commit no streaming replica has acknowledged
    yet (semi-sync), degrading after a timeout rather than blocking writes
    forever on a dead standby. *)
 
 module Stats = Ode_util.Stats
-module Chan = Ode_util.Chan
-module Rwlock = Ode_util.Rwlock
 module Db = Ode.Database
 
 let c_server_accepts = Stats.counter "server.accepts"
@@ -77,11 +59,6 @@ type conn = {
   mutable last : float;       (* last byte received (idle eviction) *)
   mutable sent_lsn : int;     (* highest commit LSN this conn's buffered
                                  replies acknowledge (semi-sync gate) *)
-  mutable inflight : bool;    (* a request is executing on a reader domain;
-                                 no reads, no frame execution, no eviction
-                                 until its completion is collected *)
-  mutable doomed : bool;      (* socket died while inflight; really dropped
-                                 when the completion arrives *)
   mutable alive : bool;       (* false once dropped (the idle queue and the
                                  poll dispatch hold stale references) *)
 }
@@ -106,23 +83,6 @@ type upstream_state = {
   mutable u_retry_at : float;
 }
 
-(* A request handed to a reader domain, and its way back. [rj_enq_ns] is
-   the push time, so the reader can report queue wait separately from
-   execution in the slow-query log. *)
-type rjob = {
-  rj_conn : conn;
-  rj_session : Session.t;
-  rj_rq : Protocol.request;
-  rj_enq_ns : int;
-}
-type job = Job of rjob | Stop
-
-type completion = {
-  cm_job : rjob;
-  cm_resp : Protocol.response option;
-      (* None: the query tried to write — replay it on the writer *)
-}
-
 (* A metrics/health HTTP client: one GET in, one response out, close. *)
 type mconn = {
   m_fd : Unix.file_descr;
@@ -139,7 +99,6 @@ type slot =
   | S_listen
   | S_repl_listen
   | S_metrics_listen
-  | S_wake
   | S_up
   | S_conn of conn
   | S_down of downstream
@@ -157,16 +116,9 @@ type t = {
   max_conns : int;
   idle_timeout : float;
   group_window : int;         (* force a sync once this many commits pend *)
-  read_buf : bytes;           (* scratch shared by every writer-domain read *)
-  nreaders : int;             (* reader domains; 0 = classic inline serving *)
-  engine_lock : Rwlock.t;
-  jobs : job Chan.t;
-  dones : completion Chan.t;
-  wake_r : Unix.file_descr;   (* self-pipe: readers nudge the poll loop *)
-  wake_w : Unix.file_descr;
+  read_buf : bytes;           (* scratch shared by every socket read *)
   pset : Poll.t;
   mutable slots : slot array;
-  mutable readers : unit Domain.t list;
   idle_q : (float * conn) Queue.t; (* (enqueued_at, conn), push-time order *)
   mutable accept_pause : float; (* fd exhaustion: no accepts until then *)
   mutable conns : conn list;
@@ -210,7 +162,6 @@ let port t = t.lport
 let repl_port t = t.rport
 let metrics_port t = t.mport
 let connections t = List.length t.conns
-let domains t = t.nreaders + 1
 let shutdown t = t.stop <- true
 
 let handle_signals t =
@@ -221,96 +172,23 @@ let handle_signals t =
      between iterations. Harmless on a primary. *)
   Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> t.promote_flag <- true))
 
-(* Engine exclusivity lives in the engine now: [t.engine_lock] is the
-   database's own latch ({!Db.latch}), reader domains hold its shared side
-   per request, and the engine takes the exclusive side internally around
-   commit apply, checkpoints, DDL and replication apply ({!Ode.Txn.with_excl},
-   re-entrant for the writer domain). The serving loop therefore never
-   wraps request execution in the exclusive side itself — a writer's WAL
-   fsync no longer holds snapshot readers out. *)
-
 let out_pending c = Buffer.length c.out - c.out_pos
 let d_pending d = Buffer.length d.d_out - d.d_out_pos
 let u_pending u = Buffer.length u.u_out - u.u_out_pos
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let real_drop t c =
+let drop t c =
   c.alive <- false;
   (match c.state with `Active s -> Session.close s | `Hello -> ());
   close_fd c.fd;
   t.conns <- List.filter (fun c' -> c' != c) t.conns
-
-(* Dropping a connection whose request is still on a reader domain must
-   wait for the completion (the reader holds the session); mark it doomed
-   and let the completion handler finish the job. *)
-let drop t c =
-  if c.inflight then begin
-    c.doomed <- true;
-    c.closing <- true
-  end
-  else real_drop t c
 
 let drop_downstream t d =
   close_fd d.d_fd;
   t.downstreams <- List.filter (fun d' -> d' != d) t.downstreams
 
 let is_primary t = t.upstream = None
-
-(* -- the reader pool ------------------------------------------------------ *)
-
-let wake t =
-  try ignore (Unix.write_substring t.wake_w "x" 0 1)
-  with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EINTR), _, _) ->
-    (* A full pipe means wakeups are already pending — good enough. *)
-    ()
-
-let drain_wake t =
-  let buf = Bytes.create 256 in
-  let rec go () =
-    match Unix.read t.wake_r buf 0 (Bytes.length buf) with
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | 0 -> ()
-    | _ -> go ()
-  in
-  go ()
-
-let reader_loop t =
-  let rec loop () =
-    match Chan.pop t.jobs with
-    | Stop -> ()
-    | Job j ->
-        let queue_wait_ns = max 0 (Ode_util.Trace.now_ns () - j.rj_enq_ns) in
-        let resp =
-          Rwlock.read t.engine_lock (fun () ->
-              match Session.handle_read ~queue_wait_ns j.rj_session j.rj_rq with
-              | resp -> Some resp
-              | exception Ode.Types.Read_only_txn -> None
-              | exception e ->
-                  (* Defensive: [handle_read] classifies interpreter
-                     errors itself, so anything escaping is an engine bug —
-                     answer it rather than killing the domain. *)
-                  Some
-                    {
-                      Protocol.rs_id = j.rj_rq.rq_id;
-                      rs_lsn = Db.lsn t.db;
-                      rs_reply = Error (Ode.Shell.classify e);
-                    })
-        in
-        (* [dones] is sized past the maximum possible in-flight count, so
-           this push never blocks a reader against a busy writer. *)
-        Chan.push t.dones { cm_job = j; cm_resp = resp };
-        wake t;
-        loop ()
-  in
-  loop ()
-
-let stop_readers t =
-  if t.readers <> [] then begin
-    List.iter (fun _ -> Chan.push t.jobs Stop) t.readers;
-    List.iter Domain.join t.readers;
-    t.readers <- []
-  end
 
 (* -- poll set bookkeeping ------------------------------------------------- *)
 
@@ -386,17 +264,11 @@ let process_downstream t d =
             match Protocol.decode_repl body with
             | Protocol.R_hello lsn -> (
                 (* [answer_hello] may checkpoint and read the data files
-                   off disk (snapshot path): it runs under the engine's
-                   exclusive latch so no reader-domain eviction writes a
-                   dirty page mid-read (the checkpoint inside re-enters).
-                   The sync inside feeds the *other*, already-streaming
-                   downstreams — this one only starts receiving batches
-                   once marked [`Streaming] below, right after its
-                   backlog. *)
-                match
-                  Ode.Txn.with_excl t.db (fun () ->
-                      Replication.answer_hello t.db ~replica_lsn:lsn)
-                with
+                   off disk (snapshot path). The sync inside feeds the
+                   *other*, already-streaming downstreams — this one only
+                   starts receiving batches once marked [`Streaming]
+                   below, right after its backlog. *)
+                match Replication.answer_hello t.db ~replica_lsn:lsn with
                 | Replication.Resume { from_lsn; to_lsn; backlog } ->
                     Protocol.encode_repl d.d_out (Protocol.R_resume from_lsn);
                     if String.length backlog > 0 then begin
@@ -473,8 +345,7 @@ let upstream_fault _t u reason =
   Printf.eprintf "replication: upstream lost (%s); retrying\n%!" reason
 
 (* Drain every complete frame buffered from the primary, applying batches
-   (redo latches the engine exclusively inside [Db.apply_replicated]) and
-   queueing an ack per batch. Snapshot reads keep working throughout,
+   and queueing an ack per batch. Snapshot reads keep working throughout,
    between batches. *)
 let process_upstream t u link =
   let rec go () =
@@ -544,7 +415,7 @@ let promote t =
   | Some u ->
       (match u.u_link with Some l -> close_fd l.Replication.up_fd | None -> ());
       t.upstream <- None;
-      Ode.Txn.with_excl t.db (fun () -> Db.set_read_only t.db false);
+      Db.set_read_only t.db false;
       Stdlib.Ok (Printf.sprintf "promoted to primary at lsn %d" (Db.lsn t.db))
 
 let replication_report t =
@@ -557,7 +428,6 @@ let replication_report t =
   | None -> add "role           primary\n");
   add "lsn            %d\n" (Db.lsn t.db);
   add "durable_lsn    %d\n" (Db.durable_lsn t.db);
-  add "domains        %d (1 writer + %d readers)\n" (t.nreaders + 1) t.nreaders;
   if is_primary t then begin
     add "sync_repl      %s%s\n"
       (if t.sync_repl then "on" else "off")
@@ -589,9 +459,9 @@ let server_dot t line : Protocol.reply option =
 
 (* -- metrics / health endpoint -------------------------------------------- *)
 
-(* A deliberately tiny HTTP responder for scrapers, riding the poll loop on
-   the writer domain — no extra threads, no keep-alive: parse the request
-   line of one GET, answer, close. *)
+(* A deliberately tiny HTTP responder for scrapers, riding the poll loop —
+   no extra threads, no keep-alive: parse the request line of one GET,
+   answer, close. *)
 
 let m_pending m = Buffer.length m.m_out - m.m_out_pos
 
@@ -608,9 +478,9 @@ let http_response ?(status = "200 OK") ~content_type body =
    replication apply position, which is what the CI smoke asserts. *)
 let health_json t =
   Printf.sprintf
-    "{\"role\":\"%s\",\"lsn\":%d,\"durable_lsn\":%d,\"connections\":%d,\"domains\":%d,\"slow_log_armed\":%b}\n"
+    "{\"role\":\"%s\",\"lsn\":%d,\"durable_lsn\":%d,\"connections\":%d,\"slow_log_armed\":%b}\n"
     (if is_primary t then "primary" else "replica")
-    (Db.lsn t.db) (Db.durable_lsn t.db) (List.length t.conns) (t.nreaders + 1)
+    (Db.lsn t.db) (Db.durable_lsn t.db) (List.length t.conns)
     (Ode_util.Slowlog.armed ())
 
 let has_substring s sub =
@@ -783,8 +653,6 @@ let rec accept_pending t =
             closing = false;
             last = now;
             sent_lsn = -1;
-            inflight = false;
-            doomed = false;
             alive = true;
           }
         in
@@ -811,12 +679,23 @@ let try_handshake t c =
           Buffer.add_string c.out (Protocol.hello_reply Bad_version);
           c.closing <- true)
 
-(* Execute one request on the writer domain (the engine latches its own
-   commit apply), buffer its reply, track the semi-sync position, bound
-   the deferred-durability window. *)
-let exec_on_writer ?count t c session rq =
+(* Execute one request, buffer its reply, track the semi-sync position,
+   bound the deferred-durability window. An autocommitted [Query] or a
+   [Ping] runs in a detached read-only transaction; a query that turns out
+   to write is replayed in an ordinary one (already counted once as a
+   request). Inside an explicit transaction a query must see the
+   transaction's own writes, so it runs there, like every other request. *)
+let exec t c session (rq : Protocol.request) =
   let before = Db.lsn t.db in
-  let resp = Session.handle ?count session rq in
+  let resp =
+    match rq.rq_op with
+    | Ping | Query _ when not (Session.in_transaction session) -> (
+        try Session.handle_read session rq
+        with Ode.Types.Read_only_txn ->
+          Stats.incr c_server_reroutes;
+          Session.handle ~count:false session rq)
+    | _ -> Session.handle session rq
+  in
   (* Only a request that moved the LSN puts this connection under the
      semi-sync gate — reads ride free. *)
   if Db.lsn t.db > before then c.sent_lsn <- Db.lsn t.db;
@@ -825,22 +704,12 @@ let exec_on_writer ?count t c session rq =
      [group_window] commits rather than once at the end. *)
   if Db.pending_commits t.db >= t.group_window then Db.sync_commits t.db
 
-(* Which requests may run on a reader domain: Pings, and Querys from a
-   session with no explicit transaction open (inside one, the query must
-   see the transaction's own writes — writer only). *)
-let dispatchable session (rq : Protocol.request) =
-  match rq.rq_op with
-  | Protocol.Ping -> true
-  | Protocol.Query _ -> not (Session.in_transaction session)
-  | Protocol.Exec _ | Protocol.Dot _ | Protocol.Close -> false
-
 let run_frames t c session =
   try
     let rec go () =
       (* Backpressure: leave complete frames buffered while this client's
-         responses are backed up or a request is already in flight (strict
-         in-order replies, one request at a time per connection). *)
-      if out_pending c < out_cap && (not c.closing) && not c.inflight then
+         responses are backed up. *)
+      if out_pending c < out_cap && not c.closing then
         match Protocol.next_frame c.rd with
         | None -> ()
         | Some body ->
@@ -852,28 +721,9 @@ let run_frames t c session =
             | Some reply ->
                 Protocol.encode_response c.out
                   { Protocol.rs_id = rq.rq_id; rs_lsn = Db.lsn t.db; rs_reply = reply }
-            | None ->
-                if
-                  t.nreaders > 0
-                  && dispatchable session rq
-                  && Chan.try_push t.jobs
-                       (Job
-                          {
-                            rj_conn = c;
-                            rj_session = session;
-                            rj_rq = rq;
-                            rj_enq_ns = Ode_util.Trace.now_ns ();
-                          })
-                then
-                  (* A reader domain will answer; the completion resumes
-                     this connection's frame processing. When the job queue
-                     is full the push fails and the request simply runs
-                     inline below — natural backpressure, no starvation. *)
-                  c.inflight <- true
-                else begin
-                  exec_on_writer t c session rq;
-                  match rq.rq_op with Close -> c.closing <- true | _ -> ()
-                end);
+            | None -> (
+                exec t c session rq;
+                match rq.rq_op with Close -> c.closing <- true | _ -> ()));
             go ()
     in
     go ()
@@ -919,37 +769,6 @@ let handle_write t c =
           process t c
       end
 
-(* -- completions ---------------------------------------------------------- *)
-
-let finish_completion t (cm : completion) =
-  let c = cm.cm_job.rj_conn in
-  c.inflight <- false;
-  if c.doomed then real_drop t c
-  else begin
-    (match cm.cm_resp with
-    | Some resp -> Protocol.encode_response c.out resp
-    | None ->
-        (* The query tried to write (a method with side effects): replay it
-           on the writer under the exclusive lock, where writes are legal.
-           Already counted once by the reader's [handle_read]. *)
-        Stats.incr c_server_reroutes;
-        exec_on_writer ~count:false t c cm.cm_job.rj_session cm.cm_job.rj_rq);
-    (* Resume frames that arrived while the request was in flight. *)
-    process t c
-  end
-
-let drain_completions t =
-  let rec go () =
-    match Chan.try_pop t.dones with
-    | None -> ()
-    | Some cm ->
-        finish_completion t cm;
-        go ()
-  in
-  go ()
-
-let any_inflight t = List.exists (fun c -> c.inflight) t.conns
-
 (* -- idle eviction -------------------------------------------------------- *)
 
 (* Monotonic last-activity queue: every live connection has exactly one
@@ -968,7 +787,7 @@ let evict_idle t =
       | Some (enq, c) when enq <= ripe ->
           ignore (Queue.pop t.idle_q);
           if c.alive then
-            if (not c.inflight) && now -. c.last > t.idle_timeout then begin
+            if now -. c.last > t.idle_timeout then begin
               Stats.incr c_server_timeouts;
               drop t c
             end
@@ -998,8 +817,7 @@ let ack_deferred t =
    write phases. *)
 let gather_rounds = 8
 
-let want_read c =
-  (not c.closing) && (not c.inflight) && (not c.doomed) && out_pending c < out_cap
+let want_read c = (not c.closing) && out_pending c < out_cap
 
 let rec gather t rounds =
   if rounds > 0 then begin
@@ -1012,7 +830,7 @@ let rec gather t rounds =
       for i = 0 to n - 1 do
         if Poll.is_readable (Poll.revents t.pset i) then
           match t.slots.(i) with
-          | S_conn c when c.alive && not c.inflight -> handle_read t c
+          | S_conn c when c.alive -> handle_read t c
           | _ -> ()
       done;
       gather t (rounds - 1)
@@ -1042,7 +860,6 @@ let one_iteration t =
   List.iter
     (fun m -> slot_add t (S_metrics m) m.m_fd ~read:(not m.m_done) ~write:(m_pending m > 0))
     t.mconns;
-  if t.nreaders > 0 then slot_add t S_wake t.wake_r ~read:true ~write:false;
   (match t.upstream with
   | Some ({ u_link = Some l; _ } as u) ->
       slot_add t S_up l.Replication.up_fd ~read:true ~write:(u_pending u > 0)
@@ -1050,23 +867,19 @@ let one_iteration t =
   List.iter
     (fun c ->
       let r = want_read c in
-      let w = (not c.doomed) && out_pending c > 0 && not (gated t c) in
+      let w = out_pending c > 0 && not (gated t c) in
       if r || w then slot_add t (S_conn c) c.fd ~read:r ~write:w)
     t.conns;
   List.iter
     (fun d -> slot_add t (S_down d) d.d_fd ~read:true ~write:(d_pending d > 0))
     t.downstreams;
-  (* Completions already queued (or an accept backoff about to lapse) mean
-     work is waiting — don't sleep a full tick on it. *)
-  let timeout_ms =
-    if t.nreaders > 0 && Chan.length t.dones > 0 then 0
-    else if t.accept_pause > now then 50
-    else 250
-  in
+  (* An accept backoff about to lapse means work is waiting — don't sleep
+     a full tick on it. *)
+  let timeout_ms = if t.accept_pause > now then 50 else 250 in
   ignore (Poll.wait t.pset ~timeout_ms);
   let n = Poll.length t.pset in
-  (* Listeners, the wake pipe and the upstream first: accepts and shipped
-     batches applied this tick are visible to everything below. *)
+  (* Listeners and the upstream first: accepts and shipped batches applied
+     this tick are visible to everything below. *)
   for i = 0 to n - 1 do
     if Poll.is_readable (Poll.revents t.pset i) then
       match t.slots.(i) with
@@ -1076,25 +889,20 @@ let one_iteration t =
       | S_metrics_listen -> (
           match t.metrics_fd with Some fd -> accept_metrics t fd | None -> ())
       | S_metrics m when List.memq m t.mconns -> handle_metrics_read t m
-      | S_wake -> drain_wake t
       | S_up -> (
           match t.upstream with
           | Some ({ u_link = Some l; _ } as u) -> handle_upstream_read t u l
           | _ -> ())
       | _ -> ()
   done;
-  (* Client reads: feed frame readers, execute writer requests inline,
-     dispatch read-only ones to the reader domains. *)
+  (* Client reads: feed frame readers, execute complete requests. *)
   for i = 0 to n - 1 do
     if Poll.is_readable (Poll.revents t.pset i) then
       match t.slots.(i) with
-      | S_conn c when c.alive && not c.inflight -> handle_read t c
+      | S_conn c when c.alive -> handle_read t c
       | _ -> ()
   done;
   gather t gather_rounds;
-  (* Reader completions: buffer their replies (and replay any re-routed
-     writes) so they join this tick's write phase. *)
-  if t.nreaders > 0 then drain_completions t;
   (* Standby acks — read before the write phase so the semi-sync gate sees
      them this tick. *)
   for i = 0 to n - 1 do
@@ -1114,8 +922,7 @@ let one_iteration t =
      waiting a poll round. Gated replies stay put. *)
   List.iter
     (fun c ->
-      if c.alive && (not c.doomed) && out_pending c > 0 && not (gated t c) then
-        handle_write t c)
+      if c.alive && out_pending c > 0 && not (gated t c) then handle_write t c)
     t.conns;
   List.iter
     (fun d ->
@@ -1132,8 +939,7 @@ let one_iteration t =
   sweep_mconns t now;
   update_gauges t
 
-(* Graceful shutdown: stop accepting, collect outstanding reader
-   completions, stop the reader domains, flush what's already encoded
+(* Graceful shutdown: stop accepting, flush what's already encoded
    (bounded by [drain_deadline]), abort every session's open transaction,
    release the sockets. Requests still sitting unparsed in input buffers
    are dropped — "in-flight" means a response exists. Semi-sync gating is
@@ -1148,18 +954,6 @@ let drain t =
   | Some u -> ( match u.u_link with Some l -> close_fd l.Replication.up_fd | None -> ())
   | None -> ());
   let deadline = Unix.gettimeofday () +. drain_deadline in
-  (* Every dispatched request completes (readers never abandon a job);
-     collecting one may execute further frames that connection had
-     buffered, which can dispatch again — hence the loop. *)
-  let rec settle () =
-    drain_completions t;
-    if any_inflight t && Unix.gettimeofday () < deadline then begin
-      Unix.sleepf 0.005;
-      settle ()
-    end
-  in
-  if t.nreaders > 0 then settle ();
-  stop_readers t;
   let rec flush () =
     (* Buffers may hold replies whose commits are still pending — both from
        the final serve tick and from backpressured frames that a drained
@@ -1168,7 +962,7 @@ let drain t =
        top of every round keeps the reply-after-fsync guarantee through
        shutdown. *)
     ack_deferred t;
-    let pending_c = List.filter (fun c -> out_pending c > 0 && not c.doomed) t.conns in
+    let pending_c = List.filter (fun c -> out_pending c > 0) t.conns in
     let pending_d = List.filter (fun d -> d_pending d > 0) t.downstreams in
     if (pending_c <> [] || pending_d <> []) && Unix.gettimeofday () < deadline then begin
       Poll.clear t.pset;
@@ -1188,10 +982,8 @@ let drain t =
     end
   in
   flush ();
-  List.iter (fun c -> real_drop t c) t.conns;
-  List.iter (fun d -> drop_downstream t d) t.downstreams;
-  close_fd t.wake_r;
-  close_fd t.wake_w
+  List.iter (fun c -> drop t c) t.conns;
+  List.iter (fun d -> drop_downstream t d) t.downstreams
 
 let serve t =
   while not t.stop do
@@ -1213,12 +1005,9 @@ let bind_listener ~host ~port =
   | _ -> assert false
 
 let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durability
-    ?(group_window = 64) ?repl_port ?metrics_port ?(sync_repl = false) ?replica
-    ?(domains = 1) ~db ~port () =
-  if domains < 1 then invalid_arg "Server.create: domains must be >= 1";
+    ?(group_window = 64) ?repl_port ?metrics_port ?(sync_repl = false) ?replica ~db ~port () =
   Option.iter (Db.set_durability db) durability;
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let nreaders = domains - 1 in
   let listen_fd, lport = bind_listener ~host ~port in
   let repl_listen_fd, rport =
     match repl_port with
@@ -1248,10 +1037,6 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
         })
       replica
   in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
-  let job_cap = max 1 (4 * nreaders) in
   let t =
     {
       db;
@@ -1266,17 +1051,8 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
       idle_timeout;
       group_window = max 1 group_window;
       read_buf = Bytes.create 65536;
-      nreaders;
-      engine_lock = Db.latch db;
-      jobs = Chan.create job_cap;
-      (* Sized past the maximum in-flight count so reader pushes never
-         block. *)
-      dones = Chan.create (job_cap + nreaders + 8);
-      wake_r;
-      wake_w;
       pset = Poll.create ();
       slots = Array.make 64 S_none;
-      readers = [];
       idle_q = Queue.create ();
       accept_pause = 0.;
       conns = [];
@@ -1300,7 +1076,6 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
      rule), and a sampler that raises — e.g. over an already-closed
      database in tests — reads as 0 rather than failing the scrape. *)
   Stats.register_gauge "server.connections" (fun () -> List.length t.conns);
-  Stats.register_gauge "server.read_queue_depth" (fun () -> Chan.length t.jobs);
   Stats.register_gauge "wal.pending_commits" (fun () -> Db.pending_commits db);
   Stats.register_gauge "store.pool_resident" (fun () -> Db.pool_resident db);
   (* The process's OCaml heap, so memory shows without reading /proc. *)
@@ -1322,14 +1097,12 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
       queue_ack t u;
       process_upstream t u l
   | _ -> ());
-  if nreaders > 0 then
-    t.readers <- List.init nreaders (fun _ -> Domain.spawn (fun () -> reader_loop t));
   t
 
 (* -- fork helper for tests and benchmarks --------------------------------- *)
 
 let spawn_full ?max_conns ?idle_timeout ?durability ?group_window ?repl_port ?metrics_port
-    ?slow_query_ms ?sync_repl ?replica_of ?domains ~db_dir () =
+    ?slow_query_ms ?sync_repl ?replica_of ~db_dir () =
   let r, w = Unix.pipe () in
   flush stdout;
   flush stderr;
@@ -1364,11 +1137,9 @@ let spawn_full ?max_conns ?idle_timeout ?durability ?group_window ?repl_port ?me
             (match replica_of with
             | Some _ -> "ode_server (replica)"
             | None -> "ode_server");
-          (* Reader domains spawn here, in the child — [create] runs after
-             the fork, so the forked image never contains running domains. *)
           let t =
             create ?max_conns ?idle_timeout ?durability ?group_window ?repl_port
-              ?metrics_port ?sync_repl ?replica ?domains ~db ~port:0 ()
+              ?metrics_port ?sync_repl ?replica ~db ~port:0 ()
           in
           handle_signals t;
           let msg = Printf.sprintf "%d %d %d\n" t.lport t.rport t.mport in
@@ -1392,9 +1163,9 @@ let spawn_full ?max_conns ?idle_timeout ?durability ?group_window ?repl_port ?me
       | _ -> failwith "Server.spawn: malformed port report")
 
 let spawn ?max_conns ?idle_timeout ?durability ?group_window ?repl_port ?sync_repl
-    ?replica_of ?domains ~db_dir () =
+    ?replica_of ~db_dir () =
   let pid, port, _, _ =
     spawn_full ?max_conns ?idle_timeout ?durability ?group_window ?repl_port ?sync_repl
-      ?replica_of ?domains ~db_dir ()
+      ?replica_of ~db_dir ()
   in
   (pid, port)

@@ -1,22 +1,15 @@
-(** The serving event loop: a poll(2) multiplexer on the writer domain,
-    with optional reader domains executing read-only requests in parallel.
+(** The serving event loop: one poll(2) multiplexer on one domain.
 
     One server owns one open {!Ode.Database} and any number of client
-    connections, each with its own {!Session}. All I/O is non-blocking and
-    handled by the {e writer} domain, which also executes every request
-    that can write — [Exec], [Dot], anything inside an explicit
-    transaction — one at a time, so transaction semantics are exactly the
-    embedded ones. With [domains = n > 1], [n - 1] {e reader} domains drain
-    a bounded job queue of [Ping]s and autocommitted [Query]s, each running
-    in a detached read-only transaction against the lock-striped storage
-    layer. A writer-preferring RW lock interleaves the two kinds: readers
-    hold it shared per request, the writer exclusively per writing request,
-    so queries always see a structurally quiescent engine while scaling
-    across cores. A query that turns out to write is re-routed and replayed
-    on the writer (counted in [server.reroutes]). Per connection at most
-    one request is in flight at a time, so replies stay in request order.
-    With [domains = 1] (the default) everything runs inline on one domain —
-    the classic model, no lock, no queues.
+    connections, each with its own {!Session}. All I/O is non-blocking, and
+    every request runs to completion on the loop's domain, one at a time,
+    so transaction semantics are exactly the embedded ones and replies stay
+    in request order. An autocommitted [Query] or a [Ping] runs in a
+    detached read-only transaction ({!Session.handle_read}); a query that
+    turns out to write is replayed in an ordinary transaction and counted
+    in [server.reroutes]. Everything else — [Exec], [Dot], anything inside
+    an explicit transaction — runs through {!Session.handle}. Sessions
+    interleave their transactions under MVCC snapshot isolation.
 
     Flow control: a connection whose response backlog exceeds an internal
     cap is not read from until the backlog drains, so a client that stops
@@ -35,8 +28,7 @@
 
     The event loop is also the group-commit batch scheduler. Each iteration
     runs in strict phases: read — every readable connection's complete
-    requests are executed (or dispatched and their completions collected)
-    and their replies {e buffered}; ack — one [Database.sync_commits] makes
+    requests are executed and their replies {e buffered}; ack — one [Database.sync_commits] makes
     every commit prepared this tick durable; write — buffered replies go to
     the sockets. Replies are never written during the read phase, and
     graceful shutdown acks before each flush round, so under [Full] and
@@ -46,8 +38,8 @@
     fsync instead of N. [Async] drops the wait — replies may precede
     durability, with the exposure bounded by [group_window]. Explicit
     transactions and single-request ticks degrade to the eager behavior (a
-    batch of one). Reader-executed requests commit nothing and owe no
-    fsync; re-routed ones are replayed on the writer before the ack point.
+    batch of one). Queries in detached transactions commit nothing and owe
+    no fsync.
 
     {2 Replication}
 
@@ -60,15 +52,15 @@
     with [replica] is a {e standby}: read-only to clients (writes get an
     error of class [Redirect], on which clients retry against the next
     endpoint), it applies shipped batches through
-    the engine's redo path under the exclusive lock (its reader domains
-    serve stale-but-consistent queries between batches), acknowledges each
+    the engine's redo path between requests (its sessions serve
+    stale-but-consistent queries meanwhile), acknowledges each
     one, reconnects with an exact resume position after stream faults, and
     becomes a primary on [.promote] or SIGUSR1 ({!promote}). With
     [sync_repl] a primary additionally holds each reply until some
     streaming standby has acknowledged the commit it covers (semi-sync),
     degrading — counted in [repl.sync_degraded] — rather than blocking
     forever when no standby keeps up. [.replication] reports role,
-    positions, the domain split and per-standby lag. *)
+    positions and per-standby lag. *)
 
 type t
 
@@ -82,7 +74,6 @@ val create :
   ?metrics_port:int ->
   ?sync_repl:bool ->
   ?replica:string * int * Replication.upstream ->
-  ?domains:int ->
   db:Ode.Database.t ->
   port:int ->
   unit ->
@@ -93,12 +84,9 @@ val create :
     when given, is installed on [db] ([Database.set_durability]); omitted,
     the database keeps its current mode. [group_window] (default 64, min 1)
     bounds commits deferred within one batch: a long tick syncs every
-    [group_window] commits rather than once at the end.
-
-    [domains] (default 1, min 1) is the total serving domain count: 1 means
-    the classic single-domain loop; [n > 1] spawns [n - 1] reader domains
-    at creation (joined again on shutdown). The database must not be shared
-    with other servers or threads while reader domains exist.
+    [group_window] commits rather than once at the end. The server uses
+    [db] from the domain that calls {!serve}; nothing else may use it
+    meanwhile.
 
     [repl_port] (0 = ephemeral, see {!repl_port}) additionally serves the
     replication stream. [replica] is [(host, port, upstream)] from
@@ -111,7 +99,7 @@ val create :
     ({!Ode_util.Metrics.prometheus}), [GET /metrics.json] the same data as
     JSON, [GET /health] a one-line JSON liveness document (role, commit and
     durable LSN — a standby's commit LSN is its replication apply
-    position — connection and domain counts). One request per connection,
+    position — and the connection count). One request per connection,
     [Connection: close]. *)
 
 val port : t -> int
@@ -125,9 +113,6 @@ val metrics_port : t -> int
 
 val connections : t -> int
 
-val domains : t -> int
-(** Total serving domains (1 writer + N readers). *)
-
 val promote : t -> (string, string) result
 (** Standby → primary: drop the upstream link, clear the read-only flag,
     start accepting writes (and standbys, if a replication port is bound).
@@ -137,7 +122,6 @@ val promote : t -> (string, string) result
 val shutdown : t -> unit
 (** Request a graceful stop: async-signal-safe (it only sets a flag), so it
     can be called from a SIGINT handler. {!serve} then stops accepting,
-    collects outstanding reader completions and joins the reader domains,
     flushes pending responses (bounded drain), rolls back every session's
     open transaction and returns. *)
 
@@ -156,14 +140,12 @@ val spawn :
   ?repl_port:int ->
   ?sync_repl:bool ->
   ?replica_of:string * int ->
-  ?domains:int ->
   db_dir:string ->
   unit ->
   int * int
 (** Fork a child process that opens [db_dir], serves it on an ephemeral
     loopback port (SIGINT/SIGTERM trigger graceful shutdown) and exits.
-    Returns [(pid, port)] once the child reports its port. Reader domains
-    (with [?domains]) are spawned in the child, after the fork. With
+    Returns [(pid, port)] once the child reports its port. With
     [replica_of:(host, port)] the child bootstraps as a standby of that
     primary instead of opening [db_dir] directly. For tests and benchmarks;
     production deployments run [bin/ode_server]. *)
@@ -178,7 +160,6 @@ val spawn_full :
   ?slow_query_ms:int ->
   ?sync_repl:bool ->
   ?replica_of:string * int ->
-  ?domains:int ->
   db_dir:string ->
   unit ->
   int * int * int * int

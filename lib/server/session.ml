@@ -39,9 +39,8 @@ let statement_of : Protocol.op -> string = function
   | Close -> "close"
 
 (* [detached] picks how a [Query] runs: in a detached read-only transaction
-   (reader domains — a write attempt raises {!Ode.Types.Read_only_txn} out
-   of here) or in an ordinary write transaction (the writer, where queries
-   whose methods write are legal). *)
+   (a write attempt raises {!Ode.Types.Read_only_txn} out of here) or in an
+   ordinary write transaction, where writes are legal. *)
 let run ~detached t : Protocol.op -> Protocol.reply = function
   | Ping -> Pong
   | Exec src -> (
@@ -114,8 +113,8 @@ let handle ?(count = true) ?(queue_wait_ns = 0) t (rq : Protocol.request) : Prot
   if count then Stats.incr c_server_requests;
   (* Trigger actions fired by this request's commits print through the
      requesting session, not whichever session was created last. Installed
-     only here, on the writer path: reader-domain requests cannot fire
-     triggers, and a concurrent install would race the writer's. *)
+     only here: a request in a detached read transaction cannot fire
+     triggers. *)
   Ode.Database.set_action_printer t.db (Buffer.add_string t.out);
   finish t rq (timed t rq ~queue_wait_ns (fun () -> run ~detached:false t rq.rq_op))
 

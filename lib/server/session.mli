@@ -7,7 +7,7 @@
 
     Transactions run under MVCC snapshot isolation: autocommitted
     statements from any number of sessions interleave freely (the event
-    loop serializes writing requests on one domain, and each statement is
+    loop runs every request on one domain, and each statement is
     its own transaction), and any number of sessions hold explicit
     [begin;] transactions concurrently, each against its own snapshot.
     When two of them write the same key, the first committer wins and the
@@ -29,11 +29,11 @@ val id : t -> int
 
 val in_transaction : t -> bool
 (** Is this session inside an explicit [begin;] transaction? The server
-    keeps such sessions' queries on the writer domain (they must see the
+    runs such sessions' queries through {!handle} (they must see the
     transaction's own writes). *)
 
 val handle : ?count:bool -> ?queue_wait_ns:int -> t -> Protocol.request -> Protocol.response
-(** Execute one request on the writer domain. Never raises: every error
+(** Execute one request. Never raises: every error
     comes back as an [Error] reply, {!Ode.Shell.classify}d; only the
     response id echoes the request id.
     Queries run in an ordinary write transaction, so methods that write
@@ -49,11 +49,10 @@ val handle : ?count:bool -> ?queue_wait_ns:int -> t -> Protocol.request -> Proto
     slow-query entry all carry it. *)
 
 val handle_read : ?queue_wait_ns:int -> t -> Protocol.request -> Protocol.response
-(** Execute one read-only request ([Ping] or [Query]) on a reader domain:
-    queries run in a detached read-only transaction against its own MVCC
-    snapshot. Raises {!Ode.Types.Read_only_txn} when the
-    query attempts a write (before any shared state is touched) — the
-    server re-routes such requests to the writer and replays them with
+(** Execute one read-only request ([Ping] or [Query]): queries run in a
+    detached read-only transaction against its own MVCC snapshot. Raises
+    {!Ode.Types.Read_only_txn} when the query attempts a write (before any
+    shared state is touched) — the server replays such requests with
     {!handle}. *)
 
 val close : t -> unit

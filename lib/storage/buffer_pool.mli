@@ -1,14 +1,10 @@
-(** A fixed-capacity, lock-striped page cache over a {!Disk.t}.
+(** A fixed-capacity page cache over a {!Disk.t}: one LRU of frames.
 
     Callers pin pages to work on them and unpin when done; only unpinned
-    pages are eviction candidates (LRU). Dirty pages are written back on
-    eviction (outside a {!with_no_flush} section) and on {!flush_all}.
-    Frames are partitioned into stripes by
-    page number, each behind its own mutex, so pin/unpin/mark_dirty are
-    safe to call concurrently from multiple domains; write-back remains a
-    single crash-atomic batch under a global flush lock. Tiny pools
-    (capacity under 32) collapse to one stripe and keep exact global-LRU
-    semantics. *)
+    pages are eviction candidates (least recently used first). Dirty pages
+    are written back on eviction (outside a {!with_no_flush} section) and
+    on {!flush_all}, always as one crash-atomic batch. A pool takes no
+    lock: it belongs to one database, which is used from one domain. *)
 
 type t
 
@@ -29,12 +25,8 @@ val create : ?capacity:int -> Disk.t -> t
 val disk : t -> Disk.t
 val capacity : t -> int
 
-val stripes : t -> int
-(** Number of lock stripes (a power of two; 1 for tiny pools). *)
-
 val resident : t -> int
-(** Frames currently cached across all stripes (each stripe counted under
-    its lock; the sum is not one atomic cut — a monitoring gauge). *)
+(** Frames currently cached. *)
 
 val set_pre_write : t -> (unit -> unit) -> unit
 (** Hook run immediately before any batch of dirty pages is written back
@@ -62,12 +54,12 @@ val allocate : t -> frame
 val with_no_flush : t -> (unit -> 'a) -> 'a
 (** [with_no_flush t f] runs [f] in a no-flush section, for a multi-page
     update whose pages are consistent only once it completes. Inside it,
-    making room evicts clean frames only; a stripe with none goes over
+    making room evicts clean frames only; a full pool with none goes over
     capacity rather than write back part of the update. When the
-    outermost section returns, the stripes are trimmed back to capacity,
+    outermost section returns, the pool is trimmed back to capacity,
     flushing if needed. If [f] raises, no trim happens then; the overflow
-    waits for the next section. Sections nest, and apply to every domain
-    pinning in [t]. {!flush_all} is not affected. *)
+    waits for the next section. Sections nest. {!flush_all} is not
+    affected. *)
 
 val page_count : t -> int
 

@@ -33,11 +33,10 @@ type backend =
   | File of file
   | Memory of mem
 
-(* [mu] serializes every page-granular operation: the file backend
-   positions with lseek before read/write, so two domains sharing the fd
-   (e.g. two reader domains both missing in the buffer pool) would
-   otherwise interleave seek and transfer and tear pages. *)
-type t = { backend : backend; mu : Mutex.t; name : string }
+(* A disk belongs to one database, which is used from one domain, so it
+   takes no lock even though the file backend positions with lseek before
+   each transfer. *)
+type t = { backend : backend; name : string }
 
 let fp_write = Failpoint.site "disk.write"
 let fp_sync = Failpoint.site "disk.sync"
@@ -284,13 +283,13 @@ let open_file path =
               (len mod Page.size)));
     len / Page.size
   with
-  | pages -> { backend = File { fd; journal; pages; written = pages }; mu = Mutex.create (); name = path }
+  | pages -> { backend = File { fd; journal; pages; written = pages }; name = path }
   | exception e ->
       Unix.close fd;
       raise e
 
 let in_memory () =
-  { backend = Memory { arr = Array.make 8 Bytes.empty; used = 0 }; mu = Mutex.create (); name = "memory" }
+  { backend = Memory { arr = Array.make 8 Bytes.empty; used = 0 }; name = "memory" }
 
 let name t = t.name
 let is_memory t = match t.backend with Memory _ -> true | File _ -> false
@@ -307,7 +306,6 @@ let h_page_read = Ode_util.Histogram.create "page.read"
 let h_page_write = Ode_util.Histogram.create "page.write"
 
 let read_into t n buf =
-  Mutex.protect t.mu @@ fun () ->
   check_range t n;
   Stats.incr c_pages_read;
   Ode_util.Histogram.time h_page_read @@ fun () ->
@@ -357,7 +355,6 @@ let dense f batch =
   List.rev rev
 
 let write_batch t batch =
-  Mutex.protect t.mu @@ fun () ->
   (* one histogram sample per physical batch *)
   Ode_util.Histogram.time h_page_write @@ fun () ->
   Ode_util.Trace.with_span ~cat:"disk" "disk.write_batch" @@ fun () ->
@@ -404,7 +401,6 @@ let write_batch t batch =
       | Some _ | None -> ( try Unix.unlink f.journal with Unix.Unix_error _ -> ()))
 
 let allocate t =
-  Mutex.protect t.mu @@ fun () ->
   let n = page_count t in
   let zero = Bytes.make Page.size '\000' in
   (match t.backend with
@@ -420,7 +416,6 @@ let allocate t =
   (n, zero)
 
 let sync t =
-  Mutex.protect t.mu @@ fun () ->
   match t.backend with
   | File f -> (
       match Failpoint.hit fp_sync with

@@ -10,8 +10,8 @@
    Enabled by default: the sites are coarse operation boundaries, each
    costing two clock reads and one array bump (E18 guards the total at
    <=5% on a scan-heavy workload). Process-global, like Stats; a
-   per-histogram mutex makes [observe] domain-safe (reader domains and
-   the writer observe concurrently). Reads (count/percentile/summary)
+   per-histogram mutex makes [observe] domain-safe (load-generator and
+   test domains observe concurrently). Reads (count/percentile/summary)
    are lock-free: they may see a mid-observation state, which for
    monotonic tallies means at worst an off-by-one-in-flight report. *)
 
@@ -121,7 +121,7 @@ let percentile h p = percentile_of h.counts h.n h.max_ns p
 (* A consistent cut of one histogram, taken under its mutex so count, sum
    and the percentile ranks all describe the same set of observations.
    [reset:true] zeroes the tallies inside the SAME critical section —
-   that is what makes `.metrics reset` exact under reader domains: an
+   that is what makes `.metrics reset` exact under concurrent domains: an
    [observe] racing the drain lands either wholly in the returned row or
    wholly in the next interval, never both and never neither. *)
 type row = {

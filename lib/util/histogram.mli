@@ -3,8 +3,8 @@
     error, clamped to the observed max. Enabled by default (the sites are
     coarse operation boundaries); [set_enabled false] turns [time] into a
     bare call. Process-global; [observe] takes a per-histogram mutex, so
-    observations from the server's reader domains and the writer domain
-    never tear a tally. Readers of a histogram (count/percentile/summary)
+    observations from several domains (a load generator's, a test's) never
+    tear a tally. Readers of a histogram (count/percentile/summary)
     are lock-free and may observe a concurrent update mid-flight, which
     for monotonic tallies only ever under-reports in-flight samples. *)
 

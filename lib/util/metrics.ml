@@ -3,7 +3,7 @@
    by the server's `GET /metrics` listener) and as a JSON document (the
    `.metrics json` dot command). Pure render layer: every value is read
    through the owning registry's own domain-safe accessors, so this can
-   run on the writer domain while reader domains keep emitting. *)
+   run on one domain while others keep emitting. *)
 
 let sanitize name =
   String.map

@@ -1,7 +1,7 @@
 (** Render layer over {!Stats} and {!Histogram}: one function per
     exposition format. Values are read through the registries' own
-    domain-safe accessors, so rendering is safe on the writer domain while
-    reader domains emit. *)
+    domain-safe accessors, so rendering is safe on one domain while others
+    emit. *)
 
 val sanitize : string -> string
 (** Dots and other non-identifier characters become underscores —

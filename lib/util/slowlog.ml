@@ -7,9 +7,8 @@
    The entry JSON itself is assembled by the session layer (it holds the
    statement, trace id, queue-wait split and the query profile); this
    module only owns arming, retention and rotation. One mutex covers the
-   file handle and the ring — entries arrive from the writer domain and
-   reader domains alike, and a slow query is by definition not a hot
-   path. *)
+   file handle and the ring — entries may arrive from several domains of
+   one process, and a slow query is by definition not a hot path. *)
 
 type entry = { e_dur_ns : int; e_json : string }
 

@@ -1,7 +1,7 @@
 (** Slow-query log sink: arming threshold, a size-rotated JSON-lines file,
     and a bounded in-memory ring of recent entries for [.slow \[K\]].
-    Process-global and mutex-protected — entries arrive from the writer
-    domain and reader domains; a slow query is not a hot path. The entry
+    Process-global and mutex-protected — entries may arrive from several
+    domains; a slow query is not a hot path. The entry
     JSON is assembled by the caller (the session layer owns the
     statement, trace id, queue-wait split and query profile). *)
 

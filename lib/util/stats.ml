@@ -2,8 +2,7 @@
    module registers each counter once at initialization and keeps the
    handle, exactly like [Histogram.create]; snapshot/diff/pp/to_list all
    derive from the registry. A handle is the slot's [Atomic.t] cell, so a
-   bump from a reader domain or the writer domain is one fetch-and-add and
-   never loses an update; a snapshot is the plain int array of live values
+   bump from any domain is one fetch-and-add and never loses an update; a snapshot is the plain int array of live values
    at the time it was taken, in registration order. *)
 
 type group = Workload | Recovery
@@ -39,13 +38,13 @@ let kind_of name =
   match Hashtbl.find_opt index name with Some i -> (!slots).(i).kind | None -> Counter
 
 (* Live gauges: sampled (not stored) values read through a callback at
-   exposition time — current connections, queue depth, cache residency.
+   exposition time — current connections, pending commits, cache residency.
    Unlike counters these are registered by the owning subsystem when it
    comes up (a server, a database), so the registry takes a lock and a
    re-registration under the same name replaces the sampler: reopening a
    database or restarting an embedded server keeps the gauge pointing at
    the live instance. Samplers must be safe to call from the domain that
-   renders metrics (the server's writer domain). *)
+   renders metrics (the server's event loop). *)
 let gauges_mu = Mutex.create ()
 let gauge_defs : (string * (unit -> int)) list ref = ref []
 

@@ -19,9 +19,8 @@
     name, group and kind and shares one slot.
 
     Counters are process-global [Atomic.t] cells, so bumps are domain-safe:
-    the network server executes read-only requests on reader domains in
-    parallel with the writer domain, and every counter stays exact under
-    that concurrency. [snapshot] reads each cell atomically (the array as a
+    a load generator's or a test's domains bump them in parallel, and
+    every counter stays exact under that concurrency. [snapshot] reads each cell atomically (the array as a
     whole is not one atomic cut, which is fine for monotonic counters). *)
 
 type group =

@@ -5,7 +5,7 @@
    Compiled into every build: each emit site costs one flag check when
    tracing is disabled (E18 guards that), and one clock read + ring store
    when enabled. Process-global, like Stats; ring mutations take a mutex
-   so spans emitted from reader domains never tear the buffer. The
+   so spans emitted from several domains never tear the buffer. The
    nesting-depth counter is advisory under concurrency (display only). *)
 
 let enabled_flag = ref false
@@ -39,16 +39,15 @@ type span = {
 }
 
 (* Span ids come from one process-global atomic, so they stay unique under
-   concurrent emission from reader domains (asserted by the multi-domain
+   concurrent emission from several domains (asserted by the multi-domain
    stress test). *)
 let next_span_id = Atomic.make 1
 let fresh_span_id () = Atomic.fetch_and_add next_span_id 1
 
 (* The ambient trace id is domain-local: a request executes entirely on
-   one domain (writer, or the reader domain that popped its job), so
-   stamping it into DLS around the request lets every span emitted below
-   — session, query profiler, WAL commit — pick it up without threading a
-   parameter through each layer. *)
+   one domain, so stamping it into DLS around the request lets every span
+   emitted below — session, query profiler, WAL commit — pick it up without
+   threading a parameter through each layer. *)
 let trace_key = Domain.DLS.new_key (fun () -> 0)
 let current_trace_id () = Domain.DLS.get trace_key
 

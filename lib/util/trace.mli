@@ -2,8 +2,8 @@
     trace-event JSON exporter. Disabled by default; every emit point is a
     single flag check when off, and no ring exists until tracing is first
     switched on. Process-global; ring mutations take a
-    mutex, so spans emitted concurrently from the server's reader domains
-    and the writer domain never tear the buffer. The nesting-depth counter
+    mutex, so spans emitted concurrently from several domains (a load
+    generator's, a test's) never tear the buffer. The nesting-depth counter
     is advisory under concurrency — spans from different domains may
     report interleaved depths (display nesting only, durations and
     ordering stay exact per span). *)

@@ -215,6 +215,23 @@ let error_inside_explicit_txn_keeps_it_open () =
     (Db.with_txn db (fun _ -> Ode.Query.count db ~var:"x" ~cls:"e9" ()));
   Db.close db
 
+(* A method that calls itself without end stops at the interpreter's
+   depth bound with a user error, at once, instead of running until memory
+   gives out. *)
+let runaway_recursion_bounded () =
+  let t0 = Unix.gettimeofday () in
+  (match
+     session
+       "class r { v: int; method f(): int = this.f(); }; create cluster r; o := pnew r { v = 1 }; \
+        print o.f();"
+   with
+  | Error { cls = User; msg }, _ ->
+      Tutil.check_bool "names the depth bound" true
+        (String.starts_with ~prefix:"method r.f: calls nested deeper than" msg)
+  | Error e, _ -> Alcotest.failf "class %s: %s" (Ode_util.Ode_error.class_name e.cls) e.msg
+  | Ok (), _ -> Alcotest.fail "runaway recursion returned");
+  Tutil.check_bool "within a second" true (Unix.gettimeofday () -. t0 < 1.)
+
 let suite =
   [
     ( "interp",
@@ -232,5 +249,6 @@ let suite =
         Alcotest.test_case "dump command round-trips" `Quick dump_command_roundtrips;
         Alcotest.test_case "load statement" `Quick load_statement;
         Alcotest.test_case "error keeps explicit txn open" `Quick error_inside_explicit_txn_keeps_it_open;
+        Alcotest.test_case "runaway recursion hits the depth bound" `Quick runaway_recursion_bounded;
       ] );
   ]

@@ -42,5 +42,4 @@ let () =
             on OCaml 5.x, once a process has ever created a domain,
             Unix.fork refuses for the rest of its life. *)
          Test_obs.suite;
-         Test_multicore.suite;
        ])

@@ -155,6 +155,108 @@ let gc_after_release () =
   Tutil.check_int "no snapshots registered" 0 (Db.live_snapshots db);
   Db.close db
 
+(* -- detached read transactions ------------------------------------------ *)
+
+(* A write attempt inside a detached read transaction raises before any
+   shared state is touched, so the server can replay the request in an
+   ordinary transaction. *)
+let read_txn_rejects_writes () =
+  let db = Db.open_in_memory () in
+  ignore (Db.define db "class cell { a: int; b: int; };");
+  Db.create_cluster db "cell";
+  let oid = Db.with_txn db (fun txn -> Db.pnew txn "cell" [ ("a", int 1); ("b", int 1) ]) in
+  (match Db.with_read_txn db (fun txn -> Db.pnew txn "cell" []) with
+  | _ -> Alcotest.fail "pnew in a read txn must raise"
+  | exception Read_only_txn -> ());
+  (match Db.with_read_txn db (fun txn -> Db.set_field txn oid "a" (int 9)) with
+  | _ -> Alcotest.fail "set_field in a read txn must raise"
+  | exception Read_only_txn -> ());
+  (match Db.with_read_txn db (fun txn -> Db.pdelete txn oid) with
+  | _ -> Alcotest.fail "pdelete in a read txn must raise"
+  | exception Read_only_txn -> ());
+  (* Nothing leaked: the population and the field are untouched, and the
+     engine's single transaction slot is still free. *)
+  Tutil.check_int "population untouched" 1 (Ode.Query.count db ~var:"x" ~cls:"cell" ());
+  Db.with_txn db (fun txn ->
+      Tutil.check_value "field untouched" (int 1) (Db.get_field txn oid "a"));
+  Db.close db
+
+(* The server's interleaving in miniature, seeded: one domain nests up to
+   three detached read transactions, each straddling the next, around a
+   commit that updates one object (a = b in every committed state) or,
+   every 16th step, deletes one and mints a replacement. Every read sees
+   a = b; a snapshot reads the same object the same before and after the
+   commits it straddles; a fresh snapshot sees each commit. Afterwards
+   every object reads the same after a reopen, and Verify passes before
+   and after it. *)
+let stress_reads_and_commits () =
+  let dir = Tutil.temp_dir "ode-mc" in
+  let db = Db.open_ dir in
+  ignore (Db.define db "class cell { a: int; b: int; };");
+  Db.create_cluster db "cell";
+  let nobjs = 32 in
+  let oids =
+    Array.init nobjs (fun i ->
+        Db.with_txn db (fun txn -> Db.pnew txn "cell" [ ("a", int i); ("b", int i) ]))
+  in
+  let torn = ref 0 and unstable = ref 0 and stale = ref 0 and reads = ref 0 in
+  let read txn oid =
+    match Db.get txn oid with
+    | None -> None
+    | Some fields -> (
+        match (List.assoc "a" fields, List.assoc "b" fields) with
+        | Value.Int a, Value.Int b when a = b -> Some a
+        | _ ->
+            incr torn;
+            None)
+  in
+  let rng = Random.State.make [| 42 |] in
+  for i = 1 to 400 do
+    let slot = Random.State.int rng nobjs in
+    let commit () =
+      if i mod 16 = 0 then
+        Db.with_txn db (fun txn ->
+            Db.pdelete txn oids.(slot);
+            oids.(slot) <- Db.pnew txn "cell" [ ("a", int i); ("b", int i) ])
+      else
+        Db.with_txn db (fun txn -> Db.update txn oids.(slot) [ ("a", int i); ("b", int i) ])
+    in
+    let rec straddle depth =
+      if depth = 0 then commit ()
+      else
+        Db.with_read_txn db (fun txn ->
+            let oid = oids.(Random.State.int rng nobjs) in
+            let before = read txn oid in
+            straddle (depth - 1);
+            incr reads;
+            if read txn oid <> before then incr unstable)
+    in
+    straddle (1 + Random.State.int rng 3);
+    if Db.with_read_txn db (fun txn -> read txn oids.(slot)) <> Some i then incr stale
+  done;
+  Tutil.check_int "no torn reads" 0 !torn;
+  Tutil.check_int "snapshots stable across commits" 0 !unstable;
+  Tutil.check_int "fresh snapshots see each commit" 0 !stale;
+  Tutil.check_bool "readers made progress" true (!reads >= 400);
+  let snap db oid = Db.with_read_txn db (fun txn -> Db.get txn oid) in
+  let before = Array.map (snap db) oids in
+  (match Ode.Verify.run db with
+  | Ok () -> ()
+  | Error ps -> Alcotest.failf "verify after stress: %s" (String.concat "; " ps));
+  Tutil.check_int "population stable" nobjs (Ode.Query.count db ~var:"x" ~cls:"cell" ());
+  Db.close db;
+  (* And the directory reopens clean. *)
+  let db2 = Db.open_ dir in
+  (match Ode.Verify.run db2 with
+  | Ok () -> ()
+  | Error ps -> Alcotest.failf "verify after reopen: %s" (String.concat "; " ps));
+  Array.iteri
+    (fun i oid ->
+      if snap db2 oid <> before.(i) then Alcotest.failf "object %d reads differently after reopen" i)
+    oids;
+  Tutil.check_int "population persisted" nobjs (Ode.Query.count db2 ~var:"x" ~cls:"cell" ());
+  Db.close db2
+
 let suite =
   [
     ( "mvcc",
@@ -166,5 +268,9 @@ let suite =
         Alcotest.test_case "snapshot scan sees deleted" `Quick snapshot_scan_sees_deleted;
         Alcotest.test_case "snapshot index probe" `Quick snapshot_index_probe;
         Alcotest.test_case "gc after release" `Quick gc_after_release;
+        Alcotest.test_case "read txn rejects writes before shared state" `Quick
+          read_txn_rejects_writes;
+        Alcotest.test_case "stress: read txns straddle commits, seeded" `Quick
+          stress_reads_and_commits;
       ] );
   ]

@@ -32,11 +32,9 @@ let counter_value dump name =
 
 (* Run [f client...] against a freshly spawned server; always reap the
    child, even on test failure. Returns the db dir for post-mortems. *)
-let with_server ?max_conns ?idle_timeout ?durability ?group_window ?domains f =
+let with_server ?max_conns ?idle_timeout ?durability ?group_window f =
   let dir = Tutil.temp_dir "ode-served" in
-  let pid, port =
-    Server.spawn ?max_conns ?idle_timeout ?durability ?group_window ?domains ~db_dir:dir ()
-  in
+  let pid, port = Server.spawn ?max_conns ?idle_timeout ?durability ?group_window ~db_dir:dir () in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
@@ -485,18 +483,16 @@ let thousand_plus_connections () =
            | None -> false);
          Array.iter Client.close cs))
 
-(* -- reader domains: parallel queries, funneled writes -------------------- *)
+(* -- parallel queries, funneled writes ------------------------------------ *)
 
-(* A --domains 3 server (1 writer + 2 readers): concurrent reader processes
-   stream queries while the parent keeps writing. Every query reply must be
-   a consistent snapshot (row count only ever grows), writes all land,
-   explicit transactions from several sessions coexist on stable snapshots,
-   and a query that turns out to write is re-routed to the writer and still
-   answered correctly. *)
-let reader_domains_e2e () =
+(* Concurrent reader processes stream queries while the parent keeps
+   writing. Every query reply must be a consistent snapshot (row count only
+   ever grows), writes all land, and explicit transactions from several
+   sessions coexist on stable snapshots. *)
+let parallel_queries_e2e () =
   let readers = 3 and queries_per_reader = 120 in
   ignore
-    (with_server ~domains:3 (fun port ->
+    (with_server (fun port ->
          let control = connect port in
          Tutil.check_string "schema" "" (Client.exec control schema);
          for i = 0 to 19 do
@@ -541,10 +537,10 @@ let reader_domains_e2e () =
            pids;
          Tutil.check_int "all writes landed" 40
            (List.length (Client.query control "forall x in acct"));
-         (* Explicit transactions from several sessions coexist across
-            domains: while [control] holds one open, another session's
-            begin succeeds and reader-domain queries see a stable snapshot
-            that excludes both sessions' uncommitted writes. *)
+         (* Explicit transactions from several sessions coexist: while
+            [control] holds one open, another session's begin succeeds and
+            autocommitted queries see a stable snapshot that excludes both
+            sessions' uncommitted writes. *)
          let c2 = connect port in
          let c3 = connect port in
          ignore (Client.exec control "begin; pnew acct { owner = \"held\", bal = 0 };");
@@ -552,8 +548,8 @@ let reader_domains_e2e () =
          Tutil.check_int "reader sees neither uncommitted write" 40
            (List.length (Client.query c3 "forall x in acct"));
          ignore (Client.exec control "abort;");
-         (* Queries inside an explicit transaction stay on the writer (they
-            must see the transaction's own uncommitted writes). *)
+         (* Queries inside an explicit transaction see the transaction's
+            own uncommitted writes. *)
          Tutil.check_int "txn query sees own write" 41
            (List.length (Client.query c2 "forall x in acct"));
          ignore (Client.exec c2 "abort;");
@@ -578,6 +574,80 @@ let reader_domains_e2e () =
            | None -> false);
          Client.close c2;
          Client.close control))
+
+(* -- queries that call methods --------------------------------------------- *)
+
+(* An autocommitted query runs in a detached read-only transaction, and
+   one that tried to write would be replayed in an ordinary transaction,
+   counted in [server.reroutes]. No method can write: a method body is an
+   expression, and [setroot], the one writing builtin, is a statement — a
+   method that names it fails when called. So a served query that calls
+   methods answers from its snapshot, writes nothing and is never
+   rerouted. *)
+let served_method_query () =
+  ignore
+    (with_server (fun port ->
+         let c = connect port in
+         ignore
+           (Client.exec c
+              "class purse { bal: int; method rich(): bool = this.bal > 5; method poke(): int = \
+               setroot(\"x\", this.bal); }; create cluster purse;");
+         for i = 0 to 9 do
+           ignore (Client.exec c (Printf.sprintf "pnew purse { bal = %d };" i))
+         done;
+         let rows = Client.query c "forall x in purse suchthat x.rich() by x.bal" in
+         Tutil.check_int "rich rows" 4 (List.length rows);
+         List.iteri
+           (fun i row ->
+             Tutil.check_bool "row in order" true (contains row (Printf.sprintf "bal = %d" (6 + i))))
+           rows;
+         (match Client.exec c "forall x in purse { print x.poke(); };" with
+         | _ -> Alcotest.fail "a method naming setroot answered"
+         | exception Client.Server_error { cls = User; msg } ->
+             Tutil.check_bool "unknown function" true (contains msg "setroot"));
+         ignore (Client.query c "forall x in purse suchthat x.poke() == 1");
+         Tutil.check_bool "no root written" true
+           (Client.exec c "print getroot(\"x\");" = "null\n");
+         Tutil.check_int "population unchanged" 10 (List.length (Client.query c "forall x in purse"));
+         Tutil.check_bool "never rerouted" true
+           (counter_value (Client.dot c ".stats") "server.reroutes" = Some 0);
+         Client.close c))
+
+(* A method that calls itself without end meets the interpreter's depth
+   bound: its client gets a user error, and a query from another
+   connection, sent while the runaway request is on its way, is answered
+   after it. *)
+let runaway_recursion_served () =
+  ignore
+    (with_server (fun port ->
+         let c = connect port in
+         ignore
+           (Client.exec c
+              "class r { v: int; method f(): int = this.f(); }; create cluster r; pnew r { v = 1 };");
+         flush stdout;
+         flush stderr;
+         let child =
+           match Unix.fork () with
+           | 0 ->
+               let code =
+                 try
+                   let a = connect port in
+                   match Client.exec a "forall x in r { print x.f(); };" with
+                   | _ -> 1
+                   | exception Client.Server_error { cls = User; _ } -> 0
+                 with _ -> 2
+               in
+               Unix._exit code
+           | pid -> pid
+         in
+         let t0 = Unix.gettimeofday () in
+         Tutil.check_int "other client answered" 1 (List.length (Client.query c "forall x in r"));
+         Tutil.check_bool "promptly" true (Unix.gettimeofday () -. t0 < 5.);
+         (match Unix.waitpid [] child with
+         | _, Unix.WEXITED 0 -> ()
+         | _, Unix.WEXITED e -> Alcotest.failf "runaway client exited %d" e
+         | _ -> Alcotest.fail "runaway client died");
+         Client.close c))
 
 (* -- observability: /metrics endpoint, /health, slow-query log ------------ *)
 
@@ -618,7 +688,7 @@ let http_body resp =
   let p = find 0 in
   String.sub resp p (String.length resp - p)
 
-(* A --domains 2 server with the metrics endpoint bound and the slow-query
+(* A server with the metrics endpoint bound and the slow-query
    log armed at 0 ms (every request logs). Drive real load, then assert the
    whole observability surface: a parseable Prometheus scrape with counters,
    gauges and latency quantiles; the health document; 404s; the JSON twin;
@@ -627,7 +697,7 @@ let http_body resp =
 let observability_endpoint () =
   let dir = Tutil.temp_dir "ode-served" in
   let pid, port, _, mport =
-    Server.spawn_full ~domains:2 ~metrics_port:0 ~slow_query_ms:0 ~db_dir:dir ()
+    Server.spawn_full ~metrics_port:0 ~slow_query_ms:0 ~db_dir:dir ()
   in
   Fun.protect
     ~finally:(fun () ->
@@ -654,8 +724,6 @@ let observability_endpoint () =
       Tutil.check_bool "counter TYPE line" true
         (contains body "# TYPE ode_server_requests counter");
       Tutil.check_bool "repl lag gauge exposed" true (contains body "ode_repl_lag_commits");
-      Tutil.check_bool "queue depth gauge exposed" true
-        (contains body "ode_server_read_queue_depth");
       Tutil.check_bool "connections gauge exposed" true (contains body "ode_server_connections");
       Tutil.check_bool "latency quantiles exposed" true (contains body "quantile=\"0.5\"");
       Tutil.check_bool "errors counted by class" true
@@ -688,7 +756,6 @@ let observability_endpoint () =
       let h = http_body (http_get mport "/health") in
       Tutil.check_bool "health: primary role" true (contains h "\"role\":\"primary\"");
       Tutil.check_bool "health: nonzero lsn" false (contains h "\"lsn\":0,");
-      Tutil.check_bool "health: domain count" true (contains h "\"domains\":2");
       Tutil.check_bool "health: slow log armed" true (contains h "\"slow_log_armed\":true");
       Tutil.check_bool "unknown path 404s" true (contains (http_get mport "/nope") "404");
       let j = http_body (http_get mport "/metrics.json") in
@@ -777,8 +844,10 @@ let suite =
         Alcotest.test_case "group commit: acked survives kill -9" `Quick group_kill9_durability;
         Alcotest.test_case "poll loop serves >1024 concurrent connections" `Slow
           thousand_plus_connections;
-        Alcotest.test_case "reader domains: parallel queries, funneled writes" `Quick
-          reader_domains_e2e;
+        Alcotest.test_case "parallel queries, funneled writes" `Quick parallel_queries_e2e;
+        Alcotest.test_case "a served query calling methods" `Quick served_method_query;
+        Alcotest.test_case "runaway recursion spares other clients" `Quick
+          runaway_recursion_served;
         Alcotest.test_case "metrics endpoint, health, slow-query log" `Quick
           observability_endpoint;
         Alcotest.test_case "mvcc write storm under a pinned snapshot" `Quick mvcc_write_storm;

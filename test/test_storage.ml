@@ -175,12 +175,11 @@ let pool_sized_by_use () =
   let bytes = words *. float (Sys.word_size / 8) in
   if bytes >= 4096. then Alcotest.failf "an empty 65536-page pool allocated %.0f bytes" bytes
 
-(* A striped pool still holds exactly its capacity once it has seen more
-   pages than that. *)
+(* A pool holds exactly its capacity once it has seen more pages than
+   that. *)
 let pool_evicts_at_capacity () =
   let d = Disk.in_memory () in
   let p = Pool.create ~capacity:64 d in
-  Tutil.check_bool "striped" true (Pool.stripes p > 1);
   for _ = 1 to 200 do
     Pool.unpin p (Pool.allocate p)
   done;
