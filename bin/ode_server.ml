@@ -212,8 +212,8 @@ let slow_query_ms =
     & opt (some int) None
     & info [ "slow-query-ms" ] ~docv:"MS"
         ~doc:
-          "Arm the slow-query log: requests slower than MS milliseconds (queue wait + \
-           execution) are appended as JSON lines, with the per-plan-node profile for \
+          "Arm the slow-query log: requests whose execution takes MS milliseconds or \
+           more are appended as JSON lines, with the per-plan-node profile for \
            queries. Inspect with the $(b,.slow) dot command.")
 
 let slow_query_log =

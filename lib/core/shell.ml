@@ -123,7 +123,7 @@ let classify e : Err.t =
         (User, Printf.sprintf "parse error at line %d, col %d: %s" line col msg)
     | Ode_lang.Lexer.Lex_error (msg, { line; col; _ }) ->
         (User, Printf.sprintf "lex error at line %d, col %d: %s" line col msg)
-    | Ode_model.Eval.Error msg -> (User, "error: " ^ msg)
+    | Ode_model.Eval.Error msg -> (User, msg)
     | Constraint_violation { cls; cname; oid } ->
         ( User,
           Fmt.str "constraint %s.%s violated by object %a (transaction aborted)" cls cname
@@ -212,11 +212,8 @@ let parse_forall rest =
    each qualifying object rendered as one row. Runs inside the open explicit
    transaction if any, so a remote session sees its own uncommitted writes;
    with no explicit transaction it runs in a *detached* read-only txn
-   ({!Database.with_read_txn}), which registers only an MVCC snapshot. A
-   predicate that turns out to write raises {!Types.Read_only_txn},
-   re-raised (not rendered) so the server can re-execute the request in a
-   write transaction. *)
-let query_rows ?(detached = true) t source =
+   ({!Database.with_read_txn}), which registers only an MVCC snapshot. *)
+let query_rows t source =
   let run txn =
     let f = parse_forall source in
     if f.q_body <> [] then Err.user "query takes a bodiless forall (use exec for loops)";
@@ -226,13 +223,8 @@ let query_rows ?(detached = true) t source =
       (fun row -> rows := render_row txn (List.hd row) :: !rows);
     List.rev !rows
   in
-  match
-    match t.txn with
-    | Some txn -> run txn
-    | None -> if detached then Database.with_read_txn t.db run else Database.with_txn t.db run
-  with
+  match match t.txn with Some txn -> run txn | None -> Database.with_read_txn t.db run with
   | rows -> Ok rows
-  | exception (Types.Read_only_txn as e) -> raise e
   | exception e -> Error (classify e)
 
 let dot_command t line =

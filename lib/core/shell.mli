@@ -42,14 +42,12 @@ val rollback : t -> unit
 (** Abort the open explicit transaction, if any. Used by the server when a
     session disconnects or the server shuts down mid-transaction. *)
 
-val query_rows : ?detached:bool -> t -> string -> (string list, Ode_util.Ode_error.t) result
+val query_rows : t -> string -> (string list, Ode_util.Ode_error.t) result
 (** Run a bodiless [forall] query and render each qualifying object as one
     row (oid plus fields) — the wire protocol's [Query] opcode. Runs inside
     the open explicit transaction if any; otherwise in a detached read-only
-    transaction ([detached], the default) or an ordinary write transaction
-    ([~detached:false]). Errors are {!classify}d, not raised, except
-    {!Types.Read_only_txn}, which escapes so the server can replay the
-    request in a write transaction. *)
+    transaction ({!Database.with_read_txn}). Errors are {!classify}d, not
+    raised. *)
 
 val dot_command : t -> string -> string option
 (** Handle a sqlite3-style dot command line ([.stats [reset]], [.recovery],

@@ -140,5 +140,4 @@ exception Read_only_store
 
 exception Read_only_txn
 (* A write reached a detached read-only transaction (Txn.begin_read). The
-   guard fires before any shared state is touched, so the server can
-   replay the request in an ordinary transaction. *)
+   guard fires before any shared state is touched. *)

@@ -1,35 +1,40 @@
 (* Serving: one poll(2) event loop on one domain, which owns the sockets,
    the database, the WAL and the group-commit batch scheduler. One
    iteration: poll for readiness, accept what's pending, read what's
-   readable (feeding each connection's frame reader), execute complete
-   requests, ack, write. Every request runs to completion where it is read,
-   one at a time, so replies stay in request order and transaction
-   semantics are exactly the embedded ones. An autocommitted [Query] (or a
-   [Ping]) runs in a detached read-only transaction; one that turns out to
-   write raises [Read_only_txn] before touching shared state and is
-   replayed in an ordinary transaction, counted in [server.reroutes].
-   Sessions interleave their transactions on the one domain under MVCC.
+   readable (feeding each peer's frame reader), execute complete requests,
+   ack, write. Every request runs to completion where it is read, one at a
+   time, through [Session.handle], so replies stay in request order and
+   transaction semantics are exactly the embedded ones. Sessions interleave
+   their transactions on the one domain under MVCC.
+
+   Every socket the loop serves is a [peer]: a client session, a standby
+   streaming from us, the link to the primary we stream from, or a metrics
+   scraper. All four share one accept, one read, one flush and one [lose],
+   under one error rule: EAGAIN/EWOULDBLOCK/EINTR wait, and end of stream
+   or any other error loses that peer alone, through its role's lose
+   action. What differs by role stays with the role: the handshakes, frame
+   processing, the semi-sync gate, the upstream reconnect and the HTTP
+   answer.
 
    The iteration doubles as the group-commit batch scheduler. Replies are
-   never written from the read phase — they accumulate in each connection's
+   never written from the read phase — they accumulate in each peer's
    [out] buffer — and between the read phase and the write phase sits the
    ack point: one [Database.sync_commits] covering every autocommit executed
    this tick. So under [Group] durability a reply can only reach the socket
    after the fsync that made its commit durable, while a tick that executed
    N requests paid for one fsync, not N.
 
-   Replication rides the same loop. A
-   primary with a replication port keeps a second listener; each connected
-   standby is a [downstream] whose buffer the WAL observer feeds with every
-   post-fsync batch — the observer fires inside [Wal.sync], strictly after
-   the barrier, so a standby can never hold a commit the primary could
-   still lose. A replica runs the same loop with an [upstream] link
-   instead: batches in (applied between requests, so its sessions serve
-   stale-but-consistent queries meanwhile), acks out, promotion on
-   [.promote] or SIGUSR1. Under [sync_repl] the write phase additionally
-   holds back any reply whose commit no streaming replica has acknowledged
-   yet (semi-sync), degrading after a timeout rather than blocking writes
-   forever on a dead standby. *)
+   Replication rides the same loop. A primary with a replication port
+   keeps a second listener; each connected standby's buffer is fed by the
+   WAL observer with every post-fsync batch — the observer fires inside
+   [Wal.sync], strictly after the barrier, so a standby can never hold a
+   commit the primary could still lose. A replica runs the same loop with a
+   [Primary] link instead: batches in (applied between requests, so its
+   sessions serve stale-but-consistent queries meanwhile), acks out,
+   promotion on [.promote] or SIGUSR1. Under [sync_repl] the write phase
+   additionally holds back any reply whose commit no streaming replica has
+   acknowledged yet (semi-sync), degrading after a timeout rather than
+   blocking writes forever on a dead standby. *)
 
 module Stats = Ode_util.Stats
 module Db = Ode.Database
@@ -39,7 +44,6 @@ let c_server_rejects = Stats.counter "server.rejects"
 let c_server_timeouts = Stats.counter "server.timeouts"
 let c_server_bytes_in = Stats.counter "server.bytes_in"
 let c_server_bytes_out = Stats.counter "server.bytes_out"
-let c_server_reroutes = Stats.counter "server.reroutes"
 let c_server_accept_backoffs = Stats.counter "server.accept_backoffs"
 let c_repl_batches_sent = Stats.counter "repl.batches_sent"
 let c_repl_bytes_sent = Stats.counter "repl.bytes_sent"
@@ -49,68 +53,54 @@ let c_repl_sync_degraded = Stats.counter "repl.sync_degraded"
 let c_repl_lag_commits = Stats.counter ~kind:Stats.Gauge "repl.lag_commits"
 let c_repl_lag_bytes = Stats.counter ~kind:Stats.Gauge "repl.lag_bytes"
 
-type conn = {
-  fd : Unix.file_descr;
-  rd : Protocol.reader;
-  out : Buffer.t;             (* encoded responses awaiting the socket *)
-  mutable out_pos : int;      (* written prefix of [out] *)
-  mutable state : [ `Hello | `Active of Session.t ];
-  mutable closing : bool;     (* close once [out] drains *)
-  mutable last : float;       (* last byte received (idle eviction) *)
-  mutable sent_lsn : int;     (* highest commit LSN this conn's buffered
+type client = {
+  mutable session : Session.t option; (* None until the hello is accepted *)
+  mutable sent_lsn : int;     (* highest commit LSN this client's buffered
                                  replies acknowledge (semi-sync gate) *)
-  mutable alive : bool;       (* false once dropped (the idle queue and the
-                                 poll dispatch hold stale references) *)
 }
 
-(* A standby streaming from us. *)
-type downstream = {
-  d_fd : Unix.file_descr;
-  d_rd : Protocol.reader;
-  d_out : Buffer.t;
-  mutable d_out_pos : int;
-  mutable d_state : [ `Magic | `Hello | `Streaming ];
-  mutable d_acked : int;      (* highest LSN it acknowledged; -1 = none yet *)
+type standby = {
+  mutable phase : [ `Magic | `Hello | `Streaming ];
+  mutable acked : int;        (* highest LSN it acknowledged; -1 = none yet *)
 }
 
-(* The primary we stream from (replica role). *)
-type upstream_state = {
+type role =
+  | Client of client
+  | Standby of standby
+  | Primary of upstream       (* the link to the primary we stream from *)
+  | Scraper of Buffer.t       (* request bytes until the blank line *)
+
+(* The replica role: where the primary is, and the link while it is up. *)
+and upstream = {
   u_host : string;
   u_port : int;
-  mutable u_link : Replication.upstream option; (* None while reconnecting *)
-  u_out : Buffer.t;           (* pending acks *)
-  mutable u_out_pos : int;
-  mutable u_retry_at : float;
+  mutable link : peer option; (* None while reconnecting *)
+  mutable retry_at : float;
 }
 
-(* A metrics/health HTTP client: one GET in, one response out, close. *)
-type mconn = {
-  m_fd : Unix.file_descr;
-  m_buf : Buffer.t;           (* request bytes until the blank line *)
-  m_out : Buffer.t;
-  mutable m_out_pos : int;
-  mutable m_done : bool;      (* response built; close once [m_out] drains *)
-  mutable m_last : float;
+and peer = {
+  fd : Unix.file_descr;
+  rd : Protocol.reader;       (* frames in (scrapers keep raw bytes instead) *)
+  out : Buffer.t;             (* encoded output awaiting the socket *)
+  mutable out_pos : int;      (* written prefix of [out] *)
+  mutable last : float;       (* last byte received (idle eviction, sweep) *)
+  mutable alive : bool;       (* false once lost (the idle queue and the
+                                 poll slots hold stale references) *)
+  mutable closing : bool;     (* close once [out] drains *)
+  role : role;
 }
+
+(* Whom a listener admits. *)
+type admits = Clients | Standbys | Scrapers
 
 (* What each poll slot means this tick (index-aligned with [Poll.add]). *)
-type slot =
-  | S_none
-  | S_listen
-  | S_repl_listen
-  | S_metrics_listen
-  | S_up
-  | S_conn of conn
-  | S_down of downstream
-  | S_metrics of mconn
+type slot = S_none | Listener of Unix.file_descr * admits | Peer of peer
 
 type t = {
   db : Ode.Database.t;
-  listen_fd : Unix.file_descr;
+  listeners : (Unix.file_descr * admits) list;
   lport : int;
-  repl_listen_fd : Unix.file_descr option;
   rport : int;                (* 0 when replication is not served *)
-  metrics_fd : Unix.file_descr option;
   mport : int;                (* 0 when no metrics endpoint is served *)
   sync_repl : bool;
   max_conns : int;
@@ -119,12 +109,12 @@ type t = {
   read_buf : bytes;           (* scratch shared by every socket read *)
   pset : Poll.t;
   mutable slots : slot array;
-  idle_q : (float * conn) Queue.t; (* (enqueued_at, conn), push-time order *)
-  mutable accept_pause : float; (* fd exhaustion: no accepts until then *)
-  mutable conns : conn list;
-  mutable mconns : mconn list;
-  mutable downstreams : downstream list;
-  mutable upstream : upstream_state option; (* Some = replica role *)
+  idle_q : (float * peer) Queue.t; (* (enqueued_at, client), push-time order *)
+  mutable accept_pause : float; (* accept failing: no accepts until then *)
+  mutable clients : peer list;
+  mutable standbys : peer list;
+  mutable scrapers : peer list;
+  mutable upstream : upstream option; (* Some = replica role *)
   mutable degraded : bool;    (* semi-sync waived until replicas catch up *)
   mutable gate_since : float option; (* oldest unmet semi-sync wait *)
   mutable promote_flag : bool; (* set by SIGUSR1, consumed by the loop *)
@@ -132,7 +122,7 @@ type t = {
   mutable stop : bool;
 }
 
-(* Stop reading a connection once this much response data is backed up;
+(* Stop reading a client once this much response data is backed up;
    reads resume when the client drains its socket. *)
 let out_cap = 1 lsl 20
 
@@ -148,20 +138,20 @@ let drain_deadline = 5.0
    the gate opens (and [repl.sync_degraded] counts the event). *)
 let sync_repl_timeout = 5.0
 
-(* How long accepting pauses after EMFILE/ENFILE: long enough not to spin
-   on a listener we cannot serve, short enough to pick arrivals up as soon
-   as a descriptor frees. *)
+(* How long accepting pauses after a failing accept (EMFILE/ENFILE): long
+   enough not to spin on a listener we cannot serve, short enough to pick
+   arrivals up as soon as a descriptor frees. *)
 let accept_backoff = 0.2
 
 (* Scrapers are few and short-lived; anything past this is a mistake. *)
-let max_mconns = 16
-let mconn_idle_timeout = 30.
+let max_scrapers = 16
+let scraper_idle_timeout = 30.
 let max_http_request = 8192
 
 let port t = t.lport
 let repl_port t = t.rport
 let metrics_port t = t.mport
-let connections t = List.length t.conns
+let connections t = List.length t.clients
 let shutdown t = t.stop <- true
 
 let handle_signals t =
@@ -172,23 +162,52 @@ let handle_signals t =
      between iterations. Harmless on a primary. *)
   Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> t.promote_flag <- true))
 
-let out_pending c = Buffer.length c.out - c.out_pos
-let d_pending d = Buffer.length d.d_out - d.d_out_pos
-let u_pending u = Buffer.length u.u_out - u.u_out_pos
-
+let pending p = Buffer.length p.out - p.out_pos
+let is_primary t = Option.is_none t.upstream
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let without p = List.filter (fun q -> q != p)
 
-let drop t c =
-  c.alive <- false;
-  (match c.state with `Active s -> Session.close s | `Hello -> ());
-  close_fd c.fd;
-  t.conns <- List.filter (fun c' -> c' != c) t.conns
+let peer fd rd role =
+  {
+    fd;
+    rd;
+    out = Buffer.create 1024;
+    out_pos = 0;
+    last = Unix.gettimeofday ();
+    alive = true;
+    closing = false;
+    role;
+  }
 
-let drop_downstream t d =
-  close_fd d.d_fd;
-  t.downstreams <- List.filter (fun d' -> d' != d) t.downstreams
+(* The one way a peer leaves, whatever the cause: its socket closes, its
+   poll slot and idle-queue entry go stale, and its role lets go — a
+   client's session rolls back, a standby or scraper leaves its list, and
+   a lost primary link is retried from the exact local position. Promotion
+   and shutdown end the link on purpose and retry nothing. *)
+let lose t p why =
+  if p.alive then begin
+    p.alive <- false;
+    close_fd p.fd;
+    match p.role with
+    | Client c ->
+        Option.iter Session.close c.session;
+        t.clients <- without p t.clients
+    | Standby _ -> t.standbys <- without p t.standbys
+    | Scraper _ -> t.scrapers <- without p t.scrapers
+    | Primary u ->
+        u.link <- None;
+        if not (is_primary t || t.stop) then begin
+          Stats.incr c_repl_resyncs;
+          u.retry_at <- Unix.gettimeofday () +. 1.0;
+          Printf.eprintf "replication: upstream lost (%s); retrying\n%!" why
+        end
+  end
 
-let is_primary t = t.upstream = None
+let iter_peers t f =
+  List.iter f t.clients;
+  List.iter f t.standbys;
+  (match t.upstream with Some { link = Some p; _ } -> f p | _ -> ());
+  List.iter f t.scrapers
 
 (* -- poll set bookkeeping ------------------------------------------------- *)
 
@@ -203,208 +222,122 @@ let slot_add t slot fd ~read ~write =
 
 (* -- replication: primary side ------------------------------------------- *)
 
+let send_batch p ~from_lsn ~to_lsn data =
+  Protocol.encode_repl p.out (Protocol.R_batch (from_lsn, to_lsn, data));
+  Stats.incr c_repl_batches_sent;
+  Stats.add c_repl_bytes_sent (String.length data)
+
 (* The WAL observer: called inside [Wal.sync] after the barrier, with the
    frames covering commits (from_lsn, to_lsn]. Only enqueues — the sockets
    are serviced by the loop's write phase. *)
 let feed t ~data ~from_lsn ~to_lsn =
   List.iter
-    (fun d ->
-      if d.d_state = `Streaming then begin
-        Protocol.encode_repl d.d_out (Protocol.R_batch (from_lsn, to_lsn, data));
-        Stats.incr c_repl_batches_sent;
-        Stats.add c_repl_bytes_sent (String.length data)
-      end)
-    t.downstreams
+    (fun p ->
+      match p.role with
+      | Standby { phase = `Streaming; _ } -> send_batch p ~from_lsn ~to_lsn data
+      | _ -> ())
+    t.standbys
 
-let rec accept_repl t lfd =
-  match Unix.accept ~cloexec:true lfd with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (EINTR, _, _) -> accept_repl t lfd
-  | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
-      Stats.incr c_server_accept_backoffs;
-      t.accept_pause <- Unix.gettimeofday () +. accept_backoff;
-      Printf.eprintf "server: accept (replication): out of file descriptors; backing off\n%!"
-  | fd, _ ->
-      Unix.set_nonblock fd;
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-      (* A replica does not serve replicas (no cascading) — and a full house
-         just hangs up; the standby's bootstrap retries. *)
-      if Db.read_only t.db || List.length t.downstreams >= max_downstreams then close_fd fd
-      else
-        t.downstreams <-
-          {
-            d_fd = fd;
-            d_rd = Protocol.reader ~max_len:Protocol.repl_max_frame_len ();
-            d_out = Buffer.create 4096;
-            d_out_pos = 0;
-            d_state = `Magic;
-            d_acked = -1;
-          }
-          :: t.downstreams;
-      accept_repl t lfd
-
-(* Advance a downstream's handshake and consume its acks. Anything
-   malformed drops the connection — the standby resyncs. *)
-let process_downstream t d =
+(* Advance a standby's handshake and consume its acks. Anything malformed
+   loses the standby — it resyncs. *)
+let process_standby t p d =
   try
-    (match d.d_state with
+    (match d.phase with
     | `Magic -> (
-        match Protocol.take d.d_rd Protocol.repl_hello_len with
+        match Protocol.take p.rd Protocol.repl_hello_len with
         | None -> ()
         | Some s -> (
             match Protocol.parse_repl_hello s with
-            | Ok () -> d.d_state <- `Hello
+            | Ok () -> d.phase <- `Hello
             | Error _ -> raise Exit))
     | _ -> ());
-    (match d.d_state with
+    (match d.phase with
     | `Hello -> (
-        match Protocol.next_frame d.d_rd with
+        match Protocol.next_frame p.rd with
         | None -> ()
         | Some body -> (
             match Protocol.decode_repl body with
             | Protocol.R_hello lsn -> (
                 (* [answer_hello] may checkpoint and read the data files
                    off disk (snapshot path). The sync inside feeds the
-                   *other*, already-streaming downstreams — this one only
+                   *other*, already-streaming standbys — this one only
                    starts receiving batches once marked [`Streaming]
                    below, right after its backlog. *)
                 match Replication.answer_hello t.db ~replica_lsn:lsn with
                 | Replication.Resume { from_lsn; to_lsn; backlog } ->
-                    Protocol.encode_repl d.d_out (Protocol.R_resume from_lsn);
-                    if String.length backlog > 0 then begin
-                      Protocol.encode_repl d.d_out
-                        (Protocol.R_batch (from_lsn, to_lsn, backlog));
-                      Stats.incr c_repl_batches_sent;
-                      Stats.add c_repl_bytes_sent (String.length backlog)
-                    end;
+                    Protocol.encode_repl p.out (Protocol.R_resume from_lsn);
+                    if String.length backlog > 0 then send_batch p ~from_lsn ~to_lsn backlog;
                     (* It proved possession up to [from_lsn]. *)
-                    d.d_acked <- from_lsn;
-                    d.d_state <- `Streaming
+                    d.acked <- from_lsn;
+                    d.phase <- `Streaming
                 | Replication.Snapshot { lsn; files } ->
-                    Protocol.encode_repl d.d_out (Protocol.R_snapshot (lsn, files));
-                    d.d_state <- `Streaming)
+                    Protocol.encode_repl p.out (Protocol.R_snapshot (lsn, files));
+                    d.phase <- `Streaming)
             | _ -> raise Exit))
     | _ -> ());
-    if d.d_state = `Streaming then begin
+    if d.phase = `Streaming then begin
       let rec acks () =
-        match Protocol.next_frame d.d_rd with
+        match Protocol.next_frame p.rd with
         | None -> ()
         | Some body ->
             (match Protocol.decode_repl body with
             | Protocol.R_ack lsn ->
                 Stats.incr c_repl_acks;
-                if lsn > d.d_acked then d.d_acked <- lsn
+                if lsn > d.acked then d.acked <- lsn
             | _ -> raise Exit);
             acks ()
       in
       acks ()
     end
-  with Exit | Ode_util.Codec.Corrupt _ -> drop_downstream t d
-
-let handle_downstream_read t d =
-  match Unix.read d.d_fd t.read_buf 0 (Bytes.length t.read_buf) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop_downstream t d
-  | 0 -> drop_downstream t d
-  | n ->
-      Stats.add c_server_bytes_in n;
-      Protocol.feed d.d_rd t.read_buf n;
-      process_downstream t d
-
-let handle_downstream_write t d =
-  let data = Buffer.contents d.d_out in
-  match Unix.write_substring d.d_fd data d.d_out_pos (String.length data - d.d_out_pos) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop_downstream t d
-  | n ->
-      Stats.add c_server_bytes_out n;
-      d.d_out_pos <- d.d_out_pos + n;
-      if d.d_out_pos = Buffer.length d.d_out then begin
-        Buffer.clear d.d_out;
-        d.d_out_pos <- 0
-      end
+  with Exit | Ode_util.Codec.Corrupt _ -> lose t p "standby protocol error"
 
 (* Highest LSN any streaming replica acknowledged: classic semi-sync wants
    at least one standby holding the commit, not all of them. *)
 let best_acked t =
   List.fold_left
-    (fun acc d -> if d.d_state = `Streaming then max acc d.d_acked else acc)
-    (-1) t.downstreams
+    (fun acc p ->
+      match p.role with Standby { phase = `Streaming; acked } -> max acc acked | _ -> acc)
+    (-1) t.standbys
 
 (* -- replication: replica side ------------------------------------------- *)
 
-let queue_ack t u = Protocol.encode_repl u.u_out (Protocol.R_ack (Db.lsn t.db))
-
-let upstream_fault _t u reason =
-  (match u.u_link with Some l -> close_fd l.Replication.up_fd | None -> ());
-  u.u_link <- None;
-  Buffer.clear u.u_out;
-  u.u_out_pos <- 0;
-  Stats.incr c_repl_resyncs;
-  u.u_retry_at <- Unix.gettimeofday () +. 1.0;
-  Printf.eprintf "replication: upstream lost (%s); retrying\n%!" reason
+let queue_ack t p = Protocol.encode_repl p.out (Protocol.R_ack (Db.lsn t.db))
 
 (* Drain every complete frame buffered from the primary, applying batches
    and queueing an ack per batch. Snapshot reads keep working throughout,
    between batches. *)
-let process_upstream t u link =
+let process_upstream t p =
   let rec go () =
-    match Protocol.next_frame link.Replication.up_rd with
+    match Protocol.next_frame p.rd with
     | None -> ()
     | Some body ->
         (match Protocol.decode_repl body with
         | Protocol.R_batch (from_lsn, to_lsn, data) ->
             (match Replication.apply_batch t.db ~from_lsn ~to_lsn ~data with
-            | `Applied | `Duplicate -> queue_ack t u)
+            | `Applied | `Duplicate -> queue_ack t p)
         | _ -> raise (Replication.Resync "unexpected message from primary"));
         go ()
   in
-  try go () with
-  | Replication.Resync msg -> upstream_fault t u msg
-  | Ode_util.Codec.Corrupt msg -> upstream_fault t u msg
+  try go () with Replication.Resync msg | Ode_util.Codec.Corrupt msg -> lose t p msg
 
-let handle_upstream_read t u link =
-  match Unix.read link.Replication.up_fd t.read_buf 0 (Bytes.length t.read_buf) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE | ETIMEDOUT), _, _) ->
-      upstream_fault t u "connection reset"
-  | 0 -> upstream_fault t u "primary closed the stream"
-  | n ->
-      Stats.add c_server_bytes_in n;
-      Protocol.feed link.Replication.up_rd t.read_buf n;
-      process_upstream t u link
-
-let handle_upstream_write t u link =
-  let data = Buffer.contents u.u_out in
-  match
-    Unix.write_substring link.Replication.up_fd data u.u_out_pos
-      (String.length data - u.u_out_pos)
-  with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
-      upstream_fault t u "connection reset"
-  | n ->
-      Stats.add c_server_bytes_out n;
-      u.u_out_pos <- u.u_out_pos + n;
-      if u.u_out_pos = Buffer.length u.u_out then begin
-        Buffer.clear u.u_out;
-        u.u_out_pos <- 0
-      end
+(* Take an established link into the loop: announce our position, then
+   drain the batches the primary pipelined behind the handshake. *)
+let attach t u (link : Replication.upstream) =
+  Unix.set_nonblock link.up_fd;
+  let p = peer link.up_fd link.up_rd (Primary u) in
+  u.link <- Some p;
+  queue_ack t p;
+  process_upstream t p
 
 (* Re-handshake after a fault. [Replication.reconnect] connects with a
    blocking socket — on loopback a dead primary refuses instantly, so the
    loop stalls only when the primary is reachable but wedged. *)
 let try_reconnect t u =
-  if u.u_link = None && Unix.gettimeofday () >= u.u_retry_at then
+  if Option.is_none u.link && Unix.gettimeofday () >= u.retry_at then
     match Replication.reconnect ~host:u.u_host ~port:u.u_port t.db with
-    | Ok link ->
-        Unix.set_nonblock link.Replication.up_fd;
-        u.u_link <- Some link;
-        queue_ack t u;
-        (* Batches the primary pipelined behind the resume reply. *)
-        process_upstream t u link
+    | Ok link -> attach t u link
     | Error msg ->
-        u.u_retry_at <- Unix.gettimeofday () +. 2.0;
+        u.retry_at <- Unix.gettimeofday () +. 2.0;
         Printf.eprintf "replication: reconnect failed (%s)\n%!" msg
 
 (* -- promotion and introspection ----------------------------------------- *)
@@ -413,8 +346,8 @@ let promote t =
   match t.upstream with
   | None -> Stdlib.Error "not a replica (already primary)"
   | Some u ->
-      (match u.u_link with Some l -> close_fd l.Replication.up_fd | None -> ());
       t.upstream <- None;
+      Option.iter (fun p -> lose t p "promoted") u.link;
       Db.set_read_only t.db false;
       Stdlib.Ok (Printf.sprintf "promoted to primary at lsn %d" (Db.lsn t.db))
 
@@ -424,7 +357,7 @@ let replication_report t =
   (match t.upstream with
   | Some u ->
       add "role           replica of %s:%d (%s)\n" u.u_host u.u_port
-        (match u.u_link with Some _ -> "connected" | None -> "disconnected, retrying")
+        (match u.link with Some _ -> "connected" | None -> "disconnected, retrying")
   | None -> add "role           primary\n");
   add "lsn            %d\n" (Db.lsn t.db);
   add "durable_lsn    %d\n" (Db.durable_lsn t.db);
@@ -432,18 +365,19 @@ let replication_report t =
     add "sync_repl      %s%s\n"
       (if t.sync_repl then "on" else "off")
       (if t.degraded then " (degraded)" else "");
-    add "replicas       %d\n" (List.length t.downstreams);
+    add "replicas       %d\n" (List.length t.standbys);
     let durable = Db.durable_lsn t.db in
     List.iter
-      (fun d ->
-        match d.d_state with
-        | `Streaming when d.d_acked >= 0 ->
-            add "  streaming    acked %d (lag %d commits, %d bytes queued)\n" d.d_acked
-              (max 0 (durable - d.d_acked))
-              (d_pending d)
-        | `Streaming -> add "  streaming    no ack yet (%d bytes queued)\n" (d_pending d)
-        | `Magic | `Hello -> add "  handshaking\n")
-      t.downstreams
+      (fun p ->
+        match p.role with
+        | Standby { phase = `Streaming; acked } when acked >= 0 ->
+            add "  streaming    acked %d (lag %d commits, %d bytes queued)\n" acked
+              (max 0 (durable - acked))
+              (pending p)
+        | Standby { phase = `Streaming; _ } ->
+            add "  streaming    no ack yet (%d bytes queued)\n" (pending p)
+        | _ -> add "  handshaking\n")
+      t.standbys
   end;
   Buffer.contents b
 
@@ -463,12 +397,6 @@ let server_dot t line : Protocol.reply option =
    no extra threads, no keep-alive: parse the request line of one GET,
    answer, close. *)
 
-let m_pending m = Buffer.length m.m_out - m.m_out_pos
-
-let drop_mconn t m =
-  close_fd m.m_fd;
-  t.mconns <- List.filter (fun m' -> m' != m) t.mconns
-
 let http_response ?(status = "200 OK") ~content_type body =
   Printf.sprintf
     "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
@@ -480,7 +408,7 @@ let health_json t =
   Printf.sprintf
     "{\"role\":\"%s\",\"lsn\":%d,\"durable_lsn\":%d,\"connections\":%d,\"slow_log_armed\":%b}\n"
     (if is_primary t then "primary" else "replica")
-    (Db.lsn t.db) (Db.durable_lsn t.db) (List.length t.conns)
+    (Db.lsn t.db) (Db.durable_lsn t.db) (connections t)
     (Ode_util.Slowlog.armed ())
 
 let has_substring s sub =
@@ -488,87 +416,44 @@ let has_substring s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let metrics_answer t m =
-  let req = Buffer.contents m.m_buf in
+let metrics_answer t req =
   let line =
     match String.index_opt req '\n' with
     | Some i -> String.trim (String.sub req 0 i)
     | None -> String.trim req
   in
-  let resp =
-    match String.split_on_char ' ' line with
-    | "GET" :: path :: _ -> (
-        match path with
-        | "/metrics" ->
-            http_response ~content_type:"text/plain; version=0.0.4; charset=utf-8"
-              (Ode_util.Metrics.prometheus ())
-        | "/metrics.json" ->
-            http_response ~content_type:"application/json" (Ode_util.Metrics.json () ^ "\n")
-        | "/health" -> http_response ~content_type:"application/json" (health_json t)
-        | _ -> http_response ~status:"404 Not Found" ~content_type:"text/plain" "not found\n")
-    | _ -> http_response ~status:"400 Bad Request" ~content_type:"text/plain" "bad request\n"
-  in
-  Buffer.add_string m.m_out resp;
-  m.m_done <- true
+  match String.split_on_char ' ' line with
+  | "GET" :: path :: _ -> (
+      match path with
+      | "/metrics" ->
+          http_response ~content_type:"text/plain; version=0.0.4; charset=utf-8"
+            (Ode_util.Metrics.prometheus ())
+      | "/metrics.json" ->
+          http_response ~content_type:"application/json" (Ode_util.Metrics.json () ^ "\n")
+      | "/health" -> http_response ~content_type:"application/json" (health_json t)
+      | _ -> http_response ~status:"404 Not Found" ~content_type:"text/plain" "not found\n")
+  | _ -> http_response ~status:"400 Bad Request" ~content_type:"text/plain" "bad request\n"
 
-let rec accept_metrics t lfd =
-  match Unix.accept ~cloexec:true lfd with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (EINTR, _, _) -> accept_metrics t lfd
-  | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
-      Stats.incr c_server_accept_backoffs;
-      t.accept_pause <- Unix.gettimeofday () +. accept_backoff
-  | fd, _ ->
-      Unix.set_nonblock fd;
-      if List.length t.mconns >= max_mconns then close_fd fd
-      else
-        t.mconns <-
-          {
-            m_fd = fd;
-            m_buf = Buffer.create 256;
-            m_out = Buffer.create 4096;
-            m_out_pos = 0;
-            m_done = false;
-            m_last = Unix.gettimeofday ();
-          }
-          :: t.mconns;
-      accept_metrics t lfd
-
-let handle_metrics_read t m =
-  match Unix.read m.m_fd t.read_buf 0 (Bytes.length t.read_buf) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> drop_mconn t m
-  | 0 -> drop_mconn t m
-  | n ->
-      m.m_last <- Unix.gettimeofday ();
-      Buffer.add_subbytes m.m_buf t.read_buf 0 n;
-      if Buffer.length m.m_buf > max_http_request then drop_mconn t m
-      else if not m.m_done then begin
-        let req = Buffer.contents m.m_buf in
-        if has_substring req "\r\n\r\n" || has_substring req "\n\n" then metrics_answer t m
-      end
-
-let handle_metrics_write t m =
-  let data = Buffer.contents m.m_out in
-  match Unix.write_substring m.m_fd data m.m_out_pos (String.length data - m.m_out_pos) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> drop_mconn t m
-  | n ->
-      m.m_out_pos <- m.m_out_pos + n;
-      if m.m_done && m.m_out_pos = Buffer.length m.m_out then drop_mconn t m
-
-let sweep_mconns t now =
-  if t.mconns <> [] then
-    List.iter
-      (fun m -> if now -. m.m_last > mconn_idle_timeout then drop_mconn t m)
-      t.mconns
+(* Answer once the request's blank line has arrived; an oversized request
+   is hung up on. *)
+let scrape t p req =
+  if Buffer.length req > max_http_request then lose t p "request too large"
+  else if not p.closing then begin
+    let s = Buffer.contents req in
+    if has_substring s "\r\n\r\n" || has_substring s "\n\n" then begin
+      Buffer.add_string p.out (metrics_answer t s);
+      p.closing <- true
+    end
+  end
 
 (* -- semi-sync gate ------------------------------------------------------- *)
 
+let sent_lsn p = match p.role with Client c -> c.sent_lsn | _ -> -1
+
 (* Replies covering commits past what the replicas acknowledged wait in
    their buffers. *)
-let gated t c =
-  t.sync_repl && is_primary t && (not t.degraded) && c.sent_lsn > best_acked t
+let gated t p =
+  t.sync_repl && is_primary t && (not t.degraded) && sent_lsn p > best_acked t
 
 (* Degrade rather than block forever: when some reply has been gated for
    [sync_repl_timeout], open the gate (counted) until the replicas catch
@@ -584,7 +469,7 @@ let manage_gate t now =
     else
       let blocked =
         let best = best_acked t in
-        List.exists (fun c -> out_pending c > 0 && c.sent_lsn > best) t.conns
+        List.exists (fun p -> pending p > 0 && sent_lsn p > best) t.clients
       in
       if not blocked then t.gate_since <- None
       else
@@ -598,39 +483,95 @@ let manage_gate t now =
   end
 
 let update_gauges t =
-  let has_repl =
-    (match t.repl_listen_fd with Some _ -> true | None -> false) || not (is_primary t)
-  in
-  if has_repl then begin
+  if t.rport > 0 || not (is_primary t) then begin
     let durable = Db.durable_lsn t.db in
     Stats.set c_repl_lag_commits
       (List.fold_left
-         (fun acc d ->
-           if d.d_state = `Streaming && d.d_acked >= 0 then max acc (durable - d.d_acked)
-           else acc)
-         0 t.downstreams);
-    Stats.set c_repl_lag_bytes (List.fold_left (fun acc d -> acc + d_pending d) 0 t.downstreams)
+         (fun acc p ->
+           match p.role with
+           | Standby { phase = `Streaming; acked } when acked >= 0 -> max acc (durable - acked)
+           | _ -> acc)
+         0 t.standbys);
+    Stats.set c_repl_lag_bytes (List.fold_left (fun acc p -> acc + pending p) 0 t.standbys)
   end
 
-(* -- accepting ------------------------------------------------------------ *)
+(* -- clients -------------------------------------------------------------- *)
 
-let rec accept_pending t =
-  match Unix.accept ~cloexec:true t.listen_fd with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (EINTR, _, _) -> accept_pending t
-  | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
-      (* Descriptor exhaustion: pause accepting rather than spinning on a
-         listener we cannot serve. Existing connections keep draining —
-         which is exactly what frees descriptors — and the listener rejoins
-         the poll set once the backoff lapses. *)
-      Stats.incr c_server_accept_backoffs;
-      t.accept_pause <- Unix.gettimeofday () +. accept_backoff;
-      Printf.eprintf "server: accept: out of file descriptors; backing off\n%!"
-  | fd, _ ->
+let client_hello t p c =
+  match Protocol.take p.rd Protocol.hello_len with
+  | None -> ()
+  | Some hello -> (
+      match Protocol.parse_hello hello with
+      | Ok () ->
+          Buffer.add_string p.out (Protocol.hello_reply Accepted);
+          t.next_session <- t.next_session + 1;
+          c.session <- Some (Session.create ~id:t.next_session t.db)
+      | Error _ ->
+          (* Version skew or garbage: answer with a parseable rejection and
+             hang up. *)
+          Stats.incr c_server_rejects;
+          Buffer.add_string p.out (Protocol.hello_reply Bad_version);
+          p.closing <- true)
+
+(* Execute one request, buffer its reply, track the semi-sync position,
+   bound the deferred-durability window. *)
+let exec t p c session rq =
+  let before = Db.lsn t.db in
+  let resp = Session.handle session rq in
+  (* Only a request that moved the LSN puts this client under the
+     semi-sync gate — reads ride free. *)
+  if Db.lsn t.db > before then c.sent_lsn <- Db.lsn t.db;
+  Protocol.encode_response p.out resp;
+  (* Bound the deferred-durability window: a long batch syncs every
+     [group_window] commits rather than once at the end. *)
+  if Db.pending_commits t.db >= t.group_window then Db.sync_commits t.db
+
+let run_frames t p c session =
+  try
+    let rec go () =
+      (* Backpressure: leave complete frames buffered while this client's
+         responses are backed up. *)
+      if pending p < out_cap && not p.closing then
+        match Protocol.next_frame p.rd with
+        | None -> ()
+        | Some body ->
+            let rq = Protocol.decode_request body in
+            let server_reply =
+              match rq.rq_op with Protocol.Dot line -> server_dot t line | _ -> None
+            in
+            (match server_reply with
+            | Some reply ->
+                Protocol.encode_response p.out
+                  { Protocol.rs_id = rq.rq_id; rs_lsn = Db.lsn t.db; rs_reply = reply }
+            | None -> (
+                exec t p c session rq;
+                match rq.rq_op with Close -> p.closing <- true | _ -> ()));
+            go ()
+    in
+    go ()
+  with Ode_util.Codec.Corrupt msg ->
+    Protocol.encode_response p.out
+      {
+        rs_id = 0;
+        rs_lsn = Db.lsn t.db;
+        rs_reply = Error { cls = Corrupt; msg = "protocol error: " ^ msg };
+      };
+    p.closing <- true
+
+let process_client t p c =
+  if c.session = None then client_hello t p c;
+  Option.iter (run_frames t p c) c.session
+
+(* -- the peer path: accept, read, flush ----------------------------------- *)
+
+let nodelay fd = try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
+let admit t admits fd =
+  match admits with
+  | Clients ->
       Stats.incr c_server_accepts;
-      Unix.set_nonblock fd;
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-      if List.length t.conns >= t.max_conns then begin
+      nodelay fd;
+      if connections t >= t.max_conns then begin
         (* Friendly rejection: a complete handshake reply, then goodbye. The
            7-byte write into a fresh socket's empty send buffer cannot
            block. *)
@@ -642,168 +583,128 @@ let rec accept_pending t =
         close_fd fd
       end
       else begin
-        let now = Unix.gettimeofday () in
-        let c =
-          {
-            fd;
-            rd = Protocol.reader ();
-            out = Buffer.create 1024;
-            out_pos = 0;
-            state = `Hello;
-            closing = false;
-            last = now;
-            sent_lsn = -1;
-            alive = true;
-          }
-        in
-        t.conns <- c :: t.conns;
-        if t.idle_timeout > 0. then Queue.push (now, c) t.idle_q
-      end;
-      accept_pending t
-
-(* -- per-connection processing -------------------------------------------- *)
-
-let try_handshake t c =
-  match Protocol.take c.rd Protocol.hello_len with
-  | None -> ()
-  | Some hello -> (
-      match Protocol.parse_hello hello with
-      | Ok () ->
-          Buffer.add_string c.out (Protocol.hello_reply Accepted);
-          t.next_session <- t.next_session + 1;
-          c.state <- `Active (Session.create ~id:t.next_session t.db)
-      | Error _ ->
-          (* Version skew or garbage: answer with a parseable rejection and
-             hang up. *)
-          Stats.incr c_server_rejects;
-          Buffer.add_string c.out (Protocol.hello_reply Bad_version);
-          c.closing <- true)
-
-(* Execute one request, buffer its reply, track the semi-sync position,
-   bound the deferred-durability window. An autocommitted [Query] or a
-   [Ping] runs in a detached read-only transaction; a query that turns out
-   to write is replayed in an ordinary one (already counted once as a
-   request). Inside an explicit transaction a query must see the
-   transaction's own writes, so it runs there, like every other request. *)
-let exec t c session (rq : Protocol.request) =
-  let before = Db.lsn t.db in
-  let resp =
-    match rq.rq_op with
-    | Ping | Query _ when not (Session.in_transaction session) -> (
-        try Session.handle_read session rq
-        with Ode.Types.Read_only_txn ->
-          Stats.incr c_server_reroutes;
-          Session.handle ~count:false session rq)
-    | _ -> Session.handle session rq
-  in
-  (* Only a request that moved the LSN puts this connection under the
-     semi-sync gate — reads ride free. *)
-  if Db.lsn t.db > before then c.sent_lsn <- Db.lsn t.db;
-  Protocol.encode_response c.out resp;
-  (* Bound the deferred-durability window: a long batch syncs every
-     [group_window] commits rather than once at the end. *)
-  if Db.pending_commits t.db >= t.group_window then Db.sync_commits t.db
-
-let run_frames t c session =
-  try
-    let rec go () =
-      (* Backpressure: leave complete frames buffered while this client's
-         responses are backed up. *)
-      if out_pending c < out_cap && not c.closing then
-        match Protocol.next_frame c.rd with
-        | None -> ()
-        | Some body ->
-            let rq = Protocol.decode_request body in
-            let server_reply =
-              match rq.rq_op with Protocol.Dot line -> server_dot t line | _ -> None
-            in
-            (match server_reply with
-            | Some reply ->
-                Protocol.encode_response c.out
-                  { Protocol.rs_id = rq.rq_id; rs_lsn = Db.lsn t.db; rs_reply = reply }
-            | None -> (
-                exec t c session rq;
-                match rq.rq_op with Close -> c.closing <- true | _ -> ()));
-            go ()
-    in
-    go ()
-  with Ode_util.Codec.Corrupt msg ->
-    Protocol.encode_response c.out
-      {
-        rs_id = 0;
-        rs_lsn = Db.lsn t.db;
-        rs_reply = Error { cls = Corrupt; msg = "protocol error: " ^ msg };
-      };
-    c.closing <- true
-
-let process t c =
-  (match c.state with `Hello -> try_handshake t c | `Active _ -> ());
-  match c.state with `Active s -> run_frames t c s | `Hello -> ()
-
-let handle_read t c =
-  match Unix.read c.fd t.read_buf 0 (Bytes.length t.read_buf) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop t c
-  | 0 -> drop t c
-  | n ->
-      Stats.add c_server_bytes_in n;
-      c.last <- Unix.gettimeofday ();
-      Protocol.feed c.rd t.read_buf n;
-      process t c
-
-let handle_write t c =
-  let data = Buffer.contents c.out in
-  match Unix.write_substring c.fd data c.out_pos (String.length data - c.out_pos) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop t c
-  | n ->
-      Stats.add c_server_bytes_out n;
-      c.out_pos <- c.out_pos + n;
-      if c.out_pos = Buffer.length c.out then begin
-        Buffer.clear c.out;
-        c.out_pos <- 0;
-        if c.closing then drop t c
-        else
-          (* The backlog drained: execute any requests that backpressure
-             left buffered. *)
-          process t c
+        let p = peer fd (Protocol.reader ()) (Client { session = None; sent_lsn = -1 }) in
+        t.clients <- p :: t.clients;
+        if t.idle_timeout > 0. then Queue.push (p.last, p) t.idle_q
       end
+  | Standbys ->
+      nodelay fd;
+      (* A replica does not serve replicas (no cascading) — and a full house
+         just hangs up; the standby's bootstrap retries. *)
+      if Db.read_only t.db || List.length t.standbys >= max_downstreams then close_fd fd
+      else
+        let rd = Protocol.reader ~max_len:Protocol.repl_max_frame_len () in
+        t.standbys <- peer fd rd (Standby { phase = `Magic; acked = -1 }) :: t.standbys
+  | Scrapers ->
+      if List.length t.scrapers >= max_scrapers then close_fd fd
+      else t.scrapers <- peer fd (Protocol.reader ()) (Scraper (Buffer.create 256)) :: t.scrapers
+
+(* Accept everything pending. Linux reports a pending connection's network
+   error from accept(2) itself, to be retried like EAGAIN (EPROTO is 71 and
+   ENONET 64 there, which OCaml's [Unix.error] does not name). Any other
+   failure — descriptor exhaustion above all — pauses accepting rather
+   than spinning on a listener we cannot serve. Existing peers keep
+   draining, which is what frees descriptors, and the listeners rejoin the
+   poll set once the backoff lapses. *)
+let rec accept t lfd admits =
+  match Unix.accept ~cloexec:true lfd with
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+  | exception
+      Unix.Unix_error
+        ( ( EINTR | ECONNABORTED | ENETDOWN | ENOPROTOOPT | EHOSTDOWN | EHOSTUNREACH
+          | EOPNOTSUPP | ENETUNREACH | EUNKNOWNERR (64 | 71) ),
+          _,
+          _ ) ->
+      accept t lfd admits
+  | exception Unix.Unix_error (e, _, _) ->
+      Stats.incr c_server_accept_backoffs;
+      t.accept_pause <- Unix.gettimeofday () +. accept_backoff;
+      Printf.eprintf "server: accept: %s; backing off\n%!" (Unix.error_message e)
+  | fd, _ ->
+      Unix.set_nonblock fd;
+      admit t admits fd;
+      accept t lfd admits
+
+(* Act on whatever a peer has buffered. Run again once a client's backlog
+   drains, for the frames backpressure left waiting. *)
+let process t p =
+  match p.role with
+  | Client c -> process_client t p c
+  | Standby d -> process_standby t p d
+  | Primary _ -> process_upstream t p
+  | Scraper req -> scrape t p req
+
+let read t p =
+  match Unix.read p.fd t.read_buf 0 (Bytes.length t.read_buf) with
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) -> lose t p (Unix.error_message e)
+  | 0 -> lose t p "end of stream"
+  | n ->
+      p.last <- Unix.gettimeofday ();
+      (match p.role with
+      | Scraper req -> Buffer.add_subbytes req t.read_buf 0 n
+      | _ ->
+          Stats.add c_server_bytes_in n;
+          Protocol.feed p.rd t.read_buf n);
+      process t p
+
+let flush t p =
+  let data = Buffer.contents p.out in
+  match Unix.write_substring p.fd data p.out_pos (String.length data - p.out_pos) with
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) -> lose t p (Unix.error_message e)
+  | n ->
+      (match p.role with Scraper _ -> () | _ -> Stats.add c_server_bytes_out n);
+      p.out_pos <- p.out_pos + n;
+      if p.out_pos = Buffer.length p.out then begin
+        Buffer.clear p.out;
+        p.out_pos <- 0;
+        if p.closing then lose t p "closed" else process t p
+      end
+
+let want_read p =
+  (not p.closing) && match p.role with Client _ -> pending p < out_cap | _ -> true
+
+let want_write t p = pending p > 0 && not (gated t p)
 
 (* -- idle eviction -------------------------------------------------------- *)
 
-(* Monotonic last-activity queue: every live connection has exactly one
-   entry, (re)queued with the wall-clock push time, so entries leave the
-   head in push order and each tick pays O(ripe), not O(connections). An
-   entry is inspected half a timeout after it was queued: connections that
-   were active meanwhile are requeued, stale ones evicted — so eviction
-   lands between [idle_timeout] and 1.5x after the last byte. Dead
-   connections' entries are dropped lazily ([alive]). *)
+(* Monotonic last-activity queue: every live client has exactly one entry,
+   (re)queued with the wall-clock push time, so entries leave the head in
+   push order and each tick pays O(ripe), not O(clients). An entry is
+   inspected half a timeout after it was queued: clients that were active
+   meanwhile are requeued, stale ones evicted — so eviction lands between
+   [idle_timeout] and 1.5x after the last byte. Lost clients' entries are
+   dropped lazily ([alive]). *)
 let evict_idle t =
   if t.idle_timeout > 0. then begin
     let now = Unix.gettimeofday () in
     let ripe = now -. (t.idle_timeout /. 2.) in
     let rec go () =
       match Queue.peek_opt t.idle_q with
-      | Some (enq, c) when enq <= ripe ->
+      | Some (enq, p) when enq <= ripe ->
           ignore (Queue.pop t.idle_q);
-          if c.alive then
-            if now -. c.last > t.idle_timeout then begin
+          if p.alive then
+            if now -. p.last > t.idle_timeout then begin
               Stats.incr c_server_timeouts;
-              drop t c
+              lose t p "idle"
             end
-            else Queue.push (now, c) t.idle_q;
+            else Queue.push (now, p) t.idle_q;
           go ()
       | _ -> ()
     in
     go ()
   end
 
+let sweep_scrapers t now =
+  List.iter (fun p -> if now -. p.last > scraper_idle_timeout then lose t p "idle") t.scrapers
+
 (* -- the loop ------------------------------------------------------------- *)
 
 (* The ack point. Under [Group] durability every commit prepared this tick
    becomes durable here, before any reply reaches a socket. [Full] commits
    synced eagerly (nothing pends); [Async] chose to reply without waiting,
-   its window bounded by [group_window] in [run_frames] and by checkpoints. *)
+   its window bounded by [group_window] in [exec] and by checkpoints. *)
 let ack_deferred t =
   match Db.durability t.db with
   | Db.Group -> Db.sync_commits t.db
@@ -817,22 +718,38 @@ let ack_deferred t =
    write phases. *)
 let gather_rounds = 8
 
-let want_read c = (not c.closing) && out_pending c < out_cap
+(* Serve the readable slots of one phase: [`First] takes the listeners,
+   the primary link and scrapers, [`Clients] the clients. *)
+let read_phase t phase =
+  for i = 0 to Poll.length t.pset - 1 do
+    if Poll.is_readable (Poll.revents t.pset i) then
+      match (phase, t.slots.(i)) with
+      | `First, Listener (fd, admits) -> accept t fd admits
+      | `First, Peer ({ role = Primary _ | Scraper _; _ } as p)
+      | `Clients, Peer ({ role = Client _; _ } as p)
+        when p.alive ->
+          read t p
+      | _ -> ()
+  done
+
+(* The standbys this tick's poll found readable, taken before [gather]
+   re-polls the set. *)
+let ready_standbys t =
+  let ready = ref [] in
+  for i = 0 to Poll.length t.pset - 1 do
+    if Poll.is_readable (Poll.revents t.pset i) then
+      match t.slots.(i) with Peer ({ role = Standby _; _ } as p) -> ready := p :: !ready | _ -> ()
+  done;
+  !ready
 
 let rec gather t rounds =
   if rounds > 0 then begin
     Poll.clear t.pset;
     List.iter
-      (fun c -> if want_read c then slot_add t (S_conn c) c.fd ~read:true ~write:false)
-      t.conns;
+      (fun p -> if want_read p then slot_add t (Peer p) p.fd ~read:true ~write:false)
+      t.clients;
     if Poll.length t.pset > 0 && Poll.wait t.pset ~timeout_ms:0 > 0 then begin
-      let n = Poll.length t.pset in
-      for i = 0 to n - 1 do
-        if Poll.is_readable (Poll.revents t.pset i) then
-          match t.slots.(i) with
-          | S_conn c when c.alive -> handle_read t c
-          | _ -> ()
-      done;
+      read_phase t `Clients;
       gather t (rounds - 1)
     end
   end
@@ -850,93 +767,42 @@ let one_iteration t =
   (* Register interest. Slot indices are dense and index-aligned with
      [t.slots], rebuilt every tick. *)
   Poll.clear t.pset;
-  if now >= t.accept_pause then slot_add t S_listen t.listen_fd ~read:true ~write:false;
-  (match t.repl_listen_fd with
-  | Some fd -> slot_add t S_repl_listen fd ~read:true ~write:false
-  | None -> ());
-  (match t.metrics_fd with
-  | Some fd -> slot_add t S_metrics_listen fd ~read:true ~write:false
-  | None -> ());
-  List.iter
-    (fun m -> slot_add t (S_metrics m) m.m_fd ~read:(not m.m_done) ~write:(m_pending m > 0))
-    t.mconns;
-  (match t.upstream with
-  | Some ({ u_link = Some l; _ } as u) ->
-      slot_add t S_up l.Replication.up_fd ~read:true ~write:(u_pending u > 0)
-  | _ -> ());
-  List.iter
-    (fun c ->
-      let r = want_read c in
-      let w = out_pending c > 0 && not (gated t c) in
-      if r || w then slot_add t (S_conn c) c.fd ~read:r ~write:w)
-    t.conns;
-  List.iter
-    (fun d -> slot_add t (S_down d) d.d_fd ~read:true ~write:(d_pending d > 0))
-    t.downstreams;
+  if now >= t.accept_pause then
+    List.iter
+      (fun (fd, admits) -> slot_add t (Listener (fd, admits)) fd ~read:true ~write:false)
+      t.listeners;
+  iter_peers t (fun p ->
+      let r = want_read p and w = want_write t p in
+      if r || w then slot_add t (Peer p) p.fd ~read:r ~write:w);
   (* An accept backoff about to lapse means work is waiting — don't sleep
      a full tick on it. *)
   let timeout_ms = if t.accept_pause > now then 50 else 250 in
   ignore (Poll.wait t.pset ~timeout_ms);
-  let n = Poll.length t.pset in
   (* Listeners and the upstream first: accepts and shipped batches applied
      this tick are visible to everything below. *)
-  for i = 0 to n - 1 do
-    if Poll.is_readable (Poll.revents t.pset i) then
-      match t.slots.(i) with
-      | S_listen -> accept_pending t
-      | S_repl_listen -> (
-          match t.repl_listen_fd with Some fd -> accept_repl t fd | None -> ())
-      | S_metrics_listen -> (
-          match t.metrics_fd with Some fd -> accept_metrics t fd | None -> ())
-      | S_metrics m when List.memq m t.mconns -> handle_metrics_read t m
-      | S_up -> (
-          match t.upstream with
-          | Some ({ u_link = Some l; _ } as u) -> handle_upstream_read t u l
-          | _ -> ())
-      | _ -> ()
-  done;
+  read_phase t `First;
+  let acks = ready_standbys t in
   (* Client reads: feed frame readers, execute complete requests. *)
-  for i = 0 to n - 1 do
-    if Poll.is_readable (Poll.revents t.pset i) then
-      match t.slots.(i) with
-      | S_conn c when c.alive -> handle_read t c
-      | _ -> ()
-  done;
+  read_phase t `Clients;
   gather t gather_rounds;
   (* Standby acks — read before the write phase so the semi-sync gate sees
      them this tick. *)
-  for i = 0 to n - 1 do
-    if Poll.is_readable (Poll.revents t.pset i) then
-      match t.slots.(i) with
-      | S_down d when List.memq d t.downstreams -> handle_downstream_read t d
-      | _ -> ()
-  done;
+  List.iter (fun p -> if p.alive then read t p) acks;
   (* Read phase done: everything executed this tick shares one fsync.
      Replies buffered above only hit the sockets below, after it — and the
      fsync fed the observer, so the batches covering this tick's commits
-     are already queued on the downstreams. *)
+     are already queued on the standbys. *)
   ack_deferred t;
   (* Write phase, opportunistic: attempt every pending buffer rather than
      only poll's writable set — sockets are rarely full, EAGAIN costs one
      syscall, and batches/acks/replies produced *this* tick get out without
      waiting a poll round. Gated replies stay put. *)
-  List.iter
-    (fun c ->
-      if c.alive && out_pending c > 0 && not (gated t c) then handle_write t c)
-    t.conns;
-  List.iter
-    (fun d ->
-      if List.memq d t.downstreams then
-        if d_pending d > downstream_out_cap then drop_downstream t d
-        else if d_pending d > 0 then handle_downstream_write t d)
-    t.downstreams;
-  (match t.upstream with
-  | Some ({ u_link = Some l; _ } as u) when u_pending u > 0 -> handle_upstream_write t u l
-  | _ -> ());
-  List.iter
-    (fun m -> if List.memq m t.mconns && m_pending m > 0 then handle_metrics_write t m)
-    t.mconns;
-  sweep_mconns t now;
+  iter_peers t (fun p ->
+      if p.alive then
+        match p.role with
+        | Standby _ when pending p > downstream_out_cap -> lose t p "backlog over the cut-off"
+        | _ -> if want_write t p then flush t p);
+  sweep_scrapers t now;
   update_gauges t
 
 (* Graceful shutdown: stop accepting, flush what's already encoded
@@ -946,44 +812,32 @@ let one_iteration t =
    not applied here: a graceful shutdown loses nothing, so holding replies
    hostage to a standby would only strand clients. *)
 let drain t =
-  close_fd t.listen_fd;
-  (match t.repl_listen_fd with Some fd -> close_fd fd | None -> ());
-  (match t.metrics_fd with Some fd -> close_fd fd | None -> ());
-  List.iter (fun m -> drop_mconn t m) t.mconns;
-  (match t.upstream with
-  | Some u -> ( match u.u_link with Some l -> close_fd l.Replication.up_fd | None -> ())
-  | None -> ());
+  List.iter (fun (fd, _) -> close_fd fd) t.listeners;
+  List.iter (fun p -> lose t p "shutdown") t.scrapers;
+  (match t.upstream with Some { link = Some p; _ } -> lose t p "shutdown" | _ -> ());
   let deadline = Unix.gettimeofday () +. drain_deadline in
-  let rec flush () =
+  let rec flush_all () =
     (* Buffers may hold replies whose commits are still pending — both from
        the final serve tick and from backpressured frames that a drained
-       write just executed ([handle_write] → [process]). Newly encoded
+       write just executed ([flush] → [process]). Newly encoded
        replies only reach a socket on the {e next} round, so acking at the
        top of every round keeps the reply-after-fsync guarantee through
        shutdown. *)
     ack_deferred t;
-    let pending_c = List.filter (fun c -> out_pending c > 0) t.conns in
-    let pending_d = List.filter (fun d -> d_pending d > 0) t.downstreams in
-    if (pending_c <> [] || pending_d <> []) && Unix.gettimeofday () < deadline then begin
+    let waiting = List.filter (fun p -> pending p > 0) (t.clients @ t.standbys) in
+    if waiting <> [] && Unix.gettimeofday () < deadline then begin
       Poll.clear t.pset;
-      List.iter (fun c -> slot_add t (S_conn c) c.fd ~read:false ~write:true) pending_c;
-      List.iter (fun d -> slot_add t (S_down d) d.d_fd ~read:false ~write:true) pending_d;
-      if Poll.wait t.pset ~timeout_ms:250 > 0 then begin
-        let n = Poll.length t.pset in
-        for i = 0 to n - 1 do
+      List.iter (fun p -> slot_add t (Peer p) p.fd ~read:false ~write:true) waiting;
+      if Poll.wait t.pset ~timeout_ms:250 > 0 then
+        for i = 0 to Poll.length t.pset - 1 do
           if Poll.is_writable (Poll.revents t.pset i) then
-            match t.slots.(i) with
-            | S_conn c when c.alive -> handle_write t c
-            | S_down d when List.memq d t.downstreams -> handle_downstream_write t d
-            | _ -> ()
-        done
-      end;
-      flush ()
+            match t.slots.(i) with Peer p when p.alive -> flush t p | _ -> ()
+        done;
+      flush_all ()
     end
   in
-  flush ();
-  List.iter (fun c -> drop t c) t.conns;
-  List.iter (fun d -> drop_downstream t d) t.downstreams
+  flush_all ();
+  List.iter (fun p -> lose t p "shutdown") (t.clients @ t.standbys)
 
 let serve t =
   while not t.stop do
@@ -1009,42 +863,20 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
   Option.iter (Db.set_durability db) durability;
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd, lport = bind_listener ~host ~port in
-  let repl_listen_fd, rport =
-    match repl_port with
-    | None -> (None, 0)
-    | Some p ->
-        let fd, p = bind_listener ~host ~port:p in
-        (Some fd, p)
+  let extra admits = function
+    | None -> ([], 0)
+    | Some port ->
+        let fd, p = bind_listener ~host ~port in
+        ([ (fd, admits) ], p)
   in
-  let metrics_fd, mport =
-    match metrics_port with
-    | None -> (None, 0)
-    | Some p ->
-        let fd, p = bind_listener ~host ~port:p in
-        (Some fd, p)
-  in
-  let upstream =
-    Option.map
-      (fun (u_host, u_port, link) ->
-        Unix.set_nonblock link.Replication.up_fd;
-        {
-          u_host;
-          u_port;
-          u_link = Some link;
-          u_out = Buffer.create 64;
-          u_out_pos = 0;
-          u_retry_at = 0.;
-        })
-      replica
-  in
+  let repl, rport = extra Standbys repl_port in
+  let metrics, mport = extra Scrapers metrics_port in
   let t =
     {
       db;
-      listen_fd;
+      listeners = ((listen_fd, Clients) :: repl) @ metrics;
       lport;
-      repl_listen_fd;
       rport;
-      metrics_fd;
       mport;
       sync_repl;
       max_conns;
@@ -1055,10 +887,10 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
       slots = Array.make 64 S_none;
       idle_q = Queue.create ();
       accept_pause = 0.;
-      conns = [];
-      mconns = [];
-      downstreams = [];
-      upstream;
+      clients = [];
+      standbys = [];
+      scrapers = [];
+      upstream = None;
       degraded = false;
       gate_since = None;
       promote_flag = false;
@@ -1066,16 +898,13 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
       stop = false;
     }
   in
-  (match t.repl_listen_fd with
-  | Some _ ->
-      Db.set_wal_observer db
-        (Some (fun ~data ~from_lsn ~to_lsn -> feed t ~data ~from_lsn ~to_lsn))
-  | None -> ());
+  if repl <> [] then
+    Db.set_wal_observer db (Some (fun ~data ~from_lsn ~to_lsn -> feed t ~data ~from_lsn ~to_lsn));
   (* Health gauges, sampled at scrape time. Registration replaces any prior
      server's sampler of the same name (one live server per process is the
      rule), and a sampler that raises — e.g. over an already-closed
      database in tests — reads as 0 rather than failing the scrape. *)
-  Stats.register_gauge "server.connections" (fun () -> List.length t.conns);
+  Stats.register_gauge "server.connections" (fun () -> connections t);
   Stats.register_gauge "wal.pending_commits" (fun () -> Db.pending_commits db);
   Stats.register_gauge "store.pool_resident" (fun () -> Db.pool_resident db);
   (* The process's OCaml heap, so memory shows without reading /proc. *)
@@ -1090,13 +919,12 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
   Stats.register_gauge "mvcc.chains" (fun () -> Db.mvcc_chains db);
   Stats.register_gauge "mvcc.dead_versions" (fun () -> Db.mvcc_dead_versions db);
   Stats.register_gauge "mvcc.reclaimed" (fun () -> Db.mvcc_reclaimed db);
-  (* A replica announces its position and drains whatever the primary
-     pipelined behind the bootstrap handshake. *)
-  (match t.upstream with
-  | Some ({ u_link = Some l; _ } as u) ->
-      queue_ack t u;
-      process_upstream t u l
-  | _ -> ());
+  Option.iter
+    (fun (u_host, u_port, link) ->
+      let u = { u_host; u_port; link = None; retry_at = 0. } in
+      t.upstream <- Some u;
+      attach t u link)
+    replica;
   t
 
 (* -- fork helper for tests and benchmarks --------------------------------- *)
@@ -1104,8 +932,8 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
 let spawn_full ?max_conns ?idle_timeout ?durability ?group_window ?repl_port ?metrics_port
     ?slow_query_ms ?sync_repl ?replica_of ~db_dir () =
   let r, w = Unix.pipe () in
-  flush stdout;
-  flush stderr;
+  Stdlib.flush stdout;
+  Stdlib.flush stderr;
   match Unix.fork () with
   | 0 -> (
       Unix.close r;

@@ -3,13 +3,18 @@
     One server owns one open {!Ode.Database} and any number of client
     connections, each with its own {!Session}. All I/O is non-blocking, and
     every request runs to completion on the loop's domain, one at a time,
-    so transaction semantics are exactly the embedded ones and replies stay
-    in request order. An autocommitted [Query] or a [Ping] runs in a
-    detached read-only transaction ({!Session.handle_read}); a query that
-    turns out to write is replayed in an ordinary transaction and counted
-    in [server.reroutes]. Everything else — [Exec], [Dot], anything inside
-    an explicit transaction — runs through {!Session.handle}. Sessions
+    through {!Session.handle}, so transaction semantics are exactly the
+    embedded ones and replies stay in request order. A [Query] outside an
+    explicit transaction reads a detached MVCC snapshot; sessions
     interleave their transactions under MVCC snapshot isolation.
+
+    Clients, standbys, the link to a primary and metrics scrapers are all
+    peers of the one loop and share its socket handling: a would-block
+    read or write waits, and end of stream or any other socket error drops
+    that peer alone — a client's open transaction rolls back, a standby
+    resyncs when it returns, a lost primary link is retried — while the
+    server and every other session carry on. Accepting retries the
+    network errors Linux reports for a pending connection.
 
     Flow control: a connection whose response backlog exceeds an internal
     cap is not read from until the backlog drains, so a client that stops
@@ -21,8 +26,8 @@
     handshake reply and are closed. There is no descriptor ceiling beyond
     the process rlimit (poll, unlike select, has no FD_SETSIZE): thousands
     of concurrent connections are fine, and descriptor exhaustion
-    (EMFILE/ENFILE) pauses accepting briefly — counted in
-    [server.accept_backoffs] — instead of failing.
+    (EMFILE/ENFILE), like any other failing accept, pauses accepting
+    briefly — counted in [server.accept_backoffs] — instead of failing.
 
     {2 Group commit and the reply-after-fsync guarantee}
 
@@ -38,8 +43,8 @@
     fsync instead of N. [Async] drops the wait — replies may precede
     durability, with the exposure bounded by [group_window]. Explicit
     transactions and single-request ticks degrade to the eager behavior (a
-    batch of one). Queries in detached transactions commit nothing and owe
-    no fsync.
+    batch of one). Queries outside explicit transactions commit nothing
+    and owe no fsync.
 
     {2 Replication}
 

@@ -38,10 +38,7 @@ let statement_of : Protocol.op -> string = function
   | Dot line -> line
   | Close -> "close"
 
-(* [detached] picks how a [Query] runs: in a detached read-only transaction
-   (a write attempt raises {!Ode.Types.Read_only_txn} out of here) or in an
-   ordinary write transaction, where writes are legal. *)
-let run ~detached t : Protocol.op -> Protocol.reply = function
+let run t : Protocol.op -> Protocol.reply = function
   | Ping -> Pong
   | Exec src -> (
       Buffer.clear t.out;
@@ -49,7 +46,7 @@ let run ~detached t : Protocol.op -> Protocol.reply = function
       | Ok () -> Output (Buffer.contents t.out)
       | Error e -> Error e)
   | Query src -> (
-      match Shell.query_rows ~detached t.shell src with
+      match Shell.query_rows t.shell src with
       | Ok rows -> Rows rows
       | Error e -> Error e)
   | Dot line -> (
@@ -64,30 +61,28 @@ let run ~detached t : Protocol.op -> Protocol.reply = function
   | Close -> Output "bye"
 
 (* One slow-query log line: everything an operator needs to find the
-   request again — trace id, statement, queue-wait vs execute split, the
-   executing domain, and (for queries) the per-plan-node profile that
-   [Query.run] stashes domain-locally while the log is armed. *)
-let log_slow t (rq : Protocol.request) (reply : Protocol.reply) ~queue_wait_ns ~exec_ns profile =
+   request again — trace id, statement, execute time, and (for queries) the
+   per-plan-node profile that [Query.run] stashes while the log is armed. *)
+let log_slow t (rq : Protocol.request) (reply : Protocol.reply) ~exec_ns profile =
   let b = Buffer.create 256 in
-  Printf.bprintf b "{\"ts\":%.6f,\"trace\":\"%s\",\"session\":%d,\"domain\":%d"
+  Printf.bprintf b "{\"ts\":%.6f,\"trace\":\"%s\",\"session\":%d"
     (Unix.gettimeofday ())
     (Trace.id_to_string rq.rq_trace)
-    t.sid
-    (Domain.self () :> int);
+    t.sid;
   Printf.bprintf b ",\"op\":\"%s\",\"statement\":\"%s\"" (op_name rq.rq_op)
     (Ode_util.Metrics.json_escape (statement_of rq.rq_op));
-  Printf.bprintf b ",\"queue_wait_ns\":%d,\"exec_ns\":%d" queue_wait_ns exec_ns;
+  Printf.bprintf b ",\"exec_ns\":%d" exec_ns;
   (match reply with Error e -> Printf.bprintf b ",\"error\":\"%s\"" (Err.class_name e.cls) | _ -> ());
   (match profile with
   | Some pf -> Printf.bprintf b ",\"profile\":%s" (Ode.Query.profile_to_json pf)
   | None -> ());
   Buffer.add_char b '}';
-  Ode_util.Slowlog.record ~dur_ns:(queue_wait_ns + exec_ns) (Buffer.contents b)
+  Ode_util.Slowlog.record ~dur_ns:exec_ns (Buffer.contents b)
 
 (* The request's trace id is installed as the domain's ambient id for the
    duration, so the span below, every nested engine span, and the WAL
    commit record all carry the client-assigned id. *)
-let timed t (rq : Protocol.request) ~queue_wait_ns f =
+let timed t (rq : Protocol.request) f =
   Trace.with_trace_id rq.rq_trace (fun () ->
       Trace.with_span ~cat:"server"
         ~args:[ ("session", string_of_int t.sid); ("op", op_name rq.rq_op) ]
@@ -100,26 +95,20 @@ let timed t (rq : Protocol.request) ~queue_wait_ns f =
              leave its profile behind for a later slow one to claim. *)
           let profile = Ode.Query.take_last_profile () in
           (match reply with Protocol.Error e -> Stats.incr (List.assoc e.cls c_errors) | _ -> ());
-          if queue_wait_ns + exec_ns >= Ode_util.Slowlog.threshold_ns () then
-            (try log_slow t rq reply ~queue_wait_ns ~exec_ns profile with _ -> ());
+          if exec_ns >= Ode_util.Slowlog.threshold_ns () then
+            (try log_slow t rq reply ~exec_ns profile with _ -> ());
           reply))
 
-let finish t (rq : Protocol.request) reply =
+let handle t (rq : Protocol.request) : Protocol.response =
+  Stats.incr c_server_requests;
+  (* Trigger actions fired by this request's commits print through the
+     requesting session, not whichever session was created last. *)
+  Ode.Database.set_action_printer t.db (Buffer.add_string t.out);
+  let reply = timed t rq (fun () -> run t rq.rq_op) in
   (* The LSN after handling: a write's ack names the commit it covers, a
      read names the position its answer reflects. *)
   { Protocol.rs_id = rq.rq_id; rs_lsn = Ode.Database.lsn t.db; rs_reply = reply }
 
-let handle ?(count = true) ?(queue_wait_ns = 0) t (rq : Protocol.request) : Protocol.response =
-  if count then Stats.incr c_server_requests;
-  (* Trigger actions fired by this request's commits print through the
-     requesting session, not whichever session was created last. Installed
-     only here: a request in a detached read transaction cannot fire
-     triggers. *)
-  Ode.Database.set_action_printer t.db (Buffer.add_string t.out);
-  finish t rq (timed t rq ~queue_wait_ns (fun () -> run ~detached:false t rq.rq_op))
-
-let handle_read ?(queue_wait_ns = 0) t (rq : Protocol.request) : Protocol.response =
-  Stats.incr c_server_requests;
-  finish t rq (timed t rq ~queue_wait_ns (fun () -> run ~detached:true t rq.rq_op))
+let handle_read = handle
 
 let close t = Shell.rollback t.shell

@@ -28,32 +28,27 @@ val create : ?id:int -> Ode.Database.t -> t
 val id : t -> int
 
 val in_transaction : t -> bool
-(** Is this session inside an explicit [begin;] transaction? The server
-    runs such sessions' queries through {!handle} (they must see the
-    transaction's own writes). *)
+(** Is this session inside an explicit [begin;] transaction? *)
 
-val handle : ?count:bool -> ?queue_wait_ns:int -> t -> Protocol.request -> Protocol.response
+val handle : t -> Protocol.request -> Protocol.response
 (** Execute one request. Never raises: every error
     comes back as an [Error] reply, {!Ode.Shell.classify}d; only the
-    response id echoes the request id.
-    Queries run in an ordinary write transaction, so methods that write
-    are legal. Installs the database's trigger action printer
-    for the duration. [count:false] skips the [server.requests] bump (used
-    when re-executing a request already counted by {!handle_read}).
-    [queue_wait_ns] (default 0) is how long the request sat queued before
-    execution — reported in the slow-query log, see {!Ode_util.Slowlog}.
+    response id echoes the request id. A [Query] runs inside the session's
+    explicit transaction if one is open, so it sees that transaction's own
+    writes; otherwise in a detached read-only transaction against its own
+    MVCC snapshot ({!Ode.Shell.query_rows}). Installs the database's
+    trigger action printer for the duration. A request whose execution
+    reaches the slow-query threshold is logged with its execute time, see
+    {!Ode_util.Slowlog}.
 
     The request's trace id ([rq_trace]) is the ambient
     {!Ode_util.Trace.current_trace_id} for the duration: the
     [server.request] span, nested engine spans, WAL commit records and any
     slow-query entry all carry it. *)
 
-val handle_read : ?queue_wait_ns:int -> t -> Protocol.request -> Protocol.response
-(** Execute one read-only request ([Ping] or [Query]): queries run in a
-    detached read-only transaction against its own MVCC snapshot. Raises
-    {!Ode.Types.Read_only_txn} when the query attempts a write (before any
-    shared state is touched) — the server replays such requests with
-    {!handle}. *)
+val handle_read : t -> Protocol.request -> Protocol.response
+(** The same function as {!handle}, kept under this name for callers
+    written when reads took a separate path. *)
 
 val close : t -> unit
 (** Roll back the session's open explicit transaction, if any. Idempotent;

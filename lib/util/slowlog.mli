@@ -3,7 +3,7 @@
     Process-global and mutex-protected — entries may arrive from several
     domains; a slow query is not a hot path. The entry
     JSON is assembled by the caller (the session layer owns the
-    statement, trace id, queue-wait split and query profile). *)
+    statement, trace id, execute time and query profile). *)
 
 val configure :
   ?log_path:string -> ?log_max_bytes:int -> ?keep:int -> threshold_ms:int -> unit -> unit

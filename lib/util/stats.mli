@@ -56,9 +56,9 @@ val kind_of : string -> kind
 
 val register_gauge : string -> (unit -> int) -> unit
 (** Register (or replace — same name wins) a live sampled gauge: current
-    connections, read-queue depth, cache residency, pending group-commit
-    batch size. The callback runs on whichever domain renders metrics, so
-    it must be domain-safe; a raising sampler reads as 0. *)
+    connections, cache residency, pending group-commit batch size. The
+    callback runs on whichever domain renders metrics, so it must be
+    domain-safe; a raising sampler reads as 0. *)
 
 val unregister_gauge : string -> unit
 

@@ -278,7 +278,7 @@ let expected_counters =
     ("bptree.splits", Workload, Counter); ("server.accepts", Workload, Counter);
     ("server.requests", Workload, Counter); ("server.rejects", Workload, Counter);
     ("server.timeouts", Workload, Counter); ("server.bytes_in", Workload, Counter);
-    ("server.bytes_out", Workload, Counter); ("server.reroutes", Workload, Counter);
+    ("server.bytes_out", Workload, Counter);
     ("server.accept_backoffs", Workload, Counter); ("repl.batches_sent", Workload, Counter);
     ("repl.batches_applied", Workload, Counter); ("repl.bytes_sent", Workload, Counter);
     ("repl.snapshots_sent", Workload, Counter); ("repl.acks", Workload, Counter);

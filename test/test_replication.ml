@@ -464,6 +464,53 @@ let e2e_promotion_failover () =
         (contains (Client.dot c ".replication") "role           primary");
       Client.close c)
 
+(* A standby whose primary dies says so in [.replication] and keeps
+   serving reads; when a primary comes back on the same store and
+   replication port, the standby reconnects and resumes streaming. *)
+let e2e_primary_restart () =
+  let pdir = Tutil.temp_dir "repl-e2e-p" and rdir = Tutil.temp_dir "repl-e2e-r" in
+  let ppid, pport, prepl, _ =
+    Server.spawn_full ~repl_port:0 ~durability:Db.Group ~db_dir:pdir ()
+  in
+  let primary = ref (Some ppid) in
+  let stop_primary signal =
+    Option.iter (fun pid -> kill_wait pid signal) !primary;
+    primary := None
+  in
+  Fun.protect
+    ~finally:(fun () -> stop_primary Sys.sigterm)
+    (fun () ->
+      let rpid, rport = Server.spawn ~replica_of:("127.0.0.1", prepl) ~db_dir:rdir () in
+      Fun.protect
+        ~finally:(fun () -> kill_wait rpid Sys.sigterm)
+        (fun () ->
+          let c = connect pport in
+          ignore (Client.exec c schema);
+          for i = 0 to 2 do
+            ignore (Client.exec c (Printf.sprintf "pnew t { tag = %d, v = \"row\" };" i))
+          done;
+          Client.close c;
+          let rc = connect rport in
+          eventually "replica caught up" (fun () ->
+              List.length (Client.query rc "forall x in t") = 3);
+          stop_primary Sys.sigkill;
+          eventually "standby notices the lost primary" (fun () ->
+              contains (Client.dot rc ".replication") "disconnected, retrying");
+          Tutil.check_int "standby still serves reads" 3
+            (List.length (Client.query rc "forall x in t"));
+          let ppid, pport, _, _ =
+            Server.spawn_full ~repl_port:prepl ~durability:Db.Group ~db_dir:pdir ()
+          in
+          primary := Some ppid;
+          let c = connect pport in
+          ignore (Client.exec c "pnew t { tag = 3, v = \"after restart\" };");
+          Client.close c;
+          eventually ~timeout:20. "standby resumed from the restarted primary" (fun () ->
+              List.length (Client.query rc "forall x in t") = 4);
+          Tutil.check_bool "standby connected again" true
+            (contains (Client.dot rc ".replication") "(connected)");
+          Client.close rc))
+
 (* -- distributed tracing: one trace id across primary and standby ---------- *)
 
 (* Turn the span tracer on in both server processes, do one traced write on
@@ -771,6 +818,7 @@ let suite =
         Alcotest.test_case "recovery bounded by checkpoint interval" `Quick recovery_bounded;
         Alcotest.test_case "primary streams to a read-only standby" `Quick e2e_streaming;
         Alcotest.test_case "kill, promote, client failover" `Quick e2e_promotion_failover;
+        Alcotest.test_case "standby outlives and rejoins its primary" `Quick e2e_primary_restart;
         Alcotest.test_case "trace id correlates primary and standby" `Quick
           e2e_trace_correlation;
         Alcotest.test_case "exec_many reports the acked prefix" `Quick exec_many_broken_pipeline;

@@ -6,6 +6,7 @@
 
 module Server = Ode_served.Server
 module Client = Ode_served.Client
+module P = Ode_served.Protocol
 module Db = Ode.Database
 
 let contains s sub =
@@ -577,13 +578,11 @@ let parallel_queries_e2e () =
 
 (* -- queries that call methods --------------------------------------------- *)
 
-(* An autocommitted query runs in a detached read-only transaction, and
-   one that tried to write would be replayed in an ordinary transaction,
-   counted in [server.reroutes]. No method can write: a method body is an
-   expression, and [setroot], the one writing builtin, is a statement — a
-   method that names it fails when called. So a served query that calls
-   methods answers from its snapshot, writes nothing and is never
-   rerouted. *)
+(* An autocommitted query runs in a detached read-only transaction. No
+   method can write: a method body is an expression, and [setroot], the
+   one writing builtin, is a statement — a method that names it fails when
+   called. So a served query that calls methods answers from its snapshot
+   and writes nothing. *)
 let served_method_query () =
   ignore
     (with_server (fun port ->
@@ -609,8 +608,6 @@ let served_method_query () =
          Tutil.check_bool "no root written" true
            (Client.exec c "print getroot(\"x\");" = "null\n");
          Tutil.check_int "population unchanged" 10 (List.length (Client.query c "forall x in purse"));
-         Tutil.check_bool "never rerouted" true
-           (counter_value (Client.dot c ".stats") "server.reroutes" = Some 0);
          Client.close c))
 
 (* A method that calls itself without end meets the interpreter's depth
@@ -692,8 +689,8 @@ let http_body resp =
    log armed at 0 ms (every request logs). Drive real load, then assert the
    whole observability surface: a parseable Prometheus scrape with counters,
    gauges and latency quantiles; the health document; 404s; the JSON twin;
-   and a slow-query log whose entries carry trace ids, the queue-wait /
-   execute split and per-plan-node profiles — also visible via [.slow]. *)
+   and a slow-query log whose entries carry trace ids, execute times and
+   per-plan-node profiles — also visible via [.slow]. *)
 let observability_endpoint () =
   let dir = Tutil.temp_dir "ode-served" in
   let pid, port, _, mport =
@@ -765,7 +762,7 @@ let observability_endpoint () =
         In_channel.with_open_text (Filename.concat dir "slow_query.log") In_channel.input_all
       in
       Tutil.check_bool "slow log carries trace ids" true (contains log "\"trace\":");
-      Tutil.check_bool "slow log splits queue wait" true (contains log "\"queue_wait_ns\":");
+      Tutil.check_bool "slow log times execution" true (contains log "\"exec_ns\":");
       Tutil.check_bool "slow log has plan profiles" true (contains log "\"profile\":");
       Tutil.check_bool "slow log names the statement" true (contains log "forall x in acct");
       Tutil.check_bool "slow log classes an error" true
@@ -776,6 +773,134 @@ let observability_endpoint () =
       Tutil.check_bool ".slow shows retained entries" true (contains slow "\"exec_ns\":");
       let mj = Client.dot c ".metrics json" in
       Tutil.check_bool ".metrics json over the wire" true (contains mj "\"gauges\"");
+      Client.close c)
+
+(* -- raw peers: backpressure and malformed openings ------------------------ *)
+
+let raw_connect port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  (* A server that neither answers nor hangs up fails the test, not the run. *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
+  fd
+
+let rec write_all fd s pos =
+  if pos < String.length s then
+    match Unix.write_substring fd s pos (String.length s - pos) with
+    | n -> write_all fd s (pos + n)
+    | exception Unix.Unix_error (EINTR, _, _) -> write_all fd s pos
+
+(* Everything the server sends until it hangs up; a reset counts as the
+   hang-up (the server may close with our bytes still unread). *)
+let read_to_eof fd =
+  let b = Buffer.create 64 and buf = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes b buf 0 n;
+        go ()
+    | exception Unix.Unix_error (EINTR, _, _) -> go ()
+    | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+        Alcotest.fail "the server neither answered nor hung up"
+  in
+  go ();
+  Buffer.contents b
+
+(* A client that pipelines far past the server's 1 MiB reply backlog
+   without reading: the server stops reading it, answers a second client
+   meanwhile, and once the first client reads, every reply arrives, in
+   order — the frames left buffered by backpressure run as the backlog
+   drains. *)
+let pipelined_past_out_cap () =
+  ignore
+    (with_server (fun port ->
+         let fd = raw_connect port in
+         Fun.protect
+           ~finally:(fun () -> Unix.close fd)
+           (fun () ->
+             write_all fd P.hello 0;
+             let rd = P.reader () and buf = Bytes.create 65536 in
+             let rec fill () =
+               match Unix.read fd buf 0 (Bytes.length buf) with
+               | 0 -> Alcotest.fail "the server hung up"
+               | n -> P.feed rd buf n
+               | exception Unix.Unix_error (EINTR, _, _) -> fill ()
+             in
+             let rec take n =
+               match P.take rd n with
+               | Some s -> s
+               | None ->
+                   fill ();
+                   take n
+             in
+             Tutil.check_string "accepted" (P.hello_reply P.Accepted) (take P.hello_reply_len);
+             let big = String.make (256 * 1024) 'x' and n = 128 in
+             let b = Buffer.create 4096 in
+             P.encode_request b
+               { rq_id = 1; rq_trace = 0; rq_op = Exec (Printf.sprintf "s := \"%s\";" big) };
+             for i = 2 to n + 1 do
+               P.encode_request b { rq_id = i; rq_trace = 0; rq_op = Exec "print s;" }
+             done;
+             write_all fd (Buffer.contents b) 0;
+             Unix.sleepf 0.5;
+             let c = connect port in
+             Client.ping c;
+             Tutil.check_string "second client answered" "2\n" (Client.exec c "print 1 + 1;");
+             Client.close c;
+             let rec frame () =
+               match P.next_frame rd with
+               | Some body -> P.decode_response body
+               | None ->
+                   fill ();
+                   frame ()
+             in
+             for i = 1 to n + 1 do
+               let rs = frame () in
+               Tutil.check_int "replies in request order" i rs.rs_id;
+               let want = if i = 1 then "" else big ^ "\n" in
+               Tutil.check_bool (Printf.sprintf "reply %d complete" i) true
+                 (rs.rs_reply = P.Output want)
+             done)))
+
+(* A garbage client hello gets [Bad_version] and a hang-up, a standby
+   opening with a bad magic is hung up on, and a scrape request over 8 KiB
+   is hung up on unanswered. None of it disturbs the server: /health and
+   a query answer after each. *)
+let malformed_openings () =
+  let dir = Tutil.temp_dir "ode-served" in
+  let pid, port, rport, mport = Server.spawn_full ~repl_port:0 ~metrics_port:0 ~db_dir:dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      let c = connect port in
+      ignore (Client.exec c schema);
+      ignore (Client.exec c "pnew acct { owner = \"ok\", bal = 1 };");
+      let still_serving what =
+        Tutil.check_bool (what ^ ": health") true
+          (contains (http_get mport "/health") "\"role\":\"primary\"");
+        Tutil.check_int (what ^ ": query") 1 (List.length (Client.query c "forall x in acct"))
+      in
+      let opening port bytes =
+        let fd = raw_connect port in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            (try write_all fd bytes 0 with Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> ());
+            read_to_eof fd)
+      in
+      Tutil.check_string "garbage hello refused" (P.hello_reply P.Bad_version)
+        (opening port (String.make P.hello_len 'z'));
+      still_serving "garbage hello";
+      Tutil.check_string "bad standby magic hung up on" ""
+        (opening rport (String.make P.repl_hello_len 'z'));
+      still_serving "bad standby magic";
+      Tutil.check_string "oversized scrape hung up on" ""
+        (opening mport (String.make 9000 'a'));
+      still_serving "oversized scrape";
       Client.close c)
 
 (* -- a damaged page reaches the client as corrupt --------------------------- *)
@@ -852,5 +977,8 @@ let suite =
           observability_endpoint;
         Alcotest.test_case "mvcc write storm under a pinned snapshot" `Quick mvcc_write_storm;
         Alcotest.test_case "a damaged page reaches the client as corrupt" `Quick served_corruption;
+        Alcotest.test_case "pipelining past the reply backlog cap" `Quick pipelined_past_out_cap;
+        Alcotest.test_case "malformed openings leave the server serving" `Quick
+          malformed_openings;
       ] );
   ]

@@ -161,6 +161,15 @@ let parse_error_line_col () =
 let unknown_class_reported = expect_error "pnew ghost { };" "unknown class ghost"
 let no_cluster_hint = expect_error "class nc { v: int; }; pnew nc { };" "create cluster nc"
 
+(* An evaluation error's message carries no prefix of its own: each
+   surface prints "error: " in front exactly once. *)
+let eval_error_unprefixed () =
+  match session "class r { v: int; }; create cluster r; print nosuch(1);" with
+  | Ok (), _ -> Alcotest.fail "expected an error"
+  | Error { cls; msg }, _ ->
+      Tutil.check_string "class" "user" (Ode_util.Ode_error.class_name cls);
+      Tutil.check_string "message" "unknown function nosuch" msg
+
 let show_classes =
   expect_output
     {|
@@ -215,6 +224,7 @@ let suite =
         Alcotest.test_case "unknown class reported" `Quick unknown_class_reported;
         Alcotest.test_case "missing cluster hint" `Quick no_cluster_hint;
         Alcotest.test_case "show classes" `Quick show_classes;
+        Alcotest.test_case "evaluation errors unprefixed" `Quick eval_error_unprefixed;
         Alcotest.test_case "shell variables tracked" `Quick shell_vars_tracked;
         Alcotest.test_case "bank.oql example script" `Quick bank_script_runs;
         Alcotest.test_case "parse errors report line and column" `Quick parse_error_line_col;
