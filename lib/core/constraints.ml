@@ -16,24 +16,31 @@ open Types
 
 let c_constraints_checked = Ode_util.Stats.counter "constraints_checked"
 
+(* An object whose class and superclasses declare no constraint costs no
+   read: the constraint list is learnt from the catalog before the store is
+   asked whether the object still exists. *)
 let check_object ~reads db txn oid =
-  (* An object deleted in this transaction has nothing to satisfy. *)
-  if Store.exists db txn oid then
-    match Store.class_of db oid with
-    | None -> ()
-    | Some cls ->
-        let hooks = Runtime.hooks ~reads db txn in
-        List.iter
-          (fun (k : Schema.constr) ->
-            Ode_util.Stats.incr c_constraints_checked;
-            let ok =
-              match Eval.eval hooks ~vars:[] ~this:(Some (Value.Ref oid)) k.kexpr with
-              | v -> Eval.truthy v
-              | exception Eval.Error _ -> false
-            in
-            if not ok then
-              raise (Constraint_violation { cls = cls.Schema.name; cname = k.kname; oid }))
-          (Catalog.all_constraints db.catalog cls)
+  match Store.class_of db oid with
+  | None -> ()
+  | Some cls -> (
+      match Catalog.all_constraints db.catalog cls with
+      | [] -> ()
+      | constraints ->
+          (* An object deleted in this transaction has nothing to satisfy. *)
+          if Store.exists db txn oid then begin
+            let hooks = Runtime.hooks ~reads db txn in
+            List.iter
+              (fun (k : Schema.constr) ->
+                Ode_util.Stats.incr c_constraints_checked;
+                let ok =
+                  match Eval.eval hooks ~vars:[] ~this:(Some (Value.Ref oid)) k.kexpr with
+                  | v -> Eval.truthy v
+                  | exception Eval.Error _ -> false
+                in
+                if not ok then
+                  raise (Constraint_violation { cls = cls.Schema.name; cname = k.kname; oid }))
+              constraints
+          end)
 
 (* [reads] collects the keys the checks read, for the commit's conflict
    check: a constraint over another object holds only if that object did

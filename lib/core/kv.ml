@@ -23,6 +23,7 @@
 module Codec = Ode_util.Codec
 module Heap = Ode_storage.Heap
 module Bptree = Ode_index.Bptree
+module B = Ode_storage.Bigbytes
 open Types
 
 (* Chosen by running the benchmark's four workloads at 64, 128 and 256
@@ -56,25 +57,25 @@ let encode_entry = function
 
 (* Readers of the [len] value bytes at [off] of [b], in the shape
    [Bptree.find_with] and [Bptree.cursor_value] take. *)
-let is_inline b off len = len > 0 && Bytes.get_uint8 b off = tag_inline
+let is_inline b off len = len > 0 && Char.code (B.get b off) = tag_inline
 
 let rid_at b off len =
   if len = 0 then raise (Codec.Corrupt "kv: empty directory value");
-  let tag = Bytes.get_uint8 b off in
+  let tag = Char.code (B.get b off) in
   if tag <> tag_heap then raise (Codec.Corrupt (Printf.sprintf "kv: unknown directory value tag %d" tag));
-  let c = Codec.cursor ~pos:(off + 1) ~stop:(off + len) (Bytes.unsafe_to_string b) in
+  let c = Codec.cursor (B.sub_string b (off + 1) (len - 1)) in
   let page = Codec.get_varint c in
   let slot = Codec.get_varint c in
   if not (Codec.at_end c) then raise (Codec.Corrupt "kv: trailing bytes after a rid");
   { Heap.page; slot }
 
 let entry_at b off len =
-  if is_inline b off len then Inline (Bytes.sub_string b (off + 1) (len - 1)) else At (rid_at b off len)
+  if is_inline b off len then Inline (B.sub_string b (off + 1) (len - 1)) else At (rid_at b off len)
 
 (* [None] for an inline value: the rid, if any, without copying a payload. *)
 let rid_of_value b off len = if is_inline b off len then None else Some (rid_at b off len)
 
-let decode_entry s = entry_at (Bytes.unsafe_of_string s) 0 (String.length s)
+let decode_entry s = entry_at (B.of_string s) 0 (String.length s)
 
 (* Record layout: [varint keylen][key][payload]. *)
 let encode_record key payload =
@@ -94,25 +95,27 @@ let owned_at key b off len =
   len >= vlen + klen
   &&
   let rec len_eq i n =
-    let byte = Bytes.get_uint8 b i in
+    let byte = Char.code (B.get b i) in
     if n < 0x80 then byte = n else byte = n land 0x7f lor 0x80 && len_eq (i + 1) (n lsr 7)
   in
   len_eq off klen
   &&
-  let rec eq i = i >= klen || (Bytes.unsafe_get b (off + vlen + i) = String.unsafe_get key i && eq (i + 1)) in
+  let rec eq i =
+    i >= klen || (B.unsafe_get b (off + vlen + i) = String.unsafe_get key i && eq (i + 1))
+  in
   eq 0
 
-let record_owned key raw = owned_at key (Bytes.unsafe_of_string raw) 0 (String.length raw)
+(* Whether [key] owns its heap record at [rid]: [Some false] for another
+   key's, [None] for a dead one. Copies nothing. *)
+let heap_owned db key rid = Heap.get_with db.kv_heap rid (owned_at key)
 
 (* The payload of [key]'s record in the [len] bytes at [off] of [b], copied
    once; [None] for a short or foreign record. Never raises. *)
 let payload_at key b off len =
   if owned_at key b off len then
     let skip = Codec.varint_size (String.length key) + String.length key in
-    Some (Bytes.sub_string b (off + skip) (len - skip))
+    Some (B.sub_string b (off + skip) (len - skip))
   else None
-
-let decode_record key raw = payload_at key (Bytes.unsafe_of_string raw) 0 (String.length raw)
 
 (* The payload of [key]'s heap record at [rid], copied once out of its
    pinned page; [None] when the record is dead or another key's (deleted
@@ -125,7 +128,7 @@ let heap_payload db key rid = Option.join (Heap.get_with db.kv_heap rid (payload
 exception Out_of_line of Heap.rid
 
 let payload_in_leaf b off len =
-  if is_inline b off len then Bytes.sub_string b (off + 1) (len - 1)
+  if is_inline b off len then B.sub_string b (off + 1) (len - 1)
   else raise_notrace (Out_of_line (rid_at b off len))
 
 let get db key =
@@ -164,8 +167,8 @@ let put_sorted db puts ~on_new =
              torn record, or at a foreign one (stale alias); recovery replays
              the Put, which must then place the payload afresh and leave the
              record alone. *)
-          match Heap.get db.kv_heap rid with
-          | Some raw when record_owned key raw ->
+          match heap_owned db key rid with
+          | Some true ->
               if small then begin
                 ignore (Heap.delete db.kv_heap rid);
                 route key (Inline payload)
@@ -173,7 +176,7 @@ let put_sorted db puts ~on_new =
               else
                 let rid' = Heap.update db.kv_heap rid (encode_record key payload) in
                 if not (Heap.rid_equal rid rid') then route key (At rid')
-          | Some _ | None | (exception Codec.Corrupt _) -> place ()))
+          | Some false | None | (exception Codec.Corrupt _) -> place ()))
     puts;
   Bptree.insert_sorted db.kv_dir (Array.of_list (List.rev !routed))
 
@@ -188,9 +191,9 @@ let delete db key =
          would fail forever. An inline record goes with its entry. *)
       (match home with
       | Some rid -> (
-          match Heap.get db.kv_heap rid with
-          | Some raw when record_owned key raw -> ignore (Heap.delete db.kv_heap rid)
-          | Some _ | None | (exception Codec.Corrupt _) -> ())
+          match heap_owned db key rid with
+          | Some true -> ignore (Heap.delete db.kv_heap rid)
+          | Some false | None | (exception Codec.Corrupt _) -> ())
       | None -> ());
       ignore (Bptree.delete db.kv_dir key)
 

@@ -33,21 +33,24 @@ val encode_entry : entry -> string
 val decode_entry : string -> entry
 (** Raises [Codec.Corrupt] on an unknown tag or a malformed rid. *)
 
-val entry_at : Bytes.t -> int -> int -> entry
+val entry_at : Ode_storage.Bigbytes.t -> int -> int -> entry
 (** [entry_at b off len] decodes the directory value in the [len] bytes at
-    [off] of [b], the reader shape {!Ode_index.Bptree.cursor_value} takes;
-    an inline payload is copied once. Raises as {!decode_entry}. *)
+    [off] of [b], a pinned leaf or a cursor's copy of one: the reader shape
+    {!Ode_index.Bptree.find_with} and {!Ode_index.Bptree.cursor_value}
+    take. An inline payload is copied once, a rid decoded in place.
+    Raises as {!decode_entry}. *)
 
 val encode_record : string -> string -> string
 (** [encode_record key payload] is the heap record of an out-of-line
     payload: the owning key, then the payload. *)
 
-val decode_record : string -> string -> string option
-(** [decode_record key raw] extracts the payload from a raw heap record if
-    it is owned by [key]; [None] means the record belongs to another key
-    (verification and stale-alias detection). The ownership check runs by
-    offset arithmetic against the raw record, and a malformed record
-    yields [None] instead of raising. *)
+val payload_at : string -> Ode_storage.Bigbytes.t -> int -> int -> string option
+(** [payload_at key b off len] is the payload of the heap record in the
+    [len] bytes at [off] of [b] if [key] owns it, copied once, the reader
+    shape {!Ode_storage.Heap.get_with} takes; [None] means the record
+    belongs to another key (verification and stale-alias detection). The
+    ownership check runs by offset arithmetic in place, and a malformed
+    record yields [None] instead of raising. *)
 
 val mem : db -> string -> bool
 

@@ -154,14 +154,25 @@ let exec_catching t source =
 
 let vars t = Interp.all_vars t.env
 
+let row_text oid fields =
+  let b = Buffer.create 64 in
+  Ode_model.Oid.add_to_buffer b oid;
+  Buffer.add_string b " {";
+  List.iteri
+    (fun i (f, v) ->
+      if i > 0 then Buffer.add_string b ", ";
+      Buffer.add_string b f;
+      Buffer.add_string b " = ";
+      Value.add_to_buffer b v)
+    fields;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
 (* Render one qualifying object as a row: its oid plus every field, the
    wire-protocol [Query] opcode's result shape, decoded from the record
    the query fetched. *)
 let render_row txn (r : Store.row) =
-  let fields = Option.value (Store.row_fields txn.tdb (Some txn) r) ~default:[] in
-  Fmt.str "%a {%s}" Ode_model.Oid.pp r.oid
-    (String.concat ", "
-       (List.map (fun (f, v) -> f ^ " = " ^ Value.to_string v) fields))
+  row_text r.oid (Option.value (Store.row_fields txn.tdb (Some txn) r) ~default:[])
 
 (* -- sqlite3-style dot commands -------------------------------------------- *)
 

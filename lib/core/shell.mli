@@ -49,6 +49,10 @@ val query_rows : t -> string -> (string list, Ode_util.Ode_error.t) result
     transaction ({!Database.with_read_txn}). Errors are {!classify}d, not
     raised. *)
 
+val row_text : Ode_model.Oid.t -> (string * Ode_model.Value.t) list -> string
+(** One {!query_rows} row: [#cls:num {f = v, ...}], each value as
+    {!Ode_model.Value.pp} prints it, written into one buffer. *)
+
 val dot_command : t -> string -> string option
 (** Handle a sqlite3-style dot command line ([.stats [reset]], [.recovery],
     [.metrics [reset]], [.hist NAME], [.txns], [.trace on|off|dump FILE],

@@ -282,29 +282,31 @@ let evaluate ~reads txn =
   let view = txn_view txn in
   Hashtbl.iter
     (fun oid () ->
-      let acts = effective_activations txn view oid in
-      if Store.exists db (Some txn) oid then
-        List.iter
-          (fun a ->
-            if (a : activation).active then
-              match decl db a with
-              | Some g ->
-                  if should_fire ~reads db txn view a g then begin
-                    Ode_util.Stats.incr c_triggers_fired;
-                    Ode_util.Trace.instant ~cat:"trigger" ~args:[ ("trigger", a.tname) ]
-                      "trigger.fired";
-                    firings := { f_act = a; f_kind = Fired } :: !firings;
-                    if not a.perpetual then begin
-                      let off = { a with active = false } in
-                      Hashtbl.replace view.overrides a.tid off;
-                      Store.write txn (Keys.trigger a.tid) (encode_activation (param_types g) off)
-                    end
-                  end
-              | None -> ())
-          acts
-      else
-        (* The object died in this transaction: its activations go away. *)
-        List.iter (fun a -> Store.remove txn (Keys.trigger a.tid)) acts)
+      match effective_activations txn view oid with
+      | [] -> (* An object without activations costs no existence read. *) ()
+      | acts ->
+          if Store.exists db (Some txn) oid then
+            List.iter
+              (fun a ->
+                if (a : activation).active then
+                  match decl db a with
+                  | Some g ->
+                      if should_fire ~reads db txn view a g then begin
+                        Ode_util.Stats.incr c_triggers_fired;
+                        Ode_util.Trace.instant ~cat:"trigger" ~args:[ ("trigger", a.tname) ]
+                          "trigger.fired";
+                        firings := { f_act = a; f_kind = Fired } :: !firings;
+                        if not a.perpetual then begin
+                          let off = { a with active = false } in
+                          Hashtbl.replace view.overrides a.tid off;
+                          Store.write txn (Keys.trigger a.tid) (encode_activation (param_types g) off)
+                        end
+                      end
+                  | None -> ())
+              acts
+          else
+            (* The object died in this transaction: its activations go away. *)
+            List.iter (fun a -> Store.remove txn (Keys.trigger a.tid)) acts)
     txn.touched;
   (List.rev !firings, view.overrides)
 

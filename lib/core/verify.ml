@@ -141,17 +141,15 @@ let run db =
         Some payload
     | Kv.At rid -> (
         incr rid_entries;
-        match Heap.get db.kv_heap rid with
-        | Some raw -> (
-            match Kv.decode_record key raw with
-            | None ->
-                bad "directory key %S points at a record owned by another key" key;
-                None
-            | Some payload as found ->
-                if Kv.in_leaf key (String.length payload) then
-                  bad "directory key %S keeps a %d-byte payload in the heap, which belongs in its leaf"
-                    key (String.length payload);
-                found)
+        match Heap.get_with db.kv_heap rid (Kv.payload_at key) with
+        | Some None ->
+            bad "directory key %S points at a record owned by another key" key;
+            None
+        | Some (Some payload as found) ->
+            if Kv.in_leaf key (String.length payload) then
+              bad "directory key %S keeps a %d-byte payload in the heap, which belongs in its leaf" key
+                (String.length payload);
+            found
         | None ->
             bad "directory key %S points at a dead heap record" key;
             None

@@ -1,5 +1,6 @@
 module Codec = Ode_util.Codec
 module Pool = Ode_storage.Buffer_pool
+module B = Ode_storage.Bigbytes
 
 let c_index_probes = Ode_util.Stats.counter "index_probes"
 let c_cursor_pages_read = Ode_util.Stats.counter "cursor_pages_read"
@@ -52,23 +53,23 @@ let budget = node_end - slots_off
    made a cycle. *)
 let max_depth = 64
 
-let get_u32 b off = Bytes.get_uint16_le b off lor (Bytes.get_uint16_le b (off + 2) lsl 16)
+let get_u32 b off = B.get_uint16_le b off lor (B.get_uint16_le b (off + 2) lsl 16)
 
 let set_u32 b off n =
-  Bytes.set_uint16_le b off (n land 0xffff);
-  Bytes.set_uint16_le b (off + 2) ((n lsr 16) land 0xffff)
+  B.set_uint16_le b off (n land 0xffff);
+  B.set_uint16_le b (off + 2) ((n lsr 16) land 0xffff)
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Codec.Corrupt s)) fmt
 
 (* The file a corruption message names. *)
 let file t = Ode_storage.Disk.name (Pool.disk t.pool)
 
-let is_leaf b = Bytes.get_uint8 b kind_off = 0
-let count b = Bytes.get_uint16_le b count_off
+let is_leaf b = B.get b kind_off = '\000'
+let count b = B.get_uint16_le b count_off
 let link b = get_u32 b link_off
-let top b = Bytes.get_uint16_le b top_off
-let slot b i = Bytes.get_uint16_le b (slots_off + (2 * i))
-let set_slot b i off = Bytes.set_uint16_le b (slots_off + (2 * i)) off
+let top b = B.get_uint16_le b top_off
+let slot b i = B.get_uint16_le b (slots_off + (2 * i))
+let set_slot b i off = B.set_uint16_le b (slots_off + (2 * i)) off
 let free b = top b - slots_off - (2 * count b)
 let vsize n = if n < 0x80 then 1 else 2
 
@@ -78,7 +79,7 @@ let entry_end b p = if p = 0 then node_end else slot b (p - 1)
 (* A node's header, checked before anything else is read: the kind byte,
    and slots that end at or before [top], which is inside the node. *)
 let check_header t b page =
-  let k = Bytes.get_uint8 b kind_off in
+  let k = Char.code (B.get b kind_off) in
   if k > 1 then corrupt "%s: page %d: bad node kind %d" (file t) page k;
   let top = top b in
   if slots_off + (2 * count b) > top || top > node_end then
@@ -96,12 +97,12 @@ let check_header t b page =
    the rest goes through [long_len_at]. *)
 let long_len_at b off lim =
   if off < 0 || off >= lim then corrupt "bptree: entry at %d outside its node (end %d)" off lim;
-  let b0 = Bytes.get_uint8 b off in
+  let b0 = Char.code (B.get b off) in
   let n =
     if b0 < 0x80 then b0
     else begin
       if off + 1 >= lim then corrupt "bptree: length at %d overruns node end %d" off lim;
-      let b1 = Bytes.get_uint8 b (off + 1) in
+      let b1 = Char.code (B.get b (off + 1)) in
       if b1 = 0 || b1 >= 0x80 then corrupt "bptree: bad length field at %d" off;
       b0 land 0x7f lor (b1 lsl 7)
     end
@@ -111,18 +112,18 @@ let long_len_at b off lim =
 
 let len_at b off lim =
   if off >= 0 && off < lim then
-    let n = Bytes.get_uint8 b off in
+    let n = Char.code (B.get b off) in
     if n < 0x80 && off + 1 + n <= lim then n else long_len_at b off lim
   else long_len_at b off lim
 
 let put_len b off n =
   if n < 0x80 then begin
-    Bytes.set_uint8 b off n;
+    B.set b off (Char.chr n);
     off + 1
   end
   else begin
-    Bytes.set_uint8 b off (n land 0x7f lor 0x80);
-    Bytes.set_uint8 b (off + 1) (n lsr 7);
+    B.set b off (Char.chr (n land 0x7f lor 0x80));
+    B.set b (off + 1) (Char.chr (n lsr 7));
     off + 2
   end
 
@@ -133,12 +134,12 @@ let put_len b off n =
    [pos + len] against the node, so the unchecked reads are in bounds. *)
 let rec compare_from key b pos len i n =
   if i + 8 <= n then
-    let x = String.get_int64_be key i and y = Bytes.get_int64_be b (pos + i) in
+    let x = String.get_int64_be key i and y = B.bswap64 (B.unsafe_get_int64_le b (pos + i)) in
     if Int64.equal x y then compare_from key b pos len (i + 8) n
     else compare (Int64.sub x Int64.min_int) (Int64.sub y Int64.min_int)
   else if i = n then compare (String.length key) len
   else
-    let c = Char.code (String.unsafe_get key i) - Char.code (Bytes.unsafe_get b (pos + i)) in
+    let c = Char.code (String.unsafe_get key i) - Char.code (B.unsafe_get b (pos + i)) in
     if c <> 0 then c else compare_from key b pos len (i + 1) n
 
 let compare_key key b off lim =
@@ -152,7 +153,7 @@ let compare_key key b off lim =
 let rec compare_in b p1 l1 p2 l2 i n =
   if i = n then compare l1 l2
   else
-    let c = Char.code (Bytes.unsafe_get b (p1 + i)) - Char.code (Bytes.unsafe_get b (p2 + i)) in
+    let c = Char.code (B.unsafe_get b (p1 + i)) - Char.code (B.unsafe_get b (p2 + i)) in
     if c <> 0 then c else compare_in b p1 l1 p2 l2 (i + 1) n
 
 (* The keys of the entries at [off1] and [off2] of the node [b], compared
@@ -163,7 +164,7 @@ let compare_entries b off1 off2 =
 
 let key_string b off lim =
   let len = len_at b off lim in
-  Bytes.sub_string b (off + vsize len) len
+  B.sub_string b (off + vsize len) len
 
 (* A leaf entry's value and size; an internal entry's child and size. *)
 let value_off b off lim =
@@ -269,12 +270,12 @@ let with_leaf t key fn =
 let write_header t =
   Pool.with_page t.pool 0 (fun f ->
       let data = Pool.data f in
-      if Bytes.sub_string data 0 8 <> magic then begin
-        Bytes.fill data 0 Ode_storage.Page.size '\000';
-        Bytes.blit_string magic 0 data 0 8
+      if B.sub_string data 0 8 <> magic then begin
+        B.fill data 0 Ode_storage.Page.size '\000';
+        B.blit_from_string magic 0 data 0 8
       end;
       set_u32 data 8 t.root;
-      Bytes.set_int64_le data 12 (Int64.of_int t.count);
+      B.set_int64_le data 12 (Int64.of_int t.count);
       Pool.mark_dirty t.pool f)
 
 (* -- writing nodes ------------------------------------------------------------- *)
@@ -304,13 +305,13 @@ let item_child src = function Old off -> child_of src off node_end | Sep (_, c) 
 
 let put_entry b off k v =
   let p = put_len b off (String.length k) in
-  Bytes.blit_string k 0 b p (String.length k);
+  B.blit_from_string k 0 b p (String.length k);
   let p = put_len b (p + String.length k) (String.length v) in
-  Bytes.blit_string v 0 b p (String.length v)
+  B.blit_from_string v 0 b p (String.length v)
 
 let put_sep b off k child =
   let p = put_len b off (String.length k) in
-  Bytes.blit_string k 0 b p (String.length k);
+  B.blit_from_string k 0 b p (String.length k);
   set_u32 b (p + String.length k) child
 
 (* Write [items.(a) .. items.(z-1)] as the whole node at [page]: each
@@ -326,18 +327,18 @@ let fill t page ~leaf ~link src items a z =
         let size = item_size ~leaf src it in
         e := !e - size;
         (match it with
-        | Old off -> Bytes.blit src off b !e size
+        | Old off -> B.blit src off b !e size
         | Entry (k, v) -> put_entry b !e k v
         | Sep (k, c) -> put_sep b !e k c);
         set_slot b (x - a) !e
       done;
       let gap = slots_off + (2 * (z - a)) in
       assert (gap <= !e);
-      Bytes.fill b gap (!e - gap) '\000';
-      Bytes.set_uint8 b kind_off (if leaf then 0 else 1);
-      Bytes.set_uint16_le b count_off (z - a);
+      B.fill b gap (!e - gap) '\000';
+      B.set b kind_off (if leaf then '\000' else '\001');
+      B.set_uint16_le b count_off (z - a);
       set_u32 b link_off link;
-      Bytes.set_uint16_le b top_off !e;
+      B.set_uint16_le b top_off !e;
       Pool.mark_dirty t.pool f)
 
 (* Cut points that split [m] items, item [i] weighing [weight i] bytes,
@@ -439,15 +440,15 @@ let insert_at b p k v =
   let sz = entry_size k v in
   let e = entry_end b p in
   if e < top0 || e > node_end then corrupt "bptree: entry %d ends at %d, outside its node" p e;
-  Bytes.blit b top0 b (top0 - sz) (e - top0);
+  B.blit b top0 b (top0 - sz) (e - top0);
   put_entry b (e - sz) k v;
   for q = p to n - 1 do
     set_slot b q (slot b q - sz)
   done;
-  Bytes.blit b (slots_off + (2 * p)) b (slots_off + (2 * (p + 1))) (2 * (n - p));
+  B.blit b (slots_off + (2 * p)) b (slots_off + (2 * (p + 1))) (2 * (n - p));
   set_slot b p (e - sz);
-  Bytes.set_uint16_le b count_off (n + 1);
-  Bytes.set_uint16_le b top_off (top0 - sz)
+  B.set_uint16_le b count_off (n + 1);
+  B.set_uint16_le b top_off (top0 - sz)
 
 (* Remove entry [p] of the leaf [b]: entries [p+1..] move up by its size,
    their slots shift left, and the bytes freed join the zeroed gap. *)
@@ -456,15 +457,15 @@ let remove_at b p =
   let off = slot b p in
   let sz = leaf_size b off node_end in
   if off < top0 then corrupt "bptree: entry %d at %d lies in the free gap" p off;
-  Bytes.blit b top0 b (top0 + sz) (off - top0);
-  Bytes.fill b top0 sz '\000';
+  B.blit b top0 b (top0 + sz) (off - top0);
+  B.fill b top0 sz '\000';
   for q = p + 1 to n - 1 do
     set_slot b q (slot b q + sz)
   done;
-  Bytes.blit b (slots_off + (2 * (p + 1))) b (slots_off + (2 * p)) (2 * (n - 1 - p));
+  B.blit b (slots_off + (2 * (p + 1))) b (slots_off + (2 * p)) (2 * (n - 1 - p));
   set_slot b (n - 1) 0;
-  Bytes.set_uint16_le b count_off (n - 1);
-  Bytes.set_uint16_le b top_off (top0 + sz)
+  B.set_uint16_le b count_off (n - 1);
+  B.set_uint16_le b top_off (top0 + sz)
 
 (* -- public: lookup ----------------------------------------------------------- *)
 
@@ -490,7 +491,7 @@ let find_with t key read =
       Pool.unpin t.pool f;
       raise e
 
-let find t key = find_with t key Bytes.sub_string
+let find t key = find_with t key B.sub_string
 
 let mem t key = find t key <> None
 
@@ -541,7 +542,7 @@ let leaf_run t page b kvs i stop ~last =
     []
   end
   else begin
-    let src = Bytes.sub b 0 node_end in
+    let src = B.sub b 0 node_end in
     let n = count src in
     (* An append: the run's first key sorts after the last entry of a
        leaf that is the last child of its parent, where ascending keys keep
@@ -572,7 +573,7 @@ let leaf_run t page b kvs i stop ~last =
 (* Insert [ups], pieces of child [ci]'s former node, after child [ci] of
    the internal node at [page]. *)
 let insert_ups t page ci ups =
-  let src = with_node t page 0 (fun b -> Bytes.sub b 0 node_end) in
+  let src = with_node t page 0 (fun b -> B.sub b 0 node_end) in
   let n = count src in
   let items =
     Array.concat
@@ -634,7 +635,7 @@ let rec grow t = function
   | ups ->
       let page = alloc_page t in
       let ups' =
-        write_items t page ~leaf:false ~link:t.root Bytes.empty
+        write_items t page ~leaf:false ~link:t.root B.empty
           (Array.of_list (List.map (fun (k, c) -> Sep (k, c)) ups))
       in
       t.root <- page;
@@ -700,7 +701,7 @@ type cursor = {
   ct : t;
   chi : string option;
   cinclusive_hi : bool;
-  mutable cbuf : Bytes.t;
+  mutable cbuf : B.t;
   mutable cdelta : int;
   mutable clim : int;
   mutable cidx : int;
@@ -715,7 +716,7 @@ let empty_cursor t hi inclusive_hi =
     ct = t;
     chi = hi;
     cinclusive_hi = inclusive_hi;
-    cbuf = Bytes.empty;
+    cbuf = B.empty;
     cdelta = 0;
     clim = 0;
     cidx = 0;
@@ -736,9 +737,9 @@ let take_leaf cur b lo =
   if m > 0 && (r < top b || r > e || e > node_end) then
     corrupt "bptree: leaf entries %d..%d span %d..%d" i j r e;
   let len = (2 * m) + (e - r) in
-  if Bytes.length cur.cbuf < len then cur.cbuf <- Bytes.create len;
-  Bytes.blit b (slots_off + (2 * i)) cur.cbuf 0 (2 * m);
-  Bytes.blit b r cur.cbuf (2 * m) (e - r);
+  if B.length cur.cbuf < len then cur.cbuf <- B.create len;
+  B.blit b (slots_off + (2 * i)) cur.cbuf 0 (2 * m);
+  B.blit b r cur.cbuf (2 * m) (e - r);
   cur.cdelta <- (2 * m) - r;
   cur.clim <- len;
   cur.cidx <- 0;
@@ -757,7 +758,7 @@ let next_leaf cur =
       take_leaf cur b None)
 
 (* Entry [x] of the cursor's copy. *)
-let copied_off cur x = Bytes.get_uint16_le cur.cbuf (2 * x) + cur.cdelta
+let copied_off cur x = B.get_uint16_le cur.cbuf (2 * x) + cur.cdelta
 
 let cursor t ?lo ?hi ?(inclusive_hi = false) () =
   Ode_util.Stats.incr c_index_probes;
@@ -789,7 +790,7 @@ let cursor_value cur read =
 let cursor_next cur =
   match cursor_next_key cur with
   | None -> None
-  | Some k -> Some (k, cursor_value cur Bytes.sub_string)
+  | Some k -> Some (k, cursor_value cur B.sub_string)
 
 let cursor_prefix t prefix =
   match Ode_util.Key.succ_prefix prefix with
@@ -834,7 +835,7 @@ let iter_range_rev t ?lo ?hi ?(inclusive_hi = false) f =
         for x = cur.cstop - 1 downto 0 do
           cur.clast <- copied_off cur x;
           let k = key_string cur.cbuf cur.clast cur.clim in
-          if not (f k (cursor_value cur Bytes.sub_string)) then raise Stop
+          if not (f k (cursor_value cur B.sub_string)) then raise Stop
         done
     | Some (keys, children) ->
         for i = Array.length children - 1 downto 0 do
@@ -884,7 +885,7 @@ let height t =
 let format pool =
   let t = { pool; root = 0; count = 0 } in
   let root = alloc_page t in
-  fill t root ~leaf:true ~link:0 Bytes.empty [||] 0 0;
+  fill t root ~leaf:true ~link:0 B.empty [||] 0 0;
   t.root <- root;
   write_header t;
   t
@@ -899,12 +900,12 @@ let attach pool =
   else
     Pool.with_page pool 0 (fun f ->
         let data = Pool.data f in
-        let found = Bytes.sub_string data 0 8 in
+        let found = B.sub_string data 0 8 in
         if found <> magic then
           corrupt "%s: bad magic %S, this build reads %S"
             (Ode_storage.Disk.name (Pool.disk pool))
             found magic;
-        { pool; root = get_u32 data 8; count = Int64.to_int (Bytes.get_int64_le data 12) })
+        { pool; root = get_u32 data 8; count = Int64.to_int (B.get_int64_le data 12) })
 
 (* -- structural check -------------------------------------------------------------- *)
 
@@ -929,7 +930,7 @@ let check t =
     if (n = 0 && top b <> node_end) || (n > 0 && slot b (n - 1) <> top b) then
       bad "node %d: entries do not reach its top %d" page (top b);
     for x = slots_off + (2 * n) to top b - 1 do
-      if Bytes.get b x <> '\000' then bad "node %d: free gap byte %d is not zero" page x
+      if B.get b x <> '\000' then bad "node %d: free gap byte %d is not zero" page x
     done
   in
   let sorted page keys =

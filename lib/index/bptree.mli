@@ -43,13 +43,14 @@ val insert_sorted : t -> (string * string) array -> unit
 
 val find : t -> string -> string option
 
-val find_with : t -> string -> (Bytes.t -> int -> int -> 'a) -> 'a option
+val find_with : t -> string -> (Ode_storage.Bigbytes.t -> int -> int -> 'a) -> 'a option
 (** [find_with t key read] is [Some (read page off len)] when [key] is
     present, where the value is the [len] bytes at [off] of the pinned
-    leaf's [page]; [find] is [find_with t key Bytes.sub_string]. [read]
-    runs while the leaf is pinned, must not keep [page], and may raise
-    (the leaf is unpinned first). A hit allocates only what [read]
-    returns and its option. *)
+    leaf's [page], a buffer-pool frame outside the OCaml heap; [find] is
+    [find_with t key Ode_storage.Bigbytes.sub_string]. [read] runs while
+    the leaf is pinned, must not keep [page], and may raise (the leaf is
+    unpinned first). A hit allocates only what [read] returns and its
+    option. *)
 
 val mem : t -> string -> bool
 
@@ -58,7 +59,8 @@ val delete : t -> string -> bool
 
 type cursor
 (** A streaming scan position: one seek, then leaf-chain walks on demand.
-    O(1) memory — the cursor holds a copy of one leaf at a time — and
+    O(1) memory — the cursor holds a copy of one leaf at a time, in a
+    {!Ode_storage.Bigbytes.t} of its own, reused from leaf to leaf — and
     abandoning it early reads no further pages. On each leaf visit the
     cursor copies the bytes of the entries it will yield from that leaf
     (those within its bounds), so writes that edit the page in place
@@ -78,10 +80,11 @@ val cursor_next : cursor -> (string * string) option
 val cursor_next_key : cursor -> string option
 (** Like {!cursor_next} but yields the key only and copies no value. *)
 
-val cursor_value : cursor -> (Bytes.t -> int -> int -> 'a) -> 'a
+val cursor_value : cursor -> (Ode_storage.Bigbytes.t -> int -> int -> 'a) -> 'a
 (** [cursor_value cur read] applies [read] to the value bytes of the entry
     the cursor yielded last, in the cursor's copy of its leaf, as
-    {!find_with} does. Raises [Invalid_argument] before the first entry. *)
+    {!find_with} does: one reader serves both. Raises [Invalid_argument]
+    before the first entry. *)
 
 val iter_range :
   t -> ?lo:string -> ?hi:string -> ?inclusive_hi:bool -> (string -> string -> bool) -> unit

@@ -17,6 +17,17 @@ let compare_vref a b =
 let equal_vref a b = compare_vref a b = 0
 let pp_vref ppf a = Format.fprintf ppf "%a@v%d" pp a.oid a.ver
 
+let add_to_buffer b a =
+  Buffer.add_char b '#';
+  Buffer.add_string b (Int.to_string a.cls);
+  Buffer.add_char b ':';
+  Buffer.add_string b (Int.to_string a.num)
+
+let add_vref_to_buffer b a =
+  add_to_buffer b a.oid;
+  Buffer.add_string b "@v";
+  Buffer.add_string b (Int.to_string a.ver)
+
 let encode b a =
   Codec.put_u32 b a.cls;
   Codec.put_int b a.num

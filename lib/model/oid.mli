@@ -19,6 +19,12 @@ val compare_vref : vref -> vref -> int
 val equal_vref : vref -> vref -> bool
 val pp_vref : Format.formatter -> vref -> unit
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!pp}'s text, without [Format]. *)
+
+val add_vref_to_buffer : Buffer.t -> vref -> unit
+(** Appends {!pp_vref}'s text, without [Format]. *)
+
 val encode : Buffer.t -> t -> unit
 val decode : Ode_util.Codec.cursor -> t
 val encode_vref : Buffer.t -> vref -> unit

@@ -20,7 +20,12 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!pp}'s text, written without [Format]. *)
+
 val to_string : t -> string
+(** {!pp}'s text, through {!add_to_buffer}. *)
 
 val set_of_list : t list -> t
 (** Build a normalized [VSet]. *)

@@ -103,24 +103,36 @@ let encode_request b { rq_id; rq_trace; rq_op } =
   | Close -> Codec.put_u8 body 4);
   frame b body
 
+(* A response is written straight into [b]: its body's exact length
+   first, then the frame, so no body buffer is built per reply. *)
 let encode_response b { rs_id; rs_lsn; rs_reply } =
-  let body = Buffer.create 64 in
-  Codec.put_u32 body rs_id;
-  Codec.put_int body rs_lsn;
-  (match rs_reply with
-  | Pong -> Codec.put_u8 body 0
+  let len =
+    13
+    +
+    match rs_reply with
+    | Pong -> 0
+    | Output s -> 4 + String.length s
+    | Rows rows -> List.fold_left (fun n r -> n + 4 + String.length r) 4 rows
+    | Error { msg; _ } -> 5 + String.length msg
+  in
+  if len > max_frame_len then
+    invalid_arg (Printf.sprintf "protocol: frame body %d exceeds %d bytes" len max_frame_len);
+  Codec.put_u32 b len;
+  Codec.put_u32 b rs_id;
+  Codec.put_int b rs_lsn;
+  match rs_reply with
+  | Pong -> Codec.put_u8 b 0
   | Output s ->
-      Codec.put_u8 body 1;
-      Codec.put_string body s
+      Codec.put_u8 b 1;
+      Codec.put_string b s
   | Rows rows ->
-      Codec.put_u8 body 2;
-      Codec.put_u32 body (List.length rows);
-      List.iter (Codec.put_string body) rows
+      Codec.put_u8 b 2;
+      Codec.put_u32 b (List.length rows);
+      List.iter (Codec.put_string b) rows
   | Error { cls; msg } ->
-      Codec.put_u8 body 3;
-      Codec.put_u8 body (Option.get (List.find_index (( = ) cls) Ode_util.Ode_error.classes));
-      Codec.put_string body msg);
-  frame b body
+      Codec.put_u8 b 3;
+      Codec.put_u8 b (Option.get (List.find_index (( = ) cls) Ode_util.Ode_error.classes));
+      Codec.put_string b msg
 
 let check_consumed c =
   if not (Codec.at_end c) then

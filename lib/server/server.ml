@@ -107,6 +107,7 @@ type t = {
   idle_timeout : float;
   group_window : int;         (* force a sync once this many commits pend *)
   read_buf : bytes;           (* scratch shared by every socket read *)
+  write_buf : bytes;          (* scratch shared by every socket write *)
   pset : Poll.t;
   mutable slots : slot array;
   idle_q : (float * peer) Queue.t; (* (enqueued_at, client), push-time order *)
@@ -648,9 +649,19 @@ let read t p =
           Protocol.feed p.rd t.read_buf n);
       process t p
 
-let flush t p =
-  let data = Buffer.contents p.out in
-  match Unix.write_substring p.fd data p.out_pos (String.length data - p.out_pos) with
+(* Bytes one write attempt sends at most. *)
+let write_chunk = 65536
+
+let write_out fd out pos scratch =
+  let n = min (Buffer.length out - pos) (Bytes.length scratch) in
+  Buffer.blit out pos scratch 0 n;
+  Unix.write fd scratch 0 n
+
+(* Write a peer's backlog a chunk at a time while the socket takes whole
+   chunks: an attempt that gets EAGAIN has copied one chunk, not the
+   backlog. *)
+let rec flush t p =
+  match write_out p.fd p.out p.out_pos t.write_buf with
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error (e, _, _) -> lose t p (Unix.error_message e)
   | n ->
@@ -661,6 +672,7 @@ let flush t p =
         p.out_pos <- 0;
         if p.closing then lose t p "closed" else process t p
       end
+      else if n = Bytes.length t.write_buf then flush t p
 
 let want_read p =
   (not p.closing) && match p.role with Client _ -> pending p < out_cap | _ -> true
@@ -883,6 +895,7 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
       idle_timeout;
       group_window = max 1 group_window;
       read_buf = Bytes.create 65536;
+      write_buf = Bytes.create write_chunk;
       pset = Poll.create ();
       slots = Array.make 64 S_none;
       idle_q = Queue.create ();

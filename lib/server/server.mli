@@ -137,6 +137,15 @@ val serve : t -> unit
 (** Run the event loop until {!shutdown}. The caller still owns the
     database and should [Database.close] it after this returns. *)
 
+val write_out : Unix.file_descr -> Buffer.t -> int -> bytes -> int
+(** [write_out fd out pos scratch] is one write attempt of a peer's
+    backlog: the bytes of [out] from [pos], at most [Bytes.length scratch]
+    of them (64 KiB in the loop, which repeats the attempt while the
+    socket takes whole chunks), copied into [scratch] and written to
+    [fd]. The count written; raises [Unix.Unix_error] as [Unix.write]
+    does. No attempt copies more than one chunk, so one that gets
+    [EAGAIN] on a backlog of any size allocates only the exception. *)
+
 val spawn :
   ?max_conns:int ->
   ?idle_timeout:float ->

@@ -13,7 +13,7 @@
 module Failpoint = Ode_util.Failpoint
 module Lru = Ode_util.Lru
 
-type frame = { no : int; buf : bytes; mutable pins : int; mutable dirty : bool }
+type frame = { no : int; buf : Page.t; mutable pins : int; mutable dirty : bool }
 
 let fp_flush = Failpoint.site "pool.flush"
 let fp_evict = Failpoint.site "pool.evict"

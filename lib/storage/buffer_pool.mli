@@ -15,7 +15,13 @@ type frame
 (** A cached page. The underlying bytes are shared: mutating them requires
     calling {!mark_dirty}. *)
 
-val data : frame -> bytes
+val data : frame -> Page.t
+(** The frame's page, outside the OCaml heap: a pool of [n] resident
+    frames holds [n] times {!Page.size} bytes of page memory, plus a few
+    words of OCaml heap per frame. A frame evicted to make room lends its
+    page to the one that replaces it; the pages of a {!release}d pool are
+    freed by the GC once nothing refers to them. *)
+
 val page_no : frame -> int
 
 val create : ?capacity:int -> Disk.t -> t

@@ -27,15 +27,14 @@ module Failpoint = Ode_util.Failpoint
 (* [pages] counts the reserved pages, [written] those the file holds: pages
    [written, pages) are reserved and have never been written. *)
 type file = { fd : Unix.file_descr; journal : string; mutable pages : int; mutable written : int }
-type mem = { mutable arr : bytes array; mutable used : int }
+type mem = { mutable arr : Page.t array; mutable used : int }
 
 type backend =
   | File of file
   | Memory of mem
 
 (* A disk belongs to one database, which is used from one domain, so it
-   takes no lock even though the file backend positions with lseek before
-   each transfer. *)
+   takes no lock. *)
 type t = { backend : backend; name : string }
 
 let fp_write = Failpoint.site "disk.write"
@@ -58,45 +57,40 @@ let rec retry f =
       Stats.incr c_io_retries;
       retry f
 
-let read_fully fd buf pos len =
-  let rec go pos len =
-    if len > 0 then begin
-      let k = retry (fun () -> Unix.read fd buf pos len) in
-      if k = 0 then invalid_arg "disk: short read";
-      go (pos + k) (len - k)
-    end
+(* Transfers go straight between the file at offset [off] and the [len]
+   bytes at [pos] of [buf], with no seek and no intermediate copy. A read
+   returns the count it got: short only at end of file. *)
+let read_at fd buf ~pos ~len ~off =
+  let rec go d =
+    if d >= len then d
+    else
+      let k = retry (fun () -> Bigbytes.pread fd buf ~pos:(pos + d) ~len:(len - d) ~off:(off + d)) in
+      if k = 0 then d else go (d + k)
   in
-  go pos len
+  go 0
 
-let write_fully fd buf pos len =
-  let rec go pos len =
-    if len > 0 then begin
-      let k = retry (fun () -> Unix.write fd buf pos len) in
+let write_at fd buf ~pos ~len ~off =
+  let rec go d =
+    if d < len then begin
+      let k = retry (fun () -> Bigbytes.pwrite fd buf ~pos:(pos + d) ~len:(len - d) ~off:(off + d)) in
       if k = 0 then failwith "disk: write returned 0 bytes (device full?)";
-      go (pos + k) (len - k)
+      go (d + k)
     end
   in
-  go pos len
+  go 0
 
 let pread fd buf off =
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  read_fully fd buf 0 Page.size
+  if read_at fd buf ~pos:0 ~len:Page.size ~off < Page.size then invalid_arg "disk: short read"
 
-let pwrite ?(len = Page.size) fd buf off =
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  write_fully fd buf 0 len
+let pwrite ?(len = Page.size) fd buf off = write_at fd buf ~pos:0 ~len ~off
 
 (* -- page checksums ------------------------------------------------------- *)
 
 let checksum_off = Page.data_end
 
-let stamp page =
-  let sum = Codec.fnv64_bytes page ~pos:0 ~len:checksum_off in
-  Bytes.set_int64_le page checksum_off sum
-
-let checksum_ok page =
-  Bytes.get_int64_le page checksum_off
-  = Codec.fnv64_bytes page ~pos:0 ~len:checksum_off
+let page_sum page = Bigbytes.fnv64_feed Codec.fnv64_init page ~pos:0 ~len:checksum_off
+let stamp page = Bigbytes.set_int64_le page checksum_off (page_sum page)
+let checksum_ok page = Int64.equal (Bigbytes.get_int64_le page checksum_off) (page_sum page)
 
 (* -- fault interpretation -------------------------------------------------
    A faulted write simulates a crash in the middle of the syscall: persist a
@@ -122,13 +116,18 @@ let cut_of len = function
 let flip_in cut buf ~at ~len =
   if cut.flip >= at && cut.flip < at + len then
     let i = cut.flip - at in
-    Bytes.set_uint8 buf i (Bytes.get_uint8 buf i lxor cut.mask)
+    Bigbytes.set buf i (Char.chr (Char.code (Bigbytes.get buf i) lxor cut.mask))
+
+let copy page =
+  let c = Bigbytes.create Page.size in
+  Bigbytes.blit page 0 c 0 Page.size;
+  c
 
 let faulted_write site fd buf off act =
-  let cut = cut_of (Bytes.length buf) act in
+  let cut = cut_of Page.size act in
   if cut.keep > 0 then begin
-    let buf = if cut.flip < 0 then buf else Bytes.copy buf in
-    flip_in cut buf ~at:0 ~len:(Bytes.length buf);
+    let buf = if cut.flip < 0 then buf else copy buf in
+    flip_in cut buf ~at:0 ~len:Page.size;
     pwrite ~len:cut.keep fd buf off
   end;
   if cut.dies then Failpoint.crash site
@@ -147,16 +146,16 @@ let journal_size count = journal_head + (count * (4 + Page.size)) + 8
    journal is tested against. *)
 let encode_journal batch =
   let body = journal_size (List.length batch) - 8 in
-  let image = Bytes.create (body + 8) in
-  Bytes.blit_string journal_magic 0 image 0 (String.length journal_magic);
-  Bytes.set_int32_le image (String.length journal_magic) (Int32.of_int (List.length batch));
+  let image = Bigbytes.create (body + 8) in
+  Bigbytes.blit_from_string journal_magic 0 image 0 (String.length journal_magic);
+  Bigbytes.set_int32_le image (String.length journal_magic) (Int32.of_int (List.length batch));
   List.iteri
     (fun i (no, page) ->
       let off = journal_head + (i * (4 + Page.size)) in
-      Bytes.set_int32_le image off (Int32.of_int no);
-      Bytes.blit page 0 image (off + 4) Page.size)
+      Bigbytes.set_int32_le image off (Int32.of_int no);
+      Bigbytes.blit page 0 image (off + 4) Page.size)
     batch;
-  Bytes.set_int64_le image body (Codec.fnv64_bytes image ~pos:0 ~len:body);
+  Bigbytes.set_int64_le image body (Bigbytes.fnv64_feed Codec.fnv64_init image ~pos:0 ~len:body);
   image
 
 (* Bytes a journal stream gathers before each write. *)
@@ -172,78 +171,70 @@ let write_journal jfd batch =
   let cut =
     match Failpoint.hit fp_journal_write with Some act -> cut_of total act | None -> whole total
   in
-  let chunk = Bytes.create journal_chunk in
+  let chunk = Bigbytes.create journal_chunk in
   let fill = ref 0 and at = ref 0 and sum = ref Codec.fnv64_init in
   let flush () =
     flip_in cut chunk ~at:!at ~len:!fill;
     let n = min !fill (cut.keep - !at) in
-    if n > 0 then write_fully jfd chunk 0 n;
+    if n > 0 then write_at jfd chunk ~pos:0 ~len:n ~off:!at;
     at := !at + !fill;
     fill := 0
   in
   let rec put src pos len =
     if len > 0 then begin
       let n = min len (journal_chunk - !fill) in
-      Bytes.blit src pos chunk !fill n;
+      Bigbytes.blit src pos chunk !fill n;
       fill := !fill + n;
       if !fill = journal_chunk then flush ();
       put src (pos + n) (len - n)
     end
   in
-  let add src =
-    sum := Codec.fnv64_feed_bytes !sum src ~pos:0 ~len:(Bytes.length src);
-    put src 0 (Bytes.length src)
+  let add src len =
+    sum := Bigbytes.fnv64_feed !sum src ~pos:0 ~len;
+    put src 0 len
   in
-  let head = Bytes.create journal_head and no = Bytes.create 4 in
-  Bytes.blit_string journal_magic 0 head 0 (String.length journal_magic);
-  Bytes.set_int32_le head (String.length journal_magic) (Int32.of_int (List.length batch));
-  add head;
+  (* The header, then each page number, then the trailer, in turn. *)
+  let field = Bigbytes.create journal_head in
+  Bigbytes.blit_from_string journal_magic 0 field 0 (String.length journal_magic);
+  Bigbytes.set_int32_le field (String.length journal_magic) (Int32.of_int (List.length batch));
+  add field journal_head;
   List.iter
     (fun (n, page) ->
-      Bytes.set_int32_le no 0 (Int32.of_int n);
-      add no;
-      add page)
+      Bigbytes.set_int32_le field 0 (Int32.of_int n);
+      add field 4;
+      add page Page.size)
     batch;
-  let trailer = Bytes.create 8 in
-  Bytes.set_int64_le trailer 0 !sum;
-  put trailer 0 8;
+  Bigbytes.set_int64_le field 0 !sum;
+  put field 0 8;
   flush ();
   if cut.dies then Failpoint.crash fp_journal_write
 
-let decode_journal data =
-  let len = String.length data in
-  if len < String.length journal_magic + 4 + 8 then None
-  else if String.sub data 0 (String.length journal_magic) <> journal_magic then None
+(* The [(page no, offset of its image)] pairs of the journal in the first
+   [len] bytes of [data], or [None] when it is torn or fails its
+   checksum. *)
+let decode_journal data len =
+  let magic_len = String.length journal_magic in
+  if len < journal_size 0 || Bigbytes.sub_string data 0 magic_len <> journal_magic then None
   else
-    let c = Codec.cursor ~pos:(String.length journal_magic) data in
-    match
-      let count = Codec.get_u32 c in
-      let batch = ref [] in
-      for _ = 1 to count do
-        let no = Codec.get_u32 c in
-        let page = Codec.get_raw c Page.size in
-        batch := (no, page) :: !batch
-      done;
-      let body_len = Codec.pos c in
-      let sum = Codec.get_i64 c in
-      if sum <> Codec.fnv64_sub data ~pos:0 ~len:body_len then None
-      else Some (List.rev !batch)
-    with
-    | v -> v
-    | exception Codec.Corrupt _ -> None
+    let count = Int32.to_int (Bigbytes.get_int32_le data magic_len) land 0xffff_ffff in
+    let body = journal_size count - 8 in
+    if body + 8 > len then None
+    else if
+      not
+        (Int64.equal (Bigbytes.get_int64_le data body)
+           (Bigbytes.fnv64_feed Codec.fnv64_init data ~pos:0 ~len:body))
+    then None
+    else
+      Some
+        (List.init count (fun i ->
+             let off = journal_head + (i * (4 + Page.size)) in
+             (Int32.to_int (Bigbytes.get_int32_le data off) land 0xffff_ffff, off + 4)))
 
+(* The file's bytes and how many were read. *)
 let read_whole fd =
   let len = (Unix.fstat fd).Unix.st_size in
-  let buf = Bytes.create len in
-  ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-  let rec fill pos =
-    if pos >= len then pos
-    else
-      let k = retry (fun () -> Unix.read fd buf pos (len - pos)) in
-      if k = 0 then pos else fill (pos + k)
-  in
-  let got = fill 0 in
-  Bytes.sub_string buf 0 got
+  let buf = Bigbytes.create len in
+  (buf, read_at fd buf ~pos:0 ~len ~off:0)
 
 (* Replay a complete journal into the data file (pages carry their stamped
    checksums already), or discard a torn one. Idempotent: replaying twice is
@@ -252,13 +243,13 @@ let recover_journal fd journal_path =
   match Unix.openfile journal_path [ Unix.O_RDONLY ] 0o644 with
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
   | jfd ->
-      let data = Fun.protect ~finally:(fun () -> Unix.close jfd) (fun () -> read_whole jfd) in
-      (match decode_journal data with
+      let data, len = Fun.protect ~finally:(fun () -> Unix.close jfd) (fun () -> read_whole jfd) in
+      (match decode_journal data len with
       | Some batch ->
           List.iter
-            (fun (no, page) ->
+            (fun (no, at) ->
               Stats.incr c_journal_pages_restored;
-              pwrite fd (Bytes.of_string page) (no * Page.size))
+              write_at fd data ~pos:at ~len:Page.size ~off:(no * Page.size))
             batch;
           Unix.fsync fd
       | None -> ());
@@ -289,7 +280,7 @@ let open_file path =
       raise e
 
 let in_memory () =
-  { backend = Memory { arr = Array.make 8 Bytes.empty; used = 0 }; name = "memory" }
+  { backend = Memory { arr = Array.make 8 Bigbytes.empty; used = 0 }; name = "memory" }
 
 let name t = t.name
 let is_memory t = match t.backend with Memory _ -> true | File _ -> false
@@ -318,10 +309,10 @@ let read_into t n buf =
         Stats.incr c_checksum_failures;
         raise (Codec.Corrupt (Printf.sprintf "%s: page %d: bad checksum" t.name n))
       end
-  | Memory m -> Bytes.blit m.arr.(n) 0 buf 0 Page.size
+  | Memory m -> Bigbytes.blit m.arr.(n) 0 buf 0 Page.size
 
 let read t n =
-  let buf = Bytes.create Page.size in
+  let buf = Bigbytes.create Page.size in
   read_into t n buf;
   buf
 
@@ -340,7 +331,7 @@ let put_page f n page =
 let gap f ~from ~upto =
   let from = max from f.written in
   List.init (max 0 (upto - from)) (fun i ->
-      let zero = Bytes.make Page.size '\000' in
+      let zero = Bigbytes.create Page.size in
       stamp zero;
       (from + i, zero))
 
@@ -361,7 +352,7 @@ let write_batch t batch =
   List.iter
     (fun (n, page) ->
       check_range t n;
-      assert (Bytes.length page = Page.size))
+      assert (Bigbytes.length page = Page.size))
     batch;
   match (t.backend, batch) with
   | _, [] -> ()
@@ -369,7 +360,7 @@ let write_batch t batch =
       List.iter
         (fun (n, page) ->
           Stats.incr c_pages_written;
-          Bytes.blit page 0 m.arr.(n) 0 Page.size)
+          Bigbytes.blit page 0 m.arr.(n) 0 Page.size)
         batch
   | File f, _ ->
       List.iter (fun (_, page) -> stamp page) batch;
@@ -402,16 +393,16 @@ let write_batch t batch =
 
 let allocate t =
   let n = page_count t in
-  let zero = Bytes.make Page.size '\000' in
+  let zero = Bigbytes.create Page.size in
   (match t.backend with
   | File f -> f.pages <- n + 1
   | Memory m ->
       if n = Array.length m.arr then begin
-        let bigger = Array.make (2 * n) Bytes.empty in
+        let bigger = Array.make (2 * n) Bigbytes.empty in
         Array.blit m.arr 0 bigger 0 n;
         m.arr <- bigger
       end;
-      m.arr.(n) <- Bytes.copy zero;
+      m.arr.(n) <- copy zero;
       m.used <- n + 1);
   (n, zero)
 

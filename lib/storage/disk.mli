@@ -10,7 +10,11 @@
     crash mid-flush never leaves a mix of old and new pages. Nothing is
     repaired but from that journal: a damaged page raises
     {!Ode_util.Codec.Corrupt} ["<path>: page <n>: ..."], and the page stays
-    in the file as it is. *)
+    in the file as it is.
+
+    Pages are {!Page.t}s, outside the OCaml heap, and move between them
+    and the file with one [pread]/[pwrite] each, at the page's offset:
+    no seek, and no copy through an intermediate buffer. *)
 
 type t
 
@@ -33,16 +37,18 @@ val page_count : t -> int
 (** Number of allocated pages, those reserved and not yet written
     included. *)
 
-val read : t -> int -> bytes
-(** [read t n] returns a fresh buffer with page [n]'s contents. Raises
+val read : t -> int -> Page.t
+(** [read t n] returns a fresh page with page [n]'s contents. Raises
     [Invalid_argument] when [n] is out of range, and
     {!Ode_util.Codec.Corrupt} ["<path>: page <n>: bad checksum"] when the
     file's page fails its checksum. *)
 
-val read_into : t -> int -> bytes -> unit
-(** Like {!read} but fills the caller's buffer. *)
+val read_into : t -> int -> Page.t -> unit
+(** Like {!read} but fills the caller's page. A file that ends inside
+    the page (cut short under an open disk) raises [Invalid_argument
+    "disk: short read"]. *)
 
-val write_batch : t -> (int * bytes) list -> unit
+val write_batch : t -> (int * Page.t) list -> unit
 (** Crash-atomically persist a set of allocated pages and fsync: on the file
     backend each page's checksum trailer is stamped in place and the batch
     goes to the double-write journal first, so after a crash either every
@@ -52,14 +58,14 @@ val write_batch : t -> (int * bytes) list -> unit
     out of range"], before writing anything, when a page is not
     allocated. *)
 
-val encode_journal : (int * bytes) list -> bytes
+val encode_journal : (int * Page.t) list -> Bigbytes.t
 (** The double-write journal of a batch of stamped pages, in the order
     given, as one image: ["ODEDWJ01"], a u32 count, each u32 page number
     and page, and an FNV-1a trailer. {!write_batch} streams these bytes,
     in page order, without building the image; this encoder is the
     reference that tests compare the stream with. *)
 
-val allocate : t -> int * bytes
+val allocate : t -> int * Page.t
 (** Reserve the next page, returning its index and a zeroed image the
     caller owns. On the file backend nothing is written: the page counts in
     {!page_count} but reaches the file only when {!write_batch} first

@@ -84,15 +84,15 @@ let pool t = t.pool
 
 let write_header t =
   let f = Buffer_pool.pin t.pool 0 in
-  Bytes.fill (Buffer_pool.data f) 0 Page.size '\000';
-  Bytes.blit_string magic 0 (Buffer_pool.data f) 0 (String.length magic);
+  Bigbytes.fill (Buffer_pool.data f) 0 Page.size '\000';
+  Bigbytes.blit_from_string magic 0 (Buffer_pool.data f) 0 (String.length magic);
   Buffer_pool.mark_dirty t.pool f;
   Buffer_pool.unpin t.pool f
 
 (* A store written by another format is refused, as a corrupt one is. *)
 let check_header t =
   Buffer_pool.with_page t.pool 0 (fun f ->
-      let found = Bytes.sub_string (Buffer_pool.data f) 0 (String.length magic) in
+      let found = Bigbytes.sub_string (Buffer_pool.data f) 0 (String.length magic) in
       if found <> magic then
         raise
           (Codec.Corrupt
@@ -292,19 +292,19 @@ let get_with t rid read =
           | off ->
               let len = Page.record_length p rid.slot in
               if len = 0 then raise (Codec.Corrupt "heap: empty record");
-              let tag = Bytes.get_uint8 p off in
+              let tag = Char.code (Bigbytes.get p off) in
               if tag = tag_inline then Some (read p (off + 1) (len - 1))
-              else if tag = tag_head then raise_notrace (Chained (Bytes.sub_string p off len))
+              else if tag = tag_head then raise_notrace (Chained (Bigbytes.sub_string p off len))
               else if tag = tag_chunk then None
               else raise (Codec.Corrupt (Printf.sprintf "heap: bad tag %d" tag)))
     with
     | found -> found
     | exception Chained head ->
         Option.map
-          (fun s -> read (Bytes.unsafe_of_string s) 0 (String.length s))
+          (fun s -> read (Bigbytes.of_string s) 0 (String.length s))
           (decode_record t head)
 
-let get t rid = get_with t rid Bytes.sub_string
+let get t rid = get_with t rid Bigbytes.sub_string
 
 let delete t rid =
   match raw_get t rid with

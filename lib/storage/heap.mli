@@ -25,11 +25,12 @@ val pool : t -> Buffer_pool.t
 val insert : t -> string -> rid
 val get : t -> rid -> string option
 
-val get_with : t -> rid -> (Bytes.t -> int -> int -> 'a) -> 'a option
+val get_with : t -> rid -> (Bigbytes.t -> int -> int -> 'a) -> 'a option
 (** [get_with t rid read] is [Some (read b off len)] over the [len] bytes
     at [off] of [b] that {!get} would return: the record in its pinned
-    page when it fits one, so [get] copies it once, or the chain's
-    reassembled bytes. [read] must not touch the pool. *)
+    page when it fits one, so [get] copies it once, or a {!Bigbytes.t}
+    of the chain's reassembled bytes. Either way [read] sees the same
+    type; it must not keep [b] or touch the pool. *)
 
 val delete : t -> rid -> bool
 

@@ -9,15 +9,12 @@ let slot_bytes = 4
 let dead = 0xffff
 let max_record = data_end - header_bytes - slot_bytes
 
-type t = bytes
+type t = Bigbytes.t
 
 (* -- raw field access --------------------------------------------------- *)
 
-let get16 p off = Char.code (Bytes.get p off) lor (Char.code (Bytes.get p (off + 1)) lsl 8)
-
-let set16 p off v =
-  Bytes.set p off (Char.chr (v land 0xff));
-  Bytes.set p (off + 1) (Char.chr ((v lsr 8) land 0xff))
+let get16 = Bigbytes.get_uint16_le
+let set16 p off v = Bigbytes.set_uint16_le p off (v land 0xffff)
 
 let nslots p = get16 p 0
 let free_lo p = get16 p 2 (* first byte past the slot directory *)
@@ -36,13 +33,13 @@ let set_slot p i ~pos ~len =
 (* -- formatting ---------------------------------------------------------- *)
 
 let reset p =
-  Bytes.fill p 0 size '\000';
+  Bigbytes.fill p 0 size '\000';
   set_nslots p 0;
   set_free_lo p header_bytes;
   set_free_hi p data_end
 
 let create () =
-  let p = Bytes.create size in
+  let p = Bigbytes.create size in
   reset p;
   p
 
@@ -81,25 +78,22 @@ let free_space p =
 
 (* -- compaction ---------------------------------------------------------- *)
 
-(* Slide all live records to the end of the page, preserving slot numbers. *)
+(* Slide all live records to the end of the page, preserving slot numbers:
+   the last slot's record highest. The record area is copied aside first,
+   since slot order need not be the records' order in the page. *)
 let compact p =
-  let n = nslots p in
-  let entries = ref [] in
-  for i = 0 to n - 1 do
-    let pos = slot_pos p i in
-    if pos <> dead then entries := (i, pos, slot_len p i) :: !entries
-  done;
-  (* Copy records into a scratch buffer, then lay them back down from the
-     high end. *)
-  let scratch = List.map (fun (i, pos, len) -> (i, Bytes.sub p pos len)) !entries in
+  let lo = free_hi p in
+  let scratch = Bigbytes.sub p lo (data_end - lo) in
   let hi = ref data_end in
-  List.iter
-    (fun (i, data) ->
-      let len = Bytes.length data in
+  for i = nslots p - 1 downto 0 do
+    let pos = slot_pos p i in
+    if pos <> dead then begin
+      let len = slot_len p i in
       hi := !hi - len;
-      Bytes.blit data 0 p !hi len;
-      set_slot p i ~pos:!hi ~len)
-    scratch;
+      Bigbytes.blit scratch (pos - lo) p !hi len;
+      set_slot p i ~pos:!hi ~len
+    end
+  done;
   set_free_hi p !hi
 
 (* -- mutation ------------------------------------------------------------ *)
@@ -123,14 +117,14 @@ let insert p data =
             i
       in
       let pos = free_hi p - len in
-      Bytes.blit_string data 0 p pos len;
+      Bigbytes.blit_from_string data 0 p pos len;
       set_free_hi p pos;
       set_slot p slot ~pos ~len;
       Some slot
     end
 
 let get p i =
-  if live p i then Some (Bytes.sub_string p (slot_pos p i) (slot_len p i)) else None
+  if live p i then Some (Bigbytes.sub_string p (slot_pos p i) (slot_len p i)) else None
 
 let record_at p i = if live p i then slot_pos p i else -1
 let record_length = slot_len
@@ -154,7 +148,7 @@ let update p i data =
     if len <= old_len then begin
       (* Shrink in place; tail bytes become dead space until compaction. *)
       let pos = slot_pos p i in
-      Bytes.blit_string data 0 p pos len;
+      Bigbytes.blit_from_string data 0 p pos len;
       set_slot p i ~pos ~len;
       true
     end
@@ -174,7 +168,7 @@ let update p i data =
       else begin
         if free_hi p - free_lo p < len then compact p;
         let npos = free_hi p - len in
-        Bytes.blit_string data 0 p npos len;
+        Bigbytes.blit_from_string data 0 p npos len;
         set_free_hi p npos;
         set_slot p i ~pos:npos ~len;
         true
@@ -183,12 +177,12 @@ let update p i data =
 
 let iter p f =
   for i = 0 to nslots p - 1 do
-    if slot_pos p i <> dead then f i (Bytes.sub_string p (slot_pos p i) (slot_len p i))
+    if slot_pos p i <> dead then f i (Bigbytes.sub_string p (slot_pos p i) (slot_len p i))
   done
 
 let iter_first_byte p f =
   for i = 0 to nslots p - 1 do
-    if slot_pos p i <> dead && slot_len p i > 0 then f i (Bytes.get_uint8 p (slot_pos p i))
+    if slot_pos p i <> dead && slot_len p i > 0 then f i (Char.code (Bigbytes.get p (slot_pos p i)))
   done
 
 (* -- invariants ----------------------------------------------------------- *)

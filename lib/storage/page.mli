@@ -1,6 +1,6 @@
 (** Slotted pages.
 
-    A page is a fixed-size byte array holding variable-length records behind
+    A page is a fixed-size {!Bigbytes.t} holding variable-length records behind
     a slot directory, so records can move within the page (compaction)
     without changing their externally visible slot number.
 
@@ -27,8 +27,11 @@ val data_end : int
 val max_record : int
 (** Largest record that fits in an empty page. *)
 
-type t = bytes
-(** A page is exactly {!size} bytes. *)
+type t = Bigbytes.t
+(** A page is exactly {!size} bytes, held outside the OCaml heap: a
+    resident page costs its 4 KiB and a custom block of a few words, and
+    the GC's garbage allowance, which grows with the major heap, does not
+    grow with the pages. *)
 
 val create : unit -> t
 (** A fresh, empty, formatted page. *)

@@ -141,7 +141,5 @@ let fnv64_feed h s ~pos ~len =
   done;
   !h
 
-let fnv64_feed_bytes h b ~pos ~len = fnv64_feed h (Bytes.unsafe_to_string b) ~pos ~len
 let fnv64_sub s ~pos ~len = fnv64_feed fnv64_init s ~pos ~len
 let fnv64 s = fnv64_sub s ~pos:0 ~len:(String.length s)
-let fnv64_bytes b ~pos ~len = fnv64_sub (Bytes.unsafe_to_string b) ~pos ~len

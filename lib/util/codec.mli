@@ -90,10 +90,6 @@ val fnv64_sub : string -> pos:int -> len:int -> int64
     the WAL checks a frame inside the buffer it read the log into. Raises
     [Invalid_argument] when the range is not inside the string. *)
 
-val fnv64_bytes : bytes -> pos:int -> len:int -> int64
-(** Same hash over a byte-buffer slice, without copying. Used for page
-    checksums where the page image lives in a reusable [bytes]. *)
-
 val fnv64_init : int64
 (** The hash of no bytes, where a running hash starts. *)
 
@@ -102,4 +98,3 @@ val fnv64_feed : int64 -> string -> pos:int -> len:int -> int64
     bytes of [s] from [pos]: hashing a string in pieces, in order, from
     {!fnv64_init} gives {!fnv64} of the whole. *)
 
-val fnv64_feed_bytes : int64 -> bytes -> pos:int -> len:int -> int64

@@ -538,7 +538,7 @@ module Reference = struct
     Buffer.contents b
 
   let read_node data =
-    let s = Bytes.sub_string data 0 node_end in
+    let s = Ode_storage.Bigbytes.sub_string data 0 node_end in
     let c = Codec.cursor s in
     let kind = Codec.get_u8 c in
     let n = Codec.get_u16 c in
@@ -578,7 +578,8 @@ module Reference = struct
     Buffer.contents b
 end
 
-let header_root header = Bytes.get_uint16_le header 8 lor (Bytes.get_uint16_le header 10 lsl 16)
+let header_root header =
+  Ode_storage.Bigbytes.(get_uint16_le header 8 lor (get_uint16_le header 10 lsl 16))
 
 (* Every page of a flushed tree holds exactly the bytes the reference
    encoder writes for the node it holds, up to the disk layer's checksum
@@ -603,13 +604,13 @@ let pages_match_reference_encoder () =
   let root = header_root header in
   Tutil.check_string "header page"
     (Reference.header ~root ~count:(List.length model))
-    (Bytes.sub_string header 0 Ode_storage.Page.data_end);
+    (Ode_storage.Bigbytes.sub_string header 0 Ode_storage.Page.data_end);
   let checked = ref 0 in
   let rec walk n =
     let data = page n in
     let node = Reference.read_node data in
     Tutil.check_string (Printf.sprintf "page %d" n) (Reference.page node)
-      (Bytes.sub_string data 0 Reference.node_end);
+      (Ode_storage.Bigbytes.sub_string data 0 Reference.node_end);
     incr checked;
     match node with
     | Reference.Leaf (entries, _) -> Array.to_list entries
@@ -620,13 +621,14 @@ let pages_match_reference_encoder () =
   Tutil.check_bool "tree has internal nodes" true (!checked > 3);
   Tutil.check_bool "contents = model" true (entries = model)
 
-(* Rewrite page [n] of the file at [path] with [f] applied; the batch
-   stamps a fresh checksum, so the disk layer passes the page. *)
+(* Rewrite page [n] of the file at [path] with [f] applied to a copy of
+   its bytes; the batch stamps a fresh checksum, so the disk layer passes
+   the page. *)
 let rewrite_page path n f =
   let d = Disk.open_file path in
-  let data = Disk.read d n in
+  let data = Bytes.of_string (Ode_storage.Bigbytes.to_string (Disk.read d n)) in
   f data;
-  Disk.write_batch d [ (n, data) ];
+  Disk.write_batch d [ (n, Ode_storage.Bigbytes.of_string (Bytes.to_string data)) ];
   Disk.close d
 
 (* A store written by the previous node layout, ODEBPT01, is refused at

@@ -65,7 +65,8 @@ let fnv_vectors () =
   check "foobar" 0x85944171f73967e8L (Codec.fnv64 "foobar");
   check "64 KiB block" 0xdf04d79db8262325L (Codec.fnv64 block);
   check "range" (Codec.fnv64 "foobar") (Codec.fnv64_sub "[foobar]" ~pos:1 ~len:6);
-  check "bytes" (Codec.fnv64 "foobar") (Codec.fnv64_bytes (Bytes.of_string "xfoobar") ~pos:1 ~len:6);
+  check "off-heap bytes" (Codec.fnv64 "foobar")
+    (Ode_storage.Bigbytes.fnv64_feed Codec.fnv64_init (Ode_storage.Bigbytes.of_string "xfoobar") ~pos:1 ~len:6);
   match Codec.fnv64_sub "abc" ~pos:2 ~len:2 with
   | _ -> Alcotest.fail "a range past the end hashed"
   | exception Invalid_argument _ -> ()

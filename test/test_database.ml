@@ -281,6 +281,51 @@ let constraint_inherited_from_parent () =
   | exception Constraint_violation { cls = "savings"; cname = "solvent"; _ } -> ());
   Db.close db
 
+(* A commit that touches many objects of a class without constraints and
+   one subclass object that breaks its superclass's constraint still
+   aborts, whole; the rule-less objects are not checked. A subclass object
+   deleted in the commit that broke the constraint has nothing to
+   satisfy. *)
+let inherited_constraint_beside_ruleless () =
+  let db = Db.open_in_memory () in
+  ignore
+    (Db.define db
+       {|class account { balance: int; constraint solvent: balance >= 0; };
+         class savings : account { rate: float; };
+         class note { text: string; };|});
+  List.iter (Db.create_cluster db) [ "account"; "savings"; "note" ];
+  let notes () = Db.with_txn db (fun _ -> Ode.Query.count db ~var:"x" ~cls:"note" ()) in
+  let checked f =
+    let before = Ode_util.Stats.snapshot () in
+    let v = f () in
+    (v, Ode_util.Stats.(get (diff (snapshot ()) before) "constraints_checked"))
+  in
+  let s, n =
+    checked (fun () ->
+        Db.with_txn db (fun txn ->
+            for k = 1 to 20 do
+              ignore (Db.pnew txn "note" [ ("text", str (string_of_int k)) ])
+            done;
+            Db.pnew txn "savings" [ ("balance", int 10) ]))
+  in
+  Tutil.check_int "one object has a constraint to check" 1 n;
+  (match
+     Db.with_txn db (fun txn ->
+         for k = 1 to 20 do
+           ignore (Db.pnew txn "note" [ ("text", str (string_of_int k)) ])
+         done;
+         Db.set_field txn s "balance" (int (-5)))
+   with
+  | _ -> Alcotest.fail "the inherited constraint was not checked"
+  | exception Constraint_violation { cls = "savings"; cname = "solvent"; _ } -> ());
+  Tutil.check_int "the notes rolled back with it" 20 (notes ());
+  Db.with_txn db (fun txn ->
+      Db.set_field txn s "balance" (int (-5));
+      Db.pdelete txn s;
+      ignore (Db.pnew txn "note" [ ("text", str "last") ]));
+  Tutil.check_int "the deleting commit went through" 21 (notes ());
+  Db.close db
+
 let methods_dispatch_dynamically () =
   let db = Tutil.open_university () in
   Db.with_txn db (fun txn ->
@@ -405,7 +450,7 @@ let refused_open_closes_files () =
   refused "an older tree layout" "directory.bpt" (fun path ->
       let d = Disk.open_file path in
       let page = Disk.read d 0 in
-      Bytes.blit_string "ODEBPT01" 0 page 0 8;
+      Ode_storage.Bigbytes.blit_from_string "ODEBPT01" 0 page 0 8;
       Disk.write_batch d [ (0, page) ];
       Disk.close d);
   refused "a flipped heap byte" "objects.heap" (fun path ->
@@ -434,6 +479,7 @@ let suite =
         Alcotest.test_case "one WAL frame per commit" `Quick one_wal_frame_per_commit;
         Alcotest.test_case "constraint violation aborts txn" `Quick constraint_violation_aborts;
         Alcotest.test_case "constraints inherit" `Quick constraint_inherited_from_parent;
+        Alcotest.test_case "inherited constraint beside rule-less objects" `Quick inherited_constraint_beside_ruleless;
         Alcotest.test_case "dynamic method dispatch" `Quick methods_dispatch_dynamically;
         Alcotest.test_case "is-instance tests" `Quick is_instance_tests;
         Alcotest.test_case "named roots persist" `Quick roots_persist;

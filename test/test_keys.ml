@@ -266,7 +266,7 @@ let old_layout_refused () =
       let file = Bytes.of_string current in
       Bytes.blit_string magic 0 file 0 8;
       let data_end = Ode_storage.Page.data_end in
-      Bytes.set_int64_le file data_end (Ode_util.Codec.fnv64_bytes file ~pos:0 ~len:data_end);
+      Bytes.set_int64_le file data_end (Ode_util.Codec.fnv64_sub (Bytes.to_string file) ~pos:0 ~len:data_end);
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc file);
       match Db.open_ dir with
       | db ->

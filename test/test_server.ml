@@ -864,6 +864,78 @@ let pipelined_past_out_cap () =
                  (rs.rs_reply = P.Output want)
              done)))
 
+(* A client that stops reading with a full reply backlog costs only
+   itself: another client's pings beside it keep a median within 1.5x of
+   their median alone. Each tick's write attempt on the stalled socket
+   copies at most one 64 KiB chunk, not its whole backlog. *)
+let stalled_reader_costs_only_itself () =
+  ignore
+    (with_server (fun port ->
+         let c = connect port in
+         let median () =
+           let samples =
+             Array.init 2000 (fun _ ->
+                 let t0 = Unix.gettimeofday () in
+                 Client.ping c;
+                 Unix.gettimeofday () -. t0)
+           in
+           Array.sort compare samples;
+           samples.(1000)
+         in
+         ignore (median ());
+         let alone = median () in
+         let fd = raw_connect port in
+         Fun.protect
+           ~finally:(fun () -> Unix.close fd)
+           (fun () ->
+             write_all fd P.hello 0;
+             let b = Buffer.create 4096 in
+             P.encode_request b
+               {
+                 rq_id = 1;
+                 rq_trace = 0;
+                 rq_op = Exec (Printf.sprintf "s := \"%s\";" (String.make (256 * 1024) 'x'));
+               };
+             for i = 2 to 129 do
+               P.encode_request b { rq_id = i; rq_trace = 0; rq_op = Exec "print s;" }
+             done;
+             write_all fd (Buffer.contents b) 0;
+             Unix.sleepf 0.5;
+             let beside = median () in
+             if beside > 1.5 *. alone then
+               Alcotest.failf "ping median %.0f us beside a stalled reader, %.0f us alone"
+                 (beside *. 1e6) (alone *. 1e6));
+         Client.close c))
+
+(* A write attempt that gets EAGAIN copies at most one chunk whatever the
+   backlog: on a 1 MiB backlog it allocates a few words (the exception),
+   where copying the whole backlog first took 131,000. *)
+let blocked_write_allocates_o1 () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      Unix.set_nonblock a;
+      let junk = Bytes.create 65536 in
+      (try
+         while true do
+           ignore (Unix.write a junk 0 (Bytes.length junk))
+         done
+       with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ());
+      let out = Buffer.create (1 lsl 20) in
+      Buffer.add_string out (String.make (1 lsl 20) 'r');
+      let scratch = Bytes.create 65536 in
+      let attempt () =
+        match Server.write_out a out 0 scratch with
+        | n -> Alcotest.failf "a full socket took %d bytes" n
+        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+      in
+      attempt ();
+      let words = Tutil.allocated_words attempt in
+      if words >= 64. then Alcotest.failf "a blocked write attempt allocated %.0f words" words)
+
 (* A garbage client hello gets [Bad_version] and a hang-up, a standby
    opening with a bad magic is hung up on, and a scrape request over 8 KiB
    is hung up on unanswered. None of it disturbs the server: /health and
@@ -978,6 +1050,8 @@ let suite =
         Alcotest.test_case "mvcc write storm under a pinned snapshot" `Quick mvcc_write_storm;
         Alcotest.test_case "a damaged page reaches the client as corrupt" `Quick served_corruption;
         Alcotest.test_case "pipelining past the reply backlog cap" `Quick pipelined_past_out_cap;
+        Alcotest.test_case "a stalled reader costs only itself" `Quick stalled_reader_costs_only_itself;
+        Alcotest.test_case "a blocked write allocates O(1)" `Quick blocked_write_allocates_o1;
         Alcotest.test_case "malformed openings leave the server serving" `Quick
           malformed_openings;
       ] );

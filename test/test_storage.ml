@@ -5,6 +5,11 @@ module Pool = Ode_storage.Buffer_pool
 module Wal = Ode_storage.Wal
 module Heap = Ode_storage.Heap
 module Page = Ode_storage.Page
+module Bigbytes = Ode_storage.Bigbytes
+
+(* A page of [c]s, and a page's bytes as a string, to compare. *)
+let page_of c = Bigbytes.of_string (String.make Page.size c)
+let str = Bigbytes.to_string
 
 (* -- disk -------------------------------------------------------------- *)
 
@@ -13,9 +18,9 @@ let mem_disk_rw () =
   Tutil.check_int "empty" 0 (Disk.page_count d);
   let n, _ = Disk.allocate d in
   Tutil.check_int "first page" 0 n;
-  let page = Bytes.make Page.size 'q' in
+  let page = page_of 'q' in
   Disk.write_batch d [ (0, page) ];
-  Alcotest.(check bytes) "read back" page (Disk.read d 0)
+  Alcotest.(check string) "read back" (str page) (str (Disk.read d 0))
 
 let file_disk_rw () =
   let dir = Tutil.temp_dir "disk" in
@@ -24,12 +29,12 @@ let file_disk_rw () =
   let n0, _ = Disk.allocate d in
   let n1, _ = Disk.allocate d in
   Tutil.check_int "sequential alloc" 1 (n1 - n0);
-  let page = Bytes.make Page.size 'z' in
+  let page = page_of 'z' in
   Disk.write_batch d [ (n1, page) ];
   Disk.close d;
   let d2 = Disk.open_file path in
   Tutil.check_int "count persisted" 2 (Disk.page_count d2);
-  Alcotest.(check bytes) "data persisted" page (Disk.read d2 n1);
+  Alcotest.(check string) "data persisted" (str page) (str (Disk.read d2 n1));
   Disk.close d2
 
 let file_pages path = (Unix.stat path).Unix.st_size / Page.size
@@ -43,7 +48,7 @@ let file_disk_reserves () =
   let d = Disk.open_file path in
   let n, image = Disk.allocate d in
   Tutil.check_int "reserved" 1 (Disk.page_count d);
-  Tutil.check_bool "zero image" true (Bytes.for_all (fun c -> c = '\000') image);
+  Tutil.check_bool "zero image" true (String.for_all (fun c -> c = '\000') (str image));
   Tutil.check_int "nothing in the file" 0 (file_pages path);
   (match Disk.read d n with
   | _ -> Alcotest.fail "a reserved page that was never written was read"
@@ -53,13 +58,13 @@ let file_disk_reserves () =
   Tutil.check_int "gone after reopen" 0 (Disk.page_count d);
   let skipped, _ = Disk.allocate d in
   let n, _ = Disk.allocate d in
-  Disk.write_batch d [ (n, Bytes.make Page.size 'b') ];
+  Disk.write_batch d [ (n, page_of 'b') ];
   Disk.close d;
   let d = Disk.open_file path in
   Tutil.check_int "both pages in the file" 2 (Disk.page_count d);
   Tutil.check_bool "skipped page is zeros" true
-    (Bytes.sub (Disk.read d skipped) 0 Page.data_end = Bytes.make Page.data_end '\000');
-  Tutil.check_bool "written page" true (Bytes.get (Disk.read d n) 0 = 'b');
+    (Bigbytes.sub_string (Disk.read d skipped) 0 Page.data_end = String.make Page.data_end '\000');
+  Tutil.check_bool "written page" true (Bigbytes.get (Disk.read d n) 0 = 'b');
   Disk.close d
 
 (* The journal [write_batch] streams is byte for byte the reference image
@@ -77,12 +82,12 @@ let journal_stream_matches_image () =
   (* Handed over in descending order; the journal holds them ascending. *)
   let batch =
     List.rev_map
-      (fun n -> (n, Bytes.init Page.size (fun j -> Char.chr (((n * 31) + (j * 7)) land 0xff))))
+      (fun n -> (n, Bigbytes.of_string (String.init Page.size (fun j -> Char.chr (((n * 31) + (j * 7)) land 0xff)))))
       pages
   in
   let journal () = In_channel.with_open_bin (path ^ ".journal") In_channel.input_all in
   let reference () =
-    Bytes.to_string (Disk.encode_journal (List.sort (fun (a, _) (b, _) -> Int.compare a b) batch))
+    str (Disk.encode_journal (List.sort (fun (a, _) (b, _) -> Int.compare a b) batch))
   in
   F.arm "disk.journal.clear" ~policy:F.Always ~action:F.Skip_effect;
   Disk.write_batch d batch;
@@ -103,6 +108,22 @@ let journal_stream_matches_image () =
   Bytes.set_uint8 flipped byte (Bytes.get_uint8 flipped byte lxor (1 lsl 5));
   Tutil.check_bool "flip mangles the image's bit" true
     (faulted (F.Flip_bit ((8 * byte) + 5)) = Bytes.to_string flipped);
+  Disk.close d
+
+(* A file cut short under an open disk fails the read of the page it cut
+   as a short read, as it did when pages were read through [Unix.read];
+   the page before it still reads whole. *)
+let file_disk_short_read () =
+  let path = Filename.concat (Tutil.temp_dir "disk") "pages" in
+  let d = Disk.open_file path in
+  let n0, _ = Disk.allocate d in
+  let n1, _ = Disk.allocate d in
+  Disk.write_batch d [ (n0, page_of 'a'); (n1, page_of 'b') ];
+  Unix.truncate path (Page.size + 100);
+  (match Disk.read d n1 with
+  | _ -> Alcotest.fail "a page cut short was read"
+  | exception Invalid_argument msg -> Tutil.check_string "reported" "disk: short read" msg);
+  Tutil.check_bool "the whole page reads" true (Bigbytes.get (Disk.read d n0) 0 = 'a');
   Disk.close d
 
 (* The pool's new frame is dirty: the file grows at the flush. *)
@@ -126,7 +147,7 @@ let disk_range_checks () =
   | _ -> Alcotest.fail "read past end should raise"
   | exception Invalid_argument _ -> ());
   let refused d n =
-    match Disk.write_batch d [ (n, Bytes.make Page.size ' ') ] with
+    match Disk.write_batch d [ (n, page_of ' ') ] with
     | () -> Alcotest.failf "a write of unallocated page %d went through" n
     | exception Invalid_argument msg ->
         if not (Tutil.contains msg (Printf.sprintf "disk: page %d out of range" n)) then
@@ -159,12 +180,12 @@ let pool_eviction_writes_back () =
   let p = Pool.create ~capacity:2 d in
   for _ = 1 to 3 do
     let f = Pool.allocate p in
-    Bytes.set (Pool.data f) 0 'D';
+    Bigbytes.set (Pool.data f) 0 'D';
     Pool.mark_dirty p f;
     Pool.unpin p f
   done;
   (* Page 0 was evicted to make room; its dirty byte must be on disk. *)
-  Tutil.check_bool "written back" true (Bytes.get (Disk.read d 0) 0 = 'D')
+  Tutil.check_bool "written back" true (Bigbytes.get (Disk.read d 0) 0 = 'D')
 
 (* A pool's bookkeeping grows with the frames it holds, not with its
    capacity: a 65,536-page pool over an empty disk costs a few KiB, where
@@ -201,11 +222,11 @@ let pool_flush_all () =
   let d = Disk.in_memory () in
   let p = Pool.create ~capacity:4 d in
   let f = Pool.allocate p in
-  Bytes.set (Pool.data f) 10 'F';
+  Bigbytes.set (Pool.data f) 10 'F';
   Pool.mark_dirty p f;
   Pool.unpin p f;
   Pool.flush_all p;
-  Tutil.check_bool "flushed" true (Bytes.get (Disk.read d 0) 10 = 'F')
+  Tutil.check_bool "flushed" true (Bigbytes.get (Disk.read d 0) 10 = 'F')
 
 (* A miss on a full pool reads the page into the evicted frame's buffer:
    cycling 64 pages of a file through 4 frames, every access a miss,
@@ -242,12 +263,39 @@ let pool_miss_reuses_victim () =
   if per_miss >= 100.0 then Alcotest.failf "%.0f words allocated per miss" per_miss;
   Disk.close d
 
+(* Resident pages live outside the OCaml heap: reading 2,048 pages of a
+   file into a pool grows the major heap by a few words a frame (the
+   page's custom block and the pool's bookkeeping), where a [Bytes] page
+   counted 517. *)
+let pool_frames_off_heap () =
+  let pages = 2048 in
+  let path = Filename.concat (Tutil.temp_dir "offheap") "pages" in
+  let d = Disk.open_file path in
+  let p = Pool.create ~capacity:pages d in
+  for _ = 1 to pages do
+    Pool.unpin p (Pool.allocate p)
+  done;
+  Pool.flush_all p;
+  Pool.release p;
+  let p = Pool.create ~capacity:pages d in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).heap_words in
+  for n = 0 to pages - 1 do
+    Pool.with_page p n ignore
+  done;
+  Gc.full_major ();
+  let after = (Gc.quick_stat ()).heap_words in
+  Tutil.check_int "every page resident" pages (Pool.resident p);
+  let per_frame = float (after - before) /. float pages in
+  if per_frame >= 64. then Alcotest.failf "the heap grew %.0f words a resident frame" per_frame;
+  Disk.close d
+
 let pool_no_flush_section () =
   let d = Disk.in_memory () in
   let p = Pool.create ~capacity:2 d in
   let dirty_page () =
     let f = Pool.allocate p in
-    Bytes.set (Pool.data f) 0 'D';
+    Bigbytes.set (Pool.data f) 0 'D';
     Pool.mark_dirty p f;
     Pool.unpin p f
   in
@@ -256,9 +304,9 @@ let pool_no_flush_section () =
         dirty_page ()
       done;
       Tutil.check_int "over capacity inside" 3 (Pool.resident p);
-      Tutil.check_bool "nothing written back inside" true (Bytes.get (Disk.read d 0) 0 = '\000'));
+      Tutil.check_bool "nothing written back inside" true (Bigbytes.get (Disk.read d 0) 0 = '\000'));
   Tutil.check_int "trimmed on exit" 2 (Pool.resident p);
-  Tutil.check_bool "written back on exit" true (Bytes.get (Disk.read d 0) 0 = 'D')
+  Tutil.check_bool "written back on exit" true (Bigbytes.get (Disk.read d 0) 0 = 'D')
 
 (* -- wal ------------------------------------------------------------------ *)
 
@@ -522,7 +570,7 @@ let heap_bad_page_reported () =
   let h = Heap.attach (Pool.create ~capacity:8 d) in
   ignore (Heap.insert h "record");
   Heap.flush h;
-  Disk.write_batch d [ (1, Bytes.make Page.size '\xff') ];
+  Disk.write_batch d [ (1, page_of '\xff') ];
   let image = Disk.read d 1 in
   Disk.close d;
   let d = Disk.open_file path in
@@ -530,7 +578,7 @@ let heap_bad_page_reported () =
   | _ -> Alcotest.fail "a malformed heap page was accepted"
   | exception Ode_util.Codec.Corrupt msg ->
       if not (Tutil.contains msg (path ^ ": page 1: ")) then Alcotest.failf "reported as %S" msg);
-  Alcotest.(check bytes) "the page is left as it was" image (Disk.read d 1);
+  Alcotest.(check string) "the page is left as it was" (str image) (str (Disk.read d 1));
   Disk.close d
 
 let prop_heap_model =
@@ -591,6 +639,7 @@ let suite =
         Alcotest.test_case "range checks" `Quick disk_range_checks;
         Alcotest.test_case "reserved pages reach the file when written" `Quick file_disk_reserves;
         Alcotest.test_case "journal streams its reference image" `Quick journal_stream_matches_image;
+        Alcotest.test_case "a page cut short is a short read" `Quick file_disk_short_read;
       ] );
     ( "buffer_pool",
       [
@@ -602,6 +651,7 @@ let suite =
         Alcotest.test_case "flush_all" `Quick pool_flush_all;
         Alcotest.test_case "no-flush section" `Quick pool_no_flush_section;
         Alcotest.test_case "a miss reuses the victim's buffer" `Quick pool_miss_reuses_victim;
+        Alcotest.test_case "resident frames off the OCaml heap" `Quick pool_frames_off_heap;
         Alcotest.test_case "allocated pages reach the file at flush" `Quick
           pool_allocate_reaches_file_at_flush;
       ] );

@@ -127,6 +127,46 @@ let deleted_object_drops_activations () =
   Tutil.check_bool "no firing on delete" true (no_output log);
   Db.close db
 
+(* The activations of an object deleted in a commit that also touches
+   objects of a class without triggers still go: from the store and from
+   the mirror, surviving a reopen. The rule-less objects cost the trigger
+   pass no existence read, and must not make it skip the deleted one. *)
+let deleted_object_drops_activations_beside_ruleless () =
+  let dir = Tutil.temp_dir "trig-ruleless" in
+  let open_db () =
+    let db = Db.open_ dir in
+    Db.set_action_printer db ignore;
+    db
+  in
+  let db = open_db () in
+  ignore
+    (Db.define db
+       {|class item { name: string; qty: int;
+           trigger reorder(n: int): qty <= n ==> { print "reorder", name; }; };
+         class plain { v: int; };|});
+  Db.create_cluster db "item";
+  Db.create_cluster db "plain";
+  let i, tid, plains =
+    Db.with_txn db (fun txn ->
+        let i = Db.pnew txn "item" [ ("name", Value.Str "d"); ("qty", int 100) ] in
+        let tid = Db.activate txn i "reorder" [ int 10 ] in
+        (i, tid, List.init 10 (fun k -> Db.pnew txn "plain" [ ("v", int k) ])))
+  in
+  Db.with_txn db (fun txn ->
+      List.iter (fun p -> Db.set_field txn p "v" (int 99)) plains;
+      Db.pdelete txn i;
+      ignore (Db.pnew txn "plain" [ ("v", int 7) ]));
+  let gone db =
+    Tutil.check_bool "activation record removed" true
+      (Ode.Kv.get db (Ode.Keys.trigger tid) = None);
+    Tutil.check_bool "mirror forgot it" false (Hashtbl.mem db.Ode.Types.activations tid)
+  in
+  gone db;
+  Db.close db;
+  let db = open_db () in
+  gone db;
+  Db.close db
+
 let action_self_touch_does_not_loop () =
   (* A perpetual action that leaves its own condition true must not fire
      itself forever: edge-triggering stops it after one firing. *)
@@ -375,6 +415,8 @@ let suite =
         Alcotest.test_case "deactivate silences" `Quick deactivate_silences;
         Alcotest.test_case "aborted txn fires nothing" `Quick aborted_txn_fires_nothing;
         Alcotest.test_case "deleting object drops activations" `Quick deleted_object_drops_activations;
+        Alcotest.test_case "deletion drops activations beside rule-less objects" `Quick
+          deleted_object_drops_activations_beside_ruleless;
         Alcotest.test_case "self-touching action does not loop" `Quick action_self_touch_does_not_loop;
         Alcotest.test_case "cascades across objects" `Quick action_cascade_across_objects;
         Alcotest.test_case "timed trigger timeout" `Quick timed_trigger_timeout;

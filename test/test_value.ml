@@ -141,6 +141,56 @@ let index_key_rejects_containers () =
   | _ -> Alcotest.fail "sets must not be indexable"
   | exception Invalid_argument _ -> ()
 
+(* Values as a query row prints them: every float class [%g] renders
+   (nan, infinities, signed zero, subnormals), strings of any bytes, whose
+   [%S] escapes them, and lists and sets nested three deep. *)
+let rendered_gen =
+  let open QCheck.Gen in
+  let float =
+    oneof
+      [
+        float;
+        oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 5e-324; 1e300; 0.1; 123456789. ];
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Value.Null;
+        map (fun n -> Value.Int n) int;
+        map (fun b -> Value.Bool b) bool;
+        map (fun f -> Value.Float f) float;
+        map (fun s -> Value.Str s) (string_size ~gen:char (int_bound 12));
+        map2 (fun c n -> Value.Ref (oid c n)) nat nat;
+        map3 (fun c n ver -> Value.Vref { oid = oid c n; ver }) nat nat nat;
+      ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (3, leaf);
+            (1, map (fun vs -> Value.VList vs) (list_size (int_bound 4) (self (depth - 1))));
+            (1, map Value.set_of_list (list_size (int_bound 4) (self (depth - 1))));
+          ])
+    3
+
+let fmt_row oid fields =
+  Fmt.str "%a {%s}" Oid.pp oid
+    (String.concat ", " (List.map (fun (f, v) -> f ^ " = " ^ Fmt.str "%a" Value.pp v) fields))
+
+let prop_rendering_identity =
+  QCheck.Test.make ~name:"rows render as Format prints them" ~count:1000
+    QCheck.(
+      make
+        ~print:(fun (_, fields) -> String.concat ", " (List.map (fun (f, v) -> f ^ " = " ^ Fmt.str "%a" Value.pp v) fields))
+        Gen.(pair (pair nat nat) (list_size (int_bound 4) (pair (string_size ~gen:printable (int_range 1 6)) rendered_gen))))
+    (fun ((c, n), fields) ->
+      List.for_all (fun (_, v) -> Value.to_string v = Fmt.str "%a" Value.pp v) fields
+      && Ode.Shell.row_text (oid c n) fields = fmt_row (oid c n) fields)
+
 let suite =
   [
     ( "value",
@@ -156,5 +206,6 @@ let suite =
         prop_compare_antisym;
         prop_compare_trans;
         prop_index_key_order;
+        prop_rendering_identity;
       ];
   ]
