@@ -63,6 +63,27 @@ let c_recovery_replayed = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery 
 let c_orphans_reclaimed = Ode_util.Stats.counter ~group:Ode_util.Stats.Recovery "orphans_reclaimed"
 let c_planner_analyze_runs = Ode_util.Stats.counter "planner.analyze_runs"
 
+(* The directory's heap rids as one bitset with a bit for every slot a
+   heap page can have: fewer than [Page.size / 4], each taking four bytes
+   of the page's slot directory. It costs 128 bytes a heap page, however
+   many records the pages hold. *)
+let slots_per_page = Ode_storage.Page.size / 4
+
+let live_rids db =
+  let pages = Heap.page_count db.kv_heap in
+  let bits = Bytes.make (((pages * slots_per_page) + 7) / 8) '\000' in
+  Kv.iter_rids db (fun { page; slot } ->
+      if page < pages && slot < slots_per_page then begin
+        let i = (page * slots_per_page) + slot in
+        Bytes.set_uint8 bits (i lsr 3) (Bytes.get_uint8 bits (i lsr 3) lor (1 lsl (i land 7)))
+      end);
+  bits
+
+(* A slot past the bound cannot occur; it is kept rather than swept. *)
+let is_live bits ({ page; slot } : Heap.rid) =
+  let i = (page * slots_per_page) + slot in
+  slot >= slots_per_page || (Bytes.get_uint8 bits (i lsr 3) lsr (i land 7)) land 1 = 1
+
 let recover db =
   Ode_util.Histogram.time h_recovery @@ fun () ->
   Ode_util.Trace.with_span ~cat:"recovery" "recovery" @@ fun () ->
@@ -85,10 +106,8 @@ let recover db =
      them: a checkpoint resets the log only after the heap, directory and
      index flushes. So an open after a clean close skips the sweep. *)
   if Wal.size_bytes db.wal > 0 then begin
-    let index (rid : Heap.rid) = (rid.page lsl 16) lor rid.slot in
-    let live = Hashtbl.create 4096 in
-    Kv.iter_rids db (fun rid -> Hashtbl.replace live (index rid) ());
-    let swept = Heap.sweep_orphans db.kv_heap ~live:(fun rid -> Hashtbl.mem live (index rid)) in
+    let live = live_rids db in
+    let swept = Heap.sweep_orphans db.kv_heap ~live:(is_live live) in
     if swept > 0 then begin
       Ode_util.Stats.add c_orphans_reclaimed swept;
       Log.info (fun m -> m "recovery: reclaimed %d orphan heap records" swept)
@@ -118,8 +137,9 @@ let close_fds db =
   Wal.close db.wal;
   List.iter (fun p -> Disk.close (Buffer_pool.disk p)) (pools db)
 
-(* A closed or crashed handle holds no page: a caller that keeps the old
-   handle while it reopens the store does not keep its pools alive. *)
+(* A closed or crashed handle holds no page: its frames are freed at once,
+   before a caller that reopens the store reads it in again, and a read
+   through the old handle is refused as a closed database. *)
 let release_pools db = List.iter Buffer_pool.release (pools db)
 
 let open_ ?(pool_pages = 512) ?(wal_checkpoint_bytes = 8 * 1024 * 1024) ?(durability = Full) dir =

@@ -42,8 +42,10 @@ val open_in_memory : ?pool_pages:int -> ?durability:Types.durability -> unit -> 
 (** A volatile database: same engine, same WAL protocol, no files. *)
 
 val close : t -> unit
-(** Checkpoint and release. Aborts every open write transaction. The
-    handle keeps no page of its buffer pools, whether closed or crashed. *)
+(** Checkpoint and release. Aborts every open write transaction. Whether
+    closed or crashed, the handle's buffer-pool pages are freed at once,
+    and a read through it raises {!Ode_util.Ode_error.Error} [Resource
+    "database is closed"]. *)
 
 val crash : t -> unit
 (** Simulate process death: release the file descriptors without

@@ -87,6 +87,7 @@ and peer = {
   mutable alive : bool;       (* false once lost (the idle queue and the
                                  poll slots hold stale references) *)
   mutable closing : bool;     (* close once [out] drains *)
+  mutable blocked : bool;     (* the last write got EAGAIN: wait for POLLOUT *)
   role : role;
 }
 
@@ -177,6 +178,7 @@ let peer fd rd role =
     last = Unix.gettimeofday ();
     alive = true;
     closing = false;
+    blocked = false;
     role;
   }
 
@@ -659,12 +661,15 @@ let write_out fd out pos scratch =
 
 (* Write a peer's backlog a chunk at a time while the socket takes whole
    chunks: an attempt that gets EAGAIN has copied one chunk, not the
-   backlog. *)
+   backlog, and leaves the peer [blocked] until poll reports it
+   writable. *)
 let rec flush t p =
   match write_out p.fd p.out p.out_pos t.write_buf with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> p.blocked <- true
+  | exception Unix.Unix_error (EINTR, _, _) -> ()
   | exception Unix.Unix_error (e, _, _) -> lose t p (Unix.error_message e)
   | n ->
+      p.blocked <- false;
       (match p.role with Scraper _ -> () | _ -> Stats.add c_server_bytes_out n);
       p.out_pos <- p.out_pos + n;
       if p.out_pos = Buffer.length p.out then begin
@@ -744,13 +749,19 @@ let read_phase t phase =
       | _ -> ()
   done
 
-(* The standbys this tick's poll found readable, taken before [gather]
-   re-polls the set. *)
-let ready_standbys t =
+(* What this tick's poll found, taken before [gather] re-polls the set:
+   the standbys it found readable, returned, and the peers it found
+   writable, unblocked (an error or hang-up counts as both, so the next
+   write surfaces it). *)
+let note_ready t =
   let ready = ref [] in
   for i = 0 to Poll.length t.pset - 1 do
-    if Poll.is_readable (Poll.revents t.pset i) then
-      match t.slots.(i) with Peer ({ role = Standby _; _ } as p) -> ready := p :: !ready | _ -> ()
+    let ev = Poll.revents t.pset i in
+    match t.slots.(i) with
+    | Peer p ->
+        if Poll.is_writable ev then p.blocked <- false;
+        if Poll.is_readable ev then (match p.role with Standby _ -> ready := p :: !ready | _ -> ())
+    | _ -> ()
   done;
   !ready
 
@@ -793,7 +804,7 @@ let one_iteration t =
   (* Listeners and the upstream first: accepts and shipped batches applied
      this tick are visible to everything below. *)
   read_phase t `First;
-  let acks = ready_standbys t in
+  let acks = note_ready t in
   (* Client reads: feed frame readers, execute complete requests. *)
   read_phase t `Clients;
   gather t gather_rounds;
@@ -806,14 +817,15 @@ let one_iteration t =
      are already queued on the standbys. *)
   ack_deferred t;
   (* Write phase, opportunistic: attempt every pending buffer rather than
-     only poll's writable set — sockets are rarely full, EAGAIN costs one
-     syscall, and batches/acks/replies produced *this* tick get out without
-     waiting a poll round. Gated replies stay put. *)
+     only poll's writable set — sockets are rarely full, and batches, acks
+     and replies produced *this* tick get out without waiting a poll
+     round. A peer whose last attempt got EAGAIN waits for poll to report
+     it writable instead. Gated replies stay put. *)
   iter_peers t (fun p ->
       if p.alive then
         match p.role with
         | Standby _ when pending p > downstream_out_cap -> lose t p "backlog over the cut-off"
-        | _ -> if want_write t p then flush t p);
+        | _ -> if want_write t p && not p.blocked then flush t p);
   sweep_scrapers t now;
   update_gauges t
 

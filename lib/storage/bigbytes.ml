@@ -35,6 +35,7 @@ external c_pread : Unix.file_descr -> t -> int -> int -> int -> int = "ode_bigby
 external c_pwrite : Unix.file_descr -> t -> int -> int -> int -> int = "ode_bigbytes_pwrite"
 [@@noalloc]
 
+external c_release : t -> unit = "ode_bigbytes_release" [@@noalloc]
 external error_of_code : int -> Unix.error = "ode_bigbytes_error_of_code"
 external get : t -> int -> char = "%caml_ba_ref_1"
 external set : t -> int -> char -> unit = "%caml_ba_set_1"
@@ -92,6 +93,8 @@ let fnv64_feed h b ~pos ~len =
     h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (unsafe_get b i)))) 0x100000001b3L
   done;
   !h
+
+let release = c_release
 
 let io name k = if k >= 0 then k else raise (Unix.Unix_error (error_of_code (-k), name, ""))
 

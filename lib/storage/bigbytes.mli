@@ -71,6 +71,13 @@ val blit : t -> int -> t -> int -> int -> unit
 
 val blit_from_string : string -> int -> t -> int -> int -> unit
 
+val release : t -> unit
+(** [release b] frees [b]'s bytes at once instead of when the GC finds
+    [b] unreachable, and leaves [b] of length 0: any bounds-checked access
+    to it afterwards raises [Invalid_argument]. Only for an array nothing
+    will read again; the buffer pool alone calls it, on the unpinned
+    frames of a pool whose database is closed. *)
+
 val fnv64_feed : int64 -> t -> pos:int -> len:int -> int64
 (** [fnv64_feed h b ~pos ~len] continues the FNV-1a hash [h] over [len]
     bytes at [pos], as {!Ode_util.Codec.fnv64_feed} does over a string. *)

@@ -9,6 +9,7 @@
  */
 
 #include <errno.h>
+#include <stdlib.h>
 #include <string.h>
 #include <unistd.h>
 #include <sys/types.h>
@@ -53,6 +54,22 @@ value ode_bigbytes_pwrite(value fd, value b, value pos, value len, value off)
 {
   ssize_t r = pwrite(Int_val(fd), Data(b) + Long_val(pos), Long_val(len), (off_t)Long_val(off));
   return Val_long(r < 0 ? -errno : r);
+}
+
+/* Free a managed array's bytes now rather than when the GC finalises it,
+ * and leave it of length 0 with no data, so every bounds-checked access
+ * to it raises and the finaliser's free(NULL) does nothing. An array that
+ * shares its bytes with another (a sub-array or a mapped file) is left
+ * alone; Bigbytes makes none. */
+value ode_bigbytes_release(value v)
+{
+  struct caml_ba_array *b = Caml_ba_array_val(v);
+  if ((b->flags & CAML_BA_MANAGED_MASK) == CAML_BA_MANAGED && b->proxy == NULL) {
+    free(b->data);
+    b->data = NULL;
+    b->dim[0] = 0;
+  }
+  return Val_unit;
 }
 
 /* Allocates: called only on the error path, to build the exception. */

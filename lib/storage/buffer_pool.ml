@@ -26,6 +26,7 @@ type t = {
   frames : (int, frame) Lru.t;
   mutable no_flush : int; (* open no-flush sections *)
   mutable pre_write : unit -> unit;
+  mutable released : bool; (* its database is closed: no page is read again *)
 }
 
 exception Pool_exhausted
@@ -34,7 +35,13 @@ let data f = f.buf
 let page_no f = f.no
 
 let create ?(capacity = 256) disk =
-  { disk; frames = Lru.create (max 1 capacity); no_flush = 0; pre_write = (fun () -> ()) }
+  {
+    disk;
+    frames = Lru.create (max 1 capacity);
+    no_flush = 0;
+    pre_write = (fun () -> ());
+    released = false;
+  }
 
 let set_pre_write t f = t.pre_write <- f
 let disk t = t.disk
@@ -96,6 +103,9 @@ let make_room t =
           match evict t (fun _ -> true) with Some _ as buf -> buf | None -> raise Pool_exhausted
         else None
 
+(* A released pool holds no frame, so every pin of it comes here. *)
+let check_open t = if t.released then Ode_util.Ode_error.fail Resource "database is closed"
+
 (* A hit allocates nothing: B+tree lookups pin a frame per level. *)
 let pin t n =
   match Lru.get t.frames n with
@@ -104,6 +114,7 @@ let pin t n =
       f.pins <- f.pins + 1;
       f
   | exception Not_found ->
+      check_open t;
       Ode_util.Stats.incr c_pool_misses;
       Ode_util.Trace.instant ~cat:"pool" "pool.miss";
       let buf =
@@ -133,6 +144,7 @@ let mark_dirty _t f = f.dirty <- true
    A crash before then leaves the file as the last flush did, and replay
    allocates the same page number again. *)
 let allocate t =
+  check_open t;
   let n, buf = Disk.allocate t.disk in
   ignore (make_room t);
   let f = { no = n; buf; pins = 1; dirty = true } in
@@ -178,7 +190,12 @@ let drop_cache t =
   done
 
 (* Forget every frame, dirty or not: for a pool whose disk is closed (a
-   closed or crashed database), so a handle still held after it keeps no
-   page buffer alive. A crash discards unflushed frames, as a process
-   death would. *)
-let release t = Lru.clear t.frames
+   closed or crashed database). A crash discards unflushed frames, as a
+   process death would. Each unpinned frame's page is freed now, not when
+   the GC gets to it, which is what [make_room] relies on too: nothing
+   reads an unpinned frame's bytes. A frame still pinned is in a caller's
+   hands and is left to the GC. *)
+let release t =
+  t.released <- true;
+  Lru.iter t.frames (fun _ f -> if f.pins = 0 then Bigbytes.release f.buf);
+  Lru.clear t.frames

@@ -19,8 +19,8 @@ val data : frame -> Page.t
 (** The frame's page, outside the OCaml heap: a pool of [n] resident
     frames holds [n] times {!Page.size} bytes of page memory, plus a few
     words of OCaml heap per frame. A frame evicted to make room lends its
-    page to the one that replaces it; the pages of a {!release}d pool are
-    freed by the GC once nothing refers to them. *)
+    page to the one that replaces it; {!release} frees the pages of a
+    closed database's pool at once. *)
 
 val page_no : frame -> int
 
@@ -43,7 +43,8 @@ val set_pre_write : t -> (unit -> unit) -> unit
 
 val pin : t -> int -> frame
 (** [pin t n] returns page [n], loading it if needed, and increments its pin
-    count. *)
+    count. Raises {!Ode_util.Ode_error.Error} [Resource "database is
+    closed"] on a {!release}d pool, as {!allocate} does. *)
 
 val unpin : t -> frame -> unit
 
@@ -77,5 +78,8 @@ val drop_cache : t -> unit
 
 val release : t -> unit
 (** Forget every frame, dirty or not, without writing any back: for a
-    pool whose disk has been closed, so that a closed or crashed database
-    handle holds no page memory. *)
+    pool whose disk has been closed. Every unpinned frame's page is freed
+    at once and reads length 0 after it (a frame still pinned keeps its
+    page until the GC collects it), so a closed or crashed database
+    handle holds no page memory. The pool stays released: a later {!pin}
+    or {!allocate} raises. *)

@@ -31,6 +31,18 @@ type sink =
   | File of file_sink
   | Memory of Buffer.t
 
+(* A growable byte buffer that, unlike [Buffer.t], can be written behind
+   its end: a frame's header is filled in once its body is encoded. *)
+type buf = { mutable b : bytes; mutable len : int }
+
+(* What a walk reads frames from: a log held in memory (a shipped batch,
+   a memory log), or a log file. *)
+type source = In_memory of string | Fd of Unix.file_descr
+
+(* What a walk has read of its source: the bytes [woff, woff + wlen), in
+   [wb]. *)
+type window = { mutable wb : bytes; mutable woff : int; mutable wlen : int }
+
 (* [pending_commits] counts Commit records appended since the last [sync]:
    the transactions whose durability is still deferred. Group commit rides on
    it — one sync acknowledges them all — and the accounting below turns each
@@ -44,17 +56,67 @@ type sink =
    sidecar (lost or crashed truncation) back to the true count. *)
 type t = {
   sink : sink;
-  pending : Buffer.t;
+  pending : buf; (* the frames appended since the last sync *)
+  mutable checked : int;
+      (* The log's first [checked] bytes are frames [open_file] hashed; a
+         walk does not hash them again. A truncation resets it. *)
   mutable pending_commits : int;
   mutable last_lsn : int;
   mutable durable_lsn : int;
   mutable base_lsn : int;
   lsn_path : string option;
   mutable on_sync : (data:string -> from_lsn:int -> to_lsn:int -> unit) option;
-  mutable opened : string;
-      (* The log as [open_file] read and checked it, held for the [replay]
-         that follows; [""] once replayed, reset or appended past. *)
 }
+
+(* -- buffers ---------------------------------------------------------------
+   The pending buffer keeps the capacity it grew to, so a commit allocates
+   nothing, up to [buf_cap]: a buffer grown past it is let go once the
+   batch that needed it is written. *)
+
+let buf_cap = 1 lsl 20
+let pending_initial = 4096
+
+(* A walk over the log reads this much of it at a time, or one frame if
+   that is larger. *)
+let read_ahead = 65536
+
+let new_buf n = { b = Bytes.create n; len = 0 }
+
+let reserve g n =
+  if g.len + n > Bytes.length g.b then begin
+    let cap = ref (max 64 (Bytes.length g.b)) in
+    while !cap < g.len + n do
+      cap := 2 * !cap
+    done;
+    let b = Bytes.create !cap in
+    Bytes.blit g.b 0 b 0 g.len;
+    g.b <- b
+  end
+
+(* Empty the pending buffer, letting it go if it grew past the cap. *)
+let clear_pending t =
+  t.pending.len <- 0;
+  if Bytes.length t.pending.b > buf_cap then t.pending.b <- Bytes.create pending_initial
+
+let add_char g c =
+  reserve g 1;
+  Bytes.set g.b g.len c;
+  g.len <- g.len + 1
+
+let add_varint g n =
+  reserve g Codec.max_varint_size;
+  g.len <- Codec.set_varint g.b g.len n
+
+let add_svarint g n =
+  reserve g Codec.max_varint_size;
+  g.len <- Codec.set_svarint g.b g.len n
+
+let add_substring g s pos len =
+  reserve g len;
+  Bytes.blit_string s pos g.b g.len len;
+  g.len <- g.len + len
+
+let add_string g s = add_substring g s 0 (String.length s)
 
 (* -- record codec --------------------------------------------------------
    Tags 1-5 were the per-operation layout of earlier builds. *)
@@ -62,34 +124,37 @@ type t = {
 let tag_commit = '\006'
 let tag_checkpoint = '\007'
 
-let put_bytes b s =
-  Codec.put_varint b (String.length s);
-  Codec.put_raw b s
+let add_bytes g s =
+  add_varint g (String.length s);
+  add_string g s
 
-let encode_record r =
-  let b = Buffer.create 64 in
-  (match r with
+let add_record g = function
   | Commit { trace; ts; writes } ->
-      Buffer.add_char b tag_commit;
-      Codec.put_svarint b trace;
-      Codec.put_varint b ts;
+      add_char g tag_commit;
+      add_svarint g trace;
+      add_varint g ts;
       List.iter
         (fun (key, op) ->
-          Codec.put_u8 b (match op with Put _ -> 1 | Del -> 0);
-          put_bytes b key;
-          match op with Put payload -> put_bytes b payload | Del -> ())
+          add_char g (match op with Put _ -> '\001' | Del -> '\000');
+          add_bytes g key;
+          match op with Put payload -> add_bytes g payload | Del -> ())
         writes
   | Checkpoint lsn ->
-      Buffer.add_char b tag_checkpoint;
-      Codec.put_varint b lsn);
-  Buffer.contents b
+      add_char g tag_checkpoint;
+      add_varint g lsn
+
+let encode_record r =
+  let g = new_buf 64 in
+  add_record g r;
+  Bytes.sub_string g.b 0 g.len
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
 
 (* The record in [s]'s bytes [pos, stop), which it must fill exactly: a
    Commit's operations run to the end of its frame, their keys strictly
-   ascending from a non-empty first. *)
-let decode_at s ~pos ~stop =
+   ascending from a non-empty first. Errors give offsets in the log, of
+   whose bytes [s]'s first is byte [base]. *)
+let decode_at ?(base = 0) s ~pos ~stop =
   let c = Codec.cursor ~pos ~stop s in
   let get_bytes () = Codec.get_raw c (Codec.get_varint c) in
   let tag = Char.chr (Codec.get_u8 c) in
@@ -102,7 +167,7 @@ let decode_at s ~pos ~stop =
         let at = Codec.pos c in
         let op = Codec.get_u8 c in
         let key = get_bytes () in
-        if op > 1 || String.compare key prev <= 0 then corrupt "wal: bad operation at %d" at;
+        if op > 1 || String.compare key prev <= 0 then corrupt "wal: bad operation at %d" (base + at);
         ops key ((key, if op = 1 then Put (get_bytes ()) else Del) :: acc)
     in
     Commit { trace; ts; writes = ops "" [] }
@@ -110,73 +175,50 @@ let decode_at s ~pos ~stop =
   else if tag = tag_checkpoint then begin
     let lsn = Codec.get_varint c in
     if not (Codec.at_end c) then
-      corrupt "wal: record at %d ends at %d, its frame at %d" pos (Codec.pos c) stop;
+      corrupt "wal: record at %d ends at %d, its frame at %d" (base + pos) (base + Codec.pos c)
+        (base + stop);
     Checkpoint lsn
   end
-  else corrupt "wal: bad tag %d at %d" (Char.code tag) pos
+  else corrupt "wal: bad tag %d at %d" (Char.code tag) (base + pos)
 
 let decode_record s = decode_at s ~pos:0 ~stop:(String.length s)
 
 (* -- framing -------------------------------------------------------------
-   Frames are checked and decoded where they lie in the buffer the log was
+   A frame is written in place: its header is reserved, its body encoded
+   behind it, and then the body's length and checksum are filled in.
+   Frames are checked and decoded where they lie in the bytes they were
    read into: no frame body is copied, and hashing allocates nothing. *)
 
 let frame_header = 12
 
-let add_frame b body =
-  Codec.put_u32 b (String.length body);
-  Codec.put_i64 b (Codec.fnv64 body);
-  Codec.put_raw b body
+let add_frame g encode x =
+  let at = g.len in
+  reserve g frame_header;
+  g.len <- at + frame_header;
+  encode g x;
+  let blen = g.len - at - frame_header in
+  Bytes.set_int32_le g.b at (Int32.of_int blen);
+  Bytes.set_int64_le g.b (at + 4)
+    (Codec.fnv64_sub (Bytes.unsafe_to_string g.b) ~pos:(at + frame_header) ~len:blen)
 
 let frame body =
-  let b = Buffer.create (String.length body + frame_header) in
-  add_frame b body;
-  Buffer.contents b
+  let g = new_buf (String.length body + frame_header) in
+  add_frame g add_string body;
+  Bytes.sub_string g.b 0 g.len
 
-(* The end of the frame at [off] of [s], or -1 when it is torn (runs past
-   the end of [s]) or fails its checksum. Its body starts at
-   [off + frame_header]. *)
-let frame_end s off =
-  if off + frame_header > String.length s then -1
-  else
-    let blen = Int32.to_int (String.get_int32_le s off) land 0xffff_ffff in
-    let body = off + frame_header in
-    if blen > String.length s - body then -1
-    else if Int64.equal (String.get_int64_le s (off + 4)) (Codec.fnv64_sub s ~pos:body ~len:blen)
-    then body + blen
-    else -1
-
-(* The end of the frame at [off] of a log every frame of which was
-   checked already, or -1 at its end. *)
-let checked_end s off =
-  if off >= String.length s then -1
-  else off + frame_header + (Int32.to_int (String.get_int32_le s off) land 0xffff_ffff)
-
-(* Walk the frames of [s] from [off] on, as long as [next] finds the
-   frame's end, calling [f] on each one's decoded record; returns the
-   offset past the last. *)
-let rec frames next s off f =
-  let stop = next s off in
-  if stop < 0 then off
-  else begin
-    f (decode_at s ~pos:(off + frame_header) ~stop);
-    frames next s stop f
-  end
-
-(* Scan intact frames from [contents], calling [f] on each decoded record;
-   returns the byte offset just past the last intact frame. *)
-let scan contents f = frames frame_end contents 0 f
+(* Whether the frame at [off] of [s], whose [blen]-byte body [s] holds,
+   passes its checksum. *)
+let checksum_ok s off blen =
+  Int64.equal (String.get_int64_le s (off + 4)) (Codec.fnv64_sub s ~pos:(off + frame_header) ~len:blen)
 
 (* The LSN after the record in [s]'s bytes [pos, stop), starting from
    [lsn]: a Commit counts up, known by its tag alone; a Checkpoint restores
    the exact value it recorded, which reconciles replay over records a lost
    truncation left behind (they were already counted before the checkpoint
    was taken). Any other tag is refused. *)
-let lsn_after s ~pos ~stop lsn =
+let lsn_after ?base s ~pos ~stop lsn =
   if pos < stop && s.[pos] = tag_commit then lsn + 1
-  else match decode_at s ~pos ~stop with Checkpoint l -> l | Commit _ -> lsn + 1
-
-(* -- construction --------------------------------------------------------- *)
+  else match decode_at ?base s ~pos ~stop with Checkpoint l -> l | Commit _ -> lsn + 1
 
 let rec retry f =
   match f () with
@@ -184,19 +226,6 @@ let rec retry f =
   | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) ->
       Stats.incr c_io_retries;
       retry f
-
-let read_all fd =
-  let len = (Unix.fstat fd).Unix.st_size in
-  let buf = Bytes.create len in
-  ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-  let rec fill pos =
-    if pos < len then
-      let k = retry (fun () -> Unix.read fd buf pos (len - pos)) in
-      if k = 0 then pos else fill (pos + k)
-    else pos
-  in
-  let got = fill 0 in
-  if got = len then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 got
 
 (* The base-LSN sidecar: a tiny text file beside the log holding the LSN of
    the last commit the latest truncation discarded. Written and fsynced
@@ -221,42 +250,103 @@ let write_base_lsn path lsn =
   Unix.close fd;
   Unix.rename tmp path
 
-(* One read of the log and one pass over it, which checks every frame and
-   finds both where the intact frames end and the LSN they advance to. The
-   log stays in memory, checked, for the [replay] that recovery runs
-   next. *)
-let attach_file fd path =
-  let log = read_all fd in
-  let lsn_path = path ^ ".lsn" in
-  let base = read_base_lsn lsn_path in
-  let lsn = ref base in
-  let rec go off =
-    let stop = frame_end log off in
-    if stop < 0 then off
-    else begin
-      lsn := lsn_after log ~pos:(off + frame_header) ~stop !lsn;
-      go stop
-    end
+(* -- reading the log -------------------------------------------------------
+   [open_file], [replay] and [tail_from] walk the log a frame at a time
+   through one window of it, refilled at the frame the walk has reached
+   whenever that frame is not in it: the window holds [read_ahead] bytes
+   of the log, or one frame, never the whole log, and lives only as long
+   as the walk. A log in memory is its own window. *)
+
+let rec read_fully fd b pos len =
+  if len = 0 then pos
+  else
+    match retry (fun () -> Unix.read fd b pos len) with
+    | 0 -> pos
+    | k -> read_fully fd b (pos + k) (len - k)
+
+(* Bring the source's bytes [off, off + n) into the window [w]: false
+   when the source, [size] bytes long, ends before them. *)
+let fill src w ~size ~off ~n =
+  (off >= w.woff && off + n <= w.woff + w.wlen)
+  || off + n <= size
+     &&
+     match src with
+     | In_memory _ -> false
+     | Fd fd ->
+         if n > Bytes.length w.wb then w.wb <- Bytes.create n;
+         ignore (Unix.lseek fd off Unix.SEEK_SET);
+         w.woff <- off;
+         w.wlen <- read_fully fd w.wb 0 (min (Bytes.length w.wb) (size - off));
+         w.wlen >= n
+
+(* Walk the intact frames of [src] from its start, calling
+   [f ~base s ~pos ~stop] on each: the frame's body is [s]'s bytes
+   [pos, stop), valid only until [f] returns, and [s]'s first byte is the
+   source's byte [base]. A frame that ends within the first [checked]
+   bytes, checked before, is not hashed again. Returns the offset past the
+   last intact frame: the walk stops at the first torn frame or bad
+   checksum. *)
+let walk ?(checked = 0) src f =
+  let size, w =
+    match src with
+    | In_memory s -> (String.length s, { wb = Bytes.unsafe_of_string s; woff = 0; wlen = String.length s })
+    | Fd fd ->
+        let size = (Unix.fstat fd).st_size in
+        (size, { wb = Bytes.create (min size read_ahead); woff = 0; wlen = 0 })
   in
-  let intact = go 0 in
-  (* Drop any torn tail so future appends start at a clean boundary. *)
-  if intact < String.length log then begin
-    Stats.add c_wal_torn_bytes (String.length log - intact);
+  let rec go off =
+    if not (fill src w ~size ~off ~n:frame_header) then off
+    else
+      let blen = Int32.to_int (Bytes.get_int32_le w.wb (off - w.woff)) land 0xffff_ffff in
+      let stop = off + frame_header + blen in
+      if blen > size - off - frame_header || not (fill src w ~size ~off ~n:(frame_header + blen)) then off
+      else
+        let s = Bytes.unsafe_to_string w.wb and at = off - w.woff in
+        if stop > checked && not (checksum_ok s at blen) then off
+        else begin
+          f ~base:w.woff s ~pos:(at + frame_header) ~stop:(at + frame_header + blen);
+          go stop
+        end
+  in
+  go 0
+
+let scan contents f = walk (In_memory contents) (fun ~base:_ s ~pos ~stop -> f (decode_at s ~pos ~stop))
+
+let source t = match t.sink with Memory b -> In_memory (Buffer.contents b) | File f -> Fd f.fd
+let walk_log t f = walk ~checked:t.checked (source t) f
+
+(* -- construction --------------------------------------------------------- *)
+
+let create sink lsn_path base =
+  {
+    sink;
+    pending = new_buf pending_initial;
+    checked = 0;
+    pending_commits = 0;
+    last_lsn = base;
+    durable_lsn = base;
+    base_lsn = base;
+    lsn_path;
+    on_sync = None;
+  }
+
+(* One pass over the log, which checks every frame and finds both where
+   the intact frames end and the LSN they advance to. A torn tail is cut
+   off, so appends start at a clean boundary. *)
+let attach_file fd path =
+  let lsn_path = path ^ ".lsn" in
+  let f = { fd; wpos = 0 } in
+  let t = create (File f) (Some lsn_path) (read_base_lsn lsn_path) in
+  let size = (Unix.fstat fd).st_size in
+  let intact = walk_log t (fun ~base s ~pos ~stop -> t.last_lsn <- lsn_after ~base s ~pos ~stop t.last_lsn) in
+  if intact < size then begin
+    Stats.add c_wal_torn_bytes (size - intact);
     Unix.ftruncate fd intact
   end;
-  ignore (Unix.lseek fd intact Unix.SEEK_SET);
-  let lsn = !lsn in
-  {
-    sink = File { fd; wpos = intact };
-    pending = Buffer.create 4096;
-    pending_commits = 0;
-    last_lsn = lsn;
-    durable_lsn = lsn;
-    base_lsn = base;
-    lsn_path = Some lsn_path;
-    on_sync = None;
-    opened = (if intact = String.length log then log else String.sub log 0 intact);
-  }
+  f.wpos <- intact;
+  t.checked <- intact;
+  t.durable_lsn <- t.last_lsn;
+  t
 
 (* A log refused at open (an older layout) leaves no descriptor open. *)
 let open_file path =
@@ -267,18 +357,7 @@ let open_file path =
       Unix.close fd;
       raise e
 
-let in_memory () =
-  {
-    sink = Memory (Buffer.create 4096);
-    pending = Buffer.create 4096;
-    pending_commits = 0;
-    last_lsn = 0;
-    durable_lsn = 0;
-    base_lsn = 0;
-    lsn_path = None;
-    on_sync = None;
-    opened = "";
-  }
+let in_memory () = create (Memory (Buffer.create 4096)) None 0
 
 let count_commit t =
   Stats.incr c_wal_appends;
@@ -288,22 +367,17 @@ let count_commit t =
 let append t r =
   Ode_util.Trace.instant ~cat:"wal" "wal.append";
   (match r with Commit _ -> count_commit t | Checkpoint _ -> Stats.incr c_wal_appends);
-  add_frame t.pending (encode_record r)
+  add_frame t.pending add_record r
 
-(* The frames were checked and decoded by [scan], so each one's tag is
-   there to read; a Commit frame is copied as it stands, one [append]. *)
+(* The frames were checked and decoded by [scan], so they are not hashed
+   again; a Commit frame is copied as it stands, one [append]. *)
 let append_commits t s =
-  let rec go off =
-    let stop = checked_end s off in
-    if stop >= 0 then begin
-      if s.[off + frame_header] = tag_commit then begin
-        count_commit t;
-        Buffer.add_substring t.pending s off (stop - off)
-      end;
-      go stop
-    end
-  in
-  go 0
+  ignore
+    (walk ~checked:(String.length s) (In_memory s) (fun ~base:_ s ~pos ~stop ->
+         if s.[pos] = tag_commit then begin
+           count_commit t;
+           add_substring t.pending s (pos - frame_header) (stop - pos + frame_header)
+         end))
 
 let pending_commits t = t.pending_commits
 let last_lsn t = t.last_lsn
@@ -321,11 +395,11 @@ let write_fully fd bytes pos len =
   in
   go pos len
 
-(* Append [bytes] at the write cursor, interpreting an armed wal.sync fault:
-   a short or bit-flipped batch models a torn log tail (then dies); a skipped
-   batch models a lying disk that acks without persisting (and lives on). *)
-let faulted_append f bytes =
-  let len = Bytes.length bytes in
+(* Append the pending batch at the write cursor, interpreting an armed
+   wal.sync fault: a short or bit-flipped batch models a torn log tail
+   (then dies); a skipped batch models a lying disk that acks without
+   persisting (and lives on). *)
+let faulted_append f { b = bytes; len } =
   ignore (Unix.lseek f.fd f.wpos Unix.SEEK_SET);
   match Failpoint.hit fp_sync with
   | None ->
@@ -354,22 +428,27 @@ let sync t =
   Stats.incr c_wal_syncs;
   Ode_util.Histogram.time h_sync (fun () ->
       Ode_util.Trace.with_span ~cat:"wal" "wal.sync" (fun () ->
-          (* One copy of the batch: the write takes the bytes, and the
-             observer gets them as a string once the write has succeeded
-             (only a bit-flip fault alters them, and it crashes first). *)
-          let bytes = Buffer.to_bytes t.pending in
-          Buffer.clear t.pending;
-          let len = Bytes.length bytes in
-          if len > 0 then t.opened <- "";
-          (match t.sink with
-          | Memory b -> Buffer.add_bytes b bytes
-          | File f -> (
-              if len > 0 then faulted_append f bytes;
-              match Failpoint.hit fp_fsync with
-              | Some Failpoint.Skip_effect -> ()
-              | Some Failpoint.Crash_site -> Failpoint.crash fp_fsync
-              | Some _ -> Failpoint.crash fp_fsync
-              | None -> Unix.fsync f.fd));
+          (* The batch is written from the pending buffer itself; only
+             an observer gets a copy, once the write has succeeded (only
+             a bit-flip fault alters the bytes, and it crashes first). A
+             batch whose write fails is dropped, as a written one is. *)
+          let batch = t.pending in
+          let len = batch.len in
+          (match
+             match t.sink with
+             | Memory b -> Buffer.add_subbytes b batch.b 0 len
+             | File f -> (
+                 if len > 0 then faulted_append f batch;
+                 match Failpoint.hit fp_fsync with
+                 | Some Failpoint.Skip_effect -> ()
+                 | Some Failpoint.Crash_site -> Failpoint.crash fp_fsync
+                 | Some _ -> Failpoint.crash fp_fsync
+                 | None -> Unix.fsync f.fd)
+           with
+          | () -> ()
+          | exception e ->
+              clear_pending t;
+              raise e);
           (* Only after the barrier held: the batch is durable, every pending
              commit is acknowledged by this one fsync. *)
           if t.pending_commits > 0 then begin
@@ -381,27 +460,15 @@ let sync t =
           t.durable_lsn <- t.last_lsn;
           (* Ship the batch only now that it is durable here: a replica can
              never hold records its primary could still lose. *)
+          let data =
+            match t.on_sync with Some _ when len > 0 -> Bytes.sub_string batch.b 0 len | _ -> ""
+          in
+          clear_pending t;
           match t.on_sync with
-          | Some notify when len > 0 ->
-              notify ~data:(Bytes.unsafe_to_string bytes) ~from_lsn ~to_lsn:t.durable_lsn
+          | Some notify when len > 0 -> notify ~data ~from_lsn ~to_lsn:t.durable_lsn
           | _ -> ()))
 
-let contents t =
-  match t.sink with
-  | Memory b -> Buffer.contents b
-  | File f -> read_all f.fd
-
-(* The log [open_file] read and checked is still the whole file until a
-   sync writes past it or a reset truncates it: replay decodes it where it
-   lies, hashing nothing again, and lets it go. Otherwise the file is read
-   and checked again. *)
-let replay t f =
-  let opened = t.opened in
-  t.opened <- "";
-  match t.sink with
-  | File fs when opened <> "" && fs.wpos = String.length opened ->
-      ignore (frames checked_end opened 0 f)
-  | _ -> ignore (scan (contents t) f)
+let replay t f = ignore (walk_log t (fun ~base s ~pos ~stop -> f (decode_at ~base s ~pos ~stop)))
 
 (* The raw frames of everything after [lsn]: what a replica that has applied
    up to [lsn] still needs. [None] when the log no longer reaches back that
@@ -410,34 +477,34 @@ let replay t f =
 let tail_from t ~lsn =
   if lsn < t.base_lsn || lsn > t.durable_lsn then None
   else begin
-    let contents = contents t in
-    let len = String.length contents in
     (* Count commits from the sidecar base. If a truncation was lost, the
        physical log still starts before the last checkpoint and this count
        transiently overshoots — detected when a Checkpoint record disagrees
        with the running count. Any cut found under the bad count is
        discarded; the Checkpoint record restores exactness from there on. *)
     let cut = ref (if lsn = t.base_lsn then Some 0 else None) in
-    let rec go off cur =
-      let stop = frame_end contents off in
-      if stop >= 0 then begin
-        let pos = off + frame_header in
-        let next = lsn_after contents ~pos ~stop cur in
-        let checkpoint = contents.[pos] = tag_checkpoint in
-        if checkpoint && next <> cur then cut := None;
-        if !cut = None && next = lsn then cut := Some stop;
-        go stop next
-      end
-    in
-    go 0 t.base_lsn;
+    let cur = ref t.base_lsn in
+    ignore
+      (walk_log t (fun ~base s ~pos ~stop ->
+           let next = lsn_after ~base s ~pos ~stop !cur in
+           if s.[pos] = tag_checkpoint && next <> !cur then cut := None;
+           if !cut = None && next = lsn then cut := Some (base + stop);
+           cur := next));
     match !cut with
-    | Some off -> Some (String.sub contents off (len - off))
     | None -> None
+    | Some off -> (
+        match t.sink with
+        | Memory b -> Some (Buffer.sub b off (Buffer.length b - off))
+        | File f ->
+            let len = (Unix.fstat f.fd).st_size - off in
+            let s = Bytes.create len in
+            ignore (Unix.lseek f.fd off Unix.SEEK_SET);
+            let got = read_fully f.fd s 0 len in
+            Some (if got = len then Bytes.unsafe_to_string s else Bytes.sub_string s 0 got))
   end
 
 let reset t =
-  Buffer.clear t.pending;
-  t.opened <- "";
+  clear_pending t;
   t.pending_commits <- 0;
   match t.sink with
   | Memory b ->
@@ -469,11 +536,12 @@ let reset t =
           | Some _ | None ->
               Unix.ftruncate f.fd 0;
               f.wpos <- 0;
+              t.checked <- 0;
               Unix.fsync f.fd;
               t.base_lsn <- t.durable_lsn))
 
 let size_bytes t =
   (match t.sink with Memory b -> Buffer.length b | File f -> f.wpos)
-  + Buffer.length t.pending
+  + t.pending.len
 
 let close t = match t.sink with Memory _ -> () | File f -> Unix.close f.fd

@@ -47,11 +47,13 @@ type t
 
 val open_file : string -> t
 (** Open or create a log file; the write cursor is positioned after the last
-    intact frame. Reads the [.lsn] sidecar, then reads the log once and
-    checks each frame's checksum in place in one pass, which also finds
-    the exact commit LSN. The checked log is kept for the {!replay} that
-    recovery runs next. Raises {!Ode_util.Codec.Corrupt} on an intact frame
-    of another kind, such as a log of an earlier layout. *)
+    intact frame. Reads the [.lsn] sidecar, then walks the log frame by
+    frame, checking each frame's checksum, which also finds the exact
+    commit LSN; the walk stops at the first frame that is torn or fails
+    its checksum, and cuts the file there. The log is read through one
+    reusable buffer of 64 KiB, or of one frame when that is larger, never whole. Raises
+    {!Ode_util.Codec.Corrupt} on an intact frame of another kind, such as a
+    log of an earlier layout. *)
 
 val in_memory : unit -> t
 
@@ -66,7 +68,10 @@ val append_commits : t -> string -> unit
     are not copied. *)
 
 val sync : t -> unit
-(** Flush buffered frames and fsync — the durability barrier. One sync
+(** Write the buffered frames and fsync — the durability barrier. The
+    frames are encoded in place into one pending buffer, which the write
+    takes as it stands and which keeps its capacity (up to 1 MiB) for the
+    next batch; only the {!set_on_sync} observer gets a copy. One sync
     acknowledges {e every} pending commit at once (group commit): the batch
     size lands in the [wal.group_size] histogram and the [wal_sync_saved]
     counter gains [batch - 1], the per-commit fsyncs the batch avoided.
@@ -96,17 +101,17 @@ val set_on_sync : t -> (data:string -> from_lsn:int -> to_lsn:int -> unit) optio
 
 val tail_from : t -> lsn:int -> string option
 (** The raw frames of everything after the [lsn]-th commit — what a replica
-    that has applied up to [lsn] still needs. [None] when the log no longer
+    that has applied up to [lsn] still needs, found by walking the log frame
+    by frame and read as one string. [None] when the log no longer
     reaches back that far (checkpointed away) or [lsn] exceeds
     {!durable_lsn}: ship a snapshot instead. *)
 
 val replay : t -> (record -> unit) -> unit
-(** Feed every intact record from the start of the log, in order. The
-    first replay after {!open_file}, with nothing synced in between,
-    decodes the log {!open_file} checked and then drops it; any other
-    reads the file again. Raises {!Ode_util.Codec.Corrupt} on a checksummed
-    record that does not decode or does not end exactly at its frame's
-    end. *)
+(** Feed every intact record from the start of the log, in order, reading
+    the file frame by frame as {!open_file} does. A frame {!open_file}
+    checked is not hashed again. Raises {!Ode_util.Codec.Corrupt} on a
+    checksummed record that does not decode or does not end exactly at its
+    frame's end. *)
 
 val reset : t -> unit
 (** Truncate the log to empty (used after a checkpoint). Persists

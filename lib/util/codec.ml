@@ -39,7 +39,25 @@ let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
 
 (* Zigzag: 0, -1, 1, -2, ... become 0, 1, 2, 3, ..., so every int fits in
    nine groups. *)
-let put_svarint b n = put_groups b ((n lsl 1) lxor (n asr 62))
+let zigzag n = (n lsl 1) lxor (n asr 62)
+let max_varint_size = 9
+let put_svarint b n = put_groups b (zigzag n)
+
+(* [put_groups] into [b] at [pos], returning the offset after. *)
+let rec set_groups b pos z =
+  if z land lnot 0x7f = 0 then begin
+    Bytes.set_uint8 b pos z;
+    pos + 1
+  end
+  else begin
+    Bytes.set_uint8 b pos (z land 0x7f lor 0x80);
+    set_groups b (pos + 1) (z lsr 7)
+  end
+
+let set_varint b pos n =
+  if n < 0 then invalid_arg "Codec.set_varint: negative" else set_groups b pos n
+
+let set_svarint b pos n = set_groups b pos (zigzag n)
 
 (* -- decoding ---------------------------------------------------------- *)
 

@@ -43,6 +43,18 @@ val put_svarint : Buffer.t -> int -> unit
 (** Any int, zigzag-mapped (0, -1, 1, -2, ... to 0, 1, 2, 3, ...) and
     then written in LEB128 groups: one byte from -64 to 63, at most nine. *)
 
+val max_varint_size : int
+(** The most bytes a varint or an svarint takes: nine. *)
+
+val set_varint : bytes -> int -> int -> int
+(** [set_varint b pos n] writes the bytes {!put_varint} appends for [n]
+    into [b] at [pos] and returns the offset after them: for a buffer
+    that is filled in place. Raises [Invalid_argument] on a negative [n]
+    or when [b] lacks the room. *)
+
+val set_svarint : bytes -> int -> int -> int
+(** {!put_svarint}'s bytes, written in place as {!set_varint}. *)
+
 (** {1 Decoding} *)
 
 type cursor

@@ -191,6 +191,24 @@ let orphans_swept_after_heap_first_crash () =
   Tutil.check_int "all rows" 50 (Db.with_txn db2 (fun _ -> Ode.Query.count db2 ~var:"x" ~cls:"acct" ()));
   Db.close db2
 
+(* Orphans on many heap pages: 400 records of some 220 bytes fill over 20
+   heap pages, all flushed before the directory. The sweep reclaims each
+   first copy, whatever page it is on, and no live record: Verify finds
+   no unreferenced heap record and every row reads back. *)
+let orphans_swept_across_pages () =
+  let dir = Tutil.temp_dir "rec" in
+  let db = setup dir in
+  fill db 400;
+  Ode_storage.Heap.flush db.Ode.Types.kv_heap;
+  let pages = Ode_storage.Heap.page_count db.Ode.Types.kv_heap in
+  if pages <= 20 then Alcotest.failf "400 records on %d heap pages" pages;
+  Db.crash db;
+  let db2, swept = stat "orphans_reclaimed" (fun () -> Db.open_ dir) in
+  Tutil.check_int "orphans reclaimed" 400 swept;
+  (match Ode.Verify.run db2 with Ok () -> () | Error ps -> Alcotest.fail (String.concat "; " ps));
+  Tutil.check_int "all rows" 400 (Db.with_txn db2 (fun _ -> Ode.Query.count db2 ~var:"x" ~cls:"acct" ()));
+  Db.close db2
+
 (* After a clean close the WAL is empty, so the open runs no orphan sweep.
    With a pool that holds the whole heap, the heap's attach scan misses
    once per page and the sweep would hit every page again; what the open
@@ -443,6 +461,7 @@ let suite =
       [
         Alcotest.test_case "orphans swept after a heap-first crash" `Quick
           orphans_swept_after_heap_first_crash;
+        Alcotest.test_case "orphans swept across heap pages" `Quick orphans_swept_across_pages;
         Alcotest.test_case "clean open skips the orphan sweep" `Quick clean_open_skips_sweep;
         Alcotest.test_case "clean close round-trip" `Quick survives_clean_close;
         Alcotest.test_case "crash without close" `Quick survives_crash_without_close;

@@ -139,6 +139,49 @@ let pool_allocate_reaches_file_at_flush () =
   Tutil.check_int "in the file after the flush" 1 (file_pages path);
   Disk.close d
 
+(* A closed or crashed database frees its frames at once: every page its
+   pools held reads length 0 after it, except a frame pinned across the
+   release, which keeps its page; and a read through the stale handle is
+   refused as a closed database, not attempted on a closed file. *)
+let pool_frees_frames_with_its_handle finish () =
+  let dir = Tutil.temp_dir "pool" in
+  let db = Ode.Database.open_ dir in
+  ignore (Ode.Database.define db "class acct { owner: string; balance: int; };");
+  Ode.Database.create_cluster db "acct";
+  Ode.Database.with_txn db (fun txn ->
+      for i = 1 to 200 do
+        ignore
+          (Ode.Database.pnew txn "acct"
+             [ ("owner", Ode_model.Value.Str (String.make 150 'o')); ("balance", Ode_model.Value.Int i) ])
+      done);
+  let pools =
+    Ode.Types.[ Heap.pool db.kv_heap; Ode_index.Bptree.pool db.kv_dir; Ode_index.Bptree.pool db.idx ]
+  in
+  let pages =
+    List.concat_map
+      (fun p ->
+        List.init (Pool.page_count p) (fun n ->
+            let f = Pool.pin p n in
+            Pool.unpin p f;
+            Pool.data f))
+      pools
+  in
+  Tutil.check_bool "several pages" true (List.length pages > 10);
+  let heap = List.hd pools in
+  let pinned = Pool.pin heap 1 in
+  finish db;
+  let freed = List.filter (fun b -> b != Pool.data pinned) pages in
+  List.iter (fun b -> Tutil.check_int "a released frame's length" 0 (Bigbytes.length b)) freed;
+  Tutil.check_int "the pinned frame keeps its page" Page.size (Bigbytes.length (Pool.data pinned));
+  (match Bigbytes.get (List.hd freed) 0 with
+  | _ -> Alcotest.fail "a released frame was read"
+  | exception Invalid_argument _ -> ());
+  Pool.unpin heap pinned;
+  match Ode.Kv.get db Ode.Keys.meta with
+  | _ -> Alcotest.fail "a read through the stale handle went through"
+  | exception Ode_util.Ode_error.Error { cls = Resource; msg } ->
+      Tutil.check_string "refused" "database is closed" msg
+
 (* A page out of range is refused by both backends, by name, before the
    batch writes anything. *)
 let disk_range_checks () =
@@ -342,23 +385,49 @@ let wal_roundtrip_file () =
   Tutil.check_bool "persisted" true (List.rev !got = wal_records);
   Wal.close w2
 
-(* A sync copies its batch once, into the bytes it writes (and would hand
-   an observer): 64 KiB of frames allocate at most 1.1 times that. *)
-let wal_sync_copies_once () =
+(* A sync writes its batch from the pending buffer, which keeps its
+   capacity: with no observer, syncing a 1 MiB batch allocates a few
+   words, where a copy of it would take 131,072. *)
+let wal_sync_allocates_o1 () =
   let dir = Tutil.temp_dir "wal" in
   let w = Wal.open_file (Filename.concat dir "wal.log") in
-  let size = 64 * 1024 in
-  Wal.append w (commit 1 [ ("k", Wal.Put (String.make size 'p')) ]);
-  (* Settle the heap first: a collection cycle that the append's large
-     blocks leave due would otherwise run inside the window, and
-     [Gc.allocated_bytes] over-reports across one. *)
-  Gc.full_major ();
-  let before = Gc.allocated_bytes () in
+  let batch () =
+    for i = 1 to 16 do
+      Wal.append w (commit i [ ("k", Wal.Put (String.make 65_000 'p')) ])
+    done
+  in
+  (* A first batch grows the buffer to its size, which it then keeps. *)
+  batch ();
   Wal.sync w;
-  let allocated = Gc.allocated_bytes () -. before in
+  batch ();
+  let size = Wal.size_bytes w in
+  let words = Tutil.allocated_words (fun () -> Wal.sync w) in
+  Tutil.check_int "the batch written" size (Wal.size_bytes w);
   Wal.close w;
-  if allocated > 1.1 *. float size then
-    Alcotest.failf "sync of a %d-byte batch allocated %.0f bytes" size allocated
+  if words > 256. then Alcotest.failf "sync of a %d-byte batch allocated %.0f words" (size / 2) words
+
+(* The log is read frame by frame through one buffer, never whole: an
+   open of a 4 MiB log of 64 KiB frames allocates under 32k words, where
+   reading it into one string takes 524,288. *)
+let wal_open_reads_frame_by_frame () =
+  let path = Filename.concat (Tutil.temp_dir "wal") "wal.log" in
+  let w = Wal.open_file path in
+  for i = 1 to 64 do
+    Wal.append w (commit i [ ("k", Wal.Put (String.make (65_536 - 32) 'p')) ]);
+    Wal.sync w
+  done;
+  Wal.close w;
+  let size = (Unix.stat path).Unix.st_size in
+  if size < 4_190_000 then Alcotest.failf "a %d-byte log" size;
+  let w = ref None in
+  let words = Tutil.allocated_words (fun () -> w := Some (Wal.open_file path)) in
+  let w = Option.get !w in
+  Tutil.check_int "every commit counted" 64 (Wal.last_lsn w);
+  let n = ref 0 in
+  Wal.replay w (fun _ -> incr n);
+  Tutil.check_int "every commit replayed" 64 !n;
+  Wal.close w;
+  if words >= 32_768. then Alcotest.failf "open of a %d-byte log allocated %.0f words" size words
 
 let wal_torn_tail_ignored () =
   let dir = Tutil.temp_dir "wal" in
@@ -496,6 +565,130 @@ let wal_reset_clears_pending () =
   Tutil.check_int "pending before reset" 1 (Wal.pending_commits w);
   Wal.reset w;
   Tutil.check_int "reset discards pending" 0 (Wal.pending_commits w)
+
+(* -- the streamed log against a scan of the whole file ----------------------
+
+   Random logs, damaged: frames of commits (some over the 64 KiB read-ahead)
+   and checkpoints, a sidecar that a lost truncation left at a checkpoint's
+   LSN, torn tails and flipped bytes. [open_file], [replay] and [tail_from]
+   read the file frame by frame; the reference reads it whole and walks it
+   with [Wal.scan]. They must agree on the intact end, the LSN, the records
+   and every suffix, before and after one more synced commit. *)
+
+type wal_case = {
+  base : int; (* the LSN before the log's first frame *)
+  ops : [ `Commit of (string * Wal.op) list | `Checkpoint ] list;
+  sidecar : int; (* which LSN the sidecar holds: base or a checkpoint's *)
+  damage : [ `Cut of float | `Flip of float * int ] list;
+}
+
+let wal_case_gen =
+  let open QCheck.Gen in
+  let payload =
+    frequency [ (6, string_size ~gen:printable (0 -- 300)); (1, map (fun n -> String.make n 'p') (20_000 -- 70_000)) ]
+  in
+  let writes =
+    map
+      (fun kvs -> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) kvs)
+      (list_size (0 -- 3)
+         (pair (string_size ~gen:(char_range 'a' 'e') (1 -- 2)) (opt payload)))
+  in
+  let op =
+    frequency
+      [
+        (4, map (fun ws -> `Commit (List.map (fun (k, v) -> (k, match v with Some p -> Wal.Put p | None -> Wal.Del)) ws)) writes);
+        (1, return `Checkpoint);
+      ]
+  in
+  let damage = oneof [ map (fun f -> `Cut f) (float_bound_exclusive 1.); map2 (fun f b -> `Flip (f, b)) (float_bound_exclusive 1.) (0 -- 7) ] in
+  map
+    (fun (base, ops, sidecar, damage) -> { base; ops; sidecar; damage })
+    (quad (0 -- 5) (list_size (0 -- 12) op) nat (list_size (0 -- 2) damage))
+
+(* The case's log as written, and the LSN its sidecar holds. *)
+let wal_case_bytes c =
+  let b = Buffer.create 4096 in
+  let lsn = ref c.base and checkpoints = ref [ c.base ] in
+  List.iter
+    (function
+      | `Commit writes ->
+          incr lsn;
+          Buffer.add_string b (Wal.frame (Wal.encode_record (commit ~trace:!lsn !lsn writes)))
+      | `Checkpoint ->
+          checkpoints := !lsn :: !checkpoints;
+          Buffer.add_string b (Wal.frame (Wal.encode_record (Wal.Checkpoint !lsn))))
+    c.ops;
+  let s = Bytes.of_string (Buffer.contents b) in
+  let s =
+    List.fold_left
+      (fun s d ->
+        let len = Bytes.length s in
+        match d with
+        | `Cut f -> Bytes.sub s 0 (int_of_float (f *. float len))
+        | `Flip (f, bit) ->
+            if len > 0 then begin
+              let i = int_of_float (f *. float len) in
+              Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor (1 lsl bit)))
+            end;
+            s)
+      s c.damage
+  in
+  (Bytes.to_string s, List.nth !checkpoints (c.sidecar mod List.length !checkpoints))
+
+(* What [Wal.scan] over the whole log [s] finds, from the sidecar's LSN
+   [base]: the intact end, the LSN, the records, and the suffix after each
+   LSN the log still reaches. *)
+let wal_reference s base =
+  let recs = ref [] in
+  let intact = Wal.scan s (fun r -> recs := r :: !recs) in
+  let records = List.rev !recs in
+  let step cur = function Wal.Commit _ -> cur + 1 | Wal.Checkpoint l -> l in
+  let lsn = List.fold_left step base records in
+  let tail n =
+    if n < base || n > lsn then None
+    else
+      let cut = ref (if n = base then Some 0 else None) in
+      ignore
+        (List.fold_left
+           (fun (cur, off) r ->
+              let next = step cur r and fend = off + String.length (Wal.frame (Wal.encode_record r)) in
+              (match r with Wal.Checkpoint _ when next <> cur -> cut := None | _ -> ());
+              if !cut = None && next = n then cut := Some fend;
+              (next, fend))
+           (base, 0) records);
+      Option.map (fun off -> String.sub s off (intact - off)) !cut
+  in
+  (intact, lsn, records, tail)
+
+let wal_agrees path w sidecar =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  let intact, lsn, records, tail = wal_reference s sidecar in
+  let got = ref [] in
+  Wal.replay w (fun r -> got := r :: !got);
+  Wal.size_bytes w = intact
+  && Wal.last_lsn w = lsn
+  && Wal.base_lsn w = sidecar
+  && List.rev !got = records
+  &&
+  let lo = min sidecar lsn - 1 and hi = max sidecar lsn + 1 in
+  List.for_all (fun n -> Wal.tail_from w ~lsn:n = tail n) (List.init (hi - lo + 1) (fun i -> lo + i))
+
+let prop_wal_streamed_matches_scan =
+  QCheck.Test.make ~name:"streamed log matches a whole-file scan" ~count:150
+    (QCheck.make wal_case_gen) (fun c ->
+      let path = Filename.concat (Tutil.temp_dir "walp") "wal.log" in
+      let bytes, sidecar = wal_case_bytes c in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+      Out_channel.with_open_bin (path ^ ".lsn") (fun oc -> Printf.fprintf oc "%d\n" sidecar);
+      let w = Wal.open_file path in
+      Fun.protect ~finally:(fun () -> Wal.close w) (fun () ->
+          let intact, _, _, _ = wal_reference bytes sidecar in
+          (Unix.stat path).Unix.st_size = intact
+          && wal_agrees path w sidecar
+          &&
+          (Wal.append w (commit (Wal.last_lsn w + 1) [ ("z", Wal.Put (String.make 70_000 'z')) ]);
+           Wal.sync w;
+           wal_agrees path w sidecar)))
 
 (* -- heap ------------------------------------------------------------------ *)
 
@@ -654,13 +847,18 @@ let suite =
         Alcotest.test_case "resident frames off the OCaml heap" `Quick pool_frames_off_heap;
         Alcotest.test_case "allocated pages reach the file at flush" `Quick
           pool_allocate_reaches_file_at_flush;
+        Alcotest.test_case "a crash frees the frames" `Quick
+          (pool_frees_frames_with_its_handle Ode.Database.crash);
+        Alcotest.test_case "a close frees the frames" `Quick
+          (pool_frees_frames_with_its_handle Ode.Database.close);
       ] );
     ( "wal",
       [
         Alcotest.test_case "memory roundtrip" `Quick wal_roundtrip_memory;
         Alcotest.test_case "file roundtrip" `Quick wal_roundtrip_file;
         Alcotest.test_case "torn tail ignored" `Quick wal_torn_tail_ignored;
-        Alcotest.test_case "sync copies its batch once" `Quick wal_sync_copies_once;
+        Alcotest.test_case "sync allocates O(1) words" `Quick wal_sync_allocates_o1;
+        Alcotest.test_case "open reads frame by frame" `Quick wal_open_reads_frame_by_frame;
         Alcotest.test_case "short commit record is corrupt" `Quick wal_short_commit_corrupt;
         Alcotest.test_case "record fills its frame" `Quick wal_record_fills_its_frame;
         Alcotest.test_case "operations in key order" `Quick wal_ops_in_key_order;
@@ -680,4 +878,5 @@ let suite =
         Alcotest.test_case "a malformed page is reported, not reset" `Quick heap_bad_page_reported;
       ] );
     Tutil.qsuite "heap.props" [ prop_heap_model ];
+    Tutil.qsuite "wal.props" [ prop_wal_streamed_matches_scan ];
   ]

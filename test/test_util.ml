@@ -102,6 +102,50 @@ let prng_float_range () =
     Tutil.check_bool "in range" true (v >= 0.0 && v < 2.5)
   done
 
+(* The first 1,000 draws of [int], [float] and [string] for seeds 0, 1 and
+   7, each from a fresh generator, as MD5 digests of their printed values:
+   workloads, torture runs and fuzz inputs are all derived from these
+   streams, so a change to any of them changes every seeded input. *)
+let prng_golden_stream seed =
+  let b = Buffer.create 65536 in
+  let r = Prng.create seed in
+  for _ = 1 to 1000 do
+    Printf.bprintf b "%d," (Prng.int r max_int)
+  done;
+  let r = Prng.create seed in
+  for _ = 1 to 1000 do
+    Printf.bprintf b "%h," (Prng.float r 1.0)
+  done;
+  let r = Prng.create seed in
+  for i = 1 to 1000 do
+    Printf.bprintf b "%s," (Prng.string r (i mod 13))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let prng_golden () =
+  let r = Prng.create 1 in
+  Tutil.check_int "first int of seed 1" 2612804094800205616 (Prng.int r max_int);
+  List.iter
+    (fun (seed, digest) ->
+      Alcotest.(check string) (Printf.sprintf "seed %d" seed) digest (prng_golden_stream seed))
+    [ (0, "60e9ef6a3685a6bbf678e439230767e2"); (1, "03e50aa869309680329c456adea464aa"); (7, "3b640b84017bc56b90b7b78204fe1a61") ]
+
+(* A draw boxes nothing: an int or a bool allocates no word, and a string
+   only itself (a 200-byte string is 27 words). *)
+let prng_allocates_nothing () =
+  let r = Prng.create 5 in
+  let sum = ref 0 in
+  let ints = Tutil.allocated_words (fun () -> for _ = 1 to 10_000 do sum := !sum + Prng.int r 1000 done) in
+  let bools =
+    Tutil.allocated_words (fun () -> for _ = 1 to 10_000 do if Prng.bool r then incr sum done)
+  in
+  let s = ref "" in
+  let strings = Tutil.allocated_words (fun () -> for _ = 1 to 100 do s := Prng.string r 200 done) in
+  Tutil.check_bool "drew something" true (!sum > 0 && String.length !s = 200);
+  if ints > 0. then Alcotest.failf "10,000 Prng.int allocated %.0f words" ints;
+  if bools > 0. then Alcotest.failf "10,000 Prng.bool allocated %.0f words" bools;
+  if strings > 100. *. 28. then Alcotest.failf "100 Prng.string 200 allocated %.0f words" strings
+
 (* -- keys ------------------------------------------------------------- *)
 
 (* Naturals drawn across every width, from one byte to max_int. *)
@@ -184,6 +228,8 @@ let suite =
         Alcotest.test_case "int range" `Quick prng_int_range;
         Alcotest.test_case "shuffle permutes" `Quick prng_shuffle_permutes;
         Alcotest.test_case "float range" `Quick prng_float_range;
+        Alcotest.test_case "golden streams" `Quick prng_golden;
+        Alcotest.test_case "draws allocate nothing" `Quick prng_allocates_nothing;
       ] );
     ("keys", [ Alcotest.test_case "negative floats order" `Quick neg_float_order ]);
     Tutil.qsuite "keys.props"
