@@ -72,7 +72,7 @@ let slots_per_page = Ode_storage.Page.size / 4
 let live_rids db =
   let pages = Heap.page_count db.kv_heap in
   let bits = Bytes.make (((pages * slots_per_page) + 7) / 8) '\000' in
-  Kv.iter_rids db (fun { page; slot } ->
+  Kv.iter_rids db (fun page slot ->
       if page < pages && slot < slots_per_page then begin
         let i = (page * slots_per_page) + slot in
         Bytes.set_uint8 bits (i lsr 3) (Bytes.get_uint8 bits (i lsr 3) lor (1 lsl (i land 7)))

@@ -25,8 +25,8 @@
    Every field is self-delimiting, so each key kind has one forward
    parser below, and this module, [Key] and [Oid] are the only code that
    knows the layout. A valkey is a [Value.index_key]: a type byte, then
-   nothing (null), a bool byte, an 8-byte [Key.of_float], a
-   [Key.of_string] or an oid-key. *)
+   nothing (null), a bool byte, a [Key.of_number] (at most 17 bytes,
+   terminated), a [Key.of_string] or an oid-key. *)
 
 module Oid = Ode_model.Oid
 module Key = Ode_util.Key
@@ -100,7 +100,7 @@ let valkey_end k pos =
   match k.[pos] with
   | '\000' -> pos + 1
   | '\001' -> pos + 2
-  | '\002' -> pos + 9
+  | '\002' -> Key.number_end k (pos + 1)
   | '\003' -> Key.string_end k (pos + 1)
   | '\004' -> snd (Oid.of_key_at k (pos + 1))
   | c -> corrupt "keys: bad value type %d in index key %S" (Char.code c) k

@@ -59,15 +59,38 @@ let encode_entry = function
    [Bptree.find_with] and [Bptree.cursor_value] take. *)
 let is_inline b off len = len > 0 && Char.code (B.get b off) = tag_inline
 
-let rid_at b off len =
+(* The end of the varint at [pos] of [b], which must end by [lim],
+   checked as [Codec.get_varint] checks it: not truncated, in its
+   shortest form, and not past [max_int]. [p] is the byte read next,
+   [shift] its group's. *)
+let rec varint_end b pos lim p shift =
+  if p >= lim then raise (Codec.Corrupt (Printf.sprintf "kv: truncated rid varint at %d" pos));
+  let byte = Char.code (B.get b p) in
+  if shift = 56 && byte > 0x3f then
+    raise (Codec.Corrupt (Printf.sprintf "kv: rid varint at %d overflows" pos));
+  if byte >= 0x80 then varint_end b pos lim (p + 1) (shift + 7)
+  else if byte = 0 && shift > 0 then
+    raise (Codec.Corrupt (Printf.sprintf "kv: overlong rid varint at %d" pos))
+  else p + 1
+
+(* The value of the varint at [p], which [varint_end] has checked, with
+   [acc] its groups so far. *)
+let rec varint_at b p shift acc =
+  let byte = Char.code (B.get b p) in
+  let acc = acc lor ((byte land 0x7f) lsl shift) in
+  if byte < 0x80 then acc else varint_at b (p + 1) (shift + 7) acc
+
+(* [k page slot] for the rid in the value, decoded where it lies. *)
+let with_rid b off len k =
   if len = 0 then raise (Codec.Corrupt "kv: empty directory value");
   let tag = Char.code (B.get b off) in
   if tag <> tag_heap then raise (Codec.Corrupt (Printf.sprintf "kv: unknown directory value tag %d" tag));
-  let c = Codec.cursor (B.sub_string b (off + 1) (len - 1)) in
-  let page = Codec.get_varint c in
-  let slot = Codec.get_varint c in
-  if not (Codec.at_end c) then raise (Codec.Corrupt "kv: trailing bytes after a rid");
-  { Heap.page; slot }
+  let lim = off + len in
+  let slot_at = varint_end b (off + 1) lim (off + 1) 0 in
+  if varint_end b slot_at lim slot_at 0 <> lim then raise (Codec.Corrupt "kv: trailing bytes after a rid");
+  k (varint_at b (off + 1) 0 0) (varint_at b slot_at 0 0)
+
+let rid_at b off len = with_rid b off len (fun page slot -> { Heap.page; slot })
 
 let entry_at b off len =
   if is_inline b off len then Inline (B.sub_string b (off + 1) (len - 1)) else At (rid_at b off len)
@@ -214,10 +237,14 @@ let scan db prefix read f =
   in
   go ()
 
+(* A key-less walk of the whole directory: no key, option or rid is
+   built for an entry. *)
 let iter_rids db f =
-  scan db "" rid_of_value (fun _ rid ->
-      Option.iter f rid;
-      true)
+  let cur = Bptree.cursor db.kv_dir () in
+  let read b off len = if not (is_inline b off len) then with_rid b off len f in
+  while Bptree.cursor_step cur do
+    Bptree.cursor_value cur read
+  done
 
 let iter_prefix_entries db prefix f = scan db prefix entry_at f
 

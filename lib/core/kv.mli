@@ -72,9 +72,12 @@ val delete : db -> string -> unit
 (** Drops the key's entry, and frees its heap record if it has one and
     owns it. *)
 
-val iter_rids : db -> (Ode_storage.Heap.rid -> unit) -> unit
-(** Every rid held by an out-of-line directory entry, in key order: the
-    heap records the directory can reach (recovery's orphan sweep). *)
+val iter_rids : db -> (int -> int -> unit) -> unit
+(** [iter_rids db f] calls [f page slot] for every rid held by an
+    out-of-line directory entry, in key order: the heap records the
+    directory can reach (recovery's orphan sweep). It decodes each rid
+    where it lies in the cursor's copy of its leaf, and allocates nothing
+    per entry. *)
 
 val iter_prefix : db -> string -> (string -> string -> bool) -> unit
 (** [iter_prefix db p f] visits the committed entries whose key starts

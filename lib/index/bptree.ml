@@ -7,46 +7,56 @@ let c_cursor_pages_read = Ode_util.Stats.counter "cursor_pages_read"
 let c_leaf_writes = Ode_util.Stats.counter "bptree.leaf_writes"
 let c_splits = Ode_util.Stats.counter "bptree.splits"
 
-let magic = "ODEBPT02"
+let magic = "ODEBPT03"
 let max_entry = 1024
 
 (* The buffer pool is the only cache of nodes: every read searches the
    pinned frame in place, and every write edits it. *)
 type t = { pool : Pool.t; mutable root : int; mutable count : int }
 
-(* -- node layout (ODEBPT02) ---------------------------------------------------
+(* -- node layout (ODEBPT03) ---------------------------------------------------
    A node page is a slotted page. Its header:
 
      0  u8   kind: 0 leaf, 1 internal
      1  u16  entry count n
      3  u32  leaf: next leaf (0: none); internal: child 0
      7  u16  top: offset of the lowest entry byte
+     9  u16  plen: length of the node's key prefix
 
-   then n u16 slots, the entry offsets in key order. Entries fill
-   [top, node_end) from the end down, entry 0 highest and each entry
-   directly below the one before it, so a run of ascending inserts moves
-   no bytes:
+   then n u16 slots, the entry offsets in key order. The prefix itself is
+   the last [plen] bytes of the node, [node_end - plen, node_end). Entries
+   fill [top, node_end - plen) from there down, entry 0 highest and each
+   entry directly below the one before it, so a run of ascending inserts
+   moves no bytes:
 
-     leaf entry      varint klen | key | varint vlen | value
-     internal entry  varint klen | key | u32 child
+     leaf entry      varint slen | suffix | varint vlen | value
+     internal entry  varint slen | suffix | u32 child
+
+   An entry's key is the node's prefix followed by its suffix. The prefix
+   is the longest common prefix of the node's fences, the two separators
+   that bound it in the levels above (empty when either is open, on the
+   tree's outer edges). Every key routed to a node lies between its
+   fences and so starts with their common prefix, which is stored once
+   per node rather than once per entry, as in Bayer and Unterauer's
+   prefix B-trees. A node's fences change only when a split (or the
+   refill of a leaf beside an append) rewrites it, and the rewrite gives
+   each piece the prefix of the keys it was cut at.
 
    Internal child i+1 (the one in entry i) holds keys >= key i; child 0
    holds keys below key 0. Lengths are unsigned LEB128 varints in their
    shortest form, one byte under 128 (so a leaf entry costs 4 bytes beside
-   its key and value, slot included), two up to [max_entry]. The free gap
-   between the slots and [top] is all zero bytes, so a node's page bytes
-   are a function of its contents alone. All integers are little-endian.
-   The disk layer's checksum trailer lies past [node_end]. *)
+   its suffix and value, slot included), two up to [max_entry]. The free
+   gap between the slots and [top] is all zero bytes, so a node's page
+   bytes are a function of its contents and fences alone. All integers are
+   little-endian. The disk layer's checksum trailer lies past [node_end]. *)
 
 let kind_off = 0
 let count_off = 1
 let link_off = 3
 let top_off = 7
-let slots_off = 9
+let plen_off = 9
+let slots_off = 11
 let node_end = Ode_storage.Page.data_end
-
-(* What one node can hold beside its header: entries and their slots. *)
-let budget = node_end - slots_off
 
 (* No descent is deeper than this in a well-formed tree (each level at
    least halves the pages below it); past it a rotten child pointer has
@@ -68,29 +78,33 @@ let is_leaf b = B.get b kind_off = '\000'
 let count b = B.get_uint16_le b count_off
 let link b = get_u32 b link_off
 let top b = B.get_uint16_le b top_off
+let plen b = B.get_uint16_le b plen_off
 let slot b i = B.get_uint16_le b (slots_off + (2 * i))
 let set_slot b i off = B.set_uint16_le b (slots_off + (2 * i)) off
 let free b = top b - slots_off - (2 * count b)
 let vsize n = if n < 0x80 then 1 else 2
 
 (* The end of entry [p], where entry [p] would go were it inserted. *)
-let entry_end b p = if p = 0 then node_end else slot b (p - 1)
+let entry_end b p = if p = 0 then node_end - plen b else slot b (p - 1)
 
 (* A node's header, checked before anything else is read: the kind byte,
-   and slots that end at or before [top], which is inside the node. *)
+   slots that end at or before [top], and a prefix that starts at or
+   after it, inside the node. *)
 let check_header t b page =
   let k = Char.code (B.get b kind_off) in
   if k > 1 then corrupt "%s: page %d: bad node kind %d" (file t) page k;
   let top = top b in
   if slots_off + (2 * count b) > top || top > node_end then
-    corrupt "%s: page %d: %d slots and entry region at %d overlap" (file t) page (count b) top
+    corrupt "%s: page %d: %d slots and entry region at %d overlap" (file t) page (count b) top;
+  if top + plen b > node_end then
+    corrupt "%s: page %d: a %d-byte key prefix overlaps the entry region at %d" (file t) page (plen b) top
 
 (* -- reading entries in place -------------------------------------------------
    Entry fields are read from [b] at an offset found in a slot. Every length
    is checked against [lim], the end of the bytes the entry may use, so a
    rotten node raises [Codec.Corrupt] rather than read a neighbour's bytes
    or past the buffer. The same readers serve a page ([lim] = [node_end])
-   and a cursor's copy of one. Nothing here allocates. *)
+   and a cursor's copy of one. Nothing here allocates but [key_at]. *)
 
 (* The length field at [off], which with the bytes it counts must end by
    [lim]. The one-byte case, almost every key and value, is checked inline;
@@ -127,25 +141,41 @@ let put_len b off n =
     off + 2
   end
 
-(* The sign of [String.compare key] against the [len] bytes at [pos] of
-   [b], whose first [i] bytes match and whose first [n] (the shorter
+(* The sign of comparing [key]'s bytes [ko, kend) with the [len] bytes at
+   [pos] of [b], whose first [i] match and whose first [n] (the shorter
    length) are compared. Eight bytes at a time, as big-endian words
    compared unsigned, then byte by byte. The caller has checked
    [pos + len] against the node, so the unchecked reads are in bounds. *)
-let rec compare_from key b pos len i n =
+let rec compare_from key ko kend b pos len i n =
   if i + 8 <= n then
-    let x = String.get_int64_be key i and y = B.bswap64 (B.unsafe_get_int64_le b (pos + i)) in
-    if Int64.equal x y then compare_from key b pos len (i + 8) n
+    let x = String.get_int64_be key (ko + i) and y = B.bswap64 (B.unsafe_get_int64_le b (pos + i)) in
+    if Int64.equal x y then compare_from key ko kend b pos len (i + 8) n
     else compare (Int64.sub x Int64.min_int) (Int64.sub y Int64.min_int)
-  else if i = n then compare (String.length key) len
+  else if i = n then compare (kend - ko) len
   else
-    let c = Char.code (String.unsafe_get key i) - Char.code (B.unsafe_get b (pos + i)) in
-    if c <> 0 then c else compare_from key b pos len (i + 1) n
+    let c = Char.code (String.unsafe_get key (ko + i)) - Char.code (B.unsafe_get b (pos + i)) in
+    if c <> 0 then c else compare_from key ko kend b pos len (i + 1) n
 
-let compare_key key b off lim =
+(* How [key] stands against the prefix of the checked node [b]: 0 when it
+   starts with it, else the sign of comparing [key] with every key of the
+   node. *)
+let against_prefix key b =
+  let pl = plen b in
+  if pl = 0 then 0
+  else
+    let kend = if String.length key < pl then String.length key else pl in
+    compare_from key 0 kend b (node_end - pl) pl 0 kend
+
+(* [key], which starts with a node's [pl]-byte prefix, against the key of
+   the entry at [off]: the rest of [key] against the entry's suffix. *)
+let compare_key key pl b off lim =
   let len = len_at b off lim in
   let kl = String.length key in
-  compare_from key b (off + vsize len) len 0 (if kl < len then kl else len)
+  compare_from key pl kl b (off + vsize len) len 0 (if kl - pl < len then kl - pl else len)
+
+(* Any [key] against the key of the entry at [off] of the checked node [b]. *)
+let compare_full key b off =
+  match against_prefix key b with 0 -> compare_key key (plen b) b off node_end | c -> c
 
 (* The sign of comparing the [l1] bytes at [p1] of [b] with the [l2] at
    [p2], whose first [i] match and whose first [n] (the shorter length)
@@ -157,14 +187,26 @@ let rec compare_in b p1 l1 p2 l2 i n =
     if c <> 0 then c else compare_in b p1 l1 p2 l2 (i + 1) n
 
 (* The keys of the entries at [off1] and [off2] of the node [b], compared
-   where they lie. *)
+   where they lie: their suffixes, as they share the node's prefix. *)
 let compare_entries b off1 off2 =
   let l1 = len_at b off1 node_end and l2 = len_at b off2 node_end in
   compare_in b (off1 + vsize l1) l1 (off2 + vsize l2) l2 0 (if l1 < l2 then l1 else l2)
 
-let key_string b off lim =
+(* The whole key of the entry at [off] of [b], whose node's prefix is the
+   [pl] bytes at [pre] of [b]: the one place a key string is built, where
+   a key leaves the tree. *)
+let key_at b pre pl off lim =
   let len = len_at b off lim in
-  B.sub_string b (off + vsize len) len
+  if pl = 0 then B.sub_string b (off + vsize len) len
+  else
+  let s = Bytes.create (pl + len) in
+  B.blit_to_bytes b pre s 0 pl;
+  B.blit_to_bytes b (off + vsize len) s pl len;
+  Bytes.unsafe_to_string s
+
+let node_key b off =
+  let pl = plen b in
+  key_at b (node_end - pl) pl off node_end
 
 (* A leaf entry's value and size; an internal entry's child and size. *)
 let value_off b off lim =
@@ -183,16 +225,22 @@ let child_of b off lim =
 
 let internal_size b off lim = value_off b off lim + 4 - off
 
-(* Binary search of the node [b]'s entries [lo, hi) for [key]: the index
-   if present, else [-(i + 1)] for the insertion point [i]. *)
-let rec search key b lo hi =
+(* Binary search of the node [b]'s entries [lo, hi) for [key], which
+   starts with its [pl]-byte prefix: the index if present, else
+   [-(i + 1)] for the insertion point [i]. *)
+let rec search key pl b lo hi =
   if lo >= hi then -(lo + 1)
   else
     let mid = (lo + hi) lsr 1 in
-    let c = compare_key key b (slot b mid) node_end in
-    if c = 0 then mid else if c < 0 then search key b lo mid else search key b (mid + 1) hi
+    let c = compare_key key pl b (slot b mid) node_end in
+    if c = 0 then mid else if c < 0 then search key pl b lo mid else search key pl b (mid + 1) hi
 
-let search_node key b lo = search key b lo (count b)
+(* A key that lacks the node's prefix sorts before or after all of its
+   entries. *)
+let search_node key b lo =
+  let n = count b in
+  let c = against_prefix key b in
+  if c = 0 then search key (plen b) b lo n else if c < 0 then -(lo + 1) else -((if n > lo then n else lo) + 1)
 
 (* The first entry from [lo] on that is [>= key], or [> key] when
    [past]. *)
@@ -286,162 +334,283 @@ let alloc_page t =
   Pool.unpin t.pool f;
   Pool.page_no f
 
-(* An entry of a node being rewritten: one already in the source image
-   [src], at its offset there, or a new leaf entry or separator. *)
-type item = Old of int | Entry of string * string | Sep of string * int
+let rec common_from a b i n =
+  if i < n && String.unsafe_get a i = String.unsafe_get b i then common_from a b (i + 1) n else i
 
-let entry_size k v =
-  vsize (String.length k) + String.length k + vsize (String.length v) + String.length v
+let common_length a b = common_from a b 0 (min (String.length a) (String.length b))
 
-let item_size ~leaf src = function
-  | Old off -> if leaf then leaf_size src off node_end else internal_size src off node_end
-  | Entry (k, v) -> entry_size k v
-  | Sep (k, _) ->
-      let kl = String.length k in
-      vsize kl + kl + 4
+(* The key prefix of a node with fences [lo] and [hi]: their longest
+   common prefix, empty when either is open. *)
+let fence_prefix lo hi =
+  match (lo, hi) with Some a, Some b -> String.sub a 0 (common_length a b) | _ -> ""
 
-let item_key src = function Old off -> key_string src off node_end | Entry (k, _) | Sep (k, _) -> k
-let item_child src = function Old off -> child_of src off node_end | Sep (_, c) -> c | Entry _ -> assert false
+(* An entry of a node being rewritten: one already in a source image, at
+   its offset there, or a new leaf entry or separator, whose whole key it
+   carries. *)
+type item = Old of B.t * int | Entry of string * string | Sep of string * int
 
-let put_entry b off k v =
-  let p = put_len b off (String.length k) in
-  B.blit_from_string k 0 b p (String.length k);
-  let p = put_len b (p + String.length k) (String.length v) in
+(* The size of an entry or separator for key [k] in a node whose prefix is
+   [pl] bytes long, which [k] starts with. *)
+let entry_size pl k v =
+  let kl = String.length k - pl in
+  vsize kl + kl + vsize (String.length v) + String.length v
+
+let sep_size pl k =
+  let kl = String.length k - pl in
+  vsize kl + kl + 4
+
+let old_size ~leaf src off = if leaf then leaf_size src off node_end else internal_size src off node_end
+
+(* An item's size with its whole key, slot included. In a node with a
+   [pl]-byte prefix it takes [pl] bytes less, or a byte or more less still
+   where its length field shrinks, so [pl] plus the items' whole sizes
+   less [pl] each bound the bytes of a node. *)
+let whole_size ~leaf = function
+  | Old (src, off) ->
+      let klen = len_at src off node_end in
+      let full = klen + plen src in
+      2 + old_size ~leaf src off - vsize klen - klen + vsize full + full
+  | Entry (k, v) -> 2 + entry_size 0 k v
+  | Sep (k, _) -> 2 + sep_size 0 k
+
+let item_key = function Old (src, off) -> node_key src off | Entry (k, _) | Sep (k, _) -> k
+let item_child = function
+  | Old (src, off) -> child_of src off node_end
+  | Sep (_, c) -> c
+  | Entry _ -> assert false
+
+(* Write the suffix of [k] past a [pl]-byte prefix, with its length, at
+   [off]; returns the offset past it. *)
+let put_suffix b off pl k =
+  let kl = String.length k - pl in
+  let p = put_len b off kl in
+  B.blit_from_string k pl b p kl;
+  p + kl
+
+let put_entry b off pl k v =
+  let p = put_len b (put_suffix b off pl k) (String.length v) in
   B.blit_from_string v 0 b p (String.length v)
 
-let put_sep b off k child =
-  let p = put_len b off (String.length k) in
-  B.blit_from_string k 0 b p (String.length k);
-  set_u32 b (p + String.length k) child
+let put_sep b off pl k child = set_u32 b (put_suffix b off pl k) child
 
-(* Write [items.(a) .. items.(z-1)] as the whole node at [page]: each
-   entry below the one before it, then the slots, the header and a zeroed
-   gap. *)
-let fill t page ~leaf ~link src items a z =
+(* Write [items.(a) .. items.(z-1)] as the whole node at [page], whose key
+   prefix is [prefix]: each entry below the one before it, then the
+   prefix, the slots, the header and a zeroed gap. An [Old] item's key
+   loses the bytes by which [prefix] is longer than its source node's, or
+   gains those by which it is shorter, from the source's prefix. *)
+let fill t page ~leaf ~link ~prefix items a z =
   if leaf then Ode_util.Stats.incr c_leaf_writes;
+  let pl = String.length prefix in
   Pool.with_page t.pool page (fun f ->
       let b = Pool.data f in
-      let e = ref node_end in
+      let e = ref (node_end - pl) in
       for x = a to z - 1 do
-        let it = items.(x) in
-        let size = item_size ~leaf src it in
-        e := !e - size;
-        (match it with
-        | Old off -> B.blit src off b !e size
-        | Entry (k, v) -> put_entry b !e k v
-        | Sep (k, c) -> put_sep b !e k c);
+        (match items.(x) with
+        | Old (src, off) ->
+            let size = old_size ~leaf src off and spl = plen src in
+            if pl = spl then begin
+              e := !e - size;
+              B.blit src off b !e size
+            end
+            else begin
+              let klen = len_at src off node_end in
+              let kl = klen + spl - pl in
+              if kl < 0 then corrupt "%s: page %d: a key lacks its node's prefix" (file t) page;
+              let rest = off + vsize klen + klen in
+              let rlen = off + size - rest in
+              e := !e - (vsize kl + kl + rlen);
+              let p = put_len b !e kl in
+              if pl < spl then begin
+                B.blit src (node_end - spl + pl) b p (spl - pl);
+                B.blit src (off + vsize klen) b (p + spl - pl) klen
+              end
+              else B.blit src (off + vsize klen + pl - spl) b p kl;
+              B.blit src rest b (p + kl) rlen
+            end
+        | Entry (k, v) ->
+            e := !e - entry_size pl k v;
+            put_entry b !e pl k v
+        | Sep (k, c) ->
+            e := !e - sep_size pl k;
+            put_sep b !e pl k c);
         set_slot b (x - a) !e
       done;
       let gap = slots_off + (2 * (z - a)) in
       assert (gap <= !e);
       B.fill b gap (!e - gap) '\000';
+      B.blit_from_string prefix 0 b (node_end - pl) pl;
       B.set b kind_off (if leaf then '\000' else '\001');
       B.set_uint16_le b count_off (z - a);
       set_u32 b link_off link;
       B.set_uint16_le b top_off !e;
+      B.set_uint16_le b plen_off pl;
       Pool.mark_dirty t.pool f)
 
-(* Cut points that split [m] items, item [i] weighing [weight i] bytes,
-   into the fewest pieces whose payload fits [budget], as even in bytes as
-   item boundaries allow: cut [j] of [p] lands on the item boundary nearest
-   [j/p] of the bytes. Leaves ([promote] false) cut between items: piece
-   [j] holds items [c.(j-1), c.(j)). Internal nodes ([promote] true) hand
-   the item at each cut up to the parent: piece [j] holds items
-   [c.(j-1)+1, c.(j)). Every piece holds at least one item. No cuts when
-   everything fits. *)
-let cuts ~promote m weight =
-  let prefix = Array.make (m + 1) 0 in
-  for i = 0 to m - 1 do
-    prefix.(i + 1) <- prefix.(i) + weight i
-  done;
-  let total = prefix.(m) in
+(* Cut points that split the items whose weights have the prefix sums
+   [psum] (item [i] weighs [psum.(i+1) - psum.(i)] bytes) into the fewest
+   pieces of [start] or more that fit, as even in bytes as item boundaries
+   allow: cut [j] of [p] lands on the item boundary nearest [j/p] of the
+   bytes. Leaves ([promote] false) cut between items: piece [j] holds
+   items [c.(j-1), c.(j)). Internal nodes ([promote] true) hand the item
+   at each cut up to the parent: piece [j] holds items [c.(j-1)+1, c.(j)).
+   Every piece holds at least one item. [fits a z] says whether items
+   [a, z) fit one node. [None] when no cuts into [upto] pieces or fewer
+   fit. *)
+let cuts ~promote ~fits ~start ~upto psum =
+  let m = Array.length psum - 1 in
+  let total = psum.(m) in
   let skip = if promote then 1 else 0 in
   let rec attempt p =
-    (* p pieces need p items, plus p-1 promoted ones *)
-    assert (p + (skip * (p - 1)) <= m);
-    let c = Array.make (p - 1) 0 in
-    let start = ref 0 and fits = ref true in
-    for j = 1 to p - 1 do
-      let target = total * j / p in
-      let lo = !start + 1 and hi = m - ((1 + skip) * (p - j)) in
-      let x = ref lo in
-      while !x < hi && prefix.(!x + 1) <= target do
-        incr x
+    if p > upto then None
+    else begin
+      (* p pieces need p items, plus p-1 promoted ones *)
+      assert (p + (skip * (p - 1)) <= m);
+      let c = Array.make (p - 1) 0 in
+      let first = ref 0 and ok = ref true in
+      for j = 1 to p - 1 do
+        let target = total * j / p in
+        let lo = !first + 1 and hi = m - ((1 + skip) * (p - j)) in
+        let x = ref lo in
+        while !x < hi && psum.(!x + 1) <= target do
+          incr x
+        done;
+        if !x < hi && target - psum.(!x) > psum.(!x + 1) - target then incr x;
+        ok := !ok && fits !first !x;
+        c.(j - 1) <- !x;
+        first := !x + skip
       done;
-      if !x < hi && target - prefix.(!x) > prefix.(!x + 1) - target then incr x;
-      fits := !fits && prefix.(!x) - prefix.(!start) <= budget;
-      c.(j - 1) <- !x;
-      start := !x + skip
-    done;
-    if !fits && total - prefix.(!start) <= budget then c else attempt (p + 1)
-  in
-  attempt ((total + budget - 1) / budget)
-
-(* Cut points that fill leaf pieces left to right, each up to [budget],
-   and leave the remainder to the last. *)
-let fill_cuts m weight =
-  let c = ref [] and used = ref 0 in
-  for x = 0 to m - 1 do
-    let w = weight x in
-    if !used + w > budget then begin
-      c := x :: !c;
-      used := w
+      if !ok && fits !first m then Some c else attempt (p + 1)
     end
-    else used := !used + w
+  in
+  attempt start
+
+(* Cut points that fill leaf pieces left to right, each as far as [fits]
+   allows, and leave the remainder to the last: the fewest pieces there
+   can be, as a piece's bytes only grow as it takes in the next item, and
+   only shrink as it gives up its first. *)
+let fill_cuts ~fits m =
+  let c = ref [] and first = ref 0 in
+  for z = 1 to m - 1 do
+    if not (fits !first (z + 1)) then begin
+      c := z :: !c;
+      first := z
+    end
   done;
   Array.of_list (List.rev !c)
 
-(* Write [items] as the node at [page], cut into pieces on fresh pages when
-   they overflow it. A leaf's pieces are chained ahead of [link], its next
-   leaf; an internal node's first piece takes [link] as child 0 and each
-   later piece the child of the separator promoted before it. Returns each
-   new piece's separator and page, for the parent to route.
+(* Write [items] as the node whose fences are [lo] and [hi], on the pages
+   [homes] (one page, or two when a leaf's left neighbour takes part in
+   the run), cut into pieces on fresh pages beyond them when they
+   overflow. A leaf's pieces are chained ahead of [link], the next leaf;
+   an internal node's first piece takes [link] as child 0 and each later
+   piece the child of the separator promoted before it. Each piece's
+   prefix is the common prefix of its own fences, the keys it was cut at
+   (or [lo] and [hi] at the ends), and it is sized with it: a piece of
+   items [a, z) with a [pl]-byte prefix takes at most [pl] more than
+   their whole sizes less [pl] each. Returns the separator and page of
+   each piece past the first, for the parent to route.
 
-   When [append], the items are a leaf's entries followed by new ones that
-   all sort after them, as ascending inserts bring. The pieces are then
-   filled in order rather than evenly, so the leaves they leave behind are
-   full: the next append lands in the last piece, never in them. *)
-let write_items ?(append = false) t page ~leaf ~link src items =
+   A node that overflows into two pieces, as one insert into a full node
+   does, is cut evenly. A leaf that overflows into more, as a batch does,
+   is cut evenly into the fewest pieces filling them in order gives, or
+   one more, and filled in order where even that does not fit, as in a
+   long batch whose pieces' prefixes differ widely. When [append], the
+   items are leaf entries followed by new ones that all sort after them,
+   as ascending inserts bring, and they are filled in order, so the leaves
+   they leave behind are full: the next append lands in the last piece,
+   never in them. *)
+let write_items ?(append = false) t homes ~leaf ~link ~lo ~hi items =
   let m = Array.length items in
-  let weight x = 2 + item_size ~leaf src items.(x) in
-  let total = ref 0 in
+  let usum = Array.make (m + 1) 0 in
   for x = 0 to m - 1 do
-    total := !total + weight x
+    usum.(x + 1) <- usum.(x) + whole_size ~leaf items.(x)
   done;
-  if !total <= budget then begin
-    fill t page ~leaf ~link src items 0 m;
+  let bytes pl a z = pl + usum.(z) - usum.(a) - ((z - a) * pl) in
+  let prefix = fence_prefix lo hi in
+  if List.length homes = 1 && bytes (String.length prefix) 0 m <= node_end - slots_off then begin
+    fill t (List.hd homes) ~leaf ~link ~prefix items 0 m;
     []
   end
   else begin
-    let c = if append && leaf then fill_cuts m weight else cuts ~promote:(not leaf) m weight in
+    (* Whole keys, for the fences of the pieces: item [a] (leaf) or the
+       promoted [a - 1] (internal) bounds a piece from [a] below, item [z]
+       one up to [z] above. *)
+    let keys = Array.make m "" and skip = if leaf then 0 else 1 in
+    (* Built when first asked for: keys are never empty. *)
+    let key x =
+      if String.length keys.(x) = 0 then keys.(x) <- item_key items.(x);
+      keys.(x)
+    in
+    let prefix_length a z =
+      if (a = 0 && lo = None) || (z = m && hi = None) then 0
+      else
+        common_length
+          (if a = 0 then Option.get lo else key (a - skip))
+          (if z = m then Option.get hi else key z)
+    in
+    let fits a z = bytes (prefix_length a z) a z <= node_end - slots_off in
+    let c =
+      match if append then None else cuts ~promote:(not leaf) ~fits ~start:2 ~upto:2 usum with
+      | Some c -> c
+      | None when not leaf -> Option.get (cuts ~promote:true ~fits ~start:3 ~upto:m usum)
+      | None ->
+          let filled = fill_cuts ~fits m in
+          (* Two homes take two pieces, however few items they hold. *)
+          let filled = if Array.length filled = 0 && List.length homes = 2 then [| m - 1 |] else filled in
+          if append then filled
+          else begin
+            (* Even cuts into as many pieces as [filled], or one more,
+               weigh each item under the prefix of its piece in [filled]:
+               pieces' prefixes differ, and those on the tree's outer
+               edges have none, so whole sizes would not share out the
+               bytes each piece takes. Keys a batch adds to random places
+               keep room in every piece for the keys that follow. *)
+            let eff = Array.make (m + 1) 0 in
+            let a = ref 0 in
+            Array.iter
+              (fun z ->
+                let pl = prefix_length !a z in
+                for x = !a to z - 1 do
+                  eff.(x + 1) <- eff.(x) + usum.(x + 1) - usum.(x) - pl
+                done;
+                a := z)
+              (Array.append filled [| m |]);
+            let p = Array.length filled + 1 in
+            Option.value (cuts ~promote:false ~fits ~start:p ~upto:(p + 1) eff) ~default:filled
+          end
+    in
     let p = Array.length c + 1 in
-    let first j = if j = 0 then 0 else if leaf then c.(j - 1) else c.(j - 1) + 1 in
+    assert (p >= List.length homes);
+    let first j = if j = 0 then 0 else c.(j - 1) + skip in
     let stop j = if j = p - 1 then m else c.(j) in
-    let pages = Array.init p (fun j -> if j = 0 then page else alloc_page t) in
-    Ode_util.Stats.add c_splits (p - 1);
+    let homes = Array.of_list homes in
+    let pages = Array.init p (fun j -> if j < Array.length homes then homes.(j) else alloc_page t) in
+    Ode_util.Stats.add c_splits (p - Array.length homes);
     for j = 0 to p - 1 do
       let link =
         if leaf then if j = p - 1 then link else pages.(j + 1)
         else if j = 0 then link
-        else item_child src items.(c.(j - 1))
+        else item_child items.(c.(j - 1))
       in
-      fill t pages.(j) ~leaf ~link src items (first j) (stop j)
+      let lo = if j = 0 then lo else Some (key c.(j - 1))
+      and hi = if j = p - 1 then hi else Some (key c.(j)) in
+      fill t pages.(j) ~leaf ~link ~prefix:(fence_prefix lo hi) items (first j) (stop j)
     done;
-    List.init (p - 1) (fun j -> (item_key src items.(c.(j)), pages.(j + 1)))
+    List.init (p - 1) (fun j -> (key c.(j), pages.(j + 1)))
   end
 
 (* -- in-place leaf edits ------------------------------------------------------- *)
 
-(* Insert entry (k, v) at index [p] of the leaf [b], which has room for it
-   and its slot: entries [p..] move down by its size, and their slots
-   shift right by one. *)
-let insert_at b p k v =
+(* Insert entry (k, v), [k] starting with the prefix of [pl] bytes, at
+   index [p] of the leaf [b], which has room for it and its slot: entries
+   [p..] move down by its size, and their slots shift right by one. *)
+let insert_at b p pl k v =
   let n = count b and top0 = top b in
-  let sz = entry_size k v in
+  let sz = entry_size pl k v in
   let e = entry_end b p in
   if e < top0 || e > node_end then corrupt "bptree: entry %d ends at %d, outside its node" p e;
   B.blit b top0 b (top0 - sz) (e - top0);
-  put_entry b (e - sz) k v;
+  put_entry b (e - sz) pl k v;
   for q = p to n - 1 do
     set_slot b q (slot b q - sz)
   done;
@@ -497,35 +666,61 @@ let mem t key = find t key <> None
 
 (* -- public: insert ----------------------------------------------------------- *)
 
+(* A node's fence as the descent found it: the tree's edge, or the key of
+   entry [e] of the internal node at [page], an ancestor, which nothing
+   writes before the run below it returns. The key is read only where a
+   split, or a run of more than one key, needs it. *)
+type fence = Edge | Sep_of of int * int
+
+let fence_key t = function
+  | Edge -> None
+  | Sep_of (page, e) -> Some (with_node t page 0 (fun b -> node_key b (slot b e)))
+
+(* A leaf at most three quarters full, whose entries an append to its
+   right neighbour may take in. *)
+let roomy b = 4 * free b >= node_end - slots_off
+
 (* Apply the leaf run [kvs.(i) .. kvs.(stop-1)] to the pinned leaf [b] at
-   [page]. A run that fits is edited into the page in place; one that
-   overflows is merged with a copy of the leaf's entries and cut into
-   pieces, filled in order when the run appends to a leaf that is its
-   parent's [last] child ([write_items]' [append]). Returns the pieces'
-   (separator, page) pairs. *)
-let leaf_run t page b kvs i stop ~last =
+   [page], whose fences are [lo] and [hi]. A run that fits is edited into
+   the page in place; one that overflows is merged with a copy of the
+   leaf's entries and cut into pieces, filled in order when the run
+   appends to a leaf that is its parent's [last] child ([write_items]'
+   [append]). An append also takes in the entries of the leaf's left
+   neighbour [left] (its page and lower fence) when that leaf is roomy.
+   The neighbour is most often the piece the previous append split left
+   behind: its entries filled a page under this leaf's prefix, short as
+   the leaf's upper fence is far, and take less room under the longer
+   prefix the piece got, while no later key lands in it; this refills it.
+   Returns the pieces' (separator, page) pairs, and whether the first
+   piece is the left neighbour's. *)
+let leaf_run t page b kvs i stop ~last ~lo ~hi ~left =
+  (* The run lies between the leaf's fences, so every key starts with its
+     prefix: the first and the last do, and so every key between them. *)
+  if against_prefix (fst kvs.(i)) b <> 0 || against_prefix (fst kvs.(stop - 1)) b <> 0 then
+    corrupt "%s: page %d: a key routed to the leaf lies outside it" (file t) page;
+  let pl = plen b in
   (* Room the run needs, applied key by key: a new entry and its slot, or
      a value's growth. Shrinking values free room only for later keys. *)
-  let need = ref 0 and peak = ref 0 and lo = ref 0 in
+  let need = ref 0 and peak = ref 0 and from = ref 0 in
   for x = i to stop - 1 do
     let k, v = kvs.(x) in
-    let p = search_node k b !lo in
+    let p = search_node k b !from in
     if p >= 0 then begin
-      need := !need + entry_size k v - leaf_size b (slot b p) node_end;
-      lo := p + 1
+      need := !need + entry_size pl k v - leaf_size b (slot b p) node_end;
+      from := p + 1
     end
     else begin
-      need := !need + 2 + entry_size k v;
-      lo := -(p + 1)
+      need := !need + 2 + entry_size pl k v;
+      from := -(p + 1)
     end;
     if !need > !peak then peak := !need
   done;
   if !peak <= free b then begin
     Ode_util.Stats.incr c_leaf_writes;
-    let lo = ref 0 in
+    let from = ref 0 in
     for x = i to stop - 1 do
       let k, v = kvs.(x) in
-      let p = search_node k b !lo in
+      let p = search_node k b !from in
       let p =
         if p >= 0 then begin
           remove_at b p;
@@ -536,10 +731,10 @@ let leaf_run t page b kvs i stop ~last =
           -(p + 1)
         end
       in
-      insert_at b p k v;
-      lo := p + 1
+      insert_at b p pl k v;
+      from := p + 1
     done;
-    []
+    ([], false)
   end
   else begin
     let src = B.sub b 0 node_end in
@@ -551,10 +746,25 @@ let leaf_run t page b kvs i stop ~last =
        cut. So does a run into an empty leaf, such as a first batch, which
        says nothing about where later keys land. *)
     let append = last && n > 0 && search_node (fst kvs.(i)) src 0 = -(n + 1) in
+    let lo = fence_key t lo and hi = fence_key t hi in
+    let neighbour =
+      match left with
+      | Some (lpage, llo) when append ->
+          with_node t lpage 0 (fun lb ->
+              if is_leaf lb && link lb = page && roomy lb then Some (lpage, llo, B.sub lb 0 node_end)
+              else None)
+      | _ -> None
+    in
     let items = ref [] and a = ref 0 in
+    (match neighbour with
+    | Some (_, _, lsrc) ->
+        for q = 0 to count lsrc - 1 do
+          items := Old (lsrc, slot lsrc q) :: !items
+        done
+    | None -> ());
     let old_upto p =
       for q = !a to p - 1 do
-        items := Old (slot src q) :: !items
+        items := Old (src, slot src q) :: !items
       done
     in
     for x = i to stop - 1 do
@@ -567,44 +777,63 @@ let leaf_run t page b kvs i stop ~last =
       a := past
     done;
     old_upto n;
-    write_items ~append t page ~leaf:true ~link:(link src) src (Array.of_list (List.rev !items))
+    let items = Array.of_list (List.rev !items) in
+    match neighbour with
+    | Some (lpage, llo, _) ->
+        let lo = fence_key t llo in
+        (write_items ~append t [ lpage; page ] ~leaf:true ~link:(link src) ~lo ~hi items, true)
+    | None -> (write_items ~append t [ page ] ~leaf:true ~link:(link src) ~lo ~hi items, false)
   end
 
 (* Insert [ups], pieces of child [ci]'s former node, after child [ci] of
-   the internal node at [page]. *)
-let insert_ups t page ci ups =
+   the internal node at [page], whose fences are [lo] and [hi]. When
+   [merged], the pieces are those of children [ci - 1] and [ci] together,
+   the first on child [ci - 1]'s page: the separator between the two
+   goes, and the pieces' take its place. *)
+let insert_ups t page ci ups ~merged ~lo ~hi =
+  let lo = fence_key t lo and hi = fence_key t hi in
   let src = with_node t page 0 (fun b -> B.sub b 0 node_end) in
   let n = count src in
+  let kept = if merged then ci - 1 else ci in
   let items =
     Array.concat
       [
-        Array.init ci (fun q -> Old (slot src q));
+        Array.init kept (fun q -> Old (src, slot src q));
         Array.of_list (List.map (fun (k, c) -> Sep (k, c)) ups);
-        Array.init (n - ci) (fun q -> Old (slot src (ci + q)));
+        Array.init (n - ci) (fun q -> Old (src, slot src (ci + q)));
       ]
   in
-  write_items t page ~leaf:false ~link:(link src) src items
+  write_items t [ page ] ~leaf:false ~link:(link src) ~lo ~hi items
 
-(* Insert one leaf run from [kvs.(i)] below [page], whose keys are all
-   below [hi], and which is its parent's [last] child (the root counts as
-   one). Returns the index past the run and the (separator, page) pairs of
-   the pieces this node was cut into, for the parent to route. *)
-let rec insert_run t page kvs i hi ~last depth =
+(* Insert one leaf run from [kvs.(i)] below [page], whose fences are [lo]
+   and [hi] (so its keys are all below [hi]), and which is its parent's
+   [last] child (the root counts as one), right of the leaf [left] when
+   it is a leaf with a left neighbour under the same parent. Returns the
+   index past the run, the (separator, page) pairs of the pieces this
+   node was cut into, for the parent to route, and whether they took in
+   the left neighbour. *)
+let rec insert_run t page kvs i ~lo ~hi ~last ~left depth =
   let f = pin_node t page depth in
   let b = Pool.data f in
   if is_leaf b then begin
-    let stop = ref i in
-    while
-      !stop < Array.length kvs
-      && match hi with Some h -> String.compare (fst kvs.(!stop)) h < 0 | None -> true
-    do
-      incr stop
-    done;
-    match leaf_run t page b kvs i !stop ~last with
-    | ups ->
+    (* The descent routed [kvs.(i)] here, below [hi]. *)
+    match
+      let stop = ref (i + 1) in
+      if !stop < Array.length kvs then begin
+        let h = fence_key t hi in
+        while
+          !stop < Array.length kvs
+          && match h with Some h -> String.compare (fst kvs.(!stop)) h < 0 | None -> true
+        do
+          incr stop
+        done
+      end;
+      (!stop, leaf_run t page b kvs i !stop ~last ~lo ~hi ~left)
+    with
+    | stop, (ups, merged) ->
         Pool.mark_dirty t.pool f;
         Pool.unpin t.pool f;
-        (!stop, ups)
+        (stop, ups, merged)
     | exception e ->
         Pool.unpin t.pool f;
         raise e
@@ -613,9 +842,15 @@ let rec insert_run t page kvs i hi ~last depth =
     let route () =
       let ci = child_index (fst kvs.(i)) b in
       let n = count b in
-      (ci, child_at b ci, (if ci < n then Some (key_string b (slot b ci) node_end) else hi), ci = n)
+      (* Only a last child appends, so only its left neighbour is named. *)
+      let left =
+        if ci = n && ci > 0 then Some (child_at b (ci - 1), if ci > 1 then Sep_of (page, ci - 2) else lo)
+        else None
+      in
+      let clo = if ci > 0 then Sep_of (page, ci - 1) else lo and chi = if ci < n then Sep_of (page, ci) else hi in
+      (ci, child_at b ci, clo, chi, ci = n, left)
     in
-    let ci, child, hi, last =
+    let ci, child, clo, chi, last, left =
       match route () with
       | r ->
           Pool.unpin t.pool f;
@@ -624,9 +859,9 @@ let rec insert_run t page kvs i hi ~last depth =
           Pool.unpin t.pool f;
           raise e
     in
-    match insert_run t child kvs i hi ~last (depth + 1) with
-    | stop, [] -> (stop, [])
-    | stop, ups -> (stop, insert_ups t page ci ups)
+    match insert_run t child kvs i ~lo:clo ~hi:chi ~last ~left (depth + 1) with
+    | stop, [], _ -> (stop, [], false)
+    | stop, ups, merged -> (stop, insert_ups t page ci ups ~merged ~lo ~hi, false)
   end
 
 (* The root was cut: stack new roots until one holds all the pieces. *)
@@ -635,7 +870,7 @@ let rec grow t = function
   | ups ->
       let page = alloc_page t in
       let ups' =
-        write_items t page ~leaf:false ~link:t.root B.empty
+        write_items t [ page ] ~leaf:false ~link:t.root ~lo:None ~hi:None
           (Array.of_list (List.map (fun (k, c) -> Sep (k, c)) ups))
       in
       t.root <- page;
@@ -656,7 +891,7 @@ let insert_sorted t kvs =
     (* A run's cuts touch several pages; no pressure flush may persist some
        of them before the parents, root and header route to the new ones. *)
     Pool.with_no_flush t.pool (fun () ->
-        let stop, ups = insert_run t t.root kvs !i None ~last:true 0 in
+        let stop, ups, _ = insert_run t t.root kvs !i ~lo:Edge ~hi:Edge ~last:true ~left:None 0 in
         grow t ups;
         write_header t;
         i := stop)
@@ -690,9 +925,10 @@ let delete t key =
 
 (* A cursor holds a copy of the part of one leaf it has yet to yield, plus
    the forward link to the next leaf. The copy is taken once per leaf visit:
-   the slots of entries [i, j) go to the front of [cbuf], and the entries
-   themselves, which lie contiguous in the page, follow them, so an entry
-   sits at its page offset plus [cdelta]. Writes to the tree between
+   the slots of entries [i, j) go to the front of [cbuf], the leaf's key
+   prefix follows them at [cpre], and the entries themselves, which lie
+   contiguous in the page, follow it, so an entry sits at its page offset
+   plus [cdelta]. Writes to the tree between
    [next] calls cannot reach the copy; the cursor keeps walking the leaf
    chain it seeked into. Page 0 is the tree header, so [cnext = 0] means
    "no further leaf". [clast] is the offset in [cbuf] of the entry yielded
@@ -703,6 +939,8 @@ type cursor = {
   cinclusive_hi : bool;
   mutable cbuf : B.t;
   mutable cdelta : int;
+  mutable cpre : int;
+  mutable cplen : int;
   mutable clim : int;
   mutable cidx : int;
   mutable cstop : int;
@@ -718,6 +956,8 @@ let empty_cursor t hi inclusive_hi =
     cinclusive_hi = inclusive_hi;
     cbuf = B.empty;
     cdelta = 0;
+    cpre = 0;
+    cplen = 0;
     clim = 0;
     cidx = 0;
     cstop = 0;
@@ -733,32 +973,46 @@ let take_leaf cur b lo =
   let i = match lo with None -> 0 | Some k -> seek k b 0 ~past:false in
   let j = match cur.chi with None -> n | Some h -> seek h b i ~past:cur.cinclusive_hi in
   let m = if j > i then j - i else 0 in
+  let pl = if m = 0 then 0 else plen b in
   let r = if m = 0 then 0 else slot b (j - 1) and e = if m = 0 then 0 else entry_end b i in
   if m > 0 && (r < top b || r > e || e > node_end) then
     corrupt "bptree: leaf entries %d..%d span %d..%d" i j r e;
-  let len = (2 * m) + (e - r) in
+  let len = (2 * m) + pl + (e - r) in
   if B.length cur.cbuf < len then cur.cbuf <- B.create len;
   B.blit b (slots_off + (2 * i)) cur.cbuf 0 (2 * m);
-  B.blit b r cur.cbuf (2 * m) (e - r);
-  cur.cdelta <- (2 * m) - r;
+  B.blit b (node_end - pl) cur.cbuf (2 * m) pl;
+  B.blit b r cur.cbuf ((2 * m) + pl) (e - r);
+  cur.cdelta <- (2 * m) + pl - r;
+  cur.cpre <- 2 * m;
+  cur.cplen <- pl;
   cur.clim <- len;
   cur.cidx <- 0;
   cur.cstop <- m;
   (* A bound inside this leaf ends the scan here. *)
   cur.cnext <- (if j < n then 0 else link b)
 
-(* Follow the chain to the next leaf. *)
+(* Follow the chain to the next leaf. Written out rather than through
+   [with_node], whose closure would allocate once a leaf. *)
 let next_leaf cur =
   let t = cur.ct and page = cur.cnext in
   cur.cleaves <- cur.cleaves + 1;
   if cur.cleaves > Pool.page_count t.pool then corrupt "bptree: leaf chain cycles at page %d" page;
   Ode_util.Stats.incr c_cursor_pages_read;
-  with_node t page 0 (fun b ->
-      if not (is_leaf b) then corrupt "bptree: leaf chain reaches internal page %d" page;
-      take_leaf cur b None)
+  let f = pin_node t page 0 in
+  match
+    let b = Pool.data f in
+    if not (is_leaf b) then corrupt "bptree: leaf chain reaches internal page %d" page;
+    take_leaf cur b None
+  with
+  | () -> Pool.unpin t.pool f
+  | exception e ->
+      Pool.unpin t.pool f;
+      raise e
 
-(* Entry [x] of the cursor's copy. *)
+(* Entry [x] of the cursor's copy, and the whole key of the entry at
+   [off] there. *)
 let copied_off cur x = B.get_uint16_le cur.cbuf (2 * x) + cur.cdelta
+let copied_key cur off = key_at cur.cbuf cur.cpre cur.cplen off cur.clim
 
 let cursor t ?lo ?hi ?(inclusive_hi = false) () =
   Ode_util.Stats.incr c_index_probes;
@@ -768,18 +1022,19 @@ let cursor t ?lo ?hi ?(inclusive_hi = false) () =
   with_leaf t (Option.value lo ~default:"") (fun _ b -> take_leaf cur b lo);
   cur
 
-let rec cursor_next_key cur =
+let rec cursor_step cur =
   if cur.cidx < cur.cstop then begin
-    let off = copied_off cur cur.cidx in
+    cur.clast <- copied_off cur cur.cidx;
     cur.cidx <- cur.cidx + 1;
-    cur.clast <- off;
-    Some (key_string cur.cbuf off cur.clim)
+    true
   end
-  else if cur.cnext = 0 then None
+  else if cur.cnext = 0 then false
   else begin
     next_leaf cur;
-    cursor_next_key cur
+    cursor_step cur
   end
+
+let cursor_next_key cur = if cursor_step cur then Some (copied_key cur cur.clast) else None
 
 let cursor_value cur read =
   if cur.clast < 0 then invalid_arg "Bptree.cursor_value: no entry yielded yet";
@@ -811,7 +1066,27 @@ let iter_range t ?lo ?hi ?inclusive_hi f =
 (* The separator keys and children of the internal node [b]. *)
 let internal_parts b =
   let n = count b in
-  (Array.init n (fun i -> key_string b (slot b i) node_end), Array.init (n + 1) (child_at b))
+  (Array.init n (fun i -> node_key b (slot b i)), Array.init (n + 1) (child_at b))
+
+(* The children of the internal node [b] whose key ranges meet the bounds
+   [lo] and [hi], rightmost first: child [i] spans [key (i-1), key i),
+   and the bounds are compared with those separators where they lie. *)
+let children_between b ~lo ~hi ~inclusive_hi =
+  let n = count b in
+  let rec from i acc =
+    if i < 0 then List.rev acc
+    else
+      let above_lo = match lo with Some l when i < n -> compare_full l b (slot b i) < 0 | _ -> true in
+      let below_hi =
+        match hi with
+        | Some h when i > 0 ->
+            let c = compare_full h b (slot b (i - 1)) in
+            if inclusive_hi then c >= 0 else c > 0
+        | _ -> true
+      in
+      from (i - 1) (if above_lo && below_hi then child_at b i :: acc else acc)
+  in
+  from n []
 
 (* Reverse-order scan. Leaves are only forward-linked, so this walks the
    tree top-down visiting children right-to-left; bounds prune subtrees.
@@ -822,39 +1097,22 @@ let iter_range_rev t ?lo ?hi ?(inclusive_hi = false) f =
   let cur = empty_cursor t hi inclusive_hi in
   let exception Stop in
   let rec walk page depth =
-    let parts =
+    let children =
       with_node t page depth (fun b ->
           if is_leaf b then begin
             take_leaf cur b lo;
             None
           end
-          else Some (internal_parts b))
+          else Some (children_between b ~lo ~hi ~inclusive_hi))
     in
-    match parts with
+    match children with
     | None ->
         for x = cur.cstop - 1 downto 0 do
           cur.clast <- copied_off cur x;
-          let k = key_string cur.cbuf cur.clast cur.clim in
+          let k = copied_key cur cur.clast in
           if not (f k (cursor_value cur B.sub_string)) then raise Stop
         done
-    | Some (keys, children) ->
-        for i = Array.length children - 1 downto 0 do
-          (* child i spans [keys.(i-1), keys.(i)); prune with the bounds *)
-          let child_min = if i = 0 then None else Some keys.(i - 1) in
-          let child_max = if i = Array.length keys then None else Some keys.(i) in
-          let overlaps_lo =
-            match (lo, child_max) with
-            | Some l, Some cmax -> String.compare cmax l > 0
-            | _ -> true
-          in
-          let overlaps_hi =
-            match (hi, child_min) with
-            | Some h, Some cmin ->
-                if inclusive_hi then String.compare cmin h <= 0 else String.compare cmin h < 0
-            | _ -> true
-          in
-          if overlaps_lo && overlaps_hi then walk children.(i) (depth + 1)
-        done
+    | Some children -> List.iter (fun c -> walk c (depth + 1)) children
   in
   try walk t.root 0 with Stop -> ()
 
@@ -885,7 +1143,7 @@ let height t =
 let format pool =
   let t = { pool; root = 0; count = 0 } in
   let root = alloc_page t in
-  fill t root ~leaf:true ~link:0 B.empty [||] 0 0;
+  fill t root ~leaf:true ~link:0 ~prefix:"" [||] 0 0;
   t.root <- root;
   write_header t;
   t
@@ -909,12 +1167,13 @@ let attach pool =
 
 (* -- structural check -------------------------------------------------------------- *)
 
-(* Every node's layout (entries tile [top, node_end) in slot order, the gap
-   is zero), key order inside every node, separator bounds, one parent per
-   node, every page but the header reached from the root, equal leaf depth,
-   the count, and the leaf chain: followed from the leftmost leaf it visits
-   exactly the leaves of the tree walk, in key order, and ends at
-   next = 0. *)
+(* Every node's layout (entries tile [top, node_end - plen) in slot order,
+   the gap is zero), its key prefix (the common prefix of its fences), key
+   order inside every node, every key between its node's fences, one
+   parent per node, every page but the header reached from the root, equal
+   leaf depth, the count, and the leaf chain: followed from the leftmost
+   leaf it visits exactly the leaves of the tree walk, in key order, and
+   ends at next = 0. *)
 let check t =
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
@@ -927,31 +1186,36 @@ let check t =
       let size = if leaf then leaf_size b off node_end else internal_size b off node_end in
       if off + size <> entry_end b i then bad "node %d: entry %d does not end where entry %d begins" page i (i - 1)
     done;
-    if (n = 0 && top b <> node_end) || (n > 0 && slot b (n - 1) <> top b) then
+    if (n = 0 && top b <> node_end - plen b) || (n > 0 && slot b (n - 1) <> top b) then
       bad "node %d: entries do not reach its top %d" page (top b);
     for x = slots_off + (2 * n) to top b - 1 do
       if B.get b x <> '\000' then bad "node %d: free gap byte %d is not zero" page x
     done
   in
-  let sorted page keys =
-    for i = 0 to Array.length keys - 2 do
-      if String.compare keys.(i) keys.(i + 1) >= 0 then bad "node %d: keys unsorted" page
-    done
+  (* The stored prefix is the one its fences give, compared in place. A
+     prefix that is too long would still make every key start with it,
+     and would make keys out of suffixes that lost their first bytes. *)
+  let prefix page b ~lo ~hi =
+    let p = fence_prefix lo hi and pl = plen b in
+    if pl <> String.length p || compare_from p 0 pl b (node_end - pl) pl 0 pl <> 0 then
+      bad "node %d: key prefix %S is not its fences' common prefix %S" page
+        (B.sub_string b (node_end - pl) pl)
+        p
   in
-  (* A leaf's keys are compared where they lie: each with the next, then
+  (* A node's keys are compared where they lie: each with the next, then
      the first (its least, once sorted) against [lo] and the last against
      [hi]. No key is copied out. *)
-  let leaf_keys page b ~lo ~hi =
+  let node_keys page b ~lo ~hi =
     let n = count b in
     for i = 0 to n - 2 do
       if compare_entries b (slot b i) (slot b (i + 1)) >= 0 then bad "node %d: keys unsorted" page
     done;
     if n > 0 then begin
       (match lo with
-      | Some l0 when compare_key l0 b (slot b 0) node_end > 0 -> bad "leaf %d: key below bound" page
+      | Some l0 when compare_full l0 b (slot b 0) > 0 -> bad "node %d: key below bound" page
       | _ -> ());
       match hi with
-      | Some h0 when compare_key h0 b (slot b (n - 1)) node_end <= 0 -> bad "leaf %d: key above bound" page
+      | Some h0 when compare_full h0 b (slot b (n - 1)) <= 0 -> bad "node %d: key above bound" page
       | _ -> ()
     end;
     n
@@ -962,7 +1226,9 @@ let check t =
     let node =
       with_node t page depth (fun b ->
           layout page b;
-          if is_leaf b then `Leaf (leaf_keys page b ~lo ~hi, link b) else `Internal (internal_parts b))
+          prefix page b ~lo ~hi;
+          let n = node_keys page b ~lo ~hi in
+          if is_leaf b then `Leaf (n, link b) else `Internal (internal_parts b))
     in
     match node with
     | `Leaf (n, next) ->
@@ -971,7 +1237,6 @@ let check t =
         leaves := (page, next) :: !leaves;
         seen := !seen + n
     | `Internal (keys, children) ->
-        sorted page keys;
         Array.iteri
           (fun i child ->
             let lo' = if i = 0 then lo else Some keys.(i - 1) in

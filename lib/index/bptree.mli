@@ -7,12 +7,19 @@
     sibling entries stable during scans.
 
     The tree owns its pager: page 0 is a header holding the root page number
-    and the entry count. Every other page is one node in the [ODEBPT02]
-    layout: a header, a sorted array of u16 entry offsets, and the entries
-    packed down from the end of the page ([varint klen | key | varint vlen
-    | value] in a leaf, [varint klen | key | u32 child] in an internal
-    node). The buffer pool is the only cache: lookups binary-search the
-    pinned page in place, and inserts and deletes edit its bytes. *)
+    and the entry count. Every other page is one node in the [ODEBPT03]
+    layout: a header, a sorted array of u16 entry offsets, the entries
+    packed down from below the node's key prefix ([varint slen | suffix |
+    varint vlen | value] in a leaf, [varint slen | suffix | u32 child] in
+    an internal node, a key being the prefix followed by the suffix), and
+    the prefix, which ends the node. A node's prefix is the longest common
+    prefix of its fences, the separators that bound it in the levels
+    above: every key routed to the node starts with it, so it is stored
+    once per node (a leaf entry costs 4 bytes beside its suffix and value,
+    slot included). The buffer pool is the only cache: lookups
+    binary-search the pinned page in place, comparing stored key bytes
+    where they lie, and inserts and deletes edit its bytes; a key string
+    is built only where a key leaves the tree. *)
 
 type t
 
@@ -37,9 +44,15 @@ val insert_sorted : t -> (string * string) array -> unit
     one write of each node on the path that changed, and one header write,
     all inside one {!Ode_storage.Buffer_pool.with_no_flush} section, so a
     pressure flush never persists a half-applied run. A node that
-    overflows is cut into the fewest pieces that fit, as even in bytes as
-    entry boundaries allow: one insert into a full leaf halves it, a long
-    run of ascending keys fills its leaves nearly full. *)
+    overflows is cut into the fewest pieces that fit, each sized with the
+    prefix its own fences give, as even in bytes as entry boundaries
+    allow: one insert into a full leaf halves it, and a run of ascending
+    keys, or a long batch whose pieces' prefixes differ widely, fills its
+    leaves in order, nearly full. An
+    append that splits the last leaf of its parent also refills the leaf
+    to its left when that one is at most three quarters full (as a leaf an
+    append split left behind is: its keys kept the bytes they took before
+    it had a prefix). *)
 
 val find : t -> string -> string option
 
@@ -80,6 +93,10 @@ val cursor_next : cursor -> (string * string) option
 val cursor_next_key : cursor -> string option
 (** Like {!cursor_next} but yields the key only and copies no value. *)
 
+val cursor_step : cursor -> bool
+(** Step to the next entry, for {!cursor_value} to read, without building
+    its key: [false] when the range is exhausted. It allocates nothing. *)
+
 val cursor_value : cursor -> (Ode_storage.Bigbytes.t -> int -> int -> 'a) -> 'a
 (** [cursor_value cur read] applies [read] to the value bytes of the entry
     the cursor yielded last, in the cursor's copy of its leaf, as
@@ -114,8 +131,9 @@ val max_entry : int
 
 val check : t -> (unit, string) result
 (** Structural check: each node's layout (entries packed in slot order, a
-    zeroed free gap), key order within and across nodes, separator
-    consistency, equal leaf depth, the entry count, and leaf chain
+    zeroed free gap), its key prefix (exactly the common prefix of its
+    fences), key order within and across nodes, every key between its
+    node's fences, equal leaf depth, the entry count, and leaf chain
     completeness: followed from the leftmost leaf, the chain visits exactly
     the leaves of the tree walk, in key order, and ends at [next = 0].
     Raises [Codec.Corrupt] on a node too rotten to read. *)

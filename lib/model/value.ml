@@ -156,12 +156,14 @@ let rec decode c =
   | n -> raise (Codec.Corrupt (Printf.sprintf "value: bad tag %d" n))
 
 (* Index keys: a type byte keeps unlike types apart; ints and floats share
-   the numeric keyspace so mixed-type predicates behave. *)
+   the numeric keyspace so mixed-type predicates behave. A number is
+   [Key.of_number]: with its type byte, 4 bytes for an int up to 16 and 5
+   below 4,096, where the 8-byte float image took 9. *)
 let index_key = function
   | Null -> "\000"
   | Bool v -> "\001" ^ Key.of_bool v
-  | Int n -> "\002" ^ Key.of_float (float_of_int n)
-  | Float f -> "\002" ^ Key.of_float f
+  | Int n -> "\002" ^ Key.of_number (float_of_int n)
+  | Float f -> "\002" ^ Key.of_number f
   | Str s -> "\003" ^ Key.of_string s
   | Ref o -> "\004" ^ Oid.key o
   | (Vref _ | VList _ | VSet _) as v ->

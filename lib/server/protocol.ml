@@ -7,7 +7,7 @@ let magic = "ODEP"
 
 (* One version on the wire: the server and a replication primary accept
    exactly this one and answer any other with [Bad_version]. *)
-let version = 5
+let version = 6
 let max_frame_len = 16 * 1024 * 1024
 
 (* Replication connections carry their own magic (so a replica pointed at a

@@ -79,6 +79,11 @@ let sub_string b off len =
   c_blit_to_bytes b off s 0 len;
   Bytes.unsafe_to_string s
 
+let blit_to_bytes src soff dst doff len =
+  check src soff len "Bigbytes.blit_to_bytes";
+  if doff < 0 || len < 0 || doff > Bytes.length dst - len then invalid_arg "Bigbytes.blit_to_bytes";
+  c_blit_to_bytes src soff dst doff len
+
 let of_string s =
   let b = Array1.create char c_layout (String.length s) in
   c_blit_from_string s 0 b 0 (String.length s);

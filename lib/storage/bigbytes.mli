@@ -70,6 +70,7 @@ val blit : t -> int -> t -> int -> int -> unit
     (within one array). *)
 
 val blit_from_string : string -> int -> t -> int -> int -> unit
+val blit_to_bytes : t -> int -> bytes -> int -> int -> unit
 
 val release : t -> unit
 (** [release b] frees [b]'s bytes at once instead of when the GC finds

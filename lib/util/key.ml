@@ -35,6 +35,44 @@ let of_float f =
   done;
   Buffer.contents b
 
+(* [of_float]'s image less its trailing zero bytes, with 0x00 written
+   0x01 0x01 and 0x01 written 0x01 0x02, then a 0x00 terminator. *)
+let of_number f =
+  let img = of_float (if f = 0.0 then 0.0 else f) in
+  let last = ref 7 in
+  while !last >= 0 && img.[!last] = '\000' do
+    decr last
+  done;
+  let b = Buffer.create 10 in
+  for i = 0 to !last do
+    match img.[i] with
+    | '\000' -> Buffer.add_string b "\001\001"
+    | '\001' -> Buffer.add_string b "\001\002"
+    | c -> Buffer.add_char b c
+  done;
+  Buffer.add_char b '\000';
+  Buffer.contents b
+
+let number_end s pos =
+  let len = String.length s in
+  (* [n] image bytes so far, the last of them [last] *)
+  let rec go i n last =
+    if i >= len then corrupt "key: unterminated number at byte %d" pos;
+    if n > 8 then corrupt "key: number at byte %d longer than 8 bytes" pos;
+    match s.[i] with
+    | '\000' ->
+        if n > 0 && last = 0 then corrupt "key: non-canonical number at byte %d" pos;
+        i + 1
+    | '\001' -> (
+        if i + 1 >= len then corrupt "key: unterminated number at byte %d" pos;
+        match s.[i + 1] with
+        | '\001' -> go (i + 2) (n + 1) 0
+        | '\002' -> go (i + 2) (n + 1) 1
+        | _ -> corrupt "key: bad number escape at byte %d" i)
+    | c -> go (i + 1) (n + 1) (Char.code c)
+  in
+  go pos 0 (-1)
+
 let of_string s =
   let b = Buffer.create (String.length s + 2) in
   String.iter

@@ -22,6 +22,23 @@ val of_float : float -> string
 (** IEEE-754 total-order trick: positive floats get their sign bit set,
     negative floats are fully complemented. NaN sorts above everything. *)
 
+val of_number : float -> string
+(** A number for an index key: {!of_float}'s image without its trailing
+    zero bytes, each 0x00 byte written 0x01 0x01 and each 0x01 written
+    0x01 0x02, then a 0x00 terminator. Where {!of_float} takes 8 bytes, an
+    int takes 3 up to 16, 4 below 2{^ 12} and 5 below 2{^ 20}, and a
+    negative number 9. The
+    escapes keep byte order, and the terminator sorts below any byte that
+    may follow it, so byte order is numeric order still, with [-0.0]
+    written as [0.0]; and since no image in this form ends in a zero
+    byte, and 0x00 only ends one, no encoding is a prefix of another. *)
+
+val number_end : string -> int -> int
+(** [number_end s pos] is the position just past the {!of_number}
+    component that starts at [pos].
+    @raise Codec.Corrupt if it is unterminated, badly escaped, longer than
+    eight bytes or not in its shortest form. *)
+
 val of_string : string -> string
 (** Escaped so that a composite key never compares past a component
     boundary: 0x00 becomes 0x00 0xff, and the component ends with

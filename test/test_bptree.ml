@@ -33,6 +33,10 @@ let delete () =
 
 let key k = Printf.sprintf "key-%06d" k
 
+(* The number of cases of each model property; CI raises it. *)
+let props_count default =
+  match Sys.getenv_opt "BPTREE_PROPS_COUNT" with Some n -> int_of_string n | None -> default
+
 let many_keys_split () =
   let t = mk () in
   let n = 5000 in
@@ -195,7 +199,7 @@ let cursor_early_exit_pages () =
   Tutil.check_int "abandoned cursor reads one leaf" 1 early
 
 let prop_cursor_matches_iter_range =
-  QCheck.Test.make ~name:"cursor = iter_range" ~count:100
+  QCheck.Test.make ~name:"cursor = iter_range" ~count:(props_count 100)
     QCheck.(triple (list (int_bound 300)) (int_bound 300) (int_bound 300))
     (fun (ks, a, b) ->
       let lo_i = min a b and hi_i = max a b in
@@ -217,7 +221,7 @@ let prop_cursor_matches_iter_range =
       !via_cursor = !via_iter)
 
 let prop_reverse_matches_forward =
-  QCheck.Test.make ~name:"iter_range_rev = rev iter_range" ~count:100
+  QCheck.Test.make ~name:"iter_range_rev = rev iter_range" ~count:(props_count 100)
     QCheck.(triple (list (int_bound 300)) (int_bound 300) (int_bound 300))
     (fun (ks, a, b) ->
       let lo_i = min a b and hi_i = max a b in
@@ -229,31 +233,53 @@ let prop_reverse_matches_forward =
       Bptree.iter_range_rev t ~lo ~hi (fun k _ -> bwd := k :: !bwd; true);
       !fwd = List.rev !bwd)
 
-let ops_gen =
+(* Keys that stress the node prefixes: the plain numbered keys; keys
+   behind a long shared prefix, so whole subtrees share it; keys that are
+   prefixes of one another, down to one byte; and keys of 0x00, 0x01, 0xFE
+   and 0xFF bytes, the ends of the byte order. *)
+let adversarial_key =
+  let long = String.init 300 (fun i -> Char.chr (32 + (i * 7 mod 90))) in
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map key (int_bound 499));
+        ( 3,
+          map2
+            (fun n tail -> String.sub long 0 n ^ tail)
+            (int_bound 300)
+            (string_size ~gen:(oneofl [ '\000'; '\001'; 'a'; '\254'; '\255' ]) (int_range 1 3)) );
+        (2, map (fun n -> String.sub long 0 (1 + n)) (int_bound 299));
+        (1, string_size ~gen:(oneofl [ '\000'; '\001'; '\254'; '\255' ]) (int_range 1 6));
+      ])
+
+let ops_of keygen =
   QCheck.Gen.(
     list_size (int_bound 400)
       (frequency
-         [
-           (6, map2 (fun k v -> `Insert (k mod 500, v mod 1000)) nat nat);
-           (3, map (fun k -> `Delete (k mod 500)) nat);
-         ]))
+         [ (6, map2 (fun k v -> `Insert (k, v mod 1000)) keygen nat); (3, map (fun k -> `Delete k) keygen) ]))
 
 (* Apply [ops] to [t], mirrored in an association list; [value] renders the
-   generated integer. Fails the property on a delete-result mismatch. *)
-let apply_ops ?(value = string_of_int) t ops =
+   generated integer for its key. Fails the property on a delete-result
+   mismatch. *)
+let apply_ops ?(value = fun _ v -> string_of_int v) t ops =
   List.fold_left
     (fun model op ->
       match op with
-      | `Insert (k, v) ->
-          let ks = key k and vs = value v in
+      | `Insert (ks, v) ->
+          let vs = value ks v in
           Bptree.insert t ks vs;
           (ks, vs) :: List.remove_assoc ks model
-      | `Delete k ->
-          let ks = key k in
+      | `Delete ks ->
           let present = List.mem_assoc ks model in
           if present <> Bptree.delete t ks then QCheck.Test.fail_report "delete result mismatch";
           List.remove_assoc ks model)
     [] ops
+
+(* One value in 16 fills its entry to [Bptree.max_entry]. *)
+let wide_value ks v =
+  if v mod 16 = 0 then String.make (Bptree.max_entry - String.length ks) 'w' else string_of_int v
+
+let adversarial_ops = QCheck.make ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops)) (ops_of adversarial_key)
 
 (* Contents and order both match the model, and the structure checks. *)
 let matches_model t model =
@@ -266,9 +292,9 @@ let matches_model t model =
   List.rev !scan = expected && Bptree.count t = List.length expected
 
 let prop_model =
-  QCheck.Test.make ~name:"bptree matches Map" ~count:60 (QCheck.make ops_gen) (fun ops ->
+  QCheck.Test.make ~name:"bptree matches Map" ~count:(props_count 60) adversarial_ops (fun ops ->
       let t = mk () in
-      matches_model t (apply_ops t ops))
+      matches_model t (apply_ops ~value:wide_value t ops))
 
 (* -- file-backed trees under a tiny pool ----------------------------------------- *)
 
@@ -276,17 +302,20 @@ let tiny_pool = 4
 let file_tree () = Filename.concat (Tutil.temp_dir "bpt") "t.bpt"
 
 (* Values of varied length, so leaves split at varied entry counts. *)
-let long_value v = string_of_int v ^ String.make (v mod 97) '.'
+let long_value _ v = string_of_int v ^ String.make (v mod 97) '.'
+
+(* [wide_value]'s entries and [long_value]'s, in turn. *)
+let mixed_value ks v = if v mod 2 = 0 then wide_value ks v else long_value ks v
 
 (* Written through a 4-frame pool, flushed, then reopened on a fresh pool,
    so every read comes from page bytes read back from the file. *)
 let prop_reopen_matches_model =
-  QCheck.Test.make ~name:"file-backed tree reopens to the model" ~count:30 (QCheck.make ops_gen)
+  QCheck.Test.make ~name:"file-backed tree reopens to the model" ~count:(props_count 30) adversarial_ops
     (fun ops ->
       let path = file_tree () in
       let d = Disk.open_file path in
       let t = Bptree.attach (Pool.create ~capacity:tiny_pool d) in
-      let model = apply_ops ~value:long_value t ops in
+      let model = apply_ops ~value:mixed_value t ops in
       Bptree.flush t;
       Disk.close d;
       let d = Disk.open_file path in
@@ -486,11 +515,21 @@ let insert_sorted_rejects () =
 
 (* -- on-disk format -------------------------------------------------------------- *)
 
-(* The ODEBPT02 node layout, written out independently of the engine: a
+(* The common prefix of a node's fences, empty when either is open. *)
+let fence_prefix lo hi =
+  match (lo, hi) with
+  | Some a, Some b ->
+      let rec go i = if i < String.length a && i < String.length b && a.[i] = b.[i] then go (i + 1) else i in
+      String.sub a 0 (go 0)
+  | _ -> ""
+
+(* The ODEBPT03 node layout, written out independently of the engine: a
    page is a header (u8 kind, u16 count, u32 next leaf or child 0, u16
-   top), the u16 slots, zeros up to [top], then the entries from the end of
-   the node region down, entry 0 highest. A leaf entry is varint klen | key
-   | varint vlen | value, an internal entry varint klen | key | u32 child. *)
+   top, u16 prefix length), the u16 slots, zeros up to [top], the entries
+   from below the prefix down, entry 0 highest, then the key prefix, which
+   ends the node region. A leaf entry is varint slen | suffix | varint
+   vlen | value, an internal entry varint slen | suffix | u32 child, where
+   a key is the prefix followed by the suffix. *)
 module Reference = struct
   module Codec = Ode_util.Codec
 
@@ -507,57 +546,72 @@ module Reference = struct
     Codec.put_varint b (String.length s);
     Codec.put_raw b s
 
-  (* The node's bytes [0, node_end) of its page. *)
-  let page node =
+  (* The node's bytes [0, node_end) of its page, its keys stored past
+     [prefix]. *)
+  let page ~prefix node =
+    let pl = String.length prefix in
+    let suffix k = String.sub k pl (String.length k - pl) in
     let kind, link, entries =
       match node with
       | Leaf (es, next) ->
-          (0, next, Array.map (fun (k, v) -> entry (fun b -> with_len b k; with_len b v)) es)
+          (0, next, Array.map (fun (k, v) -> entry (fun b -> with_len b (suffix k); with_len b v)) es)
       | Internal (keys, children) ->
           ( 1,
             children.(0),
-            Array.mapi (fun i k -> entry (fun b -> with_len b k; Codec.put_u32 b children.(i + 1))) keys )
+            Array.mapi
+              (fun i k -> entry (fun b -> with_len b (suffix k); Codec.put_u32 b children.(i + 1)))
+              keys )
     in
-    let top = node_end - Array.fold_left (fun n e -> n + String.length e) 0 entries in
+    let top = node_end - pl - Array.fold_left (fun n e -> n + String.length e) 0 entries in
     let b = Buffer.create node_end in
     Codec.put_u8 b kind;
     Codec.put_u16 b (Array.length entries);
     Codec.put_u32 b link;
     Codec.put_u16 b top;
+    Codec.put_u16 b pl;
     ignore
       (Array.fold_left
          (fun off e ->
            let off = off - String.length e in
            Codec.put_u16 b off;
            off)
-         node_end entries);
+         (node_end - pl) entries);
     Buffer.add_string b (String.make (top - Buffer.length b) '\000');
     for i = Array.length entries - 1 downto 0 do
       Buffer.add_string b entries.(i)
     done;
+    Buffer.add_string b prefix;
     Buffer.contents b
 
+  let prefix_of data =
+    let pl = Ode_storage.Bigbytes.get_uint16_le data 9 in
+    Ode_storage.Bigbytes.sub_string data (node_end - pl) pl
+
+  (* The node in a page, with whole keys. *)
   let read_node data =
     let s = Ode_storage.Bigbytes.sub_string data 0 node_end in
+    let prefix = prefix_of data in
     let c = Codec.cursor s in
     let kind = Codec.get_u8 c in
     let n = Codec.get_u16 c in
     let link = Codec.get_u32 c in
     ignore (Codec.get_u16 c);
+    ignore (Codec.get_u16 c);
     let slots = Array.init n (fun _ -> Codec.get_u16 c) in
     let at off = Codec.cursor ~pos:off s in
     let str c = Codec.get_raw c (Codec.get_varint c) in
+    let key c = prefix ^ str c in
     if kind = 0 then
       Leaf
         ( Array.map
             (fun off ->
               let c = at off in
-              let k = str c in
+              let k = key c in
               (k, str c))
             slots,
           link )
     else
-      let keys = Array.map (fun off -> str (at off)) slots in
+      let keys = Array.map (fun off -> key (at off)) slots in
       let children =
         Array.append [| link |]
           (Array.map
@@ -571,7 +625,7 @@ module Reference = struct
 
   let header ~root ~count =
     let b = Buffer.create Ode_storage.Page.size in
-    Codec.put_raw b "ODEBPT02";
+    Codec.put_raw b "ODEBPT03";
     Codec.put_u32 b root;
     Codec.put_i64 b (Int64.of_int count);
     Buffer.add_string b (String.make (Ode_storage.Page.data_end - Buffer.length b) '\000');
@@ -582,18 +636,21 @@ let header_root header =
   Ode_storage.Bigbytes.(get_uint16_le header 8 lor (get_uint16_le header 10 lsl 16))
 
 (* Every page of a flushed tree holds exactly the bytes the reference
-   encoder writes for the node it holds, up to the disk layer's checksum
-   trailer, the header page included, and those nodes hold the model's
-   contents. So in-place edits leave no trace of the page's history. *)
+   encoder writes for the node it holds, keys stored past the common
+   prefix of the node's fences, up to the disk layer's checksum trailer,
+   the header page included, and those nodes hold the model's contents.
+   So in-place edits leave no trace of the page's history. The keys share
+   prefixes of several lengths, so that most nodes store one. *)
 let pages_match_reference_encoder () =
   let path = file_tree () in
   let d = Disk.open_file path in
   let t = Bptree.attach (Pool.create ~capacity:tiny_pool d) in
   let rng = Random.State.make [| 7 |] in
+  let key k = Printf.sprintf "%s-%04d" (String.make (k mod 7 * 9) (Char.chr (97 + (k mod 3)))) k in
   let ops =
     List.init 3000 (fun _ ->
         let k = Random.State.int rng 2000 in
-        if Random.State.int rng 4 = 0 then `Delete k else `Insert (k, Random.State.int rng 1000))
+        if Random.State.int rng 4 = 0 then `Delete (key k) else `Insert (key k, Random.State.int rng 1000))
   in
   let model = List.sort compare (apply_ops ~value:long_value t ops) in
   Bptree.flush t;
@@ -605,20 +662,30 @@ let pages_match_reference_encoder () =
   Tutil.check_string "header page"
     (Reference.header ~root ~count:(List.length model))
     (Ode_storage.Bigbytes.sub_string header 0 Ode_storage.Page.data_end);
-  let checked = ref 0 in
-  let rec walk n =
+  let checked = ref 0 and prefixed = ref 0 in
+  let rec walk n ~lo ~hi =
     let data = page n in
     let node = Reference.read_node data in
-    Tutil.check_string (Printf.sprintf "page %d" n) (Reference.page node)
+    let prefix = fence_prefix lo hi in
+    if prefix <> "" then incr prefixed;
+    Tutil.check_string (Printf.sprintf "page %d" n) (Reference.page ~prefix node)
       (Ode_storage.Bigbytes.sub_string data 0 Reference.node_end);
     incr checked;
     match node with
     | Reference.Leaf (entries, _) -> Array.to_list entries
-    | Reference.Internal (_, children) -> List.concat_map walk (Array.to_list children)
+    | Reference.Internal (keys, children) ->
+        List.concat
+          (List.mapi
+             (fun i c ->
+               let lo = if i = 0 then lo else Some keys.(i - 1) in
+               let hi = if i = Array.length keys then hi else Some keys.(i) in
+               walk c ~lo ~hi)
+             (Array.to_list children))
   in
-  let entries = walk root in
+  let entries = walk root ~lo:None ~hi:None in
   Disk.close d;
   Tutil.check_bool "tree has internal nodes" true (!checked > 3);
+  Tutil.check_bool "most nodes store a prefix" true (!prefixed * 2 > !checked);
   Tutil.check_bool "contents = model" true (entries = model)
 
 (* Rewrite page [n] of the file at [path] with [f] applied to a copy of
@@ -631,30 +698,98 @@ let rewrite_page path n f =
   Disk.write_batch d [ (n, Ode_storage.Bigbytes.of_string (Bytes.to_string data)) ];
   Disk.close d
 
-(* A store written by the previous node layout, ODEBPT01, is refused at
-   open rather than misread. Its trees are stamped with the old magic,
-   with valid page checksums. *)
-let old_format_refused () =
+let file_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+(* A store written by an earlier node layout is refused at open rather
+   than misread. Its trees are stamped with the old magic, with valid page
+   checksums. The store was left crashed, so its log holds a commit: the
+   refusal comes before replay, and the log and the tree files keep their
+   bytes. *)
+let old_format_refused old () =
   let dir = Tutil.temp_dir "oldbpt" in
   let db = Ode.Database.open_ dir in
   ignore (Ode.Database.define db "class z { v: int; };");
   Ode.Database.create_cluster db "z";
+  Ode.Database.create_index db ~cls:"z" ~field:"v";
   Ode.Database.with_txn db (fun txn ->
       ignore (Ode.Database.pnew txn "z" [ ("v", Ode_model.Value.Int 1) ]));
-  Ode.Database.close db;
+  Ode.Database.crash db;
+  let files = [ "directory.bpt"; "indexes.bpt" ] in
   List.iter
-    (fun file ->
-      rewrite_page (Filename.concat dir file) 0 (fun data -> Bytes.blit_string "ODEBPT01" 0 data 0 8))
-    [ "directory.bpt"; "indexes.bpt" ];
-  match Ode.Database.open_ dir with
+    (fun file -> rewrite_page (Filename.concat dir file) 0 (fun data -> Bytes.blit_string old 0 data 0 8))
+    files;
+  let snapshot () = List.map (fun f -> file_bytes (Filename.concat dir f)) ("wal.log" :: files) in
+  let before = snapshot () in
+  Tutil.check_bool "the log holds a commit" true (String.length (List.hd before) > 0);
+  (match Ode.Database.open_ dir with
   | db ->
       Ode.Database.close db;
-      Alcotest.fail "a store in the ODEBPT01 layout opened"
+      Alcotest.failf "a store in the %s layout opened" old
   | exception Ode_util.Codec.Corrupt msg ->
-      if not (Tutil.contains msg "bpt: bad magic \"ODEBPT01\", this build reads \"ODEBPT02\"")
-      then Alcotest.failf "refused for another reason: %s" msg;
+      if not (Tutil.contains msg (Printf.sprintf "bpt: bad magic %S, this build reads \"ODEBPT03\"" old)) then
+        Alcotest.failf "refused for another reason: %s" msg;
       if not (Tutil.contains msg dir) then Alcotest.failf "the refusal names no file: %s" msg
-  | exception e -> Alcotest.failf "refused with %s, not as corrupt" (Printexc.to_string e)
+  | exception e -> Alcotest.failf "refused with %s, not as corrupt" (Printexc.to_string e));
+  Tutil.check_bool "the log and the trees keep their bytes" true (snapshot () = before)
+
+(* The first leaf whose fences share a prefix, in a walk of the flushed
+   tree file at [path]: its page, its node and that prefix. *)
+let prefixed_leaf path =
+  let d = Disk.open_file path in
+  Fun.protect ~finally:(fun () -> Disk.close d) @@ fun () ->
+  let rec walk n ~lo ~hi =
+    match Reference.read_node (Disk.read d n) with
+    | Reference.Leaf (entries, _) as node ->
+        let p = fence_prefix lo hi in
+        if p <> "" && Array.for_all (fun (k, _) -> String.length k > String.length p) entries then Some (n, node, p)
+        else None
+    | Reference.Internal (keys, children) ->
+        let rec first i =
+          if i = Array.length children then None
+          else
+            let lo = if i = 0 then lo else Some keys.(i - 1) and hi = if i = Array.length keys then hi else Some keys.(i) in
+            match walk children.(i) ~lo ~hi with Some _ as found -> found | None -> first (i + 1)
+        in
+        first 0
+  in
+  match walk (header_root (Disk.read d 0)) ~lo:None ~hi:None with
+  | Some found -> found
+  | None -> Alcotest.fail "no leaf stores a prefix"
+
+(* A leaf that stores a prefix one byte longer than its fences share, its
+   keys cut by that byte more, as a writer that took one byte too many
+   would leave it, with a valid checksum. Every key still starts with the
+   prefix it stores, and they still sort, so only the prefix check sees
+   it: [check] names the leaf's prefix, and so does [Verify.run] on a
+   store whose directory holds such a leaf. *)
+let long_prefix_caught () =
+  let dir = Tutil.temp_dir "longpfx" in
+  let db = Ode.Database.open_ dir in
+  ignore (Ode.Database.define db "class z { v: int; s: string; };");
+  Ode.Database.create_cluster db "z";
+  Ode.Database.with_txn db (fun txn ->
+      for i = 1 to 3000 do
+        ignore (Ode.Database.pnew txn "z" [ ("v", Ode_model.Value.Int i); ("s", Ode_model.Value.Str (String.make 40 's')) ])
+      done);
+  Ode.Database.close db;
+  let path = Filename.concat dir "directory.bpt" in
+  let page, node, p = prefixed_leaf path in
+  let longer =
+    match node with Reference.Leaf (entries, _) -> String.sub (fst entries.(0)) 0 (String.length p + 1) | _ -> assert false
+  in
+  rewrite_page path page (fun data -> Bytes.blit_string (Reference.page ~prefix:longer node) 0 data 0 Reference.node_end);
+  let d = Disk.open_file path in
+  (match Bptree.check (Bptree.attach (Pool.create ~capacity:64 d)) with
+  | Ok () -> Alcotest.fail "check passed a leaf whose prefix is a byte too long"
+  | Error e -> Tutil.check_bool ("reported as the prefix: " ^ e) true (Tutil.contains e "key prefix"));
+  Disk.close d;
+  let db = Ode.Database.open_ dir in
+  (match Ode.Verify.run db with
+  | Ok () -> Alcotest.fail "Verify passed a leaf whose prefix is a byte too long"
+  | Error ps ->
+      if not (List.exists (fun e -> Tutil.contains e "key prefix") ps) then
+        Alcotest.failf "Verify missed the prefix: %s" (String.concat "; " ps));
+  Ode.Database.close db
 
 (* A flushed file-backed tree of [n] keys, closed; returns its path. *)
 let flushed_tree ?(value = fun i -> string_of_int i) n =
@@ -721,9 +856,10 @@ let check_compares_in_place () =
   let first = leftmost (header_root (Disk.read d 0)) in
   Disk.close d;
   (* Swap the bytes of the first two keys, which have one length: each
-     entry is a one-byte length, then the key. *)
+     entry is a one-byte length, then the key, whole in the leftmost leaf,
+     whose prefix is empty. *)
   rewrite_page path first (fun data ->
-      let at i = Bytes.get_uint16_le data (9 + (2 * i)) + 1 in
+      let at i = Bytes.get_uint16_le data (11 + (2 * i)) + 1 in
       let k0 = Bytes.sub data (at 0) 10 in
       Bytes.blit data (at 1) data (at 0) 10;
       Bytes.blit k0 0 data (at 1) 10);
@@ -807,9 +943,12 @@ let pages_for order =
 let batch_pages () = pages_after (fun t -> Bptree.insert_sorted t (Array.init gate_keys fill_entry))
 
 (* Ascending keys inserted one call each fill their leaves: the pieces an
-   append cuts are filled in order, so the tree takes at most 10% more
-   pages than one sorted batch (310). An even cut of every append leaves
-   each leaf half full (615 pages). *)
+   append cuts are filled in order, and a leaf an append split left behind
+   is refilled by the next one, so the tree takes at most 10% more pages
+   than one sorted batch (155, where whole keys took 310). Without the
+   refill the leaves left behind keep their share of the keys' bytes from
+   before they took a prefix (311 pages); an even cut of every append
+   leaves each leaf half full. *)
 let ascending_inserts_fill_leaves () =
   let batch = batch_pages () in
   let one_by_one = pages_for (Array.init gate_keys Fun.id) in
@@ -817,7 +956,8 @@ let ascending_inserts_fill_leaves () =
     Alcotest.failf "ascending inserts took %d pages; one sorted batch takes %d" one_by_one batch
 
 (* Random-order inserts almost never append to a last child, so they keep
-   the even cut and the page count it gives. *)
+   the even cut and the page count it gives: 241, where whole keys took
+   448, as most of these 19-byte keys is a prefix their leaf shares. *)
 let random_inserts_keep_even_cuts () =
   let order = Array.init gate_keys Fun.id in
   let rng = Random.State.make [| 306 |] in
@@ -827,7 +967,7 @@ let random_inserts_keep_even_cuts () =
     order.(i) <- order.(j);
     order.(j) <- x
   done;
-  Tutil.check_int "pages after random-order inserts" 448 (pages_for order)
+  Tutil.check_int "pages after random-order inserts" 241 (pages_for order)
 
 (* -- rotten nodes ------------------------------------------------------------------ *)
 
@@ -849,7 +989,7 @@ let prop_rotten_nodes_corrupt =
       let page = 1 + (which mod (pages - 1)) in
       rewrite_page path page (fun data ->
           let n = Bytes.get_uint16_le data 1 and top = Bytes.get_uint16_le data 7 in
-          let head = min (9 + (2 * n)) Reference.node_end in
+          let head = min (11 + (2 * n)) Reference.node_end in
           let top = min (max top head) Reference.node_end in
           let used = head + (Reference.node_end - top) in
           List.iter
@@ -897,8 +1037,10 @@ let suite =
         Alcotest.test_case "persists across reopen" `Quick persistence;
         Alcotest.test_case "oversized entries rejected" `Quick large_entries_rejected;
         Alcotest.test_case "pages match the reference encoder" `Quick pages_match_reference_encoder;
-        Alcotest.test_case "ODEBPT01 store refused at open" `Quick old_format_refused;
+        Alcotest.test_case "ODEBPT01 store refused at open" `Quick (old_format_refused "ODEBPT01");
+        Alcotest.test_case "ODEBPT02 store refused at open" `Quick (old_format_refused "ODEBPT02");
         Alcotest.test_case "check follows the leaf chain" `Quick check_follows_leaf_chain;
+        Alcotest.test_case "check catches a long key prefix" `Quick long_prefix_caught;
         Alcotest.test_case "check compares keys in place" `Quick check_compares_in_place;
         Alcotest.test_case "find allocates only its result" `Quick find_allocates_only_its_result;
         Alcotest.test_case "no second cache after a scan" `Quick no_second_cache;

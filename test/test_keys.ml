@@ -80,15 +80,17 @@ let prop_header_order =
 
 (* The widest oid below 256 classes and 65,536 objects per class: its
    header key is 6 bytes (a tag, 1 + 1 for the class, 1 + 2 for the
-   number) and an int field's index tree key 16 (1 + 1 for the index id,
-   a type byte and 8 for the value, 5 for the oid). The 16-byte oid
-   layout gave 17 and 33. A real store's keys stay within the same
-   bounds. *)
+   number) and an int field's index tree key for the value 7 is 11 (1 + 1
+   for the index id, a type byte, 3 for the value: 2 significant bytes
+   of its float and a terminator, 5 for the oid). The 16-byte oid layout
+   gave 17 and 33, and the 8-byte float image 16 for the index key. A
+   real store's keys stay within the same bounds: its widest index key
+   here, for a value near 3e8, takes 12. *)
 let width_gate () =
   let o = { Oid.cls = 255; num = 65_535 } in
   Alcotest.(check int) "header key bytes" 6 (String.length (Keys.header o));
   let tk = Keys.index_tree_key (Keys.index_entry ~idx_id:255 ~valkey:(Value.index_key (Value.Int 7)) ~oid:o) in
-  Alcotest.(check int) "int index tree key bytes" 16 (String.length tk);
+  Alcotest.(check int) "int index tree key bytes" 11 (String.length tk);
   let db = Db.open_in_memory () in
   Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
   ignore (Db.define db "class w { k: int; };");
@@ -108,7 +110,38 @@ let width_gate () =
   let hdr = widest db.kv_dir Keys.is_header_key in
   let idx = widest db.idx (fun _ -> true) in
   if hdr = 0 || hdr > 6 then Alcotest.failf "widest header key is %d bytes, want 1..6" hdr;
-  if idx = 0 || idx > 16 then Alcotest.failf "widest index tree key is %d bytes, want 1..16" idx
+  if idx = 0 || idx > 12 then Alcotest.failf "widest index tree key is %d bytes, want 1..12" idx
+
+(* The store's B+tree page counts, pinned: a seeded 40k-object class
+   whose int field is indexed, its values 0..39,999 in a random order,
+   loaded through [Database] in commits of 1,000 and closed. The directory
+   holds 40k header keys in ascending oid order, the index 40k keys in
+   random order. Before node prefixes and the short number keys they took
+   138 and 285 pages. *)
+let store_pages () =
+  let dir = Tutil.temp_dir "pages" in
+  let db = Db.open_ dir in
+  ignore (Db.define db "class p { k: int; };");
+  Db.create_cluster db "p";
+  Db.create_index db ~cls:"p" ~field:"k";
+  let n = 40_000 in
+  let order = Array.init n Fun.id and rng = Random.State.make [| 38 |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  for b = 0 to (n / 1000) - 1 do
+    Db.with_txn db (fun txn ->
+        for j = b * 1000 to (b * 1000) + 999 do
+          ignore (Db.pnew txn "p" [ ("k", Value.Int order.(j)) ])
+        done)
+  done;
+  Db.close db;
+  let pages file = (Unix.stat (Filename.concat dir file)).Unix.st_size / Ode_storage.Page.size in
+  Alcotest.(check int) "directory.bpt pages" 110 (pages "directory.bpt");
+  Alcotest.(check int) "indexes.bpt pages" 142 (pages "indexes.bpt")
 
 (* An activation names its declaration by class id and position and takes
    its tid from the key; the declaration fixes the argument count and
@@ -358,6 +391,7 @@ let suite =
       [
         Alcotest.test_case "compact widths" `Quick width_gate;
         Alcotest.test_case "activation width" `Quick activation_width;
+        Alcotest.test_case "40k-object store page counts" `Quick store_pages;
         Alcotest.test_case "old layout refused at open" `Quick old_layout_refused;
         Alcotest.test_case "slot bytes by type" `Quick golden_slots;
         Alcotest.test_case "account record size" `Quick account_size;

@@ -184,7 +184,8 @@ let garbage_handshake () =
   Tutil.check_bool "short reply" true (Result.is_error (P.parse_hello_reply "ODEP"))
 
 (* There is one protocol version: a server answers a hello from an older
-   client (v2 had no trace ids, v3 no conflict reply, v4 no error class)
+   client (v2 had no trace ids, v3 no conflict reply, v4 no error class,
+   v5 shipped index keys with 8-byte numbers)
    with [Bad_version]
    and hangs up, and a replication primary refuses an older replica. *)
 let old_versions_rejected () =
@@ -221,7 +222,7 @@ let old_versions_rejected () =
               Tutil.check_string
                 (Printf.sprintf "v%d hello gets Bad_version, then EOF" v)
                 (P.hello_reply Bad_version) (Bytes.sub_string buf 0 n)))
-        [ 2; 3; 4 ]);
+        [ 2; 3; 4; 5 ]);
   let repl_hello_v v = P.repl_magic ^ String.sub (hello_v v) 4 2 in
   Tutil.check_bool "current repl hello" true (P.parse_repl_hello P.repl_hello = Ok ());
   List.iter
@@ -230,7 +231,7 @@ let old_versions_rejected () =
         (Printf.sprintf "v%d repl hello refused" v)
         true
         (Result.is_error (P.parse_repl_hello (repl_hello_v v))))
-    [ 2; 3; 4 ]
+    [ 2; 3; 4; 5 ]
 
 let reader_take () =
   let rd = P.reader () in

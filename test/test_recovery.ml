@@ -209,6 +209,21 @@ let orphans_swept_across_pages () =
   Tutil.check_int "all rows" 400 (Db.with_txn db2 (fun _ -> Ode.Query.count db2 ~var:"x" ~cls:"acct" ()));
   Db.close db2
 
+(* The orphan sweep's directory pass reads each rid where it lies in the
+   cursor's copy of its leaf: over 2,000 out-of-line records it allocates
+   a fixed few words (the cursor and its buffer), none per entry. *)
+let rid_pass_allocates_nothing_per_entry () =
+  let dir = Tutil.temp_dir "rec" in
+  let db = setup dir in
+  fill db 2000;
+  let entries = ref 0 in
+  Ode.Kv.iter_rids db (fun _ _ -> incr entries);
+  Tutil.check_int "out-of-line entries" 2000 !entries;
+  let f _ _ = () in
+  let words = Tutil.allocated_words (fun () -> Ode.Kv.iter_rids db f) in
+  if words > 256. then Alcotest.failf "the rid pass over %d entries allocated %.0f words" !entries words;
+  Db.close db
+
 (* After a clean close the WAL is empty, so the open runs no orphan sweep.
    With a pool that holds the whole heap, the heap's attach scan misses
    once per page and the sweep would hit every page again; what the open
@@ -333,7 +348,7 @@ let check_reopened ~what db =
   | Ok () -> ()
   | Error ps -> Alcotest.failf "%s: %s" what (String.concat "; " ps));
   let reachable = ref 0 in
-  Ode.Kv.iter_rids db (fun _ -> incr reachable);
+  Ode.Kv.iter_rids db (fun _ _ -> incr reachable);
   Tutil.check_int (what ^ ": no orphan heap record") !reachable
     (Ode_storage.Heap.record_count db.Ode.Types.kv_heap)
 
@@ -463,6 +478,7 @@ let suite =
           orphans_swept_after_heap_first_crash;
         Alcotest.test_case "orphans swept across heap pages" `Quick orphans_swept_across_pages;
         Alcotest.test_case "clean open skips the orphan sweep" `Quick clean_open_skips_sweep;
+        Alcotest.test_case "rid pass allocates nothing per entry" `Quick rid_pass_allocates_nothing_per_entry;
         Alcotest.test_case "clean close round-trip" `Quick survives_clean_close;
         Alcotest.test_case "crash without close" `Quick survives_crash_without_close;
         Alcotest.test_case "uncommitted work is lost" `Quick uncommitted_work_is_lost;

@@ -100,6 +100,40 @@ let prop_index_key_order =
       QCheck.assume comparable;
       sign (compare (Value.index_key a) (Value.index_key b)) = sign (Value.compare a b))
 
+(* Numeric index keys: ints and floats, the edges of each included, in
+   one order, their numeric one, and in a prefix-free form, so a value's
+   key bounds an index's entries for that value alone. NaN, which
+   [Float.compare] puts below every number and the key encoding above,
+   is left out. *)
+let numeric_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 2,
+          oneofl
+            [
+              Value.Int 0; Value.Int 1; Value.Int (-1); Value.Int max_int; Value.Int min_int;
+              Value.Int (1 lsl 53); Value.Int (-(1 lsl 53)); Value.Int ((1 lsl 53) + 1);
+              Value.Float 0.0; Value.Float (-0.0); Value.Float infinity; Value.Float neg_infinity;
+              Value.Float 0x1p53; Value.Float (-0x1p53); Value.Float 1e-300; Value.Float 4.9e-324;
+            ] );
+        (3, map (fun n -> Value.Int n) int);
+        (3, map (fun n -> Value.Int n) (int_range (-70_000) 70_000));
+        (3, map (fun f -> Value.Float f) float);
+      ])
+
+let prop_numeric_keys =
+  QCheck.Test.make ~name:"numeric keys order like numbers" ~count:2000
+    (QCheck.make ~print:Value.to_string numeric_gen |> fun a -> QCheck.pair a a)
+    (fun (a, b) ->
+      let num = function Value.Int n -> float_of_int n | Value.Float f -> f | _ -> assert false in
+      QCheck.assume (not (Float.is_nan (num a) || Float.is_nan (num b)));
+      let ka = Value.index_key a and kb = Value.index_key b in
+      let sign n = compare n 0 in
+      sign (compare ka kb) = sign (Float.compare (num a) (num b))
+      && (ka = kb || not (String.starts_with ~prefix:ka kb || String.starts_with ~prefix:kb ka))
+      && Ode.Keys.valkey_end ka 0 = String.length ka)
+
 (* [Value.encode] and [Value.fields_encode] are the benchmark's yardstick:
    its [space_amp] divides store bytes by [fields_encode] of the live
    objects. Store records no longer use [fields_encode], so a change to
@@ -206,6 +240,7 @@ let suite =
         prop_compare_antisym;
         prop_compare_trans;
         prop_index_key_order;
+        prop_numeric_keys;
         prop_rendering_identity;
       ];
   ]
