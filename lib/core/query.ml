@@ -61,8 +61,8 @@ let merge_chained chained emit iter =
    its directory value, an inline record as the cursor's copy of its leaf
    holds it or the rid of an out-of-line one. Chained header keys are
    merged in so objects deleted after the snapshot still surface
-   ([Mvcc.keys_matching] is a single atomic load when no chains exist —
-   the no-concurrent-snapshot common case). *)
+   ([Mvcc.keys_matching] is an emptiness check when no chains exist — the
+   common case — and otherwise one fold over the chains). *)
 let committed_candidates db ?txn cls_id f =
   let prefix = Keys.header_prefix_class cls_id in
   let chained =
@@ -539,16 +539,14 @@ let h_query = Ode_util.Histogram.create "query.execute"
 
 (* When the slow-query log is armed, every query runs light-profiled
    (rows per node, whole-query time and counter totals) and the
-   resulting profile is stashed domain-locally: the session layer, which
-   times the whole request against the threshold, collects it from here
-   if (and only if) the request turns out slow. Domain-local because a
-   request executes entirely on one domain — concurrent readers each see
-   their own last profile. *)
-let last_profile_key = Domain.DLS.new_key (fun () : profile option -> None)
+   resulting profile is stashed here: the session layer, which times the
+   whole request against the threshold, collects it if (and only if) the
+   request turns out slow. *)
+let last_profile : profile option ref = ref None
 
 let take_last_profile () =
-  let pf = Domain.DLS.get last_profile_key in
-  if pf <> None then Domain.DLS.set last_profile_key None;
+  let pf = !last_profile in
+  last_profile := None;
   pf
 
 let execute db ?txn c body =
@@ -556,7 +554,7 @@ let execute db ?txn c body =
       let slow = Ode_util.Slowlog.armed () in
       let profile = if slow || Ode_util.Trace.enabled () then Some false else None in
       match exec db ?txn ?profile c body with
-      | Some pf when slow -> Domain.DLS.set last_profile_key (Some pf)
+      | Some pf when slow -> last_profile := Some pf
       | _ -> ())
 
 let execute_profiled db ?txn c body =
@@ -613,7 +611,7 @@ let profile_to_string pf =
    object for the slow-query log. *)
 let profile_to_json pf =
   let open Ode_util in
-  let esc = Metrics.json_escape in
+  let esc = Trace.json_escape in
   let counters s =
     String.concat ","
       (List.map (fun (k, c) -> Printf.sprintf "\"%s\":%d" k (Stats.get s c)) profile_counters)

@@ -215,10 +215,10 @@ val profile_to_json : profile -> string
     ([{"plan",...,"nodes":[{op,label,rows,ns,...}]}]) for the slow-query log. *)
 
 val take_last_profile : unit -> profile option
-(** Take (and clear) the profile of the last query run on the calling
-    domain. Populated only while {!Ode_util.Slowlog} is armed — [run]
-    then executes queries profiled so the session layer can attach the
-    per-plan-node breakdown to a slow-query entry after the fact. *)
+(** Take (and clear) the profile of the last query run. Populated only
+    while {!Ode_util.Slowlog} is armed — [run] then executes queries
+    profiled so the session layer can attach the per-plan-node breakdown
+    to a slow-query entry after the fact. *)
 
 (** {1 Aggregates}
 

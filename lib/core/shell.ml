@@ -274,10 +274,8 @@ let dot_command t line =
           Printf.sprintf "synced (%d commits acknowledged)" n
       | ".metrics", "" -> String.trim (Ode_util.Histogram.summary ())
       | ".metrics", "reset" ->
-          (* Atomic per histogram: each snapshot+zero happens under that
-             histogram's mutex, so an observe racing the reset from
-             another domain is never lost or double-counted. *)
-          let drained = Ode_util.Histogram.rows ~reset:true () in
+          let drained = Ode_util.Histogram.rows () in
+          Ode_util.Histogram.reset_all ();
           let n = List.fold_left (fun a (r : Ode_util.Histogram.row) -> a + r.r_count) 0 drained in
           Printf.sprintf "histograms reset (%d observations drained)" n
       | ".metrics", "json" -> Ode_util.Metrics.json ()

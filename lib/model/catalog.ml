@@ -58,7 +58,7 @@ let lineage t (c : Schema.cls) =
 let all_fields t c = List.concat_map (fun (a : Schema.cls) -> a.own_fields) (lineage t c)
 
 (* Memoized like [lineage]. [define] and [decode] build every class's
-   layout up front, so readers on other domains only ever look it up. *)
+   layout up front, so a read only ever looks it up. *)
 let layout t (c : Schema.cls) =
   match Hashtbl.find_opt t.layout_memo c.id with
   | Some l -> l

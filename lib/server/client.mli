@@ -36,7 +36,13 @@
     connection, with read-your-writes stickiness: every response carries
     the server's commit LSN, the client tracks the highest LSN any write-
     pool response acknowledged, and a replica answer behind that watermark
-    (or failing, or unreachable) silently falls back to the primary. *)
+    (or failing, or unreachable) silently falls back to the primary.
+
+    {2 Domains}
+
+    The client touches no process-global instrumentation ([Stats],
+    [Histogram], [Trace], [Slowlog]), so a load generator may run clients
+    on several domains, one [t] per domain. *)
 
 type t
 

@@ -970,7 +970,7 @@ let spawn_full ?max_conns ?idle_timeout ?durability ?group_window ?repl_port ?me
              database so this server's /metrics and .stats describe this
              server — recovery counters bumped by the open below survive. *)
           Ode_util.Stats.reset ();
-          ignore (Ode_util.Histogram.rows ~reset:true ());
+          Ode_util.Histogram.reset_all ();
           let db, replica =
             match replica_of with
             | None -> (Ode.Database.open_ db_dir, None)

@@ -70,7 +70,7 @@ let log_slow t (rq : Protocol.request) (reply : Protocol.reply) ~exec_ns profile
     (Trace.id_to_string rq.rq_trace)
     t.sid;
   Printf.bprintf b ",\"op\":\"%s\",\"statement\":\"%s\"" (op_name rq.rq_op)
-    (Ode_util.Metrics.json_escape (statement_of rq.rq_op));
+    (Trace.json_escape (statement_of rq.rq_op));
   Printf.bprintf b ",\"exec_ns\":%d" exec_ns;
   (match reply with Error e -> Printf.bprintf b ",\"error\":\"%s\"" (Err.class_name e.cls) | _ -> ());
   (match profile with
@@ -79,7 +79,7 @@ let log_slow t (rq : Protocol.request) (reply : Protocol.reply) ~exec_ns profile
   Buffer.add_char b '}';
   Ode_util.Slowlog.record ~dur_ns:exec_ns (Buffer.contents b)
 
-(* The request's trace id is installed as the domain's ambient id for the
+(* The request's trace id is installed as the ambient id for the
    duration, so the span below, every nested engine span, and the WAL
    commit record all carry the client-assigned id. *)
 let timed t (rq : Protocol.request) f =

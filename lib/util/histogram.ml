@@ -9,14 +9,9 @@
 
    Enabled by default: the sites are coarse operation boundaries, each
    costing two clock reads and one array bump (E18 guards the total at
-   <=5% on a scan-heavy workload). Process-global, like Stats; a
-   per-histogram mutex makes [observe] domain-safe (load-generator and
-   test domains observe concurrently). Reads (count/percentile/summary)
-   are lock-free: they may see a mid-observation state, which for
-   monotonic tallies means at worst an off-by-one-in-flight report. *)
+   <=5% on a scan-heavy workload). Process-global, like Stats. *)
 
 let enabled_flag = ref true
-let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
 
 let nbuckets = 63
@@ -26,7 +21,6 @@ type measure = Nanoseconds | Count
 type t = {
   name : string;
   measure : measure;
-  mu : Mutex.t;
   counts : int array;
   mutable n : int;
   mutable sum_ns : int;
@@ -35,31 +29,18 @@ type t = {
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 let order : string list ref = ref [] (* newest first *)
-let registry_mu = Mutex.create ()
 
 let create ?(measure = Nanoseconds) name =
-  Mutex.protect registry_mu (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some h -> h
-      | None ->
-          let h =
-            {
-              name;
-              measure;
-              mu = Mutex.create ();
-              counts = Array.make nbuckets 0;
-              n = 0;
-              sum_ns = 0;
-              max_ns = 0;
-            }
-          in
-          Hashtbl.replace registry name h;
-          order := name :: !order;
-          h)
+  match Hashtbl.find_opt registry name with
+  | Some h -> h
+  | None ->
+      let h = { name; measure; counts = Array.make nbuckets 0; n = 0; sum_ns = 0; max_ns = 0 } in
+      Hashtbl.replace registry name h;
+      order := name :: !order;
+      h
 
-let find name = Mutex.protect registry_mu (fun () -> Hashtbl.find_opt registry name)
-let all () = Mutex.protect registry_mu (fun () -> List.rev_map (Hashtbl.find registry) !order)
-let name h = h.name
+let find name = Hashtbl.find_opt registry name
+let all () = List.rev_map (Hashtbl.find registry) !order
 
 let bucket_index ns =
   if ns <= 1 then 0
@@ -75,11 +56,10 @@ let bucket_index ns =
 let observe h ns =
   let ns = max 0 ns in
   let b = bucket_index ns in
-  Mutex.protect h.mu (fun () ->
-      h.counts.(b) <- h.counts.(b) + 1;
-      h.n <- h.n + 1;
-      h.sum_ns <- h.sum_ns + ns;
-      if ns > h.max_ns then h.max_ns <- ns)
+  h.counts.(b) <- h.counts.(b) + 1;
+  h.n <- h.n + 1;
+  h.sum_ns <- h.sum_ns + ns;
+  if ns > h.max_ns then h.max_ns <- ns
 
 let time h f =
   if not !enabled_flag then f ()
@@ -96,7 +76,6 @@ let time h f =
 
 let count h = h.n
 let max_ns h = h.max_ns
-let sum_ns h = h.sum_ns
 let mean_ns h = if h.n = 0 then 0. else float_of_int h.sum_ns /. float_of_int h.n
 
 (* upper bound of bucket i, clamped to the observed max so the estimate
@@ -118,12 +97,6 @@ let percentile_of counts n maxv p =
 
 let percentile h p = percentile_of h.counts h.n h.max_ns p
 
-(* A consistent cut of one histogram, taken under its mutex so count, sum
-   and the percentile ranks all describe the same set of observations.
-   [reset:true] zeroes the tallies inside the SAME critical section —
-   that is what makes `.metrics reset` exact under concurrent domains: an
-   [observe] racing the drain lands either wholly in the returned row or
-   wholly in the next interval, never both and never neither. *)
 type row = {
   r_name : string;
   r_measure : measure;
@@ -135,38 +108,25 @@ type row = {
   r_p99 : int;
 }
 
-let snapshot ?(reset = false) h =
-  Mutex.protect h.mu (fun () ->
-      let counts = Array.copy h.counts in
-      let n = h.n and sum = h.sum_ns and maxv = h.max_ns in
-      if reset then begin
-        Array.fill h.counts 0 nbuckets 0;
-        h.n <- 0;
-        h.sum_ns <- 0;
-        h.max_ns <- 0
-      end;
-      {
-        r_name = h.name;
-        r_measure = h.measure;
-        r_count = n;
-        r_sum_ns = sum;
-        r_max_ns = maxv;
-        r_p50 = percentile_of counts n maxv 50.;
-        r_p95 = percentile_of counts n maxv 95.;
-        r_p99 = percentile_of counts n maxv 99.;
-      })
+let snapshot h =
+  {
+    r_name = h.name;
+    r_measure = h.measure;
+    r_count = h.n;
+    r_sum_ns = h.sum_ns;
+    r_max_ns = h.max_ns;
+    r_p50 = percentile h 50.;
+    r_p95 = percentile h 95.;
+    r_p99 = percentile h 99.;
+  }
 
-let rows ?(reset = false) () =
-  all ()
-  |> List.map (snapshot ~reset)
-  |> List.sort (fun a b -> compare a.r_name b.r_name)
+let rows () = all () |> List.map snapshot |> List.sort (fun a b -> compare a.r_name b.r_name)
 
 let reset h =
-  Mutex.protect h.mu (fun () ->
-      Array.fill h.counts 0 nbuckets 0;
-      h.n <- 0;
-      h.sum_ns <- 0;
-      h.max_ns <- 0)
+  Array.fill h.counts 0 nbuckets 0;
+  h.n <- 0;
+  h.sum_ns <- 0;
+  h.max_ns <- 0
 
 let reset_all () = List.iter reset (all ())
 

@@ -2,11 +2,8 @@
     [2^i, 2^(i+1)-1] ns, so percentile estimates carry at most ~2x relative
     error, clamped to the observed max. Enabled by default (the sites are
     coarse operation boundaries); [set_enabled false] turns [time] into a
-    bare call. Process-global; [observe] takes a per-histogram mutex, so
-    observations from several domains (a load generator's, a test's) never
-    tear a tally. Readers of a histogram (count/percentile/summary)
-    are lock-free and may observe a concurrent update mid-flight, which
-    for monotonic tallies only ever under-reports in-flight samples. *)
+    bare call. Process-global, observed and read on the one domain that
+    runs the engine. *)
 
 type t
 
@@ -15,7 +12,6 @@ type t
     same; the measure decides how values print and how they export. *)
 type measure = Nanoseconds | Count
 
-val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val create : ?measure:measure -> string -> t
@@ -25,8 +21,6 @@ val create : ?measure:measure -> string -> t
 val find : string -> t option
 val all : unit -> t list
 (** All registered histograms, in creation order. *)
-
-val name : t -> string
 
 val observe : t -> int -> unit
 (** Record one value in the histogram's measure (negative values clamp
@@ -38,7 +32,6 @@ val time : t -> (unit -> 'a) -> 'a
     calls the thunk directly. *)
 
 val count : t -> int
-val sum_ns : t -> int
 val max_ns : t -> int
 val mean_ns : t -> float
 
@@ -60,18 +53,12 @@ type row = {
   r_p95 : int;
   r_p99 : int;
 }
-(** One consistent cut of a histogram: count, sum, max and quantiles all
-    describing the same observation set. *)
+(** A histogram's count, sum, max and quantiles. *)
 
-val snapshot : ?reset:bool -> t -> row
-(** Snapshot one histogram under its mutex. [~reset:true] zeroes the
-    tallies inside the same critical section, so a concurrent [observe]
-    lands either wholly in the returned row or wholly in the next
-    interval — never lost, never double-counted. *)
+val snapshot : t -> row
 
-val rows : ?reset:bool -> unit -> row list
-(** [snapshot] of every registered histogram, sorted by name. Each
-    histogram's snapshot(+reset) is individually atomic. *)
+val rows : unit -> row list
+(** [snapshot] of every registered histogram, sorted by name. *)
 
 val reset : t -> unit
 val reset_all : unit -> unit

@@ -2,9 +2,9 @@
    gauges, and Histogram quantiles — as Prometheus text exposition (served
    by the server's `GET /metrics` listener) and as a JSON document (the
    `.metrics json` dot command). Pure render layer: every value is read
-   through the owning registry's own domain-safe accessors, so this can
-   run on one domain while others keep emitting. *)
+   through the owning registry's accessors. *)
 
+(* Prometheus metric names admit only [a-zA-Z0-9_]. *)
 let sanitize name =
   String.map
     (fun c ->
@@ -48,23 +48,11 @@ let prometheus () =
 
 (* -- JSON snapshot --------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json () =
   let b = Buffer.create 4096 in
   let obj_of pairs =
-    String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) v) pairs)
+    String.concat ","
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Trace.json_escape k) v) pairs)
   in
   let counters =
     List.sort compare (Stats.to_list (Stats.snapshot ()))

@@ -1,25 +1,14 @@
 (** Render layer over {!Stats} and {!Histogram}: one function per
-    exposition format. Values are read through the registries' own
-    domain-safe accessors, so rendering is safe on one domain while others
-    emit. *)
-
-val sanitize : string -> string
-(** Dots and other non-identifier characters become underscores —
-    Prometheus metric names admit only [\[a-zA-Z0-9_\]]. *)
-
-val metric_name : string -> string
-(** [sanitize] plus the ["ode_"] family prefix. *)
+    exposition format. *)
 
 val prometheus : unit -> string
 (** Prometheus text exposition: every Stats counter ([# TYPE ... counter],
     or gauge for set-style slots), every sampled gauge, and every
     histogram as a summary with 0.5/0.95/0.99 quantiles plus [_sum] and
     [_count], named with an [_ns] suffix for durations and none for
-    counts. *)
-
-val json_escape : string -> string
-(** JSON string-body escaping, shared by every layer that renders JSON by
-    hand (metrics, slow-query entries). *)
+    counts. Metric names are the registered names with dots and other
+    non-identifier characters turned into underscores, under the ["ode_"]
+    prefix. *)
 
 val json : unit -> string
 (** The same snapshot as one JSON object:

@@ -1,9 +1,7 @@
 (** Slow-query log sink: arming threshold, a size-rotated JSON-lines file,
     and a bounded in-memory ring of recent entries for [.slow \[K\]].
-    Process-global and mutex-protected — entries may arrive from several
-    domains; a slow query is not a hot path. The entry
-    JSON is assembled by the caller (the session layer owns the
-    statement, trace id, execute time and query profile). *)
+    Process-global. The entry JSON is assembled by the caller (the session
+    layer owns the statement, trace id, execute time and query profile). *)
 
 val configure :
   ?log_path:string -> ?log_max_bytes:int -> ?keep:int -> threshold_ms:int -> unit -> unit
@@ -29,4 +27,3 @@ val worst : int -> string list
 (** The K retained entries with the longest durations, worst first. *)
 
 val retained : unit -> int
-val clear : unit -> unit

@@ -1,19 +1,17 @@
 (* Global operation counters, kept in a registry of named slots. The owning
    module registers each counter once at initialization and keeps the
    handle, exactly like [Histogram.create]; snapshot/diff/pp/to_list all
-   derive from the registry. A handle is the slot's [Atomic.t] cell, so a
-   bump from any domain is one fetch-and-add and never loses an update; a snapshot is the plain int array of live values
-   at the time it was taken, in registration order. *)
+   derive from the registry. A handle is the slot's [int ref], so a bump
+   is one add; a snapshot is the plain int array of live values at the
+   time it was taken, in registration order. *)
 
 type group = Workload | Recovery
 type kind = Counter | Gauge
 type snapshot = int array
-type counter = int Atomic.t
+type counter = int ref
 
 type def = { name : string; group : group; kind : kind; cell : counter }
 
-(* Registration happens at module-initialization time, before any domain is
-   spawned, so the registry itself needs no lock. *)
 let slots : def array ref = ref [||] (* registration order *)
 let index : (string, int) Hashtbl.t = Hashtbl.create 64
 
@@ -25,14 +23,14 @@ let counter ?(group = Workload) ?(kind = Counter) name =
         invalid_arg (Printf.sprintf "Stats.counter: %S is registered with another group or kind" name);
       s.cell
   | None ->
-      let s = { name; group; kind; cell = Atomic.make 0 } in
+      let s = { name; group; kind; cell = ref 0 } in
       Hashtbl.replace index name (Array.length !slots);
       slots := Array.append !slots [| s |];
       s.cell
 
-let incr c = ignore (Atomic.fetch_and_add c 1)
-let add c n = ignore (Atomic.fetch_and_add c n)
-let set c n = Atomic.set c n
+let incr c = c := !c + 1
+let add c n = c := !c + n
+let set c n = c := n
 
 let kind_of name =
   match Hashtbl.find_opt index name with Some i -> (!slots).(i).kind | None -> Counter
@@ -40,29 +38,19 @@ let kind_of name =
 (* Live gauges: sampled (not stored) values read through a callback at
    exposition time — current connections, pending commits, cache residency.
    Unlike counters these are registered by the owning subsystem when it
-   comes up (a server, a database), so the registry takes a lock and a
-   re-registration under the same name replaces the sampler: reopening a
-   database or restarting an embedded server keeps the gauge pointing at
-   the live instance. Samplers must be safe to call from the domain that
-   renders metrics (the server's event loop). *)
-let gauges_mu = Mutex.create ()
+   comes up (a server, a database), and a re-registration under the same
+   name replaces the sampler: reopening a database or restarting an
+   embedded server keeps the gauge pointing at the live instance. *)
 let gauge_defs : (string * (unit -> int)) list ref = ref []
 
-let register_gauge name fn =
-  Mutex.protect gauges_mu (fun () ->
-      gauge_defs := (name, fn) :: List.remove_assoc name !gauge_defs)
-
-let unregister_gauge name =
-  Mutex.protect gauges_mu (fun () ->
-      gauge_defs := List.remove_assoc name !gauge_defs)
+let register_gauge name fn = gauge_defs := (name, fn) :: List.remove_assoc name !gauge_defs
+let unregister_gauge name = gauge_defs := List.remove_assoc name !gauge_defs
 
 let gauges () =
-  let defs = Mutex.protect gauges_mu (fun () -> !gauge_defs) in
-  List.sort compare
-    (List.map (fun (n, fn) -> (n, try fn () with _ -> 0)) defs)
+  List.sort compare (List.map (fun (n, fn) -> (n, try fn () with _ -> 0)) !gauge_defs)
 
-let snapshot () = Array.map (fun s -> Atomic.get s.cell) !slots
-let reset () = Array.iter (fun s -> Atomic.set s.cell 0) !slots
+let snapshot () = Array.map (fun s -> !(s.cell)) !slots
+let reset () = Array.iter (fun s -> s.cell := 0) !slots
 let zero () = Array.make (Array.length !slots) 0
 
 (* A slot read that tolerates short arrays, so snapshots taken before a

@@ -10,7 +10,7 @@
       let c_pool_hits = Ode_util.Stats.counter "pool_hits"
       ... Ode_util.Stats.incr c_pool_hits ...
     ]}
-    The call runs at module initialization, before any domain is spawned.
+    The call runs at module initialization.
     [snapshot]/[diff]/[to_list]/[pp], the shell's [.stats]/[.recovery] and
     the server's [/metrics] pick the new name up with no further edits.
     Code outside the owner reads a counter by name with [get]. A counter
@@ -18,10 +18,8 @@
     from the disk and the WAL) is registered in each of them under the same
     name, group and kind and shares one slot.
 
-    Counters are process-global [Atomic.t] cells, so bumps are domain-safe:
-    a load generator's or a test's domains bump them in parallel, and
-    every counter stays exact under that concurrency. [snapshot] reads each cell atomically (the array as a
-    whole is not one atomic cut, which is fine for monotonic counters). *)
+    Counters are process-global plain ints, bumped and read on the one
+    domain that runs the engine. *)
 
 type group =
   | Workload  (** reported by [pp] / the shell's [.stats] *)
@@ -56,9 +54,8 @@ val kind_of : string -> kind
 
 val register_gauge : string -> (unit -> int) -> unit
 (** Register (or replace — same name wins) a live sampled gauge: current
-    connections, cache residency, pending group-commit batch size. The
-    callback runs on whichever domain renders metrics, so it must be
-    domain-safe; a raising sampler reads as 0. *)
+    connections, cache residency, pending group-commit batch size. A
+    raising sampler reads as 0. *)
 
 val unregister_gauge : string -> unit
 

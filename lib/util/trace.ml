@@ -4,18 +4,13 @@
 
    Compiled into every build: each emit site costs one flag check when
    tracing is disabled (E18 guards that), and one clock read + ring store
-   when enabled. Process-global, like Stats; ring mutations take a mutex
-   so spans emitted from several domains never tear the buffer. The
-   nesting-depth counter is advisory under concurrency (display only). *)
+   when enabled. Process-global, like Stats. *)
 
 let enabled_flag = ref false
 let enabled () = !enabled_flag
 
 (* gettimeofday clamped non-decreasing: a wall-clock step backwards (NTP)
-   must never produce a negative span duration. The clamp cell is a plain
-   ref read/written racily across domains — int stores don't tear, and a
-   lost clamp update only weakens the (already best-effort) monotonicity
-   across domains, never within one timing pair on one domain. *)
+   must never produce a negative span duration. *)
 let last_ns = ref 0
 
 let now_ns () =
@@ -27,7 +22,7 @@ let now_ns () =
 type phase = Complete | Instant
 
 type span = {
-  sp_id : int; (* unique per recorded span, across domains *)
+  sp_id : int; (* unique per recorded span *)
   sp_trace : int; (* client-assigned trace id; 0 = untraced *)
   sp_name : string;
   sp_cat : string;
@@ -38,23 +33,23 @@ type span = {
   sp_phase : phase;
 }
 
-(* Span ids come from one process-global atomic, so they stay unique under
-   concurrent emission from several domains (asserted by the multi-domain
-   stress test). *)
-let next_span_id = Atomic.make 1
-let fresh_span_id () = Atomic.fetch_and_add next_span_id 1
+let next_span_id = ref 0
 
-(* The ambient trace id is domain-local: a request executes entirely on
-   one domain, so stamping it into DLS around the request lets every span
-   emitted below — session, query profiler, WAL commit — pick it up without
-   threading a parameter through each layer. *)
-let trace_key = Domain.DLS.new_key (fun () -> 0)
-let current_trace_id () = Domain.DLS.get trace_key
+let fresh_span_id () =
+  incr next_span_id;
+  !next_span_id
+
+(* The ambient trace id: a request executes from start to finish before
+   the next one starts, so setting it around the request lets every span
+   emitted below — session, query profiler, WAL commit — pick it up
+   without threading a parameter through each layer. *)
+let trace_id = ref 0
+let current_trace_id () = !trace_id
 
 let with_trace_id id f =
-  let prev = Domain.DLS.get trace_key in
-  Domain.DLS.set trace_key id;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set trace_key prev) f
+  let prev = !trace_id in
+  trace_id := id;
+  Fun.protect ~finally:(fun () -> trace_id := prev) f
 
 let id_to_string id = Printf.sprintf "%012x" (id land max_int)
 
@@ -76,48 +71,41 @@ let ring : span option array ref = ref [||]
 let head = ref 0 (* next write position *)
 let total = ref 0 (* spans ever recorded (wraparound overwrites oldest) *)
 
-let ring_mu = Mutex.create ()
 let capacity () = !cap
 
-(* A fresh ring of the configured size, caller holding [ring_mu]. *)
+(* A fresh ring of the configured size. *)
 let allocate () =
   ring := Array.make !cap None;
   head := 0;
   total := 0
 
 let set_enabled b =
-  if b then Mutex.protect ring_mu (fun () -> if Array.length !ring <> !cap then allocate ());
+  if b && Array.length !ring <> !cap then allocate ();
   enabled_flag := b
 
 let set_capacity n =
-  Mutex.protect ring_mu (fun () ->
-      cap := max 1 n;
-      if !enabled_flag then allocate ())
+  cap := max 1 n;
+  if !enabled_flag then allocate ()
 
 let clear () =
-  Mutex.protect ring_mu (fun () ->
-      Array.fill !ring 0 (Array.length !ring) None;
-      head := 0;
-      total := 0)
+  Array.fill !ring 0 (Array.length !ring) None;
+  head := 0;
+  total := 0
 
 let record sp =
-  Mutex.protect ring_mu (fun () ->
-      let r = !ring in
-      r.(!head) <- Some sp;
-      head := (!head + 1) mod Array.length r;
-      incr total)
+  let r = !ring in
+  r.(!head) <- Some sp;
+  head := (!head + 1) mod Array.length r;
+  incr total
 
 let total_recorded () = !total
 
 (* Retained spans, oldest first (completion order). *)
 let spans () =
-  Mutex.protect ring_mu (fun () ->
-      let r = !ring in
-      let len = Array.length r in
-      let n = min !total len in
-      List.filter_map
-        (fun i -> r.((((!head - n + i) mod len) + len) mod len))
-        (List.init n Fun.id))
+  let r = !ring in
+  let len = Array.length r in
+  let n = min !total len in
+  List.filter_map (fun i -> r.((((!head - n + i) mod len) + len) mod len)) (List.init n Fun.id)
 
 (* -- emission -------------------------------------------------------------- *)
 

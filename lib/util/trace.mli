@@ -1,12 +1,8 @@
 (** Span-based tracer with a fixed-size ring buffer and a Chrome
     trace-event JSON exporter. Disabled by default; every emit point is a
     single flag check when off, and no ring exists until tracing is first
-    switched on. Process-global; ring mutations take a
-    mutex, so spans emitted concurrently from several domains (a load
-    generator's, a test's) never tear the buffer. The nesting-depth counter
-    is advisory under concurrency — spans from different domains may
-    report interleaved depths (display nesting only, durations and
-    ordering stay exact per span). *)
+    switched on. Process-global, emitted and read on the one domain that
+    runs the engine. *)
 
 val enabled : unit -> bool
 
@@ -23,7 +19,7 @@ val now_ns : unit -> int
 type phase = Complete | Instant
 
 type span = {
-  sp_id : int;  (** unique per recorded span, across domains *)
+  sp_id : int;  (** unique per recorded span, increasing in recording order *)
   sp_trace : int;  (** ambient trace id at emission; 0 = untraced *)
   sp_name : string;
   sp_cat : string;
@@ -35,13 +31,13 @@ type span = {
 }
 
 val with_trace_id : int -> (unit -> 'a) -> 'a
-(** Run a thunk with the domain-local ambient trace id set (restored on
-    exit, also on exceptions). Every span recorded inside — including on
-    the same domain further down the stack — carries the id in [sp_trace]
-    and exports it as a [trace_id] arg. Id 0 means untraced. *)
+(** Run a thunk with the ambient trace id set (restored on exit, also on
+    exceptions). Every span recorded inside, however far down the stack,
+    carries the id in [sp_trace] and exports it as a [trace_id] arg. Id 0
+    means untraced. *)
 
 val current_trace_id : unit -> int
-(** The ambient trace id of the calling domain (0 when none). *)
+(** The ambient trace id (0 when none). *)
 
 val id_to_string : int -> string
 (** Canonical rendering of a trace id (fixed-width hex), used everywhere a
@@ -95,3 +91,7 @@ val to_chrome_json : unit -> string
 
 val dump : string -> unit
 (** Write [to_chrome_json ()] to a file. *)
+
+val json_escape : string -> string
+(** JSON string-body escaping, shared by every layer that renders JSON by
+    hand (trace events, metrics, slow-query entries). *)

@@ -77,39 +77,56 @@ let ring_wraparound () =
       Alcotest.(check (list string)) "last 4, oldest first" [ "e7"; "e8"; "e9"; "e10" ] names)
     ~finally:(fun () -> Trace.set_capacity cap0)
 
-(* Seeded multi-domain stress: four domains blast spans through a small
-   ring (forcing wraparound) under distinct ambient trace ids. Span ids
-   must stay unique across domains and every span must carry its emitting
-   domain's trace id — the invariants `.trace dump` correlation rests on. *)
-let concurrent_span_ids () =
+(* Nested ambient trace ids through a small ring that wraps: each round
+   opens three nested [with_trace_id] scopes, the innermost left by an
+   exception from inside a span, and a span wraps the middle scope. A
+   span's name starts with the id installed around it when it completes.
+   The invariants `.trace dump` correlation rests on: every span is
+   counted, retained ids are unique and increasing, each span carries
+   its scope's id, and the outer id is back after the exception. *)
+let nested_trace_ids () =
   with_tracing @@ fun () ->
   let cap0 = Trace.capacity () in
   Fun.protect ~finally:(fun () -> Trace.set_capacity cap0) @@ fun () ->
   Trace.set_capacity 512;
-  let per_domain = 400 in
-  let doms =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            Trace.with_trace_id (1000 + d) (fun () ->
-                for i = 1 to per_domain do
-                  if i mod 3 = 0 then Trace.instant (Printf.sprintf "d%d.i%d" d i)
-                  else Trace.with_span (Printf.sprintf "d%d.s%d" d i) (fun () -> ())
-                done)))
+  let emitted = ref 0 in
+  let emit id i =
+    incr emitted;
+    if i mod 3 = 0 then Trace.instant (Printf.sprintf "t%d.i%d" id i)
+    else Trace.with_span (Printf.sprintf "t%d.s%d" id i) ignore
   in
-  List.iter Domain.join doms;
-  Alcotest.(check int) "total counts overwritten" (4 * per_domain) (Trace.total_recorded ());
+  Trace.with_trace_id 1000 (fun () ->
+      for i = 1 to 100 do
+        emit 1000 i;
+        incr emitted;
+        Trace.with_span (Printf.sprintf "t1000.w%d" i) (fun () ->
+            Trace.with_trace_id 1001 (fun () ->
+                emit 1001 i;
+                incr emitted;
+                (try
+                   Trace.with_trace_id 1002 (fun () ->
+                       Trace.with_span (Printf.sprintf "t1002.x%d" i) (fun () -> failwith "leave"))
+                 with Failure _ -> ());
+                Alcotest.(check int) "id back after the exception" 1001 (Trace.current_trace_id ());
+                emit 1001 i));
+        emit 1000 i
+      done);
+  Alcotest.(check int) "no id outside every scope" 0 (Trace.current_trace_id ());
+  Alcotest.(check int) "total counts every span" !emitted (Trace.total_recorded ());
+  if !emitted <= 512 then Alcotest.failf "only %d spans: the ring did not wrap" !emitted;
   let spans = Trace.spans () in
   Alcotest.(check int) "ring holds exactly capacity" 512 (List.length spans);
-  let ids = List.map (fun s -> s.Trace.sp_id) spans in
-  let tbl = Hashtbl.create 1024 in
-  List.iter (fun id -> Hashtbl.replace tbl id ()) ids;
-  Alcotest.(check int) "span ids unique across domains" (List.length ids) (Hashtbl.length tbl);
+  ignore
+    (List.fold_left
+       (fun prev s ->
+         if s.Trace.sp_id <= prev then
+           Alcotest.failf "span id %d follows %d" s.Trace.sp_id prev;
+         s.Trace.sp_id)
+       0 spans);
   List.iter
     (fun s ->
-      let d = s.Trace.sp_trace - 1000 in
-      if d < 0 || d > 3 then Alcotest.failf "span %s has trace %d" s.Trace.sp_name s.Trace.sp_trace;
-      check_contains "trace id matches emitting domain" s.Trace.sp_name
-        (Printf.sprintf "d%d." d))
+      check_contains "span carries its scope's trace id" s.Trace.sp_name
+        (Printf.sprintf "t%d." s.Trace.sp_trace))
     spans
 
 let disabled_noop () =
@@ -197,30 +214,37 @@ let histogram_percentiles () =
   check_contains "summary row" (Histogram.summary ()) "test.obs.percentiles";
   Histogram.reset h
 
-(* Regression for the cross-domain `.metrics reset` race: draining
-   snapshots (snapshot ~reset) while other domains observe concurrently
-   must neither lose nor double-count a sample — each observation lands in
-   exactly one drained snapshot or the final residue. *)
-let histogram_concurrent_drain () =
+(* `.metrics reset` drains with [rows ()] and then [reset_all ()]:
+   interleaved with observations, every observation lands in exactly one
+   drained row or in the residue. *)
+let histogram_interleaved_drain () =
   let h = Histogram.create "test.obs.drain" in
   Histogram.reset h;
-  let n_per = 20_000 in
-  let writers =
-    List.init 3 (fun _ ->
-        Domain.spawn (fun () ->
-            for i = 1 to n_per do
-              Histogram.observe h i
-            done))
-  in
-  let drained = ref 0 in
+  let rng = Random.State.make [| 39 |] in
+  let observed = ref 0 and observed_sum = ref 0 in
+  let drained = ref 0 and drained_sum = ref 0 in
   for _ = 1 to 50 do
-    let r = Histogram.snapshot ~reset:true h in
-    drained := !drained + r.Histogram.r_count
+    for _ = 1 to Random.State.int rng 400 do
+      let v = Random.State.int rng 1_000_000 in
+      Histogram.observe h v;
+      incr observed;
+      observed_sum := !observed_sum + v
+    done;
+    let r = List.find (fun r -> r.Histogram.r_name = "test.obs.drain") (Histogram.rows ()) in
+    Histogram.reset_all ();
+    drained := !drained + r.Histogram.r_count;
+    drained_sum := !drained_sum + r.Histogram.r_sum_ns
   done;
-  List.iter Domain.join writers;
-  let final = Histogram.snapshot ~reset:true h in
-  Alcotest.(check int) "no sample lost or double-counted" (3 * n_per)
-    (!drained + final.Histogram.r_count)
+  for v = 1 to 123 do
+    Histogram.observe h v;
+    incr observed;
+    observed_sum := !observed_sum + v
+  done;
+  let residue = Histogram.snapshot h in
+  Histogram.reset h;
+  Alcotest.(check int) "drained counts plus residue" !observed (!drained + residue.Histogram.r_count);
+  Alcotest.(check int) "drained sums plus residue" !observed_sum
+    (!drained_sum + residue.Histogram.r_sum_ns)
 
 let histogram_time_disabled () =
   let h = Histogram.create "test.obs.disabled" in
@@ -672,6 +696,48 @@ let armed_cost_per_candidate () =
     Alcotest.failf "armed observability allocates %.2f extra words per candidate (dark %.2f)"
       extra dark
 
+(* `.metrics reset` reports how many observations it drained and leaves
+   every histogram empty. *)
+let dot_metrics_reset () =
+  let db = Db.open_in_memory () in
+  let shell = Shell.create ~print:ignore db in
+  Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+  Histogram.reset_all ();
+  let a = Histogram.create "test.obs.reset_a" and b = Histogram.create "test.obs.reset_b" in
+  for i = 1 to 4 do
+    Histogram.observe a i
+  done;
+  for i = 1 to 3 do
+    Histogram.observe b (i * 1000)
+  done;
+  Alcotest.(check (option string))
+    ".metrics reset" (Some "histograms reset (7 observations drained)")
+    (Shell.dot_command shell ".metrics reset");
+  List.iter
+    (fun r -> Alcotest.(check int) (r.Histogram.r_name ^ " after reset") 0 r.Histogram.r_count)
+    (Histogram.rows ())
+
+(* A served statement's text reaches the slow-query log as one JSON
+   string: quote, backslash, newline, tab and a control byte escaped. *)
+let slowlog_escapes_statement () =
+  let db = Db.open_in_memory () in
+  Ode_util.Slowlog.configure ~keep:4 ~threshold_ms:0 ();
+  Fun.protect
+    ~finally:(fun () ->
+      Ode_util.Slowlog.disarm ();
+      Db.close db)
+  @@ fun () ->
+  let session = Ode_served.Session.create db in
+  let src = {|print "a\"b\\c|} ^ "\n\t\001" ^ {|";|} in
+  ignore
+    (Ode_served.Session.handle session
+       { Ode_served.Protocol.rq_id = 1; rq_trace = 0; rq_op = Exec src });
+  match Ode_util.Slowlog.worst 1 with
+  | [ entry ] ->
+      check_contains "escaped statement" entry
+        ({|"statement":"|} ^ {|print \"a\\\"b\\\\c\n\t\u0001\";|} ^ {|","exec_ns":|})
+  | l -> Alcotest.failf "expected 1 slow-log entry, got %d" (List.length l)
+
 let suite =
   [
     ( "obs",
@@ -679,13 +745,13 @@ let suite =
         Alcotest.test_case "span nesting and ordering" `Quick span_nesting;
         Alcotest.test_case "span records on exception" `Quick span_exception_safe;
         Alcotest.test_case "ring buffer wraparound" `Quick ring_wraparound;
-        Alcotest.test_case "concurrent span ids and trace ids" `Quick concurrent_span_ids;
+        Alcotest.test_case "nested trace ids" `Quick nested_trace_ids;
         Alcotest.test_case "disabled tracer is a no-op" `Quick disabled_noop;
         Alcotest.test_case "ring allocated when tracing is on" `Quick ring_allocated_on_use;
         Alcotest.test_case "chrome trace JSON export" `Quick chrome_json;
         Alcotest.test_case "histogram bucket boundaries" `Quick histogram_buckets;
         Alcotest.test_case "histogram percentiles" `Quick histogram_percentiles;
-        Alcotest.test_case "histogram concurrent drain" `Quick histogram_concurrent_drain;
+        Alcotest.test_case "histogram interleaved drain" `Quick histogram_interleaved_drain;
         Alcotest.test_case "histogram disabled" `Quick histogram_time_disabled;
         Alcotest.test_case "stats registry round-trip" `Quick stats_registry;
         Alcotest.test_case "stats registry golden names" `Quick stats_golden_registry;
@@ -694,9 +760,11 @@ let suite =
         Alcotest.test_case "histogram of a count" `Quick histogram_count_measure;
         Alcotest.test_case "stats output name-sorted" `Quick stats_sorted_output;
         Alcotest.test_case "slow-query log basics" `Quick slowlog_basics;
+        Alcotest.test_case "slow-log statement escaped" `Quick slowlog_escapes_statement;
         Alcotest.test_case "profile attribution sums exactly" `Quick profile_attribution;
         Alcotest.test_case "tracing emits query spans" `Quick profile_emits_spans;
         Alcotest.test_case "shell dot commands" `Quick dot_shell;
+        Alcotest.test_case "metrics reset drains" `Quick dot_metrics_reset;
         Alcotest.test_case "profile restores loop binding" `Quick dot_profile_body_binding;
         Alcotest.test_case "profile of a fused join" `Quick profile_fused_join;
         Alcotest.test_case "one observation per join statement" `Quick one_observation_per_join;
