@@ -46,13 +46,23 @@ val insert_sorted : t -> (string * string) array -> unit
     pressure flush never persists a half-applied run. A node that
     overflows is cut into the fewest pieces that fit, each sized with the
     prefix its own fences give, as even in bytes as entry boundaries
-    allow: one insert into a full leaf halves it, and a run of ascending
-    keys, or a long batch whose pieces' prefixes differ widely, fills its
-    leaves in order, nearly full. An
-    append that splits the last leaf of its parent also refills the leaf
-    to its left when that one is at most three quarters full (as a leaf an
-    append split left behind is: its keys kept the bytes they took before
-    it had a prefix). *)
+    allow: one insert into a full leaf halves it, and a long batch whose
+    pieces' prefixes differ widely fills its leaves in order, nearly
+    full. So does an append: a run of ascending keys past the last entry
+    of its parent's last leaf, or a family append, a run whose new keys
+    all land in one gap directly after the last new key of the run before
+    it into the same leaf, when the two runs before it did the same (new
+    objects' keys ahead of the keys of the next tag, batch after batch;
+    random-order keys almost never chain so). The tree remembers that key
+    per leaf in memory only, in a fixed table of 1,024 slots, so a
+    reattached tree starts without it. An append fills its pieces in
+    order up to its last new key, leaves the leaf's entries past it
+    together, and also refills the leaf to its left when that one
+    is at most three quarters full (as a leaf an append split left behind
+    is: its keys kept the bytes they took before it had a prefix, or it
+    is the left half of an even cut made before the appends were
+    recognised). The counter [bptree.family_appends] counts the cuts of
+    family appends. *)
 
 val find : t -> string -> string option
 

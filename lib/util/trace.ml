@@ -1,4 +1,4 @@
-(* Span-based tracer: nested spans and instant events over a monotonicized
+(* Span-based tracer: nested spans and instant events over the monotonic
    clock, recorded into a fixed-size ring buffer and exportable as Chrome
    trace-event JSON (load the dump in chrome://tracing or ui.perfetto.dev).
 
@@ -9,15 +9,9 @@
 let enabled_flag = ref false
 let enabled () = !enabled_flag
 
-(* gettimeofday clamped non-decreasing: a wall-clock step backwards (NTP)
-   must never produce a negative span duration. *)
-let last_ns = ref 0
-
-let now_ns () =
-  let t = int_of_float (Unix.gettimeofday () *. 1e9) in
-  let t = if t > !last_ns then t else !last_ns in
-  last_ns := t;
-  t
+(* clock_gettime (CLOCK_MONOTONIC): nanosecond resolution, and never
+   stepped back, so a span's duration is never negative. *)
+external now_ns : unit -> int = "ode_monotonic_ns" [@@noalloc]
 
 type phase = Complete | Instant
 

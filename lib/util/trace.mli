@@ -12,9 +12,11 @@ val set_enabled : bool -> unit
     spans. Switching it off keeps the ring, so the spans recorded so far
     can still be read and dumped. *)
 
-val now_ns : unit -> int
-(** Wall clock in integer nanoseconds, clamped non-decreasing so durations
-    can never be negative. *)
+external now_ns : unit -> int = "ode_monotonic_ns" [@@noalloc]
+(** The monotonic clock ([CLOCK_MONOTONIC]) in integer nanoseconds: it
+    never decreases, so durations are never negative, and it resolves
+    single nanoseconds. Its origin is arbitrary (boot, on Linux), so a
+    reading is not a time of day. *)
 
 type phase = Complete | Instant
 

@@ -323,6 +323,86 @@ let prop_reopen_matches_model =
         ~finally:(fun () -> Disk.close d)
         (fun () -> matches_model (Bptree.attach (Pool.create ~capacity:tiny_pool d)) model))
 
+module Smap = Map.Make (String)
+
+(* Ascending key families ahead of a fixed block of larger keys, as a
+   store's new objects land ahead of its versions: each [`Family (f, n)]
+   inserts family [f]'s next [n] keys in one batch. Among them, random
+   keys anywhere, deletes of random keys and of a family's latest key
+   (which leaves the next batch nothing to land directly after), and
+   reopens, which start the tree with no memory of its last runs. *)
+let family_tags = [| "D"; "H"; "T" |]
+
+let family_ops =
+  QCheck.Gen.(
+    list_size (int_bound 300)
+      (frequency
+         [
+           (8, map2 (fun f n -> `Family (f, 1 + n)) (int_bound 2) (int_bound 5));
+           (3, map2 (fun t n -> `Random (t, n)) (oneofl [ "D"; "H"; "T"; "V"; "Z" ]) (int_bound 99_999));
+           (1, map2 (fun t n -> `Delete (t, n)) (oneofl [ "D"; "H"; "T"; "V" ]) (int_bound 99_999));
+           (1, map (fun f -> `Delete_latest f) (int_bound 2));
+           (1, return `Reopen);
+         ]))
+
+(* Values of 1 to 96 bytes, and one in 20 as wide as an entry may be. *)
+let family_value k n =
+  if n mod 20 = 0 then String.make (Bptree.max_entry - String.length k) 'w' else String.make (1 + (n mod 96)) 'v'
+
+let prop_families =
+  QCheck.Test.make ~name:"families ahead of a block match Map" ~count:(props_count 30)
+    (QCheck.make ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops)) family_ops)
+    (fun ops ->
+      let path = file_tree () in
+      let d = ref (Disk.open_file path) in
+      let t = ref (Bptree.attach (Pool.create ~capacity:16 !d)) in
+      let block = Array.init 300 (fun i -> (Printf.sprintf "V%05d" (i * 300), String.make (1 + (i mod 40)) 'b')) in
+      Bptree.insert_sorted !t block;
+      let model = ref (Array.fold_left (fun m (k, v) -> Smap.add k v m) Smap.empty block) in
+      let next = Array.make (Array.length family_tags) 0 in
+      let put kvs =
+        Bptree.insert_sorted !t kvs;
+        Array.iter (fun (k, v) -> model := Smap.add k v !model) kvs
+      in
+      let delete k =
+        if Smap.mem k !model <> Bptree.delete !t k then QCheck.Test.fail_reportf "delete %S: result mismatch" k;
+        model := Smap.remove k !model
+      in
+      let family_key f i = Printf.sprintf "%s%05d" family_tags.(f) i in
+      let whole () = matches_model !t (Smap.bindings !model) in
+      let ok =
+        List.for_all
+          (fun op ->
+            match op with
+            | `Family (f, n) ->
+                put
+                  (Array.init n (fun j ->
+                       let k = family_key f (next.(f) + j) in
+                       (k, family_value k (next.(f) + j))));
+                next.(f) <- next.(f) + n;
+                true
+            | `Random (tag, n) ->
+                let k = Printf.sprintf "%s%05d" tag n in
+                put [| (k, family_value k n) |];
+                true
+            | `Delete (tag, n) ->
+                delete (Printf.sprintf "%s%05d" tag n);
+                true
+            | `Delete_latest f ->
+                if next.(f) > 0 then delete (family_key f (next.(f) - 1));
+                true
+            | `Reopen ->
+                Bptree.flush !t;
+                Disk.close !d;
+                d := Disk.open_file path;
+                t := Bptree.attach (Pool.create ~capacity:16 !d);
+                whole ())
+          ops
+      in
+      let ok = ok && whole () in
+      Disk.close !d;
+      ok)
+
 (* Keys inserted by the pressure-flush regression test; nightly CI raises it. *)
 let torture_keys =
   match Sys.getenv_opt "BPTREE_TORTURE_KEYS" with Some n -> int_of_string n | None -> 400
@@ -955,9 +1035,19 @@ let ascending_inserts_fill_leaves () =
   if one_by_one * 10 > batch * 11 then
     Alcotest.failf "ascending inserts took %d pages; one sorted batch takes %d" one_by_one batch
 
-(* Random-order inserts almost never append to a last child, so they keep
-   the even cut and the page count it gives: 241, where whole keys took
-   448, as most of these 19-byte keys is a prefix their leaf shares. *)
+let family_appends () = Ode_util.Stats.(get (snapshot ()) "bptree.family_appends")
+
+(* [f]'s count of family-append cuts. *)
+let family_appends_during f =
+  let before = family_appends () in
+  f ();
+  family_appends () - before
+
+(* Random-order inserts almost never append to a last child, and never
+   chain as a family's do (the counter of family-append cuts reads 0), so
+   they keep the even cut and the page count it gives: 241, where whole
+   keys took 448, as most of these 19-byte keys is a prefix their leaf
+   shares. *)
 let random_inserts_keep_even_cuts () =
   let order = Array.init gate_keys Fun.id in
   let rng = Random.State.make [| 306 |] in
@@ -967,7 +1057,44 @@ let random_inserts_keep_even_cuts () =
     order.(i) <- order.(j);
     order.(j) <- x
   done;
-  Tutil.check_int "pages after random-order inserts" 241 (pages_for order)
+  let pages = ref 0 in
+  Tutil.check_int "family appends among random-order inserts" 0
+    (family_appends_during (fun () -> pages := pages_for order));
+  Tutil.check_int "pages after random-order inserts" 241 !pages
+
+(* A store in miniature: a block of 20,000 version keys ('V'), then 6,000
+   batches, each of two or three new header keys ('H', ascending), which
+   land ahead of the block, and a version of a random object. When
+   [headers_last], the header keys go in one sorted batch after the rest
+   instead. *)
+let family_load ~headers_last t =
+  let rng = Random.State.make [| 40 |] in
+  let header i = (Printf.sprintf "H%06d" i, "header-rid") in
+  Bptree.insert_sorted t (Array.init 20_000 (fun i -> (Printf.sprintf "V%06d" (i * 3), "version-rid")));
+  let next = ref 0 in
+  for _ = 1 to 6_000 do
+    let n = 2 + Random.State.int rng 2 in
+    let hs = if headers_last then [||] else Array.init n (fun j -> header (!next + j)) in
+    next := !next + n;
+    let v = Printf.sprintf "V%06d" ((3 * Random.State.int rng 20_000) + 1) in
+    Bptree.insert_sorted t (Array.append hs [| (v, "version-rid") |])
+  done;
+  if headers_last then Bptree.insert_sorted t (Array.init !next header)
+
+(* Header keys that keep landing ahead of a block of version keys are
+   family appends: the counter records some (it reads 0 for random-order
+   inserts, above). They fill their leaves: the tree takes at most 10%
+   more pages than one where they came last, in one sorted batch (264
+   pages against 251; an even cut of every append took 342). *)
+let family_appends_counted () =
+  let counted = ref 0 in
+  let pages =
+    pages_after (fun t -> counted := family_appends_during (fun () -> family_load ~headers_last:false t))
+  in
+  if !counted = 0 then Alcotest.fail "header keys ahead of a version block recorded no family append";
+  let batch = pages_after (family_load ~headers_last:true) in
+  if pages * 10 > batch * 11 then
+    Alcotest.failf "header keys ahead of a version block took %d pages; in one batch after it, %d" pages batch
 
 (* -- rotten nodes ------------------------------------------------------------------ *)
 
@@ -1046,6 +1173,7 @@ let suite =
         Alcotest.test_case "no second cache after a scan" `Quick no_second_cache;
         Alcotest.test_case "ascending inserts fill their leaves" `Quick ascending_inserts_fill_leaves;
         Alcotest.test_case "random inserts keep even cuts" `Quick random_inserts_keep_even_cuts;
+        Alcotest.test_case "family appends are counted" `Quick family_appends_counted;
         Alcotest.test_case "insert_sorted matches a Map model" `Quick insert_sorted_model;
         Alcotest.test_case "cursor keeps its leaf across a batch" `Quick cursor_keeps_leaf_snapshot;
         Alcotest.test_case "insert_sorted rejects bad batches" `Quick insert_sorted_rejects;
@@ -1062,6 +1190,7 @@ let suite =
         prop_reverse_matches_forward;
         prop_cursor_matches_iter_range;
         prop_reopen_matches_model;
+        prop_families;
         prop_rotten_nodes_corrupt;
       ];
   ]

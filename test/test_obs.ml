@@ -63,6 +63,18 @@ let span_exception_safe () =
       Alcotest.(check int) "depth restored" 0 s.Trace.sp_depth
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
+(* The clock resolves nanoseconds and never steps back: 1,000 readings
+   back to back never decrease and take at least 500 values. A clock of
+   whole microseconds takes a few dozen, and [Histogram.time] would record
+   0 for any call shorter than one. *)
+let clock_resolves_nanoseconds () =
+  let r = Array.init 1000 (fun _ -> Trace.now_ns ()) in
+  for i = 1 to 999 do
+    if r.(i) < r.(i - 1) then Alcotest.failf "reading %d (%d) is below the one before (%d)" i r.(i) r.(i - 1)
+  done;
+  let distinct = List.length (List.sort_uniq compare (Array.to_list r)) in
+  if distinct < 500 then Alcotest.failf "1,000 readings took %d distinct values, want at least 500" distinct
+
 let ring_wraparound () =
   with_tracing @@ fun () ->
   let cap0 = Trace.capacity () in
@@ -299,7 +311,8 @@ let expected_counters =
     ("checksum_failures", Recovery, Counter); ("orphans_reclaimed", Recovery, Counter);
     ("journal_pages_restored", Recovery, Counter); ("io_retries", Recovery, Counter);
     ("cursor_pages_read", Workload, Counter); ("bptree.leaf_writes", Workload, Counter);
-    ("bptree.splits", Workload, Counter); ("server.accepts", Workload, Counter);
+    ("bptree.splits", Workload, Counter); ("bptree.family_appends", Workload, Counter);
+    ("server.accepts", Workload, Counter);
     ("server.requests", Workload, Counter); ("server.rejects", Workload, Counter);
     ("server.timeouts", Workload, Counter); ("server.bytes_in", Workload, Counter);
     ("server.bytes_out", Workload, Counter);
@@ -744,6 +757,7 @@ let suite =
       [
         Alcotest.test_case "span nesting and ordering" `Quick span_nesting;
         Alcotest.test_case "span records on exception" `Quick span_exception_safe;
+        Alcotest.test_case "clock resolves nanoseconds" `Quick clock_resolves_nanoseconds;
         Alcotest.test_case "ring buffer wraparound" `Quick ring_wraparound;
         Alcotest.test_case "nested trace ids" `Quick nested_trace_ids;
         Alcotest.test_case "disabled tracer is a no-op" `Quick disabled_noop;
