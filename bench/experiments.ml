@@ -1094,15 +1094,17 @@ let e17 () =
   note "cursor's early exit is the whole difference."
 
 (* ------------------------------------------------------------------ E18 *)
-(* Observability overhead (PR 3): the tracer and histograms are compiled in,
-   so their *disabled* cost — a flag check per emit point — must be noise on
-   a hot scan. The guard holds the disabled-default configuration to ≤5% of
-   a build-out baseline with both subsystems off; the fully-traced variant is
-   reported (spans allocate and timestamp) but not guarded. Side products:
-   a sample Chrome trace and a histogram dump, uploaded as CI artifacts. *)
+(* Observability cost on a hot scan: histograms are always on, so the
+   guard counts what they add to each scan, the samples every histogram
+   together records, which must stay one (query.execute) whatever the
+   extent's size: no histogram sits on a per-candidate path. The tracer
+   is off by default, a flag check per emit point; the traced variant's
+   time against the default's is reported (spans allocate and timestamp)
+   but not guarded. Side products: a sample Chrome trace and a histogram
+   dump, uploaded as CI artifacts. *)
 
 let e18 () =
-  section "E18  tracing/histogram overhead on a hot scan (disabled vs on)";
+  section "E18  histogram samples and tracing overhead on a hot scan";
   let module T = Ode_util.Trace in
   let module H = Ode_util.Histogram in
   let n = scaled 20_000 in
@@ -1132,15 +1134,9 @@ let e18 () =
   let q = pred "x.a + x.b > x.c" in
   let scan () = Query.count db ~var:"x" ~cls:"m" ~suchthat:q () in
   let expected = scan () in
-  (* Calibrate so a round is ~150ms of alternating scans. *)
+  (* Calibrate so a round is ~75ms of scans. *)
   let _, m_once = timed (fun () -> ignore (scan ())) in
   let reps = max 3 (min 150 (int_of_float (0.075 /. max 1e-6 m_once.seconds))) in
-  (* The disabled cost per scan is one load+branch per emit point — far below
-     this container's scheduler jitter. Alternate single baseline/measured
-     scans within a round (so any slow stretch hits both variants equally)
-     and guard on the median of the per-round ratios, which shrugs off a
-     round that lands on a throttled period. *)
-  T.set_enabled false;
   let timed_scan () =
     let t0 = now () in
     if scan () <> expected then failwith "E18: count drift";
@@ -1148,55 +1144,37 @@ let e18 () =
   in
   let round () =
     Gc.full_major ();
-    let tb = ref 0.0 and td = ref 0.0 in
-    for _ = 1 to reps do
-      H.set_enabled false;
-      tb := !tb +. timed_scan ();
-      H.set_enabled true;
-      td := !td +. timed_scan ()
-    done;
-    H.set_enabled false;
-    (!tb, !td)
-  in
-  let rounds = List.init 5 (fun _ -> round ()) in
-  let t_baseline = List.fold_left (fun a (b, _) -> min a b) Float.max_float rounds in
-  let t_disabled = List.fold_left (fun a (_, d) -> min a d) Float.max_float rounds in
-  let median_ratio =
-    let rs = List.sort compare (List.map (fun (b, d) -> d /. max 1e-9 b) rounds) in
-    List.nth rs (List.length rs / 2)
-  in
-  H.set_enabled true;
-  T.set_enabled true;
-  T.clear ();
-  let t_traced =
-    Gc.full_major ();
     let t = ref 0.0 in
     for _ = 1 to reps do
       t := !t +. timed_scan ()
     done;
     !t
   in
+  let samples () = List.fold_left (fun a h -> a + H.count h) 0 (H.all ()) in
+  let s0 = samples () in
+  let rounds = 5 in
+  let t_default = List.fold_left min Float.max_float (List.init rounds (fun _ -> round ())) in
+  let per_scan = float (samples () - s0) /. float (rounds * reps) in
+  T.set_enabled true;
+  T.clear ();
+  let t_traced = round () in
   T.dump "BENCH_trace_sample.json";
   let oc = open_out "BENCH_metrics.txt" in
   output_string oc (H.summary ());
   close_out oc;
-  (* Restore process defaults: histograms on, tracer off and empty. *)
+  (* Restore process defaults: tracer off and empty. *)
   T.set_enabled false;
   T.clear ();
   let row name s = [ name; fsec s; Printf.sprintf "%.1fµs" (s /. float reps *. 1e6) ] in
   table
-    ~title:
-      (Printf.sprintf "E18: %d-object scan, %d alternating reps/round, best round" n reps)
+    ~title:(Printf.sprintf "E18: %d-object scan, %d reps/round, best of %d rounds" n reps rounds)
     ~header:[ "variant"; "time"; "per scan" ]
-    [
-      row "baseline (trace off, hist off)" t_baseline;
-      row "default (trace off, hist on)" t_disabled;
-      row "traced (trace on, hist on)" t_traced;
-    ];
-  guard "E18.disabled_overhead" ~hi:1.05 median_ratio;
-  metric "E18.tracing_overhead" (t_traced /. max 1e-9 t_baseline);
+    [ row "default (trace off)" t_default; row "traced (trace on)" t_traced ];
+  guard "E18.histogram_samples_per_scan" ~lo:1.0 ~hi:1.0 per_scan;
+  metric "E18.tracing_overhead" (t_traced /. max 1e-9 t_default);
   Db.close db;
-  note "the compiled-in observability hooks cost one load+branch when off;";
+  note "histograms record one sample per scan, at its boundary; the tracer";
+  note "costs one flag check per emit point when off;";
   note "wrote BENCH_trace_sample.json (chrome://tracing) and BENCH_metrics.txt."
 
 (* ----------------------------------------------------------------- E25 *)

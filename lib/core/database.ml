@@ -379,20 +379,13 @@ let apply_replicated db ~frames (records : Wal.record list) =
           if trace <> 0 then
             Ode_util.Trace.with_trace_id trace (fun () ->
                 Ode_util.Trace.instant ~cat:"repl" ~args:[ ("ts", string_of_int ts) ] "repl.apply");
-          Mvcc.commit db.mvcc ~ts ~except:0 ~pre:(Store.committed_image db)
-            (List.filter_map
-               (fun (key, op) ->
-                 if key = Keys.catalog || key = Keys.meta then None
-                 else Some (key, match op with Put s -> Some s | Del -> None))
-               writes);
-          Store.apply_writes db writes;
-          Ode_util.Stats.incr c_recovery_replayed;
           (* Schema, counter, clock and trigger changes shipped from the
              primary must reach the standby's decoded mirrors, not just its
              pages. The catalog and meta records are decoded only when the
-             commit wrote them, before its trigger writes, which decode
-             against the catalog; those fold into the activation mirror one
-             by one, as on the primary. *)
+             commit wrote them, first, as the primary's mirrors held them
+             before its commit: its trigger writes decode against the
+             catalog, and fold into the activation mirror one by one, as
+             on the primary. *)
           List.iter
             (fun (key, op) ->
               match op with
@@ -400,7 +393,8 @@ let apply_replicated db ~frames (records : Wal.record list) =
               | Put s when key = Keys.meta -> db.meta <- Txn.decode_meta s
               | _ -> ())
             writes;
-          Triggers.sync_after_commit db writes)
+          Txn.apply_commit db ~ts ~except:0 writes;
+          Ode_util.Stats.incr c_recovery_replayed)
     records;
   if !checkpointed || Wal.size_bytes db.wal > db.wal_auto_checkpoint then Txn.checkpoint db
 

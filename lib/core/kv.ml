@@ -159,66 +159,65 @@ let get db key =
   | found -> found
   | exception Out_of_line rid -> heap_payload db key rid
 
-let mem db key = Bptree.mem db.kv_dir key
-
 (* The single committed-write path (commit apply, recovery replay, standby
-   apply). [puts] is in ascending key order, each key once. One directory
-   lookup per key decides where the record goes: a small payload into the
-   leaf, a large one into the heap record the key owns, updated in place,
-   or into a fresh one. A record whose size crosses [inline_max] moves, and
-   the heap record of a record moving into the leaf is freed. [on_new key]
-   runs for a key the directory did not hold. Every changed directory
-   value reaches the tree in one sorted batch. *)
-let put_sorted db puts ~on_new =
-  Ode_util.Trace.with_span ~cat:"kv" "kv.put" @@ fun () ->
+   apply). [ops] is in ascending key order, each key once. One directory
+   lookup per key finds its entry. The deletes go first: each frees its
+   key's heap record, in key order, so the puts placed after them can
+   reuse their slots. A small payload goes into the leaf, a large one into
+   the heap record the key owns, updated in place, or into a fresh one; a
+   record whose size crosses [inline_max] moves, and the heap record of
+   one moving into the leaf is freed. Every delete and every changed
+   directory value reach the tree in one sorted batch. *)
+let apply_sorted db ops ~on_new ~on_gone =
+  Ode_util.Trace.with_span ~cat:"kv" "kv.apply" @@ fun () ->
+  (* The heap record of [key]'s entry if [key] owns it. After a crash
+     mid-apply the directory can point at a dead or torn record, or at a
+     foreign one (stale alias): a replayed put then places its payload
+     afresh and a replayed delete drops the entry, and neither touches
+     the record (the orphan sweep reclaims carcasses). *)
+  let owned key = function
+    | Some (Some rid) -> (
+        match heap_owned db key rid with
+        | Some true -> Some rid
+        | Some false | None | (exception Codec.Corrupt _) -> None)
+    | _ -> None
+  in
+  let home key = Bptree.find_with db.kv_dir key rid_of_value in
+  (* The deletes whose key the directory holds: only they reach the tree. *)
+  let held = Bytes.make (Array.length ops) '\000' in
+  Array.iteri
+    (fun x (key, op) ->
+      match op with
+      | Put _ -> ()
+      | Del -> (
+          match home key with
+          | None -> ()
+          | h ->
+              Bytes.set held x '\001';
+              on_gone key;
+              Option.iter (fun rid -> ignore (Heap.delete db.kv_heap rid)) (owned key h)))
+    ops;
   let routed = ref [] in
-  let route key entry = routed := (key, encode_entry entry) :: !routed in
-  Array.iter
-    (fun (key, payload) ->
-      let small = in_leaf key (String.length payload) in
-      let place () =
-        if small then route key (Inline payload)
-        else route key (At (Heap.insert db.kv_heap (encode_record key payload)))
-      in
-      match Bptree.find_with db.kv_dir key rid_of_value with
-      | None ->
-          on_new key;
-          place ()
-      | Some None -> place ()
-      | Some (Some rid) -> (
-          (* After a crash mid-apply the directory can point at a dead or
-             torn record, or at a foreign one (stale alias); recovery replays
-             the Put, which must then place the payload afresh and leave the
-             record alone. *)
-          match heap_owned db key rid with
-          | Some true ->
-              if small then begin
-                ignore (Heap.delete db.kv_heap rid);
-                route key (Inline payload)
-              end
-              else
-                let rid' = Heap.update db.kv_heap rid (encode_record key payload) in
-                if not (Heap.rid_equal rid rid') then route key (At rid')
-          | Some false | None | (exception Codec.Corrupt _) -> place ()))
-    puts;
-  Bptree.insert_sorted db.kv_dir (Array.of_list (List.rev !routed))
-
-let delete db key =
-  Ode_util.Trace.with_span ~cat:"kv" "kv.delete" @@ fun () ->
-  match Bptree.find_with db.kv_dir key rid_of_value with
-  | None -> ()
-  | Some home ->
-      (* Free the record only when this key owns it. A dead, torn or
-         foreign record stays (the orphan sweep reclaims carcasses), but
-         the directory entry must be dropped regardless or replayed Deletes
-         would fail forever. An inline record goes with its entry. *)
-      (match home with
-      | Some rid -> (
-          match heap_owned db key rid with
-          | Some true -> ignore (Heap.delete db.kv_heap rid)
-          | Some false | None | (exception Codec.Corrupt _) -> ())
-      | None -> ());
-      ignore (Bptree.delete db.kv_dir key)
+  let route key entry = routed := (key, Some (encode_entry entry)) :: !routed in
+  Array.iteri
+    (fun x (key, op) ->
+      match op with
+      | Del -> if Bytes.get held x <> '\000' then routed := (key, None) :: !routed
+      | Put payload -> (
+          let h = home key in
+          if Option.is_none h then on_new key;
+          let small = in_leaf key (String.length payload) in
+          match owned key h with
+          | Some rid when small ->
+              ignore (Heap.delete db.kv_heap rid);
+              route key (Inline payload)
+          | Some rid ->
+              let rid' = Heap.update db.kv_heap rid (encode_record key payload) in
+              if not (Heap.rid_equal rid rid') then route key (At rid')
+          | None when small -> route key (Inline payload)
+          | None -> route key (At (Heap.insert db.kv_heap (encode_record key payload)))))
+    ops;
+  Bptree.apply_sorted db.kv_dir (Array.of_list (List.rev !routed))
 
 (* [f key value] over the prefix's entries in key order, each value read
    by [read] from the cursor's copy of its leaf; [f] returns false to stop.

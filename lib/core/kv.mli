@@ -6,7 +6,7 @@
     This is the *committed* state only — transactions overlay it with their
     write set (see {!Store.read}). Keys are ordered, so class extents and
     index ranges scan in key order. All operations are idempotent with
-    respect to crash-recovery replay: {!put_sorted} and {!delete} tolerate a
+    respect to crash-recovery replay: {!apply_sorted} tolerates a
     directory entry pointing at a dead or torn heap record, and every heap
     record carries its owning key, so a stale post-crash directory entry
     that aliases a reused (page, slot) address can never redirect an
@@ -52,25 +52,24 @@ val payload_at : string -> Ode_storage.Bigbytes.t -> int -> int -> string option
     ownership check runs by offset arithmetic in place, and a malformed
     record yields [None] instead of raising. *)
 
-val mem : db -> string -> bool
-
 val get : db -> string -> string option
 (** An inline payload is read straight from the pinned leaf, and a hit
     allocates only the payload and its option; an out-of-line one costs
     one heap read more. *)
 
-val put_sorted : db -> (string * string) array -> on_new:(string -> unit) -> unit
-(** [put_sorted db puts ~on_new] writes each [(key, payload)]; keys are
-    distinct and ascending. [on_new key] runs for each key the directory
-    did not hold. A record whose new payload crosses {!inline_max} moves
-    between the leaf and the heap; the heap record it leaves is freed when
-    the key owns it. Heap records are written in key order, then every
-    changed directory value reaches the tree in one
-    {!Ode_index.Bptree.insert_sorted}. *)
-
-val delete : db -> string -> unit
-(** Drops the key's entry, and frees its heap record if it has one and
-    owns it. *)
+val apply_sorted :
+  db -> (string * op) array -> on_new:(string -> unit) -> on_gone:(string -> unit) -> unit
+(** [apply_sorted db ops ~on_new ~on_gone] is the store's one committed
+    write: [(key, Put payload)] writes the record, [(key, Del)] drops the
+    key's entry; keys are distinct and ascending. It looks each key up in
+    the directory once. [on_gone key] runs for each deleted key the
+    directory held, [on_new key] for each written key it did not. The
+    deleted keys' heap records are freed first, in key order, each only
+    if its key owns it; then the written records are placed in key order.
+    A record whose new payload crosses {!inline_max} moves between the
+    leaf and the heap; the heap record it leaves is freed when the key
+    owns it. Every delete and every changed directory value reach the
+    tree in one {!Ode_index.Bptree.apply_sorted}. *)
 
 val iter_rids : db -> (int -> int -> unit) -> unit
 (** [iter_rids db f] calls [f page slot] for every rid held by an

@@ -551,32 +551,29 @@ let delete_version txn (vr : Oid.vref) =
 
 (* -- apply (commit & recovery) ----------------------------------------------------------- *)
 
-(* One transaction's write set, in key order: index entries go to the
-   index tree, everything else to the KV. The stats hook rides this single
-   apply path, so commit apply, recovery replay and standby apply all
-   maintain the same cardinality counters; a replayed/replicated analyze
-   snapshot installs itself the same way. *)
+(* One transaction's write set, in key order, as one batch per tree:
+   index entries go to the index tree, everything else to the KV, puts and
+   deletes alike. The stats hook rides this single apply path, so commit
+   apply, recovery replay and standby apply all maintain the same
+   cardinality counters; a replayed/replicated analyze snapshot installs
+   itself the same way. *)
 let apply_writes db ops =
-  let index_puts = ref [] and kv_puts = ref [] in
+  let index_ops = ref [] and kv_ops = ref [] in
   List.iter
-    (fun (key, op) ->
+    (fun ((key, op) as write) ->
       if Keys.is_index_key key then
-        match op with
-        | Put _ -> index_puts := (Keys.index_tree_key key, "") :: !index_puts
-        | Del -> ignore (Bptree.delete db.idx (Keys.index_tree_key key))
-      else
-        match op with
-        | Put payload ->
-            if key = Keys.stats then Ostats.install db payload;
-            kv_puts := (key, payload) :: !kv_puts
-        | Del ->
-            if Keys.is_header_key key && Kv.mem db key then Ostats.note_delete db key;
-            Kv.delete db key)
+        let present = match op with Put _ -> Some "" | Del -> None in
+        index_ops := (Keys.index_tree_key key, present) :: !index_ops
+      else begin
+        (match op with Put payload when key = Keys.stats -> Ostats.install db payload | _ -> ());
+        kv_ops := write :: !kv_ops
+      end)
     ops;
-  Bptree.insert_sorted db.idx (Array.of_list (List.rev !index_puts));
-  Kv.put_sorted db
-    (Array.of_list (List.rev !kv_puts))
+  Bptree.apply_sorted db.idx (Array.of_list (List.rev !index_ops));
+  Kv.apply_sorted db
+    (Array.of_list (List.rev !kv_ops))
     ~on_new:(fun key -> if Keys.is_header_key key then Ostats.note_create db key)
+    ~on_gone:(fun key -> if Keys.is_header_key key then Ostats.note_delete db key)
 
 (* The current committed value of a logical key — the pre-image the MVCC
    layer records as a new chain's base entry just before a commit applies

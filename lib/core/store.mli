@@ -5,9 +5,9 @@
     at commit (deferred apply). {!apply_writes} is the single routine that
     moves a transaction's write set into the committed structures — commit,
     crash recovery and standby apply all call it with one transaction at a
-    time, which is what makes recovery trivially correct. It sorts the set
-    by key so each B+tree takes its puts as one
-    {!Ode_index.Bptree.insert_sorted} batch: one descent and one leaf write
+    time, which is what makes recovery trivially correct. It takes the set
+    in key order, so each B+tree takes its puts and deletes as one
+    {!Ode_index.Bptree.apply_sorted} batch: one descent and one leaf write
     per leaf run rather than per key.
 
     Objects: one record per object, under its 'H' key, holds the current
@@ -188,8 +188,7 @@ val apply_writes : db -> (string * op) list -> unit
 (** Apply one committed transaction's write set, each key at most once and
     in key order (as a commit sorts it and its WAL frame keeps it), to the
     committed structures: index entries to the index tree, the rest to the
-    KV, puts as one sorted batch per tree; deletes go key by key.
-    Idempotent. *)
+    KV, puts and deletes as one sorted batch per tree. Idempotent. *)
 
 val committed_image : db -> string -> string option
 (** The key's current committed value (index entries: [Some ""] when the

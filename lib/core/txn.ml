@@ -160,6 +160,20 @@ let describe_key key =
     | 'T' -> "a trigger activation"
     | _ -> "a key"
 
+(* A committed frame's writes reach the committed state, on the primary
+   and on a standby alike: the pre-images of its versioned keys go into
+   the version chains first, for every live snapshot but [except], while
+   the KV still holds them; then the writes land, and the trigger
+   mirror follows them. *)
+let apply_commit ?decoded db ~ts ~except writes =
+  Mvcc.commit db.mvcc ~ts ~except ~pre:(Store.committed_image db)
+    (List.filter_map
+       (fun (key, op) ->
+         if versioned key then Some (key, match op with Put s -> Some s | Del -> None) else None)
+       writes);
+  Store.apply_writes db writes;
+  Triggers.sync_after_commit ?decoded db writes
+
 (* The commit body, split into prepare and ack phases. Prepare runs the
    integrity checks, evaluates trigger conditions, detects conflicts
    (first-committer-wins against the transaction's snapshot), logs the
@@ -234,16 +248,8 @@ let commit_slot ~durable txn =
     let cts = Wal.last_lsn db.wal + 1 in
     Wal.append db.wal (Wal.Commit { trace = Ode_util.Trace.current_trace_id (); ts = cts; writes });
     if durable then Wal.sync db.wal;
-    (* 6. Apply to the committed structures: pre-images go into the
-          version chains first (while the KV still holds them), then the
-          writes land. *)
-    Mvcc.commit db.mvcc ~ts:cts ~except:txn.snap ~pre:(Store.committed_image db)
-      (List.filter_map
-         (fun (key, op) ->
-           if versioned key then Some (key, match op with Put s -> Some s | Del -> None) else None)
-         writes);
-    Store.apply_writes db writes;
-    Triggers.sync_after_commit ~decoded db writes
+    (* 6. Apply to the committed structures. *)
+    apply_commit ~decoded db ~ts:cts ~except:txn.snap writes
   end;
   txn.tstate <- `Committed;
   release_snap txn;

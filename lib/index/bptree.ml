@@ -691,7 +691,7 @@ let find t key = find_with t key B.sub_string
 
 let mem t key = find t key <> None
 
-(* -- public: insert ----------------------------------------------------------- *)
+(* -- public: writes ----------------------------------------------------------- *)
 
 (* A node's fence as the descent found it: the tree's edge, or the key of
    entry [e] of the internal node at [page], an ancestor, which nothing
@@ -719,10 +719,13 @@ let roomy b = 4 * free b >= node_end - slots_off
    took 211 and 3 took 32, all in the leaves of 9. *)
 let family_chain = 3
 
-(* Apply the leaf run [kvs.(i) .. kvs.(stop-1)] to the pinned leaf [b] at
-   [page], whose fences are [lo] and [hi]. A run that fits is edited into
-   the page in place; one that overflows is merged with a copy of the
-   leaf's entries and cut into pieces. The cut is even unless the run is
+(* Apply the leaf run [ops.(i) .. ops.(stop-1)] to the pinned leaf [b] at
+   [page], whose fences are [lo] and [hi]. Its deletes ([None]) come out
+   of the page first, in place, so its puts meet the leaf as a batch of
+   every delete before every put would leave it. A run whose puts fit (a
+   run of deletes alone among them) is edited into the page in place; one
+   that overflows is merged with a copy of the leaf's entries and cut
+   into pieces. The cut is even unless the run is
    an append ([write_items]' [append]): its new keys all sort after the
    last entry of a leaf that is its parent's [last] child, where ascending
    keys keep landing, or it is a family append, whose new keys all land in one
@@ -739,34 +742,47 @@ let family_chain = 3
    key lands in it; this refills it. The leaf that holds the run's last
    new key takes its mark. Returns the pieces' (separator, page) pairs,
    and whether the first piece is the left neighbour's. *)
-let leaf_run t page b kvs i stop ~last ~lo ~hi ~left =
+let leaf_run t page b ops i stop ~last ~lo ~hi ~left =
   (* The run lies between the leaf's fences, so every key starts with its
      prefix: the first and the last do, and so every key between them. *)
-  if against_prefix (fst kvs.(i)) b <> 0 || against_prefix (fst kvs.(stop - 1)) b <> 0 then
+  if against_prefix (fst ops.(i)) b <> 0 || against_prefix (fst ops.(stop - 1)) b <> 0 then
     corrupt "%s: page %d: a key routed to the leaf lies outside it" (file t) page;
   let pl = plen b in
-  (* Room the run needs, applied key by key: a new entry and its slot, or
+  for x = i to stop - 1 do
+    match ops.(x) with
+    | k, None ->
+        let p = search_node k b 0 in
+        if p >= 0 then begin
+          remove_at b p;
+          t.count <- t.count - 1
+        end
+    | _, Some _ -> ()
+  done;
+  let puts f =
+    for x = i to stop - 1 do
+      match ops.(x) with k, Some v -> f x k v | _, None -> ()
+    done
+  in
+  (* Room the puts need, applied key by key: a new entry and its slot, or
      a value's growth. Shrinking values free room only for later keys.
-     Also where the new keys land: the index in [kvs] of the last one
+     Also where the new keys land: the index in [ops] of the last one
      ([fresh], -1 when every key replaces an entry), the insertion point
      of the first ([gap]) and whether all share it. *)
   let need = ref 0 and peak = ref 0 and from = ref 0 in
   let fresh = ref (-1) and gap = ref 0 and one_gap = ref true in
-  for x = i to stop - 1 do
-    let k, v = kvs.(x) in
-    let p = search_node k b !from in
-    if p >= 0 then begin
-      need := !need + entry_size pl k v - leaf_size b (slot b p) node_end;
-      from := p + 1
-    end
-    else begin
-      need := !need + 2 + entry_size pl k v;
-      from := -(p + 1);
-      if !fresh < 0 then gap := !from else if !from <> !gap then one_gap := false;
-      fresh := x
-    end;
-    if !need > !peak then peak := !need
-  done;
+  puts (fun x k v ->
+      let p = search_node k b !from in
+      if p >= 0 then begin
+        need := !need + entry_size pl k v - leaf_size b (slot b p) node_end;
+        from := p + 1
+      end
+      else begin
+        need := !need + 2 + entry_size pl k v;
+        from := -(p + 1);
+        if !fresh < 0 then gap := !from else if !from <> !gap then one_gap := false;
+        fresh := x
+      end;
+      if !need > !peak then peak := !need);
   let chain =
     if !fresh < 0 || not !one_gap || !gap = 0 then 0
     else
@@ -774,27 +790,25 @@ let leaf_run t page b kvs i stop ~last ~lo ~hi ~left =
       if m.mpage = page && compare_full m.last b (slot b (!gap - 1)) = 0 then m.chain + 1 else 0
   in
   let mark home =
-    if !fresh >= 0 then t.marks.(home mod marks_size) <- { mpage = home; last = fst kvs.(!fresh); chain }
+    if !fresh >= 0 then t.marks.(home mod marks_size) <- { mpage = home; last = fst ops.(!fresh); chain }
   in
   if !peak <= free b then begin
     Ode_util.Stats.incr c_leaf_writes;
     let from = ref 0 in
-    for x = i to stop - 1 do
-      let k, v = kvs.(x) in
-      let p = search_node k b !from in
-      let p =
-        if p >= 0 then begin
-          remove_at b p;
-          p
-        end
-        else begin
-          t.count <- t.count + 1;
-          -(p + 1)
-        end
-      in
-      insert_at b p pl k v;
-      from := p + 1
-    done;
+    puts (fun _ k v ->
+        let p = search_node k b !from in
+        let p =
+          if p >= 0 then begin
+            remove_at b p;
+            p
+          end
+          else begin
+            t.count <- t.count + 1;
+            -(p + 1)
+          end
+        in
+        insert_at b p pl k v;
+        from := p + 1);
     mark page;
     ([], false)
   end
@@ -838,16 +852,14 @@ let leaf_run t page b kvs i stop ~last ~lo ~hi ~left =
         push (Old (src, slot src q))
       done
     in
-    for x = i to stop - 1 do
-      let k, v = kvs.(x) in
-      let p = search_node k src !a in
-      let p, past = if p >= 0 then (p, p + 1) else (-(p + 1), -(p + 1)) in
-      old_upto p;
-      push (Entry (k, v));
-      if past = p then t.count <- t.count + 1;
-      if x = !fresh then e := !m;
-      a := past
-    done;
+    puts (fun x k v ->
+        let p = search_node k src !a in
+        let p, past = if p >= 0 then (p, p + 1) else (-(p + 1), -(p + 1)) in
+        old_upto p;
+        push (Entry (k, v));
+        if past = p then t.count <- t.count + 1;
+        if x = !fresh then e := !m;
+        a := past);
     old_upto n;
     let items = Array.of_list (List.rev !items) in
     let homes, lo, merged =
@@ -858,7 +870,7 @@ let leaf_run t page b kvs i stop ~last ~lo ~hi ~left =
     let append = if append then Some !e else None in
     let ups = write_items ?append t homes ~leaf:true ~link:(link src) ~lo ~hi items in
     if !fresh >= 0 then begin
-      let k = fst kvs.(!fresh) in
+      let k = fst ops.(!fresh) in
       mark (List.fold_left (fun home (sep, p) -> if String.compare sep k <= 0 then p else home) (List.hd homes) ups)
     end;
     (ups, merged)
@@ -884,30 +896,30 @@ let insert_ups t page ci ups ~merged ~lo ~hi =
   in
   write_items t [ page ] ~leaf:false ~link:(link src) ~lo ~hi items
 
-(* Insert one leaf run from [kvs.(i)] below [page], whose fences are [lo]
+(* Apply one leaf run from [ops.(i)] below [page], whose fences are [lo]
    and [hi] (so its keys are all below [hi]), and which is its parent's
    [last] child (the root counts as one), right of the node [left] under
    the same parent, if any. Returns the
    index past the run, the (separator, page) pairs of the pieces this
    node was cut into, for the parent to route, and whether they took in
    the left neighbour. *)
-let rec insert_run t page kvs i ~lo ~hi ~last ~left depth =
+let rec apply_run t page ops i ~lo ~hi ~last ~left depth =
   let f = pin_node t page depth in
   let b = Pool.data f in
   if is_leaf b then begin
-    (* The descent routed [kvs.(i)] here, below [hi]. *)
+    (* The descent routed [ops.(i)] here, below [hi]. *)
     match
       let stop = ref (i + 1) in
-      if !stop < Array.length kvs then begin
+      if !stop < Array.length ops then begin
         let h = fence_key t hi in
         while
-          !stop < Array.length kvs
-          && match h with Some h -> String.compare (fst kvs.(!stop)) h < 0 | None -> true
+          !stop < Array.length ops
+          && match h with Some h -> String.compare (fst ops.(!stop)) h < 0 | None -> true
         do
           incr stop
         done
       end;
-      (!stop, leaf_run t page b kvs i !stop ~last ~lo ~hi ~left)
+      (!stop, leaf_run t page b ops i !stop ~last ~lo ~hi ~left)
     with
     | stop, (ups, merged) ->
         Pool.mark_dirty t.pool f;
@@ -919,7 +931,7 @@ let rec insert_run t page kvs i ~lo ~hi ~last ~left depth =
   end
   else begin
     let route () =
-      let ci = child_index (fst kvs.(i)) b in
+      let ci = child_index (fst ops.(i)) b in
       let n = count b in
       let left = if ci > 0 then Some (child_at b (ci - 1), if ci > 1 then Sep_of (page, ci - 2) else lo) else None in
       let clo = if ci > 0 then Sep_of (page, ci - 1) else lo and chi = if ci < n then Sep_of (page, ci) else hi in
@@ -934,7 +946,7 @@ let rec insert_run t page kvs i ~lo ~hi ~last ~left depth =
           Pool.unpin t.pool f;
           raise e
     in
-    match insert_run t child kvs i ~lo:clo ~hi:chi ~last ~left (depth + 1) with
+    match apply_run t child ops i ~lo:clo ~hi:chi ~last ~left (depth + 1) with
     | stop, [], _ -> (stop, [], false)
     | stop, ups, merged -> (stop, insert_ups t page ci ups ~merged ~lo ~hi, false)
   end
@@ -951,50 +963,31 @@ let rec grow t = function
       t.root <- page;
       grow t ups'
 
-let insert_sorted t kvs =
+let apply_sorted t ops =
   Array.iteri
     (fun j (k, v) ->
       if k = "" then invalid_arg "bptree: empty key";
-      if String.length k + String.length v > max_entry then invalid_arg "bptree: entry too large";
-      if j > 0 && String.compare (fst kvs.(j - 1)) k >= 0 then
-        invalid_arg "bptree: insert_sorted keys not strictly ascending")
-    kvs;
+      (match v with
+      | Some v when String.length k + String.length v > max_entry ->
+          invalid_arg "bptree: entry too large"
+      | _ -> ());
+      if j > 0 && String.compare (fst ops.(j - 1)) k >= 0 then
+        invalid_arg "bptree: apply_sorted keys not strictly ascending")
+    ops;
   let i = ref 0 in
-  while !i < Array.length kvs do
+  while !i < Array.length ops do
     Ode_util.Stats.incr c_index_probes;
-    Ode_util.Trace.instant ~cat:"index" "bptree.insert";
+    Ode_util.Trace.instant ~cat:"index" "bptree.apply";
     (* A run's cuts touch several pages; no pressure flush may persist some
        of them before the parents, root and header route to the new ones. *)
     Pool.with_no_flush t.pool (fun () ->
-        let stop, ups, _ = insert_run t t.root kvs !i ~lo:Edge ~hi:Edge ~last:true ~left:None 0 in
+        let stop, ups, _ = apply_run t t.root ops !i ~lo:Edge ~hi:Edge ~last:true ~left:None 0 in
         grow t ups;
         write_header t;
         i := stop)
   done
 
-let insert t key value = insert_sorted t [| (key, value) |]
-
-(* -- public: delete ------------------------------------------------------------ *)
-
-let delete t key =
-  Ode_util.Stats.incr c_index_probes;
-  Ode_util.Trace.instant ~cat:"index" "bptree.delete";
-  Pool.with_no_flush t.pool (fun () ->
-      let hit =
-        with_leaf t key (fun f b ->
-            let p = search_node key b 0 in
-            if p >= 0 then begin
-              remove_at b p;
-              Pool.mark_dirty t.pool f
-            end;
-            p >= 0)
-      in
-      if hit then begin
-        Ode_util.Stats.incr c_leaf_writes;
-        t.count <- t.count - 1;
-        write_header t
-      end;
-      hit)
+let insert t key value = apply_sorted t [| (key, Some value) |]
 
 (* -- public: streaming cursor ----------------------------------------------------- *)
 

@@ -1,10 +1,11 @@
 (** Disk-backed B+tree mapping byte-string keys to byte-string values.
 
-    Keys are unique (inserting an existing key replaces its value); callers
+    Keys are unique (putting an existing key replaces its value); callers
     needing duplicates append a discriminator to the key (see {!Key}).
-    Deletion is lazy: entries are removed but nodes are not rebalanced,
-    which is fine for the workloads this engine targets and keeps rids of
-    sibling entries stable during scans.
+    Puts and deletes reach the tree together, as one sorted batch
+    ({!apply_sorted}). Deletion is lazy: entries are removed but nodes are
+    not rebalanced, which is fine for the workloads this engine targets
+    and keeps rids of sibling entries stable during scans.
 
     The tree owns its pager: page 0 is a header holding the root page number
     and the entry count. Every other page is one node in the [ODEBPT03]
@@ -29,21 +30,26 @@ val attach : Ode_storage.Buffer_pool.t -> t
     on a file of another format. *)
 
 val insert : t -> string -> string -> unit
-(** [insert t key value] is [insert_sorted t [| (key, value) |]]. *)
+(** [insert t key value] is [apply_sorted t [| (key, Some value) |]]. *)
 
-val insert_sorted : t -> (string * string) array -> unit
-(** [insert_sorted t kvs] inserts every entry of [kvs], replacing the value
-    of a key already present. Keys must be distinct and strictly ascending;
-    applying the same batch twice leaves the tree as once (recovery replay
-    relies on this). Raises [Invalid_argument], before touching the tree,
-    if the keys are out of order or repeated, a key is empty, or a
-    key+value exceeds {!max_entry} bytes.
+val apply_sorted : t -> (string * string option) array -> unit
+(** [apply_sorted t ops] is the tree's one write: [(key, Some value)] puts
+    the entry, replacing the value of a key already present, and
+    [(key, None)] deletes the key, if present. Keys must be distinct and
+    strictly ascending; applying the same batch twice leaves the tree as
+    once (recovery replay relies on this). Raises [Invalid_argument],
+    before touching the tree, if the keys are out of order or repeated, a
+    key is empty, or a put's key+value exceeds {!max_entry} bytes.
 
     The batch is applied one leaf run at a time: the keys below one leaf's
-    upper separator. Each run costs one descent, one merge into the leaf,
-    one write of each node on the path that changed, and one header write,
+    upper separator. Each run costs one descent, one edit of the leaf, one
+    write of each node on the path that changed, and one header write,
     all inside one {!Ode_storage.Buffer_pool.with_no_flush} section, so a
-    pressure flush never persists a half-applied run. A node that
+    pressure flush never persists a half-applied run. The run's deletes
+    leave the leaf first, in place; then its puts are merged in, so the
+    result is that of every delete of the batch before every put. Deletes
+    never merge or free a node (entries of sibling leaves keep their
+    places during scans); a leaf they empty stays in the tree. A node that
     overflows is cut into the fewest pieces that fit, each sized with the
     prefix its own fences give, as even in bytes as entry boundaries
     allow: one insert into a full leaf halves it, and a long batch whose
@@ -55,7 +61,8 @@ val insert_sorted : t -> (string * string) array -> unit
     objects' keys ahead of the keys of the next tag, batch after batch;
     random-order keys almost never chain so). The tree remembers that key
     per leaf in memory only, in a fixed table of 1,024 slots, so a
-    reattached tree starts without it. An append fills its pieces in
+    reattached tree starts without it; a run of deletes alone leaves it
+    as it was. An append fills its pieces in
     order up to its last new key, leaves the leaf's entries past it
     together, and also refills the leaf to its left when that one
     is at most three quarters full (as a leaf an append split left behind
@@ -76,9 +83,6 @@ val find_with : t -> string -> (Ode_storage.Bigbytes.t -> int -> int -> 'a) -> '
     option. *)
 
 val mem : t -> string -> bool
-
-val delete : t -> string -> bool
-(** Remove a key; false if absent. *)
 
 type cursor
 (** A streaming scan position: one seek, then leaf-chain walks on demand.

@@ -7,12 +7,9 @@
    with [~measure:Count]; it shares the buckets and differs only in how
    it is rendered and exported.
 
-   Enabled by default: the sites are coarse operation boundaries, each
-   costing two clock reads and one array bump (E18 guards the total at
-   <=5% on a scan-heavy workload). Process-global, like Stats. *)
-
-let enabled_flag = ref true
-let set_enabled b = enabled_flag := b
+   Always on: the sites are coarse operation boundaries, each costing two
+   clock reads and one array bump (E18 pins a hot scan at one sample).
+   Process-global, like Stats. *)
 
 let nbuckets = 63
 
@@ -62,17 +59,14 @@ let observe h ns =
   if ns > h.max_ns then h.max_ns <- ns
 
 let time h f =
-  if not !enabled_flag then f ()
-  else begin
-    let t0 = Trace.now_ns () in
-    match f () with
-    | v ->
-        observe h (Trace.now_ns () - t0);
-        v
-    | exception e ->
-        observe h (Trace.now_ns () - t0);
-        raise e
-  end
+  let t0 = Trace.now_ns () in
+  match f () with
+  | v ->
+      observe h (Trace.now_ns () - t0);
+      v
+  | exception e ->
+      observe h (Trace.now_ns () - t0);
+      raise e
 
 let count h = h.n
 let max_ns h = h.max_ns

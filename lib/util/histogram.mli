@@ -1,9 +1,8 @@
 (** Log-bucketed latency histograms per operation class. Bucket [i] covers
     [2^i, 2^(i+1)-1] ns, so percentile estimates carry at most ~2x relative
-    error, clamped to the observed max. Enabled by default (the sites are
-    coarse operation boundaries); [set_enabled false] turns [time] into a
-    bare call. Process-global, observed and read on the one domain that
-    runs the engine. *)
+    error, clamped to the observed max. Always on: the sites are coarse
+    operation boundaries. Process-global, observed and read on the one
+    domain that runs the engine. *)
 
 type t
 
@@ -11,8 +10,6 @@ type t
     plain counts (such as commits per WAL sync). The buckets are the
     same; the measure decides how values print and how they export. *)
 type measure = Nanoseconds | Count
-
-val set_enabled : bool -> unit
 
 val create : ?measure:measure -> string -> t
 (** Find-or-create the histogram registered under this name; a new one
@@ -24,8 +21,7 @@ val all : unit -> t list
 
 val observe : t -> int -> unit
 (** Record one value in the histogram's measure (negative values clamp
-    to 0).
-    Unconditional — the enabled flag gates [time], not [observe]. *)
+    to 0). *)
 
 val time : t -> (unit -> 'a) -> 'a
 (** Run a thunk and record its duration (also on exception). When disabled,

@@ -5,6 +5,15 @@ module Pool = Ode_storage.Buffer_pool
 let mk () = Bptree.attach (Pool.create ~capacity:128 (Disk.in_memory ()))
 let assert_ok t = match Bptree.check t with Ok () -> () | Error e -> Alcotest.fail e
 
+(* A sorted batch of puts alone, and a one-key delete batch that says
+   whether the key was present. *)
+let put_sorted t kvs = Bptree.apply_sorted t (Array.map (fun (k, v) -> (k, Some v)) kvs)
+
+let remove t k =
+  let n = Bptree.count t in
+  Bptree.apply_sorted t [| (k, None) |];
+  Bptree.count t < n
+
 let basic () =
   let t = mk () in
   Bptree.insert t "b" "2";
@@ -26,8 +35,8 @@ let replace () =
 let delete () =
   let t = mk () in
   Bptree.insert t "x" "1";
-  Tutil.check_bool "delete hit" true (Bptree.delete t "x");
-  Tutil.check_bool "delete miss" false (Bptree.delete t "x");
+  Tutil.check_bool "delete hit" true (remove t "x");
+  Tutil.check_bool "delete miss" false (remove t "x");
   Alcotest.(check (option string)) "gone" None (Bptree.find t "x");
   Tutil.check_int "count" 0 (Bptree.count t)
 
@@ -136,7 +145,7 @@ let cursor_basics () =
     Bptree.insert t (key i) (string_of_int i)
   done;
   (* Seek lands on the first entry >= lo even when lo is absent from the tree. *)
-  Bptree.delete t (key 10) |> ignore;
+  ignore (remove t (key 10));
   let cur = Bptree.cursor t ~lo:(key 10) ~hi:(key 14) () in
   let got = ref [] in
   let rec drain () =
@@ -271,7 +280,7 @@ let apply_ops ?(value = fun _ v -> string_of_int v) t ops =
           (ks, vs) :: List.remove_assoc ks model
       | `Delete ks ->
           let present = List.mem_assoc ks model in
-          if present <> Bptree.delete t ks then QCheck.Test.fail_report "delete result mismatch";
+          if present <> remove t ks then QCheck.Test.fail_report "delete result mismatch";
           List.remove_assoc ks model)
     [] ops
 
@@ -357,15 +366,15 @@ let prop_families =
       let d = ref (Disk.open_file path) in
       let t = ref (Bptree.attach (Pool.create ~capacity:16 !d)) in
       let block = Array.init 300 (fun i -> (Printf.sprintf "V%05d" (i * 300), String.make (1 + (i mod 40)) 'b')) in
-      Bptree.insert_sorted !t block;
+      put_sorted !t block;
       let model = ref (Array.fold_left (fun m (k, v) -> Smap.add k v m) Smap.empty block) in
       let next = Array.make (Array.length family_tags) 0 in
       let put kvs =
-        Bptree.insert_sorted !t kvs;
+        put_sorted !t kvs;
         Array.iter (fun (k, v) -> model := Smap.add k v !model) kvs
       in
       let delete k =
-        if Smap.mem k !model <> Bptree.delete !t k then QCheck.Test.fail_reportf "delete %S: result mismatch" k;
+        if Smap.mem k !model <> remove !t k then QCheck.Test.fail_reportf "delete %S: result mismatch" k;
         model := Smap.remove k !model
       in
       let family_key f i = Printf.sprintf "%s%05d" family_tags.(f) i in
@@ -402,6 +411,52 @@ let prop_families =
       let ok = ok && whole () in
       Disk.close !d;
       ok)
+
+(* A batch: keys out of 2,000 to put (with a [mixed_value]) or delete,
+   or a range of them deleted whole, with, when it [refill]s, a put beside
+   every fourth. *)
+let mixed_batch =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun ops -> `Ops ops) (list_size (int_bound 80) (pair (int_bound 1999) (opt ~ratio:0.6 nat))));
+        (1, map3 (fun lo n refill -> `Range (lo, n, refill)) (int_bound 1999) (int_bound 400) bool);
+      ])
+
+let batch_map = function
+  | `Ops ops ->
+      List.fold_left
+        (fun b (i, v) -> Smap.add (key i) (Option.map (mixed_value (key i)) v) b)
+        Smap.empty ops
+  | `Range (lo, n, refill) ->
+      let b = ref Smap.empty in
+      for i = lo to min 1999 (lo + n) do
+        b := Smap.add (key i) None !b;
+        if refill && i mod 4 = 0 then b := Smap.add (key i ^ "+") (Some "r") !b
+      done;
+      !b
+
+(* Sorted batches of puts and deletes against a Map, after a first batch
+   that puts every even key: deletes of absent keys, batches of deletes
+   alone, and whole ranges deleted, which empty leaves (wide values keep
+   a leaf to a few entries), some with puts among the deleted keys. After
+   every batch the tree matches the model and passes [check]. *)
+let prop_mixed_batches =
+  QCheck.Test.make ~name:"mixed put and delete batches match Map" ~count:(props_count 30)
+    (QCheck.make
+       ~print:(fun bs -> Printf.sprintf "%d batches" (List.length bs))
+       QCheck.Gen.(list_size (int_bound 40) mixed_batch))
+    (fun batches ->
+      let t = mk () in
+      let first = `Ops (List.init 1000 (fun i -> (2 * i, Some i))) in
+      let model = ref Smap.empty in
+      List.for_all
+        (fun batch ->
+          let b = batch_map batch in
+          Bptree.apply_sorted t (Array.of_list (Smap.bindings b));
+          model := Smap.fold (fun k op m -> match op with Some v -> Smap.add k v m | None -> Smap.remove k m) b !model;
+          matches_model t (Smap.bindings !model))
+        (first :: batches))
 
 (* Keys inserted by the pressure-flush regression test; nightly CI raises it. *)
 let torture_keys =
@@ -451,7 +506,7 @@ let pressure_flush_never_splits_half () =
     Array.init 400 (fun i -> (Printf.sprintf "z%05d%s" i (String.make 200 'k'), String.make 200 'v'))
   in
   let leaf_writes = Ode_util.Stats.(get (snapshot ()) "bptree.leaf_writes") in
-  Bptree.insert_sorted t run;
+  put_sorted t run;
   let pieces = Ode_util.Stats.(get (snapshot ()) "bptree.leaf_writes") - leaf_writes in
   Tutil.check_bool "the run cut its leaf into three or more pieces" true (pieces >= 3);
   Tutil.check_bool "the leaf's parent routes a search to every piece" true
@@ -474,12 +529,16 @@ let drain cur =
   let rec go acc = match Bptree.cursor_next cur with Some kv -> go (kv :: acc) | None -> List.rev acc in
   go []
 
-(* Seeded batches of 1, 2-50 and 5,000 keys, each sequential (past every
-   key so far), random, or replacing existing keys, with random deletes
-   between them. After every batch the tree matches a Map model by find,
-   count, cursor order and [check], and again after a reopen. A cursor
-   opened before each batch keeps its snapshot. *)
-let insert_sorted_model () =
+(* Seeded batches of 1, 2-50 and 5,000 puts, each sequential (past every
+   key so far), random, or replacing existing keys, with up to 30 deletes
+   of present keys and a few of absent ones riding in the same batch.
+   After every batch the tree matches a Map model by find, count, cursor
+   order and [check], and again after a reopen. A cursor opened before
+   each batch keeps its snapshot. Last, one batch deletes every key below
+   the sequential ones, emptying their leaves, and puts a key beside each
+   of those in a tenth of their range, so some of its runs empty a leaf
+   and fill it again. *)
+let apply_sorted_model () =
   let path = file_tree () in
   let rng = Random.State.make [| 14 |] in
   let open_tree () =
@@ -513,8 +572,54 @@ let insert_sorted_model () =
       | `Random -> Printf.sprintf "r%08d" (Random.State.int rng 100_000_000)
       | `Replace -> existing ()
     in
-    let rec fill b = if SM.cardinal b >= size then b else fill (SM.add (key ()) (value ()) b) in
-    fill SM.empty
+    let rec fill b = if SM.cardinal b >= size then b else fill (SM.add (key ()) (Some (value ())) b) in
+    let b = fill SM.empty in
+    let deletes = if SM.is_empty !model then 0 else Random.State.int rng 30 in
+    let b = ref b in
+    for _ = 1 to deletes do
+      let k = existing () in
+      if not (SM.mem k !b) then b := SM.add k None !b
+    done;
+    for _ = 1 to Random.State.int rng 4 do
+      b := SM.add (Printf.sprintf "r%08dx" (Random.State.int rng 100_000_000)) None !b
+    done;
+    !b
+  in
+  let reopen what =
+    Bptree.flush !t;
+    Disk.close !d;
+    let d', t' = open_tree () in
+    d := d';
+    t := t';
+    check_tree (what ^ " after a reopen")
+  in
+  let apply what b =
+    (* The cursor has read its first entry, so it holds that leaf. *)
+    let cur = Bptree.cursor !t () in
+    let first = Bptree.cursor_next cur in
+    let before = !model in
+    Bptree.apply_sorted !t (Array.of_list (SM.bindings b));
+    model := SM.fold (fun k op m -> match op with Some v -> SM.add k v m | None -> SM.remove k m) b !model;
+    (match first with
+    | None ->
+        Tutil.check_bool (what ^ ": empty cursor stays empty") true (Bptree.cursor_next cur = None)
+    | Some ((k0, _) as e0) ->
+        let seen = e0 :: drain cur in
+        let keys = List.map fst seen in
+        Tutil.check_bool (what ^ ": snapshot cursor ascends") true (List.sort_uniq compare keys = keys);
+        List.iter
+          (fun (k, v) ->
+            if SM.find_opt k before <> Some v && SM.find_opt k b <> Some (Some v) then
+              Alcotest.failf "%s: snapshot cursor yields unknown entry %s" what k)
+          seen;
+        let yielded = List.fold_left (fun m k -> SM.add k () m) SM.empty keys in
+        SM.iter
+          (fun k _ ->
+            if k >= k0 && (not (SM.mem k yielded)) && SM.find_opt k b <> Some None then
+              Alcotest.failf "%s: snapshot cursor lost %s" what k)
+          before);
+    check_tree what;
+    reopen what
   in
   let sizes = [ 1; 2 + Random.State.int rng 49; 5000 ] in
   List.iteri
@@ -523,49 +628,19 @@ let insert_sorted_model () =
         Printf.sprintf "batch %d (%d %s keys)" round size
           (match kind with `Sequential -> "sequential" | `Random -> "random" | `Replace -> "existing")
       in
-      let b = batch size kind in
-      (* The cursor has read its first entry, so it holds that leaf. *)
-      let cur = Bptree.cursor !t () in
-      let first = Bptree.cursor_next cur in
-      let before = !model in
-      Bptree.insert_sorted !t (Array.of_list (SM.bindings b));
-      model := SM.union (fun _ _ v -> Some v) !model b;
-      (match first with
-      | None ->
-          Tutil.check_bool (what ^ ": empty cursor stays empty") true (Bptree.cursor_next cur = None)
-      | Some ((k0, _) as e0) ->
-          let seen = e0 :: drain cur in
-          let keys = List.map fst seen in
-          Tutil.check_bool (what ^ ": snapshot cursor ascends") true
-            (List.sort_uniq compare keys = keys);
-          List.iter
-            (fun (k, v) ->
-              if SM.find_opt k before <> Some v && SM.find_opt k b <> Some v then
-                Alcotest.failf "%s: snapshot cursor yields unknown entry %s" what k)
-            seen;
-          let yielded = List.fold_left (fun m k -> SM.add k () m) SM.empty keys in
-          SM.iter
-            (fun k _ ->
-              if k >= k0 && not (SM.mem k yielded) then
-                Alcotest.failf "%s: snapshot cursor lost %s" what k)
-            before);
-      check_tree what;
-      (* delete a few keys, then reopen from the file *)
-      let victim = pick () in
-      for _ = 1 to Random.State.int rng 30 do
-        let k = victim () in
-        Tutil.check_bool (what ^ ": delete") (SM.mem k !model) (Bptree.delete !t k);
-        model := SM.remove k !model
-      done;
-      Bptree.flush !t;
-      Disk.close !d;
-      let d', t' = open_tree () in
-      d := d';
-      t := t';
-      check_tree (what ^ " after deletes and reopen"))
+      apply what (batch size kind))
     (List.concat_map
        (fun kind -> List.map (fun size -> (size, kind)) sizes)
        [ `Sequential; `Random; `Replace ]);
+  let r = SM.filter (fun k _ -> k < "s") !model in
+  Tutil.check_bool "keys below the sequential ones fill leaves" true (SM.cardinal r > 1000);
+  let pages = Bptree.page_count !t in
+  apply "deletes that empty leaves"
+    (SM.fold
+       (fun k _ b -> SM.add (k ^ "+") (Some "") b)
+       (SM.filter (fun k _ -> k.[1] = '5') r)
+       (SM.map (fun _ -> None) r));
+  Tutil.check_int "deletes free no page" pages (Bptree.page_count !t);
   Disk.close !d
 
 (* A cursor inside a one-leaf tree keeps that leaf's entries while a batch
@@ -573,24 +648,24 @@ let insert_sorted_model () =
 let cursor_keeps_leaf_snapshot () =
   let t = mk () in
   let small = Array.init 20 (fun i -> (key (i * 1000), "old")) in
-  Bptree.insert_sorted t small;
+  put_sorted t small;
   Tutil.check_int "one leaf" 1 (Bptree.height t);
   let cur = Bptree.cursor t () in
-  Bptree.insert_sorted t (Array.init 5000 (fun i -> (key ((i * 4) + 1), String.make 50 'n')));
+  put_sorted t (Array.init 5000 (fun i -> (key ((i * 4) + 1), String.make 50 'n')));
   Tutil.check_bool "tree grew" true (Bptree.height t >= 2);
   Tutil.check_bool "cursor yields the leaf as it was" true (drain cur = Array.to_list small);
   assert_ok t
 
-let insert_sorted_rejects () =
+let apply_sorted_rejects () =
   let t = mk () in
   let rejects kvs =
-    match Bptree.insert_sorted t kvs with () -> false | exception Invalid_argument _ -> true
+    match put_sorted t kvs with () -> false | exception Invalid_argument _ -> true
   in
   Tutil.check_bool "descending" true (rejects [| ("b", ""); ("a", "") |]);
   Tutil.check_bool "repeated" true (rejects [| ("a", ""); ("a", "") |]);
   Tutil.check_bool "oversized after a good key" true (rejects [| ("a", ""); ("b", String.make 2000 'v') |]);
   Tutil.check_int "nothing applied" 0 (Bptree.count t);
-  Bptree.insert_sorted t [||];
+  put_sorted t [||];
   Tutil.check_int "empty batch" 0 (Bptree.count t)
 
 (* -- on-disk format -------------------------------------------------------------- *)
@@ -876,7 +951,7 @@ let flushed_tree ?(value = fun i -> string_of_int i) n =
   let path = file_tree () in
   let d = Disk.open_file path in
   let t = Bptree.attach (Pool.create ~capacity:1024 d) in
-  Bptree.insert_sorted t (Array.init n (fun i -> (key i, value i)));
+  put_sorted t (Array.init n (fun i -> (key i, value i)));
   Bptree.flush t;
   Disk.close d;
   path
@@ -922,7 +997,7 @@ let gate_keys = 40_000
    still rejected. *)
 let check_compares_in_place () =
   let t = Bptree.attach (Pool.create ~capacity:2048 (Disk.in_memory ())) in
-  Bptree.insert_sorted t (Array.init gate_keys (fun i -> (key i, Printf.sprintf "%08d" i)));
+  put_sorted t (Array.init gate_keys (fun i -> (key i, Printf.sprintf "%08d" i)));
   assert_ok t;
   let per_entry = Tutil.allocated_words (fun () -> assert_ok t) /. float gate_keys in
   if per_entry >= 0.5 then Alcotest.failf "check allocates %.2f words an entry" per_entry;
@@ -954,7 +1029,7 @@ let check_compares_in_place () =
    searches it in place. *)
 let find_allocates_only_its_result () =
   let t = Bptree.attach (Pool.create ~capacity:2048 (Disk.in_memory ())) in
-  Bptree.insert_sorted t (Array.init gate_keys (fun i -> (key i, Printf.sprintf "%08d" i)));
+  put_sorted t (Array.init gate_keys (fun i -> (key i, Printf.sprintf "%08d" i)));
   let probes = Array.init 10_000 (fun i -> key (i * 7 mod gate_keys)) in
   Array.iter (fun k -> ignore (Bptree.find t k)) probes;
   let result_words = Obj.reachable_words (Obj.repr (Bptree.find t probes.(0))) in
@@ -1020,7 +1095,7 @@ let pages_for order =
         order)
 
 (* Every entry in one sorted batch. *)
-let batch_pages () = pages_after (fun t -> Bptree.insert_sorted t (Array.init gate_keys fill_entry))
+let batch_pages () = pages_after (fun t -> put_sorted t (Array.init gate_keys fill_entry))
 
 (* Ascending keys inserted one call each fill their leaves: the pieces an
    append cuts are filled in order, and a leaf an append split left behind
@@ -1070,16 +1145,16 @@ let random_inserts_keep_even_cuts () =
 let family_load ~headers_last t =
   let rng = Random.State.make [| 40 |] in
   let header i = (Printf.sprintf "H%06d" i, "header-rid") in
-  Bptree.insert_sorted t (Array.init 20_000 (fun i -> (Printf.sprintf "V%06d" (i * 3), "version-rid")));
+  put_sorted t (Array.init 20_000 (fun i -> (Printf.sprintf "V%06d" (i * 3), "version-rid")));
   let next = ref 0 in
   for _ = 1 to 6_000 do
     let n = 2 + Random.State.int rng 2 in
     let hs = if headers_last then [||] else Array.init n (fun j -> header (!next + j)) in
     next := !next + n;
     let v = Printf.sprintf "V%06d" ((3 * Random.State.int rng 20_000) + 1) in
-    Bptree.insert_sorted t (Array.append hs [| (v, "version-rid") |])
+    put_sorted t (Array.append hs [| (v, "version-rid") |])
   done;
-  if headers_last then Bptree.insert_sorted t (Array.init !next header)
+  if headers_last then put_sorted t (Array.init !next header)
 
 (* Header keys that keep landing ahead of a block of version keys are
    family appends: the counter records some (it reads 0 for random-order
@@ -1174,9 +1249,9 @@ let suite =
         Alcotest.test_case "ascending inserts fill their leaves" `Quick ascending_inserts_fill_leaves;
         Alcotest.test_case "random inserts keep even cuts" `Quick random_inserts_keep_even_cuts;
         Alcotest.test_case "family appends are counted" `Quick family_appends_counted;
-        Alcotest.test_case "insert_sorted matches a Map model" `Quick insert_sorted_model;
+        Alcotest.test_case "apply_sorted matches a Map model" `Quick apply_sorted_model;
         Alcotest.test_case "cursor keeps its leaf across a batch" `Quick cursor_keeps_leaf_snapshot;
-        Alcotest.test_case "insert_sorted rejects bad batches" `Quick insert_sorted_rejects;
+        Alcotest.test_case "apply_sorted rejects bad batches" `Quick apply_sorted_rejects;
       ] );
     (* Its own group so nightly CI can run it alone at a larger key count. *)
     ( "bptree.crash",
@@ -1191,6 +1266,7 @@ let suite =
         prop_cursor_matches_iter_range;
         prop_reopen_matches_model;
         prop_families;
+        prop_mixed_batches;
         prop_rotten_nodes_corrupt;
       ];
   ]

@@ -449,7 +449,7 @@ let run_iteration ~iter ~seed ~site ~coverage =
      Hashtbl.iter
        (fun tag oid ->
          dbg "tag %d: header %b (oid %a)" tag
-           (Ode.Kv.mem db2 (Ode.Keys.header oid))
+           (Ode_index.Bptree.mem db2.Ode.Types.kv_dir (Ode.Keys.header oid))
            Ode_model.Oid.pp oid)
        oids;
      Ode_index.Bptree.iter_range db2.Ode.Types.kv_dir (fun key value ->

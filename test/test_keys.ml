@@ -380,7 +380,8 @@ let old_layout_refused () =
 
 (* -- records in the directory leaf ------------------------------------------- *)
 
-let kv_put db puts = Ode.Kv.put_sorted db puts ~on_new:ignore
+let kv_apply db ops = Ode.Kv.apply_sorted db ops ~on_new:ignore ~on_gone:ignore
+let kv_put db puts = kv_apply db (Array.map (fun (k, p) -> (k, Ode.Types.Put p)) puts)
 
 (* Where the directory keeps [key]'s record. *)
 let home db key =
@@ -423,8 +424,7 @@ let records_cross_the_limit () =
   kv_put db [| (long, String.make 100 'l') |];
   Tutil.check_string "long key's record in the heap" "heap" (home db long);
   (match Ode.Verify.run db with Ok () -> () | Error ps -> Alcotest.fail (String.concat "; " ps));
-  Ode.Kv.delete db long;
-  Array.iter (Ode.Kv.delete db) keys;
+  kv_apply db (Array.map (fun k -> (k, Ode.Types.Del)) (Array.append [| long |] keys));
   Tutil.check_int "deletes free the heap records" heap0
     (Ode_storage.Heap.record_count db.Ode.Types.kv_heap);
   Array.iter (fun k -> Tutil.check_string "deleted" "absent" (home db k)) keys;

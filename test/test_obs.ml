@@ -23,8 +23,7 @@ let with_tracing f =
   Trace.set_enabled true;
   Fun.protect f ~finally:(fun () ->
       Trace.set_enabled false;
-      Trace.clear ();
-      Histogram.set_enabled true)
+      Trace.clear ())
 
 (* -- tracer ---------------------------------------------------------------- *)
 
@@ -257,17 +256,6 @@ let histogram_interleaved_drain () =
   Alcotest.(check int) "drained counts plus residue" !observed (!drained + residue.Histogram.r_count);
   Alcotest.(check int) "drained sums plus residue" !observed_sum
     (!drained_sum + residue.Histogram.r_sum_ns)
-
-let histogram_time_disabled () =
-  let h = Histogram.create "test.obs.disabled" in
-  Histogram.reset h;
-  Histogram.set_enabled false;
-  Fun.protect
-    (fun () ->
-      let r = Histogram.time h (fun () -> 3) in
-      Alcotest.(check int) "thunk runs" 3 r;
-      Alcotest.(check int) "nothing recorded" 0 (Histogram.count h))
-    ~finally:(fun () -> Histogram.set_enabled true)
 
 (* -- stats registry -------------------------------------------------------- *)
 
@@ -551,8 +539,7 @@ let dot_shell () =
     ~finally:(fun () ->
       Db.close db;
       Trace.set_enabled false;
-      Trace.clear ();
-      Histogram.set_enabled true)
+      Trace.clear ())
   @@ fun () ->
   let dot line =
     match Shell.dot_command shell line with
@@ -643,7 +630,6 @@ let one_observation_per_join () =
   let join =
     "forall d in dept { forall e in emp suchthat e.works == d.dname || 1 == 2 { print e.ename; } };"
   in
-  Histogram.set_enabled true;
   let samples () = Histogram.count (Option.get (Histogram.find "query.execute")) in
   let before = samples () in
   run join;
@@ -766,7 +752,6 @@ let suite =
         Alcotest.test_case "histogram bucket boundaries" `Quick histogram_buckets;
         Alcotest.test_case "histogram percentiles" `Quick histogram_percentiles;
         Alcotest.test_case "histogram interleaved drain" `Quick histogram_interleaved_drain;
-        Alcotest.test_case "histogram disabled" `Quick histogram_time_disabled;
         Alcotest.test_case "stats registry round-trip" `Quick stats_registry;
         Alcotest.test_case "stats registry golden names" `Quick stats_golden_registry;
         Alcotest.test_case "prometheus exposition" `Quick prometheus_exposition;

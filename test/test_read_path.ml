@@ -162,6 +162,34 @@ let cold_current_read_is_one_lookup () =
     (cold_read versioned = Some [ ("x", Value.Int 7); ("y", Value.Int 3) ]);
   Db.close db
 
+(* Counter gate for the write path: a commit sends each B+tree its puts
+   and deletes as one sorted batch, so it costs one directory lookup per
+   key the KV writes or deletes and one descent per leaf run of each tree.
+   Re-keying 100 indexed objects looks up their 100 header keys; deleting
+   them looks up the 100 header keys; each then descends once into the
+   directory's leaf and once into each index leaf the keys span. When
+   deletes went key by key, each took four probes (a membership test, the
+   delete's lookup and its descent, and the index entry's descent): 400
+   for the deletes, 202 for the re-keys. *)
+let commit_probes () =
+  let db = setup () in
+  Db.create_index db ~cls:"pt" ~field:"x";
+  let oids = mk db 100 in
+  let probes f =
+    let txn = Db.begin_txn db in
+    List.iter (f txn) oids;
+    let s0 = Stats.snapshot () in
+    Db.commit txn;
+    Stats.(get (diff (snapshot ()) s0) "index_probes")
+  in
+  Tutil.check_int "re-keying 100 objects" 102
+    (probes (fun txn o ->
+         match Db.get_field txn o "x" with
+         | Value.Int x -> Db.set_field txn o "x" (Value.Int (x + 1000))
+         | _ -> Alcotest.fail "non-int x"));
+  Tutil.check_int "deleting 100 objects" 102 (probes Db.pdelete);
+  Db.close db
+
 let suite =
   [
     ( "read_path",
@@ -174,5 +202,6 @@ let suite =
         Alcotest.test_case "loop body reads the fetched row" `Quick body_reads_row;
         Alcotest.test_case "exists exits early" `Quick exists_early_exit;
         Alcotest.test_case "cold current read is one lookup" `Quick cold_current_read_is_one_lookup;
+        Alcotest.test_case "a commit's probes are its lookups and runs" `Quick commit_probes;
       ] );
   ]

@@ -729,6 +729,28 @@ let standby_mirror_incremental () =
   Db.close pri;
   Db.close rep
 
+(* A standby records version chains for the keys the primary records
+   them for: with a read snapshot open on each, an update records one on
+   both, and an analyze none on either, since the stats record has no
+   chain. *)
+let standby_chains_match_primary () =
+  let pri, rep, _, ship = mirrored_pair () in
+  setup pri;
+  let o = Db.with_txn pri (fun txn -> Db.pnew txn "t" [ ("tag", Value.Int 1) ]) in
+  ship ();
+  Db.with_read_txn pri (fun _ ->
+      Db.with_read_txn rep (fun _ ->
+          Db.with_txn pri (fun txn -> Db.set_field txn o "tag" (Value.Int 2));
+          ship ();
+          Tutil.check_int "the update's chain on the primary" 1 (Db.mvcc_chains pri);
+          Tutil.check_int "the update's chain on the standby" 1 (Db.mvcc_chains rep);
+          ignore (Db.analyze pri);
+          ship ();
+          Tutil.check_int "no chain for the stats on the primary" 1 (Db.mvcc_chains pri);
+          Tutil.check_int "no chain for the stats on the standby" 1 (Db.mvcc_chains rep)));
+  Db.close pri;
+  Db.close rep
+
 (* A standby's apply of a one-pnew batch costs the same with 100 as with
    10,000 activations in the store: nothing reloads the activation table.
    The median over 21 batches leaves out the one that happens to split a
@@ -823,6 +845,7 @@ let suite =
           e2e_trace_correlation;
         Alcotest.test_case "exec_many reports the acked prefix" `Quick exec_many_broken_pipeline;
         Alcotest.test_case "standby folds trigger writes in" `Quick standby_mirror_incremental;
+        Alcotest.test_case "standby chains match the primary's" `Quick standby_chains_match_primary;
         Alcotest.test_case "standby apply flat in activations" `Quick standby_apply_flat_in_activations;
         Alcotest.test_case "oid counters live in meta" `Quick oid_counters_in_meta;
       ] );

@@ -114,9 +114,10 @@ let verify_detects_corruption () =
           Alcotest.failf "%s: no problem mentions %S: %s" name expect (String.concat "; " ps));
     Db.close db
   in
-  let put db key payload = Ode.Kv.put_sorted db [| (key, payload) |] ~on_new:ignore in
+  let kv_apply db key op = Ode.Kv.apply_sorted db [| (key, op) |] ~on_new:ignore ~on_gone:ignore in
+  let put db key payload = kv_apply db key (Ode.Types.Put payload) in
   case "missing non-current version" ~expect:"version 0 record missing" (fun db o ->
-      Ode.Kv.delete db (Ode.Keys.version o 0));
+      kv_apply db (Ode.Keys.version o 0) Ode.Types.Del);
   (* [o]'s record as the store writes it, with its header and the slots
      given. *)
   let record db o slots =
@@ -201,7 +202,7 @@ let verify_detects_corruption () =
     Ode.Keys.index_tree_key (Ode.Keys.index_entry ~idx_id ~valkey:(Value.index_key v) ~oid:o)
   in
   let idx_put db key = Ode_index.Bptree.insert db.Ode.Types.idx key "" in
-  let idx_del db key = ignore (Ode_index.Bptree.delete db.Ode.Types.idx key) in
+  let idx_del db key = Ode_index.Bptree.apply_sorted db.Ode.Types.idx [| (key, None) |] in
   case ~indexed:true "stale index entry" ~expect:"index 0: stale entry for" (fun db o ->
       idx_put db (entry (int 5) o));
   case ~indexed:true "missing index entry" ~expect:"index 0: missing entry for" (fun db o ->
@@ -265,7 +266,8 @@ let verify_detects_bad_activations () =
           (Db.activate txn o "low" [ int 0 ], Db.pnew txn "y" []))
     in
     let a = Hashtbl.find db.Ode.Types.activations tid in
-    Ode.Kv.put_sorted db [| (Ode.Keys.trigger tid, damage a other) |] ~on_new:ignore;
+    Ode.Kv.apply_sorted db [| (Ode.Keys.trigger tid, Ode.Types.Put (damage a other)) |] ~on_new:ignore
+      ~on_gone:ignore;
     (match Ode.Verify.run db with
     | Ok () -> Alcotest.failf "%s: corruption not detected" name
     | Error ps ->
