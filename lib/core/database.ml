@@ -36,8 +36,6 @@ let make_db ~dbdir ~kv_disk ~dir_disk ~idx_disk ~wal ~pool_pages ~wal_checkpoint
       active = None;
       wtxns = Hashtbl.create 8;
       mvcc = Mvcc.create ();
-      activations = Hashtbl.create 64;
-      by_oid = Hashtbl.create 64;
       action_queue = Queue.create ();
       draining = false;
       wal_auto_checkpoint = wal_checkpoint_bytes;
@@ -128,8 +126,7 @@ let load_state db =
   if not db.stats.st_analyzed then
     (match Kv.get db Keys.stats with
     | Some s -> ( try Ostats.install db s with Ode_util.Codec.Corrupt _ -> ())
-    | None -> ());
-  Triggers.load_all db
+    | None -> ())
 
 let pools db = [ Heap.pool db.kv_heap; Bptree.pool db.kv_dir; Bptree.pool db.idx ]
 
@@ -379,13 +376,12 @@ let apply_replicated db ~frames (records : Wal.record list) =
           if trace <> 0 then
             Ode_util.Trace.with_trace_id trace (fun () ->
                 Ode_util.Trace.instant ~cat:"repl" ~args:[ ("ts", string_of_int ts) ] "repl.apply");
-          (* Schema, counter, clock and trigger changes shipped from the
-             primary must reach the standby's decoded mirrors, not just its
-             pages. The catalog and meta records are decoded only when the
-             commit wrote them, first, as the primary's mirrors held them
-             before its commit: its trigger writes decode against the
-             catalog, and fold into the activation mirror one by one, as
-             on the primary. *)
+          (* Schema, counter and clock changes shipped from the primary
+             must reach the standby's decoded catalog and meta, not just
+             its pages. They are decoded only when the commit wrote them,
+             first, as the primary held them before its commit. Trigger
+             activations live only in the store, so their records land
+             with the pages. *)
           List.iter
             (fun (key, op) ->
               match op with
@@ -564,7 +560,7 @@ let advance_time db n =
   let expired = Triggers.expired db in
   if expired <> [] then begin
     with_txn_no_drain db (fun txn ->
-        List.iter (fun (a : activation) -> Triggers.deactivate txn a.tid) expired);
+        List.iter (Triggers.retire txn) expired);
     List.iter
       (fun a -> Queue.add { f_act = a; f_kind = Timed_out } db.action_queue)
       (List.sort (fun a b -> Int.compare a.tid b.tid) expired)

@@ -223,9 +223,8 @@ val apply_replicated : t -> frames:string -> Ode_storage.Wal.record list -> unit
     standby crash mid-apply replays on reopen), applies each commit through
     the same path recovery uses (recording pre-images into the MVCC version
     chains under the primary's commit timestamps, so snapshots held on this
-    standby stay stable), brings the decoded mirrors along commit by commit
-    (the catalog and meta records decoded when a commit wrote them, its
-    trigger writes folded into the activation tables one by one), and
+    standby stay stable), brings the decoded catalog and meta along commit
+    by commit (each decoded when a commit wrote it), and
     checkpoints when the primary's checkpoint record says to (or the local
     log outgrows its bound). The local commit LSN advances through the
     appended frames exactly as the primary's did. *)

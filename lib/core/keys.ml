@@ -11,7 +11,9 @@
      'V' ++ oid-key ++ nat ver     the fields of one non-current version
                                    (never the current one)
      'R' ++ name                   named persistent root
-     'T' ++ nat tid                trigger activation record
+     'T' ++ oid-key ++ nat tid     a trigger activation on the object:
+                                   its records sit together, so one
+                                   prefix lookup finds them all
      'C'                           the schema catalog (DDL writes it)
      'E'                           engine metadata (next tid, each class's
                                    next object number, logical clock)
@@ -66,15 +68,17 @@ let root_name k =
   expect_tag "root" 'R' k;
   String.sub k 1 (String.length k - 1)
 
-let trigger tid = "T" ^ Key.of_nat tid
+let trigger oid tid = String.concat "" [ "T"; Oid.key oid; Key.of_nat tid ]
 let trigger_prefix = "T"
+let triggers_of oid = "T" ^ Oid.key oid
 let is_trigger_key k = String.length k > 0 && k.[0] = 'T'
 
 let parse_trigger k =
   expect_tag "trigger" 'T' k;
-  let tid, pos = Key.nat_at k 1 in
+  let oid, pos = Oid.of_key_at k 1 in
+  let tid, pos = Key.nat_at k pos in
   expect_end "trigger" k pos;
-  tid
+  (oid, tid)
 
 let catalog = "C"
 

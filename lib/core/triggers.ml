@@ -29,25 +29,22 @@ let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
 
 (* -- persistence of activation records ------------------------------------- *)
 
-(* An activation record holds only what its declaration does not fix, all
-   varints but the flags byte:
+(* An activation record holds only what its key and its declaration do
+   not fix, all varints but the flags byte:
 
-     oid class, oid number, declaring class id, position among that
-     class's own triggers, flags (active, has-deadline), each argument by
-     its declared parameter type ([Store.put_slot]), and the deadline
-     (zigzag) if any.
+     declaring class id, position among that class's own triggers, flags
+     (active, has-deadline), each argument by its declared parameter type
+     ([Store.put_slot]), and the deadline (zigzag) if any.
 
-   The tid is the 'T' key's; the names, [perpetual], the argument count
-   and types are the declaration's. *)
+   The object and the tid are the 'T' key's; the names, [perpetual], the
+   argument count and types are the declaration's. *)
 let flag_active = 1
 let flag_deadline = 2
 
 let param_types (g : Schema.trigger) = List.map (fun (p : Schema.field) -> p.ftype) g.gparams
 
 let encode_activation params (a : activation) =
-  let b = Buffer.create 16 in
-  Codec.put_varint b a.aoid.cls;
-  Codec.put_varint b a.aoid.num;
+  let b = Buffer.create 8 in
   Codec.put_varint b a.tdecl;
   Codec.put_varint b a.tpos;
   Codec.put_u8 b
@@ -56,13 +53,11 @@ let encode_activation params (a : activation) =
   Option.iter (Codec.put_svarint b) a.deadline;
   Buffer.contents b
 
-(* Raises [Codec.Corrupt] on a malformed record and on one whose
+(* Raises [Codec.Corrupt] on a malformed key or record and on one whose
    declaration the catalog lacks. *)
 let decode_activation db key s =
-  let tid = Keys.parse_trigger key in
+  let aoid, tid = Keys.parse_trigger key in
   let c = Codec.cursor s in
-  let cls = Codec.get_varint c in
-  let num = Codec.get_varint c in
   let tdecl = Codec.get_varint c in
   let tpos = Codec.get_varint c in
   let d, g =
@@ -81,7 +76,7 @@ let decode_activation db key s =
   if not (Codec.at_end c) then corrupt "activation %d: %d trailing bytes" tid (Codec.remaining c);
   {
     tid;
-    aoid = { cls; num };
+    aoid;
     tdecl;
     tpos;
     tcls = d.name;
@@ -98,29 +93,14 @@ let decl db (a : activation) =
   | Some d -> List.nth_opt d.Schema.own_triggers a.tpos
   | None -> None
 
-(* -- in-memory mirror --------------------------------------------------------- *)
-
-let register db a =
-  Hashtbl.replace db.activations a.tid a;
-  let existing = Option.value (Hashtbl.find_opt db.by_oid a.aoid) ~default:[] in
-  if not (List.mem a.tid existing) then Hashtbl.replace db.by_oid a.aoid (a.tid :: existing)
-
-let unregister db tid =
-  match Hashtbl.find_opt db.activations tid with
-  | None -> ()
-  | Some a ->
-      Hashtbl.remove db.activations tid;
-      let remaining =
-        List.filter (fun t -> t <> tid) (Option.value (Hashtbl.find_opt db.by_oid a.aoid) ~default:[])
-      in
-      if remaining = [] then Hashtbl.remove db.by_oid a.aoid
-      else Hashtbl.replace db.by_oid a.aoid remaining
-
-let load_all db =
-  Kv.iter_prefix db Keys.trigger_prefix (fun key payload ->
-      let a = decode_activation db key payload in
-      if a.active then register db a;
-      true)
+(* The committed activation records of [oid], in tid order: one prefix
+   lookup in the directory. *)
+let committed db oid =
+  let acts = ref [] in
+  Kv.iter_prefix db (Keys.triggers_of oid) (fun key payload ->
+      acts := decode_activation db key payload :: !acts;
+      true);
+  List.rev !acts
 
 (* -- activation / deactivation -------------------------------------------------- *)
 
@@ -175,69 +155,72 @@ let activate txn oid tname args =
       active = true;
     }
   in
-  Store.write txn (Keys.trigger tid) (encode_activation (param_types g) a);
+  Store.write txn (Keys.trigger oid tid) (encode_activation (param_types g) a);
   (* Conditions are evaluated at the end of each transaction (paper §6); an
      activation whose condition already holds fires when the activating
      transaction commits, so mark the object for evaluation. *)
   Hashtbl.replace txn.touched oid ();
   tid
 
+(* Write [a]'s record back inactive. *)
+let retire txn (a : activation) =
+  (* A record that decoded names a declaration the catalog has. *)
+  let g = Option.get (decl txn.tdb a) in
+  Store.write txn (Keys.trigger a.aoid a.tid) (encode_activation (param_types g) { a with active = false })
+
+(* The key of activation [tid]: among the transaction's own writes, else
+   by one pass over the committed 'T' range, reading keys only. *)
+let find_key txn tid =
+  let is_tid key = Keys.is_trigger_key key && snd (Keys.parse_trigger key) = tid in
+  match Hashtbl.fold (fun key _ found -> if is_tid key then Some key else found) txn.writes None with
+  | Some _ as own -> own
+  | None ->
+      let found = ref None in
+      Kv.iter_prefix_entries txn.tdb Keys.trigger_prefix (fun key _ ->
+          if is_tid key then found := Some key;
+          !found = None);
+      !found
+
 let deactivate txn tid =
   let db = txn.tdb in
-  let key = Keys.trigger tid in
-  let current =
-    match Store.read db (Some txn) key with
-    | Some s -> decode_activation db key s
-    | None -> err "no such trigger activation %d" tid
-  in
-  (* A record that decoded names a declaration the catalog has. *)
-  let g = Option.get (decl db current) in
-  Store.write txn key (encode_activation (param_types g) { current with active = false })
+  let current key = Option.map (decode_activation db key) (Store.read db (Some txn) key) in
+  match Option.bind (find_key txn tid) current with
+  | Some a -> retire txn a
+  | None -> err "no such trigger activation %d" tid
 
 (* -- commit-time evaluation --------------------------------------------------------- *)
 
-(* The transaction's own trigger writes, digested once per commit:
-   tid -> activation overrides, plus per-oid activations new in this txn.
-   [overrides] then follows [evaluate]'s own writes, so that after the
-   commit it holds the decoded activation of every 'T' put, and the mirror
-   folds them in without decoding them again. *)
-type txn_trigger_view = {
-  overrides : (int, activation) Hashtbl.t;
-  new_by_oid : (Oid.t, activation list) Hashtbl.t;
-}
-
+(* The transaction's own trigger writes, digested once per commit: per
+   object, the activations it put. Before [evaluate] a transaction only
+   puts 'T' records (activate, deactivate); only [evaluate] removes any. *)
 let txn_view txn =
-  let db = txn.tdb in
-  let view = { overrides = Hashtbl.create 8; new_by_oid = Hashtbl.create 8 } in
+  let view = Hashtbl.create 8 in
   Hashtbl.iter
     (fun key op ->
-      if Keys.is_trigger_key key then
-        match op with
-        | Put payload ->
-            let a = decode_activation db key payload in
-            Hashtbl.replace view.overrides a.tid a;
-            let committed = Option.value (Hashtbl.find_opt db.by_oid a.aoid) ~default:[] in
-            if not (List.mem a.tid committed) then
-              Hashtbl.replace view.new_by_oid a.aoid
-                (a :: Option.value (Hashtbl.find_opt view.new_by_oid a.aoid) ~default:[])
-        | Del -> ())
+      match op with
+      | Put payload when Keys.is_trigger_key key ->
+          let a = decode_activation txn.tdb key payload in
+          Hashtbl.replace view a.aoid (a :: Option.value (Hashtbl.find_opt view a.aoid) ~default:[])
+      | _ -> ())
     txn.writes;
   view
 
-(* Activations relevant to [oid] as this transaction sees them: committed
-   state adjusted by the transaction's own trigger writes. *)
-let effective_activations txn view oid =
-  let db = txn.tdb in
-  let committed = Option.value (Hashtbl.find_opt db.by_oid oid) ~default:[] in
-  let of_committed =
-    List.filter_map
-      (fun tid ->
-        match Hashtbl.find_opt view.overrides tid with
-        | Some a -> Some a
-        | None -> Hashtbl.find_opt db.activations tid)
-      committed
-  in
-  of_committed @ List.rev (Option.value (Hashtbl.find_opt view.new_by_oid oid) ~default:[])
+(* [oid]'s activations as this transaction sees them, each with whether
+   the transaction made it: the committed records in tid order, as the
+   transaction's own writes leave them, then its new ones in tid order.
+   Reading the committed records is one directory lookup, which an object
+   the transaction created skips: it has none. *)
+let effective txn view ~created oid =
+  let own = Option.value (Hashtbl.find_opt view oid) ~default:[] in
+  let committed = if created oid then [] else committed txn.tdb oid in
+  let same (a : activation) (b : activation) = a.tid = b.tid in
+  let news = List.filter (fun a -> not (List.exists (same a) committed)) own in
+  List.map (fun a -> (Option.value (List.find_opt (same a) own) ~default:a, false)) committed
+  @ List.map (fun a -> (a, true)) (List.sort (fun (a : activation) b -> Int.compare a.tid b.tid) news)
+
+(* Whether an object of [cls] can carry activations at all. *)
+let declares_triggers db cls =
+  List.exists (fun (c : Schema.cls) -> c.own_triggers <> []) (Catalog.lineage db.catalog cls)
 
 let condition_holds ~reads db txn (a : activation) g =
   Ode_util.Stats.incr c_triggers_evaluated;
@@ -257,87 +240,73 @@ let condition_holds ~reads db txn (a : activation) g =
      point (they deactivate immediately, so there is no loop to prevent),
      which also gives the useful "fires at activation if already true"
      behaviour.
-   - An activation created by this very transaction has no pre-state: its
-     pre-condition counts as false. *)
-let should_fire ~reads db txn view (a : activation) g =
+   - An activation created by this very transaction ([local]) has no
+     pre-state: its pre-condition counts as false. *)
+let should_fire ~reads db txn ~local (a : activation) g =
   condition_holds ~reads db (Some txn) a g
-  &&
-  if not a.perpetual then true
-  else
-    let txn_local =
-      match Hashtbl.find_opt view.new_by_oid a.aoid with
-      | Some news -> List.exists (fun (x : activation) -> x.tid = a.tid) news
-      | None -> false
-    in
-    txn_local || not (condition_holds ~reads db None a g)
+  && ((not a.perpetual) || local || not (condition_holds ~reads db None a g))
 
 (* Evaluate conditions for the committing transaction; returns the firings
-   and buffers the bookkeeping writes (once-only deactivation, activation
-   removal for deleted objects) into the same transaction. The keys the
-   conditions read go into [reads], for the commit's conflict check. *)
+   and buffers the bookkeeping writes (once-only deactivation, removal of
+   every activation record of a deleted object) into the same
+   transaction. The keys the conditions read go into [reads], for the
+   commit's conflict check. Only touched objects whose class lineage
+   declares a trigger can carry activations; a commit that touches none
+   reads and digests nothing here. *)
 let evaluate ~reads txn =
   Ode_util.Trace.with_span ~cat:"trigger" "triggers.evaluate" @@ fun () ->
   let db = txn.tdb in
-  let firings = ref [] in
-  let view = txn_view txn in
-  Hashtbl.iter
-    (fun oid () ->
-      match effective_activations txn view oid with
-      | [] -> (* An object without activations costs no existence read. *) ()
-      | acts ->
-          if Store.exists db (Some txn) oid then
-            List.iter
-              (fun a ->
-                if (a : activation).active then
-                  match decl db a with
-                  | Some g ->
-                      if should_fire ~reads db txn view a g then begin
-                        Ode_util.Stats.incr c_triggers_fired;
-                        Ode_util.Trace.instant ~cat:"trigger" ~args:[ ("trigger", a.tname) ]
-                          "trigger.fired";
-                        firings := { f_act = a; f_kind = Fired } :: !firings;
-                        if not a.perpetual then begin
-                          let off = { a with active = false } in
-                          Hashtbl.replace view.overrides a.tid off;
-                          Store.write txn (Keys.trigger a.tid) (encode_activation (param_types g) off)
+  let candidates =
+    Hashtbl.fold
+      (fun oid () acc ->
+        match Store.class_of db oid with
+        | Some cls when declares_triggers db cls -> oid :: acc
+        | _ -> acc)
+      txn.touched []
+  in
+  if candidates = [] then []
+  else begin
+    let firings = ref [] in
+    let view = txn_view txn in
+    let created = Hashtbl.create 16 in
+    List.iter (fun oid -> Hashtbl.replace created oid ()) txn.created;
+    List.iter
+      (fun oid ->
+        match effective txn view ~created:(Hashtbl.mem created) oid with
+        | [] -> (* An object without activations costs no existence read. *) ()
+        | acts ->
+            if Store.exists db (Some txn) oid then
+              List.iter
+                (fun ((a : activation), local) ->
+                  if a.active then
+                    match decl db a with
+                    | Some g ->
+                        if should_fire ~reads db txn ~local a g then begin
+                          Ode_util.Stats.incr c_triggers_fired;
+                          Ode_util.Trace.instant ~cat:"trigger" ~args:[ ("trigger", a.tname) ]
+                            "trigger.fired";
+                          firings := { f_act = a; f_kind = Fired } :: !firings;
+                          if not a.perpetual then retire txn a
                         end
-                      end
-                  | None -> ())
-              acts
-          else
-            (* The object died in this transaction: its activations go away. *)
-            List.iter (fun a -> Store.remove txn (Keys.trigger a.tid)) acts)
-    txn.touched;
-  (List.rev !firings, view.overrides)
-
-type decoded = (int, activation) Hashtbl.t
-
-(* After a successful commit, or a standby's apply of a shipped one, fold
-   its trigger writes into the in-memory mirror. A put [decoded] holds is
-   not decoded again. *)
-let sync_after_commit ?decoded db writes =
-  List.iter
-    (fun (key, op) ->
-      if Keys.is_trigger_key key then
-        match op with
-        | Put payload ->
-            let a =
-              match Option.bind decoded (fun d -> Hashtbl.find_opt d (Keys.parse_trigger key)) with
-              | Some a -> a
-              | None -> decode_activation db key payload
-            in
-            if a.active then register db a else unregister db a.tid
-        | Del -> unregister db (Keys.parse_trigger key))
-    writes
+                    | None -> ())
+                acts
+            else
+              (* The object died in this transaction: every activation
+                 record under it goes, inactive ones included. *)
+              List.iter (fun ((a : activation), _) -> Store.remove txn (Keys.trigger a.aoid a.tid)) acts)
+      (List.rev candidates);
+    List.rev !firings
+  end
 
 (* -- timed triggers -------------------------------------------------------------------- *)
 
-(* Activations whose deadline has passed; the caller deactivates them and
-   runs the timeout actions, each in its own transaction. *)
+(* Active activations whose deadline has passed, by one pass over the
+   committed 'T' range; the caller retires them and runs the timeout
+   actions, each in its own transaction. *)
 let expired db =
-  Hashtbl.fold
-    (fun _ a acc ->
-      match a.deadline with
-      | Some d when a.active && d <= db.meta.clock -> a :: acc
-      | _ -> acc)
-    db.activations []
+  let acc = ref [] in
+  Kv.iter_prefix db Keys.trigger_prefix (fun key payload ->
+      let a = decode_activation db key payload in
+      (match a.deadline with Some d when a.active && d <= db.meta.clock -> acc := a :: !acc | _ -> ());
+      true);
+  !acc

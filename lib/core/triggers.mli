@@ -19,12 +19,18 @@
     actions of aborted transactions never run — see
     {!Database.with_txn}.
 
-    Each activation is one ['T'] record, keyed by its tid. The record
-    names its declaration by the declaring class's id and the trigger's
-    position among that class's own triggers, so it holds no names; the
-    rest is the object, the arguments, an active flag and the deadline of
-    a timed trigger. Decoding takes the names and [perpetual] from the
-    catalog, so the activations in memory share the catalog's strings. *)
+    Each activation is one ['T'] record, keyed by its object and its tid,
+    so an object's activations sit together under one key prefix. The
+    store is their only copy: nothing is decoded ahead or kept in memory.
+    Commit-time evaluation reads a touched object's records with one
+    directory prefix lookup, skipped for an object the transaction
+    created and for a class whose lineage declares no trigger;
+    {!deactivate} by tid and {!expired} each make one pass over the ['T']
+    range. The record names its declaration by the declaring class's id
+    and the trigger's position among that class's own triggers, so it
+    holds no names; the rest is the arguments, an active flag and the
+    deadline of a timed trigger. Decoding takes the object and tid from
+    the key, and the names and [perpetual] from the catalog. *)
 
 open Types
 
@@ -36,6 +42,13 @@ val activate : txn -> Ode_model.Oid.t -> string -> Ode_model.Value.t list -> int
     to its parameter's declared type, or a dead object. *)
 
 val deactivate : txn -> int -> unit
+(** Marks the activation inactive. Finds it among the transaction's own
+    writes, else by one pass over the committed ['T'] keys, and reads it
+    as the transaction sees it. Raises a [User]
+    {!Ode_util.Ode_error.Error} when there is no such activation. *)
+
+val retire : txn -> activation -> unit
+(** Writes the record of [a] back inactive. *)
 
 val decl : db -> activation -> Ode_model.Schema.trigger option
 (** The declaration an activation names (by declaring class id and
@@ -43,42 +56,27 @@ val decl : db -> activation -> Ode_model.Schema.trigger option
 
 (** {1 Commit pipeline (used by {!Txn})} *)
 
-type decoded
-(** A committing transaction's ['T'] puts, decoded once by {!evaluate}. *)
-
-val evaluate : reads:(string, unit) Hashtbl.t -> txn -> firing list * decoded
+val evaluate : reads:(string, unit) Hashtbl.t -> txn -> firing list
 (** Evaluate conditions for the committing transaction's touched objects;
-    buffers bookkeeping writes (once-only deactivation, removal of
-    activations on deleted objects) into the transaction. Also returns the
-    activation of every ['T'] put the transaction then holds, decoded. The
-    key of every record a condition reads is added to [reads]. *)
-
-val sync_after_commit : ?decoded:decoded -> db -> (string * op) list -> unit
-(** Fold a committed transaction's writes to ['T'] keys into the
-    in-memory activation tables: after a local commit, where {!evaluate}
-    has [decoded] its puts, and per shipped commit on a standby, which
-    decodes each put once here. Other keys are skipped. *)
+    buffers bookkeeping writes (once-only deactivation, removal of every
+    activation record of a deleted object) into the transaction. The key
+    of every record a condition reads is added to [reads]. *)
 
 val expired : db -> activation list
-(** Active timed activations whose deadline has passed (used by
-    {!Database.advance_time}). *)
-
-val load_all : db -> unit
-(** Rebuild the in-memory activation tables from the store (open time). *)
+(** Active timed activations whose committed deadline has passed, by one
+    pass over the ['T'] range (used by {!Database.advance_time}). *)
 
 (**/**)
 
 val encode_activation : Ode_model.Otype.t list -> activation -> string
-(** [encode_activation params a]: the record of [a], its arguments written
+(** [encode_activation params a]: the record of [a], its object and tid
+    left to the key and its arguments written
     by [params], the declared parameter types. Raises [Invalid_argument]
     when the counts differ or an argument lacks its type's shape. *)
 
 val decode_activation : db -> string -> string -> activation
-(** [decode_activation db key payload]: the tid from [key], the names
-    and [perpetual] from [db]'s catalog, each argument read by its
+(** [decode_activation db key payload]: the object and tid from [key], the
+    names and [perpetual] from [db]'s catalog, each argument read by its
     declared parameter type. Raises {!Ode_util.Codec.Corrupt}
-    on a malformed record, on trailing bytes, and on a declaring class id
-    or trigger position the catalog lacks. *)
-
-val register : db -> activation -> unit
-val unregister : db -> int -> unit
+    on a malformed key or record, on trailing bytes, and on a declaring
+    class id or trigger position the catalog lacks. *)

@@ -163,16 +163,14 @@ let describe_key key =
 (* A committed frame's writes reach the committed state, on the primary
    and on a standby alike: the pre-images of its versioned keys go into
    the version chains first, for every live snapshot but [except], while
-   the KV still holds them; then the writes land, and the trigger
-   mirror follows them. *)
-let apply_commit ?decoded db ~ts ~except writes =
+   the KV still holds them; then the writes land. *)
+let apply_commit db ~ts ~except writes =
   Mvcc.commit db.mvcc ~ts ~except ~pre:(Store.committed_image db)
     (List.filter_map
        (fun (key, op) ->
          if versioned key then Some (key, match op with Put s -> Some s | Del -> None) else None)
        writes);
-  Store.apply_writes db writes;
-  Triggers.sync_after_commit ?decoded db writes
+  Store.apply_writes db writes
 
 (* The commit body, split into prepare and ack phases. Prepare runs the
    integrity checks, evaluates trigger conditions, detects conflicts
@@ -208,7 +206,7 @@ let commit_slot ~durable txn =
       raise e);
   (* 2. Trigger conditions over the post-state; bookkeeping writes (once-only
         deactivations etc.) join this transaction. *)
-  let firings, decoded = Triggers.evaluate ~reads txn in
+  let firings = Triggers.evaluate ~reads txn in
   (* 3. Engine metadata modified by this transaction. *)
   if txn.catalog_dirty then
     Hashtbl.replace txn.writes Keys.catalog (Put (Ode_model.Catalog.encode db.catalog));
@@ -249,7 +247,7 @@ let commit_slot ~durable txn =
     Wal.append db.wal (Wal.Commit { trace = Ode_util.Trace.current_trace_id (); ts = cts; writes });
     if durable then Wal.sync db.wal;
     (* 6. Apply to the committed structures. *)
-    apply_commit ~decoded db ~ts:cts ~except:txn.snap writes
+    apply_commit db ~ts:cts ~except:txn.snap writes
   end;
   txn.tstate <- `Committed;
   release_snap txn;

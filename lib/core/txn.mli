@@ -55,14 +55,13 @@ val pending_commits : db -> int
 
 val abort : txn -> unit
 
-val apply_commit :
-  ?decoded:Triggers.decoded -> db -> ts:int -> except:int -> (string * op) list -> unit
+val apply_commit : db -> ts:int -> except:int -> (string * op) list -> unit
 (** [apply_commit db ~ts ~except writes] applies one committed frame's
     key-sorted write set, as {!commit} does on the primary and a standby
     does with each frame it is shipped: the pre-images of the keys with
     version chains (every key but the catalog, meta and stats records)
-    for the live snapshots but [except], then {!Store.apply_writes}, then
-    {!Triggers.sync_after_commit}. *)
+    for the live snapshots but [except], then {!Store.apply_writes}.
+    Trigger activations live only in the store, so nothing else follows. *)
 
 val checkpoint : db -> unit
 (** Flush every pool, sync the disks, and reset the WAL. *)

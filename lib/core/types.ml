@@ -17,8 +17,9 @@ type op = Ode_storage.Wal.op = Put of string | Del
    allocating the next version number is O(1). The class is the oid's. *)
 type header = { hcurrent : int; hversions : int list }
 
-(* A trigger activation. The record stores only [aoid], [tdecl], [tpos],
-   [targs], [deadline] and [active]; the tid is its key's, and [tcls],
+(* A trigger activation, decoded from its 'T' record when a reader needs
+   it; nothing keeps one. The record stores only [tdecl], [tpos], [targs],
+   [deadline] and [active]; [aoid] and the tid are its key's, and [tcls],
    [tname] and [perpetual] come from the declaration, the names as the
    catalog's own strings. *)
 type activation = {
@@ -31,7 +32,7 @@ type activation = {
   targs : Value.t list;
   perpetual : bool;
   deadline : int option;         (* logical-clock deadline of a timed trigger *)
-  mutable active : bool;
+  active : bool;
 }
 
 type firing_kind = Fired | Timed_out
@@ -115,8 +116,6 @@ and db = {
                                                live in [wtxns] *)
   wtxns : (int, txn) Hashtbl.t;             (* xid -> every open write txn *)
   mvcc : Mvcc.t;                            (* version chains + snapshots *)
-  activations : (int, activation) Hashtbl.t;
-  by_oid : (Oid.t, int list) Hashtbl.t;     (* object -> activation tids *)
   action_queue : firing Queue.t;            (* weakly-coupled trigger actions *)
   mutable draining : bool;
   mutable wal_auto_checkpoint : int;        (* bytes; checkpoint when exceeded *)

@@ -113,12 +113,12 @@ let run db =
             | exception _ ->
                 bad "object %a: version %d record does not decode as the class's fields" Oid.pp oid ver))
   in
-  (* 'T': an activation decodes against its declaration, and an active one
-     hangs on a live object whose class inherits the trigger. *)
+  (* 'T': an activation decodes against its declaration and hangs on a
+     live object whose class inherits the trigger, inactive or not. *)
   let check_activation key payload =
     match Triggers.decode_activation db key payload with
     | a -> (
-        if a.active && not (Hashtbl.mem headers a.aoid) then
+        if not (Hashtbl.mem headers a.aoid) then
           bad "activation %d attached to dead object %a" a.tid Oid.pp a.aoid;
         match Catalog.find_by_id db.catalog a.aoid.Oid.cls with
         | Some cls when not (Catalog.is_subclass db.catalog ~sub:cls.name ~super:a.tcls) ->

@@ -9,7 +9,8 @@
     be covered by every applicable index, and trigger activation records
     must decode with nothing left over, name a known declaring class and
     a position among its triggers, and hang on live objects whose class
-    inherits that trigger.
+    inherits that trigger (an inactive record on a dead object is a
+    problem too: deleting an object removes all of its records).
 
     One cursor pass over the directory reads and decodes each record once;
     one over the index tree matches its entries against those the decoded

@@ -6,8 +6,10 @@ module Codec = Ode_util.Codec
 let magic = "ODEP"
 
 (* One version on the wire: the server and a replication primary accept
-   exactly this one and answer any other with [Bad_version]. *)
-let version = 6
+   exactly this one and answer any other with [Bad_version]. A standby
+   applies the primary's log as it stands, so the version moves with the
+   store's layout too (7: activation records keyed by object and tid). *)
+let version = 7
 let max_frame_len = 16 * 1024 * 1024
 
 (* Replication connections carry their own magic (so a replica pointed at a

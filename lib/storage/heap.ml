@@ -29,9 +29,11 @@ let chunk_capacity = Page.max_record - 16
    records in the directory leaf and tagged directory values; ODEHEAP5:
    schema-described trigger activations, and the oid counters in the meta
    record; ODEHEAP6: object slots and activation arguments by their
-   declared types, and a one-byte header for an object never versioned),
-   so an older store fails at once instead of being misparsed. *)
-let magic = "ODEHEAP6"
+   declared types, and a one-byte header for an object never versioned;
+   ODEHEAP7: activation records keyed by object and tid, the oid out of
+   the record body), so an older store fails at once instead of being
+   misparsed. *)
+let magic = "ODEHEAP7"
 
 (* Free-space map: pages bucketed by 256-byte free classes so insert can find
    a fitting page in O(1) without scanning every page. *)

@@ -52,9 +52,18 @@ let prop_version =
       let o', ver' = Keys.parse_version (Keys.version o ver) in
       Oid.equal o o' && ver = ver')
 
+(* An activation key parses back to its object and tid, and starts with
+   its object's prefix and with no other object's: one prefix lookup
+   finds exactly that object's activations. *)
 let prop_trigger =
-  QCheck.Test.make ~name:"trigger keys round-trip" ~count:500 (QCheck.make ~print:string_of_int nat_gen)
-    (fun tid -> Keys.parse_trigger (Keys.trigger tid) = tid)
+  QCheck.Test.make ~name:"trigger keys round-trip" ~count:500
+    (QCheck.make ~print:QCheck.Print.(triple pp_oid int pp_oid) (Gen.triple oid_gen nat_gen oid_gen))
+    (fun (o, tid, other) ->
+      let k = Keys.trigger o tid in
+      let o', tid' = Keys.parse_trigger k in
+      Oid.equal o o' && tid = tid'
+      && String.starts_with ~prefix:(Keys.triggers_of o) k
+      && String.starts_with ~prefix:(Keys.triggers_of other) k = Oid.equal o other)
 
 let prop_index =
   QCheck.Test.make ~name:"index keys round-trip" ~count:1000
@@ -210,39 +219,38 @@ let write_store_pages () =
   Alcotest.(check int) "indexes.bpt pages" 26 (pages "indexes.bpt")
 
 (* An activation names its declaration by class id and position and takes
-   its tid from the key; the declaration fixes the argument count and
-   types. With no arguments, an object of a class below 128 and a number
-   below 16,384 has a 6-byte record (2 bytes of oid, 1 of declaring class,
-   1 of position, flags), and the directory value, its tag byte included,
-   7. The record with names and fixed-width integers took 46, and the one
-   with an argument count 7. *)
+   its object and tid from the key; the declaration fixes the argument
+   count and types. With no arguments and a declaring class below 128 the
+   record is 3 bytes (1 of declaring class, 1 of position, flags), and the
+   directory value, its tag byte included, 4. The key is the tag, the
+   oid-key and the tid: 6 bytes for object 299 of class 0 and tid 0, and
+   at most 8 for a class below 256, a number below 65,536 and a tid below
+   256. The record with names and fixed-width integers took 46, the one
+   with an argument count 7, and the one that held the oid 6. *)
 let activation_width () =
   let db = Db.open_in_memory () in
   Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
   ignore (Db.define db "class w { k: int; trigger perpetual p(): k < 0 ==> { k := 0; }; };");
   Db.create_cluster db "w";
-  let tid =
+  let o, tid =
     Db.with_txn db (fun txn ->
         let o = ref None in
         for _ = 0 to 299 do
           o := Some (Db.pnew txn "w" [ ("k", Value.Int 1) ])
         done;
-        Db.activate txn (Option.get !o) "p" [])
+        let o = Option.get !o in
+        (o, Db.activate txn o "p" []))
   in
-  (match Ode_index.Bptree.find db.kv_dir (Keys.trigger tid) with
-  | Some v ->
-      if String.length v > 7 then
-        Alcotest.failf "activation directory value is %d bytes, want <= 7" (String.length v)
+  let key = Keys.trigger o tid in
+  Alcotest.(check int) "key of object 299, tid 0" 6 (String.length key);
+  Alcotest.(check int) "widest small key" 8
+    (String.length (Keys.trigger { Oid.cls = 255; num = 65_535 } 255));
+  (match Ode_index.Bptree.find db.kv_dir key with
+  | Some v -> Alcotest.(check int) "activation directory value" 4 (String.length v)
   | None -> Alcotest.fail "activation record missing");
-  let widest =
-    Ode.Triggers.encode_activation []
-      {
-        (Hashtbl.find db.activations tid) with
-        aoid = { Oid.cls = 127; num = 16_383 };
-        tdecl = 127;
-      }
-  in
-  Alcotest.(check int) "widest one-byte-class record" 6 (String.length widest)
+  let a = Ode.Triggers.decode_activation db key (Option.get (Ode.Kv.get db key)) in
+  let widest = Ode.Triggers.encode_activation [] { a with tdecl = 127 } in
+  Alcotest.(check int) "widest one-byte-class record" 3 (String.length widest)
 
 (* -- typed slots --------------------------------------------------------------- *)
 
@@ -359,7 +367,8 @@ let old_layout_refused () =
      self-describing object records with u32 key framing, ODEHEAP3 kept
      every record in the heap behind a bare 6-byte rid, ODEHEAP4 named an
      activation's class and trigger and kept the oid counters in the
-     catalog, ODEHEAP5 tagged every slot and argument with its kind. *)
+     catalog, ODEHEAP5 tagged every slot and argument with its kind,
+     ODEHEAP6 keyed an activation by its tid alone. *)
   List.iter
     (fun magic ->
       let file = Bytes.of_string current in
@@ -376,7 +385,7 @@ let old_layout_refused () =
             Alcotest.failf "%s refused for another reason: %s" magic msg
       | exception e ->
           Alcotest.failf "%s refused with %s, not as corrupt" magic (Printexc.to_string e))
-    [ "ODEHEAP2"; "ODEHEAP3"; "ODEHEAP4"; "ODEHEAP5" ]
+    [ "ODEHEAP2"; "ODEHEAP3"; "ODEHEAP4"; "ODEHEAP5"; "ODEHEAP6" ]
 
 (* -- records in the directory leaf ------------------------------------------- *)
 

@@ -188,6 +188,34 @@ let commit_probes () =
          | Value.Int x -> Db.set_field txn o "x" (Value.Int (x + 1000))
          | _ -> Alcotest.fail "non-int x"));
   Tutil.check_int "deleting 100 objects" 102 (probes Db.pdelete);
+  (* Activation records live only in the store, keyed by object: a commit
+     reads a touched object's records with one prefix lookup, which a
+     class whose lineage declares no trigger skips. Updating one object
+     of a class without triggers costs its header's lookup and the
+     directory's leaf run; one already-activated object of a triggered
+     class costs exactly one probe more. *)
+  ignore
+    (Db.define db
+       {|class plain { v: int; };
+         class armed { v: int; trigger low(n: int): v < n ==> { print "low"; }; };|});
+  Db.create_cluster db "plain";
+  Db.create_cluster db "armed";
+  Db.set_action_printer db ignore;
+  let p, a =
+    Db.with_txn db (fun txn ->
+        let a = Db.pnew txn "armed" [ ("v", Value.Int 100) ] in
+        ignore (Db.activate txn a "low" [ Value.Int 0 ]);
+        (Db.pnew txn "plain" [ ("v", Value.Int 100) ], a))
+  in
+  let update o =
+    let txn = Db.begin_txn db in
+    Db.set_field txn o "v" (Value.Int 50);
+    let s0 = Stats.snapshot () in
+    Db.commit txn;
+    Stats.(get (diff (snapshot ()) s0) "index_probes")
+  in
+  Tutil.check_int "updating an object of a class without triggers" 2 (update p);
+  Tutil.check_int "updating an activated object" 3 (update a);
   Db.close db
 
 let suite =

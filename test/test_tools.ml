@@ -251,7 +251,10 @@ let verify_reads_once () =
 
 (* An activation record is checked against the catalog: its declaring
    class id must exist, its position must name one of that class's own
-   triggers, and nothing may follow its last field. *)
+   triggers, nothing may follow its last field, and the object its key
+   names must be live, active record or not, and of a class that inherits
+   the trigger. Each case damages
+   the record it reads back from the store. *)
 let verify_detects_bad_activations () =
   let case name ~expect damage =
     let db = Db.open_in_memory () in
@@ -260,14 +263,17 @@ let verify_detects_bad_activations () =
          "class z { v: int; trigger low(n: int): v < n ==> { v := n; }; }; class y { w: int; };");
     Db.create_cluster db "z";
     Db.create_cluster db "y";
-    let tid, other =
+    let key, other =
       Db.with_txn db (fun txn ->
           let o = Db.pnew txn "z" [ ("v", int 1) ] in
-          (Db.activate txn o "low" [ int 0 ], Db.pnew txn "y" []))
+          (Ode.Keys.trigger o (Db.activate txn o "low" [ int 0 ]), Db.pnew txn "y" []))
     in
-    let a = Hashtbl.find db.Ode.Types.activations tid in
-    Ode.Kv.apply_sorted db [| (Ode.Keys.trigger tid, Ode.Types.Put (damage a other)) |] ~on_new:ignore
-      ~on_gone:ignore;
+    let a = Ode.Triggers.decode_activation db key (Option.get (Ode.Kv.get db key)) in
+    let key', payload = damage key a other in
+    let ops = if key' = key then [] else [ (key, Ode.Types.Del) ] in
+    Ode.Kv.apply_sorted db
+      (Array.of_list (List.sort compare ((key', Ode.Types.Put payload) :: ops)))
+      ~on_new:ignore ~on_gone:ignore;
     (match Ode.Verify.run db with
     | Ok () -> Alcotest.failf "%s: corruption not detected" name
     | Error ps ->
@@ -277,12 +283,14 @@ let verify_detects_bad_activations () =
   in
   (* [low]'s one parameter is an int. *)
   let enc = Ode.Triggers.encode_activation [ Ode_model.Otype.TInt ] in
-  case "unknown declaring class" ~expect:"unknown class id 9" (fun a _ -> enc { a with tdecl = 9 });
+  case "unknown declaring class" ~expect:"unknown class id 9" (fun key a _ -> (key, enc { a with tdecl = 9 }));
   case "position past the class's triggers" ~expect:"class z has no trigger at position 1"
-    (fun a _ -> enc { a with tpos = 1 });
-  case "trailing byte" ~expect:"1 trailing bytes" (fun a _ -> enc a ^ "\000");
+    (fun key a _ -> (key, enc { a with tpos = 1 }));
+  case "trailing byte" ~expect:"1 trailing bytes" (fun key a _ -> (key, enc a ^ "\000"));
   case "attached to an object of an unrelated class" ~expect:"class y does not inherit trigger z.low"
-    (fun a other -> enc { a with aoid = other })
+    (fun _ a other -> (Ode.Keys.trigger other a.tid, enc a));
+  case "inactive, on a dead object" ~expect:"attached to dead object"
+    (fun _ a _ -> (Ode.Keys.trigger { a.aoid with num = a.aoid.num + 100 } a.tid, enc { a with active = false }))
 
 (* -- dump/load ----------------------------------------------------------- *)
 
