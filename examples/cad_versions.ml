@@ -73,7 +73,7 @@ let () =
 
   print_endline "== pinned vs tracking references ==";
   Db.with_txn db (fun txn ->
-      Ode.Query.run db ~var:"a" ~cls:"assembly" (fun a ->
+      Ode.Query.run db ~txn ~var:"a" ~cls:"assembly" (fun a ->
           let ev src = Db.eval txn ~vars:[ ("a", Value.Ref a) ] (Parser.expr src) in
           Printf.printf "  %s: released sees %s gates (pinned v%s), dev sees %s gates (v%s)\n"
             (Value.to_string (ev "a.aname"))
@@ -87,7 +87,7 @@ let () =
       ignore (Db.newversion txn alu);
       Db.update txn alu [ ("gates", Int 2100); ("area", Float 2.8) ]);
   Db.with_txn db (fun txn ->
-      Ode.Query.run db ~var:"a" ~cls:"assembly" (fun a ->
+      Ode.Query.run db ~txn ~var:"a" ~cls:"assembly" (fun a ->
           let ev src = Db.eval txn ~vars:[ ("a", Value.Ref a) ] (Parser.expr src) in
           Printf.printf "  released=%s gates, dev=%s gates, nversions=%s\n"
             (Value.to_string (ev "a.released.gates"))

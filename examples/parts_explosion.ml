@@ -76,7 +76,7 @@ let () =
           match v with
           | Value.VList [ Value.Ref p; Value.Int mult ] ->
               let expanded = ref false in
-              Query.run db ~var:"u" ~cls:"uses"
+              Query.run db ~txn ~var:"u" ~cls:"uses"
                 ~suchthat:(Parser.expr "u.parent == p")
                 ~env:[ ("p", Value.Ref p) ]
                 (fun u ->
@@ -110,7 +110,7 @@ let () =
           | Value.Ref p ->
               if not (Hashtbl.mem seen p) then begin
                 Hashtbl.replace seen p ();
-                Query.run db ~var:"u" ~cls:"uses"
+                Query.run db ~txn ~var:"u" ~cls:"uses"
                   ~suchthat:(Parser.expr "u.parent == p")
                   ~env:[ ("p", Value.Ref p) ]
                   (fun u ->
@@ -129,7 +129,7 @@ let () =
       let rec cost oid mult =
         let base = match Db.get_field txn oid "base_cost" with Value.Int c -> c | _ -> 0 in
         let sub = ref 0 in
-        Query.run db ~var:"u" ~cls:"uses"
+        Query.run db ~txn ~var:"u" ~cls:"uses"
           ~suchthat:(Parser.expr "u.parent == p")
           ~env:[ ("p", Value.Ref oid) ]
           (fun u ->

@@ -47,7 +47,7 @@ let () =
   Db.with_txn db (fun txn ->
       let q = Parser.expr "x.visitors > 1000" in
       Printf.printf "plan: %s\n" (Query.explain db ~var:"x" ~cls:"site" ~suchthat:q ());
-      Query.run db ~var:"x" ~cls:"site" ~suchthat:q (fun oid ->
+      Query.run db ~txn ~var:"x" ~cls:"site" ~suchthat:q (fun oid ->
           let name = Db.get_field txn oid "sname" in
           let host = Db.get_field txn oid "host" in
           let country =
@@ -64,6 +64,6 @@ let () =
   Ode.Shell.exec shell
     {| forall s in site by s.visitors desc { print s.sname, s.visitors; }; |};
 
-  let total = Db.with_txn db (fun _ -> Query.count db ~var:"s" ~cls:"site" ()) in
+  let total = Db.with_txn db (fun txn -> Query.count db ~txn ~var:"s" ~cls:"site" ()) in
   Printf.printf "sites stored so far (grows on every run): %d\n" total;
   Db.close db

@@ -73,7 +73,7 @@ let () =
       let sum_p = ref 0 and n_p = ref 0 in
       let sum_s = ref 0 and n_s = ref 0 in
       let sum_f = ref 0 and n_f = ref 0 in
-      Query.run db ~var:"p" ~cls:"person" ~deep:true (fun oid ->
+      Query.run db ~txn ~var:"p" ~cls:"person" ~deep:true (fun oid ->
           let income = match Db.call txn oid "income" [] with Value.Int i -> i | _ -> 0 in
           incr n_p;
           sum_p := !sum_p + income;
@@ -119,5 +119,5 @@ let () =
   Db.with_txn db (fun txn ->
       ignore (Db.pnew txn "female" [ ("name", Str "freya"); ("sex", Str "f") ]);
       Printf.printf "  accepted conforming object; female extent size: %d\n"
-        (Query.count db ~var:"x" ~cls:"female" ()));
+        (Query.count db ~txn ~var:"x" ~cls:"female" ()));
   Db.close db

@@ -19,21 +19,23 @@ module Log = (val Logs.src_log log : Logs.LOG)
 
 (* -- lifecycle --------------------------------------------------------------- *)
 
-let make_db ~dbdir ~kv_disk ~dir_disk ~idx_disk ~wal ~pool_pages ~wal_checkpoint_bytes
+(* The heap is attached first: its header holds the checkpoint LSN the
+   log ([open_wal]'s) continues from. *)
+let make_db ~dbdir ~kv_disk ~dir_disk ~idx_disk ~open_wal ~pool_pages ~wal_checkpoint_bytes
     ~durability =
   let pool d = Buffer_pool.create ~capacity:pool_pages d in
+  let kv_heap = Heap.attach (pool kv_disk) in
   let db =
     {
       dbdir;
-      kv_heap = Heap.attach (pool kv_disk);
+      kv_heap;
       kv_dir = Bptree.attach (pool dir_disk);
       idx = Bptree.attach (pool idx_disk);
-      wal;
+      wal = open_wal (Heap.lsn kv_heap);
       catalog = Catalog.create ();
       meta = Txn.fresh_meta ();
       stats = Ostats.fresh ();
       next_xid = 1;
-      active = None;
       wtxns = Hashtbl.create 8;
       mvcc = Mvcc.create ();
       action_queue = Queue.create ();
@@ -153,10 +155,10 @@ let open_ ?(pool_pages = 512) ?(wal_checkpoint_bytes = 8 * 1024 * 1024) ?(durabi
     let kv_disk = opening Disk.close (Disk.open_file (file "objects.heap")) in
     let dir_disk = opening Disk.close (Disk.open_file (file "directory.bpt")) in
     let idx_disk = opening Disk.close (Disk.open_file (file "indexes.bpt")) in
-    let wal = opening Wal.close (Wal.open_file (file "wal.log")) in
+    let open_wal base = opening Wal.close (Wal.open_file ~base (file "wal.log")) in
     let db =
-      make_db ~dbdir:(Some dir) ~kv_disk ~dir_disk ~idx_disk ~wal ~pool_pages ~wal_checkpoint_bytes
-        ~durability
+      make_db ~dbdir:(Some dir) ~kv_disk ~dir_disk ~idx_disk ~open_wal ~pool_pages
+        ~wal_checkpoint_bytes ~durability
     in
     recover db;
     load_state db;
@@ -170,7 +172,7 @@ let open_ ?(pool_pages = 512) ?(wal_checkpoint_bytes = 8 * 1024 * 1024) ?(durabi
 let open_in_memory ?(pool_pages = 4096) ?(durability = Full) () =
   let db =
     make_db ~dbdir:None ~kv_disk:(Disk.in_memory ()) ~dir_disk:(Disk.in_memory ())
-      ~idx_disk:(Disk.in_memory ()) ~wal:(Wal.in_memory ()) ~pool_pages
+      ~idx_disk:(Disk.in_memory ()) ~open_wal:(fun _ -> Wal.in_memory ()) ~pool_pages
       ~wal_checkpoint_bytes:(64 * 1024 * 1024) ~durability
   in
   load_state db;
@@ -517,7 +519,7 @@ let get_field txn oid fname =
 
 let set_field txn oid fname v = Store.update_fields txn oid [ (fname, v) ]
 let update txn oid fields = Store.update_fields txn oid fields
-let exists db ?txn oid = Store.exists db (match txn with Some t -> Some t | None -> db.active) oid
+let exists db ?txn oid = Store.exists db txn oid
 
 let class_name_of db oid =
   Option.map (fun (c : Schema.cls) -> c.Schema.name) (Store.class_of db oid)

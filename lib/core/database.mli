@@ -207,8 +207,8 @@ val dir : t -> string option
 
 val wal_tail : t -> lsn:int -> string option
 (** The raw WAL frames a replica at [lsn] still needs ([Wal.tail_from]);
-    [None] when the log was checkpointed past that point — ship a snapshot
-    instead. *)
+    [None] when the log was checkpointed past that point, or [lsn] is past
+    the durable LSN — ship a snapshot instead. *)
 
 val set_wal_observer :
   t -> (data:string -> from_lsn:int -> to_lsn:int -> unit) option -> unit
@@ -241,6 +241,9 @@ val set_field : txn -> Ode_model.Oid.t -> string -> Ode_model.Value.t -> unit
 val update : txn -> Ode_model.Oid.t -> (string * Ode_model.Value.t) list -> unit
 
 val exists : t -> ?txn:txn -> Ode_model.Oid.t -> bool
+(** Whether [oid] is live in [txn]'s view, or in the committed state when
+    there is no [txn]. *)
+
 val class_name_of : t -> Ode_model.Oid.t -> string option
 val is_instance : t -> Ode_model.Oid.t -> string -> bool
 (** Subclass-aware dynamic type test: the paper's [p is persistent C*]. *)

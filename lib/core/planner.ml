@@ -182,9 +182,6 @@ let plan db ?txn ?(env = []) ~var ~cls ~deep ~suchthat () =
   let _ = Catalog.find_exn db.catalog cls in
   let classes = if deep then Catalog.subclasses db.catalog cls else [ cls ] in
   let indexed = Catalog.indexes_on db.catalog cls in
-  (* Constant-conjunct evaluation reads through the planning transaction's
-     view; [db.active] is only a fallback for embedded callers. *)
-  let txn = match txn with Some _ as t -> t | None -> db.active in
   let stats = not (Ostats.stale db) in
   let n = if Ostats.analyzed db then extent_card db classes else default_card in
   match suchthat with
@@ -377,7 +374,6 @@ let scalar_field db cls_name f =
 let plan_join db ?txn ?(env = []) ~outer:(ovar, ocls, odeep) ~inner:(ivar, icls, ideep)
     ?outer_suchthat ?inner_suchthat () =
   let _ = Catalog.find_exn db.catalog icls in
-  let txn = match txn with Some _ as t -> t | None -> db.active in
   let op = plan db ?txn ~env ~var:ovar ~cls:ocls ~deep:odeep ~suchthat:outer_suchthat () in
   let iclasses = if ideep then Catalog.subclasses db.catalog icls else [ icls ] in
   let cs = match inner_suchthat with None -> [] | Some e -> conjuncts e in
@@ -618,7 +614,6 @@ let join_tree db ?txn ~env ~outer ~inner ?outer_suchthat ?inner_suchthat () =
   Join { jp; link = inner_suchthat; outer; build }
 
 let compile db ?txn ?(env = []) ?(fixpoint = false) (q : Ast.forall) =
-  let txn = match txn with Some _ as t -> t | None -> db.active in
   let tree, vars, body =
     match fusable_join q with
     | Some iq ->

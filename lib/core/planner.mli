@@ -63,8 +63,8 @@ val plan :
 (** Raises a [User] {!Ode_util.Ode_error.Error} for an unknown class. [env]
     supplies outer loop bindings so join conjuncts become probes. [txn] is
     the transaction the query will run in (constant conjuncts evaluate
-    against its view); omitted, [db.active] is consulted — a detached read
-    transaction must pass itself. Bumps [planner.stats_hits] or [planner.fallbacks]
+    against its view); omitted, they evaluate against the committed
+    state. Bumps [planner.stats_hits] or [planner.fallbacks]
     per planned predicate. *)
 
 val explain : plan -> string

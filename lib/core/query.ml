@@ -484,7 +484,6 @@ let context db txn env prof = { db; txn; env; bound = []; hooks = Runtime.hooks 
 
 (* [profile] is [None] (off), [Some false] (light) or [Some true] (full). *)
 let exec db ?txn ?profile (c : Planner.compiled) body =
-  let txn = match txn with Some _ as t -> t | None -> db.active in
   let prof =
     Option.map (fun full -> { full; mark_ns = 0; mark_stats = off_stats; nodes = [] }) profile
   in
@@ -682,7 +681,6 @@ let explain db ?env ~var ~cls ?deep ?suchthat () =
    Null results of [expr] are skipped, like SQL aggregates skip NULL. *)
 
 let aggregate db ?txn ?(env = []) ~var ~cls ?deep ?suchthat ~expr ~init ~combine () =
-  let txn = match txn with Some _ as t -> t | None -> db.active in
   let c = single db ?txn ~env ~var ~cls ?deep ?suchthat () in
   let value = key (context db txn env None) var expr in
   let acc = ref init in

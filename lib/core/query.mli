@@ -35,8 +35,9 @@ val run :
   ?fixpoint:bool ->
   (Ode_model.Oid.t -> unit) ->
   unit
-(** [txn] defaults to the database's active transaction, if any. [env]
-    provides outer loop variables (for join inner loops). *)
+(** The loop reads through [txn]'s view; with no [txn] it reads the
+    committed state, whatever transactions are open. [env] provides outer
+    loop variables (for join inner loops). *)
 
 val fold :
   db ->

@@ -15,15 +15,8 @@ let release_snap txn =
     txn.snap <- 0
   end
 
-(* Drop a finished write txn from the registry; [db.active] keeps pointing
-   at the most recently begun still-open write txn only as a default for
-   embedded callers that pass no transaction. *)
-let unregister txn =
-  if not txn.tro then begin
-    let db = txn.tdb in
-    Hashtbl.remove db.wtxns txn.xid;
-    match db.active with Some t when t == txn -> db.active <- None | _ -> ()
-  end
+(* Drop a finished write txn from the registry. *)
+let unregister txn = if not txn.tro then Hashtbl.remove txn.tdb.wtxns txn.xid
 
 let begin_ db =
   if db.closed then Ode_util.Ode_error.fail Resource "database is closed";
@@ -46,7 +39,6 @@ let begin_ db =
   in
   db.next_xid <- db.next_xid + 1;
   Hashtbl.replace db.wtxns txn.xid txn;
-  db.active <- Some txn;
   Ode_util.Stats.incr c_txn_begins;
   Ode_util.Trace.instant ~cat:"txn" "txn.begin";
   txn
@@ -92,14 +84,17 @@ let abort txn =
 
 let checkpoint db =
   Ode_util.Trace.with_span ~cat:"txn" "txn.checkpoint" (fun () ->
+      (* The heap's header names the LSN the flushed data files hold, which
+         the log continues from once cut. It is written with the heap's
+         pages, before the cut, and only when the LSN moved. *)
+      let lsn = Wal.last_lsn db.wal in
+      if Heap.lsn db.kv_heap <> lsn then Heap.set_lsn db.kv_heap lsn;
       Heap.flush db.kv_heap;
       Bptree.flush db.kv_dir;
       Bptree.flush db.idx;
-      (* The record carries the durable LSN so replay over a lost truncation
-         can reconcile the commit count (see wal.mli). Appending bumps no
-         LSN itself; after the sync every prior commit is durable, so the
-         value logged is exact. *)
-      Wal.append db.wal (Wal.Checkpoint (Wal.last_lsn db.wal));
+      (* The record names that LSN too, which a standby's checkpoint
+         follows. Appending bumps no LSN itself. *)
+      Wal.append db.wal (Wal.Checkpoint lsn);
       Wal.sync db.wal;
       Wal.reset db.wal)
 

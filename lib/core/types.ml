@@ -109,11 +109,6 @@ and db = {
   mutable meta : meta;
   stats : ostats;                           (* planner statistics ('S' key) *)
   mutable next_xid : int;
-  mutable active : txn option;              (* most recently begun write txn —
-                                               a compatibility default for
-                                               embedded callers that pass no
-                                               txn; concurrent transactions
-                                               live in [wtxns] *)
   wtxns : (int, txn) Hashtbl.t;             (* xid -> every open write txn *)
   mvcc : Mvcc.t;                            (* version chains + snapshots *)
   action_queue : firing Queue.t;            (* weakly-coupled trigger actions *)

@@ -8,8 +8,9 @@ let magic = "ODEP"
 (* One version on the wire: the server and a replication primary accept
    exactly this one and answer any other with [Bad_version]. A standby
    applies the primary's log as it stands, so the version moves with the
-   store's layout too (7: activation records keyed by object and tid). *)
-let version = 7
+   store's layout too (8: the checkpoint LSN in the heap's header page,
+   where a snapshot carries it). *)
+let version = 8
 let max_frame_len = 16 * 1024 * 1024
 
 (* Replication connections carry their own magic (so a replica pointed at a

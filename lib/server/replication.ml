@@ -21,12 +21,12 @@ let c_repl_dup_batches = Stats.counter "repl.dup_batches"
 
 exception Resync of string
 
-(* The store files a snapshot carries. The WAL and its LSN sidecar ride
-   along so the installed directory is exactly the primary's post-checkpoint
-   state, sidecar invariants included (the pair reconciles to the exact LSN
-   even when the primary's last truncation was lost). *)
+(* The store files a snapshot carries. The heap's header holds the
+   checkpoint LSN, and the WAL rides along so the installed directory is
+   exactly the primary's post-checkpoint state, frames a lost truncation
+   left included (each names its own LSN). *)
 let data_files = [ "objects.heap"; "directory.bpt"; "indexes.bpt" ]
-let snapshot_files = data_files @ [ "wal.log"; "wal.log.lsn" ]
+let snapshot_files = data_files @ [ "wal.log" ]
 
 let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -53,7 +53,7 @@ type hello_answer =
    uncommitted writes live in the write set, not the pages). *)
 let answer_hello db ~replica_lsn =
   let durable = Db.durable_lsn db in
-  match if replica_lsn > durable then None else Db.wal_tail db ~lsn:replica_lsn with
+  match Db.wal_tail db ~lsn:replica_lsn with
   | Some backlog -> Resume { from_lsn = replica_lsn; to_lsn = durable; backlog }
   | None ->
       let dir =
@@ -127,7 +127,7 @@ let handshake ~host ~port ~lsn =
     close_fd fd;
     raise e
 
-(* Install a shipped snapshot: wipe the five store files and write the
+(* Install a shipped snapshot: wipe the four store files and write the
    primary's copies. The directory then opens to a byte-faithful copy of
    the primary's checkpointed state — same oids, same LSN — so subsequent
    WAL batches redo cleanly. *)
@@ -201,9 +201,10 @@ let reconnect ~host ~port db =
 (* Apply one shipped batch. LSN discipline: a batch entirely at or below our
    position is a duplicate (redelivery after a resync) and is skipped; a
    batch starting exactly at our position applies; anything else — a gap, a
-   partial overlap, torn or corrupt frames, or an apply that lands off the
-   advertised [to_lsn] — raises {!Resync}, and the caller tears the stream
-   down and re-handshakes from its exact position. A checkpoint advances no
+   partial overlap, torn or corrupt frames, or frames that do not name
+   exactly the advertised LSNs — raises {!Resync} before any of it is
+   logged, and the caller tears the stream down and re-handshakes from its
+   exact position. A checkpoint advances no
    LSN and ships alone ([from_lsn = to_lsn]), so one at our position
    applies: the standby checkpoints with its primary and its log stays
    as bounded. *)
@@ -217,19 +218,25 @@ let apply_batch db ~from_lsn ~to_lsn ~data =
   else if from_lsn <> cur then
     raise (Resync (Printf.sprintf "batch (%d,%d] does not abut position %d" from_lsn to_lsn cur))
   else begin
-    let records = ref [] in
+    let records = ref [] and at = ref cur in
+    let named r =
+      let before, lsn = Wal.lsn_span r in
+      if before <> !at then
+        raise (Resync (Printf.sprintf "batch (%d,%d] names LSN %d after %d" from_lsn to_lsn lsn !at));
+      at := lsn;
+      records := r :: !records
+    in
     let consumed =
-      match Wal.scan data (fun r -> records := r :: !records) with
+      match Wal.scan data named with
       | n -> n
       | exception Codec.Corrupt msg -> raise (Resync ("corrupt batch: " ^ msg))
     in
     if consumed <> String.length data then
       raise (Resync (Printf.sprintf "torn batch: %d of %d bytes intact" consumed (String.length data)));
+    if !at <> to_lsn then
+      raise (Resync (Printf.sprintf "batch advertised (%d,%d] but its frames end at %d" from_lsn to_lsn !at));
     Ode_util.Histogram.time h_apply (fun () ->
         Db.apply_replicated db ~frames:data (List.rev !records));
     Stats.incr c_repl_batches_applied;
-    let got = Db.lsn db in
-    if got <> to_lsn then
-      raise (Resync (Printf.sprintf "batch advertised %d but applied to %d" to_lsn got));
     `Applied
   end

@@ -16,9 +16,9 @@
     {!Server}. *)
 
 exception Resync of string
-(** The stream broke discipline (gap, overlap, torn frames, apply
-    mismatch): tear the connection down and re-handshake from the exact
-    local position. *)
+(** The stream broke discipline (gap, overlap, torn frames, frames naming
+    other LSNs than the batch advertised): tear the connection down and
+    re-handshake from the exact local position. *)
 
 (** {1 Primary side} *)
 
@@ -76,8 +76,9 @@ val apply_batch :
 (** Replay one shipped batch ({!Ode.Database.apply_replicated}, timed into
     the [repl.apply] histogram). A batch at or below the local position is
     skipped as a duplicate (redelivery after resync — counted, not an
-    error); a gap, overlap, torn frame, or an apply landing off the
-    advertised LSN raises {!Resync}. *)
+    error); a gap, overlap, torn frame, or frames that do not name exactly
+    the LSNs [(from_lsn, to_lsn]] raise {!Resync} before anything is logged
+    or applied. *)
 
 (**/**)
 

@@ -31,9 +31,10 @@ let chunk_capacity = Page.max_record - 16
    record; ODEHEAP6: object slots and activation arguments by their
    declared types, and a one-byte header for an object never versioned;
    ODEHEAP7: activation records keyed by object and tid, the oid out of
-   the record body), so an older store fails at once instead of being
-   misparsed. *)
-let magic = "ODEHEAP7"
+   the record body; ODEHEAP8: the checkpoint LSN in the header page, not
+   in a file beside the log), so an older store fails at once instead of
+   being misparsed. *)
+let magic = "ODEHEAP8"
 
 (* Free-space map: pages bucketed by 256-byte free classes so insert can find
    a fitting page in O(1) without scanning every page. *)
@@ -82,7 +83,11 @@ type t = { pool : Buffer_pool.t; fsm : Fsm.t; mutable records : int }
 
 let pool t = t.pool
 
-(* -- header --------------------------------------------------------------- *)
+(* -- header ---------------------------------------------------------------
+   Page 0 holds the magic, then the checkpoint LSN as an i64 at [lsn_at],
+   then zeros. *)
+
+let lsn_at = String.length magic
 
 let write_header t =
   let f = Buffer_pool.pin t.pool 0 in
@@ -101,6 +106,14 @@ let check_header t =
              (Printf.sprintf "%s: bad magic %S, this build reads %S"
                 (Disk.name (Buffer_pool.disk t.pool))
                 found magic)))
+
+let lsn t =
+  Buffer_pool.with_page t.pool 0 (fun f -> Int64.to_int (Bigbytes.get_int64_le (Buffer_pool.data f) lsn_at))
+
+let set_lsn t lsn =
+  Buffer_pool.with_page t.pool 0 (fun f ->
+      Bigbytes.set_int64_le (Buffer_pool.data f) lsn_at (Int64.of_int lsn);
+      Buffer_pool.mark_dirty t.pool f)
 
 let attach pool =
   let t = { pool; fsm = Fsm.create (); records = 0 } in

@@ -1,6 +1,7 @@
 (** Heap files: unordered collections of variable-length records.
 
-    A heap owns a whole pager. Page 0 is a header page; all other pages are
+    A heap owns a whole pager. Page 0 is a header page: the format's magic,
+    then the checkpoint LSN ({!lsn}), then zeros. All other pages are
     slotted data pages. Records larger than a page are split into chunks
     chained by record id. Record ids ([rid]) name the head record and remain
     valid until the record is deleted; {!update} may move a record and then
@@ -21,6 +22,14 @@ val attach : Buffer_pool.t -> t
     ["<file>: page <n>: ..."] on a damaged page. *)
 
 val pool : t -> Buffer_pool.t
+
+val lsn : t -> int
+(** The header's checkpoint LSN: the last commit the data files held at
+    their latest checkpoint (0 when fresh), which the log continues from. *)
+
+val set_lsn : t -> int -> unit
+(** Set the header's LSN; the next {!flush} writes it, under the
+    double-write journal, with the data pages it describes. *)
 
 val insert : t -> string -> rid
 val get : t -> rid -> string option

@@ -4,14 +4,12 @@ module Failpoint = Ode_util.Failpoint
 
 (* wal.sync covers the append of the pending batch (short/flipped/skipped
    batches model torn log tails and lying disks); wal.fsync the durability
-   barrier itself; wal.reset the post-checkpoint truncation; wal.lsn the
-   window between persisting the base-LSN sidecar and the truncation it
-   licenses (a crash there leaves both the sidecar and the old records —
-   recovery must reconcile them). *)
+   barrier itself; wal.reset the post-checkpoint truncation (a crash before
+   it, or a truncation that is lost, leaves checkpointed frames in the log,
+   which the next open replays). *)
 let fp_sync = Failpoint.site "wal.sync"
 let fp_fsync = Failpoint.site "wal.fsync"
 let fp_reset = Failpoint.site "wal.reset"
-let fp_lsn = Failpoint.site "wal.lsn"
 
 let c_wal_appends = Stats.counter "wal_appends"
 let c_wal_syncs = Stats.counter "wal_syncs"
@@ -49,11 +47,9 @@ type window = { mutable wb : bytes; mutable woff : int; mutable wlen : int }
    sync into a [wal.group_size] observation plus the fsyncs the batch saved.
 
    Commit LSNs: every [Commit] record appended is assigned the next LSN
-   ([last_lsn]); [durable_lsn] trails it until a sync's barrier holds. The
-   physical log starts at [base_lsn] (everything up to it was checkpointed
-   away); the [lsn_path] sidecar persists that base across truncations, and
-   [Checkpoint] records carry the exact LSN so replay reconciles a stale
-   sidecar (lost or crashed truncation) back to the true count. *)
+   ([last_lsn]); [durable_lsn] trails it until a sync's barrier holds.
+   [base_lsn] is the checkpoint LSN the log continues from: the one the
+   caller opened it with, or the one the last truncation reached. *)
 type t = {
   sink : sink;
   pending : buf; (* the frames appended since the last sync *)
@@ -64,7 +60,6 @@ type t = {
   mutable last_lsn : int;
   mutable durable_lsn : int;
   mutable base_lsn : int;
-  lsn_path : string option;
   mutable on_sync : (data:string -> from_lsn:int -> to_lsn:int -> unit) option;
 }
 
@@ -211,14 +206,26 @@ let frame body =
 let checksum_ok s off blen =
   Int64.equal (String.get_int64_le s (off + 4)) (Codec.fnv64_sub s ~pos:(off + frame_header) ~len:blen)
 
-(* The LSN after the record in [s]'s bytes [pos, stop), starting from
-   [lsn]: a Commit counts up, known by its tag alone; a Checkpoint restores
-   the exact value it recorded, which reconciles replay over records a lost
-   truncation left behind (they were already counted before the checkpoint
-   was taken). Any other tag is refused. *)
-let lsn_after ?base s ~pos ~stop lsn =
-  if pos < stop && s.[pos] = tag_commit then lsn + 1
-  else match decode_at ?base s ~pos ~stop with Checkpoint l -> l | Commit _ -> lsn + 1
+(* Every frame names its LSN: a Commit its own, the [ts] behind its trace
+   id; a Checkpoint the last commit's. [varint_at] reads, in place, the
+   varint after the [skip] ones at [pos], which end before [stop]. *)
+let rec varint_at ~base s pos stop ~skip shift acc =
+  if pos >= stop || shift > 56 then corrupt "wal: bad varint at %d" (base + pos)
+  else
+    let b = Char.code s.[pos] in
+    if skip > 0 then varint_at ~base s (pos + 1) stop ~skip:(skip - Bool.to_int (b < 0x80)) 0 0
+    else if b < 0x80 then acc lor (b lsl shift)
+    else varint_at ~base s (pos + 1) stop ~skip (shift + 7) (acc lor ((b land 0x7f) lsl shift))
+
+(* The LSN the record in [s]'s bytes [pos, stop) names, read without
+   allocating for a Commit. Any other tag but a Checkpoint's is refused. *)
+let frame_lsn ~base s ~pos ~stop =
+  if pos < stop && s.[pos] = tag_commit then varint_at ~base s (pos + 1) stop ~skip:1 0 0
+  else match decode_at ~base s ~pos ~stop with Checkpoint l -> l | Commit { ts; _ } -> ts
+
+(* A frame continues the log at the LSN before it: a Commit's own minus
+   one, a Checkpoint's own. *)
+let lsn_span = function Commit { ts; _ } -> (ts - 1, ts) | Checkpoint l -> (l, l)
 
 let rec retry f =
   match f () with
@@ -226,29 +233,6 @@ let rec retry f =
   | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) ->
       Stats.incr c_io_retries;
       retry f
-
-(* The base-LSN sidecar: a tiny text file beside the log holding the LSN of
-   the last commit the latest truncation discarded. Written and fsynced
-   *before* the truncation (see [reset]), so a crash between the two leaves
-   the sidecar ahead of the log — which the Checkpoint record still in the
-   log corrects during [open_file]'s scan. *)
-let read_base_lsn path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> 0)
-  | exception Sys_error _ -> 0
-
-let write_base_lsn path lsn =
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let s = string_of_int lsn ^ "\n" in
-  let rec go pos =
-    if pos < String.length s then
-      go (pos + retry (fun () -> Unix.write_substring fd s pos (String.length s - pos)))
-  in
-  go 0;
-  Unix.fsync fd;
-  Unix.close fd;
-  Unix.rename tmp path
 
 (* -- reading the log -------------------------------------------------------
    [open_file], [replay] and [tail_from] walk the log a frame at a time
@@ -317,7 +301,7 @@ let walk_log t f = walk ~checked:t.checked (source t) f
 
 (* -- construction --------------------------------------------------------- *)
 
-let create sink lsn_path base =
+let create sink base =
   {
     sink;
     pending = new_buf pending_initial;
@@ -326,38 +310,49 @@ let create sink lsn_path base =
     last_lsn = base;
     durable_lsn = base;
     base_lsn = base;
-    lsn_path;
     on_sync = None;
   }
 
 (* One pass over the log, which checks every frame and finds both where
-   the intact frames end and the LSN they advance to. A torn tail is cut
-   off, so appends start at a clean boundary. *)
-let attach_file fd path =
-  let lsn_path = path ^ ".lsn" in
+   the intact frames end and the LSN the last names. Each frame continues
+   the one before it (a Commit names the next LSN, a Checkpoint the same),
+   and the first must not start past [base]: frames below it are ones a
+   lost truncation left. A torn tail is cut off, so appends start at a
+   clean boundary. *)
+let attach_file fd ~base =
   let f = { fd; wpos = 0 } in
-  let t = create (File f) (Some lsn_path) (read_base_lsn lsn_path) in
+  let t = create (File f) base in
   let size = (Unix.fstat fd).st_size in
-  let intact = walk_log t (fun ~base s ~pos ~stop -> t.last_lsn <- lsn_after ~base s ~pos ~stop t.last_lsn) in
+  let last = ref (-1) in
+  let intact =
+    walk_log t (fun ~base:off s ~pos ~stop ->
+        let lsn = frame_lsn ~base:off s ~pos ~stop in
+        let before = if s.[pos] = tag_commit then lsn - 1 else lsn (* as [lsn_span] *) in
+        if if !last < 0 then before > base else before <> !last then
+          corrupt "wal: the frame at %d names LSN %d after LSN %d" (off + pos - frame_header) lsn
+            (max base !last);
+        last := lsn)
+  in
   if intact < size then begin
     Stats.add c_wal_torn_bytes (size - intact);
     Unix.ftruncate fd intact
   end;
   f.wpos <- intact;
   t.checked <- intact;
+  t.last_lsn <- max base !last;
   t.durable_lsn <- t.last_lsn;
   t
 
 (* A log refused at open (an older layout) leaves no descriptor open. *)
-let open_file path =
+let open_file ~base path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  match attach_file fd path with
+  match attach_file fd ~base with
   | t -> t
   | exception e ->
       Unix.close fd;
       raise e
 
-let in_memory () = create (Memory (Buffer.create 4096)) None 0
+let in_memory () = create (Memory (Buffer.create 4096)) 0
 
 let count_commit t =
   Stats.incr c_wal_appends;
@@ -471,36 +466,26 @@ let sync t =
 let replay t f = ignore (walk_log t (fun ~base s ~pos ~stop -> f (decode_at ~base s ~pos ~stop)))
 
 (* The raw frames of everything after [lsn]: what a replica that has applied
-   up to [lsn] still needs. [None] when the log no longer reaches back that
-   far (checkpointed away — ship a snapshot) or the replica claims commits we
-   never made durable (divergence — also a snapshot). *)
+   up to [lsn] still needs, the frames behind the last that names [lsn] or
+   less. [None] when the log no longer reaches back that far (checkpointed
+   away — ship a snapshot) or the replica claims commits we never made
+   durable (divergence — also a snapshot). *)
 let tail_from t ~lsn =
   if lsn < t.base_lsn || lsn > t.durable_lsn then None
   else begin
-    (* Count commits from the sidecar base. If a truncation was lost, the
-       physical log still starts before the last checkpoint and this count
-       transiently overshoots — detected when a Checkpoint record disagrees
-       with the running count. Any cut found under the bad count is
-       discarded; the Checkpoint record restores exactness from there on. *)
-    let cut = ref (if lsn = t.base_lsn then Some 0 else None) in
-    let cur = ref t.base_lsn in
+    let off = ref 0 in
     ignore
       (walk_log t (fun ~base s ~pos ~stop ->
-           let next = lsn_after ~base s ~pos ~stop !cur in
-           if s.[pos] = tag_checkpoint && next <> !cur then cut := None;
-           if !cut = None && next = lsn then cut := Some (base + stop);
-           cur := next));
-    match !cut with
-    | None -> None
-    | Some off -> (
-        match t.sink with
-        | Memory b -> Some (Buffer.sub b off (Buffer.length b - off))
-        | File f ->
-            let len = (Unix.fstat f.fd).st_size - off in
-            let s = Bytes.create len in
-            ignore (Unix.lseek f.fd off Unix.SEEK_SET);
-            let got = read_fully f.fd s 0 len in
-            Some (if got = len then Bytes.unsafe_to_string s else Bytes.sub_string s 0 got))
+           if frame_lsn ~base s ~pos ~stop <= lsn then off := base + stop));
+    let off = !off in
+    match t.sink with
+    | Memory b -> Some (Buffer.sub b off (Buffer.length b - off))
+    | File f ->
+        let len = (Unix.fstat f.fd).st_size - off in
+        let s = Bytes.create len in
+        ignore (Unix.lseek f.fd off Unix.SEEK_SET);
+        let got = read_fully f.fd s 0 len in
+        Some (if got = len then Bytes.unsafe_to_string s else Bytes.sub_string s 0 got)
   end
 
 let reset t =
@@ -514,31 +499,16 @@ let reset t =
       match Failpoint.hit fp_reset with
       | Some Failpoint.Crash_site -> Failpoint.crash fp_reset
       | Some Failpoint.Skip_effect ->
-          (* Lost truncation: the old records stay and are replayed over
-             checkpointed state on recovery, which must be idempotent. *)
+          (* Lost truncation: the old frames stay, and the next open replays
+             them over checkpointed state, which is idempotent. Each names
+             its own LSN, so they count nothing twice. *)
           ()
-      | Some _ | None -> (
-          (* Persist the new base *before* discarding the records that prove
-             it: a crash in between leaves a sidecar ahead of the log, which
-             the Checkpoint record still in the log reconciles on reopen. The
-             reverse order could truncate away the proof and under-count every
-             LSN thereafter. *)
-          (match t.lsn_path with
-          | Some p -> write_base_lsn p t.durable_lsn
-          | None -> ());
-          match Failpoint.hit fp_lsn with
-          | Some Failpoint.Crash_site -> Failpoint.crash fp_lsn
-          | Some Failpoint.Skip_effect ->
-              (* Treated as a lost truncation (sidecar written, records kept):
-                 replay reconciles. Truncating *without* the sidecar write is
-                 the one order that loses the count, so it is not modeled. *)
-              ()
-          | Some _ | None ->
-              Unix.ftruncate f.fd 0;
-              f.wpos <- 0;
-              t.checked <- 0;
-              Unix.fsync f.fd;
-              t.base_lsn <- t.durable_lsn))
+      | Some _ | None ->
+          Unix.ftruncate f.fd 0;
+          f.wpos <- 0;
+          t.checked <- 0;
+          Unix.fsync f.fd;
+          t.base_lsn <- t.durable_lsn)
 
 let size_bytes t =
   (match t.sink with Memory b -> Buffer.length b | File f -> f.wpos)

@@ -21,14 +21,14 @@
 
     Every [Commit] record is assigned the next log sequence number; LSNs
     number the database's committed transactions from the beginning of time,
-    surviving checkpoints and truncations. The physical log holds only the
-    records after {!base_lsn}; a sidecar file ([<log>.lsn], written and
-    fsynced before each truncation) persists that base, and [Checkpoint]
-    records carry the exact LSN at checkpoint time so replay reconciles a
-    stale sidecar (a truncation that crashed or was lost) back to the true
-    count; a [Commit] counts by its tag byte alone. Replication ships
-    synced batches tagged with their LSN range (see {!set_on_sync}) and
-    resumes a replica from {!tail_from}. *)
+    surviving checkpoints and truncations. Each frame names its LSN, the
+    log's only record of them: a [Commit] its own, as its [ts]; a
+    [Checkpoint] the last commit's. The data files keep the checkpoint LSN
+    a truncation reached ({!Heap.lsn}), which the log opens with as its
+    base. A frame at or below it is one a lost truncation left: it is
+    replayed over checkpointed state, which is idempotent, and counts
+    nothing twice. Replication ships synced batches tagged with their LSN
+    range (see {!set_on_sync}) and resumes a replica from {!tail_from}. *)
 
 type op = Put of string | Del
 
@@ -43,17 +43,23 @@ type record =
       (** all prior effects are on disk; carries the durable LSN at the time
           the checkpoint was taken *)
 
+val lsn_span : record -> int * int
+(** The LSNs before and after the record: [(ts - 1, ts)] for a [Commit],
+    [(l, l)] for a [Checkpoint l]. Each frame starts where the last ended. *)
+
 type t
 
-val open_file : string -> t
-(** Open or create a log file; the write cursor is positioned after the last
-    intact frame. Reads the [.lsn] sidecar, then walks the log frame by
-    frame, checking each frame's checksum, which also finds the exact
-    commit LSN; the walk stops at the first frame that is torn or fails
-    its checksum, and cuts the file there. The log is read through one
-    reusable buffer of 64 KiB, or of one frame when that is larger, never whole. Raises
-    {!Ode_util.Codec.Corrupt} on an intact frame of another kind, such as a
-    log of an earlier layout. *)
+val open_file : base:int -> string -> t
+(** Open or create a log file whose frames continue from [base], its data
+    files' checkpoint LSN. Walks the log frame by frame through one
+    reusable buffer of 64 KiB, or of one frame when that is larger,
+    checking each checksum and reading the LSN each frame names; the walk
+    stops at the first torn or failing frame, cuts the file there, and
+    positions the write cursor after it. {!last_lsn} is the last intact
+    frame's LSN, or [base] if greater. Raises {!Ode_util.Codec.Corrupt} on
+    an intact frame of another kind (an earlier layout), on one that does
+    not continue the frame before it ({!lsn_span}), and on a first frame
+    that leaves a gap after [base]. *)
 
 val in_memory : unit -> t
 
@@ -89,8 +95,9 @@ val durable_lsn : t -> int
 (** LSN covered by the last completed {!sync}. *)
 
 val base_lsn : t -> int
-(** LSN at the physical start of the log: commits up to it were
-    checkpointed into the data files and truncated away. *)
+(** The checkpoint LSN the log continues from: the [base] it was opened
+    with, or the LSN its last truncation reached. Commits up to it are in
+    the data files; {!tail_from} reaches back no further. *)
 
 val set_on_sync : t -> (data:string -> from_lsn:int -> to_lsn:int -> unit) option -> unit
 (** Install a post-fsync observer: called from {!sync} with the raw frames
@@ -101,10 +108,10 @@ val set_on_sync : t -> (data:string -> from_lsn:int -> to_lsn:int -> unit) optio
 
 val tail_from : t -> lsn:int -> string option
 (** The raw frames of everything after the [lsn]-th commit — what a replica
-    that has applied up to [lsn] still needs, found by walking the log frame
-    by frame and read as one string. [None] when the log no longer
-    reaches back that far (checkpointed away) or [lsn] exceeds
-    {!durable_lsn}: ship a snapshot instead. *)
+    that has applied up to [lsn] still needs: the log behind the last frame
+    naming [lsn] or less, read as one string. [None] when [lsn] is below
+    {!base_lsn} (checkpointed away) or exceeds {!durable_lsn}: ship a
+    snapshot instead. *)
 
 val replay : t -> (record -> unit) -> unit
 (** Feed every intact record from the start of the log, in order, reading
@@ -114,9 +121,9 @@ val replay : t -> (record -> unit) -> unit
     frame's end. *)
 
 val reset : t -> unit
-(** Truncate the log to empty (used after a checkpoint). Persists
-    {!durable_lsn} to the sidecar {e before} truncating, so the LSN count
-    survives the records' disposal. *)
+(** Truncate the log to empty and fsync it (used after a checkpoint, once
+    the data files and their checkpoint LSN are flushed). {!base_lsn}
+    becomes {!durable_lsn}. *)
 
 val size_bytes : t -> int
 

@@ -243,7 +243,6 @@ let all_sites =
     "wal.sync";
     "wal.fsync";
     "wal.reset";
-    "wal.lsn";
     "pool.flush";
     "pool.evict";
     "heap.flush";
@@ -258,7 +257,7 @@ let profile = function
   | "pool.flush" -> (6, 0.3, false)
   | "disk.sync" -> (5, 0.3, false)
   | "disk.journal.write" | "disk.journal.clear" -> (4, 0.3, false)
-  | "wal.reset" | "wal.lsn" -> (3, 0.4, false)
+  | "wal.reset" -> (3, 0.4, false)
   | "heap.flush" -> (2, 0.4, false)
   | "pool.evict" -> (2, 0.0, true)
   | _ -> (5, 0.2, false)

@@ -368,7 +368,8 @@ let old_layout_refused () =
      every record in the heap behind a bare 6-byte rid, ODEHEAP4 named an
      activation's class and trigger and kept the oid counters in the
      catalog, ODEHEAP5 tagged every slot and argument with its kind,
-     ODEHEAP6 keyed an activation by its tid alone. *)
+     ODEHEAP6 keyed an activation by its tid alone, ODEHEAP7 kept the
+     checkpoint LSN in a sidecar file beside the log. *)
   List.iter
     (fun magic ->
       let file = Bytes.of_string current in
@@ -385,7 +386,7 @@ let old_layout_refused () =
             Alcotest.failf "%s refused for another reason: %s" magic msg
       | exception e ->
           Alcotest.failf "%s refused with %s, not as corrupt" magic (Printexc.to_string e))
-    [ "ODEHEAP2"; "ODEHEAP3"; "ODEHEAP4"; "ODEHEAP5"; "ODEHEAP6" ]
+    [ "ODEHEAP2"; "ODEHEAP3"; "ODEHEAP4"; "ODEHEAP5"; "ODEHEAP6"; "ODEHEAP7" ]
 
 (* -- records in the directory leaf ------------------------------------------- *)
 

@@ -186,7 +186,7 @@ let garbage_handshake () =
 (* There is one protocol version: a server answers a hello from an older
    client (v2 had no trace ids, v3 no conflict reply, v4 no error class,
    v5 shipped index keys with 8-byte numbers, v6 activation records keyed
-   by tid alone)
+   by tid alone, v7 snapshots with the log's LSN sidecar)
    with [Bad_version]
    and hangs up, and a replication primary refuses an older replica. *)
 let old_versions_rejected () =
@@ -223,7 +223,7 @@ let old_versions_rejected () =
               Tutil.check_string
                 (Printf.sprintf "v%d hello gets Bad_version, then EOF" v)
                 (P.hello_reply Bad_version) (Bytes.sub_string buf 0 n)))
-        [ 2; 3; 4; 5; 6 ]);
+        [ 2; 3; 4; 5; 6; 7 ]);
   let repl_hello_v v = P.repl_magic ^ String.sub (hello_v v) 4 2 in
   Tutil.check_bool "current repl hello" true (P.parse_repl_hello P.repl_hello = Ok ());
   List.iter
@@ -232,7 +232,7 @@ let old_versions_rejected () =
         (Printf.sprintf "v%d repl hello refused" v)
         true
         (Result.is_error (P.parse_repl_hello (repl_hello_v v))))
-    [ 2; 3; 4; 5; 6 ]
+    [ 2; 3; 4; 5; 6; 7 ]
 
 let reader_take () =
   let rd = P.reader () in

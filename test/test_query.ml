@@ -105,17 +105,41 @@ let index_sees_txn_writes () =
   (fun txn ->
       (* An object updated in this txn must be found via its NEW value and
          not via its old one, even though the index is stale. *)
-      let pat = List.hd (Query.to_list db ~var:"x" ~cls:"person" ~suchthat:(Parser.expr "x.name == \"pat\"") ()) in
+      let pat = List.hd (Query.to_list db ~txn ~var:"x" ~cls:"person" ~suchthat:(Parser.expr "x.name == \"pat\"") ()) in
       Db.set_field txn pat "age" (int 99);
-      let hits = Query.to_list db ~var:"x" ~cls:"person" ~suchthat:q () in
+      let hits = Query.to_list db ~txn ~var:"x" ~cls:"person" ~suchthat:q () in
       Tutil.check_int "new value found" 1 (List.length hits);
-      let old_hits = Query.to_list db ~var:"x" ~cls:"person" ~suchthat:(Parser.expr "x.age == 30") () in
+      let old_hits = Query.to_list db ~txn ~var:"x" ~cls:"person" ~suchthat:(Parser.expr "x.age == 30") () in
       Tutil.check_int "old value not found" 0 (List.length old_hits);
       (* Created in txn: visible despite index access path. *)
       ignore (Db.pnew txn "person" [ ("name", str "new"); ("age", int 99) ]);
-      let hits2 = Query.to_list db ~var:"x" ~cls:"person" ~suchthat:q () in
+      let hits2 = Query.to_list db ~txn ~var:"x" ~cls:"person" ~suchthat:q () in
       Tutil.check_int "created found" 2 (List.length hits2))
     txn;
+  Db.abort txn;
+  Db.close db
+
+(* A read that names no transaction sees the committed state, not the
+   uncommitted writes of whichever transaction began last. *)
+let txnless_reads_see_committed () =
+  let db = Tutil.open_university () in
+  seed_university db;
+  Db.create_index db ~cls:"person" ~field:"age";
+  let pat = List.hd (Query.to_list db ~var:"x" ~cls:"person" ~suchthat:(Parser.expr "x.name == \"pat\"") ()) in
+  let txn = Db.begin_txn db in
+  let fresh = Db.pnew txn "person" [ ("name", str "new"); ("age", int 99) ] in
+  let aged = Parser.expr "x.age == 99" in
+  Tutil.check_int "the txn counts its pnew" 3 (Query.count db ~txn ~var:"x" ~cls:"person" ());
+  Tutil.check_int "a txn-less count is committed" 2 (Query.count db ~var:"x" ~cls:"person" ());
+  Tutil.check_int "the txn's index probe finds its pnew" 1
+    (Query.count db ~txn ~var:"x" ~cls:"person" ~suchthat:aged ());
+  Tutil.check_int "a txn-less index probe is committed" 0
+    (Query.count db ~var:"x" ~cls:"person" ~suchthat:aged ());
+  Tutil.check_bool "the txn sees its pnew" true (Db.exists db ~txn fresh);
+  Tutil.check_bool "a txn-less exists misses the pnew" false (Db.exists db fresh);
+  Db.pdelete txn pat;
+  Tutil.check_bool "the txn misses its delete" false (Db.exists db ~txn pat);
+  Tutil.check_bool "a txn-less exists finds the deleted" true (Db.exists db pat);
   Db.abort txn;
   Db.close db
 
@@ -224,6 +248,7 @@ let suite =
         Alcotest.test_case "index and scan agree" `Quick index_and_scan_agree;
         Alcotest.test_case "index equality probe" `Quick index_eq_probe;
         Alcotest.test_case "index scans see txn writes" `Quick index_sees_txn_writes;
+        Alcotest.test_case "txn-less reads see committed state" `Quick txnless_reads_see_committed;
         Alcotest.test_case "index maintained on delete" `Quick index_maintenance_on_delete;
         Alcotest.test_case "multi-variable join" `Quick join_nested_loops;
         Alcotest.test_case "fixpoint sees inserts" `Quick fixpoint_sees_inserts;

@@ -74,34 +74,41 @@ let lsn_counting () =
   check_verified "lsn_counting" db2;
   Db.close db2
 
-(* The [wal.lsn] failpoint sits between the sidecar write and the log
-   truncation. A crash there leaves a sidecar claiming commits the log still
-   physically holds; the checkpoint record's LSN must reconcile the double
-   count on replay. *)
-let lsn_sidecar_crash () =
+(* A crash at the [wal.reset] site lands after the checkpoint flushed the
+   data files, with the heap header naming its LSN, and before the log is
+   truncated: the log still holds the checkpointed frames, each naming its
+   own LSN. The store reopens at that LSN, replaying them over checkpointed
+   state, and counts on from it. *)
+let lsn_reset_crash () =
   Failpoint.clear ();
   let dir = Tutil.temp_dir "repl-lsn-crash" in
   let db = Db.open_ dir in
   setup db;
   for i = 0 to 5 do put db i done;
   let l = Db.lsn db in
-  Failpoint.arm "wal.lsn" ~policy:Failpoint.One_shot ~action:Failpoint.Crash_site;
+  Failpoint.arm "wal.reset" ~policy:Failpoint.One_shot ~action:Failpoint.Crash_site;
   (match Db.checkpoint db with
   | () -> Alcotest.fail "expected simulated crash in checkpoint"
   | exception Failpoint.Crash _ -> ());
   Failpoint.clear ();
   Db.crash db;
+  Tutil.check_bool "the frames outlive the crash" true
+    ((Unix.stat (Filename.concat dir "wal.log")).Unix.st_size > 0);
   let db2 = Db.open_ dir in
-  Tutil.check_int "lsn exact after sidecar/truncate crash" l (Db.lsn db2);
+  Tutil.check_int "lsn exact after a crash before the truncation" l (Db.lsn db2);
   Tutil.check_int "state intact" 6 (List.length (tags db2));
   put db2 6;
   Tutil.check_int "lsn keeps counting" (l + 1) (Db.lsn db2);
-  check_verified "lsn_sidecar_crash" db2;
-  Db.close db2
+  check_verified "lsn_reset_crash" db2;
+  Db.close db2;
+  let db3 = Db.open_ dir in
+  Tutil.check_int "lsn exact after a clean reopen" (l + 1) (Db.lsn db3);
+  Tutil.check_int "state intact after a clean reopen" 7 (List.length (tags db3));
+  Db.close db3
 
-(* [Skip_effect] models a truncation that silently never happened (the
-   sidecar advanced, the frames stayed). Replay must not double-count the
-   retained commits. *)
+(* [Skip_effect] at [wal.reset] models a truncation that silently never
+   happened: the checkpointed frames stay and later commits follow them.
+   Replay must not count the retained commits twice. *)
 let lsn_lost_truncation () =
   Failpoint.clear ();
   let dir = Tutil.temp_dir "repl-lsn-skip" in
@@ -109,7 +116,7 @@ let lsn_lost_truncation () =
   setup db;
   for i = 0 to 5 do put db i done;
   let l = Db.lsn db in
-  Failpoint.arm "wal.lsn" ~policy:Failpoint.One_shot ~action:Failpoint.Skip_effect;
+  Failpoint.arm "wal.reset" ~policy:Failpoint.One_shot ~action:Failpoint.Skip_effect;
   Db.checkpoint db;
   Failpoint.clear ();
   Tutil.check_int "lsn unchanged by checkpoint" l (Db.lsn db);
@@ -189,6 +196,40 @@ let standby_log_is_shipped_frames () =
   Db.close pri;
   Db.close rep
 
+
+(* A batch whose frames do not name exactly the LSNs it advertises is
+   refused before the standby logs or applies any of it: its log, its LSN
+   and its state stay as they were, and the batch as labelled applies. *)
+let mislabelled_batch_refused () =
+  let pdir = Tutil.temp_dir "repl-label-p" in
+  let rdir = Filename.concat (Tutil.temp_dir "repl-label-r") "db" in
+  let db = Db.open_ pdir in
+  setup db;
+  Db.close db;
+  Tutil.copy_dir pdir rdir;
+  let pri = Db.open_ pdir and rep = Db.open_ rdir in
+  Db.set_read_only rep true;
+  let r = Db.lsn rep in
+  put pri 1;
+  put pri 2;
+  let batch = Option.get (Db.wal_tail pri ~lsn:r) in
+  let log = Filename.concat rdir "wal.log" in
+  let log_size () = (Unix.stat log).Unix.st_size in
+  let before = log_size () in
+  List.iter
+    (fun (what, to_lsn) ->
+      match Repl.apply_batch rep ~from_lsn:r ~to_lsn ~data:batch with
+      | _ -> Alcotest.failf "a batch of two commits labelled %s applied" what
+      | exception Repl.Resync _ ->
+          Tutil.check_int (what ^ ": lsn unmoved") r (Db.lsn rep);
+          Tutil.check_int (what ^ ": nothing logged") before (log_size ());
+          Tutil.check_bool (what ^ ": nothing applied") true (tags rep = []))
+    [ ("(r, r+1]", r + 1); ("(r, r+3]", r + 3) ];
+  Tutil.check_bool "the batch as labelled applies" true
+    (Repl.apply_batch rep ~from_lsn:r ~to_lsn:(r + 2) ~data:batch = `Applied);
+  Tutil.check_bool "converged" true (tags rep = tags pri);
+  Db.close pri;
+  Db.close rep
 
 let apply_discipline () =
   let pdir = Tutil.temp_dir "repl-apply-p" in
@@ -296,7 +337,7 @@ let hello_answers () =
       Tutil.check_int "resume to" l to_lsn;
       Tutil.check_bool "backlog non-empty" true (String.length backlog > 0)
   | Repl.Snapshot _ -> Alcotest.fail "reachable position must resume");
-  (* Checkpointed past: a snapshot of all five store files, at the lsn. *)
+  (* Checkpointed past: a snapshot of all four store files, at the lsn. *)
   Db.checkpoint db;
   put db 4;
   (match Repl.answer_hello db ~replica_lsn:(l - 2) with
@@ -814,6 +855,33 @@ let standby_apply_flat_in_activations () =
 (* The oid counters live in the meta record: a commit that only creates
    objects logs no catalog record, and no object number is handed out
    twice across a crash, a clean reopen or a standby's promotion. *)
+(* The frames and the heap header are the store's only record of LSNs: a
+   closed store, checkpointed and reopened through a crash before its
+   log's truncation, holds exactly the files a snapshot ships. *)
+let closed_store_files () =
+  let dir = Tutil.temp_dir "repl-files" in
+  let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let expected = List.sort compare Repl.snapshot_files in
+  Tutil.check_bool "four files" true
+    (expected = [ "directory.bpt"; "indexes.bpt"; "objects.heap"; "wal.log" ]);
+  let db = Db.open_ dir in
+  setup db;
+  put db 0;
+  Db.close db;
+  Tutil.check_bool "a closed store" true (files () = expected);
+  let db = Db.open_ dir in
+  put db 1;
+  Failpoint.arm "wal.reset" ~policy:Failpoint.One_shot ~action:Failpoint.Crash_site;
+  (match Db.checkpoint db with
+  | () -> Alcotest.fail "expected simulated crash in checkpoint"
+  | exception Failpoint.Crash _ -> ());
+  Failpoint.clear ();
+  Db.crash db;
+  Tutil.check_bool "a crashed store" true (files () = expected);
+  let db = Db.open_ dir in
+  Db.close db;
+  Tutil.check_bool "a recovered and closed store" true (files () = expected)
+
 let oid_counters_in_meta () =
   let pri, rep, queue, ship = mirrored_pair () in
   setup pri;
@@ -861,7 +929,7 @@ let suite =
     ( "replication",
       [
         Alcotest.test_case "commit lsns survive checkpoints and reopens" `Quick lsn_counting;
-        Alcotest.test_case "crash between sidecar and truncation" `Quick lsn_sidecar_crash;
+        Alcotest.test_case "crash before the log truncation" `Quick lsn_reset_crash;
         Alcotest.test_case "lost truncation reconciled on replay" `Quick lsn_lost_truncation;
         Alcotest.test_case "batch apply discipline" `Quick apply_discipline;
         Alcotest.test_case "standby logs the shipped frames" `Quick standby_log_is_shipped_frames;
@@ -878,5 +946,7 @@ let suite =
         Alcotest.test_case "standby chains match the primary's" `Quick standby_chains_match_primary;
         Alcotest.test_case "standby apply flat in activations" `Quick standby_apply_flat_in_activations;
         Alcotest.test_case "oid counters live in meta" `Quick oid_counters_in_meta;
+        Alcotest.test_case "a mislabelled batch is refused unlogged" `Quick mislabelled_batch_refused;
+        Alcotest.test_case "a closed store is the snapshot's files" `Quick closed_store_files;
       ] );
   ]

@@ -375,11 +375,11 @@ let wal_roundtrip_memory () =
 let wal_roundtrip_file () =
   let dir = Tutil.temp_dir "wal" in
   let path = Filename.concat dir "wal.log" in
-  let w = Wal.open_file path in
+  let w = Wal.open_file ~base:0 path in
   List.iter (Wal.append w) wal_records;
   Wal.sync w;
   Wal.close w;
-  let w2 = Wal.open_file path in
+  let w2 = Wal.open_file ~base:0 path in
   let got = ref [] in
   Wal.replay w2 (fun r -> got := r :: !got);
   Tutil.check_bool "persisted" true (List.rev !got = wal_records);
@@ -390,7 +390,7 @@ let wal_roundtrip_file () =
    words, where a copy of it would take 131,072. *)
 let wal_sync_allocates_o1 () =
   let dir = Tutil.temp_dir "wal" in
-  let w = Wal.open_file (Filename.concat dir "wal.log") in
+  let w = Wal.open_file ~base:0 (Filename.concat dir "wal.log") in
   let batch () =
     for i = 1 to 16 do
       Wal.append w (commit i [ ("k", Wal.Put (String.make 65_000 'p')) ])
@@ -411,7 +411,7 @@ let wal_sync_allocates_o1 () =
    reading it into one string takes 524,288. *)
 let wal_open_reads_frame_by_frame () =
   let path = Filename.concat (Tutil.temp_dir "wal") "wal.log" in
-  let w = Wal.open_file path in
+  let w = Wal.open_file ~base:0 path in
   for i = 1 to 64 do
     Wal.append w (commit i [ ("k", Wal.Put (String.make (65_536 - 32) 'p')) ]);
     Wal.sync w
@@ -420,7 +420,7 @@ let wal_open_reads_frame_by_frame () =
   let size = (Unix.stat path).Unix.st_size in
   if size < 4_190_000 then Alcotest.failf "a %d-byte log" size;
   let w = ref None in
-  let words = Tutil.allocated_words (fun () -> w := Some (Wal.open_file path)) in
+  let words = Tutil.allocated_words (fun () -> w := Some (Wal.open_file ~base:0 path)) in
   let w = Option.get !w in
   Tutil.check_int "every commit counted" 64 (Wal.last_lsn w);
   let n = ref 0 in
@@ -432,7 +432,7 @@ let wal_open_reads_frame_by_frame () =
 let wal_torn_tail_ignored () =
   let dir = Tutil.temp_dir "wal" in
   let path = Filename.concat dir "wal.log" in
-  let w = Wal.open_file path in
+  let w = Wal.open_file ~base:0 path in
   Wal.append w (commit 1 [ ("k", Wal.Put "v") ]);
   Wal.sync w;
   Wal.close w;
@@ -440,7 +440,7 @@ let wal_torn_tail_ignored () =
   let oc = Out_channel.open_gen [ Open_append; Open_binary ] 0o644 path in
   Out_channel.output_string oc "\042\000\000\000GARBAGE";
   Out_channel.close oc;
-  let w2 = Wal.open_file path in
+  let w2 = Wal.open_file ~base:0 path in
   let got = ref [] in
   Wal.replay w2 (fun r -> got := r :: !got);
   Tutil.check_int "only intact frame" 1 (List.length !got);
@@ -464,7 +464,7 @@ let corrupt what f =
   | exception Ode_util.Codec.Corrupt _ -> ()
 
 let replayed path =
-  let w = Wal.open_file path in
+  let w = Wal.open_file ~base:0 path in
   Fun.protect ~finally:(fun () -> Wal.close w) (fun () -> Wal.replay w ignore)
 
 (* One record layout: a Commit body always carries the trace id and the
@@ -484,7 +484,7 @@ let wal_short_commit_corrupt () =
    operations run to the end of the frame. *)
 let wal_record_fills_its_frame () =
   corrupt "open" (fun () ->
-      Wal.close (Wal.open_file (write_frames [ Wal.encode_record (Wal.Checkpoint 1) ^ "x" ])));
+      Wal.close (Wal.open_file ~base:0 (write_frames [ Wal.encode_record (Wal.Checkpoint 1) ^ "x" ])));
   let commit_body = Wal.encode_record (commit 1 [ ("k", Wal.Put "v") ]) in
   corrupt "replay" (fun () -> replayed (write_frames [ commit_body ^ "x" ]));
   corrupt "decode" (fun () ->
@@ -512,7 +512,7 @@ let wal_old_layout_refused () =
     List.iter (fun f -> f b) fields;
     Buffer.contents b
   in
-  let opens bodies () = Wal.close (Wal.open_file (write_frames bodies)) in
+  let opens bodies () = Wal.close (Wal.open_file ~base:0 (write_frames bodies)) in
   let put = old 3 [ (fun b -> C.put_string b "k"); (fun b -> C.put_string b "v") ]
   and commit = old 2 [ (fun b -> C.put_int b 0); (fun b -> C.put_int b 1) ] in
   let fds () = Array.length (Sys.readdir "/proc/self/fd") in
@@ -566,19 +566,66 @@ let wal_reset_clears_pending () =
   Wal.reset w;
   Tutil.check_int "reset discards pending" 0 (Wal.pending_commits w)
 
+(* -- frames name their LSNs ---------------------------------------------------
+
+   The log's frames are its only record of LSNs: each must continue the
+   one before it, and the first must not leave a gap after the checkpoint
+   LSN the log is opened with. *)
+
+let opens ~base records =
+  let w = Wal.open_file ~base (write_frames (List.map Wal.encode_record records)) in
+  Fun.protect ~finally:(fun () -> Wal.close w) (fun () -> Wal.last_lsn w)
+
+let wal_refuses_discontinuous_frame () =
+  let refused what records = corrupt what (fun () -> ignore (opens ~base:0 records)) in
+  refused "a skipped commit" [ commit 1 []; commit 3 [] ];
+  refused "a repeated commit" [ commit 1 []; commit 1 [] ];
+  refused "a commit behind" [ commit 1 []; commit 2 []; commit 1 [] ];
+  refused "a checkpoint ahead" [ commit 1 []; Wal.Checkpoint 2 ];
+  refused "a checkpoint behind" [ commit 1 []; commit 2 []; Wal.Checkpoint 1 ];
+  Tutil.check_int "continuous frames open at the last one's LSN" 2
+    (opens ~base:0 [ commit 1 []; Wal.Checkpoint 1; commit 2 []; Wal.Checkpoint 2 ])
+
+let wal_refuses_gap_at_start () =
+  corrupt "a first commit past base + 1" (fun () -> ignore (opens ~base:0 [ commit 3 [] ]));
+  corrupt "a first checkpoint past base" (fun () -> ignore (opens ~base:2 [ Wal.Checkpoint 3 ]));
+  Tutil.check_int "a first commit at base + 1" 3 (opens ~base:2 [ commit 3 [] ]);
+  Tutil.check_int "an empty log opens at its base" 7 (opens ~base:7 []);
+  (* Frames a lost truncation left: at or below the base, and counted once. *)
+  Tutil.check_int "checkpointed frames" 2 (opens ~base:2 [ commit 1 []; commit 2 []; Wal.Checkpoint 2 ]);
+  Tutil.check_int "checkpointed frames, then more" 3
+    (opens ~base:2 [ commit 1 []; commit 2 []; Wal.Checkpoint 2; commit 3 [] ])
+
+(* The open reads each commit frame's LSN where the frame lies, two
+   varints, allocating nothing for it: over 20,000 small commits it
+   allocates its 64 KiB read window and, per frame, the 3-word boxed hash
+   the checksum compares (68,829 words), under 4 words a frame. *)
+let wal_open_reads_lsns_in_place () =
+  let frames = 20_000 in
+  let path = write_frames (List.init frames (fun i -> Wal.encode_record (commit (i + 1) [ ("k", Wal.Del) ]))) in
+  let w = ref None in
+  let words = Tutil.allocated_words (fun () -> w := Some (Wal.open_file ~base:0 path)) in
+  let w = Option.get !w in
+  Tutil.check_int "every commit's LSN" frames (Wal.last_lsn w);
+  Wal.close w;
+  if words >= float (4 * frames) +. 8192. then
+    Alcotest.failf "open of %d commit frames allocated %.0f words" frames words
+
 (* -- the streamed log against a scan of the whole file ----------------------
 
    Random logs, damaged: frames of commits (some over the 64 KiB read-ahead)
-   and checkpoints, a sidecar that a lost truncation left at a checkpoint's
-   LSN, torn tails and flipped bytes. [open_file], [replay] and [tail_from]
-   read the file frame by frame; the reference reads it whole and walks it
-   with [Wal.scan]. They must agree on the intact end, the LSN, the records
-   and every suffix, before and after one more synced commit. *)
+   and checkpoints, opened at a checkpoint LSN that is either the one the
+   frames start from or one a lost truncation left them behind, with torn
+   tails and flipped bytes. [open_file], [replay] and [tail_from] read the
+   file frame by frame; the reference reads it whole with [Wal.scan] and
+   takes each LSN from its frame. They must agree on the intact end, the
+   LSN, the records and every suffix, before and after one more synced
+   commit. *)
 
 type wal_case = {
   base : int; (* the LSN before the log's first frame *)
   ops : [ `Commit of (string * Wal.op) list | `Checkpoint ] list;
-  sidecar : int; (* which LSN the sidecar holds: base or a checkpoint's *)
+  checkpoint : int; (* which LSN the log is opened at: base or a checkpoint's *)
   damage : [ `Cut of float | `Flip of float * int ] list;
 }
 
@@ -602,10 +649,10 @@ let wal_case_gen =
   in
   let damage = oneof [ map (fun f -> `Cut f) (float_bound_exclusive 1.); map2 (fun f b -> `Flip (f, b)) (float_bound_exclusive 1.) (0 -- 7) ] in
   map
-    (fun (base, ops, sidecar, damage) -> { base; ops; sidecar; damage })
+    (fun (base, ops, checkpoint, damage) -> { base; ops; checkpoint; damage })
     (quad (0 -- 5) (list_size (0 -- 12) op) nat (list_size (0 -- 2) damage))
 
-(* The case's log as written, and the LSN its sidecar holds. *)
+(* The case's log as written, and the checkpoint LSN it is opened at. *)
 let wal_case_bytes c =
   let b = Buffer.create 4096 in
   let lsn = ref c.base and checkpoints = ref [ c.base ] in
@@ -633,62 +680,59 @@ let wal_case_bytes c =
             s)
       s c.damage
   in
-  (Bytes.to_string s, List.nth !checkpoints (c.sidecar mod List.length !checkpoints))
+  (Bytes.to_string s, List.nth !checkpoints (c.checkpoint mod List.length !checkpoints))
 
-(* What [Wal.scan] over the whole log [s] finds, from the sidecar's LSN
-   [base]: the intact end, the LSN, the records, and the suffix after each
-   LSN the log still reaches. *)
+(* What [Wal.scan] over the whole log [s] finds, opened at the checkpoint
+   LSN [base]: the intact end, the LSN, the records, and the suffix after
+   each LSN from [base] on. Every LSN is the one its frame names. *)
 let wal_reference s base =
   let recs = ref [] in
   let intact = Wal.scan s (fun r -> recs := r :: !recs) in
   let records = List.rev !recs in
-  let step cur = function Wal.Commit _ -> cur + 1 | Wal.Checkpoint l -> l in
-  let lsn = List.fold_left step base records in
+  let named = function Wal.Commit { ts; _ } -> ts | Wal.Checkpoint l -> l in
+  let lsn = max base (List.fold_left (fun _ r -> named r) base records) in
   let tail n =
     if n < base || n > lsn then None
     else
-      let cut = ref (if n = base then Some 0 else None) in
-      ignore
-        (List.fold_left
-           (fun (cur, off) r ->
-              let next = step cur r and fend = off + String.length (Wal.frame (Wal.encode_record r)) in
-              (match r with Wal.Checkpoint _ when next <> cur -> cut := None | _ -> ());
-              if !cut = None && next = n then cut := Some fend;
-              (next, fend))
-           (base, 0) records);
-      Option.map (fun off -> String.sub s off (intact - off)) !cut
+      let cut, _ =
+        List.fold_left
+          (fun (cut, off) r ->
+            let fend = off + String.length (Wal.frame (Wal.encode_record r)) in
+            ((if named r <= n then fend else cut), fend))
+          (0, 0) records
+      in
+      Some (String.sub s cut (intact - cut))
   in
   (intact, lsn, records, tail)
 
-let wal_agrees path w sidecar =
+let wal_agrees path w base =
   let s = In_channel.with_open_bin path In_channel.input_all in
-  let intact, lsn, records, tail = wal_reference s sidecar in
+  let intact, lsn, records, tail = wal_reference s base in
   let got = ref [] in
   Wal.replay w (fun r -> got := r :: !got);
   Wal.size_bytes w = intact
   && Wal.last_lsn w = lsn
-  && Wal.base_lsn w = sidecar
+  && Wal.base_lsn w = base
   && List.rev !got = records
   &&
-  let lo = min sidecar lsn - 1 and hi = max sidecar lsn + 1 in
+  let lo = min base lsn - 1 and hi = max base lsn + 1 in
   List.for_all (fun n -> Wal.tail_from w ~lsn:n = tail n) (List.init (hi - lo + 1) (fun i -> lo + i))
 
 let prop_wal_streamed_matches_scan =
   QCheck.Test.make ~name:"streamed log matches a whole-file scan" ~count:150
     (QCheck.make wal_case_gen) (fun c ->
       let path = Filename.concat (Tutil.temp_dir "walp") "wal.log" in
-      let bytes, sidecar = wal_case_bytes c in
+      let bytes, base = wal_case_bytes c in
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
-      Out_channel.with_open_bin (path ^ ".lsn") (fun oc -> Printf.fprintf oc "%d\n" sidecar);
-      let w = Wal.open_file path in
+      let w = Wal.open_file ~base path in
       Fun.protect ~finally:(fun () -> Wal.close w) (fun () ->
-          let intact, _, _, _ = wal_reference bytes sidecar in
+          let intact, _, _, _ = wal_reference bytes base in
           (Unix.stat path).Unix.st_size = intact
-          && wal_agrees path w sidecar
+          && wal_agrees path w base
           &&
           (Wal.append w (commit (Wal.last_lsn w + 1) [ ("z", Wal.Put (String.make 70_000 'z')) ]);
            Wal.sync w;
-           wal_agrees path w sidecar)))
+           wal_agrees path w base)))
 
 (* -- heap ------------------------------------------------------------------ *)
 
@@ -867,6 +911,9 @@ let suite =
         Alcotest.test_case "unsynced appends invisible" `Quick wal_unsynced_not_replayed;
         Alcotest.test_case "pending commits acked by one sync" `Quick wal_pending_commits;
         Alcotest.test_case "reset clears pending commits" `Quick wal_reset_clears_pending;
+        Alcotest.test_case "a discontinuous frame is refused" `Quick wal_refuses_discontinuous_frame;
+        Alcotest.test_case "a gap at the log's start is refused" `Quick wal_refuses_gap_at_start;
+        Alcotest.test_case "open reads frame LSNs in place" `Quick wal_open_reads_lsns_in_place;
       ] );
     ( "heap",
       [

@@ -427,7 +427,7 @@ let by_index_order_matches_sort () =
   Db.with_txn db (fun txn ->
       ignore (Db.pnew txn "s" [ ("k", int (-5)) ]);
       let ks =
-        List.map (fun o -> Db.get_field txn o "k") (Query.to_list db ~var:"x" ~cls:"s" ~by:(by Ode_lang.Ast.Asc) ())
+        List.map (fun o -> Db.get_field txn o "k") (Query.to_list db ~txn ~var:"x" ~cls:"s" ~by:(by Ode_lang.Ast.Asc) ())
       in
       Tutil.check_value "txn-created first" (int (-5)) (List.hd ks);
       Tutil.check_int "all rows" 501 (List.length ks));
