@@ -381,6 +381,8 @@ let index_del txn ~idx_id ~value ~oid =
 
 (* -- conformance -------------------------------------------------------------------- *)
 
+let next_num db cls_id = Option.value (Hashtbl.find_opt db.meta.next_nums cls_id) ~default:0
+
 let conforms db (field : Schema.field) v =
   let class_of oid = Option.map (fun (c : Schema.cls) -> c.Schema.name) (class_of db oid) in
   let subclass ~sub ~super = Catalog.is_subclass db.catalog ~sub ~super in
@@ -435,9 +437,8 @@ let create txn (cls : Schema.cls) inits =
         v)
       l.fields
   in
-  let nums = db.meta.next_nums in
-  let num = Option.value (Hashtbl.find_opt nums cls.Schema.id) ~default:0 in
-  Hashtbl.replace nums cls.Schema.id (num + 1);
+  let num = next_num db cls.Schema.id in
+  Hashtbl.replace db.meta.next_nums cls.Schema.id (num + 1);
   txn.meta_dirty <- true;
   let oid : Oid.t = { cls = cls.Schema.id; num } in
   write txn (Keys.header oid) (encode_object db oid unversioned slots);

@@ -154,6 +154,10 @@ val conforms : db -> Ode_model.Schema.field -> Ode_model.Value.t -> bool
 (** Whether a value may be stored in the field (the check {!create} and
     {!update_fields} make). *)
 
+val next_num : db -> int -> int
+(** The object number {!create} gives the class of this id next: every
+    number it gave before is below it. *)
+
 (** {1 Mutating objects (buffered in the transaction)} *)
 
 val create : txn -> Ode_model.Schema.cls -> (string * Ode_model.Value.t) list -> Ode_model.Oid.t

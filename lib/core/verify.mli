@@ -13,16 +13,33 @@
     problem too: deleting an object removes all of its records).
 
     One cursor pass over the directory reads and decodes each record once;
-    one over the index tree matches its entries against those the decoded
-    slots call for. A page that cannot be read (a bad checksum or node
+    one over the index tree reads each entry's key. What the check holds
+    does not grow with the objects: a live bit per allocated object
+    number (a bitset per class, sized from the class's next number; a
+    key naming a number past it, which only damage writes, is kept on a
+    list of its own), a memo per class, and four tallies. The directory
+    pass adds each version record the headers owe (every listed version
+    but the current one) and each index entry the objects' current
+    fields owe to one tally each; the passes add each version record and
+    index entry of a live object they meet to the other two. A tally is
+    a count and a sum, modulo 2^63, of 63-bit key fingerprints (a
+    splitmix64-style mix of the key's fields). Equal pairs mean no
+    missing, orphan, duplicate-current or stale record or entry; when a
+    pair differs, and only then, a naming walk reads the range again
+    with point probes and reports each wrong key by name. For accidental
+    damage, the chance that a pair still agrees is about 2^-63; the
+    fingerprints are not keyed, so damage made to fool the check could.
+
+    A page that cannot be read (a bad checksum or node
     layout, {!Ode_util.Codec.Corrupt}) is reported, not raised: it ends
     the pass that met it with a problem naming its file and page, and the
     next pass runs. The cross-checks that need a stopped pass's complete
-    results (the heap record count, missing version records, index entries
-    for dead objects, missing index entries) are then skipped, in one
-    line that says so, rather than reported for every entry past the
-    page. The check reads nothing through the store's read path,
-    so it fetches no object there ([objects_fetched] stays put).
+    results (the heap record count, version records, index entries for
+    dead objects, missing or stale index entries) are then skipped, in
+    one line that says so, rather than reported for every entry past the
+    page. The check reads nothing through the store's read path, so it
+    fetches no object there ([objects_fetched] stays put), and writes
+    nothing.
 
     Used by tests (especially crash-recovery tests, where it proves that
     replay reconstructed a coherent database) and available to operators via

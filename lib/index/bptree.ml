@@ -1250,8 +1250,20 @@ let attach pool =
 let check t =
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
-  let seen = ref 0 and leaves = ref [] and leaf_depth = ref (-1) in
-  let visited = Hashtbl.create 64 in
+  let seen = ref 0 and leaf_depth = ref (-1) in
+  (* A bit per page of the file, set when the walk reaches it. *)
+  let pages = Pool.page_count t.pool in
+  let visited = Bytes.make ((pages + 7) / 8) '\000' in
+  let bits page = Char.code (Bytes.get visited (page lsr 3)) in
+  let was_visited page = page >= 0 && page < pages && bits page land (1 lsl (page land 7)) <> 0 in
+  let visit page =
+    if page >= 0 && page < pages then
+      Bytes.set visited (page lsr 3) (Char.chr (bits page lor (1 lsl (page land 7))))
+  in
+  (* The leaf chain, checked as the walk reaches each leaf in key order:
+     the leaf before must link to it, and the last to none. Only the
+     previous leaf and its link are kept. *)
+  let prev_leaf = ref 0 and prev_next = ref 0 in
   let layout page b =
     let n = count b and leaf = is_leaf b in
     for i = 0 to n - 1 do
@@ -1294,8 +1306,8 @@ let check t =
     n
   in
   let rec go page depth ~lo ~hi =
-    if Hashtbl.mem visited page then bad "page %d is reached twice" page;
-    Hashtbl.add visited page ();
+    if was_visited page then bad "page %d is reached twice" page;
+    visit page;
     let node =
       with_node t page depth (fun b ->
           layout page b;
@@ -1307,7 +1319,10 @@ let check t =
     | `Leaf (n, next) ->
         if !leaf_depth < 0 then leaf_depth := depth
         else if depth <> !leaf_depth then bad "leaf %d at depth %d, others at %d" page depth !leaf_depth;
-        leaves := (page, next) :: !leaves;
+        if !prev_leaf <> 0 && !prev_next <> page then
+          bad "leaf chain links leaf %d to %d, not to the next leaf %d" !prev_leaf !prev_next page;
+        prev_leaf := page;
+        prev_next := next;
         seen := !seen + n
     | `Internal (keys, children) ->
         Array.iteri
@@ -1317,24 +1332,15 @@ let check t =
             go child (depth + 1) ~lo:lo' ~hi:hi')
           children
   in
-  (* The chain from the leftmost leaf is the tree walk's leaves exactly
-     when each links to the walk's next leaf and the last to none. *)
-  let rec chain = function
-    | [] -> ()
-    | [ (page, next) ] -> if next <> 0 then bad "leaf chain runs past the last leaf %d to %d" page next
-    | (page, next) :: ((page', _) :: _ as rest) ->
-        if next <> page' then bad "leaf chain links leaf %d to %d, not to the next leaf %d" page next page';
-        chain rest
-  in
   (* Pages are never freed, so one the walk misses is leaked. *)
   let reached () =
-    for page = 1 to Pool.page_count t.pool - 1 do
-      if not (Hashtbl.mem visited page) then bad "page %d is not reachable from the root" page
+    for page = 1 to pages - 1 do
+      if not (was_visited page) then bad "page %d is not reachable from the root" page
     done
   in
   match
     go t.root 0 ~lo:None ~hi:None;
-    chain (List.rev !leaves);
+    if !prev_next <> 0 then bad "leaf chain runs past the last leaf %d to %d" !prev_leaf !prev_next;
     reached ()
   with
   | () ->

@@ -203,8 +203,7 @@ let frame body =
 
 (* Whether the frame at [off] of [s], whose [blen]-byte body [s] holds,
    passes its checksum. *)
-let checksum_ok s off blen =
-  Int64.equal (String.get_int64_le s (off + 4)) (Codec.fnv64_sub s ~pos:(off + frame_header) ~len:blen)
+let checksum_ok s off blen = Codec.fnv64_sub_is s ~pos:(off + frame_header) ~len:blen ~at:(off + 4)
 
 (* Every frame names its LSN: a Commit its own, the [ts] behind its trace
    id; a Checkpoint the last commit's. [varint_at] reads, in place, the

@@ -151,7 +151,7 @@ let fnv64_init = 0xcbf29ce484222325L
 (* FNV-1a over [len] bytes from [pos], continuing from the hash [h]. A loop
    over a local [ref], which the compiler keeps unboxed, so hashing
    allocates nothing per byte. *)
-let fnv64_feed h s ~pos ~len =
+let[@inline] fnv64_feed h s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Codec.fnv64_feed";
   let h = ref h in
   for i = pos to pos + len - 1 do
@@ -160,4 +160,10 @@ let fnv64_feed h s ~pos ~len =
   !h
 
 let fnv64_sub s ~pos ~len = fnv64_feed fnv64_init s ~pos ~len
+
+(* [fnv64_feed] is inlined here, so the hash is compared where it is
+   computed: an [int64] a call returns is boxed, and this compare is made
+   once per WAL frame read. *)
+let fnv64_sub_is s ~pos ~len ~at = String.get_int64_le s at = fnv64_feed fnv64_init s ~pos ~len
+
 let fnv64 s = fnv64_sub s ~pos:0 ~len:(String.length s)

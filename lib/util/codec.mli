@@ -99,8 +99,14 @@ val fnv64 : string -> int64
 
 val fnv64_sub : string -> pos:int -> len:int -> int64
 (** Same hash over the [len] bytes of a string from [pos], in place: how
-    the WAL checks a frame inside the buffer it read the log into. Raises
+    the WAL stamps a frame inside its pending buffer. Raises
     [Invalid_argument] when the range is not inside the string. *)
+
+val fnv64_sub_is : string -> pos:int -> len:int -> at:int -> bool
+(** [fnv64_sub_is s ~pos ~len ~at] is whether {!fnv64_sub}[ s ~pos ~len]
+    equals the little-endian [int64] at [at] of [s]: how the WAL checks a
+    frame inside the buffer it read the log into, allocating nothing. Raises [Invalid_argument] when
+    either range is not inside the string. *)
 
 val fnv64_init : int64
 (** The hash of no bytes, where a running hash starts. *)
