@@ -138,9 +138,6 @@ let export db =
   if db.stats.st_analyzed then out "analyze;";
   Buffer.contents b
 
-let export_to_file db path =
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (export db))
-
 (* A minimal script driver (DDL + autocommitted statements): dumps contain
    no transaction control, explain, or clock statements. *)
 let import db script =

@@ -18,8 +18,6 @@
 val export : Types.db -> string
 (** The full script. *)
 
-val export_to_file : Types.db -> string -> unit
-
 val import : Types.db -> string -> unit
 (** Execute a script produced by {!export} against a fresh database
     (convenience wrapper over {!Shell.exec}). *)

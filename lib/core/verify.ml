@@ -55,8 +55,9 @@ let owed_versions (h : Store.header) =
   | [] | [ _ ] -> List.filter (fun v -> v <> h.hcurrent) h.hversions
   | vs -> List.filter (fun v -> v <> h.hcurrent) (List.sort_uniq Int.compare vs)
 
-(* Two passes, each one cursor: the directory, whose every record is
-   fetched and decoded once, then the index tree. What they keep is a
+(* Two passes, each the one walk of a tree's structural check: the
+   directory, whose every record is fetched and decoded once, then the
+   index tree. What they keep is a
    live bit per object number and four tallies: the version records and
    index entries the objects owe, and those the passes meet. Only when a
    pair differs does a naming walk read the range again to say which
@@ -66,17 +67,6 @@ let run db =
   let problems = ref [] in
   let bad fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
   let pp_ver ppf = function None -> () | Some ver -> Format.fprintf ppf " version %d" ver in
-  (* A page that cannot be read ends the pass that met it, as a problem
-     naming the file and page; the next pass still runs. False when the
-     pass stopped, so the cross-checks that need its complete results are
-     skipped: they would report every entry past the page. *)
-  let pass what f =
-    match f () with
-    | () -> true
-    | exception Codec.Corrupt msg ->
-        bad "%s: %s" what msg;
-        false
-  in
 
   (* Every slot conforms to its field's type. Records carry no names and
      no value tags, so each slot was decoded by its field's type in the
@@ -269,6 +259,22 @@ let run db =
           (indexes_of (class_of oid)))
   in
 
+  (* One walk per tree, [Bptree.check]'s, which hands [visit] each leaf
+     entry. A page that cannot be read, or a structural fault found
+     mid-walk, ends the pass that met it; the next pass still runs. False
+     when the pass stopped, so the cross-checks that need its complete
+     results are skipped: they would report every entry past the page. *)
+  let pass what tree visit =
+    match Bptree.check ~visit tree with
+    | Ok () -> true
+    | Error { msg; stopped } ->
+        bad "%s tree: %s" what msg;
+        not stopped
+    | exception Codec.Corrupt msg ->
+        bad "%s: %s" what msg;
+        false
+  in
+
   (* 1. The directory. Each record lives in the home its size chooses
      ([Kv.in_leaf]: the leaf up to [Kv.inline_max] bytes, the heap above),
      and every out-of-line entry resolves to a readable heap record of its
@@ -298,22 +304,18 @@ let run db =
             bad "directory key %S: corrupt heap record (%s)" key msg;
             None)
   in
-  let rec walk_dir dir =
-    match Bptree.cursor_next_key dir with
-    | None -> ()
-    | Some key ->
-        let kind = if key = "" then '\000' else key.[0] in
-        (match Bptree.cursor_value dir Kv.entry_at with
-        | exception Codec.Corrupt msg -> bad "directory key %S: bad value (%s)" key msg
-        | entry -> (
-            match (kind, payload key entry) with
-            | 'H', Some p -> check_object key p
-            | 'V', Some p -> check_version key p
-            | 'T', Some p -> check_activation key p
-            | _ -> ()));
-        walk_dir dir
+  let visit_dir key b off len =
+    let kind = if key = "" then '\000' else key.[0] in
+    match Kv.entry_at b off len with
+    | exception Codec.Corrupt msg -> bad "directory key %S: bad value (%s)" key msg
+    | entry -> (
+        match (kind, payload key entry) with
+        | 'H', Some p -> check_object key p
+        | 'V', Some p -> check_version key p
+        | 'T', Some p -> check_activation key p
+        | _ -> ())
   in
-  let dir_whole = pass "directory" (fun () -> walk_dir (Bptree.cursor db.kv_dir ())) in
+  let dir_whole = pass "directory" db.kv_dir visit_dir in
   (* No heap record lacks an entry (recovery's orphan sweep guarantees
      this after a crash), and the version records are those the headers
      owe. *)
@@ -333,42 +335,27 @@ let run db =
      object through an index its class has goes into the tally; any other
      is named here. *)
   let indexes = Array.of_list (Catalog.indexes db.catalog) in
-  let rec walk_idx idx =
-    match Bptree.cursor_next_key idx with
-    | None -> ()
-    | Some key ->
-        (match Keys.parse_index_tree_key key with
-        | exception Codec.Corrupt msg -> bad "malformed index key %S (%s)" key msg
-        | idx_id, _, _ when idx_id >= Array.length indexes ->
-            bad "index entry for unknown index id %d" idx_id
-        | idx_id, _, oid when not (is_live oid) ->
-            if dir_whole then bad "index %d: entry for dead object %a" idx_id Oid.pp oid
-        | idx_id, valkey, oid ->
-            if List.exists (fun (id, _, _) -> id = idx_id) (indexes_of (class_of oid)) then
-              count entries_found (entry_fp idx_id valkey oid)
-            else begin
-              (* The index does not apply to the object's class. *)
-              let field = snd indexes.(idx_id) in
-              match Catalog.layout_of_id db.catalog oid.cls with
-              | Some l when Catalog.slot l field <> None ->
-                  bad "index %d: entry for %a, whose class the index does not cover" idx_id Oid.pp oid
-              | _ -> bad "index %d: object %a lacks field %s" idx_id Oid.pp oid field
-            end);
-        walk_idx idx
+  let visit_idx key _ _ _ =
+    match Keys.parse_index_tree_key key with
+    | exception Codec.Corrupt msg -> bad "malformed index key %S (%s)" key msg
+    | idx_id, _, _ when idx_id >= Array.length indexes -> bad "index entry for unknown index id %d" idx_id
+    | idx_id, _, oid when not (is_live oid) ->
+        if dir_whole then bad "index %d: entry for dead object %a" idx_id Oid.pp oid
+    | idx_id, valkey, oid ->
+        if List.exists (fun (id, _, _) -> id = idx_id) (indexes_of (class_of oid)) then
+          count entries_found (entry_fp idx_id valkey oid)
+        else begin
+          (* The index does not apply to the object's class. *)
+          let field = snd indexes.(idx_id) in
+          match Catalog.layout_of_id db.catalog oid.cls with
+          | Some l when Catalog.slot l field <> None ->
+              bad "index %d: entry for %a, whose class the index does not cover" idx_id Oid.pp oid
+          | _ -> bad "index %d: object %a lacks field %s" idx_id Oid.pp oid field
+        end
   in
-  let idx_whole = pass "index" (fun () -> walk_idx (Bptree.cursor db.idx ())) in
-  if idx_whole then begin
+  if pass "index" db.idx visit_idx then begin
     if not (same entries_owed entries_found) then name_entries ()
   end
   else bad "not checked, as the index pass stopped: missing or stale index entries";
-
-  (* 3. Structural checks of the trees. *)
-  let check what tree =
-    ignore
-      (pass what (fun () ->
-           match Bptree.check tree with Ok () -> () | Error e -> bad "%s: %s" what e))
-  in
-  check "directory tree" db.kv_dir;
-  check "index tree" db.idx;
 
   match !problems with [] -> Ok () | ps -> Error (List.rev ps)

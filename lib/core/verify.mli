@@ -12,8 +12,9 @@
     inherits that trigger (an inactive record on a dead object is a
     problem too: deleting an object removes all of its records).
 
-    One cursor pass over the directory reads and decodes each record once;
-    one over the index tree reads each entry's key. What the check holds
+    Each tree is read in one walk, its structural check
+    ({!Ode_index.Bptree.check}), which hands every leaf entry to the
+    record checks: each node and each record is read once. What the check holds
     does not grow with the objects: a live bit per allocated object
     number (a bitset per class, sized from the class's next number; a
     key naming a number past it, which only damage writes, is kept on a
@@ -33,7 +34,10 @@
     A page that cannot be read (a bad checksum or node
     layout, {!Ode_util.Codec.Corrupt}) is reported, not raised: it ends
     the pass that met it with a problem naming its file and page, and the
-    next pass runs. The cross-checks that need a stopped pass's complete
+    next pass runs. So does a structural fault the walk meets mid-way (keys
+    out of order, a broken leaf link), named with its tree; one found once
+    the walk is complete (a wrong count, an unreachable page) leaves the
+    pass whole. The cross-checks that need a stopped pass's complete
     results (the heap record count, version records, index entries for
     dead objects, missing or stale index entries) are then skipped, in
     one line that says so, rather than reported for every entry past the

@@ -1246,8 +1246,11 @@ let attach pool =
    parent per node, every page but the header reached from the root, equal
    leaf depth, the count, and the leaf chain: followed from the leftmost
    leaf it visits exactly the leaves of the tree walk, in key order, and
-   ends at next = 0. *)
-let check t =
+   ends at next = 0. [visit] gets each entry of a leaf whose own checks
+   passed, in key order, while the leaf is pinned. *)
+type fault = { msg : string; stopped : bool }
+
+let check ?visit t =
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
   let seen = ref 0 and leaf_depth = ref (-1) in
@@ -1256,7 +1259,7 @@ let check t =
   let visited = Bytes.make ((pages + 7) / 8) '\000' in
   let bits page = Char.code (Bytes.get visited (page lsr 3)) in
   let was_visited page = page >= 0 && page < pages && bits page land (1 lsl (page land 7)) <> 0 in
-  let visit page =
+  let visit_page page =
     if page >= 0 && page < pages then
       Bytes.set visited (page lsr 3) (Char.chr (bits page lor (1 lsl (page land 7))))
   in
@@ -1305,15 +1308,32 @@ let check t =
     end;
     n
   in
+  (* Each entry of the leaf [b] to [visit], its value read in place as
+     [find_with] reads one. *)
+  let entries b =
+    match visit with
+    | None -> ()
+    | Some f ->
+        for i = 0 to count b - 1 do
+          let off = slot b i in
+          let voff = value_off b off node_end in
+          let vlen = len_at b voff node_end in
+          f (node_key b off) b (voff + vsize vlen) vlen
+        done
+  in
   let rec go page depth ~lo ~hi =
     if was_visited page then bad "page %d is reached twice" page;
-    visit page;
+    visit_page page;
     let node =
       with_node t page depth (fun b ->
           layout page b;
           prefix page b ~lo ~hi;
           let n = node_keys page b ~lo ~hi in
-          if is_leaf b then `Leaf (n, link b) else `Internal (internal_parts b))
+          if is_leaf b then begin
+            entries b;
+            `Leaf (n, link b)
+          end
+          else `Internal (internal_parts b))
     in
     match node with
     | `Leaf (n, next) ->
@@ -1332,21 +1352,19 @@ let check t =
             go child (depth + 1) ~lo:lo' ~hi:hi')
           children
   in
-  (* Pages are never freed, so one the walk misses is leaked. *)
-  let reached () =
+  (* Pages are never freed, so one the walk misses is leaked. Found once
+     the walk is complete, as are a chain past the last leaf and a wrong
+     count: [visit] saw every entry. *)
+  let after () =
+    if !prev_next <> 0 then bad "leaf chain runs past the last leaf %d to %d" !prev_leaf !prev_next;
     for page = 1 to pages - 1 do
       if not (was_visited page) then bad "page %d is not reachable from the root" page
-    done
+    done;
+    if !seen <> t.count then bad "count mismatch: header %d, found %d" t.count !seen
   in
-  match
-    go t.root 0 ~lo:None ~hi:None;
-    if !prev_next <> 0 then bad "leaf chain runs past the last leaf %d to %d" !prev_leaf !prev_next;
-    reached ()
-  with
-  | () ->
-      if !seen <> t.count then Error (Printf.sprintf "count mismatch: header %d, found %d" t.count !seen)
-      else Ok ()
-  | exception Bad msg -> Error msg
+  match go t.root 0 ~lo:None ~hi:None with
+  | exception Bad msg -> Error { msg; stopped = true }
+  | () -> ( match after () with () -> Ok () | exception Bad msg -> Error { msg; stopped = false })
 
 (* Defined last: above, [count] is a node's entry count. *)
 let count t = t.count

@@ -143,11 +143,23 @@ val pool : t -> Ode_storage.Buffer_pool.t
 val flush : t -> unit
 val max_entry : int
 
-val check : t -> (unit, string) result
+type fault = { msg : string; stopped : bool }
+(** [stopped]: found mid-walk, which ended there, so {!check}'s [visit]
+    did not see the entries past it. A chain past the last leaf, a page
+    no node reaches and a wrong count are found once the walk is complete. *)
+
+val check :
+  ?visit:(string -> Ode_storage.Bigbytes.t -> int -> int -> unit) -> t -> (unit, fault) result
 (** Structural check: each node's layout (entries packed in slot order, a
     zeroed free gap), its key prefix (exactly the common prefix of its
     fences), key order within and across nodes, every key between its
     node's fences, equal leaf depth, the entry count, and leaf chain
     completeness: followed from the leftmost leaf, the chain visits exactly
     the leaves of the tree walk, in key order, and ends at [next = 0].
+    One walk reads each node once.
+
+    [visit key page off len] runs on every entry of each leaf that passed,
+    in key order, while the leaf is pinned: its value is the [len] bytes
+    at [off] of [page], read in place as {!find_with} reads one. It must
+    not keep [page]; what it raises ends the walk and passes through.
     Raises [Codec.Corrupt] on a node too rotten to read. *)

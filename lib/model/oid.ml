@@ -14,7 +14,6 @@ let pp ppf a = Format.fprintf ppf "#%d:%d" a.cls a.num
 let compare_vref a b =
   match compare a.oid b.oid with 0 -> Int.compare a.ver b.ver | c -> c
 
-let equal_vref a b = compare_vref a b = 0
 let pp_vref ppf a = Format.fprintf ppf "%a@v%d" pp a.oid a.ver
 
 let add_to_buffer b a =

@@ -16,7 +16,6 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val compare_vref : vref -> vref -> int
-val equal_vref : vref -> vref -> bool
 val pp_vref : Format.formatter -> vref -> unit
 
 val add_to_buffer : Buffer.t -> t -> unit

@@ -150,6 +150,18 @@ let fresh_trace t =
   t.last_trace <- id;
   id
 
+(* The response to request [id]: one length-prefixed frame from [fd]. *)
+let read_response fd id : Protocol.response =
+  let len = Ode_util.Codec.get_u32 (Ode_util.Codec.cursor (read_exact fd 4)) in
+  if len > Protocol.max_frame_len then
+    raise (Ode_util.Codec.Corrupt (Printf.sprintf "client: %d-byte response frame" len));
+  let resp = Protocol.decode_response (read_exact fd len) in
+  if resp.rs_id <> id then
+    raise
+      (Ode_util.Codec.Corrupt
+         (Printf.sprintf "client: response id %d for request %d" resp.rs_id id));
+  resp
+
 (* One request/response over [fd]. [timeout], when given, overrides the
    connection default for just this exchange. *)
 let raw_exchange ?timeout t fd op : Protocol.response =
@@ -164,24 +176,15 @@ let raw_exchange ?timeout t fd op : Protocol.response =
   Protocol.encode_request b { rq_id = id; rq_trace = fresh_trace t; rq_op = op };
   let frame = Buffer.contents b in
   write_all fd frame 0 (String.length frame);
-  let len_bytes = read_exact fd 4 in
-  let len = Ode_util.Codec.get_u32 (Ode_util.Codec.cursor len_bytes) in
-  if len > Protocol.max_frame_len then
-    raise (Ode_util.Codec.Corrupt (Printf.sprintf "client: %d-byte response frame" len));
-  let resp = Protocol.decode_response (read_exact fd len) in
-  (match timeout with
-  | Some _ ->
+  Fun.protect
+    (fun () -> read_response fd id)
+    ~finally:(fun () ->
       (* Restore the defaults for the next exchange. *)
-      (try
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.timeout;
-         Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.timeout
-       with Unix.Unix_error _ -> ())
-  | None -> ());
-  if resp.rs_id <> id then
-    raise
-      (Ode_util.Codec.Corrupt
-         (Printf.sprintf "client: response id %d for request %d" resp.rs_id id));
-  resp
+      if timeout <> None then
+        try
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.timeout;
+          Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.timeout
+        with Unix.Unix_error _ -> ())
 
 let exchange ?timeout t op =
   let fd = socket t in
@@ -371,16 +374,7 @@ let exec_many t srcs =
         (fun (id, src) ->
           let r =
             try
-              let len_bytes = read_exact fd 4 in
-              let len = Ode_util.Codec.get_u32 (Ode_util.Codec.cursor len_bytes) in
-              if len > Protocol.max_frame_len then
-                raise
-                  (Ode_util.Codec.Corrupt (Printf.sprintf "client: %d-byte response frame" len));
-              let resp = Protocol.decode_response (read_exact fd len) in
-              if resp.rs_id <> id then
-                raise
-                  (Ode_util.Codec.Corrupt
-                     (Printf.sprintf "client: response id %d for request %d" resp.rs_id id));
+              let resp = read_response fd id in
               if resp.rs_lsn > t.seen_lsn then t.seen_lsn <- resp.rs_lsn;
               match resp.rs_reply with
               | Output s -> Ok s

@@ -283,7 +283,6 @@ let in_memory () =
   { backend = Memory { arr = Array.make 8 Bigbytes.empty; used = 0 }; name = "memory" }
 
 let name t = t.name
-let is_memory t = match t.backend with Memory _ -> true | File _ -> false
 let page_count t = match t.backend with File f -> f.pages | Memory m -> m.used
 
 let check_range t n =

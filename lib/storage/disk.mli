@@ -31,8 +31,6 @@ val name : t -> string
 (** The file's path, or ["memory"]: the name a {!Ode_util.Codec.Corrupt}
     message gives the damaged page's file. *)
 
-val is_memory : t -> bool
-
 val page_count : t -> int
 (** Number of allocated pages, those reserved and not yet written
     included. *)

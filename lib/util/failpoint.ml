@@ -66,13 +66,6 @@ let clear () = Hashtbl.iter (fun _ s -> s.armed <- None) registry
 let hits name = match Hashtbl.find_opt registry name with Some s -> s.hits | None -> 0
 let fired name = match Hashtbl.find_opt registry name with Some s -> s.fired | None -> 0
 
-let reset_counters () =
-  Hashtbl.iter
-    (fun _ s ->
-      s.hits <- 0;
-      s.fired <- 0)
-    registry
-
 let hit s =
   s.hits <- s.hits + 1;
   match s.armed with

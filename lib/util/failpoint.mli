@@ -65,4 +65,3 @@ val crash : t -> unit
 
 val hits : string -> int
 val fired : string -> int
-val reset_counters : unit -> unit

@@ -3,7 +3,7 @@ module Disk = Ode_storage.Disk
 module Pool = Ode_storage.Buffer_pool
 
 let mk () = Bptree.attach (Pool.create ~capacity:128 (Disk.in_memory ()))
-let assert_ok t = match Bptree.check t with Ok () -> () | Error e -> Alcotest.fail e
+let assert_ok t = match Bptree.check t with Ok () -> () | Error { msg = e; _ } -> Alcotest.fail e
 
 (* A sorted batch of puts alone, and a one-key delete batch that says
    whether the key was present. *)
@@ -292,7 +292,7 @@ let adversarial_ops = QCheck.make ~print:(fun ops -> Printf.sprintf "%d ops" (Li
 
 (* Contents and order both match the model, and the structure checks. *)
 let matches_model t model =
-  (match Bptree.check t with Ok () -> () | Error e -> QCheck.Test.fail_report e);
+  (match Bptree.check t with Ok () -> () | Error { msg = e; _ } -> QCheck.Test.fail_report e);
   let scan = ref [] in
   Bptree.iter_range t (fun k v ->
       scan := (k, v) :: !scan;
@@ -486,7 +486,7 @@ let pressure_flush_never_splits_half () =
     let c = Bptree.attach (Pool.create ~capacity:tiny_pool dc) in
     (match Bptree.check c with
     | Ok () -> ()
-    | Error e -> Alcotest.failf "file after insert %d: %s" i e);
+    | Error { msg = e; _ } -> Alcotest.failf "file after insert %d: %s" i e);
     let reachable = ref 0 in
     Bptree.iter_range c (fun _ _ ->
         incr reachable;
@@ -514,7 +514,7 @@ let pressure_flush_never_splits_half () =
   Tutil.copy_file path copy;
   let dc = Disk.open_file copy in
   let c = Bptree.attach (Pool.create ~capacity:tiny_pool dc) in
-  (match Bptree.check c with Ok () -> () | Error e -> Alcotest.failf "file after the run: %s" e);
+  (match Bptree.check c with Ok () -> () | Error { msg = e; _ } -> Alcotest.failf "file after the run: %s" e);
   Tutil.check_int "file after the run: every key"
     (Hashtbl.length distinct + Array.length run)
     (Bptree.count c);
@@ -551,7 +551,7 @@ let apply_sorted_model () =
   let seq = ref 0 in
   let value () = String.make (Random.State.int rng 120) (Char.chr (97 + Random.State.int rng 26)) in
   let check_tree what =
-    (match Bptree.check !t with Ok () -> () | Error e -> Alcotest.failf "%s: %s" what e);
+    (match Bptree.check !t with Ok () -> () | Error { msg = e; _ } -> Alcotest.failf "%s: %s" what e);
     Tutil.check_int (what ^ ": count") (SM.cardinal !model) (Bptree.count !t);
     SM.iter
       (fun k v -> if Bptree.find !t k <> Some v then Alcotest.failf "%s: find %s" what k)
@@ -911,14 +911,10 @@ let prefixed_leaf path =
   | Some found -> found
   | None -> Alcotest.fail "no leaf stores a prefix"
 
-(* A leaf that stores a prefix one byte longer than its fences share, its
-   keys cut by that byte more, as a writer that took one byte too many
-   would leave it, with a valid checksum. Every key still starts with the
-   prefix it stores, and they still sort, so only the prefix check sees
-   it: [check] names the leaf's prefix, and so does [Verify.run] on a
-   store whose directory holds such a leaf. *)
-let long_prefix_caught () =
-  let dir = Tutil.temp_dir "longpfx" in
+(* A closed store of 3,000 objects, whose directory spans many leaves;
+   returns its directory and the path of its directory tree. *)
+let closed_store name =
+  let dir = Tutil.temp_dir name in
   let db = Ode.Database.open_ dir in
   ignore (Ode.Database.define db "class z { v: int; s: string; };");
   Ode.Database.create_cluster db "z";
@@ -927,7 +923,30 @@ let long_prefix_caught () =
         ignore (Ode.Database.pnew txn "z" [ ("v", Ode_model.Value.Int i); ("s", Ode_model.Value.Str (String.make 40 's')) ])
       done);
   Ode.Database.close db;
-  let path = Filename.concat dir "directory.bpt" in
+  (dir, Filename.concat dir "directory.bpt")
+
+(* [Verify.run] on the store in [dir] reports a problem containing each
+   of [expect]. *)
+let verify_names dir what expect =
+  let db = Ode.Database.open_ dir in
+  Fun.protect ~finally:(fun () -> Ode.Database.close db) @@ fun () ->
+  match Ode.Verify.run db with
+  | Ok () -> Alcotest.failf "Verify passed %s" what
+  | Error ps ->
+      List.iter
+        (fun e ->
+          if not (List.exists (fun p -> Tutil.contains p e) ps) then
+            Alcotest.failf "Verify missed %S in %s: %s" e what (String.concat "; " ps))
+        expect
+
+(* A leaf that stores a prefix one byte longer than its fences share, its
+   keys cut by that byte more, as a writer that took one byte too many
+   would leave it, with a valid checksum. Every key still starts with the
+   prefix it stores, and they still sort, so only the prefix check sees
+   it: [check] names the leaf's prefix, and so does [Verify.run] on a
+   store whose directory holds such a leaf. *)
+let long_prefix_caught () =
+  let dir, path = closed_store "longpfx" in
   let page, node, p = prefixed_leaf path in
   let longer =
     match node with Reference.Leaf (entries, _) -> String.sub (fst entries.(0)) 0 (String.length p + 1) | _ -> assert false
@@ -936,15 +955,50 @@ let long_prefix_caught () =
   let d = Disk.open_file path in
   (match Bptree.check (Bptree.attach (Pool.create ~capacity:64 d)) with
   | Ok () -> Alcotest.fail "check passed a leaf whose prefix is a byte too long"
-  | Error e -> Tutil.check_bool ("reported as the prefix: " ^ e) true (Tutil.contains e "key prefix"));
+  | Error { msg = e; _ } -> Tutil.check_bool ("reported as the prefix: " ^ e) true (Tutil.contains e "key prefix"));
   Disk.close d;
-  let db = Ode.Database.open_ dir in
-  (match Ode.Verify.run db with
-  | Ok () -> Alcotest.fail "Verify passed a leaf whose prefix is a byte too long"
-  | Error ps ->
-      if not (List.exists (fun e -> Tutil.contains e "key prefix") ps) then
-        Alcotest.failf "Verify missed the prefix: %s" (String.concat "; " ps));
-  Ode.Database.close db
+  verify_names dir "a leaf whose prefix is a byte too long" [ "key prefix" ]
+
+(* The first three leaves of the chain of the tree file at [path]. *)
+let first_leaves path =
+  let d = Disk.open_file path in
+  Fun.protect ~finally:(fun () -> Disk.close d) @@ fun () ->
+  let rec leftmost n =
+    match Reference.read_node (Disk.read d n) with
+    | Reference.Leaf _ -> n
+    | Reference.Internal (_, children) -> leftmost children.(0)
+  in
+  let next n = match Reference.read_node (Disk.read d n) with Reference.Leaf (_, nx) -> nx | _ -> 0 in
+  let first = leftmost (header_root (Disk.read d 0)) in
+  let second = next first in
+  let third = if second = 0 then 0 else next second in
+  Tutil.check_bool "three leaves or more" true (second <> 0 && third <> 0);
+  (first, second, third)
+
+(* Structural damage in a closed store's directory, each page rewritten
+   with a valid checksum, is named by [Verify.run] with its tree, and ends
+   the directory pass: a leaf whose first two keys are swapped, and a
+   leaf whose chain link skips its successor. *)
+let verify_names_structural_damage () =
+  let stopped = "not checked, as the directory pass stopped" in
+  let dir, path = closed_store "unsorted" in
+  let page, node, p = prefixed_leaf path in
+  let swapped =
+    match node with
+    | Reference.Leaf (entries, next) ->
+        let es = Array.copy entries in
+        es.(0) <- entries.(1);
+        es.(1) <- entries.(0);
+        Reference.Leaf (es, next)
+    | _ -> assert false
+  in
+  rewrite_page path page (fun data -> Bytes.blit_string (Reference.page ~prefix:p swapped) 0 data 0 Reference.node_end);
+  verify_names dir "a leaf with unsorted keys" [ Printf.sprintf "directory tree: node %d: keys unsorted" page; stopped ];
+  let dir, path = closed_store "chainskip" in
+  let first, second, third = first_leaves path in
+  rewrite_page path first (fun data -> Bytes.set_int32_le data 3 (Int32.of_int third));
+  verify_names dir "a leaf chain that skips a leaf"
+    [ Printf.sprintf "directory tree: leaf chain links leaf %d to %d, not to the next leaf %d" first third second; stopped ]
 
 (* A flushed file-backed tree of [n] keys, closed; returns its path. *)
 let flushed_tree ?(value = fun i -> string_of_int i) n =
@@ -960,18 +1014,7 @@ let flushed_tree ?(value = fun i -> string_of_int i) n =
    page rewritten with a valid checksum, is reported. *)
 let check_follows_leaf_chain () =
   let path = flushed_tree 2000 in
-  let d = Disk.open_file path in
-  let rec leftmost n =
-    match Reference.read_node (Disk.read d n) with
-    | Reference.Leaf _ -> n
-    | Reference.Internal (_, children) -> leftmost children.(0)
-  in
-  let first = leftmost (header_root (Disk.read d 0)) in
-  let next n = match Reference.read_node (Disk.read d n) with Reference.Leaf (_, nx) -> nx | _ -> 0 in
-  let second = next first in
-  let third = next second in
-  Disk.close d;
-  Tutil.check_bool "three leaves or more" true (second <> 0 && third <> 0);
+  let first, _, third = first_leaves path in
   let reopen () =
     let d = Disk.open_file path in
     (d, Bptree.attach (Pool.create ~capacity:64 d))
@@ -984,7 +1027,7 @@ let check_follows_leaf_chain () =
   let d, t = reopen () in
   (match Bptree.check t with
   | Ok () -> Alcotest.fail "check passed a leaf chain that skips a leaf"
-  | Error e -> Tutil.check_bool ("reported as a chain fault: " ^ e) true (Tutil.contains e "leaf chain"));
+  | Error { msg = e; _ } -> Tutil.check_bool ("reported as a chain fault: " ^ e) true (Tutil.contains e "leaf chain"));
   Disk.close d
 
 (* -- no second cache --------------------------------------------------------------- *)
@@ -1002,14 +1045,7 @@ let check_compares_in_place () =
   let per_entry = Tutil.allocated_words (fun () -> assert_ok t) /. float gate_keys in
   if per_entry >= 0.5 then Alcotest.failf "check allocates %.2f words an entry" per_entry;
   let path = flushed_tree 2000 in
-  let d = Disk.open_file path in
-  let rec leftmost n =
-    match Reference.read_node (Disk.read d n) with
-    | Reference.Leaf _ -> n
-    | Reference.Internal (_, children) -> leftmost children.(0)
-  in
-  let first = leftmost (header_root (Disk.read d 0)) in
-  Disk.close d;
+  let first, _, _ = first_leaves path in
   (* Swap the bytes of the first two keys, which have one length: each
      entry is a one-byte length, then the key, whole in the leftmost leaf,
      whose prefix is empty. *)
@@ -1021,7 +1057,7 @@ let check_compares_in_place () =
   let d = Disk.open_file path in
   (match Bptree.check (Bptree.attach (Pool.create ~capacity:64 d)) with
   | Ok () -> Alcotest.fail "check passed a leaf with unsorted keys"
-  | Error e -> Tutil.check_bool ("reported as unsorted: " ^ e) true (Tutil.contains e "keys unsorted"));
+  | Error { msg = e; _ } -> Tutil.check_bool ("reported as unsorted: " ^ e) true (Tutil.contains e "keys unsorted"));
   Disk.close d
 
 (* A hit of [find] on a warm tree allocates the value it returns and the
@@ -1243,6 +1279,7 @@ let suite =
         Alcotest.test_case "ODEBPT02 store refused at open" `Quick (old_format_refused "ODEBPT02");
         Alcotest.test_case "check follows the leaf chain" `Quick check_follows_leaf_chain;
         Alcotest.test_case "check catches a long key prefix" `Quick long_prefix_caught;
+        Alcotest.test_case "verify names structural damage" `Quick verify_names_structural_damage;
         Alcotest.test_case "check compares keys in place" `Quick check_compares_in_place;
         Alcotest.test_case "find allocates only its result" `Quick find_allocates_only_its_result;
         Alcotest.test_case "no second cache after a scan" `Quick no_second_cache;
