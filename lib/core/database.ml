@@ -95,7 +95,7 @@ let recover db =
         Store.apply_writes db writes;
         Ode_util.Stats.incr c_recovery_replayed;
         incr frames;
-        applied := !applied + List.length writes
+        applied := !applied + Array.length writes
     | Wal.Checkpoint _ -> ());
   if !frames > 0 then
     Log.info (fun m -> m "recovery: replayed %d commits, %d operations" !frames !applied);
@@ -384,7 +384,7 @@ let apply_replicated db ~frames (records : Wal.record list) =
              first, as the primary held them before its commit. Trigger
              activations live only in the store, so their records land
              with the pages. *)
-          List.iter
+          Array.iter
             (fun (key, op) ->
               match op with
               | Put s when key = Keys.catalog -> db.catalog <- Catalog.decode s
@@ -477,7 +477,7 @@ let create_index db ~cls ~field =
                      Kv.iter_prefix db (Keys.header_prefix_class c.Schema.id) (fun key payload ->
                          let oid = Keys.oid_of_header_key key in
                          let v = (snd (Store.decode_object db oid payload)).(slot) in
-                         Store.write txn (Keys.index_entry ~idx_id ~valkey:(Value.index_key v) ~oid) "";
+                         Store.index_put txn ~idx_id ~value:v ~oid;
                          true)))
            classes))
 

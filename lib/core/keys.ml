@@ -31,6 +31,7 @@
    terminated), a [Key.of_string] or an oid-key. *)
 
 module Oid = Ode_model.Oid
+module Value = Ode_model.Value
 module Key = Ode_util.Key
 module Codec = Ode_util.Codec
 
@@ -42,7 +43,12 @@ let expect_tag what tag k =
 let expect_end what k pos =
   if pos <> String.length k then corrupt "keys: %d trailing bytes in %s key %S" (String.length k - pos) what k
 
-let header oid = "H" ^ Oid.key oid
+let header oid =
+  let b = Bytes.create (1 + Oid.key_size oid) in
+  Bytes.set b 0 'H';
+  ignore (Oid.set_key b 1 oid);
+  Bytes.unsafe_to_string b
+
 let header_prefix_class cls_id = "H" ^ Oid.key_class_prefix cls_id
 let is_header_key k = String.length k > 0 && k.[0] = 'H'
 
@@ -90,6 +96,15 @@ let meta = "E"
 let stats = "S"
 
 let index_entry ~idx_id ~valkey ~oid = String.concat "" [ "I"; Key.of_nat idx_id; valkey; Oid.key oid ]
+
+(* [index_entry ~idx_id ~valkey:(Value.index_key value) ~oid], built
+   once at its final size: the write path's index key. *)
+let index_of_value ~idx_id ~value ~oid =
+  let b = Bytes.create (1 + Key.nat_size idx_id + Value.index_key_size value + Oid.key_size oid) in
+  Bytes.set b 0 'I';
+  ignore (Oid.set_key b (Value.set_index_key b (Key.set_nat b 1 idx_id) value) oid);
+  Bytes.unsafe_to_string b
+
 let index_prefix ~idx_id = "I" ^ Key.of_nat idx_id
 let index_value_prefix ~idx_id ~valkey = "I" ^ Key.of_nat idx_id ^ valkey
 let is_index_key k = String.length k > 0 && k.[0] = 'I'

@@ -42,18 +42,22 @@ type entry = Inline of string | At of Heap.rid
 let tag_heap = 0
 let tag_inline = 1
 
-let encode_entry = function
-  | Inline payload ->
-      let b = Buffer.create (String.length payload + 1) in
-      Codec.put_u8 b tag_inline;
-      Codec.put_raw b payload;
-      Buffer.contents b
-  | At (rid : Heap.rid) ->
-      let b = Buffer.create 6 in
-      Codec.put_u8 b tag_heap;
-      Codec.put_varint b rid.page;
-      Codec.put_varint b rid.slot;
-      Buffer.contents b
+(* A directory value, built once at its final size: an inline one is
+   one copy of its payload. *)
+let inline_value payload =
+  let n = String.length payload in
+  let b = Bytes.create (n + 1) in
+  Bytes.set b 0 (Char.chr tag_inline);
+  Bytes.blit_string payload 0 b 1 n;
+  Bytes.unsafe_to_string b
+
+let rid_value (rid : Heap.rid) =
+  let b = Bytes.create (1 + Codec.varint_size rid.page + Codec.varint_size rid.slot) in
+  Bytes.set b 0 (Char.chr tag_heap);
+  ignore (Codec.set_varint b (Codec.set_varint b 1 rid.page) rid.slot);
+  Bytes.unsafe_to_string b
+
+let encode_entry = function Inline payload -> inline_value payload | At rid -> rid_value rid
 
 (* Readers of the [len] value bytes at [off] of [b], in the shape
    [Bptree.find_with] and [Bptree.cursor_value] take. *)
@@ -100,13 +104,14 @@ let rid_of_value b off len = if is_inline b off len then None else Some (rid_at 
 
 let decode_entry s = entry_at (B.of_string s) 0 (String.length s)
 
-(* Record layout: [varint keylen][key][payload]. *)
+(* Record layout: [varint keylen][key][payload], one copy of each. *)
 let encode_record key payload =
-  let b = Buffer.create (String.length key + String.length payload + 1) in
-  Codec.put_varint b (String.length key);
-  Codec.put_raw b key;
-  Codec.put_raw b payload;
-  Buffer.contents b
+  let kl = String.length key and pl = String.length payload in
+  let b = Bytes.create (Codec.varint_size kl + kl + pl) in
+  let p = Codec.set_varint b 0 kl in
+  Bytes.blit_string key 0 b p kl;
+  Bytes.blit_string payload 0 b (p + kl) pl;
+  Bytes.unsafe_to_string b
 
 (* Ownership test by offset arithmetic: compare the embedded key in place
    without materialising it, in the [len] bytes at [off] of [b]. The length
@@ -160,15 +165,17 @@ let get db key =
   | exception Out_of_line rid -> heap_payload db key rid
 
 (* The single committed-write path (commit apply, recovery replay, standby
-   apply). [ops] is in ascending key order, each key once. One directory
-   lookup per key finds its entry. The deletes go first: each frees its
-   key's heap record, in key order, so the puts placed after them can
-   reuse their slots. A small payload goes into the leaf, a large one into
-   the heap record the key owns, updated in place, or into a fresh one; a
-   record whose size crosses [inline_max] moves, and the heap record of
-   one moving into the leaf is freed. Every delete and every changed
-   directory value reach the tree in one sorted batch. *)
-let apply_sorted db ops ~on_new ~on_gone =
+   apply). [ops] is in ascending key order, each key once; those in
+   [skip] are another tree's. Each key's directory entry is found by an
+   ascending lookup, which descends once per leaf the keys fall in. The
+   deletes go first: each frees its key's heap record, in key order, so
+   the puts placed after them can reuse their slots. A small payload
+   goes into the leaf, a large one into the heap record the key owns,
+   updated in place, or into a fresh one; a record whose size crosses
+   [inline_max] moves, and the heap record of one moving into the leaf
+   is freed. Every delete and every changed directory value reach the
+   tree in one sorted batch, filled in as the puts are placed. *)
+let apply_sorted db ops ~skip:(skip_from, skip_to) ~on_new ~on_gone =
   Ode_util.Trace.with_span ~cat:"kv" "kv.apply" @@ fun () ->
   (* The heap record of [key]'s entry if [key] owns it. After a crash
      mid-apply the directory can point at a dead or torn record, or at a
@@ -182,42 +189,48 @@ let apply_sorted db ops ~on_new ~on_gone =
         | Some false | None | (exception Codec.Corrupt _) -> None)
     | _ -> None
   in
-  let home key = Bptree.find_with db.kv_dir key rid_of_value in
+  let n = Array.length ops in
+  let mine x = x < skip_from || x >= skip_to in
   (* The deletes whose key the directory holds: only they reach the tree. *)
-  let held = Bytes.make (Array.length ops) '\000' in
-  Array.iteri
-    (fun x (key, op) ->
-      match op with
-      | Put _ -> ()
-      | Del -> (
-          match home key with
-          | None -> ()
-          | h ->
-              Bytes.set held x '\001';
-              on_gone key;
-              Option.iter (fun rid -> ignore (Heap.delete db.kv_heap rid)) (owned key h)))
-    ops;
-  let routed = ref [] in
-  let route key entry = routed := (key, Some (encode_entry entry)) :: !routed in
-  Array.iteri
-    (fun x (key, op) ->
-      match op with
-      | Del -> if Bytes.get held x <> '\000' then routed := (key, None) :: !routed
-      | Put payload -> (
-          let h = home key in
+  let held = Bytes.make n '\000' in
+  let gone = Bptree.ascending db.kv_dir in
+  for x = 0 to n - 1 do
+    match ops.(x) with
+    | key, Del when mine x -> (
+        match Bptree.find_ascending gone key rid_of_value with
+        | None -> ()
+        | h -> (
+            Bytes.set held x '\001';
+            on_gone key;
+            match owned key h with Some rid -> ignore (Heap.delete db.kv_heap rid) | None -> ()))
+    | _ -> ()
+  done;
+  let routed = Array.make (n - (skip_to - skip_from)) ("", None) in
+  let r = ref 0 in
+  let route key value =
+    routed.(!r) <- (key, value);
+    incr r
+  in
+  let homes = Bptree.ascending db.kv_dir in
+  for x = 0 to n - 1 do
+    if mine x then
+      match ops.(x) with
+      | key, Del -> if Bytes.get held x <> '\000' then route key None
+      | key, Put payload -> (
+          let h = Bptree.find_ascending homes key rid_of_value in
           if Option.is_none h then on_new key;
           let small = in_leaf key (String.length payload) in
           match owned key h with
           | Some rid when small ->
               ignore (Heap.delete db.kv_heap rid);
-              route key (Inline payload)
+              route key (Some (inline_value payload))
           | Some rid ->
               let rid' = Heap.update db.kv_heap rid (encode_record key payload) in
-              if not (Heap.rid_equal rid rid') then route key (At rid')
-          | None when small -> route key (Inline payload)
-          | None -> route key (At (Heap.insert db.kv_heap (encode_record key payload)))))
-    ops;
-  Bptree.apply_sorted db.kv_dir (Array.of_list (List.rev !routed))
+              if not (Heap.rid_equal rid rid') then route key (Some (rid_value rid'))
+          | None when small -> route key (Some (inline_value payload))
+          | None -> route key (Some (rid_value (Heap.insert db.kv_heap (encode_record key payload)))))
+  done;
+  Bptree.apply_sorted db.kv_dir (if !r = Array.length routed then routed else Array.sub routed 0 !r)
 
 (* [f key value] over the prefix's entries in key order, each value read
    by [read] from the cursor's copy of its leaf; [f] returns false to stop.

@@ -58,11 +58,20 @@ val get : db -> string -> string option
     one heap read more. *)
 
 val apply_sorted :
-  db -> (string * op) array -> on_new:(string -> unit) -> on_gone:(string -> unit) -> unit
-(** [apply_sorted db ops ~on_new ~on_gone] is the store's one committed
-    write: [(key, Put payload)] writes the record, [(key, Del)] drops the
-    key's entry; keys are distinct and ascending. It looks each key up in
-    the directory once. [on_gone key] runs for each deleted key the
+  db ->
+  (string * op) array ->
+  skip:int * int ->
+  on_new:(string -> unit) ->
+  on_gone:(string -> unit) ->
+  unit
+(** [apply_sorted db ops ~skip:(i, j) ~on_new ~on_gone] is the store's
+    one committed write: [(key, Put payload)] writes the record, [(key,
+    Del)] drops the key's entry; keys are distinct and ascending, and
+    [ops.(i)] to [ops.(j-1)] are left out (a write set's index entries,
+    which sort together and go to the index tree). It finds each key's
+    directory entry with one {!Ode_index.Bptree.find_ascending} pass for
+    the deletes and one for the puts, a descent per leaf the keys fall
+    in. [on_gone key] runs for each deleted key the
     directory held, [on_new key] for each written key it did not. The
     deleted keys' heap records are freed first, in key order, each only
     if its key owns it; then the written records are placed in key order.

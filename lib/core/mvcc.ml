@@ -122,31 +122,27 @@ let keys_matching t pred =
 
 (* -- commit --------------------------------------------------------------- *)
 
-let conflict t ~read_ts keys =
-  if empty t then None
-  else
-    List.find_opt
-      (fun k ->
-        match Hashtbl.find_opt t.chains k with
-        | Some ({ v_ts; _ } :: _) -> v_ts > read_ts
-        | _ -> false)
-      keys
+let conflict t ~read_ts key =
+  (not (empty t))
+  && match Hashtbl.find_opt t.chains key with Some ({ v_ts; _ } :: _) -> v_ts > read_ts | _ -> false
 
-let commit t ~ts ~except ~pre writes =
+let commit t ~ts ~except ~pre ~versioned writes =
   if ts > t.floor then t.floor <- ts;
   t.commits_since_gc <- t.commits_since_gc + 1;
   let need = Hashtbl.fold (fun tok _ acc -> acc || tok <> except) t.snaps false in
   if need then
-    List.iter
-      (fun (key, post) ->
-        let v = { v_ts = ts; v_data = post } in
-        match Hashtbl.find_opt t.chains key with
-        | Some chain ->
-            Hashtbl.replace t.chains key (v :: chain);
-            t.entries <- t.entries + 1
-        | None ->
-            Hashtbl.replace t.chains key [ v; { v_ts = 0; v_data = pre key } ];
-            t.entries <- t.entries + 2)
+    Array.iter
+      (fun (key, (op : Ode_storage.Wal.op)) ->
+        if versioned key then begin
+          let v = { v_ts = ts; v_data = (match op with Put s -> Some s | Del -> None) } in
+          match Hashtbl.find_opt t.chains key with
+          | Some chain ->
+              Hashtbl.replace t.chains key (v :: chain);
+              t.entries <- t.entries + 1
+          | None ->
+              Hashtbl.replace t.chains key [ v; { v_ts = 0; v_data = pre key } ];
+              t.entries <- t.entries + 2
+        end)
       writes;
   maybe_gc t
 

@@ -76,18 +76,25 @@ val keys_matching : t -> (string -> bool) -> string list
 
 (** {1 Commit} *)
 
-val conflict : t -> read_ts:int -> string list -> string option
-(** First-committer-wins check: the first of [keys] whose chain head is
-    newer than [read_ts], if any. Run before logging the commit. *)
+val conflict : t -> read_ts:int -> string -> bool
+(** First-committer-wins check: whether [key]'s chain head is newer than
+    [read_ts]. Run for each key of a commit before logging it. *)
 
 val commit :
-  t -> ts:int -> except:int -> pre:(string -> string option) -> (string * string option) list -> unit
-(** Record one committed transaction's (key, new value) pairs at commit
-    timestamp [ts] ({e before} the writes are applied to the store).
-    [pre key] must return the key's current committed value — it seeds a
-    new chain's base entry. [except] is the committer's own snapshot
-    token: chains are recorded only if any {e other} snapshot is live.
-    Also advances the commit floor and may trigger incremental GC. *)
+  t ->
+  ts:int ->
+  except:int ->
+  pre:(string -> string option) ->
+  versioned:(string -> bool) ->
+  (string * Ode_storage.Wal.op) array ->
+  unit
+(** Record one committed transaction's writes of [versioned] keys at
+    commit timestamp [ts] ({e before} the writes are applied to the
+    store). [pre key] must return the key's current committed value — it
+    seeds a new chain's base entry. [except] is the committer's own
+    snapshot token: chains are recorded only if any {e other} snapshot is
+    live, and otherwise the writes are not read at all. Also advances the
+    commit floor and may trigger incremental GC. *)
 
 (** {1 Garbage collection and gauges} *)
 

@@ -37,13 +37,24 @@ type header = Types.header = { hcurrent : int; hversions : int list }
 
 let unversioned = { hcurrent = 0; hversions = [ 0 ] }
 
-let put_header b h =
+(* Records are built once, at their final size: each part's [_size]
+   first, then its [set_] writes it at a position and returns the one
+   past it. *)
+
+let header_size = function
+  | { hcurrent = 0; hversions = [ 0 ] } -> 1
+  | h ->
+      List.fold_left
+        (fun n v -> n + Codec.varint_size v)
+        (Codec.varint_size (List.length h.hversions + 1) + Codec.varint_size h.hcurrent)
+        h.hversions
+
+let set_header b pos h =
   match h with
-  | { hcurrent = 0; hversions = [ 0 ] } -> Codec.put_u8 b 0
+  | { hcurrent = 0; hversions = [ 0 ] } -> Codec.set_varint b pos 0
   | _ ->
-      Codec.put_varint b (List.length h.hversions + 1);
-      Codec.put_varint b h.hcurrent;
-      List.iter (Codec.put_varint b) h.hversions
+      let pos = Codec.set_varint b pos (List.length h.hversions + 1) in
+      List.fold_left (Codec.set_varint b) (Codec.set_varint b pos h.hcurrent) h.hversions
 
 let read_header c =
   match Codec.get_varint c with
@@ -54,35 +65,60 @@ let read_header c =
       if n > Codec.remaining c then raise (Codec.Corrupt "object record: version count past the end");
       { hcurrent; hversions = List.init n (fun _ -> Codec.get_varint c) }
 
-let put_oid b (o : Oid.t) =
-  Codec.put_varint b o.cls;
-  Codec.put_varint b o.num
+let oid_size (o : Oid.t) = Codec.varint_size o.cls + Codec.varint_size o.num
+let set_oid b pos (o : Oid.t) = Codec.set_varint b (Codec.set_varint b pos o.cls) o.num
 
-let rec put_slot b (t : Otype.t) (v : Value.t) =
+let bad_slot t v =
+  invalid_arg (Format.asprintf "Store.put_slot: %a is not a %s" Value.pp v (Otype.to_string t))
+
+let rec slot_size (t : Otype.t) (v : Value.t) =
   match (t, v) with
-  | TInt, Int n -> Codec.put_svarint b n
-  | TBool, Bool x -> Codec.put_bool b x
-  | TString, Str s ->
-      Codec.put_varint b (String.length s);
-      Buffer.add_string b s
-  | TFloat, Float f ->
-      Codec.put_u8 b 0;
-      Codec.put_float b f
-  | TFloat, Int n ->
-      Codec.put_u8 b 1;
-      Codec.put_svarint b n
-  | TRef _, Null -> Codec.put_u8 b 0
-  | TRef _, Ref o ->
-      Codec.put_u8 b 1;
-      put_oid b o
-  | TRef _, Vref vr ->
-      Codec.put_u8 b 2;
-      put_oid b vr.oid;
-      Codec.put_varint b vr.ver
+  | TInt, Int n -> Codec.svarint_size n
+  | TBool, Bool _ -> 1
+  | TString, Str s -> Codec.varint_size (String.length s) + String.length s
+  | TFloat, Float _ -> 9
+  | TFloat, Int n -> 1 + Codec.svarint_size n
+  | TRef _, Null -> 1
+  | TRef _, Ref o -> 1 + oid_size o
+  | TRef _, Vref vr -> 1 + oid_size vr.oid + Codec.varint_size vr.ver
   | TSet t, VSet vs | TList t, VList vs ->
-      Codec.put_varint b (List.length vs);
-      List.iter (put_slot b t) vs
-  | _ -> invalid_arg (Format.asprintf "Store.put_slot: %a is not a %s" Value.pp v (Otype.to_string t))
+      List.fold_left (fun n v -> n + slot_size t v) (Codec.varint_size (List.length vs)) vs
+  | _ -> bad_slot t v
+
+let rec set_slot b pos (t : Otype.t) (v : Value.t) =
+  match (t, v) with
+  | TInt, Int n -> Codec.set_svarint b pos n
+  | TBool, Bool x ->
+      Bytes.set b pos (if x then '\001' else '\000');
+      pos + 1
+  | TString, Str s ->
+      let pos = Codec.set_varint b pos (String.length s) in
+      Bytes.blit_string s 0 b pos (String.length s);
+      pos + String.length s
+  | TFloat, Float f ->
+      Bytes.set b pos '\000';
+      Bytes.set_int64_le b (pos + 1) (Int64.bits_of_float f);
+      pos + 9
+  | TFloat, Int n ->
+      Bytes.set b pos '\001';
+      Codec.set_svarint b (pos + 1) n
+  | TRef _, Null ->
+      Bytes.set b pos '\000';
+      pos + 1
+  | TRef _, Ref o ->
+      Bytes.set b pos '\001';
+      set_oid b (pos + 1) o
+  | TRef _, Vref vr ->
+      Bytes.set b pos '\002';
+      Codec.set_varint b (set_oid b (pos + 1) vr.oid) vr.ver
+  | TSet t, VSet vs | TList t, VList vs ->
+      List.fold_left (fun pos v -> set_slot b pos t v) (Codec.set_varint b pos (List.length vs)) vs
+  | _ -> bad_slot t v
+
+let put_slot buf t v =
+  let b = Bytes.create (slot_size t v) in
+  ignore (set_slot b 0 t v);
+  Buffer.add_bytes buf b
 
 let get_oid c : Oid.t =
   let cls = Codec.get_varint c in
@@ -123,28 +159,32 @@ let layout db (oid : Oid.t) =
   | Some l -> l
   | None -> raise (Codec.Corrupt (Format.asprintf "object %a: unknown class id %d" Oid.pp oid oid.cls))
 
-let put_slots b (l : Catalog.layout) slots =
-  if Array.length slots <> Array.length l.fields then
-    invalid_arg
-      (Printf.sprintf "Store: %d slots for a layout of %d fields" (Array.length slots)
-         (Array.length l.fields));
-  Array.iteri (fun i v -> put_slot b l.fields.(i).Schema.ftype v) slots
-
 let read_slots c (l : Catalog.layout) =
   let slots = Array.map (fun (f : Schema.field) -> get_slot c f.ftype) l.fields in
   if not (Codec.at_end c) then raise (Codec.Corrupt "object record: trailing bytes");
   slots
 
-let encode_object db oid h slots =
-  let b = Buffer.create 32 in
-  put_header b h;
-  put_slots b (layout db oid) slots;
-  Buffer.contents b
+(* The record of [slots] in layout [l], behind the header [h] when
+   [head], in one string of its final size. *)
+let encode_record (l : Catalog.layout) ~head h slots =
+  let fields = l.fields in
+  if Array.length slots <> Array.length fields then
+    invalid_arg
+      (Printf.sprintf "Store: %d slots for a layout of %d fields" (Array.length slots) (Array.length fields));
+  let size = ref (if head then header_size h else 0) in
+  for i = 0 to Array.length slots - 1 do
+    size := !size + slot_size fields.(i).Schema.ftype slots.(i)
+  done;
+  let b = Bytes.create !size in
+  let pos = ref (if head then set_header b 0 h else 0) in
+  for i = 0 to Array.length slots - 1 do
+    pos := set_slot b !pos fields.(i).Schema.ftype slots.(i)
+  done;
+  assert (!pos = !size);
+  Bytes.unsafe_to_string b
 
-let encode_version db oid slots =
-  let b = Buffer.create 32 in
-  put_slots b (layout db oid) slots;
-  Buffer.contents b
+let encode_object db oid h slots = encode_record (layout db oid) ~head:true h slots
+let encode_version db oid slots = encode_record (layout db oid) ~head:false unversioned slots
 
 let decode_header s = read_header (Codec.cursor s)
 
@@ -189,19 +229,17 @@ let view db txn key =
 
 let read db txn key = match view db txn key with Here v -> v | Committed -> Kv.get db key
 
-(* The two overlay choke points: every mutation in this module funnels
-   through them. A detached read txn is rejected before the overlay — or
+(* The overlay choke point: every mutation in this module funnels
+   through it. A detached read txn is rejected before the overlay — or
    any shared structure — is touched, so the server can replay the request
    in a write transaction. *)
-let write txn key payload =
+let set_op txn key op =
   if txn.tro then raise Read_only_txn;
   txn.wcount <- txn.wcount + 1;
-  Hashtbl.replace txn.writes key (Put payload)
+  Hashtbl.replace txn.writes key op
 
-let remove txn key =
-  if txn.tro then raise Read_only_txn;
-  txn.wcount <- txn.wcount + 1;
-  Hashtbl.replace txn.writes key Del
+let write txn key payload = set_op txn key (Put payload)
+let remove txn key = set_op txn key Del
 
 (* -- object reads -------------------------------------------------------------- *)
 
@@ -353,15 +391,6 @@ let get_field_v db txn (vr : Oid.vref) fname =
 
 (* -- index plumbing --------------------------------------------------------------- *)
 
-let applicable_indexes db (cls : Schema.cls) =
-  let ancestors = List.map (fun (a : Schema.cls) -> a.Schema.name) (Catalog.lineage db.catalog cls) in
-  let rec go i = function
-    | [] -> []
-    | (icls, field) :: rest ->
-        if List.mem icls ancestors then (i, field) :: go (i + 1) rest else go (i + 1) rest
-  in
-  go 0 (Catalog.indexes db.catalog)
-
 let index_ids db ~cls ~field =
   let rec go i = function
     | [] -> None
@@ -369,24 +398,28 @@ let index_ids db ~cls ~field =
   in
   go 0 (Catalog.indexes db.catalog)
 
-(* Indexed fields exist in every class the index applies to. *)
-let slot_exn l fname =
-  match Catalog.slot l fname with Some i -> i | None -> type_error "no field %s" fname
+(* An index entry's value: present, with nothing to say. One op serves
+   every entry a transaction puts. *)
+let present = Put ""
 
-let index_put txn ~idx_id ~value ~oid =
-  write txn (Keys.index_entry ~idx_id ~valkey:(Value.index_key value) ~oid) ""
+let index_put txn ~idx_id ~value ~oid = set_op txn (Keys.index_of_value ~idx_id ~value ~oid) present
 
-let index_del txn ~idx_id ~value ~oid =
-  remove txn (Keys.index_entry ~idx_id ~valkey:(Value.index_key value) ~oid)
+let index_del txn ~idx_id ~value ~oid = remove txn (Keys.index_of_value ~idx_id ~value ~oid)
 
 (* -- conformance -------------------------------------------------------------------- *)
 
-let next_num db cls_id = Option.value (Hashtbl.find_opt db.meta.next_nums cls_id) ~default:0
+let next_num db cls_id = match Hashtbl.find db.meta.next_nums cls_id with n -> n | exception Not_found -> 0
 
-let conforms db (field : Schema.field) v =
-  let class_of oid = Option.map (fun (c : Schema.cls) -> c.Schema.name) (class_of db oid) in
-  let subclass ~sub ~super = Catalog.is_subclass db.catalog ~sub ~super in
-  Otype.conforms ~subclass field.ftype v ~class_of
+(* A scalar slot is checked by its type and constructor alone; only a
+   reference, a set or a list asks the catalog. *)
+let conforms db (field : Schema.field) (v : Value.t) =
+  match (field.ftype, v) with
+  | TInt, Int _ | TFloat, (Float _ | Int _) | TBool, Bool _ | TString, Str _ | TRef _, Null -> true
+  | (TInt | TFloat | TBool | TString), _ -> false
+  | t, _ ->
+      let class_of oid = Option.map (fun (c : Schema.cls) -> c.Schema.name) (class_of db oid) in
+      let subclass ~sub ~super = Catalog.is_subclass db.catalog ~sub ~super in
+      Otype.conforms ~subclass t v ~class_of
 
 let check_conform db cls_name (field : Schema.field) v =
   if not (conforms db field v) then
@@ -397,6 +430,40 @@ let check_conform db cls_name (field : Schema.field) v =
 
 let touch txn oid = Hashtbl.replace txn.touched oid ()
 
+(* Stands for a slot [create] was given no value for. It is compared by
+   address, and allocated when the module starts rather than kept as a
+   constant the compiler could share, so no value a caller passes is
+   ever taken for it. *)
+let unset : Value.t = VList (Sys.opaque_identity [ Value.Null ])
+
+(* Each of [inits] into its slot of [slots], the first value given for a
+   field winning. *)
+let rec give (cls : Schema.cls) (l : Catalog.layout) slots = function
+  | [] -> ()
+  | (name, v) :: rest ->
+      (match Hashtbl.find l.slots name with
+      | i -> if slots.(i) == unset then slots.(i) <- v
+      | exception Not_found -> type_error "class %s has no field %s" cls.Schema.name name);
+      give cls l slots rest
+
+(* A slot no init gave: the member initializer if declared, else the
+   type's zero. Initializers are closed expressions (enforced at class
+   definition time), so the detached evaluator suffices. *)
+let default_slot (cls : Schema.cls) (f : Schema.field) =
+  match f.fdefault with
+  | Some e -> (
+      match Ode_model.Eval.eval Ode_model.Eval.null_hooks ~vars:[] ~this:None e with
+      | v -> v
+      | exception Ode_model.Eval.Error msg ->
+          type_error "class %s: default for %s failed: %s" cls.Schema.name f.fname msg)
+  | None -> Otype.default_value f.ftype
+
+let rec put_indexes txn slots oid = function
+  | [] -> ()
+  | (idx_id, _, i) :: rest ->
+      index_put txn ~idx_id ~value:slots.(i) ~oid;
+      put_indexes txn slots oid rest
+
 let create txn (cls : Schema.cls) inits =
   let db = txn.tdb in
   (* Guard before the oid counter bump: [create] mutates shared meta state
@@ -406,45 +473,19 @@ let create txn (cls : Schema.cls) inits =
     Ode_util.Ode_error.user "no cluster exists for class %s (use: create cluster %s;)" cls.Schema.name
       cls.Schema.name;
   let l = Catalog.layout db.catalog cls in
-  let given = Array.make (Array.length l.fields) None in
-  List.iter
-    (fun (n, v) ->
-      match Catalog.slot l n with
-      | Some i -> if Option.is_none given.(i) then given.(i) <- Some v
-      | None -> type_error "class %s has no field %s" cls.Schema.name n)
-    inits;
-  let slots =
-    Array.mapi
-      (fun i (f : Schema.field) ->
-        let v =
-          match given.(i) with
-          | Some v -> v
-          | None -> (
-              (* Member initializer if declared, else the type's zero.
-                 Initializers are closed expressions (enforced at class
-                 definition time), so the detached evaluator suffices. *)
-              match f.fdefault with
-              | Some e -> (
-                  match
-                    Ode_model.Eval.eval Ode_model.Eval.null_hooks ~vars:[] ~this:None e
-                  with
-                  | v -> v
-                  | exception Ode_model.Eval.Error msg ->
-                      type_error "class %s: default for %s failed: %s" cls.Schema.name f.fname msg)
-              | None -> Otype.default_value f.ftype)
-        in
-        check_conform db cls.Schema.name f v;
-        v)
-      l.fields
-  in
+  let slots = Array.make (Array.length l.fields) unset in
+  give cls l slots inits;
+  for i = 0 to Array.length slots - 1 do
+    let f = l.fields.(i) in
+    if slots.(i) == unset then slots.(i) <- default_slot cls f;
+    check_conform db cls.Schema.name f slots.(i)
+  done;
   let num = next_num db cls.Schema.id in
   Hashtbl.replace db.meta.next_nums cls.Schema.id (num + 1);
   txn.meta_dirty <- true;
   let oid : Oid.t = { cls = cls.Schema.id; num } in
-  write txn (Keys.header oid) (encode_object db oid unversioned slots);
-  List.iter
-    (fun (idx_id, fname) -> index_put txn ~idx_id ~value:slots.(slot_exn l fname) ~oid)
-    (applicable_indexes db cls);
+  write txn (Keys.header oid) (encode_record l ~head:true unversioned slots);
+  put_indexes txn slots oid (Catalog.class_indexes db.catalog cls);
   txn.created <- oid :: txn.created;
   touch txn oid;
   oid
@@ -462,16 +503,14 @@ let cls_of_oid db (oid : Oid.t) =
 (* Move the index entries of [oid] from [old_slots]' values to
    [new_slots]' where they differ. *)
 let reindex txn cls oid ~old_slots ~new_slots =
-  let l = Catalog.layout txn.tdb.catalog cls in
   List.iter
-    (fun (idx_id, fname) ->
-      let i = slot_exn l fname in
+    (fun (idx_id, _, i) ->
       let old_v = old_slots.(i) and new_v = new_slots.(i) in
       if not (Value.equal old_v new_v) then begin
         index_del txn ~idx_id ~value:old_v ~oid;
         index_put txn ~idx_id ~value:new_v ~oid
       end)
-    (applicable_indexes txn.tdb cls)
+    (Catalog.class_indexes txn.tdb.catalog cls)
 
 let update_fields txn oid updates =
   let db = txn.tdb in
@@ -499,14 +538,13 @@ let delete_object txn oid =
   let db = txn.tdb in
   let h, cur = require_object db (Some txn) oid in
   let cls = cls_of_oid db oid in
-  let l = Catalog.layout db.catalog cls in
   List.iter
     (fun ver -> if ver <> h.hcurrent then remove txn (Keys.version oid ver))
     h.hversions;
   remove txn (Keys.header oid);
   List.iter
-    (fun (idx_id, fname) -> index_del txn ~idx_id ~value:cur.(slot_exn l fname) ~oid)
-    (applicable_indexes db cls);
+    (fun (idx_id, _, i) -> index_del txn ~idx_id ~value:cur.(i) ~oid)
+    (Catalog.class_indexes db.catalog cls);
   touch txn oid
 
 let new_version txn oid =
@@ -554,25 +592,33 @@ let delete_version txn (vr : Oid.vref) =
 
 (* One transaction's write set, in key order, as one batch per tree:
    index entries go to the index tree, everything else to the KV, puts and
-   deletes alike. The stats hook rides this single apply path, so commit
-   apply, recovery replay and standby apply all maintain the same
-   cardinality counters; a replayed/replicated analyze snapshot installs
-   itself the same way. *)
+   deletes alike. The index entries sort together ('I' keys, between the
+   objects and the roots), so the KV is told which run to leave out, and
+   only the index tree's batch is built: each entry loses its routing
+   tag. The stats hook rides this single apply path, so commit apply,
+   recovery replay and standby apply all maintain the same cardinality
+   counters; a replayed/replicated analyze snapshot installs itself the
+   same way. *)
+let index_present = Some ""
+
 let apply_writes db ops =
-  let index_ops = ref [] and kv_ops = ref [] in
-  List.iter
-    (fun ((key, op) as write) ->
-      if Keys.is_index_key key then
-        let present = match op with Put _ -> Some "" | Del -> None in
-        index_ops := (Keys.index_tree_key key, present) :: !index_ops
-      else begin
-        (match op with Put payload when key = Keys.stats -> Ostats.install db payload | _ -> ());
-        kv_ops := write :: !kv_ops
-      end)
-    ops;
-  Bptree.apply_sorted db.idx (Array.of_list (List.rev !index_ops));
-  Kv.apply_sorted db
-    (Array.of_list (List.rev !kv_ops))
+  Array.iter (function key, Put payload when key = Keys.stats -> Ostats.install db payload | _ -> ()) ops;
+  let n = Array.length ops in
+  let first = ref 0 in
+  while !first < n && not (Keys.is_index_key (fst ops.(!first))) do
+    incr first
+  done;
+  let past = ref !first in
+  while !past < n && Keys.is_index_key (fst ops.(!past)) do
+    incr past
+  done;
+  let first = !first and past = !past in
+  Bptree.apply_sorted db.idx
+    (Array.init (past - first) (fun j ->
+         match ops.(first + j) with
+         | key, Put _ -> (Keys.index_tree_key key, index_present)
+         | key, Del -> (Keys.index_tree_key key, None)));
+  Kv.apply_sorted db ops ~skip:(first, past)
     ~on_new:(fun key -> if Keys.is_header_key key then Ostats.note_create db key)
     ~on_gone:(fun key -> if Keys.is_header_key key then Ostats.note_delete db key)
 

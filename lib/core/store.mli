@@ -36,8 +36,9 @@ val encode_object : db -> Ode_model.Oid.t -> header -> Ode_model.Value.t array -
 (** The 'H' record of [oid]: the header, one byte (0) for an object never
     versioned, else [varint (count + 1)], [varint hcurrent] and a [varint]
     per version (newest first); then one {!put_slot} per slot of the
-    class's layout. Raises [Invalid_argument] when the slot count is not
-    the layout's or a slot does not hold its field's type. *)
+    class's layout, all written into one string of the record's size.
+    Raises [Invalid_argument] when the slot count is not the layout's or
+    a slot does not hold its field's type. *)
 
 val encode_version : db -> Ode_model.Oid.t -> Ode_model.Value.t array -> string
 (** A 'V' record: the slots alone. *)
@@ -181,18 +182,19 @@ val delete_version : txn -> Ode_model.Oid.vref -> unit
 
 (** {1 Index plumbing} *)
 
-val applicable_indexes : db -> Ode_model.Schema.cls -> (int * string) list
-(** (index id, field name) pairs whose declaring class is an ancestor. *)
-
 val index_ids : db -> cls:string -> field:string -> int option
+
+val index_put : txn -> idx_id:int -> value:Ode_model.Value.t -> oid:Ode_model.Oid.t -> unit
+(** Enter [oid] under [value] in index [idx_id], in the overlay. *)
 
 (** {1 Commit/recovery} *)
 
-val apply_writes : db -> (string * op) list -> unit
+val apply_writes : db -> (string * op) array -> unit
 (** Apply one committed transaction's write set, each key at most once and
     in key order (as a commit sorts it and its WAL frame keeps it), to the
     committed structures: index entries to the index tree, the rest to the
-    KV, puts and deletes as one sorted batch per tree. Idempotent. *)
+    KV, puts and deletes as one sorted batch per tree. The array is read in
+    place: only the index tree's batch is built from it. Idempotent. *)
 
 val committed_image : db -> string -> string option
 (** The key's current committed value (index entries: [Some ""] when the

@@ -160,12 +160,28 @@ let describe_key key =
    the version chains first, for every live snapshot but [except], while
    the KV still holds them; then the writes land. *)
 let apply_commit db ~ts ~except writes =
-  Mvcc.commit db.mvcc ~ts ~except ~pre:(Store.committed_image db)
-    (List.filter_map
-       (fun (key, op) ->
-         if versioned key then Some (key, match op with Put s -> Some s | Del -> None) else None)
-       writes);
+  Mvcc.commit db.mvcc ~ts ~except ~pre:(Store.committed_image db) ~versioned writes;
   Store.apply_writes db writes
+
+(* The write set in key order, as one array: the commit sorts it once,
+   and its WAL frame, MVCC and both trees' batches all read it. *)
+let sorted_writes txn =
+  let writes = Array.make (Hashtbl.length txn.writes) ("", Del) in
+  let x = ref 0 in
+  Hashtbl.iter
+    (fun key op ->
+      writes.(!x) <- (key, op);
+      incr x)
+    txn.writes;
+  Ode_util.Key.sort_by fst writes
+
+(* The first key whose chain was committed past the snapshot: a key a
+   constraint or trigger condition read, then a versioned key written. *)
+let first_conflict db ~read_ts reads writes =
+  let past key = Mvcc.conflict db.mvcc ~read_ts key in
+  match Hashtbl.fold (fun key () found -> match found with None when past key -> Some key | _ -> found) reads None with
+  | Some _ as found -> found
+  | None -> Option.map fst (Array.find_opt (fun (key, _) -> versioned key && past key) writes)
 
 (* The commit body, split into prepare and ack phases. Prepare runs the
    integrity checks, evaluates trigger conditions, detects conflicts
@@ -207,11 +223,7 @@ let commit_slot ~durable txn =
     Hashtbl.replace txn.writes Keys.catalog (Put (Ode_model.Catalog.encode db.catalog));
   if txn.meta_dirty then Hashtbl.replace txn.writes Keys.meta (Put (encode_meta db.meta));
   if Hashtbl.length txn.writes > 0 then begin
-    let writes =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun key op acc -> (key, op) :: acc) txn.writes [])
-    in
+    let writes = sorted_writes txn in
     (* 4. First-committer-wins: if any key this transaction wrote, or any
           key a constraint or trigger condition read (which makes those
           serializable), was committed past its snapshot, abort with a
@@ -219,13 +231,7 @@ let commit_slot ~durable txn =
           snapshot is still registered, so the GC horizon cannot have
           reclaimed a chain the check needs (any conflicting head is newer
           than our read_ts, which bounds the horizon). *)
-    let keys =
-      Hashtbl.fold
-        (fun key () acc -> key :: acc)
-        reads
-        (List.filter_map (fun (key, _) -> if versioned key then Some key else None) writes)
-    in
-    (match Mvcc.conflict db.mvcc ~read_ts:txn.read_ts keys with
+    (match first_conflict db ~read_ts:txn.read_ts reads writes with
     | Some key ->
         abort txn;
         Ode_util.Stats.incr c_txn_conflicts;

@@ -55,7 +55,7 @@ val pending_commits : db -> int
 
 val abort : txn -> unit
 
-val apply_commit : db -> ts:int -> except:int -> (string * op) list -> unit
+val apply_commit : db -> ts:int -> except:int -> (string * op) array -> unit
 (** [apply_commit db ~ts ~except writes] applies one committed frame's
     key-sorted write set, as {!commit} does on the primary and a standby
     does with each frame it is shipped: the pre-images of the keys with

@@ -89,24 +89,7 @@ let run db =
   let classes =
     1 + List.fold_left (fun m (c : Schema.cls) -> max m c.id) (-1) (Catalog.all db.catalog)
   in
-  (* Per class id, the applicable indexes as (index id, field, slot). *)
-  let class_indexes = Array.make classes None in
-  let indexes_of (cls : Schema.cls) =
-    match class_indexes.(cls.id) with
-    | Some l -> l
-    | None ->
-        let l =
-          match Catalog.layout_of_id db.catalog cls.id with
-          | None -> []
-          | Some layout ->
-              List.filter_map
-                (fun (idx_id, field) ->
-                  Option.map (fun i -> (idx_id, field, i)) (Catalog.slot layout field))
-                (Store.applicable_indexes db cls)
-        in
-        class_indexes.(cls.id) <- Some l;
-        l
-  in
+  let indexes_of cls = Catalog.class_indexes db.catalog cls in
   (* Who is alive: a bit per object number below the class's next one,
      set once its record decodes. A number at or past that (only a
      damaged key names one) goes on [strays] rather than growing the
@@ -251,8 +234,7 @@ let run db =
     each_object (fun oid _ slots ->
         List.iter
           (fun (idx_id, field, i) ->
-            let valkey = Value.index_key slots.(i) in
-            let key = Keys.index_tree_key (Keys.index_entry ~idx_id ~valkey ~oid) in
+            let key = Keys.index_tree_key (Keys.index_of_value ~idx_id ~value:slots.(i) ~oid) in
             if not (Bptree.mem db.idx key) then
               bad "index %d: missing entry for %a (%s = %a)" idx_id Oid.pp oid field Value.pp
                 slots.(i))

@@ -31,7 +31,13 @@ let marks_size = 1024
    pinned frame in place, and every write edits it. [marks] live in
    memory alone, so the page bytes do not depend on them, and a tree
    attached afresh starts without any. *)
-type t = { pool : Pool.t; mutable root : int; mutable count : int; marks : mark array }
+type t = {
+  pool : Pool.t;
+  mutable root : int;
+  mutable count : int;
+  marks : mark array;
+  mutable writes : int; (* batches applied, so an ascending lookup knows its leaf is stale *)
+}
 
 (* -- node layout (ODEBPT03) ---------------------------------------------------
    A node page is a slotted page. Its header:
@@ -363,10 +369,25 @@ let common_length a b = common_from a b 0 (min (String.length a) (String.length 
 let fence_prefix lo hi =
   match (lo, hi) with Some a, Some b -> String.sub a 0 (common_length a b) | _ -> ""
 
-(* An entry of a node being rewritten: one already in a source image, at
-   its offset there, or a new leaf entry or separator, whose whole key it
-   carries. *)
-type item = Old of B.t * int | Entry of string * string | Sep of string * int
+(* The entries of a node being rewritten, in key order, each named by an
+   int of [codes], so that naming them builds no block: [2 * off] is the
+   entry at offset [off] of the source image [src], [2 * off + 1] the one
+   at [off] of [src2] (a left neighbour taken in), and [-(j + 1)] new
+   entry [j], of a leaf the put [ops.(j)], of an internal node the
+   separator [seps.(j)] and the child right of it. *)
+type items = {
+  src : B.t;
+  src2 : B.t;
+  ops : (string * string option) array;
+  seps : (string * int) array;
+  codes : int array;
+}
+
+let no_items = { src = B.empty; src2 = B.empty; ops = [||]; seps = [||]; codes = [||] }
+let image it c = if c land 1 = 0 then it.src else it.src2
+
+(* New leaf entry [j]'s key and value. *)
+let put_of it j = match it.ops.(j) with k, Some v -> (k, v) | _, None -> invalid_arg "Bptree: a delete as an item"
 
 (* The size of an entry or separator for key [k] in a node whose prefix is
    [pl] bytes long, which [k] starts with. *)
@@ -384,19 +405,22 @@ let old_size ~leaf src off = if leaf then leaf_size src off node_end else intern
    [pl]-byte prefix it takes [pl] bytes less, or a byte or more less still
    where its length field shrinks, so [pl] plus the items' whole sizes
    less [pl] each bound the bytes of a node. *)
-let whole_size ~leaf = function
-  | Old (src, off) ->
-      let klen = len_at src off node_end in
-      let full = klen + plen src in
-      2 + old_size ~leaf src off - vsize klen - klen + vsize full + full
-  | Entry (k, v) -> 2 + entry_size 0 k v
-  | Sep (k, _) -> 2 + sep_size 0 k
+let whole_size ~leaf it c =
+  if c >= 0 then begin
+    let src = image it c and off = c lsr 1 in
+    let klen = len_at src off node_end in
+    let full = klen + plen src in
+    2 + old_size ~leaf src off - vsize klen - klen + vsize full + full
+  end
+  else if leaf then
+    let k, v = put_of it (-c - 1) in
+    2 + entry_size 0 k v
+  else 2 + sep_size 0 (fst it.seps.(-c - 1))
 
-let item_key = function Old (src, off) -> node_key src off | Entry (k, _) | Sep (k, _) -> k
-let item_child = function
-  | Old (src, off) -> child_of src off node_end
-  | Sep (_, c) -> c
-  | Entry _ -> assert false
+let item_key ~leaf it c =
+  if c >= 0 then node_key (image it c) (c lsr 1) else if leaf then fst it.ops.(-c - 1) else fst it.seps.(-c - 1)
+
+let item_child it c = if c >= 0 then child_of (image it c) (c lsr 1) node_end else snd it.seps.(-c - 1)
 
 (* Write the suffix of [k] past a [pl]-byte prefix, with its length, at
    [off]; returns the offset past it. *)
@@ -412,20 +436,21 @@ let put_entry b off pl k v =
 
 let put_sep b off pl k child = set_u32 b (put_suffix b off pl k) child
 
-(* Write [items.(a) .. items.(z-1)] as the whole node at [page], whose key
+(* Write items [a .. z-1] of [it] as the whole node at [page], whose key
    prefix is [prefix]: each entry below the one before it, then the
-   prefix, the slots, the header and a zeroed gap. An [Old] item's key
+   prefix, the slots, the header and a zeroed gap. A source entry's key
    loses the bytes by which [prefix] is longer than its source node's, or
    gains those by which it is shorter, from the source's prefix. *)
-let fill t page ~leaf ~link ~prefix items a z =
+let fill t page ~leaf ~link ~prefix it a z =
   if leaf then Ode_util.Stats.incr c_leaf_writes;
   let pl = String.length prefix in
   Pool.with_page t.pool page (fun f ->
       let b = Pool.data f in
       let e = ref (node_end - pl) in
       for x = a to z - 1 do
-        (match items.(x) with
-        | Old (src, off) ->
+        let c = it.codes.(x) in
+        (if c >= 0 then begin
+            let src = image it c and off = c lsr 1 in
             let size = old_size ~leaf src off and spl = plen src in
             if pl = spl then begin
               e := !e - size;
@@ -446,12 +471,17 @@ let fill t page ~leaf ~link ~prefix items a z =
               else B.blit src (off + vsize klen + pl - spl) b p kl;
               B.blit src rest b (p + kl) rlen
             end
-        | Entry (k, v) ->
+          end
+          else if leaf then begin
+            let k, v = put_of it (-c - 1) in
             e := !e - entry_size pl k v;
             put_entry b !e pl k v
-        | Sep (k, c) ->
+          end
+          else begin
+            let k, child = it.seps.(-c - 1) in
             e := !e - sep_size pl k;
-            put_sep b !e pl k c);
+            put_sep b !e pl k child
+          end);
         set_slot b (x - a) !e
       done;
       let gap = slots_off + (2 * (z - a)) in
@@ -542,16 +572,16 @@ let fill_cuts ~fits ~brk m =
    holds item [e - 1], never in them. Items [e, m), the leaf's entries
    past the append, join that piece when they fit there and otherwise
    take one piece of their own. *)
-let write_items ?append t homes ~leaf ~link ~lo ~hi items =
-  let m = Array.length items in
+let write_items ?append t homes ~leaf ~link ~lo ~hi it =
+  let m = Array.length it.codes in
   let usum = Array.make (m + 1) 0 in
   for x = 0 to m - 1 do
-    usum.(x + 1) <- usum.(x) + whole_size ~leaf items.(x)
+    usum.(x + 1) <- usum.(x) + whole_size ~leaf it it.codes.(x)
   done;
   let bytes pl a z = pl + usum.(z) - usum.(a) - ((z - a) * pl) in
   let prefix = fence_prefix lo hi in
   if List.length homes = 1 && bytes (String.length prefix) 0 m <= node_end - slots_off then begin
-    fill t (List.hd homes) ~leaf ~link ~prefix items 0 m;
+    fill t (List.hd homes) ~leaf ~link ~prefix it 0 m;
     []
   end
   else begin
@@ -561,7 +591,7 @@ let write_items ?append t homes ~leaf ~link ~lo ~hi items =
     let keys = Array.make m "" and skip = if leaf then 0 else 1 in
     (* Built when first asked for: keys are never empty. *)
     let key x =
-      if String.length keys.(x) = 0 then keys.(x) <- item_key items.(x);
+      if String.length keys.(x) = 0 then keys.(x) <- item_key ~leaf it it.codes.(x);
       keys.(x)
     in
     let prefix_length a z =
@@ -617,11 +647,11 @@ let write_items ?append t homes ~leaf ~link ~lo ~hi items =
       let link =
         if leaf then if j = p - 1 then link else pages.(j + 1)
         else if j = 0 then link
-        else item_child items.(c.(j - 1))
+        else item_child it it.codes.(c.(j - 1))
       in
       let lo = if j = 0 then lo else Some (key c.(j - 1))
       and hi = if j = p - 1 then hi else Some (key c.(j)) in
-      fill t pages.(j) ~leaf ~link ~prefix:(fence_prefix lo hi) items (first j) (stop j)
+      fill t pages.(j) ~leaf ~link ~prefix:(fence_prefix lo hi) it (first j) (stop j)
     done;
     List.init (p - 1) (fun j -> (key c.(j), pages.(j + 1)))
   end
@@ -665,12 +695,11 @@ let remove_at b p =
 
 (* -- public: lookup ----------------------------------------------------------- *)
 
-(* Written out rather than through [with_leaf], whose closure would
-   allocate: a hit allocates only what [read] returns and its option. *)
-let find_with t key read =
-  Ode_util.Stats.incr c_index_probes;
-  Ode_util.Trace.instant ~cat:"index" "bptree.find";
-  let f = pin_leaf t key t.root 0 in
+(* [read] over the value of [key] in the pinned leaf [f], which it
+   unpins. Written out rather than through [with_leaf], whose closure
+   would allocate: a hit allocates only what [read] returns and its
+   option. *)
+let read_leaf t f key read =
   match
     let b = Pool.data f in
     let i = search_node key b 0 in
@@ -687,6 +716,11 @@ let find_with t key read =
       Pool.unpin t.pool f;
       raise e
 
+let find_with t key read =
+  Ode_util.Stats.incr c_index_probes;
+  Ode_util.Trace.instant ~cat:"index" "bptree.find";
+  read_leaf t (pin_leaf t key t.root 0) key read
+
 let find t key = find_with t key B.sub_string
 
 let mem t key = find t key <> None
@@ -702,6 +736,65 @@ type fence = Edge | Sep_of of int * int
 let fence_key t = function
   | Edge -> None
   | Sep_of (page, e) -> Some (with_node t page 0 (fun b -> node_key b (slot b e)))
+
+(* An ascending lookup remembers the leaf its last descent reached, the
+   leaf's upper fence ([shi], [None] on the tree's right edge), the key
+   asked last, and the tree's write count then. A key at or above the
+   last, below the fence, of an unwritten tree, lies in that leaf: it is
+   searched there without a descent. *)
+type ascending = {
+  st : t;
+  mutable spage : int; (* 0: no descent yet *)
+  mutable shi : string option;
+  mutable slast : string;
+  mutable swrites : int;
+}
+
+let ascending t = { st = t; spage = 0; shi = None; slast = ""; swrites = 0 }
+
+(* Pin the leaf whose range holds [key], descending from [page], and
+   return it with its upper fence: the separator right of the child
+   taken at the deepest level that has one. *)
+let rec pin_leaf_fenced t key page depth hi =
+  let f = pin_node t page depth in
+  let b = Pool.data f in
+  if is_leaf b then (f, fence_key t hi)
+  else begin
+    let child, hi =
+      match
+        let ci = child_index key b in
+        (child_at b ci, if ci < count b then Sep_of (page, ci) else hi)
+      with
+      | r ->
+          Pool.unpin t.pool f;
+          r
+      | exception e ->
+          Pool.unpin t.pool f;
+          raise e
+    in
+    pin_leaf_fenced t key child (depth + 1) hi
+  end
+
+let find_ascending a key read =
+  let t = a.st in
+  let f =
+    if
+      a.spage <> 0 && a.swrites = t.writes
+      && String.compare key a.slast >= 0
+      && match a.shi with None -> true | Some h -> String.compare key h < 0
+    then pin_node t a.spage 0
+    else begin
+      Ode_util.Stats.incr c_index_probes;
+      Ode_util.Trace.instant ~cat:"index" "bptree.find";
+      let f, hi = pin_leaf_fenced t key t.root 0 Edge in
+      a.spage <- Pool.page_no f;
+      a.shi <- hi;
+      a.swrites <- t.writes;
+      f
+    end
+  in
+  a.slast <- key;
+  read_leaf t f key read
 
 (* A leaf at most three quarters full, whose entries an append to its
    right neighbour may take in. *)
@@ -769,7 +862,7 @@ let leaf_run t page b ops i stop ~last ~lo ~hi ~left =
      ([fresh], -1 when every key replaces an entry), the insertion point
      of the first ([gap]) and whether all share it. *)
   let need = ref 0 and peak = ref 0 and from = ref 0 in
-  let fresh = ref (-1) and gap = ref 0 and one_gap = ref true in
+  let fresh = ref (-1) and fresh_n = ref 0 and gap = ref 0 and one_gap = ref true in
   puts (fun x k v ->
       let p = search_node k b !from in
       if p >= 0 then begin
@@ -779,6 +872,7 @@ let leaf_run t page b ops i stop ~last ~lo ~hi ~left =
       else begin
         need := !need + 2 + entry_size pl k v;
         from := -(p + 1);
+        incr fresh_n;
         if !fresh < 0 then gap := !from else if !from <> !gap then one_gap := false;
         fresh := x
       end;
@@ -834,34 +928,39 @@ let leaf_run t page b ops i stop ~last ~lo ~hi ~left =
               else None)
       | _ -> None
     in
-    (* Items in reverse, [m] of them, and [e], the count up to and
-       including the run's last new entry. *)
-    let items = ref [] and m = ref 0 and e = ref 0 and a = ref 0 in
-    let push item =
-      items := item :: !items;
+    (* The items in key order: the neighbour's entries, then the leaf's
+       merged with the run's puts, a put replacing the entry of its key;
+       [m] so far, and [e], the count up to and including the run's last
+       new entry. *)
+    let lsrc, ln = match neighbour with Some (_, _, l) -> (l, count l) | None -> (src, 0) in
+    let codes = Array.make (ln + n + !fresh_n) 0 in
+    let m = ref 0 and e = ref 0 and a = ref 0 in
+    let code c =
+      codes.(!m) <- c;
       incr m
     in
-    (match neighbour with
-    | Some (_, _, lsrc) ->
-        for q = 0 to count lsrc - 1 do
-          push (Old (lsrc, slot lsrc q))
-        done
-    | None -> ());
-    let old_upto p =
-      for q = !a to p - 1 do
-        push (Old (src, slot src q))
-      done
-    in
-    puts (fun x k v ->
-        let p = search_node k src !a in
-        let p, past = if p >= 0 then (p, p + 1) else (-(p + 1), -(p + 1)) in
-        old_upto p;
-        push (Entry (k, v));
-        if past = p then t.count <- t.count + 1;
-        if x = !fresh then e := !m;
-        a := past);
-    old_upto n;
-    let items = Array.of_list (List.rev !items) in
+    for q = 0 to ln - 1 do
+      code ((2 * slot lsrc q) + 1)
+    done;
+    for x = i to stop - 1 do
+      match ops.(x) with
+      | k, Some _ ->
+          let p = search_node k src !a in
+          let at = if p >= 0 then p else -(p + 1) in
+          for q = !a to at - 1 do
+            code (2 * slot src q)
+          done;
+          code (-(x + 1));
+          if p < 0 then t.count <- t.count + 1;
+          if x = !fresh then e := !m;
+          a := if p >= 0 then p + 1 else at
+      | _, None -> ()
+    done;
+    for q = !a to n - 1 do
+      code (2 * slot src q)
+    done;
+    assert (!m = Array.length codes);
+    let items = { src; src2 = lsrc; ops; seps = [||]; codes } in
     let homes, lo, merged =
       match neighbour with
       | Some (lpage, llo, _) -> ([ lpage; page ], fence_key t llo, true)
@@ -886,15 +985,16 @@ let insert_ups t page ci ups ~merged ~lo ~hi =
   let src = with_node t page 0 (fun b -> B.sub b 0 node_end) in
   let n = count src in
   let kept = if merged then ci - 1 else ci in
-  let items =
+  let seps = Array.of_list ups in
+  let codes =
     Array.concat
       [
-        Array.init kept (fun q -> Old (src, slot src q));
-        Array.of_list (List.map (fun (k, c) -> Sep (k, c)) ups);
-        Array.init (n - ci) (fun q -> Old (src, slot src (ci + q)));
+        Array.init kept (fun q -> 2 * slot src q);
+        Array.init (Array.length seps) (fun j -> -(j + 1));
+        Array.init (n - ci) (fun q -> 2 * slot src (ci + q));
       ]
   in
-  write_items t [ page ] ~leaf:false ~link:(link src) ~lo ~hi items
+  write_items t [ page ] ~leaf:false ~link:(link src) ~lo ~hi { no_items with src; src2 = src; seps; codes }
 
 (* Apply one leaf run from [ops.(i)] below [page], whose fences are [lo]
    and [hi] (so its keys are all below [hi]), and which is its parent's
@@ -957,8 +1057,9 @@ let rec grow t = function
   | ups ->
       let page = alloc_page t in
       let ups' =
+        let seps = Array.of_list ups in
         write_items t [ page ] ~leaf:false ~link:t.root ~lo:None ~hi:None
-          (Array.of_list (List.map (fun (k, c) -> Sep (k, c)) ups))
+          { no_items with seps; codes = Array.init (Array.length seps) (fun j -> -(j + 1)) }
       in
       t.root <- page;
       grow t ups'
@@ -974,6 +1075,7 @@ let apply_sorted t ops =
       if j > 0 && String.compare (fst ops.(j - 1)) k >= 0 then
         invalid_arg "bptree: apply_sorted keys not strictly ascending")
     ops;
+  t.writes <- t.writes + 1;
   let i = ref 0 in
   while !i < Array.length ops do
     Ode_util.Stats.incr c_index_probes;
@@ -1131,11 +1233,6 @@ let iter_range t ?lo ?hi ?inclusive_hi f =
   in
   go ()
 
-(* The separator keys and children of the internal node [b]. *)
-let internal_parts b =
-  let n = count b in
-  (Array.init n (fun i -> node_key b (slot b i)), Array.init (n + 1) (child_at b))
-
 (* The children of the internal node [b] whose key ranges meet the bounds
    [lo] and [hi], rightmost first: child [i] spans [key (i-1), key i),
    and the bounds are compared with those separators where they lie. *)
@@ -1209,9 +1306,9 @@ let height t =
 (* -- attach -------------------------------------------------------------------- *)
 
 let format pool =
-  let t = { pool; root = 0; count = 0; marks = Array.make marks_size no_mark } in
+  let t = { pool; root = 0; count = 0; marks = Array.make marks_size no_mark; writes = 0 } in
   let root = alloc_page t in
-  fill t root ~leaf:true ~link:0 ~prefix:"" [||] 0 0;
+  fill t root ~leaf:true ~link:0 ~prefix:"" no_items 0 0;
   t.root <- root;
   write_header t;
   t
@@ -1236,6 +1333,7 @@ let attach pool =
           root = get_u32 data 8;
           count = Int64.to_int (B.get_int64_le data 12);
           marks = Array.make marks_size no_mark;
+          writes = 0;
         })
 
 (* -- structural check -------------------------------------------------------------- *)
@@ -1280,31 +1378,55 @@ let check ?visit t =
       if B.get b x <> '\000' then bad "node %d: free gap byte %d is not zero" page x
     done
   in
-  (* The stored prefix is the one its fences give, compared in place. A
-     prefix that is too long would still make every key start with it,
-     and would make keys out of suffixes that lost their first bytes. *)
-  let prefix page b ~lo ~hi =
-    let p = fence_prefix lo hi and pl = plen b in
-    if pl <> String.length p || compare_from p 0 pl b (node_end - pl) pl 0 pl <> 0 then
+  (* A fence is read where it lies: the key of the entry at [fo] of [fb],
+     a node on the path from the root, which stays pinned while the walk
+     is below it; [fo < 0] is the tree's open edge. Byte [i] of that key
+     is [key_byte fb fo i]. *)
+  let key_len fb fo = plen fb + len_at fb fo node_end in
+  let key_byte fb fo i =
+    let pl = plen fb in
+    if i < pl then B.get fb (node_end - pl + i) else B.get fb (fo + vsize (len_at fb fo node_end) + i - pl)
+  in
+  (* The keys of the entries at [o1] of [b1] and [o2] of [b2] compared. *)
+  let compare_keys b1 o1 b2 o2 =
+    let l1 = key_len b1 o1 and l2 = key_len b2 o2 in
+    let rec from i =
+      if i = l1 || i = l2 then compare l1 l2
+      else
+        match Char.compare (key_byte b1 o1 i) (key_byte b2 o2 i) with 0 -> from (i + 1) | c -> c
+    in
+    from 0
+  in
+  (* The stored prefix is the one its fences give: their longest common
+     prefix, empty when either is open, compared in place. A prefix that
+     is too long would still make every key start with it, and would make
+     keys out of suffixes that lost their first bytes. *)
+  let prefix page b lb lo hb ho =
+    let common =
+      if lo < 0 || ho < 0 then 0
+      else
+        let n = min (key_len lb lo) (key_len hb ho) in
+        let rec from i = if i < n && key_byte lb lo i = key_byte hb ho i then from (i + 1) else i in
+        from 0
+    in
+    let pl = plen b in
+    let rec same i = i >= pl || (B.get b (node_end - pl + i) = key_byte lb lo i && same (i + 1)) in
+    if pl <> common || not (same 0) then
       bad "node %d: key prefix %S is not its fences' common prefix %S" page
         (B.sub_string b (node_end - pl) pl)
-        p
+        (String.init common (key_byte lb lo))
   in
   (* A node's keys are compared where they lie: each with the next, then
-     the first (its least, once sorted) against [lo] and the last against
-     [hi]. No key is copied out. *)
-  let node_keys page b ~lo ~hi =
+     the first (its least, once sorted) against the lower fence and the
+     last against the upper. No key is copied out. *)
+  let node_keys page b lb lo hb ho =
     let n = count b in
     for i = 0 to n - 2 do
       if compare_entries b (slot b i) (slot b (i + 1)) >= 0 then bad "node %d: keys unsorted" page
     done;
     if n > 0 then begin
-      (match lo with
-      | Some l0 when compare_full l0 b (slot b 0) > 0 -> bad "node %d: key below bound" page
-      | _ -> ());
-      match hi with
-      | Some h0 when compare_full h0 b (slot b (n - 1)) <= 0 -> bad "node %d: key above bound" page
-      | _ -> ()
+      if lo >= 0 && compare_keys lb lo b (slot b 0) > 0 then bad "node %d: key below bound" page;
+      if ho >= 0 && compare_keys hb ho b (slot b (n - 1)) <= 0 then bad "node %d: key above bound" page
     end;
     n
   in
@@ -1321,36 +1443,31 @@ let check ?visit t =
           f (node_key b off) b (voff + vsize vlen) vlen
         done
   in
-  let rec go page depth ~lo ~hi =
+  (* A node is checked while pinned, and an internal one stays pinned
+     while its children are walked, so their fences are its entries. *)
+  let rec go page depth lb lo hb ho =
     if was_visited page then bad "page %d is reached twice" page;
     visit_page page;
-    let node =
-      with_node t page depth (fun b ->
-          layout page b;
-          prefix page b ~lo ~hi;
-          let n = node_keys page b ~lo ~hi in
-          if is_leaf b then begin
-            entries b;
-            `Leaf (n, link b)
-          end
-          else `Internal (internal_parts b))
-    in
-    match node with
-    | `Leaf (n, next) ->
-        if !leaf_depth < 0 then leaf_depth := depth
-        else if depth <> !leaf_depth then bad "leaf %d at depth %d, others at %d" page depth !leaf_depth;
-        if !prev_leaf <> 0 && !prev_next <> page then
-          bad "leaf chain links leaf %d to %d, not to the next leaf %d" !prev_leaf !prev_next page;
-        prev_leaf := page;
-        prev_next := next;
-        seen := !seen + n
-    | `Internal (keys, children) ->
-        Array.iteri
-          (fun i child ->
-            let lo' = if i = 0 then lo else Some keys.(i - 1) in
-            let hi' = if i = Array.length keys then hi else Some keys.(i) in
-            go child (depth + 1) ~lo:lo' ~hi:hi')
-          children
+    with_node t page depth (fun b ->
+        layout page b;
+        prefix page b lb lo hb ho;
+        let n = node_keys page b lb lo hb ho in
+        if is_leaf b then begin
+          entries b;
+          if !leaf_depth < 0 then leaf_depth := depth
+          else if depth <> !leaf_depth then bad "leaf %d at depth %d, others at %d" page depth !leaf_depth;
+          if !prev_leaf <> 0 && !prev_next <> page then
+            bad "leaf chain links leaf %d to %d, not to the next leaf %d" !prev_leaf !prev_next page;
+          prev_leaf := page;
+          prev_next := link b;
+          seen := !seen + n
+        end
+        else
+          for i = 0 to n do
+            let clb = if i = 0 then lb else b and clo = if i = 0 then lo else slot b (i - 1) in
+            let chb = if i = n then hb else b and cho = if i = n then ho else slot b i in
+            go (child_at b i) (depth + 1) clb clo chb cho
+          done)
   in
   (* Pages are never freed, so one the walk misses is leaked. Found once
      the walk is complete, as are a chain past the last leaf and a wrong
@@ -1362,7 +1479,7 @@ let check ?visit t =
     done;
     if !seen <> t.count then bad "count mismatch: header %d, found %d" t.count !seen
   in
-  match go t.root 0 ~lo:None ~hi:None with
+  match go t.root 0 B.empty (-1) B.empty (-1) with
   | exception Bad msg -> Error { msg; stopped = true }
   | () -> ( match after () with () -> Ok () | exception Bad msg -> Error { msg; stopped = false })
 

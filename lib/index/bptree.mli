@@ -84,6 +84,22 @@ val find_with : t -> string -> (Ode_storage.Bigbytes.t -> int -> int -> 'a) -> '
 
 val mem : t -> string -> bool
 
+type ascending
+(** A lookup for keys asked in ascending order: it keeps the leaf its
+    last descent reached, and that leaf's upper fence. *)
+
+val ascending : t -> ascending
+
+val find_ascending : ascending -> string -> (Ode_storage.Bigbytes.t -> int -> int -> 'a) -> 'a option
+(** [find_ascending a key read] is [find_with t key read]. A key at or
+    above the key asked before it and below the upper fence of the leaf
+    that one was found in is searched there: it costs a pin and no
+    descent, and only a descent counts as an [index_probes]. Any other
+    key (the first, one past the fence, one below the key before it, or
+    any key once the tree has taken a batch since that leaf was found)
+    descends from the root. So the keys of one sorted batch cost one
+    descent per leaf they fall in. *)
+
 type cursor
 (** A streaming scan position: one seek, then leaf-chain walks on demand.
     O(1) memory — the cursor holds a copy of one leaf at a time, in a

@@ -15,6 +15,7 @@ type t = {
   mutable index_list : (string * string) list; (* (class, field), oldest first *)
   lineage_memo : (string, Schema.cls list) Hashtbl.t;
   layout_memo : (int, layout) Hashtbl.t; (* class id -> layout *)
+  index_memo : (int, (int * string * int) list) Hashtbl.t; (* class id -> [class_indexes] *)
 }
 
 let create () =
@@ -26,12 +27,13 @@ let create () =
     index_list = [];
     lineage_memo = Hashtbl.create 16;
     layout_memo = Hashtbl.create 16;
+    index_memo = Hashtbl.create 16;
   }
 
 let find t name = Hashtbl.find_opt t.by_name name
 
 let find_exn t name =
-  match find t name with Some c -> c | None -> schema_error "unknown class %s" name
+  match Hashtbl.find t.by_name name with c -> c | exception Not_found -> schema_error "unknown class %s" name
 
 let find_by_id t id = Hashtbl.find_opt t.by_id id
 let all t = List.rev_map (fun n -> find_exn t n) t.order
@@ -60,9 +62,9 @@ let all_fields t c = List.concat_map (fun (a : Schema.cls) -> a.own_fields) (lin
 (* Memoized like [lineage]. [define] and [decode] build every class's
    layout up front, so a read only ever looks it up. *)
 let layout t (c : Schema.cls) =
-  match Hashtbl.find_opt t.layout_memo c.id with
-  | Some l -> l
-  | None ->
+  match Hashtbl.find t.layout_memo c.id with
+  | l -> l
+  | exception Not_found ->
       let fields = Array.of_list (all_fields t c) in
       let slots = Hashtbl.create (Array.length fields) in
       Array.iteri (fun i (f : Schema.field) -> Hashtbl.replace slots f.fname i) fields;
@@ -176,9 +178,28 @@ let add_index t ~cls ~field =
   if not (Otype.indexable f.ftype) then
     schema_error "field %s : %s is not indexable" field (Otype.to_string f.ftype);
   if List.mem (cls, field) t.index_list then schema_error "index on %s(%s) already exists" cls field;
-  t.index_list <- t.index_list @ [ (cls, field) ]
+  t.index_list <- t.index_list @ [ (cls, field) ];
+  Hashtbl.reset t.index_memo
 
 let indexes t = t.index_list
+
+let class_indexes t (c : Schema.cls) =
+  match Hashtbl.find t.index_memo c.id with
+  | l -> l
+  | exception Not_found ->
+      let ancestors = List.map (fun (a : Schema.cls) -> a.name) (lineage t c) in
+      let l = layout t c in
+      let rec go i = function
+        | [] -> []
+        | (icls, field) :: rest ->
+            let rest = go (i + 1) rest in
+            if List.mem icls ancestors then
+              match Hashtbl.find_opt l.slots field with Some s -> (i, field, s) :: rest | None -> rest
+            else rest
+      in
+      let found = go 0 t.index_list in
+      Hashtbl.replace t.index_memo c.id found;
+      found
 
 let indexes_on t name =
   match find t name with

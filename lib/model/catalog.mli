@@ -84,6 +84,12 @@ val add_index : t -> cls:string -> field:string -> unit
     non-indexable field type, or duplicate index. *)
 
 val indexes : t -> (string * string) list
+val class_indexes : t -> Schema.cls -> (int * string * int) list
+(** The indexes an object of the class enters, as (index id, field name,
+    slot) triples in index-id order: those declared on the class or on an
+    ancestor, the id being the index's position in {!indexes}. Memoized
+    until the next {!add_index}. *)
+
 val indexes_on : t -> string -> string list
 (** Indexed field names of a class (indexes declared on the class itself or
     inherited from an ancestor). *)

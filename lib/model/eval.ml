@@ -43,12 +43,12 @@ let add (a : Value.t) (b : Value.t) : Value.t =
   match (a, b) with
   | Str x, Str y -> Str (x ^ y)
   | VList x, VList y -> VList (x @ y)
-  | VSet _, VSet y -> List.fold_left (fun acc v -> Value.set_add v acc) a y
+  | VSet _, VSet _ -> Value.set_union a b
   | _ -> arith "+" ( + ) ( +. ) a b
 
 let sub (a : Value.t) (b : Value.t) : Value.t =
   match (a, b) with
-  | VSet _, VSet y -> List.fold_left (fun acc v -> Value.set_remove v acc) a y
+  | VSet _, VSet _ -> Value.set_diff a b
   | _ -> arith "-" ( - ) ( -. ) a b
 
 let div (a : Value.t) (b : Value.t) : Value.t =

@@ -45,7 +45,11 @@ let decode_vref c =
   let ver = Codec.get_u32 c in
   { oid; ver }
 
-let key a = Key.of_nat a.cls ^ Key.of_nat a.num
+let key_size a = Key.nat_size a.cls + Key.nat_size a.num
+let set_key b pos a = Key.set_nat b (Key.set_nat b pos a.cls) a.num
+
+let key a = Key.build key_size set_key a
+
 let key_class_prefix cls = Key.of_nat cls
 
 let of_key_at s pos =

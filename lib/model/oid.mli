@@ -36,6 +36,13 @@ val key : t -> string
     allocation order, so a key-range scan of a class prefix is exactly
     the paper's cluster iteration order. *)
 
+val key_size : t -> int
+(** The bytes {!key} takes. *)
+
+val set_key : bytes -> int -> t -> int
+(** [set_key b pos a] writes {!key}[ a] into [b] at [pos] and returns the
+    position past it, for a key built once at its final size. *)
+
 val key_class_prefix : int -> string
 (** Directory key prefix covering every object of a class, and no object
     of another: the encoding is prefix-free. *)

@@ -107,6 +107,29 @@ let set_add v s =
 let set_remove v s = VSet (List.filter (fun x -> not (equal v x)) (as_set s))
 let set_mem v s = List.exists (equal v) (as_set s)
 
+(* Merges of two sets' sorted elements, in one pass over each. On a tie
+   the left operand's element is the one kept, as inserting the right's
+   elements one by one would keep it ([Int 1] and [Float 1.] are equal). *)
+let rec union_into acc xs ys =
+  match (xs, ys) with
+  | [], rest | rest, [] -> List.rev_append acc rest
+  | x :: xs', y :: ys' ->
+      let c = compare x y in
+      if c < 0 then union_into (x :: acc) xs' ys
+      else if c > 0 then union_into (y :: acc) xs ys'
+      else union_into (x :: acc) xs' ys'
+
+let rec diff_into acc xs ys =
+  match (xs, ys) with
+  | [], _ -> List.rev acc
+  | _, [] -> List.rev_append acc xs
+  | x :: xs', y :: ys' ->
+      let c = compare x y in
+      if c < 0 then diff_into (x :: acc) xs' ys else if c > 0 then diff_into acc xs ys' else diff_into acc xs' ys
+
+let set_union a b = VSet (union_into [] (as_set a) (as_set b))
+let set_diff a b = VSet (diff_into [] (as_set a) (as_set b))
+
 (* -- serialization -------------------------------------------------------- *)
 
 let rec encode b = function
@@ -159,15 +182,41 @@ let rec decode c =
    the numeric keyspace so mixed-type predicates behave. A number is
    [Key.of_number]: with its type byte, 4 bytes for an int up to 16 and 5
    below 4,096, where the 8-byte float image took 9. *)
-let index_key = function
-  | Null -> "\000"
-  | Bool v -> "\001" ^ Key.of_bool v
-  | Int n -> "\002" ^ Key.of_number (float_of_int n)
-  | Float f -> "\002" ^ Key.of_number f
-  | Str s -> "\003" ^ Key.of_string s
-  | Ref o -> "\004" ^ Oid.key o
-  | (Vref _ | VList _ | VSet _) as v ->
-      invalid_arg (Fmt.str "value %a cannot be an index key" pp v)
+let not_indexable v = invalid_arg (Fmt.str "value %a cannot be an index key" pp v)
+
+let index_key_size = function
+  | Null -> 1
+  | Bool _ -> 2
+  | Int n -> 1 + Key.number_size (float_of_int n)
+  | Float f -> 1 + Key.number_size f
+  | Str s -> 1 + Key.string_size s
+  | Ref o -> 1 + Oid.key_size o
+  | (Vref _ | VList _ | VSet _) as v -> not_indexable v
+
+let set_index_key b pos v =
+  match v with
+  | Null ->
+      Bytes.set b pos '\000';
+      pos + 1
+  | Bool x ->
+      Bytes.set b pos '\001';
+      Bytes.set b (pos + 1) (if x then '\001' else '\000');
+      pos + 2
+  | Int n ->
+      Bytes.set b pos '\002';
+      Key.set_number b (pos + 1) (float_of_int n)
+  | Float f ->
+      Bytes.set b pos '\002';
+      Key.set_number b (pos + 1) f
+  | Str s ->
+      Bytes.set b pos '\003';
+      Key.set_string b (pos + 1) s
+  | Ref o ->
+      Bytes.set b pos '\004';
+      Oid.set_key b (pos + 1) o
+  | (Vref _ | VList _ | VSet _) as v -> not_indexable v
+
+let index_key v = Key.build index_key_size set_index_key v
 
 let fields_encode fields =
   let b = Buffer.create 128 in

@@ -36,6 +36,14 @@ val set_add : t -> t -> t
 val set_remove : t -> t -> t
 val set_mem : t -> t -> bool
 
+val set_union : t -> t -> t
+(** [set_union a b]: both must be [VSet]s. One merge of their elements,
+    O(n + m); where an element of [b] equals one of [a], [a]'s is kept. *)
+
+val set_diff : t -> t -> t
+(** [set_diff a b]: the elements of [a] equal to none of [b], by one
+    merge, O(n + m). *)
+
 val encode : Buffer.t -> t -> unit
 (** Self-describing: a tag byte, then the value in fixed widths. Named
     roots, whose values have no declared type, are stored this way; object
@@ -50,6 +58,14 @@ val index_key : t -> string
     [Int], [Float], [Bool], [Str] and [Ref]; raises [Invalid_argument]
     otherwise. [Int] and [Float] share one numeric keyspace, so an index on
     a float field built from int literals still scans correctly. *)
+
+val index_key_size : t -> int
+(** The bytes {!index_key} takes; raises as it does. *)
+
+val set_index_key : bytes -> int -> t -> int
+(** [set_index_key b pos v] writes {!index_key}[ v] into [b] at [pos] and
+    returns the position past it, for a key built once at its final
+    size; raises as {!index_key} does, before writing. *)
 
 val fields_encode : (string * t) list -> string
 (** Self-describing encoding of named fields: a u16 count, then each

@@ -20,7 +20,7 @@ let c_io_retries = Stats.counter ~group:Stats.Recovery "io_retries"
 type op = Put of string | Del
 
 type record =
-  | Commit of { trace : int; ts : int; writes : (string * op) list }
+  | Commit of { trace : int; ts : int; writes : (string * op) array }
   | Checkpoint of int
 
 type file_sink = { fd : Unix.file_descr; mutable wpos : int }
@@ -128,7 +128,7 @@ let add_record g = function
       add_char g tag_commit;
       add_svarint g trace;
       add_varint g ts;
-      List.iter
+      Array.iter
         (fun (key, op) ->
           add_char g (match op with Put _ -> '\001' | Del -> '\000');
           add_bytes g key;
@@ -157,7 +157,7 @@ let decode_at ?(base = 0) s ~pos ~stop =
     let trace = Codec.get_svarint c in
     let ts = Codec.get_varint c in
     let rec ops prev acc =
-      if Codec.at_end c then List.rev acc
+      if Codec.at_end c then Array.of_list (List.rev acc)
       else
         let at = Codec.pos c in
         let op = Codec.get_u8 c in

@@ -33,12 +33,12 @@
 type op = Put of string | Del
 
 type record =
-  | Commit of { trace : int; ts : int; writes : (string * op) list }
+  | Commit of { trace : int; ts : int; writes : (string * op) array }
       (** One transaction: the originating trace id (0 = untraced), which
           a standby's replay spans carry; the commit timestamp, the
           commit's own LSN, from which recovery and standbys rebuild the
           MVCC version order; and the write set, each key once, in key
-          order. *)
+          order: the array the commit sorted, which it also applies. *)
   | Checkpoint of int
       (** all prior effects are on disk; carries the durable LSN at the time
           the checkpoint was taken *)

@@ -43,6 +43,9 @@ let zigzag n = (n lsl 1) lxor (n asr 62)
 let max_varint_size = 9
 let put_svarint b n = put_groups b (zigzag n)
 
+let rec groups_size z = if z land lnot 0x7f = 0 then 1 else 1 + groups_size (z lsr 7)
+let svarint_size n = groups_size (zigzag n)
+
 (* [put_groups] into [b] at [pos], returning the offset after. *)
 let rec set_groups b pos z =
   if z land lnot 0x7f = 0 then begin

@@ -43,6 +43,9 @@ val put_svarint : Buffer.t -> int -> unit
 (** Any int, zigzag-mapped (0, -1, 1, -2, ... to 0, 1, 2, 3, ...) and
     then written in LEB128 groups: one byte from -64 to 63, at most nine. *)
 
+val svarint_size : int -> int
+(** Bytes [put_svarint] writes. *)
+
 val max_varint_size : int
 (** The most bytes a varint or an svarint takes: nine. *)
 

@@ -3,12 +3,29 @@ let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
 (* A width byte, then the significant bytes big-endian. A larger natural
    never has fewer significant bytes, so byte order is integer order, and
    the width byte makes the encoding prefix-free. *)
-let of_nat n =
+let rec width n w = if w < 8 && n lsr (8 * w) <> 0 then width n (w + 1) else w
+
+let nat_width n =
   if n < 0 then invalid_arg (Printf.sprintf "Key.of_nat: negative %d" n);
-  let rec width w = if w < 8 && n lsr (8 * w) <> 0 then width (w + 1) else w in
-  let w = width 0 in
-  String.init (w + 1) (fun i ->
-      if i = 0 then Char.chr w else Char.chr ((n lsr (8 * (w - i))) land 0xff))
+  width n 0
+
+let nat_size n = nat_width n + 1
+
+let set_nat b pos n =
+  let w = nat_width n in
+  Bytes.set b pos (Char.unsafe_chr w);
+  for i = 1 to w do
+    Bytes.set b (pos + i) (Char.unsafe_chr ((n lsr (8 * (w - i))) land 0xff))
+  done;
+  pos + w + 1
+
+(* A key component built once, at its final size, by its [size] and [set]. *)
+let build size set x =
+  let b = Bytes.create (size x) in
+  ignore (set b 0 x);
+  Bytes.unsafe_to_string b
+
+let of_nat n = build nat_size set_nat n
 
 let nat_at s pos =
   let len = String.length s in
@@ -24,34 +41,52 @@ let nat_at s pos =
   done;
   (!n, pos + 1 + w)
 
-let of_float f =
-  let bits = Int64.bits_of_float f in
-  (* Positive values: set the sign bit so they sort above negatives.
-     Negative values: complement all bits so magnitude order reverses. *)
-  let v = if Int64.compare bits 0L >= 0 then Int64.logxor bits Int64.min_int else Int64.lognot bits in
-  let b = Buffer.create 8 in
-  for i = 7 downto 0 do
-    Buffer.add_char b (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
-  done;
-  Buffer.contents b
+(* A float's order-preserving 8-byte image, with [-0.0] written as
+   [0.0], as two 32-bit halves. Positive floats get their sign bit set,
+   negative floats are complemented so magnitude order reverses. *)
+let[@inline] image f =
+  let v = Int64.bits_of_float (if f = 0.0 then 0.0 else f) in
+  if v >= 0L then Int64.logxor v Int64.min_int else Int64.lognot v
 
-(* [of_float]'s image less its trailing zero bytes, with 0x00 written
+let image_hi f = Int64.to_int (Int64.shift_right_logical (image f) 32)
+let image_lo f = Int64.to_int (image f) land 0xffff_ffff
+
+(* Byte [i] of the image whose halves are [hi] and [lo]. *)
+let image_byte hi lo i = if i < 4 then (hi lsr (8 * (3 - i))) land 0xff else (lo lsr (8 * (7 - i))) land 0xff
+
+(* The index of the image's last non-zero byte from [i] down, -1 when all
+   are zero. *)
+let rec image_last hi lo i = if i >= 0 && image_byte hi lo i = 0 then image_last hi lo (i - 1) else i
+
+(* The image less its trailing zero bytes, with 0x00 written
    0x01 0x01 and 0x01 written 0x01 0x02, then a 0x00 terminator. *)
-let of_number f =
-  let img = of_float (if f = 0.0 then 0.0 else f) in
-  let last = ref 7 in
-  while !last >= 0 && img.[!last] = '\000' do
-    decr last
+let number_size f =
+  let hi = image_hi f and lo = image_lo f in
+  let n = ref 1 in
+  for i = 0 to image_last hi lo 7 do
+    n := !n + if image_byte hi lo i < 2 then 2 else 1
   done;
-  let b = Buffer.create 10 in
-  for i = 0 to !last do
-    match img.[i] with
-    | '\000' -> Buffer.add_string b "\001\001"
-    | '\001' -> Buffer.add_string b "\001\002"
-    | c -> Buffer.add_char b c
+  !n
+
+let set_number b pos f =
+  let hi = image_hi f and lo = image_lo f in
+  let p = ref pos in
+  for i = 0 to image_last hi lo 7 do
+    let c = image_byte hi lo i in
+    if c < 2 then begin
+      Bytes.set b !p '\001';
+      Bytes.set b (!p + 1) (Char.unsafe_chr (c + 1));
+      p := !p + 2
+    end
+    else begin
+      Bytes.set b !p (Char.unsafe_chr c);
+      incr p
+    end
   done;
-  Buffer.add_char b '\000';
-  Buffer.contents b
+  Bytes.set b !p '\000';
+  !p + 1
+
+let of_number f = build number_size set_number f
 
 let number_end s pos =
   let len = String.length s in
@@ -73,14 +108,29 @@ let number_end s pos =
   in
   go pos 0 (-1)
 
-let of_string s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      if ch = '\000' then Buffer.add_string b "\000\255" else Buffer.add_char b ch)
-    s;
-  Buffer.add_string b "\000\000";
-  Buffer.contents b
+let string_size s =
+  let n = ref (String.length s + 2) in
+  for i = 0 to String.length s - 1 do
+    if String.unsafe_get s i = '\000' then incr n
+  done;
+  !n
+
+let set_string b pos s =
+  let p = ref pos in
+  for i = 0 to String.length s - 1 do
+    let ch = String.unsafe_get s i in
+    Bytes.set b !p ch;
+    if ch = '\000' then begin
+      Bytes.set b (!p + 1) '\255';
+      p := !p + 2
+    end
+    else incr p
+  done;
+  Bytes.set b !p '\000';
+  Bytes.set b (!p + 1) '\000';
+  !p + 2
+
+let of_string s = build string_size set_string s
 
 let rec string_end s pos =
   match String.index_from_opt s pos '\000' with
@@ -107,3 +157,75 @@ let succ_prefix p =
     end
   in
   bump (Bytes.length b - 1)
+
+(* The first seven bytes of [s], big-endian, zero-padded. Where two
+   strings' heads differ, they order the strings as [String.compare]
+   does: at the first byte that differs, either both are the strings'
+   own, or the lesser is padding and its string a prefix of the other. *)
+let head s =
+  let n = String.length s in
+  let h = ref 0 in
+  for i = 0 to 6 do
+    h := (!h lsl 8) lor if i < n then Char.code (String.unsafe_get s i) else 0
+  done;
+  !h
+
+(* A least-significant-byte-first radix sort of the indices by their
+   heads, one counting pass a byte, skipping a byte every head shares;
+   then each run of tied heads sorted by whole key. Its seven passes
+   over 256 counts cost more than comparing a few keys, so a short
+   array is sorted by comparison alone. (At 256 words the counts are a
+   minor-heap block; one more word and every commit would allocate one
+   in the major heap.) *)
+let sort_by key a =
+  let n = Array.length a in
+  let by_key x y = String.compare (key x) (key y) in
+  if n < 64 then begin
+    let b = Array.copy a in
+    Array.stable_sort by_key b;
+    b
+  end
+  else begin
+    let heads = Array.map (fun x -> head (key x)) a in
+    let order = ref (Array.init n Fun.id) and spare = ref (Array.make n 0) in
+    let count = Array.make 256 0 in
+    for byte = 0 to 6 do
+      let src = !order and dst = !spare and shift = 8 * byte in
+      Array.fill count 0 256 0;
+      for k = 0 to n - 1 do
+        let d = (heads.(src.(k)) lsr shift) land 0xff in
+        count.(d) <- count.(d) + 1
+      done;
+      if not (Array.mem n count) then begin
+        let sum = ref 0 in
+        for d = 0 to 255 do
+          let c = count.(d) in
+          count.(d) <- !sum;
+          sum := !sum + c
+        done;
+        for k = 0 to n - 1 do
+          let i = src.(k) in
+          let d = (heads.(i) lsr shift) land 0xff in
+          dst.(count.(d)) <- i;
+          count.(d) <- count.(d) + 1
+        done;
+        order := dst;
+        spare := src
+      end
+    done;
+    let order = !order in
+    let k = ref 0 in
+    while !k < n do
+      let h = heads.(order.(!k)) and e = ref (!k + 1) in
+      while !e < n && heads.(order.(!e)) = h do
+        incr e
+      done;
+      if !e - !k > 1 then begin
+        let run = Array.sub order !k (!e - !k) in
+        Array.stable_sort (fun i j -> by_key a.(i) a.(j)) run;
+        Array.blit run 0 order !k (!e - !k)
+      end;
+      k := !e
+    done;
+    Array.map (fun i -> a.(i)) order
+  end

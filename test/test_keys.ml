@@ -390,7 +390,7 @@ let old_layout_refused () =
 
 (* -- records in the directory leaf ------------------------------------------- *)
 
-let kv_apply db ops = Ode.Kv.apply_sorted db ops ~on_new:ignore ~on_gone:ignore
+let kv_apply db ops = Ode.Kv.apply_sorted db ops ~skip:(0, 0) ~on_new:ignore ~on_gone:ignore
 let kv_put db puts = kv_apply db (Array.map (fun (k, p) -> (k, Ode.Types.Put p)) puts)
 
 (* Where the directory keeps [key]'s record. *)

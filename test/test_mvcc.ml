@@ -20,6 +20,14 @@ let vis =
 
 let check_vis = Alcotest.check vis
 
+(* A commit of (key, new value) pairs, every key versioned. *)
+let commit m ~ts ~except ~pre writes =
+  Mvcc.commit m ~ts ~except ~pre ~versioned:(fun _ -> true)
+    (Array.of_list (List.map (fun (k, v) -> (k, match v with Some s -> Put s | None -> Del)) writes))
+
+(* The first of [keys] committed past [read_ts]. *)
+let conflict m ~read_ts keys = List.find_opt (fun k -> Mvcc.conflict m ~read_ts k) keys
+
 (* -- unit: visibility through a version chain ----------------------------- *)
 
 let visibility () =
@@ -27,11 +35,11 @@ let visibility () =
   (* No chains: everything is Latest, snapshot or not. *)
   check_vis "empty store" Mvcc.Latest (Mvcc.read m ~read_ts:0 "k");
   let tok = Mvcc.snapshot m ~read_ts:5 in
-  Mvcc.commit m ~ts:10 ~except:0 ~pre:(fun _ -> Some "old") [ ("k", Some "new") ];
+  commit m ~ts:10 ~except:0 ~pre:(fun _ -> Some "old") [ ("k", Some "new") ];
   check_vis "snapshot predates the commit" (Mvcc.Older (Some "old"))
     (Mvcc.read m ~read_ts:5 "k");
   check_vis "at the commit ts the head is visible" Mvcc.Latest (Mvcc.read m ~read_ts:10 "k");
-  Mvcc.commit m ~ts:20 ~except:0 ~pre:(fun _ -> assert false) [ ("k", Some "newer") ];
+  commit m ~ts:20 ~except:0 ~pre:(fun _ -> assert false) [ ("k", Some "newer") ];
   check_vis "middle version for a middle snapshot" (Mvcc.Older (Some "new"))
     (Mvcc.read m ~read_ts:15 "k");
   check_vis "oldest snapshot still sees the base" (Mvcc.Older (Some "old"))
@@ -44,13 +52,13 @@ let tombstones () =
   let m = Mvcc.create () in
   let tok = Mvcc.snapshot m ~read_ts:5 in
   (* Delete after the snapshot: the snapshot keeps the pre-image. *)
-  Mvcc.commit m ~ts:10 ~except:0 ~pre:(fun _ -> Some "alive") [ ("dead", None) ];
+  commit m ~ts:10 ~except:0 ~pre:(fun _ -> Some "alive") [ ("dead", None) ];
   check_vis "pre-image survives the delete" (Mvcc.Older (Some "alive"))
     (Mvcc.read m ~read_ts:5 "dead");
   check_vis "deleter's own view is Latest" Mvcc.Latest (Mvcc.read m ~read_ts:10 "dead");
   (* Create after the snapshot: the base entry is a tombstone, so the
      snapshot sees "no such key". *)
-  Mvcc.commit m ~ts:11 ~except:0 ~pre:(fun _ -> None) [ ("born", Some "x") ];
+  commit m ~ts:11 ~except:0 ~pre:(fun _ -> None) [ ("born", Some "x") ];
   check_vis "created-after-snapshot is invisible" (Mvcc.Older None)
     (Mvcc.read m ~read_ts:5 "born");
   Mvcc.release m tok
@@ -60,25 +68,25 @@ let conflict_check () =
   let a = Mvcc.snapshot m ~read_ts:5 in
   let b = Mvcc.snapshot m ~read_ts:5 in
   (* a commits "x" at ts 6 (recorded because b is live). *)
-  Mvcc.commit m ~ts:6 ~except:a ~pre:(fun _ -> None) [ ("x", Some "a") ];
+  commit m ~ts:6 ~except:a ~pre:(fun _ -> None) [ ("x", Some "a") ];
   Mvcc.release m a;
   Alcotest.(check (option string))
     "b's write-set now conflicts" (Some "x")
-    (Mvcc.conflict m ~read_ts:5 [ "y"; "x" ]);
+    (conflict m ~read_ts:5 [ "y"; "x" ]);
   Alcotest.(check (option string))
     "disjoint write-set does not" None
-    (Mvcc.conflict m ~read_ts:5 [ "y"; "z" ]);
+    (conflict m ~read_ts:5 [ "y"; "z" ]);
   Alcotest.(check (option string))
     "a later snapshot does not" None
-    (Mvcc.conflict m ~read_ts:6 [ "x" ]);
+    (conflict m ~read_ts:6 [ "x" ]);
   Mvcc.release m b
 
 let gc_horizon () =
   let m = Mvcc.create () in
   let old_snap = Mvcc.snapshot m ~read_ts:5 in
   let mid_snap = Mvcc.snapshot m ~read_ts:15 in
-  Mvcc.commit m ~ts:10 ~except:0 ~pre:(fun _ -> Some "base") [ ("k", Some "v10") ];
-  Mvcc.commit m ~ts:20 ~except:0 ~pre:(fun _ -> assert false) [ ("k", Some "v20") ];
+  commit m ~ts:10 ~except:0 ~pre:(fun _ -> Some "base") [ ("k", Some "v10") ];
+  commit m ~ts:20 ~except:0 ~pre:(fun _ -> assert false) [ ("k", Some "v20") ];
   Mvcc.gc m;
   (* Horizon 5: every version is still reachable by some snapshot. *)
   check_vis "old snapshot sees the base" (Mvcc.Older (Some "base"))

@@ -890,7 +890,7 @@ let oid_counters_in_meta () =
   let keys = ref [] in
   let logged = function
     | Ode_storage.Wal.Commit { writes; _ } ->
-        List.iter (function k, Ode_storage.Wal.Put _ -> keys := k :: !keys | _, Del -> ()) writes
+        Array.iter (function k, Ode_storage.Wal.Put _ -> keys := k :: !keys | _, Del -> ()) writes
     | Checkpoint _ -> ()
   in
   Queue.iter (fun (data, _, _) -> ignore (Ode_storage.Wal.scan data logged)) queue;

@@ -867,7 +867,11 @@ let pipelined_past_out_cap () =
 (* A client that stops reading with a full reply backlog costs only
    itself: another client's pings beside it keep a median within 1.5x of
    their median alone. Each tick's write attempt on the stalled socket
-   copies at most one 64 KiB chunk, not its whole backlog. *)
+   copies at most one 64 KiB chunk, not its whole backlog. The two are
+   taken in three alternating rounds, the stalled connection opened,
+   filled and closed within each, and the rule holds between the medians
+   of the rounds' medians, so one slow stretch of a loaded host does not
+   decide it. *)
 let stalled_reader_costs_only_itself () =
   ignore
     (with_server (fun port ->
@@ -882,29 +886,40 @@ let stalled_reader_costs_only_itself () =
            Array.sort compare samples;
            samples.(1000)
          in
+         (* [median ()] beside a connection whose replies back up unread. *)
+         let beside_stalled () =
+           let fd = raw_connect port in
+           Fun.protect
+             ~finally:(fun () -> Unix.close fd)
+             (fun () ->
+               write_all fd P.hello 0;
+               let b = Buffer.create 4096 in
+               P.encode_request b
+                 {
+                   rq_id = 1;
+                   rq_trace = 0;
+                   rq_op = Exec (Printf.sprintf "s := \"%s\";" (String.make (256 * 1024) 'x'));
+                 };
+               for i = 2 to 129 do
+                 P.encode_request b { rq_id = i; rq_trace = 0; rq_op = Exec "print s;" }
+               done;
+               write_all fd (Buffer.contents b) 0;
+               Unix.sleepf 0.5;
+               median ())
+         in
          ignore (median ());
-         let alone = median () in
-         let fd = raw_connect port in
-         Fun.protect
-           ~finally:(fun () -> Unix.close fd)
-           (fun () ->
-             write_all fd P.hello 0;
-             let b = Buffer.create 4096 in
-             P.encode_request b
-               {
-                 rq_id = 1;
-                 rq_trace = 0;
-                 rq_op = Exec (Printf.sprintf "s := \"%s\";" (String.make (256 * 1024) 'x'));
-               };
-             for i = 2 to 129 do
-               P.encode_request b { rq_id = i; rq_trace = 0; rq_op = Exec "print s;" }
-             done;
-             write_all fd (Buffer.contents b) 0;
-             Unix.sleepf 0.5;
-             let beside = median () in
-             if beside > 1.5 *. alone then
-               Alcotest.failf "ping median %.0f us beside a stalled reader, %.0f us alone"
-                 (beside *. 1e6) (alone *. 1e6));
+         let rounds =
+           List.init 3 (fun _ ->
+               let alone = median () in
+               (alone, beside_stalled ()))
+         in
+         let middle xs = List.nth (List.sort compare xs) 1 in
+         let alone = middle (List.map fst rounds) and beside = middle (List.map snd rounds) in
+         if beside > 1.5 *. alone then
+           Alcotest.failf "ping median %.0f us beside a stalled reader, %.0f us alone (rounds: %s)"
+             (beside *. 1e6) (alone *. 1e6)
+             (String.concat "; "
+                (List.map (fun (a, b) -> Printf.sprintf "%.0f/%.0f us" (a *. 1e6) (b *. 1e6)) rounds));
          Client.close c))
 
 (* A write attempt that gets EAGAIN copies at most one chunk whatever the

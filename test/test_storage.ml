@@ -353,7 +353,7 @@ let pool_no_flush_section () =
 
 (* -- wal ------------------------------------------------------------------ *)
 
-let commit ?(trace = 0) ts writes = Wal.Commit { trace; ts; writes }
+let commit ?(trace = 0) ts writes = Wal.Commit { trace; ts; writes = Array.of_list writes }
 
 let wal_records =
   [

@@ -117,7 +117,7 @@ let verify_detects_corruption () =
           (expect :: also));
     Db.close db
   in
-  let kv_apply db key op = Ode.Kv.apply_sorted db [| (key, op) |] ~on_new:ignore ~on_gone:ignore in
+  let kv_apply db key op = Ode.Kv.apply_sorted db [| (key, op) |] ~skip:(0, 0) ~on_new:ignore ~on_gone:ignore in
   let put db key payload = kv_apply db key (Ode.Types.Put payload) in
   case "missing non-current version" ~expect:"version 0 record missing" (fun db o ->
       kv_apply db (Ode.Keys.version o 0) Ode.Types.Del);
@@ -203,7 +203,7 @@ let verify_detects_corruption () =
           (Ode.Keys.version o 0, Ode.Types.Del);
           (Ode.Keys.version o 5, Ode.Types.Put (version db o [| int 1 |]));
         |]
-        ~on_new:ignore ~on_gone:ignore);
+        ~skip:(0, 0) ~on_new:ignore ~on_gone:ignore);
   let put_header db o h = put db (Ode.Keys.header o) (Ode.Store.encode_object db o h [| int 2 |]) in
   case "current version not listed" ~expect:"current version 7 not in version list" (fun db o ->
       put_header db o { hcurrent = 7; hversions = [ 1; 0 ] });
@@ -336,7 +336,7 @@ let verify_detects_bad_activations () =
     let ops = if key' = key then [] else [ (key, Ode.Types.Del) ] in
     Ode.Kv.apply_sorted db
       (Array.of_list (List.sort compare ((key', Ode.Types.Put payload) :: ops)))
-      ~on_new:ignore ~on_gone:ignore;
+      ~skip:(0, 0) ~on_new:ignore ~on_gone:ignore;
     (match Ode.Verify.run db with
     | Ok () -> Alcotest.failf "%s: corruption not detected" name
     | Error ps ->

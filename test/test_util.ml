@@ -183,7 +183,7 @@ let prop_float_order =
     QCheck.(pair finite finite)
     (fun (a, b) ->
       QCheck.assume (Float.is_finite a && Float.is_finite b);
-      compare (Key.of_float a) (Key.of_float b) = compare a b)
+      compare (Key.of_number a) (Key.of_number b) = compare a b)
 
 let prop_string_order =
   QCheck.Test.make ~name:"string keys preserve order" ~count:1000
@@ -207,10 +207,29 @@ let prop_succ_prefix =
       | None -> String.for_all (fun c -> c = '\255') p
       | Some s -> compare (p ^ ext) s < 0 && compare p s < 0)
 
+(* [Key.sort_by] against a stable comparison sort, over keys from a
+   small alphabet with zero and 0xff bytes, of lengths around the seven
+   bytes it radix-sorts, many sharing a longer prefix so that their
+   heads tie; each key carries its position, so stability shows. *)
+let prop_sort_by =
+  let byte = QCheck.Gen.oneofl [ '\000'; '\001'; 'a'; '\255' ] in
+  let key =
+    QCheck.Gen.(
+      map2
+        (fun shared tail -> if shared then "key\000pre" ^ tail else tail)
+        bool
+        (string_size ~gen:byte (int_bound 12)))
+  in
+  QCheck.Test.make ~name:"sort_by is a stable byte-order sort" ~count:500
+    (QCheck.make ~print:QCheck.Print.(list string) QCheck.Gen.(list_size (int_bound 300) key))
+    (fun keys ->
+      let a = Array.of_list (List.mapi (fun i k -> (k, i)) keys) in
+      Array.to_list (Key.sort_by fst a) = List.stable_sort (fun (x, _) (y, _) -> String.compare x y) (Array.to_list a))
+
 let neg_float_order () =
-  Tutil.check_bool "-1.0 < 1.0" true (compare (Key.of_float (-1.0)) (Key.of_float 1.0) < 0);
-  Tutil.check_bool "-2.0 < -1.0" true (compare (Key.of_float (-2.0)) (Key.of_float (-1.0)) < 0);
-  Tutil.check_bool "0.0 < 1e300" true (compare (Key.of_float 0.0) (Key.of_float 1e300) < 0)
+  Tutil.check_bool "-1.0 < 1.0" true (compare (Key.of_number (-1.0)) (Key.of_number 1.0) < 0);
+  Tutil.check_bool "-2.0 < -1.0" true (compare (Key.of_number (-2.0)) (Key.of_number (-1.0)) < 0);
+  Tutil.check_bool "0.0 < 1e300" true (compare (Key.of_number 0.0) (Key.of_number 1e300) < 0)
 
 let suite =
   [
@@ -238,6 +257,7 @@ let suite =
         prop_nat_prefix_free;
         prop_nat_roundtrip;
         prop_nat_negative;
+        prop_sort_by;
         prop_float_order;
         prop_string_order;
         prop_composite_boundary;

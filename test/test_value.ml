@@ -225,6 +225,36 @@ let prop_rendering_identity =
       List.for_all (fun (_, v) -> Value.to_string v = Fmt.str "%a" Value.pp v) fields
       && Ode.Shell.row_text (oid c n) fields = fmt_row (oid c n) fields)
 
+(* Union and difference by merge against what [Eval] did before them:
+   fold [set_add], or [set_remove], over the right operand's elements.
+   The folds stay here as the reference. Elements mix small ints,
+   floats that tie with them, short strings, refs and nested sets, so
+   equal-but-unlike elements ([Int 1], [Float 1.]) meet often, and the
+   left operand's must be the one kept. *)
+let elements = function Value.VSet vs -> vs | _ -> assert false
+let union_fold a b = List.fold_left (fun acc v -> Value.set_add v acc) a (elements b)
+let diff_fold a b = List.fold_left (fun acc v -> Value.set_remove v acc) a (elements b)
+
+let set_merges () =
+  let rng = Ode_util.Prng.create 24 in
+  let pick a = Ode_util.Prng.pick rng a in
+  let floats = [| -2.; -0.5; -0.; 0.; 1.; 1.5; 3. |] in
+  let rec elem depth =
+    match Ode_util.Prng.int rng (if depth > 0 then 6 else 5) with
+    | 0 | 1 -> Value.Int (Ode_util.Prng.int rng 9 - 4)
+    | 2 -> Value.Float (pick floats)
+    | 3 -> Value.Str (String.init (Ode_util.Prng.int rng 3) (fun _ -> pick [| 'a'; 'b'; '\000' |]))
+    | 4 -> Value.Ref (oid (Ode_util.Prng.int rng 2) (Ode_util.Prng.int rng 4))
+    | _ -> set (depth - 1) 4
+  and set depth most = Value.set_of_list (List.init (Ode_util.Prng.int rng (most + 1)) (fun _ -> elem depth)) in
+  let same = Alcotest.testable Value.pp (fun x y -> Stdlib.compare x y = 0) in
+  for case = 1 to 1_500 do
+    let a = set 1 12 and b = set 1 12 in
+    let name what = Printf.sprintf "case %d: %s of %s and %s" case what (Value.to_string a) (Value.to_string b) in
+    Alcotest.check same (name "union") (union_fold a b) (Value.set_union a b);
+    Alcotest.check same (name "difference") (diff_fold a b) (Value.set_diff a b)
+  done
+
 let suite =
   [
     ( "value",
@@ -233,6 +263,7 @@ let suite =
         Alcotest.test_case "set normalization" `Quick set_normalization;
         Alcotest.test_case "index_key rejects containers" `Quick index_key_rejects_containers;
         Alcotest.test_case "encoders keep their bytes" `Quick golden_bytes;
+        Alcotest.test_case "set union and difference by merge" `Quick set_merges;
       ] );
     Tutil.qsuite "value.props"
       [
